@@ -8,8 +8,9 @@ Subcommands (all built on :mod:`repro.api`):
   verdict table (every backtested candidate with its KS statistic).
 * ``repro bench`` — time the pipeline stages for one scenario a few
   times over (a CLI-sized slice of the Figure 9a breakdown).
-* ``repro worker --connect HOST:PORT`` — join a socket coordinator as a
-  remote backtest worker (alias of the ``repro-worker`` entry point).
+* ``repro worker --connect HOST:PORT`` — join a coordinator's worker
+  pool as a remote worker (alias of the ``repro-worker`` entry point;
+  the pool's token comes from ``REPRO_WORKER_TOKEN``).
 * ``repro scenarios list`` — the registered scenario catalogue.
 * ``repro trace Q1 --out trace.json`` — run the pipeline with telemetry
   on and write a Chrome ``trace_event`` file (Perfetto-loadable).
@@ -614,8 +615,15 @@ def _cmd_serve(args) -> int:
     import signal
     import threading
 
+    from .distrib.pool import TOKEN_ENV
     from .service import RepairServiceDaemon, ServiceHTTPServer
 
+    if args.no_spawn_workers and not os.environ.get(TOKEN_ENV):
+        # Without it the pool draws a random token no remote worker knows.
+        print(f"repro serve: --no-spawn-workers needs {TOKEN_ENV} set, to "
+              f"the same secret here and for every remote repro-worker",
+              file=sys.stderr)
+        return 2
     plan = None
     if args.fault_plan:
         from .distrib.faults import FaultPlan
@@ -838,7 +846,8 @@ def build_parser() -> argparse.ArgumentParser:
     summarize.set_defaults(func=_cmd_events_summarize)
 
     worker = sub.add_parser(
-        "worker", help="join a socket coordinator as a backtest worker")
+        "worker", help="join a coordinator's worker pool "
+                       "(token from REPRO_WORKER_TOKEN)")
     worker.add_argument("--connect", required=True, metavar="HOST:PORT")
     worker.set_defaults(func=_cmd_worker)
 
@@ -858,7 +867,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="local repro-worker processes to spawn")
     serve.add_argument("--no-spawn-workers", action="store_true",
                        help="spawn no local workers (point remote "
-                            "repro-worker processes at the daemon port)")
+                            "repro-worker processes at the daemon port; "
+                            "REPRO_WORKER_TOKEN must be set to one secret "
+                            "here and for them)")
     serve.add_argument("--fault-plan", metavar="FILE", dest="fault_plan",
                        help="JSON FaultPlan armed against the fleet "
                             "(deterministic chaos reproduction)")

@@ -10,10 +10,14 @@ embarrassingly parallel workload into a schedulable fabric:
 * :mod:`~repro.distrib.coordinator` — pull-based work-queue dispatch with
   input-order result streaming, progress callbacks and optional
   early-abort of hopeless replays;
-* :mod:`~repro.distrib.transport` — in-process, ``spawn``
-  multiprocessing, and length-prefixed TCP transports (the latter served
-  by ``python -m repro.distrib.worker`` processes, which may live on
-  other machines);
+* :mod:`~repro.distrib.pool` — the one supervised worker fleet
+  (:class:`WorkerPool`): listener, token handshake, frame protocol,
+  respawn, deadlines and the retry rule, parametrised by a
+  :class:`DispatchPolicy`;
+* :mod:`~repro.distrib.transport` — the in-process reference transport
+  and the pool-backed one (``"spawn"`` and ``"socket"`` are two names
+  for it), served by ``python -m repro.distrib.worker`` processes, which
+  may live on other machines;
 * :mod:`~repro.distrib.worker` — the ``repro-worker`` entry point.
 
 Every transport is an optimisation, not an approximation: with the abort
@@ -32,20 +36,22 @@ from ..backtest.abort import EarlyAbortPolicy
 from .coordinator import Coordinator, Scheduler
 from .faults import (FAULT_KINDS, FaultAction, FaultInjector, FaultPlan,
                      FaultStats, FaultToleranceConfig, InjectedFault,
-                     QuarantinedItem)
+                     QuarantinedItem, retry_or_quarantine)
 from .jobs import (BACKTESTER_CLASSES, DistribError, JobRuntime,
                    RuntimeCache, build_job_wire, job_digest,
                    register_backtester, strip_candidates)
-from .transport import (BaseTransport, FrameError, InProcessTransport,
-                        SocketTransport, SpawnTransport, TransportError,
+from .pool import (DispatchPolicy, FrameError, PoolJob, TransportError,
+                   WorkItem, WorkerPool)
+from .transport import (BaseTransport, InProcessTransport, SocketTransport,
                         make_transport)
 
 __all__ = [
-    "BACKTESTER_CLASSES", "BaseTransport", "Coordinator", "DistribError",
-    "EarlyAbortPolicy", "FAULT_KINDS", "FaultAction", "FaultInjector",
-    "FaultPlan", "FaultStats", "FaultToleranceConfig", "FrameError",
-    "InProcessTransport", "InjectedFault", "JobRuntime", "QuarantinedItem",
-    "RuntimeCache", "Scheduler", "SocketTransport", "SpawnTransport",
-    "TransportError", "build_job_wire", "job_digest", "make_transport",
-    "register_backtester", "strip_candidates",
+    "BACKTESTER_CLASSES", "BaseTransport", "Coordinator", "DispatchPolicy",
+    "DistribError", "EarlyAbortPolicy", "FAULT_KINDS", "FaultAction",
+    "FaultInjector", "FaultPlan", "FaultStats", "FaultToleranceConfig",
+    "FrameError", "InProcessTransport", "InjectedFault", "JobRuntime",
+    "PoolJob", "QuarantinedItem", "RuntimeCache", "Scheduler",
+    "SocketTransport", "TransportError", "WorkItem", "WorkerPool",
+    "build_job_wire", "job_digest", "make_transport", "register_backtester",
+    "retry_or_quarantine", "strip_candidates",
 ]

@@ -101,7 +101,7 @@ class Coordinator:
         callbacks = [cb for cb in (self.progress, progress,
                                    self._event_progress) if cb is not None]
         done = 0
-        lock = threading.Lock()   # socket transports deliver from threads
+        lock = threading.Lock()   # a transport may deliver from its threads
 
         def on_result(index: int, outcome) -> None:
             nonlocal done

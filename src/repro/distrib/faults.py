@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 __all__ = [
     "FAULT_KINDS", "FaultAction", "FaultInjector", "FaultPlan",
     "FaultStats", "FaultToleranceConfig", "InjectedFault", "QuarantinedItem",
+    "retry_or_quarantine",
 ]
 
 #: Soft-deadline floor: even tiny scenarios (millisecond baselines) get a
@@ -48,8 +49,8 @@ DEADLINE_FLOOR_SECONDS = 30.0
 #: before a worker evaluates its Nth item; ``poison`` fires on *every*
 #: evaluation of one candidate index (the quarantine path); the ``*_result``
 #: and ``*_frame`` kinds manipulate the result delivery after a successful
-#: evaluation (frame corruption is socket-specific — the queue transports
-#: map it to a worker death, the in-process transport to a raise).
+#: evaluation (they need a worker connection: the in-process transport
+#: ignores them).
 FAULT_KINDS = ("kill", "hang", "raise", "poison", "drop_result",
                "delay_result", "corrupt_frame", "truncate_frame")
 
@@ -64,11 +65,11 @@ class FaultAction:
 
     Trigger semantics: with ``index`` set the action targets one candidate
     (``poison`` fires on every attempt by any worker — that is what makes
-    a candidate poisonous; other kinds fire once).  Without ``index`` the
-    action fires when worker ``worker`` (``None`` = any) is about to
-    evaluate its ``after_items + 1``-th item of the job — and only in the
-    worker's first incarnation, so a respawned replacement does not
-    re-fire the fault that killed its predecessor.
+    a candidate poisonous; other kinds fire once per worker).  Without
+    ``index`` the action fires when worker ``worker`` (``None`` = any) is
+    about to evaluate its ``after_items + 1``-th item.  Worker ids are
+    never reused — a respawned replacement gets a fresh one — so it does
+    not re-fire the fault that killed its predecessor.
     """
 
     kind: str
@@ -296,11 +297,32 @@ class FaultStats:
                     or self.frame_errors or self.degraded)
 
 
+def retry_or_quarantine(stats: FaultStats, max_attempts: int, index: int,
+                        attempts: int, reason: str, detail: str = ""
+                        ) -> Tuple[int, Optional[QuarantinedItem]]:
+    """The fabric's one retry rule: charge a failed item an attempt.
+
+    Returns ``(attempts, None)`` after recording a retry on ``stats`` —
+    the caller requeues the item with the new count — or ``(attempts,
+    QuarantinedItem)`` once the item has been tried ``max_attempts``
+    times.  The in-process drain, the worker pool (hence both process
+    transports) and the repair service all decide through this function,
+    so an item's fate never depends on where it ran.
+    """
+    attempts += 1
+    if attempts >= max_attempts:
+        stats.quarantined += 1
+        return attempts, QuarantinedItem(index=index, reason=reason,
+                                         attempts=attempts, detail=detail)
+    stats.record_retry(index, reason, attempts)
+    return attempts, None
+
+
 class FaultInjector:
     """Worker-side interpreter of a :class:`FaultPlan`.
 
-    One injector per (worker, incarnation); :meth:`before_item` runs ahead
-    of each evaluation (and may kill, hang or raise), and
+    One injector per worker; :meth:`before_item` runs ahead of each
+    evaluation (and may kill, hang or raise), and
     :meth:`result_action` tells the delivery path whether to tamper with
     this item's result.  ``inprocess=True`` maps process-level faults
     (``kill``, ``hang``) to raises, since the calling process must survive
@@ -308,17 +330,15 @@ class FaultInjector:
     """
 
     def __init__(self, plan: Optional[FaultPlan], worker_id: int = 0,
-                 incarnation: int = 0, inprocess: bool = False):
+                 inprocess: bool = False):
         self.plan = FaultPlan.coerce(plan)
         self.worker_id = worker_id
-        self.incarnation = incarnation
         self.inprocess = inprocess
         self.items_seen = 0
         self._fired: set = set()
 
     def _positional_match(self, key: int, action: FaultAction) -> bool:
         return (key not in self._fired
-                and self.incarnation == 0
                 and (action.worker is None or action.worker == self.worker_id)
                 and self.items_seen == action.after_items + 1)
 
@@ -335,8 +355,7 @@ class FaultInjector:
             if action.kind not in ("kill", "hang", "raise"):
                 continue
             if action.index is not None:
-                if action.index != index or key in self._fired \
-                        or self.incarnation != 0:
+                if action.index != index or key in self._fired:
                     continue
             elif not self._positional_match(key, action):
                 continue
@@ -352,20 +371,16 @@ class FaultInjector:
 
     def result_action(self, index: int) -> Optional[FaultAction]:
         """The frame/result fault to apply to this item's delivery."""
-        if self.plan is None or self.inprocess or self.incarnation != 0:
+        if self.plan is None or self.inprocess:
             return None
         for key, action in enumerate(self.plan.actions):
             if action.kind not in ("drop_result", "delay_result",
                                    "corrupt_frame", "truncate_frame"):
                 continue
-            if key in self._fired:
-                continue
             if action.index is not None:
-                if action.index != index:
+                if action.index != index or key in self._fired:
                     continue
-            elif not ((action.worker is None
-                       or action.worker == self.worker_id)
-                      and self.items_seen == action.after_items + 1):
+            elif not self._positional_match(key, action):
                 continue
             self._fired.add(key)
             return action

@@ -1,7 +1,7 @@
 """Backtest jobs: what crosses the wire, and how workers execute it.
 
 A *job* describes one ``evaluate_all`` call declaratively so that a process
-with no shared memory — a ``spawn`` child or a worker on another machine —
+with no shared memory — a local ``repro-worker`` or one on another machine —
 can reconstruct everything it needs:
 
 * the scenario, as a :class:`~repro.scenarios.spec.ScenarioSpec` (name +
@@ -236,8 +236,8 @@ def build_runtime(job_wire: Dict, cache: Optional[RuntimeCache] = None):
 class JobRuntime:
     """Worker-side execution state for one job.
 
-    Accepts a full job wire (embedded candidate list — the spawn and
-    in-process transports) or a stripped header from
+    Accepts a full job wire (embedded candidate list — the in-process
+    transport and the serial drain) or a stripped header from
     :func:`strip_candidates`, in which case candidate wires arrive with
     each :meth:`evaluate` call.  With a :class:`RuntimeCache`, the
     scenario/backtester/trunk trio is shared across same-digest jobs.

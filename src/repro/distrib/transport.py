@@ -1,151 +1,76 @@
 """Pluggable transports for the distributed backtest fabric.
 
-A transport owns a set of workers and moves one :mod:`~repro.distrib.jobs`
-job at a time through them under *pull* scheduling: workers ask for the
-next candidate index when they become free, so slow candidates (deep repair
-programs, abort-policy survivors) never stall a statically assigned shard.
-Three implementations:
+A transport moves one :mod:`~repro.distrib.jobs` job at a time through a
+worker set under *pull* scheduling: workers ask for the next candidate
+index when they become free, so slow candidates (deep repair programs,
+abort-policy survivors) never stall a statically assigned shard.  Two
+implementations:
 
-``InProcessTransport``
+``InProcessTransport`` (``"inprocess"``, ``"serial"``)
     Evaluates in the calling process through the same
-    :class:`~repro.distrib.jobs.JobRuntime` the remote workers use —
-    the reference implementation and the zero-dependency fallback.
+    :class:`~repro.distrib.jobs.JobRuntime` the workers use — the
+    reference implementation and the zero-dependency fallback.
 
-``SpawnTransport``
-    A pool of ``spawn``-start multiprocessing workers.  Unlike the fork
-    pool in :mod:`repro.backtest.replay`, nothing is inherited: the job
-    wire is the only input, which is what makes this path work on
-    macOS/Windows (no ``fork``) and keeps it semantically identical to a
-    remote worker.
+``SocketTransport`` (``"spawn"``, ``"socket"``, ``"tcp"``)
+    A :class:`~repro.distrib.pool.WorkerPool` plus a one-job,
+    input-order dispatch policy: ``repro-worker`` processes
+    (``python -m repro.distrib.worker --connect HOST:PORT``) drain one
+    shared candidate queue.  The defaults — loopback, an ephemeral port,
+    ``workers`` local worker subprocesses — are what both ``"spawn"`` and
+    ``"socket"`` mean; nothing is inherited from the parent (the job wire
+    is the only input), so the path works without ``fork``.
+    ``spawn_workers=False`` with a fixed ``port`` (and ``host="0.0.0.0"``)
+    serves remote workers instead.
 
-``SocketTransport``
-    A length-prefixed TCP protocol (4-byte big-endian frame length +
-    pickled dict) served to ``repro-worker`` processes
-    (``python -m repro.distrib.worker --connect HOST:PORT``), which may run
-    on other machines and drain one shared candidate queue.  By default it
-    also spawns ``workers`` local worker processes so a single-machine run
-    needs no manual setup.
-
-Every transport enforces one **fault-tolerance policy**
-(:class:`~repro.distrib.faults.FaultToleranceConfig`, the
-``fault_policy=`` constructor argument):
-
-* worker death is detected promptly (process liveness / socket EOF, not
-  the ``result_timeout`` stall limit) and crashed workers are respawned
-  with capped exponential backoff up to the policy's restart budget;
-* an item that fails on a worker is requeued with an attempt count and,
-  after ``max_attempts``, delivered as a
-  :class:`~repro.distrib.faults.QuarantinedItem` instead of poisoning the
-  whole job;
-* items exceeding the job wire's per-item soft ``deadline`` are treated
-  as hangs: the wedged worker is killed and the item retried;
-* when the fleet falls below ``min_workers`` (or dies entirely) with no
-  restart budget left, the remaining queue drains serially in-process —
-  a recorded downgrade, not an error.
-
-Recovery counters for the most recent job are exposed on
-``transport.last_fault_stats``; a :class:`~repro.distrib.faults.FaultPlan`
-(``fault_plan=``) deterministically injects worker failures for chaos
-tests.
+Both enforce one **fault-tolerance policy**
+(:class:`~repro.distrib.faults.FaultToleranceConfig`, ``fault_policy=``)
+through one rule, :func:`~repro.distrib.faults.retry_or_quarantine`: a
+failed item is requeued with an attempt count and, after
+``max_attempts``, delivered as a
+:class:`~repro.distrib.faults.QuarantinedItem` instead of poisoning the
+job.  The pool adds prompt crash detection, budgeted backoff respawn and
+per-item soft deadlines (the job wire's ``deadline``); this module adds
+the last resort — when the fleet falls below ``min_workers`` (or dies
+entirely) with no restart budget left, the remaining queue drains
+serially in-process, a recorded downgrade, not an error.  Recovery
+counters of the most recent job are on ``transport.last_fault_stats``; a
+:class:`~repro.distrib.faults.FaultPlan` (``fault_plan=``) injects
+worker failures deterministically for chaos tests.
 
 Transports are reusable across jobs (workers persist between ``run_job``
 calls) and are context managers; ``close()`` shuts the workers down.
 
-Security note: frames are pickled, so the socket transport must only be
-used between mutually trusted machines (same codebase, same operator) —
-the standard assumption for a compute cluster draining one queue.
+Security note.  Protected: a peer must present the pool's token
+(``REPRO_WORKER_TOKEN``) as raw bytes before any frame of its connection
+is unpickled, frames are size-capped, and a wrong token, an oversize or a
+malformed frame drops the connection — reaching the port is not enough to
+be deserialized.  Not protected: traffic is neither encrypted nor
+integrity-checked, and whoever holds the token speaks pickle to the
+coordinator and its workers, i.e. can execute code on both.  Keep the
+port on loopback or a private network and the token secret.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import queue as _queue
-import socket
-import struct
-import subprocess
-import sys
-import threading
 import time as _time
 import traceback
 from collections import deque
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .faults import (FaultInjector, FaultPlan, FaultStats,
-                     FaultToleranceConfig, QuarantinedItem)
+                     FaultToleranceConfig, QuarantinedItem,
+                     retry_or_quarantine)
 from .jobs import DistribError, JobRuntime, RuntimeCache, strip_candidates
+from .pool import (TICK_SECONDS, DispatchPolicy, FrameError, PoolJob,
+                   TransportError, WorkItem, WorkerLink, WorkerPool,
+                   recv_frame, send_frame)
+
+__all__ = ["BaseTransport", "FrameError", "InProcessTransport",
+           "ResultCallback", "SocketTransport", "TRANSPORTS",
+           "TransportError", "make_transport", "recv_frame", "send_frame"]
 
 #: Callback invoked by ``run_job`` as results stream in (completion order).
 ResultCallback = Callable[[int, object], None]
-
-#: Supervision tick: how often transports re-check worker liveness and
-#: per-item deadlines while waiting for results — this, not the stall
-#: timeout, bounds crash-detection latency.
-_TICK_SECONDS = 0.2
-
-
-class TransportError(DistribError):
-    """A worker or connection failed in a way the transport cannot hide."""
-
-
-class FrameError(TransportError):
-    """A truncated or undecodable length-prefixed frame.
-
-    Distinct from a clean close (``recv_frame`` returning ``None``): the
-    peer wrote garbage or died mid-frame.  The serving side treats it as
-    a disconnect — requeue the in-flight item, drop the connection — and
-    counts it in ``fabric_frame_errors``.
-    """
-
-
-# ---------------------------------------------------------------------------
-# Frame protocol (shared by the socket transport and repro-worker)
-# ---------------------------------------------------------------------------
-
-_LENGTH = struct.Struct(">I")
-
-
-def send_frame(sock: socket.socket, message: Dict) -> None:
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(_LENGTH.pack(len(payload)) + payload)
-
-
-def recv_frame(sock: socket.socket) -> Optional[Dict]:
-    """Read one frame; ``None`` on a cleanly closed connection.
-
-    A connection that closes *mid-frame* (short read) or delivers an
-    undecodable payload raises :class:`FrameError` instead of
-    masquerading as a clean close, so callers can requeue in-flight work
-    and count the corruption.
-    """
-    header = _recv_upto(sock, _LENGTH.size)
-    if not header:
-        return None
-    if len(header) < _LENGTH.size:
-        raise FrameError(f"truncated frame header "
-                         f"({len(header)}/{_LENGTH.size} bytes)")
-    (length,) = _LENGTH.unpack(header)
-    payload = _recv_upto(sock, length)
-    if len(payload) < length:
-        raise FrameError(f"truncated frame payload "
-                         f"({len(payload)}/{length} bytes)")
-    try:
-        return pickle.loads(payload)
-    except Exception as exc:             # noqa: BLE001 — any decode failure
-        raise FrameError(f"undecodable frame payload: {exc!r}") from exc
-
-
-def _recv_upto(sock: socket.socket, count: int) -> bytes:
-    """Read up to ``count`` bytes; shorter only if the peer closed."""
-    chunks = []
-    got = 0
-    while got < count:
-        chunk = sock.recv(count - got)
-        if not chunk:
-            break
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
 
 
 class BaseTransport:
@@ -161,7 +86,9 @@ class BaseTransport:
         self.fault_plan = FaultPlan.coerce(fault_plan)
         #: Recovery counters of the most recent ``run_job``.
         self.last_fault_stats = FaultStats()
-        self._fallback_cache: Optional[RuntimeCache] = None
+        #: Runtimes built in *this* process (the in-process transport's
+        #: only cache; the degradation drain's for the others).
+        self.runtime_cache = RuntimeCache()
 
     def run_job(self, job_wire: Dict, on_result: ResultCallback) -> None:
         raise NotImplementedError
@@ -175,50 +102,26 @@ class BaseTransport:
     def __exit__(self, *exc_info):
         self.close()
 
-    # -- shared fault-tolerance machinery ----------------------------------
-
-    def _begin_fault_stats(self) -> FaultStats:
-        self.last_fault_stats = FaultStats()
-        return self.last_fault_stats
-
     def _drain_serially(self, job_wire: Dict,
                         items: List[Tuple[int, int]],
-                        on_result: ResultCallback,
-                        stats: FaultStats) -> None:
-        """Graceful degradation: evaluate ``items`` in this process.
-
-        Called when the worker fleet is gone (or below the policy floor)
-        with no restart budget left.  Runs the same retry/quarantine
-        policy as the remote paths — results stay bit-identical, and the
-        downgrade is recorded on ``stats`` instead of raised.
-        """
-        stats.degraded = True
-        if self._fallback_cache is None:
-            self._fallback_cache = RuntimeCache()
-        runtime = JobRuntime(job_wire, cache=self._fallback_cache)
-        policy = self.fault_policy
+                        on_result: ResultCallback, stats: FaultStats,
+                        injector: Optional[FaultInjector] = None) -> None:
+        """Evaluate ``(index, attempts)`` items in this process, under the
+        same retry rule as the worker paths — results stay bit-identical."""
+        runtime = JobRuntime(job_wire, cache=self.runtime_cache)
         for index, attempts in items:
             while True:
                 try:
+                    if injector is not None:
+                        injector.before_item(index)
                     outcome = runtime.evaluate(index)
-                except Exception:        # noqa: BLE001 — policy decides
-                    attempts += 1
-                    detail = traceback.format_exc()
-                    if attempts >= policy.max_attempts:
-                        stats.quarantined += 1
-                        on_result(index, QuarantinedItem(
-                            index=index, reason="worker-exception",
-                            attempts=attempts, detail=detail))
-                        break
-                    stats.record_retry(index, "worker-exception", attempts)
-                else:
-                    on_result(index, outcome)
+                except Exception:        # noqa: BLE001 — the rule decides
+                    attempts, outcome = retry_or_quarantine(
+                        stats, self.fault_policy.max_attempts, index,
+                        attempts, "worker-exception", traceback.format_exc())
+                if outcome is not None:
                     break
-
-
-# ---------------------------------------------------------------------------
-# In-process
-# ---------------------------------------------------------------------------
+            on_result(index, outcome)
 
 
 class InProcessTransport(BaseTransport):
@@ -227,510 +130,35 @@ class InProcessTransport(BaseTransport):
     This still exercises the whole wire path (spec rebuild, candidate
     decode), so it doubles as the cheapest integration test of a job.
     Repeated jobs on one transport instance share the runtime cache, like
-    a persistent remote worker would.  The retry/quarantine policy applies
-    here too (process-level fault kinds degrade to raises), so chaos
-    semantics are identical across all three transports.
+    a persistent worker would.  The retry/quarantine rule applies here
+    too (process-level fault kinds degrade to raises), so chaos semantics
+    are identical across transports.
     """
 
     name = "inprocess"
 
-    def __init__(self, fault_policy=None, fault_plan=None):
-        super().__init__(fault_policy=fault_policy, fault_plan=fault_plan)
-        self.runtime_cache = RuntimeCache()
-
     def run_job(self, job_wire: Dict, on_result: ResultCallback) -> None:
-        stats = self._begin_fault_stats()
-        policy = self.fault_policy
-        runtime = JobRuntime(job_wire, cache=self.runtime_cache)
         injector = (FaultInjector(self.fault_plan, worker_id=0,
-                                  incarnation=0, inprocess=True)
+                                  inprocess=True)
                     if self.fault_plan is not None else None)
-        for index in range(len(runtime)):
-            attempts = 0
-            while True:
-                try:
-                    if injector is not None:
-                        injector.before_item(index)
-                    outcome = runtime.evaluate(index)
-                except Exception:        # noqa: BLE001 — policy decides
-                    attempts += 1
-                    detail = traceback.format_exc()
-                    if attempts >= policy.max_attempts:
-                        stats.quarantined += 1
-                        on_result(index, QuarantinedItem(
-                            index=index, reason="worker-exception",
-                            attempts=attempts, detail=detail))
-                        break
-                    stats.record_retry(index, "worker-exception", attempts)
-                else:
-                    on_result(index, outcome)
-                    break
+        self.last_fault_stats = FaultStats()
+        self._drain_serially(
+            job_wire, [(i, 0) for i in range(len(job_wire["candidates"]))],
+            on_result, self.last_fault_stats, injector)
 
 
-# ---------------------------------------------------------------------------
-# Spawn multiprocessing
-# ---------------------------------------------------------------------------
+class SocketTransport(BaseTransport, DispatchPolicy):
+    """Serve one job at a time to a :class:`WorkerPool`, in input order.
 
+    ``workers`` local worker subprocesses are launched automatically
+    unless ``spawn_workers=False`` — set that when pointing real remote
+    workers at ``host:port`` (use ``port=<fixed>`` and ``host=0.0.0.0`` to
+    listen beyond loopback, and export the pool's token to them).
 
-def _spawn_worker_main(slot, incarnation, job_queue, task_queue, result_queue,
-                       fault_wire):
-    """Worker loop: one job at a time, pull indices until the job sentinel.
-
-    Runs in a ``spawn`` child: module-level so it can be located by import,
-    and parameterised only by queues and wire dicts.  The runtime cache
-    persists across jobs, so repeated ``evaluate_all`` calls on the same
-    scenario skip the scenario/backtester/trunk rebuild.  Every message is
-    tagged ``(slot, incarnation)`` so the supervisor can attribute it (and
-    discard messages from stale incarnations).
-    """
-    # A terminal Ctrl-C delivers SIGINT to the whole foreground process
-    # group; children that die to it strand the parent transport mid-job
-    # (it respawns them against a dead queue until the budget runs out).
-    # The parent owns pool shutdown (``close()`` / its own drain), so the
-    # children ignore the interactive interrupt.
-    import signal as _signal
-    try:
-        _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
-    except (ValueError, OSError):
-        pass
-    cache = RuntimeCache()
-    injector = (FaultInjector(FaultPlan.from_wire(fault_wire),
-                              worker_id=slot, incarnation=incarnation)
-                if fault_wire else None)
-    while True:
-        job_wire = job_queue.get()
-        if job_wire is None:
-            break
-        runtime = None
-        try:
-            runtime = JobRuntime(job_wire, cache=cache)
-        except BaseException:            # noqa: BLE001 — report, then drain
-            result_queue.put((slot, incarnation, "job_error",
-                              traceback.format_exc()))
-        while True:
-            index = task_queue.get()
-            if index is None:
-                result_queue.put((slot, incarnation, "job_done", None))
-                break
-            if runtime is None:
-                result_queue.put((slot, incarnation, "item_error",
-                                  (index, "job setup failed on this worker")))
-                continue
-            try:
-                if injector is not None:
-                    injector.before_item(index)
-                outcome = runtime.evaluate(index)
-            except BaseException:        # noqa: BLE001
-                result_queue.put((slot, incarnation, "item_error",
-                                  (index, traceback.format_exc())))
-                continue
-            action = (injector.result_action(index)
-                      if injector is not None else None)
-            if action is not None:
-                if action.kind == "delay_result":
-                    _time.sleep(action.seconds)
-                elif action.kind == "drop_result":
-                    continue             # silently swallow; deadline recovers
-                elif action.kind in ("corrupt_frame", "truncate_frame"):
-                    os._exit(1)          # queues have no frames; die instead
-            result_queue.put((slot, incarnation, "result", (index, outcome)))
-
-
-class _SpawnWorkerHandle:
-    """Parent-side bookkeeping for one spawn worker process."""
-
-    __slots__ = ("process", "job_queue", "task_queue", "slot", "incarnation",
-                 "item", "started", "defunct", "kill_reason")
-
-    def __init__(self, process, job_queue, task_queue, slot, incarnation):
-        self.process = process
-        self.job_queue = job_queue
-        self.task_queue = task_queue
-        self.slot = slot
-        self.incarnation = incarnation
-        #: ``(index, attempts)`` currently evaluating, or ``None``.
-        self.item: Optional[Tuple[int, int]] = None
-        self.started = 0.0
-        #: Out of rotation for the current job (died, or its job setup
-        #: failed); reset at the next ``run_job``.
-        self.defunct = False
-        #: Why the supervisor terminated it (``"deadline"``), if it did.
-        self.kill_reason: Optional[str] = None
-
-
-class SpawnTransport(BaseTransport):
-    """A persistent pool of ``spawn``-start worker processes.
-
-    The parent is the supervisor: it dispatches one index at a time to
-    each worker's private task queue (so it always knows what is in
-    flight where), detects dead workers by process liveness on every
-    supervision tick (~200 ms, not the stall timeout), respawns them with
-    capped exponential backoff within the policy's restart budget, and
-    retries or quarantines their in-flight items.
-    """
-
-    name = "spawn"
-
-    def __init__(self, workers: int = 2, result_timeout: float = 600.0,
-                 fault_policy=None, fault_plan=None):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        super().__init__(fault_policy=fault_policy, fault_plan=fault_plan)
-        self.workers = workers
-        self.result_timeout = result_timeout
-        self._context = None
-        self._result_queue = None
-        self._handles: List[_SpawnWorkerHandle] = []
-
-    def _ensure_started(self) -> None:
-        if self._handles:
-            return
-        import multiprocessing
-        self._context = multiprocessing.get_context("spawn")
-        self._result_queue = self._context.Queue()
-        self._handles = [self._start_worker(slot, 0)
-                         for slot in range(self.workers)]
-
-    def _start_worker(self, slot: int, incarnation: int) -> _SpawnWorkerHandle:
-        job_queue = self._context.Queue()
-        task_queue = self._context.Queue()
-        plan_wire = (self.fault_plan.to_wire()
-                     if self.fault_plan is not None else None)
-        process = self._context.Process(
-            target=_spawn_worker_main,
-            args=(slot, incarnation, job_queue, task_queue,
-                  self._result_queue, plan_wire),
-            daemon=True)
-        process.start()
-        return _SpawnWorkerHandle(process, job_queue, task_queue, slot,
-                                  incarnation)
-
-    def _drain_stale_messages(self) -> None:
-        """Empty the shared result queue of leftovers from terminated
-        workers of a previous job (their producers are gone, so whatever
-        is in the queue now is all there will ever be)."""
-        while True:
-            try:
-                self._result_queue.get_nowait()
-            except _queue.Empty:
-                return
-
-    def run_job(self, job_wire: Dict, on_result: ResultCallback) -> None:
-        self._ensure_started()
-        self._drain_stale_messages()
-        stats = self._begin_fault_stats()
-        policy = self.fault_policy
-        deadline = job_wire.get("deadline")
-        count = len(job_wire["candidates"])
-        pending: deque = deque((i, 0) for i in range(count))
-        delivered: Set[int] = set()
-        restarts_used = 0
-        for handle in self._handles:
-            handle.item = None
-            handle.defunct = False
-            handle.kill_reason = None
-            if handle.process.is_alive():
-                handle.job_queue.put(job_wire)
-        last_progress = _time.monotonic()
-
-        def finish(index: int, payload) -> None:
-            delivered.add(index)
-            on_result(index, payload)
-
-        def fail_item(index: int, attempts: int, reason: str,
-                      detail: str) -> None:
-            attempts += 1
-            if index in delivered:
-                return
-            if attempts >= policy.max_attempts:
-                stats.quarantined += 1
-                finish(index, QuarantinedItem(index=index, reason=reason,
-                                              attempts=attempts,
-                                              detail=detail))
-            else:
-                stats.record_retry(index, reason, attempts)
-                pending.append((index, attempts))
-
-        failure = None
-        while len(delivered) < count:
-            now = _time.monotonic()
-            # 1. Reap dead workers: retry their in-flight item, respawn
-            #    within the restart budget (capped exponential backoff).
-            for i, handle in enumerate(self._handles):
-                if handle.defunct or handle.process.is_alive():
-                    continue
-                handle.defunct = True
-                if handle.item is not None:
-                    index, attempts = handle.item
-                    handle.item = None
-                    fail_item(index, attempts,
-                              handle.kill_reason or "worker-crash",
-                              "worker process died")
-                    last_progress = now
-                if restarts_used < policy.restart_budget:
-                    _time.sleep(policy.backoff(restarts_used))
-                    restarts_used += 1
-                    stats.worker_restarts += 1
-                    replacement = self._start_worker(
-                        handle.slot, handle.incarnation + 1)
-                    replacement.job_queue.put(job_wire)
-                    self._handles[i] = replacement
-                    last_progress = _time.monotonic()
-            # 2. Enforce the per-item soft deadline: a wedged worker is
-            #    killed (and reaped above on the next tick).
-            if deadline:
-                for handle in self._handles:
-                    if (not handle.defunct and handle.item is not None
-                            and handle.kill_reason is None
-                            and now - handle.started > deadline):
-                        handle.kill_reason = "deadline"
-                        handle.process.terminate()
-            # 3. Dispatch pending items to idle live workers.
-            live = [h for h in self._handles
-                    if not h.defunct and h.process.is_alive()]
-            for handle in live:
-                if not pending:
-                    break
-                if handle.item is None:
-                    handle.item = pending.popleft()
-                    handle.started = now
-                    handle.task_queue.put(handle.item[0])
-            # 4. Graceful degradation: fleet below the floor with no
-            #    budget left — drain the queue serially in-process.
-            in_flight = any(h.item is not None for h in live)
-            if (pending and not in_flight
-                    and restarts_used >= policy.restart_budget
-                    and len(live) < max(1, policy.min_workers)):
-                items = list(pending)
-                pending.clear()
-                self._drain_serially(job_wire, items, on_result, stats)
-                delivered.update(index for index, _ in items)
-                last_progress = _time.monotonic()
-                continue
-            # 5. Collect one message (the tick doubles as the liveness /
-            #    deadline poll interval).
-            try:
-                slot, incarnation, kind, payload = self._result_queue.get(
-                    timeout=_TICK_SECONDS)
-            except _queue.Empty:
-                if _time.monotonic() - last_progress > self.result_timeout:
-                    failure = (f"spawn workers produced no result for "
-                               f"{self.result_timeout}s "
-                               f"({count - len(delivered)} items outstanding)")
-                    break
-                continue
-            handle = next((h for h in self._handles
-                           if h.slot == slot and h.incarnation == incarnation),
-                          None)
-            if kind == "result":
-                index, outcome = payload
-                last_progress = _time.monotonic()
-                if handle is not None and handle.item is not None \
-                        and handle.item[0] == index:
-                    handle.item = None
-                if index in delivered:
-                    continue             # duplicate from a raced retry
-                # The item may have been requeued (e.g. its worker was
-                # deadline-killed right as it finished); drop the copy.
-                for entry in list(pending):
-                    if entry[0] == index:
-                        pending.remove(entry)
-                finish(index, outcome)
-            elif kind == "item_error":
-                index, detail = payload
-                last_progress = _time.monotonic()
-                if handle is None or handle.defunct or handle.item is None \
-                        or handle.item[0] != index:
-                    continue             # stale incarnation; already requeued
-                attempts = handle.item[1]
-                handle.item = None
-                fail_item(index, attempts, "worker-exception", detail)
-            elif kind == "job_error":
-                # This worker cannot build the job runtime; take it out of
-                # rotation (its queued item errors arrive as item_error and
-                # are retried elsewhere).  If every worker fails, the
-                # degradation drain surfaces the real error.
-                if handle is not None and not handle.defunct:
-                    handle.defunct = True
-                    if handle.item is not None:
-                        pending.appendleft(handle.item)  # never started
-                        handle.item = None
-                    last_progress = _time.monotonic()
-            # job_done acks are consumed silently (end-of-job protocol).
-        if failure is not None:
-            self.close(terminate=True)
-            raise TransportError(failure)
-        self._finish_job()
-
-    def _finish_job(self) -> None:
-        """Pop live workers back to the job loop and eat their acks, so
-        the shared result queue is clean for the next job."""
-        waiting = []
-        for handle in self._handles:
-            if not handle.defunct and handle.process.is_alive():
-                handle.task_queue.put(None)
-                waiting.append((handle.slot, handle.incarnation))
-        deadline = _time.monotonic() + 10.0
-        while waiting:
-            remaining = deadline - _time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                slot, incarnation, kind, _payload = self._result_queue.get(
-                    timeout=remaining)
-            except _queue.Empty:
-                break
-            if kind == "job_done" and (slot, incarnation) in waiting:
-                waiting.remove((slot, incarnation))
-        for key in waiting:
-            # A worker that never acked is wedged; drop it so it cannot
-            # pollute the next job's result stream.
-            for i, handle in enumerate(self._handles):
-                if (handle.slot, handle.incarnation) == key:
-                    handle.process.terminate()
-                    handle.defunct = True
-
-    def close(self, terminate: bool = False) -> None:
-        for handle in self._handles:
-            try:
-                handle.job_queue.put(None)
-            except (ValueError, OSError):
-                pass
-        for handle in self._handles:
-            process = handle.process
-            if terminate:
-                process.terminate()
-            process.join(timeout=10)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5)
-        self._handles = []
-        self._context = None
-        self._result_queue = None
-
-
-# ---------------------------------------------------------------------------
-# TCP sockets
-# ---------------------------------------------------------------------------
-
-
-class _WorkerConnection(threading.Thread):
-    """Server-side handler: speaks the frame protocol with one worker."""
-
-    def __init__(self, transport: "SocketTransport", sock: socket.socket):
-        super().__init__(daemon=True)
-        self.transport = transport
-        self.sock = sock
-        #: Worker ordinal for fault-plan targeting, assigned at hello.
-        self.worker_id: Optional[int] = None
-        #: PID reported in the hello frame (used to terminate wedged
-        #: local workers on deadline breaches).
-        self.pid: Optional[int] = None
-        #: Why the transport is severing this connection (``"deadline"``,
-        #: ``"frame-error"``); ``None`` means an ordinary disconnect.
-        self.fault_reason: Optional[str] = None
-        #: Job id whose setup failed on this worker — it is not offered
-        #: that job again.
-        self.failed_job_id: Optional[int] = None
-
-    def run(self):
-        transport = self.transport
-        try:
-            hello = recv_frame(self.sock)
-            if not hello or hello.get("type") != "hello":
-                return
-            self.pid = hello.get("pid")
-            transport._register_worker(self)
-            while True:
-                job = transport._await_job(self)
-                if job is None:
-                    self._send_quietly({"type": "shutdown"})
-                    return
-                job_id, job_frame = job
-                send_frame(self.sock, job_frame)
-                self._serve_items(job_id)
-        except (OSError, EOFError, FrameError, pickle.PickleError):
-            pass
-        finally:
-            transport._connection_lost(self)
-            try:
-                self.sock.close()
-            except OSError:
-                pass
-
-    def _serve_items(self, job_id: int) -> None:
-        transport = self.transport
-        while True:
-            try:
-                message = recv_frame(self.sock)
-            except FrameError as exc:
-                # Truncated/corrupt frame: account it, then treat the
-                # connection as disconnected (the in-flight item is
-                # requeued by _connection_lost).
-                transport._frame_error(job_id, self, exc)
-                raise
-            except OSError:
-                message = None            # reset mid-frame == closed
-            if message is None:
-                raise EOFError
-            kind = message.get("type")
-            if kind == "result":
-                transport._deliver(job_id, self, message["index"],
-                                   message["outcome"])
-            elif kind == "error":
-                transport._item_failed(job_id, self, message.get("index"),
-                                       message.get("message", ""))
-            elif kind == "job_error":
-                transport._job_setup_failed(job_id, self,
-                                            message.get("message", ""))
-                send_frame(self.sock, {"type": "job_done"})
-                return
-            elif kind != "next":
-                continue
-            index = transport._next_index(job_id, self)
-            if index is None:
-                send_frame(self.sock, {"type": "job_done"})
-                return
-            # The candidate wire rides with the item: the job frame
-            # carried only a candidate-free header, so each worker
-            # receives just the candidates it evaluates.
-            candidate = transport._candidate_wire(job_id, index)
-            if candidate is None:
-                # Job torn down between the index pop and the fetch;
-                # nothing left to serve.
-                transport._requeue_unstarted(job_id, self)
-                send_frame(self.sock, {"type": "job_done"})
-                return
-            try:
-                send_frame(self.sock, {"type": "item", "index": index,
-                                       "candidate": candidate})
-            except OSError:
-                # The worker died between its last frame and our send;
-                # the popped item never started — put it back untouched.
-                self.transport._requeue_unstarted(job_id, self)
-                raise
-
-    def _send_quietly(self, message: Dict) -> None:
-        try:
-            send_frame(self.sock, message)
-        except OSError:
-            pass
-
-
-class SocketTransport(BaseTransport):
-    """Serve jobs to ``repro-worker`` processes over TCP.
-
-    ``workers`` local worker subprocesses are spawned automatically unless
-    ``spawn_workers=False`` — set that when pointing real remote workers at
-    ``host:port`` (use ``port=<fixed>`` and ``host=0.0.0.0`` to listen
-    beyond loopback).
-
-    Fault tolerance: worker disconnects (EOF, reset, truncated or corrupt
-    frames) requeue the in-flight item with an attempt count; dead local
-    workers are respawned within the restart budget; items past the job's
-    soft deadline get their connection severed (and local process killed);
-    items out of attempts are quarantined; and a fleet below the policy
-    floor degrades to an in-process serial drain of the remaining queue.
+    The pool supervises the fleet (disconnects, respawn, deadlines, the
+    retry rule); this class is its dispatch policy — the pending queue of
+    the current job — plus the barrier ``run_job``, which delivers every
+    result on the caller's thread, and the serial-drain degradation.
     """
 
     name = "socket"
@@ -739,452 +167,176 @@ class SocketTransport(BaseTransport):
                  port: int = 0, spawn_workers: bool = True,
                  result_timeout: float = 600.0,
                  fault_policy=None, fault_plan=None):
-        if spawn_workers and workers < 1:
-            raise ValueError("workers must be >= 1 when spawning locally")
         super().__init__(fault_policy=fault_policy, fault_plan=fault_plan)
         self.workers = workers
-        self.host = host
-        self.port = port
         self.spawn_workers = spawn_workers
         self.result_timeout = result_timeout
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._worker_processes: List[subprocess.Popen] = []
-        self._connections: List[_WorkerConnection] = []
-        self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
-        self._shutdown = False
-        self._next_worker_id = 0
-        self._connected_pids: Set[int] = set()
-        # Per-job state, guarded by _lock.
+        self._pool = WorkerPool(self, workers=workers, host=host, port=port,
+                                spawn_workers=spawn_workers,
+                                fault_policy=self.fault_policy,
+                                fault_plan=self.fault_plan)
+        # Per-job state, guarded by the pool's lock.
         self._job_id = 0
-        self._job_wire: Optional[Dict] = None
-        #: Candidate-free job header sent to every connection; the candidate
-        #: wires themselves ride with the dispatched items, so a worker only
+        self._job: Optional[PoolJob] = None
+        #: The candidate wires ride with the dispatched items (the job
+        #: frame carries a candidate-free header), so a worker only
         #: receives the candidates it evaluates.
-        self._job_header: Optional[Dict] = None
-        self._job_candidates: List[Dict] = []
+        self._candidates: List[Dict] = []
+        self._deadline: Optional[float] = None
         self._pending: deque = deque()          # (index, attempts)
-        self._outstanding = 0
-        self._delivered: Set[int] = set()
-        self._in_flight: Dict[_WorkerConnection, Tuple[int, int, float]] = {}
-        self._quarantine_ready: List[QuarantinedItem] = []
-        self._on_result: Optional[ResultCallback] = None
-        self._failure: Optional[str] = None
-        self._restarts_used = 0
-        self._respawn_at: List[float] = []      # due-times of queued respawns
+        #: Results and quarantine rows waiting for ``run_job`` to deliver,
+        #: and the indices that ever got one (a second is dropped).
+        self._ready: List[Tuple[int, object]] = []
+        self._settled: Set[int] = set()
         self._job_had_connection = False
         self._last_progress = 0.0
-        self._job_finished = threading.Condition(self._lock)
-
-    # -- lifecycle ----------------------------------------------------------
 
     @property
     def address(self):
         """(host, port) the transport listens on (starts it if needed)."""
-        self._ensure_started()
-        return self._listener.getsockname()[:2]
+        return self._pool.address
 
-    def _ensure_started(self) -> None:
-        if self._listener is not None:
-            return
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen(16)
-        self._listener = listener
-        self._accept_thread = threading.Thread(target=self._accept_loop,
-                                               daemon=True)
-        self._accept_thread.start()
-        if self.spawn_workers:
-            for _ in range(self.workers):
-                self._spawn_one_worker()
-
-    def _spawn_one_worker(self) -> None:
-        host, port = self._listener.getsockname()[:2]
-        if host == "0.0.0.0":
-            host = "127.0.0.1"
-        env = dict(os.environ)
-        src_dir = os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))))
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (src_dir if not existing
-                             else src_dir + os.pathsep + existing)
-        self._worker_processes.append(subprocess.Popen(
-            [sys.executable, "-m", "repro.distrib.worker",
-             "--connect", f"{host}:{port}"],
-            env=env))
-
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                sock, _addr = self._listener.accept()
-            except OSError:
-                return
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            connection = _WorkerConnection(self, sock)
-            with self._lock:
-                if self._shutdown:
-                    sock.close()
-                    return
-                self._connections.append(connection)
-            connection.start()
+    @property
+    def token(self) -> str:
+        """What a hand-started worker must carry in ``REPRO_WORKER_TOKEN``."""
+        return self._pool.token
 
     def close(self) -> None:
-        with self._lock:
-            self._shutdown = True
-            connections = list(self._connections)
-            self._wakeup.notify_all()
-            self._job_finished.notify_all()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        for process in self._worker_processes:
-            try:
-                process.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                process.terminate()
-                try:
-                    process.wait(timeout=5)
-                except subprocess.TimeoutExpired:
-                    process.kill()
-        for connection in connections:
-            connection.join(timeout=10)
-        # Reset to a restartable state: a later run_job rebuilds the
-        # listener and spawns fresh workers, like SpawnTransport does.
-        with self._lock:
-            self._shutdown = False
-            self._connections = []
-            self._connected_pids = set()
-            self._next_worker_id = 0
-        self._worker_processes = []
-        self._listener = None
-        self._accept_thread = None
+        self._pool.close()
 
     # -- job execution ------------------------------------------------------
 
     def run_job(self, job_wire: Dict, on_result: ResultCallback) -> None:
-        self._ensure_started()
-        stats = self._begin_fault_stats()
-        deadline = job_wire.get("deadline")
-        count = len(job_wire["candidates"])
-        with self._lock:
-            if self._job_wire is not None:
+        pool = self._pool
+        stats = self.last_fault_stats = FaultStats()
+        remaining = len(job_wire["candidates"])
+        with pool.lock:
+            if self._job is not None:
                 raise TransportError("transport already has a job in flight")
+            # A scheduler may have re-pointed these since construction.
+            pool.fault_policy = self.fault_policy
+            pool.fault_plan = self.fault_plan
+            pool.begin_job(stats)
+            pool.start()
             self._job_id += 1
-            job_id = self._job_id
-            self._job_wire = job_wire
-            self._job_header = strip_candidates(job_wire)
-            self._job_candidates = list(job_wire["candidates"])
-            self._pending = deque((i, 0) for i in range(count))
-            self._outstanding = count
-            self._delivered = set()
-            self._in_flight = {}
-            self._quarantine_ready = []
-            self._on_result = on_result
-            self._failure = None
-            self._restarts_used = 0
-            self._respawn_at = []
-            self._job_had_connection = bool(self._connections)
+            self._job = PoolJob(self._job_id, strip_candidates(job_wire))
+            self._candidates = list(job_wire["candidates"])
+            self._deadline = job_wire.get("deadline")
+            self._pending = deque((i, 0) for i in range(remaining))
+            self._ready, self._settled = [], set()
+            self._job_had_connection = bool(pool.links)
             self._last_progress = _time.monotonic()
-            self._wakeup.notify_all()
-        failure = None
+            pool.changed.notify_all()
         try:
-            while True:
-                with self._lock:
-                    fire = self._quarantine_ready
-                    self._quarantine_ready = []
-                if fire:
-                    for item in fire:
-                        on_result(item.index, item)
-                    with self._lock:
-                        self._outstanding -= len(fire)
-                        self._last_progress = _time.monotonic()
-                        self._job_finished.notify_all()
-                    continue
-                drain_items = None
-                with self._lock:
-                    if self._outstanding <= 0:
-                        break
-                    if self._failure is not None:
-                        failure = self._failure
-                        break
-                    if self._shutdown:
-                        failure = "transport closed"
-                        break
-                    now = _time.monotonic()
-                    self._supervise_locked(now, deadline)
-                    drain_items = self._claim_degraded_items_locked()
-                    if drain_items is None:
-                        if now - self._last_progress > self.result_timeout:
-                            failure = (f"no worker progress for "
-                                       f"{self.result_timeout}s "
-                                       f"({self._outstanding} outstanding)")
-                            break
-                        if not self._quarantine_ready:
-                            self._job_finished.wait(timeout=_TICK_SECONDS)
+            while remaining > 0:
+                with pool.lock:
+                    ready, self._ready = self._ready, []
+                    drain = (None if ready
+                             else self._claim_degraded_items_locked())
+                    if not ready and drain is None:
+                        stalled = _time.monotonic() - self._last_progress
+                        if not pool.running:
+                            raise TransportError("transport closed")
+                        if stalled > self.result_timeout:
+                            raise TransportError(
+                                f"no worker progress for "
+                                f"{self.result_timeout}s "
+                                f"({remaining} outstanding)")
+                        pool.changed.wait(timeout=TICK_SECONDS)
                         continue
-                # Degraded: the fleet is gone (or below the floor) with no
-                # restart budget left — drain in-process, outside the lock.
-                self._drain_serially(job_wire, drain_items, on_result, stats)
-                with self._lock:
-                    self._delivered.update(i for i, _ in drain_items)
-                    self._outstanding -= len(drain_items)
-                    self._last_progress = _time.monotonic()
+                # Outside the lock: a slow (or transport-touching) callback
+                # must not stall dispatch, and neither must the serial
+                # drain of a fleet that is gone for good.
+                for index, outcome in ready:
+                    on_result(index, outcome)
+                if drain:
+                    stats.degraded = True
+                    self._drain_serially(job_wire, drain, on_result, stats)
+                remaining -= len(ready) + len(drain or ())
+                # Re-armed per delivery: the stall timeout bounds silence,
+                # not total job duration.
+                self._last_progress = _time.monotonic()
+        except TransportError:
+            # Whatever is still in flight belongs to a job nobody waits
+            # for: tear the fleet down (the next run_job restarts it).
+            self.close()
+            raise
         finally:
-            with self._lock:
-                self._job_wire = None
-                self._job_header = None
-                self._job_candidates = []
-                self._on_result = None
+            with pool.lock:
+                self._job = None
+                self._candidates = []
                 self._pending = deque()
-                self._in_flight = {}
-                self._quarantine_ready = []
-        if failure is not None:
-            raise TransportError(failure)
-
-    # -- supervision (run_job thread, lock held) ----------------------------
-
-    def _supervise_locked(self, now: float, deadline) -> None:
-        policy = self.fault_policy
-        # Per-item soft deadlines: sever the wedged worker's connection
-        # (its recv unblocks with an error → the item is requeued with
-        # reason "deadline") and kill the local process if it is ours.
-        if deadline:
-            for conn, (_index, _attempts, started) in \
-                    list(self._in_flight.items()):
-                if now - started > deadline and conn.fault_reason is None:
-                    conn.fault_reason = "deadline"
-                    try:
-                        conn.sock.shutdown(socket.SHUT_RDWR)
-                    except OSError:
-                        pass
-                    try:
-                        conn.sock.close()
-                    except OSError:
-                        pass
-                    for process in self._worker_processes:
-                        if process.pid == conn.pid and process.poll() is None:
-                            process.terminate()
-        if not self.spawn_workers:
-            return
-        # Reap dead local workers and queue respawns with capped
-        # exponential backoff (no sleeping under the lock).
-        for process in list(self._worker_processes):
-            if process.poll() is None:
-                continue
-            self._worker_processes.remove(process)
-            if self._restarts_used < policy.restart_budget:
-                delay = policy.backoff(self._restarts_used)
-                self._restarts_used += 1
-                self._respawn_at.append(now + delay)
-        due = [t for t in self._respawn_at if t <= now]
-        for t in due:
-            self._respawn_at.remove(t)
-            self._spawn_one_worker()
-            self.last_fault_stats.worker_restarts += 1
-            self._last_progress = now
 
     def _claim_degraded_items_locked(self) -> Optional[List[Tuple[int, int]]]:
-        """Claim the pending queue for a serial drain, or ``None``.
-
-        Degradation triggers only when nothing can recover the job: no
-        connection can serve it (all gone, or every survivor failed its
-        setup), no local worker is still booting, no respawn is queued —
-        or the fleet is below ``min_workers`` with the restart budget
-        spent.  Items in flight on live workers keep streaming normally.
-        """
-        if not self._pending or self._in_flight:
+        """Claim the pending queue for a serial drain, or ``None``:
+        degradation triggers only when nothing can recover the job
+        (:meth:`WorkerPool.can_serve`)."""
+        if not self._pending or self._pool.can_serve(self._job_id):
             return None
         if not self.spawn_workers and not self._job_had_connection:
             return None                  # remote workers may still connect
-        policy = self.fault_policy
-        eligible = [c for c in self._connections
-                    if c.failed_job_id != self._job_id]
-        booting = [p for p in self._worker_processes
-                   if p.poll() is None and p.pid not in self._connected_pids]
-        if self._respawn_at:
-            return None
-        fleet = len(eligible) + len(booting)
-        budget_left = (self.spawn_workers
-                       and self._restarts_used < policy.restart_budget)
-        if fleet == 0 and not budget_left:
-            pass                         # nothing can serve: degrade
-        elif fleet < policy.min_workers and not budget_left and not eligible:
-            pass                         # below the floor with no way back
-        else:
-            return None
         items = list(self._pending)
         self._pending.clear()
+        self._settled.update(index for index, _ in items)
         return items
 
-    # -- callbacks from connection handlers (thread-safe) -------------------
+    # -- DispatchPolicy hooks (called by the pool) --------------------------
 
-    def _register_worker(self, connection) -> None:
-        with self._lock:
-            connection.worker_id = self._next_worker_id
-            self._next_worker_id += 1
-            if connection.pid is not None:
-                self._connected_pids.add(connection.pid)
-
-    def _await_job(self, connection) -> Optional[tuple]:
-        """Block until work is available (or shutdown).
-
-        A connection is handed the current job whenever candidate indices
-        are pending — unless its own setup for this job already failed.
-        ``job_done`` is only sent once the pending queue is empty, so a
-        worker never re-enters a job it just finished — except after a
-        peer disconnects mid-candidate and its item is re-queued, in which
-        case re-serving the job (trunk rebuild included) is the recovery
-        path.
-        """
-        with self._lock:
-            while not self._shutdown:
-                if (self._job_wire is not None and self._pending
-                        and connection.failed_job_id != self._job_id):
-                    self._job_had_connection = True
-                    frame = {"type": "job", "job": self._job_header,
-                             "worker_id": connection.worker_id or 0}
-                    if self.fault_plan is not None:
-                        frame["fault"] = self.fault_plan.to_wire()
-                    return self._job_id, frame
-                self._wakeup.wait(timeout=1.0)
+    def assign(self, link: WorkerLink) -> Optional[PoolJob]:
+        """Hand the current job to ``link`` whenever candidate indices are
+        pending — unless its own setup for this job already failed.  A
+        worker re-enters a job it finished only when a peer's item was
+        re-queued; re-serving the job (trunk rebuild included) is then
+        the recovery path."""
+        if (self._job is None or not self._pending
+                or link.failed_job == self._job_id):
             return None
+        self._job_had_connection = True
+        return self._job
 
-    def _next_index(self, job_id: int, connection) -> Optional[int]:
-        with self._lock:
-            if job_id != self._job_id or not self._pending:
-                return None
-            index, attempts = self._pending.popleft()
-            self._in_flight[connection] = (index, attempts, _time.monotonic())
-            return index
+    def next_item(self, link: WorkerLink, job: PoolJob) -> Optional[WorkItem]:
+        if job is not self._job or not self._pending:
+            return None
+        index, attempts = self._pending.popleft()
+        return WorkItem(index, attempts, self._candidates[index],
+                        self._deadline, self.fault_policy.max_attempts)
 
-    def _candidate_wire(self, job_id: int, index: int) -> Optional[Dict]:
-        with self._lock:
-            # The job can be torn down between a connection's index pop
-            # and this fetch; ``None`` tells the caller the job is gone.
-            if (job_id != self._job_id or self._job_wire is None
-                    or index >= len(self._job_candidates)):
-                return None
-            return self._job_candidates[index]
+    def _settle(self, job: PoolJob, index: int, outcome) -> None:
+        if job is self._job and index not in self._settled:
+            self._settled.add(index)
+            self._ready.append((index, outcome))
+            self._pool.changed.notify_all()
 
-    def _requeue_unstarted(self, job_id: int, connection) -> None:
-        """Give back an item the worker never began (dispatch failed):
-        no attempt is charged."""
-        with self._lock:
-            entry = self._in_flight.pop(connection, None)
-            if entry is None or job_id != self._job_id \
-                    or self._job_wire is None:
-                return
-            index, attempts, _started = entry
-            self._pending.appendleft((index, attempts))
-            self._wakeup.notify_all()
+    def result(self, job: PoolJob, item: WorkItem, outcome) -> None:
+        with self._pool.lock:
+            self._settle(job, item.index, outcome)
 
-    def _retry_or_quarantine_locked(self, index: int, attempts: int,
-                                    reason: str, detail: str) -> None:
-        attempts += 1
-        if index in self._delivered:
-            return
-        if attempts >= self.fault_policy.max_attempts:
-            self._delivered.add(index)
-            self.last_fault_stats.quarantined += 1
-            self._quarantine_ready.append(QuarantinedItem(
-                index=index, reason=reason, attempts=attempts, detail=detail))
-            self._job_finished.notify_all()
-        else:
-            self.last_fault_stats.record_retry(index, reason, attempts)
-            self._pending.append((index, attempts))
-            self._wakeup.notify_all()
+    def quarantine(self, job: PoolJob, item: WorkItem,
+                   quarantined: QuarantinedItem) -> None:
+        self._settle(job, item.index, quarantined)
 
-    def _deliver(self, job_id: int, connection, index: int, outcome) -> None:
-        with self._lock:
-            if job_id != self._job_id or self._on_result is None:
-                return
-            self._in_flight.pop(connection, None)
-            if index in self._delivered:
-                self._wakeup.notify_all()
-                return                   # duplicate from a raced retry
-            self._delivered.add(index)
-            callback = self._on_result
+    def retry(self, job: PoolJob, item: WorkItem, reason: str,
+              detail: str) -> None:
+        if job is self._job:
+            self._pending.append((item.index, item.attempts))
             self._last_progress = _time.monotonic()
-        # Run the callback outside the lock: a slow (or transport-touching)
-        # progress callback must not serialize worker dispatch or deadlock.
-        callback(index, outcome)
-        with self._lock:
-            if job_id != self._job_id:
-                return
-            self._outstanding -= 1
-            # Notify on *every* delivery so run_job's stall timeout re-arms
-            # per result instead of bounding total job duration.
-            self._job_finished.notify_all()
 
-    def _item_failed(self, job_id: int, connection, index: Optional[int],
-                     message: str) -> None:
-        """A worker reported an exception evaluating an item: requeue it
-        with an attempt charged, or quarantine it out of the job."""
-        with self._lock:
-            if job_id != self._job_id:
-                return
-            entry = self._in_flight.pop(connection, None)
-            attempts = entry[1] if entry is not None else 0
-            if index is None and entry is not None:
-                index = entry[0]
-            if index is None:
-                return
-            self._retry_or_quarantine_locked(index, attempts,
-                                             "worker-exception", message)
-            self._last_progress = _time.monotonic()
-            self._job_finished.notify_all()
-
-    def _job_setup_failed(self, job_id: int, connection,
-                          message: str) -> None:
-        """This worker cannot build the job runtime; stop offering it the
-        job.  If no worker can, the degradation drain surfaces the error."""
-        with self._lock:
-            if job_id != self._job_id:
-                return
-            connection.failed_job_id = job_id
-            entry = self._in_flight.pop(connection, None)
-            if entry is not None:
-                index, attempts, _started = entry
-                self._pending.appendleft((index, attempts))
-                self._wakeup.notify_all()
-            self._job_finished.notify_all()
-
-    def _frame_error(self, job_id: int, connection, exc: Exception) -> None:
-        with self._lock:
-            if job_id == self._job_id:
-                self.last_fault_stats.frame_errors += 1
-            if connection.fault_reason is None:
-                connection.fault_reason = "frame-error"
-
-    def _connection_lost(self, connection) -> None:
-        with self._lock:
-            if connection in self._connections:
-                self._connections.remove(connection)
-            if self._job_wire is None:
-                return
-            entry = self._in_flight.pop(connection, None)
-            if entry is not None:
-                index, attempts, _started = entry
-                self._retry_or_quarantine_locked(
-                    index, attempts, connection.fault_reason or "disconnect",
-                    "worker connection lost")
-            # Wake the supervisor: it decides between respawn, waiting for
-            # the survivors, and the degradation drain.
-            self._job_finished.notify_all()
+    def unstarted(self, job: PoolJob, item: Optional[WorkItem]) -> None:
+        if job is self._job and item is not None:
+            self._pending.appendleft((item.index, item.attempts))
 
 
 # ---------------------------------------------------------------------------
 # Factory
 # ---------------------------------------------------------------------------
 
+#: ``"spawn"`` and ``"socket"`` are one fleet: the same class with the
+#: same loopback / ephemeral-port / local-worker defaults.  The name a
+#: transport was built under is only what spans, events and ``.name`` say.
 TRANSPORTS = {
     "inprocess": InProcessTransport,
     "serial": InProcessTransport,
-    "spawn": SpawnTransport,
+    "spawn": SocketTransport,
     "socket": SocketTransport,
     "tcp": SocketTransport,
 }
@@ -1192,12 +344,16 @@ TRANSPORTS = {
 
 def make_transport(name: str, **options) -> BaseTransport:
     """Build a transport by name: inprocess | spawn | socket."""
+    name = name.lower()
     try:
-        cls = TRANSPORTS[name.lower()]
+        cls = TRANSPORTS[name]
     except KeyError as exc:
         raise DistribError(f"unknown transport {name!r}; expected one of "
                            f"{sorted(set(TRANSPORTS))}") from exc
     if cls is InProcessTransport:
         options.pop("workers", None)     # meaningless in-process
         options.pop("result_timeout", None)
-    return cls(**options)
+    transport = cls(**options)
+    if name == "spawn":
+        transport.name = name
+    return transport

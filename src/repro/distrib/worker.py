@@ -1,31 +1,38 @@
-"""``repro-worker`` — drain a backtest coordinator's candidate queue.
+"""``repro-worker`` — the one worker main: serve a coordinator's jobs.
 
 Run one (or many, across machines) against a listening
-:class:`~repro.distrib.transport.SocketTransport`::
+:class:`~repro.distrib.pool.WorkerPool` — a ``spawn``/``socket``
+transport or the repair service daemon, which launch their local workers
+exactly this way::
 
-    python -m repro.distrib.worker --connect HOST:PORT
+    REPRO_WORKER_TOKEN=<pool token> python -m repro.distrib.worker --connect HOST:PORT
 
-The worker speaks the length-prefixed frame protocol: it receives a job
-*header* (scenario spec + backtester configuration + candidate count — the
-candidate wires themselves arrive with each dispatched item, so the worker
-only ever holds the candidates it evaluates), rebuilds the scenario and
-backtester, then pulls candidate indices one at a time and streams
-:class:`ShardOutcome` results back until the coordinator says ``job_done``.
-A :class:`RuntimeCache` persists across jobs, so repeated ``evaluate_all``
-calls on the same scenario skip the scenario/backtester/trunk rebuild.
+The worker presents the token (raw bytes, read from the environment; the
+pool sets it for workers it launches) and then speaks the pool's
+length-prefixed frame protocol (see :mod:`repro.distrib.pool`): it
+receives a job — a backtest *header* (scenario spec + backtester
+configuration + candidate count; the candidate wires arrive with each
+dispatched item, so the worker only ever holds the candidates it
+evaluates) or a whole repair run — builds its runtime, then pulls items
+one at a time and streams results back until the coordinator says
+``job_done``.  A :class:`RuntimeCache` persists across jobs, so repeated
+jobs on the same scenario skip the scenario/backtester/trunk rebuild.
 It then waits for the next job; ``shutdown`` (or a closed connection) ends
-the process.  Only connect to coordinators you trust: frames are pickled.
+the process.  Only connect to coordinators you trust: frames are pickled,
+and the token is what you trust them with.
 
 When the coordinator ships a :class:`~repro.distrib.faults.FaultPlan` with
 the job frame, the worker arms a :class:`FaultInjector` against its
-assigned ``worker_id`` — this is how chaos tests make a *real* remote
-worker crash, hang, delay, or corrupt frames at a deterministic point.
+assigned ``worker_id`` — the one fault-injection mapping, whichever
+transport name built the pool: ``kill`` exits the process, ``hang`` and
+``delay_result`` sleep, ``drop_result`` swallows the result frame (the
+deadline recovers it), ``corrupt_frame``/``truncate_frame`` write a
+broken frame and die.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import signal
 import socket
@@ -36,7 +43,7 @@ from typing import Optional
 
 from .faults import FaultInjector, FaultPlan
 from .jobs import RuntimeCache, build_runtime
-from .transport import _LENGTH, FrameError, recv_frame, send_frame
+from .pool import _LENGTH, TOKEN_ENV, FrameError, recv_frame, send_frame
 
 
 class GracefulShutdown:
@@ -94,10 +101,9 @@ def _tamper_result_frame(sock: socket.socket, action) -> None:
     os._exit(1)
 
 
-def _serve_job(sock: socket.socket, job_wire,
-               cache: Optional[RuntimeCache] = None,
-               injector: Optional[FaultInjector] = None,
-               shutdown: Optional[GracefulShutdown] = None) -> None:
+def _serve_job(sock: socket.socket, job_wire, cache: RuntimeCache,
+               injector: Optional[FaultInjector],
+               shutdown: GracefulShutdown) -> None:
     try:
         runtime = build_runtime(job_wire, cache=cache)
     except BaseException:                # noqa: BLE001 — report and bail out
@@ -120,8 +126,7 @@ def _serve_job(sock: socket.socket, job_wire,
         if kind != "item":
             continue
         index = message["index"]
-        if shutdown is not None:
-            shutdown.busy = True
+        shutdown.busy = True
         try:
             if injector is not None:
                 injector.before_item(index)
@@ -132,62 +137,63 @@ def _serve_job(sock: socket.socket, job_wire,
         except BaseException:            # noqa: BLE001
             send_frame(sock, {"type": "error", "index": index,
                               "message": traceback.format_exc()})
-            if shutdown is not None:
-                shutdown.busy = False
-                shutdown.checkpoint()
+            shutdown.busy = False
+            shutdown.checkpoint()
             continue
         action = (injector.result_action(index)
                   if injector is not None else None)
-        if action is not None:
-            if action.kind == "delay_result":
-                _time.sleep(action.seconds)
-            elif action.kind == "drop_result":
-                os._exit(1)              # the result dies with the process
-            else:                        # corrupt_frame / truncate_frame
-                _tamper_result_frame(sock, action)
-        send_frame(sock, {"type": "result", "index": index,
-                          "outcome": outcome})
-        if shutdown is not None:
-            shutdown.busy = False
-            # Drain point: the finished item's result is delivered; a
-            # pending SIGTERM/SIGINT now exits instead of pulling more.
-            shutdown.checkpoint()
+        fault = action.kind if action is not None else None
+        if fault == "delay_result":
+            _time.sleep(action.seconds)
+        elif fault in ("corrupt_frame", "truncate_frame"):
+            _tamper_result_frame(sock, action)
+        if fault != "drop_result":       # swallowed: the deadline recovers it
+            send_frame(sock, {"type": "result", "index": index,
+                              "outcome": outcome})
+        shutdown.busy = False
+        # Drain point: the finished item's result is delivered; a
+        # pending SIGTERM/SIGINT now exits instead of pulling more.
+        shutdown.checkpoint()
 
 
-def serve(host: str, port: int,
-          shutdown: Optional[GracefulShutdown] = None) -> None:
+def serve(host: str, port: int, shutdown: GracefulShutdown) -> None:
     """Connect to a coordinator and process jobs until shutdown."""
     cache = RuntimeCache()
     injector: Optional[FaultInjector] = None
-    injector_key = None
+    armed_wire = None
+    greeted = False
     with socket.create_connection((host, port)) as sock:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.sendall(os.environ.get(TOKEN_ENV, "").encode("utf-8"))
         send_frame(sock, {"type": "hello", "pid": os.getpid()})
         while True:
-            if shutdown is not None:
-                shutdown.checkpoint()
-            message = recv_frame(sock)
+            shutdown.checkpoint()
+            try:
+                message = recv_frame(sock)
+            except ConnectionResetError:
+                if greeted:
+                    raise
+                message = None
+            if message is None and not greeted:
+                # A pool that accepted us says ``shutdown`` before it goes.
+                raise ConnectionError(
+                    f"coordinator closed the connection without a frame "
+                    f"(wrong or missing {TOKEN_ENV}?)")
+            greeted = True
             if message is None or message.get("type") == "shutdown":
                 return
             if message.get("type") == "job":
                 fault_wire = message.get("fault")
-                worker_id = int(message.get("worker_id", 0))
-                if fault_wire:
-                    # One injector per (worker_id, plan): its one-shot
-                    # bookkeeping must persist across jobs on the same
-                    # connection, not rearm for every job frame.
-                    key = (worker_id,
-                           json.dumps(fault_wire, sort_keys=True, default=str))
-                    if key != injector_key:
-                        injector = FaultInjector(
-                            FaultPlan.from_wire(fault_wire),
-                            worker_id=worker_id)
-                        injector_key = key
-                else:
-                    injector = None
-                    injector_key = None
-                _serve_job(sock, message["job"], cache=cache,
-                           injector=injector, shutdown=shutdown)
+                if fault_wire != armed_wire:
+                    # One injector per plan (the worker id is fixed for
+                    # the connection): its one-shot bookkeeping must
+                    # persist across jobs, not re-arm with every job frame.
+                    armed_wire = fault_wire
+                    injector = (FaultInjector(
+                        FaultPlan.from_wire(fault_wire),
+                        worker_id=int(message.get("worker_id", 0)))
+                        if fault_wire else None)
+                _serve_job(sock, message["job"], cache, injector, shutdown)
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -201,7 +207,7 @@ def main(argv: Optional[list] = None) -> int:
         parser.error(f"--connect expects HOST:PORT, got {args.connect!r}")
     shutdown = GracefulShutdown().install()
     try:
-        serve(host, int(port), shutdown=shutdown)
+        serve(host, int(port), shutdown)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ConnectionError, OSError, FrameError) as exc:

@@ -1,29 +1,31 @@
 """The repair-service coordinator daemon: many tenants, one worker fleet.
 
-The existing fabric transports move one job at a time through a worker
-set with barrier semantics (``run_job`` blocks until every item is
-delivered) — the right shape for a backtest stage, the wrong shape for a
-long-lived service accepting submissions while others run.  The
-:class:`RepairServiceDaemon` therefore speaks the *same* length-prefixed
-frame protocol to the same ``repro-worker`` processes, but schedules
-dynamically: every repair session is one single-item job
-(:class:`~repro.service.wire.RepairJob`), idle workers pull the next
-session the moment they finish one, and sessions from different tenants
-interleave across the fleet.
+The fabric transports move one job at a time through a worker set with
+barrier semantics (``run_job`` blocks until every item is delivered) —
+the right shape for a backtest stage, the wrong shape for a long-lived
+service accepting submissions while others run.  The
+:class:`RepairServiceDaemon` therefore drives the *same*
+:class:`~repro.distrib.pool.WorkerPool` — same ``repro-worker``
+processes, frame protocol, token, supervision and retry rule — with a
+different :class:`~repro.distrib.pool.DispatchPolicy`: every repair
+session is one single-item job (:class:`~repro.service.wire.RepairJob`),
+idle workers pull the next session the moment they finish one, and
+sessions from different tenants interleave across the fleet.  What this
+module adds to the pool is that policy and the session records.
 
 Scheduling is **per-tenant fair-share**: when a worker frees up, the
 daemon picks the queued tenant with the fewest sessions currently
 running, breaking ties by least-recently-dispatched — so a tenant that
 dumps a hundred sessions cannot starve a tenant submitting one.
 
-The PR 9 fault machinery applies per repair job: a worker crash, hang
+The fault machinery applies per repair job: a worker crash, hang
 (explicit ``job_deadline``), disconnect or exception requeues the
 session with an attempt charged, and a session out of attempts is failed
 with the same ``quarantined(<reason>) after N attempts`` shape the
-backtest fabric uses.  Dead local workers are respawned with capped
-exponential backoff; respawned workers get fresh worker ids, so
-positional :class:`~repro.distrib.faults.FaultPlan` actions do not
-re-fire — the chaos semantics match ``SocketTransport``.
+backtest fabric uses.  Dead local workers are respawned forever (a crash
+streak only lengthens the capped backoff); respawned workers get fresh
+worker ids, so positional :class:`~repro.distrib.faults.FaultPlan`
+actions do not re-fire.
 
 Events stream live: workers forward every
 :class:`~repro.events.SessionEvent` as a ``{"type": "event"}`` frame,
@@ -36,12 +38,6 @@ stream is always one complete, clean run.
 from __future__ import annotations
 
 import itertools
-import os
-import pickle
-import socket
-import subprocess
-import sys
-import threading
 import time as _time
 from collections import Counter as _Counter
 from collections import deque
@@ -49,16 +45,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..api.config import ConfigError, RepairConfig
-from ..distrib.faults import FaultPlan, FaultStats, FaultToleranceConfig
-from ..distrib.transport import FrameError, recv_frame, send_frame
+from ..distrib.faults import FaultStats, FaultToleranceConfig, QuarantinedItem
+from ..distrib.pool import (DispatchPolicy, PoolJob, WorkItem, WorkerLink,
+                            WorkerPool)
 from ..obs.metrics import MetricsRegistry
-from .wire import RepairJob, RepairJobError
-
-#: Supervision tick (matches the fabric transports).
-_TICK_SECONDS = 0.2
-
-#: A crash streak resets when the fleet stays healthy this long.
-_CRASH_STREAK_WINDOW = 10.0
+from .wire import RepairJob
 
 #: Session lifecycle states.
 QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
@@ -122,92 +113,15 @@ class SessionRecord:
         return wire
 
 
-class _WorkerLink(threading.Thread):
-    """Daemon-side handler for one connected worker (frame protocol)."""
-
-    def __init__(self, service: "RepairServiceDaemon", sock: socket.socket):
-        super().__init__(daemon=True)
-        self.service = service
-        self.sock = sock
-        self.worker_id: Optional[int] = None
-        self.pid: Optional[int] = None
-        #: Why the daemon is severing this link (``"deadline"``);
-        #: ``None`` means an ordinary disconnect.
-        self.fault_reason: Optional[str] = None
-        #: The session this link is running, if any.
-        self.record: Optional[SessionRecord] = None
-        #: Monotonic dispatch time of the running session.
-        self.started = 0.0
-
-    def run(self):
-        service = self.service
-        try:
-            hello = recv_frame(self.sock)
-            if not hello or hello.get("type") != "hello":
-                return
-            self.pid = hello.get("pid")
-            service._register_worker(self)
-            while True:
-                job = service._next_job(self)
-                if job is None:
-                    self._send_quietly({"type": "shutdown"})
-                    return
-                record, frame = job
-                send_frame(self.sock, frame)
-                self._drive(record)
-        except (OSError, EOFError, FrameError, pickle.PickleError):
-            pass
-        finally:
-            service._link_lost(self)
-            try:
-                self.sock.close()
-            except OSError:
-                pass
-
-    def _drive(self, record: SessionRecord) -> None:
-        """Run one session's job to completion on this link."""
-        service = self.service
-        while True:
-            try:
-                message = recv_frame(self.sock)
-            except FrameError:
-                service._frame_error(self)
-                raise
-            if message is None:
-                raise EOFError
-            kind = message.get("type")
-            if kind == "next":
-                # A repair job has exactly one item: the run itself.
-                send_frame(self.sock, {"type": "item", "index": 0,
-                                       "candidate": None})
-            elif kind == "event":
-                service._record_event(record, message.get("event") or {})
-            elif kind == "result":
-                service._complete(self, record, message.get("outcome"))
-                send_frame(self.sock, {"type": "job_done"})
-                return
-            elif kind in ("error", "job_error"):
-                service._item_failed(self, record,
-                                     message.get("message", ""))
-                if kind == "error":      # job_error workers already left
-                    send_frame(self.sock, {"type": "job_done"})
-                return
-
-    def _send_quietly(self, message: Dict) -> None:
-        try:
-            send_frame(self.sock, message)
-        except OSError:
-            pass
-
-
-class RepairServiceDaemon:
+class RepairServiceDaemon(DispatchPolicy):
     """Accept, schedule and supervise many concurrent repair sessions.
 
-    ``workers`` local ``repro-worker`` subprocesses are spawned against
-    the daemon's listener unless ``spawn_workers=False`` (then point
-    remote workers at :attr:`address`).  ``fault_policy`` sets the
-    *default* retry/quarantine policy; a session whose config carries its
-    own ``fault_tolerance`` uses that instead.  ``fault_plan`` arms
+    ``workers`` local ``repro-worker`` subprocesses are launched against
+    the daemon's pool unless ``spawn_workers=False`` (then point remote
+    workers at :attr:`address`, with ``REPRO_WORKER_TOKEN`` set to the
+    same value on both sides).  ``fault_policy`` sets the *default*
+    retry/quarantine policy; a session whose config carries its own
+    ``fault_tolerance`` uses that instead.  ``fault_plan`` arms
     deterministic chaos against the fleet, exactly like the transports.
 
     ``on_event`` (optional) observes every forwarded session event as a
@@ -220,149 +134,67 @@ class RepairServiceDaemon:
                  fault_policy=None, fault_plan=None,
                  metrics: Optional[MetricsRegistry] = None,
                  on_event: Optional[Callable[[Dict], None]] = None):
-        if spawn_workers and workers < 1:
-            raise ValueError("workers must be >= 1 when spawning locally")
-        self.workers = workers
-        self.host = host
-        self.port = port
-        self.spawn_workers = spawn_workers
         self.fault_policy = FaultToleranceConfig.coerce(fault_policy)
-        self.fault_plan = FaultPlan.coerce(fault_plan)
         self.metrics = metrics or MetricsRegistry()
         self.on_event = on_event
-        #: Cumulative recovery counters (mirrors transport.last_fault_stats,
-        #: but over the daemon's lifetime).
-        self.fault_stats = FaultStats()
-
-        self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
-        self._finished = threading.Condition(self._lock)
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._supervisor: Optional[threading.Thread] = None
-        self._processes: List[subprocess.Popen] = []
-        self._links: List[_WorkerLink] = []
-        self._next_worker_id = 0
+        self._pool = WorkerPool(self, workers=workers, host=host, port=port,
+                                spawn_workers=spawn_workers,
+                                fault_policy=self.fault_policy,
+                                fault_plan=fault_plan,
+                                unlimited_restarts=True)
+        # One lock for fleet and sessions: every hook below that the pool
+        # calls with its lock held can touch the records directly.
+        self._lock = self._pool.lock
+        self._changed = self._pool.changed
         self._draining = False
-        self._shutdown = False
+        self._stopped = False
         self._records: Dict[str, SessionRecord] = {}
         self._order: List[str] = []           # submission order, for listings
         self._queues: Dict[str, deque] = {}   # tenant -> deque[SessionRecord]
-        self._running: Dict[_WorkerLink, SessionRecord] = {}
+        self._running: Dict[str, SessionRecord] = {}   # by session id
         self._dispatch_seq = itertools.count()
         self._last_dispatch: Dict[str, int] = {}
         self._ids = itertools.count(1)
-        self._crash_streak = 0
-        self._last_crash = 0.0
-        self._respawn_at: List[float] = []
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     def start(self) -> "RepairServiceDaemon":
-        if self._listener is not None:
-            return self
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen(16)
-        self._listener = listener
-        self._accept_thread = threading.Thread(target=self._accept_loop,
-                                               daemon=True)
-        self._accept_thread.start()
-        self._supervisor = threading.Thread(target=self._supervise_loop,
-                                            daemon=True)
-        self._supervisor.start()
-        if self.spawn_workers:
-            for _ in range(self.workers):
-                self._spawn_worker()
+        self._pool.start()
         return self
 
     @property
     def address(self) -> Tuple[str, int]:
         """(host, port) workers connect to (starts the daemon if needed)."""
-        self.start()
-        return self._listener.getsockname()[:2]
+        return self._pool.address
 
-    def _spawn_worker(self) -> None:
-        host, port = self._listener.getsockname()[:2]
-        if host == "0.0.0.0":
-            host = "127.0.0.1"
-        env = dict(os.environ)
-        src_dir = os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))))
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (src_dir if not existing
-                             else src_dir + os.pathsep + existing)
-        self._processes.append(subprocess.Popen(
-            [sys.executable, "-m", "repro.distrib.worker",
-             "--connect", f"{host}:{port}"],
-            env=env))
+    @property
+    def token(self) -> str:
+        """What a hand-started worker must carry in ``REPRO_WORKER_TOKEN``."""
+        return self._pool.token
 
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                sock, _addr = self._listener.accept()
-            except OSError:
-                return
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            link = _WorkerLink(self, sock)
-            with self._lock:
-                if self._shutdown:
-                    sock.close()
-                    return
-                self._links.append(link)
-            link.start()
+    @property
+    def fault_stats(self) -> FaultStats:
+        """Cumulative recovery counters (a transport's
+        ``last_fault_stats``, but over the daemon's lifetime)."""
+        return self._pool.stats
 
     def stop(self, grace: float = 10.0) -> None:
         """Drain and shut down: wait up to ``grace`` seconds for running
         sessions, requeue whatever is still in flight (no attempt charged
-        — the operator interrupted it, not a fault), terminate the local
-        fleet, and flush the event hook if it can be flushed."""
+        — the operator interrupted it, not a fault), close the pool (which
+        kills workers still evaluating), and flush the event hook if it
+        can be flushed."""
         with self._lock:
             self._draining = True
-            self._wakeup.notify_all()
-        deadline = _time.monotonic() + max(0.0, grace)
-        with self._lock:
-            while self._running:
-                remaining = deadline - _time.monotonic()
-                if remaining <= 0:
-                    break
-                self._finished.wait(timeout=min(_TICK_SECONDS, remaining))
-            requeued = []
-            for link, record in list(self._running.items()):
-                record.state = QUEUED
-                record.worker_id = None
-                record.events.clear()     # partial stream; a rerun replaces it
-                self._queue_for(record.tenant).appendleft(record)
-                link.record = None
-                requeued.append(link)
-            self._running.clear()
-            self._shutdown = True
-            self._update_gauges_locked()
-            self._wakeup.notify_all()
-            self._finished.notify_all()
-        for link in requeued:
-            # Sever mid-job links so their workers stop evaluating work
-            # nobody is waiting for.
-            try:
-                link.sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        for process in self._processes:
-            if process.poll() is None:
-                process.terminate()
-        for process in self._processes:
-            try:
-                process.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                process.kill()
+            self._changed.wait_for(lambda: not self._running,
+                                   timeout=max(0.0, grace))
+            for record in list(self._running.values()):
+                self._requeue_locked(record)
+            self._stopped = True
+            self._changed.notify_all()
+        self._pool.close()
         sync = getattr(self.on_event, "sync", None)
         if callable(sync):
             sync()
@@ -390,7 +222,7 @@ class RepairServiceDaemon:
         tenant = str(tenant or "default")
         policy = config.fault_tolerance or self.fault_policy
         with self._lock:
-            if self._draining or self._shutdown:
+            if self._draining:
                 raise ServiceUnavailable("service is draining")
             session_id = f"s-{next(self._ids):04d}"
             record = SessionRecord(session_id=session_id, tenant=tenant,
@@ -398,11 +230,10 @@ class RepairServiceDaemon:
                                    submitted_unix=_time.time())
             self._records[session_id] = record
             self._order.append(session_id)
-            self._queue_for(tenant).append(record)
+            self._queues.setdefault(tenant, deque()).append(record)
             self.metrics.counter("service_sessions_submitted",
                                  tenant=tenant).inc()
-            self._update_gauges_locked()
-            self._wakeup.notify_all()
+            self._changed.notify_all()
         return session_id
 
     def get(self, session_id: str) -> SessionRecord:
@@ -434,100 +265,104 @@ class RepairServiceDaemon:
              timeout: Optional[float] = 120.0) -> SessionRecord:
         """Block until the session is terminal; raises on timeout."""
         record = self.get(session_id)
-        deadline = (None if timeout is None
-                    else _time.monotonic() + timeout)
         with self._lock:
-            while record.state not in TERMINAL_STATES:
-                remaining = (None if deadline is None
-                             else deadline - _time.monotonic())
-                if remaining is not None and remaining <= 0:
-                    raise TimeoutError(
-                        f"session {session_id} still {record.state} after "
-                        f"{timeout}s")
-                self._finished.wait(timeout=(_TICK_SECONDS if remaining is None
-                                             else min(_TICK_SECONDS,
-                                                      remaining)))
-                if self._shutdown and record.state not in TERMINAL_STATES:
-                    raise ServiceError(
-                        f"service stopped while session {session_id} was "
-                        f"{record.state}")
-        return record
+            self._changed.wait_for(
+                lambda: record.state in TERMINAL_STATES or self._stopped,
+                timeout)
+            if record.state in TERMINAL_STATES:
+                return record
+            if self._stopped:
+                raise ServiceError(f"service stopped while session "
+                                   f"{session_id} was {record.state}")
+            raise TimeoutError(f"session {session_id} still {record.state} "
+                               f"after {timeout}s")
+
+    def metrics_snapshot(self) -> Dict[str, object]:
+        """The registry's snapshot (``GET /metrics``).  Gauges and the
+        fleet counters are derived state: they are brought up to date
+        here, at read time, not at every transition."""
+        with self._lock:
+            running = _Counter(r.tenant for r in self._running.values())
+            for tenant, queue in self._queues.items():
+                self.metrics.gauge("service_queue_depth",
+                                   tenant=tenant).set(len(queue))
+                self.metrics.gauge("service_sessions_running",
+                                   tenant=tenant).set(running.get(tenant, 0))
+            self.metrics.gauge("service_workers_connected").set(
+                len(self._pool.links))
+            stats = self._pool.stats
+            for name, total in (
+                    ("service_worker_restarts", stats.worker_restarts),
+                    ("service_frame_errors", stats.frame_errors)):
+                if total:
+                    counter = self.metrics.counter(name)
+                    counter.inc(total - counter.value)
+        return self.metrics.snapshot()
 
     def status(self) -> Dict[str, object]:
-        """Health view (``GET /healthz``)."""
+        """Health view (``GET /healthz``): drain state, the pool's fleet
+        view, session totals, and per-tenant queue depth with the age of
+        the longest-waiting queued session."""
         with self._lock:
-            queued = sum(len(q) for q in self._queues.values())
+            now = _time.time()
+            tenants = {
+                tenant: {"queued": len(queue),
+                         "oldest_queued_age_s": round(
+                             max(0.0, now - min(r.submitted_unix
+                                                for r in queue)), 3)
+                         if queue else 0.0}
+                for tenant, queue in sorted(self._queues.items())}
             return {
                 "state": ("draining" if self._draining else "serving"),
-                "workers_connected": len([l for l in self._links
-                                          if l.worker_id is not None]),
+                **self._pool.status(),
                 "sessions_total": len(self._records),
-                "sessions_queued": queued,
+                "sessions_queued": sum(t["queued"] for t in tenants.values()),
                 "sessions_running": len(self._running),
+                "tenants": tenants,
             }
 
     # ------------------------------------------------------------------
-    # Scheduling (fair-share over tenants)
+    # Dispatch policy (called by the pool; lock held unless noted)
     # ------------------------------------------------------------------
 
-    def _queue_for(self, tenant: str) -> deque:
-        queue = self._queues.get(tenant)
-        if queue is None:
-            queue = self._queues[tenant] = deque()
-        return queue
-
-    def _pick_locked(self) -> Optional[SessionRecord]:
-        """The next session to dispatch: the queued tenant with the fewest
-        running sessions, ties broken by least-recently-dispatched."""
+    def assign(self, link: WorkerLink) -> Optional[PoolJob]:
+        """Fair share: the queued tenant with the fewest running sessions,
+        ties broken by least-recently-dispatched."""
         tenants = [t for t, q in self._queues.items() if q]
-        if not tenants:
+        if self._draining or not tenants:
             return None
         running = _Counter(r.tenant for r in self._running.values())
         tenant = min(tenants, key=lambda t: (running.get(t, 0),
                                              self._last_dispatch.get(t, -1),
                                              t))
-        return self._queues[tenant].popleft()
+        record = self._queues[tenant].popleft()
+        record.state = RUNNING
+        record.started_unix = _time.time()
+        record.worker_id = link.worker_id
+        self._running[record.session_id] = record
+        self._last_dispatch[tenant] = next(self._dispatch_seq)
+        job = RepairJob(session_id=record.session_id, config=record.config,
+                        tenant=record.tenant,
+                        submitted_unix=record.submitted_unix)
+        return PoolJob(record, job.to_wire())
 
-    def _next_job(self, link: _WorkerLink
-                  ) -> Optional[Tuple[SessionRecord, Dict]]:
-        """Block until a session is available for this link (or shutdown)."""
-        with self._lock:
-            while not (self._shutdown or self._draining):
-                record = self._pick_locked()
-                if record is not None:
-                    record.state = RUNNING
-                    record.started_unix = _time.time()
-                    record.worker_id = link.worker_id
-                    link.record = record
-                    link.fault_reason = None
-                    link.started = _time.monotonic()
-                    self._running[link] = record
-                    self._last_dispatch[record.tenant] = \
-                        next(self._dispatch_seq)
-                    job = RepairJob(session_id=record.session_id,
-                                    config=record.config,
-                                    tenant=record.tenant,
-                                    submitted_unix=record.submitted_unix)
-                    frame = {"type": "job", "job": job.to_wire(),
-                             "worker_id": link.worker_id or 0}
-                    if self.fault_plan is not None:
-                        frame["fault"] = self.fault_plan.to_wire()
-                    self._update_gauges_locked()
-                    return record, frame
-                self._wakeup.wait(timeout=1.0)
-            return None
+    def _work_item(self, record: SessionRecord) -> WorkItem:
+        """A repair job has exactly one item: the run itself.  Its soft
+        deadline is an explicit ``job_deadline`` only — a whole-run
+        baseline estimate does not exist up front."""
+        return WorkItem(0, record.attempts, None,
+                        record.policy.resolve_deadline(None),
+                        record.policy.max_attempts)
 
-    # ------------------------------------------------------------------
-    # Link callbacks (thread-safe)
-    # ------------------------------------------------------------------
+    def next_item(self, link: WorkerLink, job: PoolJob) -> Optional[WorkItem]:
+        record: SessionRecord = job.key
+        if record.state != RUNNING or record.worker_id != link.worker_id:
+            return None                  # finished, failed or moved on
+        return self._work_item(record)
 
-    def _register_worker(self, link: _WorkerLink) -> None:
-        with self._lock:
-            link.worker_id = self._next_worker_id
-            self._next_worker_id += 1
-            self._update_gauges_locked()
-
-    def _record_event(self, record: SessionRecord, wire: Dict) -> None:
+    def event(self, job: PoolJob, wire: Dict) -> None:
+        """No lock held: the hook may be slow."""
+        record: SessionRecord = job.key
         with self._lock:
             if record.state == RUNNING:
                 record.events.append(wire)
@@ -541,13 +376,13 @@ class RepairServiceDaemon:
             except Exception:            # noqa: BLE001 — observers never kill
                 pass
 
-    def _complete(self, link: _WorkerLink, record: SessionRecord,
-                  outcome) -> None:
+    def result(self, job: PoolJob, item: WorkItem, outcome) -> None:
+        """No lock held."""
+        record: SessionRecord = job.key
         with self._lock:
-            self._running.pop(link, None)
-            link.record = None
             if record.state != RUNNING:
                 return                   # raced a requeue (deadline/drain)
+            self._running.pop(record.session_id, None)
             record.state = DONE
             record.finished_unix = _time.time()
             if isinstance(outcome, dict):
@@ -559,130 +394,55 @@ class RepairServiceDaemon:
                 self.metrics.histogram(
                     "service_session_seconds", tenant=record.tenant).observe(
                         record.finished_unix - record.started_unix)
-            self._update_gauges_locked()
-            self._finished.notify_all()
+            self._changed.notify_all()
 
-    def _item_failed(self, link: _WorkerLink, record: SessionRecord,
-                     detail: str) -> None:
-        with self._lock:
-            self._running.pop(link, None)
-            link.record = None
-            if record.state != RUNNING:
-                return
-            self._retry_or_fail_locked(record, "worker-exception", detail)
+    def retry(self, job: PoolJob, item: WorkItem, reason: str,
+              detail: str) -> None:
+        record: SessionRecord = job.key
+        if record.state != RUNNING:
+            return
+        record.attempts = item.attempts
+        record.error_detail = detail
+        self.metrics.counter("service_job_retries",
+                             tenant=record.tenant, reason=reason).inc()
+        self._requeue_locked(record)
 
-    def _frame_error(self, link: _WorkerLink) -> None:
-        with self._lock:
-            self.fault_stats.frame_errors += 1
-            self.metrics.counter("service_frame_errors").inc()
-            if link.fault_reason is None:
-                link.fault_reason = "frame-error"
-
-    def _link_lost(self, link: _WorkerLink) -> None:
-        with self._lock:
-            if link in self._links:
-                self._links.remove(link)
-            record = self._running.pop(link, None)
-            link.record = None
-            if record is not None and record.state == RUNNING:
-                self._retry_or_fail_locked(
-                    record, link.fault_reason or "disconnect",
-                    "worker connection lost")
-            self._update_gauges_locked()
-            self._wakeup.notify_all()
-
-    def _retry_or_fail_locked(self, record: SessionRecord, reason: str,
-                              detail: str) -> None:
-        record.attempts += 1
+    def quarantine(self, job: PoolJob, item: WorkItem,
+                   quarantined: QuarantinedItem) -> None:
+        record: SessionRecord = job.key
+        if record.state != RUNNING:
+            return
+        self._running.pop(record.session_id, None)
+        record.attempts = quarantined.attempts
         record.worker_id = None
-        if record.attempts >= record.policy.max_attempts:
-            record.state = FAILED
-            record.finished_unix = _time.time()
-            record.error = (f"quarantined({reason}) after "
-                            f"{record.attempts} attempts")
-            record.error_detail = detail
-            self.fault_stats.quarantined += 1
-            self.metrics.counter("service_sessions_finished",
-                                 tenant=record.tenant, state=FAILED).inc()
-            self.metrics.counter("service_quarantined",
-                                 tenant=record.tenant, reason=reason).inc()
-            self._finished.notify_all()
-        else:
-            record.state = QUEUED
-            record.error_detail = detail
-            record.events.clear()        # partial stream; the rerun replaces it
-            self.fault_stats.record_retry(0, reason, record.attempts)
-            self.metrics.counter("service_job_retries",
-                                 tenant=record.tenant, reason=reason).inc()
-            # Retries jump their tenant's queue: the session already waited.
-            self._queue_for(record.tenant).appendleft(record)
-            self._wakeup.notify_all()
-        self._update_gauges_locked()
+        record.state = FAILED
+        record.finished_unix = _time.time()
+        record.error = (f"quarantined({quarantined.reason}) after "
+                        f"{quarantined.attempts} attempts")
+        record.error_detail = quarantined.detail
+        self.metrics.counter("service_sessions_finished",
+                             tenant=record.tenant, state=FAILED).inc()
+        self.metrics.counter("service_quarantined", tenant=record.tenant,
+                             reason=quarantined.reason).inc()
 
-    def _update_gauges_locked(self) -> None:
-        for tenant, queue in self._queues.items():
-            self.metrics.gauge("service_queue_depth",
-                               tenant=tenant).set(len(queue))
-        running = _Counter(r.tenant for r in self._running.values())
-        for tenant in self._queues:
-            self.metrics.gauge("service_sessions_running",
-                               tenant=tenant).set(running.get(tenant, 0))
-        self.metrics.gauge("service_workers_connected").set(
-            len([l for l in self._links if l.worker_id is not None]))
+    def unstarted(self, job: PoolJob, item: Optional[WorkItem]) -> None:
+        if job.key.state == RUNNING:
+            self._requeue_locked(job.key)
 
-    # ------------------------------------------------------------------
-    # Supervision
-    # ------------------------------------------------------------------
+    def setup_failed(self, link: WorkerLink, job: PoolJob,
+                     detail: str) -> None:
+        """A worker that cannot even decode the job is charged like one
+        that raised evaluating it (and may be offered the retry)."""
+        if job.key.state == RUNNING:
+            self._pool.fail_item(job, self._work_item(job.key),
+                                 "worker-exception", detail)
 
-    def _supervise_loop(self) -> None:
-        while True:
-            _time.sleep(_TICK_SECONDS)
-            with self._lock:
-                if self._shutdown:
-                    return
-                draining = self._draining
-                now = _time.monotonic()
-                # Per-job soft deadlines (explicit job_deadline only — a
-                # whole-run baseline estimate does not exist up front).
-                severed = []
-                for link, record in list(self._running.items()):
-                    deadline = record.policy.resolve_deadline(None)
-                    if (deadline and link.fault_reason is None
-                            and now - link.started > deadline):
-                        link.fault_reason = "deadline"
-                        severed.append(link)
-                # Reap dead local workers; queue respawns with capped
-                # backoff (streak resets after a healthy window).
-                respawns = 0
-                if self.spawn_workers and not draining:
-                    for process in list(self._processes):
-                        if process.poll() is None:
-                            continue
-                        self._processes.remove(process)
-                        if now - self._last_crash > _CRASH_STREAK_WINDOW:
-                            self._crash_streak = 0
-                        self._last_crash = now
-                        delay = self.fault_policy.backoff(self._crash_streak)
-                        self._crash_streak += 1
-                        self._respawn_at.append(now + delay)
-                    due = [t for t in self._respawn_at if t <= now]
-                    for t in due:
-                        self._respawn_at.remove(t)
-                        respawns += 1
-            for link in severed:
-                try:
-                    link.sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                try:
-                    link.sock.close()
-                except OSError:
-                    pass
-                for process in self._processes:
-                    if process.pid == link.pid and process.poll() is None:
-                        process.terminate()
-            for _ in range(respawns):
-                self._spawn_worker()
-                with self._lock:
-                    self.fault_stats.worker_restarts += 1
-                    self.metrics.counter("service_worker_restarts").inc()
+    def _requeue_locked(self, record: SessionRecord) -> None:
+        """Back to the front of its tenant's queue (it already waited);
+        the partial event stream goes — the rerun replaces it."""
+        self._running.pop(record.session_id, None)
+        record.state = QUEUED
+        record.worker_id = None
+        record.events.clear()
+        self._queues[record.tenant].appendleft(record)
+        self._changed.notify_all()

@@ -17,10 +17,13 @@ dependencies.  Endpoints:
                           ``?follow=1`` the response streams until the
                           session is terminal.
 ``GET /metrics``          The daemon's registry as Prometheus text.
-``GET /healthz``          Liveness/drain state and fleet counters.
+``GET /healthz``          Drain state, the pool's fleet view (workers
+                          connected / booting, respawns pending), session
+                          totals and per-tenant queue depth + oldest age.
 ========================  ==================================================
 
-Errors: 400 for malformed bodies/configs, 404 for unknown sessions or
+Errors: 400 for malformed bodies/configs or a bad ``Content-Length``,
+413 for a body over :data:`MAX_BODY_BYTES`, 404 for unknown sessions or
 paths, 503 while the daemon is draining.
 """
 
@@ -35,6 +38,9 @@ from urllib.parse import parse_qs, urlsplit
 from ..api.config import ConfigError
 from ..obs.metrics import prometheus_text
 from .daemon import RepairServiceDaemon, ServiceUnavailable
+
+#: Largest ``POST /sessions`` body read; a config wire is a few KiB.
+MAX_BODY_BYTES = 1 << 20
 
 #: Poll interval of the ``?follow=1`` event stream.
 _FOLLOW_TICK_SECONDS = 0.2
@@ -99,7 +105,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         try:
             if parts == ["metrics"]:
                 self._send_text(200,
-                                prometheus_text(service.metrics.snapshot()))
+                                prometheus_text(service.metrics_snapshot()))
             elif parts == ["healthz"]:
                 self._send_json(200, service.status())
             elif parts == ["sessions"]:
@@ -128,7 +134,14 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
-            length = 0
+            length = -1
+        if length < 0:
+            self._error(400, "Content-Length must be a non-negative integer")
+            return
+        if length > MAX_BODY_BYTES:
+            self._error(413, f"body of {length} bytes exceeds the "
+                             f"{MAX_BODY_BYTES}-byte limit")
+            return
         raw = self.rfile.read(length) if length else b""
         try:
             payload = json.loads(raw.decode("utf-8") or "null")

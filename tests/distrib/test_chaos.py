@@ -9,8 +9,14 @@ runs with fault tolerance enabled stay bit-identical to the plain
 transports, and the telemetry counters prove zero recovery actions fired.
 
 The crash tests double as the regression for the old failure mode where
-a dead spawn worker stalled the job until the 600s ``result_timeout``
-and then killed the whole run.
+a dead worker stalled the job until the 600s ``result_timeout`` and then
+killed the whole run.
+
+``"spawn"`` and ``"socket"`` are two names for one pool-backed transport
+(:class:`repro.distrib.WorkerPool`), so each fault class is exercised
+once, under whichever name it was first pinned; the pool's own mechanics
+(every failure reason, budgeted respawn, token and frame hardening) are
+driven without a scenario in ``test_pool.py``.
 """
 
 import time
@@ -20,12 +26,13 @@ import pytest
 from repro.api import EventBus
 from repro.backtest import Backtester
 from repro.distrib import (FaultAction, FaultPlan, FaultToleranceConfig,
-                           Scheduler)
+                           Scheduler, SocketTransport)
 from repro.obs import Telemetry
 from repro.repair import ChangeConstant, DeleteSelection, RepairCandidate
 from repro.scenarios import build_scenario
 
-from test_transport_parity import report_snapshot, scenario_candidates
+from test_transport_parity import (remote_workers, report_snapshot,
+                                   scenario_candidates)
 
 #: Fault-taxonomy counters the coordinator may publish; a fault-free run
 #: must publish none of them.
@@ -171,16 +178,17 @@ def test_poison_candidate_quarantined_q1_to_q5(name):
 
 
 # ---------------------------------------------------------------------------
-# Spawn pool: crash, hang, dropped/delayed results, degradation
+# Local fleet: crash, hang, dropped/delayed results, degradation
 # ---------------------------------------------------------------------------
 
 
 def test_spawn_worker_crash_recovers_promptly(scenario, candidates,
                                               serial_snapshot):
-    """Regression for the 600s stall: a worker that ``os._exit(1)``s
-    mid-job is detected by process liveness within the supervision tick,
-    its item retried, and the worker respawned — with the *default*
-    result_timeout, so finishing quickly proves sentinel detection."""
+    """Regression for the 600s stall: a local worker that ``os._exit(1)``s
+    mid-job is detected by its connection closing, its item retried with
+    reason ``worker-crash`` (the pool launched that pid) and a respawn
+    committed in the same step — with the *default* result_timeout, so
+    finishing quickly proves prompt detection."""
     telemetry = Telemetry()
     events = EventBus()
     plan = FaultPlan(actions=(
@@ -260,25 +268,28 @@ def test_spawn_degrades_to_serial_drain(scenario, candidates,
 
 
 # ---------------------------------------------------------------------------
-# Socket transport: disconnects and frame corruption
+# Remote peers and frame corruption
 # ---------------------------------------------------------------------------
 
 
 def test_socket_disconnect_mid_job(scenario, candidates, serial_snapshot):
-    """A TCP worker dying mid-item is a disconnect: the in-flight item is
-    requeued and a replacement worker is spawned.  The survivor's first
-    result is delayed so the job demonstrably outlives the supervision
-    tick that performs the respawn."""
+    """A *remote* worker (hand-started, token in its environment) dying
+    mid-item is a ``disconnect``, not a ``worker-crash``: the in-flight
+    item is requeued to the surviving peer, and the pool respawns nothing
+    — it did not launch that process."""
     plan = FaultPlan(actions=(
-        FaultAction(kind="kill", worker=0, after_items=0),
-        FaultAction(kind="delay_result", worker=1, after_items=0,
-                    seconds=1.0),
-    ))
-    report, stats = fabric_run(scenario, candidates, "socket",
-                               fault_plan=plan, result_timeout=120.0)
+        FaultAction(kind="kill", worker=0, after_items=0),))
+    transport = SocketTransport(spawn_workers=False, fault_plan=plan,
+                                result_timeout=120.0)
+    with remote_workers(transport, 2) as processes:
+        try:
+            report, stats = fabric_run(scenario, candidates, transport)
+        finally:
+            transport.close()
     assert report_snapshot(report) == serial_snapshot
-    assert stats.retries.get("disconnect", 0) >= 1
-    assert stats.worker_restarts >= 1
+    assert stats.retries == {"disconnect": 1}
+    assert stats.worker_restarts == 0
+    assert sorted(p.returncode for p in processes) == [0, 1]
 
 
 def test_socket_corrupt_frame_is_disconnect_with_requeue(

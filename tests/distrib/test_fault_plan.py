@@ -150,7 +150,7 @@ def test_repair_config_rejects_bad_fault_tolerance():
 # ---------------------------------------------------------------------------
 
 
-def test_injector_positional_one_shot_and_incarnation_guard():
+def test_injector_positional_one_shot_and_fresh_id_guard():
     plan = FaultPlan(actions=(FaultAction(kind="raise", worker=0,
                                           after_items=1),))
     injector = FaultInjector(plan, worker_id=0)
@@ -161,7 +161,7 @@ def test_injector_positional_one_shot_and_incarnation_guard():
     other = FaultInjector(plan, worker_id=1)
     for index in range(4):
         other.before_item(index)                 # wrong worker: never fires
-    respawned = FaultInjector(plan, worker_id=0, incarnation=1)
+    respawned = FaultInjector(plan, worker_id=2)  # ids are never reused
     for index in range(4):
         respawned.before_item(index)             # replacement: never fires
 
@@ -191,6 +191,6 @@ def test_injector_result_actions_target_and_exhaust():
     assert action is not None and action.kind == "drop_result"
     injector.before_item(6)
     assert injector.result_action(6) is None     # one-shot
-    respawned = FaultInjector(plan, worker_id=0, incarnation=1)
+    respawned = FaultInjector(plan, worker_id=2)  # ids are never reused
     respawned.before_item(5)
     assert respawned.result_action(5) is None    # replacement: clean

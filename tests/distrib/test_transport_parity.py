@@ -1,16 +1,24 @@
 """Parity suite for the distributed backtest fabric.
 
-Acceptance contract: serial, fork (covered by the PR 2 suite), ``spawn``
-and socket transports produce **bit-identical** ``BacktestReport``s —
+Acceptance contract: serial, fork (covered by the PR 2 suite), in-process
+and worker-pool transports produce **bit-identical** ``BacktestReport``s —
 statistics (delivery records included), KS results, verdicts and
 multi-query sharing counters — for Q1-Q5, under both backtester classes.
-The spawn and socket schedulers here run with 2 persistent workers, so
-every tier-1 run includes a real coordinator round through each transport.
+``"spawn"`` and ``"socket"`` name the same pool-backed transport; both
+ids stay (the CLI, the ledger and ``RepairConfig.transport`` use them)
+over one shared body, each with 2 persistent workers, so every tier-1 run
+includes real coordinator rounds through the fleet.
 
 Also covered: progress streaming, the early-abort policy (on the fabric
 and off — off must stay bit-identical), degraded ``workers=N`` dispatch on
 fork-less platforms, and coordinator error paths.
 """
+
+import contextlib
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -73,6 +81,41 @@ def scenario_candidates(name):
     raise ValueError(name)
 
 
+@contextlib.contextmanager
+def remote_workers(owner, count, token=None):
+    """``count`` hand-started ``repro-worker`` processes pointed at
+    ``owner`` (a pool-backed transport or the service daemon), carrying
+    its token in their environment like a real remote deployment.  Yields
+    once all have registered (unless a ``token`` override keeps them out);
+    reaped on exit — close the owner first and they leave on its shutdown
+    frame."""
+    host, port = owner.address
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__)))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env["REPRO_WORKER_TOKEN"] = owner.token if token is None else token
+    processes = [subprocess.Popen(
+        [sys.executable, "-m", "repro.distrib.worker",
+         "--connect", f"{host}:{port}"], env=env, stderr=subprocess.DEVNULL)
+        for _ in range(count)]
+    try:
+        deadline = time.monotonic() + 60
+        while token is None and \
+                owner._pool.status()["workers_connected"] < count:
+            assert time.monotonic() < deadline, "remote workers never joined"
+            time.sleep(0.01)
+        yield processes
+    finally:
+        for process in processes:
+            try:
+                process.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait()
+
+
 def stats_snapshot(stats):
     return (stats.delivered_per_host, stats.dropped, stats.total,
             stats.packet_in_count, stats.flow_mod_count,
@@ -132,15 +175,23 @@ def socket_scheduler():
         yield scheduler
 
 
+def assert_matches_serial(scheduler, scenario, candidates, cls, expected):
+    """The one parity body: ``evaluate_all`` through ``scheduler`` equals
+    the serial reference, and the fabric needed no recovery to get there."""
+    report = cls(scenario, ks_threshold=scenario.ks_threshold).evaluate_all(
+        candidates, scheduler=scheduler)
+    assert report_snapshot(report) == expected
+    assert not scheduler.transport.last_fault_stats.any()
+
+
 @pytest.mark.parametrize("cls", BACKTESTERS)
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_inprocess_transport_matches_serial(scenarios, serial_snapshots,
                                             candidate_sets, name, cls):
     with Scheduler(transport="inprocess") as scheduler:
-        report = cls(scenarios[name],
-                     ks_threshold=scenarios[name].ks_threshold).evaluate_all(
-                         candidate_sets[name], scheduler=scheduler)
-    assert report_snapshot(report) == serial_snapshots[(name, cls.__name__)]
+        assert_matches_serial(scheduler, scenarios[name],
+                              candidate_sets[name], cls,
+                              serial_snapshots[(name, cls.__name__)])
 
 
 @pytest.mark.parametrize("cls", BACKTESTERS)
@@ -148,10 +199,10 @@ def test_inprocess_transport_matches_serial(scenarios, serial_snapshots,
 def test_spawn_transport_matches_serial(scenarios, serial_snapshots,
                                         candidate_sets, spawn_scheduler,
                                         name, cls):
-    report = cls(scenarios[name],
-                 ks_threshold=scenarios[name].ks_threshold).evaluate_all(
-                     candidate_sets[name], scheduler=spawn_scheduler)
-    assert report_snapshot(report) == serial_snapshots[(name, cls.__name__)]
+    assert spawn_scheduler.transport.name == "spawn"
+    assert_matches_serial(spawn_scheduler, scenarios[name],
+                          candidate_sets[name], cls,
+                          serial_snapshots[(name, cls.__name__)])
 
 
 @pytest.mark.parametrize("cls", BACKTESTERS)
@@ -159,10 +210,10 @@ def test_spawn_transport_matches_serial(scenarios, serial_snapshots,
 def test_socket_transport_matches_serial(scenarios, serial_snapshots,
                                          candidate_sets, socket_scheduler,
                                          name, cls):
-    report = cls(scenarios[name],
-                 ks_threshold=scenarios[name].ks_threshold).evaluate_all(
-                     candidate_sets[name], scheduler=socket_scheduler)
-    assert report_snapshot(report) == serial_snapshots[(name, cls.__name__)]
+    assert socket_scheduler.transport.name == "socket"
+    assert_matches_serial(socket_scheduler, scenarios[name],
+                          candidate_sets[name], cls,
+                          serial_snapshots[(name, cls.__name__)])
 
 
 def test_progress_streams_in_completion_order(scenarios, candidate_sets):
@@ -251,8 +302,8 @@ def test_missing_spec_raises(scenarios):
 def test_socket_transport_restarts_after_close(serial_snapshots,
                                                candidate_sets):
     """close() must leave the transport restartable: the next run_job
-    rebuilds the listener and spawns fresh workers (parity with
-    SpawnTransport), instead of hanging with orphaned workers."""
+    rebuilds the listener and spawns fresh workers, instead of hanging
+    with orphaned workers."""
     from repro.distrib import SocketTransport
     scenario = build_scenario("Q1", repetitions=1)
     candidates = candidate_sets["Q1"]
@@ -279,8 +330,6 @@ def test_empty_candidate_list(scenarios):
 # ---------------------------------------------------------------------------
 # Telemetry propagation: worker spans stitch under the coordinator's trace
 # ---------------------------------------------------------------------------
-
-import os
 
 from repro.obs import Telemetry, validate_chrome_trace
 

@@ -7,7 +7,10 @@ Q1–Q5 return ranked reports **bit-identical** to in-process
 the fault-free verdicts.
 """
 
+import http.client
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -15,8 +18,10 @@ from repro.api import RepairConfig, RepairSession
 from repro.distrib import FaultAction, FaultPlan, FaultToleranceConfig
 from repro.repair import reset_candidate_ids
 from repro.service import ClientError
+from repro.service.http import MAX_BODY_BYTES
 
 from conftest import report_minus_timings
+from test_shutdown import child_env
 
 SCENARIOS = ("Q1", "Q2", "Q3", "Q4", "Q5")
 
@@ -91,6 +96,29 @@ class TestEndpoints:
         assert rows[0]["state"] == "done"
         assert daemon.get(ack["id"]).attempts == 0
 
+    def test_healthz_reports_fleet_and_tenant_queues(self, fleet):
+        # What is the daemon doing right now?  The pool's fleet view plus
+        # per-tenant queue depth and the age of the longest-waiting
+        # session — here with no worker at all, so everything queues.
+        _daemon, _server, client = fleet(workers=1, spawn_workers=False)
+        config = RepairConfig.for_scenario("Q1", max_candidates=4)
+        for tenant in ("alice", "alice", "bob"):
+            client.submit(config, tenant=tenant)
+        health = client.health()
+        assert {key: health[key] for key in (
+            "state", "workers_connected", "workers_booting",
+            "respawns_pending", "restarts_used", "sessions_total",
+            "sessions_queued", "sessions_running")} == {
+                "state": "serving", "workers_connected": 0,
+                "workers_booting": 0, "respawns_pending": 0,
+                "restarts_used": 0, "sessions_total": 3,
+                "sessions_queued": 3, "sessions_running": 0}
+        assert {t: row["queued"] for t, row in health["tenants"].items()} \
+            == {"alice": 2, "bob": 1}
+        ages = {t: row["oldest_queued_age_s"]
+                for t, row in health["tenants"].items()}
+        assert ages["alice"] >= ages["bob"] >= 0.0     # alice queued first
+
     def test_metrics_exposes_service_counters(self, fleet):
         _daemon, _server, client = fleet(workers=1)
         ack = client.submit(RepairConfig.for_scenario("Q1",
@@ -144,6 +172,77 @@ class TestEndpoints:
                          payload={"config": {}, "tenant": "x", "oops": 1})
         assert excinfo.value.status == 400
         assert "envelope" in str(excinfo.value)
+
+    @pytest.mark.parametrize("length, status", [
+        ("nope", 400), ("-5", 400), ("1.5", 400),
+        (str(MAX_BODY_BYTES + 1), 413), (str(1 << 40), 413)])
+    def test_bad_content_length_is_refused_unread(self, fleet, length,
+                                                  status):
+        # The declared length is judged before a byte of body is read: a
+        # 1 TiB claim costs the server nothing, and nothing is queued.
+        daemon, server, _client = fleet(workers=1, spawn_workers=False)
+        connection = http.client.HTTPConnection(*server.server_address[:2],
+                                                timeout=30)
+        try:
+            connection.putrequest("POST", "/sessions")
+            connection.putheader("Content-Length", length)
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == status
+            assert "error" in json.loads(response.read())
+        finally:
+            connection.close()
+        assert daemon.sessions() == []
+
+    def test_body_at_the_limit_is_still_parsed(self, fleet):
+        _daemon, server, _client = fleet(workers=1, spawn_workers=False)
+        body = b" " * (MAX_BODY_BYTES - 2) + b"[]"
+        connection = http.client.HTTPConnection(*server.server_address[:2],
+                                                timeout=30)
+        try:
+            connection.request("POST", "/sessions", body=body)
+            response = connection.getresponse()
+            assert response.status == 400          # read, parsed, not a dict
+            assert "JSON object" in json.loads(response.read())["error"]
+        finally:
+            connection.close()
+
+
+class TestRemoteWorkers:
+    def test_token_admits_a_worker_and_a_wrong_one_is_refused(self, fleet):
+        # --no-spawn-workers deployments: a hand-started repro-worker
+        # joins by carrying the pool's token in its environment; one
+        # with a wrong token is dropped before a byte of it is
+        # unpickled, counted, and the daemon keeps serving.
+        daemon, _server, client = fleet(workers=1, spawn_workers=False)
+        host, port = daemon.address
+        command = [sys.executable, "-m", "repro.distrib.worker",
+                   "--connect", f"{host}:{port}"]
+        stranger = subprocess.run(
+            command, env=dict(child_env(), REPRO_WORKER_TOKEN="wrong"),
+            capture_output=True, text=True, timeout=60)
+        assert stranger.returncode == 1
+        assert "REPRO_WORKER_TOKEN" in stranger.stderr
+        assert daemon.fault_stats.frame_errors == 1
+        assert client.health()["workers_connected"] == 0
+
+        config = RepairConfig.for_scenario("Q1", max_candidates=4)
+        reference = reference_report(config)
+        worker = subprocess.Popen(
+            command, env=dict(child_env(), REPRO_WORKER_TOKEN=daemon.token))
+        try:
+            ack = client.submit(config, tenant="remote")
+            wire = client.wait(ack["id"], timeout=120)
+            assert wire["state"] == "done", wire.get("error")
+            assert wire["attempts"] == 0
+            assert report_minus_timings(wire["report"]) == reference
+            assert client.health()["workers_connected"] == 1
+            daemon.stop(grace=5.0)
+            assert worker.wait(timeout=30) == 0       # shutdown frame
+        finally:
+            if worker.poll() is None:
+                worker.kill()
+                worker.wait()
 
 
 class TestChaos:

@@ -4,8 +4,8 @@ The ISSUE 10 satellite contract: ``repro serve`` and ``repro-worker``
 handle SIGTERM/SIGINT by draining — in-flight sessions are requeued
 with no attempt charged, event sinks are flushed, and every child
 process exits cleanly.  Plus the regression for the old failure mode
-where a terminal Ctrl-C killed SpawnTransport children out from under
-the parent mid-job.
+where a terminal Ctrl-C killed the fleet's children out from under the
+parent mid-job.
 """
 
 import os
@@ -13,13 +13,14 @@ import signal
 import socket
 import subprocess
 import sys
+import textwrap
 import time
 
 import pytest
 
 from repro.api import RepairConfig
 from repro.distrib import FaultAction, FaultPlan
-from repro.distrib.transport import recv_frame
+from repro.distrib.pool import recv_frame
 from repro.service import ServiceError, ServiceUnavailable
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(
@@ -69,7 +70,8 @@ class TestDaemonStop:
         while daemon.status()["workers_connected"] < 2:
             assert time.monotonic() < deadline, "fleet never connected"
             time.sleep(0.05)
-        processes = list(daemon._processes)
+        processes = daemon._pool.processes
+        assert len(processes) == 2
         daemon.stop(grace=1.0)
         assert all(p.poll() is not None for p in processes)
 
@@ -100,24 +102,44 @@ class TestWorkerSignals:
 
     def test_spawn_children_survive_a_terminal_sigint(self):
         # Regression: a terminal Ctrl-C delivers SIGINT to the whole
-        # process group; spawn children that died to it stranded the
-        # parent transport mid-job.  The children now ignore SIGINT —
-        # the parent owns pool shutdown.
-        from repro.distrib import SpawnTransport
-        transport = SpawnTransport(workers=1)
-        transport._ensure_started()
-        try:
-            child = transport._handles[0].process
-            deadline = time.monotonic() + 30
-            while not child.is_alive():
-                assert time.monotonic() < deadline
-                time.sleep(0.05)
-            time.sleep(0.5)              # let the child install SIG_IGN
-            os.kill(child.pid, signal.SIGINT)
-            time.sleep(0.5)
-            assert child.is_alive(), "spawn child died to SIGINT"
-        finally:
-            transport.close(terminate=True)
+        # foreground process group; fleet children that died to it
+        # stranded the parent transport mid-job.  The pool launches its
+        # workers in their own session, so the interrupt never reaches
+        # them — the parent owns fleet shutdown.  Run in a throwaway
+        # session: the SIGINT goes to *that* group, not to pytest's.
+        script = textwrap.dedent("""
+            import os, signal
+            from repro.backtest import Backtester
+            from repro.distrib import Scheduler, make_transport
+            from repro.repair import ChangeConstant, RepairCandidate
+            from repro.scenarios import build_scenario
+
+            signal.signal(signal.SIGINT, lambda *_: None)  # parent drains
+            transport = make_transport("spawn", workers=1)
+            pool = transport._pool
+            pool.start()
+            with pool.changed:            # the worker's hello registration
+                assert pool.changed.wait_for(lambda: pool.links, timeout=60)
+            (child,) = pool.processes
+            assert os.getpgid(child.pid) != os.getpgid(0)
+            os.killpg(os.getpgid(0), signal.SIGINT)
+            # The same process, never respawned, still serves a job.
+            scenario = build_scenario("Q1")
+            candidate = RepairCandidate(
+                edits=(ChangeConstant("r7", 0, "right", 2, 3),), cost=1.1,
+                description="r7: Swi==2 -> Swi==3")
+            report = Backtester(scenario).evaluate_all(
+                [candidate], scheduler=Scheduler(transport=transport))
+            assert len(report.results) == 1
+            assert not transport.last_fault_stats.any()
+            assert pool.processes == [child] and child.poll() is None
+            transport.close()
+            assert child.returncode == 0  # left on the shutdown frame
+        """)
+        done = subprocess.run([sys.executable, "-c", script],
+                              env=child_env(), start_new_session=True,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestServeProcess:
