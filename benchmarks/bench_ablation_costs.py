@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.debugger import MetaProvenanceDebugger
+from repro.api import RepairConfig, RepairSession
 from repro.meta.costs import CostModel, uniform_cost_model
 
 from conftest import run_once
@@ -43,8 +43,9 @@ def test_ablation_cost_models(benchmark, scenario_cache, model_name, model_facto
     scenario = scenario_cache("Q1")
 
     def diagnose():
-        return MetaProvenanceDebugger(scenario, cost_model=model_factory(),
-                                      max_candidates=14).diagnose()
+        return RepairSession(RepairConfig(max_candidates=14),
+                             scenario=scenario,
+                             cost_model=model_factory()).run()
 
     report = run_once(benchmark, diagnose)
     constant_rank = _rank_of_constant_fix(report)

@@ -120,9 +120,8 @@ def _smoke_candidates() -> List[RepairCandidate]:
 def _diagnosed_candidates(count: int) -> List[RepairCandidate]:
     """The first ``count`` candidates the meta-provenance explorer proposes
     for Q1 — the same workload as ``bench_fig9b_backtest.py``."""
-    from repro.debugger import MetaProvenanceDebugger
-    report = MetaProvenanceDebugger(build_scenario("Q1"),
-                                    max_candidates=14).diagnose()
+    from repro.api import repair
+    report = repair("Q1", max_candidates=14)
     return report.exploration.candidates[:count]
 
 

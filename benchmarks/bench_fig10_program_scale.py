@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.debugger import MetaProvenanceDebugger
+from repro.api import RepairConfig, RepairSession
 from repro.scenarios.base import NDlogScenario
 from repro.scenarios.q1_copy_paste import (
     Q1_MAPPING,
@@ -58,7 +58,8 @@ def test_fig10_turnaround_vs_program_size(benchmark):
         rows = []
         for size in PROGRAM_SIZES:
             scenario = padded_q1_scenario(size)
-            report = MetaProvenanceDebugger(scenario, max_candidates=12).diagnose()
+            report = RepairSession(RepairConfig(max_candidates=12),
+                                   scenario=scenario).run()
             rows.append((size, len(scenario.program.rules), report.timings,
                          report.counts()))
         return rows

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.debugger import MetaProvenanceDebugger
+from repro.api import RepairConfig, RepairSession
 from repro.scenarios import SCENARIO_BUILDERS
 
 from conftest import run_once
@@ -22,7 +22,8 @@ def test_fig9a_turnaround_breakdown(benchmark, scenario_cache, name):
     scenario = scenario_cache(name)
 
     def diagnose():
-        return MetaProvenanceDebugger(scenario, max_candidates=14).diagnose()
+        return RepairSession(RepairConfig(max_candidates=14),
+                             scenario=scenario).run()
 
     report = run_once(benchmark, diagnose)
     timings = report.timings

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.debugger import MetaProvenanceDebugger
+from repro.api import RepairConfig, RepairSession
 from repro.scenarios.q1_copy_paste import build_q1
 
 from conftest import run_once
@@ -35,7 +35,8 @@ def test_fig9c_turnaround_vs_network_size(benchmark):
             scenario = build_q1(s1_clients=s1_clients, s4_clients=s4_clients,
                                 repetitions=repetitions)
             topology = scenario.build_topology()
-            report = MetaProvenanceDebugger(scenario, max_candidates=12).diagnose()
+            report = RepairSession(RepairConfig(max_candidates=12),
+                                   scenario=scenario).run()
             rows.append({
                 "label": label,
                 "switches": topology.switch_count(),

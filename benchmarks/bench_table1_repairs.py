@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.debugger import MetaProvenanceDebugger
+from repro.api import RepairConfig, RepairSession
 from repro.scenarios import SCENARIO_BUILDERS
 
 from conftest import run_once
@@ -26,7 +26,8 @@ def test_table1_row(benchmark, scenario_cache, name):
     scenario = scenario_cache(name)
 
     def diagnose():
-        return MetaProvenanceDebugger(scenario, max_candidates=14).diagnose()
+        return RepairSession(RepairConfig(max_candidates=14),
+                             scenario=scenario).run()
 
     report = run_once(benchmark, diagnose)
     generated, surviving = report.counts()

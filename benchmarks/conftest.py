@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.debugger import MetaProvenanceDebugger
+from repro.api import RepairConfig, RepairSession
 from repro.scenarios import build_scenario
 
 
@@ -39,11 +39,11 @@ def diagnosis_cache(scenario_cache):
     """Full diagnosis reports per scenario, computed at most once."""
     cache = {}
 
-    def get(name: str, **kwargs):
-        key = (name, tuple(sorted(kwargs.items())))
+    def get(name: str, **knobs):
+        key = (name, tuple(sorted(knobs.items())))
         if key not in cache:
-            debugger = MetaProvenanceDebugger(scenario_cache(name), **kwargs)
-            cache[key] = debugger.diagnose()
+            cache[key] = RepairSession(RepairConfig(**knobs),
+                                       scenario=scenario_cache(name)).run()
         return cache[key]
 
     return get

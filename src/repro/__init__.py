@@ -34,16 +34,13 @@ Quickstart::
     print(report.summary())
 
 Or from a shell: ``python -m repro repair q1`` (see ``python -m repro
---help``).  The legacy one-call :class:`MetaProvenanceDebugger` remains
-importable but is deprecated.
+--help``).
 """
 
 from .api import (DiagnosisReport, EventBus, PhaseTimings, RepairConfig,
                   RepairSession, SessionEvent, repair)
-from .debugger import MetaProvenanceDebugger
 
 __version__ = "2.0.0"
 
-__all__ = ["DiagnosisReport", "EventBus", "MetaProvenanceDebugger",
-           "PhaseTimings", "RepairConfig", "RepairSession", "SessionEvent",
-           "repair", "__version__"]
+__all__ = ["DiagnosisReport", "EventBus", "PhaseTimings", "RepairConfig",
+           "RepairSession", "SessionEvent", "repair", "__version__"]

@@ -22,13 +22,13 @@ wrong; "don't know" is always safe):
     (a pre-existing copy would suppress the runtime derivation delta, and
     under primary-key update semantics a key collision evicts).
 
-Matching mirrors the engine exactly (see ``Engine._fire_rule`` /
-``_match_plan``): constant arguments and variable joins are **strict** —
-the wildcard is an ordinary value at the storage layer — while selection
-predicates evaluate wildcard-aware (``'*' == x`` holds, ordered comparisons
-against ``'*'`` are false).  Event tables (``PacketIn``) carry one axiom:
-runtime tuples are built from packet headers and switch identifiers, so
-they never contain the wildcard.
+Matching mirrors the engine exactly (see :mod:`repro.ndlog.plan` and
+:func:`repro.ndlog.expr.match_atom`): constant arguments and variable joins
+are **strict** — the wildcard is an ordinary value at the storage layer —
+while selection predicates evaluate wildcard-aware (``'*' == x`` holds,
+ordered comparisons against ``'*'`` are false).  Event tables
+(``PacketIn``) carry one axiom: runtime tuples are built from packet
+headers and switch identifiers, so they never contain the wildcard.
 """
 
 from __future__ import annotations

@@ -11,8 +11,7 @@ One import point for the redesigned end-to-end surface:
   :class:`SessionEvent` hierarchy (re-exported from :mod:`repro.events`);
 * :func:`repair` — the one-call convenience wrapper.
 
-The legacy ``MetaProvenanceDebugger`` remains as a deprecation shim over
-this API; new code should start here::
+Start here::
 
     from repro.api import RepairConfig, RepairSession
 

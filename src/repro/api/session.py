@@ -2,10 +2,9 @@
 
 A session binds a declarative :class:`~repro.api.config.RepairConfig` to a
 stage pipeline (default: Diagnose → Generate → Backtest → Rank) and an
-:class:`~repro.events.EventBus`.  Running it produces the same
-:class:`DiagnosisReport` the legacy ``MetaProvenanceDebugger.diagnose()``
-returned — bit-identical candidates, verdicts and KS statistics — while
-exposing what the monolithic call hid:
+:class:`~repro.events.EventBus`.  Running it produces a
+:class:`DiagnosisReport` — candidates, verdicts and KS statistics that are
+a pure function of (config, scenario) — and exposes the steps on the way:
 
 * **resumable artifacts** — ``session.run(until="generate")`` stops after
   candidate extraction; the partial results sit in ``session.artifacts``

@@ -9,8 +9,8 @@ where it left off; a custom pipeline can replace any stage (the policy-DSL
 example substitutes its own Generate/Backtest stages while keeping the
 session shell, event stream and CLI rendering).
 
-The four standard stages reproduce exactly the legacy
-``MetaProvenanceDebugger.diagnose()`` pipeline, phase timings included:
+The four standard stages (the :class:`~repro.api.session.PhaseTimings`
+field each one fills is in brackets):
 
 * :class:`DiagnoseStage` — replay the recorded trace under the buggy
   program and index the historical base tuples (``history_lookups``).

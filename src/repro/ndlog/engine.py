@@ -28,11 +28,16 @@ batches — the full recompute additionally evaluates stratum-by-stratum over
 the SCC condensation from :mod:`repro.analysis.depgraph` (semi-naive:
 each round joins only the previous round's delta against the indexes).
 Duplicate rule firings are detected with a per-(rule, head) hash set rather
-than a linear scan of the derivation history.  The interpreted evaluator
-(:meth:`_fire_rule`) is kept both as the provenance layer's ad-hoc matcher
-and as the event-visible fallback for the rare rules where eager batch
-firing cannot reproduce the lazy firing order (a head feeding its own body
-table at join depth >= 2).
+than a linear scan of the derivation history.
+
+The fire functions are the only code that joins a rule body.  Firing is
+*eager*: a fire call returns the complete list of firings for its batch, and
+only then does the engine apply them (supports, events, inserts).  Every
+join therefore reads a single database state, and the order of the firings
+is a function of that state alone — atoms in program order around the
+trigger, candidates in index-bucket order — even for a rule whose head
+feeds one of its own body tables: such a head re-enters the rule as a later
+worklist trigger instead of being seen by the join that derived it.
 
 Deletion semantics
 ------------------
@@ -95,7 +100,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .ast import Atom, Const, Program, Rule, Var, WILDCARD
+from .ast import Program, Rule
 from .errors import EvaluationError
 from .events import (
     APPEAR,
@@ -109,7 +114,7 @@ from .events import (
     DerivationRecord,
     EngineEvent,
 )
-from .expr import Bindings, FunctionRegistry, _compare, evaluate
+from .expr import FunctionRegistry
 from .plan import CompiledRule, PLAN_CACHE, schedule_for
 from .tuples import Database, NDTuple, TableSchema
 
@@ -269,95 +274,6 @@ class EngineCheckpoint:
         self.rule_names = engine._rule_names
 
 
-class _AtomPlan:
-    """Precompiled matching layout of one body atom."""
-
-    __slots__ = ("atom", "table", "arity", "consts", "steps", "var_columns",
-                 "snapshot")
-
-    def __init__(self, atom: Atom, head_table: str):
-        self.atom = atom
-        self.table = atom.table
-        self.arity = atom.arity
-        consts = []
-        steps = []          # ('v', column, name) / ('e', column, expr) in order
-        var_columns = []    # (column, name) for index probes
-        seen_vars = set()
-        for column, arg in enumerate(atom.args):
-            if isinstance(arg, Const):
-                consts.append((column, arg.value))
-            elif isinstance(arg, Var):
-                steps.append(("v", column, arg.name))
-                if arg.name not in seen_vars:
-                    seen_vars.add(arg.name)
-                    var_columns.append((column, arg.name))
-            else:
-                steps.append(("e", column, arg))
-        self.consts = tuple(consts)
-        self.steps = tuple(steps)
-        self.var_columns = tuple(var_columns)
-        # A rule whose head feeds one of its own body tables mutates the set
-        # being iterated mid-fixpoint; snapshot the candidates in that case.
-        self.snapshot = atom.table == head_table
-
-
-class _RulePlan:
-    """Precompiled evaluation plan of one rule."""
-
-    __slots__ = ("rule", "atom_plans", "selection_vars", "assignment_vars",
-                 "pushable", "head_steps", "guards")
-
-    def __init__(self, rule: Rule):
-        self.rule = rule
-        for body_atom in rule.body:
-            if body_atom.negated:
-                raise EvaluationError(
-                    f"rule {rule.name!r}: negated atom "
-                    f"!{body_atom.table} is not supported by the evaluator")
-        self.atom_plans = tuple(_AtomPlan(atom, rule.head.table)
-                                for atom in rule.body)
-        assigned = {a.var for a in rule.assignments}
-        self.selection_vars = tuple(frozenset(s.variables())
-                                    for s in rule.selections)
-        self.assignment_vars = tuple(frozenset(a.expr.variables())
-                                     for a in rule.assignments)
-        # A selection touching an assigned variable must wait for
-        # _finish_rule (the assignment may overwrite a body binding).
-        self.pushable = tuple(not (vars_ & assigned)
-                              for vars_ in self.selection_vars)
-        head_steps = []
-        for arg in rule.head.args:
-            if isinstance(arg, Var):
-                head_steps.append(("v", arg.name))
-            else:
-                head_steps.append(("e", arg))
-        self.head_steps = tuple(head_steps)
-        # Per trigger position: single-variable comparisons against constants
-        # checked directly on the trigger tuple's values, before any binding
-        # environment exists.  guards[pos] = ((column, op, value, var_left,
-        # selection_bit), ...).
-        guards = []
-        for plan in self.atom_plans:
-            first_column = {name: column for column, name in
-                            reversed(plan.var_columns)}
-            entries = []
-            for index, selection in enumerate(rule.selections):
-                if not self.pushable[index]:
-                    continue
-                left, right = selection.left, selection.right
-                if isinstance(left, Var) and isinstance(right, Const):
-                    name, value, var_left = left.name, right.value, True
-                elif isinstance(right, Var) and isinstance(left, Const):
-                    name, value, var_left = right.name, left.value, False
-                else:
-                    continue
-                if name in first_column:
-                    entries.append((first_column[name], selection.op, value,
-                                    var_left, 1 << index))
-            guards.append(tuple(entries))
-        self.guards = tuple(guards)
-
-
 class Engine:
     """Evaluates an NDlog program over a database of tuples."""
 
@@ -396,9 +312,6 @@ class Engine:
         #: False after a program swap left derived state without supports;
         #: the next removal resynchronises with a full recompute.
         self._incremental_ready = True
-        #: Plan cache for the _match_atom compatibility helper, keyed by
-        #: atom identity (the atom object is kept referenced alongside).
-        self._adhoc_plans: Dict[int, Tuple[Atom, _AtomPlan]] = {}
         #: Undo journal, shared with the database; ``None`` until the first
         #: :meth:`checkpoint` — non-warm engines pay one None-check per
         #: mutation and nothing else.
@@ -1042,16 +955,10 @@ class Engine:
                 continue
             batch = (trigger,)
             for plan, position in entries:
-                if plan.order_exact[position]:
-                    firings = plan.fire(position, batch, database, functions,
-                                        recording)
-                else:
-                    # Eager batch firing of a rule whose head feeds a body
-                    # table at join depth >= 2 can reorder firings relative
-                    # to the historical lazy join; fall back to the
-                    # interpreter so the event log stays bit-identical.
-                    firings = self._interp_firings(plan, position, trigger)
-                for head, body, bindings in firings:
+                # fire() returns its complete list before any firing below
+                # is applied, so every join in it reads one database state.
+                for head, body, bindings in plan.fire(
+                        position, batch, database, functions, recording):
                     key = (plan.name, body)
                     head_supports = supports.setdefault(head, set())
                     if key in head_supports:
@@ -1121,15 +1028,6 @@ class Engine:
             "rules_fired": self._quiet_firings + len(self.derivations),
             "index_materializations": self.database.index_materializations,
         }
-
-    def _interp_firings(self, plan: CompiledRule, position: int,
-                        trigger: NDTuple):
-        """Order-exact fallback: run one trigger through the interpreted
-        plan (lazily built and cached on the compiled plan)."""
-        interp = plan.interp
-        if interp is None:
-            interp = plan.interp = _RulePlan(plan.rule)
-        return list(self._fire_rule(interp, position, trigger))
 
     def _rederive_fixpoint(self, delta: Sequence[NDTuple],
                            inserted: Optional[List[NDTuple]] = None):
@@ -1327,10 +1225,6 @@ class Engine:
         if body in recorded:
             return None
         recorded.add(body)
-        if not isinstance(bindings, tuple):
-            # Interpreted firings carry a dict; compiled plans already emit
-            # the canonical name-sorted tuple.
-            bindings = tuple(sorted(bindings.items(), key=lambda kv: kv[0]))
         record = DerivationRecord(
             rule=rule.name,
             head=head,
@@ -1358,193 +1252,6 @@ class Engine:
         return head.location(schema)
 
     # ------------------------------------------------------------------
-    # Rule firing
-    # ------------------------------------------------------------------
-
-    def _fire_rule(self, plan: _RulePlan, trigger_position: int, trigger: NDTuple):
-        """Yield (head, body_tuples, bindings) for every firing of the rule
-        in which the body atom at ``trigger_position`` matches ``trigger``."""
-        atom_plan = plan.atom_plans[trigger_position]
-        values = trigger.values
-        if atom_plan.arity != len(values):
-            return
-        for column, value in atom_plan.consts:
-            if values[column] != value:
-                return
-        # Cheap single-variable selection guards on the raw trigger values.
-        checked = 0
-        for column, op, value, var_left, bit in plan.guards[trigger_position]:
-            bound = values[column]
-            if op == "==":
-                # Inline wildcard-aware equality (the dominant guard shape).
-                if bound != value and bound != WILDCARD and value != WILDCARD:
-                    return
-            else:
-                try:
-                    ok = _compare(op, bound, value) if var_left else _compare(op, value, bound)
-                except EvaluationError:
-                    # Defer to _finish_rule so evaluation errors only surface
-                    # for joins that actually complete.
-                    continue
-                if not ok:
-                    return
-            checked |= bit
-        initial = self._match_plan(atom_plan, trigger, _EMPTY_BINDINGS)
-        if initial is None:
-            return
-        checked = self._push_selections(plan, initial, checked)
-        if checked is None:
-            return
-        yield from self._join_remaining(plan, trigger_position, trigger,
-                                        initial, checked, 0, [])
-
-    def _join_remaining(self, plan, trigger_position, trigger, bindings,
-                        checked, atom_index, chosen):
-        if atom_index == len(plan.atom_plans):
-            result = self._finish_rule(plan, bindings, checked)
-            if result is not None:
-                head, final_bindings = result
-                body = tuple(self._ordered_body(plan, trigger_position, trigger, chosen))
-                yield head, body, final_bindings
-            return
-        if atom_index == trigger_position:
-            yield from self._join_remaining(
-                plan, trigger_position, trigger, bindings, checked,
-                atom_index + 1, chosen)
-            return
-        atom_plan = plan.atom_plans[atom_index]
-        # Equality constraints from constants and already-bound variables
-        # select the smallest index bucket to probe.
-        constraints = list(atom_plan.consts)
-        for column, name in atom_plan.var_columns:
-            if name in bindings:
-                constraints.append((column, bindings[name]))
-        candidates = self.database.candidates(atom_plan.table, constraints)
-        if atom_plan.snapshot:
-            candidates = tuple(candidates)
-        for candidate in candidates:
-            extended = self._match_plan(atom_plan, candidate, bindings)
-            if extended is None:
-                continue
-            new_checked = self._push_selections(plan, extended, checked)
-            if new_checked is None:
-                continue
-            yield from self._join_remaining(
-                plan, trigger_position, trigger, extended, new_checked,
-                atom_index + 1, chosen + [(atom_index, candidate)])
-
-    def _match_plan(self, atom_plan: _AtomPlan, tup: NDTuple,
-                    bindings: Dict[str, object]) -> Optional[Dict[str, object]]:
-        """Match a body atom against a concrete tuple, extending bindings."""
-        values = tup.values
-        if atom_plan.arity != len(values):
-            return None
-        for column, value in atom_plan.consts:
-            if values[column] != value:
-                return None
-        new = dict(bindings)
-        for kind, column, payload in atom_plan.steps:
-            value = values[column]
-            if kind == "v":
-                existing = new.get(payload, _MISSING)
-                if existing is _MISSING:
-                    new[payload] = value
-                elif existing != value:
-                    return None
-            else:
-                # Complex expression argument: evaluate if fully bound.
-                try:
-                    computed = evaluate(payload, new, self.functions,
-                                        rule_name="<atom-arg>")
-                except EvaluationError:
-                    return None
-                if computed != value:
-                    return None
-        return new
-
-    def _push_selections(self, plan: _RulePlan, bindings: Dict[str, object],
-                         checked: int) -> Optional[int]:
-        """Evaluate every not-yet-checked selection whose variables are bound.
-
-        Returns the updated bitmask of checked selections, or ``None`` when a
-        selection is definitely false (the join branch is pruned).  Selections
-        that raise are deferred to :meth:`_finish_rule` so evaluation errors
-        surface only for joins that actually complete.
-        """
-        selections = plan.rule.selections
-        for index, vars_ in enumerate(plan.selection_vars):
-            bit = 1 << index
-            if checked & bit or not plan.pushable[index]:
-                continue
-            if vars_ <= bindings.keys():
-                try:
-                    ok = evaluate(selections[index].expr, bindings,
-                                  self.functions, plan.rule.name)
-                except EvaluationError:
-                    continue
-                if not ok:
-                    return None
-                checked |= bit
-        return checked
-
-    def _ordered_body(self, plan, trigger_position, trigger, chosen):
-        by_index = {trigger_position: trigger}
-        by_index.update(dict(chosen))
-        return [by_index[i] for i in range(len(plan.atom_plans))]
-
-    def _match_atom(self, atom: Atom, tup: NDTuple, bindings: Bindings) -> Optional[Bindings]:
-        """Match a body atom against a concrete tuple (compatibility helper
-        for the provenance layer, which probes historical tuples)."""
-        if atom.table != tup.table:
-            return None
-        cached = self._adhoc_plans.get(id(atom))
-        if cached is None or cached[0] is not atom:
-            cached = (atom, _AtomPlan(atom, ""))
-            self._adhoc_plans[id(atom)] = cached
-        matched = self._match_plan(cached[1], tup, dict(bindings))
-        if matched is None:
-            return None
-        return Bindings(matched)
-
-    def _finish_rule(self, plan: _RulePlan, bindings: Dict[str, object],
-                     checked: int):
-        """Evaluate assignments and remaining selections, build the head."""
-        rule = plan.rule
-        env = dict(bindings)
-        pending_assignments = list(range(len(rule.assignments)))
-        pending_selections = [i for i in range(len(rule.selections))
-                              if not checked >> i & 1]
-        progress = True
-        while progress and (pending_assignments or pending_selections):
-            progress = False
-            for index in list(pending_assignments):
-                if plan.assignment_vars[index] <= env.keys():
-                    assignment = rule.assignments[index]
-                    env[assignment.var] = evaluate(
-                        assignment.expr, env, self.functions, rule.name)
-                    pending_assignments.remove(index)
-                    progress = True
-            for index in list(pending_selections):
-                if plan.selection_vars[index] <= env.keys():
-                    if not evaluate(rule.selections[index].expr, env,
-                                    self.functions, rule.name):
-                        return None
-                    pending_selections.remove(index)
-                    progress = True
-        if pending_selections or pending_assignments:
-            # Unresolvable variables: the rule cannot fire under this binding.
-            return None
-        head_values = []
-        for kind, payload in plan.head_steps:
-            if kind == "v":
-                if payload not in env:
-                    return None
-                head_values.append(env[payload])
-            else:
-                head_values.append(evaluate(payload, env, self.functions, rule.name))
-        return NDTuple(rule.head.table, tuple(head_values)), env
-
-    # ------------------------------------------------------------------
     # Transient-tuple handling
     # ------------------------------------------------------------------
 
@@ -1555,10 +1262,6 @@ class Engine:
         for tup in candidates:
             if tup.table in transients:
                 self.database.remove(tup)
-
-
-_MISSING = object()
-_EMPTY_BINDINGS: Dict[str, object] = {}
 
 
 def evaluate_program(program: Program, base_tuples: Iterable[NDTuple],

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Mapping, Optional
 
-from .ast import BinOp, Const, Expression, FuncCall, Var, WILDCARD
+from .ast import Atom, BinOp, Const, Expression, FuncCall, Var, WILDCARD
 from .errors import EvaluationError, UnboundVariableError
 
 
@@ -167,3 +167,34 @@ def try_evaluate(expr: Expression, bindings: Optional[Mapping[str, object]] = No
         return evaluate(expr, bindings, functions)
     except (UnboundVariableError, EvaluationError):
         return None
+
+
+def match_atom(atom: Atom, tup, bindings: Mapping[str, object],
+               functions: Optional[FunctionRegistry] = None) -> Optional[Bindings]:
+    """Match a body atom against a concrete tuple, extending ``bindings``.
+
+    The match is strict, like the compiled join's: table and arity must
+    agree, constants and repeated or already-bound variables compare with
+    plain ``==`` (a wildcard value is an ordinary value here), and an
+    expression argument is evaluated under the bindings so far — if it
+    cannot be (unbound variable, evaluation error) the atom does not match.
+    Returns the extended bindings, or ``None``.
+    """
+    if atom.table != tup.table or len(atom.args) != len(tup.values):
+        return None
+    new = Bindings(bindings)
+    for arg, value in zip(atom.args, tup.values):
+        if isinstance(arg, Const):
+            if arg.value != value:
+                return None
+        elif isinstance(arg, Var):
+            if new.setdefault(arg.name, value) != value:
+                return None
+        else:
+            try:
+                computed = evaluate(arg, new, functions, "<atom-arg>")
+            except EvaluationError:
+                return None
+            if computed != value:
+                return None
+    return new

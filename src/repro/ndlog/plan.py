@@ -3,16 +3,15 @@
 This module is the compilation layer of the engine core: each NDlog rule is
 translated once into specialized Python *fire functions* (one per trigger
 position) that process a whole batch of trigger tuples per call, probing the
-database's ``(column, value)`` hash indexes exactly like the interpreted
-join did.  Compilation is keyed by the rule's **structural digest** (the
-canonical ``to_ndlog()`` text), so the thousands of near-identical candidate
-programs of a repair corpus share almost all compiled plans through the
-process-global :data:`PLAN_CACHE` — switching candidates compiles only the
-edited rules, and cold-building a candidate engine compiles nothing that any
-earlier program already used.
+database's ``(column, value)`` hash indexes.  Compilation is keyed by the
+rule's **structural digest** (the canonical ``to_ndlog()`` text), so the
+thousands of near-identical candidate programs of a repair corpus share
+almost all compiled plans through the process-global :data:`PLAN_CACHE` —
+switching candidates compiles only the edited rules, and cold-building a
+candidate engine compiles nothing that any earlier program already used.
 
-Semantics are bit-compatible with the interpreted evaluator
-(:meth:`repro.ndlog.engine.Engine._fire_rule`):
+Semantics of a fire function (atom matching is the same strict match as
+:func:`repro.ndlog.expr.match_atom`):
 
 * constant arguments and variable joins use **strict** equality; wildcard
   values are ordinary values during matching,
@@ -23,20 +22,14 @@ Semantics are bit-compatible with the interpreted evaluator
 * a pushed selection that raises :class:`EvaluationError` is *deferred*: the
   branch survives and the selection is re-evaluated in the finish stage,
   where the error propagates only for joins that actually complete,
-* assignments and remaining selections run in the finish stage in the same
-  relaxation (round-robin by index) order as the interpreter, and the head
-  is built last,
-* candidate enumeration probes :meth:`Database.candidates` with constants
-  first, then bound variable columns in first-occurrence order — the same
-  constraint order, hence the same bucket choice, as the interpreter.
+* assignments and remaining selections run in the finish stage in
+  relaxation (round-robin by index) order, and the head is built last,
+* body atoms are joined in program order around the trigger, and candidate
+  enumeration probes :meth:`Database.candidates` with constants first, then
+  bound variable columns in first-occurrence order, which fixes the bucket
+  choice and hence the firing order.
 
-``fire()`` is *eager*: it returns the complete firing list for a batch
-before the engine applies any mutation.  For a rule whose head feeds one of
-its own body tables at join depth >= 2, eagerness can reorder (never lose)
-firings relative to the lazy interpreter; :attr:`CompiledRule.order_exact`
-flags the positions where eager evaluation is provably order-identical, and
-the engine keeps the interpreter for the (rare) inexact positions on the
-event-visible path.
+Invariant: every fire call completes before the engine mutates the database.
 """
 
 from __future__ import annotations
@@ -155,7 +148,10 @@ class _Emitter:
 
 
 def _atom_layout(atom: Atom):
-    """(consts, steps, var_columns) exactly as the interpreter precomputes."""
+    """Matching layout of one body atom: ``consts`` are ``(column, value)``
+    checks, ``steps`` the ``('v', column, name)`` / ``('e', column, expr)``
+    arguments in column order, ``var_columns`` the first column of each
+    variable (the index-probe constraints)."""
     consts = []
     steps = []
     var_columns = []
@@ -177,7 +173,7 @@ class CompiledRule:
     """A rule compiled to per-trigger-position batch fire functions."""
 
     __slots__ = ("rule", "name", "digest", "head_table", "body_tables",
-                 "order_exact", "source", "_fires", "interp")
+                 "source", "_fires")
 
     def __init__(self, rule: Rule):
         for body_atom in rule.body:
@@ -190,9 +186,6 @@ class CompiledRule:
         self.digest = rule_digest(rule)
         self.head_table = rule.head.table
         self.body_tables = tuple(atom.table for atom in rule.body)
-        #: Lazily attached interpreted plan (engine-side ``_RulePlan``) used
-        #: for the order-inexact positions on the event-visible path.
-        self.interp = None
         self._compile()
 
     def fire(self, position: int, triggers, database, functions, record):
@@ -200,7 +193,8 @@ class CompiledRule:
 
         Returns ``[(head, body, bindings_or_None), ...]``; ``bindings`` is a
         name-sorted tuple of ``(var, value)`` pairs when ``record`` is
-        truthy, else ``None``.  Eager: the caller applies mutations after.
+        truthy, else ``None``.  The caller applies the firings only after
+        this returns (the module invariant).
         """
         return self._fires[position](triggers, database, functions, record)
 
@@ -223,15 +217,13 @@ class CompiledRule:
         pool: List = []
         emitter = _Emitter()
         emitter.w(0, f"# {rule.to_ndlog()}")
-        exact = []
         for position in range(len(atoms)):
-            exact.append(self._emit_fire(emitter, position, atoms, slots,
-                                         assigned, sel_vars, pushable, pool))
+            self._emit_fire(emitter, position, atoms, slots, assigned,
+                            sel_vars, pushable, pool)
         names = ", ".join(f"_fire{p}" for p in range(len(atoms)))
         if len(atoms) == 1:
             names += ","
         emitter.w(0, f"_FIRES = ({names})")
-        self.order_exact = tuple(exact)
         self.source = emitter.source()
         namespace = {
             "NDTuple": NDTuple,
@@ -245,15 +237,8 @@ class CompiledRule:
         self._fires = namespace["_FIRES"]
 
     def _emit_fire(self, emitter, position, atoms, slots, assigned,
-                   sel_vars, pushable, pool) -> bool:
-        rule = self.rule
-        head = rule.head
+                   sel_vars, pushable, pool):
         join_order = [i for i in range(len(atoms)) if i != position]
-        # Eager firing is order-identical to the lazy interpreter unless a
-        # snapshot atom (head feeds its own body table) is re-enumerated per
-        # outer candidate, i.e. sits at join depth >= 2.
-        order_exact = not any(atoms[i][0].table == head.table
-                              for i in join_order[1:])
         try:
             body_lines = _Emitter()
             self._emit_fire_body(body_lines, position, atoms, slots,
@@ -262,16 +247,14 @@ class CompiledRule:
         except _Unresolvable:
             # A variable needed by an atom argument, selection, assignment
             # or the head is never bound on this path: the rule can never
-            # fire from this trigger position (the interpreter prunes the
-            # same branches via UnboundVariableError / pending leftovers).
+            # fire from this trigger position.
             emitter.w(0, f"def _fire{position}(_triggers, _db, _functions, "
                          f"_record):")
             emitter.w(1, "return []")
-            return order_exact
+            return
         emitter.w(0, f"def _fire{position}(_triggers, _db, _functions, "
                      f"_record):")
         emitter.lines.extend(body_lines.lines)
-        return order_exact
 
     def _emit_fire_body(self, out, position, atoms, slots, assigned,
                         sel_vars, pushable, pool, join_order):
@@ -290,7 +273,7 @@ class CompiledRule:
 
         def emit_selections(depth):
             # Pushed-down selections, index order, at the first depth where
-            # their variables are bound (matches _push_selections).
+            # their variables are bound.
             for index, vars_ in enumerate(sel_vars):
                 if index in emitted_sel or not pushable[index]:
                     continue
@@ -351,16 +334,16 @@ class CompiledRule:
                             for column, name in var_columns if name in env]
             literal = "(" + ", ".join(constraints) + \
                 (",)" if len(constraints) == 1 else ")")
-            probe = f"_cand({atom.table!r}, {literal})"
-            if atom.table == rule.head.table:
-                probe = f"tuple({probe})"
-            out.w(depth, f"for _a{atom_index} in {probe}:")
+            # The live index bucket is iterated in place: nothing mutates
+            # the database until this fire call has returned.
+            out.w(depth, f"for _a{atom_index} in "
+                         f"_cand({atom.table!r}, {literal}):")
             depth += 1
             emit_match(atom_index, depth)
             emit_selections(depth)
 
-        # ---- finish stage: assignments + remaining selections, in the
-        # interpreter's relaxation order, then the head. ----
+        # ---- finish stage: assignments + remaining selections, in
+        # relaxation order, then the head. ----
         known = set(env)
         assignment_vars = [frozenset(a.expr.variables())
                            for a in rule.assignments]
@@ -368,8 +351,8 @@ class CompiledRule:
         pending_s = [i for i in range(len(selections))
                      if not pushable[i] or i in deferred_flags]
         # Pushable selections whose variables never bind make the rule
-        # unfireable from any position (the interpreter leaves them pending
-        # forever and returns None).
+        # unfireable from any position: left pending, they reach the
+        # _Unresolvable below.
         pending_s += [i for i in range(len(selections))
                       if pushable[i] and i not in emitted_sel]
         pending_s.sort()

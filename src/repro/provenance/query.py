@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Set
 
 from ..ndlog.ast import Const, Rule, Var
 from ..ndlog.engine import Engine
-from ..ndlog.expr import Bindings, evaluate, try_evaluate
+from ..ndlog.expr import Bindings, match_atom, try_evaluate
 from ..ndlog.tuples import NDTuple
 from .graph import ProvenanceGraph
 from .vertices import (
@@ -166,11 +166,9 @@ class ProvenanceQuery:
 
     def _matching_tuples(self, atom, bindings: Bindings) -> List[NDTuple]:
         """All historical tuples of the atom's table compatible with bindings."""
-        matches = []
-        for tup in self._historical_tuples(atom.table):
-            if self.engine._match_atom(atom, tup, bindings) is not None:
-                matches.append(tup)
-        return matches
+        functions = self.engine.functions
+        return [tup for tup in self._historical_tuples(atom.table)
+                if match_atom(atom, tup, bindings, functions) is not None]
 
     def _historical_tuples(self, table) -> List[NDTuple]:
         current = set(self.engine.tuples(table))

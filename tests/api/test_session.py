@@ -1,15 +1,22 @@
-"""RepairSession: parity with the legacy debugger, events, resumability."""
+"""RepairSession: construction-path parity, events, resumability.
+
+The parity tests compare independent ways of arriving at the same repair
+run.  The reference is the *legacy construction path*: the caller builds a
+live scenario object and hands it to the session, and the config carries no
+:class:`ScenarioSpec` at all.  Against it stand the declarative paths —
+a spec resolved through the registry, a spec that went through JSON, a
+2-worker scheduler that ships the spec to workers, and the multi-query
+backtester — which must all report the same rows.
+"""
 
 import io
 import json
-import warnings
 
 import pytest
 
 from repro.api import (DEFAULT_STAGES, EventBus, JsonlEventWriter,
                        RepairConfig, RepairSession, Stage, StageError,
                        event_from_wire, repair)
-from repro.debugger import MetaProvenanceDebugger
 from repro.scenarios import build_q1, build_scenario
 
 
@@ -24,11 +31,16 @@ def report_rows(report):
     ]
 
 
+def live_object_report(scenario, **knobs):
+    """The reference: no spec in the config, the scenario object passed in."""
+    config = RepairConfig(**knobs)
+    assert config.scenario is None
+    return RepairSession(config, scenario=scenario).run()
+
+
 @pytest.fixture(scope="module")
 def legacy_report():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return MetaProvenanceDebugger(build_q1(), max_candidates=14).diagnose()
+    return live_object_report(build_q1(), max_candidates=14)
 
 
 @pytest.fixture(scope="module")
@@ -48,11 +60,8 @@ def test_session_matches_legacy_debugger(legacy_report, session_report):
 
 @pytest.mark.parametrize("scenario", ["Q2", "Q3", "Q4", "Q5"])
 def test_session_matches_legacy_on_all_scenarios(scenario):
-    """A JSON-round-tripped config reproduces the legacy reference report."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = MetaProvenanceDebugger(build_scenario(scenario),
-                                        max_candidates=8).diagnose()
+    """A JSON-round-tripped spec reproduces the live-object report."""
+    legacy = live_object_report(build_scenario(scenario), max_candidates=8)
     config = RepairConfig.from_json(
         RepairConfig.for_scenario(scenario, max_candidates=8).to_json())
     report = RepairSession(config).run()
@@ -62,41 +71,43 @@ def test_session_matches_legacy_on_all_scenarios(scenario):
 
 @pytest.mark.parametrize("transport", ["inprocess", "spawn"])
 def test_session_matches_legacy_on_2worker_scheduler(legacy_report, transport):
+    """Two workers rebuilding the scenario from its spec agree with the
+    serial run over the caller's own scenario object."""
     config = RepairConfig.for_scenario("Q1", max_candidates=14,
                                        transport=transport, workers=2)
     report = RepairSession(config).run()
     assert report_rows(report) == report_rows(legacy_report)
 
 
-def test_session_multiquery_matches_legacy():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = MetaProvenanceDebugger(
-            build_q1(), max_candidates=14,
-            use_multiquery_backtesting=True).diagnose()
+def test_session_multiquery_matches_legacy(legacy_report):
+    """Shared-trunk backtesting changes the work done, not the verdicts:
+    both construction paths share the same evaluations, and the rows equal
+    the sequential backtester's."""
+    legacy = live_object_report(build_q1(), max_candidates=14,
+                                multiquery=True)
     config = RepairConfig.for_scenario("Q1", max_candidates=14,
                                        multiquery=True)
     report = RepairSession(config).run()
     assert report_rows(report) == report_rows(legacy)
+    assert report_rows(report) == report_rows(legacy_report)
+    assert 0 < report.backtest.shared_evaluations
     assert (report.backtest.shared_evaluations
             == legacy.backtest.shared_evaluations)
     assert (report.backtest.candidate_evaluations
             == legacy.backtest.candidate_evaluations)
 
 
-def test_legacy_debugger_emits_deprecation_warning():
-    with pytest.warns(DeprecationWarning, match="RepairSession"):
-        MetaProvenanceDebugger(build_q1())
-
-
-def test_legacy_stepwise_methods_still_work():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        debugger = MetaProvenanceDebugger(build_q1(), max_candidates=6)
-    history = debugger.build_history()
-    exploration = debugger.generate_candidates(history)
+def test_stepwise_run_until_then_backtest():
+    """Diagnose, generate and backtest as three separate calls."""
+    config = RepairConfig.for_scenario("Q1", max_candidates=6)
+    session = RepairSession(config)
+    session.run(until="diagnose")
+    assert set(session.artifacts) == {"history"}
+    session.run(until="generate")
+    exploration = session.artifacts["exploration"]
     assert 0 < len(exploration.candidates) <= 6
-    report = debugger.backtester().evaluate_all(exploration.candidates)
+    backtester = config.make_backtester(session.scenario)
+    report = backtester.evaluate_all(exploration.candidates)
     assert len(report.results) == len(exploration.candidates)
 
 
@@ -169,15 +180,6 @@ def test_run_until_completed_stage_stays_partial():
     assert set(session.artifacts) == {"history", "exploration"}
     with pytest.raises(StageError, match="no stage named"):
         session.run(until="genrate")
-
-
-def test_legacy_debugger_honours_attribute_mutation():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        debugger = MetaProvenanceDebugger(build_q1())
-    debugger.max_candidates = 3      # pre-2.0 idiom: mutate, then diagnose
-    report = debugger.diagnose()
-    assert len(report.backtest.results) == 3
 
 
 def test_reset_from_stage_drops_later_artifacts():

@@ -87,7 +87,8 @@ CASES: Dict[str, dict] = {
         ],
     },
     # A rule with three body atoms whose head feeds a *later* body atom of
-    # the same rule: the known hazard case for eager batch firing.
+    # the same rule.  The head variable ``C`` is never bound, so ``tri``
+    # cannot fire: this case pins that such a rule stays silent.
     "selffeed3": {
         "program": """
             tri T(@X, C) :- A(@X, P), B(@X, Q), T(@X, P).
@@ -100,6 +101,29 @@ CASES: Dict[str, dict] = {
             ("insert", _t("B", 1, 3)),
             ("insert", _t("A", 1, 7)),
             ("insert", _t("A", 1, 9)),
+        ],
+    },
+    # The same shape with a bound head: ``tri`` fires from trigger positions
+    # 0 (A), 1 (B) and 2 (T), several times per trigger, and its heads
+    # re-enter ``T`` while the fixpoint that derived them is still running
+    # (op 4: T(1,5) derived from B(1,5) then supports itself through
+    # A(1,5)).  Recorded while the engine still had an interpreter for
+    # positions 0 and 1; the compiled plans must reproduce it exactly.
+    "selffeed3_live": {
+        "program": """
+            tri T(@X, Q) :- A(@X, P), B(@X, Q), T(@X, P).
+            seed T(@X, V) :- Seed(@X, V).
+        """,
+        "schemas": [],
+        "ops": [
+            ("insert", _t("Seed", 1, 7)),
+            ("insert", _t("A", 1, 7)),
+            ("insert", _t("A", 1, 5)),
+            ("insert", _t("B", 1, 5)),
+            ("insert", _t("B", 1, 3)),
+            ("insert", _t("A", 1, 3)),
+            ("remove", _t("Seed", 1, 7)),
+            ("insert", _t("Seed", 1, 3)),
         ],
     },
     "exprs": {

@@ -14,6 +14,7 @@ from repro.ndlog import (
     make_tuple,
     parse_program,
 )
+from repro.ndlog.expr import match_atom
 
 FIGURE2_PROGRAM = """
 r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), WebLoadBalancer(@C,Hdr,Prt), Swi == 1.
@@ -197,3 +198,37 @@ class TestPrimaryKeySemantics:
         engine.insert(make_tuple("Config", "n1", "mode", 1))
         engine.insert(make_tuple("Config", "n1", "mode", 2))
         assert engine.tuples("Config") == {make_tuple("Config", "n1", "mode", 2)}
+
+
+class TestMatchAtom:
+    """`match_atom` (used by negative provenance on historical tuples) has
+    the compiled join's strict semantics."""
+
+    RULE = "r H(@X, Y) :- P(@X, Y), Q(@X, Y + 1, 7, X)."
+    ATOM = parse_program(RULE).rules[0].body[1]
+
+    def match(self, *values, table="Q", **bindings):
+        return match_atom(self.ATOM, NDTuple(table, values), bindings)
+
+    def test_extends_bindings_and_evaluates_bound_expression_args(self):
+        assert self.match(1, 6, 7, 1, Y=5) == {"X": 1, "Y": 5}
+
+    def test_unbound_expression_argument_fails_the_match(self):
+        assert self.match(1, 6, 7, 1) is None
+
+    def test_constants_and_repeated_variables_compare_strictly(self):
+        assert self.match(1, 6, "*", 1, Y=5) is None     # no wildcard match
+        assert self.match(1, 6, 7, 2, Y=5) is None       # X bound twice
+        assert self.match(1, 6, 7, 1, Y=5, X=2) is None  # X already bound
+
+    def test_table_and_arity_must_agree(self):
+        assert self.match(1, 6, 7, Y=5) is None
+        assert self.match(1, 6, 7, 1, table="R", Y=5) is None
+
+    @pytest.mark.parametrize("values", [
+        (1, 6, 7, 1), (1, 6, "*", 1), (1, 6, 7, 2), (1, 9, 7, 1)])
+    def test_agrees_with_the_compiled_join(self, values):
+        engine = Engine(parse_program(self.RULE))
+        engine.insert(NDTuple("Q", values))
+        fired = bool(engine.insert(NDTuple("P", (1, 5))))
+        assert fired == (self.match(*values, X=1, Y=5) is not None)

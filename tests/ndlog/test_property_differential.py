@@ -1,9 +1,10 @@
 """Property-based differential suite: random programs and mutation scripts.
 
 Hypothesis generates small NDlog programs from a terminating grammar
-(copy/swap/join/selection rules over a closed value universe — recursion is
-allowed, arithmetic value creation is not) together with random
-insert/remove/insert_many scripts, and asserts three engine equivalences:
+(copy/swap/join/selection rules of up to three body atoms over a closed
+value universe — recursion is allowed, arithmetic value creation is not)
+together with random insert/remove/insert_many scripts, and asserts three
+engine equivalences:
 
 * the rewritten engine matches the scan-based :class:`NaiveEngine` oracle
   (per-operation derived sets and the final database state),
@@ -35,6 +36,10 @@ _SHAPES = (
     "{name} {head}(@X, Z) :- {b1}(@X, Y), {b2}(@Y, Z).",
     "{name} {head}(@X, Y) :- {b1}(@X, Y), Y > {const}.",
     "{name} {head}(@X, Y) :- {b1}(@X, Y), {b2}(@X, Y).",
+    # Three atoms: when {head} equals {b2} or {b3} the head feeds a body atom
+    # that the join reaches at depth >= 2 (cf. golden case selffeed3_live).
+    "{name} {head}(@X, Z) :- {b1}(@X, Y), {b2}(@X, Y), {b3}(@Y, Z).",
+    "{name} {head}(@X, Z) :- {b1}(@X, Y), {b2}(@X, Z), {b3}(@X, Y).",
 )
 
 
@@ -49,6 +54,7 @@ def programs(draw):
             head=draw(st.sampled_from(TABLES)),
             b1=draw(st.sampled_from(TABLES)),
             b2=draw(st.sampled_from(TABLES)),
+            b3=draw(st.sampled_from(TABLES)),
             const=draw(st.sampled_from(VALUES)),
         ))
     return parse_program("\n".join(rules))

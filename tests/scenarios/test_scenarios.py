@@ -1,8 +1,8 @@
-"""End-to-end tests for the Q1-Q5 scenarios and the debugger pipeline."""
+"""End-to-end tests for the Q1-Q5 scenarios and the repair pipeline."""
 
 import pytest
 
-from repro.debugger import MetaProvenanceDebugger
+from repro.api import RepairConfig, RepairSession
 from repro.repair import ChangeAssignment, ChangeConstant
 from repro.scenarios import SCENARIO_BUILDERS, all_scenarios, build_scenario
 from repro.scenarios.other_languages import ImperativeQ1Scenario, PolicyQ1Scenario
@@ -14,8 +14,8 @@ def reports():
     out = {}
     for name in sorted(SCENARIO_BUILDERS):
         scenario = build_scenario(name)
-        out[name] = (scenario,
-                     MetaProvenanceDebugger(scenario, max_candidates=14).diagnose())
+        config = RepairConfig(max_candidates=14)
+        out[name] = (scenario, RepairSession(config, scenario=scenario).run())
     return out
 
 
