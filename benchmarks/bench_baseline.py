@@ -88,8 +88,8 @@ from bench_engine_micro import (  # noqa: E402
     run_rule_scaling_workload,
 )
 
-from repro.backtest import Backtester, MultiQueryBacktester  # noqa: E402
-from repro.backtest.replay import WarmEvaluationState, fork_available  # noqa: E402
+from repro.backtest import Backtester  # noqa: E402
+from repro.backtest.replay import WarmEvaluationState  # noqa: E402
 from repro.distrib import Scheduler  # noqa: E402
 from repro.ndlog import Engine, NaiveEngine  # noqa: E402
 from repro.ndlog.plan import PLAN_CACHE  # noqa: E402
@@ -278,7 +278,7 @@ def bench_fig9b(scenario, candidates, workers: int,
                           replay_batch_size=batch_size)
 
     def multiquery():
-        return MultiQueryBacktester(scenario, ks_threshold=threshold)
+        return Backtester(scenario, ks_threshold=threshold, multiquery=True)
 
     modes = {
         "sequential": (sequential, None),
@@ -287,9 +287,8 @@ def bench_fig9b(scenario, candidates, workers: int,
         "sequential_cold": (sequential_cold, None),
         "sequential_batched": (sequential_batched, None),
         "multiquery": (multiquery, None),
-        # With fork these shard over the fork pool; without it evaluate_all
-        # degrades to the fabric's spawn transport (the scenario carries a
-        # ScenarioSpec), so the parallel rows exist on every platform.
+        # evaluate_all runs these on a spawn fleet of its own (the scenario
+        # carries a ScenarioSpec) once the job passes the min-work gate.
         "parallel": (sequential, workers),
         "multiquery_parallel": (multiquery, workers),
     }
@@ -306,7 +305,7 @@ def bench_fig9b(scenario, candidates, workers: int,
             entry["workers"] = mode_workers
         if "batched" in name:
             entry["replay_batch_size"] = batch_size
-        if hasattr(report, "sharing_ratio"):
+        if factory is multiquery:
             entry["sharing_ratio"] = report.sharing_ratio()
         out[name] = entry
     reference = accepted_sets["sequential"]
@@ -365,9 +364,11 @@ def bench_warm_vs_cold(scenario, candidate_sets: Dict[str, List],
         def warm_pass():
             nonlocal fallbacks
             for item in repaired:
-                if warm.prepare_simulator(item) is None:
+                if warm.prepare_controller(item) is None:
                     fallbacks += 1
                     cold_setup(item)
+                else:
+                    warm.reset_data_plane()
 
         cold_pass()                       # prime caches outside the timers
         warm_pass()
@@ -637,7 +638,6 @@ def run_baseline(smoke: bool = False, workers: Optional[int] = None,
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpu_count": cpu_count,
-        "fork_available": fork_available(),
         "workers": workers,
         "engine": engine,
         "fig9b": fig9b,

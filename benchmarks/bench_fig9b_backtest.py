@@ -12,10 +12,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 
-import pytest
-
-from repro.backtest import Backtester, MultiQueryBacktester
-from repro.backtest.replay import fork_available
+from repro.backtest import Backtester
 
 from conftest import run_once
 
@@ -42,8 +39,9 @@ def test_fig9b_sequential_vs_multiquery(benchmark, scenario_cache, diagnosis_cac
                        ).evaluate_all(subset)
             sequential = time.perf_counter() - started
             started = time.perf_counter()
-            joint_report = MultiQueryBacktester(
-                scenario, ks_threshold=scenario.ks_threshold).evaluate_all(subset)
+            joint_report = Backtester(
+                scenario, ks_threshold=scenario.ks_threshold,
+                multiquery=True).evaluate_all(subset)
             joint = time.perf_counter() - started
             series.append((k, sequential, joint, joint_report.sharing_ratio()))
         return series
@@ -67,14 +65,12 @@ def test_fig9b_parallel_and_batched_modes(benchmark, scenario_cache,
                                           diagnosis_cache):
     """The full 9-candidate Q1 workload under every pipeline mode.
 
-    Parallel sharding (workers=4) and batched PacketIn replay must reproduce
-    the serial accepted set exactly; on a multi-core host the sharded
-    multiquery run must also beat the serial multiquery time (PR 1's best
-    mode).  On a single core only the parity assertions apply — process
-    pool overhead cannot be amortised without parallel hardware.
+    Parallel dispatch (workers=4, a spawn fleet) and batched PacketIn replay
+    must reproduce the serial accepted set exactly; on a multi-core host the
+    parallel multiquery run must also beat the serial multiquery time (PR 1's
+    best mode).  On a single core only the parity assertions apply — fleet
+    start-up cannot be amortised without parallel hardware.
     """
-    if not fork_available():
-        pytest.skip("no fork start method on this platform")
     from repro.scenarios.q1_copy_paste import build_q1
     scenario = build_q1(repetitions=10)
     candidates = _candidates(diagnosis_cache, 9)
@@ -88,12 +84,14 @@ def test_fig9b_parallel_and_batched_modes(benchmark, scenario_cache,
                 ("seq+batched", lambda: Backtester(
                     scenario, ks_threshold=scenario.ks_threshold,
                     replay_batch_size=32), None),
-                ("multiquery", lambda: MultiQueryBacktester(
-                    scenario, ks_threshold=scenario.ks_threshold), None),
+                ("multiquery", lambda: Backtester(
+                    scenario, ks_threshold=scenario.ks_threshold,
+                    multiquery=True), None),
                 ("parallel x4", lambda: Backtester(
                     scenario, ks_threshold=scenario.ks_threshold), workers),
-                ("mq parallel x4", lambda: MultiQueryBacktester(
-                    scenario, ks_threshold=scenario.ks_threshold), workers)):
+                ("mq parallel x4", lambda: Backtester(
+                    scenario, ks_threshold=scenario.ks_threshold,
+                    multiquery=True), workers)):
             started = time.perf_counter()
             backtester = factory()
             if mode_workers is None:
@@ -118,7 +116,7 @@ def test_fig9b_parallel_and_batched_modes(benchmark, scenario_cache,
     # actually have 4 cores to run on (2-core CI boxes would flake).
     if multiprocessing.cpu_count() >= 4:
         assert timings["mq parallel x4"] < timings["multiquery"], \
-            "sharded multiquery should beat serial multiquery on multi-core"
+            "parallel multiquery should beat serial multiquery on multi-core"
 
 
 def test_fig9b_multiquery_matches_sequential_verdicts(scenario_cache,
@@ -131,8 +129,8 @@ def test_fig9b_multiquery_matches_sequential_verdicts(scenario_cache,
     def verdicts():
         sequential = Backtester(scenario, ks_threshold=scenario.ks_threshold
                                 ).evaluate_all(candidates)
-        joint = MultiQueryBacktester(scenario, ks_threshold=scenario.ks_threshold
-                                     ).evaluate_all(candidates)
+        joint = Backtester(scenario, ks_threshold=scenario.ks_threshold,
+                           multiquery=True).evaluate_all(candidates)
         return ([r.accepted for r in sequential.results],
                 [r.accepted for r in joint.results])
 

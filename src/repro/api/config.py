@@ -90,7 +90,7 @@ class RepairConfig:
     expansion_cost: Optional[float] = None
 
     # -- Backtest: replay and acceptance --------------------------------
-    #: Use the multi-query (shared-trunk) backtester of Section 4.4.
+    #: Share the base program's replay between candidates (Section 4.4).
     multiquery: bool = False
     #: KS acceptance threshold; ``None`` uses the scenario's own default.
     ks_threshold: Optional[float] = None
@@ -117,8 +117,9 @@ class RepairConfig:
     #: Worker count for candidate evaluation (1 = serial).
     workers: int = 1
     #: Distributed-fabric transport name (``"inprocess"``, ``"spawn"``,
-    #: ``"socket"``); ``None`` uses the local path (fork pool when
-    #: ``workers > 1`` and the platform has fork).
+    #: ``"socket"``); ``None`` leaves it to the backtester, which runs
+    #: serial or — ``workers > 1`` on a job worth it — on a spawn fleet of
+    #: its own (``Backtester._run_candidates``).
     transport: Optional[str] = None
     #: Extra keyword arguments for the transport (e.g. socket ``port``).
     transport_options: Dict[str, object] = field(default_factory=dict)
@@ -175,11 +176,9 @@ class RepairConfig:
         return getattr(scenario, "ks_threshold", 0.05)
 
     def make_backtester(self, scenario):
-        """The configured backtester (class choice + every replay knob)."""
-        from ..backtest.multiquery import MultiQueryBacktester
+        """The configured backtester (every replay knob)."""
         from ..backtest.replay import Backtester
-        backtester_class = MultiQueryBacktester if self.multiquery else Backtester
-        return backtester_class(
+        return Backtester(
             scenario,
             ks_threshold=self.resolve_ks_threshold(scenario),
             alpha=self.alpha,
@@ -190,7 +189,8 @@ class RepairConfig:
             replay_batch_size=self.replay_batch_size,
             abort_policy=self.abort,
             warm_engine=self.warm_engine,
-            static_vet=self.static_vet)
+            static_vet=self.static_vet,
+            multiquery=self.multiquery)
 
     def make_scheduler(self, progress=None, events=None, telemetry=None):
         """The configured distributed scheduler, or ``None`` for local runs.

@@ -10,7 +10,7 @@ from .metrics import (
     per_host_counts,
     total_variation_distance,
 )
-from .multiquery import MultiQueryBacktester, MultiQueryReport, modified_rule_names
+from .multiquery import modified_rule_names
 from .ranking import format_table, rank_results, suggestion_list
 from .replay import (BacktestReport, BacktestResult, Backtester,
                      WarmEvaluationState)
@@ -19,7 +19,7 @@ __all__ = [
     "EarlyAbortPolicy",
     "KSResult", "compare_traffic", "delivery_delta", "destination_distribution",
     "ks_two_sample", "per_host_counts", "total_variation_distance",
-    "MultiQueryBacktester", "MultiQueryReport", "modified_rule_names",
+    "modified_rule_names",
     "format_table", "rank_results", "suggestion_list",
     "BacktestReport", "BacktestResult", "Backtester", "WarmEvaluationState",
 ]

@@ -19,26 +19,30 @@ This module implements the same optimisation operationally:
   single simulated network can hold all candidates' flow tables side by side
   (tag-filtered lookups, see :meth:`repro.sdn.switch.FlowTable.lookup`).
 
-The result is identical to sequential backtesting but considerably faster —
-which is exactly the comparison of Figure 9b.
+The result is identical to sequential backtesting — the comparison of
+Figure 9b — and it is an optimisation *of* that procedure, not a second
+one: this module is the sharing strategy that
+:class:`~repro.backtest.replay.Backtester` consults when constructed with
+``multiquery=True``.  :meth:`SharedTrunk.build` replays the base program
+once; :meth:`SharedTrunk.replayer` wraps one candidate's controller and
+topology in a :class:`SharedReplay`, which the backtester's one replay loop
+drives through the same ``run_trace``/``stats`` surface as a plain
+:class:`~repro.sdn.network.NetworkSimulator`.  Candidate set-up, the abort
+checks, telemetry and the verdict all stay in ``Backtester``.
 """
 
 from __future__ import annotations
 
-import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ndlog.ast import Program, Rule
 from ..ndlog.engine import Engine
 from ..ndlog.tuples import NDTuple
-from ..repair.apply import apply_candidate
 from ..repair.candidates import RepairCandidate
 from ..sdn.log import DeliveryRecord
-from ..sdn.network import NetworkSimulator, TrafficStats
+from ..sdn.network import NetworkSimulator
 from ..sdn.packets import Packet
-from .metrics import compare_traffic
-from .replay import BacktestReport, BacktestResult, Backtester, ShardOutcome
 
 
 def modified_rule_names(program: Program, candidate: RepairCandidate) -> Set[str]:
@@ -88,7 +92,7 @@ class _RuleDeltaChecker:
         engine.insert_many(list(self.scenario.static_tuples))
         return engine
 
-    def affects(self, packet_tuple: NDTuple, static_tuples: Sequence[NDTuple]) -> bool:
+    def affects(self, packet_tuple: NDTuple) -> bool:
         if self.data_change:
             return True
         key = packet_tuple.values
@@ -111,7 +115,7 @@ class _RuleDeltaChecker:
             return True
         for switch_id in switch_ids:
             packet_tuple = self.scenario.packet_in_tuple(switch_id, packet)
-            if self.affects(packet_tuple, ()):
+            if self.affects(packet_tuple):
                 return True
         return False
 
@@ -126,23 +130,6 @@ class _RuleDeltaChecker:
         return frozenset(derived)
 
 
-@dataclass
-class MultiQueryReport(BacktestReport):
-    """Adds cache statistics to the standard report."""
-
-    shared_evaluations: int = 0
-    candidate_evaluations: int = 0
-
-    def sharing_ratio(self) -> float:
-        """Fraction of packet×candidate decisions served by the shared trunk.
-
-        Each (packet, candidate) pair is counted exactly once, so the two
-        counters always sum to ``len(trace) * len(candidates)``.
-        """
-        total = self.shared_evaluations + self.candidate_evaluations
-        return self.shared_evaluations / total if total else 0.0
-
-
 class _SharedResponseController:
     """Controller wrapper that forwards unaffected packets to a shared base.
 
@@ -153,55 +140,29 @@ class _SharedResponseController:
     """
 
     def __init__(self, scenario, base_controller, base_cache,
-                 candidate_controller, checker, static_tuples):
+                 candidate_controller, checker):
         self.scenario = scenario
         self.base_controller = base_controller
         self.base_cache = base_cache
         self.candidate_controller = candidate_controller
         self.checker = checker
-        self.static_tuples = static_tuples
-        self.name = f"shared({candidate_controller.name})"
 
     def on_start(self, network):
         return self.candidate_controller.on_start(network)
 
     def handle_packet_in(self, event):
         # Sharing statistics are accounted once per packet×candidate in
-        # MultiQueryBacktester.evaluate_all; counting again here (a packet
-        # can raise several PacketIns along its path) double-counted
-        # decisions and skewed MultiQueryReport.sharing_ratio().
+        # SharedReplay.run_trace; counting again here (a packet can raise
+        # several PacketIns along its path) double-counted decisions and
+        # skewed BacktestReport.sharing_ratio().
         packet_tuple = self.scenario.packet_in_tuple(event.switch_id, event.packet,
                                                      in_port=event.in_port)
-        if self.checker.affects(packet_tuple, self.static_tuples):
+        if self.checker.affects(packet_tuple):
             return self.candidate_controller.handle_packet_in(event)
         key = (event.switch_id, packet_tuple.values)
         if key not in self.base_cache:
             self.base_cache[key] = self.base_controller.handle_packet_in(event)
         return self.base_cache[key]
-
-    def reset(self):
-        self.candidate_controller.reset()
-
-
-@dataclass
-class _SharedTrunk:
-    """Per-candidate-independent state, computed once before sharding.
-
-    The trunk is the operational analogue of the tagged backtesting
-    program's shared sub-flows: the base network's delivery outcome and
-    control-plane cost for every trace packet, plus the base controller's
-    first response per distinct PacketIn key.  Candidate evaluations only
-    read it, so forked workers inherit it copy-on-write.
-    """
-
-    trace: List[Tuple[int, Packet]]
-    base_records: List[DeliveryRecord]
-    #: Per trace entry: (packet_in, flow_mod, packet_out) counts of the base
-    #: run, credited to candidates that adopt the shared outcome so their
-    #: control-plane statistics stay comparable with sequential backtests.
-    base_deltas: List[Tuple[int, int, int]]
-    base_cache: Dict[Tuple, List[object]]
-    switch_ids: List[int]
 
 
 class _CachePrimingController:
@@ -217,7 +178,6 @@ class _CachePrimingController:
         self.scenario = scenario
         self.inner = inner
         self.cache = cache
-        self.name = f"priming({inner.name})"
 
     def on_start(self, network):
         return self.inner.on_start(network)
@@ -228,9 +188,6 @@ class _CachePrimingController:
             event.switch_id, event.packet, in_port=event.in_port)
         self.cache.setdefault((event.switch_id, packet_tuple.values), messages)
         return messages
-
-    def reset(self):
-        self.inner.reset()
 
 
 class _LazyBaseController:
@@ -245,7 +202,6 @@ class _LazyBaseController:
     def __init__(self, scenario):
         self.scenario = scenario
         self._inner = None
-        self.name = "lazy-base"
 
     def handle_packet_in(self, event):
         if self._inner is None:
@@ -253,20 +209,37 @@ class _LazyBaseController:
         return self._inner.handle_packet_in(event)
 
 
-class MultiQueryBacktester(Backtester):
-    """Backtests many candidates jointly, sharing the common computation."""
+@dataclass
+class SharedTrunk:
+    """Per-candidate-independent state, computed once per backtester.
 
-    def _build_trunk(self) -> _SharedTrunk:
-        self.baseline()   # cache before forking; workers inherit it
-        trace = self._trace()
+    The trunk is the operational analogue of the tagged backtesting
+    program's shared sub-flows: the base network's delivery outcome and
+    control-plane cost for every trace packet, plus the base controller's
+    first response per distinct PacketIn key.  Candidate evaluations only
+    read it (each takes its own copy of the response cache), so they stay
+    hermetic: any order, any process, same result.
+    """
+
+    #: Per trace entry: the base run's delivery outcome.
+    base_records: List[DeliveryRecord]
+    #: Per trace entry: (packet_in, flow_mod, packet_out) counts of the base
+    #: run, credited to candidates that adopt the shared outcome so their
+    #: control-plane statistics stay comparable with sequential backtests.
+    base_deltas: List[Tuple[int, int, int]]
+    base_cache: Dict[Tuple, List[object]]
+    switch_ids: List[int]
+
+    @classmethod
+    def build(cls, scenario, trace: List[Tuple[int, Packet]]) -> "SharedTrunk":
+        """Replay ``trace`` once under the unrepaired program."""
         base_cache: Dict[Tuple, List[object]] = {}
-        topology = self.scenario.build_topology()
+        topology = scenario.build_topology()
         priming = _CachePrimingController(
-            self.scenario, self.scenario.build_controller(program=None),
-            base_cache)
+            scenario, scenario.build_controller(program=None), base_cache)
         simulator = NetworkSimulator(
             topology, priming,
-            require_packet_out=self.scenario.require_packet_out,
+            require_packet_out=scenario.require_packet_out,
             record_ingress=False)
         base_records: List[DeliveryRecord] = []
         base_deltas: List[Tuple[int, int, int]] = []
@@ -278,105 +251,65 @@ class MultiQueryBacktester(Backtester):
             base_deltas.append((stats.packet_in_count - before[0],
                                 stats.flow_mod_count - before[1],
                                 stats.packet_out_count - before[2]))
-        return _SharedTrunk(trace=trace, base_records=base_records,
-                            base_deltas=base_deltas, base_cache=base_cache,
-                            switch_ids=sorted(topology.switches))
+        return cls(base_records=base_records, base_deltas=base_deltas,
+                   base_cache=base_cache,
+                   switch_ids=sorted(topology.switches))
 
-    def _evaluate_for_shard(self, candidate: RepairCandidate,
-                            trunk: _SharedTrunk) -> ShardOutcome:
-        """Evaluate one candidate against the precomputed trunk (hermetic)."""
-        started = _time.perf_counter()
-        repaired = apply_candidate(self.scenario.program, candidate)
-        checker = _RuleDeltaChecker(self.scenario, self.scenario.program,
-                                    candidate, repaired.program)
-        # Warm path: switch the per-worker engine to this candidate via a
-        # checkpoint restore + rule delta and reuse the topology (flow
-        # tables wiped); the shared-response wrapper and simulator are
-        # per-candidate by design and stay cheap to rebuild.
-        warm = self._warm()
-        candidate_controller = (warm.prepare_controller(repaired)
-                                if warm is not None else None)
-        if candidate_controller is not None:
-            self.warm_hits += 1
-            warm.reset_data_plane()
-            topology = warm.topology
-        else:
-            if warm is not None:
-                self.warm_fallbacks += 1
-            topology = self.scenario.build_topology()
-            candidate_controller = self.scenario.build_controller(
-                program=repaired.program,
-                extra_tuples=repaired.inserted_tuples,
-                removed_tuples=repaired.removed_tuples)
+    def replayer(self, scenario, candidate: RepairCandidate,
+                 repaired_program: Program, candidate_controller,
+                 topology) -> "SharedReplay":
+        """A replayer for one candidate over its controller and topology."""
+        checker = _RuleDeltaChecker(scenario, scenario.program, candidate,
+                                    repaired_program)
         shared = _SharedResponseController(
-            self.scenario, _LazyBaseController(self.scenario),
-            dict(trunk.base_cache), candidate_controller, checker,
-            list(self.scenario.static_tuples))
+            scenario, _LazyBaseController(scenario), dict(self.base_cache),
+            candidate_controller, checker)
         simulator = NetworkSimulator(
             topology, shared,
-            require_packet_out=self.scenario.require_packet_out,
+            require_packet_out=scenario.require_packet_out,
             record_ingress=False)
-        shared_count = 0
-        candidate_count = 0
-        abort_note = None
-        policy = self.abort_policy
-        threshold = None if self.use_significance else self.ks_threshold
-        total = len(trunk.trace)
-        for index, (switch_id, packet) in enumerate(trunk.trace):
-            if checker.affects_anywhere(packet, trunk.switch_ids):
-                candidate_count += 1
-                simulator.inject(packet, switch_id)
+        return SharedReplay(self, checker, simulator)
+
+
+class SharedReplay:
+    """One candidate's replay against the trunk.
+
+    Offers the ``run_trace`` / ``stats`` surface of
+    :class:`~repro.sdn.network.NetworkSimulator`, so the backtester's
+    replay loop drives either.  Chunks must arrive in trace order: the
+    replayer keeps its own position to look up each packet's base outcome.
+    Packets the candidate cannot affect adopt that outcome; the rest are
+    injected into the candidate's own network.  ``batch_size`` is accepted
+    and ignored — adoption is per packet, so bursts do not apply.
+    """
+
+    def __init__(self, trunk: SharedTrunk, checker: _RuleDeltaChecker,
+                 simulator: NetworkSimulator):
+        self.trunk = trunk
+        self.checker = checker
+        self.simulator = simulator
+        self.stats = simulator.stats
+        self.position = 0
+        #: Each (packet, candidate) decision is counted exactly once.
+        self.shared_evaluations = 0
+        self.candidate_evaluations = 0
+
+    def run_trace(self, chunk, batch_size: Optional[int] = None):
+        trunk = self.trunk
+        for index, (switch_id, packet) in enumerate(chunk, self.position):
+            if self.checker.affects_anywhere(packet, trunk.switch_ids):
+                self.candidate_evaluations += 1
+                self.simulator.inject(packet, switch_id)
             else:
-                shared_count += 1
-                self._adopt_base_record(simulator, trunk.base_records[index],
-                                        trunk.base_deltas[index])
-            if policy is not None and policy.due(index + 1, total):
-                reason = policy.breach(simulator.stats, index + 1,
-                                       self.baseline(), threshold,
-                                       self.max_packet_in_growth)
-                if reason is not None:
-                    abort_note = (f"aborted after {index + 1}/{total} "
-                                  f"packets: {reason}")
-                    break
-        stats = simulator.stats
-        ks = compare_traffic(self.baseline(), stats)
-        if abort_note is not None:
-            effective = accepted = False
-            notes = candidate.notes + (abort_note,)
-        else:
-            effective = bool(self.scenario.is_effective(stats))
-            accepted = effective and not self._distorts(ks) \
-                and not self._overloads_controller(stats)
-            notes = candidate.notes
-        elapsed = _time.perf_counter() - started
-        result = BacktestResult(candidate=candidate, stats=stats, ks=ks,
-                                effective=effective, accepted=accepted,
-                                elapsed_seconds=elapsed, notes=notes)
-        return ShardOutcome(result=result, shared_evaluations=shared_count,
-                            candidate_evaluations=candidate_count)
+                self.shared_evaluations += 1
+                self._adopt(trunk.base_records[index],
+                            trunk.base_deltas[index])
+        self.position += len(chunk)
+        return self.stats
 
-    def evaluate_all(self, candidates: Sequence[RepairCandidate],
-                     workers: Optional[int] = None,
-                     scheduler=None, progress=None) -> MultiQueryReport:
-        started = _time.perf_counter()
-        report = MultiQueryReport(baseline=self.baseline())
-        all_candidates = list(candidates)
-        survivors, vetoed = self._prefilter(all_candidates)
-        outcomes = self._run_candidates(survivors, workers, scheduler,
-                                        progress=progress)
-        self._absorb_outcomes(outcomes)
-        for outcome in self._merge_results(report, len(all_candidates),
-                                           outcomes, vetoed):
-            report.shared_evaluations += outcome.shared_evaluations
-            report.candidate_evaluations += outcome.candidate_evaluations
-        report.packet_count = len(self._trace())
-        report.elapsed_seconds = _time.perf_counter() - started
-        return report
-
-    @staticmethod
-    def _adopt_base_record(simulator: NetworkSimulator, record,
-                           delta: Tuple[int, int, int] = (0, 0, 0)) -> None:
-        """Credit a shared (base-network) delivery outcome to a candidate.
+    def _adopt(self, record: DeliveryRecord,
+               delta: Tuple[int, int, int]) -> None:
+        """Credit a shared (base-network) delivery outcome to the candidate.
 
         Like the adopted delivery record itself, the adopted control-plane
         delta reflects the *base* network's handling of the packet.  That is
@@ -388,7 +321,7 @@ class MultiQueryBacktester(Backtester):
         shared miss to both the base delta and a later affected same-key
         packet; the Q1-Q5 verdict-parity tests bound this approximation.
         """
-        stats = simulator.stats
+        stats = self.stats
         stats.total += 1
         stats.delivery_records.append(record)
         if record.delivered:

@@ -13,85 +13,36 @@ trace against each repaired program.  A candidate is
 Scenarios (see :mod:`repro.scenarios.base`) provide the environment: a fresh
 topology, a controller factory for an arbitrary program, the recorded trace
 and the effectiveness predicate.
+
+There is one backtester with one replay loop and one verdict function.
+Multi-query sharing (:mod:`repro.backtest.multiquery`) is a strategy it
+consults, and the worker fabric (:mod:`repro.distrib`) is the only way a
+candidate evaluation leaves the calling process.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time as _time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..ndlog.ast import Program
 from ..ndlog.engine import data_edit_eligible
 from ..repair.apply import RepairedProgram, apply_candidate
 from ..repair.candidates import RepairCandidate
 from ..sdn.network import NetworkSimulator, TrafficStats
 from .abort import EarlyAbortPolicy
 from .metrics import KSResult, compare_traffic
+from .multiquery import SharedTrunk
 
 
-def fork_available() -> bool:
-    """Can candidate evaluation be sharded across ``fork`` processes?
-
-    Fork sharding is the cheapest parallel path: workers inherit the
-    already-computed shared trunk (baseline statistics, base delivery
-    records, response caches) by copy-on-write instead of pickling scenario
-    closures, which are not picklable.  On platforms without ``fork``
-    (macOS/Windows default to ``spawn``) the backtesters degrade to the
-    distributed fabric's spawn transport when the scenario carries a
-    :class:`~repro.scenarios.spec.ScenarioSpec`, and only fall back to the
-    serial path when it does not.
-    """
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-#: Per-process state inherited by forked pool workers.  Set immediately
-#: before the pool is created; workers index into it by candidate position,
-#: so the only data crossing process boundaries are integers (inputs) and
-#: candidate-stripped results (outputs).
-_WORKER_STATE: Optional[Tuple[object, Sequence[RepairCandidate], object]] = None
-
-
-def _evaluate_shard(index: int):
-    """Top-level pool worker: evaluate one candidate from inherited state."""
-    backtester, candidates, trunk = _WORKER_STATE
-    telemetry = backtester.telemetry
-    if telemetry is None:
-        outcome = backtester._evaluate_for_shard(candidates[index], trunk)
-    else:
-        # The forked child inherited the parent's tracer (open stage span
-        # included); explicit ``.f<index>`` ids keep sibling children from
-        # colliding, and only spans/metrics accrued *here* ship back.
-        mark = telemetry.fork_capture()
-        parent_id = telemetry.tracer.context().span_id
-        candidate = candidates[index]
-        with telemetry.span("candidate", span_id=f"{parent_id}.f{index}",
-                            index=index, tag=candidate.tag,
-                            description=candidate.description):
-            outcome = backtester._evaluate_for_shard(candidate, trunk)
-        outcome.spans, outcome.metrics = telemetry.fork_collect(mark)
-    # The candidate (with its meta-provenance tree) stays in the parent;
-    # shipping only the stripped result keeps pickling cheap and robust.
-    outcome.result.candidate = None
-    return outcome
-
-
-def _run_sharded(backtester, candidates: Sequence[RepairCandidate],
-                 trunk, workers: int):
-    """Map candidates over a fork pool, preserving input order."""
-    global _WORKER_STATE
-    processes = min(workers, len(candidates))
-    context = multiprocessing.get_context("fork")
-    _WORKER_STATE = (backtester, candidates, trunk)
-    try:
-        with context.Pool(processes=processes) as pool:
-            outcomes = pool.map(_evaluate_shard, range(len(candidates)))
-    finally:
-        _WORKER_STATE = None
-    for candidate, outcome in zip(candidates, outcomes):
-        outcome.result.candidate = candidate
-    return outcomes
+#: Minimum estimated serial runtime (baseline replay seconds x candidate
+#: count) below which ``workers > 1`` runs serial anyway: starting a worker
+#: fleet costs a few hundred milliseconds plus one scenario/warm-state
+#: rebuild per worker, so tiny jobs run *slower* parallel — the Fig 9b
+#: crossover.  One value is in use, hence a constant; the tests that push
+#: smoke-sized jobs through the fleet patch it to 0.
+PARALLEL_MIN_SECONDS = 1.0
 
 
 @dataclass
@@ -109,17 +60,17 @@ class ShardOutcome:
 
 
 class WarmEvaluationState:
-    """One warm engine/controller/simulator trio, reused across candidates.
+    """One warm engine/controller/topology trio, reused across candidates.
 
     Cold candidate evaluation pays a full setup per candidate: a fresh
-    engine (static-tuple fixpoint included), controller, topology and
-    simulator.  The warm state pays it once — for the *base* program — and
+    engine (static-tuple fixpoint included), controller and topology.
+    The warm state pays it once — for the *base* program — and
     then switches candidates in O(rule delta): restore the engine to the
     trace-start checkpoint, apply the candidate's rule diff through the
     DRed machinery, drop the controller's per-program caches, and wipe the
     data plane.  Results are bit-identical to the cold path; candidates
     whose delta is ineligible (data edits, keyed-table cones, ambiguous
-    diffs) return ``None`` from the ``prepare_*`` methods and the caller
+    diffs) get ``None`` from :meth:`prepare_controller` and the caller
     falls back to a cold build.
     """
 
@@ -131,10 +82,6 @@ class WarmEvaluationState:
         self.checkpoint = self.engine.checkpoint()
         self._schemas = {schema.name: schema for schema in scenario.schemas()}
         self.topology = scenario.build_topology()
-        self.simulator = NetworkSimulator(
-            self.topology, self.controller,
-            require_packet_out=scenario.require_packet_out,
-            record_ingress=False)
 
     def prepare_controller(self, repaired: RepairedProgram):
         """Restore + rule-delta switch; the warm controller, or ``None``.
@@ -194,13 +141,6 @@ class WarmEvaluationState:
         for switch in self.topology.switches.values():
             switch.flow_table.clear()
 
-    def prepare_simulator(self, repaired: RepairedProgram):
-        """A replay-ready warm simulator for ``repaired``, or ``None``."""
-        if self.prepare_controller(repaired) is None:
-            return None
-        self.simulator.reset_run()
-        return self.simulator
-
 
 @dataclass
 class BacktestResult:
@@ -242,6 +182,21 @@ class BacktestReport:
     #: budget; like vetoes, their (deterministic, rejected) results stay
     #: in :attr:`results`, marked by a ``quarantined(<reason>)`` note.
     quarantined_count: int = 0
+    #: Multi-query sharing statistics: packet x candidate decisions served
+    #: by the shared trunk vs replayed under the candidate's own program.
+    #: Both stay zero when sharing is off.
+    shared_evaluations: int = 0
+    candidate_evaluations: int = 0
+
+    def sharing_ratio(self) -> float:
+        """Fraction of packet x candidate decisions served by the shared trunk.
+
+        Each (packet, candidate) pair is counted exactly once, so under
+        ``multiquery`` the two counters sum to the packets replayed; 0.0
+        when sharing is off.
+        """
+        total = self.shared_evaluations + self.candidate_evaluations
+        return self.shared_evaluations / total if total else 0.0
 
     def accepted(self) -> List[BacktestResult]:
         return [r for r in self.results if r.accepted]
@@ -255,7 +210,15 @@ class BacktestReport:
 
 
 class Backtester:
-    """Sequentially backtests repair candidates against a scenario."""
+    """Backtests repair candidates against a scenario.
+
+    One procedure (Sections 4.3-4.4): replay the recorded trace under each
+    repaired program and compare with the baseline.  ``multiquery=True``
+    keeps the procedure and shares the base program's work between
+    candidates (:mod:`repro.backtest.multiquery`); ``workers > 1`` keeps it
+    and moves the per-candidate evaluations onto the worker fabric
+    (:mod:`repro.distrib`).  Reports are bit-identical either way.
+    """
 
     def __init__(self, scenario, ks_threshold: float = 0.05,
                  alpha: float = 0.05, use_significance: bool = False,
@@ -266,7 +229,7 @@ class Backtester:
                  abort_policy: Optional[EarlyAbortPolicy] = None,
                  warm_engine: bool = True,
                  static_vet: bool = True,
-                 parallel_min_seconds: float = 1.0):
+                 multiquery: bool = False):
         self.scenario = scenario
         self.ks_threshold = ks_threshold
         self.alpha = alpha
@@ -277,9 +240,11 @@ class Backtester:
         #: rejects some Q4 candidates for "significant increases of controller
         #: traffic").
         self.max_packet_in_growth = max_packet_in_growth
-        #: Candidate evaluations are independent once the shared trunk is
-        #: cached; ``workers > 1`` shards them across a fork pool.  Results
-        #: are bit-identical to the serial path and returned in input order.
+        #: Candidate evaluations are independent of each other; with
+        #: ``workers > 1`` and no explicit scheduler, ``evaluate_all`` runs
+        #: them on a spawn fleet it owns for the call (see
+        #: :meth:`_run_candidates` for when it stays serial instead).
+        #: Results are bit-identical to the serial path, in input order.
         self.workers = workers
         #: Replay the trace in bursts of this size (one engine fixpoint per
         #: burst of PacketIns) when the controller program admits it; see
@@ -290,7 +255,7 @@ class Backtester:
         #: default) replays every candidate to completion, keeping all
         #: execution paths bit-identical.
         self.abort_policy = abort_policy
-        #: Reuse one warm engine+simulator pair per worker, switching
+        #: Reuse one warm engine+topology pair per process, switching
         #: candidates via checkpoint restore + rule delta instead of a cold
         #: rebuild (see :class:`WarmEvaluationState`).  Bit-identical to the
         #: cold path; ineligible candidates fall back automatically.
@@ -302,14 +267,12 @@ class Backtester:
         #: a ``vetoed`` note (see :class:`repro.analysis.vet.CandidateVetter`).
         self.static_vet = static_vet
         self._vetter = None
-        #: Minimum estimated serial runtime (baseline replay time x
-        #: candidate count) below which ``workers > 1`` degrades to the
-        #: serial path: forking a pool costs a few hundred milliseconds of
-        #: startup plus per-shard warm-state rebuilds (workers inherit the
-        #: parent's warm engine copy-on-write but re-fault it), so tiny
-        #: jobs run *slower* parallel — the Fig 9b crossover.  Set to 0 to
-        #: always honour the requested worker count.
-        self.parallel_min_seconds = parallel_min_seconds
+        #: Share the base program's work between candidates (Section 4.4):
+        #: packets a candidate's modified rules cannot affect adopt the
+        #: outcome of one shared base replay, built on first use and kept
+        #: for this backtester's life (see :class:`SharedTrunk`).
+        self.multiquery = multiquery
+        self._trunk: Optional[SharedTrunk] = None
         self._baseline_seconds: Optional[float] = None
         #: Per-process counters: candidates served warm vs cold fallbacks,
         #: plus candidates vetoed without any replay.
@@ -334,20 +297,11 @@ class Backtester:
             return trace[: self.trace_limit]
         return trace
 
-    def run_program(self, program: Optional[Program] = None,
-                    extra_tuples: Sequence = (),
-                    removed_tuples: Sequence = ()) -> TrafficStats:
-        """Replay the trace under a program; return its traffic statistics."""
-        topology = self.scenario.build_topology()
-        controller = self.scenario.build_controller(
-            program=program, extra_tuples=extra_tuples,
-            removed_tuples=removed_tuples)
-        simulator = NetworkSimulator(
+    def _simulator(self, topology, controller) -> NetworkSimulator:
+        return NetworkSimulator(
             topology, controller,
             require_packet_out=self.scenario.require_packet_out,
             record_ingress=False)
-        simulator.run_trace(self._trace(), batch_size=self.replay_batch_size)
-        return simulator.stats
 
     def baseline(self) -> TrafficStats:
         """Traffic distribution of the original (buggy) program.
@@ -358,93 +312,93 @@ class Backtester:
         """
         if self._baseline is None:
             started = _time.perf_counter()
-            self._baseline = self.run_program(None)
+            simulator = self._simulator(
+                self.scenario.build_topology(),
+                self.scenario.build_controller(program=None))
+            simulator.run_trace(self._trace(),
+                                batch_size=self.replay_batch_size)
+            self._baseline = simulator.stats
             self._baseline_seconds = _time.perf_counter() - started
         return self._baseline
+
+    def _span(self, name: str, **attrs):
+        """A telemetry span, or a no-op context when telemetry is off."""
+        if self.telemetry is None:
+            return nullcontext()
+        return self.telemetry.span(name, **attrs)
 
     # ------------------------------------------------------------------
     # Candidate evaluation
     # ------------------------------------------------------------------
 
-    def _warm(self) -> Optional[WarmEvaluationState]:
-        if not self.warm_engine:
-            return None
-        if self._warm_state is None:
-            self._warm_state = WarmEvaluationState(self.scenario)
-        return self._warm_state
-
     def probe_counters(self) -> Dict[str, int]:
         """Inert-probe hit/miss counts of the warm controller (zeros when
         no warm state exists, e.g. cold-only or remote runs)."""
         state = self._warm_state
-        controller = getattr(state, "controller", None) \
-            if state is not None else None
-        if controller is not None and hasattr(controller, "probe_counters"):
-            return controller.probe_counters()
+        if state is not None and hasattr(state.controller, "probe_counters"):
+            return state.controller.probe_counters()
         return {"inert_probe_hits": 0, "inert_probe_misses": 0}
 
-    def _replay_simulator(self, repaired: RepairedProgram) -> NetworkSimulator:
-        """A simulator ready to replay ``repaired`` — warm when eligible,
-        otherwise a cold per-candidate build (bit-identical either way)."""
-        warm = self._warm()
-        if warm is not None:
-            simulator = warm.prepare_simulator(repaired)
-            if simulator is not None:
+    def _candidate_network(self, repaired: RepairedProgram):
+        """``(topology, controller)`` ready to replay ``repaired`` — the warm
+        pair when eligible, otherwise a cold per-candidate build
+        (bit-identical either way)."""
+        if self.warm_engine:
+            if self._warm_state is None:
+                self._warm_state = WarmEvaluationState(self.scenario)
+            warm = self._warm_state
+            controller = warm.prepare_controller(repaired)
+            if controller is not None:
                 self.warm_hits += 1
-                return simulator
+                warm.reset_data_plane()
+                return warm.topology, controller
             self.warm_fallbacks += 1
-        topology = self.scenario.build_topology()
-        controller = self.scenario.build_controller(
-            program=repaired.program,
-            extra_tuples=repaired.inserted_tuples,
-            removed_tuples=repaired.removed_tuples)
-        return NetworkSimulator(
-            topology, controller,
-            require_packet_out=self.scenario.require_packet_out,
-            record_ingress=False)
+        return (self.scenario.build_topology(),
+                self.scenario.build_controller(
+                    program=repaired.program,
+                    extra_tuples=repaired.inserted_tuples,
+                    removed_tuples=repaired.removed_tuples))
 
-    def _engine_counters(self, simulator) -> Optional[Dict[str, int]]:
+    def _shared_trunk(self) -> SharedTrunk:
+        if self._trunk is None:
+            with self._span("trunk.build"):
+                self._trunk = SharedTrunk.build(self.scenario, self._trace())
+        return self._trunk
+
+    def evaluate(self, candidate: RepairCandidate) -> BacktestResult:
+        return self.evaluate_outcome(candidate).result
+
+    def evaluate_outcome(self, candidate: RepairCandidate) -> ShardOutcome:
+        """Hermetic evaluation of one candidate: the unit of work of the
+        serial loop and of every fabric worker alike."""
+        started = _time.perf_counter()
+        repaired = apply_candidate(self.scenario.program, candidate)
+        topology, controller = self._candidate_network(repaired)
+        if self.multiquery:
+            replayer = self._shared_trunk().replayer(
+                self.scenario, candidate, repaired.program, controller,
+                topology)
+        else:
+            replayer = self._simulator(topology, controller)
+        abort_note = self._replay(replayer, getattr(controller, "engine", None))
+        result = self.verdict(candidate, replayer.stats, note=abort_note,
+                              judge=abort_note is None)
+        result.elapsed_seconds = _time.perf_counter() - started
+        if self.telemetry is not None:
+            self.telemetry.metrics.histogram(
+                "candidate_replay_seconds").observe(result.elapsed_seconds)
+        outcome = ShardOutcome(result=result)
+        if self.multiquery:
+            outcome.shared_evaluations = replayer.shared_evaluations
+            outcome.candidate_evaluations = replayer.candidate_evaluations
+        return outcome
+
+    @staticmethod
+    def _engine_counters(engine) -> Optional[Dict[str, int]]:
         """Sample the replay engine's monotone telemetry counters."""
-        engine = getattr(simulator.controller, "engine", None)
         if engine is None or not hasattr(engine, "telemetry_counters"):
             return None
         return engine.telemetry_counters()
-
-    def _traced_replay(self, simulator, span) -> TrafficStats:
-        """Replay the whole trace under an open ``replay`` span.
-
-        Engine fixpoint/derivation counters are sampled before and after
-        (delta attrs on the span plus registry counters); with
-        ``slice_packets`` configured the trace replays in chunks, each
-        under its own ``replay.slice`` span — chunked ``run_trace`` is the
-        same execution the early-abort path performs, so statistics stay
-        bit-identical to the one-shot replay.
-        """
-        telemetry = self.telemetry
-        if telemetry.trace_fixpoints:
-            engine = getattr(simulator.controller, "engine", None)
-            if engine is not None and hasattr(engine, "tracer"):
-                engine.tracer = telemetry.tracer
-        before = self._engine_counters(simulator)
-        trace = self._trace()
-        slice_size = telemetry.slice_packets
-        if slice_size:
-            for offset in range(0, len(trace), slice_size):
-                chunk = trace[offset:offset + slice_size]
-                with telemetry.span("replay.slice", offset=offset,
-                                    packets=len(chunk)) as slice_span:
-                    slice_before = self._engine_counters(simulator)
-                    simulator.run_trace(chunk,
-                                        batch_size=self.replay_batch_size)
-                    self._span_engine_delta(slice_span, slice_before,
-                                            self._engine_counters(simulator))
-        else:
-            simulator.run_trace(trace, batch_size=self.replay_batch_size)
-        after = self._engine_counters(simulator)
-        self._span_engine_delta(span, before, after, record_metrics=True)
-        span.set("packets", len(trace))
-        telemetry.metrics.counter("packets_replayed").inc(len(trace))
-        return simulator.stats
 
     def _span_engine_delta(self, span, before, after,
                            record_metrics: bool = False) -> None:
@@ -456,191 +410,156 @@ class Backtester:
             if record_metrics and delta:
                 self.telemetry.metrics.counter(key).inc(delta)
 
-    def evaluate(self, candidate: RepairCandidate) -> BacktestResult:
-        started = _time.perf_counter()
-        repaired = apply_candidate(self.scenario.program, candidate)
-        abort_note = None
-        if self.abort_policy is None:
-            simulator = self._replay_simulator(repaired)
-            if self.telemetry is not None:
-                with self.telemetry.span("replay") as span:
-                    stats = self._traced_replay(simulator, span)
-            else:
-                simulator.run_trace(self._trace(),
-                                    batch_size=self.replay_batch_size)
-                stats = simulator.stats
-        else:
-            stats, abort_note = self._run_program_with_abort(repaired)
-        ks = compare_traffic(self.baseline(), stats)
-        if abort_note is not None:
-            effective = accepted = False
-            notes = candidate.notes + (abort_note,)
-        else:
-            effective = bool(self.scenario.is_effective(stats))
-            accepted = effective and not self._distorts(ks) \
-                and not self._overloads_controller(stats)
-            notes = candidate.notes
-        elapsed = _time.perf_counter() - started
-        if self.telemetry is not None:
-            self.telemetry.metrics.histogram(
-                "candidate_replay_seconds").observe(elapsed)
-        return BacktestResult(candidate=candidate, stats=stats, ks=ks,
-                              effective=effective, accepted=accepted,
-                              elapsed_seconds=elapsed, notes=notes)
+    def _replay(self, replayer, engine) -> Optional[str]:
+        """Replay the trace through ``replayer``; the abort note, or ``None``.
 
-    def _run_program_with_abort(self, repaired: RepairedProgram):
-        """Replay with the abort policy's mid-trace checks.
-
-        Returns ``(stats, note)`` where ``note`` is ``None`` for a completed
-        replay or the abort reason (the statistics then cover only the
-        replayed prefix).  With a ``replay_batch_size`` the trace replays in
-        bursts that *yield at batch boundaries*, where the policy's checks
-        run — :meth:`EarlyAbortPolicy.due_span` answers whether a check
-        point fell inside the burst just replayed (check points inside the
-        final burst are subsumed by the completed report's verdict logic;
-        see its docstring).  Without a batch size, the policy checks per
-        packet.
+        With telemetry on, every replay — plain, batched, aborted or
+        shared-trunk — runs under one ``replay`` span carrying the engine's
+        fixpoint/derivation counter deltas and the number of packets
+        actually replayed (the prefix length when aborted), which also
+        feeds the ``packets_replayed`` counter.
         """
-        policy = self.abort_policy
-        baseline = self.baseline()
-        simulator = self._replay_simulator(repaired)
+        telemetry = self.telemetry
+        if telemetry is None:
+            return self._replay_chunks(replayer, engine)[1]
+        with telemetry.span("replay") as span:
+            if telemetry.trace_fixpoints and hasattr(engine, "tracer"):
+                engine.tracer = telemetry.tracer
+            before = self._engine_counters(engine)
+            done, abort_note = self._replay_chunks(replayer, engine)
+            self._span_engine_delta(span, before,
+                                    self._engine_counters(engine),
+                                    record_metrics=True)
+            span.set("packets", done)
+            telemetry.metrics.counter("packets_replayed").inc(done)
+        return abort_note
+
+    def _replay_chunks(self, replayer, engine) -> Tuple[int, Optional[str]]:
+        """The one replay loop: ``(packets replayed, abort note or None)``.
+
+        The trace replays in chunks.  By default the chunk is the whole
+        trace — a single ``run_trace`` call.  Under an abort policy the
+        chunk is the burst size (``replay_batch_size``; the shared-trunk
+        replayer does not batch) or one packet, and the policy's checks run
+        at chunk ends: :meth:`EarlyAbortPolicy.due_span` answers whether a
+        check point fell inside the chunk just replayed, which at chunk size
+        1 is the per-packet ``due``.  With telemetry's ``slice_packets``
+        (and no abort policy, whose cadence must not depend on a telemetry
+        knob) each chunk is a slice under its own ``replay.slice`` span.
+        Chunked ``run_trace`` is the same execution as the one-shot call,
+        so statistics are bit-identical whatever the chunking.
+        """
         trace = self._trace()
-        threshold = None if self.use_significance else self.ks_threshold
         total = len(trace)
-        batch = self.replay_batch_size
-        if batch is not None and batch > 1:
-            done = 0
-            while done < total:
-                chunk = trace[done:done + batch]
-                simulator.run_trace(chunk, batch_size=batch)
-                previous, done = done, done + len(chunk)
-                if policy.due_span(previous, done, total):
-                    reason = policy.breach(simulator.stats, done, baseline,
-                                           threshold,
-                                           self.max_packet_in_growth)
-                    if reason is not None:
-                        note = (f"aborted after {done}/{total} packets: "
-                                f"{reason}")
-                        return simulator.stats, note
-            return simulator.stats, None
-        for done, (switch_id, packet) in enumerate(trace, 1):
-            simulator.inject(packet, switch_id)
-            if policy.due(done, total):
-                reason = policy.breach(simulator.stats, done, baseline,
+        policy = self.abort_policy
+        batch = None if self.multiquery else self.replay_batch_size
+        slice_packets = None
+        if policy is not None:
+            chunk = batch if batch is not None and batch > 1 else 1
+            baseline = self.baseline()
+            threshold = None if self.use_significance else self.ks_threshold
+        else:
+            if self.telemetry is not None:
+                slice_packets = self.telemetry.slice_packets
+            chunk = slice_packets or total
+        done = 0
+        while done < total:
+            piece = trace if chunk >= total else trace[done:done + chunk]
+            if slice_packets:
+                with self.telemetry.span("replay.slice", offset=done,
+                                         packets=len(piece)) as slice_span:
+                    before = self._engine_counters(engine)
+                    replayer.run_trace(piece, batch_size=batch)
+                    self._span_engine_delta(slice_span, before,
+                                            self._engine_counters(engine))
+            else:
+                replayer.run_trace(piece, batch_size=batch)
+            previous, done = done, done + len(piece)
+            if policy is not None and policy.due_span(previous, done, total):
+                reason = policy.breach(replayer.stats, done, baseline,
                                        threshold, self.max_packet_in_growth)
                 if reason is not None:
-                    note = (f"aborted after {done}/{total} packets: "
-                            f"{reason}")
-                    return simulator.stats, note
-        return simulator.stats, None
+                    return done, (f"aborted after {done}/{total} packets: "
+                                  f"{reason}")
+        return done, None
 
-    def _overloads_controller(self, stats: TrafficStats) -> bool:
-        if self.max_packet_in_growth is None:
-            return False
-        baseline_load = max(1, self.baseline().packet_in_count)
-        return stats.packet_in_count > baseline_load * self.max_packet_in_growth
+    def verdict(self, candidate: RepairCandidate, stats: TrafficStats,
+                note: Optional[str] = None,
+                judge: bool = True) -> BacktestResult:
+        """The one place ``effective`` and ``accepted`` are decided.
 
-    def _distorts(self, ks: KSResult) -> bool:
-        if self.use_significance:
-            return ks.significant(self.alpha)
-        return ks.statistic > self.ks_threshold
-
-    def _evaluate_for_shard(self, candidate: RepairCandidate,
-                            trunk) -> ShardOutcome:
-        """Hermetic per-candidate evaluation used by serial and pool paths.
-
-        Subclasses override this (together with :meth:`_build_trunk`) to
-        share more precomputed state; the base backtester only needs the
-        cached baseline, which :meth:`evaluate_all` computes before forking.
+        ``stats`` are judged against the baseline: effective if the
+        scenario's predicate holds, accepted if also neither the traffic
+        distribution (KS) nor the controller load is distorted.
+        ``judge=False`` reports a flat rejection instead — for statistics
+        that do not describe a complete replay of the candidate (aborted
+        prefixes, candidates that cannot be evaluated, quarantined items);
+        ``note`` says why and is appended to the candidate's notes.
         """
-        return ShardOutcome(result=self.evaluate(candidate))
-
-    def _build_trunk(self):
-        """Precompute state shared by every candidate (parent process only)."""
-        self.baseline()
-        return None
-
-    def _use_workers(self, candidates, workers: Optional[int]) -> int:
-        """Effective worker count (platform capability is decided later)."""
-        workers = self.workers if workers is None else workers
-        if workers is None or workers <= 1 or len(candidates) <= 1:
-            return 1
-        return workers
+        baseline = self.baseline()
+        ks = compare_traffic(baseline, stats)
+        effective = judge and bool(self.scenario.is_effective(stats))
+        distorted = (ks.significant(self.alpha) if self.use_significance
+                     else ks.statistic > self.ks_threshold)
+        growth = self.max_packet_in_growth
+        overloaded = growth is not None and stats.packet_in_count > \
+            max(1, baseline.packet_in_count) * growth
+        accepted = effective and not distorted and not overloaded
+        notes = candidate.notes if note is None else candidate.notes + (note,)
+        return BacktestResult(candidate=candidate, stats=stats, ks=ks,
+                              effective=effective, accepted=accepted,
+                              notes=notes)
 
     def _run_candidates(self, candidates: List[RepairCandidate],
                         workers: Optional[int],
                         scheduler, progress=None) -> List[ShardOutcome]:
-        """Evaluate candidates via the requested execution path.
+        """Evaluate candidates serially or through the worker fabric.
 
-        ``scheduler`` (a :class:`repro.distrib.Scheduler`) routes through
-        the distributed backtest fabric.  Otherwise ``workers > 1`` shards
-        over a ``fork`` pool when the platform has one; without ``fork`` the
-        evaluation degrades to the fabric's ``spawn`` transport (the
-        scenario's :class:`ScenarioSpec` makes workers reconstructible)
-        rather than silently running serial.  All paths return bit-identical
-        outcomes in input order.
-
-        ``progress(done, total, result)`` streams completed results on the
-        serial and scheduler paths; the fork pool blocks until all shards
-        return, so there it reports the finished outcomes in input order.
+        ``scheduler`` (a :class:`repro.distrib.Scheduler`) is used as given.
+        Without one, ``workers > 1`` builds a ``spawn`` scheduler owned for
+        this call — provided the scenario carries a
+        :class:`~repro.scenarios.spec.ScenarioSpec` (fabric workers rebuild
+        the scenario from it; a live scenario object without a spec cannot
+        leave the process, so it runs serial) and the job is estimated at
+        :data:`PARALLEL_MIN_SECONDS` or more of serial replay (the baseline
+        replay, timed by ``evaluate_all``, times the candidate count, since
+        every candidate replays the same trace).  All paths return bit-identical
+        outcomes in input order and stream ``progress(done, total,
+        result)`` as candidates complete.
         """
         if scheduler is not None:
             if progress is None:      # keep duck-typed scheduler stubs happy
                 return scheduler.run(self, candidates)
             return scheduler.run(self, candidates, progress=progress)
-        workers = self._use_workers(candidates, workers)
-        if workers > 1 and self.parallel_min_seconds > 0:
-            # Min-work threshold (the Fig 9b crossover): when the whole
-            # candidate list replays serially in less time than pool
-            # startup amortises, parallel dispatch is a net loss.  The
-            # baseline replay — needed anyway — is the per-candidate
-            # estimate, since each candidate replays the same trace.
-            self.baseline()
-            estimate = (self._baseline_seconds or 0.0) * len(candidates)
-            if estimate < self.parallel_min_seconds:
-                workers = 1
-        if workers > 1:
-            if fork_available():
-                trunk = self._build_trunk()
-                outcomes = _run_sharded(self, candidates, trunk, workers)
-                if progress is not None:
-                    for done, outcome in enumerate(outcomes, 1):
-                        progress(done, len(outcomes), outcome.result)
-                return outcomes
-            if getattr(self.scenario, "spec", None) is not None:
-                from ..distrib import Scheduler
-                with Scheduler(transport="spawn", workers=workers) as degraded:
-                    if progress is None:
-                        return degraded.run(self, candidates)
-                    return degraded.run(self, candidates, progress=progress)
-        trunk = self._build_trunk()
+        workers = self.workers if workers is None else workers
+        if ((workers or 1) > 1 and len(candidates) > 1
+                and getattr(self.scenario, "spec", None) is not None
+                and (self._baseline_seconds or 0.0) * len(candidates)
+                >= PARALLEL_MIN_SECONDS):
+            from ..distrib import Scheduler
+            with Scheduler(transport="spawn", workers=workers) as owned:
+                return self._run_candidates(candidates, workers, owned,
+                                            progress=progress)
         outcomes = []
         for done, candidate in enumerate(candidates, 1):
-            if self.telemetry is not None:
-                with self.telemetry.span("candidate", index=done - 1,
-                                         tag=candidate.tag,
-                                         description=candidate.description):
-                    outcome = self._evaluate_for_shard(candidate, trunk)
-            else:
-                outcome = self._evaluate_for_shard(candidate, trunk)
+            with self._span("candidate", index=done - 1, tag=candidate.tag,
+                            description=candidate.description):
+                outcome = self.evaluate_outcome(candidate)
             outcomes.append(outcome)
             if progress is not None:
                 progress(done, len(candidates), outcome.result)
         return outcomes
 
     def _absorb_outcomes(self, outcomes) -> None:
-        """Stitch telemetry piggybacked on worker outcomes (fork pool or
-        fabric) into this process's bundle; clear it so a re-absorb (e.g.
-        a cached outcome) cannot double-count."""
+        """Stitch telemetry piggybacked on fabric workers' outcomes into
+        this process's bundle; clear it so a re-absorb (e.g. a cached
+        outcome) cannot double-count."""
         if self.telemetry is None:
             return
         for outcome in outcomes:
-            spans = getattr(outcome, "spans", None)
-            metrics = getattr(outcome, "metrics", None)
-            if spans or metrics:
-                self.telemetry.absorb(spans, metrics)
-                outcome.spans = []
-                outcome.metrics = None
+            if outcome.spans or outcome.metrics:
+                self.telemetry.absorb(outcome.spans, outcome.metrics)
+                outcome.spans, outcome.metrics = [], None
 
     # ------------------------------------------------------------------
     # Static vetting (parent-side, before any replay)
@@ -661,33 +580,17 @@ class Backtester:
                             if mapping is not None else None))
         return self._vetter
 
-    def _vetoed_result(self, candidate: RepairCandidate, verdict,
-                       elapsed: float) -> BacktestResult:
-        """The result a vetoed candidate's replay *would* have produced.
-
-        Inert-insert and no-op vetoes are behaviour-preservation proofs:
-        the patched run is bit-identical to the baseline, so the verdict
-        fields are computed from the baseline statistics exactly as
-        :meth:`evaluate` would have.  Candidates vetoed because they fail
-        to evaluate at all (apply errors, unsupported negation) have no
-        well-defined replay and are reported flatly rejected.
-        """
-        baseline = self.baseline()
-        note = f"vetoed by static analysis: {verdict.reason}"
-        ks = compare_traffic(baseline, baseline)
-        if verdict.reason in ("apply-failed", "negation-unsupported"):
-            effective = accepted = False
-        else:
-            effective = bool(self.scenario.is_effective(baseline))
-            accepted = effective and not self._distorts(ks) \
-                and not self._overloads_controller(baseline)
-        return BacktestResult(candidate=candidate, stats=baseline, ks=ks,
-                              effective=effective, accepted=accepted,
-                              elapsed_seconds=elapsed,
-                              notes=candidate.notes + (note,))
-
     def _prefilter(self, candidates: Sequence[RepairCandidate]):
-        """Vet all candidates; returns (survivors, index -> vetoed result)."""
+        """Vet all candidates; returns (survivors, index -> vetoed result).
+
+        A vetoed candidate gets the result its replay *would* have
+        produced.  Inert-insert and no-op vetoes are behaviour-preservation
+        proofs: the patched run is bit-identical to the baseline, so the
+        baseline statistics are judged exactly as a replay's would be.
+        Candidates vetoed because they fail to evaluate at all (apply
+        errors, unsupported negation) have no well-defined replay and are
+        reported flatly rejected.
+        """
         if not self.static_vet:
             return list(candidates), {}
         vetter = self._candidate_vetter()
@@ -697,42 +600,40 @@ class Backtester:
             started = _time.perf_counter()
             verdict = vetter.vet_candidate(candidate)
             if verdict.rejected:
-                elapsed = _time.perf_counter() - started
-                vetoed[index] = self._vetoed_result(candidate, verdict,
-                                                    elapsed)
+                vetoed[index] = self.verdict(
+                    candidate, self.baseline(),
+                    note=f"vetoed by static analysis: {verdict.reason}",
+                    judge=verdict.reason not in ("apply-failed",
+                                                 "negation-unsupported"))
+                vetoed[index].elapsed_seconds = \
+                    _time.perf_counter() - started
                 self.vetoed += 1
             else:
                 survivors.append(candidate)
         return survivors, vetoed
 
-    @staticmethod
-    def _merge_results(report: BacktestReport, total: int, outcomes,
-                       vetoed: Dict[int, BacktestResult]):
-        """Interleave replayed and vetoed results back into input order."""
-        replayed = iter(outcomes)
-        merged = []
-        for index in range(total):
-            if index in vetoed:
-                report.results.append(vetoed[index])
-            else:
-                outcome = next(replayed)
-                report.results.append(outcome.result)
-                merged.append(outcome)
-        report.vetoed_count = len(vetoed)
-        return merged
-
     def evaluate_all(self, candidates: Sequence[RepairCandidate],
                      workers: Optional[int] = None,
                      scheduler=None, progress=None) -> BacktestReport:
         started = _time.perf_counter()
-        report = BacktestReport(baseline=self.baseline())
-        report.packet_count = len(self._trace())
+        report = BacktestReport(baseline=self.baseline(),
+                                packet_count=len(self._trace()))
         all_candidates = list(candidates)
         survivors, vetoed = self._prefilter(all_candidates)
         outcomes = self._run_candidates(survivors, workers, scheduler,
                                         progress=progress)
         self._absorb_outcomes(outcomes)
-        self._merge_results(report, len(all_candidates), outcomes, vetoed)
+        # Interleave replayed and vetoed results back into input order.
+        replayed = iter(outcomes)
+        for index in range(len(all_candidates)):
+            if index in vetoed:
+                report.results.append(vetoed[index])
+                continue
+            outcome = next(replayed)
+            report.results.append(outcome.result)
+            report.shared_evaluations += outcome.shared_evaluations
+            report.candidate_evaluations += outcome.candidate_evaluations
+        report.vetoed_count = len(vetoed)
         report.quarantined_count = sum(
             1 for result in report.results
             if any(str(note).startswith("quarantined(")

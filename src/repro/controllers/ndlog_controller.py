@@ -246,7 +246,10 @@ class NDlogController(Controller):
         controller as static tuples and pushed proactively here.
         """
         messages: List[object] = []
-        for tup in self.engine.tuples(self.mapping.flow_table):
+        # In value order, not the engine's set order: entries of equal
+        # priority are matched in installation order, so hash order here
+        # would make the replay depend on PYTHONHASHSEED.
+        for tup in self.flow_table_tuples():
             translated = self.mapping.flow_entry_from_tuple(
                 tup, self.priority, self.tags)
             if translated is not None:
@@ -429,8 +432,10 @@ class NDlogController(Controller):
     # ------------------------------------------------------------------
 
     def flow_table_tuples(self) -> List[NDTuple]:
+        """Flow tuples in value order (type name first, so a wildcard
+        ``'*'`` next to an integer in the same column still compares)."""
         return sorted(self.engine.tuples(self.mapping.flow_table),
-                      key=lambda t: t.values)
+                      key=lambda t: [(type(v).__name__, v) for v in t.values])
 
     def history_tuples(self) -> List[NDTuple]:
         """Base tuples observed by the controller (for the HistoryIndex)."""

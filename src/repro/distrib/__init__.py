@@ -37,21 +37,20 @@ from .coordinator import Coordinator, Scheduler
 from .faults import (FAULT_KINDS, FaultAction, FaultInjector, FaultPlan,
                      FaultStats, FaultToleranceConfig, InjectedFault,
                      QuarantinedItem, retry_or_quarantine)
-from .jobs import (BACKTESTER_CLASSES, DistribError, JobRuntime,
-                   RuntimeCache, build_job_wire, job_digest,
-                   register_backtester, strip_candidates)
+from .jobs import (DistribError, JobRuntime, RuntimeCache, build_job_wire,
+                   job_digest, strip_candidates)
 from .pool import (DispatchPolicy, FrameError, PoolJob, TransportError,
                    WorkItem, WorkerPool)
 from .transport import (BaseTransport, InProcessTransport, SocketTransport,
                         make_transport)
 
 __all__ = [
-    "BACKTESTER_CLASSES", "BaseTransport", "Coordinator", "DispatchPolicy",
+    "BaseTransport", "Coordinator", "DispatchPolicy",
     "DistribError", "EarlyAbortPolicy", "FAULT_KINDS", "FaultAction",
     "FaultInjector", "FaultPlan", "FaultStats", "FaultToleranceConfig",
     "FrameError", "InProcessTransport", "InjectedFault", "JobRuntime",
     "PoolJob", "QuarantinedItem", "RuntimeCache", "Scheduler",
     "SocketTransport", "TransportError", "WorkItem", "WorkerPool",
-    "build_job_wire", "job_digest", "make_transport", "register_backtester",
+    "build_job_wire", "job_digest", "make_transport",
     "retry_or_quarantine", "strip_candidates",
 ]

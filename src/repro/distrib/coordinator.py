@@ -1,9 +1,8 @@
 """The work-queue coordinator: one candidate queue, many workers.
 
-The coordinator replaces PR 2's static fork sharding with dynamic
-pull-based dispatch: per-candidate work items sit in one queue, workers
-take the next item when they finish the last, and results stream back as
-they complete.  The coordinator
+Dispatch is dynamic and pull-based: per-candidate work items sit in one
+queue, workers take the next item when they finish the last, and results
+stream back as they complete.  The coordinator
 
 * reorders streamed results into **input order** (the order callers and
   reports rely on),
@@ -37,7 +36,6 @@ import threading
 from typing import Callable, List, Optional, Sequence, Union
 
 from ..backtest.abort import EarlyAbortPolicy
-from ..backtest.metrics import compare_traffic
 from ..backtest.replay import Backtester, BacktestResult, ShardOutcome
 from ..events import (CandidateQuarantined, EventBus, FabricFaultStats,
                       progress_to_events)
@@ -137,19 +135,16 @@ class Coordinator:
                     telemetry) -> ShardOutcome:
         """A deterministic error-shaped outcome for a given-up item.
 
-        Mirrors ``Backtester._vetoed_result``: baseline statistics, a
-        self-comparison KS, a flat rejection, and a machine-readable
-        ``quarantined(<reason>) after N attempts`` note — identical on
-        every run of the same fault plan, which is what lets chaos tests
-        assert bit-identical reports modulo quarantine rows.
+        Like a vetoed candidate that cannot be evaluated: the backtester's
+        flat-rejection verdict over the baseline statistics (hence a
+        self-comparison KS) with a machine-readable ``quarantined(<reason>)
+        after N attempts`` note — identical on every run of the same fault
+        plan, which is what lets chaos tests assert bit-identical reports
+        modulo quarantine rows.
         """
-        baseline = backtester.baseline()
-        note = f"quarantined({item.reason}) after {item.attempts} attempts"
-        result = BacktestResult(candidate=candidate, stats=baseline,
-                                ks=compare_traffic(baseline, baseline),
-                                effective=False, accepted=False,
-                                elapsed_seconds=0.0,
-                                notes=candidate.notes + (note,))
+        result = backtester.verdict(
+            candidate, backtester.baseline(), judge=False,
+            note=f"quarantined({item.reason}) after {item.attempts} attempts")
         if self.events is not None:
             self.events.emit(CandidateQuarantined(
                 index=item.index, description=candidate.description or "",

@@ -6,8 +6,8 @@ can reconstruct everything it needs:
 
 * the scenario, as a :class:`~repro.scenarios.spec.ScenarioSpec` (name +
   builder parameters + seed; see the registry in :mod:`repro.scenarios`),
-* the backtester (registered class name + constructor configuration,
-  including the optional early-abort policy),
+* the backtester (constructor configuration — ``multiquery`` included —
+  plus the optional early-abort policy),
 * the candidate list, in the structural wire format of
   :mod:`repro.repair.candidates`.
 
@@ -15,19 +15,19 @@ Everything in the job wire dict is JSON-able, so any transport that can
 move dicts can move jobs.  Results flow the other way as
 :class:`~repro.backtest.replay.ShardOutcome` objects with the candidate
 stripped (the coordinator re-attaches its own copy, meta provenance tree
-included), exactly like the fork pool does.
+included).
 
 The :class:`JobRuntime` is the worker half: it rebuilds the scenario and
-backtester once per job, computes the shared trunk lazily on the first
-evaluation, and then serves per-candidate work items by index.  Because the
-runtime calls the same ``_build_trunk`` / ``_evaluate_for_shard`` methods
-as the serial and fork paths, its results are bit-identical to both.
+backtester once per job and then serves per-candidate work items by index.
+Because the runtime calls the same ``Backtester.evaluate_outcome`` as the
+serial loop (which builds the multi-query shared trunk on first use), its
+results are bit-identical to the serial path's.
 
 Two refinements keep repeated jobs cheap:
 
 * **Runtime cache.**  Workers persist across jobs, so they keep a
   :class:`RuntimeCache` keyed by the job's :func:`job_digest` — the
-  scenario spec, backtester class and configuration.  A repeated
+  scenario spec and backtester configuration.  A repeated
   ``evaluate_all`` on the same scenario reuses the worker's scenario,
   backtester (warm engine included) and already-built shared trunk instead
   of rebuilding them from the wire.
@@ -46,10 +46,9 @@ import json
 import os
 import time as _time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Dict, List, Optional, Sequence
 
 from ..backtest.abort import EarlyAbortPolicy
-from ..backtest.multiquery import MultiQueryBacktester
 from ..backtest.replay import Backtester, ShardOutcome
 from ..repair.candidates import (RepairCandidate, candidate_from_wire,
                                  candidate_to_wire)
@@ -60,27 +59,12 @@ class DistribError(RuntimeError):
     """Raised for fabric-level failures (bad jobs, unusable scenarios)."""
 
 
-#: Backtester classes a job may name.  Subclasses must register themselves
-#: (:func:`register_backtester`) to be evaluable on spawn/remote workers.
-BACKTESTER_CLASSES: Dict[str, Type[Backtester]] = {}
-
-
-def register_backtester(cls: Type[Backtester],
-                        name: Optional[str] = None) -> Type[Backtester]:
-    """Register a backtester class for wire-format jobs (usable as a
-    decorator)."""
-    BACKTESTER_CLASSES[name or cls.__name__] = cls
-    return cls
-
-
-register_backtester(Backtester)
-register_backtester(MultiQueryBacktester)
-
 #: Constructor keywords that travel with a job.  ``workers`` intentionally
 #: stays local: parallelism is the transport's business, and a worker that
-#: forked its own pool would double-shard.
+#: started its own fleet would double-shard.
 _CONFIG_FIELDS = ("ks_threshold", "alpha", "use_significance", "trace_limit",
-                  "max_packet_in_growth", "replay_batch_size", "warm_engine")
+                  "max_packet_in_growth", "replay_batch_size", "warm_engine",
+                  "multiquery")
 
 
 def build_job_wire(backtester: Backtester,
@@ -107,16 +91,10 @@ def build_job_wire(backtester: Backtester,
             "scenario has no ScenarioSpec; build it via "
             "repro.scenarios.build_scenario (or set scenario.spec) so "
             "spawn/remote workers can reconstruct it")
-    class_name = type(backtester).__name__
-    if BACKTESTER_CLASSES.get(class_name) is not type(backtester):
-        raise DistribError(
-            f"backtester class {class_name!r} is not registered for "
-            f"distributed evaluation; call repro.distrib.register_backtester")
     if abort_policy is None:
         abort_policy = backtester.abort_policy
     job_wire = {
         "spec": spec.to_wire(),
-        "backtester": class_name,
         "config": {key: getattr(backtester, key) for key in _CONFIG_FIELDS},
         "abort": abort_policy.to_wire() if abort_policy is not None else None,
         "candidates": [candidate_to_wire(c) for c in candidates],
@@ -137,7 +115,6 @@ def job_digest(job_wire: Dict) -> str:
     re-points per job.
     """
     basis = json.dumps({"spec": job_wire["spec"],
-                        "backtester": job_wire["backtester"],
                         "config": job_wire["config"]},
                        sort_keys=True, default=str)
     return hashlib.sha256(basis.encode("utf-8")).hexdigest()
@@ -157,15 +134,14 @@ def strip_candidates(job_wire: Dict) -> Dict:
 
 
 class _RuntimeEntry:
-    """One cached (scenario, backtester, trunk) trio."""
+    """One cached (scenario, backtester) pair; the backtester holds its
+    warm engine, baseline and shared trunk."""
 
-    __slots__ = ("scenario", "backtester", "trunk", "trunk_built")
+    __slots__ = ("scenario", "backtester")
 
     def __init__(self, scenario, backtester):
         self.scenario = scenario
         self.backtester = backtester
-        self.trunk = None
-        self.trunk_built = False
 
 
 class RuntimeCache:
@@ -240,14 +216,17 @@ class JobRuntime:
     transport and the serial drain) or a stripped header from
     :func:`strip_candidates`, in which case candidate wires arrive with
     each :meth:`evaluate` call.  With a :class:`RuntimeCache`, the
-    scenario/backtester/trunk trio is shared across same-digest jobs.
+    scenario/backtester pair is shared across same-digest jobs.
     """
 
     def __init__(self, job_wire: Dict, cache: Optional[RuntimeCache] = None):
         try:
             spec_wire = job_wire["spec"]
-            cls = BACKTESTER_CLASSES[job_wire["backtester"]]
             config = dict(job_wire["config"])
+            if "backtester" in job_wire or set(config) != set(_CONFIG_FIELDS):
+                raise ValueError(
+                    f"expected no 'backtester' class name and exactly the "
+                    f"config keys {sorted(_CONFIG_FIELDS)}")
             abort_wire = job_wire.get("abort")
             if "candidates" in job_wire:
                 self.candidates: List[Optional[RepairCandidate]] = [
@@ -263,11 +242,10 @@ class JobRuntime:
         entry = cache.get(digest) if cache is not None else None
         if entry is None:
             scenario = ScenarioSpec.from_wire(spec_wire).build()
-            backtester = cls(scenario, workers=1, **config)
+            backtester = Backtester(scenario, workers=1, **config)
             entry = _RuntimeEntry(scenario, backtester)
             if cache is not None:
                 cache.put(digest, entry)
-        self._entry = entry
         self.scenario = entry.scenario
         self.backtester = entry.backtester
         #: The policy is per-job even when the runtime is cached.
@@ -298,14 +276,9 @@ class JobRuntime:
                     f"wire came with the item")
             candidate = candidate_from_wire(candidate_wire)
             self.candidates[index] = candidate
-        entry = self._entry
         telemetry = self.telemetry
         if telemetry is None:
-            if not entry.trunk_built:
-                entry.trunk = self.backtester._build_trunk()
-                entry.trunk_built = True
-            outcome = self.backtester._evaluate_for_shard(candidate,
-                                                          entry.trunk)
+            outcome = self.backtester.evaluate_outcome(candidate)
             outcome.result.candidate = None
             return outcome
         # Deterministic cross-process span id: the coordinator's job span
@@ -317,12 +290,7 @@ class JobRuntime:
         with telemetry.span("candidate", span_id=f"{parent_id}.c{index}",
                             index=index, worker_pid=os.getpid(),
                             description=(candidate.description or "")):
-            if not entry.trunk_built:
-                with telemetry.span("trunk.build"):
-                    entry.trunk = self.backtester._build_trunk()
-                entry.trunk_built = True
-            outcome = self.backtester._evaluate_for_shard(candidate,
-                                                          entry.trunk)
+            outcome = self.backtester.evaluate_outcome(candidate)
         elapsed = _time.perf_counter() - started
         telemetry.metrics.counter("worker_items", worker=worker).inc()
         telemetry.metrics.histogram("worker_item_seconds",

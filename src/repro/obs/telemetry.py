@@ -83,18 +83,6 @@ class Telemetry:
         if metrics_delta:
             self.metrics.merge(metrics_delta)
 
-    def fork_capture(self) -> Tuple[int, Dict[str, list]]:
-        """Mark the current state in a forked child (which inherited the
-        parent's already-finished spans and metrics by copy-on-write)."""
-        return len(self.tracer.finished), self.metrics.snapshot()
-
-    def fork_collect(self, mark: Tuple[int, Dict[str, list]]
-                     ) -> Tuple[List[Dict[str, Any]], Dict[str, list]]:
-        """Spans/metrics accrued since :meth:`fork_capture` — the only part
-        of the child's telemetry that ships back to the parent."""
-        spans = self.tracer.finished[mark[0]:]
-        return spans, self.metrics.delta_since(mark[1])
-
     # -- event stamping ----------------------------------------------------
 
     def stamp_event(self, event):

@@ -81,8 +81,8 @@ class NDlogScenario:
         #: Spawn-safe handle (set by ``build_scenario`` / ``ScenarioSpec``):
         #: names this scenario in the builder registry so worker processes
         #: can reconstruct it without pickling closures.  ``None`` for
-        #: hand-assembled scenarios, which then only support in-process and
-        #: fork evaluation.
+        #: hand-assembled scenarios, which are then only evaluated in the
+        #: calling process.
         self.spec = None
         self._trace: Optional[List[Tuple[int, Packet]]] = None
 

@@ -1,9 +1,8 @@
 """Spawn-safe scenario specifications.
 
 Scenarios themselves are not picklable: they close over topology and trace
-factories, hold a parsed program and cache a materialised trace.  The fork
-start method sidesteps this (workers inherit the parent's objects), but
-``spawn`` workers and remote machines get a fresh interpreter and need a
+factories, hold a parsed program and cache a materialised trace.  Worker
+processes and remote machines get a fresh interpreter and need a
 *description* they can rebuild the scenario from.
 
 A :class:`ScenarioSpec` is that description: the registered scenario name,

@@ -16,7 +16,7 @@ import pytest
 
 from repro.analysis import CandidateVetter
 from repro.api import CandidateVetoed, RepairConfig, RepairSession
-from repro.backtest import Backtester, MultiQueryBacktester
+from repro.backtest import Backtester
 from repro.events import WarmEngineStats, event_from_wire
 from repro.ndlog.parser import parse_program
 from repro.repair import AddRule, ChangeConstant, RepairCandidate
@@ -120,7 +120,8 @@ def test_accepted_sets_identical_and_fewer_replays(name):
 def test_multiquery_backtester_vets_identically():
     scenario, candidates = scenario_and_candidates("Q1")
     _c, _v, (_on, sequential), _off = reports_for("Q1")
-    multi = MultiQueryBacktester(scenario, ks_threshold=scenario.ks_threshold)
+    multi = Backtester(scenario, ks_threshold=scenario.ks_threshold,
+                       multiquery=True)
     report = multi.evaluate_all(candidates)
     assert report.vetoed_count == sequential.vetoed_count
     assert [(r.candidate.description, r.accepted) for r in report.results] \

@@ -122,3 +122,32 @@ def test_boolean_flags_override_config_both_ways(tmp_path):
     config = _config_from_args(args)
     assert config.multiquery is False
     assert config.warm_engine is True
+
+
+def test_q4_report_does_not_depend_on_the_hash_seed():
+    """Reports are a pure function of (config, scenario): Q4's candidate
+    that derives two equal-priority wildcard flow entries used to install
+    them in set (hash) order, so one row's KS statistic flipped with
+    PYTHONHASHSEED.  Fresh interpreters, because the seed is fixed at
+    start-up."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    source_root = os.path.dirname(os.path.dirname(repro.__file__))
+
+    def report_bytes(hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                   PYTHONPATH=os.pathsep.join(
+                       [source_root, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "repair", "q4", "--json",
+             "--quiet"], env=env, check=True, capture_output=True,
+            timeout=120).stdout
+        wire = json.loads(out)
+        del wire["timings"]
+        return json.dumps(wire, sort_keys=True).encode()
+
+    assert report_bytes(0) == report_bytes(3)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.api import ConfigError, RepairConfig
-from repro.backtest import Backtester, EarlyAbortPolicy, MultiQueryBacktester
+from repro.backtest import Backtester, EarlyAbortPolicy
 from repro.scenarios import build_scenario
 from repro.scenarios.spec import ScenarioSpec
 
@@ -93,7 +93,7 @@ def test_make_backtester_wires_every_knob():
     config = full_config()
     scenario = build_scenario("Q2")
     backtester = config.make_backtester(scenario)
-    assert isinstance(backtester, MultiQueryBacktester)
+    assert isinstance(backtester, Backtester) and backtester.multiquery
     assert backtester.ks_threshold == 0.11
     assert backtester.alpha == 0.01
     assert backtester.use_significance is True

@@ -6,7 +6,6 @@ from scipy import stats as scipy_stats
 
 from repro.backtest import (
     Backtester,
-    MultiQueryBacktester,
     format_table,
     ks_two_sample,
     rank_results,
@@ -108,16 +107,16 @@ class TestMultiQueryBacktesting:
         candidates = list(q1_candidates)
         sequential = Backtester(q1, ks_threshold=q1.ks_threshold
                                 ).evaluate_all(candidates)
-        joint = MultiQueryBacktester(q1, ks_threshold=q1.ks_threshold
-                                     ).evaluate_all(candidates)
+        joint = Backtester(q1, ks_threshold=q1.ks_threshold,
+                           multiquery=True).evaluate_all(candidates)
         assert [r.accepted for r in sequential.results] == \
                [r.accepted for r in joint.results]
         assert [r.effective for r in sequential.results] == \
                [r.effective for r in joint.results]
 
     def test_sharing_is_reported(self, q1, q1_candidates):
-        report = MultiQueryBacktester(q1, ks_threshold=q1.ks_threshold
-                                      ).evaluate_all(list(q1_candidates))
+        report = Backtester(q1, ks_threshold=q1.ks_threshold, multiquery=True
+                            ).evaluate_all(list(q1_candidates))
         assert report.shared_evaluations + report.candidate_evaluations > 0
         assert 0.0 <= report.sharing_ratio() <= 1.0
 
@@ -129,8 +128,8 @@ class TestMultiQueryBacktesting:
         packet, double-counting decisions and skewing sharing_ratio().
         """
         candidates = list(q1_candidates)
-        report = MultiQueryBacktester(q1, ks_threshold=q1.ks_threshold
-                                      ).evaluate_all(candidates)
+        report = Backtester(q1, ks_threshold=q1.ks_threshold,
+                            multiquery=True).evaluate_all(candidates)
         assert report.packet_count == len(q1.trace())
         assert report.shared_evaluations + report.candidate_evaluations == \
             report.packet_count * len(candidates)
@@ -153,23 +152,23 @@ class TestMultiQueryAccounting:
     def test_elapsed_seconds_recorded_per_candidate(self, q1, q1_candidates):
         """Regression: multiquery results left elapsed_seconds at 0.0, so
         reports were not comparable with the sequential backtester."""
-        report = MultiQueryBacktester(q1, ks_threshold=q1.ks_threshold
-                                      ).evaluate_all(list(q1_candidates))
+        report = Backtester(q1, ks_threshold=q1.ks_threshold, multiquery=True
+                            ).evaluate_all(list(q1_candidates))
         assert all(r.elapsed_seconds > 0.0 for r in report.results)
         assert report.elapsed_seconds >= max(r.elapsed_seconds
                                              for r in report.results)
 
     def test_overload_check_applied_by_multiquery(self, q1, q1_candidates):
-        """Regression: MultiQueryBacktester.evaluate_all omitted the
+        """Regression: the multiquery evaluation omitted the
         _overloads_controller check, so a candidate flooding the controller
         could be accepted jointly but rejected sequentially.  With the
         growth cap below 1.0 every effective candidate trips the check."""
         good, _ = q1_candidates
         sequential = Backtester(q1, ks_threshold=q1.ks_threshold,
                                 max_packet_in_growth=0.5).evaluate_all([good])
-        joint = MultiQueryBacktester(q1, ks_threshold=q1.ks_threshold,
-                                     max_packet_in_growth=0.5
-                                     ).evaluate_all([good])
+        joint = Backtester(q1, ks_threshold=q1.ks_threshold,
+                           max_packet_in_growth=0.5, multiquery=True
+                           ).evaluate_all([good])
         assert sequential.results[0].effective
         assert not sequential.results[0].accepted
         assert [r.accepted for r in joint.results] == \
@@ -177,8 +176,8 @@ class TestMultiQueryAccounting:
         # Control: without the cap the same candidate passes both paths.
         relaxed_seq = Backtester(q1, ks_threshold=q1.ks_threshold
                                  ).evaluate_all([good])
-        relaxed_joint = MultiQueryBacktester(q1, ks_threshold=q1.ks_threshold
-                                             ).evaluate_all([good])
+        relaxed_joint = Backtester(q1, ks_threshold=q1.ks_threshold,
+                                   multiquery=True).evaluate_all([good])
         assert relaxed_seq.results[0].accepted
         assert relaxed_joint.results[0].accepted
 

@@ -1,6 +1,6 @@
 """Parity suite: parallel and batched backtesting are optimisations.
 
-Process-sharded candidate evaluation (``workers > 1``), batched trace replay
+Fleet-dispatched candidate evaluation (``workers > 1``), batched trace replay
 (``replay_batch_size``) and the batched PacketIn fixpoint behind it must all
 produce **bit-identical** reports to the serial per-packet path: the same
 ``TrafficStats`` (delivery records included), KS statistics, verdicts and
@@ -11,8 +11,8 @@ fallback to per-packet replay.
 
 import pytest
 
-from repro.backtest import Backtester, MultiQueryBacktester
-from repro.backtest.replay import fork_available
+import repro.backtest.replay as replay_module
+from repro.backtest import Backtester
 from repro.ndlog.ast import Var
 from repro.ndlog.parser import parse_program
 from repro.repair import (
@@ -93,9 +93,7 @@ def report_snapshot(report):
         rows.append((result.candidate.description, result.effective,
                      result.accepted, result.ks.statistic,
                      stats_snapshot(result.stats)))
-    extra = ()
-    if hasattr(report, "shared_evaluations"):
-        extra = (report.shared_evaluations, report.candidate_evaluations)
+    extra = (report.shared_evaluations, report.candidate_evaluations)
     return (stats_snapshot(report.baseline), tuple(rows), extra,
             report.packet_count)
 
@@ -130,20 +128,28 @@ def test_batch_eligibility_is_as_analysed(scenarios):
                        "Q5": False}
 
 
+@pytest.fixture()
+def open_min_work_gate(monkeypatch):
+    """These smoke-sized replays are exactly what the min-work gate keeps
+    serial; open it so ``workers=2`` really goes through the spawn fleet."""
+    monkeypatch.setattr(replay_module, "PARALLEL_MIN_SECONDS", 0.0)
+
+
+# The ids are the class names from before MultiQueryBacktester was folded
+# into Backtester(multiquery=True); keeping them keeps collected test ids.
 @pytest.mark.parametrize("name", SCENARIOS)
-@pytest.mark.parametrize("backtester_cls", [Backtester, MultiQueryBacktester])
-def test_workers_match_serial(scenarios, name, backtester_cls):
-    if not fork_available():
-        pytest.skip("no fork start method on this platform")
+@pytest.mark.parametrize("multiquery", [False, True],
+                         ids=["Backtester", "MultiQueryBacktester"])
+def test_workers_match_serial(scenarios, name, multiquery,
+                              open_min_work_gate):
     scenario = scenarios[name]
     candidates = scenario_candidates(name)
-    serial = backtester_cls(
-        scenario, ks_threshold=scenario.ks_threshold).evaluate_all(candidates)
-    # parallel_min_seconds=0: these smoke-sized replays are exactly what
-    # the min-work threshold degrades to serial; force the pool path.
-    parallel = backtester_cls(
+    serial = Backtester(
         scenario, ks_threshold=scenario.ks_threshold,
-        parallel_min_seconds=0.0).evaluate_all(candidates, workers=2)
+        multiquery=multiquery).evaluate_all(candidates)
+    parallel = Backtester(
+        scenario, ks_threshold=scenario.ks_threshold,
+        multiquery=multiquery).evaluate_all(candidates, workers=2)
     assert report_snapshot(parallel) == report_snapshot(serial)
 
 
@@ -167,23 +173,22 @@ def test_multiquery_verdicts_match_sequential(scenarios, name):
     candidates = scenario_candidates(name)
     sequential = Backtester(
         scenario, ks_threshold=scenario.ks_threshold).evaluate_all(candidates)
-    joint = MultiQueryBacktester(
-        scenario, ks_threshold=scenario.ks_threshold).evaluate_all(candidates)
+    joint = Backtester(
+        scenario, ks_threshold=scenario.ks_threshold,
+        multiquery=True).evaluate_all(candidates)
     assert [r.accepted for r in sequential.results] == \
            [r.accepted for r in joint.results]
     assert [r.effective for r in sequential.results] == \
            [r.effective for r in joint.results]
 
 
-def test_workers_and_batching_compose(scenarios):
+def test_workers_and_batching_compose(scenarios, open_min_work_gate):
     """workers>1 plus replay_batch_size together still match plain serial."""
-    if not fork_available():
-        pytest.skip("no fork start method on this platform")
     scenario = scenarios["Q1"]
     candidates = scenario_candidates("Q1")
     plain = Backtester(
         scenario, ks_threshold=scenario.ks_threshold).evaluate_all(candidates)
     combined = Backtester(
         scenario, ks_threshold=scenario.ks_threshold, workers=2,
-        replay_batch_size=8, parallel_min_seconds=0.0).evaluate_all(candidates)
+        replay_batch_size=8).evaluate_all(candidates)
     assert report_snapshot(combined) == report_snapshot(plain)

@@ -4,7 +4,7 @@ Acceptance contract: ``evaluate_all`` with warm candidate switching
 (checkpoint restore + rule delta, the default) produces **bit-identical**
 ``BacktestReport``s — statistics with delivery records, KS results,
 verdicts, notes and multi-query sharing counters — to the cold per-candidate
-rebuild (``warm_engine=False``) for Q1-Q5 under both backtester classes.
+rebuild (``warm_engine=False``) for Q1-Q5 with and without ``multiquery``.
 
 Also covered: the automatic cold fallback for ineligible deltas (data
 edits, keyed-table cones) inside an otherwise-warm run, warm interaction
@@ -14,7 +14,7 @@ benchmarks report.
 
 import pytest
 
-from repro.backtest import Backtester, EarlyAbortPolicy, MultiQueryBacktester
+from repro.backtest import Backtester, EarlyAbortPolicy
 from repro.ndlog.ast import Var
 from repro.ndlog.parser import parse_program
 from repro.ndlog.tuples import NDTuple
@@ -24,7 +24,12 @@ from repro.repair import (AddRule, ChangeAssignment, ChangeConstant,
 from repro.scenarios import build_scenario
 
 SCENARIOS = ["Q1", "Q2", "Q3", "Q4", "Q5"]
-BACKTESTERS = [Backtester, MultiQueryBacktester]
+#: The two modes of the one ``Backtester``.  The ids are the class names
+#: from before ``MultiQueryBacktester`` was folded into
+#: ``Backtester(multiquery=True)``; keeping them keeps collected test ids.
+MODE_IDS = {False: "Backtester", True: "MultiQueryBacktester"}
+both_modes = pytest.mark.parametrize("multiquery", list(MODE_IDS),
+                                     ids=list(MODE_IDS.values()))
 
 
 def scenario_candidates(name):
@@ -100,9 +105,7 @@ def report_snapshot(report):
         rows.append((result.candidate.description, result.candidate.tag,
                      result.effective, result.accepted, result.ks,
                      result.notes, stats_snapshot(result.stats)))
-    extra = ()
-    if hasattr(report, "shared_evaluations"):
-        extra = (report.shared_evaluations, report.candidate_evaluations)
+    extra = (report.shared_evaluations, report.candidate_evaluations)
     return (stats_snapshot(report.baseline), tuple(rows), extra,
             report.packet_count)
 
@@ -123,24 +126,26 @@ def candidate_sets():
 def cold_snapshots(scenarios, candidate_sets):
     out = {}
     for name in SCENARIOS:
-        for cls in BACKTESTERS:
-            backtester = cls(scenarios[name],
-                             ks_threshold=scenarios[name].ks_threshold,
-                             warm_engine=False)
+        for multiquery, mode in MODE_IDS.items():
+            backtester = Backtester(scenarios[name],
+                                    ks_threshold=scenarios[name].ks_threshold,
+                                    warm_engine=False, multiquery=multiquery)
             report = backtester.evaluate_all(candidate_sets[name])
             assert backtester.warm_hits == 0
-            out[(name, cls.__name__)] = report_snapshot(report)
+            out[(name, mode)] = report_snapshot(report)
     return out
 
 
-@pytest.mark.parametrize("cls", BACKTESTERS)
+@both_modes
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_warm_matches_cold(scenarios, cold_snapshots, candidate_sets, name,
-                           cls):
-    backtester = cls(scenarios[name],
-                     ks_threshold=scenarios[name].ks_threshold)
+                           multiquery):
+    backtester = Backtester(scenarios[name],
+                            ks_threshold=scenarios[name].ks_threshold,
+                            multiquery=multiquery)
     report = backtester.evaluate_all(candidate_sets[name])
-    assert report_snapshot(report) == cold_snapshots[(name, cls.__name__)]
+    assert report_snapshot(report) == \
+        cold_snapshots[(name, MODE_IDS[multiquery])]
     assert backtester.warm_hits + backtester.warm_fallbacks == \
         len(candidate_sets[name])
     # The Q1-Q4 edits — including Q1's data-edit candidates — all qualify
@@ -154,8 +159,8 @@ def test_warm_matches_cold(scenarios, cold_snapshots, candidate_sets, name,
         assert backtester.warm_fallbacks == 0
 
 
-@pytest.mark.parametrize("cls", BACKTESTERS)
-def test_keyed_cone_data_edit_falls_back_mid_run(scenarios, cls):
+@both_modes
+def test_keyed_cone_data_edit_falls_back_mid_run(scenarios, multiquery):
     """A data edit into a keyed table (Q5's manual ``Learned`` insertion,
     Table 6d candidate I) is warm-ineligible and rides along cold; the
     mixed report must equal the all-cold report row for row."""
@@ -165,9 +170,10 @@ def test_keyed_cone_data_edit_falls_back_mid_run(scenarios, cls):
         RepairCandidate(edits=(InsertTuple(learned),), cost=3.0,
                         description="manually insert Learned(C,9,21,5)"),
     ]
-    warm = cls(scenario, ks_threshold=scenario.ks_threshold)
-    cold = cls(scenario, ks_threshold=scenario.ks_threshold,
-               warm_engine=False)
+    warm = Backtester(scenario, ks_threshold=scenario.ks_threshold,
+                      multiquery=multiquery)
+    cold = Backtester(scenario, ks_threshold=scenario.ks_threshold,
+                      warm_engine=False, multiquery=multiquery)
     warm_report = warm.evaluate_all(candidates)
     cold_report = cold.evaluate_all(candidates)
     assert report_snapshot(warm_report) == report_snapshot(cold_report)
@@ -196,10 +202,12 @@ def test_warm_abort_matches_cold_abort():
     policy = EarlyAbortPolicy(check_every=8, min_fraction=0.1)
     kwargs = dict(ks_threshold=scenario.ks_threshold,
                   max_packet_in_growth=1.5, abort_policy=policy)
-    for cls in BACKTESTERS:
-        warm_report = cls(scenario, **kwargs).evaluate_all([flooder, fix])
-        cold_report = cls(scenario, warm_engine=False,
-                          **kwargs).evaluate_all([flooder, fix])
+    for multiquery in MODE_IDS:
+        warm_report = Backtester(scenario, multiquery=multiquery,
+                                 **kwargs).evaluate_all([flooder, fix])
+        cold_report = Backtester(scenario, warm_engine=False,
+                                 multiquery=multiquery,
+                                 **kwargs).evaluate_all([flooder, fix])
         assert report_snapshot(warm_report) == report_snapshot(cold_report)
         aborted = warm_report.results[0]
         assert not aborted.accepted

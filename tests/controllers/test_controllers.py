@@ -60,6 +60,23 @@ class TestNDlogController:
         assert len(messages) == 1
         assert messages[0].switch_id == 3
 
+    def test_on_start_installs_in_value_order(self):
+        """Equal-priority entries match in installation order, so on_start
+        must not emit them in the engine's (hash) set order — and a
+        wildcard next to a constant in one column must still sort."""
+        flows = [make_tuple("FlowTable", 3, "*", 2),
+                 make_tuple("FlowTable", 3, 80, 1),
+                 make_tuple("FlowTable", 3, "*", 1)]
+        for static in (flows, flows[::-1]):
+            controller = NDlogController(parse_program(FIG2), FIGURE2_MAPPING,
+                                         static_tuples=static)
+            assert [t.values for t in controller.flow_table_tuples()] == \
+                [(3, 80, 1), (3, "*", 1), (3, "*", 2)]
+            messages = controller.on_start(None)
+            assert [m.entry.out_port for m in messages] == [1, 1, 2]
+            assert [m.entry.priority for m in messages] == \
+                [messages[0].entry.priority] * 3
+
     def test_reset_discards_state(self):
         controller = NDlogController(parse_program(FIG2), FIGURE2_MAPPING)
         controller.handle_packet_in(PacketInEvent(2, http_request(1, 2)))

@@ -12,7 +12,7 @@ Covers the two connection-cost refinements of the fabric:
 
 import pytest
 
-from repro.backtest import Backtester, MultiQueryBacktester
+from repro.backtest import Backtester
 from repro.distrib import (DistribError, JobRuntime, RuntimeCache, Scheduler,
                            build_job_wire, job_digest, strip_candidates)
 from repro.repair import ChangeConstant, DeleteSelection, RepairCandidate
@@ -46,25 +46,27 @@ def test_job_digest_keys_runtime_not_candidates(scenario, candidates):
     assert job_digest(wire_a) == job_digest(wire_b)
     other = Backtester(scenario, ks_threshold=0.5)
     assert job_digest(build_job_wire(other, candidates)) != job_digest(wire_a)
-    multi = MultiQueryBacktester(scenario,
-                                 ks_threshold=scenario.ks_threshold)
+    multi = Backtester(scenario, ks_threshold=scenario.ks_threshold,
+                       multiquery=True)
     assert job_digest(build_job_wire(multi, candidates)) != job_digest(wire_a)
 
 
 def test_runtime_cache_reuses_scenario_backtester_and_trunk(scenario,
                                                             candidates):
-    backtester = MultiQueryBacktester(scenario,
-                                      ks_threshold=scenario.ks_threshold)
+    backtester = Backtester(scenario, ks_threshold=scenario.ks_threshold,
+                            multiquery=True)
     wire = build_job_wire(backtester, candidates)
     cache = RuntimeCache()
     first = JobRuntime(wire, cache=cache)
     outcomes_first = [first.evaluate(i) for i in range(len(first))]
+    trunk = first.backtester._trunk
+    assert trunk is not None and trunk.base_records
     second = JobRuntime(wire, cache=cache)
     outcomes_second = [second.evaluate(i) for i in range(len(second))]
     assert cache.misses == 1 and cache.hits == 1
     assert second.backtester is first.backtester
     assert second.scenario is first.scenario
-    assert second._entry.trunk is first._entry.trunk
+    assert second.backtester._trunk is trunk      # served, not rebuilt
     assert [o.result.ks for o in outcomes_first] == \
         [o.result.ks for o in outcomes_second]
     assert [o.result.accepted for o in outcomes_first] == \
@@ -104,8 +106,8 @@ def test_header_jobs_stream_candidates_per_item(scenario, candidates):
 def test_inprocess_scheduler_hits_cache_across_evaluate_all(scenario,
                                                             candidates):
     with Scheduler(transport="inprocess") as scheduler:
-        backtester = MultiQueryBacktester(
-            scenario, ks_threshold=scenario.ks_threshold)
+        backtester = Backtester(
+            scenario, ks_threshold=scenario.ks_threshold, multiquery=True)
         first = backtester.evaluate_all(candidates, scheduler=scheduler)
         second = backtester.evaluate_all(candidates, scheduler=scheduler)
         cache = scheduler.transport.runtime_cache

@@ -1,17 +1,18 @@
 """Parity suite for the distributed backtest fabric.
 
-Acceptance contract: serial, fork (covered by the PR 2 suite), in-process
-and worker-pool transports produce **bit-identical** ``BacktestReport``s —
-statistics (delivery records included), KS results, verdicts and
-multi-query sharing counters — for Q1-Q5, under both backtester classes.
+Acceptance contract: serial, in-process and worker-pool transports produce
+**bit-identical** ``BacktestReport``s — statistics (delivery records
+included), KS results, verdicts and multi-query sharing counters — for
+Q1-Q5, with and without ``multiquery``.
 ``"spawn"`` and ``"socket"`` name the same pool-backed transport; both
 ids stay (the CLI, the ledger and ``RepairConfig.transport`` use them)
 over one shared body, each with 2 persistent workers, so every tier-1 run
 includes real coordinator rounds through the fleet.
 
 Also covered: progress streaming, the early-abort policy (on the fabric
-and off — off must stay bit-identical), degraded ``workers=N`` dispatch on
-fork-less platforms, and coordinator error paths.
+and off — off must stay bit-identical), ``workers=N`` dispatch without an
+explicit scheduler (spawn fleet with a spec, serial without), job-wire
+validation, and coordinator error paths.
 """
 
 import contextlib
@@ -23,8 +24,9 @@ import time
 import pytest
 
 import repro.backtest.replay as replay_module
-from repro.backtest import Backtester, EarlyAbortPolicy, MultiQueryBacktester
-from repro.distrib import DistribError, Scheduler
+from repro.backtest import Backtester, EarlyAbortPolicy
+from repro.distrib import (DistribError, JobRuntime, Scheduler,
+                           build_job_wire, job_digest)
 from repro.repair import (AddRule, ChangeAssignment, ChangeConstant,
                           DeleteRule, DeleteSelection, RepairCandidate)
 from repro.ndlog.ast import Var
@@ -32,7 +34,12 @@ from repro.ndlog.parser import parse_program
 from repro.scenarios import build_scenario
 
 SCENARIOS = ["Q1", "Q2", "Q3", "Q4", "Q5"]
-BACKTESTERS = [Backtester, MultiQueryBacktester]
+#: The two modes of the one ``Backtester``.  The ids are the class names
+#: from before ``MultiQueryBacktester`` was folded into
+#: ``Backtester(multiquery=True)``; keeping them keeps collected test ids.
+MODE_IDS = {False: "Backtester", True: "MultiQueryBacktester"}
+both_modes = pytest.mark.parametrize("multiquery", list(MODE_IDS),
+                                     ids=list(MODE_IDS.values()))
 
 
 def scenario_candidates(name):
@@ -130,9 +137,7 @@ def report_snapshot(report):
         rows.append((result.candidate.description, result.candidate.tag,
                      result.effective, result.accepted, result.ks,
                      result.notes, stats_snapshot(result.stats)))
-    extra = ()
-    if hasattr(report, "shared_evaluations"):
-        extra = (report.shared_evaluations, report.candidate_evaluations)
+    extra = (report.shared_evaluations, report.candidate_evaluations)
     return (stats_snapshot(report.baseline), tuple(rows), extra,
             report.packet_count)
 
@@ -152,14 +157,15 @@ def candidate_sets():
 
 @pytest.fixture(scope="module")
 def serial_snapshots(scenarios, candidate_sets):
-    """Reference reports, computed once per (scenario, backtester class)."""
+    """Reference reports, computed once per (scenario, backtester mode)."""
     out = {}
     for name in SCENARIOS:
-        for cls in BACKTESTERS:
-            report = cls(scenarios[name],
-                         ks_threshold=scenarios[name].ks_threshold
-                         ).evaluate_all(candidate_sets[name])
-            out[(name, cls.__name__)] = report_snapshot(report)
+        for multiquery, mode in MODE_IDS.items():
+            report = Backtester(scenarios[name],
+                                ks_threshold=scenarios[name].ks_threshold,
+                                multiquery=multiquery
+                                ).evaluate_all(candidate_sets[name])
+            out[(name, mode)] = report_snapshot(report)
     return out
 
 
@@ -175,45 +181,47 @@ def socket_scheduler():
         yield scheduler
 
 
-def assert_matches_serial(scheduler, scenario, candidates, cls, expected):
+def assert_matches_serial(scheduler, scenario, candidates, multiquery,
+                          expected):
     """The one parity body: ``evaluate_all`` through ``scheduler`` equals
     the serial reference, and the fabric needed no recovery to get there."""
-    report = cls(scenario, ks_threshold=scenario.ks_threshold).evaluate_all(
+    report = Backtester(scenario, ks_threshold=scenario.ks_threshold,
+                        multiquery=multiquery).evaluate_all(
         candidates, scheduler=scheduler)
     assert report_snapshot(report) == expected
     assert not scheduler.transport.last_fault_stats.any()
 
 
-@pytest.mark.parametrize("cls", BACKTESTERS)
+@both_modes
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_inprocess_transport_matches_serial(scenarios, serial_snapshots,
-                                            candidate_sets, name, cls):
+                                            candidate_sets, name, multiquery):
     with Scheduler(transport="inprocess") as scheduler:
         assert_matches_serial(scheduler, scenarios[name],
-                              candidate_sets[name], cls,
-                              serial_snapshots[(name, cls.__name__)])
+                              candidate_sets[name], multiquery,
+                              serial_snapshots[(name, MODE_IDS[multiquery])])
 
 
-@pytest.mark.parametrize("cls", BACKTESTERS)
+@both_modes
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_spawn_transport_matches_serial(scenarios, serial_snapshots,
                                         candidate_sets, spawn_scheduler,
-                                        name, cls):
+                                        name, multiquery):
     assert spawn_scheduler.transport.name == "spawn"
     assert_matches_serial(spawn_scheduler, scenarios[name],
-                          candidate_sets[name], cls,
-                          serial_snapshots[(name, cls.__name__)])
+                          candidate_sets[name], multiquery,
+                          serial_snapshots[(name, MODE_IDS[multiquery])])
 
 
-@pytest.mark.parametrize("cls", BACKTESTERS)
+@both_modes
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_socket_transport_matches_serial(scenarios, serial_snapshots,
                                          candidate_sets, socket_scheduler,
-                                         name, cls):
+                                         name, multiquery):
     assert socket_scheduler.transport.name == "socket"
     assert_matches_serial(socket_scheduler, scenarios[name],
-                          candidate_sets[name], cls,
-                          serial_snapshots[(name, cls.__name__)])
+                          candidate_sets[name], multiquery,
+                          serial_snapshots[(name, MODE_IDS[multiquery])])
 
 
 def test_progress_streams_in_completion_order(scenarios, candidate_sets):
@@ -231,10 +239,10 @@ def test_progress_streams_in_completion_order(scenarios, candidate_sets):
         {candidate.tag for candidate in candidates}
 
 
-def test_degrades_to_spawn_when_fork_is_missing(scenarios, serial_snapshots,
-                                                candidate_sets, monkeypatch):
-    """workers=N without fork must route through the spawn transport (not
-    silently run serial) whenever the scenario carries a spec."""
+def test_workers_without_scheduler_use_spawn(scenarios, serial_snapshots,
+                                            candidate_sets, monkeypatch):
+    """workers=N without a scheduler must route through the spawn transport
+    (not silently run serial) whenever the scenario carries a spec."""
     import repro.distrib as distrib
     used = []
 
@@ -243,11 +251,12 @@ def test_degrades_to_spawn_when_fork_is_missing(scenarios, serial_snapshots,
             used.append(self.transport.name)
             return super().run(backtester, candidates)
 
-    monkeypatch.setattr(replay_module, "fork_available", lambda: False)
+    # These smoke-sized replays are exactly what the min-work gate keeps
+    # serial; open it.
+    monkeypatch.setattr(replay_module, "PARALLEL_MIN_SECONDS", 0.0)
     monkeypatch.setattr(distrib, "Scheduler", SpyScheduler)
     scenario = scenarios["Q2"]
-    report = Backtester(scenario, ks_threshold=scenario.ks_threshold,
-                        parallel_min_seconds=0.0
+    report = Backtester(scenario, ks_threshold=scenario.ks_threshold
                         ).evaluate_all(candidate_sets["Q2"], workers=2)
     assert used == ["spawn"]
     assert report_snapshot(report) == serial_snapshots[("Q2", "Backtester")]
@@ -263,11 +272,12 @@ def test_early_abort_rejects_overloading_candidate(scenarios):
     fix = scenario_candidates("Q1")[0]   # fresh copy: notes compared below
     policy = EarlyAbortPolicy(check_every=8, min_fraction=0.1)
     full_packets = len(scenario.trace())
-    for cls in BACKTESTERS:
+    for multiquery in MODE_IDS:
         with Scheduler(transport="inprocess", early_abort=policy) as scheduler:
-            report = cls(scenario, ks_threshold=scenario.ks_threshold,
-                         max_packet_in_growth=1.5).evaluate_all(
-                             [flooder, fix], scheduler=scheduler)
+            report = Backtester(scenario, ks_threshold=scenario.ks_threshold,
+                                max_packet_in_growth=1.5,
+                                multiquery=multiquery).evaluate_all(
+                                    [flooder, fix], scheduler=scheduler)
         aborted, accepted = report.results
         assert not aborted.accepted and not aborted.effective
         assert any(note.startswith("aborted after") for note in aborted.notes)
@@ -283,8 +293,9 @@ def test_abort_policy_off_is_bit_identical(scenarios, serial_snapshots,
     on)."""
     scenario = scenarios["Q3"]
     with Scheduler(transport="inprocess", early_abort=None) as scheduler:
-        report = MultiQueryBacktester(
-            scenario, ks_threshold=scenario.ks_threshold).evaluate_all(
+        report = Backtester(
+            scenario, ks_threshold=scenario.ks_threshold,
+            multiquery=True).evaluate_all(
                 candidate_sets["Q3"], scheduler=scheduler)
     assert report_snapshot(report) == \
         serial_snapshots[("Q3", "MultiQueryBacktester")]
@@ -297,6 +308,56 @@ def test_missing_spec_raises(scenarios):
         with pytest.raises(DistribError, match="ScenarioSpec"):
             Backtester(scenario).evaluate_all(scenario_candidates("Q1"),
                                               scheduler=scheduler)
+
+
+def test_workers_without_spec_run_serial(monkeypatch):
+    """A live scenario object with no ScenarioSpec cannot leave the process:
+    workers=2 above the min-work gate runs the serial loop (no fleet is
+    started, no error) and reports what the serial run reports."""
+    import repro.distrib as distrib
+
+    def no_fleet(*args, **kwargs):
+        raise AssertionError("a spec-less scenario must not start a fleet")
+
+    monkeypatch.setattr(replay_module, "PARALLEL_MIN_SECONDS", 0.0)
+    monkeypatch.setattr(distrib, "Scheduler", no_fleet)
+    scenario = build_scenario("Q1", repetitions=1)
+    scenario.spec = None
+    candidates = scenario_candidates("Q1")
+    serial = Backtester(scenario, ks_threshold=scenario.ks_threshold
+                        ).evaluate_all(candidates)
+    parallel = Backtester(scenario, ks_threshold=scenario.ks_threshold,
+                          workers=2).evaluate_all(candidates)
+    assert report_snapshot(parallel) == report_snapshot(serial)
+
+
+def test_job_wire_carries_the_multiquery_flag(scenarios):
+    scenario = scenarios["Q1"]
+    candidates = scenario_candidates("Q1")
+    wires = {multiquery: build_job_wire(
+        Backtester(scenario, ks_threshold=scenario.ks_threshold,
+                   multiquery=multiquery), candidates)
+        for multiquery in MODE_IDS}
+    for multiquery, wire in wires.items():
+        assert wire["config"]["multiquery"] is multiquery
+        assert "backtester" not in wire
+        assert JobRuntime(wire).backtester.multiquery is multiquery
+    assert job_digest(wires[False]) != job_digest(wires[True])
+
+
+def test_job_wire_naming_a_class_or_missing_the_flag_is_malformed(scenarios):
+    """Wires from before the fold (a ``"backtester"`` class name, no
+    ``multiquery`` in the config) are refused up front as DistribError —
+    never a KeyError/TypeError inside a worker."""
+    scenario = scenarios["Q1"]
+    wire = build_job_wire(Backtester(scenario), scenario_candidates("Q1"))
+    named = dict(wire, backtester="MultiQueryBacktester")
+    flagless = dict(wire, config={key: value for key, value
+                                  in wire["config"].items()
+                                  if key != "multiquery"})
+    for bad in (named, flagless):
+        with pytest.raises(DistribError, match="malformed job wire"):
+            JobRuntime(bad)
 
 
 def test_socket_transport_restarts_after_close(serial_snapshots,

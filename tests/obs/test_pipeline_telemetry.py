@@ -8,6 +8,7 @@ off, and with telemetry off it constructs nothing.
 import pytest
 
 from repro.api import RepairConfig, RepairSession, TelemetryConfig
+from repro.backtest import EarlyAbortPolicy
 from repro.obs import Telemetry, validate_chrome_trace
 
 
@@ -137,11 +138,10 @@ def test_telemetry_config_wire_round_trip():
         RepairConfig.for_scenario("Q1").to_json()).telemetry is None
 
 
-def test_fork_pool_spans_stitch(monkeypatch):
-    """workers>1 on the local fork path ships child spans to the parent."""
+def test_local_workers_spans_stitch(monkeypatch):
+    """workers>1 without a scheduler runs on a spawn fleet the backtester
+    owns; the workers' candidate spans stitch under its ``fabric.job``."""
     import repro.backtest.replay as replay_module
-    if not replay_module.fork_available():
-        pytest.skip("platform has no fork")
     from repro.backtest import Backtester
     from repro.scenarios import build_scenario
     scenario = build_scenario("Q1")
@@ -155,12 +155,57 @@ def test_fork_pool_spans_stitch(monkeypatch):
     telemetry = Telemetry()
     backtester = Backtester(scenario, ks_threshold=scenario.ks_threshold,
                             workers=2)
-    backtester.parallel_min_seconds = 0   # force the pool for 2 tiny items
+    # Open the min-work gate: send 2 tiny items through the fleet anyway.
+    monkeypatch.setattr(replay_module, "PARALLEL_MIN_SECONDS", 0.0)
     backtester.telemetry = telemetry
     with telemetry.span("session"):
         backtester.evaluate_all(candidates)
     spans = telemetry.tracer.finished
+    [job] = [span for span in spans if span["name"] == "fabric.job"]
+    assert job["attrs"]["transport"] == "spawn"
     item_spans = [span for span in spans if span["name"] == "candidate"]
-    assert {span["span_id"] for span in item_spans} == {"1.f0", "1.f1"}
+    assert {span["span_id"] for span in item_spans} == \
+        {f"{job['span_id']}.c0", f"{job['span_id']}.c1"}
     assert {span["trace_id"] for span in spans} == {telemetry.trace_id}
     validate_chrome_trace(telemetry.chrome_trace())
+
+
+@pytest.mark.parametrize("knobs", [
+    dict(abort=EarlyAbortPolicy(check_every=8, min_fraction=0.1),
+         max_packet_in_growth=1.5),
+    dict(multiquery=True),
+    dict(multiquery=True, max_packet_in_growth=1.5,
+         abort=EarlyAbortPolicy(check_every=8, min_fraction=0.1)),
+], ids=["abort", "multiquery", "multiquery-abort"])
+def test_every_replay_is_traced(knobs):
+    """Replays under an abort policy or through the shared trunk used to
+    vanish from the trace: no ``replay`` span, no ``packets_replayed``.
+    Every replayed (non-vetoed) candidate has exactly one ``replay`` span
+    whose ``packets`` is what was actually replayed — the prefix length
+    when aborted — and telemetry still changes no report bit."""
+    config = RepairConfig.for_scenario("Q1", telemetry=TelemetryConfig(),
+                                       **knobs)
+    session = RepairSession(config)
+    report = session.run()
+    plain = RepairSession(config.with_updates(telemetry=None)).run()
+    assert result_rows(report) == result_rows(plain)
+    replayed = [result for result in report.backtest.results
+                if not any(note.startswith("vetoed") for note in result.notes)]
+    aborted = [result for result in replayed
+               if any(note.startswith("aborted") for note in result.notes)]
+    assert bool(aborted) == ("abort" in knobs)
+    assert all(result.stats.total < report.backtest.packet_count
+               for result in aborted)
+    spans = session.telemetry.tracer.finished
+    candidate_spans = sorted(
+        (span for span in spans if span["name"] == "candidate"),
+        key=lambda span: span["attrs"]["index"])
+    assert len(candidate_spans) == len(replayed)
+    for span, result in zip(candidate_spans, replayed):
+        [replay] = [child for child in spans if child["name"] == "replay"
+                    and child["parent_id"] == span["span_id"]]
+        assert replay["attrs"]["packets"] == result.stats.total
+    counters = {name: value for name, _labels, value
+                in session.telemetry.metrics.snapshot()["counters"]}
+    assert counters["packets_replayed"] == \
+        sum(result.stats.total for result in replayed)
