@@ -60,6 +60,8 @@ See ``EXPERIMENTS.md`` for how to read and compare the emitted JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
 import multiprocessing
 import pathlib
@@ -129,24 +131,36 @@ def _diagnosed_candidates(count: int) -> List[RepairCandidate]:
 ENGINE_REPEATS = 3
 
 
+@contextlib.contextmanager
+def _gc_paused():
+    """Collect, then keep the collector off for a timed region.
+
+    The regions timed under this are single-digit milliseconds or less,
+    where a generation-2 collection landing inside one dwarfs the
+    workload — and *which* region it lands in depends on every allocation
+    the process made before, i.e. on what else ran in it.
+    """
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def _measure(runner, engine_cls, size, repeats: int = ENGINE_REPEATS):
     """Best-of-``repeats`` with the GC paused during the timed region.
 
-    The engine micro rows are single-digit milliseconds, where a collector
-    pause or a scheduler preemption inside one run dwarfs the workload;
+    A scheduler preemption inside one run is as large as the workload;
     the minimum over a few GC-free runs is the stable, comparable number.
     """
-    import gc
     timings = []
     result = None
     for rep in range(repeats):
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with _gc_paused():
             elapsed, rep_result = runner(engine_cls, size)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
         timings.append(elapsed)
         assert result is None or rep_result == result, \
             "engine workload was not deterministic across repetitions"
@@ -373,14 +387,16 @@ def bench_warm_vs_cold(scenario, candidate_sets: Dict[str, List],
         cold_pass()                       # prime caches outside the timers
         warm_pass()
         fallbacks = 0
-        started = time.perf_counter()
-        for _ in range(rounds):
-            cold_pass()
-        cold_seconds = (time.perf_counter() - started) / rounds
-        started = time.perf_counter()
-        for _ in range(rounds):
-            warm_pass()
-        warm_seconds = (time.perf_counter() - started) / rounds
+        with _gc_paused():
+            started = time.perf_counter()
+            for _ in range(rounds):
+                cold_pass()
+            cold_seconds = (time.perf_counter() - started) / rounds
+        with _gc_paused():
+            started = time.perf_counter()
+            for _ in range(rounds):
+                warm_pass()
+            warm_seconds = (time.perf_counter() - started) / rounds
         out[label] = {
             "candidates": len(candidates),
             "rounds": rounds,

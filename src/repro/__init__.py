@@ -35,6 +35,13 @@ Quickstart::
 
 Or from a shell: ``python -m repro repair q1`` (see ``python -m repro
 --help``).
+
+The runtime is stdlib-only.  ``import repro`` loads the API and what a
+serial repair runs; the worker fleet and transports of
+:mod:`repro.distrib`, :mod:`repro.service`, the reference engine
+(``repro.ndlog.NaiveEngine``), the imperative and policy front ends and the
+tracing half of :mod:`repro.obs` are imported by the first name that needs
+them (:mod:`repro._lazy`).
 """
 
 from .api import (DiagnosisReport, EventBus, PhaseTimings, RepairConfig,

@@ -7,25 +7,7 @@
   substitute.
 """
 
-from .imperative import (
-    Assign,
-    BinExpr,
-    Env,
-    FieldRef,
-    Handler,
-    HashGet,
-    HashHas,
-    HashPut,
-    If,
-    ImperativeController,
-    ImperativeDeliveryGoal,
-    ImperativeRepair,
-    ImperativeRepairer,
-    InstallFlow,
-    Lit,
-    SendPacketOut,
-    VarRef,
-)
+from .._lazy import lazy_exports
 from .batching import batch_replay_safe, engine_batch_safe, probe_exact
 from .ndlog_controller import (
     FIELD_MAPPINGS,
@@ -36,27 +18,21 @@ from .ndlog_controller import (
     NDlogController,
     PacketInResponse,
 )
-from .policy import (
-    Drop,
-    Flood,
-    Fwd,
-    LocatedPacket,
-    Match,
-    Mod,
-    Parallel,
-    Policy,
-    PolicyController,
-    PolicyDeliveryGoal,
-    PolicyRepair,
-    PolicyRepairer,
-    Restrict,
-    Sequential,
-    drop,
-    flood,
-    fwd,
-    match,
-    modify,
-)
+
+# The scenarios Q1-Q5 are NDlog programs; the two other front ends load
+# when something (``scenarios/other_languages.py``) asks for them.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "imperative": (
+        "Assign", "BinExpr", "Env", "FieldRef", "Handler", "HashGet",
+        "HashHas", "HashPut", "If", "ImperativeController",
+        "ImperativeDeliveryGoal", "ImperativeRepair", "ImperativeRepairer",
+        "InstallFlow", "Lit", "SendPacketOut", "VarRef"),
+    "policy": (
+        "Drop", "Flood", "Fwd", "LocatedPacket", "Match", "Mod", "Parallel",
+        "Policy", "PolicyController", "PolicyDeliveryGoal", "PolicyRepair",
+        "PolicyRepairer", "Restrict", "Sequential", "drop", "flood", "fwd",
+        "match", "modify"),
+})
 
 __all__ = [
     "Assign", "BinExpr", "Env", "FieldRef", "Handler", "HashGet", "HashHas",

@@ -32,17 +32,24 @@ modulo the deterministic quarantine rows of genuinely poisonous
 candidates.
 """
 
+from .._lazy import lazy_exports
 from ..backtest.abort import EarlyAbortPolicy
-from .coordinator import Coordinator, Scheduler
 from .faults import (FAULT_KINDS, FaultAction, FaultInjector, FaultPlan,
                      FaultStats, FaultToleranceConfig, InjectedFault,
                      QuarantinedItem, retry_or_quarantine)
-from .jobs import (DistribError, JobRuntime, RuntimeCache, build_job_wire,
-                   job_digest, strip_candidates)
-from .pool import (DispatchPolicy, FrameError, PoolJob, TransportError,
-                   WorkItem, WorkerPool)
-from .transport import (BaseTransport, InProcessTransport, SocketTransport,
-                        make_transport)
+
+# A serial repair needs the fault-tolerance *config* (``api/config.py``) and
+# none of the fleet: sockets, subprocesses and frames load with the first
+# name that needs them.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "coordinator": ("Coordinator", "Scheduler"),
+    "jobs": ("DistribError", "JobRuntime", "RuntimeCache", "build_job_wire",
+             "job_digest", "strip_candidates"),
+    "pool": ("DispatchPolicy", "FrameError", "PoolJob", "TransportError",
+             "WorkItem", "WorkerPool"),
+    "transport": ("BaseTransport", "InProcessTransport", "SocketTransport",
+                  "make_transport"),
+})
 
 __all__ = [
     "BaseTransport", "Coordinator", "DispatchPolicy",

@@ -1,8 +1,9 @@
 """Observability for the repair pipeline: tracing, metrics, profiling.
 
-The package is deliberately dependency-free (stdlib only, no imports from
-the rest of ``repro``) so every layer — ndlog engine, backtesters, distrib
-fabric, API session, CLI — can hook into it without import cycles.
+The package is deliberately dependency-free (stdlib only, nothing from the
+rest of ``repro`` but the :mod:`repro._lazy` leaf) so every layer — ndlog
+engine, backtesters, distrib fabric, API session, CLI — can hook into it
+without import cycles.
 
 Three pillars:
 
@@ -28,12 +29,18 @@ load + ``is None`` test on coarse-grained paths and literally nothing on
 per-tuple paths.
 """
 
+from .._lazy import lazy_exports
 from .metrics import MetricsRegistry, merge_snapshots, prometheus_text
-from .profile import StageProfiler
-from .export import (spans_to_chrome, spans_to_jsonl, validate_chrome_trace,
-                     write_chrome_trace)
-from .trace import Span, SpanContext, Tracer
-from .telemetry import Telemetry
+
+# The event bus counts into a ``MetricsRegistry`` in every session; spans,
+# exporters and the profiler load only when telemetry is switched on.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "export": ("spans_to_chrome", "spans_to_jsonl", "validate_chrome_trace",
+               "write_chrome_trace"),
+    "profile": ("StageProfiler",),
+    "telemetry": ("Telemetry",),
+    "trace": ("Span", "SpanContext", "Tracer"),
+})
 
 __all__ = [
     "MetricsRegistry",

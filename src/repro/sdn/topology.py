@@ -15,15 +15,17 @@ Two families of topologies are provided:
 Core switches are configured *proactively* (shortest-path routes to every
 host are installed up front); edge switches are left to the reactive
 controller application under test, matching the paper's setup.
+
+Shortest paths come from a breadth-first search over the topology's own
+adjacency (no graph library); which of several equal-length paths wins is
+fixed by the order links were added, see :meth:`Topology._first_hop`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
 
 from .packets import DNS_PORT, HTTP_PORT, Packet
 from .switch import FlowEntry, Switch
@@ -52,6 +54,9 @@ class Host:
         return self.name or f"H{self.host_id}"
 
 
+_Node = Tuple[str, int]  # ("switch", switch_id) or ("host", host_id)
+
+
 class Topology:
     """Switches, hosts and links of a simulated network."""
 
@@ -59,7 +64,10 @@ class Topology:
         self.name = name
         self.switches: Dict[int, Switch] = {}
         self.hosts: Dict[int, Host] = {}
-        self.graph = nx.Graph()
+        # Undirected adjacency over ("switch", id) / ("host", id) nodes.
+        # Dicts keep neighbours in insertion order, which is what makes
+        # shortest-path tie-breaks (and so flow tables) deterministic.
+        self._adjacency: Dict[_Node, Dict[_Node, None]] = {}
         self._next_host_id = itertools.count(1)
 
     # ------------------------------------------------------------------
@@ -71,7 +79,7 @@ class Topology:
             return self.switches[switch_id]
         switch = Switch(switch_id=switch_id, name=name or f"S{switch_id}")
         self.switches[switch_id] = switch
-        self.graph.add_node(("switch", switch_id))
+        self._adjacency[("switch", switch_id)] = {}
         return switch
 
     def add_host(self, switch_id: int, port: int, role: str = "client",
@@ -85,8 +93,8 @@ class Topology:
         self.hosts[host_id] = host
         self.add_switch(switch_id)
         self.switches[switch_id].attach(port, "host", host_id)
-        self.graph.add_node(("host", host_id))
-        self.graph.add_edge(("switch", switch_id), ("host", host_id))
+        self._adjacency.setdefault(("host", host_id), {})
+        self._connect(("switch", switch_id), ("host", host_id))
         return host
 
     def add_link(self, switch_a: int, port_a: int, switch_b: int, port_b: int):
@@ -94,7 +102,11 @@ class Topology:
         self.add_switch(switch_b)
         self.switches[switch_a].attach(port_a, "switch", switch_b)
         self.switches[switch_b].attach(port_b, "switch", switch_a)
-        self.graph.add_edge(("switch", switch_a), ("switch", switch_b))
+        self._connect(("switch", switch_a), ("switch", switch_b))
+
+    def _connect(self, a: _Node, b: _Node) -> None:
+        self._adjacency[a][b] = None
+        self._adjacency[b][a] = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -122,18 +134,66 @@ class Topology:
         return len(self.hosts)
 
     def next_hop_port(self, from_switch: int, to_switch: int) -> Optional[int]:
-        """Port on ``from_switch`` on the shortest path towards ``to_switch``."""
+        """Port on ``from_switch`` on the shortest path towards ``to_switch``.
+
+        ``None`` when the two are the same switch, when no path exists or
+        when the path's next hop is a (multi-homed) host; ``KeyError`` for a
+        switch id the topology does not have.
+        """
         if from_switch == to_switch:
             return None
-        try:
-            path = nx.shortest_path(self.graph, ("switch", from_switch),
-                                    ("switch", to_switch))
-        except nx.NetworkXNoPath:
+        for switch_id in (from_switch, to_switch):
+            if switch_id not in self.switches:
+                raise KeyError(switch_id)
+        hop = self._first_hop(("switch", from_switch), ("switch", to_switch))
+        if hop is None or hop[0] != "switch":
             return None
-        next_kind, next_id = path[1]
-        if next_kind != "switch":
-            return None
-        return self.switches[from_switch].port_to("switch", next_id)
+        return self.switches[from_switch].port_to("switch", hop[1])
+
+    def _first_hop(self, source: _Node, target: _Node) -> Optional[_Node]:
+        """Second node of a shortest ``source``-``target`` path, if any.
+
+        Bidirectional BFS: the smaller fringe grows (the source's on
+        ties), neighbours are visited in insertion order, and the first
+        node seen from both ends is where the path meets.  That order is
+        what picks one of several equal-length paths, hence what every
+        proactively installed flow table looks like; it is the order of
+        the graph library this search replaced, and
+        ``tests/sdn/test_topology_paths.py`` holds the two against each
+        other.
+        """
+        adjacency = self._adjacency
+        pred: Dict[_Node, Optional[_Node]] = {source: None}
+        succ: Dict[_Node, Optional[_Node]] = {target: None}
+
+        def first_hop(meet: _Node) -> _Node:
+            # The source side expands first, so by the time the target
+            # side could reach the source it has met one of its neighbours.
+            while pred[meet] != source:
+                meet = pred[meet]
+            return meet
+
+        forward, reverse = [source], [target]
+        while forward and reverse:
+            if len(forward) <= len(reverse):
+                level, forward = forward, []
+                for node in level:
+                    for neighbour in adjacency[node]:
+                        if neighbour not in pred:
+                            forward.append(neighbour)
+                            pred[neighbour] = node
+                        if neighbour in succ:
+                            return first_hop(neighbour)
+            else:
+                level, reverse = reverse, []
+                for node in level:
+                    for neighbour in adjacency[node]:
+                        if neighbour not in succ:
+                            succ[neighbour] = node
+                            reverse.append(neighbour)
+                        if neighbour in pred:
+                            return first_hop(neighbour)
+        return None
 
     def port_towards_host(self, switch_id: int, host_id: int) -> Optional[int]:
         """Port on ``switch_id`` on the shortest path towards ``host_id``."""

@@ -1,0 +1,134 @@
+"""What a fresh ``repro repair`` process imports, and the lazy package
+surfaces that keep it small.
+
+Cold start is most of a paper-sized query's turnaround (the ledger's
+``cli.import_s``), so the set of modules a serial repair loads is a budget:
+no third-party graph library, none of the worker fleet, the service, the
+reference engine, the profiler or the other controller languages.  The four
+packages whose ``__init__`` used to import those now resolve the names on
+first use; the second half checks nobody can tell the difference.
+"""
+
+import importlib
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+
+import pytest
+
+import repro
+
+LAZY_PACKAGES = ["repro.distrib", "repro.controllers", "repro.ndlog",
+                 "repro.obs"]
+
+#: Modules a serial ``repro repair`` has no business loading.
+UNWANTED = ["networkx", "socket", "subprocess", "pickle", "cProfile",
+            "repro.distrib.pool", "repro.distrib.transport",
+            "repro.distrib.coordinator", "repro.service",
+            "repro.ndlog.naive", "repro.controllers.imperative",
+            "repro.controllers.policy"]
+
+#: 524 before the diet, 143 after it; the slack is for interpreter versions.
+MODULE_BUDGET = 170
+
+
+def run_fresh(script):
+    """Run ``script`` in a new interpreter that can import this ``repro``;
+    its last stdout line is JSON."""
+    source_root = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [source_root, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_serial_repair_stays_within_the_import_budget():
+    result = run_fresh("""
+import contextlib, io, json, sys
+bare = set(sys.modules)
+import repro.cli
+imported = set(sys.modules) - bare
+report = io.StringIO()
+with contextlib.redirect_stdout(report):
+    status = repro.cli.main(["repair", "q1", "--max-candidates", "14",
+                             "--json", "--quiet"])
+print(json.dumps({
+    "status": status,
+    "accepted": sum(row["accepted"]
+                    for row in json.loads(report.getvalue())["results"]),
+    "imported": sorted(imported),
+    "loaded": sorted(set(sys.modules) - bare)}))
+""")
+    assert result["status"] == 0 and result["accepted"] > 0
+    for stage in ("imported", "loaded"):
+        unwanted = [name for name in result[stage]
+                    if any(name == bad or name.startswith(bad + ".")
+                           for bad in UNWANTED)]
+        assert not unwanted, (stage, unwanted)
+    assert len(result["loaded"]) <= MODULE_BUDGET, len(result["loaded"])
+
+
+def test_lazy_surfaces_load_on_first_use_in_a_fresh_process():
+    result = run_fresh("""
+import json, sys
+from unittest import mock
+import repro.distrib, repro.controllers, repro.ndlog, repro.obs
+before = sorted(name for name in sys.modules if name.startswith("repro."))
+checks = {}
+# a name, its submodule, and the submodule reached as an attribute
+checks["name"] = repro.distrib.WorkerPool is \\
+    sys.modules["repro.distrib.pool"].WorkerPool
+checks["submodule"] = repro.obs.profile is sys.modules["repro.obs.profile"]
+from repro.ndlog import NaiveEngine
+checks["from_import"] = NaiveEngine is \\
+    sys.modules["repro.ndlog.naive"].NaiveEngine
+# patching an unresolved name resolves, replaces and restores it
+with mock.patch("repro.controllers.PolicyController", "fake"):
+    checks["patched"] = repro.controllers.PolicyController == "fake"
+checks["restored"] = repro.controllers.PolicyController is \\
+    sys.modules["repro.controllers.policy"].PolicyController
+checks["cached"] = "Scheduler" not in vars(repro.distrib) and \\
+    repro.distrib.Scheduler is vars(repro.distrib)["Scheduler"]
+print(json.dumps({"before": before, "checks": checks}))
+""")
+    for heavy in ("repro.distrib.pool", "repro.distrib.transport",
+                  "repro.distrib.coordinator", "repro.obs.profile",
+                  "repro.ndlog.naive", "repro.controllers.imperative",
+                  "repro.controllers.policy"):
+        assert heavy not in result["before"]
+    assert all(result["checks"].values()), result["checks"]
+
+
+@pytest.mark.parametrize("package_name", LAZY_PACKAGES)
+def test_lazy_surface_is_indistinguishable_from_an_eager_one(package_name):
+    package = importlib.import_module(package_name)
+    submodules = [importlib.import_module(f"{package_name}.{info.name}")
+                  for info in pkgutil.iter_modules(package.__path__)]
+    star = {}
+    exec(f"from {package_name} import *", star)
+    listing = dir(package)
+    assert len(set(package.__all__)) == len(package.__all__)
+    for name in package.__all__:
+        value = getattr(package, name)
+        home = getattr(value, "__module__", None)
+        if isinstance(home, str) and home.startswith("repro."):
+            # A class or function: the module that defines it holds it.
+            assert getattr(sys.modules[home], name) is value, name
+        else:
+            # A constant: some submodule of the package holds this object.
+            assert any(getattr(sub, name, None) is value
+                       for sub in submodules), name
+        assert name in listing, name
+        assert star[name] is value, name
+    for submodule in submodules:
+        short = submodule.__name__.rpartition(".")[2]
+        assert getattr(package, short) is submodule
+    assert not hasattr(package, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        package.no_such_name
+    with pytest.raises(ImportError):
+        exec(f"from {package_name} import no_such_name", {})
