@@ -11,8 +11,8 @@ setup(
     extras_require={"test": ["pytest", "hypothesis", "scipy", "networkx"]},
     entry_points={
         "console_scripts": [
-            # The unified CLI: repair / backtest / bench / worker /
-            # scenarios list (same surface as `python -m repro`).
+            # The unified CLI, same surface as `python -m repro`; the
+            # subcommands are listed in repro/cli.py's module docstring.
             "repro = repro.cli:main",
             # Back-compat alias for `repro worker --connect HOST:PORT`.
             "repro-worker = repro.distrib.worker:main",

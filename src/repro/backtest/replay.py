@@ -154,11 +154,6 @@ class BacktestResult:
     elapsed_seconds: float = 0.0
     notes: Tuple[str, ...] = ()
 
-    def summary_row(self) -> Tuple[str, str, float, str]:
-        verdict = "accepted" if self.accepted else "rejected"
-        return (self.candidate.tag, self.candidate.description,
-                self.ks.statistic, verdict)
-
     def __str__(self):
         verdict = "PASS" if self.accepted else "FAIL"
         return (f"{self.candidate.description} ({verdict})  "

@@ -6,11 +6,14 @@ Subcommands (all built on :mod:`repro.api`):
   Rank pipeline and print the surviving repair suggestions.
 * ``repro backtest Q1`` — same pipeline, but print the full candidate
   verdict table (every backtested candidate with its KS statistic).
-* ``repro bench`` — time the pipeline stages for one scenario a few
-  times over (a CLI-sized slice of the Figure 9a breakdown).
+* ``repro lint Q1`` (or a ``.ndlog`` file) — statically analyse a
+  program; ``--candidates FILE`` also vets repair candidates against it.
 * ``repro worker --connect HOST:PORT`` — join a coordinator's worker
   pool as a remote worker (alias of the ``repro-worker`` entry point;
   the pool's token comes from ``REPRO_WORKER_TOKEN``).
+* ``repro serve`` — the multi-tenant repair service (coordinator daemon,
+  worker fleet and HTTP front door); ``repro submit Q1`` sends it a run
+  and ``repro status [SESSION]`` inspects its sessions.
 * ``repro scenarios list`` — the registered scenario catalogue.
 * ``repro trace Q1 --out trace.json`` — run the pipeline with telemetry
   on and write a Chrome ``trace_event`` file (Perfetto-loadable).
@@ -114,7 +117,7 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
                      help="span every engine fixpoint (verbose; deep dives)")
 
 
-def _config_from_args(args, require_scenario: bool = True) -> RepairConfig:
+def _config_from_args(args) -> RepairConfig:
     """Start from --config (or defaults) and fold in the CLI overrides.
 
     The scenario may come from either side: an explicit name on the
@@ -127,7 +130,7 @@ def _config_from_args(args, require_scenario: bool = True) -> RepairConfig:
     if getattr(args, "scenario", None):
         from .scenarios.spec import ScenarioSpec
         updates["scenario"] = ScenarioSpec.create(args.scenario)
-    elif require_scenario and config.scenario is None:
+    elif config.scenario is None:
         print("repro: no scenario specified (name one on the command line "
               "or in the --config file)", file=sys.stderr)
         raise SystemExit(2)
@@ -312,46 +315,6 @@ def _cmd_backtest(args) -> int:
     generated, surviving = report.counts()
     print(f"\n{generated} candidates backtested over "
           f"{report.backtest.packet_count} packets, {surviving} accepted")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    if args.repeat < 1:
-        print("repro: --repeat must be >= 1", file=sys.stderr)
-        return 2
-    config = _config_from_args(args, require_scenario=False)
-    if config.scenario is None:
-        from .scenarios.spec import ScenarioSpec
-        config = config.with_updates(scenario=ScenarioSpec.create("Q1"))
-    log_handle = (open(args.events, "a", encoding="utf-8") if args.events
-                  else None)
-    rows = []
-    try:
-        for _ in range(args.repeat):
-            events = EventBus(keep_history=False)
-            if log_handle is not None:
-                events.subscribe(JsonlEventWriter(log_handle))
-            if not args.quiet:
-                events.subscribe(_LiveRenderer(sys.stderr))
-            session = RepairSession(config, events=events)
-            session.run()
-            rows.append(dict(session.stage_seconds))
-    finally:
-        if log_handle is not None:
-            log_handle.close()
-    scenario_name = config.scenario.name
-    stages = list(rows[0])
-    if args.json:
-        print(json.dumps({"scenario": scenario_name, "runs": rows},
-                         indent=2, sort_keys=True))
-        return 0
-    print(f"pipeline stage timings for {scenario_name} "
-          f"(best of {args.repeat}):")
-    for stage in stages:
-        best = min(row[stage] for row in rows)
-        print(f"  {stage:10s} {best * 1000.0:9.1f} ms")
-    total = min(sum(row.values()) for row in rows)
-    print(f"  {'total':10s} {total * 1000.0:9.1f} ms")
     return 0
 
 
@@ -794,15 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
     backtest.add_argument("scenario", type=str.upper, nargs="?", default=None)
     _add_config_options(backtest)
     backtest.set_defaults(func=_cmd_backtest)
-
-    bench = sub.add_parser(
-        "bench", help="time the pipeline stages for one scenario")
-    bench.add_argument("--scenario", type=str.upper, default=None,
-                       help="scenario to time (default: the --config's, "
-                            "else Q1)")
-    bench.add_argument("--repeat", type=int, default=3)
-    _add_config_options(bench)
-    bench.set_defaults(func=_cmd_bench)
 
     lint = sub.add_parser(
         "lint", help="statically analyse an NDlog program")

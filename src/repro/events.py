@@ -282,9 +282,6 @@ class EventBus:
         self._subscribers.append(subscriber)
         return subscriber
 
-    def unsubscribe(self, subscriber: Subscriber) -> None:
-        self._subscribers.remove(subscriber)
-
     def emit(self, event: SessionEvent) -> None:
         if self.stamp is not None:
             event = self.stamp(event)

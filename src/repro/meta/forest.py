@@ -88,16 +88,6 @@ class MetaTree:
     def mark_expanded(self, vertex: MetaVertex):
         self.unexpanded = [v for v in self.unexpanded if v.vertex_id != vertex.vertex_id]
 
-    def mark_unexpanded(self, vertex: MetaVertex):
-        if all(v.vertex_id != vertex.vertex_id for v in self.unexpanded):
-            self.unexpanded.append(vertex)
-
-    def add_cost(self, amount: float):
-        self.cost += amount
-
-    def record_edit(self, edit) -> None:
-        self.edits.append(edit)
-
     def fork(self) -> "MetaTree":
         """Create a copy of this tree that can evolve independently."""
         clone = MetaTree(self.root, pool=self.pool.copy(), cost=self.cost)

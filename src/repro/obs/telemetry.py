@@ -16,7 +16,7 @@ metrics *delta* — back on each item outcome.  The coordinator calls
 import dataclasses
 from typing import Any, Dict, List, Optional, Tuple
 
-from .export import (spans_to_chrome, spans_to_jsonl, write_chrome_trace)
+from .export import spans_to_chrome, write_chrome_trace
 from .metrics import MetricsRegistry, prometheus_text
 from .trace import SpanContext, Tracer
 
@@ -106,9 +106,6 @@ class Telemetry:
     def write_chrome(self, path: str) -> Dict[str, Any]:
         return write_chrome_trace(self.tracer.finished, path,
                                   trace_id=self.trace_id)
-
-    def write_jsonl(self, stream) -> int:
-        return spans_to_jsonl(self.tracer.finished, stream)
 
     def prometheus(self) -> str:
         return prometheus_text(self.metrics.snapshot())

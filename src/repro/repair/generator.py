@@ -9,12 +9,11 @@ history and exposes the two entry points of the paper's Figure 17 algorithm:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..ndlog.ast import Program
 from ..ndlog.engine import Engine
 from ..ndlog.tuples import NDTuple
-from .candidates import RepairCandidate
 
 
 @dataclass
@@ -74,10 +73,3 @@ class RepairGenerator:
         goal = ExistingTupleGoal(tup, description=description)
         derivations = self.engine.derivations_of(tup) if self.engine else []
         return self.explorer.explore_existing(goal, derivations)
-
-    # ------------------------------------------------------------------
-    # Convenience
-    # ------------------------------------------------------------------
-
-    def ranked_candidates(self, result) -> List[RepairCandidate]:
-        return self.cost_model.rank(result.candidates)

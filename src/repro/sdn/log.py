@@ -9,9 +9,8 @@ Section 5.4.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .controller import ControlMessage, FlowMod, PacketInEvent, PacketOut
 from .packets import Packet
@@ -86,34 +85,11 @@ class HistoricalLog:
     def packets(self) -> List[Packet]:
         return [r.packet for r in self.packet_records]
 
-    def ingress_packets(self) -> List[Tuple[int, Packet]]:
-        """(switch, packet) pairs for every logged ingress observation."""
-        return [(r.switch_id, r.packet) for r in self.packet_records]
-
-    def deliveries_per_host(self) -> Dict[int, int]:
-        counts: Dict[int, int] = Counter()
-        for record in self.delivery_records:
-            if record.delivered_to is not None:
-                counts[record.delivered_to] += 1
-        return dict(counts)
-
-    def drop_count(self) -> int:
-        return sum(1 for r in self.delivery_records if not r.delivered)
-
     def flow_mods(self) -> List[FlowMod]:
         return [m for _, m in self.control_messages if isinstance(m, FlowMod)]
 
     def packet_outs(self) -> List[PacketOut]:
         return [m for _, m in self.control_messages if isinstance(m, PacketOut)]
-
-    def sample_packets(self, count: int, stride: Optional[int] = None) -> List[PacketRecord]:
-        """A deterministic sample of the packet log (used for backtesting)."""
-        if not self.packet_records or count <= 0:
-            return []
-        if count >= len(self.packet_records):
-            return list(self.packet_records)
-        stride = stride or max(1, len(self.packet_records) // count)
-        return self.packet_records[::stride][:count]
 
     # ------------------------------------------------------------------
     # Storage accounting (Section 5.4)
@@ -121,11 +97,6 @@ class HistoricalLog:
 
     def storage_bytes(self) -> int:
         return LOG_ENTRY_BYTES * len(self.packet_records)
-
-    def logging_rate_mb_per_second(self, duration_seconds: float) -> float:
-        if duration_seconds <= 0:
-            return 0.0
-        return self.storage_bytes() / duration_seconds / 1e6
 
     def __len__(self):
         return len(self.packet_records)

@@ -92,23 +92,6 @@ class NetworkSimulator:
         self._apply_messages(messages)
         self._started = True
 
-    def reset_run(self):
-        """Reset for a fresh replay over the same topology and controller.
-
-        Statistics and the historical log restart empty, the flow tables are
-        wiped, and the next injection re-runs the controller's ``on_start``
-        — exactly the state a newly constructed simulator over a fresh
-        topology would be in.  Used by warm candidate evaluation, which
-        reuses one simulator across many replays instead of rebuilding it.
-        """
-        self.stats = TrafficStats()
-        self.log = HistoricalLog()
-        self._started = False
-        self._burst_adapter = None
-        self._burst_responses = {}
-        for switch in self.topology.switches.values():
-            switch.flow_table.clear()
-
     def _apply_messages(self, messages) -> List[PacketOut]:
         packet_outs: List[PacketOut] = []
         for message in messages:

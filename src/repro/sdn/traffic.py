@@ -119,13 +119,6 @@ class TrafficGenerator:
                     src_mac=client.mac, dst_mac=other.mac)))
         return trace
 
-    def generate_flows(self, flow_count: int) -> List[Tuple[int, Packet]]:
-        """Generate roughly ``flow_count`` flows (variable packet count)."""
-        trace: List[Tuple[int, Packet]] = []
-        for _ in range(flow_count):
-            trace.extend(self.generate(self._flow_size()))
-        return trace
-
 
 def replayed_trace(trace: Sequence[Tuple[int, Packet]],
                    repetitions: int) -> List[Tuple[int, Packet]]:

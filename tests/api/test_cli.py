@@ -64,14 +64,6 @@ def test_repair_with_config_file_and_events_log(tmp_path, capsys):
     assert "backtest_progress" in kinds
 
 
-def test_bench_reports_stage_timings(capsys):
-    assert main(["bench", "--scenario", "q1", "--repeat", "1",
-                 "--max-candidates", "4"]) == 0
-    out = capsys.readouterr().out
-    for stage in ("diagnose", "generate", "backtest", "rank", "total"):
-        assert stage in out
-
-
 def test_repair_exit_code_when_nothing_survives(capsys):
     # An impossible KS threshold rejects every candidate.
     assert main(["repair", "q1", "--max-candidates", "4",
@@ -92,10 +84,6 @@ def test_config_file_can_drive_the_scenario(tmp_path, capsys):
     assert main(["repair", "--config", str(config_path), "--json",
                  "--quiet"]) == 0
     assert json.loads(capsys.readouterr().out)["scenario"] == "Q2"
-    # bench honours the config's scenario too (no silent Q1 fallback).
-    assert main(["bench", "--config", str(config_path), "--repeat", "1",
-                 "--quiet"]) == 0
-    assert "timings for Q2" in capsys.readouterr().out
 
 
 def test_missing_scenario_is_a_usage_error(capsys):
@@ -103,11 +91,6 @@ def test_missing_scenario_is_a_usage_error(capsys):
         main(["repair", "--quiet"])
     assert excinfo.value.code == 2
     assert "no scenario specified" in capsys.readouterr().err
-
-
-def test_bench_rejects_nonpositive_repeat(capsys):
-    assert main(["bench", "--repeat", "0"]) == 2
-    assert "--repeat" in capsys.readouterr().err
 
 
 def test_boolean_flags_override_config_both_ways(tmp_path):

@@ -122,11 +122,15 @@ def test_trace_fixpoints_produces_engine_spans():
         "Q1", max_candidates=2,
         telemetry=TelemetryConfig(trace_fixpoints=True))
     session = RepairSession(config)
-    session.run()
+    traced_report = session.run()
     spans = session.telemetry.tracer.finished
     fixpoints = [span for span in spans if span["name"] == "engine.fixpoint"]
     assert fixpoints
     assert all("table" in span["attrs"] for span in fixpoints)
+    # The engine's traced insert path derives what the plain one does.
+    plain_report = RepairSession(
+        RepairConfig.for_scenario("Q1", max_candidates=2)).run()
+    assert result_rows(traced_report) == result_rows(plain_report)
 
 
 def test_telemetry_config_wire_round_trip():

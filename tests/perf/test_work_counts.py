@@ -1,0 +1,96 @@
+"""Work-count tripwire: how much a serial repair *does*, pinned exactly.
+
+A wall-clock reading on a shared host cannot tell a 10 % regression from
+noise; a count can tell one extra fixpoint.  Q1 (at the paper's
+``max_candidates=14``) and Q4 run serially with telemetry on, from a cold
+plan cache, and the product's own ``repro.obs`` counters must equal the
+pinned values: they are identical from run to run and across
+``PYTHONHASHSEED`` values.  The Python-level call count of the same run (a
+``sys.setprofile`` hook, the ledger's ``api.python_calls``) catches work no
+counter sees, such as an accidentally quadratic helper; it moves by a
+fraction of a percent with what earlier tests already imported, and with the
+interpreter's minor version, so it gets a ceiling instead of equality.
+
+A failure prints every count that moved and the dict to paste into
+``PINNED`` when the change is intended.
+"""
+
+import sys
+
+import pytest
+
+from repro.api import RepairConfig, RepairSession, TelemetryConfig
+from repro.ndlog.plan import PLAN_CACHE
+
+COUNTERS = ("engine_fixpoints", "rules_fired", "tuples_derived",
+            "packets_replayed", "plan_cache_misses", "candidates_backtested",
+            "candidates_vetoed")
+
+#: ``python_calls`` was pinned on CPython 3.11 in a fresh interpreter.
+PINNED = {
+    "Q1": {"engine_fixpoints": 778, "rules_fired": 866, "tuples_derived": 842,
+           "packets_replayed": 2808, "plan_cache_misses": 11,
+           "candidates_backtested": 14, "candidates_vetoed": 2,
+           "python_calls": 354463},
+    "Q4": {"engine_fixpoints": 160, "rules_fired": 248, "tuples_derived": 248,
+           "packets_replayed": 1280, "plan_cache_misses": 9,
+           "candidates_backtested": 11, "candidates_vetoed": 1,
+           "python_calls": 86940},
+}
+PYTHON_CALLS_CEILING = 1.10
+
+
+def _python_calls(call):
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+@pytest.fixture(scope="module", params=sorted(PINNED))
+def work(request):
+    """(scenario name, counts of one serial telemetry-on session)."""
+    PLAN_CACHE.clear()
+    session = RepairSession(RepairConfig.for_scenario(
+        request.param, max_candidates=14, telemetry=TelemetryConfig()))
+    counts = {"python_calls": _python_calls(session.run)}
+    snapshot = session.telemetry.metrics.snapshot()
+    for counter in COUNTERS:
+        counts[counter] = int(sum(value for name, _labels, value
+                                  in snapshot["counters"] if name == counter))
+    return request.param, counts
+
+
+def _repin_hint(name, counts):
+    return (f"if the change is intended, set PINNED[{name!r}] in "
+            f"{__file__} to {counts}")
+
+
+def test_obs_counters_are_exactly_the_pinned_ones(work):
+    name, counts = work
+    moved = {counter: f"pinned {PINNED[name][counter]}, now {counts[counter]}"
+             for counter in COUNTERS
+             if counts[counter] != PINNED[name][counter]}
+    assert not moved, (f"{name} does a different amount of work: {moved}; "
+                       + _repin_hint(name, counts))
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="python_calls is pinned on CPython 3.11")
+def test_python_calls_stay_under_the_ceiling(work):
+    name, counts = work
+    pinned = PINNED[name]["python_calls"]
+    assert counts["python_calls"] <= pinned * PYTHON_CALLS_CEILING, (
+        f"{name} makes {counts['python_calls']} Python calls, more than "
+        f"{PYTHON_CALLS_CEILING:.2f} x the pinned {pinned}; "
+        + _repin_hint(name, counts))
