@@ -18,10 +18,14 @@ an internal negative or aggregate edge (recursion through negation).  The
 stratum of a table is the length of the longest negative/aggregate-crossing
 path below it in the condensation.
 
-The graph also answers the cone queries used by program-delta eligibility
-(:func:`repro.ndlog.engine.program_delta_eligible`): ``downstream(tables)``
-is the set of tables whose contents may change when the given tables'
-derivations change.
+The graph also answers the cone queries behind the engine's warm-path gates
+(:func:`repro.ndlog.engine.program_delta_eligible`, which
+:meth:`~repro.ndlog.engine.Engine.apply_program_delta` enforces, and
+:func:`repro.ndlog.engine.data_edit_eligible`): ``downstream(tables)`` is the
+set of tables whose contents may change when the given tables' derivations
+change.  The engine asks nothing else of the graph: it evaluates rules off
+worklists, not stratum by stratum, so SCCs and strata serve the
+stratification findings only.
 """
 
 from __future__ import annotations
@@ -280,26 +284,6 @@ class DependencyGraph:
                     if candidate > strata[member]:
                         strata[member] = candidate
         return strata
-
-    def evaluation_groups(self) -> List[Tuple[FrozenSet[str], int]]:
-        """SCC groups in bulk-evaluation order: ``(tables, stratum)``.
-
-        Groups come out dependency-first — the topological order of the SCC
-        condensation (:meth:`sccs` emits the reverse) — which is exactly the
-        order a stratum-by-stratum evaluation needs: every dependency edge,
-        negative or positive, crosses forward, so each group sees its
-        producers fully evaluated before it runs.  The stratum is attached
-        as metadata (0 for every group of an unstratifiable program).
-        """
-        strata = self.strata()
-        groups = []
-        for component in reversed(self.sccs()):
-            if strata is None:
-                stratum = 0
-            else:
-                stratum = strata[next(iter(component))]
-            groups.append((component, stratum))
-        return groups
 
     # ------------------------------------------------------------------
     # Lint pass

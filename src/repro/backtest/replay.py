@@ -523,8 +523,6 @@ class Backtester:
         result)`` as candidates complete.
         """
         if scheduler is not None:
-            if progress is None:      # keep duck-typed scheduler stubs happy
-                return scheduler.run(self, candidates)
             return scheduler.run(self, candidates, progress=progress)
         workers = self.workers if workers is None else workers
         if ((workers or 1) > 1 and len(candidates) > 1

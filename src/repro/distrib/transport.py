@@ -6,12 +6,12 @@ index when they become free, so slow candidates (deep repair programs,
 abort-policy survivors) never stall a statically assigned shard.  Two
 implementations:
 
-``InProcessTransport`` (``"inprocess"``, ``"serial"``)
+``InProcessTransport`` (``"inprocess"``)
     Evaluates in the calling process through the same
     :class:`~repro.distrib.jobs.JobRuntime` the workers use — the
     reference implementation and the zero-dependency fallback.
 
-``SocketTransport`` (``"spawn"``, ``"socket"``, ``"tcp"``)
+``SocketTransport`` (``"spawn"``, ``"socket"``)
     A :class:`~repro.distrib.pool.WorkerPool` plus a one-job,
     input-order dispatch policy: ``repro-worker`` processes
     (``python -m repro.distrib.worker --connect HOST:PORT``) drain one
@@ -335,10 +335,8 @@ class SocketTransport(BaseTransport, DispatchPolicy):
 #: transport was built under is only what spans, events and ``.name`` say.
 TRANSPORTS = {
     "inprocess": InProcessTransport,
-    "serial": InProcessTransport,
     "spawn": SocketTransport,
     "socket": SocketTransport,
-    "tcp": SocketTransport,
 }
 
 
@@ -349,7 +347,7 @@ def make_transport(name: str, **options) -> BaseTransport:
         cls = TRANSPORTS[name]
     except KeyError as exc:
         raise DistribError(f"unknown transport {name!r}; expected one of "
-                           f"{sorted(set(TRANSPORTS))}") from exc
+                           f"{sorted(TRANSPORTS)}") from exc
     if cls is InProcessTransport:
         options.pop("workers", None)     # meaningless in-process
         options.pop("result_timeout", None)

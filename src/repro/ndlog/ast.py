@@ -298,18 +298,6 @@ class Rule:
         body_text = ", ".join(parts)
         return f"{self.name} {self.head.to_ndlog()} :- {body_text}."
 
-    def structural_digest(self):
-        """Content digest of the rule (sha1 of its canonical NDlog text).
-
-        Structurally equal rules — regardless of which program object they
-        live in — share a digest; the engine's plan cache
-        (:data:`repro.ndlog.plan.PLAN_CACHE`) uses it to share compiled
-        plans across a candidate corpus.
-        """
-        from .plan import rule_digest
-
-        return rule_digest(self)
-
     def __str__(self):
         return self.to_ndlog()
 
@@ -361,12 +349,6 @@ class Program:
     def line_count(self):
         """Number of rules; used by the program-size scalability experiment."""
         return len(self.rules)
-
-    def structural_digest(self):
-        """Order-sensitive digest of the program's rule sequence."""
-        from .plan import program_digest
-
-        return program_digest(self)
 
     def to_ndlog(self):
         return "\n".join(rule.to_ndlog() for rule in self.rules) + "\n"

@@ -20,15 +20,16 @@ across programs through the process-global, structural-digest-keyed
 batch of trigger tuples per call; joins probe the database's ``(column,
 value)`` hash indexes with the equality constraints implied by constants and
 already-bound variables, and selection predicates are pushed down to the
-first join depth where their variables are bound.  The event-visible
-fixpoint runs off a deque-based worklist (single-tuple batches, preserving
-the exact historical firing order); the quiet bulk paths (deletion
-re-derivation, program-delta seeding, full recompute) run round-based delta
-batches — the full recompute additionally evaluates stratum-by-stratum over
-the SCC condensation from :mod:`repro.analysis.depgraph` (semi-naive:
-each round joins only the previous round's delta against the indexes).
-Duplicate rule firings are detected with a per-(rule, head) hash set rather
-than a linear scan of the derivation history.
+first join depth where their variables are bound.  There are two fixpoint
+loops.  The event-visible one (:meth:`Engine._fixpoint`) runs off a
+deque-based worklist of single-tuple batches, which fixes the firing order
+the event log and the derivation history record.  The quiet one
+(:meth:`Engine._rederive_fixpoint`) serves deletion re-derivation,
+program-delta seeding and the full recompute alike: semi-naive delta rounds,
+each joining only the previous round's fresh tuples — batched per table —
+against the indexes.  Duplicate rule firings are detected with a
+per-(rule, head) hash set rather than a linear scan of the derivation
+history.
 
 The fire functions are the only code that joins a rule body.  Firing is
 *eager*: a fire call returns the complete list of firings for its batch, and
@@ -59,11 +60,12 @@ matching the historical message semantics of the event log.
 Primary-key (NDlog "update") tables interact with deletion in two ways: a
 key update that evicts a derived tuple also forgets its supports (so the
 same firing can later re-derive it), and a deletion whose cone touches a
-keyed table falls back to a full recompute, since freeing a key can make a
-previously evicted tuple derivable again.  When several live derivations
-assign *different* values to one key, the surviving tuple is
-evaluation-order dependent — a property of the update semantics itself,
-shared with the recompute-based reference evaluator.
+keyed table falls back to a full recompute (derived flags and supports
+dropped, the quiet fixpoint re-run from the base tuples in insertion order),
+since freeing a key can make a previously evicted tuple derivable again.
+When several live derivations assign *different* values to one key, the
+surviving tuple is evaluation-order dependent — a property of the update
+semantics itself, shared with the recompute-based reference evaluator.
 
 The engine is deliberately single-threaded and deterministic: logical time is
 a simple counter, and rule/body iteration order is the program order.  This
@@ -88,9 +90,10 @@ recurring cost.  Two facilities move that cost off the per-candidate path:
 * :meth:`Engine.apply_program_delta` switches to a candidate program by
   *diffing* the rule sets: derivations of removed/modified rules are
   retracted through the DRed support machinery, and only added/modified
-  rules are (re-)evaluated against the existing database — a cold
-  ``set_program`` + recompute is needed only for ineligible deltas (see
-  :func:`program_delta_eligible`).  Delta evaluation is quiet — it updates
+  rules are (re-)evaluated against the existing database — ineligible
+  deltas (see :func:`program_delta_eligible`) get a fresh engine instead.
+  There is no other way to change an engine's program, so the supports
+  always belong to the rules it runs.  Delta evaluation is quiet — it updates
   tuples and supports but records no events/derivations — so warm engines
   serve backtesting (``record_events=False``), not provenance capture.
 """
@@ -115,7 +118,7 @@ from .events import (
     EngineEvent,
 )
 from .expr import FunctionRegistry
-from .plan import CompiledRule, PLAN_CACHE, schedule_for
+from .plan import CompiledRule, PLAN_CACHE
 from .tuples import Database, NDTuple, TableSchema
 
 
@@ -255,8 +258,7 @@ class EngineCheckpoint:
 
     __slots__ = ("engine", "journal_length", "clock", "event_count",
                  "derivation_count", "quiet_firings", "program",
-                 "incremental_ready",
-                 "plans_by_body_table", "plans_by_name", "rule_names")
+                 "plans_by_body_table", "plans_by_name")
 
     def __init__(self, engine: "Engine"):
         self.engine = engine
@@ -266,12 +268,10 @@ class EngineCheckpoint:
         self.derivation_count = len(engine.derivations)
         self.quiet_firings = engine._quiet_firings
         self.program = engine.program
-        self.incremental_ready = engine._incremental_ready
         # Plan dicts are replaced (never mutated) by _index_rules, so
         # holding references makes the restore-side rollback a pointer swap.
         self.plans_by_body_table = engine._plans_by_body_table
         self.plans_by_name = engine._plans_by_name
-        self.rule_names = engine._rule_names
 
 
 class Engine:
@@ -303,15 +303,11 @@ class Engine:
         #: instead of scanning every live support in the database.
         self._supports_by_rule: Dict[str, Set[Tuple[NDTuple, Tuple[str, Tuple[NDTuple, ...]]]]] = {}
         self._plans_by_body_table: Dict[str, List[Tuple[CompiledRule, int]]] = defaultdict(list)
-        self._rule_names: Set[str] = set()
         #: Rule firings processed on quiet paths (``record_events=False``
         #: skips the derivation history entirely); stands in for the
         #: ``max_derivations`` runaway guard there, and is checkpointed so a
         #: restore rewinds the budget too.
         self._quiet_firings = 0
-        #: False after a program swap left derived state without supports;
-        #: the next removal resynchronises with a full recompute.
-        self._incremental_ready = True
         #: Undo journal, shared with the database; ``None`` until the first
         #: :meth:`checkpoint` — non-warm engines pay one None-check per
         #: mutation and nothing else.
@@ -347,41 +343,15 @@ class Engine:
         plans_by_body_table: Dict[str, List[Tuple[CompiledRule, int]]] = \
             defaultdict(list)
         plans_by_name: Dict[str, CompiledRule] = {}
-        rule_names: Set[str] = set()
         cache = PLAN_CACHE
         for rule in self.program.rules:
             plan = cache.get(rule)
-            rule_names.add(rule.name)
             plans_by_name[rule.name] = plan
             for position in range(len(rule.body)):
                 plans_by_body_table[rule.body[position].table].append(
                     (plan, position))
         self._plans_by_body_table = plans_by_body_table
         self._plans_by_name = plans_by_name
-        self._rule_names = rule_names
-
-    def set_program(self, program: Program):
-        """Swap in a new program (used when backtesting a repair candidate).
-
-        Support bookkeeping built under the old rules is discarded; the next
-        :meth:`remove` falls back to a full recompute (which rebuilds the
-        supports under the new program) instead of trusting stale entries.
-        """
-        self.program = program
-        self._index_rules()
-        if self._supports or self._dependents:
-            if self._journal is not None:
-                self._journal.append(("supswap", self._supports,
-                                      self._dependents,
-                                      self._supports_by_rule))
-                self._supports = {}
-                self._dependents = {}
-                self._supports_by_rule = {}
-            else:
-                self._supports.clear()
-                self._dependents.clear()
-                self._supports_by_rule.clear()
-            self._incremental_ready = False
 
     def register_schema(self, schema: TableSchema):
         self.database.register_schema(schema)
@@ -568,61 +538,10 @@ class Engine:
         self._log(DELETE, tup, node=node)
         self._log(DISAPPEAR, tup, node=node)
         self.database.remove(tup)
-        if not self._incremental_ready:
-            # A program swap invalidated the support graph: recompute the
-            # derived set from the remaining base tuples under the current
-            # rules, rebuilding the supports along the way.
-            return self._recompute_and_rebuild_supports()
-
-        # Phase 1: over-delete everything transitively supported via ``tup``.
         overdeleted: List[NDTuple] = [tup]
-        overdeleted_set: Set[NDTuple] = {tup}
         touched_base: Set[NDTuple] = set()
-        keyed_table_touched = self._in_keyed_table(tup)
-        queue = deque([tup])
-        journal = self._journal
-        while queue:
-            current = queue.popleft()
-            popped = self._dependents.pop(current, None)
-            if popped is None:
-                continue
-            if journal is not None:
-                journal.append(("deppop", current, popped))
-            for head, rule_name, body in popped:
-                supports = self._supports.get(head)
-                if supports is not None:
-                    key = (rule_name, body)
-                    if key in supports:
-                        supports.discard(key)
-                        self._rule_index_discard(head, key)
-                        if journal is not None:
-                            journal.append(("supdel", head, key))
-                    if not supports:
-                        del self._supports[head]
-                if head in overdeleted_set or not self.database.contains(head):
-                    continue
-                if self.database.is_base(head):
-                    # Base tuples never leave because a derivation died.
-                    touched_base.add(head)
-                    continue
-                self.database.remove(head)
-                overdeleted.append(head)
-                overdeleted_set.add(head)
-                keyed_table_touched = keyed_table_touched or self._in_keyed_table(head)
-                queue.append(head)
-
-        # Phase 2: re-derive over-deleted tuples that still have a valid
-        # alternative support, and propagate quietly.
-        worklist: List[NDTuple] = []
-        for head in overdeleted:
-            if self._has_valid_support(head):
-                self.database.insert(head, derived=True)
-                worklist.append(head)
-        for head in touched_base:
-            if not self._has_valid_support(head):
-                self.database.clear_derived_flag(head)
-        if worklist:
-            self._rederive_fixpoint(worklist)
+        self._overdelete(overdeleted, touched_base)
+        self._rederive_survivors(overdeleted, touched_base)
 
         disappeared = []
         for head in overdeleted[1:]:
@@ -632,7 +551,7 @@ class Engine:
                 self._log(UNDERIVE, head, node=head_node)
                 self._log(DISAPPEAR, head, node=head_node)
                 disappeared.append(head)
-        if keyed_table_touched:
+        if any(self._in_keyed_table(gone) for gone in overdeleted):
             # Deleting a tuple of a primary-key table can free a key that a
             # previously evicted tuple (whose supports the eviction hook
             # dropped) may reoccupy; only a recompute can find those, so fall
@@ -741,12 +660,10 @@ class Engine:
         del self.events[cp.event_count:]
         self.clock = cp.clock
         self._quiet_firings = cp.quiet_firings
-        self._incremental_ready = cp.incremental_ready
         if self.program is not cp.program:
             self.program = cp.program
             self._plans_by_body_table = cp.plans_by_body_table
             self._plans_by_name = cp.plans_by_name
-            self._rule_names = cp.rule_names
 
     def apply_program_delta(self, old_program: Program,
                             new_program: Program) -> None:
@@ -763,15 +680,11 @@ class Engine:
 
         Raises :class:`ProgramDeltaError` for ineligible deltas — callers
         should pre-check with :func:`program_delta_eligible` and fall back
-        to :meth:`set_program` on a fresh (or restored) engine.
+        to a fresh engine for ``new_program``.
         """
         if self.program is not old_program and self.program != old_program:
             raise ProgramDeltaError(
                 "apply_program_delta: engine is not running the old program")
-        if not self._incremental_ready:
-            raise ProgramDeltaError(
-                "apply_program_delta: support graph is stale (a prior "
-                "set_program bypassed incremental maintenance)")
         delta, reason = _delta_ineligibility(old_program, new_program,
                                              self.database.schemas())
         if reason is not None:
@@ -794,7 +707,7 @@ class Engine:
                        inserted: List[NDTuple]) -> None:
         """Retract every derivation currently supported by ``rule_names``.
 
-        Mirrors :meth:`remove`'s two DRed phases, with stale-support removal
+        The same two DRed phases as :meth:`remove`, with stale-support removal
         (instead of a base-tuple deletion) as the seed.  The stale supports
         come straight from the per-rule index, so finding them is O(the
         retracted rules' own supports) — programs with large derived state
@@ -835,11 +748,9 @@ class Engine:
                 seen_seeds.add(head)
                 seeds.append(head)
 
-        # Phase 1: over-delete the seeds and their downstream cone.
+        # A seed that is also base stays; the others leave with their cone.
         overdeleted: List[NDTuple] = []
-        overdeleted_set: Set[NDTuple] = set()
         touched_base: Set[NDTuple] = set()
-        queue = deque()
         for head in seeds:
             if not self.database.contains(head):
                 continue
@@ -848,8 +759,20 @@ class Engine:
                 continue
             self.database.remove(head)
             overdeleted.append(head)
-            overdeleted_set.add(head)
-            queue.append(head)
+        self._overdelete(overdeleted, touched_base)
+        self._rederive_survivors(overdeleted, touched_base, inserted)
+
+    def _overdelete(self, overdeleted: List[NDTuple],
+                    touched_base: Set[NDTuple]) -> None:
+        """DRed phase 1.  ``overdeleted`` arrives holding the tuples the
+        caller already took out of the database and leaves extended, in
+        breadth-first order, with everything transitively supported through
+        them — each removed from the database, its supports unregistered.
+        Base tuples never leave because a derivation died: the ones reached
+        are collected in ``touched_base`` instead."""
+        overdeleted_set = set(overdeleted)
+        queue = deque(overdeleted)
+        journal = self._journal
         while queue:
             current = queue.popleft()
             popped = self._dependents.pop(current, None)
@@ -878,11 +801,17 @@ class Engine:
                 overdeleted_set.add(head)
                 queue.append(head)
 
-        # Phase 2: re-derive members of the cone with a surviving support.
-        worklist = [head for head in overdeleted
-                    if self._has_valid_support(head)]
-        for head in worklist:
-            self.database.insert(head, derived=True)
+    def _rederive_survivors(self, overdeleted: List[NDTuple],
+                            touched_base: Set[NDTuple],
+                            inserted: Optional[List[NDTuple]] = None) -> None:
+        """DRed phase 2: put back the over-deleted tuples that still have a
+        valid alternative support, drop the derived flag of touched base
+        tuples that have none, and propagate quietly."""
+        worklist: List[NDTuple] = []
+        for head in overdeleted:
+            if self._has_valid_support(head):
+                self.database.insert(head, derived=True)
+                worklist.append(head)
         for head in touched_base:
             if not self._has_valid_support(head):
                 self.database.clear_derived_flag(head)
@@ -1031,7 +960,8 @@ class Engine:
 
     def _rederive_fixpoint(self, delta: Sequence[NDTuple],
                            inserted: Optional[List[NDTuple]] = None):
-        """Quiet fixpoint used by the deletion re-derivation phase.
+        """The quiet fixpoint: DRed re-derivation, program-delta seeding and
+        the full recompute all propagate through here.
 
         Re-registers supports and re-inserts tuples without appending to the
         event log or the derivation history (matching the silent recompute of
@@ -1126,12 +1056,12 @@ class Engine:
         return schema is not None and bool(schema.primary_key)
 
     def _recompute_and_rebuild_supports(self) -> List[NDTuple]:
-        """Full recompute of the derived set (post-``set_program`` fallback).
+        """Full recompute of the derived set (keyed-table deletion fallback).
 
         Derived flags are cleared (base flags are untouched — removing one
         base tuple never evicts another), the quiet fixpoint re-derives
-        everything reachable from the remaining base tuples under the current
-        program, and the support graph is rebuilt from scratch.
+        everything reachable from the remaining base tuples, taken in
+        insertion order, and the support graph is rebuilt from scratch.
         """
         before = self.database.derived_tuples()
         for tup in before:
@@ -1146,8 +1076,7 @@ class Engine:
             self._supports.clear()
             self._dependents.clear()
             self._supports_by_rule.clear()
-        self._bulk_rederive()
-        self._incremental_ready = True
+        self._rederive_fixpoint(self.database.base_in_order())
         disappeared = []
         for tup in before:
             if not self.database.contains(tup):
@@ -1157,59 +1086,14 @@ class Engine:
                 disappeared.append(tup)
         return disappeared
 
-    def _bulk_rederive(self) -> None:
-        """Stratified semi-naive re-derivation of the full derived set.
-
-        Evaluates SCC group by SCC group in the dependency order provided by
-        :meth:`repro.analysis.depgraph.DependencyGraph.evaluation_groups`:
-        each group's rules are seeded with one whole-table batch fire from
-        atom 0 (covering every firing among already-present tuples), then
-        iterated semi-naively — only the group's own fresh heads re-fire,
-        and only through the group's own rules; later groups see the
-        finished result when they seed.  Falls back to the un-stratified
-        delta fixpoint when the program cannot be scheduled (duplicate rule
-        names).
-        """
-        schedule = schedule_for(self.program)
-        if schedule is None:
-            self._rederive_fixpoint(list(self.database.base_tuples()))
-            return
-        database = self.database
-        functions = self.functions
-        plans_by_name = self._plans_by_name
-        plans_map = self._plans_by_body_table
-        for tables, rule_names, _stratum in schedule.groups:
-            frontier: List[NDTuple] = []
-            for name in rule_names:
-                plan = plans_by_name.get(name)
-                if plan is None or not plan.body_tables:
-                    continue
-                batch = list(database.table(plan.body_tables[0]))
-                if not batch:
-                    continue
-                firings = plan.fire(0, batch, database, functions, False)
-                self._apply_quiet_firings(plan, firings, frontier)
-            while frontier:
-                by_table: Dict[str, List[NDTuple]] = {}
-                for tup in frontier:
-                    by_table.setdefault(tup.table, []).append(tup)
-                frontier = []
-                for table, batch in by_table.items():
-                    for plan, position in plans_map.get(table, ()):
-                        if plan.head_table not in tables:
-                            # Consumers outside the group pick the head up
-                            # when their own group seeds.
-                            continue
-                        firings = plan.fire(position, batch, database,
-                                            functions, False)
-                        self._apply_quiet_firings(plan, firings, frontier)
-
     def _has_valid_support(self, head: NDTuple) -> bool:
-        """Does any registered support of ``head`` still hold entirely?"""
+        """Does any registered support of ``head`` still hold entirely?
+
+        Every registered support belongs to a rule of the current program:
+        :meth:`apply_program_delta`, the only way the program changes,
+        retracts the changed rules' supports before anything asks."""
         database = self.database
-        for rule_name, body in self._supports.get(head, ()):
-            if rule_name not in self._rule_names:
-                continue
+        for _rule_name, body in self._supports.get(head, ()):
             if all(database.contains(member) for member in body):
                 return True
         return False

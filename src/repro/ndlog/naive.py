@@ -79,10 +79,6 @@ class NaiveEngine:
             for position, atom in enumerate(rule.body):
                 self._rules_by_body_table[atom.table].append((rule, position))
 
-    def set_program(self, program: Program):
-        self.program = program
-        self._index_rules()
-
     def register_schema(self, schema: TableSchema):
         self.database.register_schema(schema)
 

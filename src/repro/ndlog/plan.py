@@ -1,4 +1,4 @@
-"""Compiled rule plans, the shared plan cache, and program schedules.
+"""Compiled rule plans and the shared plan cache.
 
 This module is the compilation layer of the engine core: each NDlog rule is
 translated once into specialized Python *fire functions* (one per trigger
@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .ast import (ARITHMETIC_OPERATORS, COMPARISON_OPERATORS, Atom, BinOp,
-                  Const, Expression, FuncCall, Program, Rule, Var, WILDCARD)
+                  Const, Expression, FuncCall, Rule, Var, WILDCARD)
 from .errors import EvaluationError
 from .expr import _arith, _compare
 from .tuples import NDTuple
@@ -61,15 +61,6 @@ def rule_digest(rule: Rule) -> str:
     digests imply structurally equal rules.
     """
     return hashlib.sha1(rule.to_ndlog().encode("utf-8")).hexdigest()
-
-
-def program_digest(program: Program) -> str:
-    """Digest of a program's rule sequence (order-sensitive)."""
-    sha = hashlib.sha1()
-    for rule in program.rules:
-        sha.update(rule_digest(rule).encode("ascii"))
-        sha.update(b";")
-    return sha.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -461,60 +452,3 @@ PLAN_CACHE = PlanCache()
 def plan_cache_stats() -> Dict[str, int]:
     """Stats of the process-global plan cache (hits/misses/size)."""
     return PLAN_CACHE.stats()
-
-
-# ---------------------------------------------------------------------------
-# Program schedules (stratified semi-naive bulk evaluation)
-# ---------------------------------------------------------------------------
-
-
-class ProgramSchedule:
-    """Stratum-ordered SCC groups of a program, for bulk re-evaluation.
-
-    ``groups`` is a tuple of ``(tables, rule_names, stratum)`` in evaluation
-    order: dependencies first (SCC condensation topological order), strata
-    ascending.  ``rule_names`` are the program's rules whose head lies in
-    the group, in program order.
-    """
-
-    __slots__ = ("groups", "digest")
-
-    def __init__(self, groups, digest):
-        self.groups = groups
-        self.digest = digest
-
-
-_SCHEDULE_CACHE: "OrderedDict[str, Optional[ProgramSchedule]]" = OrderedDict()
-_SCHEDULE_CACHE_CAPACITY = 256
-
-
-def schedule_for(program: Program) -> Optional[ProgramSchedule]:
-    """Evaluation schedule for ``program`` (cached by program digest).
-
-    Returns ``None`` when the program's rule names are ambiguous (duplicate
-    names make per-group rule resolution unsafe); unstratifiable programs
-    still get a schedule in plain SCC topological order (stratum 0), which
-    is sufficient for the positive-rule bulk evaluation the engine runs.
-    """
-    digest = program_digest(program)
-    if digest in _SCHEDULE_CACHE:
-        _SCHEDULE_CACHE.move_to_end(digest)
-        return _SCHEDULE_CACHE[digest]
-    from ..analysis.depgraph import DependencyGraph
-
-    schedule: Optional[ProgramSchedule]
-    names = [rule.name for rule in program.rules]
-    if len(set(names)) != len(names):
-        schedule = None
-    else:
-        graph = DependencyGraph(program)
-        groups = []
-        for tables, stratum in graph.evaluation_groups():
-            rule_names = tuple(rule.name for rule in program.rules
-                               if rule.head.table in tables)
-            groups.append((tables, rule_names, stratum))
-        schedule = ProgramSchedule(tuple(groups), digest)
-    _SCHEDULE_CACHE[digest] = schedule
-    while len(_SCHEDULE_CACHE) > _SCHEDULE_CACHE_CAPACITY:
-        _SCHEDULE_CACHE.popitem(last=False)
-    return schedule

@@ -12,14 +12,14 @@ Storage details that the evaluation layer relies on:
   overlapping sets: a tuple inserted from the outside and later re-derived by
   a rule is both base and derived at once, and dropping one flag never evicts
   the tuple while the other flag remains.
-* Tables are stored column-oriented underneath the set interface: besides the
-  membership set, each table keeps an insertion-ordered row list (removals
-  swap-pop, keeping it dense) from which per-column value blocks are sliced
-  on demand (:meth:`Database.columns`, cached per mutation epoch).
+* A table is one live set of tuples.  The only insertion-ordered record is
+  the flag dict itself, which :meth:`Database.base_in_order` exposes so the
+  engine's quiet recompute can seed in an order that does not depend on the
+  string hash seed.
 * Secondary hash indexes keyed on ``(column, value)`` let joins probe the
   tuples matching an already-bound variable instead of scanning (and
   copying) the whole table.  Indexes are *lazy*: a column's buckets are
-  materialised from the row list the first time a probe constrains that
+  materialised from the live set the first time a probe constrains that
   column, and only materialised columns are maintained afterwards — tables
   that are only ever scanned (or probed on one column) never pay for
   indexing the rest.
@@ -28,7 +28,7 @@ Storage details that the evaluation layer relies on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple as PyTuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple as PyTuple
 
 from .errors import SchemaError
 
@@ -118,9 +118,6 @@ class NDTuple:
     def arity(self):
         return len(self.values)
 
-    def value(self, index):
-        return self.values[index]
-
     def location(self, schema: Optional[TableSchema] = None):
         index = schema.location_index if schema is not None else 0
         if index >= len(self.values):
@@ -169,18 +166,11 @@ class Database:
         self._tables: Dict[str, Set[NDTuple]] = {}
         #: Per-tuple BASE_FLAG / DERIVED_FLAG bits.
         self._flags: Dict[NDTuple, int] = {}
-        #: Column-store backbone: dense insertion-ordered rows per table
-        #: (removals swap-pop) plus each live tuple's current position.
-        self._rows: Dict[str, List[NDTuple]] = {}
-        self._row_pos: Dict[str, Dict[NDTuple, int]] = {}
         #: Per-table secondary indexes: (column, value) -> set of tuples.
         #: Only the columns in ``_indexed_columns[table]`` are materialised;
         #: others are built on first probe (see :meth:`_ensure_column`).
         self._indexes: Dict[str, Dict[PyTuple[int, object], Set[NDTuple]]] = {}
         self._indexed_columns: Dict[str, Set[int]] = {}
-        #: Mutation counter per table; invalidates the column-block cache.
-        self._epoch: Dict[str, int] = {}
-        self._columns_cache: Dict[str, PyTuple[int, PyTuple[tuple, ...]]] = {}
         #: Monotone count of lazily materialised secondary indexes
         #: (:meth:`_ensure_column` actually building buckets) — sampled by
         #: the observability layer; never rewound.
@@ -226,33 +216,6 @@ class Database:
         """The live tuple set of a table.  Callers must not mutate it."""
         return self._tables.get(name, _EMPTY_SET)
 
-    def rows(self, name) -> List[NDTuple]:
-        """The live, dense row list of a table in insertion order (removals
-        swap-pop, so positions are not stable).  Callers must not mutate it.
-
-        Unlike :meth:`table`, iteration order does not depend on the string
-        hash seed — bulk evaluation passes batches in this order.
-        """
-        return self._rows.get(name, _EMPTY_ROWS)
-
-    def columns(self, name) -> PyTuple[tuple, ...]:
-        """Per-column value blocks of a table, aligned with :meth:`rows`.
-
-        ``columns(t)[c][i] == rows(t)[i].values[c]``.  Blocks are sliced
-        lazily from the row list and cached until the table next mutates.
-        Returns ``()`` for an empty or unknown table.
-        """
-        rows = self._rows.get(name)
-        if not rows:
-            return ()
-        epoch = self._epoch.get(name, 0)
-        cached = self._columns_cache.get(name)
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
-        blocks = tuple(zip(*(row.values for row in rows)))
-        self._columns_cache[name] = (epoch, blocks)
-        return blocks
-
     def _ensure_column(self, table, column) -> None:
         """Materialise the ``(column, value)`` buckets of one table column."""
         indexed = self._indexed_columns.setdefault(table, set())
@@ -261,7 +224,7 @@ class Database:
         indexed.add(column)
         self.index_materializations += 1
         index = self._indexes.setdefault(table, {})
-        for tup in self._rows.get(table, ()):
+        for tup in self._tables.get(table, ()):
             values = tup.values
             if column < len(values):
                 index.setdefault((column, values[column]), set()).add(tup)
@@ -310,12 +273,12 @@ class Database:
                 best = found
         return best
 
-    def all_tuples(self) -> Iterator[NDTuple]:
-        for table_tuples in self._tables.values():
-            yield from table_tuples
-
     def base_tuples(self) -> Set[NDTuple]:
-        return {t for t, flags in self._flags.items() if flags & BASE_FLAG}
+        return set(self.base_in_order())
+
+    def base_in_order(self) -> List[NDTuple]:
+        """Base tuples in the order they entered the store."""
+        return [t for t, flags in self._flags.items() if flags & BASE_FLAG]
 
     def derived_tuples(self) -> Set[NDTuple]:
         return {t for t, flags in self._flags.items() if flags & DERIVED_FLAG}
@@ -362,15 +325,8 @@ class Database:
         return conflicting
 
     def _index_add(self, tup: NDTuple):
-        """Register a fresh tuple in the row store and materialised buckets."""
+        """Register a fresh tuple in the table's materialised buckets."""
         table = tup.table
-        rows = self._rows.get(table)
-        if rows is None:
-            rows = self._rows[table] = []
-            self._row_pos[table] = {}
-        self._row_pos[table][tup] = len(rows)
-        rows.append(tup)
-        self._epoch[table] = self._epoch.get(table, 0) + 1
         indexed = self._indexed_columns.get(table)
         if indexed:
             index = self._indexes[table]
@@ -380,18 +336,8 @@ class Database:
                     index.setdefault((column, values[column]), set()).add(tup)
 
     def _index_discard(self, tup: NDTuple):
-        """Drop a tuple from the row store (swap-pop) and the buckets."""
+        """Drop a tuple from the table's materialised buckets."""
         table = tup.table
-        positions = self._row_pos.get(table)
-        if positions is not None:
-            position = positions.pop(tup, None)
-            if position is not None:
-                rows = self._rows[table]
-                last = rows.pop()
-                if last != tup:     # equality, not identity: the stored
-                    rows[position] = last   # instance may differ from ``tup``
-                    positions[last] = position
-                self._epoch[table] = self._epoch.get(table, 0) + 1
         indexed = self._indexed_columns.get(table)
         if indexed:
             index = self._indexes[table]
@@ -502,35 +448,9 @@ class Database:
         else:                        # pragma: no cover — engine-side entry
             raise ValueError(f"unknown database journal entry {kind!r}")
 
-    def clear_table(self, table):
-        for tup in list(self._tables.get(table, ())):
-            self.remove(tup)
-
-    def snapshot(self) -> "Database":
-        """Return a deep copy of the database (schemas shared, data copied)."""
-        copy = Database(self._schemas)
-        for table, tuples in self._tables.items():
-            copy._tables[table] = set(tuples)
-        for table, rows in self._rows.items():
-            copy._rows[table] = list(rows)
-            copy._row_pos[table] = dict(self._row_pos[table])
-        for table, index in self._indexes.items():
-            copy._indexes[table] = {key: set(bucket) for key, bucket in index.items()}
-        for table, indexed in self._indexed_columns.items():
-            copy._indexed_columns[table] = set(indexed)
-        copy._flags = dict(self._flags)
-        return copy
-
     def index_consistent(self) -> bool:
-        """Do the row store and every materialised bucket agree with the
-        live tuple sets?  (Diagnostic used by the checkpoint tests.)"""
-        for table, live in self._tables.items():
-            rows = self._rows.get(table, [])
-            if len(rows) != len(live) or set(rows) != live:
-                return False
-            positions = self._row_pos.get(table, {})
-            if any(rows[pos] != tup for tup, pos in positions.items()):
-                return False
+        """Does every materialised bucket agree with the live tuple sets?
+        (Diagnostic used by the checkpoint tests.)"""
         for table, index in self._indexes.items():
             live = self._tables.get(table, _EMPTY_SET)
             indexed = self._indexed_columns.get(table, set())
@@ -556,4 +476,3 @@ class Database:
 
 
 _EMPTY_SET: Set[NDTuple] = frozenset()
-_EMPTY_ROWS: List[NDTuple] = []

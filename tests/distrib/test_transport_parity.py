@@ -247,9 +247,9 @@ def test_workers_without_scheduler_use_spawn(scenarios, serial_snapshots,
     used = []
 
     class SpyScheduler(Scheduler):
-        def run(self, backtester, candidates):
+        def run(self, backtester, candidates, progress=None):
             used.append(self.transport.name)
-            return super().run(backtester, candidates)
+            return super().run(backtester, candidates, progress=progress)
 
     # These smoke-sized replays are exactly what the min-work gate keeps
     # serial; open it.

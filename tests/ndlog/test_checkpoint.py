@@ -86,7 +86,6 @@ def engine_fingerprint(engine):
         {key: frozenset(bodies)
          for key, bodies in engine._recorded_bodies.items() if bodies},
         engine.program.to_ndlog(),
-        engine._incremental_ready,
     )
 
 

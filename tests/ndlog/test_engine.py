@@ -27,9 +27,8 @@ r7 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 2, Hdr == 80, Prt := 
 """
 
 
-def make_figure2_engine():
-    program = parse_program(FIGURE2_PROGRAM)
-    engine = Engine(program)
+def make_figure2_engine(program=None):
+    engine = Engine(program or parse_program(FIGURE2_PROGRAM))
     engine.register_schema(TableSchema("PacketIn", ("C", "Swi", "Hdr"), persistent=False))
     engine.register_schema(TableSchema("WebLoadBalancer", ("C", "Hdr", "Prt")))
     engine.register_schema(TableSchema("FlowTable", ("Swi", "Hdr", "Prt")))
@@ -109,12 +108,11 @@ class TestFigure2Scenario:
         assert engine.tuples("FlowTable") == set()
 
     def test_fixed_program_installs_switch3_entry(self):
-        engine = make_figure2_engine()
-        fixed = engine.program.clone()
+        fixed = parse_program(FIGURE2_PROGRAM)
         # The fix the paper's operator would apply: Swi == 2 -> Swi == 3 in r7.
         from repro.ndlog import BinOp, Const, Var
         fixed.rule_named("r7").selections[0].expr = BinOp("==", Var("Swi"), Const(3))
-        engine.set_program(fixed)
+        engine = make_figure2_engine(fixed)
         derived = engine.insert(make_tuple("PacketIn", "C", 3, 80))
         assert make_tuple("FlowTable", 3, 80, 2) in derived
 

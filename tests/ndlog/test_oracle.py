@@ -10,7 +10,8 @@ join, delete and wide-program (Figure 10-style) ones.
 
 import pytest
 
-from repro.ndlog import Engine, NaiveEngine, make_tuple, parse_program
+from repro.ndlog import (Engine, NaiveEngine, TableSchema, make_tuple,
+                         parse_program)
 from repro.scenarios import SCENARIO_BUILDERS, build_scenario
 
 
@@ -89,6 +90,63 @@ def test_deletions_match_oracle_on_persistent_tables():
         assert set(changed_indexed) == set(changed_naive), \
             f"diverged on {action} {tup}"
         assert database_state(indexed) == database_state(naive)
+
+
+def test_keyed_cone_deletions_match_oracle_and_a_fresh_engine():
+    """A deletion whose cone touches a primary-key table recomputes the
+    whole derived set — here over four SCC groups, the recursive ``Reach``
+    among them.  After every removal the tables and flags must equal the
+    oracle's, and tables, flags *and* the support bookkeeping a fresh
+    engine's over the remaining base tuples."""
+    source = (
+        "r1 Reach(@X,Y) :- Link(@X,Y).\n"
+        "r2 Reach(@X,Z) :- Link(@X,Y), Reach(@Y,Z).\n"
+        "r3 Best(@X,Y,C) :- Reach(@X,Y), Cost(@X,Y,C).\n"
+        "r4 Back(@X,C) :- Best(@X,Y,C), Reach(@Y,X).\n"
+    )
+    best = TableSchema("Best", ("X", "Y", "C"), primary_key=("X", "Y"))
+
+    def build(engine_class, base=()):
+        engine = engine_class(parse_program(source))
+        engine.register_schema(best)
+        engine.insert_many(list(base))
+        return engine
+
+    def bookkeeping(engine):
+        # Flags cover the tables too: every stored tuple carries one.
+        return (engine.database._flags, engine._supports, engine._dependents,
+                engine._supports_by_rule)
+
+    # A cycle a -> b -> c -> a with a tail c -> d; one cost per pair, so no
+    # two live derivations ever disagree on a Best key ...
+    nodes = "abcd"
+    base = [make_tuple("Link", *pair) for pair in ("ab", "bc", "ca", "cd")]
+    base += [make_tuple("Cost", x, y, nodes.index(x) * 4 + nodes.index(y))
+             for x in nodes for y in nodes]
+    indexed, naive = build(Engine, base), build(NaiveEngine, base)
+    # ... except this one: its key update evicts Best(a,b,1).
+    for engine in (indexed, naive):
+        engine.insert(make_tuple("Cost", "a", "b", 99))
+        assert not engine.contains(make_tuple("Best", "a", "b", 1))
+    script = [("remove", make_tuple("Cost", "a", "b", 99)),  # frees the key
+              ("remove", make_tuple("Link", "c", "a")),      # opens the cycle
+              ("remove", make_tuple("Cost", "b", "d", 7)),
+              ("insert", make_tuple("Link", "c", "a")),
+              ("remove", make_tuple("Link", "b", "c")),
+              ("remove", make_tuple("Link", "a", "b"))]
+    for step, (action, tup) in enumerate(script):
+        assert set(getattr(indexed, action)(tup)) == \
+            set(getattr(naive, action)(tup)), f"diverged on {action} {tup}"
+        assert database_state(indexed) == database_state(naive)
+        if action == "remove":
+            fresh = build(Engine, indexed.database.base_in_order())
+            assert bookkeeping(indexed) == bookkeeping(fresh), \
+                f"{action} {tup} left other state than a rebuild"
+        if step == 0:
+            assert indexed.contains(make_tuple("Best", "a", "b", 1)), \
+                "the evicted tuple did not reoccupy the freed key"
+    assert indexed.tuples("Best") == {make_tuple("Best", "c", "a", 8),
+                                      make_tuple("Best", "c", "d", 11)}
 
 
 def test_wildcard_tuples_match_oracle():

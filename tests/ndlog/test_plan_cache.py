@@ -10,8 +10,7 @@ import pytest
 
 from repro.ndlog.engine import Engine
 from repro.ndlog.parser import parse_program
-from repro.ndlog.plan import (PLAN_CACHE, PlanCache, rule_digest,
-                              schedule_for)
+from repro.ndlog.plan import PLAN_CACHE, PlanCache, rule_digest
 
 CHAIN = """
     r1 B(@X, Y) :- A(@X, Y).
@@ -75,28 +74,6 @@ def test_engine_reindex_hits_shared_cache():
     final = PLAN_CACHE.stats()
     assert final["misses"] == 4
     assert engine._plans_by_name["r1"] is second._plans_by_name["r1"]
-
-
-def test_schedule_for_returns_none_on_duplicate_names():
-    program = parse_program("""
-        r B(@X, Y) :- A(@X, Y).
-        r C(@X, Y) :- B(@X, Y).
-    """)
-    assert schedule_for(program) is None
-
-
-def test_schedule_groups_are_dependency_first():
-    schedule = schedule_for(parse_program(CHAIN))
-    assert schedule is not None
-    order = [tables for tables, _names, _stratum in schedule.groups]
-    seen = set()
-    position = {}
-    for index, tables in enumerate(order):
-        for table in tables:
-            position[table] = index
-            seen.add(table)
-    assert {"A", "B", "C", "D"} <= seen
-    assert position["A"] < position["B"] < position["C"] <= position["D"]
 
 
 def test_runtime_cache_exposes_plan_cache_stats():

@@ -7,7 +7,9 @@ together with random insert/remove/insert_many scripts, and asserts three
 engine equivalences:
 
 * the rewritten engine matches the scan-based :class:`NaiveEngine` oracle
-  (per-operation derived sets and the final database state),
+  (per-operation derived sets and the final database state), and after
+  every removal its tuples, flags and support bookkeeping equal those of a
+  fresh engine fed the remaining base tuples,
 * the quiet engine (``record_events=False``) reaches the same final state
   as the recording one over the same script, and
 * a checkpoint/restore round-trip is a perfect rewind in the middle of any
@@ -24,10 +26,16 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.ndlog import Engine, NaiveEngine, parse_program
-from repro.ndlog.tuples import NDTuple
+from repro.ndlog.tuples import NDTuple, TableSchema
 
 TABLES = ("A", "B", "C", "D", "E")
 VALUES = (0, 1, 2, 3)
+
+#: A primary key over *every* column never evicts (two tuples with one key
+#: are one tuple), so results stay evaluation-order independent — but a
+#: removal whose cone reaches K still takes the engine's keyed-table
+#: fallback: drop all derived state and supports, recompute from the base.
+KEYED_SCHEMA = TableSchema("K", ("x", "y"), primary_key=("x", "y"))
 
 #: Rule shapes; every table has arity 2 and the location var leads.
 _SHAPES = (
@@ -40,6 +48,9 @@ _SHAPES = (
     # that the join reaches at depth >= 2 (cf. golden case selffeed3_live).
     "{name} {head}(@X, Z) :- {b1}(@X, Y), {b2}(@X, Y), {b3}(@Y, Z).",
     "{name} {head}(@X, Z) :- {b1}(@X, Y), {b2}(@X, Z), {b3}(@X, Y).",
+    # Two rules through the keyed table: the full recompute then runs over
+    # whatever SCCs the other rules form — K's own when {head} equals {b1}.
+    "{name} K(@X, Y) :- {b1}(@X, Y).\n{name}k {head}(@Y, X) :- K(@X, Y).",
 )
 
 
@@ -60,18 +71,33 @@ def programs(draw):
     return parse_program("\n".join(rules))
 
 
+def build(engine_class, program, **options):
+    engine = engine_class(program, **options)
+    engine.register_schema(KEYED_SCHEMA)
+    return engine
+
+
 def tuples_strategy():
     return st.builds(
         lambda table, x, y: NDTuple(table, (x, y)),
-        st.sampled_from(TABLES),
+        st.sampled_from(TABLES + (KEYED_SCHEMA.name,)),
         st.sampled_from(VALUES), st.sampled_from(VALUES))
 
 
-def scripts():
-    """A script is a list of ("insert" | "remove", tuple) steps."""
-    step = st.tuples(st.sampled_from(("insert", "remove")),
-                     tuples_strategy())
-    return st.lists(step, min_size=1, max_size=20)
+@st.composite
+def scripts(draw):
+    """A script is a list of ("insert" | "remove", tuple) steps.  Three
+    removals in four target a tuple an earlier step inserted, so that
+    deletions usually have a cone to work on."""
+    steps = []
+    for _ in range(draw(st.integers(min_value=1, max_value=20))):
+        op = draw(st.sampled_from(("insert", "remove")))
+        earlier = [tup for done, tup in steps if done == "insert"]
+        if op == "remove" and earlier and draw(st.integers(0, 3)):
+            steps.append((op, draw(st.sampled_from(earlier))))
+        else:
+            steps.append((op, draw(tuples_strategy())))
+    return steps
 
 
 def run_script(engine, script):
@@ -103,27 +129,55 @@ def support_fingerprint(engine):
             len(engine.events), len(engine.derivations))
 
 
+def derived_state(engine):
+    """What a deletion must leave exactly as a from-scratch evaluation
+    would: tuples, flags, supports and the per-rule index.  Dependents are
+    compared through their *live* entries — incremental over-deletion
+    unregisters a dead support but leaves its entry under the body members
+    that are still present (the recompute fallback rebuilds them exactly,
+    which ``test_oracle.py``'s keyed-table case pins)."""
+    supports = {head: frozenset(keys)
+                for head, keys in engine._supports.items()}
+    live = {}
+    for member, entries in engine._dependents.items():
+        kept = frozenset((head, rule, body) for head, rule, body in entries
+                         if (rule, body) in supports.get(head, ()))
+        if kept:
+            live[member] = kept
+    by_rule = {name: frozenset(entries)
+               for name, entries in engine._supports_by_rule.items()}
+    return final_state(engine), supports, live, by_rule
+
+
+def rebuilt_from_base(engine):
+    fresh = build(Engine, engine.program)
+    fresh.insert_many(engine.database.base_in_order())
+    return fresh
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(program=programs(), script=scripts())
 def test_engine_matches_naive_oracle(program, script):
-    engine = Engine(program)
-    naive = NaiveEngine(program.clone())
-    for step, ((op, tup), expected) in enumerate(
-            zip(script, run_script(naive, script))):
-        if op == "insert":
-            actual = frozenset(engine.insert(tup))
-        else:
-            actual = frozenset(engine.remove(tup))
+    engine = build(Engine, program)
+    naive = build(NaiveEngine, program.clone())
+    for step, (op, tup) in enumerate(script):
+        actual = frozenset(getattr(engine, op)(tup))
+        expected = frozenset(getattr(naive, op)(tup))
         assert actual == expected, \
             f"step {step}: {op} {tup} diverged from the naive oracle"
+        if op == "remove":
+            assert final_state(engine) == final_state(naive)
+            assert derived_state(engine) == \
+                derived_state(rebuilt_from_base(engine)), \
+                f"step {step}: {op} {tup} left other state than a rebuild"
     assert final_state(engine) == final_state(naive)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(program=programs(), script=scripts())
 def test_quiet_engine_reaches_same_state_as_recording(program, script):
-    recording = Engine(program)
-    quiet = Engine(program, record_events=False)
+    recording = build(Engine, program)
+    quiet = build(Engine, program, record_events=False)
     recorded_steps = run_script(recording, script)
     quiet_steps = run_script(quiet, script)
     assert [frozenset(s) for s in quiet_steps] == \
@@ -138,10 +192,10 @@ def test_quiet_engine_reaches_same_state_as_recording(program, script):
 @given(program=programs(), base=st.lists(tuples_strategy(), min_size=1,
                                          max_size=12))
 def test_insert_many_matches_sequential_inserts(program, base):
-    sequential = Engine(program, record_events=False)
+    sequential = build(Engine, program, record_events=False)
     for tup in base:
         sequential.insert(tup)
-    batched = Engine(program, record_events=False)
+    batched = build(Engine, program, record_events=False)
     batched.insert_many(list(base))
     assert final_state(batched) == final_state(sequential)
 
@@ -149,7 +203,7 @@ def test_insert_many_matches_sequential_inserts(program, base):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(program=programs(), prefix=scripts(), suffix=scripts())
 def test_checkpoint_restore_rewinds_any_script(program, prefix, suffix):
-    engine = Engine(program)
+    engine = build(Engine, program)
     run_script(engine, prefix)
     before = support_fingerprint(engine)
     checkpoint = engine.checkpoint()
@@ -159,7 +213,7 @@ def test_checkpoint_restore_rewinds_any_script(program, prefix, suffix):
     assert engine.database.index_consistent()
     # The restored engine must keep evolving exactly like a never-
     # checkpointed twin.
-    twin = Engine(program)
+    twin = build(Engine, program)
     run_script(twin, prefix)
     assert run_script(engine, suffix) == run_script(twin, suffix)
     assert final_state(engine) == final_state(twin)

@@ -184,32 +184,6 @@ class TestPrimaryKeyEviction:
         assert not engine.contains(make_tuple("F", "n1", "k", 2))
 
 
-class TestProgramSwap:
-    def test_remove_after_program_swap_uses_new_rules(self):
-        # Supports registered under the old program must not keep tuples
-        # alive once the program changed (the repair-backtesting pattern).
-        engine = Engine(parse_program("r A(@X) :- B(@X,P)."))
-        engine.insert(make_tuple("B", "n1", 1))
-        engine.insert(make_tuple("B", "n1", 2))
-        assert engine.contains(make_tuple("A", "n1"))
-        engine.set_program(parse_program("r A(@X) :- B(@X,P), P == 1."))
-        disappeared = engine.remove(make_tuple("B", "n1", 1))
-        # Under the new program only B(n1, 1) supported A.
-        assert make_tuple("A", "n1") in disappeared
-        assert not engine.contains(make_tuple("A", "n1"))
-
-    def test_incremental_deletion_resumes_after_swap(self):
-        engine = Engine(parse_program("r A(@X) :- B(@X,P)."))
-        engine.insert(make_tuple("B", "n1", 1))
-        engine.set_program(parse_program("r A(@X) :- B(@X,P), P >= 1."))
-        engine.remove(make_tuple("B", "n1", 1))
-        assert not engine.contains(make_tuple("A", "n1"))
-        # Supports were rebuilt; incremental round-trips work again.
-        engine.insert(make_tuple("B", "n1", 2))
-        assert engine.contains(make_tuple("A", "n1"))
-        assert engine.remove(make_tuple("B", "n1", 2)) == [make_tuple("A", "n1")]
-
-
 class TestIndexMaintenance:
     def test_lookup_tracks_inserts_and_removes(self):
         program = parse_program("r B(@X,P) :- A(@X,P).")

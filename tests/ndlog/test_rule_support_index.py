@@ -85,16 +85,6 @@ def test_index_rewinds_on_restore():
     assert_index_consistent(engine)
 
 
-def test_index_cleared_by_set_program_and_rebuilt_on_remove():
-    engine = Engine(parse_program(PROGRAM))
-    engine.insert_many(links([(1, 2, 3), (2, 3, 4)]))
-    engine.set_program(parse_program(MODIFIED))
-    assert engine._supports_by_rule == {}
-    # The recompute fallback rebuilds supports and index together.
-    engine.remove(links([(1, 2, 3)])[0])
-    assert_index_consistent(engine)
-
-
 def test_index_follows_key_update_eviction():
     program = parse_program(
         "k1 Best(@A,B) :- Link(@A,B,Cost), Cost < 9.")

@@ -1,0 +1,100 @@
+"""Call census: which functions under ``src/repro`` does no workload enter?
+
+A tool for sizing diet PRs, not a test — pytest does not collect this file
+and nothing is asserted.  Under a ``sys.setprofile`` / ``threading.setprofile``
+hook it runs, in this process: serial Q1–Q5 sessions with the default config
+and once per ablation knob (plain Q1 with 100 candidates, the rest with 14),
+a 2-worker session over the ``inprocess`` fabric, the two ``other_languages``
+scenarios (Table 3) and every CLI subcommand that needs no running service;
+then it walks each module's AST and prints the functions never entered.
+Out of reach: worker subprocesses (``spawn``, ``socket``, ``repro serve`` and
+its clients), code that runs at import, the compiled fire functions and what
+``@dataclass`` writes.  "Never entered here" opens an investigation — the
+function may be the fleet's, a test oracle's or an error path's — it does
+not close one.
+
+    PYTHONPATH=src python tests/perf/uncalled.py
+"""
+
+import ast
+import contextlib
+import io
+import pathlib
+import sys
+import tempfile
+import threading
+
+import repro
+from repro.api import RepairConfig, RepairSession, TelemetryConfig
+from repro.backtest.abort import EarlyAbortPolicy
+from repro.cli import main as cli
+from repro.scenarios.other_languages import language_reports
+
+ROOT = pathlib.Path(repro.__file__).resolve().parent
+KNOBS = ({}, {"warm_engine": False}, {"replay_batch_size": 8},
+         {"multiquery": True}, {"static_vet": False},
+         {"abort": EarlyAbortPolicy()}, {"telemetry": TelemetryConfig()})
+ENTERED = set()      # (file name, first line) of every code object entered
+
+
+def _profile(frame, event, _arg):
+    if event == "call":
+        ENTERED.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+
+def workloads():
+    for name in ("Q1", "Q2", "Q3", "Q4", "Q5"):
+        for knobs in KNOBS:
+            budget = 14 if knobs or name != "Q1" else 100
+            RepairSession(RepairConfig.for_scenario(
+                name, max_candidates=budget, **knobs)).run()
+    RepairSession(RepairConfig.for_scenario(
+        "Q1", max_candidates=14, workers=2, transport="inprocess")).run()
+    language_reports()
+    with tempfile.TemporaryDirectory() as tmp:
+        events, trace = f"{tmp}/events.jsonl", f"{tmp}/trace.json"
+        for argv in (["repair", "q1", "--quiet", "--json", "--events", events],
+                     ["backtest", "q1", "--quiet"], ["lint", "q1"],
+                     ["trace", "q1", "--quiet", "--out", trace],
+                     ["stats", "q1", "--quiet"],
+                     ["events", "summarize", events], ["scenarios", "list"]):
+            cli(argv)
+
+
+def never_entered(path):
+    """``(qualified name, line)`` of each function of ``path`` not entered,
+    and how many it defines."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    missing, total = [], 0
+
+    def walk(node, prefix):
+        nonlocal total
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, functions):
+                total += 1
+                # A decorated function's code object starts at its decorator.
+                first = min([d.lineno for d in child.decorator_list]
+                            + [child.lineno])
+                if (str(path), first) not in ENTERED:
+                    missing.append((prefix + child.name, child.lineno))
+            walk(child, prefix + child.name + "." if isinstance(
+                child, functions + (ast.ClassDef,)) else prefix)
+
+    walk(ast.parse(path.read_text()), "")
+    return missing, total
+
+
+if __name__ == "__main__":
+    threading.setprofile(_profile)
+    sys.setprofile(_profile)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        workloads()
+    sys.setprofile(None)
+    for path in sorted(ROOT.rglob("*.py")):
+        missing, total = never_entered(path)
+        if missing:
+            print(f"{path.relative_to(ROOT.parent)}: "
+                  f"{len(missing)} of {total} functions never entered")
+        for name, line in missing:
+            print(f"    {name}  (line {line})")
