@@ -16,7 +16,7 @@ from .controller import (
     StaticController,
 )
 from .log import DeliveryRecord, HistoricalLog, LOG_ENTRY_BYTES, PacketRecord
-from .network import NetworkSimulator, TrafficStats, clear_reactive_state
+from .network import NetworkSimulator, TrafficStats
 from .packets import (
     DNS_PORT,
     HTTP_PORT,
@@ -45,7 +45,7 @@ __all__ = [
     "ControlMessage", "Controller", "FlowMod", "PacketInEvent", "PacketOut",
     "RecordingController", "StaticController",
     "DeliveryRecord", "HistoricalLog", "LOG_ENTRY_BYTES", "PacketRecord",
-    "NetworkSimulator", "TrafficStats", "clear_reactive_state",
+    "NetworkSimulator", "TrafficStats",
     "DNS_PORT", "HTTP_PORT", "Packet", "PROTO_ICMP", "PROTO_TCP", "PROTO_UDP",
     "dns_query", "format_ip", "http_request", "icmp_ping",
     "CONTROLLER_PORT", "DROP_PORT", "FLOOD_PORT", "FlowEntry", "FlowTable",

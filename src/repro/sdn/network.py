@@ -370,14 +370,3 @@ class _InertResponse:
 
 
 _INERT_RESPONSE = _InertResponse()
-
-
-def clear_reactive_state(topology: Topology, keep_priority: int = 1) -> None:
-    """Remove reactively installed flow entries, keeping the proactive core.
-
-    Proactive core routes are installed at priority ``keep_priority``;
-    reactive applications install at higher priorities, so this removes
-    every entry above the base priority (used between backtest runs).
-    """
-    for switch in topology.switches.values():
-        switch.flow_table.remove_where(lambda e: e.priority > keep_priority)

@@ -78,73 +78,67 @@ class FlowEntry:
 
 
 class FlowTable:
-    """A priority-ordered collection of flow entries.
+    """A priority-ordered collection of flow entries, indexed as it is built.
 
-    Lookups are indexed by *exact-match signature*: entries that wildcard no
-    field are grouped by the tuple of fields they match on, and within each
-    group hashed on their match values, so a lookup probes one bucket per
-    distinct signature instead of scanning the whole table.  Entries with a
-    ``*`` wildcard value go to a small residual list that is still scanned
+    An entry's *identity* is ``(match, priority, out_port, tags)``: entries
+    live in one insertion-ordered dict from identity to ``(sequence number,
+    entry)``, so a table never holds two exact duplicates.  Lookups are
+    indexed by *exact-match signature*: entries that wildcard no field are
+    grouped by the tuple of fields they match on, and within each group
+    hashed on their match values, so a lookup probes one bucket per distinct
+    signature instead of scanning the whole table.  Entries with a ``*``
+    wildcard value go to a small residual list that is still scanned
     linearly (reactive programs install them rarely — e.g. the Q5
-    MAC-learning heads).  Data-plane forwarding dominates replay cost, which
-    makes this the difference between O(table) and O(signatures) per packet.
+    MAC-learning heads).
 
-    The index is rebuilt lazily after mutations; semantics are identical to
-    the original linear scan, including the deterministic tie-break.
+    The table has two mutators, :meth:`install` and :meth:`clear`, and both
+    update the index in place, so it is never stale: a FlowMod costs one
+    dict probe and one bucket append however large the table is.  The
+    highest-priority match wins; among equal priorities the lowest sequence
+    number does, i.e. the entry installed first.  Re-installing an exact
+    duplicate replaces the object and takes a fresh sequence number, which
+    moves the entry to the back of that tie-break and of :meth:`entries`.
     """
 
-    def __init__(self, entries: Optional[Iterable[FlowEntry]] = None):
-        self._entries: List[FlowEntry] = list(entries or [])
-        #: signature (ordered field names) -> match values -> [(pos, entry)]
+    def __init__(self):
+        #: identity -> (sequence, entry), in install order
+        self._entries: Dict[Tuple, Tuple[int, FlowEntry]] = {}
+        #: signature (ordered field names) -> match values -> [(sequence, entry)]
         self._exact: Dict[Tuple[str, ...],
                           Dict[Tuple, List[Tuple[int, FlowEntry]]]] = {}
-        #: [(pos, entry)] for entries with wildcard ("*") values
+        #: [(sequence, entry)] for entries with wildcard ("*") values
         self._residual: List[Tuple[int, FlowEntry]] = []
-        self._dirty = bool(self._entries)
+        self._sequence = itertools.count()
 
     def install(self, entry: FlowEntry) -> FlowEntry:
-        """Install an entry, de-duplicating exact duplicates.
+        """Install an entry, replacing an exact duplicate if there is one.
 
         Overlapping entries with the same match but different actions are
         allowed to co-exist (as in OpenFlow); lookups resolve ties in favour
         of the entry installed first, which keeps forwarding deterministic.
         """
-        self._entries = [
-            existing for existing in self._entries
-            if not (existing.match == entry.match
-                    and existing.priority == entry.priority
-                    and existing.out_port == entry.out_port
-                    and existing.tags == entry.tags)
-        ]
-        self._entries.append(entry)
-        self._dirty = True
+        values = tuple([value for _name, value in entry.match])
+        if "*" in values:
+            bucket = self._residual
+        else:
+            signature = tuple([name for name, _value in entry.match])
+            bucket = self._exact.setdefault(signature, {}).setdefault(values, [])
+        identity = (entry.match, entry.priority, entry.out_port, entry.tags)
+        duplicate = self._entries.pop(identity, None)
+        if duplicate is not None:
+            bucket.remove(duplicate)
+        ranked = (next(self._sequence), entry)
+        self._entries[identity] = ranked
+        bucket.append(ranked)
         return entry
-
-    def remove_where(self, predicate) -> int:
-        before = len(self._entries)
-        self._entries = [e for e in self._entries if not predicate(e)]
-        self._dirty = True
-        return before - len(self._entries)
 
     def clear(self):
         self._entries.clear()
-        self._dirty = True
+        self._exact.clear()
+        self._residual.clear()
 
     def entries(self) -> List[FlowEntry]:
-        return list(self._entries)
-
-    def _rebuild_index(self) -> None:
-        self._exact = {}
-        self._residual = []
-        for position, entry in enumerate(self._entries):
-            if any(value == "*" for _field, value in entry.match):
-                self._residual.append((position, entry))
-                continue
-            signature = tuple(name for name, _value in entry.match)
-            key = tuple(value for _name, value in entry.match)
-            bucket = self._exact.setdefault(signature, {})
-            bucket.setdefault(key, []).append((position, entry))
-        self._dirty = False
+        return [entry for _sequence, entry in self._entries.values()]
 
     def lookup(self, packet: Packet, in_port: Optional[int] = None,
                tag: Optional[str] = None) -> Optional[FlowEntry]:
@@ -155,30 +149,28 @@ class FlowTable:
         the highest-priority match; among equal priorities the entry
         installed first wins, exactly as the pre-index linear scan did.
         """
-        if self._dirty:
-            self._rebuild_index()
         header = packet.header()
         header["in_port"] = in_port
         best: Optional[FlowEntry] = None
         best_rank = None
         for signature, buckets in self._exact.items():
             key = tuple(header.get(name) for name in signature)
-            for position, entry in buckets.get(key, ()):
+            for sequence, entry in buckets.get(key, ()):
                 if tag is not None and entry.tags and tag not in entry.tags:
                     continue
                 if tag is None and entry.tags:
                     continue
-                rank = (entry.priority, -position)
+                rank = (entry.priority, -sequence)
                 if best_rank is None or rank > best_rank:
                     best, best_rank = entry, rank
-        for position, entry in self._residual:
+        for sequence, entry in self._residual:
             if tag is not None and entry.tags and tag not in entry.tags:
                 continue
             if tag is None and entry.tags:
                 continue
             if not entry.matches(packet, in_port):
                 continue
-            rank = (entry.priority, -position)
+            rank = (entry.priority, -sequence)
             if best_rank is None or rank > best_rank:
                 best, best_rank = entry, rank
         return best
@@ -187,7 +179,7 @@ class FlowTable:
         return len(self._entries)
 
     def __iter__(self):
-        return iter(self._entries)
+        return iter(self.entries())
 
 
 @dataclass

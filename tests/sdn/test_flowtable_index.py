@@ -3,14 +3,43 @@
 Lookups must stay semantically identical to the original linear scan:
 highest priority wins, ties go to the entry installed first, ``*`` values
 and absent fields are wildcards, and tag filtering (multi-query
-backtesting) applies before matching.  A randomized cross-check pits the
-indexed lookup against a reference linear scan.
+backtesting) applies before matching.  The table keeps its index in step
+with every ``install`` and ``clear``; a randomized cross-check pits it
+against a list model (the install it replaced, verbatim) under a reference
+linear scan, and hand-written cases pin the orderings no report golden
+exercises: a re-installed duplicate moves to the back, and equal-priority
+wildcard entries win in install order.
 """
 
 import random
 
 from repro.sdn.packets import Packet
 from repro.sdn.switch import FlowEntry, FlowTable
+
+
+class ListModel:
+    """The list-backed table ``FlowTable`` replaced: ``install`` verbatim
+    (filter out the equal identity, append), no index at all."""
+
+    def __init__(self):
+        self._entries = []
+
+    def install(self, entry):
+        self._entries = [
+            existing for existing in self._entries
+            if not (existing.match == entry.match
+                    and existing.priority == entry.priority
+                    and existing.out_port == entry.out_port
+                    and existing.tags == entry.tags)
+        ]
+        self._entries.append(entry)
+        return entry
+
+    def clear(self):
+        self._entries.clear()
+
+    def entries(self):
+        return list(self._entries)
 
 
 def linear_lookup(table, packet, in_port=None, tag=None):
@@ -46,9 +75,13 @@ def test_priority_wins_and_ties_go_to_first_installed():
     table.install(FlowEntry.create({"src_ip": 1}, out_port=3, priority=5))
     packet = Packet(src_ip=1, dst_ip=2)
     assert table.lookup(packet) is first
-    table.remove_where(lambda e: e is first)
+    # A duplicate of ``first`` goes to the back of the tie-break ...
+    table.install(FlowEntry.create({"src_ip": 1}, out_port=2, priority=5))
     assert table.lookup(packet).out_port == 3
-    table.remove_where(lambda e: e.priority == 5)
+    # ... and a cleared table answers from what is installed afterwards.
+    table.clear()
+    assert table.lookup(packet) is None
+    assert table.install(low) is low
     assert table.lookup(packet) is low
 
 
@@ -86,20 +119,68 @@ def test_in_port_is_indexable():
 def test_clear_invalidates_index():
     table = FlowTable()
     table.install(FlowEntry.create({"src_ip": 1}, out_port=1))
+    table.install(FlowEntry.create({"src_ip": "*", "dst_ip": 2}, out_port=1))
     packet = Packet(src_ip=1, dst_ip=2)
     assert table.lookup(packet) is not None
     table.clear()
     assert table.lookup(packet) is None
     assert len(table) == 0
+    assert table.entries() == [] and list(table) == []
+
+
+def test_reinstalled_duplicate_is_a_new_object_at_the_back():
+    table = FlowTable()
+    a = table.install(FlowEntry.create({"dst_port": 80}, out_port=1,
+                                       priority=5))
+    b = table.install(FlowEntry.create({"dst_port": 80}, out_port=2,
+                                       priority=5))
+    packet = Packet(src_ip=1, dst_ip=2, dst_port=80)
+    assert table.lookup(packet) is a
+    a_again = table.install(FlowEntry.create({"dst_port": 80}, out_port=1,
+                                             priority=5))
+    assert a_again is not a and a_again.entry_id != a.entry_id
+    assert table.lookup(packet) is b
+    assert len(table) == 2
+    assert [id(e) for e in table.entries()] == [id(b), id(a_again)]
+    assert [id(e) for e in table] == [id(b), id(a_again)]
+
+
+def test_equal_priority_wildcards_resolve_in_install_order():
+    """Q4's shape: two equal-priority ``*`` entries live in the residual
+    list, and whichever was installed first forwards the packet."""
+    def wild(out_port):
+        return FlowEntry.create({"src_ip": "*", "dst_port": 80},
+                                out_port=out_port, priority=3)
+
+    def exact():
+        return FlowEntry.create({"src_ip": 9, "dst_port": 53}, out_port=7,
+                                priority=3)
+
+    packet = Packet(src_ip=4, dst_ip=2, dst_port=80)
+    table = FlowTable()
+    first = table.install(wild(1))
+    table.install(exact())
+    table.install(wild(2))
+    assert table.lookup(packet) is first
+    assert [e.out_port for e in table.entries()] == [1, 7, 2]
+    # The other way round after a clear: order is install order, not port
+    # order, hash order or what the table held before.
+    table.clear()
+    first = table.install(wild(2))
+    table.install(exact())
+    table.install(wild(1))
+    assert table.lookup(packet) is first
+    assert [e.out_port for e in table.entries()] == [2, 7, 1]
 
 
 def test_randomized_cross_check_against_linear_scan():
     rng = random.Random(1702)
     fields = ["src_ip", "dst_ip", "src_port", "dst_port", "proto", "in_port"]
-    table = FlowTable()
-    operations = 0
+    table, model = FlowTable(), ListModel()
+    counts = {"install": 0, "duplicate": 0, "clear": 0}
     for step in range(400):
         action = rng.random()
+        entry = None                      # this step only looks up
         if action < 0.45 or len(table) == 0:
             match = {}
             for field in rng.sample(fields, rng.randint(0, 3)):
@@ -108,20 +189,33 @@ def test_randomized_cross_check_against_linear_scan():
                 else:
                     match[field] = rng.choice([rng.randint(1, 5), "*"])
             tags = rng.choice([(), (), ("v1",), ("v2",), ("v1", "v2")])
-            table.install(FlowEntry.create(match, out_port=rng.randint(1, 4),
-                                           priority=rng.randint(1, 3),
-                                           tags=tags))
-        elif action < 0.55:
-            port = rng.randint(1, 4)
-            table.remove_where(lambda e: e.out_port == port)
-        # Interleave lookups with mutations so staleness would be caught.
+            entry = FlowEntry.create(match, out_port=rng.randint(1, 4),
+                                     priority=rng.randint(1, 3), tags=tags)
+            counts["install"] += 1
+        elif action < 0.70:
+            # Same match/priority/out_port/tags as a live entry, fresh id.
+            old = rng.choice(model.entries())
+            entry = FlowEntry.create(old.match_dict(), out_port=old.out_port,
+                                     priority=old.priority, tags=old.tags)
+            assert entry.entry_id != old.entry_id
+            counts["duplicate"] += 1
+        elif action < 0.73:
+            table.clear()
+            model.clear()
+            counts["clear"] += 1
+        if entry is not None:
+            assert table.install(entry) is model.install(entry)
+        # After every step the table is the model: same objects, same order.
+        expected = model.entries()
+        assert len(table) == len(expected)
+        assert [id(e) for e in table.entries()] == [id(e) for e in expected]
+        assert [id(e) for e in table] == [id(e) for e in expected]
         packet = Packet(src_ip=rng.randint(1, 5), dst_ip=rng.randint(1, 5),
                         src_port=rng.randint(1, 5),
                         dst_port=rng.randint(1, 5),
                         proto=rng.choice(["tcp", "udp"]))
         in_port = rng.choice([None, rng.randint(1, 5)])
-        tag = rng.choice([None, "v1", "v2", "v3"])
-        assert table.lookup(packet, in_port, tag) \
-            is linear_lookup(table, packet, in_port, tag)
-        operations += 1
-    assert operations == 400
+        for tag in (None, rng.choice(["v1", "v2", "v3"])):
+            assert table.lookup(packet, in_port, tag) \
+                is linear_lookup(model, packet, in_port, tag)
+    assert min(counts.values()) >= 5, counts
