@@ -9,7 +9,7 @@ The package provides, from the bottom up:
 * :mod:`repro.meta` -- meta provenance: provenance over programs as well as
   data, cost-ordered exploration and constraint pools.
 * :mod:`repro.solver` -- the mini constraint solver (Z3 substitute).
-* :mod:`repro.repair` -- repair candidates, application and generation.
+* :mod:`repro.repair` -- repair candidates and their application.
 * :mod:`repro.backtest` -- replay-based backtesting with KS acceptance and
   multi-query optimization.
 * :mod:`repro.sdn` -- a simulated SDN (switches, flow tables, topologies,

@@ -111,6 +111,12 @@ class DependencyGraph:
         self._sccs: Optional[List[FrozenSet[str]]] = None
         self._scc_index: Optional[Dict[str, int]] = None
 
+    @classmethod
+    def of(cls, program: Program) -> "DependencyGraph":
+        """The graph of ``program``, built once per program value — a
+        program cannot change, so neither can its graph."""
+        return program.memo("dependency_graph", cls)
+
     # ------------------------------------------------------------------
     # Basic queries
     # ------------------------------------------------------------------

@@ -105,6 +105,8 @@ class CandidateVetter:
         patched: Program = repaired.program
         inserted: List[NDTuple] = list(repaired.inserted_tuples)
         removed: List[NDTuple] = list(repaired.removed_tuples)
+        # Rules the candidate did not edit are the base program's objects,
+        # which tuple comparison recognises by identity.
         program_changed = patched.rules != self.program.rules
 
         findings: List[LintFinding] = []
@@ -118,7 +120,7 @@ class CandidateVetter:
                              findings=findings)
 
         patched_static = self.static_tuples + inserted
-        findings.extend(DependencyGraph(patched).findings())
+        findings.extend(DependencyGraph.of(patched).findings())
         findings.extend(check_safety(patched, self.schemas, patched_static))
 
         # The engine refuses negated atoms at plan time, so the candidate

@@ -20,9 +20,10 @@ instead of being hand-wired at every call site.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Optional
+from typing import Dict, Optional, get_args, get_origin, get_type_hints
 
 from ..backtest.abort import EarlyAbortPolicy
 from ..distrib.faults import FaultToleranceConfig
@@ -32,6 +33,51 @@ from ..scenarios.spec import ScenarioSpec
 
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent repair configurations."""
+
+
+#: How a wire value of each declared field type is named in an error.  Any
+#: other declared type (``Dict[...]``, a nested config) travels as an object.
+_WIRE_KINDS = {bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string", dict: "an object"}
+
+
+@functools.lru_cache(maxsize=None)
+def _declared_kinds(cls):
+    """``{field name: (wire kind, nullable)}`` from ``cls``'s annotations."""
+    kinds = {}
+    for name, hint in get_type_hints(cls).items():
+        nullable = type(None) in get_args(hint)
+        if nullable:
+            hint = get_args(hint)[0]
+        kind = get_origin(hint) or hint
+        kinds[name] = (kind if kind in _WIRE_KINDS else dict, nullable)
+    return kinds
+
+
+def _check_wire(cls, wire: Dict[str, object], what: str) -> None:
+    """Refuse a wire with a key ``cls`` does not have or a value that is not
+    of the type the field declares.
+
+    JSON has no coercion to lean on: ``"no"`` is truthy and ``"2" > 1``
+    raises deep inside a worker, so each value is checked at the door —
+    ``bool`` is exactly ``bool``, an ``int`` field refuses ``bool`` and
+    ``str``, a ``float`` field takes either number, ``None`` passes only
+    where the field is ``Optional``.
+    """
+    kinds = _declared_kinds(cls)
+    unknown = set(wire) - set(kinds)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, value in wire.items():
+        kind, nullable = kinds[key]
+        if value is None and nullable:
+            continue
+        accepted = (int, float) if kind is float else kind
+        if not isinstance(value, accepted) or (
+                kind is not bool and isinstance(value, bool)):
+            raise ConfigError(
+                f"{what} key {key!r} must be {_WIRE_KINDS[kind]}"
+                f"{' or null' if nullable else ''}, not {value!r}")
 
 
 @dataclass
@@ -61,10 +107,7 @@ class TelemetryConfig:
 
     @classmethod
     def from_wire(cls, wire: Dict[str, object]) -> "TelemetryConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(wire) - known
-        if unknown:
-            raise ConfigError(f"unknown telemetry keys: {sorted(unknown)}")
+        _check_wire(cls, wire, "telemetry")
         return cls(**wire)
 
 
@@ -232,10 +275,7 @@ class RepairConfig:
     @classmethod
     def from_wire(cls, wire: Dict[str, object]) -> "RepairConfig":
         data = dict(wire)
-        known = {config_field.name for config_field in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        _check_wire(cls, data, "config")
         if data.get("scenario") is not None:
             data["scenario"] = ScenarioSpec.from_wire(data["scenario"])
         if data.get("abort") is not None:

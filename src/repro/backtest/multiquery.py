@@ -85,7 +85,7 @@ class _RuleDeltaChecker:
     def _build_engine(self, rules: Sequence[Rule]) -> Optional[Engine]:
         if not rules:
             return None
-        engine = Engine(Program(rules=[r.clone() for r in rules], name="delta"),
+        engine = Engine(Program(rules=rules, name="delta"),
                         record_events=False)
         for schema in self.scenario.schemas():
             engine.register_schema(schema)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..ndlog.ast import (
@@ -753,17 +753,15 @@ class MetaProvenanceExplorer:
                            else env.get(arg.name) for arg in rule.head.args]
             if not self._head_values_match_goal(head_values, goal):
                 continue
-            new_head = Atom(goal.table, [a.clone() for a in rule.head.args],
+            new_head = Atom(goal.table, rule.head.args,
                             location_index=rule.head.location_index)
             change_edit = ChangeRuleHead(rule.name, new_head)
             change_cost = self.cost_model.edit_cost(change_edit)
             results.append((change_cost, RepairCandidate(
                 edits=(change_edit,), cost=change_cost,
                 tree=self._retarget_tree(goal, rule, "change head"))))
-            copied = rule.clone()
-            copied.name = f"{rule.name}_copy"
-            copied.head = new_head.clone()
-            copy_edit = CopyRule(rule.name, copied)
+            copy_edit = CopyRule(rule.name, replace(
+                rule, name=f"{rule.name}_copy", head=new_head))
             copy_cost = self.cost_model.edit_cost(copy_edit)
             results.append((copy_cost, RepairCandidate(
                 edits=(copy_edit,), cost=copy_cost,

@@ -7,9 +7,9 @@ of "interesting" constant values observed per table column, which seeds the
 candidate pools of the constraint solver (this is how repairs such as
 ``Sip < 6  ->  Sip < 16`` arise: 16 is a value seen in the history).
 
-A :class:`HistoryIndex` can be built from an :class:`~repro.ndlog.engine.Engine`
-(using its event log), from a plain list of tuples, or from the SDN
-simulator's :class:`~repro.sdn.log.HistoricalLog`.
+A :class:`HistoryIndex` is built from an :class:`~repro.ndlog.engine.Engine`
+(:meth:`HistoryIndex.from_engine`: its event log and current database) or
+from a plain iterable of tuples (:meth:`HistoryIndex.from_tuples`).
 """
 
 from __future__ import annotations

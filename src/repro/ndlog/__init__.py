@@ -25,11 +25,6 @@ from .ast import (
     Selection,
     Var,
     WILDCARD,
-    assign,
-    atom,
-    comparison,
-    const,
-    var,
 )
 from .engine import (Engine, EngineCheckpoint, ProgramDelta,
                      ProgramDeltaError, diff_programs, evaluate_program,
@@ -57,7 +52,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {"naive": ("NaiveEngine",)})
 __all__ = [
     "Assignment", "Atom", "BinOp", "COMPARISON_OPERATORS", "Const",
     "Expression", "FuncCall", "Program", "Rule", "Selection", "Var",
-    "WILDCARD", "assign", "atom", "comparison", "const", "var",
+    "WILDCARD",
     "Engine", "EngineCheckpoint", "NaiveEngine", "ProgramDelta",
     "ProgramDeltaError", "diff_programs", "evaluate_program",
     "program_delta_eligible",

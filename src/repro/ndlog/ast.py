@@ -1,21 +1,28 @@
 """Abstract syntax tree for NDlog / µDlog programs.
 
 The grammar follows Section 2.1 and Figure 3 of the paper.  A program is a
-list of rules; each rule has a head atom, body atoms (joined tables),
+sequence of rules; each rule has a head atom, body atoms (joined tables),
 selection predicates (comparisons) and assignments.  Location specifiers
 (``@X``) mark the column of an atom that names the node on which the tuple
 resides.
 
-The AST is deliberately plain: every node supports ``==``, hashing, a
-``clone()`` deep copy, and a ``to_ndlog()`` pretty printer that round-trips
-through :mod:`repro.ndlog.parser`.  Repairs (see :mod:`repro.repair`) operate
-by cloning and editing this AST.
+Programs are values.  Every node is a frozen dataclass whose sequences are
+tuples (a list passed to a constructor is stored as a tuple), so a node
+supports ``==`` and hashing, can be handed to anyone without a defensive
+copy, and is edited with :func:`dataclasses.replace`, which keeps the source
+position.  Nodes are shared, not copied: a repair (:mod:`repro.repair.apply`)
+builds its program by replacing the rules it edits, and every other rule of
+the result *is* the base program's object.  Facts derived from a rule or a
+program (its structural digest, its name index, its dependency graph) are
+computed once per value (:class:`_Memoized`), because the value can no
+longer change under them.  ``to_ndlog()`` pretty-prints a node and
+round-trips through :mod:`repro.ndlog.parser`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 
 #: Sentinel used for wildcard values (the ``*`` in the paper, e.g. Q5's
@@ -41,9 +48,6 @@ class Expression:
         """Return the set of variable names referenced by this expression."""
         return set()
 
-    def clone(self):
-        raise NotImplementedError
-
     def to_ndlog(self):
         raise NotImplementedError
 
@@ -56,9 +60,6 @@ class Const(Expression):
     """A literal constant (integer, string or the wildcard ``*``)."""
 
     value: Union[int, str]
-
-    def clone(self):
-        return Const(self.value)
 
     def to_ndlog(self):
         if self.value == WILDCARD:
@@ -77,9 +78,6 @@ class Var(Expression):
     def variables(self):
         return {self.name}
 
-    def clone(self):
-        return Var(self.name)
-
     def to_ndlog(self):
         return self.name
 
@@ -94,9 +92,6 @@ class BinOp(Expression):
 
     def variables(self):
         return self.left.variables() | self.right.variables()
-
-    def clone(self):
-        return BinOp(self.op, self.left.clone(), self.right.clone())
 
     def is_comparison(self):
         return self.op in COMPARISON_OPERATORS
@@ -118,9 +113,6 @@ class FuncCall(Expression):
             out |= arg.variables()
         return out
 
-    def clone(self):
-        return FuncCall(self.name, tuple(a.clone() for a in self.args))
-
     def to_ndlog(self):
         rendered = ", ".join(a.to_ndlog() for a in self.args)
         return f"{self.name}({rendered})"
@@ -131,7 +123,7 @@ class FuncCall(Expression):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Atom:
     """A predicate occurrence such as ``FlowTable(@Swi, Hdr, Prt)``.
 
@@ -144,17 +136,21 @@ class Atom:
             reference engine does not evaluate negation; the static analyzer
             (:mod:`repro.analysis`) uses the flag for stratification checks.
         line / column: 1-based source position of the atom's table name, when
-            the atom came from the parser.  Excluded from equality/repr so
-            positional metadata never influences program diffing or
+            the atom came from the parser.  Excluded from equality, hash and
+            repr so positional metadata never influences program diffing or
             candidate signatures.
     """
 
     table: str
-    args: List[Expression]
+    args: Tuple[Expression, ...]
     location_index: Optional[int] = 0
     negated: bool = False
     line: Optional[int] = field(default=None, compare=False, repr=False)
     column: Optional[int] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if type(self.args) is not tuple:
+            object.__setattr__(self, "args", tuple(self.args))
 
     def variables(self):
         out = set()
@@ -172,11 +168,6 @@ class Atom:
             return None
         return self.args[self.location_index]
 
-    def clone(self):
-        return Atom(self.table, [a.clone() for a in self.args],
-                    self.location_index, negated=self.negated,
-                    line=self.line, column=self.column)
-
     def to_ndlog(self):
         parts = []
         for index, arg in enumerate(self.args):
@@ -191,7 +182,7 @@ class Atom:
         return self.to_ndlog()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Selection:
     """A selection predicate, e.g. ``Swi == 2`` or ``Hdr != 53``."""
 
@@ -212,9 +203,6 @@ class Selection:
     def right(self):
         return self.expr.right
 
-    def clone(self):
-        return Selection(self.expr.clone())
-
     def to_ndlog(self):
         return self.expr.to_ndlog()
 
@@ -222,7 +210,7 @@ class Selection:
         return self.to_ndlog()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Assignment:
     """An assignment of an expression to a head variable, e.g. ``Prt := 2``."""
 
@@ -231,9 +219,6 @@ class Assignment:
 
     def variables(self):
         return self.expr.variables()
-
-    def clone(self):
-        return Assignment(self.var, self.expr.clone())
 
     def to_ndlog(self):
         return f"{self.var} := {self.expr.to_ndlog()}"
@@ -247,8 +232,32 @@ class Assignment:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Rule:
+class _Memoized:
+    """Facts derived from an immutable node, computed once per instance.
+
+    The node cannot change, so nothing derived from it goes stale, and a rule
+    shared by many programs is analysed once for all of them.  Facts sit in
+    the instance ``__dict__`` beside the dataclass fields, never among them:
+    ``==``, ``hash`` and ``repr`` are generated from the fields alone,
+    :func:`dataclasses.replace` builds the new value from the fields alone,
+    and :meth:`__getstate__` pickles the fields alone.
+    """
+
+    def memo(self, fact, compute):
+        """``compute(self)``, evaluated the first time ``fact`` is asked."""
+        try:
+            return self.__dict__[fact]
+        except KeyError:
+            value = self.__dict__[fact] = compute(self)
+            return value
+
+    def __getstate__(self):
+        return {name: self.__dict__[name]
+                for name in self.__dataclass_fields__}
+
+
+@dataclass(frozen=True)
+class Rule(_Memoized):
     """A single NDlog rule.
 
     A rule fires when there is a variable assignment that matches every body
@@ -259,37 +268,19 @@ class Rule:
 
     name: str
     head: Atom
-    body: List[Atom] = field(default_factory=list)
-    selections: List[Selection] = field(default_factory=list)
-    assignments: List[Assignment] = field(default_factory=list)
+    body: Tuple[Atom, ...] = ()
+    selections: Tuple[Selection, ...] = ()
+    assignments: Tuple[Assignment, ...] = ()
     #: 1-based source position of the rule name when parsed from text
-    #: (``None`` for programmatically built rules).  Excluded from equality
-    #: and repr so positions never affect program diffing.
+    #: (``None`` for programmatically built rules).  Excluded from equality,
+    #: hash and repr so positions never affect program diffing.
     line: Optional[int] = field(default=None, compare=False, repr=False)
     column: Optional[int] = field(default=None, compare=False, repr=False)
 
-    def clone(self):
-        return Rule(
-            name=self.name,
-            head=self.head.clone(),
-            body=[a.clone() for a in self.body],
-            selections=[s.clone() for s in self.selections],
-            assignments=[a.clone() for a in self.assignments],
-            line=self.line,
-            column=self.column,
-        )
-
-    def body_variables(self):
-        out = set()
-        for atom in self.body:
-            out |= atom.variables()
-        return out
-
-    def assigned_variables(self):
-        return {a.var for a in self.assignments}
-
-    def head_variables(self):
-        return self.head.variables()
+    def __post_init__(self):
+        for name in ("body", "selections", "assignments"):
+            if type(getattr(self, name)) is not tuple:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def to_ndlog(self):
         parts = [a.to_ndlog() for a in self.body]
@@ -302,28 +293,24 @@ class Rule:
         return self.to_ndlog()
 
 
-@dataclass
-class Program:
+@dataclass(frozen=True)
+class Program(_Memoized):
     """A collection of rules forming an NDlog program."""
 
-    rules: List[Rule] = field(default_factory=list)
+    rules: Tuple[Rule, ...] = ()
     name: str = "program"
 
-    def clone(self):
-        return Program(rules=[r.clone() for r in self.rules], name=self.name)
+    def __post_init__(self):
+        if type(self.rules) is not tuple:
+            object.__setattr__(self, "rules", tuple(self.rules))
 
     def rule_named(self, name):
-        """Return the rule with the given name, or raise ``KeyError``."""
-        for rule in self.rules:
-            if rule.name == name:
-                return rule
-        raise KeyError(name)
+        """Return the first rule with the given name, or raise ``KeyError``."""
+        return self.rules[self.rule_index(name)]
 
     def rule_index(self, name):
-        for index, rule in enumerate(self.rules):
-            if rule.name == name:
-                return index
-        raise KeyError(name)
+        """Position of the first rule with the given name (``KeyError``)."""
+        return self.memo("rule_positions", _first_positions)[name]
 
     def rules_deriving(self, table):
         """Return all rules whose head populates ``table``."""
@@ -346,10 +333,6 @@ class Program:
     def derived_tables(self):
         return {r.head.table for r in self.rules}
 
-    def line_count(self):
-        """Number of rules; used by the program-size scalability experiment."""
-        return len(self.rules)
-
     def to_ndlog(self):
         return "\n".join(rule.to_ndlog() for rule in self.rules) + "\n"
 
@@ -363,43 +346,8 @@ class Program:
         return len(self.rules)
 
 
-# ---------------------------------------------------------------------------
-# Helpers for building ASTs programmatically
-# ---------------------------------------------------------------------------
-
-
-def var(name):
-    """Shorthand constructor for :class:`Var`."""
-    return Var(name)
-
-
-def const(value):
-    """Shorthand constructor for :class:`Const`."""
-    return Const(value)
-
-
-def comparison(left, op, right):
-    """Build a comparison ``Selection`` from expressions or raw values."""
-    return Selection(BinOp(op, _lift(left), _lift(right)))
-
-
-def assign(name, value):
-    """Build an ``Assignment`` from a variable name and expression or value."""
-    return Assignment(name, _lift(value))
-
-
-def atom(table, *args, location_index=0):
-    """Build an :class:`Atom`, lifting bare strings/ints to Var/Const."""
-    return Atom(table, [_lift(a) for a in args], location_index=location_index)
-
-
-def _lift(value):
-    if isinstance(value, Expression):
-        return value
-    if isinstance(value, str):
-        if value == WILDCARD:
-            return Const(WILDCARD)
-        if value and (value[0].isupper() or value[0] == "_"):
-            return Var(value)
-        return Const(value)
-    return Const(value)
+def _first_positions(program):
+    positions = {}
+    for index, rule in enumerate(program.rules):
+        positions.setdefault(rule.name, index)
+    return positions

@@ -150,7 +150,9 @@ def diff_programs(old: Program, new: Program) -> Optional[ProgramDelta]:
 
     Rules are compared structurally (the AST dataclasses define deep
     equality), so a renamed rule counts as removed + added and an edited
-    rule as modified.  Programs with duplicate rule names cannot be diffed.
+    rule as modified.  A repaired program shares every rule it did not edit
+    with its base, and a shared rule is recognised by identity without
+    being compared.  Programs with duplicate rule names cannot be diffed.
     """
     old_map = {rule.name: rule for rule in old.rules}
     new_map = {rule.name: rule for rule in new.rules}
@@ -159,7 +161,8 @@ def diff_programs(old: Program, new: Program) -> Optional[ProgramDelta]:
     removed = {name for name in old_map if name not in new_map}
     added = {name for name in new_map if name not in old_map}
     modified = {name for name, rule in old_map.items()
-                if name in new_map and new_map[name] != rule}
+                if name in new_map and new_map[name] is not rule
+                and new_map[name] != rule}
     return ProgramDelta(removed, added, modified)
 
 
@@ -181,10 +184,12 @@ def _changed_cone(delta: ProgramDelta, old: Program, new: Program) -> Set[str]:
 
 def _both_downstream(seeds: Iterable[str], old: Program,
                      new: Program) -> Set[str]:
-    """``seeds`` closed downstream over both programs' dependency graphs."""
+    """``seeds`` closed downstream over both programs' dependency graphs
+    (one graph per program value: the base program's serves every
+    candidate)."""
     from ..analysis.depgraph import DependencyGraph
 
-    graphs = (DependencyGraph(old), DependencyGraph(new))
+    graphs = (DependencyGraph.of(old), DependencyGraph.of(new))
     cone = set(seeds)
     changed = True
     while changed:

@@ -58,8 +58,13 @@ def rule_digest(rule: Rule) -> str:
 
     ``to_ndlog()`` renders the full structure (name, head, body atoms,
     selections, assignments) and round-trips through the parser, so equal
-    digests imply structurally equal rules.
+    digests imply structurally equal rules.  A rule is rendered and hashed
+    once, however many programs share it.
     """
+    return rule.memo("digest", _sha1_of_text)
+
+
+def _sha1_of_text(rule: Rule) -> str:
     return hashlib.sha1(rule.to_ndlog().encode("utf-8")).hexdigest()
 
 

@@ -1,4 +1,4 @@
-"""Repair candidates: representation, application, and generation."""
+"""Repair candidates: representation and application."""
 
 from .apply import RepairApplicationError, RepairedProgram, apply_candidate
 from .candidates import (
@@ -26,7 +26,6 @@ from .candidates import (
     edit_to_wire,
     reset_candidate_ids,
 )
-from .generator import RepairGenerator, RepairGeneratorConfig
 
 __all__ = [
     "RepairApplicationError", "RepairedProgram", "apply_candidate",
@@ -36,5 +35,4 @@ __all__ = [
     "Edit", "InsertTuple", "PROGRAM_EDIT_KINDS", "RepairCandidate",
     "WireFormatError", "candidate_from_wire", "candidate_to_wire",
     "deduplicate", "edit_from_wire", "edit_to_wire", "reset_candidate_ids",
-    "RepairGenerator", "RepairGeneratorConfig",
 ]

@@ -1,16 +1,22 @@
 """Applying repair candidates to programs and base data.
 
-The result of applying a candidate is a :class:`RepairedProgram`: a cloned
-and edited program, plus lists of base tuples to insert or remove before
-replaying.  Applying never mutates the original program.
+Programs are values (:mod:`repro.ndlog.ast`): nothing can change one, so
+nothing needs a copy of one.  Applying a candidate builds a *new*
+:class:`~repro.ndlog.ast.Program` in which each rule an edit names is
+replaced by an edited value (:func:`dataclasses.replace`, a new ``rules``
+tuple) and every other rule is shared with the base program — the same
+object, with whatever has been derived from it (compiled plan digest, ...)
+already attached.  A repair therefore costs its edit, not the size of the
+program.  The result is a :class:`RepairedProgram`: that program plus the
+base tuples to insert or remove before replaying.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
-from ..ndlog.ast import BinOp, Const, Program, Selection, Var
+from ..ndlog.ast import BinOp, Const, Program, Selection
 from ..ndlog.tuples import NDTuple
 from .candidates import (
     AddRule,
@@ -55,13 +61,25 @@ class RepairedProgram:
 
 
 def apply_candidate(program: Program, candidate: RepairCandidate) -> RepairedProgram:
-    """Apply every edit of ``candidate`` to a clone of ``program``."""
-    repaired = RepairedProgram(program=program.clone(), candidate=candidate)
+    """``program`` with every edit of ``candidate`` applied.
+
+    Rules the edits do not name are shared with ``program``, not copied; a
+    candidate without program edits returns ``program`` itself.
+    """
+    repaired = RepairedProgram(program=program, candidate=candidate)
     # Deletions of selections/predicates must be applied from the highest
     # index down so earlier deletions do not shift later indexes.
-    ordered = sorted(candidate.edits, key=_deletion_sort_key)
-    for edit in ordered:
-        _apply_edit(repaired, edit)
+    for edit in sorted(candidate.edits, key=_deletion_sort_key):
+        if isinstance(edit, InsertTuple):
+            repaired.inserted_tuples.append(edit.tuple)
+        elif isinstance(edit, DeleteTuple):
+            repaired.removed_tuples.append(edit.tuple)
+        elif isinstance(edit, ChangeTuple):
+            repaired.removed_tuples.append(edit.tuple)
+            repaired.inserted_tuples.append(
+                edit.tuple.replace(edit.column, edit.new_value))
+        else:
+            repaired.program = _edited(repaired.program, edit)
     return repaired
 
 
@@ -73,66 +91,65 @@ def _deletion_sort_key(edit: Edit):
     return (0, 0)
 
 
-def _rule(repaired: RepairedProgram, name: str):
+def _edited(program: Program, edit: Edit) -> Program:
+    """``program`` with the one rule ``edit`` names replaced, removed or
+    appended; a name held by several rules means the first of them."""
+    if isinstance(edit, (CopyRule, AddRule)):
+        return replace(program, rules=program.rules + (edit.new_rule,))
+    if not isinstance(edit, _RULE_EDITS):
+        raise RepairApplicationError(f"unknown edit type {type(edit).__name__}")
     try:
-        return repaired.program.rule_named(name)
+        position = program.rule_index(edit.rule)
     except KeyError as exc:
-        raise RepairApplicationError(f"rule {name!r} not found") from exc
-
-
-def _apply_edit(repaired: RepairedProgram, edit: Edit):
-    if isinstance(edit, ChangeConstant):
-        rule = _rule(repaired, edit.rule)
-        _check_index(rule.selections, edit.selection_index, "selection", edit.rule)
-        selection = rule.selections[edit.selection_index]
-        if edit.side == "left":
-            selection.expr = BinOp(selection.expr.op, Const(edit.new_value),
-                                   selection.expr.right)
-        else:
-            selection.expr = BinOp(selection.expr.op, selection.expr.left,
-                                   Const(edit.new_value))
-    elif isinstance(edit, ChangeOperator):
-        rule = _rule(repaired, edit.rule)
-        _check_index(rule.selections, edit.selection_index, "selection", edit.rule)
-        selection = rule.selections[edit.selection_index]
-        selection.expr = BinOp(edit.new_op, selection.expr.left, selection.expr.right)
-    elif isinstance(edit, DeleteSelection):
-        rule = _rule(repaired, edit.rule)
-        _check_index(rule.selections, edit.selection_index, "selection", edit.rule)
-        del rule.selections[edit.selection_index]
+        raise RepairApplicationError(f"rule {edit.rule!r} not found") from exc
+    rule = program.rules[position]
+    if isinstance(edit, DeleteRule):
+        return replace(program, rules=_splice(program.rules, position))
+    if isinstance(edit, ChangeRuleHead):
+        rule = replace(rule, head=edit.new_head)
+    elif isinstance(edit, ChangeAssignment):
+        index = _checked(rule.assignments, edit.assignment_index,
+                         "assignment", edit.rule)
+        rule = replace(rule, assignments=_splice(
+            rule.assignments, index,
+            replace(rule.assignments[index], expr=edit.new_expr)))
     elif isinstance(edit, DeletePredicate):
-        rule = _rule(repaired, edit.rule)
-        _check_index(rule.body, edit.predicate_index, "predicate", edit.rule)
+        index = _checked(rule.body, edit.predicate_index, "predicate",
+                         edit.rule)
         if len(rule.body) <= 1:
             raise RepairApplicationError(
                 f"cannot delete the only body predicate of rule {edit.rule}")
-        del rule.body[edit.predicate_index]
-    elif isinstance(edit, ChangeAssignment):
-        rule = _rule(repaired, edit.rule)
-        _check_index(rule.assignments, edit.assignment_index, "assignment", edit.rule)
-        rule.assignments[edit.assignment_index].expr = edit.new_expr.clone()
-    elif isinstance(edit, ChangeRuleHead):
-        rule = _rule(repaired, edit.rule)
-        rule.head = edit.new_head.clone()
-    elif isinstance(edit, CopyRule):
-        repaired.program.rules.append(edit.new_rule.clone())
-    elif isinstance(edit, AddRule):
-        repaired.program.rules.append(edit.new_rule.clone())
-    elif isinstance(edit, DeleteRule):
-        index = repaired.program.rule_index(edit.rule)
-        del repaired.program.rules[index]
-    elif isinstance(edit, InsertTuple):
-        repaired.inserted_tuples.append(edit.tuple)
-    elif isinstance(edit, DeleteTuple):
-        repaired.removed_tuples.append(edit.tuple)
-    elif isinstance(edit, ChangeTuple):
-        repaired.removed_tuples.append(edit.tuple)
-        repaired.inserted_tuples.append(edit.tuple.replace(edit.column, edit.new_value))
+        rule = replace(rule, body=_splice(rule.body, index))
     else:
-        raise RepairApplicationError(f"unknown edit type {type(edit).__name__}")
+        index = _checked(rule.selections, edit.selection_index, "selection",
+                         edit.rule)
+        selection = rule.selections[index]
+        op, left, right = selection.op, selection.left, selection.right
+        if isinstance(edit, ChangeOperator):
+            op = edit.new_op
+        elif isinstance(edit, ChangeConstant) and edit.side == "left":
+            left = Const(edit.new_value)
+        elif isinstance(edit, ChangeConstant):
+            right = Const(edit.new_value)
+        changed = () if isinstance(edit, DeleteSelection) else (
+            Selection(BinOp(op, left, right)),)
+        rule = replace(rule, selections=_splice(rule.selections, index,
+                                                *changed))
+    return replace(program, rules=_splice(program.rules, position, rule))
 
 
-def _check_index(items, index, what, rule_name):
+#: The edits that name one existing rule (``edit.rule``).
+_RULE_EDITS = (ChangeConstant, ChangeOperator, DeleteSelection,
+               DeletePredicate, ChangeAssignment, ChangeRuleHead, DeleteRule)
+
+
+def _splice(items: Tuple, index: int, *replacement) -> Tuple:
+    """``items`` with the element at ``index`` replaced (or dropped)."""
+    return items[:index] + replacement + items[index + 1:]
+
+
+def _checked(items, index, what, rule_name) -> int:
     if index < 0 or index >= len(items):
         raise RepairApplicationError(
             f"{what} index {index} out of range for rule {rule_name}")
+    return index

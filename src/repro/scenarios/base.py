@@ -169,12 +169,5 @@ class NDlogScenario:
             return stats.delivered_to(self.target_host) > 0
         return stats.delivery_ratio() > 0
 
-    # ------------------------------------------------------------------
-    # Reporting helpers
-    # ------------------------------------------------------------------
-
-    def program_line_count(self) -> int:
-        return len(self.program.rules)
-
     def __str__(self):
         return f"Scenario {self.name}: {self.description}"

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.api import ConfigError, RepairConfig
+from repro.api import (ConfigError, FaultToleranceConfig, RepairConfig,
+                       TelemetryConfig)
 from repro.backtest import Backtester, EarlyAbortPolicy
 from repro.scenarios import build_scenario
 from repro.scenarios.spec import ScenarioSpec
@@ -63,6 +64,62 @@ def test_from_file_round_trip(tmp_path):
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError, match="unknown config keys"):
         RepairConfig.from_wire({"max_candidate": 5})
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("warm_engine", "no", "a boolean"),               # bool: exactly bool
+    ("static_vet", 0, "a boolean"),
+    ("workers", "2", "an integer"),                   # int: no str ...
+    ("max_candidates", True, "an integer"),           # ... and no bool
+    ("max_candidates", 14.0, "an integer"),
+    ("max_candidates", None, "an integer"),           # not Optional
+    ("trace_limit", "120", "an integer or null"),     # Optional[int]
+    ("alpha", "0.05", "a number"),                    # float
+    ("alpha", False, "a number"),
+    ("ks_threshold", [0.1], "a number or null"),      # Optional[float]
+    ("transport", 3, "a string or null"),             # Optional[str]
+    ("cost_overrides", [["change_constant", 1]], "an object"),   # Dict
+    ("transport_options", None, "an object"),
+    ("scenario", "Q1", "an object or null"),          # nested configs
+    ("abort", True, "an object or null"),
+    ("telemetry", "on", "an object or null"),
+    ("fault_tolerance", 3, "an object or null"),
+])
+def test_wire_values_are_type_checked_at_the_door(key, value, expected):
+    with pytest.raises(ConfigError) as excinfo:
+        RepairConfig.from_wire({"scenario": {"name": "Q1"}, key: value})
+    assert f"config key {key!r} must be {expected}" in str(excinfo.value)
+
+
+def test_wire_numbers_and_nulls_the_fields_declare_are_accepted():
+    config = RepairConfig.from_wire({
+        "alpha": 1, "ks_threshold": 0, "cost_cutoff": 4.5,     # int for float
+        "trace_limit": None, "transport": None, "abort": None,
+        "telemetry": None, "scenario": None, "workers": 2})
+    assert (config.alpha, config.ks_threshold, config.workers) == (1, 0, 2)
+
+
+def test_telemetry_wire_is_type_checked_too():
+    with pytest.raises(ConfigError, match="'enabled' must be a boolean"):
+        TelemetryConfig.from_wire({"enabled": "false"})
+    with pytest.raises(ConfigError, match="'slice_packets' must be an "
+                                          "integer or null"):
+        RepairConfig.from_wire({"telemetry": {"slice_packets": "64"}})
+    with pytest.raises(ConfigError, match="unknown telemetry keys"):
+        TelemetryConfig.from_wire({"enable": True})
+    assert TelemetryConfig.from_wire({"slice_packets": None}).enabled is True
+
+
+def test_every_to_wire_output_still_round_trips():
+    for config in (RepairConfig(), RepairConfig.for_scenario("Q1"),
+                   full_config(),
+                   full_config().with_updates(
+                       telemetry=TelemetryConfig(slice_packets=64,
+                                                 profile=True),
+                       fault_tolerance=FaultToleranceConfig())):
+        wire = json.loads(json.dumps(config.to_wire()))
+        assert RepairConfig.from_wire(wire) == config
+        assert RepairConfig.from_wire(wire).to_wire() == config.to_wire()
 
 
 def test_invalid_json_rejected():

@@ -171,7 +171,7 @@ def test_restore_randomized_round_trip():
     program = parse_program(PROGRAM)
     nodes = list(range(1, 7))
     for _trial in range(20):
-        engine = Engine(program.clone())
+        engine = Engine(program)
         live = []
         for _ in range(rng.randrange(0, 6)):
             tup = make_tuple("Link", rng.choice(nodes), rng.choice(nodes),
@@ -210,12 +210,12 @@ def test_program_delta_matches_cold_rebuild(variant):
     cp = warm.checkpoint()
     warm.apply_program_delta(base, target)
 
-    cold = Engine(target.clone())
+    cold = Engine(target)
     cold.insert_many(list(tuples))
     assert semantic_fingerprint(warm) == semantic_fingerprint(cold), variant
 
     # The delta is journaled like any other mutation: restore undoes it.
-    reference = Engine(base.clone())
+    reference = Engine(base)
     reference.insert_many(list(tuples))
     warm.restore(cp)
     assert semantic_fingerprint(warm) == semantic_fingerprint(reference)
@@ -231,11 +231,11 @@ def test_program_delta_randomized_equivalence():
                              rng.randrange(1, 11))
                   for _ in range(rng.randrange(2, 9))]
         target = rng.choice(variants)
-        warm = Engine(base.clone())
+        warm = Engine(base)
         warm.insert_many(list(tuples))
         warm.checkpoint()
         warm.apply_program_delta(warm.program, target)
-        cold = Engine(target.clone())
+        cold = Engine(target)
         cold.insert_many(list(tuples))
         assert semantic_fingerprint(warm) == semantic_fingerprint(cold), \
             f"trial {trial}"
@@ -256,7 +256,7 @@ def test_program_delta_after_delta_chains():
         target = parse_program(text)
         warm.restore(cp)
         warm.apply_program_delta(base, target)
-        cold = Engine(target.clone())
+        cold = Engine(target)
         cold.insert_many(list(tuples))
         assert semantic_fingerprint(warm) == semantic_fingerprint(cold)
 
@@ -305,7 +305,7 @@ def test_delta_engine_agrees_with_naive_oracle():
     warm.insert_many(list(tuples))
     warm.checkpoint()
     warm.apply_program_delta(base, target)
-    oracle = NaiveEngine(target.clone())
+    oracle = NaiveEngine(target)
     oracle.insert_many(list(tuples))
     extra = make_tuple("Link", 4, 1, 1)
     warm.insert(extra)

@@ -1,5 +1,7 @@
 """Tests for the NDlog evaluation engine."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.ndlog import (
@@ -108,10 +110,14 @@ class TestFigure2Scenario:
         assert engine.tuples("FlowTable") == set()
 
     def test_fixed_program_installs_switch3_entry(self):
-        fixed = parse_program(FIGURE2_PROGRAM)
+        buggy = parse_program(FIGURE2_PROGRAM)
         # The fix the paper's operator would apply: Swi == 2 -> Swi == 3 in r7.
-        from repro.ndlog import BinOp, Const, Var
-        fixed.rule_named("r7").selections[0].expr = BinOp("==", Var("Swi"), Const(3))
+        from repro.ndlog import BinOp, Const, Selection, Var
+        r7 = buggy.rule_named("r7")
+        fixed_r7 = replace(r7, selections=(
+            Selection(BinOp("==", Var("Swi"), Const(3))),) + r7.selections[1:])
+        fixed = replace(buggy, rules=tuple(
+            fixed_r7 if rule is r7 else rule for rule in buggy.rules))
         engine = make_figure2_engine(fixed)
         derived = engine.insert(make_tuple("PacketIn", "C", 3, 80))
         assert make_tuple("FlowTable", 3, 80, 2) in derived

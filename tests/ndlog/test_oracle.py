@@ -24,14 +24,14 @@ def database_state(engine):
 
 def build_pair(program_source):
     program = parse_program(program_source)
-    return Engine(program), NaiveEngine(program.clone())
+    return Engine(program), NaiveEngine(program)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
 def test_scenario_trace_derivations_match_oracle(name):
     scenario = build_scenario(name)
     indexed = Engine(scenario.program)
-    naive = NaiveEngine(scenario.program.clone())
+    naive = NaiveEngine(scenario.program)
     for engine in (indexed, naive):
         for schema in scenario.schemas():
             engine.register_schema(schema)

@@ -1,5 +1,7 @@
 """Tests for the NDlog parser."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.ndlog import (
@@ -101,7 +103,7 @@ class TestProgramParsing:
         program = parse_program(FIGURE2_PROGRAM)
         assert len(program.rules) == 7
         assert [r.name for r in program.rules] == [f"r{i}" for i in range(1, 8)]
-        assert program.rules_deriving("FlowTable") == program.rules
+        assert program.rules_deriving("FlowTable") == list(program.rules)
         assert program.base_tables() == {"PacketIn", "WebLoadBalancer"}
         assert program.derived_tables() == {"FlowTable"}
 
@@ -117,12 +119,16 @@ class TestProgramParsing:
         with pytest.raises(KeyError):
             program.rule_named("r99")
 
-    def test_clone_is_deep(self):
+    def test_an_edited_value_leaves_the_original_alone(self):
         program = parse_program(FIGURE2_PROGRAM)
-        clone = program.clone()
-        clone.rule_named("r7").selections[0].expr = BinOp("==", Var("Swi"), Const(3))
+        r7 = program.rule_named("r7")
+        swi_is_3 = replace(r7.selections[0],
+                           expr=BinOp("==", Var("Swi"), Const(3)))
+        edited = replace(r7, selections=(swi_is_3,) + r7.selections[1:])
         assert program.rule_named("r7").selections[0].right == Const(2)
-        assert clone.rule_named("r7").selections[0].right == Const(3)
+        assert edited.selections[0].right == Const(3)
+        assert edited.selections[1] is r7.selections[1]
+        assert edited != r7 and edited.head is r7.head
 
 
 class TestExpressionParsing:

@@ -5,6 +5,8 @@ non-comparing fields so structural rule equality — which the rule-delta
 machinery depends on — is unaffected by formatting.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.ndlog.errors import ParseError
@@ -46,12 +48,15 @@ def test_positions_do_not_affect_equality():
     assert a.rules[0].line != b.rules[0].line
 
 
-def test_clone_preserves_positions():
+def test_replace_preserves_positions():
     rule = parse_program(SOURCE).rules[0]
-    clone = rule.clone()
-    assert (clone.line, clone.column) == (rule.line, rule.column)
-    assert clone.head.line == rule.head.line
-    assert [a.line for a in clone.body] == [a.line for a in rule.body]
+    edited = replace(rule, name="renamed",
+                     head=replace(rule.head, table="Other"),
+                     body=[replace(a, negated=True) for a in rule.body])
+    assert (edited.line, edited.column) == (rule.line, rule.column)
+    assert (edited.head.line, edited.head.column) == (rule.head.line,
+                                                      rule.head.column)
+    assert [a.line for a in edited.body] == [a.line for a in rule.body]
 
 
 def test_parse_error_carries_position():

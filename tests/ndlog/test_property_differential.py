@@ -159,7 +159,7 @@ def rebuilt_from_base(engine):
 @given(program=programs(), script=scripts())
 def test_engine_matches_naive_oracle(program, script):
     engine = build(Engine, program)
-    naive = build(NaiveEngine, program.clone())
+    naive = build(NaiveEngine, program)
     for step, (op, tup) in enumerate(script):
         actual = frozenset(getattr(engine, op)(tup))
         expected = frozenset(getattr(naive, op)(tup))

@@ -14,9 +14,13 @@ interpreter's minor version, so it gets a ceiling instead of equality.
 A failure prints every count that moved and the dict to paste into
 ``PINNED`` when the change is intended.
 
-The same call counter states "a FlowMod is O(1)" without a clock: one
-``FlowTable.install`` plus one ``lookup`` must make the same number of Python
-calls into ``repro/sdn`` on a table of 10 entries as on one of 1,000.
+The same call counter states two costs without a clock.  "A FlowMod is
+O(1)": one ``FlowTable.install`` plus one ``lookup`` must make the same number
+of Python calls into ``repro/sdn`` on a table of 10 entries as on one of
+1,000.  "A repair costs its edit, not the program": applying a one-rule
+candidate makes the same number of Python calls on Q1's 8 rules as on Q1
+padded to 250, and diffing the repaired program against its base costs a few
+calls per rule — the rules it shares with the base are recognised by identity.
 """
 
 import os
@@ -25,7 +29,10 @@ import sys
 import pytest
 
 from repro.api import RepairConfig, RepairSession, TelemetryConfig
+from repro.ndlog import diff_programs, parse_program
 from repro.ndlog.plan import PLAN_CACHE
+from repro.repair import ChangeConstant, RepairCandidate, apply_candidate
+from repro.scenarios import build_q1
 from repro.sdn import switch
 from repro.sdn.packets import Packet
 from repro.sdn.switch import FlowEntry, FlowTable
@@ -39,11 +46,11 @@ PINNED = {
     "Q1": {"engine_fixpoints": 778, "rules_fired": 866, "tuples_derived": 842,
            "packets_replayed": 2808, "plan_cache_misses": 11,
            "candidates_backtested": 14, "candidates_vetoed": 2,
-           "python_calls": 257518},
+           "python_calls": 240779},
     "Q4": {"engine_fixpoints": 160, "rules_fired": 248, "tuples_derived": 248,
            "packets_replayed": 1280, "plan_cache_misses": 9,
            "candidates_backtested": 11, "candidates_vetoed": 1,
-           "python_calls": 74293},
+           "python_calls": 67892},
 }
 PYTHON_CALLS_CEILING = 1.10
 SDN_PACKAGE = os.path.dirname(switch.__file__)
@@ -124,3 +131,38 @@ def test_install_and_lookup_cost_does_not_depend_on_table_size():
         return _python_calls(flow_mod_then_packet, under=SDN_PACKAGE)
 
     assert calls_on_a_table_of(10) == calls_on_a_table_of(1000)
+
+
+def _q1_padded_to(total_rules):
+    """Q1's program plus policies for switches its topology does not have
+    (the ledger's ``program_heavy`` shape)."""
+    source = build_q1().program_source
+    pads = total_rules - len(parse_program(source))
+    return parse_program(source + "".join(
+        f"pad{index} FlowTable(@Swi,Sip,Hdr,Prt) :- PacketIn(@C,Swi,Sip,Hdr), "
+        f"Swi == {1000 + index}, Hdr == 80, Prt := 1.\n"
+        for index in range(pads)))
+
+
+def test_apply_and_diff_cost_the_edit_not_the_program():
+    candidate = RepairCandidate(
+        edits=(ChangeConstant("r1", 0, "right", 1, 3),), cost=1.0)
+
+    def counts(program):
+        repaired = []
+        apply_calls = _python_calls(
+            lambda: repaired.append(apply_candidate(program, candidate)))
+        changed = repaired[0].program
+        assert changed.rule_named("r1") != program.rule_named("r1")
+        delta = []
+        diff_calls = _python_calls(
+            lambda: delta.append(diff_programs(program, changed)))
+        assert delta[0].modified == {"r1"} and delta[0].changed == {"r1"}
+        return apply_calls, diff_calls
+
+    small, large = _q1_padded_to(8), _q1_padded_to(250)
+    assert (len(small), len(large)) == (8, 250)
+    small_apply, small_diff = counts(small)
+    large_apply, large_diff = counts(large)
+    assert small_apply == large_apply
+    assert small_diff <= 3 * len(small) and large_diff <= 3 * len(large)

@@ -1,5 +1,7 @@
 """Tests for repair edits, candidate application, and the cost model."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -67,7 +69,7 @@ class TestApplyEdits:
             DeleteSelection("r7", 1, "Hdr == 80"),
         ), cost=4.0)
         repaired = apply_candidate(program, candidate)
-        assert repaired.program.rule_named("r7").selections == []
+        assert repaired.program.rule_named("r7").selections == ()
 
     def test_delete_predicate_requires_remaining_body(self, program):
         with pytest.raises(RepairApplicationError):
@@ -81,18 +83,18 @@ class TestApplyEdits:
         assert repaired.program.rule_named("r7").assignments[0].expr == Const(9)
 
     def test_change_rule_head_and_copy(self, program):
-        new_head = program.rule_named("r7").head.clone()
-        new_head.table = "PacketOut"
+        r7 = program.rule_named("r7")
+        new_head = replace(r7.head, table="PacketOut")
         repaired = apply_candidate(program, single(ChangeRuleHead("r7", new_head)))
         assert repaired.program.rule_named("r7").head.table == "PacketOut"
-        copied_rule = program.rule_named("r7").clone()
-        copied_rule.name = "r7_copy"
+        assert r7.head.table == "FlowTable"
+        copied_rule = replace(r7, name="r7_copy")
         repaired = apply_candidate(program, single(CopyRule("r7", copied_rule)))
         assert len(repaired.program.rules) == 3
+        assert repaired.program.rules[2] is copied_rule
 
     def test_add_and_delete_rule(self, program):
-        extra = program.rule_named("r7").clone()
-        extra.name = "r9"
+        extra = replace(program.rule_named("r7"), name="r9")
         repaired = apply_candidate(program, single(AddRule(extra)))
         assert "r9" in [r.name for r in repaired.program.rules]
         repaired = apply_candidate(program, single(DeleteRule("r1")))
@@ -110,6 +112,8 @@ class TestApplyEdits:
     def test_unknown_rule_raises(self, program):
         with pytest.raises(RepairApplicationError):
             apply_candidate(program, single(ChangeConstant("r99", 0, "right", 2, 3)))
+        with pytest.raises(RepairApplicationError):
+            apply_candidate(program, single(DeleteRule("r99")))
 
     def test_index_out_of_range_raises(self, program):
         with pytest.raises(RepairApplicationError):

@@ -167,6 +167,12 @@ class TestEndpoints:
             client.submit({"scenario": {"name": "Q1"}, "bogus_knob": 1})
         assert excinfo.value.status == 400
         assert "bogus_knob" in str(excinfo.value)
+        # A mistyped knob is refused at the door, not retried to quarantine
+        # by a worker that trips over ``"2" > 1``.
+        with pytest.raises(ClientError) as excinfo:
+            client.submit({"scenario": {"name": "Q1"}, "workers": "2"})
+        assert excinfo.value.status == 400
+        assert "'workers' must be an integer" in str(excinfo.value)
         with pytest.raises(ClientError) as excinfo:
             client._json("POST", "/sessions",
                          payload={"config": {}, "tenant": "x", "oops": 1})
