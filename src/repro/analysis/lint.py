@@ -8,6 +8,7 @@ for every registered scenario.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Iterable, List, Optional
 
 from ..ndlog.ast import Program
@@ -24,13 +25,7 @@ def _check_duplicate_rules(program: Program) -> List[LintFinding]:
     findings: List[LintFinding] = []
     seen = {}
     for rule in program.rules:
-        # AST nodes are unhashable (mutable dataclasses); key on their
-        # canonical rendering, which round-trips through the parser.
-        key = (rule.head.to_ndlog(),
-               tuple(a.to_ndlog() for a in rule.body),
-               tuple(s.to_ndlog() for s in rule.selections),
-               tuple(a.to_ndlog() for a in rule.assignments),
-               tuple(a.negated for a in rule.body))
+        key = replace(rule, name="")
         original = seen.get(key)
         if original is not None:
             findings.append(finding_at(

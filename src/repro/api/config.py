@@ -129,8 +129,6 @@ class RepairConfig:
     cost_cutoff: Optional[float] = None
     #: Surcharge for far-away constant changes; ``None`` keeps the default.
     far_constant_surcharge: Optional[float] = None
-    #: Per-vertex expansion cost; ``None`` keeps the default.
-    expansion_cost: Optional[float] = None
 
     # -- Backtest: replay and acceptance --------------------------------
     #: Share the base program's replay between candidates (Section 4.4).
@@ -209,8 +207,6 @@ class RepairConfig:
             model.cutoff = self.cost_cutoff
         if self.far_constant_surcharge is not None:
             model.far_constant_surcharge = self.far_constant_surcharge
-        if self.expansion_cost is not None:
-            model.expansion_cost = self.expansion_cost
         return model
 
     def resolve_ks_threshold(self, scenario) -> float:

@@ -5,11 +5,13 @@ This package implements the paper's primary contribution:
 * :mod:`repro.meta.metatuples` / :mod:`repro.meta.metaprogram` — the program
   represented as data (Const, Oper, PredFunc, HeadFunc, Assign meta tuples).
 * :mod:`repro.meta.metarules` — the µDlog meta model of Figure 4.
-* :mod:`repro.meta.forest` — meta provenance trees and forests.
-* :mod:`repro.meta.constraints` — constraint pools (Section 3.4).
+* :mod:`repro.meta.forest` — meta provenance trees: the explanation of a
+  repair candidate.
+* :mod:`repro.meta.constraints` — constraint pools (Section 3.4): where a
+  solver picks a constant's new value.
 * :mod:`repro.meta.costs` — the plausibility cost model (Section 3.5).
-* :mod:`repro.meta.explorer` — cost-ordered exploration and repair
-  candidate extraction (Figures 5 and 17).
+* :mod:`repro.meta.explorer` — the cost-ordered search over repair attempts
+  and the tree that explains each candidate it returns (Figures 5, 6, 17).
 """
 
 from .constraints import ConstraintPool

@@ -1,25 +1,21 @@
-"""Constraint pools for meta provenance trees.
+"""Constraint pools: where the explorer asks a solver for a value.
 
-Section 3.4: while a meta provenance tree is being expanded, the explorer
-collects constraints over the attributes of (possibly still missing) tuples
-— join constraints, selection constraints, head-derivation constraints and
-primary-key constraints.  A tree can only produce a repair if its pool is
-satisfiable; the satisfying assignment supplies concrete values for the
-program changes (e.g. the new value of a constant).
+Section 3.4 of the paper collects, per meta provenance tree, constraints over
+the attributes of (possibly still missing) tuples — join, selection,
+head-derivation and primary-key constraints — and a tree yields a repair only
+if its pool is satisfiable.  Here the join and head constraints are decided
+while support choices are enumerated (``explorer._combo_joins``), so a pool
+holds only what is left to *solve*: the selection a new constant must
+satisfy (``solve``), or must violate to break a derivation
+(``solve_negation``).  The satisfying assignment supplies the constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
-from ..solver import (
-    Comparison,
-    Constraint,
-    Model,
-    Solver,
-    SymVar,
-)
+from ..solver import Constraint, Model, Solver, SymVar
 
 
 @dataclass
@@ -28,36 +24,19 @@ class ConstraintPool:
 
     constraints: List[Constraint] = field(default_factory=list)
     candidate_hints: Dict[SymVar, List[object]] = field(default_factory=dict)
-    notes: List[str] = field(default_factory=list)
     #: Number of times a solver was invoked on this pool (for the Fig. 9a
     #: "constraint solving" phase accounting).
     solver_invocations: int = 0
     #: Wall-clock seconds spent inside the solver for this pool.
     solve_seconds: float = 0.0
 
-    def add(self, *constraints: Constraint, note: Optional[str] = None):
+    def add(self, *constraints: Constraint):
         self.constraints.extend(constraints)
-        if note:
-            self.notes.append(note)
         return self
 
     def hint(self, var: SymVar, values: Iterable[object]):
         self.candidate_hints.setdefault(var, []).extend(values)
         return self
-
-    def copy(self) -> "ConstraintPool":
-        clone = ConstraintPool(
-            constraints=list(self.constraints),
-            candidate_hints={k: list(v) for k, v in self.candidate_hints.items()},
-            notes=list(self.notes),
-        )
-        return clone
-
-    def variables(self):
-        out = set()
-        for constraint in self.constraints:
-            out |= constraint.variables()
-        return out
 
     # ------------------------------------------------------------------
     # Solving
@@ -88,13 +67,3 @@ class ConstraintPool:
             return self._solver().solve_negation()
         finally:
             self.solve_seconds += _time.perf_counter() - started
-
-    def is_satisfiable(self) -> bool:
-        return self.solve() is not None
-
-    def describe(self) -> str:
-        lines = [str(c) for c in self.constraints]
-        return " AND ".join(lines) if lines else "(empty pool)"
-
-    def __len__(self):
-        return len(self.constraints)

@@ -15,9 +15,9 @@ in a uniform-cost model and measure the effect on search effort.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
-from ..repair.candidates import Edit, RepairCandidate
+from ..repair.candidates import Edit
 
 
 #: Default per-edit-kind base costs.
@@ -41,20 +41,17 @@ DEFAULT_COSTS: Dict[str, float] = {
 #: (an off-by-one fix is more plausible than an arbitrary re-write).
 FAR_CONSTANT_SURCHARGE = 0.3
 
-#: Default exploration cut-off: trees costlier than this are never expanded.
+#: Default exploration cut-off: costlier candidates are never emitted.
 DEFAULT_CUTOFF = 5.0
 
 
 @dataclass
 class CostModel:
-    """Assigns costs to individual edits and whole repair candidates."""
+    """Assigns costs to individual edits; a candidate costs their sum."""
 
     costs: Dict[str, float] = field(default_factory=lambda: dict(DEFAULT_COSTS))
     far_constant_surcharge: float = FAR_CONSTANT_SURCHARGE
     cutoff: float = DEFAULT_CUTOFF
-    #: Small cost added per expanded vertex so exploration always terminates
-    #: (Appendix D: "add a (possibly very small) cost to expanding each vertex").
-    expansion_cost: float = 0.01
 
     def edit_cost(self, edit: Edit) -> float:
         base = self.costs.get(edit.kind, max(self.costs.values()))
@@ -68,15 +65,8 @@ class CostModel:
             return self.far_constant_surcharge
         return 0.0
 
-    def candidate_cost(self, edits) -> float:
-        return sum(self.edit_cost(e) for e in edits)
-
     def within_cutoff(self, cost: float) -> bool:
         return cost <= self.cutoff
-
-    def rank(self, candidates):
-        """Sort candidates by cost (and id for determinism)."""
-        return sorted(candidates, key=lambda c: (c.cost, c.candidate_id))
 
 
 def uniform_cost_model(cost: float = 1.0, cutoff: float = DEFAULT_CUTOFF * 2) -> CostModel:

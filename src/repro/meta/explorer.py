@@ -1,26 +1,48 @@
 """Meta provenance exploration and repair-candidate extraction.
 
-This module implements the heart of the paper: given a symptom — a tuple
-that should exist but does not ("negative symptom"), or a tuple that exists
-but should not ("positive symptom") — it explores the meta provenance forest
-in cost order and extracts repair candidates (Figures 5 and 17 of the paper).
+Given a symptom — a tuple that should exist but does not ("negative
+symptom"), or one that exists but should not ("positive symptom") — this
+module searches for program and data edits that make it go away and explains
+each repair it returns with a meta provenance tree (Figures 5, 6 and 17 of
+the paper).
 
-The search is best-first over partial meta provenance trees: work items are
-kept in a priority queue keyed by accumulated cost, so cheap (plausible)
-repairs are produced before expensive ones, and exploration can stop as soon
-as enough candidates have been found or the cost cut-off is reached.
+For a missing tuple the search is cost-ordered over *attempts*.  An attempt
+is a rule that could derive the goal, one joint support choice for its body
+atoms (a historical tuple per atom, or a base-tuple insertion where history
+has none) and one fix per selection or assignment that fails under that
+choice: a list of edits and their summed cost.  Three more shapes have one
+edit each: insert the goal tuple by hand, insert a support tuple for one body
+atom, re-point (or copy) a rule that derives another table.
+
+One priority queue, keyed by ``(cost, push order)``, holds two kinds of item.
+A *task* names a shape and a rule.  Rule tasks enter at cost 0 and, when
+popped, expand fully: every support choice times every joint fix choice
+becomes a candidate item pushed at its own cost.  The other tasks enter at
+the cost of their one edit.  A *candidate* item, when popped, is emitted
+unless its edit signature was already seen or it lies beyond the cost
+cut-off, and the search stops after ``max_candidates`` emissions.  So the
+queue orders candidates, not partial trees: cheap (plausible) repairs come
+out before expensive ones.
+
+A :class:`~repro.repair.candidates.RepairCandidate` is constructed per
+attempt, although most are never emitted: ``candidate_id`` is drawn from a
+process-wide counter at construction, so a candidate's ``tag`` — the ``v247``
+of every report row and report digest — encodes how many attempts preceded
+it.  Its *explanation* is not per attempt:
+:meth:`MetaProvenanceExplorer._explain` builds the meta provenance tree when
+the candidate is emitted, so an exploration builds exactly as many trees as
+it returns candidates.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ndlog.ast import (
     Atom,
-    BinOp,
     COMPARISON_OPERATORS,
     Const,
     Program,
@@ -46,7 +68,7 @@ from ..repair.candidates import (
     RepairCandidate,
     deduplicate,
 )
-from ..solver import Comparison, SymVar, eq
+from ..solver import Comparison, SymVar
 from ..solver.constraints import _compare as _ground_compare
 from .constraints import ConstraintPool
 from .costs import CostModel
@@ -60,10 +82,26 @@ from .metatuples import (
     HeadValMeta,
     MetaLocation,
     OperMeta,
-    PredFuncMeta,
     SelMeta,
     TupleMeta,
 )
+
+#: Joint support choices kept per rule.
+MAX_BODY_COMBINATIONS = 100
+#: New values proposed for one constant of a failing selection.
+MAX_CONSTANT_VARIANTS = 4
+#: Joint fix choices tried per support choice.
+MAX_FIX_COMBINATIONS = 64
+
+#: One joint support choice: per body atom ``("tuple", ndtuple)`` for a
+#: historical tuple, or ``("missing", pattern)`` where history has none and a
+#: base tuple would have to be inserted.
+BodyChoice = Sequence[Tuple[str, object]]
+#: One way to repair one failing selection or assignment, and its cost.
+FixOption = Tuple[Edit, float]
+
+#: Shapes explained by the one base tuple they insert.
+_INSERTION_NOTES = {"insert": "manual insertion", "support": "support insertion"}
 
 
 # ---------------------------------------------------------------------------
@@ -117,19 +155,20 @@ class ExistingTupleGoal:
 class ExplorationStats:
     """Counters filled in during exploration (feeds the Figure 9a breakdown)."""
 
-    trees_created: int = 0
-    trees_completed: int = 0
     work_items_processed: int = 0
     history_lookups: int = 0
     solver_invocations: int = 0
     solver_seconds: float = 0.0
     candidates_generated: int = 0
+    #: Always 0: no attempt is built that a constraint check then refuses
+    #: (see ``_repairs_for_combination``).  Its only reader is the ledger's
+    #: ``meta.discarded_unsat_ratio`` row.
     candidates_discarded_unsat: int = 0
 
 
 @dataclass
 class ExplorationResult:
-    """Candidates plus the forest and statistics of one exploration."""
+    """Candidates, their trees and the statistics of one exploration."""
 
     goal: object
     candidates: List[RepairCandidate]
@@ -150,20 +189,12 @@ class MetaProvenanceExplorer:
 
     def __init__(self, program: Program, history: HistoryIndex,
                  cost_model: Optional[CostModel] = None,
-                 max_candidates: int = 25,
-                 max_body_combinations: int = 100,
-                 max_constant_variants: int = 4,
-                 max_fix_combinations: int = 64,
-                 enable_retarget_tasks: bool = True):
+                 max_candidates: int = 25):
         self.program = program
         self.history = history
         self.cost_model = cost_model or CostModel()
         self.meta_program = MetaProgram.from_program(program)
         self.max_candidates = max_candidates
-        self.max_body_combinations = max_body_combinations
-        self.max_constant_variants = max_constant_variants
-        self.max_fix_combinations = max_fix_combinations
-        self.enable_retarget_tasks = enable_retarget_tasks
         self._history_value_hints: Optional[List[object]] = None
         self._program_constant_hints: Optional[List[object]] = None
         self._constant_values_cache: Dict[Tuple, List[object]] = {}
@@ -190,79 +221,75 @@ class MetaProvenanceExplorer:
         forest = MetaForest()
         lookups_before = self.history.lookup_count
         candidates: List[RepairCandidate] = []
-        queue: List[Tuple[float, int, object]] = []
+        queue: List[Tuple] = []
         counter = itertools.count()
+        costs = self.cost_model.costs
 
-        def push(cost: float, item):
-            heapq.heappush(queue, (cost, next(counter), item))
+        def push(cost: float, shape: str, rule: Optional[Rule],
+                 candidate: Optional[RepairCandidate] = None,
+                 body_choice: BodyChoice = ()):
+            heapq.heappush(queue, (cost, next(counter), shape, rule,
+                                   candidate, body_choice))
 
-        # Seed the queue: one tree per rule that could derive the goal table,
-        # one "manual tuple" tree, and (optionally) retargeting trees.
+        # Seed the queue with the tasks: every rule that could derive the
+        # goal table (as it is, and given one more support tuple), the manual
+        # insertion, and every other rule as a retargeting source.
         for rule in self.program.rules_deriving(goal.table):
-            push(0.0, ("rule", rule))
+            push(0.0, "rule", rule)
             if rule.body:
-                push(self.cost_model.costs["support_tuple"], ("support", rule))
-        push(self.cost_model.costs["insert_tuple"], ("insert", None))
-        if self.enable_retarget_tasks:
-            for rule in self.program.rules:
-                if rule.head.table != goal.table:
-                    push(self.cost_model.costs["change_head"], ("retarget", rule))
+                push(costs["support_tuple"], "support", rule)
+        push(costs["insert_tuple"], "insert", None)
+        for rule in self.program.rules:
+            if rule.head.table != goal.table:
+                push(costs["change_head"], "retarget", rule)
 
         seen_signatures = set()
         while queue and len(candidates) < self.max_candidates:
-            cost, _, item = heapq.heappop(queue)
+            cost, _, shape, rule, candidate, body_choice = heapq.heappop(queue)
             stats.work_items_processed += 1
-            kind, payload = item[0], item[1]
-            if kind == "candidate":
-                candidate = payload
+            if candidate is not None:
                 signature = candidate.signature()
-                if signature in seen_signatures:
-                    continue
-                if self.cost_model.within_cutoff(candidate.cost):
+                if (signature not in seen_signatures
+                        and self.cost_model.within_cutoff(candidate.cost)):
                     seen_signatures.add(signature)
+                    candidate.tree = forest.add(self._explain(
+                        goal, candidate, shape, rule, body_choice))
                     candidates.append(candidate)
                     stats.candidates_generated += 1
-                    if candidate.tree is not None:
-                        forest.add(candidate.tree)
-                        stats.trees_completed += 1
                 continue
             if not self.cost_model.within_cutoff(cost):
                 continue
-            if kind == "rule":
-                for cand_cost, candidate in self._expand_rule_tree(goal, payload, stats):
-                    push(cand_cost, ("candidate", candidate))
-            elif kind == "insert":
-                candidate = self._manual_insert_candidate(goal, stats)
-                if candidate is not None:
-                    push(candidate.cost, ("candidate", candidate))
-            elif kind == "support":
-                for candidate in self._support_insert_candidates(goal, payload):
-                    push(candidate.cost, ("candidate", candidate))
-            elif kind == "retarget":
-                for cand_cost, candidate in self._retarget_candidates(goal, payload, stats):
-                    push(cand_cost, ("candidate", candidate))
-            stats.trees_created += 1
+            if shape == "rule":
+                attempts = self._rule_attempts(goal, rule, stats)
+            elif shape == "support":
+                attempts = self._support_insert_attempts(goal, rule)
+            elif shape == "insert":
+                attempts = self._manual_insert_attempts(goal)
+            else:
+                attempts = self._retarget_attempts(goal, rule)
+            for attempt, body_choice in attempts:
+                push(attempt.cost, shape, rule, attempt, body_choice)
 
         stats.history_lookups += self.history.lookup_count - lookups_before
         final = deduplicate(candidates)[: self.max_candidates]
         return ExplorationResult(goal=goal, candidates=final, forest=forest, stats=stats)
 
     # ------------------------------------------------------------------
-    # Rule trees: make an existing rule derive the missing tuple
+    # Rule attempts: make an existing rule derive the missing tuple
     # ------------------------------------------------------------------
 
-    def _expand_rule_tree(self, goal: MissingTupleGoal, rule: Rule,
-                          stats: ExplorationStats):
-        """Yield (cost, candidate) pairs for repairs that make ``rule`` fire."""
+    def _rule_attempts(self, goal: MissingTupleGoal, rule: Rule,
+                       stats: ExplorationStats
+                       ) -> List[Tuple[RepairCandidate, BodyChoice]]:
+        """Every repair that makes ``rule`` fire, with the support choice
+        each one is made under."""
         head_bindings = self._head_bindings(rule, goal)
         if head_bindings is None:
-            return
-        combos = self._body_combinations(rule, head_bindings, stats)
-        results = []
-        for body_choice in combos:
-            results.extend(self._repairs_for_combination(
-                goal, rule, head_bindings, body_choice, stats))
-        yield from results
+            return []
+        return [(candidate, body_choice)
+                for body_choice in self._body_combinations(rule, head_bindings)
+                for candidate in self._repairs_for_combination(
+                    goal, rule, head_bindings, body_choice, stats)]
 
     def _head_bindings(self, rule: Rule, goal: MissingTupleGoal) -> Optional[Bindings]:
         """Bind head variables to the goal's required values."""
@@ -281,21 +308,16 @@ class MetaProvenanceExplorer:
                 return None
         return bindings
 
-    def _body_combinations(self, rule: Rule, head_bindings: Bindings,
-                           stats: ExplorationStats):
-        """Enumerate joint support choices for all body atoms.
-
-        Each choice is a list with one entry per body atom: either
-        ``("tuple", ndtuple)`` for a historical tuple, or
-        ``("missing", pattern_dict)`` when no historical tuple matches and a
-        base-tuple insertion would be required.
-        """
+    def _body_combinations(self, rule: Rule,
+                           head_bindings: Bindings) -> List[BodyChoice]:
+        """Enumerate joint support choices for all body atoms."""
         per_atom_options: List[List[Tuple[str, object]]] = []
         for atom in rule.body:
-            matching = self._matching_history(atom, head_bindings)
-            options: List[Tuple[str, object]] = [("tuple", t) for t in matching[:20]]
+            pattern = self._atom_pattern(atom, head_bindings)
+            options: List[Tuple[str, object]] = [
+                ("tuple", t)
+                for t in self.history.matching(atom.table, pattern)[:20]]
             if not options:
-                pattern = self._atom_pattern(atom, head_bindings)
                 options = [("missing", pattern)]
             per_atom_options.append(options)
         combos = []
@@ -303,20 +325,13 @@ class MetaProvenanceExplorer:
             if not self._combo_joins(rule, head_bindings, combo):
                 continue
             combos.append(list(combo))
-            if len(combos) >= self.max_body_combinations:
+            if len(combos) >= MAX_BODY_COMBINATIONS:
                 break
         return combos
 
-    def _matching_history(self, atom: Atom, bindings: Bindings) -> List[NDTuple]:
-        constraints: Dict[int, object] = {}
-        for index, arg in enumerate(atom.args):
-            if isinstance(arg, Const):
-                constraints[index] = arg.value
-            elif isinstance(arg, Var) and arg.name in bindings:
-                constraints[index] = bindings[arg.name]
-        return self.history.matching(atom.table, constraints)
-
     def _atom_pattern(self, atom: Atom, bindings: Bindings) -> Dict[int, object]:
+        """Column -> value for the columns of ``atom`` that are constants or
+        variables already bound."""
         pattern: Dict[int, object] = {}
         for index, arg in enumerate(atom.args):
             if isinstance(arg, Const):
@@ -351,151 +366,102 @@ class MetaProvenanceExplorer:
         return new
 
     def _repairs_for_combination(self, goal: MissingTupleGoal, rule: Rule,
-                                 head_bindings: Bindings, body_choice,
-                                 stats: ExplorationStats):
-        """Produce repair candidates for one joint body-support choice."""
+                                 head_bindings: Bindings,
+                                 body_choice: BodyChoice,
+                                 stats: ExplorationStats) -> List[RepairCandidate]:
+        """The attempts under one joint support choice: one candidate per
+        joint choice of a fix for every failing selection and assignment.
+
+        No constraint pool is solved to accept an attempt (Section 3.4 of
+        the paper collects one per tree), because here it could not be
+        unsatisfiable.  Its constraints would be ``variable == value`` for
+        the goal's head columns and for every variable of the environment
+        the attempt is made under; that environment *extends*
+        ``head_bindings`` (which already refused a head that binds one
+        variable to two goal values), ``_match_atom`` never rebinds a
+        variable, and ``_combo_joins`` kept only support choices whose
+        tuples agree on their shared variables — so no variable is ever
+        asked to take two values.  Constants are the one place a solver
+        picks a value (``_constant_repair_values``).
+        """
         env = Bindings(head_bindings)
         insert_edits: List[Edit] = []
         base_cost = 0.0
-        body_vertices: List[MetaVertex] = []
         for atom, (kind, payload) in zip(rule.body, body_choice):
             if kind == "tuple":
                 env = self._match_atom(atom, payload, env) or env
-                body_vertices.append(MetaVertex(EXIST, TupleMeta(payload)))
             else:
-                missing_tuple = self._materialise_pattern(atom, payload, goal)
-                insert_edits.append(InsertTuple(missing_tuple))
+                insert_edits.append(
+                    InsertTuple(self._materialise_pattern(atom, payload)))
                 base_cost += self.cost_model.costs["insert_tuple"]
-                body_vertices.append(MetaVertex(NEXIST, BaseMeta(missing_tuple)))
 
-        # Per-selection fix options.
-        selection_option_sets: List[List[Tuple[List[Edit], float, List[MetaVertex]]]] = []
-        for sel_index, selection in enumerate(rule.selections):
-            value = try_evaluate(selection.expr, env)
-            if value is True:
-                selection_option_sets.append([
-                    ([], 0.0, [MetaVertex(EXIST, SelMeta(rule.name, "*",
-                                                         selection.to_ndlog(), True))])
-                ])
-                continue
-            options = self._selection_fix_options(rule, sel_index, selection, env, stats)
-            if not options:
-                return []
-            selection_option_sets.append(options)
-
-        # Assignment fixes (for goal-constrained head columns set by ":=").
-        assignment_options = self._assignment_fix_options(goal, rule, env, stats)
-        if assignment_options is None:
-            return []
+        # Fix options per failing selection, then for the assignment (if any)
+        # that sets a goal-constrained head column to something else.
+        option_sets: List[List[FixOption]] = [
+            self._selection_fix_options(rule, sel_index, selection, env, stats)
+            for sel_index, selection in enumerate(rule.selections)
+            if try_evaluate(selection.expr, env) is not True]
+        assignment_options = self._assignment_fix_options(rule, head_bindings, env)
         if assignment_options:
-            selection_option_sets.append(assignment_options)
+            option_sets.append(assignment_options)
 
         results = []
-        for combination in itertools.islice(
-                itertools.product(*selection_option_sets) if selection_option_sets
-                else [()],
-                self.max_fix_combinations):
-            edits: List[Edit] = list(insert_edits)
-            vertices: List[MetaVertex] = list(body_vertices)
+        for combination in itertools.islice(itertools.product(*option_sets),
+                                            MAX_FIX_COMBINATIONS):
+            edits = list(insert_edits)
             cost = base_cost
-            for option_edits, option_cost, option_vertices in combination:
-                edits.extend(option_edits)
-                cost += option_cost
-                vertices.extend(option_vertices)
+            for edit, edit_cost in combination:
+                edits.append(edit)
+                cost += edit_cost
             if not edits:
                 # Nothing to change: the rule should already fire, so this
                 # combination does not explain the missing tuple.
                 continue
-            tree = self._build_missing_tree(goal, rule, vertices)
-            if not self._pool_satisfiable(tree, goal, rule, env, edits, stats):
-                stats.candidates_discarded_unsat += 1
-                continue
-            candidate = RepairCandidate(edits=tuple(edits), cost=cost, tree=tree)
-            results.append((cost, candidate))
+            results.append(RepairCandidate(edits=tuple(edits), cost=cost))
         return results
 
-    def _materialise_pattern(self, atom: Atom, pattern: Dict[int, object],
-                             goal: MissingTupleGoal) -> NDTuple:
-        values = []
-        for index in range(atom.arity):
-            if index in pattern:
-                values.append(pattern[index])
-            else:
-                values.append(WILDCARD)
-        return NDTuple(atom.table, tuple(values))
+    def _materialise_pattern(self, atom: Atom, pattern: Dict[int, object]) -> NDTuple:
+        return NDTuple(atom.table, tuple(pattern.get(index, WILDCARD)
+                                         for index in range(atom.arity)))
 
     # -- selection fixes ----------------------------------------------------
 
     def _selection_fix_options(self, rule: Rule, sel_index: int, selection,
-                               env: Bindings, stats: ExplorationStats):
-        """Repair options that make one failing selection true."""
-        options: List[Tuple[List[Edit], float, List[MetaVertex]]] = []
-        left_is_const = isinstance(selection.left, Const)
-        right_is_const = isinstance(selection.right, Const)
+                               env: Bindings,
+                               stats: ExplorationStats) -> List[FixOption]:
+        """Single edits that make one failing selection true, cheapest first."""
         op = selection.op
-        oper_meta = self.meta_program.operator_of_selection(rule.name, sel_index)
+        edits: List[Edit] = []
 
         # (a) Change the constant operand.
-        for side, is_const, other in (("right", right_is_const, selection.left),
-                                      ("left", left_is_const, selection.right)):
-            if not is_const:
+        for side, const_expr, other in (
+                ("right", selection.right, selection.left),
+                ("left", selection.left, selection.right)):
+            if not isinstance(const_expr, Const):
                 continue
-            const_expr = selection.right if side == "right" else selection.left
             other_value = try_evaluate(other, env)
             if other_value is None:
                 continue
             for new_value in self._constant_repair_values(
                     op, side, other_value, rule, sel_index, stats):
-                if new_value == const_expr.value:
-                    continue
-                edit = ChangeConstant(rule.name, sel_index, side,
-                                      const_expr.value, new_value)
-                cost = self.cost_model.edit_cost(edit)
-                vertices = [
-                    MetaVertex(NEXIST, SelMeta(rule.name, "*", selection.to_ndlog(), True)),
-                    MetaVertex(EXIST, oper_meta) if oper_meta is not None else
-                    MetaVertex(EXIST, OperMeta(rule.name, selection.to_ndlog(),
-                                               "l", "r", op,
-                                               MetaLocation(rule.name, "selection",
-                                                            sel_index, "op"))),
-                    MetaVertex(NEXIST, ExprMeta(rule.name, "*",
-                                                f"{rule.name}.s{sel_index}.{side[0]}",
-                                                new_value)),
-                    MetaVertex(NEXIST, ConstMeta(rule.name,
-                                                 f"{rule.name}.s{sel_index}.{side[0]}",
-                                                 new_value,
-                                                 MetaLocation(rule.name, "selection",
-                                                              sel_index, side))),
-                ]
-                options.append(([edit], cost, vertices))
+                if new_value != const_expr.value:
+                    edits.append(ChangeConstant(rule.name, sel_index, side,
+                                                const_expr.value, new_value))
 
         # (b) Change the comparison operator.
         left_value = try_evaluate(selection.left, env)
         right_value = try_evaluate(selection.right, env)
         if left_value is not None and right_value is not None:
             for new_op in COMPARISON_OPERATORS:
-                if new_op == op:
-                    continue
-                if Comparison(new_op, left_value, right_value).evaluate({}) is True:
-                    edit = ChangeOperator(rule.name, sel_index, op, new_op)
-                    cost = self.cost_model.edit_cost(edit)
-                    vertices = [
-                        MetaVertex(NEXIST, SelMeta(rule.name, "*",
-                                                   selection.to_ndlog(), True)),
-                        MetaVertex(NEXIST, OperMeta(
-                            rule.name, selection.to_ndlog(), "l", "r", new_op,
-                            MetaLocation(rule.name, "selection", sel_index, "op"))),
-                    ]
-                    options.append(([edit], cost, vertices))
+                if new_op != op and _ground_compare(
+                        new_op, left_value, right_value) is True:
+                    edits.append(ChangeOperator(rule.name, sel_index, op, new_op))
 
         # (c) Delete the selection predicate altogether.
-        edit = DeleteSelection(rule.name, sel_index, selection.to_ndlog())
-        cost = self.cost_model.edit_cost(edit)
-        options.append(([edit], cost, [
-            MetaVertex(NEXIST, SelMeta(rule.name, "*", selection.to_ndlog(), True),
-                       note="deleted")]))
+        edits.append(DeleteSelection(rule.name, sel_index, selection.to_ndlog()))
 
-        options.sort(key=lambda item: item[1])
+        options = [(edit, self.cost_model.edit_cost(edit)) for edit in edits]
+        options.sort(key=lambda option: option[1])
         return options
 
     def _constant_repair_values(self, op: str, side: str, other_value,
@@ -536,7 +502,7 @@ class MetaProvenanceExplorer:
         if model is not None:
             values.append(model.value_of(symbol.name))
         for hint in hints:
-            if len(values) >= self.max_constant_variants:
+            if len(values) >= MAX_CONSTANT_VARIANTS:
                 break
             if hint in values:
                 continue
@@ -551,127 +517,51 @@ class MetaProvenanceExplorer:
 
     # -- assignment fixes ----------------------------------------------------
 
-    def _assignment_fix_options(self, goal: MissingTupleGoal, rule: Rule,
-                                env: Bindings, stats: ExplorationStats):
-        """Fix assignments whose value conflicts with the goal constraints.
-
-        Returns ``None`` if a conflicting head column cannot be repaired, an
-        empty list if nothing needs fixing, or a list of alternative fix
-        options otherwise.
-        """
-        needed: Dict[str, object] = {}
-        for index, value in goal.constraints:
-            arg = rule.head.args[index]
-            if isinstance(arg, Var):
-                needed[arg.name] = value
-        options: List[Tuple[List[Edit], float, List[MetaVertex]]] = []
-        conflicts = 0
+    def _assignment_fix_options(self, rule: Rule, head_bindings: Bindings,
+                                env: Bindings) -> List[FixOption]:
+        """Single edits for the assignments whose value conflicts with the
+        goal (``head_bindings`` holds the value the goal requires of each
+        head variable), cheapest first; empty if nothing needs fixing."""
+        edits: List[Edit] = []
         for assign_index, assignment in enumerate(rule.assignments):
-            if assignment.var not in needed:
+            if assignment.var not in head_bindings:
                 continue
             current = try_evaluate(assignment.expr, env)
-            target = needed[assignment.var]
+            target = head_bindings[assignment.var]
             # Strict comparison: an assignment of the wildcard constant does
             # NOT satisfy a concrete goal value (that is precisely the Q5 bug).
             if current is not None and current == target:
                 continue
-            conflicts += 1
-            vertices = [MetaVertex(NEXIST, HeadValMeta(rule.name, "*",
-                                                       assignment.var, target))]
+            old_text = assignment.expr.to_ndlog()
             # Option 1: assign the constant the goal requires.
-            edit = ChangeAssignment(rule.name, assign_index, assignment.var,
-                                    assignment.expr.to_ndlog(), Const(target))
-            options.append(([edit], self.cost_model.edit_cost(edit), vertices))
+            edits.append(ChangeAssignment(rule.name, assign_index,
+                                          assignment.var, old_text, Const(target)))
             # Option 2: assign a body variable that already carries the value.
             for var_name, value in env.items():
                 if var_name != assignment.var and value == target:
-                    var_edit = ChangeAssignment(rule.name, assign_index,
-                                                assignment.var,
-                                                assignment.expr.to_ndlog(),
-                                                Var(var_name))
-                    options.append(([var_edit],
-                                    self.cost_model.edit_cost(var_edit),
-                                    vertices))
-        if conflicts and not options:
-            return None
-        options.sort(key=lambda item: item[1])
+                    edits.append(ChangeAssignment(rule.name, assign_index,
+                                                  assignment.var, old_text,
+                                                  Var(var_name)))
+        options = [(edit, self.cost_model.edit_cost(edit)) for edit in edits]
+        options.sort(key=lambda option: option[1])
         return options
 
-    # -- tree / pool construction --------------------------------------------
-
-    def _build_missing_tree(self, goal: MissingTupleGoal, rule: Rule,
-                            vertices: Sequence[MetaVertex]) -> MetaTree:
-        root = MetaVertex(NEXIST, TupleMeta(
-            NDTuple(goal.table, tuple(
-                goal.constraints_dict().get(i, WILDCARD)
-                for i in range(self._goal_arity(goal, rule))))), rule=rule.name)
-        tree = MetaTree(root)
-        nderive = MetaVertex(NEXIST, HeadValMeta(rule.name, "*", "head", goal.table),
-                             rule=rule.name, note="missing derivation")
-        tree.add_child(root, nderive)
-        for vertex in vertices:
-            tree.add_child(nderive, vertex)
-        tree.mark_expanded(root)
-        tree.completed = True
-        return tree
-
-    def _goal_arity(self, goal: MissingTupleGoal, rule: Optional[Rule]) -> int:
-        max_index = max((i for i, _ in goal.constraints), default=-1)
-        if rule is not None:
-            return max(len(rule.head.args), max_index + 1)
-        return max_index + 1
-
-    def _pool_satisfiable(self, tree: MetaTree, goal: MissingTupleGoal, rule: Rule,
-                          env: Bindings, edits: Sequence[Edit],
-                          stats: ExplorationStats) -> bool:
-        """Build the tree's constraint pool and check satisfiability.
-
-        Every constraint here is ``var == constant``, so satisfiability is a
-        direct consistency check: no variable may be forced to two distinct
-        non-wildcard values (the wildcard compares equal to everything, like
-        in the solver).  The pool is still populated for later tree use.
-        """
-        pool = tree.pool
-        assigned: Dict[str, object] = {}
-        satisfiable = True
-        def bind(name, value):
-            nonlocal satisfiable
-            pool.add(eq(SymVar(name), value))
-            if value == WILDCARD:
-                return
-            previous = assigned.setdefault(name, value)
-            if previous != value:
-                satisfiable = False
-        for index, value in goal.constraints:
-            arg = rule.head.args[index]
-            if isinstance(arg, Var):
-                bind(f"{rule.name}.{arg.name}", value)
-        for var_name, value in env.items():
-            bind(f"{rule.name}.{var_name}", value)
-        return satisfiable
-
     # ------------------------------------------------------------------
-    # Manual tuple insertion
+    # One-edit attempts: manual insertion, support insertion, retargeting
     # ------------------------------------------------------------------
 
-    def _manual_insert_candidate(self, goal: MissingTupleGoal,
-                                 stats: ExplorationStats) -> Optional[RepairCandidate]:
+    def _manual_insert_attempts(self, goal: MissingTupleGoal
+                                ) -> List[Tuple[RepairCandidate, BodyChoice]]:
         arity = self._infer_table_arity(goal)
         if arity == 0:
-            return None
-        values = tuple(goal.constraints_dict().get(i, WILDCARD) for i in range(arity))
-        tup = NDTuple(goal.table, values)
-        edit = InsertTuple(tup)
-        cost = self.cost_model.edit_cost(edit)
-        root = MetaVertex(NEXIST, TupleMeta(tup))
-        tree = MetaTree(root, cost=cost)
-        tree.add_child(root, MetaVertex(NEXIST, BaseMeta(tup), note="manual insertion"))
-        tree.completed = True
-        return RepairCandidate(edits=(edit,), cost=cost, tree=tree,
-                               description=f"manually insert {tup}")
+            return []
+        edit = InsertTuple(self._goal_tuple(goal, arity))
+        return [(RepairCandidate(
+            edits=(edit,), cost=self.cost_model.edit_cost(edit),
+            description=f"manually insert {edit.tuple}"), ())]
 
-    def _support_insert_candidates(self, goal: MissingTupleGoal,
-                                   rule: Rule) -> List[RepairCandidate]:
+    def _support_insert_attempts(self, goal: MissingTupleGoal, rule: Rule
+                                 ) -> List[Tuple[RepairCandidate, BodyChoice]]:
         """Standalone base-tuple insertions that give ``rule`` the support
         it would need to derive the goal tuple.
 
@@ -688,22 +578,16 @@ class MetaProvenanceExplorer:
         if head_bindings is None:
             return []
         cost = self.cost_model.costs["support_tuple"]
-        out: List[RepairCandidate] = []
+        out = []
         for atom in rule.body:
-            pattern = self._atom_pattern(atom, head_bindings)
-            tup = self._materialise_pattern(atom, pattern, goal)
+            tup = self._materialise_pattern(
+                atom, self._atom_pattern(atom, head_bindings))
             if all(value == WILDCARD for value in tup.values):
                 continue    # no goal constant reaches this atom
-            root = MetaVertex(NEXIST, TupleMeta(NDTuple(goal.table, tuple(
-                goal.constraints_dict().get(i, WILDCARD)
-                for i in range(self._goal_arity(goal, rule))))), rule=rule.name)
-            tree = MetaTree(root, cost=cost)
-            tree.add_child(root, MetaVertex(NEXIST, BaseMeta(tup),
-                                            note="support insertion"))
-            tree.completed = True
-            out.append(RepairCandidate(
-                edits=(InsertTuple(tup),), cost=cost, tree=tree,
-                description=f"insert support tuple {tup} for rule {rule.name}"))
+            out.append((RepairCandidate(
+                edits=(InsertTuple(tup),), cost=cost,
+                description=f"insert support tuple {tup} for rule {rule.name}"),
+                ()))
         return out
 
     def _infer_table_arity(self, goal: MissingTupleGoal) -> int:
@@ -715,23 +599,17 @@ class MetaProvenanceExplorer:
             return historical[0].arity
         return self._goal_arity(goal, None)
 
-    # ------------------------------------------------------------------
-    # Retargeting: change/copy another rule's head
-    # ------------------------------------------------------------------
-
-    def _retarget_candidates(self, goal: MissingTupleGoal, rule: Rule,
-                             stats: ExplorationStats):
+    def _retarget_attempts(self, goal: MissingTupleGoal, rule: Rule
+                           ) -> List[Tuple[RepairCandidate, BodyChoice]]:
         """Candidates that re-point (or copy) a rule whose head table differs.
 
         Only rules that actually fired in the recorded history and whose
         output is compatible with the goal constraints are considered — this
         is the Q4 pattern, where the fix copies a flow-entry rule and changes
-        its head into a ``PacketOut``.
+        its head into a ``PacketOut``.  Both candidates carry the support
+        choice the rule fired on.
         """
-        head_bindings = Bindings()
-        combos = self._body_combinations(rule, head_bindings, stats)
-        results = []
-        for body_choice in combos[:10]:
+        for body_choice in self._body_combinations(rule, Bindings())[:10]:
             if any(kind != "tuple" for kind, _ in body_choice):
                 continue
             env = Bindings()
@@ -755,19 +633,13 @@ class MetaProvenanceExplorer:
                 continue
             new_head = Atom(goal.table, rule.head.args,
                             location_index=rule.head.location_index)
-            change_edit = ChangeRuleHead(rule.name, new_head)
-            change_cost = self.cost_model.edit_cost(change_edit)
-            results.append((change_cost, RepairCandidate(
-                edits=(change_edit,), cost=change_cost,
-                tree=self._retarget_tree(goal, rule, "change head"))))
-            copy_edit = CopyRule(rule.name, replace(
-                rule, name=f"{rule.name}_copy", head=new_head))
-            copy_cost = self.cost_model.edit_cost(copy_edit)
-            results.append((copy_cost, RepairCandidate(
-                edits=(copy_edit,), cost=copy_cost,
-                tree=self._retarget_tree(goal, rule, "copy rule"))))
-            break
-        return results
+            edits = (ChangeRuleHead(rule.name, new_head),
+                     CopyRule(rule.name, replace(
+                         rule, name=f"{rule.name}_copy", head=new_head)))
+            return [(RepairCandidate(edits=(edit,),
+                                     cost=self.cost_model.edit_cost(edit)),
+                     body_choice) for edit in edits]
+        return []
 
     def _head_values_match_goal(self, head_values, goal: MissingTupleGoal) -> bool:
         for index, value in goal.constraints:
@@ -779,13 +651,100 @@ class MetaProvenanceExplorer:
                 return False
         return True
 
-    def _retarget_tree(self, goal: MissingTupleGoal, rule: Rule, note: str) -> MetaTree:
-        root = MetaVertex(NEXIST, TupleMeta(NDTuple(goal.table, tuple(
-            v for _, v in goal.constraints))))
+    # ------------------------------------------------------------------
+    # Explanation: the meta provenance tree of an emitted candidate
+    # ------------------------------------------------------------------
+
+    def _goal_arity(self, goal: MissingTupleGoal, rule: Optional[Rule]) -> int:
+        max_index = max((i for i, _ in goal.constraints), default=-1)
+        if rule is not None:
+            return max(len(rule.head.args), max_index + 1)
+        return max_index + 1
+
+    def _goal_tuple(self, goal: MissingTupleGoal, arity: int) -> NDTuple:
+        """The goal's values by column index, wildcards elsewhere."""
+        wanted = goal.constraints_dict()
+        return NDTuple(goal.table, tuple(wanted.get(index, WILDCARD)
+                                         for index in range(arity)))
+
+    def _explain(self, goal: MissingTupleGoal, candidate: RepairCandidate,
+                 shape: str, rule: Optional[Rule],
+                 body_choice: BodyChoice) -> MetaTree:
+        """The meta provenance tree of one attempt (Figure 6).
+
+        The root is the missing goal tuple, as wide as the head of the rule
+        that is to derive it.  Below it: what held (``EXIST``) and what the
+        candidate's edits bring into existence (``NEXIST``), keyed by edit
+        kind — the body tuples of the support choice, then the rule's
+        selections in order, then the assignment fix.
+        """
+        edits = candidate.edits
+        # A manual insertion has no rule: the goal is as wide as the tuple it
+        # inserts (the goal table's arity).
+        arity = (self._goal_arity(goal, rule) if rule is not None
+                 else edits[0].tuple.arity)
+        root = MetaVertex(NEXIST, TupleMeta(self._goal_tuple(goal, arity)),
+                          rule=rule.name if rule is not None else None)
         tree = MetaTree(root)
-        tree.add_child(root, MetaVertex(
-            NEXIST, HeadValMeta(rule.name, "*", "head", goal.table), note=note))
         tree.completed = True
+        if shape in _INSERTION_NOTES:
+            tree.add_child(root, MetaVertex(NEXIST, BaseMeta(edits[0].tuple),
+                                            note=_INSERTION_NOTES[shape]))
+            return tree
+
+        name = rule.name
+        derivation = HeadValMeta(name, "*", "head", goal.table)
+        if shape == "rule":
+            derive = MetaVertex(NEXIST, derivation, rule=name,
+                                note="missing derivation")
+        else:
+            derive = MetaVertex(NEXIST, derivation, note=(
+                "change head" if isinstance(edits[0], ChangeRuleHead)
+                else "copy rule"))
+        tree.add_child(root, derive)
+
+        def child(kind: str, subject, note: str = ""):
+            tree.add_child(derive, MetaVertex(kind, subject, note=note))
+
+        inserted = (edit.tuple for edit in edits if isinstance(edit, InsertTuple))
+        for kind, payload in body_choice:
+            if kind == "tuple":
+                child(EXIST, TupleMeta(payload))
+            else:
+                child(NEXIST, BaseMeta(next(inserted)))
+        if shape == "retarget":
+            return tree     # the rule fired as it is: nothing in it to fix
+
+        fixes = {edit.selection_index: edit for edit in edits
+                 if isinstance(edit, (ChangeConstant, ChangeOperator,
+                                      DeleteSelection))}
+        for sel_index, selection in enumerate(rule.selections):
+            edit = fixes.get(sel_index)
+            sid = selection.to_ndlog()
+            holds = SelMeta(name, "*", sid, True)
+            if edit is None:
+                child(EXIST, holds)
+            elif isinstance(edit, DeleteSelection):
+                child(NEXIST, holds, note="deleted")
+            elif isinstance(edit, ChangeOperator):
+                child(NEXIST, holds)
+                child(NEXIST, OperMeta(
+                    name, sid, "l", "r", edit.new_op,
+                    MetaLocation(name, "selection", sel_index, "op")))
+            else:
+                const_id = f"{name}.s{sel_index}.{edit.side[0]}"
+                child(NEXIST, holds)
+                child(EXIST, self.meta_program.operator_of_selection(
+                    name, sel_index))
+                child(NEXIST, ExprMeta(name, "*", const_id, edit.new_value))
+                child(NEXIST, ConstMeta(
+                    name, const_id, edit.new_value,
+                    MetaLocation(name, "selection", sel_index, edit.side)))
+        for edit in edits:
+            if isinstance(edit, ChangeAssignment):
+                child(NEXIST, HeadValMeta(
+                    name, "*", edit.var,
+                    self._head_bindings(rule, goal)[edit.var]))
         return tree
 
     # ==================================================================

@@ -1,24 +1,29 @@
-"""Meta provenance forests.
+"""Meta provenance trees.
 
-A meta provenance *tree* explains one way of making the symptom go away (for
-a missing tuple) or one derivation of an unwanted tuple.  Because the same
-effect can often be achieved in several ways — different rules could derive
-the missing tuple, a failing selection can be fixed by changing a constant
-or the operator — the explorer maintains a *forest*: whenever a vertex has k
-individually-sufficient children, the current tree is forked into k copies
-(Section 3.3 of the paper).
+A meta provenance *tree* is the record of one repair attempt: the symptom at
+the root and, below it, what held during the recorded execution (``EXIST``)
+and what the attempt's edits bring into existence (``NEXIST``).  The explorer
+builds it when it *emits* a candidate (``MetaProvenanceExplorer._explain``) —
+for an unwanted tuple, once per derivation, shared by the candidates that
+break that derivation — and the *forest* of an exploration is the list of
+trees behind the candidates it returned.
 
-Trees carry their accumulated cost, constraint pool and program edits, so a
-completed tree is exactly one repair candidate plus its explanation.
+The paper (Section 3.3-3.5, Figure 5) expands a forest of *partial* trees in
+cost order, forks a tree wherever a vertex has k individually sufficient
+children, and carries a constraint pool per tree.  This implementation folds
+all three into the search over edits: the fork points are the explorer's
+``_body_combinations`` (one support choice per body atom) times its fix
+options (one per failing selection or assignment), enumerated per rule; the
+join constraints a pool would hold are decided by ``_combo_joins`` while
+support choices are enumerated; and the queue orders finished candidates.
+Nothing here is partial, forked or solved.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-from .constraints import ConstraintPool
+from typing import Dict, List, Optional
 
 
 # Vertex polarity.
@@ -26,7 +31,6 @@ EXIST = "EXIST"
 NEXIST = "NEXIST"
 
 _vertex_ids = itertools.count(1)
-_tree_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -55,52 +59,20 @@ class MetaVertex:
 
 
 class MetaTree:
-    """A (possibly partial) meta provenance tree."""
+    """A meta provenance tree, grown from its root by :meth:`add_child`."""
 
-    def __init__(self, root: MetaVertex, pool: Optional[ConstraintPool] = None,
-                 cost: float = 0.0):
-        self.tree_id = next(_tree_ids)
+    def __init__(self, root: MetaVertex):
         self.root = root
-        self.pool = pool if pool is not None else ConstraintPool()
-        self.cost = cost
-        self.edits: List[object] = []
         self._vertices: Dict[int, MetaVertex] = {root.vertex_id: root}
         self._children: Dict[int, List[int]] = {root.vertex_id: []}
-        self.unexpanded: List[MetaVertex] = [root]
         self.completed = False
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-
-    def add_vertex(self, vertex: MetaVertex) -> MetaVertex:
-        self._vertices.setdefault(vertex.vertex_id, vertex)
-        self._children.setdefault(vertex.vertex_id, [])
-        return vertex
-
     def add_child(self, parent: MetaVertex, child: MetaVertex) -> MetaVertex:
-        self.add_vertex(parent)
-        self.add_vertex(child)
-        if child.vertex_id not in self._children[parent.vertex_id]:
-            self._children[parent.vertex_id].append(child.vertex_id)
+        """Hang ``child`` below ``parent``, which must be in the tree."""
+        self._vertices[child.vertex_id] = child
+        self._children[child.vertex_id] = []
+        self._children[parent.vertex_id].append(child.vertex_id)
         return child
-
-    def mark_expanded(self, vertex: MetaVertex):
-        self.unexpanded = [v for v in self.unexpanded if v.vertex_id != vertex.vertex_id]
-
-    def fork(self) -> "MetaTree":
-        """Create a copy of this tree that can evolve independently."""
-        clone = MetaTree(self.root, pool=self.pool.copy(), cost=self.cost)
-        clone._vertices = dict(self._vertices)
-        clone._children = {k: list(v) for k, v in self._children.items()}
-        clone.unexpanded = list(self.unexpanded)
-        clone.edits = list(self.edits)
-        clone.completed = self.completed
-        return clone
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
 
     def children(self, vertex: MetaVertex) -> List[MetaVertex]:
         return [self._vertices[i] for i in self._children.get(vertex.vertex_id, [])]
@@ -108,17 +80,8 @@ class MetaTree:
     def vertices(self) -> List[MetaVertex]:
         return list(self._vertices.values())
 
-    def size(self) -> int:
-        return len(self._vertices)
-
-    def is_complete(self) -> bool:
-        return self.completed or not self.unexpanded
-
     def find(self, predicate) -> List[MetaVertex]:
         return [v for v in self._vertices.values() if predicate(v)]
-
-    def leaves(self) -> List[MetaVertex]:
-        return [v for v in self._vertices.values() if not self._children.get(v.vertex_id)]
 
     def to_text(self) -> str:
         lines: List[str] = []
@@ -131,35 +94,16 @@ class MetaTree:
         visit(self.root, 0)
         return "\n".join(lines)
 
-    def __len__(self):
-        return self.size()
-
-    def __lt__(self, other: "MetaTree"):
-        # Cheaper trees first; ties broken by fewer unexpanded vertices, then
-        # by creation order (matches the tie-break rule of Section 3.5).
-        return (self.cost, len(self.unexpanded), self.tree_id) < (
-            other.cost, len(other.unexpanded), other.tree_id)
-
 
 class MetaForest:
-    """A collection of meta provenance trees for one diagnostic query."""
+    """The meta provenance trees of one diagnostic query."""
 
-    def __init__(self, trees: Optional[List[MetaTree]] = None):
-        self.trees: List[MetaTree] = list(trees or [])
+    def __init__(self):
+        self.trees: List[MetaTree] = []
 
-    def add(self, tree: MetaTree):
+    def add(self, tree: MetaTree) -> MetaTree:
         self.trees.append(tree)
         return tree
-
-    def completed(self) -> List[MetaTree]:
-        return [t for t in self.trees if t.is_complete()]
-
-    def sorted_by_cost(self) -> List[MetaTree]:
-        return sorted(self.trees)
-
-    def cheapest(self) -> Optional[MetaTree]:
-        trees = self.sorted_by_cost()
-        return trees[0] if trees else None
 
     def __len__(self):
         return len(self.trees)

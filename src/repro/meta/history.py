@@ -60,11 +60,6 @@ class HistoryIndex:
         self._seen.add(tup)
         self._by_table[tup.table].append(tup)
 
-    def merge(self, other: "HistoryIndex") -> "HistoryIndex":
-        for tup in other._seen:
-            self.add(tup)
-        return self
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

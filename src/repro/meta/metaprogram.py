@@ -114,13 +114,6 @@ class MetaProgram:
             "assignments": [m for m in self.assignments if m.rule == rule_name],
         }
 
-    def all_tuples(self) -> List[object]:
-        return (list(self.heads) + list(self.predicates) + list(self.constants)
-                + list(self.operators) + list(self.assignments))
-
-    def count(self) -> int:
-        return len(self.all_tuples())
-
     def constants_in_selection(self, rule_name: str, selection_index: int) -> List[ConstMeta]:
         return [
             m for m in self.constants

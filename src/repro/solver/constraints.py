@@ -16,7 +16,6 @@ from .terms import (
     Term,
     WILDCARD,
     evaluate_term,
-    is_constant,
     render_term,
     term_variables,
 )
@@ -96,9 +95,6 @@ class Comparison(Constraint):
 
     def negated(self):
         return Comparison(NEGATIONS[self.op], self.left, self.right)
-
-    def is_ground(self):
-        return is_constant(self.left) and is_constant(self.right)
 
     def __str__(self):
         return f"{render_term(self.left)} {self.op} {render_term(self.right)}"

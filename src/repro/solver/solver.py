@@ -30,9 +30,6 @@ class Model(dict):
             var = SymVar(var)
         return self.get(var)
 
-    def as_names(self) -> Dict[str, object]:
-        return {v.name: value for v, value in self.items()}
-
     def __str__(self):
         inner = ", ".join(f"{v.name}={value!r}" for v, value in sorted(
             self.items(), key=lambda kv: kv[0].name))
@@ -174,9 +171,6 @@ class Solver:
             if model is not None:
                 return model, constraint
         return None
-
-    def is_satisfied_by(self, assignment: Dict[SymVar, object]) -> bool:
-        return self._all_hold(assignment)
 
     # ------------------------------------------------------------------
     # Internals

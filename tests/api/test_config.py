@@ -19,7 +19,6 @@ def full_config():
         cost_overrides={"change_constant": 0.7},
         cost_cutoff=4.5,
         far_constant_surcharge=0.4,
-        expansion_cost=0.02,
         multiquery=True,
         ks_threshold=0.11,
         alpha=0.01,
@@ -64,6 +63,11 @@ def test_from_file_round_trip(tmp_path):
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError, match="unknown config keys"):
         RepairConfig.from_wire({"max_candidate": 5})
+    # A stored config may still carry a knob that was deleted for doing
+    # nothing; saying so beats accepting a setting that changes no report.
+    with pytest.raises(ConfigError, match=r"unknown config keys: "
+                                          r"\['expansion_cost'\]"):
+        RepairConfig.from_wire({"expansion_cost": 0.02})
 
 
 @pytest.mark.parametrize("key, value, expected", [
@@ -139,7 +143,6 @@ def test_cost_model_factory_applies_overrides():
     assert model.costs["change_constant"] == 0.7
     assert model.cutoff == 4.5
     assert model.far_constant_surcharge == 0.4
-    assert model.expansion_cost == 0.02
     # A default config keeps the paper's cost model untouched.
     default_model = RepairConfig().cost_model()
     assert default_model.costs["change_constant"] != 0.7

@@ -21,6 +21,11 @@ of Python calls into ``repro/sdn`` on a table of 10 entries as on one of
 candidate makes the same number of Python calls on Q1's 8 rules as on Q1
 padded to 250, and diffing the repaired program against its base costs a few
 calls per rule — the rules it shares with the base are recognised by identity.
+"An exploration explains what it returns": one ``explore_missing`` makes a
+pinned number of calls into ``repro/meta`` on Q1's 8 rules and on Q1 padded to
+250, and fewer than 100 per returned candidate under the function that builds
+a candidate's meta provenance tree — a tree per *attempt* would show up as a
+count here, not as a slower ``program_heavy``.
 """
 
 import os
@@ -29,6 +34,7 @@ import sys
 import pytest
 
 from repro.api import RepairConfig, RepairSession, TelemetryConfig
+from repro.meta import MetaProvenanceExplorer, explorer
 from repro.ndlog import diff_programs, parse_program
 from repro.ndlog.plan import PLAN_CACHE
 from repro.repair import ChangeConstant, RepairCandidate, apply_candidate
@@ -46,14 +52,20 @@ PINNED = {
     "Q1": {"engine_fixpoints": 778, "rules_fired": 866, "tuples_derived": 842,
            "packets_replayed": 2808, "plan_cache_misses": 11,
            "candidates_backtested": 14, "candidates_vetoed": 2,
-           "python_calls": 240779},
+           "python_calls": 219737},
     "Q4": {"engine_fixpoints": 160, "rules_fired": 248, "tuples_derived": 248,
            "packets_replayed": 1280, "plan_cache_misses": 9,
            "candidates_backtested": 11, "candidates_vetoed": 1,
-           "python_calls": 67892},
+           "python_calls": 64490},
 }
+#: Calls into ``repro/meta`` of one 14-candidate exploration of Q1's goal
+#: (explorer construction included), by number of rules in the program.
+PINNED_EXPLORE_CALLS = {8: 2737, 250: 63479}
+EXPLAIN_CALLS_PER_CANDIDATE = 100
 PYTHON_CALLS_CEILING = 1.10
 SDN_PACKAGE = os.path.dirname(switch.__file__)
+META_PACKAGE = os.path.dirname(explorer.__file__)
+REPRO_PACKAGE = os.path.dirname(META_PACKAGE)
 
 
 def _python_calls(call, under=""):
@@ -166,3 +178,32 @@ def test_apply_and_diff_cost_the_edit_not_the_program():
     large_apply, large_diff = counts(large)
     assert small_apply == large_apply
     assert small_diff <= 3 * len(small) and large_diff <= 3 * len(large)
+
+
+@pytest.mark.parametrize("total_rules", sorted(PINNED_EXPLORE_CALLS))
+def test_an_exploration_explains_what_it_returns(total_rules, monkeypatch):
+    scenario = build_q1()
+    program, history = _q1_padded_to(total_rules), scenario.history_index()
+    explain = MetaProvenanceExplorer._explain
+    explain_calls = []
+
+    def counted_explain(*args):
+        trees = []
+        explain_calls.append(_python_calls(
+            lambda: trees.append(explain(*args)), under=REPRO_PACKAGE))
+        return trees[0]
+
+    def explore():
+        return MetaProvenanceExplorer(
+            program, history, max_candidates=14).explore_missing(scenario.goal())
+
+    calls = _python_calls(explore, under=META_PACKAGE)
+    pinned = PINNED_EXPLORE_CALLS[total_rules]
+    assert calls <= pinned * PYTHON_CALLS_CEILING, (
+        f"one exploration of {total_rules} rules makes {calls} calls into "
+        f"repro/meta, more than {PYTHON_CALLS_CEILING:.2f} x the pinned "
+        f"{pinned}; if the change is intended, update PINNED_EXPLORE_CALLS")
+
+    monkeypatch.setattr(MetaProvenanceExplorer, "_explain", counted_explain)
+    assert len(explore().candidates) == len(explain_calls) == 14
+    assert max(explain_calls) < EXPLAIN_CALLS_PER_CANDIDATE, explain_calls
