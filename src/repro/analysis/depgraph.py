@@ -18,14 +18,12 @@ an internal negative or aggregate edge (recursion through negation).  The
 stratum of a table is the length of the longest negative/aggregate-crossing
 path below it in the condensation.
 
-The graph also answers the cone queries behind the engine's warm-path gates
-(:func:`repro.ndlog.engine.program_delta_eligible`, which
-:meth:`~repro.ndlog.engine.Engine.apply_program_delta` enforces, and
-:func:`repro.ndlog.engine.data_edit_eligible`): ``downstream(tables)`` is the
-set of tables whose contents may change when the given tables' derivations
-change.  The engine asks nothing else of the graph: it evaluates rules off
-worklists, not stratum by stratum, so SCCs and strata serve the
-stratification findings only.
+The graph also answers cone queries: ``downstream(tables)`` is the set of
+tables whose contents may change when the given tables' derivations change.
+The engine asks nothing of the graph: it evaluates rules off worklists, not
+stratum by stratum, and a warm candidate switch looks at the changed rules'
+own bodies (:class:`repro.backtest.replay.WarmEvaluationState`), so SCCs and
+strata serve the stratification findings of the linter and the vetter only.
 """
 
 from __future__ import annotations

@@ -145,7 +145,7 @@ class RepairConfig:
     max_packet_in_growth: Optional[float] = None
     #: Replay the trace in bursts of this size where statically safe.
     replay_batch_size: Optional[int] = None
-    #: Switch candidates on a warm engine (checkpoint restore + rule delta).
+    #: Switch candidates on a warm engine (checkpoint restore + program swap).
     warm_engine: bool = True
     #: Statically vet candidates before replay; provably behaviour-
     #: preserving ones (inert inserts, no-op edits) skip backtesting and
@@ -275,7 +275,11 @@ class RepairConfig:
         if data.get("scenario") is not None:
             data["scenario"] = ScenarioSpec.from_wire(data["scenario"])
         if data.get("abort") is not None:
-            data["abort"] = EarlyAbortPolicy.from_wire(data["abort"])
+            _check_wire(EarlyAbortPolicy, data["abort"], "abort")
+            try:
+                data["abort"] = EarlyAbortPolicy.from_wire(data["abort"])
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         if data.get("telemetry") is not None:
             data["telemetry"] = TelemetryConfig.from_wire(data["telemetry"])
         if data.get("fault_tolerance") is not None:

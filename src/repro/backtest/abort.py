@@ -50,13 +50,13 @@ class EarlyAbortPolicy:
     #: Never abort before this fraction of the trace has replayed.
     min_fraction: float = 0.25
 
-    def due(self, done: int, total: int) -> bool:
-        """Is a check scheduled after ``done`` of ``total`` packets?"""
-        if done >= total:
-            return False          # a completed replay needs no abort check
-        if done < self.min_fraction * total:
-            return False
-        return done % self.check_every == 0
+    def __post_init__(self):
+        if self.check_every < 1:
+            raise ValueError(
+                f"abort check_every must be >= 1, not {self.check_every!r}")
+        if not 0 <= self.min_fraction <= 1:
+            raise ValueError("abort min_fraction must be within [0, 1], "
+                             f"not {self.min_fraction!r}")
 
     def due_span(self, start: int, done: int, total: int) -> bool:
         """Did the replay pass a scheduled check anywhere in ``(start, done]``?
@@ -68,14 +68,13 @@ class EarlyAbortPolicy:
         the overload bound stays sound (the PacketIn counter is monotone)
         and the KS heuristic simply observes a slightly longer prefix.
 
-        Like :meth:`due`, a completed replay (``done >= total``) schedules
-        no check — check points that fall inside the *final* burst are
-        subsumed by the full report's own verdict logic: the overload bound
-        is re-applied to the complete statistics by the backtester
-        (identical verdict), while the heuristic KS abort simply does not
-        fire on a replay that finished — the documented cadence dependence
-        of a heuristic whose prefix observations depend on ``check_every``
-        and batch size to begin with.
+        A completed replay (``done >= total``) schedules no check — check
+        points that fall inside the *final* burst are subsumed by the full
+        report's own verdict logic: the overload bound is re-applied to the
+        complete statistics by the backtester (identical verdict), while the
+        heuristic KS abort simply does not fire on a replay that finished —
+        the documented cadence dependence of a heuristic whose prefix
+        observations depend on ``check_every`` and batch size to begin with.
         """
         if done >= total:
             return False

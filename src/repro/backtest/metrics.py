@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..sdn.network import TrafficStats
 
@@ -37,10 +37,6 @@ class KSResult:
 def destination_distribution(stats: TrafficStats) -> List[int]:
     """Per-packet destination sample (host id, or -1 for dropped packets)."""
     return stats.destination_samples()
-
-
-def per_host_counts(stats: TrafficStats) -> Dict[int, int]:
-    return dict(stats.delivered_per_host)
 
 
 def ks_two_sample(sample_a: Sequence[float], sample_b: Sequence[float]) -> KSResult:
@@ -88,28 +84,3 @@ def compare_traffic(before: TrafficStats, after: TrafficStats) -> KSResult:
     """KS test between two runs' destination distributions."""
     return ks_two_sample(destination_distribution(before),
                          destination_distribution(after))
-
-
-def delivery_delta(before: TrafficStats, after: TrafficStats) -> Dict[int, int]:
-    """Per-host change in delivered packet counts (after - before)."""
-    hosts = set(before.delivered_per_host) | set(after.delivered_per_host)
-    return {host: after.delivered_to(host) - before.delivered_to(host)
-            for host in sorted(hosts)}
-
-
-def total_variation_distance(before: TrafficStats, after: TrafficStats) -> float:
-    """Total variation distance between the two destination distributions.
-
-    An additional side-effect metric operators can use alongside the KS test
-    (Section 4.3 notes that operators "could easily add metrics of their
-    own").
-    """
-    samples_a = destination_distribution(before)
-    samples_b = destination_distribution(after)
-    if not samples_a or not samples_b:
-        return 1.0 if samples_a or samples_b else 0.0
-    counts_a = Counter(samples_a)
-    counts_b = Counter(samples_b)
-    keys = set(counts_a) | set(counts_b)
-    return 0.5 * sum(abs(counts_a.get(k, 0) / len(samples_a)
-                         - counts_b.get(k, 0) / len(samples_b)) for k in keys)

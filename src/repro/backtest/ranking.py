@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from .replay import BacktestReport, BacktestResult
+from .replay import BacktestResult
 
 
 def rank_results(results: Sequence[BacktestResult],
@@ -20,11 +20,6 @@ def rank_results(results: Sequence[BacktestResult],
     pool = [r for r in results if r.accepted] if accepted_only else list(results)
     return sorted(pool, key=lambda r: (r.candidate.cost, r.ks.statistic,
                                        r.candidate.candidate_id))
-
-
-def suggestion_list(report: BacktestReport, limit: int = 10) -> List[BacktestResult]:
-    """The final list shown to the operator."""
-    return rank_results(report.results, accepted_only=True)[:limit]
 
 
 def format_table(results: Sequence[BacktestResult]) -> str:

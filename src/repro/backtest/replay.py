@@ -27,7 +27,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..ndlog.engine import data_edit_eligible
 from ..repair.apply import RepairedProgram, apply_candidate
 from ..repair.candidates import RepairCandidate
 from ..sdn.network import NetworkSimulator, TrafficStats
@@ -64,14 +63,22 @@ class WarmEvaluationState:
 
     Cold candidate evaluation pays a full setup per candidate: a fresh
     engine (static-tuple fixpoint included), controller and topology.
-    The warm state pays it once — for the *base* program — and
-    then switches candidates in O(rule delta): restore the engine to the
-    trace-start checkpoint, apply the candidate's rule diff through the
-    DRed machinery, drop the controller's per-program caches, and wipe the
-    data plane.  Results are bit-identical to the cold path; candidates
-    whose delta is ineligible (data edits, keyed-table cones, ambiguous
-    diffs) get ``None`` from :meth:`prepare_controller` and the caller
-    falls back to a cold build.
+    The warm state pays it once — for the *base* program — and a switch to
+    a candidate is a rewind: restore the engine to the trace-start
+    checkpoint, point it at the candidate's program, drop the controller's
+    per-program caches, wipe the data plane.
+
+    The checkpoint holds the *base* program's trace-start state, so a
+    candidate may take it only when that is its own trace-start state too.
+    :meth:`prepare_controller` says yes iff the candidate carries no data
+    edits and every rule in which its program differs from the base — in
+    its old and in its new form — is *dormant* until the first PacketIn:
+    it has a positive body atom on the scenario's PacketIn table, and that
+    table is input-only (head of no rule of either program, inhabited by
+    no static tuple).  Such a rule has not fired and cannot fire while
+    PacketIn is empty, so the static fixpoint ran, firing for firing, over
+    the rules the two programs share.  Everyone else gets ``None`` and the
+    caller builds cold, which stays the oracle.
     """
 
     def __init__(self, scenario):
@@ -80,61 +87,42 @@ class WarmEvaluationState:
         self.controller = scenario.build_controller(program=None)
         self.engine = self.controller.engine
         self.checkpoint = self.engine.checkpoint()
-        self._schemas = {schema.name: schema for schema in scenario.schemas()}
         self.topology = scenario.build_topology()
+        self._packet_in = packet_in = scenario.mapping.packet_in_table
+        #: Programs are values and a repair shares every rule it does not
+        #: edit, so "differs from the base" is an identity test (the base
+        #: program, held above, keeps the ids alive).
+        self._base_rule_ids = {id(rule) for rule in self.base_program.rules}
+        self._packet_in_is_input = not (
+            any(rule.head.table == packet_in
+                for rule in self.base_program.rules)
+            or any(tup.table == packet_in for tup in scenario.static_tuples))
 
     def prepare_controller(self, repaired: RepairedProgram):
-        """Restore + rule-delta switch; the warm controller, or ``None``.
-
-        Data edits (inserted/removed base tuples) ride the warm path too:
-        after the rule delta, removed tuples are retracted through the DRed
-        machinery and inserted tuples run an incremental fixpoint — the same
-        final state the cold path reaches by folding the edits into the
-        static list before its from-scratch fixpoint.  That equivalence is
-        order-dependent for keyed tables, so edits whose downstream cone
-        (over both programs' graphs) touches a primary-key table fall back
-        cold (:func:`repro.ndlog.engine.data_edit_eligible`).  Rule-delta
-        eligibility is not pre-checked — ``apply_program_delta`` performs
-        that analysis on its single program diff and raises for ineligible
-        deltas, which (like any mid-delta failure, e.g. a repair deriving
-        schema-violating tuples) rewinds the journal and falls back; the
-        cold path then surfaces whatever the real error is.
-        """
-        edits = bool(repaired.inserted_tuples or repaired.removed_tuples)
-        if edits and not data_edit_eligible(
-                {t.table for t in repaired.inserted_tuples} |
-                {t.table for t in repaired.removed_tuples},
-                self.base_program, repaired.program, self._schemas):
+        """The warm controller rewound and switched to ``repaired``, or
+        ``None`` when only a cold build is known to be right."""
+        if (repaired.inserted_tuples or repaired.removed_tuples
+                or not self._differs_in_dormant_rules_only(repaired.program)):
             return None
         self.engine.restore(self.checkpoint)
-        try:
-            self.engine.apply_program_delta(self.base_program,
-                                            repaired.program)
-            if edits:
-                self._apply_data_edits(repaired)
-        except Exception:
-            self.engine.restore(self.checkpoint)
-            self.controller.rebind_program(self.base_program)
-            return None
+        self.engine.swap_program(repaired.program)
         self.controller.rebind_program(repaired.program)
         return self.controller
 
-    def _apply_data_edits(self, repaired: RepairedProgram) -> None:
-        """Fold the candidate's base-tuple edits into the warm engine.
-
-        Mirrors ``build_controller``'s static-list construction: removed
-        tuples drop out first (only those actually present as base tuples —
-        a removal of something never inserted is a no-op cold, too), then
-        insertions that are not themselves in the removed set.
-        """
-        engine = self.engine
-        removed = set(repaired.removed_tuples)
-        for tup in repaired.removed_tuples:
-            if engine.database.is_base(tup):
-                engine.remove(tup)
-        for tup in repaired.inserted_tuples:
-            if tup not in removed:
-                engine.insert(tup)
+    def _differs_in_dormant_rules_only(self, program) -> bool:
+        if not self._packet_in_is_input:
+            return False
+        base_ids = self._base_rule_ids
+        new_ids = {id(rule) for rule in program.rules}
+        changed = [rule for rule in program.rules if id(rule) not in base_ids]
+        changed += [rule for rule in self.base_program.rules
+                    if id(rule) not in new_ids]
+        packet_in = self._packet_in
+        return all(
+            rule.head.table != packet_in
+            and any(atom.table == packet_in and not atom.negated
+                    for atom in rule.body)
+            for rule in changed)
 
     def reset_data_plane(self) -> None:
         """Wipe the shared topology's flow tables for the next replay."""
@@ -251,9 +239,9 @@ class Backtester:
         #: execution paths bit-identical.
         self.abort_policy = abort_policy
         #: Reuse one warm engine+topology pair per process, switching
-        #: candidates via checkpoint restore + rule delta instead of a cold
-        #: rebuild (see :class:`WarmEvaluationState`).  Bit-identical to the
-        #: cold path; ineligible candidates fall back automatically.
+        #: candidates via checkpoint restore + program swap instead of a
+        #: cold rebuild (see :class:`WarmEvaluationState`).  Bit-identical to
+        #: the cold path; ineligible candidates fall back automatically.
         self.warm_engine = warm_engine
         self._warm_state: Optional[WarmEvaluationState] = None
         #: Vet each candidate with the static analyzer before replaying it;
@@ -438,7 +426,7 @@ class Backtester:
         replayer does not batch) or one packet, and the policy's checks run
         at chunk ends: :meth:`EarlyAbortPolicy.due_span` answers whether a
         check point fell inside the chunk just replayed, which at chunk size
-        1 is the per-packet ``due``.  With telemetry's ``slice_packets``
+        1 is "is one due now".  With telemetry's ``slice_packets``
         (and no abort policy, whose cadence must not depend on a telemetry
         knob) each chunk is a slice under its own ``replay.slice`` span.
         Chunked ``run_trace`` is the same execution as the one-shot call,

@@ -15,7 +15,6 @@ re-executing the handler on a representative packet.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -378,17 +377,9 @@ class ImperativeRepair:
     cost: float
     handler: Handler
     kind: str = "imperative_edit"
-    candidate_id: int = field(default_factory=lambda: next(_imperative_repair_ids))
-
-    @property
-    def tag(self) -> str:
-        return f"t{self.candidate_id}"
 
     def __str__(self):
         return f"[cost {self.cost:.2f}] {self.description}"
-
-
-_imperative_repair_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -439,7 +430,8 @@ class ImperativeRepairer:
             if candidate.description not in unique or \
                     candidate.cost < unique[candidate.description].cost:
                 unique[candidate.description] = candidate
-        ranked = sorted(unique.values(), key=lambda c: (c.cost, c.candidate_id))
+        # Stable: equal costs keep the order the walk proposed them in.
+        ranked = sorted(unique.values(), key=lambda c: c.cost)
         return ranked[: self.max_candidates]
 
     # -- helpers --------------------------------------------------------------

@@ -223,7 +223,7 @@ class NDlogController(Controller):
         """Point the controller at a program its engine already evaluates.
 
         Warm candidate switching swaps the *engine's* rules in place
-        (:meth:`Engine.apply_program_delta` after a checkpoint restore);
+        (:meth:`Engine.swap_program` after a checkpoint restore);
         this drops every per-program cache — batch-safety verdicts, the
         empty-response memo, the inertness probe — so they are re-derived
         for the new rule set.  The engine itself is left untouched.

@@ -17,8 +17,7 @@ NDlog — which is exactly the effect visible in Table 3.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..sdn.controller import Controller, FlowMod, PacketInEvent, PacketOut
@@ -339,17 +338,9 @@ class PolicyRepair:
     cost: float
     policy: Policy            # the full repaired policy
     kind: str = "policy_edit"
-    candidate_id: int = field(default_factory=lambda: next(_policy_repair_ids))
-
-    @property
-    def tag(self) -> str:
-        return f"p{self.candidate_id}"
 
     def __str__(self):
         return f"[cost {self.cost:.2f}] {self.description}"
-
-
-_policy_repair_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -403,7 +394,8 @@ class PolicyRepairer:
             key = candidate.description
             if key not in unique or candidate.cost < unique[key].cost:
                 unique[key] = candidate
-        ranked = sorted(unique.values(), key=lambda c: (c.cost, c.candidate_id))
+        # Stable: equal costs keep the order the walk proposed them in.
+        ranked = sorted(unique.values(), key=lambda c: c.cost)
         return ranked[: self.max_candidates]
 
     # -- recursive tree walk -------------------------------------------------

@@ -26,9 +26,7 @@ from .ast import (
     Var,
     WILDCARD,
 )
-from .engine import (Engine, EngineCheckpoint, ProgramDelta,
-                     ProgramDeltaError, diff_programs, evaluate_program,
-                     program_delta_eligible)
+from .engine import Engine, EngineCheckpoint, evaluate_program
 from .errors import EvaluationError, NDlogError, ParseError, SchemaError
 from .events import (
     APPEAR,
@@ -53,9 +51,7 @@ __all__ = [
     "Assignment", "Atom", "BinOp", "COMPARISON_OPERATORS", "Const",
     "Expression", "FuncCall", "Program", "Rule", "Selection", "Var",
     "WILDCARD",
-    "Engine", "EngineCheckpoint", "NaiveEngine", "ProgramDelta",
-    "ProgramDeltaError", "diff_programs", "evaluate_program",
-    "program_delta_eligible",
+    "Engine", "EngineCheckpoint", "NaiveEngine", "evaluate_program",
     "EvaluationError", "NDlogError", "ParseError", "SchemaError",
     "APPEAR", "DELETE", "DERIVE", "DISAPPEAR", "INSERT", "RECEIVE", "SEND",
     "UNDERIVE", "DerivationRecord", "EngineEvent",

@@ -24,12 +24,11 @@ first join depth where their variables are bound.  There are two fixpoint
 loops.  The event-visible one (:meth:`Engine._fixpoint`) runs off a
 deque-based worklist of single-tuple batches, which fixes the firing order
 the event log and the derivation history record.  The quiet one
-(:meth:`Engine._rederive_fixpoint`) serves deletion re-derivation,
-program-delta seeding and the full recompute alike: semi-naive delta rounds,
-each joining only the previous round's fresh tuples — batched per table —
-against the indexes.  Duplicate rule firings are detected with a
-per-(rule, head) hash set rather than a linear scan of the derivation
-history.
+(:meth:`Engine._rederive_fixpoint`) serves deletion re-derivation and the
+full recompute alike: semi-naive delta rounds, each joining only the
+previous round's fresh tuples — batched per table — against the indexes.
+Duplicate rule firings are detected with a per-(rule, head) hash set rather
+than a linear scan of the derivation history.
 
 The fire functions are the only code that joins a rule body.  Firing is
 *eager*: a fire call returns the complete list of firings for its batch, and
@@ -79,23 +78,17 @@ Warm evaluation
 
 Backtesting replays the same trace against many near-identical programs, and
 rebuilding an engine per candidate makes *setup* — not the fixpoint — the
-recurring cost.  Two facilities move that cost off the per-candidate path:
-
-* :meth:`Engine.checkpoint` / :meth:`Engine.restore` snapshot the complete
-  evaluation state in O(changed) via an undo journal: once a checkpoint
-  exists, every mutation (tuples, flags, indexes, supports, dependents)
-  appends an inverse entry, and restoring rewinds the journal instead of
-  copying tables.  Append-only history (events, derivations) is simply
-  truncated back to the checkpointed lengths.
-* :meth:`Engine.apply_program_delta` switches to a candidate program by
-  *diffing* the rule sets: derivations of removed/modified rules are
-  retracted through the DRed support machinery, and only added/modified
-  rules are (re-)evaluated against the existing database — ineligible
-  deltas (see :func:`program_delta_eligible`) get a fresh engine instead.
-  There is no other way to change an engine's program, so the supports
-  always belong to the rules it runs.  Delta evaluation is quiet — it updates
-  tuples and supports but records no events/derivations — so warm engines
-  serve backtesting (``record_events=False``), not provenance capture.
+recurring cost.  :meth:`Engine.checkpoint` / :meth:`Engine.restore` snapshot
+the complete evaluation state in O(changed) via an undo journal: once a
+checkpoint exists, every mutation (tuples, flags, indexes, supports,
+dependents) appends an inverse entry, and restoring rewinds the journal
+instead of copying tables.  Append-only history (events, derivations) is
+simply truncated back to the checkpointed lengths.  A rewound engine takes
+the next candidate's program through :meth:`Engine.swap_program`, which
+re-resolves the plans and touches no tuple: deciding that the checkpointed
+state is also the new program's is the caller's job
+(:class:`repro.backtest.replay.WarmEvaluationState`), and whoever cannot
+decide it builds a fresh engine.
 """
 
 from __future__ import annotations
@@ -122,148 +115,13 @@ from .plan import CompiledRule, PLAN_CACHE
 from .tuples import Database, NDTuple, TableSchema
 
 
-class ProgramDeltaError(EvaluationError):
-    """An incremental program switch cannot be applied (caller should fall
-    back to a cold rebuild)."""
-
-
-class ProgramDelta:
-    """Structural diff between two programs, keyed by rule name."""
-
-    __slots__ = ("removed", "added", "modified")
-
-    def __init__(self, removed: Set[str], added: Set[str], modified: Set[str]):
-        self.removed = removed
-        self.added = added
-        self.modified = modified
-
-    @property
-    def changed(self) -> Set[str]:
-        return self.removed | self.added | self.modified
-
-    def __bool__(self):
-        return bool(self.removed or self.added or self.modified)
-
-
-def diff_programs(old: Program, new: Program) -> Optional[ProgramDelta]:
-    """Diff two programs by rule name; ``None`` when names are ambiguous.
-
-    Rules are compared structurally (the AST dataclasses define deep
-    equality), so a renamed rule counts as removed + added and an edited
-    rule as modified.  A repaired program shares every rule it did not edit
-    with its base, and a shared rule is recognised by identity without
-    being compared.  Programs with duplicate rule names cannot be diffed.
-    """
-    old_map = {rule.name: rule for rule in old.rules}
-    new_map = {rule.name: rule for rule in new.rules}
-    if len(old_map) != len(old.rules) or len(new_map) != len(new.rules):
-        return None
-    removed = {name for name in old_map if name not in new_map}
-    added = {name for name in new_map if name not in old_map}
-    modified = {name for name, rule in old_map.items()
-                if name in new_map and new_map[name] is not rule
-                and new_map[name] != rule}
-    return ProgramDelta(removed, added, modified)
-
-
-def _changed_cone(delta: ProgramDelta, old: Program, new: Program) -> Set[str]:
-    """Tables whose contents can differ between the two programs: the head
-    tables of changed rules, closed downstream over *both* programs'
-    dependency graphs (:class:`repro.analysis.depgraph.DependencyGraph`).
-    Closing over both is required — a rule removed from ``old`` still
-    propagated its head table's contents there, and a rule added in ``new``
-    only propagates there."""
-    seeds: Set[str] = set()
-    for program, names in ((old, delta.removed | delta.modified),
-                           (new, delta.added | delta.modified)):
-        for rule in program.rules:
-            if rule.name in names:
-                seeds.add(rule.head.table)
-    return _both_downstream(seeds, old, new)
-
-
-def _both_downstream(seeds: Iterable[str], old: Program,
-                     new: Program) -> Set[str]:
-    """``seeds`` closed downstream over both programs' dependency graphs
-    (one graph per program value: the base program's serves every
-    candidate)."""
-    from ..analysis.depgraph import DependencyGraph
-
-    graphs = (DependencyGraph.of(old), DependencyGraph.of(new))
-    cone = set(seeds)
-    changed = True
-    while changed:
-        changed = False
-        for graph in graphs:
-            expanded = graph.downstream(cone)
-            if not expanded <= cone:
-                cone |= expanded
-                changed = True
-    return cone
-
-
-def data_edit_eligible(tables: Iterable[str], old: Program, new: Program,
-                       schemas: Dict[str, TableSchema]) -> bool:
-    """May base-tuple edits in ``tables`` be applied warm (checkpoint
-    restore + incremental :meth:`Engine.remove` / :meth:`Engine.insert`)
-    instead of being folded into a cold static fixpoint?
-
-    Mirrors the rule-delta keyed-cone rule: the edits are ineligible when
-    their downstream cone — closed over *both* programs' dependency graphs,
-    like :func:`_changed_cone` — touches a primary-key table, where
-    update-semantics eviction makes the result insertion-order dependent.
-    """
-    for table in _both_downstream(tables, old, new):
-        schema = schemas.get(table)
-        if schema is not None and schema.primary_key:
-            return False
-    return True
-
-
-def _delta_ineligibility(old: Program, new: Program,
-                         schemas: Dict[str, TableSchema]
-                         ) -> Tuple[Optional[ProgramDelta], Optional[str]]:
-    """Single source of truth for delta eligibility.
-
-    Returns ``(delta, reason)``: ``reason`` is ``None`` when the delta may
-    be applied incrementally, otherwise a human-readable explanation (and
-    ``delta`` may be ``None`` for ambiguous diffs).
-    """
-    delta = diff_programs(old, new)
-    if delta is None:
-        return None, "duplicate rule names make the diff ambiguous"
-    if not delta:
-        return delta, None
-    for table in _changed_cone(delta, old, new):
-        schema = schemas.get(table)
-        if schema is not None and schema.primary_key:
-            return delta, (f"changed rules touch the primary-key table "
-                           f"{table!r} (evaluation-order dependent)")
-    return delta, None
-
-
-def program_delta_eligible(old: Program, new: Program,
-                           schemas: Dict[str, TableSchema]) -> bool:
-    """May ``old -> new`` be applied as an incremental rule delta?
-
-    Ineligible cases fall back to a cold rebuild:
-
-    * ambiguous diffs (duplicate rule names in either program), and
-    * deltas whose changed cone touches a primary-key table — key updates
-      evict by evaluation order, so retract-then-reseed could keep a
-      different same-key survivor than a from-scratch evaluation.
-    """
-    _delta, reason = _delta_ineligibility(old, new, schemas)
-    return reason is None
-
-
 class EngineCheckpoint:
     """Opaque handle to a point-in-time engine state (see
     :meth:`Engine.checkpoint`)."""
 
     __slots__ = ("engine", "journal_length", "clock", "event_count",
                  "derivation_count", "quiet_firings", "program",
-                 "plans_by_body_table", "plans_by_name")
+                 "plans_by_body_table")
 
     def __init__(self, engine: "Engine"):
         self.engine = engine
@@ -273,10 +131,9 @@ class EngineCheckpoint:
         self.derivation_count = len(engine.derivations)
         self.quiet_firings = engine._quiet_firings
         self.program = engine.program
-        # Plan dicts are replaced (never mutated) by _index_rules, so
-        # holding references makes the restore-side rollback a pointer swap.
+        # The plan dict is replaced (never mutated) by _index_rules, so
+        # holding a reference makes the restore-side rollback a pointer swap.
         self.plans_by_body_table = engine._plans_by_body_table
-        self.plans_by_name = engine._plans_by_name
 
 
 class Engine:
@@ -302,11 +159,6 @@ class Engine:
         self._supports: Dict[NDTuple, Set[Tuple[str, Tuple[NDTuple, ...]]]] = {}
         #: Reverse index: tuple -> supports it participates in.
         self._dependents: Dict[NDTuple, Set[Tuple[NDTuple, str, Tuple[NDTuple, ...]]]] = {}
-        #: Per-rule index over the live supports: rule name -> {(head, key)}.
-        #: Kept in lockstep with ``_supports`` so rule retraction
-        #: (:meth:`_retract_rules`) touches only the rule's own supports
-        #: instead of scanning every live support in the database.
-        self._supports_by_rule: Dict[str, Set[Tuple[NDTuple, Tuple[str, Tuple[NDTuple, ...]]]]] = {}
         self._plans_by_body_table: Dict[str, List[Tuple[CompiledRule, int]]] = defaultdict(list)
         #: Rule firings processed on quiet paths (``record_events=False``
         #: skips the derivation history entirely); stands in for the
@@ -340,23 +192,20 @@ class Engine:
 
         Plans are fetched from the process-global :data:`PLAN_CACHE`, keyed
         by structural digest, so structurally unchanged rules — whether from
-        a program delta, a sibling candidate program, or another engine
-        entirely — share one compiled plan.  Fresh dicts are assigned rather
-        than cleared: checkpoints hold references to the previous ones,
-        making a restore's plan rollback a pointer swap.
+        a program swap, a sibling candidate program, or another engine
+        entirely — share one compiled plan.  A fresh dict is assigned rather
+        than the old one cleared: checkpoints hold a reference to the
+        previous one, making a restore's plan rollback a pointer swap.
         """
         plans_by_body_table: Dict[str, List[Tuple[CompiledRule, int]]] = \
             defaultdict(list)
-        plans_by_name: Dict[str, CompiledRule] = {}
         cache = PLAN_CACHE
         for rule in self.program.rules:
             plan = cache.get(rule)
-            plans_by_name[rule.name] = plan
             for position in range(len(rule.body)):
                 plans_by_body_table[rule.body[position].table].append(
                     (plan, position))
         self._plans_by_body_table = plans_by_body_table
-        self._plans_by_name = plans_by_name
 
     def register_schema(self, schema: TableSchema):
         self.database.register_schema(schema)
@@ -578,7 +427,7 @@ class Engine:
         return self.database.remove(tup)
 
     # ------------------------------------------------------------------
-    # Checkpoint / restore / program deltas (warm candidate switching)
+    # Checkpoint / restore / program swap (warm candidate switching)
     # ------------------------------------------------------------------
 
     def checkpoint(self) -> EngineCheckpoint:
@@ -618,16 +467,12 @@ class Engine:
                         supports.discard(key)
                         if not supports:
                             del self._supports[head]
-                    self._rule_index_discard(head, key)
                 elif kind == "supdel":
                     _, head, key = entry
                     self._supports.setdefault(head, set()).add(key)
-                    self._rule_index_add(head, key)
                 elif kind == "suppop":
                     _, head, old_set = entry
                     self._supports[head] = old_set
-                    for key in old_set:
-                        self._rule_index_add(head, key)
                 elif kind == "depadd":
                     _, member, dep = entry
                     dependents = self._dependents.get(member)
@@ -642,10 +487,9 @@ class Engine:
                     _, member, old_set = entry
                     self._dependents[member] = old_set
                 elif kind == "supswap":
-                    _, old_supports, old_dependents, old_by_rule = entry
+                    _, old_supports, old_dependents = entry
                     self._supports = old_supports
                     self._dependents = old_dependents
-                    self._supports_by_rule = old_by_rule
                 else:           # pragma: no cover — defensive
                     raise EvaluationError(f"unknown journal entry {kind!r}")
         finally:
@@ -668,104 +512,26 @@ class Engine:
         if self.program is not cp.program:
             self.program = cp.program
             self._plans_by_body_table = cp.plans_by_body_table
-            self._plans_by_name = cp.plans_by_name
 
-    def apply_program_delta(self, old_program: Program,
-                            new_program: Program) -> None:
-        """Switch from ``old_program`` to ``new_program`` incrementally.
+    def swap_program(self, program: Program) -> None:
+        """Evaluate ``program`` from here on, over the state as it stands.
 
-        Derivations of removed/modified rules are retracted through the
-        DRed support machinery (over-delete the cone, re-derive survivors),
-        then added/modified rules are seeded against the existing database
-        and propagated to a quiet fixpoint.  The resulting tuple set,
-        flags and support graph equal a from-scratch evaluation of
-        ``new_program`` over the same base tuples; the event/derivation
-        history is *not* extended (warm switching serves backtesting, where
-        ``record_events=False`` and provenance is never consulted).
+        Only the plans change: no tuple is retracted, nothing is re-derived.
+        That is right exactly when the current state is also the one
+        ``program`` would have reached over the same base tuples — e.g.
+        every rule in which the two programs differ needs a tuple of a
+        table that is still empty — and establishing that is the caller's
+        job (:class:`repro.backtest.replay.WarmEvaluationState` does, and
+        builds a fresh engine when it cannot).  :meth:`restore` to a
+        checkpoint taken under another program swaps back.
 
-        Raises :class:`ProgramDeltaError` for ineligible deltas — callers
-        should pre-check with :func:`program_delta_eligible` and fall back
-        to a fresh engine for ``new_program``.
+        Plans come from the shared structural-digest cache, so the rules
+        ``program`` shares with the current one cost a dictionary hit each;
+        making this proportional to the rules that differ is the one place
+        to do it.
         """
-        if self.program is not old_program and self.program != old_program:
-            raise ProgramDeltaError(
-                "apply_program_delta: engine is not running the old program")
-        delta, reason = _delta_ineligibility(old_program, new_program,
-                                             self.database.schemas())
-        if reason is not None:
-            raise ProgramDeltaError(
-                f"apply_program_delta: {reason}; cold rebuild required")
-        self.program = new_program
-        # Unchanged rules resolve to the exact same compiled plan through
-        # the shared structural-digest cache, so re-indexing is cheap.
+        self.program = program
         self._index_rules()
-        if not delta:
-            return
-        inserted: List[NDTuple] = []
-        self._retract_rules(delta.removed | delta.modified, inserted)
-        self._seed_rules(delta.added | delta.modified, inserted)
-        # Transient heads leave the store after a fixpoint, exactly as
-        # insert-time evaluation would have cleaned them up.
-        self._cleanup_transients(inserted)
-
-    def _retract_rules(self, rule_names: Set[str],
-                       inserted: List[NDTuple]) -> None:
-        """Retract every derivation currently supported by ``rule_names``.
-
-        The same two DRed phases as :meth:`remove`, with stale-support removal
-        (instead of a base-tuple deletion) as the seed.  The stale supports
-        come straight from the per-rule index, so finding them is O(the
-        retracted rules' own supports) — programs with large derived state
-        under *other* rules no longer pay a full live-support scan per
-        candidate switch.
-        """
-        if not rule_names:
-            return
-        journal = self._journal
-        stale: List[Tuple[NDTuple, Tuple[str, Tuple[NDTuple, ...]]]] = []
-        for name in rule_names:
-            stale.extend(self._supports_by_rule.get(name, ()))
-        if not stale:
-            return
-        seeds: List[NDTuple] = []
-        seen_seeds: Set[NDTuple] = set()
-        for head, key in stale:
-            supports = self._supports.get(head)
-            if supports is None or key not in supports:
-                continue
-            supports.discard(key)
-            self._rule_index_discard(head, key)
-            if journal is not None:
-                journal.append(("supdel", head, key))
-            if not supports:
-                del self._supports[head]
-            rule_name, body = key
-            dep = (head, rule_name, body)
-            for member in body:
-                member_deps = self._dependents.get(member)
-                if member_deps is not None and dep in member_deps:
-                    member_deps.discard(dep)
-                    if journal is not None:
-                        journal.append(("depdel", member, dep))
-                    if not member_deps:
-                        del self._dependents[member]
-            if head not in seen_seeds:
-                seen_seeds.add(head)
-                seeds.append(head)
-
-        # A seed that is also base stays; the others leave with their cone.
-        overdeleted: List[NDTuple] = []
-        touched_base: Set[NDTuple] = set()
-        for head in seeds:
-            if not self.database.contains(head):
-                continue
-            if self.database.is_base(head):
-                touched_base.add(head)
-                continue
-            self.database.remove(head)
-            overdeleted.append(head)
-        self._overdelete(overdeleted, touched_base)
-        self._rederive_survivors(overdeleted, touched_base, inserted)
 
     def _overdelete(self, overdeleted: List[NDTuple],
                     touched_base: Set[NDTuple]) -> None:
@@ -791,7 +557,6 @@ class Engine:
                     key = (rule_name, body)
                     if key in supports:
                         supports.discard(key)
-                        self._rule_index_discard(head, key)
                         if journal is not None:
                             journal.append(("supdel", head, key))
                     if not supports:
@@ -807,8 +572,7 @@ class Engine:
                 queue.append(head)
 
     def _rederive_survivors(self, overdeleted: List[NDTuple],
-                            touched_base: Set[NDTuple],
-                            inserted: Optional[List[NDTuple]] = None) -> None:
+                            touched_base: Set[NDTuple]) -> None:
         """DRed phase 2: put back the over-deleted tuples that still have a
         valid alternative support, drop the derived flag of touched base
         tuples that have none, and propagate quietly."""
@@ -821,32 +585,7 @@ class Engine:
             if not self._has_valid_support(head):
                 self.database.clear_derived_flag(head)
         if worklist:
-            self._rederive_fixpoint(worklist, inserted=inserted)
-
-    def _seed_rules(self, rule_names: Set[str],
-                    inserted: List[NDTuple]) -> None:
-        """Evaluate ``rule_names`` (added/modified rules of the current
-        program) against the whole database, then propagate quietly."""
-        if not rule_names:
-            return
-        database = self.database
-        seeded: List[NDTuple] = []
-        for rule in self.program.rules:
-            if rule.name not in rule_names or not rule.body:
-                continue
-            plan = self._plans_by_name[rule.name]
-            # Batch-firing all firings from atom 0 covers the whole rule:
-            # the join walks the remaining atoms through the indexes.  Heads
-            # landing in the rule's own body tables re-fire in the delta
-            # rounds of the trailing _rederive_fixpoint.
-            batch = list(database.table(plan.body_tables[0]))
-            if not batch:
-                continue
-            firings = plan.fire(0, batch, database, self.functions, False)
-            self._apply_quiet_firings(plan, firings, seeded)
-        if seeded:
-            inserted.extend(seeded)
-            self._rederive_fixpoint(seeded, inserted=inserted)
+            self._rederive_fixpoint(worklist)
 
     # ------------------------------------------------------------------
     # Queries
@@ -899,7 +638,6 @@ class Engine:
                         # Exact duplicate firing: nothing new to derive.
                         continue
                     head_supports.add(key)
-                    self._rule_index_add(head, key)
                     if fired is not None:
                         fired.append((head, body))
                     entry = (head, plan.name, body)
@@ -963,16 +701,13 @@ class Engine:
             "index_materializations": self.database.index_materializations,
         }
 
-    def _rederive_fixpoint(self, delta: Sequence[NDTuple],
-                           inserted: Optional[List[NDTuple]] = None):
-        """The quiet fixpoint: DRed re-derivation, program-delta seeding and
-        the full recompute all propagate through here.
+    def _rederive_fixpoint(self, delta: Sequence[NDTuple]):
+        """The quiet fixpoint: DRed re-derivation and the full recompute
+        both propagate through here.
 
         Re-registers supports and re-inserts tuples without appending to the
         event log or the derivation history (matching the silent recompute of
-        the reference evaluator).  ``inserted`` (when given) accumulates the
-        tuples newly added to the database, so program-delta callers can
-        clean up transient heads afterwards.
+        the reference evaluator).
         """
         database = self.database
         functions = self.functions
@@ -989,16 +724,13 @@ class Engine:
                 for plan, position in plans_map.get(table, ()):
                     firings = plan.fire(position, batch, database, functions,
                                         False)
-                    self._apply_quiet_firings(plan, firings, frontier,
-                                              inserted=inserted)
+                    self._apply_quiet_firings(plan, firings, frontier)
 
     def _apply_quiet_firings(self, plan: CompiledRule, firings,
-                             fresh_out: List[NDTuple],
-                             inserted: Optional[List[NDTuple]] = None) -> None:
+                             fresh_out: List[NDTuple]) -> None:
         """Register a batch of quiet firings: supports, dependents, journal,
         derived flags.  Heads newly added to the database are appended to
-        ``fresh_out`` (the caller's next frontier) and, when given, to
-        ``inserted`` (for transient cleanup by program-delta callers)."""
+        ``fresh_out`` (the caller's next frontier)."""
         if not firings:
             return
         supports = self._supports
@@ -1012,7 +744,6 @@ class Engine:
             fresh_support = key not in head_supports
             if fresh_support:
                 head_supports.add(key)
-                self._rule_index_add(head, key)
                 entry = (head, name, body)
                 if journal is None:
                     for member in body:
@@ -1026,35 +757,16 @@ class Engine:
                             journal.append(("depadd", member, entry))
             if not database.contains(head):
                 database.insert(head, derived=True)
-                if inserted is not None:
-                    inserted.append(head)
                 fresh_out.append(head)
             elif fresh_support:
                 database.insert(head, derived=True)
-
-    def _rule_index_add(self, head: NDTuple,
-                        key: Tuple[str, Tuple[NDTuple, ...]]) -> None:
-        """Mirror a support addition into the per-rule index."""
-        self._supports_by_rule.setdefault(key[0], set()).add((head, key))
-
-    def _rule_index_discard(self, head: NDTuple,
-                            key: Tuple[str, Tuple[NDTuple, ...]]) -> None:
-        """Mirror a support removal into the per-rule index."""
-        entries = self._supports_by_rule.get(key[0])
-        if entries is not None:
-            entries.discard((head, key))
-            if not entries:
-                del self._supports_by_rule[key[0]]
 
     def _on_evicted(self, tup: NDTuple):
         """A primary-key update evicted ``tup``: forget its supports so the
         same firing can re-derive it once the key is free again."""
         popped = self._supports.pop(tup, None)
-        if popped is not None:
-            for key in popped:
-                self._rule_index_discard(tup, key)
-            if self._journal is not None:
-                self._journal.append(("suppop", tup, popped))
+        if popped is not None and self._journal is not None:
+            self._journal.append(("suppop", tup, popped))
 
     def _in_keyed_table(self, tup: NDTuple) -> bool:
         schema = self.database.schema(tup.table)
@@ -1072,15 +784,12 @@ class Engine:
         for tup in before:
             self.database.clear_derived_flag(tup)
         if self._journal is not None:
-            self._journal.append(("supswap", self._supports, self._dependents,
-                                  self._supports_by_rule))
+            self._journal.append(("supswap", self._supports, self._dependents))
             self._supports = {}
             self._dependents = {}
-            self._supports_by_rule = {}
         else:
             self._supports.clear()
             self._dependents.clear()
-            self._supports_by_rule.clear()
         self._rederive_fixpoint(self.database.base_in_order())
         disappeared = []
         for tup in before:
@@ -1095,8 +804,8 @@ class Engine:
         """Does any registered support of ``head`` still hold entirely?
 
         Every registered support belongs to a rule of the current program:
-        :meth:`apply_program_delta`, the only way the program changes,
-        retracts the changed rules' supports before anything asks."""
+        :meth:`swap_program`, the only way the program changes, is for
+        states in which the rules being dropped support nothing."""
         database = self.database
         for _rule_name, body in self._supports.get(head, ()):
             if all(database.contains(member) for member in body):

@@ -212,10 +212,6 @@ class Database:
         """Return a copy of the set of tuples currently stored for ``table``."""
         return set(self._tables.get(table, ()))
 
-    def table(self, name) -> Set[NDTuple]:
-        """The live tuple set of a table.  Callers must not mutate it."""
-        return self._tables.get(name, _EMPTY_SET)
-
     def _ensure_column(self, table, column) -> None:
         """Materialise the ``(column, value)`` buckets of one table column."""
         indexed = self._indexed_columns.setdefault(table, set())

@@ -1,13 +1,7 @@
-"""Dependency graph: edges, SCCs, stratification — and the regression
-pinning ``program_delta_eligible`` to the pre-DependencyGraph cone logic.
-"""
-
-import pytest
+"""Dependency graph: edges, cones, SCCs, stratification."""
 
 from repro.analysis import DependencyGraph
-from repro.ndlog.engine import diff_programs, program_delta_eligible
 from repro.ndlog.parser import parse_program
-from repro.repair.apply import RepairApplicationError, apply_candidate
 
 from analysis_helpers import scenario_and_candidates
 
@@ -75,78 +69,3 @@ def test_scenario_graphs_are_stratified_and_acyclic():
         graph = DependencyGraph(scenario.program)
         assert graph.is_stratified(), name
         assert graph.recursive_tables() == set(), name
-
-
-# ----------------------------------------------------------------------
-# Delta-cone regression
-# ----------------------------------------------------------------------
-
-def _legacy_delta_eligible(old, new, schemas):
-    """The ad-hoc cone computation ``program_delta_eligible`` used before
-    it was rebased on DependencyGraph, verbatim.  The rebase must be a pure
-    refactor: identical verdicts on every explorer-produced candidate."""
-    delta = diff_programs(old, new)
-    if delta is None:
-        return False
-    if not delta:
-        return True
-    cone = set()
-    for program, names in ((old, delta.removed | delta.modified),
-                           (new, delta.added | delta.modified)):
-        for rule in program.rules:
-            if rule.name in names:
-                cone.add(rule.head.table)
-    rules = list(old.rules) + list(new.rules)
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            if rule.head.table in cone:
-                continue
-            if any(atom.table in cone for atom in rule.body):
-                cone.add(rule.head.table)
-                changed = True
-    for table in cone:
-        schema = schemas.get(table)
-        if schema is not None and schema.primary_key:
-            return False
-    return True
-
-
-@pytest.mark.parametrize("name", SCENARIOS)
-def test_delta_eligibility_matches_legacy_cone(name):
-    scenario, candidates = scenario_and_candidates(name)
-    schemas = {schema.name: schema for schema in scenario.schemas()}
-    assert candidates
-    compared = 0
-    for candidate in candidates:
-        try:
-            repaired = apply_candidate(scenario.program, candidate)
-        except RepairApplicationError:
-            continue
-        new = repaired.program
-        assert program_delta_eligible(scenario.program, new, schemas) == \
-            _legacy_delta_eligible(scenario.program, new, schemas), \
-            candidate.description
-        compared += 1
-    assert compared > 0
-
-
-def test_delta_eligibility_matches_legacy_on_hand_cases():
-    schemas_keyed = {}
-    program = parse_program(CHAIN)
-    # Identical programs, a modified rule, and an added rule.
-    variants = [
-        program,
-        parse_program(CHAIN.replace("Hdr)", "Hdr), Hdr == 80")),
-        parse_program(CHAIN + "r3 Out(@Swi, Sip) :- Static(@Swi, Sip)."),
-    ]
-    for new in variants:
-        assert program_delta_eligible(program, new, schemas_keyed) == \
-            _legacy_delta_eligible(program, new, schemas_keyed)
-    # Duplicate rule names make the diff ambiguous for both.
-    dup = parse_program(
-        "r1 Mid(@Swi, Sip) :- PacketIn(@C, Swi, Sip, Hdr).\n"
-        "r1 Mid(@Swi, Sip) :- Static(@Swi, Sip).")
-    assert program_delta_eligible(dup, program, schemas_keyed) is False
-    assert _legacy_delta_eligible(dup, program, schemas_keyed) is False

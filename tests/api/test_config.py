@@ -114,6 +114,19 @@ def test_telemetry_wire_is_type_checked_too():
     assert TelemetryConfig.from_wire({"slice_packets": None}).enabled is True
 
 
+def test_abort_wire_is_type_and_range_checked_too():
+    for abort, message in [
+            ({"check_every": 0}, "check_every must be >= 1"),
+            ({"bogus": 1}, "unknown abort keys"),
+            ({"check_every": True}, "'check_every' must be an integer"),
+            ({"check_every": "x"}, "'check_every' must be an integer"),
+            ({"min_fraction": "half"}, "'min_fraction' must be a number"),
+            ({"min_fraction": 1.5}, r"min_fraction must be within \[0, 1\]")]:
+        with pytest.raises(ConfigError, match=message):
+            RepairConfig.from_wire({"abort": abort})
+    assert RepairConfig.from_wire({"abort": {}}).abort == EarlyAbortPolicy()
+
+
 def test_every_to_wire_output_still_round_trips():
     for config in (RepairConfig(), RepairConfig.for_scenario("Q1"),
                    full_config(),

@@ -9,8 +9,6 @@ from repro.backtest import (
     format_table,
     ks_two_sample,
     rank_results,
-    suggestion_list,
-    total_variation_distance,
 )
 from repro.repair import ChangeConstant, DeleteSelection, RepairCandidate
 from repro.scenarios import build_q1
@@ -63,11 +61,6 @@ class TestKSMetric:
         ba = ks_two_sample(other, sample)
         assert ab.statistic == pytest.approx(ba.statistic)
         assert 0.0 <= ab.statistic <= 1.0
-
-    def test_total_variation_distance_zero_for_identical_runs(self, q1):
-        backtester = Backtester(q1)
-        baseline = backtester.baseline()
-        assert total_variation_distance(baseline, baseline) == 0.0
 
 
 class TestSequentialBacktesting:
@@ -192,8 +185,3 @@ class TestRanking:
         assert all(r.accepted for r in ranked)
         costs = [r.candidate.cost for r in ranked]
         assert costs == sorted(costs)
-
-    def test_suggestion_list_limit(self, q1, q1_candidates):
-        report = Backtester(q1, ks_threshold=q1.ks_threshold).evaluate_all(
-            list(q1_candidates))
-        assert len(suggestion_list(report, limit=1)) <= 1

@@ -1,21 +1,23 @@
 """Warm-engine parity suite.
 
 Acceptance contract: ``evaluate_all`` with warm candidate switching
-(checkpoint restore + rule delta, the default) produces **bit-identical**
+(checkpoint restore + program swap, the default) produces **bit-identical**
 ``BacktestReport``s — statistics with delivery records, KS results,
 verdicts, notes and multi-query sharing counters — to the cold per-candidate
 rebuild (``warm_engine=False``) for Q1-Q5 with and without ``multiquery``.
 
-Also covered: the automatic cold fallback for ineligible deltas (data
-edits, keyed-table cones) inside an otherwise-warm run, warm interaction
-with batched replay and the early-abort policy, and the warm counters the
+Also covered: who takes the warm switch and who builds cold inside an
+otherwise-warm run (rule edits that wait for the first PacketIn are warm,
+Q5's keyed ``Learned`` table included; data edits, rules with a static-only
+body and programs that derive PacketIn are cold), warm interaction with
+batched replay and the early-abort policy, and the warm counters the
 benchmarks report.
 """
 
 import pytest
 
 from repro.backtest import Backtester, EarlyAbortPolicy
-from repro.ndlog.ast import Var
+from repro.ndlog.ast import Const, Var
 from repro.ndlog.parser import parse_program
 from repro.ndlog.tuples import NDTuple
 from repro.repair import (AddRule, ChangeAssignment, ChangeConstant,
@@ -37,8 +39,8 @@ def scenario_candidates(name):
     same pairs as the transport parity suite)."""
     if name == "Q1":
         # The last three are data-edit candidates (InsertTuple / DeleteTuple
-        # / ChangeTuple): every Q1 table is keyless, so they now ride the
-        # warm path via incremental base-tuple edits after the restore.
+        # / ChangeTuple): their static fixpoint differs from the base
+        # program's, so each gets a cold build.
         return [
             RepairCandidate(edits=(ChangeConstant("r7", 0, "right", 2, 3),),
                             cost=1.1, description="r7: Swi==2 -> Swi==3"),
@@ -89,6 +91,23 @@ def scenario_candidates(name):
                             description="delete f2"),
         ]
     raise ValueError(name)
+
+
+def q5_explorer_rule_edits():
+    """The four rule edits the explorer proposes for Q5, all to ``f1`` —
+    the rule feeding the primary-key table ``Learned``."""
+    def change(index, var, old_text, new_expr):
+        return RepairCandidate(
+            edits=(ChangeAssignment("f1", index, var, old_text, new_expr),),
+            cost=1.1, description=f"f1: {var} := {old_text} -> {new_expr}")
+    return [change(0, "Hip", "*", Const(21)), change(0, "Hip", "*", Var("Sip")),
+            change(0, "Hip", "*", Var("Dip")), change(1, "Prt", "Ipt", Const(5))]
+
+
+def data_edits(candidates):
+    return [candidate for candidate in candidates
+            if any(isinstance(edit, (InsertTuple, DeleteTuple, ChangeTuple))
+                   for edit in candidate.edits)]
 
 
 def stats_snapshot(stats):
@@ -146,24 +165,62 @@ def test_warm_matches_cold(scenarios, cold_snapshots, candidate_sets, name,
     report = backtester.evaluate_all(candidate_sets[name])
     assert report_snapshot(report) == \
         cold_snapshots[(name, MODE_IDS[multiquery])]
-    assert backtester.warm_hits + backtester.warm_fallbacks == \
-        len(candidate_sets[name])
-    # The Q1-Q4 edits — including Q1's data-edit candidates — all qualify
-    # for the warm path.  Q5 splits: the f1 edit feeds the keyed Learned
-    # table (delta-ineligible, cold fallback) while deleting f2 only
-    # touches the keyless FlowTable cone.
-    if name == "Q5":
-        assert backtester.warm_hits == 1
-        assert backtester.warm_fallbacks == 1
-    else:
-        assert backtester.warm_fallbacks == 0
+    # Every rule edit of Q1-Q5 changes a rule that joins PacketIn, so it
+    # is served warm; Q1's three data-edit candidates build cold.
+    cold_builds = len(data_edits(candidate_sets[name]))
+    assert cold_builds == (3 if name == "Q1" else 0)
+    assert backtester.warm_fallbacks == cold_builds
+    assert backtester.warm_hits == len(candidate_sets[name]) - cold_builds
+
+
+@both_modes
+def test_q5_rule_edits_are_served_warm(scenarios, multiquery):
+    """Nothing is retracted or reseeded by a warm switch, so no key
+    eviction is reordered: edits to the rule that feeds Q5's primary-key
+    table are warm like any other, and match cold row for row."""
+    scenario = scenarios["Q5"]
+    candidates = q5_explorer_rule_edits()
+    warm = Backtester(scenario, ks_threshold=scenario.ks_threshold,
+                      multiquery=multiquery)
+    cold = Backtester(scenario, ks_threshold=scenario.ks_threshold,
+                      warm_engine=False, multiquery=multiquery)
+    assert report_snapshot(warm.evaluate_all(candidates)) == \
+        report_snapshot(cold.evaluate_all(candidates))
+    assert (warm.warm_hits, warm.warm_fallbacks) == (4, 0)
+
+
+@both_modes
+@pytest.mark.parametrize("rule_text, description", [
+    ("s1 FlowTable(@Swi,Sip,Hdr,Prt) :- WebLoadBalancer(@C,Sip,Any), "
+     "Swi := 3, Hdr := 80, Prt := 2.",
+     "static-only body: fires before the first PacketIn"),
+    ("d1 PacketIn(@C,Swi,Sip,Hdr) :- PacketIn(@C,Old,Sip,Hdr), Old == 3, "
+     "Hdr == 80, Swi := 2.",
+     "derives PacketIn: the table is no longer input-only"),
+], ids=["static_body", "derived_packet_in"])
+def test_rules_that_need_not_wait_for_a_packet_in_build_cold(
+        scenarios, multiquery, rule_text, description):
+    scenario = scenarios["Q1"]
+    candidates = [
+        RepairCandidate(edits=(AddRule(parse_program(rule_text).rules[0]),),
+                        cost=2.0, description=description),
+        scenario_candidates("Q1")[0],
+    ]
+    warm = Backtester(scenario, ks_threshold=scenario.ks_threshold,
+                      multiquery=multiquery)
+    cold = Backtester(scenario, ks_threshold=scenario.ks_threshold,
+                      warm_engine=False, multiquery=multiquery)
+    assert report_snapshot(warm.evaluate_all(candidates)) == \
+        report_snapshot(cold.evaluate_all(candidates))
+    # The r7 fix after it is warm again: a cold build leaves no trace.
+    assert (warm.warm_hits, warm.warm_fallbacks) == (1, 1)
 
 
 @both_modes
 def test_keyed_cone_data_edit_falls_back_mid_run(scenarios, multiquery):
-    """A data edit into a keyed table (Q5's manual ``Learned`` insertion,
-    Table 6d candidate I) is warm-ineligible and rides along cold; the
-    mixed report must equal the all-cold report row for row."""
+    """A data edit (Q5's manual ``Learned`` insertion, Table 6d candidate
+    I) rides along cold; the mixed report must equal the all-cold report
+    row for row."""
     scenario = scenarios["Q5"]
     learned = NDTuple("Learned", ("C", 9, 21, 5))
     candidates = scenario_candidates("Q5") + [
@@ -177,10 +234,9 @@ def test_keyed_cone_data_edit_falls_back_mid_run(scenarios, multiquery):
     warm_report = warm.evaluate_all(candidates)
     cold_report = cold.evaluate_all(candidates)
     assert report_snapshot(warm_report) == report_snapshot(cold_report)
-    # f1's rule edit already falls back (keyed Learned cone); so does the
-    # Learned data edit.  Only the f2 deletion stays warm.
-    assert warm.warm_hits == 1
-    assert warm.warm_fallbacks == 2
+    # Both rule edits are warm, the Learned data edit is cold.
+    assert warm.warm_hits == 2
+    assert warm.warm_fallbacks == 1
 
 
 def test_warm_with_batched_replay(scenarios, cold_snapshots, candidate_sets):

@@ -270,12 +270,12 @@ def run_case(case: dict) -> dict:
     derivations = [[r.rule, _render(r.head), [_render(b) for b in r.body],
                     [[k, v] for k, v in r.bindings], r.time, r.node]
                    for r in engine.derivations]
-    tables = {name: sorted(_render(t) for t in engine.database.table(name))
+    tables = {name: sorted(_render(t) for t in engine.database.tuples(name))
               for name in sorted(engine.database.tables())}
     flags = sorted(f"{_render(t)}:{'B' if engine.database.is_base(t) else ''}"
                    f"{'D' if engine.database.is_derived(t) else ''}"
                    for name in engine.database.tables()
-                   for t in engine.database.table(name))
+                   for t in engine.database.tuples(name))
     support_counts = {
         _render(head): len(keys)
         for head, keys in sorted(engine._supports.items(),

@@ -1,4 +1,4 @@
-"""Checkpoint/restore and incremental program-delta tests.
+"""Checkpoint/restore and program-swap tests.
 
 Two properties underpin warm candidate evaluation:
 
@@ -7,18 +7,20 @@ Two properties underpin warm candidate evaluation:
   clock and the event/derivation history all return to the snapshot —
   verified here against deep copies, including under randomized mutation
   sequences (inserts, incremental deletes, batched inserts, key updates).
-* ``apply_program_delta(old, new)`` leaves the engine in the same state
-  (tuples, flags, supports) as evaluating ``new`` from scratch over the
-  same base tuples — verified against fresh engines across rule removals,
-  additions and modifications, randomized.
+* ``restore(checkpoint)`` + ``swap_program(new)`` leaves the engine where
+  evaluating ``new`` from scratch would, provided every rule in the program
+  delta — the rules in which the two programs differ — was dormant at the
+  checkpoint (here: taken before the first ``Link``, which every rule
+  joins).  Verified against fresh engines across rule removals, additions
+  and modifications, randomized, and against the scan-based oracle for
+  what the engine does next.
 """
 
 import random
 
 import pytest
 
-from repro.ndlog import (Engine, NaiveEngine, ProgramDeltaError, make_tuple,
-                        parse_program, program_delta_eligible)
+from repro.ndlog import Engine, NaiveEngine, make_tuple, parse_program
 from repro.ndlog.tuples import TableSchema
 
 
@@ -90,7 +92,7 @@ def engine_fingerprint(engine):
 
 
 def semantic_fingerprint(engine):
-    """What program-delta equivalence promises: tuples, flags, supports."""
+    """What a warm switch promises: tuples, flags, supports."""
     db = engine.database
     return (
         {table: frozenset(tuples) for table, tuples in db._tables.items()
@@ -199,26 +201,40 @@ def test_restore_randomized_round_trip():
             f"trial {_trial}: restore diverged"
 
 
+def replayed_under(program, tuples):
+    engine = Engine(program)
+    engine.insert_many(list(tuples))
+    return engine
+
+
+def warm_engine(base, tuples):
+    """An engine that has run ``base`` over ``tuples`` since its checkpoint
+    — taken while ``Link`` was empty, so every rule was dormant."""
+    engine = Engine(base)
+    checkpoint = engine.checkpoint()
+    engine.insert_many(list(tuples))
+    return engine, checkpoint
+
+
 @pytest.mark.parametrize("variant", sorted(ALT_RULES))
 def test_program_delta_matches_cold_rebuild(variant):
     base = parse_program(PROGRAM)
     target = parse_program(ALT_RULES[variant])
     tuples = links([(1, 2, 3), (2, 3, 4), (3, 4, 2), (4, 5, 8), (1, 5, 6)])
 
-    warm = Engine(base)
-    warm.insert_many(list(tuples))
-    cp = warm.checkpoint()
-    warm.apply_program_delta(base, target)
-
-    cold = Engine(target)
-    cold.insert_many(list(tuples))
-    assert semantic_fingerprint(warm) == semantic_fingerprint(cold), variant
-
-    # The delta is journaled like any other mutation: restore undoes it.
-    reference = Engine(base)
-    reference.insert_many(list(tuples))
+    warm, cp = warm_engine(base, tuples)
     warm.restore(cp)
-    assert semantic_fingerprint(warm) == semantic_fingerprint(reference)
+    warm.swap_program(target)
+    warm.insert_many(list(tuples))
+    assert semantic_fingerprint(warm) == \
+        semantic_fingerprint(replayed_under(target, tuples)), variant
+
+    # The checkpoint remembers its program: restore swaps back.
+    warm.restore(cp)
+    assert warm.program is base
+    warm.insert_many(list(tuples))
+    assert semantic_fingerprint(warm) == \
+        semantic_fingerprint(replayed_under(base, tuples))
 
 
 def test_program_delta_randomized_equivalence():
@@ -226,20 +242,19 @@ def test_program_delta_randomized_equivalence():
     base = parse_program(PROGRAM)
     variants = [parse_program(text) for text in ALT_RULES.values()]
     nodes = list(range(1, 8))
+    warm, cp = warm_engine(base, [])
     for trial in range(15):
         tuples = [make_tuple("Link", rng.choice(nodes), rng.choice(nodes),
                              rng.randrange(1, 11))
                   for _ in range(rng.randrange(2, 9))]
         target = rng.choice(variants)
-        warm = Engine(base)
+        warm.restore(cp)
+        warm.swap_program(target)
         warm.insert_many(list(tuples))
-        warm.checkpoint()
-        warm.apply_program_delta(warm.program, target)
-        cold = Engine(target)
-        cold.insert_many(list(tuples))
+        cold = replayed_under(target, tuples)
         assert semantic_fingerprint(warm) == semantic_fingerprint(cold), \
             f"trial {trial}"
-        # And the post-delta engine behaves like the cold one incrementally.
+        # And the switched engine behaves like the cold one incrementally.
         probe = make_tuple("Link", rng.choice(nodes), rng.choice(nodes), 3)
         assert sorted(map(str, warm.insert(probe))) == \
             sorted(map(str, cold.insert(probe)))
@@ -249,62 +264,25 @@ def test_program_delta_after_delta_chains():
     """base -> variant A -> (restore) -> variant B, as the warm loop does."""
     base = parse_program(PROGRAM)
     tuples = links([(1, 2, 3), (2, 3, 4), (3, 4, 2)])
-    warm = Engine(base)
-    warm.insert_many(list(tuples))
-    cp = warm.checkpoint()
+    warm, cp = warm_engine(base, tuples)
     for text in ALT_RULES.values():
         target = parse_program(text)
         warm.restore(cp)
-        warm.apply_program_delta(base, target)
-        cold = Engine(target)
-        cold.insert_many(list(tuples))
-        assert semantic_fingerprint(warm) == semantic_fingerprint(cold)
-
-
-def test_keyed_cone_is_ineligible():
-    schemas = {"Best": TableSchema("Best", ("A", "Cost"),
-                                   primary_key=("A",))}
-    old = parse_program("""
-u1 Best(@A,Cost) :- Link(@A,B,Cost).
-u2 Reach(@A) :- Best(@A,Cost).
-""")
-    new = parse_program("""
-u1 Best(@A,Cost) :- Link(@A,B,Cost), Cost < 5.
-u2 Reach(@A) :- Best(@A,Cost).
-""")
-    assert not program_delta_eligible(old, new, schemas)
-    engine = Engine(old, schemas=schemas)
-    engine.insert(make_tuple("Link", 1, 2, 7))
-    engine.checkpoint()
-    with pytest.raises(ProgramDeltaError):
-        engine.apply_program_delta(old, new)
-    # An unrelated rule change stays eligible despite the keyed table.
-    extended = parse_program("""
-u1 Best(@A,Cost) :- Link(@A,B,Cost).
-u2 Reach(@A) :- Best(@A,Cost).
-u3 Backbone(@A,B) :- Link(@A,B,Cost), Cost > 8.
-""")
-    assert program_delta_eligible(old, extended, schemas)
-
-
-def test_duplicate_rule_names_are_ineligible():
-    old = parse_program(PROGRAM)
-    dup = parse_program("""
-r2 Path(@A,B,Cost) :- Link(@A,B,Cost), Cost < 9.
-r2 Path(@A,B,Cost) :- Link(@A,B,Cost), Cost < 3.
-""")
-    assert not program_delta_eligible(old, dup, {})
+        warm.swap_program(target)
+        warm.insert_many(list(tuples))
+        assert semantic_fingerprint(warm) == \
+            semantic_fingerprint(replayed_under(target, tuples))
 
 
 def test_delta_engine_agrees_with_naive_oracle():
-    """After a delta, continued evaluation matches the scan-based oracle."""
+    """After a switch, continued evaluation matches the scan-based oracle."""
     base = parse_program(PROGRAM)
     target = parse_program(ALT_RULES["drop_and_add"])
     tuples = links([(1, 2, 3), (2, 3, 4), (3, 4, 2)])
-    warm = Engine(base)
+    warm, cp = warm_engine(base, tuples)
+    warm.restore(cp)
+    warm.swap_program(target)
     warm.insert_many(list(tuples))
-    warm.checkpoint()
-    warm.apply_program_delta(base, target)
     oracle = NaiveEngine(target)
     oracle.insert_many(list(tuples))
     extra = make_tuple("Link", 4, 1, 1)

@@ -114,8 +114,7 @@ def test_keyed_cone_deletions_match_oracle_and_a_fresh_engine():
 
     def bookkeeping(engine):
         # Flags cover the tables too: every stored tuple carries one.
-        return (engine.database._flags, engine._supports, engine._dependents,
-                engine._supports_by_rule)
+        return (engine.database._flags, engine._supports, engine._dependents)
 
     # A cycle a -> b -> c -> a with a tail c -> d; one cost per pair, so no
     # two live derivations ever disagree on a Best key ...

@@ -70,10 +70,12 @@ def test_engine_reindex_hits_shared_cache():
     # Warm switch: only the edited rule compiles anew.
     cp = engine.checkpoint()
     engine.restore(cp)
-    engine.apply_program_delta(old, new)
+    engine.swap_program(new)
     final = PLAN_CACHE.stats()
     assert final["misses"] == 4
-    assert engine._plans_by_name["r1"] is second._plans_by_name["r1"]
+    # r1 is the one rule table A triggers, under both programs.
+    (r1_plan, _position), = engine._plans_by_body_table["A"]
+    assert r1_plan is second._plans_by_body_table["A"][0][0]
 
 
 def test_runtime_cache_exposes_plan_cache_stats():

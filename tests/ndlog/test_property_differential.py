@@ -131,11 +131,11 @@ def support_fingerprint(engine):
 
 def derived_state(engine):
     """What a deletion must leave exactly as a from-scratch evaluation
-    would: tuples, flags, supports and the per-rule index.  Dependents are
-    compared through their *live* entries — incremental over-deletion
-    unregisters a dead support but leaves its entry under the body members
-    that are still present (the recompute fallback rebuilds them exactly,
-    which ``test_oracle.py``'s keyed-table case pins)."""
+    would: tuples, flags and supports.  Dependents are compared through
+    their *live* entries — incremental over-deletion unregisters a dead
+    support but leaves its entry under the body members that are still
+    present (the recompute fallback rebuilds them exactly, which
+    ``test_oracle.py``'s keyed-table case pins)."""
     supports = {head: frozenset(keys)
                 for head, keys in engine._supports.items()}
     live = {}
@@ -144,9 +144,7 @@ def derived_state(engine):
                          if (rule, body) in supports.get(head, ()))
         if kept:
             live[member] = kept
-    by_rule = {name: frozenset(entries)
-               for name, entries in engine._supports_by_rule.items()}
-    return final_state(engine), supports, live, by_rule
+    return final_state(engine), supports, live
 
 
 def rebuilt_from_base(engine):

@@ -19,8 +19,9 @@ O(1)": one ``FlowTable.install`` plus one ``lookup`` must make the same number
 of Python calls into ``repro/sdn`` on a table of 10 entries as on one of
 1,000.  "A repair costs its edit, not the program": applying a one-rule
 candidate makes the same number of Python calls on Q1's 8 rules as on Q1
-padded to 250, and diffing the repaired program against its base costs a few
-calls per rule — the rules it shares with the base are recognised by identity.
+padded to 250, and so does finding the rules in which the repaired program
+differs from its base when the backtester decides on a warm switch — the
+rules it shares with the base are recognised by identity.
 "An exploration explains what it returns": one ``explore_missing`` makes a
 pinned number of calls into ``repro/meta`` on Q1's 8 rules and on Q1 padded to
 250, and fewer than 100 per returned candidate under the function that builds
@@ -34,8 +35,9 @@ import sys
 import pytest
 
 from repro.api import RepairConfig, RepairSession, TelemetryConfig
+from repro.backtest import WarmEvaluationState, replay
 from repro.meta import MetaProvenanceExplorer, explorer
-from repro.ndlog import diff_programs, parse_program
+from repro.ndlog import parse_program
 from repro.ndlog.plan import PLAN_CACHE
 from repro.repair import ChangeConstant, RepairCandidate, apply_candidate
 from repro.scenarios import build_q1
@@ -52,11 +54,11 @@ PINNED = {
     "Q1": {"engine_fixpoints": 778, "rules_fired": 866, "tuples_derived": 842,
            "packets_replayed": 2808, "plan_cache_misses": 11,
            "candidates_backtested": 14, "candidates_vetoed": 2,
-           "python_calls": 219737},
+           "python_calls": 211207},
     "Q4": {"engine_fixpoints": 160, "rules_fired": 248, "tuples_derived": 248,
            "packets_replayed": 1280, "plan_cache_misses": 9,
            "candidates_backtested": 11, "candidates_vetoed": 1,
-           "python_calls": 64490},
+           "python_calls": 62472},
 }
 #: Calls into ``repro/meta`` of one 14-candidate exploration of Q1's goal
 #: (explorer construction included), by number of rules in the program.
@@ -65,6 +67,7 @@ EXPLAIN_CALLS_PER_CANDIDATE = 100
 PYTHON_CALLS_CEILING = 1.10
 SDN_PACKAGE = os.path.dirname(switch.__file__)
 META_PACKAGE = os.path.dirname(explorer.__file__)
+BACKTEST_PACKAGE = os.path.dirname(replay.__file__)
 REPRO_PACKAGE = os.path.dirname(META_PACKAGE)
 
 
@@ -161,23 +164,24 @@ def test_apply_and_diff_cost_the_edit_not_the_program():
         edits=(ChangeConstant("r1", 0, "right", 1, 3),), cost=1.0)
 
     def counts(program):
+        scenario = build_q1()
+        scenario.program = program
+        warm = WarmEvaluationState(scenario)
         repaired = []
         apply_calls = _python_calls(
             lambda: repaired.append(apply_candidate(program, candidate)))
-        changed = repaired[0].program
-        assert changed.rule_named("r1") != program.rule_named("r1")
-        delta = []
+        assert repaired[0].program.rule_named("r1") != program.rule_named("r1")
+        switched = []
         diff_calls = _python_calls(
-            lambda: delta.append(diff_programs(program, changed)))
-        assert delta[0].modified == {"r1"} and delta[0].changed == {"r1"}
+            lambda: switched.append(warm.prepare_controller(repaired[0])),
+            under=BACKTEST_PACKAGE)
+        assert switched[0] is warm.controller
+        assert warm.engine.program is repaired[0].program
         return apply_calls, diff_calls
 
     small, large = _q1_padded_to(8), _q1_padded_to(250)
     assert (len(small), len(large)) == (8, 250)
-    small_apply, small_diff = counts(small)
-    large_apply, large_diff = counts(large)
-    assert small_apply == large_apply
-    assert small_diff <= 3 * len(small) and large_diff <= 3 * len(large)
+    assert counts(small) == counts(large)
 
 
 @pytest.mark.parametrize("total_rules", sorted(PINNED_EXPLORE_CALLS))

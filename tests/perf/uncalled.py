@@ -1,9 +1,9 @@
 """Call census: which functions under ``src/repro`` does no workload enter?
 
-A tool for sizing diet PRs, not a test — pytest does not collect this file
-and nothing is asserted.  Under a ``sys.setprofile`` / ``threading.setprofile``
-hook it runs, in this process: serial Q1–Q5 sessions with the default config
-and once per ablation knob (plain Q1 with 100 candidates, the rest with 14),
+A tool for sizing diet PRs, not a test — pytest does not collect this file.
+Under a ``sys.setprofile`` / ``threading.setprofile`` hook it runs, in this
+process: serial Q1–Q5 sessions with the default config and once per ablation
+knob (plain Q1 with 100 candidates, the rest with 14),
 a 2-worker session over the ``inprocess`` fabric, the two ``other_languages``
 scenarios (Table 3) and every CLI subcommand that needs no running service;
 then it walks each module's AST and prints the functions never entered.
@@ -11,11 +11,14 @@ Out of reach: worker subprocesses (``spawn``, ``socket``, ``repro serve`` and
 its clients), code that runs at import, the compiled fire functions and what
 ``@dataclass`` writes.  "Never entered here" opens an investigation — the
 function may be the fleet's, a test oracle's or an error path's — it does
-not close one.
+not close one.  The last line is the total, and CI holds it to a ceiling
+(``--max-never-entered N``: exit 1 above it) that each diet PR lowers to its
+own total, so the number can only fall.
 
-    PYTHONPATH=src python tests/perf/uncalled.py
+    PYTHONPATH=src python tests/perf/uncalled.py [--max-never-entered N]
 """
 
+import argparse
 import ast
 import contextlib
 import io
@@ -85,16 +88,27 @@ def never_entered(path):
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--max-never-entered", type=int, metavar="N")
+    ceiling = parser.parse_args().max_never_entered
     threading.setprofile(_profile)
     sys.setprofile(_profile)
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         workloads()
     sys.setprofile(None)
+    all_missing = all_functions = 0
     for path in sorted(ROOT.rglob("*.py")):
         missing, total = never_entered(path)
+        all_missing += len(missing)
+        all_functions += total
         if missing:
             print(f"{path.relative_to(ROOT.parent)}: "
                   f"{len(missing)} of {total} functions never entered")
         for name, line in missing:
             print(f"    {name}  (line {line})")
+    print(f"total: {all_missing} of {all_functions} functions never entered")
+    if ceiling is not None and all_missing > ceiling:
+        sys.exit(f"{all_missing} functions never entered, more than the "
+                 f"{ceiling} allowed: delete what the change left without a "
+                 "caller, or say what enters it")
