@@ -7,8 +7,7 @@ The package provides, from the bottom up:
   substrate).
 * :mod:`repro.provenance` -- classical positive/negative network provenance.
 * :mod:`repro.meta` -- meta provenance: provenance over programs as well as
-  data, cost-ordered exploration and constraint pools.
-* :mod:`repro.solver` -- the mini constraint solver (Z3 substitute).
+  data and the cost-ordered exploration of repairs.
 * :mod:`repro.repair` -- repair candidates and their application.
 * :mod:`repro.backtest` -- replay-based backtesting with KS acceptance and
   multi-query optimization.

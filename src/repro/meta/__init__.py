@@ -7,14 +7,13 @@ This package implements the paper's primary contribution:
 * :mod:`repro.meta.metarules` — the µDlog meta model of Figure 4.
 * :mod:`repro.meta.forest` — meta provenance trees: the explanation of a
   repair candidate.
-* :mod:`repro.meta.constraints` — constraint pools (Section 3.4): where a
-  solver picks a constant's new value.
+* :mod:`repro.meta.constant_values` — what is left of the constraint pools
+  (Section 3.4): the value that makes one comparison hold.
 * :mod:`repro.meta.costs` — the plausibility cost model (Section 3.5).
 * :mod:`repro.meta.explorer` — the cost-ordered search over repair attempts
   and the tree that explains each candidate it returns (Figures 5, 6, 17).
 """
 
-from .constraints import ConstraintPool
 from .costs import CostModel, DEFAULT_COSTS, uniform_cost_model
 from .explorer import (
     ExistingTupleGoal,
@@ -53,7 +52,7 @@ from .metatuples import (
 )
 
 __all__ = [
-    "ConstraintPool", "CostModel", "DEFAULT_COSTS", "uniform_cost_model",
+    "CostModel", "DEFAULT_COSTS", "uniform_cost_model",
     "ExistingTupleGoal", "ExplorationResult", "ExplorationStats",
     "MetaProvenanceExplorer", "MissingTupleGoal",
     "EXIST", "MetaForest", "MetaTree", "MetaVertex", "NEXIST",

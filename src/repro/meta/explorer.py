@@ -39,6 +39,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, replace
+from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ndlog.ast import (
@@ -50,7 +51,7 @@ from ..ndlog.ast import (
     Var,
     WILDCARD,
 )
-from ..ndlog.expr import Bindings, try_evaluate, values_equal
+from ..ndlog.expr import Bindings, try_compare, try_evaluate, values_equal
 from ..ndlog.tuples import NDTuple
 from ..repair.candidates import (
     ChangeAssignment,
@@ -68,9 +69,8 @@ from ..repair.candidates import (
     RepairCandidate,
     deduplicate,
 )
-from ..solver import Comparison, SymVar
-from ..solver.constraints import _compare as _ground_compare
-from .constraints import ConstraintPool
+from .constant_values import (NEGATED_OPERATOR, first_satisfying_value,
+                              satisfies)
 from .costs import CostModel
 from .forest import EXIST, MetaForest, MetaTree, MetaVertex, NEXIST
 from .history import HistoryIndex
@@ -179,6 +179,17 @@ class ExplorationResult:
         return self.candidates[0] if self.candidates else None
 
 
+def _pick_value(stats: ExplorationStats, op: str, known, unknown_side: str,
+                hints: Sequence[object]):
+    """:func:`first_satisfying_value`, counted and timed: the "constraint
+    solving" phase of Figure 9a."""
+    started = perf_counter()
+    value = first_satisfying_value(op, known, unknown_side, hints)
+    stats.solver_invocations += 1
+    stats.solver_seconds += perf_counter() - started
+    return value
+
+
 # ---------------------------------------------------------------------------
 # The explorer
 # ---------------------------------------------------------------------------
@@ -199,8 +210,8 @@ class MetaProvenanceExplorer:
         self._program_constant_hints: Optional[List[object]] = None
         self._constant_values_cache: Dict[Tuple, List[object]] = {}
 
-    def _solver_value_hints(self) -> List[object]:
-        """History values usable as solver hints (computed once per explorer;
+    def _history_hints(self) -> List[object]:
+        """History values to try for an unknown (computed once per explorer;
         rebuilding this list per selection dominated large-program runs)."""
         if self._history_value_hints is None:
             self._history_value_hints = [
@@ -381,8 +392,8 @@ class MetaProvenanceExplorer:
         variable to two goal values), ``_match_atom`` never rebinds a
         variable, and ``_combo_joins`` kept only support choices whose
         tuples agree on their shared variables — so no variable is ever
-        asked to take two values.  Constants are the one place a solver
-        picks a value (``_constant_repair_values``).
+        asked to take two values.  Constants are the one place a value is
+        picked (``_constant_repair_values``).
         """
         env = Bindings(head_bindings)
         insert_edits: List[Edit] = []
@@ -443,7 +454,7 @@ class MetaProvenanceExplorer:
             if other_value is None:
                 continue
             for new_value in self._constant_repair_values(
-                    op, side, other_value, rule, sel_index, stats):
+                    op, side, other_value, stats):
                 if new_value != const_expr.value:
                     edits.append(ChangeConstant(rule.name, sel_index, side,
                                                 const_expr.value, new_value))
@@ -453,8 +464,8 @@ class MetaProvenanceExplorer:
         right_value = try_evaluate(selection.right, env)
         if left_value is not None and right_value is not None:
             for new_op in COMPARISON_OPERATORS:
-                if new_op != op and _ground_compare(
-                        new_op, left_value, right_value) is True:
+                if new_op != op and try_compare(
+                        new_op, left_value, right_value):
                     edits.append(ChangeOperator(rule.name, sel_index, op, new_op))
 
         # (c) Delete the selection predicate altogether.
@@ -465,14 +476,14 @@ class MetaProvenanceExplorer:
         return options
 
     def _constant_repair_values(self, op: str, side: str, other_value,
-                                rule: Rule, sel_index: int,
                                 stats: ExplorationStats) -> List[object]:
-        """Values for the constant that make ``other_value <op> const`` true.
+        """Values for the constant on ``side`` that make the selection true
+        when its other operand evaluates to ``other_value``.
 
-        The first value comes from the constraint solver (the minimal
-        solution); further values are taken from the history and from other
-        constants in the program, mirroring how the paper's prototype seeds
-        its solver with logged values.
+        The first is :func:`first_satisfying_value`'s; further values are
+        the hints that hold — the operand's neighbours, then values logged
+        in the history and other constants of the program, mirroring how the
+        paper's prototype seeds its solver with logged values.
 
         The result only depends on ``(op, side, other_value)`` — the hint
         pools are fixed per explorer — so it is memoised on that key (pad
@@ -483,34 +494,19 @@ class MetaProvenanceExplorer:
         cached = self._constant_values_cache.get(cache_key)
         if cached is not None:
             return cached
-        symbol = SymVar(f"Const.{rule.name}.s{sel_index}.Val")
-        pool = ConstraintPool()
-        if side == "right":
-            pool.add(Comparison(op, other_value, symbol))
-        else:
-            pool.add(Comparison(op, symbol, other_value))
         hints: List[object] = []
         if isinstance(other_value, int):
             hints.extend([other_value, other_value + 1, other_value - 1])
-        hints.extend(self._solver_value_hints())
+        hints.extend(self._history_hints())
         hints.extend(self._constant_hints())
-        pool.hint(symbol, hints)
-        values: List[object] = []
-        model = pool.solve()
-        stats.solver_invocations += pool.solver_invocations
-        stats.solver_seconds += pool.solve_seconds
-        if model is not None:
-            values.append(model.value_of(symbol.name))
+        first = _pick_value(stats, op, other_value, side, hints)
+        values = [] if first is None else [first]
         for hint in hints:
             if len(values) >= MAX_CONSTANT_VARIANTS:
                 break
             if hint in values:
                 continue
-            # Ground comparison — equivalent to Comparison(...).evaluate({})
-            # without allocating a constraint object per hint.
-            check = (_ground_compare(op, other_value, hint) if side == "right"
-                     else _ground_compare(op, hint, other_value))
-            if check is True:
+            if satisfies(op, other_value, side, hint):
                 values.append(hint)
         self._constant_values_cache[cache_key] = values
         return values
@@ -804,25 +800,15 @@ class MetaProvenanceExplorer:
         for sel_index, selection in enumerate(rule.selections):
             left_value = try_evaluate(selection.left, bindings)
             right_value = try_evaluate(selection.right, bindings)
-            # Constant change via symbolic negation (Section 4.2).
+            # Constant change: a value the negated selection holds for
+            # (Section 4.2).
             for side, expr, other_value in (("right", selection.right, left_value),
                                             ("left", selection.left, right_value)):
                 if not isinstance(expr, Const) or other_value is None:
                     continue
-                symbol = SymVar(f"Const.{rule.name}.s{sel_index}.Val")
-                pool = ConstraintPool()
-                if side == "right":
-                    pool.add(Comparison(selection.op, other_value, symbol))
-                else:
-                    pool.add(Comparison(selection.op, symbol, other_value))
-                pool.hint(symbol, self._solver_value_hints())
-                negation = pool.solve_negation()
-                stats.solver_invocations += pool.solver_invocations
-                stats.solver_seconds += pool.solve_seconds
-                if negation is None:
-                    continue
-                model, _ = negation
-                new_value = model.value_of(symbol.name)
+                new_value = _pick_value(
+                    stats, NEGATED_OPERATOR[selection.op], other_value, side,
+                    self._history_hints())
                 if new_value is None or new_value == expr.value:
                     continue
                 edit = ChangeConstant(rule.name, sel_index, side, expr.value, new_value)
@@ -833,7 +819,7 @@ class MetaProvenanceExplorer:
                 for new_op in COMPARISON_OPERATORS:
                     if new_op == selection.op:
                         continue
-                    if Comparison(new_op, left_value, right_value).evaluate({}) is False:
+                    if not try_compare(new_op, left_value, right_value):
                         edit = ChangeOperator(rule.name, sel_index, selection.op, new_op)
                         out.append(RepairCandidate(
                             edits=(edit,), cost=self.cost_model.edit_cost(edit),
@@ -874,25 +860,20 @@ class MetaProvenanceExplorer:
                 if not affected:
                     continue
                 selection = affected[0]
-                symbol = SymVar(f"{body_tuple.table}.{column}")
-                pool = ConstraintPool()
-                substituted = dict(bindings)
-                substituted[arg.name] = symbol
-                left = substituted.get(selection.left.name, None) \
-                    if isinstance(selection.left, Var) else try_evaluate(selection.left, bindings)
-                right = substituted.get(selection.right.name, None) \
-                    if isinstance(selection.right, Var) else try_evaluate(selection.right, bindings)
-                if left is None or right is None:
+                # The column is the unknown only as one operand of the
+                # selection: as both, no value breaks a selection that held,
+                # and inside an expression it has its recorded value.
+                if (selection.left == arg) == (selection.right == arg):
                     continue
-                pool.add(Comparison(selection.op, left, right))
-                pool.hint(symbol, self._solver_value_hints())
-                negation = pool.solve_negation()
-                stats.solver_invocations += pool.solver_invocations
-                stats.solver_seconds += pool.solve_seconds
-                if negation is None:
+                side, other = (("left", selection.right)
+                               if selection.left == arg
+                               else ("right", selection.left))
+                other_value = try_evaluate(other, bindings)
+                if other_value is None:
                     continue
-                model, _ = negation
-                new_value = model.value_of(symbol.name)
+                new_value = _pick_value(
+                    stats, NEGATED_OPERATOR[selection.op], other_value, side,
+                    self._history_hints())
                 if new_value is None or new_value == body_tuple.values[column]:
                     continue
                 change = ChangeTuple(body_tuple, column, new_value)

@@ -3,9 +3,9 @@
 The explorer needs two things from the network's history: (a) the base
 tuples that existed (or arrived) during the time window of the diagnostic
 query — e.g. which ``PacketIn`` events switch S3 reported — and (b) the set
-of "interesting" constant values observed per table column, which seeds the
-candidate pools of the constraint solver (this is how repairs such as
-``Sip < 6  ->  Sip < 16`` arise: 16 is a value seen in the history).
+of "interesting" constant values observed per table column, which the
+explorer tries as a repaired constant's new value (this is how repairs such
+as ``Sip < 6  ->  Sip < 16`` arise: 16 is a value seen in the history).
 
 A :class:`HistoryIndex` is built from an :class:`~repro.ndlog.engine.Engine`
 (:meth:`HistoryIndex.from_engine`: its event log and current database) or

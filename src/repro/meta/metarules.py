@@ -13,9 +13,10 @@ metadata (tables and rule names) consumed by tests and by the DESIGN
 inventory.  The repair search itself uses the operational encoding in
 :mod:`repro.meta.explorer`, which is an optimised implementation of the same
 semantics — the explorer never enumerates full cross-product ``Join`` tuples
-but reasons about one join combination at a time, which is exactly the
-optimisation the paper's "mini-solver for cross-table meta tuple joins"
-performs.
+but decides one join combination at a time while it enumerates support
+choices (the job of the paper's "mini-solver for cross-table meta tuple
+joins"), which leaves one comparison over one unknown to pick a value for
+(:mod:`repro.meta.constant_values`).
 """
 
 from __future__ import annotations

@@ -42,13 +42,12 @@ def values_equal(a, b):
 
 
 def _compare(op, left, right):
+    wildcard = left == WILDCARD or right == WILDCARD
     if op == "==":
-        return values_equal(left, right)
+        return wildcard or left == right
     if op == "!=":
-        if _is_wildcard(left) or _is_wildcard(right):
-            return False
-        return left != right
-    if _is_wildcard(left) or _is_wildcard(right):
+        return not wildcard and left != right
+    if wildcard:
         # Ordered comparisons against a wildcard are undefined; they fail.
         return False
     try:
@@ -63,6 +62,17 @@ def _compare(op, left, right):
     except TypeError as exc:
         raise EvaluationError(f"cannot compare {left!r} {op} {right!r}") from exc
     raise EvaluationError(f"unknown comparison operator {op!r}")
+
+
+def try_compare(op, left, right):
+    """What a selection ``left <op> right`` evaluates to, or ``None`` where
+    evaluating it raises (incomparable types) — :func:`try_evaluate` for two
+    ground values, so the repair search judges a comparison as the engine
+    that runs the repaired program will."""
+    try:
+        return _compare(op, left, right)
+    except EvaluationError:
+        return None
 
 
 def _arith(op, left, right):

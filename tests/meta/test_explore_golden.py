@@ -19,8 +19,8 @@ regenerated with
 
 Three things no golden states follow it: every returned candidate carries a
 completed tree; an exploration constructs exactly as many trees as it returns
-candidates; and the only constraints it hands a solver are the ones that pick
-a constant's new value.
+candidates; and the only values it asks for
+(``constant_values.first_satisfying_value``) are a constant's new ones.
 """
 
 import hashlib
@@ -30,8 +30,8 @@ import sys
 
 import pytest
 
-from repro.meta import (ConstraintPool, MetaProvenanceExplorer,
-                        MissingTupleGoal)
+from repro.api import RepairConfig, RepairSession
+from repro.meta import MetaProvenanceExplorer, MissingTupleGoal
 from repro.meta import explorer as explorer_module
 from repro.ndlog import parse_program
 from repro.repair import reset_candidate_ids
@@ -143,17 +143,28 @@ def test_one_tree_is_built_per_returned_candidate(monkeypatch, key):
     assert {id(c.tree) for c in result.candidates} == {id(t) for t in built}
 
 
-def test_only_constant_repairs_reach_the_solver(monkeypatch):
+def test_only_constant_repairs_ask_for_a_value(monkeypatch):
+    """Who calls ``first_satisfying_value``, and that the statistics and
+    Figure 9a's "constraint solving" phase count and time exactly those
+    calls: two on Q1, none on Q5."""
     callers = []
-    add = ConstraintPool.add
+    first_satisfying_value = explorer_module.first_satisfying_value
 
-    def recording_add(self, *constraints, **kwargs):
-        callers.extend([sys._getframe(1).f_code.co_name] * len(constraints))
-        return add(self, *constraints, **kwargs)
+    def recording(*args):
+        # Frame 1 is the helper that counts and times; frame 2 asked.
+        callers.append(sys._getframe(2).f_code.co_name)
+        return first_satisfying_value(*args)
 
-    monkeypatch.setattr(ConstraintPool, "add", recording_add)
-    explore("Q1")
-    assert callers == ["_constant_repair_values"] * 2
+    monkeypatch.setattr(explorer_module, "first_satisfying_value", recording)
+    for name, expected in (("Q1", ["_constant_repair_values"] * 2), ("Q5", [])):
+        del callers[:]
+        session = RepairSession(RepairConfig.for_scenario(name, max_candidates=14))
+        session.run(until="generate")
+        assert callers == expected, name
+        stats = session.artifacts["exploration"].stats
+        assert stats.solver_invocations == len(expected), name
+        solving = session.timings().constraint_solving
+        assert (solving > 0) if expected else (solving == 0.0), name
 
 
 if __name__ == "__main__":
