@@ -91,7 +91,9 @@ class DependencyGraph:
             head = rule.head.table
             self.nodes.add(head)
             self._deriving_rules.setdefault(head, []).append(rule)
-            aggregate = _rule_uses_aggregate(rule)
+            # A fact of the rule alone: scanned once per Rule value, and a
+            # candidate program shares all but its edited rules with the base.
+            aggregate = rule.memo("uses_aggregate", _rule_uses_aggregate)
             for atom in rule.body:
                 self.nodes.add(atom.table)
                 if atom.negated:

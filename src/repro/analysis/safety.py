@@ -75,7 +75,10 @@ def column_type_evidence(program: Program,
     return evidence
 
 
-def _check_range_restriction(rule: Rule) -> List[LintFinding]:
+def _check_range_restriction(rule: Rule) -> Tuple[LintFinding, ...]:
+    """Range-restriction findings of one rule — a fact of the rule alone, so
+    :func:`check_safety` takes it once per ``Rule`` value (``rule.memo``):
+    a candidate program shares all but its edited rules with the base."""
     findings: List[LintFinding] = []
     positive_vars: Set[str] = set()
     for atom in rule.body:
@@ -113,7 +116,7 @@ def _check_range_restriction(rule: Rule) -> List[LintFinding]:
                 f"negated atom !{atom.table} uses variable {name!r} that "
                 f"no positive body atom binds",
                 rule=rule, atom=atom, atom_index=index))
-    return findings
+    return tuple(findings)
 
 
 def _check_arity(program: Program,
@@ -209,7 +212,8 @@ def check_safety(program: Program,
     schemas = schemas or {}
     findings: List[LintFinding] = []
     for rule in program.rules:
-        findings.extend(_check_range_restriction(rule))
+        findings.extend(rule.memo("range_restriction",
+                                  _check_range_restriction))
     findings.extend(_check_arity(program, schemas))
     findings.extend(_check_types(
         program, column_type_evidence(program, static_tuples)))

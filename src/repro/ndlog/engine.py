@@ -39,6 +39,28 @@ trigger, candidates in index-bucket order — even for a rule whose head
 feeds one of its own body tables: such a head re-enters the rule as a later
 worklist trigger instead of being seen by the join that derived it.
 
+Rule dispatch
+-------------
+
+A tuple is offered only to the rules it can match.  Each plan carries, per
+trigger position, a *guard* — the ``(column, constant)`` pairs a tuple must
+hold there (:mod:`repro.ndlog.plan` says what is a guard and what is not) —
+and :meth:`Engine._index_rules` files every ``(ordinal, plan, position)``
+entry of a table either under ``exact[columns][values]`` or, unguarded, in
+``residual``; ``ordinal`` is the entry's place in program order.
+:meth:`Engine.plans_triggered_by` makes one dict probe per distinct column
+signature (a ``WILDCARD`` value at a guarded column selects every bucket
+compatible with it, a tuple too short for a signature selects none of its
+buckets) and merges the hits with ``residual`` by ordinal.  The invariant:
+**dispatch returns a superset of the plans that would produce a firing, in
+program order; ``fire`` still performs every check it would without it.**
+So the set of firings and their order — every event log, derivation record
+and report — are those of offering each tuple to every rule of its table,
+and what a tuple costs depends on the rules it can match, not on the size
+of the program.  Order comes from the ordinals alone, never from dict or
+set iteration.  The batched quiet fixpoint offers a batch to all entries of
+its table: guards select per tuple.
+
 Deletion semantics
 ------------------
 
@@ -94,9 +116,10 @@ decide it builds a fresh engine.
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .ast import Program, Rule
+from .ast import Program, Rule, WILDCARD
 from .errors import EvaluationError
 from .events import (
     APPEAR,
@@ -115,13 +138,17 @@ from .plan import CompiledRule, PLAN_CACHE
 from .tuples import Database, NDTuple, TableSchema
 
 
+#: One dispatch entry: a plan, the body position it is triggered at, and
+#: the entry's place in program order (rules, then body atoms).
+_Entry = Tuple[int, CompiledRule, int]
+
+
 class EngineCheckpoint:
     """Opaque handle to a point-in-time engine state (see
     :meth:`Engine.checkpoint`)."""
 
     __slots__ = ("engine", "journal_length", "clock", "event_count",
-                 "derivation_count", "quiet_firings", "program",
-                 "plans_by_body_table")
+                 "derivation_count", "quiet_firings", "program", "dispatch")
 
     def __init__(self, engine: "Engine"):
         self.engine = engine
@@ -131,9 +158,9 @@ class EngineCheckpoint:
         self.derivation_count = len(engine.derivations)
         self.quiet_firings = engine._quiet_firings
         self.program = engine.program
-        # The plan dict is replaced (never mutated) by _index_rules, so
+        # The dispatch table is replaced (never mutated) by _index_rules, so
         # holding a reference makes the restore-side rollback a pointer swap.
-        self.plans_by_body_table = engine._plans_by_body_table
+        self.dispatch = engine._dispatch
 
 
 class Engine:
@@ -159,7 +186,10 @@ class Engine:
         self._supports: Dict[NDTuple, Set[Tuple[str, Tuple[NDTuple, ...]]]] = {}
         #: Reverse index: tuple -> supports it participates in.
         self._dependents: Dict[NDTuple, Set[Tuple[NDTuple, str, Tuple[NDTuple, ...]]]] = {}
-        self._plans_by_body_table: Dict[str, List[Tuple[CompiledRule, int]]] = defaultdict(list)
+        #: Rule dispatch (module docstring): per body table ``(residual,
+        #: exact)``; read through :meth:`plans_triggered_by`.
+        self._dispatch: Dict[str, Tuple[List[_Entry], Dict[
+            Tuple[int, ...], Dict[Tuple, List[_Entry]]]]] = {}
         #: Rule firings processed on quiet paths (``record_events=False``
         #: skips the derivation history entirely); stands in for the
         #: ``max_derivations`` runaway guard there, and is checkpointed so a
@@ -188,24 +218,60 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _index_rules(self):
-        """(Re)resolve the compiled plans for the current program.
+        """(Re)assemble the dispatch table for the current program.
 
         Plans are fetched from the process-global :data:`PLAN_CACHE`, keyed
         by structural digest, so structurally unchanged rules — whether from
         a program swap, a sibling candidate program, or another engine
-        entirely — share one compiled plan.  A fresh dict is assigned rather
-        than the old one cleared: checkpoints hold a reference to the
-        previous one, making a restore's plan rollback a pointer swap.
+        entirely — share one compiled plan, and the guards ride on the plan:
+        assembly analyses no rule, it files one entry per body atom.  A fresh
+        table is assigned rather than the old one cleared: checkpoints hold a
+        reference to the previous one, making a restore's rollback a pointer
+        swap.
         """
-        plans_by_body_table: Dict[str, List[Tuple[CompiledRule, int]]] = \
-            defaultdict(list)
+        dispatch = {}
         cache = PLAN_CACHE
+        ordinal = 0
         for rule in self.program.rules:
             plan = cache.get(rule)
-            for position in range(len(rule.body)):
-                plans_by_body_table[rule.body[position].table].append(
-                    (plan, position))
-        self._plans_by_body_table = plans_by_body_table
+            for position, table in enumerate(plan.body_tables):
+                residual, exact = dispatch.setdefault(table, ([], {}))
+                entries = residual
+                guard = plan.guards[position]
+                if guard is not None:
+                    columns, values = guard
+                    entries = exact.setdefault(columns, {}).setdefault(
+                        values, [])
+                entries.append((ordinal, plan, position))
+                ordinal += 1
+        self._dispatch = dispatch
+
+    def plans_triggered_by(self, trigger: NDTuple
+                           ) -> List[Tuple[CompiledRule, int]]:
+        """``(plan, position)`` of every rule ``trigger`` can fire, in
+        program order: the unguarded entries of its table merged with the
+        buckets whose guard it meets (module docstring, "Rule dispatch")."""
+        found = self._dispatch.get(trigger.table)
+        if found is None:
+            return []
+        residual, exact = found
+        runs = [residual] if residual else []
+        value_at = trigger.values.__getitem__
+        for columns, buckets in exact.items():
+            try:
+                key = tuple(map(value_at, columns))
+            except IndexError:
+                continue        # too short to meet any guard on these columns
+            if WILDCARD in key:
+                runs.extend(
+                    bucket for values, bucket in buckets.items()
+                    if all(mine == WILDCARD or mine == theirs
+                           for mine, theirs in zip(key, values)))
+            else:
+                runs.append(buckets.get(key, ()))
+        # Ordinals are unique, so the sort never compares two plans.
+        hits = runs[0] if len(runs) == 1 else sorted(chain.from_iterable(runs))
+        return [(plan, position) for _ordinal, plan, position in hits]
 
     def register_schema(self, schema: TableSchema):
         self.database.register_schema(schema)
@@ -511,7 +577,7 @@ class Engine:
         self._quiet_firings = cp.quiet_firings
         if self.program is not cp.program:
             self.program = cp.program
-            self._plans_by_body_table = cp.plans_by_body_table
+            self._dispatch = cp.dispatch
 
     def swap_program(self, program: Program) -> None:
         """Evaluate ``program`` from here on, over the state as it stands.
@@ -526,9 +592,11 @@ class Engine:
         checkpoint taken under another program swaps back.
 
         Plans come from the shared structural-digest cache, so the rules
-        ``program`` shares with the current one cost a dictionary hit each;
-        making this proportional to the rules that differ is the one place
-        to do it.
+        ``program`` shares with the current one cost a dictionary hit and one
+        dispatch entry per body atom each (:meth:`_index_rules`); making that
+        assembly proportional to the rules that differ is the one place to
+        do it.  What a tuple then costs no longer depends on the rule count
+        (:meth:`plans_triggered_by`).
         """
         self.program = program
         self._index_rules()
@@ -619,15 +687,12 @@ class Engine:
         journal = self._journal
         functions = self.functions
         recording = self.record_events
-        plans_map = self._plans_by_body_table
+        plans_triggered_by = self.plans_triggered_by
         limit = self.max_derivations
         while worklist:
             trigger = worklist.popleft()
-            entries = plans_map.get(trigger.table)
-            if not entries:
-                continue
             batch = (trigger,)
-            for plan, position in entries:
+            for plan, position in plans_triggered_by(trigger):
                 # fire() returns its complete list before any firing below
                 # is applied, so every join in it reads one database state.
                 for head, body, bindings in plan.fire(
@@ -711,7 +776,7 @@ class Engine:
         """
         database = self.database
         functions = self.functions
-        plans_map = self._plans_by_body_table
+        dispatch = self._dispatch
         frontier = list(delta)
         while frontier:
             # Semi-naive delta round: batch the frontier per table and fire
@@ -721,7 +786,12 @@ class Engine:
                 by_table.setdefault(tup.table, []).append(tup)
             frontier = []
             for table, batch in by_table.items():
-                for plan, position in plans_map.get(table, ()):
+                # A batch is offered to every plan of its table, in program
+                # order: guards select per tuple, and fire checks them anyway.
+                residual, exact = dispatch.get(table, ((), {}))
+                for _ordinal, plan, position in sorted(chain(
+                        residual, *(bucket for buckets in exact.values()
+                                    for bucket in buckets.values()))):
                     firings = plan.fire(position, batch, database, functions,
                                         False)
                     self._apply_quiet_firings(plan, firings, frontier)

@@ -29,6 +29,31 @@ Semantics of a fire function (atom matching is the same strict match as
   bound variable columns in first-occurrence order, which fixes the bucket
   choice and hence the firing order.
 
+Guards.  Beside its fire functions a plan carries, per trigger position, the
+*guard* a trigger tuple must satisfy before the rule can fire from there: the
+``(column, constant)`` pairs of the trigger atom's constant arguments and of
+every pushed-down ``Var == Const`` / ``Const == Var`` selection whose
+variable is a direct argument of that atom.  The engine buckets its plans by
+guard and offers a tuple only to the rules whose guard it meets
+(:meth:`repro.ndlog.engine.Engine.plans_triggered_by`).  A guard is only ever
+a *pre-filter*: the fire function still performs every check, so all a guard
+must guarantee is that a tuple failing it would have left ``fire`` empty-handed
+and unobserved.  Hence what deliberately is **not** a guard:
+
+* a selection on an assignment target (not pushable: the assignment, not the
+  atom, binds the variable) or on a variable bound by another atom,
+* a ``WILDCARD`` constant (it admits every value),
+* ``!=`` and the ordered comparisons (they bound a value, not name it),
+* any selection that ``fire`` reaches only after an expression that could
+  call a function or divide (:func:`_may_escape`) — an expression argument
+  of the trigger atom, or an earlier selection on the trigger's variables:
+  skipping the rule would skip a side effect (``f_unique``) or an error that
+  is not an :class:`EvaluationError` and so is never deferred.
+
+A trigger value equal to ``WILDCARD`` meets every selection guard, as
+``values_equal`` has it; the engine also lets it past constant-argument
+guards, which ``fire`` then rejects strictly — a superset is all dispatch owes.
+
 Invariant: every fire call completes before the engine mutates the database.
 """
 
@@ -165,11 +190,54 @@ def _atom_layout(atom: Atom):
     return consts, steps, var_columns
 
 
+def _may_escape(expr: Expression) -> bool:
+    """Could evaluating ``expr`` be observed other than through its value or
+    a (deferred) :class:`EvaluationError` — a function call, or the
+    ``ZeroDivisionError`` of ``/`` and ``%``?"""
+    if isinstance(expr, FuncCall):
+        return True
+    if isinstance(expr, BinOp):
+        return (expr.op in ("/", "%") or _may_escape(expr.left)
+                or _may_escape(expr.right))
+    return False
+
+
+def _trigger_guard(consts, steps, var_columns, selections, sel_vars,
+                   pushable):
+    """The guard of one trigger position (module docstring): ``(columns,
+    values)`` in column order, or ``None`` when any tuple may fire the rule.
+
+    Walks the checks in the order the fire function makes them on a trigger
+    — constants, arguments, then the pushed selections over the atom's
+    variables by index — and stops where one could escape."""
+    required = {column: value for column, value in consts
+                if value != WILDCARD}
+    columns = {name: column for column, name in var_columns}
+    if not any(kind == "e" and _may_escape(payload)
+               for kind, _column, payload in steps):
+        for selection, vars_, pushed in zip(selections, sel_vars, pushable):
+            if not pushed or not vars_ <= columns.keys():
+                continue
+            expr = selection.expr
+            if _may_escape(expr):
+                break
+            left, right = expr.left, expr.right
+            if isinstance(left, Const):
+                left, right = right, left
+            if (expr.op == "==" and isinstance(left, Var)
+                    and isinstance(right, Const) and right.value != WILDCARD):
+                required.setdefault(columns[left.name], right.value)
+    if not required:
+        return None
+    ordered = sorted(required)
+    return tuple(ordered), tuple(required[column] for column in ordered)
+
+
 class CompiledRule:
     """A rule compiled to per-trigger-position batch fire functions."""
 
     __slots__ = ("rule", "name", "digest", "head_table", "body_tables",
-                 "source", "_fires")
+                 "guards", "source", "_fires")
 
     def __init__(self, rule: Rule):
         for body_atom in rule.body:
@@ -202,6 +270,12 @@ class CompiledRule:
         assigned = {a.var for a in rule.assignments}
         sel_vars = [frozenset(s.variables()) for s in rule.selections]
         pushable = [not (vars_ & assigned) for vars_ in sel_vars]
+        #: Per trigger position, what a tuple must hold for the rule to fire
+        #: from there (see the module docstring); the engine dispatches on it.
+        self.guards = tuple(
+            _trigger_guard(consts, steps, var_columns, rule.selections,
+                           sel_vars, pushable)
+            for _atom, consts, steps, var_columns in atoms)
 
         # Deterministic slot per body-bound variable (direct Var args only).
         slots: Dict[str, str] = {}

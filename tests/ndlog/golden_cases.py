@@ -39,10 +39,76 @@ def _t(table, *values):
     return [table, list(values)]
 
 
+#: What the ``guarded_dispatch_order`` case (below) produced at the commit
+#: before rule dispatch existed, when every tuple was offered to every rule
+#: of its table (``PYTHONHASHSEED=0``): per-op derived lists and the event log.
+GUARDED_DISPATCH_ORDER_AT_PARENT = {
+    "steps": [
+        {"op": "insert", "result":
+         ["Out(1, 1, 'g1')", "Out(1, 1, 'u')", "Out(1, 1, 'g2')",
+          "Out(1, 7, 'c')", "Out(1, 2, 'a')"]},
+        {"op": "insert", "result": ["Out(1, 2, 'u')", "Out(1, 2, 'g3')"]},
+        {"op": "insert", "result":
+         ["Out(1, '*', 'g1')", "Out(1, '*', 'u')", "Out(1, '*', 'g2')",
+          "Out(1, '*', 'g3')"]},
+        {"op": "insert", "result":
+         ["Out(2, True, 'g1')", "Out(2, True, 'u')", "Out(2, True, 'g2')",
+          "Out(2, 7, 'c')", "Out(2, 2, 'a')"]},
+        {"op": "insert", "result": []},
+    ],
+    "events": [
+        ['INSERT', 1, 'In(1, 1)', 1, None],
+        ['APPEAR', 2, 'In(1, 1)', 1, None],
+        ['DERIVE', 3, "Out(1, 1, 'g1')", 1, 'g1'],
+        ['APPEAR', 4, "Out(1, 1, 'g1')", 1, 'g1'],
+        ['DERIVE', 5, "Out(1, 1, 'u')", 1, 'u'],
+        ['APPEAR', 6, "Out(1, 1, 'u')", 1, 'u'],
+        ['DERIVE', 7, "Out(1, 1, 'g2')", 1, 'g2'],
+        ['APPEAR', 8, "Out(1, 1, 'g2')", 1, 'g2'],
+        ['DERIVE', 9, "Out(1, 7, 'c')", 1, 'c'],
+        ['APPEAR', 10, "Out(1, 7, 'c')", 1, 'c'],
+        ['DERIVE', 11, "Out(1, 2, 'a')", 1, 'a'],
+        ['APPEAR', 12, "Out(1, 2, 'a')", 1, 'a'],
+        ['INSERT', 13, 'In(1, 2)', 1, None],
+        ['APPEAR', 14, 'In(1, 2)', 1, None],
+        ['DERIVE', 15, "Out(1, 2, 'u')", 1, 'u'],
+        ['APPEAR', 16, "Out(1, 2, 'u')", 1, 'u'],
+        ['DERIVE', 17, "Out(1, 2, 'a')", 1, 'a'],
+        ['DERIVE', 18, "Out(1, 2, 'g3')", 1, 'g3'],
+        ['APPEAR', 19, "Out(1, 2, 'g3')", 1, 'g3'],
+        ['INSERT', 20, "In(1, '*')", 1, None],
+        ['APPEAR', 21, "In(1, '*')", 1, None],
+        ['DERIVE', 22, "Out(1, '*', 'g1')", 1, 'g1'],
+        ['APPEAR', 23, "Out(1, '*', 'g1')", 1, 'g1'],
+        ['DERIVE', 24, "Out(1, '*', 'u')", 1, 'u'],
+        ['APPEAR', 25, "Out(1, '*', 'u')", 1, 'u'],
+        ['DERIVE', 26, "Out(1, '*', 'g2')", 1, 'g2'],
+        ['APPEAR', 27, "Out(1, '*', 'g2')", 1, 'g2'],
+        ['DERIVE', 28, "Out(1, 2, 'a')", 1, 'a'],
+        ['DERIVE', 29, "Out(1, '*', 'g3')", 1, 'g3'],
+        ['APPEAR', 30, "Out(1, '*', 'g3')", 1, 'g3'],
+        ['INSERT', 31, 'In(2, True)', 2, None],
+        ['APPEAR', 32, 'In(2, True)', 2, None],
+        ['DERIVE', 33, "Out(2, True, 'g1')", 2, 'g1'],
+        ['APPEAR', 34, "Out(2, True, 'g1')", 2, 'g1'],
+        ['DERIVE', 35, "Out(2, True, 'u')", 2, 'u'],
+        ['APPEAR', 36, "Out(2, True, 'u')", 2, 'u'],
+        ['DERIVE', 37, "Out(2, True, 'g2')", 2, 'g2'],
+        ['APPEAR', 38, "Out(2, True, 'g2')", 2, 'g2'],
+        ['DERIVE', 39, "Out(2, 7, 'c')", 2, 'c'],
+        ['APPEAR', 40, "Out(2, 7, 'c')", 2, 'c'],
+        ['DERIVE', 41, "Out(2, 2, 'a')", 2, 'a'],
+        ['APPEAR', 42, "Out(2, 2, 'a')", 2, 'a'],
+        ['INSERT', 43, 'In(3)', 3, None],
+        ['APPEAR', 44, 'In(3)', 3, None],
+    ],
+}
+
 #: Each case: program text, schemas, and a list of operations.  Operations
 #: are ("insert", tup) / ("insert_many", [tup...]) / ("batch", [tup...],
 #: [consumed...]) / ("remove", tup) / ("consume", tup) / ("checkpoint",) /
-#: ("restore",) — checkpoints nest as a stack.
+#: ("restore",) — checkpoints nest as a stack.  A case with an "expected"
+#: entry is held against that instead of the fixture file.
 CASES: Dict[str, dict] = {
     "chain": {
         "program": """
@@ -216,6 +282,37 @@ CASES: Dict[str, dict] = {
             ("insert", _t("Pkt", 2, 78, 2)),
         ],
     },
+    # Rule dispatch: ``g1``/``g2``/``g3`` carry a guard on column 1 (written
+    # both ways round), ``c`` a constant argument, ``u`` none, and ``a``
+    # compares an assignment target (which must not become a guard: the
+    # selection reads the assigned 2, whatever the tuple's column holds, so
+    # ``a`` fires for every tuple) — interleaved on one table, so
+    # the events pin that guarded and unguarded rules still fire in program
+    # order, that a wildcard value reaches every selection guard (but not
+    # the strict constant argument), that ``True`` finds the ``1`` bucket,
+    # and that a tuple too short for the guarded column fires nothing.  The
+    # expectation is written out below instead of living in the fixture
+    # file: it was recorded at the commit before dispatch existed, when
+    # every tuple was offered to every rule.
+    "guarded_dispatch_order": {
+        "program": """
+            g1 Out(@X, Y, "g1") :- In(@X, Y), Y == 1.
+            u Out(@X, Y, "u") :- In(@X, Y).
+            g2 Out(@X, Y, "g2") :- In(@X, Y), 1 == Y.
+            c Out(@X, Y, "c") :- In(@X, 1), Y := 7.
+            a Out(@X, Y, "a") :- In(@X, Y), Y == 2, Y := 2.
+            g3 Out(@X, Y, "g3") :- In(@X, Y), Y == 2.
+        """,
+        "schemas": [],
+        "ops": [
+            ("insert", _t("In", 1, 1)),
+            ("insert", _t("In", 1, 2)),
+            ("insert", _t("In", 1, "*")),
+            ("insert", _t("In", 2, True)),
+            ("insert", _t("In", 3)),
+        ],
+        "expected": GUARDED_DISPATCH_ORDER_AT_PARENT,
+    },
 }
 
 
@@ -311,7 +408,10 @@ def main():
         return
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
     with open(GOLDEN_PATH, "w") as fh:
-        json.dump(run_all(), fh, indent=1, sort_keys=True)
+        json.dump({name: fingerprint
+                   for name, fingerprint in run_all().items()
+                   if "expected" not in CASES[name]},
+                  fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote {GOLDEN_PATH}")
 

@@ -11,6 +11,7 @@ import pytest
 from repro.ndlog.engine import Engine
 from repro.ndlog.parser import parse_program
 from repro.ndlog.plan import PLAN_CACHE, PlanCache, rule_digest
+from repro.ndlog.tuples import NDTuple
 
 CHAIN = """
     r1 B(@X, Y) :- A(@X, Y).
@@ -74,8 +75,9 @@ def test_engine_reindex_hits_shared_cache():
     final = PLAN_CACHE.stats()
     assert final["misses"] == 4
     # r1 is the one rule table A triggers, under both programs.
-    (r1_plan, _position), = engine._plans_by_body_table["A"]
-    assert r1_plan is second._plans_by_body_table["A"][0][0]
+    trigger = NDTuple("A", (1, 2))
+    (r1_plan, _position), = engine.plans_triggered_by(trigger)
+    assert r1_plan is second.plans_triggered_by(trigger)[0][0]
 
 
 def test_runtime_cache_exposes_plan_cache_stats():

@@ -15,6 +15,19 @@ engine equivalences:
 * a checkpoint/restore round-trip is a perfect rewind in the middle of any
   script, including the rule-plan and support bookkeeping.
 
+The engine offers a tuple only to the rules whose *guard* it meets
+(:mod:`repro.ndlog.engine`, "Rule dispatch"), a pre-filter that must never
+change what fires or in which order.  The grammar therefore has every shape
+that filter could get wrong — ``Y == c`` and ``c == Y``, a constant atom
+argument, a compared variable that is an assignment target (not a guard),
+a wildcard constant (not a guard), rules with one guard signature around an
+unguarded rule of the same table — and the value universe has ``"*"`` (a
+wildcard value meets every selection guard) and ``True`` (which must find
+the ``1`` bucket, as ``==`` does).  Programs of single-atom rules, where a
+tuple fires a rule at most once and the order of firings is the order of
+rules, are held to the oracle's *event log*, also across a
+checkpoint/``swap_program``/restore round trip of the dispatch table.
+
 These are the same invariants the hand-written golden suite pins, but
 explored over a much wider program space.
 """
@@ -29,7 +42,11 @@ from repro.ndlog import Engine, NaiveEngine, parse_program
 from repro.ndlog.tuples import NDTuple, TableSchema
 
 TABLES = ("A", "B", "C", "D", "E")
-VALUES = (0, 1, 2, 3)
+#: What tuples hold.  ``True == 1`` and they hash alike, so (x, True) *is*
+#: the tuple (x, 1) — and a ``Y == 1`` guard must see it that way too.
+VALUES = (0, 1, 2, 3, "*", True)
+#: What rules compare against, as NDlog text.
+CONSTANTS = ("0", "1", "2", "3", "*")
 
 #: A primary key over *every* column never evicts (two tuples with one key
 #: are one tuple), so results stay evaluation-order independent — but a
@@ -53,20 +70,34 @@ _SHAPES = (
     "{name} K(@X, Y) :- {b1}(@X, Y).\n{name}k {head}(@Y, X) :- K(@X, Y).",
 )
 
+#: Single-atom shapes around the engine's rule dispatch (module docstring).
+_GUARD_SHAPES = (
+    "{name} {head}(@X, Y) :- {b1}(@X, Y), Y == {const}.",
+    "{name} {head}(@X, Y) :- {b1}(@X, Y), {const} == Y.",
+    "{name} {head}(@X, X) :- {b1}(@X, {const}).",
+    "{name} {head}(@X, Y) :- {b1}(@X, Y), Y == {const}, Y := {const2}.",
+    "{name}a {head}(@X, Y) :- {b1}(@X, Y), Y == {const}.\n"
+    "{name}b {b2}(@Y, X) :- {b1}(@X, Y).\n"
+    "{name}c {b3}(@X, Y) :- {b1}(@X, Y), Y == {const2}.",
+    "{name} {head}(@X, Y) :- {b1}(@X, Y).",
+    "{name} {head}(@Y, X) :- {b1}(@X, Y), Y != {const}.",
+)
+
 
 @st.composite
-def programs(draw):
+def programs(draw, shapes=_SHAPES + _GUARD_SHAPES):
     count = draw(st.integers(min_value=1, max_value=5))
     rules = []
     for index in range(count):
-        shape = draw(st.sampled_from(_SHAPES))
+        shape = draw(st.sampled_from(shapes))
         rules.append(shape.format(
             name=f"r{index}",
             head=draw(st.sampled_from(TABLES)),
             b1=draw(st.sampled_from(TABLES)),
             b2=draw(st.sampled_from(TABLES)),
             b3=draw(st.sampled_from(TABLES)),
-            const=draw(st.sampled_from(VALUES)),
+            const=draw(st.sampled_from(CONSTANTS)),
+            const2=draw(st.sampled_from(CONSTANTS)),
         ))
     return parse_program("\n".join(rules))
 
@@ -215,3 +246,43 @@ def test_checkpoint_restore_rewinds_any_script(program, prefix, suffix):
     run_script(twin, prefix)
     assert run_script(engine, suffix) == run_script(twin, suffix)
     assert final_state(engine) == final_state(twin)
+
+
+def history(engine):
+    """Everything a recording engine remembers, in order."""
+    events = [(e.kind, e.time, e.tuple, e.node, e.rule) for e in engine.events]
+    derivations = [(r.rule, r.head, r.body, r.bindings, r.time, r.node)
+                   for r in engine.derivations]
+    return events, derivations
+
+
+def inserted(engine, base):
+    return [engine.insert(tup) for tup in base], history(engine), \
+        final_state(engine)
+
+
+single_atom_programs = programs(shapes=_GUARD_SHAPES)
+base_tuples = st.lists(tuples_strategy(), min_size=1, max_size=12)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(program=single_atom_programs, base=base_tuples)
+def test_dispatch_keeps_the_oracles_event_log(program, base):
+    assert inserted(build(Engine, program), base) == \
+        inserted(build(NaiveEngine, program), base)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(first=single_atom_programs, second=single_atom_programs,
+       base=base_tuples)
+def test_dispatch_follows_the_program_through_swap_and_restore(first, second,
+                                                               base):
+    engine = build(Engine, first)
+    checkpoint = engine.checkpoint()    # empty: the state of any program
+    under_first = inserted(engine, base)
+    engine.restore(checkpoint)
+    engine.swap_program(second)
+    assert inserted(engine, base) == inserted(build(NaiveEngine, second), base)
+    engine.restore(checkpoint)
+    assert engine.program is first
+    assert inserted(engine, base) == under_first

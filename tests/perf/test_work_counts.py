@@ -27,6 +27,11 @@ pinned number of calls into ``repro/meta`` on Q1's 8 rules and on Q1 padded to
 250, and fewer than 100 per returned candidate under the function that builds
 a candidate's meta provenance tree — a tree per *attempt* would show up as a
 count here, not as a slower ``program_heavy``.
+"A tuple fires only the rules it can match": one PacketIn makes the same
+number of calls into ``repro/ndlog`` on Q1's 8 rules as on Q1 padded to 250,
+and a serial 250-rule, 14-candidate session enters ``CompiledRule.fire`` a
+pinned number of times (232,548 when every PacketIn was offered to every rule)
+— a change that re-broadens the engine's rule dispatch fails that by name.
 """
 
 import os
@@ -37,8 +42,8 @@ import pytest
 from repro.api import RepairConfig, RepairSession, TelemetryConfig
 from repro.backtest import WarmEvaluationState, replay
 from repro.meta import MetaProvenanceExplorer, explorer
-from repro.ndlog import parse_program
-from repro.ndlog.plan import PLAN_CACHE
+from repro.ndlog import parse_program, plan
+from repro.ndlog.plan import PLAN_CACHE, CompiledRule
 from repro.repair import ChangeConstant, RepairCandidate, apply_candidate
 from repro.scenarios import build_q1
 from repro.sdn import switch
@@ -54,32 +59,39 @@ PINNED = {
     "Q1": {"engine_fixpoints": 778, "rules_fired": 866, "tuples_derived": 842,
            "packets_replayed": 2808, "plan_cache_misses": 11,
            "candidates_backtested": 14, "candidates_vetoed": 2,
-           "python_calls": 211207},
+           "python_calls": 199113},
     "Q4": {"engine_fixpoints": 160, "rules_fired": 248, "tuples_derived": 248,
            "packets_replayed": 1280, "plan_cache_misses": 9,
            "candidates_backtested": 11, "candidates_vetoed": 1,
-           "python_calls": 62472},
+           "python_calls": 62106},
 }
 #: Calls into ``repro/meta`` of one 14-candidate exploration of Q1's goal
 #: (explorer construction included), by number of rules in the program.
 PINNED_EXPLORE_CALLS = {8: 2737, 250: 63479}
+#: ``CompiledRule.fire`` entries of one serial session over Q1 padded to 250
+#: rules, 14 candidates.
+PINNED_FIRE_ENTRIES_250_RULES = 1154
 EXPLAIN_CALLS_PER_CANDIDATE = 100
 PYTHON_CALLS_CEILING = 1.10
 SDN_PACKAGE = os.path.dirname(switch.__file__)
 META_PACKAGE = os.path.dirname(explorer.__file__)
 BACKTEST_PACKAGE = os.path.dirname(replay.__file__)
+NDLOG_PACKAGE = os.path.dirname(plan.__file__)
 REPRO_PACKAGE = os.path.dirname(META_PACKAGE)
 
 
-def _python_calls(call, under=""):
+def _python_calls(call, under="", entering=None):
     """Python-level calls ``call()`` makes; with ``under``, only those into
     code whose file path contains it — which leaves out whatever finalizers a
-    garbage collection happens to run inside the window."""
+    garbage collection happens to run inside the window; with ``entering``,
+    only the entries of that one function."""
     calls = 0
+    code = entering and entering.__code__
 
     def profiler(frame, event, arg):
         nonlocal calls
-        if event == "call" and under in frame.f_code.co_filename:
+        if (event == "call" and under in frame.f_code.co_filename
+                and code in (None, frame.f_code)):
             calls += 1
 
     previous = sys.getprofile()
@@ -182,6 +194,41 @@ def test_apply_and_diff_cost_the_edit_not_the_program():
     small, large = _q1_padded_to(8), _q1_padded_to(250)
     assert (len(small), len(large)) == (8, 250)
     assert counts(small) == counts(large)
+
+
+def test_a_packet_in_costs_the_same_on_8_rules_as_on_250():
+    scenario = build_q1()
+    web, dns = (scenario.packet_in_tuple(1, Packet(src_ip=101, dst_ip=1,
+                                                    dst_port=port))
+                for port in (80, 53))
+
+    def calls_on(program):
+        engine = scenario.build_controller(program).engine
+        return [_python_calls(lambda: derived.extend(engine.insert(packet_in)),
+                              under=NDLOG_PACKAGE)
+                for packet_in in (web, dns)]
+
+    derived = []
+    small, large = _q1_padded_to(8), _q1_padded_to(250)
+    assert calls_on(small) == calls_on(large)
+    assert len(derived) == 4    # each PacketIn installed its flow entry
+
+
+def test_fire_entries_of_a_250_rule_session_are_pinned():
+    scenario = build_q1()
+    scenario.program = _q1_padded_to(250)
+    session = RepairSession(RepairConfig(max_candidates=14),
+                            scenario=scenario)
+    PLAN_CACHE.clear()
+    reports = []
+    entries = _python_calls(lambda: reports.append(session.run()),
+                            entering=CompiledRule.fire)
+    assert len(reports[0].candidates) == 14
+    assert entries == PINNED_FIRE_ENTRIES_250_RULES, (
+        f"a 250-rule session entered CompiledRule.fire {entries} times, "
+        f"pinned {PINNED_FIRE_ENTRIES_250_RULES}: a tuple is being offered "
+        "to another set of rules than its guards select; if the change is "
+        "intended, update PINNED_FIRE_ENTRIES_250_RULES")
 
 
 @pytest.mark.parametrize("total_rules", sorted(PINNED_EXPLORE_CALLS))
