@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from ..sdn.network import TrafficStats
 
@@ -34,11 +34,6 @@ class KSResult:
         return self.p_value < alpha
 
 
-def destination_distribution(stats: TrafficStats) -> List[int]:
-    """Per-packet destination sample (host id, or -1 for dropped packets)."""
-    return stats.destination_samples()
-
-
 def ks_two_sample(sample_a: Sequence[float], sample_b: Sequence[float]) -> KSResult:
     """Two-sample KS test over numeric samples.
 
@@ -47,12 +42,16 @@ def ks_two_sample(sample_a: Sequence[float], sample_b: Sequence[float]) -> KSRes
     traffic counts to the KS test — the statistic measures how much
     probability mass moved between hosts, regardless of which hosts.
     """
-    n_a, n_b = len(sample_a), len(sample_b)
+    return _ks_from_counts(Counter(sample_a), len(sample_a),
+                           Counter(sample_b), len(sample_b))
+
+
+def _ks_from_counts(counts_a: Mapping[float, int], n_a: int,
+                    counts_b: Mapping[float, int], n_b: int) -> KSResult:
+    """The test over two multisets given as value -> multiplicity."""
     if n_a == 0 or n_b == 0:
         return KSResult(statistic=1.0 if (n_a or n_b) else 0.0, p_value=0.0,
                         sample_sizes=(n_a, n_b))
-    counts_a = Counter(sample_a)
-    counts_b = Counter(sample_b)
     values = sorted(set(counts_a) | set(counts_b))
     cdf_a = 0.0
     cdf_b = 0.0
@@ -80,7 +79,21 @@ def _ks_p_value(statistic: float, n_a: int, n_b: int) -> float:
     return max(0.0, min(1.0, total))
 
 
+def _destination_counts(stats: TrafficStats) -> Dict[int, int]:
+    """``Counter(stats.destination_samples())`` without the sample list: the
+    simulator already keeps deliveries per host and the number dropped."""
+    counts = dict(stats.delivered_per_host)
+    if stats.dropped:
+        counts[-1] = stats.dropped
+    return counts
+
+
 def compare_traffic(before: TrafficStats, after: TrafficStats) -> KSResult:
-    """KS test between two runs' destination distributions."""
-    return ks_two_sample(destination_distribution(before),
-                         destination_distribution(after))
+    """KS test between two runs' destination distributions.
+
+    Computed from the per-host counters of the two runs — the same sorted
+    values and the same float additions as :func:`ks_two_sample` over their
+    ``destination_samples()``, so the result is equal bit for bit.
+    """
+    return _ks_from_counts(_destination_counts(before), before.total,
+                           _destination_counts(after), after.total)

@@ -13,21 +13,28 @@ packets and tuples is configurable through :class:`FieldMapping`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..ndlog.ast import Program, WILDCARD
 from ..ndlog.engine import Engine
 from ..ndlog.tuples import NDTuple, TableSchema
 from ..sdn.controller import Controller, FlowMod, PacketInEvent, PacketOut
-from ..sdn.packets import Packet
+from ..sdn.packets import IN_PORT_FIELD, Packet, header_getter
 from ..sdn.switch import DROP_PORT, FlowEntry
 from . import batching
 
 
-#: Name of the pseudo packet field carrying the ingress port.
-IN_PORT_FIELD = "in_port"
-
 CONTROLLER_NODE = "C"
+
+
+
+@lru_cache(maxsize=None)
+def _packet_in_getter(fields: Tuple[str, ...]):
+    """The compiled getter of one ``packet_in_fields`` (see
+    :func:`repro.sdn.packets.header_getter`), built once; a name that is no
+    header field is a ``KeyError`` every time it is asked for."""
+    return header_getter(fields, strict=True)
 
 
 @dataclass(frozen=True)
@@ -51,18 +58,16 @@ class FieldMapping:
 
     def packet_in_tuple_from(self, switch_id: int, packet: Packet,
                              in_port: Optional[int] = None) -> NDTuple:
-        header = dict(packet.header())
-        header[IN_PORT_FIELD] = in_port if in_port is not None else 0
-        values = [CONTROLLER_NODE, switch_id]
-        values.extend(header[name] for name in self.packet_in_fields)
-        return NDTuple(self.packet_in_table, tuple(values))
+        values = packet.header_values + (
+            in_port if in_port is not None else 0, None)
+        return NDTuple(
+            self.packet_in_table,
+            (CONTROLLER_NODE, switch_id)
+            + _packet_in_getter(self.packet_in_fields)(values))
 
     def packet_in_tuple(self, event: PacketInEvent) -> NDTuple:
-        header = dict(event.packet.header())
-        header[IN_PORT_FIELD] = event.in_port if event.in_port is not None else 0
-        values = [CONTROLLER_NODE, event.switch_id]
-        values.extend(header[name] for name in self.packet_in_fields)
-        return NDTuple(self.packet_in_table, tuple(values))
+        return self.packet_in_tuple_from(event.switch_id, event.packet,
+                                         event.in_port)
 
     def flow_entry_from_tuple(self, tup: NDTuple, priority: int,
                               tags: Tuple[str, ...] = ()) -> Optional[Tuple[int, FlowEntry]]:

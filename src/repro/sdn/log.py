@@ -9,8 +9,8 @@ Section 5.4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, NamedTuple, Optional, Tuple
 
 from .controller import ControlMessage, FlowMod, PacketInEvent, PacketOut
 from .packets import Packet
@@ -31,9 +31,11 @@ class PacketRecord:
     in_port: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
-    """Outcome of one injected packet: where it ended up."""
+class DeliveryRecord(NamedTuple):
+    """Outcome of one injected packet: where it ended up.
+
+    One is built per replayed packet (and shipped per packet in a fabric
+    result frame), so it is a plain tuple with names, not a dataclass."""
 
     time: int
     packet: Packet

@@ -119,25 +119,33 @@ class NetworkSimulator:
         switch would report in the PacketIn).  ``ingress_entry`` lets batched
         replay reuse the probe phase's ingress lookup result.
         """
-        self.start()
+        if not self._started:
+            self.start()
         if in_port is None:
-            in_port = self._resolve_in_port(packet, at_switch)
+            # Host ids double as addresses.
+            source = self.topology.hosts.get(packet.src_ip)
+            if source is not None and source.switch_id == at_switch:
+                in_port = source.port
         if self.record_ingress:
             self.log.record_packet(at_switch, packet, in_port)
         record = self._forward(packet, at_switch, in_port,
                                ingress_entry=ingress_entry)
         self.log.record_delivery(record)
-        self.stats.total += 1
-        self.stats.delivery_records.append(record)
-        if record.delivered:
-            self.stats.delivered_per_host[record.delivered_to] = \
-                self.stats.delivered_per_host.get(record.delivered_to, 0) + 1
+        stats = self.stats
+        stats.total += 1
+        stats.delivery_records.append(record)
+        host = record.delivered_to
+        if host is not None:
+            stats.delivered_per_host[host] = \
+                stats.delivered_per_host.get(host, 0) + 1
         else:
-            self.stats.dropped += 1
+            stats.dropped += 1
         return record
 
     def _resolve_in_port(self, packet: Packet, at_switch: int) -> Optional[int]:
-        source = self.topology.host_by_ip(packet.src_ip)
+        """The ingress port burst replay probes with (``inject`` resolves
+        its own the same way, inline)."""
+        source = self.topology.hosts.get(packet.src_ip)
         if source is not None and source.switch_id == at_switch:
             return source.port
         return None

@@ -4,15 +4,25 @@ A flow entry matches on a subset of header fields (missing fields are
 wildcards) and carries an action: forward out of a port, drop, or send to the
 controller.  Matching follows OpenFlow conventions: the highest-priority
 matching entry wins; a table miss sends the packet to the controller.
+
+Matching reads *positions*, not names: a packet carries its header values as
+a tuple (:attr:`~repro.sdn.packets.Packet.header_values`), a lookup appends
+``(in_port, None)`` to it once, and each exact-match signature of a table
+owns a getter (:func:`~repro.sdn.packets.header_getter`, compiled the first
+time the signature is installed) that turns that tuple into the signature's
+bucket key — one C-level call and one dict probe per signature, however many
+fields it names.  A getter is a pure function of its signature and packets
+are frozen, so there is nothing to invalidate.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .packets import Packet
+from .packets import (ABSENT_POSITION, HEADER_FIELDS, HEADER_POSITIONS,
+                      IN_PORT_FIELD, Packet, header_getter)
 
 
 #: Pseudo "ports" with special meaning in actions.
@@ -21,8 +31,7 @@ CONTROLLER_PORT = -2
 FLOOD_PORT = -3
 
 #: Header fields a flow entry may match on.
-MATCH_FIELDS = ("src_ip", "dst_ip", "src_port", "dst_port", "proto",
-                "src_mac", "dst_mac", "in_port")
+MATCH_FIELDS = HEADER_FIELDS + (IN_PORT_FIELD,)
 
 _entry_ids = itertools.count(1)
 
@@ -57,12 +66,12 @@ class FlowEntry:
         return dict(self.match)
 
     def matches(self, packet: Packet, in_port: Optional[int] = None) -> bool:
-        header = packet.header()
-        header["in_port"] = in_port
+        values = packet.header_values + (in_port, None)
         for field_name, value in self.match:
             if value == "*":
                 continue
-            if header.get(field_name) != value:
+            if values[HEADER_POSITIONS.get(field_name,
+                                           ABSENT_POSITION)] != value:
                 return False
         return True
 
@@ -86,7 +95,9 @@ class FlowTable:
     indexed by *exact-match signature*: entries that wildcard no field are
     grouped by the tuple of fields they match on, and within each group
     hashed on their match values, so a lookup probes one bucket per distinct
-    signature instead of scanning the whole table.  Entries with a ``*``
+    signature instead of scanning the whole table.  Each group keeps the
+    compiled getter that reads its fields out of a packet's value tuple (a
+    name that is no match field reads ``None``).  Entries with a ``*``
     wildcard value go to a small residual list that is still scanned
     linearly (reactive programs install them rarely — e.g. the Q5
     MAC-learning heads).
@@ -103,9 +114,11 @@ class FlowTable:
     def __init__(self):
         #: identity -> (sequence, entry), in install order
         self._entries: Dict[Tuple, Tuple[int, FlowEntry]] = {}
-        #: signature (ordered field names) -> match values -> [(sequence, entry)]
+        #: signature (ordered field names) ->
+        #:     (key getter, match values -> [(sequence, entry)])
         self._exact: Dict[Tuple[str, ...],
-                          Dict[Tuple, List[Tuple[int, FlowEntry]]]] = {}
+                          Tuple[Callable[[Tuple], Tuple],
+                                Dict[Tuple, List[Tuple[int, FlowEntry]]]]] = {}
         #: [(sequence, entry)] for entries with wildcard ("*") values
         self._residual: List[Tuple[int, FlowEntry]] = []
         self._sequence = itertools.count()
@@ -122,7 +135,10 @@ class FlowTable:
             bucket = self._residual
         else:
             signature = tuple([name for name, _value in entry.match])
-            bucket = self._exact.setdefault(signature, {}).setdefault(values, [])
+            group = self._exact.get(signature)
+            if group is None:
+                group = self._exact[signature] = (header_getter(signature), {})
+            bucket = group[1].setdefault(values, [])
         identity = (entry.match, entry.priority, entry.out_port, entry.tags)
         duplicate = self._entries.pop(identity, None)
         if duplicate is not None:
@@ -149,13 +165,11 @@ class FlowTable:
         the highest-priority match; among equal priorities the entry
         installed first wins, exactly as the pre-index linear scan did.
         """
-        header = packet.header()
-        header["in_port"] = in_port
+        values = packet.header_values + (in_port, None)
         best: Optional[FlowEntry] = None
         best_rank = None
-        for signature, buckets in self._exact.items():
-            key = tuple(header.get(name) for name in signature)
-            for sequence, entry in buckets.get(key, ()):
+        for key_of, buckets in self._exact.values():
+            for sequence, entry in buckets.get(key_of(values), ()):
                 if tag is not None and entry.tags and tag not in entry.tags:
                     continue
                 if tag is None and entry.tags:
@@ -188,27 +202,39 @@ class Switch:
 
     switch_id: int
     flow_table: FlowTable = field(default_factory=FlowTable)
-    #: port number -> ("switch", switch_id) or ("host", host_id)
+    #: port number -> ("switch", switch_id) or ("host", host_id); written
+    #: only by :meth:`attach`, which keeps the reverse map below in step.
     ports: Dict[int, Tuple[str, int]] = field(default_factory=dict)
     name: str = ""
+    #: (kind, identifier) -> the first port, in attach order, that leads there
+    _port_to: Dict[Tuple[str, int], int] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.name:
             self.name = f"S{self.switch_id}"
+        self._index_ports()
+
+    def _index_ports(self):
+        self._port_to = {}
+        for port, neighbor in self.ports.items():
+            self._port_to.setdefault(neighbor, port)
 
     def attach(self, port: int, kind: str, identifier: int):
         if kind not in ("switch", "host"):
             raise ValueError(f"unknown attachment kind {kind!r}")
+        rewired = port in self.ports
         self.ports[port] = (kind, identifier)
+        if rewired:
+            self._index_ports()
+        else:
+            self._port_to.setdefault((kind, identifier), port)
 
     def neighbor(self, port: int) -> Optional[Tuple[str, int]]:
         return self.ports.get(port)
 
     def port_to(self, kind: str, identifier: int) -> Optional[int]:
-        for port, (neighbor_kind, neighbor_id) in self.ports.items():
-            if neighbor_kind == kind and neighbor_id == identifier:
-                return port
-        return None
+        return self._port_to.get((kind, identifier))
 
     def install(self, entry: FlowEntry) -> FlowEntry:
         return self.flow_table.install(entry)

@@ -118,9 +118,6 @@ class Topology:
     def host(self, host_id: int) -> Host:
         return self.hosts[host_id]
 
-    def host_by_ip(self, ip: int) -> Optional[Host]:
-        return self.hosts.get(ip)
-
     def hosts_on_switch(self, switch_id: int) -> List[Host]:
         return [h for h in self.hosts.values() if h.switch_id == switch_id]
 

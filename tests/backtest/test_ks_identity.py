@@ -1,0 +1,82 @@
+"""``compare_traffic`` reads the simulator's counters, not a sample list.
+
+The KS acceptance test compares the destination of every replayed packet
+under the base program and under a candidate.  ``Counter`` of that
+per-packet sample is, by construction, ``delivered_per_host`` plus
+``{-1: dropped}`` with ``n = total`` — counters the simulator keeps anyway —
+so ``compare_traffic`` computes the statistic from those.  Same sorted
+values, same float additions: the result must equal ``ks_two_sample`` over
+the two sample lists **bit for bit** (``==`` on the floats, no tolerance), on
+every default Q1–Q5 result, plain and multi-query, and on drawn record lists.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.api import RepairConfig, RepairSession
+from repro.backtest import compare_traffic, ks_two_sample
+from repro.sdn.log import DeliveryRecord
+from repro.sdn.network import TrafficStats
+from repro.sdn.packets import Packet
+
+PACKET = Packet(src_ip=1, dst_ip=2)
+
+
+def by_samples(before, after):
+    return ks_two_sample(before.destination_samples(),
+                         after.destination_samples())
+
+
+def assert_counters_describe_the_records(stats):
+    samples = stats.destination_samples()
+    assert stats.total == len(stats.delivery_records) == len(samples)
+    assert stats.dropped == samples.count(-1)
+    assert stats.delivered_per_host == {
+        host: samples.count(host) for host in set(samples) - {-1}}
+
+
+@pytest.mark.parametrize("multiquery", [False, True],
+                         ids=["plain", "multiquery"])
+@pytest.mark.parametrize("name", ["Q1", "Q2", "Q3", "Q4", "Q5"])
+def test_the_two_computations_agree_on_every_result(name, multiquery):
+    backtest = RepairSession(RepairConfig.for_scenario(
+        name, multiquery=multiquery)).run().backtest
+    assert_counters_describe_the_records(backtest.baseline)
+    assert backtest.results
+    for result in backtest.results:
+        assert_counters_describe_the_records(result.stats)
+        from_counters = compare_traffic(backtest.baseline, result.stats)
+        assert from_counters == by_samples(backtest.baseline, result.stats)
+        if result.ks is not None:
+            assert result.ks == from_counters
+
+
+def stats_of(destinations):
+    """What ``NetworkSimulator.inject`` leaves behind for these fates
+    (a host id, or ``None`` for a drop)."""
+    stats = TrafficStats()
+    for time, host in enumerate(destinations):
+        record = DeliveryRecord(time, PACKET, host,
+                                dropped_at=None if host is not None else 1)
+        stats.total += 1
+        stats.delivery_records.append(record)
+        if record.delivered:
+            stats.delivered_per_host[host] = \
+                stats.delivered_per_host.get(host, 0) + 1
+        else:
+            stats.dropped += 1
+    return stats
+
+
+destinations = st.lists(st.one_of(st.none(), st.integers(0, 6)), max_size=80)
+
+
+@given(destinations, destinations)
+@settings(max_examples=200, deadline=None)
+def test_the_two_computations_agree_on_drawn_record_lists(before, after):
+    before, after = stats_of(before), stats_of(after)
+    result = compare_traffic(before, after)
+    reference = by_samples(before, after)
+    assert result == reference
+    assert (result.statistic, result.p_value, result.sample_sizes) == (
+        reference.statistic, reference.p_value, reference.sample_sizes)

@@ -32,6 +32,11 @@ number of calls into ``repro/ndlog`` on Q1's 8 rules as on Q1 padded to 250,
 and a serial 250-rule, 14-candidate session enters ``CompiledRule.fire`` a
 pinned number of times (232,548 when every PacketIn was offered to every rule)
 — a change that re-broadens the engine's rule dispatch fails that by name.
+"A hop is one tuple probe": a flow-table hit makes the same number of calls
+into ``repro/sdn`` whether the entry matches one field or six — at most 2,
+``Switch.lookup`` and ``FlowTable.lookup`` — and a replayed packet that hits at
+every hop makes at most 60 % of the calls it made when every hop built a
+header dict and ran a generator per signature.
 """
 
 import os
@@ -47,8 +52,9 @@ from repro.ndlog.plan import PLAN_CACHE, CompiledRule
 from repro.repair import ChangeConstant, RepairCandidate, apply_candidate
 from repro.scenarios import build_q1
 from repro.sdn import switch
+from repro.sdn.network import NetworkSimulator
 from repro.sdn.packets import Packet
-from repro.sdn.switch import FlowEntry, FlowTable
+from repro.sdn.switch import FlowEntry, FlowTable, Switch
 
 COUNTERS = ("engine_fixpoints", "rules_fired", "tuples_derived",
             "packets_replayed", "plan_cache_misses", "candidates_backtested",
@@ -59,11 +65,11 @@ PINNED = {
     "Q1": {"engine_fixpoints": 778, "rules_fired": 866, "tuples_derived": 842,
            "packets_replayed": 2808, "plan_cache_misses": 11,
            "candidates_backtested": 14, "candidates_vetoed": 2,
-           "python_calls": 199113},
+           "python_calls": 153171},
     "Q4": {"engine_fixpoints": 160, "rules_fired": 248, "tuples_derived": 248,
            "packets_replayed": 1280, "plan_cache_misses": 9,
            "candidates_backtested": 11, "candidates_vetoed": 1,
-           "python_calls": 62106},
+           "python_calls": 46366},
 }
 #: Calls into ``repro/meta`` of one 14-candidate exploration of Q1's goal
 #: (explorer construction included), by number of rules in the program.
@@ -72,6 +78,16 @@ PINNED_EXPLORE_CALLS = {8: 2737, 250: 63479}
 #: rules, 14 candidates.
 PINNED_FIRE_ENTRIES_250_RULES = 1154
 EXPLAIN_CALLS_PER_CANDIDATE = 100
+#: Calls into ``repro/sdn`` of one ``Switch.lookup``.  Before compiled match
+#: keys a hit cost 5 with one match field and 10 with six (``header()``, one
+#: generator frame per field ...), a miss past one residual ``*`` entry 7 and 12.
+LOOKUP_HIT_CALLS_CEILING = 2
+LOOKUP_MISS_CALLS_CEILING = 4
+#: Calls into ``repro/sdn`` of one replayed Q1 packet that hits at every hop,
+#: by hops walked: before compiled match keys (PR 23), and the share of that
+#: a packet may cost now (7 / 12 / 17 when this was written).
+PARENT_CALLS_PER_HIT_PACKET = {1: 15, 2: 24, 3: 33}
+HIT_PACKET_CALLS_SHARE = 0.60
 PYTHON_CALLS_CEILING = 1.10
 SDN_PACKAGE = os.path.dirname(switch.__file__)
 META_PACKAGE = os.path.dirname(explorer.__file__)
@@ -158,6 +174,57 @@ def test_install_and_lookup_cost_does_not_depend_on_table_size():
         return _python_calls(flow_mod_then_packet, under=SDN_PACKAGE)
 
     assert calls_on_a_table_of(10) == calls_on_a_table_of(1000)
+
+
+def test_a_table_hit_costs_the_same_for_one_match_field_as_for_six():
+    packet = Packet(src_ip=7, dst_ip=9, src_port=4000, dst_port=80)
+    stranger = Packet(src_ip=8, dst_ip=9, src_port=4000, dst_port=80)
+    match = {"src_ip": 7, "dst_ip": 9, "src_port": 4000, "dst_port": 80,
+             "proto": "tcp", "in_port": 3}
+
+    def calls_with_fields(count):
+        node = Switch(1)
+        entry = node.install(FlowEntry.create(
+            dict(list(match.items())[:count]), out_port=2))
+        found = []
+        hit = _python_calls(lambda: found.append(node.lookup(packet, 3)),
+                            under=SDN_PACKAGE)
+        # A miss also walks the residual ``*`` entries, one call each.
+        node.install(FlowEntry.create({"src_ip": 99, "dst_port": "*"},
+                                      out_port=2))
+        miss = _python_calls(lambda: found.append(node.lookup(stranger, 3)),
+                             under=SDN_PACKAGE)
+        assert found == [entry, None]
+        return hit, miss
+
+    assert calls_with_fields(1) == calls_with_fields(6)
+    hit, miss = calls_with_fields(6)
+    assert hit <= LOOKUP_HIT_CALLS_CEILING, hit
+    assert miss <= LOOKUP_MISS_CALLS_CEILING, miss
+
+
+def test_a_replayed_hit_packet_costs_at_most_60_percent_of_what_it_did():
+    scenario = build_q1()
+    simulator = NetworkSimulator(
+        scenario.build_topology(), scenario.build_controller(program=None),
+        require_packet_out=scenario.require_packet_out, record_ingress=False)
+    trace = scenario.trace()
+    simulator.run_trace(trace)          # every reactive entry is installed
+    stats, seen = simulator.stats, {}
+    for switch_id, packet in trace:
+        packet_ins = stats.packet_in_count
+        calls = _python_calls(lambda: simulator.inject(packet, switch_id),
+                              under=SDN_PACKAGE)
+        if stats.packet_in_count == packet_ins:
+            seen.setdefault(len(stats.delivery_records[-1].path),
+                            set()).add(calls)
+    assert sorted(seen) == sorted(PARENT_CALLS_PER_HIT_PACKET)
+    for hops, parent in PARENT_CALLS_PER_HIT_PACKET.items():
+        (calls,) = seen[hops]           # a hit costs its hops, nothing else
+        assert calls <= HIT_PACKET_CALLS_SHARE * parent, (
+            f"a {hops}-hop hit packet makes {calls} calls into repro/sdn, "
+            f"more than {HIT_PACKET_CALLS_SHARE:.0%} of the {parent} it made "
+            "with a header dict per hop")
 
 
 def _q1_padded_to(total_rules):

@@ -3,7 +3,8 @@
 A tool for sizing diet PRs, not a test — pytest does not collect this file.
 Under a ``sys.setprofile`` / ``threading.setprofile`` hook it runs, in this
 process: serial Q1–Q5 sessions with the default config and once per ablation
-knob (plain Q1 with 100 candidates, the rest with 14),
+knob (plain Q1 with 100 candidates, the rest with 14; the abort policy
+carries a ``ks_slack``, so its mid-trace KS check over sample prefixes runs),
 a 2-worker session over the ``inprocess`` fabric, the two ``other_languages``
 scenarios (Table 3) and every CLI subcommand that needs no running service;
 then it walks each module's AST and prints the functions never entered.
@@ -36,7 +37,8 @@ from repro.scenarios.other_languages import language_reports
 ROOT = pathlib.Path(repro.__file__).resolve().parent
 KNOBS = ({}, {"warm_engine": False}, {"replay_batch_size": 8},
          {"multiquery": True}, {"static_vet": False},
-         {"abort": EarlyAbortPolicy()}, {"telemetry": TelemetryConfig()})
+         {"abort": EarlyAbortPolicy(ks_slack=2.0)},
+         {"telemetry": TelemetryConfig()})
 ENTERED = set()      # (file name, first line) of every code object entered
 
 

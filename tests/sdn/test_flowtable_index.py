@@ -9,6 +9,14 @@ against a list model (the install it replaced, verbatim) under a reference
 linear scan, and hand-written cases pin the orderings no report golden
 exercises: a re-installed duplicate moves to the back, and equal-priority
 wildcard entries win in install order.
+
+The table and ``FlowEntry.matches`` both read a packet through compiled
+positions of ``Packet.header_values``; the reference scan must not share that
+mechanism, so it matches names against ``Packet.header()`` — the public dict
+— itself.  The cross-check also drives what only the compiled path could get
+wrong: MAC fields set and defaulted to the IPs, ``in_port=None``, ``*``
+values on every field, and an entry built without ``FlowEntry.create`` whose
+match names no header field (it reads ``None``, as ``header.get`` does).
 """
 
 import random
@@ -42,6 +50,15 @@ class ListModel:
         return list(self._entries)
 
 
+def dict_matches(entry, packet, in_port=None):
+    """``FlowEntry.matches`` as it was before compiled keys: names against
+    the public header dict."""
+    header = packet.header()
+    header["in_port"] = in_port
+    return all(value == "*" or header.get(name) == value
+               for name, value in entry.match)
+
+
 def linear_lookup(table, packet, in_port=None, tag=None):
     """The pre-index reference semantics, verbatim."""
     best = None
@@ -50,7 +67,7 @@ def linear_lookup(table, packet, in_port=None, tag=None):
             continue
         if tag is None and entry.tags:
             continue
-        if not entry.matches(packet, in_port):
+        if not dict_matches(entry, packet, in_port):
             continue
         if best is None or entry.priority > best.priority:
             best = entry
@@ -175,9 +192,12 @@ def test_equal_priority_wildcards_resolve_in_install_order():
 
 def test_randomized_cross_check_against_linear_scan():
     rng = random.Random(1702)
-    fields = ["src_ip", "dst_ip", "src_port", "dst_port", "proto", "in_port"]
+    fields = ["src_ip", "dst_ip", "src_port", "dst_port", "proto", "in_port",
+              "src_mac", "dst_mac"]
     table, model = FlowTable(), ListModel()
-    counts = {"install": 0, "duplicate": 0, "clear": 0}
+    counts = {"install": 0, "duplicate": 0, "clear": 0, "no_such_field": 0,
+              "mac_set": 0, "mac_defaulted": 0, "no_in_port": 0,
+              "residual_hit": 0}
     for step in range(400):
         action = rng.random()
         entry = None                      # this step only looks up
@@ -191,12 +211,21 @@ def test_randomized_cross_check_against_linear_scan():
             tags = rng.choice([(), (), ("v1",), ("v2",), ("v1", "v2")])
             entry = FlowEntry.create(match, out_port=rng.randint(1, 4),
                                      priority=rng.randint(1, 3), tags=tags)
+            if rng.random() < 0.1:
+                # ``create`` refuses unknown names; the dataclass does not.
+                # Such a field reads None: only a None value (or ``*``)
+                # matches it.
+                stray = ("vlan", rng.choice([None, None, 7, "*"]))
+                entry = FlowEntry(match=tuple(sorted(entry.match + (stray,))),
+                                  out_port=entry.out_port,
+                                  priority=entry.priority, tags=entry.tags)
+                counts["no_such_field"] += 1
             counts["install"] += 1
         elif action < 0.70:
             # Same match/priority/out_port/tags as a live entry, fresh id.
             old = rng.choice(model.entries())
-            entry = FlowEntry.create(old.match_dict(), out_port=old.out_port,
-                                     priority=old.priority, tags=old.tags)
+            entry = FlowEntry(match=old.match, out_port=old.out_port,
+                              priority=old.priority, tags=old.tags)
             assert entry.entry_id != old.entry_id
             counts["duplicate"] += 1
         elif action < 0.73:
@@ -210,12 +239,38 @@ def test_randomized_cross_check_against_linear_scan():
         assert len(table) == len(expected)
         assert [id(e) for e in table.entries()] == [id(e) for e in expected]
         assert [id(e) for e in table] == [id(e) for e in expected]
+        macs = {}
+        if rng.random() < 0.5:
+            macs = {"src_mac": rng.randint(1, 5), "dst_mac": rng.randint(1, 5)}
         packet = Packet(src_ip=rng.randint(1, 5), dst_ip=rng.randint(1, 5),
                         src_port=rng.randint(1, 5),
                         dst_port=rng.randint(1, 5),
-                        proto=rng.choice(["tcp", "udp"]))
+                        proto=rng.choice(["tcp", "udp"]), **macs)
+        counts["mac_set" if macs else "mac_defaulted"] += 1
+        assert packet.header()["src_mac"] == macs.get("src_mac",
+                                                      packet.src_ip)
         in_port = rng.choice([None, rng.randint(1, 5)])
+        counts["no_in_port"] += in_port is None
         for tag in (None, rng.choice(["v1", "v2", "v3"])):
-            assert table.lookup(packet, in_port, tag) \
-                is linear_lookup(model, packet, in_port, tag)
+            found = table.lookup(packet, in_port, tag)
+            assert found is linear_lookup(model, packet, in_port, tag)
+            if found is not None:
+                assert found.matches(packet, in_port)
+                counts["residual_hit"] += "*" in dict(found.match).values()
+        for entry in expected:
+            assert entry.matches(packet, in_port) \
+                == dict_matches(entry, packet, in_port)
     assert min(counts.values()) >= 5, counts
+
+
+def test_a_match_on_no_header_field_reads_none():
+    packet = Packet(src_ip=1, dst_ip=2, dst_port=80)
+    table = FlowTable()
+    never = table.install(FlowEntry(match=(("dst_port", 80), ("vlan", 7)),
+                                    out_port=1, priority=9))
+    only_none = table.install(FlowEntry(match=(("vlan", None),), out_port=2))
+    assert not never.matches(packet) and only_none.matches(packet)
+    assert table.lookup(packet) is only_none
+    starred = table.install(FlowEntry(match=(("vlan", "*"),), out_port=3,
+                                      priority=5))
+    assert table.lookup(packet) is starred
