@@ -13,9 +13,11 @@ The package provides, from the bottom up:
   multi-query optimization.
 * :mod:`repro.sdn` -- a simulated SDN (switches, flow tables, topologies,
   traffic, historical logs): the Mininet substitute.
-* :mod:`repro.controllers` -- NDlog, imperative ("RubyFlow"/Trema) and policy
-  DSL (Pyretic) controller front ends with their meta models.
-* :mod:`repro.scenarios` -- the five case studies Q1-Q5 of the evaluation.
+* :mod:`repro.controllers` -- the NDlog controller front end.
+* :mod:`repro.scenarios` -- the five case studies Q1-Q5 of the evaluation,
+  and (:mod:`repro.scenarios.other_languages`) Q1 in an imperative
+  ("RubyFlow"/Trema) and a policy (Pyretic) language with their interpreters
+  and repair searches, for Table 3.
 * :mod:`repro.distrib` -- the distributed backtest fabric (work-queue
   scheduling over in-process, spawn and socket transports).
 * :mod:`repro.api` -- the unified repair-pipeline API:
@@ -38,9 +40,9 @@ Or from a shell: ``python -m repro repair q1`` (see ``python -m repro
 The runtime is stdlib-only.  ``import repro`` loads the API and what a
 serial repair runs; the worker fleet and transports of
 :mod:`repro.distrib`, :mod:`repro.service`, the reference engine
-(``repro.ndlog.NaiveEngine``), the imperative and policy front ends and the
-tracing half of :mod:`repro.obs` are imported by the first name that needs
-them (:mod:`repro._lazy`).
+(``repro.ndlog.NaiveEngine``) and the tracing half of :mod:`repro.obs` are
+imported by the first name that needs them (:mod:`repro._lazy`); the Table 3
+front ends only by importing :mod:`repro.scenarios.other_languages`.
 """
 
 from .api import (DiagnosisReport, EventBus, PhaseTimings, RepairConfig,

@@ -80,7 +80,10 @@ class DependencyGraph:
     """Dependency graph of one program, with SCCs and stratification."""
 
     def __init__(self, program: Program):
-        self.program = program
+        # The rules, not the program: :meth:`of` memoises the graph on the
+        # program, and a graph holding its program would be a reference
+        # cycle that only a full collection frees.
+        self._rules: Tuple[Rule, ...] = program.rules
         self.nodes: Set[str] = set()
         self.edges: List[DependencyEdge] = []
         self._successors: Dict[str, Set[str]] = {}
@@ -299,10 +302,7 @@ class DependencyGraph:
         """Stratification findings (``unstratified-negation``)."""
         out = []
         for edge in self.unstratified_edges():
-            try:
-                rule = self.program.rule_named(edge.rule)
-            except KeyError:
-                rule = None
+            rule = next((r for r in self._rules if r.name == edge.rule), None)
             atom = None
             atom_index = None
             if rule is not None:

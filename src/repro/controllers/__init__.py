@@ -1,13 +1,15 @@
-"""Controller applications for the three languages covered by the paper.
+"""The declarative (RapidNet/NDlog) controller, the primary target of meta
+provenance, and the replay-batching analyses over its programs.
 
-* :mod:`repro.controllers.ndlog_controller` — the declarative (RapidNet/NDlog)
-  controller, the primary target of meta provenance.
-* :mod:`repro.controllers.imperative` — "RubyFlow", the Trema/Ruby substitute.
-* :mod:`repro.controllers.policy` — the NetCore-style policy DSL, the Pyretic
-  substitute.
+* :mod:`repro.controllers.ndlog_controller` — runs an NDlog program as the
+  SDN controller application.
+* :mod:`repro.controllers.batching` — which PacketIns may be replayed in
+  batches, and the inertness probe.
+
+The paper's two other languages (Trema, Pyretic) serve Table 3 only; their
+front ends live beside that scenario in :mod:`repro.scenarios.other_languages`.
 """
 
-from .._lazy import lazy_exports
 from .batching import batch_replay_safe, engine_batch_safe, probe_exact
 from .ndlog_controller import (
     FIELD_MAPPINGS,
@@ -19,31 +21,8 @@ from .ndlog_controller import (
     PacketInResponse,
 )
 
-# The scenarios Q1-Q5 are NDlog programs; the two other front ends load
-# when something (``scenarios/other_languages.py``) asks for them.
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "imperative": (
-        "Assign", "BinExpr", "Env", "FieldRef", "Handler", "HashGet",
-        "HashHas", "HashPut", "If", "ImperativeController",
-        "ImperativeDeliveryGoal", "ImperativeRepair", "ImperativeRepairer",
-        "InstallFlow", "Lit", "SendPacketOut", "VarRef"),
-    "policy": (
-        "Drop", "Flood", "Fwd", "LocatedPacket", "Match", "Mod", "Parallel",
-        "Policy", "PolicyController", "PolicyDeliveryGoal", "PolicyRepair",
-        "PolicyRepairer", "Restrict", "Sequential", "drop", "flood", "fwd",
-        "match", "modify"),
-})
-
 __all__ = [
-    "Assign", "BinExpr", "Env", "FieldRef", "Handler", "HashGet", "HashHas",
-    "HashPut", "If", "ImperativeController", "ImperativeDeliveryGoal",
-    "ImperativeRepair", "ImperativeRepairer", "InstallFlow", "Lit",
-    "SendPacketOut", "VarRef",
     "FIELD_MAPPINGS", "FIGURE2_MAPPING", "FIVE_TUPLE_MAPPING", "FieldMapping",
     "IN_PORT_FIELD", "NDlogController", "PacketInResponse",
     "batch_replay_safe", "engine_batch_safe", "probe_exact",
-    "Drop", "Flood", "Fwd", "LocatedPacket", "Match", "Mod", "Parallel",
-    "Policy", "PolicyController", "PolicyDeliveryGoal", "PolicyRepair",
-    "PolicyRepairer", "Restrict", "Sequential", "drop", "flood", "fwd",
-    "match", "modify",
 ]

@@ -219,11 +219,6 @@ class NDlogController(Controller):
             engine.insert_many(list(self.static_tuples))
         return engine
 
-    def reset(self):
-        self._empty_responses = set()
-        self._inert_probe = None
-        self.engine = self._build_engine()
-
     def rebind_program(self, program: Program):
         """Point the controller at a program its engine already evaluates.
 

@@ -115,6 +115,7 @@ decide it builds a fresh engine.
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict, deque
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -210,7 +211,7 @@ class Engine:
         #: span.  ``None`` (the default) costs one identity check per
         #: insert and nothing else.
         self.tracer = None
-        self.database.eviction_hook = self._on_evicted
+        self.database.eviction_hook = weakref.WeakMethod(self._on_evicted)
         self._index_rules()
 
     # ------------------------------------------------------------------

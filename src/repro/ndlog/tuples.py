@@ -175,8 +175,10 @@ class Database:
         #: (:meth:`_ensure_column` actually building buckets) — sampled by
         #: the observability layer; never rewound.
         self.index_materializations = 0
-        #: Called with each tuple evicted by a primary-key update, so an
-        #: engine can keep its incremental bookkeeping consistent.
+        #: A :class:`weakref.WeakMethod` of the function called with each
+        #: tuple evicted by a primary-key update, so an engine can keep its
+        #: incremental bookkeeping consistent.  Weak, so that an engine and
+        #: its database form no reference cycle.
         self.eviction_hook = None
         #: Undo journal shared with an :class:`~repro.ndlog.engine.Engine`
         #: checkpoint.  While set, every mutation appends an inverse entry;
@@ -314,10 +316,11 @@ class Database:
         candidates = self.lookup(tup.table, key_columns[0], tup.values[key_columns[0]])
         conflicting = [other for other in candidates
                        if other != tup and other.key(schema) == key]
+        hook = None if self.eviction_hook is None else self.eviction_hook()
         for other in conflicting:
             self.remove(other)
-            if self.eviction_hook is not None:
-                self.eviction_hook(other)
+            if hook is not None:
+                hook(other)
         return conflicting
 
     def _index_add(self, tup: NDTuple):

@@ -68,9 +68,6 @@ class Controller:
     def handle_packet_in(self, event: PacketInEvent) -> List[ControlMessage]:
         raise NotImplementedError
 
-    def reset(self):
-        """Discard per-run controller state (between backtest runs)."""
-
 
 class StaticController(Controller):
     """A controller that installs a fixed set of flow entries and nothing else."""
@@ -118,8 +115,3 @@ class RecordingController(Controller):
             for message in messages:
                 self.log.record_control_message(message, time=event.time)
         return messages
-
-    def reset(self):
-        self.packet_ins.clear()
-        self.responses.clear()
-        self.inner.reset()

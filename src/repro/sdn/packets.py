@@ -14,9 +14,9 @@ of field names (:func:`header_getter`).  Packets are frozen and a getter is
 a pure function of its field names, so nothing is ever invalidated.
 :data:`HEADER_FIELDS` is the one place the order lives: a new header field
 is added there (and to the dataclass), nowhere else.  :meth:`Packet.header`
-stays as the public dict for code that wants names (the imperative and
-policy controllers); a subclass overriding it is **not** seen by the
-compiled readers.
+stays as the public dict for code that wants names (the Table 3 front ends
+of :mod:`repro.scenarios.other_languages`); a subclass overriding it is
+**not** seen by the compiled readers.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class Packet:
         return dict(zip(HEADER_FIELDS, self.header_values))
 
     def with_fields(self, **changes) -> "Packet":
-        """Return a copy with some header fields modified (policy ``mod``)."""
+        """Return a copy with some header fields modified."""
         return replace(self, **changes)
 
     def is_http(self) -> bool:

@@ -4,9 +4,10 @@ surfaces that keep it small.
 Cold start is most of a paper-sized query's turnaround (the ledger's
 ``cli.import_s``), so the set of modules a serial repair loads is a budget:
 no third-party graph library, none of the worker fleet, the service, the
-reference engine, the profiler or the other controller languages.  The four
-packages whose ``__init__`` used to import those now resolve the names on
-first use; the second half checks nobody can tell the difference.
+reference engine, the profiler or the other controller languages (Table 3,
+which no package ``__init__`` names).  The three packages whose ``__init__``
+used to import the rest now resolve the names on first use; the second half
+checks nobody can tell the difference.
 """
 
 import importlib
@@ -20,15 +21,13 @@ import pytest
 
 import repro
 
-LAZY_PACKAGES = ["repro.distrib", "repro.controllers", "repro.ndlog",
-                 "repro.obs"]
+LAZY_PACKAGES = ["repro.distrib", "repro.ndlog", "repro.obs"]
 
 #: Modules a serial ``repro repair`` has no business loading.
 UNWANTED = ["networkx", "socket", "subprocess", "pickle", "cProfile",
             "repro.distrib.pool", "repro.distrib.transport",
             "repro.distrib.coordinator", "repro.service",
-            "repro.ndlog.naive", "repro.controllers.imperative",
-            "repro.controllers.policy"]
+            "repro.ndlog.naive", "repro.scenarios.other_languages"]
 
 #: 524 before the diet, 143 after it; the slack is for interpreter versions.
 MODULE_BUDGET = 170
@@ -83,22 +82,20 @@ checks = {}
 checks["name"] = repro.distrib.WorkerPool is \\
     sys.modules["repro.distrib.pool"].WorkerPool
 checks["submodule"] = repro.obs.profile is sys.modules["repro.obs.profile"]
-from repro.ndlog import NaiveEngine
-checks["from_import"] = NaiveEngine is \\
-    sys.modules["repro.ndlog.naive"].NaiveEngine
+from repro.obs import Tracer
+checks["from_import"] = Tracer is sys.modules["repro.obs.trace"].Tracer
 # patching an unresolved name resolves, replaces and restores it
-with mock.patch("repro.controllers.PolicyController", "fake"):
-    checks["patched"] = repro.controllers.PolicyController == "fake"
-checks["restored"] = repro.controllers.PolicyController is \\
-    sys.modules["repro.controllers.policy"].PolicyController
+with mock.patch("repro.ndlog.NaiveEngine", "fake"):
+    checks["patched"] = repro.ndlog.NaiveEngine == "fake"
+checks["restored"] = repro.ndlog.NaiveEngine is \\
+    sys.modules["repro.ndlog.naive"].NaiveEngine
 checks["cached"] = "Scheduler" not in vars(repro.distrib) and \\
     repro.distrib.Scheduler is vars(repro.distrib)["Scheduler"]
 print(json.dumps({"before": before, "checks": checks}))
 """)
     for heavy in ("repro.distrib.pool", "repro.distrib.transport",
                   "repro.distrib.coordinator", "repro.obs.profile",
-                  "repro.ndlog.naive", "repro.controllers.imperative",
-                  "repro.controllers.policy"):
+                  "repro.ndlog.naive", "repro.scenarios.other_languages"):
         assert heavy not in result["before"]
     assert all(result["checks"].values()), result["checks"]
 

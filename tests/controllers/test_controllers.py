@@ -1,28 +1,12 @@
-"""Tests for the three controller front ends and their repair searches."""
+"""Tests for the NDlog controller front end."""
 
 import pytest
 
 from repro.controllers import (
-    BinExpr,
-    FieldRef,
     FIGURE2_MAPPING,
     FIVE_TUPLE_MAPPING,
-    Handler,
-    If,
-    ImperativeController,
-    ImperativeDeliveryGoal,
-    ImperativeRepairer,
-    InstallFlow,
-    Lit,
     NDlogController,
-    PolicyController,
-    PolicyDeliveryGoal,
-    PolicyRepairer,
-    SendPacketOut,
-    fwd,
-    match,
 )
-from repro.controllers.policy import LocatedPacket, Parallel
 from repro.ndlog import make_tuple, parse_program
 from repro.sdn import FlowMod, PacketOut
 from repro.sdn.controller import PacketInEvent
@@ -77,13 +61,6 @@ class TestNDlogController:
             assert [m.entry.priority for m in messages] == \
                 [messages[0].entry.priority] * 3
 
-    def test_reset_discards_state(self):
-        controller = NDlogController(parse_program(FIG2), FIGURE2_MAPPING)
-        controller.handle_packet_in(PacketInEvent(2, http_request(1, 2)))
-        assert controller.flow_table_tuples()
-        controller.reset()
-        assert controller.flow_table_tuples() == []
-
     def test_five_tuple_mapping_builds_packet_in(self):
         packet = Packet(src_ip=7, dst_ip=9, src_port=1000, dst_port=80)
         tup = FIVE_TUPLE_MAPPING.packet_in_tuple_from(4, packet, in_port=3)
@@ -96,103 +73,3 @@ class TestNDlogController:
         controller.handle_packet_in(PacketInEvent(2, http_request(1, 2)))
         tables = {t.table for t in controller.history_tuples()}
         assert "PacketIn" in tables
-
-
-class TestPolicyDSL:
-    def test_match_restriction_and_forwarding(self):
-        policy = match(dst_port=80)[fwd(1)]
-        results = policy.evaluate(LocatedPacket(http_request(1, 2), switch=5))
-        assert [r.out_port for r in results] == [1]
-        assert policy.evaluate(LocatedPacket(
-            Packet(src_ip=1, dst_ip=2, dst_port=53), switch=5)) == []
-
-    def test_parallel_union_and_sequential_chaining(self):
-        policy = (match(dst_port=80)[fwd(1)]) | (match(dst_port=80)[fwd(2)])
-        results = policy.evaluate(LocatedPacket(http_request(1, 2), switch=5))
-        assert sorted(r.out_port for r in results) == [1, 2]
-        seq = match(dst_port=80) >> fwd(7)
-        assert [r.out_port for r in seq.evaluate(
-            LocatedPacket(http_request(1, 2), switch=5))] == [7]
-
-    def test_controller_installs_microflows(self):
-        controller = PolicyController(match(dst_port=80)[fwd(1)])
-        messages = controller.handle_packet_in(
-            PacketInEvent(5, http_request(1, 2)))
-        assert any(isinstance(m, FlowMod) for m in messages)
-        assert any(isinstance(m, PacketOut) for m in messages)
-
-    def test_controller_installs_drop_for_unmatched(self):
-        controller = PolicyController(match(dst_port=80)[fwd(1)])
-        messages = controller.handle_packet_in(
-            PacketInEvent(5, Packet(src_ip=1, dst_ip=2, dst_port=53)))
-        assert any(isinstance(m, FlowMod) and m.entry.is_drop() for m in messages)
-
-    def test_repairer_fixes_wrong_switch_match(self):
-        buggy = Parallel(match(switch=2, dst_port=80)[fwd(2)],
-                         match(switch=1, dst_port=80)[fwd(1)])
-        goal = PolicyDeliveryGoal(packet=http_request(1, 2), switch=3,
-                                  expected_port=2)
-        repairs = PolicyRepairer(buggy).repair_missing_delivery(goal)
-        assert any("switch=2" in r.description and "switch=3" in r.description
-                   for r in repairs)
-        # The repaired policy actually forwards the packet at switch 3.
-        fixed = next(r for r in repairs if "switch=2" in r.description
-                     and "switch=3" in r.description)
-        results = fixed.policy.evaluate(LocatedPacket(http_request(1, 2), switch=3))
-        assert any(r.out_port == 2 for r in results)
-
-    def test_node_count_and_describe(self):
-        policy = (match(switch=1)[fwd(1)]) | (match(switch=2)[fwd(2)])
-        assert policy.node_count() >= 5
-        assert "match" in policy.describe()
-
-
-class TestImperativeLanguage:
-    def _handler(self, switch_constant=2):
-        return Handler("packet_in", [
-            If(BinExpr("==", FieldRef("switch"), Lit(switch_constant)), [
-                If(BinExpr("==", FieldRef("dst_port"), Lit(80)), [
-                    InstallFlow(FieldRef("switch"),
-                                {"dst_port": FieldRef("dst_port")}, Lit(2)),
-                    SendPacketOut(FieldRef("switch"), Lit(2)),
-                ]),
-            ]),
-        ])
-
-    def test_interpreter_emits_messages_when_condition_holds(self):
-        controller = ImperativeController(self._handler(switch_constant=3))
-        messages = controller.handle_packet_in(
-            PacketInEvent(3, http_request(1, 2)))
-        assert any(isinstance(m, FlowMod) for m in messages)
-        assert any(isinstance(m, PacketOut) for m in messages)
-
-    def test_interpreter_silent_when_condition_fails(self):
-        controller = ImperativeController(self._handler(switch_constant=2))
-        assert controller.handle_packet_in(
-            PacketInEvent(3, http_request(1, 2))) == []
-
-    def test_repairer_proposes_constant_fix(self):
-        handler = self._handler(switch_constant=2)
-        goal = ImperativeDeliveryGoal(packet=http_request(1, 2), switch=3,
-                                      expected_port=2)
-        repairs = ImperativeRepairer(handler).repair_missing_delivery(goal)
-        constant_fixes = [r for r in repairs if "change constant 2 to 3" in r.description]
-        assert constant_fixes
-        # Applying the fix makes the handler emit the messages at switch 3.
-        repaired = ImperativeController(constant_fixes[0].handler)
-        assert repaired.handle_packet_in(PacketInEvent(3, http_request(1, 2)))
-
-    def test_repairer_proposes_packet_out_addition(self):
-        handler = Handler("packet_in", [
-            If(BinExpr("==", FieldRef("switch"), Lit(3)), [
-                InstallFlow(FieldRef("switch"),
-                            {"dst_port": FieldRef("dst_port")}, Lit(2)),
-            ]),
-        ])
-        goal = ImperativeDeliveryGoal(packet=http_request(1, 2), switch=3,
-                                      expected_port=2)
-        repairs = ImperativeRepairer(handler).repair_missing_delivery(goal)
-        assert any(r.kind == "add_packet_out" for r in repairs)
-
-    def test_handler_line_count(self):
-        assert self._handler().line_count() == 4
