@@ -99,8 +99,8 @@ class EarlyAbortPolicy:
                 return (f"controller overload: {stats.packet_in_count} "
                         f"PacketIns > {bound:.0f} allowed")
         if self.ks_slack is not None and ks_threshold is not None:
-            prefix = baseline_stats.destination_samples()[:done]
-            ks = ks_two_sample(prefix, stats.destination_samples())
+            ks = ks_two_sample(baseline_stats.destinations[:done],
+                               stats.destinations)
             if ks.statistic > ks_threshold * self.ks_slack:
                 return (f"KS mid-trace: {ks.statistic:.4f} > "
                         f"{ks_threshold * self.ks_slack:.4f}")

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence, Tuple
 
-from ..sdn.network import TrafficStats
+from ..sdn.network import DROPPED, TrafficStats
 
 
 @dataclass(frozen=True)
@@ -80,11 +80,11 @@ def _ks_p_value(statistic: float, n_a: int, n_b: int) -> float:
 
 
 def _destination_counts(stats: TrafficStats) -> Dict[int, int]:
-    """``Counter(stats.destination_samples())`` without the sample list: the
+    """``Counter(stats.destinations)`` without walking the list: the
     simulator already keeps deliveries per host and the number dropped."""
     counts = dict(stats.delivered_per_host)
     if stats.dropped:
-        counts[-1] = stats.dropped
+        counts[DROPPED] = stats.dropped
     return counts
 
 
@@ -93,7 +93,7 @@ def compare_traffic(before: TrafficStats, after: TrafficStats) -> KSResult:
 
     Computed from the per-host counters of the two runs — the same sorted
     values and the same float additions as :func:`ks_two_sample` over their
-    ``destination_samples()``, so the result is equal bit for bit.
+    ``destinations``, so the result is equal bit for bit.
     """
     return _ks_from_counts(_destination_counts(before), before.total,
                            _destination_counts(after), after.total)

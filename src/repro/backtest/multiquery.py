@@ -40,8 +40,7 @@ from ..ndlog.ast import Program, Rule
 from ..ndlog.engine import Engine
 from ..ndlog.tuples import NDTuple
 from ..repair.candidates import RepairCandidate
-from ..sdn.log import DeliveryRecord
-from ..sdn.network import NetworkSimulator
+from ..sdn.network import DROPPED, NetworkSimulator
 from ..sdn.packets import Packet
 
 
@@ -221,8 +220,8 @@ class SharedTrunk:
     hermetic: any order, any process, same result.
     """
 
-    #: Per trace entry: the base run's delivery outcome.
-    base_records: List[DeliveryRecord]
+    #: Per trace entry: the base run's destination for the packet.
+    base_destinations: List[int]
     #: Per trace entry: (packet_in, flow_mod, packet_out) counts of the base
     #: run, credited to candidates that adopt the shared outcome so their
     #: control-plane statistics stay comparable with sequential backtests.
@@ -241,17 +240,17 @@ class SharedTrunk:
             topology, priming,
             require_packet_out=scenario.require_packet_out,
             record_ingress=False)
-        base_records: List[DeliveryRecord] = []
         base_deltas: List[Tuple[int, int, int]] = []
         stats = simulator.stats
         for switch_id, packet in trace:
             before = (stats.packet_in_count, stats.flow_mod_count,
                       stats.packet_out_count)
-            base_records.append(simulator.inject(packet, switch_id))
+            simulator.inject(packet, switch_id)
             base_deltas.append((stats.packet_in_count - before[0],
                                 stats.flow_mod_count - before[1],
                                 stats.packet_out_count - before[2]))
-        return cls(base_records=base_records, base_deltas=base_deltas,
+        return cls(base_destinations=stats.destinations,
+                   base_deltas=base_deltas,
                    base_cache=base_cache,
                    switch_ids=sorted(topology.switches))
 
@@ -302,16 +301,16 @@ class SharedReplay:
                 self.simulator.inject(packet, switch_id)
             else:
                 self.shared_evaluations += 1
-                self._adopt(trunk.base_records[index],
+                self._adopt(trunk.base_destinations[index],
                             trunk.base_deltas[index])
         self.position += len(chunk)
         return self.stats
 
-    def _adopt(self, record: DeliveryRecord,
+    def _adopt(self, destination: int,
                delta: Tuple[int, int, int]) -> None:
-        """Credit a shared (base-network) delivery outcome to the candidate.
+        """Credit a shared (base-network) packet outcome to the candidate.
 
-        Like the adopted delivery record itself, the adopted control-plane
+        Like the adopted destination itself, the adopted control-plane
         delta reflects the *base* network's handling of the packet.  That is
         the sharing premise — an unaffected packet behaves identically under
         the candidate — and it is exact whenever flow-entry match columns
@@ -323,12 +322,12 @@ class SharedReplay:
         """
         stats = self.stats
         stats.total += 1
-        stats.delivery_records.append(record)
-        if record.delivered:
-            stats.delivered_per_host[record.delivered_to] = \
-                stats.delivered_per_host.get(record.delivered_to, 0) + 1
-        else:
+        stats.destinations.append(destination)
+        if destination == DROPPED:
             stats.dropped += 1
+        else:
+            stats.delivered_per_host[destination] = \
+                stats.delivered_per_host.get(destination, 0) + 1
         stats.packet_in_count += delta[0]
         stats.flow_mod_count += delta[1]
         stats.packet_out_count += delta[2]

@@ -16,7 +16,7 @@ on demand, so backtesting runs never contaminate each other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..controllers.ndlog_controller import FieldMapping, NDlogController
 from ..meta.explorer import MissingTupleGoal
@@ -56,7 +56,8 @@ class NDlogScenario:
                  symptom: Symptom,
                  static_tuples: Sequence[NDTuple] = (),
                  extra_schemas: Sequence[TableSchema] = (),
-                 effective_predicate: Optional[Callable[[TrafficStats], bool]] = None,
+                 effective_predicate: Optional[
+                     Callable[[Iterable[Tuple[Packet, int]]], bool]] = None,
                  target_host: Optional[int] = None,
                  auto_packet_out: bool = True,
                  require_packet_out: bool = True,
@@ -162,9 +163,17 @@ class NDlogScenario:
     # ------------------------------------------------------------------
 
     def is_effective(self, stats: TrafficStats) -> bool:
-        """Did a repaired run fix the symptom?"""
+        """Did a repaired run fix the symptom?
+
+        A predicate makes one pass over ``(packet, destination)`` pairs:
+        this scenario's trace beside ``stats.destinations``, which covers
+        the replayed prefix of that trace (all of it unless a trace limit
+        cut it).
+        """
         if self.effective_predicate is not None:
-            return self.effective_predicate(stats)
+            return self.effective_predicate(
+                zip((packet for _switch, packet in self.trace()),
+                    stats.destinations))
         if self.target_host is not None:
             return stats.delivered_to(self.target_host) > 0
         return stats.delivery_ratio() > 0

@@ -82,10 +82,9 @@ def q2_trace(topology: Topology, repetitions: int = 2) -> List[Tuple[int, Packet
     return trace
 
 
-def _dns_from_affected_client_delivered(stats) -> bool:
-    return any(record.delivered_to == DNS_SERVER
-               and record.packet.src_ip == AFFECTED_CLIENT
-               for record in stats.delivery_records)
+def _dns_from_affected_client_delivered(outcomes) -> bool:
+    return any(destination == DNS_SERVER and packet.src_ip == AFFECTED_CLIENT
+               for packet, destination in outcomes)
 
 
 def build_q2(repetitions: int = 2) -> NDlogScenario:

@@ -70,10 +70,9 @@ def q3_trace(topology: Topology, repetitions: int = 2) -> List[Tuple[int, Packet
     return trace
 
 
-def _offloaded_client_reaches_server(stats) -> bool:
-    return any(record.delivered_to == WEB_SERVER
-               and record.packet.src_ip == OFFLOADED_CLIENT
-               for record in stats.delivery_records)
+def _offloaded_client_reaches_server(outcomes) -> bool:
+    return any(destination == WEB_SERVER and packet.src_ip == OFFLOADED_CLIENT
+               for packet, destination in outcomes)
 
 
 def build_q3(repetitions: int = 2) -> NDlogScenario:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..controllers.ndlog_controller import FieldMapping
+from ..sdn.network import DROPPED
 from ..sdn.packets import DNS_PORT, HTTP_PORT, Packet, PROTO_TCP, PROTO_UDP
 from ..sdn.topology import Topology
 from .base import NDlogScenario, Symptom
@@ -67,10 +68,10 @@ def q4_trace(topology: Topology, packets_per_flow: int = 6,
     return trace
 
 
-def _no_http_packet_lost(stats) -> bool:
+def _no_http_packet_lost(outcomes) -> bool:
     """Effective iff no HTTP packet (in particular the first one) is dropped."""
-    return not any(record.packet.dst_port == HTTP_PORT and not record.delivered
-                   for record in stats.delivery_records)
+    return not any(packet.dst_port == HTTP_PORT and destination == DROPPED
+                   for packet, destination in outcomes)
 
 
 def build_q4(clients: int = 8, repetitions: int = 2) -> NDlogScenario:

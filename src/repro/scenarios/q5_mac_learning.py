@@ -73,10 +73,6 @@ def q5_trace(topology: Topology, repetitions: int = 3) -> List[Tuple[int, Packet
     return trace
 
 
-def _h2_receives_traffic(stats) -> bool:
-    return stats.delivered_to(H2) > 0
-
-
 def build_q5(extra_hosts: int = 3, repetitions: int = 3) -> NDlogScenario:
     """Build the Q5 scenario ("H2's address is not learned by the controller")."""
     symptom = Symptom(
@@ -94,7 +90,6 @@ def build_q5(extra_hosts: int = 3, repetitions: int = 3) -> NDlogScenario:
         symptom=symptom,
         static_tuples=(),
         extra_schemas=Q5_EXTRA_SCHEMAS,
-        effective_predicate=_h2_receives_traffic,
         target_host=H2,
         reference_repair="change Hip := * to Hip := Sip in rule f1",
         ks_threshold=0.95)

@@ -15,8 +15,8 @@ from .controller import (
     RecordingController,
     StaticController,
 )
-from .log import DeliveryRecord, HistoricalLog, LOG_ENTRY_BYTES, PacketRecord
-from .network import NetworkSimulator, TrafficStats
+from .log import HistoricalLog, LOG_ENTRY_BYTES, PacketRecord
+from .network import DROPPED, NetworkSimulator, TrafficStats
 from .packets import (
     DNS_PORT,
     HTTP_PORT,
@@ -44,8 +44,8 @@ from .traffic import TrafficGenerator, TrafficProfile, protocol_mix, replayed_tr
 __all__ = [
     "ControlMessage", "Controller", "FlowMod", "PacketInEvent", "PacketOut",
     "RecordingController", "StaticController",
-    "DeliveryRecord", "HistoricalLog", "LOG_ENTRY_BYTES", "PacketRecord",
-    "NetworkSimulator", "TrafficStats",
+    "HistoricalLog", "LOG_ENTRY_BYTES", "PacketRecord",
+    "DROPPED", "NetworkSimulator", "TrafficStats",
     "DNS_PORT", "HTTP_PORT", "Packet", "PROTO_ICMP", "PROTO_TCP", "PROTO_UDP",
     "dns_query", "format_ip", "http_request", "icmp_ping",
     "CONTROLLER_PORT", "DROP_PORT", "FLOOD_PORT", "FlowEntry", "FlowTable",

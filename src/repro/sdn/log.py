@@ -4,13 +4,16 @@ Section 4.3 / 5.4 of the paper: the runtime records control-plane messages
 and a packet log (about 120 bytes per packet); diagnostic queries and
 backtesting later replay this history.  :class:`HistoricalLog` is that
 recorder.  It also computes the storage-overhead numbers reported in
-Section 5.4.
+Section 5.4.  It records what entered the network and what the controller
+said, not where packets ended up: a replay recomputes that, and a
+simulation's :class:`~repro.sdn.network.TrafficStats` keeps it as one
+destination per packet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .controller import ControlMessage, FlowMod, PacketInEvent, PacketOut
 from .packets import Packet
@@ -31,31 +34,13 @@ class PacketRecord:
     in_port: Optional[int] = None
 
 
-class DeliveryRecord(NamedTuple):
-    """Outcome of one injected packet: where it ended up.
-
-    One is built per replayed packet (and shipped per packet in a fabric
-    result frame), so it is a plain tuple with names, not a dataclass."""
-
-    time: int
-    packet: Packet
-    delivered_to: Optional[int]      # host id, or None if dropped
-    dropped_at: Optional[int] = None  # switch id where it was dropped
-    path: Tuple[int, ...] = ()
-
-    @property
-    def delivered(self) -> bool:
-        return self.delivered_to is not None
-
-
 class HistoricalLog:
-    """Chronological record of packets, control messages and deliveries."""
+    """Chronological record of packets and control messages."""
 
     def __init__(self):
         self.packet_records: List[PacketRecord] = []
         self.packet_in_events: List[PacketInEvent] = []
         self.control_messages: List[Tuple[int, ControlMessage]] = []
-        self.delivery_records: List[DeliveryRecord] = []
         self.clock = 0
 
     # ------------------------------------------------------------------
@@ -76,9 +61,6 @@ class HistoricalLog:
 
     def record_control_message(self, message: ControlMessage, time: int = 0):
         self.control_messages.append((time, message))
-
-    def record_delivery(self, record: DeliveryRecord):
-        self.delivery_records.append(record)
 
     # ------------------------------------------------------------------
     # Queries

@@ -3,8 +3,16 @@
 :class:`NetworkSimulator` walks packets through the topology switch by
 switch, consulting flow tables, raising ``PacketIn`` events to the controller
 on table misses, and applying the controller's ``FlowMod`` / ``PacketOut``
-responses.  It records everything in a :class:`~repro.sdn.log.HistoricalLog`
-so that meta provenance and backtesting can replay history later.
+responses.  It logs every ingress packet in a
+:class:`~repro.sdn.log.HistoricalLog` (control messages reach the same log
+through a :class:`~repro.sdn.controller.RecordingController`) so that meta
+provenance and backtesting can replay history later.
+
+A packet's fate is one int, its *destination*: the id of the host that
+received it, or :data:`DROPPED`.  That is all a verdict reads — the KS
+sample value (Section 5.3) and the input of the scenarios' symptom checks —
+so the walk builds no path and no record, and :class:`TrafficStats` keeps
+one destination per injected packet beside its counters.
 
 OpenFlow-faithful detail that matters for scenario Q4: when a packet misses
 in the flow table, installing a flow entry is *not* enough to forward that
@@ -14,15 +22,18 @@ sends a ``PacketOut``.  Subsequent packets of the flow match the new entry.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .controller import Controller, FlowMod, PacketInEvent, PacketOut
-from .log import DeliveryRecord, HistoricalLog
+from .log import HistoricalLog
 from .packets import Packet
-from .switch import CONTROLLER_PORT, DROP_PORT, FLOOD_PORT, FlowEntry, Switch
+from .switch import DROP_PORT, FLOOD_PORT, FlowEntry, Switch
 from .topology import Topology
+
+
+#: The destination of a dropped packet.
+DROPPED = -1
 
 
 @dataclass
@@ -35,26 +46,18 @@ class TrafficStats:
     packet_in_count: int = 0
     flow_mod_count: int = 0
     packet_out_count: int = 0
-    delivery_records: List[DeliveryRecord] = field(default_factory=list)
+    #: One entry per injected packet, in trace order: the receiving host's
+    #: id, or :data:`DROPPED`.  This is the sample the two-sample KS test
+    #: compares across repairs (Section 5.3: "the traffic distribution at
+    #: end hosts"); dropped packets take part so that repairs which drop
+    #: much more (or less) traffic also distort the distribution.
+    destinations: List[int] = field(default_factory=list)
 
     def delivery_ratio(self) -> float:
         return (self.total - self.dropped) / self.total if self.total else 0.0
 
     def delivered_to(self, host_id: int) -> int:
         return self.delivered_per_host.get(host_id, 0)
-
-    def destination_samples(self) -> List[int]:
-        """One entry per delivered packet, naming the receiving host.
-
-        This is the sample the two-sample KS test compares across repairs
-        (Section 5.3: "the traffic distribution at end hosts").  Dropped
-        packets contribute a sentinel value of -1 so that repairs which drop
-        much more (or less) traffic also distort the distribution.
-        """
-        samples = []
-        for record in self.delivery_records:
-            samples.append(record.delivered_to if record.delivered else -1)
-        return samples
 
 
 class NetworkSimulator:
@@ -111,8 +114,9 @@ class NetworkSimulator:
 
     def inject(self, packet: Packet, at_switch: int,
                in_port: Optional[int] = None,
-               ingress_entry: Optional[FlowEntry] = None) -> DeliveryRecord:
-        """Inject one packet at a switch and walk it to its fate.
+               ingress_entry: Optional[FlowEntry] = None) -> int:
+        """Inject one packet at a switch, walk it to its fate and return its
+        destination (a host id, or :data:`DROPPED`).
 
         If ``in_port`` is not given and the packet's source host is attached
         to the ingress switch, the host's port is used (this is what a real
@@ -128,19 +132,16 @@ class NetworkSimulator:
                 in_port = source.port
         if self.record_ingress:
             self.log.record_packet(at_switch, packet, in_port)
-        record = self._forward(packet, at_switch, in_port,
-                               ingress_entry=ingress_entry)
-        self.log.record_delivery(record)
+        destination = self._forward(packet, at_switch, in_port, ingress_entry)
         stats = self.stats
         stats.total += 1
-        stats.delivery_records.append(record)
-        host = record.delivered_to
-        if host is not None:
-            stats.delivered_per_host[host] = \
-                stats.delivered_per_host.get(host, 0) + 1
-        else:
+        stats.destinations.append(destination)
+        if destination == DROPPED:
             stats.dropped += 1
-        return record
+        else:
+            stats.delivered_per_host[destination] = \
+                stats.delivered_per_host.get(destination, 0) + 1
+        return destination
 
     def _resolve_in_port(self, packet: Packet, at_switch: int) -> Optional[int]:
         """The ingress port burst replay probes with (``inject`` resolves
@@ -239,49 +240,36 @@ class NetworkSimulator:
 
     def _forward(self, packet: Packet, switch_id: int,
                  in_port: Optional[int],
-                 ingress_entry: Optional[FlowEntry] = None) -> DeliveryRecord:
-        path: List[int] = []
-        hops = 0
-        time = self.log.clock
-        current_switch = switch_id
-        current_port = in_port
-        current_packet = packet
-        while hops < self.max_hops:
-            hops += 1
-            switch = self.topology.switches.get(current_switch)
+                 entry: Optional[FlowEntry] = None) -> int:
+        """The one hop loop: the packet's destination.  ``entry``, when
+        given, is the ingress switch's lookup result, already known."""
+        switches = self.topology.switches
+        for _hop in range(self.max_hops):
+            switch = switches.get(switch_id)
             if switch is None:
-                return DeliveryRecord(time, packet, None, dropped_at=current_switch,
-                                      path=tuple(path))
-            path.append(current_switch)
-            if hops == 1 and ingress_entry is not None:
-                entry = ingress_entry
-            else:
-                entry = switch.lookup(current_packet, current_port, tag=self.tag)
+                return DROPPED
             if entry is None:
-                outcome = self._handle_table_miss(switch, current_packet, current_port)
-                if outcome is None:
-                    return DeliveryRecord(time, packet, None,
-                                          dropped_at=current_switch, path=tuple(path))
-                out_port = outcome
+                entry = switch.flow_table.lookup(packet, in_port, self.tag)
+            if entry is None:
+                out_port = self._handle_table_miss(switch, packet, in_port)
+                if out_port is None:
+                    return DROPPED
             else:
-                if entry.is_drop():
-                    return DeliveryRecord(time, packet, None,
-                                          dropped_at=current_switch, path=tuple(path))
                 out_port = entry.out_port
+                if out_port == DROP_PORT:
+                    return DROPPED
+                entry = None
             if out_port == FLOOD_PORT:
-                return self._flood(switch, current_packet, current_port, time, path)
-            destination = switch.neighbor(out_port)
-            if destination is None:
-                return DeliveryRecord(time, packet, None, dropped_at=current_switch,
-                                      path=tuple(path))
-            kind, identifier = destination
+                return self._flood(switch, packet, in_port)
+            neighbor = switch.ports.get(out_port)
+            if neighbor is None:
+                return DROPPED
+            kind, identifier = neighbor
             if kind == "host":
-                return DeliveryRecord(time, packet, identifier, path=tuple(path))
-            next_switch = self.topology.switches[identifier]
-            current_port = next_switch.port_to("switch", current_switch)
-            current_switch = identifier
-        return DeliveryRecord(time, packet, None, dropped_at=current_switch,
-                              path=tuple(path))
+                return identifier
+            in_port = switches[identifier].port_to("switch", switch_id)
+            switch_id = identifier
+        return DROPPED
 
     def _handle_table_miss(self, switch: Switch, packet: Packet,
                            in_port: Optional[int]) -> Optional[int]:
@@ -298,7 +286,7 @@ class NetworkSimulator:
             return None
         # Lenient mode: retry the lookup with any freshly installed entries.
         entry = switch.lookup(packet, in_port, tag=self.tag)
-        if entry is not None and not entry.is_drop():
+        if entry is not None and entry.out_port != DROP_PORT:
             return entry.out_port
         return None
 
@@ -333,8 +321,8 @@ class NetworkSimulator:
                     return []
         return self.controller.handle_packet_in(event)
 
-    def _flood(self, switch: Switch, packet: Packet, in_port: Optional[int],
-               time: int, path: List[int]) -> DeliveryRecord:
+    def _flood(self, switch: Switch, packet: Packet,
+               in_port: Optional[int]) -> int:
         """Deliver to every host port of the switch except the ingress port.
 
         Flooding is restricted to the local switch (no propagation to other
@@ -346,13 +334,11 @@ class NetworkSimulator:
                       in sorted(switch.ports.items())
                       if port != in_port and kind == "host"]
         if not candidates:
-            return DeliveryRecord(time, packet, None, dropped_at=switch.switch_id,
-                                  path=tuple(path))
+            return DROPPED
         # The destination host receives the flooded copy if it is attached
         # here; otherwise the first attached host stands in for "some host
         # received a gratuitous copy".
-        target = packet.dst_ip if packet.dst_ip in candidates else candidates[0]
-        return DeliveryRecord(time, packet, target, path=tuple(path))
+        return packet.dst_ip if packet.dst_ip in candidates else candidates[0]
 
 
 class _PendingResponse:

@@ -75,9 +75,6 @@ class FlowEntry:
                 return False
         return True
 
-    def is_drop(self) -> bool:
-        return self.out_port == DROP_PORT
-
     def __str__(self):
         match = ", ".join(f"{k}={v}" for k, v in self.match) or "any"
         action = {DROP_PORT: "drop", CONTROLLER_PORT: "to-controller",
@@ -229,9 +226,6 @@ class Switch:
             self._index_ports()
         else:
             self._port_to.setdefault((kind, identifier), port)
-
-    def neighbor(self, port: int) -> Optional[Tuple[str, int]]:
-        return self.ports.get(port)
 
     def port_to(self, kind: str, identifier: int) -> Optional[int]:
         return self._port_to.get((kind, identifier))

@@ -33,6 +33,4 @@ def stats_snapshot(stats):
     (mirrors tests/backtest/test_warm_parity.py)."""
     return (stats.delivered_per_host, stats.dropped, stats.total,
             stats.packet_in_count, stats.flow_mod_count,
-            stats.packet_out_count,
-            [(r.packet, r.delivered_to, r.dropped_at, r.path)
-             for r in stats.delivery_records])
+            stats.packet_out_count, stats.destinations)

@@ -7,7 +7,8 @@ per-packet sample is, by construction, ``delivered_per_host`` plus
 so ``compare_traffic`` computes the statistic from those.  Same sorted
 values, same float additions: the result must equal ``ks_two_sample`` over
 the two sample lists **bit for bit** (``==`` on the floats, no tolerance), on
-every default Q1–Q5 result, plain and multi-query, and on drawn record lists.
+every default Q1–Q5 result, plain and multi-query, and on drawn lists of
+destinations.
 """
 
 import pytest
@@ -15,21 +16,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import RepairConfig, RepairSession
 from repro.backtest import compare_traffic, ks_two_sample
-from repro.sdn.log import DeliveryRecord
-from repro.sdn.network import TrafficStats
-from repro.sdn.packets import Packet
-
-PACKET = Packet(src_ip=1, dst_ip=2)
+from repro.sdn.network import DROPPED, TrafficStats
 
 
 def by_samples(before, after):
-    return ks_two_sample(before.destination_samples(),
-                         after.destination_samples())
+    return ks_two_sample(before.destinations, after.destinations)
 
 
-def assert_counters_describe_the_records(stats):
-    samples = stats.destination_samples()
-    assert stats.total == len(stats.delivery_records) == len(samples)
+def assert_counters_describe_the_destinations(stats):
+    samples = stats.destinations
+    assert stats.total == len(samples)
     assert stats.dropped == samples.count(-1)
     assert stats.delivered_per_host == {
         host: samples.count(host) for host in set(samples) - {-1}}
@@ -41,10 +37,10 @@ def assert_counters_describe_the_records(stats):
 def test_the_two_computations_agree_on_every_result(name, multiquery):
     backtest = RepairSession(RepairConfig.for_scenario(
         name, multiquery=multiquery)).run().backtest
-    assert_counters_describe_the_records(backtest.baseline)
+    assert_counters_describe_the_destinations(backtest.baseline)
     assert backtest.results
     for result in backtest.results:
-        assert_counters_describe_the_records(result.stats)
+        assert_counters_describe_the_destinations(result.stats)
         from_counters = compare_traffic(backtest.baseline, result.stats)
         assert from_counters == by_samples(backtest.baseline, result.stats)
         if result.ks is not None:
@@ -53,22 +49,21 @@ def test_the_two_computations_agree_on_every_result(name, multiquery):
 
 def stats_of(destinations):
     """What ``NetworkSimulator.inject`` leaves behind for these fates
-    (a host id, or ``None`` for a drop)."""
+    (a host id, or ``DROPPED``)."""
     stats = TrafficStats()
-    for time, host in enumerate(destinations):
-        record = DeliveryRecord(time, PACKET, host,
-                                dropped_at=None if host is not None else 1)
+    for host in destinations:
         stats.total += 1
-        stats.delivery_records.append(record)
-        if record.delivered:
+        stats.destinations.append(host)
+        if host == DROPPED:
+            stats.dropped += 1
+        else:
             stats.delivered_per_host[host] = \
                 stats.delivered_per_host.get(host, 0) + 1
-        else:
-            stats.dropped += 1
     return stats
 
 
-destinations = st.lists(st.one_of(st.none(), st.integers(0, 6)), max_size=80)
+destinations = st.lists(st.one_of(st.just(DROPPED), st.integers(0, 6)),
+                        max_size=80)
 
 
 @given(destinations, destinations)

@@ -1,28 +1,33 @@
 """What a result frame carries per packet.
 
-A worker answers every dispatched candidate with a pickled ``ShardOutcome``
-whose ``delivery_records`` hold one ``Packet`` per replayed trace packet, so
-the shape a packet pickles in is the size of the frame.  A packet pickles as
-its constructor arguments: ``header_values`` — the tuple every lookup reads —
-is derived data, recomputed on the other side, and never rides a frame.
+A worker answers every dispatched candidate with a pickled ``ShardOutcome``.
+Its ``TrafficStats`` keep one int per replayed trace packet — the receiving
+host's id, or ``DROPPED`` — so a frame grows by a few bytes a packet and
+unpickling it builds no ``Packet``.  Packets still cross process boundaries
+elsewhere (job wires, scenario traces); one pickles as its constructor
+arguments: ``header_values`` — the tuple every lookup reads — is derived
+data, recomputed on the other side.
 """
 
 import copy
 import pickle
+import sys
 
 from repro.backtest import Backtester
 from repro.meta import MetaProvenanceExplorer
 from repro.scenarios import build_q1
-from repro.sdn.log import DeliveryRecord
 from repro.sdn.packets import Packet
 
-#: ``len(pickle.dumps(outcome))`` of the first Q1 candidate (234-packet
-#: trace) in a fresh interpreter: 18,998 bytes before ``Packet.__reduce__``
-#: and the named-tuple ``DeliveryRecord``, 10,932 with them.  Packet ids are
-#: process-global integers that pickle in 1 to 4 bytes, so a long test
-#: process may add up to ~700 bytes; the ceiling leaves room for that only.
-PARENT_Q1_OUTCOME_BYTES = 18_998
-Q1_OUTCOME_BYTES_CEILING = 12_000
+#: ``len(pickle.dumps(outcome))`` of the first candidate's outcome when every
+#: packet rode the frame as a record holding its ``Packet`` (10,932 bytes for
+#: Q1's 234-packet trace, 126,286 for the 2,940 packets of ``trace_heavy``),
+#: and the ceiling now that each is one int (1,618 and 7,044 bytes when this
+#: was written).
+PARENT_OUTCOME_BYTES = {"Q1": 10_932, "trace_heavy": 126_286}
+OUTCOME_BYTES_CEILING = {"Q1": 2_000, "trace_heavy": 8_000}
+#: Q1's parameters in the ``trace_heavy`` ledger workload (seed 0).
+TRACE_HEAVY_PARAMS = {"s1_clients": 48, "s4_clients": 16, "repetitions": 10}
+TRACE_PACKETS = {"Q1": 234, "trace_heavy": 2_940}
 
 
 def test_a_packet_round_trips_as_its_constructor_arguments():
@@ -46,28 +51,50 @@ def test_a_packet_round_trips_as_its_constructor_arguments():
     assert defaulted.with_fields(dst_port=53).header_values[3] == 53
 
 
-def test_a_delivery_record_round_trips():
-    packet = Packet(src_ip=1, dst_ip=2)
-    record = DeliveryRecord(5, packet, None, dropped_at=3, path=(1, 3))
-    clone = pickle.loads(pickle.dumps(record))
-    assert clone == record and type(clone) is DeliveryRecord
-    assert not clone.delivered and clone.dropped_at == 3
-    assert DeliveryRecord(5, packet, 2).delivered
-    assert DeliveryRecord(5, packet, 2) == DeliveryRecord(5, packet, 2, None, ())
+def _packets_built(call):
+    """How many ``Packet`` objects ``call()`` constructs."""
+    built = 0
+    code = Packet.__post_init__.__code__
+
+    def profiler(frame, event, arg):
+        nonlocal built
+        if event == "call" and frame.f_code is code:
+            built += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return built
 
 
-def test_a_q1_outcome_frame_is_smaller_than_the_parents():
-    scenario = build_q1()
+def _first_outcome(scenario):
     candidate = MetaProvenanceExplorer(
         scenario.program, scenario.history_index(),
         max_candidates=1).explore_missing(scenario.goal()).candidates[0]
-    outcome = Backtester(scenario).evaluate_outcome(candidate)
-    assert len(outcome.result.stats.delivery_records) == 234
+    return Backtester(scenario).evaluate_outcome(candidate)
+
+
+def _check_frame(shape, scenario):
+    outcome = _first_outcome(scenario)
+    stats = outcome.result.stats
+    assert len(stats.destinations) == stats.total == TRACE_PACKETS[shape]
     frame = pickle.dumps(outcome)
-    assert len(frame) <= Q1_OUTCOME_BYTES_CEILING < PARENT_Q1_OUTCOME_BYTES, (
-        f"a Q1 result frame is {len(frame)} bytes, pinned at 10,932 "
-        f"(ceiling {Q1_OUTCOME_BYTES_CEILING}; {PARENT_Q1_OUTCOME_BYTES} "
-        "when every packet carried its __dict__)")
-    clone = pickle.loads(frame)
-    assert clone.result.stats == outcome.result.stats
-    assert clone.result.ks == outcome.result.ks
+    ceiling, parent = OUTCOME_BYTES_CEILING[shape], PARENT_OUTCOME_BYTES[shape]
+    assert len(frame) <= ceiling < parent, (
+        f"a {shape} result frame is {len(frame)} bytes (ceiling {ceiling}; "
+        f"{parent} when every packet rode it as a record)")
+    clones = []
+    assert _packets_built(lambda: clones.append(pickle.loads(frame))) == 0
+    assert clones[0].result.stats == stats
+    assert clones[0].result.ks == outcome.result.ks
+
+
+def test_a_q1_outcome_frame_is_smaller_than_the_parents():
+    _check_frame("Q1", build_q1())
+
+
+def test_a_trace_heavy_outcome_frame_is_smaller_than_the_parents():
+    _check_frame("trace_heavy", build_q1(**TRACE_HEAVY_PARAMS))

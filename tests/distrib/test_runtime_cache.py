@@ -60,7 +60,7 @@ def test_runtime_cache_reuses_scenario_backtester_and_trunk(scenario,
     first = JobRuntime(wire, cache=cache)
     outcomes_first = [first.evaluate(i) for i in range(len(first))]
     trunk = first.backtester._trunk
-    assert trunk is not None and trunk.base_records
+    assert trunk is not None and trunk.base_destinations
     second = JobRuntime(wire, cache=cache)
     outcomes_second = [second.evaluate(i) for i in range(len(second))]
     assert cache.misses == 1 and cache.hits == 1

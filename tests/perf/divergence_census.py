@@ -5,8 +5,9 @@ mechanism for backtesting", Step 1: before building a fork-at-first-divergence
 backtester, count what it could save.  For every candidate of a session this
 replays the trace packet by packet under the base program and under the
 candidate (cold builds, the backtester's own simulator settings) and compares,
-per packet, ``(delivered_to, dropped_at, path, dPacketIn, dFlowMod,
-dPacketOut)``:
+per packet, ``(destination, dPacketIn, dFlowMod, dPacketOut)`` — where the
+packet ended up (a host id, or ``DROPPED``) and the control traffic it
+caused:
 
 * ``prefix``  — index of the first packet whose outcome differs from the base
   replay's (the trace length if none does).  ``sum(prefix) / sum(trace)`` is
@@ -68,8 +69,7 @@ def outcomes(scenario, trace, repaired=None):
     for switch_id, packet in trace:
         before = (stats.packet_in_count, stats.flow_mod_count,
                   stats.packet_out_count)
-        record = simulator.inject(packet, switch_id)
-        rows.append((record.delivered_to, record.dropped_at, record.path,
+        rows.append((simulator.inject(packet, switch_id),
                      stats.packet_in_count - before[0],
                      stats.flow_mod_count - before[1],
                      stats.packet_out_count - before[2]))
@@ -81,9 +81,7 @@ def census(config):
     backtest = session.run().backtest
     scenario, trace = session.scenario, session.scenario.trace()
     base = outcomes(scenario, trace)
-    assert [row[:3] for row in base] == [
-        (r.delivered_to, r.dropped_at, r.path)
-        for r in backtest.baseline.delivery_records]
+    assert [row[0] for row in base] == backtest.baseline.destinations
     rows = []                           # (prefix, equal outcomes, replayed?)
     for result in backtest.results:
         replayed = not any(note.startswith("vetoed") for note in result.notes)
@@ -93,9 +91,7 @@ def census(config):
             continue
         mine = outcomes(scenario, trace, repaired)
         if replayed:                    # the census replays what the session did
-            assert [row[:3] for row in mine] == [
-                (r.delivered_to, r.dropped_at, r.path)
-                for r in result.stats.delivery_records]
+            assert [row[0] for row in mine] == result.stats.destinations
         same = [ours == theirs for ours, theirs in zip(mine, base)]
         prefix = same.index(False) if False in same else len(trace)
         rows.append((prefix, sum(same), replayed))

@@ -23,7 +23,7 @@ from repro.scenarios.other_languages import (
     PolicyRepairer,
     SendPacketOut,
 )
-from repro.sdn import FlowMod, PacketOut
+from repro.sdn import DROP_PORT, FlowMod, PacketOut
 from repro.sdn.controller import PacketInEvent
 from repro.sdn.packets import Packet, http_request
 
@@ -46,7 +46,8 @@ class TestPolicyDSL:
         controller = PolicyController(Match(dst_port=80)[Fwd(1)])
         messages = controller.handle_packet_in(
             PacketInEvent(5, Packet(src_ip=1, dst_ip=2, dst_port=53)))
-        assert any(isinstance(m, FlowMod) and m.entry.is_drop() for m in messages)
+        assert any(isinstance(m, FlowMod) and m.entry.out_port == DROP_PORT
+                   for m in messages)
 
     def test_repairer_fixes_wrong_switch_match(self):
         buggy = Parallel(Match(switch=2, dst_port=80)[Fwd(2)],

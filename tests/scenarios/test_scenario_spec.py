@@ -29,8 +29,7 @@ def scenario_fingerprint(scenario):
         "packet_in_count": stats.packet_in_count,
         "flow_mod_count": stats.flow_mod_count,
         "packet_out_count": stats.packet_out_count,
-        "records": [(r.packet, r.delivered_to, r.dropped_at, r.path)
-                    for r in stats.delivery_records],
+        "destinations": stats.destinations,
     }
 
 

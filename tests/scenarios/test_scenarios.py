@@ -3,9 +3,12 @@
 import pytest
 
 from repro.api import RepairConfig, RepairSession
+from repro.backtest import Backtester
+from repro.meta import MetaProvenanceExplorer
 from repro.repair import ChangeAssignment, ChangeConstant
 from repro.scenarios import SCENARIO_BUILDERS, all_scenarios, build_scenario
 from repro.scenarios.other_languages import ImperativeQ1Scenario, PolicyQ1Scenario
+from test_paper_tables import REFERENCE_CANDIDATES
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +38,21 @@ class TestScenarioDefinitions:
         controller, log, stats = scenario.record_history()
         assert not scenario.is_effective(stats), \
             f"{name}: the symptom should be present under the buggy program"
+
+    @pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+    def test_is_effective_on_the_baseline_and_the_reference_repair(self, name):
+        """The symptom check, pinned on the two replays that define it: the
+        buggy program shows the symptom, the paper's repair removes it."""
+        scenario = build_scenario(name)
+        explorer = MetaProvenanceExplorer(
+            scenario.program, scenario.history_index(), max_candidates=14)
+        (reference,) = [
+            candidate for candidate
+            in explorer.explore_missing(scenario.goal()).candidates
+            if candidate.description == REFERENCE_CANDIDATES[name]]
+        backtester = Backtester(scenario, ks_threshold=scenario.ks_threshold)
+        assert not scenario.is_effective(backtester.baseline())
+        assert scenario.is_effective(backtester.evaluate(reference).stats)
 
     @pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
     def test_trace_is_deterministic(self, name):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.sdn import (
     DNS_PORT,
     DROP_PORT,
+    DROPPED,
     FlowEntry,
     FlowTable,
     HTTP_PORT,
@@ -13,6 +14,7 @@ from repro.sdn import (
     LOG_ENTRY_BYTES,
     NetworkSimulator,
     Packet,
+    RecordingController,
     StaticController,
     FlowMod,
     TrafficGenerator,
@@ -70,8 +72,8 @@ class TestTopology:
         assert topo.switch_count() == 3
         assert {h.role for h in topo.hosts.values()} == {"web", "dns", "client"}
         # S1 port 1 leads to S2, port 2 to S3 (matching the Figure 2 rules).
-        assert topo.switch(1).neighbor(1) == ("switch", 2)
-        assert topo.switch(1).neighbor(2) == ("switch", 3)
+        assert topo.switch(1).ports[1] == ("switch", 2)
+        assert topo.switch(1).ports[2] == ("switch", 3)
 
     def test_stanford_campus_sizes(self):
         topo = stanford_campus(core_switches=16, edge_networks=3, hosts_per_edge=10)
@@ -99,28 +101,46 @@ class TestTopology:
 
 
 class TestSimulator:
+    """A packet's fate is its destination; which switches it crossed shows
+    in their flow tables and in where the PacketIns were raised."""
+
     def test_static_controller_forwards(self):
         topo = figure1_topology()
         mods = [FlowMod(1, FlowEntry.create({"dst_port": 80}, out_port=1)),
                 FlowMod(2, FlowEntry.create({"dst_port": 80}, out_port=1))]
-        sim = NetworkSimulator(topo, StaticController(mods))
-        record = sim.inject(http_request(100, 11), at_switch=1)
-        assert record.delivered_to == 11
-        assert record.path == (1, 2)
+        recording = RecordingController(StaticController(mods))
+        sim = NetworkSimulator(topo, recording)
+        assert sim.inject(http_request(100, 11), at_switch=1) == 11
+        assert sim.stats.destinations == [11]
+        # S1 -> S2 -> H11: both hit, and S3 (empty) was never asked.
+        assert [len(topo.switch(s).flow_table) for s in (1, 2, 3)] == [1, 1, 0]
+        assert recording.packet_ins == []
 
     def test_table_miss_without_controller_response_drops(self):
         topo = figure1_topology()
-        sim = NetworkSimulator(topo, StaticController([]))
-        record = sim.inject(http_request(100, 11), at_switch=1)
-        assert not record.delivered
-        assert record.dropped_at == 1
+        recording = RecordingController(StaticController([]))
+        sim = NetworkSimulator(topo, recording)
+        assert sim.inject(http_request(100, 11), at_switch=1) == DROPPED
+        assert [event.switch_id for event in recording.packet_ins] == [1]
+        assert (sim.stats.dropped, sim.stats.destinations) == (1, [DROPPED])
+
+    def test_downstream_miss_is_raised_at_that_switch(self):
+        topo = figure1_topology()
+        mods = [FlowMod(1, FlowEntry.create({"dst_port": 80}, out_port=1))]
+        recording = RecordingController(StaticController(mods))
+        sim = NetworkSimulator(topo, recording)
+        assert sim.inject(http_request(100, 11), at_switch=1) == DROPPED
+        (event,) = recording.packet_ins
+        assert event.switch_id == 2
+        assert event.in_port == topo.switch(2).port_to("switch", 1)
 
     def test_drop_entry(self):
         topo = figure1_topology()
         mods = [FlowMod(1, FlowEntry.create({"dst_port": 80}, out_port=DROP_PORT))]
-        sim = NetworkSimulator(topo, StaticController(mods))
-        record = sim.inject(http_request(100, 11), at_switch=1)
-        assert not record.delivered
+        recording = RecordingController(StaticController(mods))
+        sim = NetworkSimulator(topo, recording)
+        assert sim.inject(http_request(100, 11), at_switch=1) == DROPPED
+        assert recording.packet_ins == [] and sim.stats.dropped == 1
 
     def test_stats_accumulate(self):
         topo = figure1_topology()
