@@ -24,8 +24,8 @@ first join depth where their variables are bound.  There are two fixpoint
 loops.  The event-visible one (:meth:`Engine._fixpoint`) runs off a
 deque-based worklist of single-tuple batches, which fixes the firing order
 the event log and the derivation history record.  The quiet one
-(:meth:`Engine._rederive_fixpoint`) serves deletion re-derivation and the
-full recompute alike: semi-naive delta rounds, each joining only the
+(:meth:`Engine._rederive_fixpoint`) is the recompute behind
+:meth:`Engine.remove`: semi-naive delta rounds, each joining only the
 previous round's fresh tuples — batched per table — against the indexes.
 Duplicate rule firings are detected with a per-(rule, head) hash set rather
 than a linear scan of the derivation history.
@@ -61,32 +61,31 @@ of the program.  Order comes from the ordinals alone, never from dict or
 set iteration.  The batched quiet fixpoint offers a batch to all entries of
 its table: guards select per tuple.
 
-Deletion semantics
-------------------
+Retraction
+----------
 
-:meth:`Engine.remove` retracts a base tuple incrementally (DRed-style)
-instead of recomputing the derived set from scratch.  The engine maintains,
-for every derived tuple, the set of *supports* — ``(rule, body tuples)``
-pairs that currently justify it — plus a reverse index from each tuple to
-the supports it participates in.  Removal over-deletes the downstream cone
-of the retracted tuple (skipping base tuples: a tuple can be base *and*
-derived at once, and retracting one base tuple never evicts another), then
-re-derives members of the cone that still have a valid alternative support,
-propagating re-derivations to a quiet fixpoint.  Tuples removed directly
-through ``engine.database.remove`` (e.g. transient message cleanup performed
-by controllers) bypass this bookkeeping on purpose: their supports stay
-registered, so replaying the exact same firing does not re-derive them —
-matching the historical message semantics of the event log.
+Backtesting replays a recorded trace, and a replay only inserts: nothing
+the debugger runs retracts a tuple.  So :meth:`Engine.remove` is a
+recompute, not an incremental algorithm: it drops the tuple, clears every
+derived flag and the supports, and re-runs the quiet fixpoint from the
+remaining base tuples in insertion order (a tuple can be base *and* derived
+at once; retracting one base tuple never evicts another).  What disappeared
+is reported in store order.  Freeing a primary key lets a tuple an earlier
+key update evicted come back, and when several live derivations assign
+*different* values to one key, the survivor is evaluation-order dependent —
+a property of the update semantics itself, shared with the reference
+evaluator.
 
-Primary-key (NDlog "update") tables interact with deletion in two ways: a
-key update that evicts a derived tuple also forgets its supports (so the
-same firing can later re-derive it), and a deletion whose cone touches a
-keyed table falls back to a full recompute (derived flags and supports
-dropped, the quiet fixpoint re-run from the base tuples in insertion order),
-since freeing a key can make a previously evicted tuple derivable again.
-When several live derivations assign *different* values to one key, the
-surviving tuple is evaluation-order dependent — a property of the update
-semantics itself, shared with the recompute-based reference evaluator.
+The *supports* — per derived tuple, the ``(rule, body tuples)`` firings
+that produced it — are what stops the same firing from being applied
+twice.  :meth:`Engine.consume` (one-shot messages such as ``PacketOut``)
+and the post-fixpoint sweep of transient tables drop a tuple but keep its
+supports, so replaying the exact same firing does not re-emit it — the
+historical message semantics of the event log.  A key update that evicts a
+derived tuple forgets its supports, so the same firing can re-derive it
+once the key is free.  A recompute starts from no supports, so a consumed
+message or transient head that the remaining base still derives is back in
+the store afterwards, as in the reference evaluator's recompute.
 
 The engine is deliberately single-threaded and deterministic: logical time is
 a simple counter, and rule/body iteration order is the program order.  This
@@ -102,8 +101,8 @@ Backtesting replays the same trace against many near-identical programs, and
 rebuilding an engine per candidate makes *setup* — not the fixpoint — the
 recurring cost.  :meth:`Engine.checkpoint` / :meth:`Engine.restore` snapshot
 the complete evaluation state in O(changed) via an undo journal: once a
-checkpoint exists, every mutation (tuples, flags, indexes, supports,
-dependents) appends an inverse entry, and restoring rewinds the journal
+checkpoint exists, every mutation (tuples, flags, indexes, supports)
+appends an inverse entry, and restoring rewinds the journal
 instead of copying tables.  Append-only history (events, derivations) is
 simply truncated back to the checkpointed lengths.  A rewound engine takes
 the next candidate's program through :meth:`Engine.swap_program`, which
@@ -136,7 +135,7 @@ from .events import (
 )
 from .expr import FunctionRegistry
 from .plan import CompiledRule, PLAN_CACHE
-from .tuples import Database, NDTuple, TableSchema
+from .tuples import DERIVED_FLAG, Database, NDTuple, TableSchema
 
 
 #: One dispatch entry: a plan, the body position it is triggered at, and
@@ -183,10 +182,9 @@ class Engine:
         self._derivations_by_head: Dict[NDTuple, List[DerivationRecord]] = defaultdict(list)
         #: Per-(rule, head) bodies already recorded — O(1) duplicate check.
         self._recorded_bodies: Dict[Tuple[str, NDTuple], Set[Tuple[NDTuple, ...]]] = {}
-        #: Current supports of each derived tuple: {(rule_name, body), ...}.
+        #: Firings applied to each derived tuple: {(rule_name, body), ...}
+        #: — the firing dedup (module docstring, "Retraction").
         self._supports: Dict[NDTuple, Set[Tuple[str, Tuple[NDTuple, ...]]]] = {}
-        #: Reverse index: tuple -> supports it participates in.
-        self._dependents: Dict[NDTuple, Set[Tuple[NDTuple, str, Tuple[NDTuple, ...]]]] = {}
         #: Rule dispatch (module docstring): per body table ``(residual,
         #: exact)``; read through :meth:`plans_triggered_by`.
         self._dispatch: Dict[str, Tuple[List[_Entry], Dict[
@@ -445,41 +443,35 @@ class Engine:
         return results
 
     def remove(self, tup: NDTuple) -> List[NDTuple]:
-        """Retract a base tuple and underive its unsupported downstream cone.
+        """Retract a tuple and recompute the derived set from the base.
 
-        Returns the list of derived tuples that disappeared.  Deletion is
-        incremental (DRed-style): only tuples reachable from ``tup`` through
-        the current support graph are reconsidered, and every tuple with a
-        surviving alternative derivation — or a base flag of its own — stays.
+        Returns the derived tuples that disappeared, in store order, each
+        logged UNDERIVE + DISAPPEAR.  Derived flags and supports are dropped
+        and the quiet fixpoint re-runs from the remaining base tuples in
+        insertion order (module docstring, "Retraction").
         """
-        if not self.database.contains(tup):
+        database = self.database
+        if not database.contains(tup):
             return []
-        schema = self.database.schema(tup.table)
-        node = tup.location(schema)
+        node = tup.location(database.schema(tup.table))
         self._log(DELETE, tup, node=node)
         self._log(DISAPPEAR, tup, node=node)
-        self.database.remove(tup)
-        overdeleted: List[NDTuple] = [tup]
-        touched_base: Set[NDTuple] = set()
-        self._overdelete(overdeleted, touched_base)
-        self._rederive_survivors(overdeleted, touched_base)
-
+        database.remove(tup)
+        before = [t for t, flags in database._flags.items()
+                  if flags & DERIVED_FLAG]
+        for derived in before:
+            database.clear_derived_flag(derived)
+        if self._journal is not None:
+            self._journal.append(("supswap", self._supports))
+        self._supports = {}
+        self._rederive_fixpoint(database.base_in_order())
         disappeared = []
-        for head in overdeleted[1:]:
-            if not self.database.contains(head):
-                head_schema = self.database.schema(head.table)
-                head_node = head.location(head_schema)
-                self._log(UNDERIVE, head, node=head_node)
-                self._log(DISAPPEAR, head, node=head_node)
-                disappeared.append(head)
-        if any(self._in_keyed_table(gone) for gone in overdeleted):
-            # Deleting a tuple of a primary-key table can free a key that a
-            # previously evicted tuple (whose supports the eviction hook
-            # dropped) may reoccupy; only a recompute can find those, so fall
-            # back to it — the cheap incremental path covers the common
-            # keyless tables.
-            extra = self._recompute_and_rebuild_supports()
-            disappeared.extend(t for t in extra if t not in disappeared)
+        for gone in before:
+            if not database.contains(gone):
+                node = gone.location(database.schema(gone.table))
+                self._log(UNDERIVE, gone, node=node)
+                self._log(DISAPPEAR, gone, node=node)
+                disappeared.append(gone)
         return disappeared
 
     def consume(self, tup: NDTuple) -> bool:
@@ -488,8 +480,8 @@ class Engine:
         Used by controllers for derived tuples that act as one-shot messages
         (e.g. ``PacketOut``): the tuple leaves the store, but its supports and
         history stay registered, so replaying the exact same firing does not
-        re-emit it.  Contrast with :meth:`remove`, which incrementally
-        maintains the derived set.
+        re-emit it.  A later :meth:`remove` recomputes from no supports and
+        brings the message back if the remaining base still derives it.
         """
         return self.database.remove(tup)
 
@@ -513,7 +505,9 @@ class Engine:
 
     def restore(self, cp: EngineCheckpoint) -> None:
         """Rewind all state to ``cp``: tuples, flags, indexes, supports,
-        dependents, program/plans, clock and the event/derivation history."""
+        program/plans, clock and the event/derivation history.  Supports
+        come back per firing (``supadd``), per evicted tuple (``suppop``) or
+        whole, for a :meth:`remove` in between (``supswap``)."""
         if cp.engine is not self:
             raise EvaluationError("checkpoint belongs to a different engine")
         journal = self._journal
@@ -534,29 +528,11 @@ class Engine:
                         supports.discard(key)
                         if not supports:
                             del self._supports[head]
-                elif kind == "supdel":
-                    _, head, key = entry
-                    self._supports.setdefault(head, set()).add(key)
                 elif kind == "suppop":
                     _, head, old_set = entry
                     self._supports[head] = old_set
-                elif kind == "depadd":
-                    _, member, dep = entry
-                    dependents = self._dependents.get(member)
-                    if dependents is not None:
-                        dependents.discard(dep)
-                        if not dependents:
-                            del self._dependents[member]
-                elif kind == "depdel":
-                    _, member, dep = entry
-                    self._dependents.setdefault(member, set()).add(dep)
-                elif kind == "deppop":
-                    _, member, old_set = entry
-                    self._dependents[member] = old_set
                 elif kind == "supswap":
-                    _, old_supports, old_dependents = entry
-                    self._supports = old_supports
-                    self._dependents = old_dependents
+                    self._supports = entry[1]
                 else:           # pragma: no cover — defensive
                     raise EvaluationError(f"unknown journal entry {kind!r}")
         finally:
@@ -602,60 +578,6 @@ class Engine:
         self.program = program
         self._index_rules()
 
-    def _overdelete(self, overdeleted: List[NDTuple],
-                    touched_base: Set[NDTuple]) -> None:
-        """DRed phase 1.  ``overdeleted`` arrives holding the tuples the
-        caller already took out of the database and leaves extended, in
-        breadth-first order, with everything transitively supported through
-        them — each removed from the database, its supports unregistered.
-        Base tuples never leave because a derivation died: the ones reached
-        are collected in ``touched_base`` instead."""
-        overdeleted_set = set(overdeleted)
-        queue = deque(overdeleted)
-        journal = self._journal
-        while queue:
-            current = queue.popleft()
-            popped = self._dependents.pop(current, None)
-            if popped is None:
-                continue
-            if journal is not None:
-                journal.append(("deppop", current, popped))
-            for head, rule_name, body in popped:
-                supports = self._supports.get(head)
-                if supports is not None:
-                    key = (rule_name, body)
-                    if key in supports:
-                        supports.discard(key)
-                        if journal is not None:
-                            journal.append(("supdel", head, key))
-                    if not supports:
-                        del self._supports[head]
-                if head in overdeleted_set or not self.database.contains(head):
-                    continue
-                if self.database.is_base(head):
-                    touched_base.add(head)
-                    continue
-                self.database.remove(head)
-                overdeleted.append(head)
-                overdeleted_set.add(head)
-                queue.append(head)
-
-    def _rederive_survivors(self, overdeleted: List[NDTuple],
-                            touched_base: Set[NDTuple]) -> None:
-        """DRed phase 2: put back the over-deleted tuples that still have a
-        valid alternative support, drop the derived flag of touched base
-        tuples that have none, and propagate quietly."""
-        worklist: List[NDTuple] = []
-        for head in overdeleted:
-            if self._has_valid_support(head):
-                self.database.insert(head, derived=True)
-                worklist.append(head)
-        for head in touched_base:
-            if not self._has_valid_support(head):
-                self.database.clear_derived_flag(head)
-        if worklist:
-            self._rederive_fixpoint(worklist)
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -683,7 +605,6 @@ class Engine:
         worklist = deque(delta)
         newly_derived: List[NDTuple] = []
         supports = self._supports
-        dependents = self._dependents
         database = self.database
         journal = self._journal
         functions = self.functions
@@ -704,19 +625,10 @@ class Engine:
                         # Exact duplicate firing: nothing new to derive.
                         continue
                     head_supports.add(key)
+                    if journal is not None:
+                        journal.append(("supadd", head, key))
                     if fired is not None:
                         fired.append((head, body))
-                    entry = (head, plan.name, body)
-                    if journal is None:
-                        for member in body:
-                            dependents.setdefault(member, set()).add(entry)
-                    else:
-                        journal.append(("supadd", head, key))
-                        for member in body:
-                            member_deps = dependents.setdefault(member, set())
-                            if entry not in member_deps:
-                                member_deps.add(entry)
-                                journal.append(("depadd", member, entry))
                     is_new = not database.contains(head)
                     if recording:
                         record = self._record_derivation(plan.rule, head,
@@ -768,16 +680,17 @@ class Engine:
         }
 
     def _rederive_fixpoint(self, delta: Sequence[NDTuple]):
-        """The quiet fixpoint: DRed re-derivation and the full recompute
-        both propagate through here.
+        """The quiet fixpoint behind :meth:`remove`'s recompute.
 
-        Re-registers supports and re-inserts tuples without appending to the
-        event log or the derivation history (matching the silent recompute of
-        the reference evaluator).
+        Registers supports and inserts derived tuples without appending to
+        the event log or the derivation history (matching the silent
+        recompute of the reference evaluator).
         """
         database = self.database
         functions = self.functions
         dispatch = self._dispatch
+        supports = self._supports
+        journal = self._journal
         frontier = list(delta)
         while frontier:
             # Semi-naive delta round: batch the frontier per table and fire
@@ -793,44 +706,17 @@ class Engine:
                 for _ordinal, plan, position in sorted(chain(
                         residual, *(bucket for buckets in exact.values()
                                     for bucket in buckets.values()))):
-                    firings = plan.fire(position, batch, database, functions,
-                                        False)
-                    self._apply_quiet_firings(plan, firings, frontier)
-
-    def _apply_quiet_firings(self, plan: CompiledRule, firings,
-                             fresh_out: List[NDTuple]) -> None:
-        """Register a batch of quiet firings: supports, dependents, journal,
-        derived flags.  Heads newly added to the database are appended to
-        ``fresh_out`` (the caller's next frontier)."""
-        if not firings:
-            return
-        supports = self._supports
-        dependents = self._dependents
-        database = self.database
-        journal = self._journal
-        name = plan.name
-        for head, body, _bindings in firings:
-            key = (name, body)
-            head_supports = supports.setdefault(head, set())
-            fresh_support = key not in head_supports
-            if fresh_support:
-                head_supports.add(key)
-                entry = (head, name, body)
-                if journal is None:
-                    for member in body:
-                        dependents.setdefault(member, set()).add(entry)
-                else:
-                    journal.append(("supadd", head, key))
-                    for member in body:
-                        member_deps = dependents.setdefault(member, set())
-                        if entry not in member_deps:
-                            member_deps.add(entry)
-                            journal.append(("depadd", member, entry))
-            if not database.contains(head):
-                database.insert(head, derived=True)
-                fresh_out.append(head)
-            elif fresh_support:
-                database.insert(head, derived=True)
+                    for head, body, _bindings in plan.fire(
+                            position, batch, database, functions, False):
+                        key = (plan.name, body)
+                        head_supports = supports.setdefault(head, set())
+                        if key in head_supports:
+                            continue
+                        head_supports.add(key)
+                        if journal is not None:
+                            journal.append(("supadd", head, key))
+                        if database.insert(head, derived=True):
+                            frontier.append(head)
 
     def _on_evicted(self, tup: NDTuple):
         """A primary-key update evicted ``tup``: forget its supports so the
@@ -838,50 +724,6 @@ class Engine:
         popped = self._supports.pop(tup, None)
         if popped is not None and self._journal is not None:
             self._journal.append(("suppop", tup, popped))
-
-    def _in_keyed_table(self, tup: NDTuple) -> bool:
-        schema = self.database.schema(tup.table)
-        return schema is not None and bool(schema.primary_key)
-
-    def _recompute_and_rebuild_supports(self) -> List[NDTuple]:
-        """Full recompute of the derived set (keyed-table deletion fallback).
-
-        Derived flags are cleared (base flags are untouched — removing one
-        base tuple never evicts another), the quiet fixpoint re-derives
-        everything reachable from the remaining base tuples, taken in
-        insertion order, and the support graph is rebuilt from scratch.
-        """
-        before = self.database.derived_tuples()
-        for tup in before:
-            self.database.clear_derived_flag(tup)
-        if self._journal is not None:
-            self._journal.append(("supswap", self._supports, self._dependents))
-            self._supports = {}
-            self._dependents = {}
-        else:
-            self._supports.clear()
-            self._dependents.clear()
-        self._rederive_fixpoint(self.database.base_in_order())
-        disappeared = []
-        for tup in before:
-            if not self.database.contains(tup):
-                schema = self.database.schema(tup.table)
-                self._log(UNDERIVE, tup, node=tup.location(schema))
-                self._log(DISAPPEAR, tup, node=tup.location(schema))
-                disappeared.append(tup)
-        return disappeared
-
-    def _has_valid_support(self, head: NDTuple) -> bool:
-        """Does any registered support of ``head`` still hold entirely?
-
-        Every registered support belongs to a rule of the current program:
-        :meth:`swap_program`, the only way the program changes, is for
-        states in which the rules being dropped support nothing."""
-        database = self.database
-        for _rule_name, body in self._supports.get(head, ()):
-            if all(database.contains(member) for member in body):
-                return True
-        return False
 
     def _record_derivation(self, rule: Rule, head: NDTuple,
                            body: Tuple[NDTuple, ...], bindings):

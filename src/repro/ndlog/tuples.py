@@ -15,7 +15,8 @@ Storage details that the evaluation layer relies on:
 * A table is one live set of tuples.  The only insertion-ordered record is
   the flag dict itself, which :meth:`Database.base_in_order` exposes so the
   engine's quiet recompute can seed in an order that does not depend on the
-  string hash seed.
+  string hash seed, and which ``Engine.remove`` walks to report what
+  disappeared in that same store order.
 * Secondary hash indexes keyed on ``(column, value)`` let joins probe the
   tuples matching an already-bound variable instead of scanning (and
   copying) the whole table.  Indexes are *lazy*: a column's buckets are
@@ -177,7 +178,7 @@ class Database:
         self.index_materializations = 0
         #: A :class:`weakref.WeakMethod` of the function called with each
         #: tuple evicted by a primary-key update, so an engine can keep its
-        #: incremental bookkeeping consistent.  Weak, so that an engine and
+        #: firing dedup consistent.  Weak, so that an engine and
         #: its database form no reference cycle.
         self.eviction_hook = None
         #: Undo journal shared with an :class:`~repro.ndlog.engine.Engine`

@@ -2,8 +2,8 @@
 
 Provides the data plane (switches, flow tables, links, hosts), the control
 channel (PacketIn / FlowMod / PacketOut), topology builders including a
-Stanford-campus-like network, a synthetic campus traffic generator, and the
-historical log that meta provenance and backtesting replay.
+Stanford-campus-like network, and the historical log that meta provenance
+and backtesting replay.
 """
 
 from .controller import (
@@ -39,7 +39,6 @@ from .switch import (
     Switch,
 )
 from .topology import Host, Topology, figure1_topology, scaled_campus, stanford_campus
-from .traffic import TrafficGenerator, TrafficProfile, protocol_mix, replayed_trace
 
 __all__ = [
     "ControlMessage", "Controller", "FlowMod", "PacketInEvent", "PacketOut",
@@ -51,5 +50,4 @@ __all__ = [
     "CONTROLLER_PORT", "DROP_PORT", "FLOOD_PORT", "FlowEntry", "FlowTable",
     "MATCH_FIELDS", "Switch",
     "Host", "Topology", "figure1_topology", "scaled_campus", "stanford_campus",
-    "TrafficGenerator", "TrafficProfile", "protocol_mix", "replayed_trace",
 ]

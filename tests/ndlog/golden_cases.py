@@ -7,10 +7,13 @@ the pre-rewrite indexed engine.  Any engine-core change that perturbs an
 event-visible ordering shows up as a fixture diff instead of a silent
 semantic drift.
 
-Set-iteration order inside the engine (e.g. which member of a deletion cone
-is visited first) depends on Python's string hash, so fixtures are captured
-and compared under ``PYTHONHASHSEED=0`` — both :func:`main` and the test's
-fingerprint subprocess re-exec themselves with the seed pinned.
+Set-iteration order inside the engine (the order in which a join visits the
+candidates of an index bucket) depends on Python's string hash, so fixtures
+are captured and compared under ``PYTHONHASHSEED=0`` — both :func:`main` and
+the test's fingerprint subprocess re-exec themselves with the seed pinned.
+The ``remove`` steps of ``chain``, ``checkpoint``, ``selffeed3_live`` and
+``selfrec`` were re-dumped when removal became a recompute: same tuples and
+event slots, now in store order.
 
 Regenerate (only when an intentional behaviour change is being made)::
 

@@ -3,10 +3,10 @@
 Two properties underpin warm candidate evaluation:
 
 * ``restore(checkpoint())`` is a *complete* rewind: database contents,
-  flags, secondary indexes, support graph, dependents, program/plans,
-  clock and the event/derivation history all return to the snapshot —
-  verified here against deep copies, including under randomized mutation
-  sequences (inserts, incremental deletes, batched inserts, key updates).
+  flags, secondary indexes, supports, program/plans, clock and the
+  event/derivation history all return to the snapshot — verified here
+  against deep copies, including under randomized mutation sequences
+  (inserts, recomputing deletes, batched inserts, key updates).
 * ``restore(checkpoint)`` + ``swap_program(new)`` leaves the engine where
   evaluating ``new`` from scratch would, provided every rule in the program
   delta — the rules in which the two programs differ — was dormant at the
@@ -80,8 +80,6 @@ def engine_fingerprint(engine):
         dict(db._flags),
         {head: frozenset(supports)
          for head, supports in engine._supports.items()},
-        {member: frozenset(deps)
-         for member, deps in engine._dependents.items()},
         engine.clock,
         tuple(engine.events),
         tuple(engine.derivations),

@@ -2,9 +2,11 @@
 derived lists, event log, derivation history, final state) must match the
 fixtures captured from the pre-rewrite indexed engine.
 
-Fingerprints are computed in a ``PYTHONHASHSEED=0`` subprocess because
-set-iteration order inside the engine (deletion-cone visit order) depends
-on the string hash seed; see :mod:`tests.ndlog.golden_cases` for the case
+Fingerprints are computed in a ``PYTHONHASHSEED=0`` subprocess because a
+join visits its candidates in index-bucket (set) order, which depends on the
+string hash seed: ``selffeed3_live``'s insert-time derivations and events
+differ between seeds 0 and 1.  A removal reports in store order, the same
+under every seed.  See :mod:`tests.ndlog.golden_cases` for the case
 definitions and the regeneration command.
 """
 

@@ -64,7 +64,7 @@ def test_multi_atom_join_matches_oracle():
 
 
 def test_deletions_match_oracle_on_persistent_tables():
-    """DRed deletion must agree with recompute-from-scratch (acyclic,
+    """Deletion agrees with the oracle's recompute (acyclic,
     persistent-only program), including delete-then-reinsert round-trips."""
     source = (
         "r1 B(@X,P) :- A(@X,P), P > 0.\n"
@@ -93,10 +93,9 @@ def test_deletions_match_oracle_on_persistent_tables():
 
 
 def test_keyed_cone_deletions_match_oracle_and_a_fresh_engine():
-    """A deletion whose cone touches a primary-key table recomputes the
-    whole derived set — here over four SCC groups, the recursive ``Reach``
-    among them.  After every removal the tables and flags must equal the
-    oracle's, and tables, flags *and* the support bookkeeping a fresh
+    """Deletions through a primary-key table — here over four SCC groups,
+    the recursive ``Reach`` among them.  After every removal the tables and
+    flags must equal the oracle's, and tables, flags *and* supports a fresh
     engine's over the remaining base tuples."""
     source = (
         "r1 Reach(@X,Y) :- Link(@X,Y).\n"
@@ -114,7 +113,7 @@ def test_keyed_cone_deletions_match_oracle_and_a_fresh_engine():
 
     def bookkeeping(engine):
         # Flags cover the tables too: every stored tuple carries one.
-        return (engine.database._flags, engine._supports, engine._dependents)
+        return (engine.database._flags, engine._supports)
 
     # A cycle a -> b -> c -> a with a tail c -> d; one cost per pair, so no
     # two live derivations ever disagree on a Best key ...

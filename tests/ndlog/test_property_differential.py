@@ -49,9 +49,8 @@ VALUES = (0, 1, 2, 3, "*", True)
 CONSTANTS = ("0", "1", "2", "3", "*")
 
 #: A primary key over *every* column never evicts (two tuples with one key
-#: are one tuple), so results stay evaluation-order independent — but a
-#: removal whose cone reaches K still takes the engine's keyed-table
-#: fallback: drop all derived state and supports, recompute from the base.
+#: are one tuple), so results stay evaluation-order independent while the
+#: key-update path (eviction check, supports) still runs on every insert.
 KEYED_SCHEMA = TableSchema("K", ("x", "y"), primary_key=("x", "y"))
 
 #: Rule shapes; every table has arity 2 and the location var leads.
@@ -65,8 +64,8 @@ _SHAPES = (
     # that the join reaches at depth >= 2 (cf. golden case selffeed3_live).
     "{name} {head}(@X, Z) :- {b1}(@X, Y), {b2}(@X, Y), {b3}(@Y, Z).",
     "{name} {head}(@X, Z) :- {b1}(@X, Y), {b2}(@X, Z), {b3}(@X, Y).",
-    # Two rules through the keyed table: the full recompute then runs over
-    # whatever SCCs the other rules form — K's own when {head} equals {b1}.
+    # Two rules through the keyed table, which joins whatever SCCs the other
+    # rules form — K's own when {head} equals {b1}.
     "{name} K(@X, Y) :- {b1}(@X, Y).\n{name}k {head}(@Y, X) :- K(@X, Y).",
 )
 
@@ -150,32 +149,21 @@ def final_state(engine):
             engine.database.derived_tuples())
 
 
+def supports_of(engine):
+    return {head: frozenset(keys)
+            for head, keys in engine._supports.items() if keys}
+
+
 def support_fingerprint(engine):
     """Engine-internal bookkeeping that checkpoint/restore must rewind."""
-    supports = {head: frozenset(keys)
-                for head, keys in engine._supports.items() if keys}
-    dependents = {tup: frozenset(entries)
-                  for tup, entries in engine._dependents.items() if entries}
-    return (final_state(engine), supports, dependents, engine.clock,
+    return (final_state(engine), supports_of(engine), engine.clock,
             len(engine.events), len(engine.derivations))
 
 
 def derived_state(engine):
     """What a deletion must leave exactly as a from-scratch evaluation
-    would: tuples, flags and supports.  Dependents are compared through
-    their *live* entries — incremental over-deletion unregisters a dead
-    support but leaves its entry under the body members that are still
-    present (the recompute fallback rebuilds them exactly, which
-    ``test_oracle.py``'s keyed-table case pins)."""
-    supports = {head: frozenset(keys)
-                for head, keys in engine._supports.items()}
-    live = {}
-    for member, entries in engine._dependents.items():
-        kept = frozenset((head, rule, body) for head, rule, body in entries
-                         if (rule, body) in supports.get(head, ()))
-        if kept:
-            live[member] = kept
-    return final_state(engine), supports, live
+    would: tuples, flags and supports."""
+    return final_state(engine), supports_of(engine)
 
 
 def rebuilt_from_base(engine):

@@ -1,12 +1,13 @@
-"""Regression tests for the derived-state bugs fixed alongside the
-indexed/incremental engine rewrite:
+"""Regression tests for the engine's derived-state bugs:
 
 * ``TableSchema`` silently accepted primary-key columns that are not fields;
 * removing one base tuple evicted *other* base tuples that had also been
   re-derived by a rule (base/derived were overlapping sets, not flags);
-* deletion recomputed the world from scratch and a deleted-then-reinserted
-  base tuple never re-derived its consequences (the historical derivation
-  dedup suppressed the re-insertion).
+* a deleted-then-reinserted base tuple never re-derived its consequences
+  (the historical derivation dedup suppressed the re-insertion);
+* what a removal reports came in the visit order of a set walk, which
+  depends on the string hash seed; it is store order now (CI runs this file
+  under two seeds).
 """
 
 import pytest
@@ -141,10 +142,31 @@ class TestDeleteRederiveRoundTrip:
         assert engine.contains(make_tuple("C", "n1", 1))
         assert not engine.contains(make_tuple("D", "n1", 1))
 
+    def test_removal_reports_in_store_order(self):
+        # The golden ``chain`` case: what disappeared, in the order it
+        # entered the store, under every hash seed (a set-ordered walk of
+        # the deletion cone gave B, D, C under PYTHONHASHSEED=0, B, C, D
+        # under 2).
+        program = parse_program(
+            "r1 B(@X, Y) :- A(@X, Y).\n"
+            "r2 C(@X, Y) :- B(@X, Y).\n"
+            "r3 D(@X, Y) :- C(@X, Y), B(@X, Y).\n")
+        engine = Engine(program)
+        engine.insert(make_tuple("A", 1, 10))
+        engine.insert(make_tuple("A", 2, 20))
+        assert engine.remove(make_tuple("A", 1, 10)) == [
+            make_tuple("B", 1, 10), make_tuple("C", 1, 10),
+            make_tuple("D", 1, 10)]
+        assert [(event.kind, str(event.tuple)) for event in engine.events[-8:]] \
+            == [("DELETE", "A(1, 10)"), ("DISAPPEAR", "A(1, 10)"),
+                ("UNDERIVE", "B(1, 10)"), ("DISAPPEAR", "B(1, 10)"),
+                ("UNDERIVE", "C(1, 10)"), ("DISAPPEAR", "C(1, 10)"),
+                ("UNDERIVE", "D(1, 10)"), ("DISAPPEAR", "D(1, 10)")]
+
 
 class TestPrimaryKeyEviction:
     """Primary-key updates evict derived tuples *inside* the fixpoint; the
-    incremental engine must keep its support bookkeeping consistent."""
+    engine must keep its support bookkeeping consistent."""
 
     PROGRAM = (
         "r1 F(@X,K,V) :- A(@X,K,V).\n"

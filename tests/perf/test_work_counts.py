@@ -40,8 +40,13 @@ destination": a replayed packet that hits at every hop makes one call into
 per hop and one ``port_to`` per further hop, and a replay leaves nothing
 behind per packet but an int in ``TrafficStats.destinations`` — no record
 object, no path, no delivery log.
+"Retraction is a recompute": a warm Q1 session's engines journal only tuple,
+flag and support changes, a pinned number of them (3,890 while every fresh
+firing also journaled one ``depadd`` per body member — 910 — for an
+incremental deletion no workload entered).
 """
 
+import collections
 import os
 import sys
 import tracemalloc
@@ -51,7 +56,7 @@ import pytest
 from repro.api import RepairConfig, RepairSession, TelemetryConfig
 from repro.backtest import WarmEvaluationState, replay
 from repro.meta import MetaProvenanceExplorer, explorer
-from repro.ndlog import parse_program, plan
+from repro.ndlog import Engine, parse_program, plan
 from repro.ndlog.plan import PLAN_CACHE, CompiledRule
 from repro.repair import ChangeConstant, RepairCandidate, apply_candidate
 from repro.scenarios import build_q1
@@ -100,6 +105,10 @@ HIT_PACKET_CALLS_CEILING = {1: 3, 2: 5, 3: 7}
 #: record per packet plus the log that listed them held 1,882 (9 when this
 #: was written, four of them the snapshot's own).
 RETAINED_BLOCKS_CEILING = 50
+#: Undo-journal entries the engines of one warm Q1@14 session write, and the
+#: kinds they may be.  3,890 when ``depadd`` (910 of them) was a kind too.
+PINNED_JOURNAL_ENTRIES_Q1 = 2980
+JOURNAL_KINDS = {"dbadd", "dbrem", "dbflag", "supadd", "suppop", "supswap"}
 PYTHON_CALLS_CEILING = 1.10
 SDN_PACKAGE = os.path.dirname(switch.__file__)
 META_PACKAGE = os.path.dirname(explorer.__file__)
@@ -275,6 +284,31 @@ def test_a_replayed_packet_allocates_no_record():
         f"replaying {len(trace)} packets left {retained} memory blocks "
         f"behind (ceiling {RETAINED_BLOCKS_CEILING}): something is kept per "
         "packet besides its destination")
+
+
+def test_journal_entries_of_a_warm_q1_session_are_pinned(monkeypatch):
+    kinds = collections.Counter()
+
+    class CountingJournal(list):
+        def append(self, entry):
+            kinds[entry[0]] += 1
+            super().append(entry)
+
+    checkpoint = Engine.checkpoint
+
+    def counted_checkpoint(engine):
+        if engine._journal is None:
+            engine._journal = engine.database.journal = CountingJournal()
+        return checkpoint(engine)
+
+    monkeypatch.setattr(Engine, "checkpoint", counted_checkpoint)
+    RepairSession(RepairConfig.for_scenario("Q1", max_candidates=14)).run()
+    assert set(kinds) <= JOURNAL_KINDS, dict(kinds)
+    entries = sum(kinds.values())
+    assert entries == PINNED_JOURNAL_ENTRIES_Q1, (
+        f"a warm Q1 session journaled {entries} entries {dict(kinds)}, "
+        f"pinned {PINNED_JOURNAL_ENTRIES_Q1}; if the change is intended, "
+        "update PINNED_JOURNAL_ENTRIES_Q1")
 
 
 def _q1_padded_to(total_rules):

@@ -9,7 +9,7 @@ the ledger's ``program_heavy`` (Q1 padded to 250 rules) and ``trace_heavy``
 (Q1 over a 2.9k-packet trace), and prints per session the candidates
 replayed, the rule-edit ones (and how many of those edit only rules joining
 PacketIn), the data-edit ones, warm hits / cold fallbacks, and how often the
-engine's deletion machinery (``Engine.remove`` and the DRed phases under it)
+engine's deletion path (``Engine.remove`` and the quiet recompute under it)
 was entered.  EXPERIMENTS.md "Warm candidate evaluation" carries the table;
 run it under two hash seeds to see that it does not depend on one:
 
@@ -29,8 +29,7 @@ from repro.backtest import WarmEvaluationState
 from repro.ndlog import Engine
 from repro.scenarios import register_scenario
 
-DRED = ("remove", "_overdelete", "_rederive_survivors", "_rederive_fixpoint",
-        "_apply_quiet_firings")
+DELETION = ("remove", "_rederive_fixpoint")
 
 
 def configs():
@@ -48,7 +47,7 @@ def configs():
 
 def census(config):
     counts = dict.fromkeys(("replayed", "rule_edit", "join_packet_in",
-                            "data_edit", "hits", "fallbacks", "dred"), 0)
+                            "data_edit", "hits", "fallbacks", "deletion"), 0)
     prepare = WarmEvaluationState.prepare_controller
 
     def counted_prepare(state, repaired):
@@ -65,11 +64,11 @@ def census(config):
 
     def counted(method):
         def entered(*args, **kwargs):
-            counts["dred"] += 1
+            counts["deletion"] += 1
             return method(*args, **kwargs)
         return entered
 
-    originals = {name: getattr(Engine, name) for name in DRED}
+    originals = {name: getattr(Engine, name) for name in DELETION}
     WarmEvaluationState.prepare_controller = counted_prepare
     for name, method in originals.items():
         setattr(Engine, name, counted(method))
@@ -85,9 +84,9 @@ def census(config):
 if __name__ == "__main__":
     print(f"{'session':<14} {'replayed':>8} {'rule-edit':>9} "
           f"{'join PacketIn':>13} {'data-edit':>9} {'warm/cold':>9} "
-          f"{'DRed entries':>12}")
+          f"{'deletion entries':>16}")
     for label, config in configs():
         c = census(config)
         print(f"{label:<14} {c['replayed']:>8} {c['rule_edit']:>9} "
               f"{c['join_packet_in']:>13} {c['data_edit']:>9} "
-              f"{c['hits']:>5}/{c['fallbacks']:<3} {c['dred']:>12}")
+              f"{c['hits']:>5}/{c['fallbacks']:<3} {c['deletion']:>16}")

@@ -1,7 +1,6 @@
-"""Tests for the simulated SDN substrate (switches, topology, traffic, log)."""
+"""Tests for the simulated SDN substrate (switches, topology, packets, log)."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.sdn import (
     DNS_PORT,
@@ -17,12 +16,10 @@ from repro.sdn import (
     RecordingController,
     StaticController,
     FlowMod,
-    TrafficGenerator,
     Topology,
     figure1_topology,
     format_ip,
     http_request,
-    protocol_mix,
     stanford_campus,
 )
 
@@ -161,29 +158,7 @@ class TestSimulator:
         assert sim.log.storage_bytes() == LOG_ENTRY_BYTES
 
 
-class TestTraffic:
-    def test_deterministic_for_seed(self):
-        topo = figure1_topology()
-        a = TrafficGenerator(topo, seed=3).generate(50)
-        b = TrafficGenerator(topo, seed=3).generate(50)
-        assert [(s, p.src_ip, p.dst_ip, p.dst_port) for s, p in a] == \
-               [(s, p.src_ip, p.dst_ip, p.dst_port) for s, p in b]
-
-    def test_mix_is_mostly_web(self):
-        topo = figure1_topology()
-        trace = TrafficGenerator(topo, seed=1).generate(300)
-        mix = protocol_mix(trace)
-        assert mix["web"] > mix["dns"]
-        assert mix["web"] > mix["icmp"]
-        assert len(trace) == 300
-
-    @given(st.integers(min_value=1, max_value=200))
-    @settings(max_examples=20, deadline=None)
-    def test_requested_packet_count_is_respected(self, count):
-        topo = figure1_topology()
-        trace = TrafficGenerator(topo, seed=7).generate(count)
-        assert len(trace) == count
-
+class TestPackets:
     def test_format_ip(self):
         assert format_ip(258) == "10.0.1.2"
         assert format_ip(None) == "?"
