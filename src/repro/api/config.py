@@ -236,7 +236,9 @@ class RepairConfig:
 
         This is the single construction path from declarative knobs to a
         :class:`repro.distrib.Scheduler` — call sites no longer hand-wire
-        transports, worker counts and abort policies.
+        transports, worker counts and abort policies.  The scheduler
+        borrows the process's idle fleet of this shape, if any, and
+        ``close()`` parks it again (``Scheduler.borrow``).
         """
         if self.transport is None:
             return None

@@ -97,6 +97,9 @@ class BacktestStage(Stage):
     requires = ("exploration",)
 
     def run(self, session):
+        """Backtest serially, or on a fleet borrowed for this stage: closing
+        the scheduler parks the fleet for the process's next session of the
+        same shape, and the fleet is closed at interpreter exit."""
         from ..ndlog.plan import PLAN_CACHE
 
         config = session.config

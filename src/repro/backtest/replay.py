@@ -37,10 +37,13 @@ from .multiquery import SharedTrunk
 
 #: Minimum estimated serial runtime (baseline replay seconds x candidate
 #: count) below which ``workers > 1`` runs serial anyway: starting a worker
-#: fleet costs a few hundred milliseconds plus one scenario/warm-state
-#: rebuild per worker, so tiny jobs run *slower* parallel — the Fig 9b
-#: crossover.  One value is in use, hence a constant; the tests that push
-#: smoke-sized jobs through the fleet patch it to 0.
+#: fleet (``distrib.fleet_start_s``) costs a few hundred milliseconds plus
+#: one scenario/warm-state rebuild per worker, so tiny jobs run *slower*
+#: parallel — the Fig 9b crossover.  Only the first job of a process pays
+#: that start: later jobs of the same worker count borrow the fleet the
+#: last one parked (``Scheduler.borrow``).  One value is in
+#: use, hence a constant; the tests that push smoke-sized jobs through the
+#: fleet patch it to 0.
 PARALLEL_MIN_SECONDS = 1.0
 
 
@@ -499,8 +502,9 @@ class Backtester:
         """Evaluate candidates serially or through the worker fabric.
 
         ``scheduler`` (a :class:`repro.distrib.Scheduler`) is used as given.
-        Without one, ``workers > 1`` builds a ``spawn`` scheduler owned for
-        this call — provided the scenario carries a
+        Without one, ``workers > 1`` borrows a ``spawn`` fleet for this call
+        (the process's idle one if it has that size, else a new one; parked
+        again afterwards) — provided the scenario carries a
         :class:`~repro.scenarios.spec.ScenarioSpec` (fabric workers rebuild
         the scenario from it; a live scenario object without a spec cannot
         leave the process, so it runs serial) and the job is estimated at
@@ -518,7 +522,7 @@ class Backtester:
                 and (self._baseline_seconds or 0.0) * len(candidates)
                 >= PARALLEL_MIN_SECONDS):
             from ..distrib import Scheduler
-            with Scheduler(transport="spawn", workers=workers) as owned:
+            with Scheduler.borrow("spawn", workers=workers) as owned:
                 return self._run_candidates(candidates, workers, owned,
                                             progress=progress)
         outcomes = []

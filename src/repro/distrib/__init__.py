@@ -9,7 +9,9 @@ embarrassingly parallel workload into a schedulable fabric:
   structural candidate encoding of :mod:`repro.repair.candidates`;
 * :mod:`~repro.distrib.coordinator` — pull-based work-queue dispatch with
   input-order result streaming, progress callbacks and optional
-  early-abort of hopeless replays;
+  early-abort of hopeless replays; spawn sessions of one process borrow
+  its one idle fleet (``Scheduler.borrow``), closed at exit or by
+  :func:`close_parked_fleets`;
 * :mod:`~repro.distrib.pool` — the one supervised worker fleet
   (:class:`WorkerPool`): listener, token handshake, frame protocol,
   respawn, deadlines and the retry rule, parametrised by a
@@ -42,7 +44,7 @@ from .faults import (FAULT_KINDS, FaultAction, FaultInjector, FaultPlan,
 # none of the fleet: sockets, subprocesses and frames load with the first
 # name that needs them.
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "coordinator": ("Coordinator", "Scheduler"),
+    "coordinator": ("Coordinator", "Scheduler", "close_parked_fleets"),
     "jobs": ("DistribError", "JobRuntime", "RuntimeCache", "build_job_wire",
              "job_digest", "strip_candidates"),
     "pool": ("DispatchPolicy", "FrameError", "PoolJob", "TransportError",
@@ -58,6 +60,6 @@ __all__ = [
     "FrameError", "InProcessTransport", "InjectedFault", "JobRuntime",
     "PoolJob", "QuarantinedItem", "RuntimeCache", "Scheduler",
     "SocketTransport", "TransportError", "WorkItem", "WorkerPool",
-    "build_job_wire", "job_digest", "make_transport",
+    "build_job_wire", "close_parked_fleets", "job_digest", "make_transport",
     "retry_or_quarantine", "strip_candidates",
 ]

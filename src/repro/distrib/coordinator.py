@@ -28,12 +28,28 @@ scheduler=...)``::
     with Scheduler(transport="spawn", workers=4) as scheduler:
         report = Backtester(scenario).evaluate_all(candidates,
                                                    scheduler=scheduler)
+
+A session does not start a fleet of its own.  :meth:`Scheduler.borrow`
+(behind ``Scheduler.from_config`` and ``Backtester(workers=N)``) takes the
+process's idle fleet when it has the same shape — transport name, worker
+count, transport options — and :meth:`Scheduler.close` parks it again, so
+the second session in a process finds its workers up, with the scenario
+rebuilt and the baseline replayed in their runtime caches.  A process keeps
+at most one idle fleet, whatever its shape: parking a fleet closes the one
+parked before it (sessions that run at once each get their own fleet).
+Only a fleet whose transport says it is :meth:`~BaseTransport.reusable` is
+parked; any other is closed on the spot.  The idle fleet is closed at
+interpreter exit, or earlier by :func:`close_parked_fleets`.  A
+``Scheduler(...)`` built directly owns its transport as before.
 """
 
 from __future__ import annotations
 
+import atexit
+import json
+import os
 import threading
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..backtest.abort import EarlyAbortPolicy
 from ..backtest.replay import Backtester, BacktestResult, ShardOutcome
@@ -50,6 +66,43 @@ from .transport import BaseTransport, make_transport
 #: :class:`repro.events.EventBus`) and consume typed
 #: :class:`~repro.events.BacktestProgress` events instead.
 ProgressCallback = Callable[[int, int, BacktestResult], None]
+
+#: The idle fleet: at most one entry, the canonical JSON of ``[transport
+#: name, workers, transport_options]`` -> a running transport nobody holds.
+_PARKED: Dict[str, BaseTransport] = {}
+_PARKED_LOCK = threading.Lock()
+# The lock is held across a fork, so no half-done take or park is copied;
+# a forked child owns none of its parent's workers and starts empty.
+os.register_at_fork(before=_PARKED_LOCK.acquire,
+                    after_in_parent=_PARKED_LOCK.release,
+                    after_in_child=_PARKED_LOCK.release)
+os.register_at_fork(after_in_child=_PARKED.clear)
+
+
+def close_parked_fleets() -> None:
+    """Shut down the idle fleet, if any.
+
+    Runs at interpreter exit.  A long-lived process that is done with
+    spawn sessions calls it to release the workers (two processes of
+    ≈ 25 MB each for a 2-worker fleet) sooner.
+    """
+    with _PARKED_LOCK:
+        idle = list(_PARKED.values())
+        _PARKED.clear()
+    for fleet in idle:
+        fleet.close()
+
+
+atexit.register(close_parked_fleets)
+
+
+def _fleet_key(transport: str, workers: int, options: Dict) -> Optional[str]:
+    """The table key of a fleet shape; ``None`` when an option is not
+    JSON (such a fleet is never parked)."""
+    try:
+        return json.dumps([transport, workers, options], sort_keys=True)
+    except (TypeError, ValueError):
+        return None
 
 
 class Coordinator:
@@ -199,6 +252,9 @@ class Scheduler:
     or an already-configured :class:`BaseTransport` instance.  Name-built
     transports are owned by the scheduler and shut down by :meth:`close`
     (or the context manager); instances are borrowed and left running.
+    :meth:`borrow` builds a scheduler over the process's idle fleet when it
+    has the requested shape, and its :meth:`close` parks the fleet again
+    (:func:`close_parked_fleets` releases it before exit).
 
     ``fault`` (a :class:`~repro.distrib.faults.FaultToleranceConfig` or
     wire dict) sets the transport's retry/restart/degradation policy;
@@ -235,14 +291,50 @@ class Scheduler:
             self._owns_transport = True
         self.workers = workers
         self.early_abort = early_abort
+        #: Where :meth:`close` parks the transport (set by :meth:`borrow`).
+        self._fleet_key: Optional[str] = None
         self._coordinator = Coordinator(self.transport, progress=progress,
                                         events=events, telemetry=telemetry)
+
+    @classmethod
+    def borrow(cls, transport: str = "spawn", workers: int = 2,
+               progress: Optional[ProgressCallback] = None,
+               early_abort: Optional[EarlyAbortPolicy] = None,
+               events: Optional[EventBus] = None,
+               telemetry=None, fault=None,
+               **transport_options) -> "Scheduler":
+        """A scheduler over the idle fleet of this shape, or a new one.
+
+        Takes the same arguments as the constructor (``fault_plan`` only
+        inside ``transport_options``).  A parked transport gets this
+        call's fault-tolerance policy — the default when ``fault`` is
+        ``None`` — never the previous borrower's.  :meth:`close` parks the
+        fleet for the process's next borrower and the process closes it at
+        exit; :func:`close_parked_fleets` closes it sooner.
+        """
+        key = _fleet_key(transport, workers, transport_options)
+        parked = None
+        if key is not None:
+            with _PARKED_LOCK:
+                parked = _PARKED.pop(key, None)
+        if parked is None:
+            scheduler = cls(transport, workers, progress, early_abort,
+                            events, telemetry, fault=fault,
+                            **transport_options)
+        else:
+            parked.fault_policy = FaultToleranceConfig.coerce(
+                transport_options.get("fault_policy", fault))
+            scheduler = cls(parked, workers, progress, early_abort, events,
+                            telemetry)
+            scheduler._owns_transport = True
+        scheduler._fleet_key = key
+        return scheduler
 
     @classmethod
     def from_config(cls, config, progress: Optional[ProgressCallback] = None,
                     events: Optional[EventBus] = None,
                     telemetry=None) -> "Scheduler":
-        """Build a scheduler from a :class:`repro.api.RepairConfig`.
+        """Borrow a scheduler for a :class:`repro.api.RepairConfig`.
 
         The single construction path from declarative knobs (transport
         name, worker count, abort policy, fault-tolerance block, transport
@@ -250,14 +342,13 @@ class Scheduler:
         instead of wiring arguments.  ``config.transport`` of ``None``
         maps to ``"spawn"``, the portable default.
         """
-        return cls(transport=config.transport or "spawn",
-                   workers=config.workers,
-                   progress=progress,
-                   early_abort=config.abort,
-                   events=events,
-                   telemetry=telemetry,
-                   fault=getattr(config, "fault_tolerance", None),
-                   **dict(config.transport_options))
+        return cls.borrow(config.transport or "spawn", config.workers,
+                          progress=progress,
+                          early_abort=config.abort,
+                          events=events,
+                          telemetry=telemetry,
+                          fault=getattr(config, "fault_tolerance", None),
+                          **dict(config.transport_options))
 
     def run(self, backtester: Backtester,
             candidates: Sequence[RepairCandidate],
@@ -269,6 +360,20 @@ class Scheduler:
                                      progress=progress)
 
     def close(self) -> None:
+        """Release the transport: a borrowed fleet that is still
+        :meth:`~BaseTransport.reusable` is parked for the next session of
+        its shape (closing the fleet parked before it) and closed at exit;
+        any other owned transport is shut down now."""
+        key, self._fleet_key = self._fleet_key, None
+        if key is not None and self.transport.reusable():
+            with _PARKED_LOCK:
+                displaced = list(_PARKED.values())
+                _PARKED.clear()
+                _PARKED[key] = self.transport
+            self._owns_transport = False
+            for fleet in displaced:
+                fleet.close()
+            return
         if self._owns_transport:
             self.transport.close()
 

@@ -38,7 +38,12 @@ counters of the most recent job are on ``transport.last_fault_stats``; a
 worker failures deterministically for chaos tests.
 
 Transports are reusable across jobs (workers persist between ``run_job``
-calls) and are context managers; ``close()`` shuts the workers down.
+calls, and so do their runtime caches) and are context managers;
+``close()`` shuts the workers down.  Sessions reuse them too: a scheduler
+built by ``Scheduler.borrow`` / ``Scheduler.from_config`` takes the
+process's idle fleet when it has its shape and, if the transport is still
+``reusable()``, parks it again when it closes; the one idle fleet of a
+process is closed at interpreter exit (:mod:`repro.distrib.coordinator`).
 
 Security note.  Protected: a peer must present the pool's token
 (``REPRO_WORKER_TOKEN``) as raw bytes before any frame of its connection
@@ -92,6 +97,12 @@ class BaseTransport:
 
     def run_job(self, job_wire: Dict, on_result: ResultCallback) -> None:
         raise NotImplementedError
+
+    def reusable(self) -> bool:
+        """Whether another owner's next job may start on this transport as
+        it is — the condition for ``Scheduler.close`` to park it instead of
+        closing it.  Only a local worker fleet is worth keeping."""
+        return False
 
     def close(self) -> None:
         pass
@@ -190,6 +201,8 @@ class SocketTransport(BaseTransport, DispatchPolicy):
         self._settled: Set[int] = set()
         self._job_had_connection = False
         self._last_progress = 0.0
+        #: Whether the last ``run_job`` delivered every result and returned.
+        self._job_completed = False
 
     @property
     def address(self):
@@ -203,6 +216,19 @@ class SocketTransport(BaseTransport, DispatchPolicy):
 
     def close(self) -> None:
         self._pool.close()
+
+    def reusable(self) -> bool:
+        """A running fleet of local workers on an ephemeral port (a fixed
+        port would stay bound, remote workers connected), with no fault
+        plan armed (a worker's injector keeps its one-shot bookkeeping
+        across jobs, so a reused chaos fleet would not re-fire its faults),
+        whose last job returned normally and needed no recovery.  A job
+        that raised — a callback, an interrupt — may leave items running
+        on the workers, and only ``close()`` stops them."""
+        return (self.spawn_workers and self.fault_plan is None
+                and self._pool.port == 0 and self._pool.running
+                and self._job_completed
+                and not self.last_fault_stats.any())
 
     # -- job execution ------------------------------------------------------
 
@@ -226,6 +252,7 @@ class SocketTransport(BaseTransport, DispatchPolicy):
             self._ready, self._settled = [], set()
             self._job_had_connection = bool(pool.links)
             self._last_progress = _time.monotonic()
+            self._job_completed = False
             pool.changed.notify_all()
         try:
             while remaining > 0:
@@ -256,6 +283,7 @@ class SocketTransport(BaseTransport, DispatchPolicy):
                 # Re-armed per delivery: the stall timeout bounds silence,
                 # not total job duration.
                 self._last_progress = _time.monotonic()
+            self._job_completed = True
         except TransportError:
             # Whatever is still in flight belongs to a job nobody waits
             # for: tear the fleet down (the next run_job restarts it).

@@ -44,6 +44,9 @@ object, no path, no delivery log.
 flag and support changes, a pinned number of them (3,890 while every fresh
 firing also journaled one ``depadd`` per body member — 910 — for an
 incremental deletion no workload entered).
+"A session borrows the fleet": three ``fabric_spawn``-shaped sessions in one
+process launch exactly 2 worker processes (6 while every session started and
+reaped a fleet of its own).
 """
 
 import collections
@@ -55,6 +58,7 @@ import pytest
 
 from repro.api import RepairConfig, RepairSession, TelemetryConfig
 from repro.backtest import WarmEvaluationState, replay
+from repro.distrib import WorkerPool, close_parked_fleets
 from repro.meta import MetaProvenanceExplorer, explorer
 from repro.ndlog import Engine, parse_program, plan
 from repro.ndlog.plan import PLAN_CACHE, CompiledRule
@@ -109,6 +113,8 @@ RETAINED_BLOCKS_CEILING = 50
 #: kinds they may be.  3,890 when ``depadd`` (910 of them) was a kind too.
 PINNED_JOURNAL_ENTRIES_Q1 = 2980
 JOURNAL_KINDS = {"dbadd", "dbrem", "dbflag", "supadd", "suppop", "supswap"}
+#: Worker processes three 2-worker spawn sessions of one process launch.
+PINNED_WORKER_LAUNCHES_3_SESSIONS = 2
 PYTHON_CALLS_CEILING = 1.10
 SDN_PACKAGE = os.path.dirname(switch.__file__)
 META_PACKAGE = os.path.dirname(explorer.__file__)
@@ -309,6 +315,31 @@ def test_journal_entries_of_a_warm_q1_session_are_pinned(monkeypatch):
         f"a warm Q1 session journaled {entries} entries {dict(kinds)}, "
         f"pinned {PINNED_JOURNAL_ENTRIES_Q1}; if the change is intended, "
         "update PINNED_JOURNAL_ENTRIES_Q1")
+
+
+def test_three_spawn_sessions_launch_one_fleet(monkeypatch):
+    """The ledger's ``fabric_spawn`` at smoke size (Q1, 14 candidates,
+    ``transport="spawn"``, 2 workers), three sessions in one process."""
+    launches = []
+    launch = WorkerPool._launch_worker
+
+    def counted_launch(pool):
+        launches.append(pool)
+        return launch(pool)
+
+    monkeypatch.setattr(WorkerPool, "_launch_worker", counted_launch)
+    config = RepairConfig.for_scenario("Q1", max_candidates=14,
+                                       transport="spawn", workers=2)
+    close_parked_fleets()               # start from no idle fleet
+    try:
+        for _ in range(3):
+            RepairSession(config).run()
+    finally:
+        close_parked_fleets()
+    assert len(launches) == PINNED_WORKER_LAUNCHES_3_SESSIONS, (
+        f"three spawn sessions launched {len(launches)} workers, pinned "
+        f"{PINNED_WORKER_LAUNCHES_3_SESSIONS} (6 when every session started "
+        "its own fleet): a session stopped borrowing the parked fleet")
 
 
 def _q1_padded_to(total_rules):

@@ -5,7 +5,8 @@ Under a ``sys.setprofile`` / ``threading.setprofile`` hook it runs, in this
 process: serial Q1–Q5 sessions with the default config and once per ablation
 knob (plain Q1 with 100 candidates, the rest with 14; the abort policy
 carries a ``ks_slack``, so its mid-trace KS check over sample prefixes runs),
-a 2-worker session over the ``inprocess`` fabric, the two ``other_languages``
+a 2-worker session over the ``inprocess`` fabric and the exit hook that
+closes idle fleets, the two ``other_languages``
 scenarios (Table 3) and every CLI subcommand that needs no running service;
 then it walks each module's AST and prints the functions never entered.
 Out of reach: worker subprocesses (``spawn``, ``socket``, ``repro serve`` and
@@ -32,6 +33,7 @@ import repro
 from repro.api import RepairConfig, RepairSession, TelemetryConfig
 from repro.backtest.abort import EarlyAbortPolicy
 from repro.cli import main as cli
+from repro.distrib import close_parked_fleets
 from repro.scenarios.other_languages import language_reports
 
 ROOT = pathlib.Path(repro.__file__).resolve().parent
@@ -55,6 +57,9 @@ def workloads():
                 name, max_candidates=budget, **knobs)).run()
     RepairSession(RepairConfig.for_scenario(
         "Q1", max_candidates=14, workers=2, transport="inprocess")).run()
+    # What interpreter exit runs after a fabric session (an atexit hook,
+    # past the reach of the profile): idle fleets are closed.
+    close_parked_fleets()
     language_reports()
     with tempfile.TemporaryDirectory() as tmp:
         events, trace = f"{tmp}/events.jsonl", f"{tmp}/trace.json"
