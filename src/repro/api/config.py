@@ -1,15 +1,11 @@
 """Declarative configuration for a full repair run.
 
-:class:`RepairConfig` absorbs every knob that used to be scattered across
-constructors — the debugger's candidate budget and cost model, the
-backtesters' ``workers``/``replay_batch_size``/``warm_engine``/KS
-acceptance parameters, the scheduler's transport choice and the early-abort
-policy — into one dataclass that round-trips to JSON alongside
-:class:`~repro.scenarios.spec.ScenarioSpec`.  A serialized config plus its
-scenario spec is therefore a complete, wire-shippable description of a
-repair run: the same object can configure an in-process session, be saved
-as a file for ``python -m repro repair --config``, or be dispatched to a
-remote coordinator.
+:class:`RepairConfig` holds every knob — the explorer's candidate budget and
+cost model, the backtester's replay and KS acceptance parameters, the
+transport, the early-abort policy — in one :mod:`repro.wire` type.  With its
+:class:`~repro.scenarios.spec.ScenarioSpec` it is a complete description of
+a repair run: it configures an in-process session, is saved as a file for
+``python -m repro repair --config``, or is dispatched to a worker.
 
 The config is *declarative*: it holds names and numbers, never live
 objects.  Factory methods (:meth:`RepairConfig.build_scenario`,
@@ -20,73 +16,29 @@ instead of being hand-wired at every call site.
 
 from __future__ import annotations
 
-import functools
-import json
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Optional, get_args, get_origin, get_type_hints
+from dataclasses import dataclass, field, replace
+from typing import Dict, Optional
 
 from ..backtest.abort import EarlyAbortPolicy
 from ..distrib.faults import FaultToleranceConfig
 from ..meta.costs import CostModel
 from ..scenarios.spec import ScenarioSpec
+from ..wire import Wire, WireError
 
 
-class ConfigError(ValueError):
+class ConfigError(WireError):
     """Raised for malformed or inconsistent repair configurations."""
 
 
-#: How a wire value of each declared field type is named in an error.  Any
-#: other declared type (``Dict[...]``, a nested config) travels as an object.
-_WIRE_KINDS = {bool: "a boolean", int: "an integer", float: "a number",
-               str: "a string", dict: "an object"}
-
-
-@functools.lru_cache(maxsize=None)
-def _declared_kinds(cls):
-    """``{field name: (wire kind, nullable)}`` from ``cls``'s annotations."""
-    kinds = {}
-    for name, hint in get_type_hints(cls).items():
-        nullable = type(None) in get_args(hint)
-        if nullable:
-            hint = get_args(hint)[0]
-        kind = get_origin(hint) or hint
-        kinds[name] = (kind if kind in _WIRE_KINDS else dict, nullable)
-    return kinds
-
-
-def _check_wire(cls, wire: Dict[str, object], what: str) -> None:
-    """Refuse a wire with a key ``cls`` does not have or a value that is not
-    of the type the field declares.
-
-    JSON has no coercion to lean on: ``"no"`` is truthy and ``"2" > 1``
-    raises deep inside a worker, so each value is checked at the door —
-    ``bool`` is exactly ``bool``, an ``int`` field refuses ``bool`` and
-    ``str``, a ``float`` field takes either number, ``None`` passes only
-    where the field is ``Optional``.
-    """
-    kinds = _declared_kinds(cls)
-    unknown = set(wire) - set(kinds)
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    for key, value in wire.items():
-        kind, nullable = kinds[key]
-        if value is None and nullable:
-            continue
-        accepted = (int, float) if kind is float else kind
-        if not isinstance(value, accepted) or (
-                kind is not bool and isinstance(value, bool)):
-            raise ConfigError(
-                f"{what} key {key!r} must be {_WIRE_KINDS[kind]}"
-                f"{' or null' if nullable else ''}, not {value!r}")
-
-
 @dataclass
-class TelemetryConfig:
+class TelemetryConfig(Wire):
     """Knobs for the observability layer (:mod:`repro.obs`).
 
     ``RepairConfig.telemetry`` is ``None`` when telemetry is off — the
     default — so disabled runs construct nothing.
     """
+
+    wire_name, wire_error = "telemetry", ConfigError
 
     #: Master switch; ``TelemetryConfig()`` alone means "on".
     enabled: bool = True
@@ -100,20 +52,13 @@ class TelemetryConfig:
     #: its own span (``engine.fixpoint``) — verbose; for deep dives only.
     trace_fixpoints: bool = False
 
-    def to_wire(self) -> Dict[str, object]:
-        return {"enabled": self.enabled, "slice_packets": self.slice_packets,
-                "profile": self.profile,
-                "trace_fixpoints": self.trace_fixpoints}
-
-    @classmethod
-    def from_wire(cls, wire: Dict[str, object]) -> "TelemetryConfig":
-        _check_wire(cls, wire, "telemetry")
-        return cls(**wire)
-
 
 @dataclass
-class RepairConfig:
-    """Every knob of the Diagnose → Generate → Backtest → Rank pipeline."""
+class RepairConfig(Wire):
+    """Every knob of the Diagnose → Generate → Backtest → Rank pipeline;
+    a malformed wire, nested blocks included, is a :class:`ConfigError`."""
+
+    wire_name, wire_error = "config", ConfigError
 
     #: The scenario to repair, as a spawn-safe declarative handle.  May be
     #: ``None`` when the session is given a live scenario object directly
@@ -255,60 +200,3 @@ class RepairConfig:
         return Telemetry(slice_packets=self.telemetry.slice_packets,
                          profile=self.telemetry.profile,
                          trace_fixpoints=self.telemetry.trace_fixpoints)
-
-    # ------------------------------------------------------------------
-    # Wire format (rides alongside ScenarioSpec / candidate wires)
-    # ------------------------------------------------------------------
-
-    def to_wire(self) -> Dict[str, object]:
-        wire: Dict[str, object] = {}
-        for config_field in fields(self):
-            value = getattr(self, config_field.name)
-            if config_field.name in ("scenario", "abort", "telemetry",
-                                     "fault_tolerance"):
-                value = value.to_wire() if value is not None else None
-            wire[config_field.name] = value
-        return wire
-
-    @classmethod
-    def from_wire(cls, wire: Dict[str, object]) -> "RepairConfig":
-        data = dict(wire)
-        _check_wire(cls, data, "config")
-        if data.get("scenario") is not None:
-            data["scenario"] = ScenarioSpec.from_wire(data["scenario"])
-        if data.get("abort") is not None:
-            _check_wire(EarlyAbortPolicy, data["abort"], "abort")
-            try:
-                data["abort"] = EarlyAbortPolicy.from_wire(data["abort"])
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        if data.get("telemetry") is not None:
-            data["telemetry"] = TelemetryConfig.from_wire(data["telemetry"])
-        if data.get("fault_tolerance") is not None:
-            try:
-                data["fault_tolerance"] = FaultToleranceConfig.from_wire(
-                    data["fault_tolerance"])
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(f"malformed repair config: {exc}") from exc
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_wire(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RepairConfig":
-        try:
-            wire = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(wire, dict):
-            raise ConfigError("config JSON must be an object")
-        return cls.from_wire(wire)
-
-    @classmethod
-    def from_file(cls, path) -> "RepairConfig":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(handle.read())

@@ -39,7 +39,7 @@ from ..events import (EventBus, SessionFinished, SessionStarted,
 from ..meta.costs import CostModel
 from ..meta.explorer import ExplorationResult
 from ..repair.candidates import RepairCandidate
-from .config import ConfigError, RepairConfig
+from .config import RepairConfig
 from .stages import DEFAULT_STAGES, Stage, StageError
 
 
@@ -179,9 +179,7 @@ class RepairSession:
         straight into a runnable session.  Raises
         :class:`~repro.api.config.ConfigError` on malformed wires.
         """
-        if not isinstance(wire, dict):
-            raise ConfigError("repair config wire must be an object")
-        return cls(RepairConfig.from_wire(dict(wire)), events=events,
+        return cls(RepairConfig.from_wire(wire), events=events,
                    stages=stages)
 
     # ------------------------------------------------------------------

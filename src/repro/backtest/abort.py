@@ -30,14 +30,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
+from ..wire import Wire
 from .metrics import ks_two_sample
 
 
 @dataclass(frozen=True)
-class EarlyAbortPolicy:
-    """When and why to kill a candidate's replay mid-trace."""
+class EarlyAbortPolicy(Wire):
+    """When and why to kill a candidate's replay mid-trace; workers get it
+    as its :mod:`repro.wire` wire."""
+
+    wire_name = "abort"
 
     #: Run the checks every this many replayed packets.
     check_every: int = 32
@@ -105,20 +109,3 @@ class EarlyAbortPolicy:
                 return (f"KS mid-trace: {ks.statistic:.4f} > "
                         f"{ks_threshold * self.ks_slack:.4f}")
         return None
-
-    # ------------------------------------------------------------------
-    # Wire format (the distributed fabric ships policies to workers)
-    # ------------------------------------------------------------------
-
-    def to_wire(self) -> Dict[str, object]:
-        return {"check_every": self.check_every,
-                "max_packet_in_growth": self.max_packet_in_growth,
-                "ks_slack": self.ks_slack,
-                "min_fraction": self.min_fraction}
-
-    @classmethod
-    def from_wire(cls, wire: Dict[str, object]) -> "EarlyAbortPolicy":
-        return cls(check_every=int(wire.get("check_every", 32)),
-                   max_packet_in_growth=wire.get("max_packet_in_growth"),
-                   ks_slack=wire.get("ks_slack"),
-                   min_fraction=float(wire.get("min_fraction", 0.25)))

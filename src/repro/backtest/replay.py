@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..repair.apply import RepairedProgram, apply_candidate
 from ..repair.candidates import RepairCandidate
 from ..sdn.network import NetworkSimulator, TrafficStats
+from ..wire import NOT_ON_WIRE
 from .abort import EarlyAbortPolicy
 from .metrics import KSResult, compare_traffic
 from .multiquery import SharedTrunk
@@ -49,7 +50,7 @@ PARALLEL_MIN_SECONDS = 1.0
 
 @dataclass
 class ShardOutcome:
-    """What one per-candidate evaluation sends back from a worker."""
+    """What one candidate's evaluation sends back: a :mod:`repro.wire` type."""
 
     result: "BacktestResult"
     shared_evaluations: int = 0
@@ -137,7 +138,7 @@ class WarmEvaluationState:
 class BacktestResult:
     """Outcome of backtesting a single repair candidate."""
 
-    candidate: RepairCandidate
+    candidate: RepairCandidate = field(metadata=NOT_ON_WIRE)
     stats: TrafficStats
     ks: KSResult
     effective: bool

@@ -6,8 +6,8 @@ stream back as they complete.  The coordinator
 
 * reorders streamed results into **input order** (the order callers and
   reports rely on),
-* re-attaches the caller's candidate objects (workers evaluate stripped
-  copies; the meta provenance tree never crosses the wire),
+* decodes each ``ShardOutcome`` wire, from any transport, and re-attaches
+  the caller's candidate object (the meta provenance tree stays here),
 * invokes an optional **progress callback** per completed candidate,
 * forwards an optional :class:`~repro.backtest.abort.EarlyAbortPolicy` so
   workers can kill a hopeless candidate's replay mid-trace, and
@@ -56,6 +56,7 @@ from ..backtest.replay import Backtester, BacktestResult, ShardOutcome
 from ..events import (CandidateQuarantined, EventBus, FabricFaultStats,
                       progress_to_events)
 from ..repair.candidates import RepairCandidate
+from ..wire import decode
 from .faults import FaultPlan, FaultStats, FaultToleranceConfig, QuarantinedItem
 from .jobs import DistribError, build_job_wire
 from .transport import BaseTransport, make_transport
@@ -161,6 +162,7 @@ class Coordinator:
                     outcome = self._quarantine(backtester, candidates[index],
                                                outcome, telemetry)
                 else:
+                    outcome = decode(ShardOutcome, outcome)
                     outcome.result.candidate = candidates[index]
                 outcomes[index] = outcome
                 done += 1

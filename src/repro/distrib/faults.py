@@ -1,6 +1,6 @@
 """Fault-tolerance primitives for the distributed backtest fabric.
 
-Three declarative objects live here, all JSON-round-trippable like
+Three declarative objects live here, each a :mod:`repro.wire` type like
 :class:`~repro.scenarios.spec.ScenarioSpec`:
 
 :class:`FaultToleranceConfig`
@@ -20,20 +20,21 @@ Three declarative objects live here, all JSON-round-trippable like
     same failure sequence every run and assert bit-identical reports.
 
 :class:`FaultInjector` is the worker-side interpreter of a plan, and
-:class:`QuarantinedItem` is what a transport delivers in place of a
-:class:`~repro.backtest.replay.ShardOutcome` when an item exhausts its
-attempts; the coordinator turns it into a deterministic error-shaped
+:class:`QuarantinedItem` is what a transport delivers in place of an
+item's outcome wire when the item exhausts its attempts; the coordinator
+turns it into a deterministic error-shaped
 :class:`~repro.backtest.replay.BacktestResult`.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import time as _time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+from ..wire import Wire
 
 __all__ = [
     "FAULT_KINDS", "FaultAction", "FaultInjector", "FaultPlan",
@@ -60,7 +61,7 @@ class InjectedFault(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FaultAction:
+class FaultAction(Wire):
     """One scripted failure.
 
     Trigger semantics: with ``index`` set the action targets one candidate
@@ -71,6 +72,8 @@ class FaultAction:
     never reused — a respawned replacement gets a fresh one — so it does
     not re-fire the fault that killed its predecessor.
     """
+
+    wire_name = "fault action"
 
     kind: str
     worker: Optional[int] = None
@@ -84,30 +87,18 @@ class FaultAction:
             raise ValueError(f"unknown fault kind {self.kind!r}; expected "
                              f"one of {sorted(FAULT_KINDS)}")
 
-    def to_wire(self) -> Dict[str, object]:
-        return {"kind": self.kind, "worker": self.worker,
-                "after_items": self.after_items, "index": self.index,
-                "seconds": self.seconds}
-
-    @classmethod
-    def from_wire(cls, wire: Dict[str, object]) -> "FaultAction":
-        known = {f.name for f in fields(cls)}
-        unknown = set(wire) - known
-        if unknown:
-            raise ValueError(f"unknown fault action keys: {sorted(unknown)}")
-        return cls(**wire)
-
 
 @dataclass
-class FaultPlan:
+class FaultPlan(Wire):
     """A seeded, deterministic script of worker failures.
 
-    JSON round-trip like ``ScenarioSpec``: ``to_wire``/``from_wire`` plus
-    file helpers for ``repro repair --fault-plan plan.json``.  The plan is
-    injected into a transport at construction (``fault_plan=``) and rides
-    to workers with the job, so the same plan file reproduces the same
-    failure sequence on any machine.
+    A wire type (``FaultPlan.from_file`` reads ``repro repair --fault-plan
+    plan.json``).  The plan is injected into a transport at construction
+    (``fault_plan=``) and rides to workers with the job, so the same plan
+    file reproduces the same failure sequence on any machine.
     """
+
+    wire_name = "fault plan"
 
     seed: int = 0
     actions: Tuple[FaultAction, ...] = ()
@@ -116,44 +107,6 @@ class FaultPlan:
         self.actions = tuple(
             a if isinstance(a, FaultAction) else FaultAction.from_wire(a)
             for a in self.actions)
-
-    def to_wire(self) -> Dict[str, object]:
-        return {"seed": self.seed,
-                "actions": [action.to_wire() for action in self.actions]}
-
-    @classmethod
-    def from_wire(cls, wire: Dict[str, object]) -> "FaultPlan":
-        known = {f.name for f in fields(cls)}
-        unknown = set(wire) - known
-        if unknown:
-            raise ValueError(f"unknown fault plan keys: {sorted(unknown)}")
-        actions = tuple(FaultAction.from_wire(dict(a))
-                        for a in wire.get("actions", ()))
-        return cls(seed=int(wire.get("seed", 0)), actions=actions)
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_wire(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        wire = json.loads(text)
-        if not isinstance(wire, dict):
-            raise ValueError("fault plan JSON must be an object")
-        return cls.from_wire(wire)
-
-    @classmethod
-    def from_file(cls, path) -> "FaultPlan":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(handle.read())
-
-    @classmethod
-    def coerce(cls, value) -> Optional["FaultPlan"]:
-        """``FaultPlan`` | wire dict | ``None`` → ``Optional[FaultPlan]``."""
-        if value is None or isinstance(value, cls):
-            return value
-        if isinstance(value, dict):
-            return cls.from_wire(value)
-        raise ValueError(f"cannot build a FaultPlan from {type(value).__name__}")
 
     @classmethod
     def generate(cls, seed: int, workers: int = 2, items: int = 4,
@@ -172,7 +125,7 @@ class FaultPlan:
 
 
 @dataclass
-class FaultToleranceConfig:
+class FaultToleranceConfig(Wire):
     """Retry / restart / degradation policy of the fabric.
 
     Also serves as the runtime policy object on every transport
@@ -180,6 +133,8 @@ class FaultToleranceConfig:
     bit-identical to a fabric without fault tolerance — retries simply
     never trigger.
     """
+
+    wire_name = "fault_tolerance"
 
     #: An item that fails on a worker is retried until it has been
     #: attempted this many times, then quarantined (a deterministic
@@ -205,28 +160,10 @@ class FaultToleranceConfig:
     backoff_base: float = 0.1
     backoff_cap: float = 2.0
 
-    def to_wire(self) -> Dict[str, object]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_wire(cls, wire: Dict[str, object]) -> "FaultToleranceConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(wire) - known
-        if unknown:
-            raise ValueError(
-                f"unknown fault_tolerance keys: {sorted(unknown)}")
-        return cls(**wire)
-
     @classmethod
     def coerce(cls, value) -> "FaultToleranceConfig":
-        if value is None:
-            return cls()
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, dict):
-            return cls.from_wire(value)
-        raise ValueError(
-            f"cannot build a FaultToleranceConfig from {type(value).__name__}")
+        """As :meth:`Wire.coerce`, but ``None`` is the default policy."""
+        return super().coerce(value) or cls()
 
     def resolve_deadline(self, per_item_estimate: Optional[float]
                          ) -> Optional[float]:
@@ -243,15 +180,12 @@ class FaultToleranceConfig:
         return min(self.backoff_cap,
                    self.backoff_base * (2.0 ** restart_number))
 
-    def with_updates(self, **knobs) -> "FaultToleranceConfig":
-        return replace(self, **knobs)
-
 
 @dataclass
 class QuarantinedItem:
     """Delivered by a transport when an item exhausts its attempts.
 
-    Takes the place of a ``ShardOutcome`` in the result stream; the
+    Takes the place of an outcome wire in the result stream; the
     coordinator converts it into a deterministic rejected
     ``BacktestResult`` (baseline stats, machine-readable
     ``quarantined(<reason>)`` note) so ``len(results)`` still equals the

@@ -13,9 +13,9 @@ can reconstruct everything it needs:
 
 Everything in the job wire dict is JSON-able, so any transport that can
 move dicts can move jobs.  Results flow the other way as
-:class:`~repro.backtest.replay.ShardOutcome` objects with the candidate
-stripped (the coordinator re-attaches its own copy, meta provenance tree
-included).
+:class:`~repro.backtest.replay.ShardOutcome` wires (:mod:`repro.wire`),
+which carry no candidate: the coordinator decodes each one and re-attaches
+its own copy, meta provenance tree included.
 
 The :class:`JobRuntime` is the worker half: it rebuilds the scenario and
 backtester once per job and then serves per-candidate work items by index.
@@ -49,10 +49,11 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence
 
 from ..backtest.abort import EarlyAbortPolicy
-from ..backtest.replay import Backtester, ShardOutcome
+from ..backtest.replay import Backtester
 from ..repair.candidates import (RepairCandidate, candidate_from_wire,
                                  candidate_to_wire)
 from ..scenarios.spec import ScenarioSpec
+from ..wire import encode
 
 
 class DistribError(RuntimeError):
@@ -227,7 +228,7 @@ class JobRuntime:
                 raise ValueError(
                     f"expected no 'backtester' class name and exactly the "
                     f"config keys {sorted(_CONFIG_FIELDS)}")
-            abort_wire = job_wire.get("abort")
+            abort_policy = EarlyAbortPolicy.coerce(job_wire.get("abort"))
             if "candidates" in job_wire:
                 self.candidates: List[Optional[RepairCandidate]] = [
                     candidate_from_wire(w) for w in job_wire["candidates"]]
@@ -236,8 +237,6 @@ class JobRuntime:
                 self.candidates = [None] * count
         except (KeyError, TypeError, ValueError) as exc:
             raise DistribError(f"malformed job wire: {exc!r}") from exc
-        abort_policy = (EarlyAbortPolicy.from_wire(abort_wire)
-                        if abort_wire is not None else None)
         digest = job_digest(job_wire) if cache is not None else None
         entry = cache.get(digest) if cache is not None else None
         if entry is None:
@@ -266,8 +265,8 @@ class JobRuntime:
         return len(self.candidates)
 
     def evaluate(self, index: int,
-                 candidate_wire: Optional[Dict] = None) -> ShardOutcome:
-        """Evaluate candidate ``index``; the result ships candidate-free."""
+                 candidate_wire: Optional[Dict] = None) -> Dict:
+        """Evaluate candidate ``index``: its ``ShardOutcome`` wire."""
         candidate = self.candidates[index]
         if candidate is None:
             if candidate_wire is None:
@@ -278,9 +277,7 @@ class JobRuntime:
             self.candidates[index] = candidate
         telemetry = self.telemetry
         if telemetry is None:
-            outcome = self.backtester.evaluate_outcome(candidate)
-            outcome.result.candidate = None
-            return outcome
+            return encode(self.backtester.evaluate_outcome(candidate))
         # Deterministic cross-process span id: the coordinator's job span
         # (the wire context) is the parent, the item index disambiguates —
         # workers never need to coordinate id allocation.
@@ -296,5 +293,4 @@ class JobRuntime:
         telemetry.metrics.histogram("worker_item_seconds",
                                     worker=worker).observe(elapsed)
         outcome.spans, outcome.metrics = telemetry.drain_remote()
-        outcome.result.candidate = None
-        return outcome
+        return encode(outcome)

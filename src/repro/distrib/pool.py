@@ -12,7 +12,7 @@ share, a test's fake).
 
 Wire protocol, one connection per worker (``>`` worker to pool)::
 
-    > <token bytes>                      raw, compared before any unpickle
+    > <token bytes>                      raw, compared before any decode
     > hello {pid}
     < job {job, worker_id[, fault]}      policy.assign
     > next | job_error {message}         job_error: policy.setup_failed
@@ -24,7 +24,7 @@ Wire protocol, one connection per worker (``>`` worker to pool)::
     < shutdown                           on close()
 
 Frames are a 4-byte big-endian length (capped at :data:`MAX_FRAME_BYTES`)
-plus a pickled dict; the token is random per pool, or :data:`TOKEN_ENV`
+plus a JSON object; the token is random per pool, or :data:`TOKEN_ENV`
 from the environment when set.  What that does and does not protect is
 the "Security note" of :mod:`repro.distrib.transport`.
 
@@ -39,8 +39,8 @@ re-fire on a replacement.
 from __future__ import annotations
 
 import hmac
+import json
 import os
-import pickle
 import secrets
 import socket
 import struct
@@ -91,7 +91,7 @@ _LENGTH = struct.Struct(">I")
 
 
 def send_frame(sock: socket.socket, message: Dict) -> None:
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
     sock.sendall(_LENGTH.pack(len(payload)) + payload)
 
 
@@ -99,9 +99,9 @@ def recv_frame(sock: socket.socket) -> Optional[Dict]:
     """Read one frame; ``None`` on a cleanly closed connection.
 
     A connection that closes *mid-frame*, announces more than
-    :data:`MAX_FRAME_BYTES`, or delivers a payload that does not decode
-    to a dict raises :class:`FrameError` instead of masquerading as a
-    clean close, so callers can requeue in-flight work and count it.
+    :data:`MAX_FRAME_BYTES`, or delivers a payload that is not a JSON
+    object raises :class:`FrameError` instead of masquerading as a clean
+    close, so callers can requeue in-flight work and count it.
     """
     header = _recv_upto(sock, _LENGTH.size)
     if not header:
@@ -118,8 +118,8 @@ def recv_frame(sock: socket.socket) -> Optional[Dict]:
         raise FrameError(f"truncated frame payload "
                          f"({len(payload)}/{length} bytes)")
     try:
-        message = pickle.loads(payload)
-    except Exception as exc:             # noqa: BLE001 — any decode failure
+        message = json.loads(payload)
+    except (ValueError, RecursionError) as exc:
         raise FrameError(f"undecodable frame payload: {exc!r}") from exc
     if not isinstance(message, dict):
         raise FrameError(f"frame payload is a {type(message).__name__}, "
@@ -253,7 +253,7 @@ class WorkerLink(threading.Thread):
                     frame["fault"] = pool.fault_plan.to_wire()
                 send_frame(self.sock, frame)
                 self._serve_job(job)
-        except (OSError, EOFError, FrameError, pickle.PickleError):
+        except (OSError, EOFError, FrameError):
             pass
         finally:
             pool._link_lost(self)
@@ -264,7 +264,7 @@ class WorkerLink(threading.Thread):
 
     def _handshake(self) -> bool:
         """Token, then hello.  The token is compared as raw bytes, so an
-        unauthenticated peer never reaches ``pickle.loads``."""
+        unauthenticated peer's bytes are never decoded."""
         expected = self.pool.token.encode("utf-8")
         try:
             self.sock.settimeout(_HANDSHAKE_SECONDS)

@@ -45,14 +45,14 @@ process's idle fleet when it has its shape and, if the transport is still
 ``reusable()``, parks it again when it closes; the one idle fleet of a
 process is closed at interpreter exit (:mod:`repro.distrib.coordinator`).
 
-Security note.  Protected: a peer must present the pool's token
+Security note.  A peer must present the pool's token
 (``REPRO_WORKER_TOKEN``) as raw bytes before any frame of its connection
-is unpickled, frames are size-capped, and a wrong token, an oversize or a
-malformed frame drops the connection — reaching the port is not enough to
-be deserialized.  Not protected: traffic is neither encrypted nor
-integrity-checked, and whoever holds the token speaks pickle to the
-coordinator and its workers, i.e. can execute code on both.  Keep the
-port on loopback or a private network and the token secret.
+is decoded; frames are size-capped JSON, and a wrong token, an oversize or
+a malformed frame drops the connection.  A token holder can submit work
+and report results, but frames are data decoded into checked wire types
+(:mod:`repro.wire`), never code.  Traffic is neither encrypted nor
+integrity-checked: keep the port on loopback or a private network and the
+token secret.
 """
 
 from __future__ import annotations
@@ -139,7 +139,8 @@ class InProcessTransport(BaseTransport):
     """Evaluate in the calling process via the worker-side runtime.
 
     This still exercises the whole wire path (spec rebuild, candidate
-    decode), so it doubles as the cheapest integration test of a job.
+    decode, the outcome wire the coordinator decodes), so it doubles as
+    the cheapest integration test of a job.
     Repeated jobs on one transport instance share the runtime cache, like
     a persistent worker would.  The retry/quarantine rule applies here
     too (process-level fault kinds degrade to raises), so chaos semantics

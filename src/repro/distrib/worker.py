@@ -18,8 +18,8 @@ one at a time and streams results back until the coordinator says
 ``job_done``.  A :class:`RuntimeCache` persists across jobs, so repeated
 jobs on the same scenario skip the scenario/backtester/trunk rebuild.
 It then waits for the next job; ``shutdown`` (or a closed connection) ends
-the process.  Only connect to coordinators you trust: frames are pickled,
-and the token is what you trust them with.
+the process.  Frames are JSON: a coordinator can make a worker replay
+scenarios, never run code of its choosing.
 
 When the coordinator ships a :class:`~repro.distrib.faults.FaultPlan` with
 the job frame, the worker arms a :class:`FaultInjector` against its

@@ -238,9 +238,8 @@ class _Memoized:
     The node cannot change, so nothing derived from it goes stale, and a rule
     shared by many programs is analysed once for all of them.  Facts sit in
     the instance ``__dict__`` beside the dataclass fields, never among them:
-    ``==``, ``hash`` and ``repr`` are generated from the fields alone,
-    :func:`dataclasses.replace` builds the new value from the fields alone,
-    and :meth:`__getstate__` pickles the fields alone.
+    ``==``, ``hash`` and ``repr`` are generated from the fields alone, and
+    :func:`dataclasses.replace` builds the new value from the fields alone.
     """
 
     def memo(self, fact, compute):
@@ -250,10 +249,6 @@ class _Memoized:
         except KeyError:
             value = self.__dict__[fact] = compute(self)
             return value
-
-    def __getstate__(self):
-        return {name: self.__dict__[name]
-                for name in self.__dataclass_fields__}
 
 
 @dataclass(frozen=True)

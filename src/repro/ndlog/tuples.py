@@ -103,18 +103,6 @@ class NDTuple:
     def __hash__(self):
         return self._hash
 
-    def __getstate__(self):
-        # The cached hash must not cross process boundaries: string hashing
-        # is per-process (PYTHONHASHSEED), so a pickled hash would be stale
-        # in a worker.  Recompute it on unpickle.
-        return (self.table, self.values)
-
-    def __setstate__(self, state):
-        table, values = state
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_hash", hash((table, values)))
-
     @property
     def arity(self):
         return len(self.values)

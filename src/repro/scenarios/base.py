@@ -81,7 +81,7 @@ class NDlogScenario:
         self.ks_threshold = ks_threshold
         #: Spawn-safe handle (set by ``build_scenario`` / ``ScenarioSpec``):
         #: names this scenario in the builder registry so worker processes
-        #: can reconstruct it without pickling closures.  ``None`` for
+        #: can reconstruct it without shipping closures.  ``None`` for
         #: hand-assembled scenarios, which are then only evaluated in the
         #: calling process.
         self.spec = None

@@ -1,6 +1,6 @@
 """Spawn-safe scenario specifications.
 
-Scenarios themselves are not picklable: they close over topology and trace
+Scenarios themselves cannot be shipped: they close over topology and trace
 factories, hold a parsed program and cache a materialised trace.  Worker
 processes and remote machines get a fresh interpreter and need a
 *description* they can rebuild the scenario from.
@@ -8,8 +8,8 @@ processes and remote machines get a fresh interpreter and need a
 A :class:`ScenarioSpec` is that description: the registered scenario name,
 the keyword parameters its builder was called with, and a seed (reserved for
 randomised traces; the Q1-Q5 traces are deterministic).  Specs are frozen,
-hashable, JSON-serialisable and reconstruct bit-identical scenarios — same
-program, same trace, same baseline statistics — in any process that can
+hashable, :mod:`repro.wire` types and reconstruct bit-identical scenarios —
+same program, same trace, same baseline statistics — in any process that can
 import :mod:`repro`, which is what the distributed backtest fabric
 (:mod:`repro.distrib`) ships over the wire.
 """
@@ -17,31 +17,38 @@ import :mod:`repro`, which is what the distributed backtest fabric
 from __future__ import annotations
 
 import inspect
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from ..wire import Wire, WireError
 
-class SpecError(ValueError):
+
+class SpecError(WireError):
     """Raised when a spec cannot be built or decoded."""
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
-    """Declarative (name, params, seed) handle for a registered scenario."""
+class ScenarioSpec(Wire):
+    """Declarative (name, params, seed) handle for a registered scenario;
+    ``params`` is an object on the wire and sorted items in memory."""
+
+    wire_name, wire_error = "scenario spec", SpecError
 
     name: str
-    params: Tuple[Tuple[str, object], ...] = ()
+    params: Tuple[Tuple[str, object], ...] = field(
+        default=(), metadata={"wire": Dict[str, object]})
     seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "name", self.name.upper())
+        if isinstance(self.params, dict):
+            object.__setattr__(self, "params",
+                               tuple(sorted(self.params.items())))
 
     @classmethod
     def create(cls, name: str, params: Optional[Dict[str, object]] = None,
                seed: int = 0) -> "ScenarioSpec":
-        items = tuple(sorted((params or {}).items()))
-        return cls(name=name.upper(), params=items, seed=seed)
-
-    def kwargs(self) -> Dict[str, object]:
-        return dict(self.params)
+        return cls(name=name, params=params or {}, seed=seed)
 
     # ------------------------------------------------------------------
     # Reconstruction
@@ -61,32 +68,10 @@ class ScenarioSpec:
             raise SpecError(
                 f"unknown scenario {self.name!r}; registered: "
                 f"{sorted(SCENARIO_BUILDERS)}") from exc
-        kwargs = self.kwargs()
+        kwargs = dict(self.params)
         if self.seed and "seed" not in kwargs:
             if "seed" in inspect.signature(builder).parameters:
                 kwargs["seed"] = self.seed
         scenario = builder(**kwargs)
         scenario.spec = self
         return scenario
-
-    # ------------------------------------------------------------------
-    # Wire format
-    # ------------------------------------------------------------------
-
-    def to_wire(self) -> Dict[str, object]:
-        return {"name": self.name, "params": self.kwargs(), "seed": self.seed}
-
-    @classmethod
-    def from_wire(cls, wire: Dict[str, object]) -> "ScenarioSpec":
-        try:
-            return cls.create(wire["name"], params=dict(wire.get("params") or {}),
-                              seed=int(wire.get("seed", 0)))
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise SpecError(f"malformed scenario spec: {wire!r}") from exc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_wire(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        return cls.from_wire(json.loads(text))

@@ -91,8 +91,7 @@ class Packet:
                            compare=False)
     #: The :data:`HEADER_FIELDS` values in order, MAC addresses defaulted to
     #: the IPs: what every lookup and PacketIn tuple reads.  Derived from the
-    #: fields above at construction, so it takes no part in equality, repr
-    #: or pickling.
+    #: fields above at construction, so it takes no part in equality or repr.
     header_values: Tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -101,13 +100,6 @@ class Packet:
             self.proto,
             self.src_mac if self.src_mac is not None else self.src_ip,
             self.dst_mac if self.dst_mac is not None else self.dst_ip))
-
-    def __reduce__(self):
-        # A packet pickles as its constructor arguments: the derived tuple
-        # is recomputed on the other side instead of riding every frame.
-        return (type(self), (self.src_ip, self.dst_ip, self.src_port,
-                             self.dst_port, self.proto, self.src_mac,
-                             self.dst_mac, self.size, self.packet_id))
 
     def header(self) -> Dict[str, object]:
         """Header fields as a dict keyed by canonical field names."""

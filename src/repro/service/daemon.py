@@ -211,13 +211,8 @@ class RepairServiceDaemon(DispatchPolicy):
 
     def submit(self, config, tenant: str = "default") -> str:
         """Queue one repair session; returns its id immediately."""
-        if isinstance(config, dict):
-            config = RepairConfig.from_wire(config)
-        if not isinstance(config, RepairConfig):
-            raise ConfigError(
-                f"submit expects a RepairConfig or its wire dict, got "
-                f"{type(config).__name__}")
-        if config.scenario is None:
+        config = RepairConfig.coerce(config)
+        if config is None or config.scenario is None:
             raise ConfigError("submitted config names no scenario")
         tenant = str(tenant or "default")
         policy = config.fault_tolerance or self.fault_policy

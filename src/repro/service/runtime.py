@@ -29,7 +29,7 @@ from typing import Callable, Dict, Optional
 
 from ..distrib.jobs import DistribError, RuntimeCache, _RuntimeEntry
 from ..events import EventBus
-from .wire import RepairJob, RepairJobError, scenario_digest
+from .wire import RepairJob, scenario_digest
 
 #: Signature of the sink the worker loop installs: one event wire dict in,
 #: one coordinator frame out.
@@ -40,10 +40,7 @@ class RepairJobRuntime:
     """Run one whole repair session on a worker, streaming its events."""
 
     def __init__(self, job_wire: Dict, cache: Optional[RuntimeCache] = None):
-        try:
-            self.job = RepairJob.from_wire(job_wire)
-        except RepairJobError as exc:
-            raise DistribError(f"malformed repair job wire: {exc}") from exc
+        self.job = RepairJob.from_wire(job_wire)
         self._cache = cache
         self._digest = scenario_digest(job_wire)
         self._sink: Optional[EventSink] = None

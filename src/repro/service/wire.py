@@ -1,18 +1,12 @@
-"""The :class:`RepairJob` wire format: a whole repair run as one job.
+"""The :class:`RepairJob` wire: a whole repair run as one job.
 
-PR 5 made a repair run declaratively wire-shippable (`RepairConfig` +
-`ScenarioSpec`), and the distributed fabric already moves *backtest* jobs
-(:func:`repro.distrib.jobs.build_job_wire`) to workers.  A ``RepairJob``
-closes the gap: it wraps a full :class:`~repro.api.config.RepairConfig`
-so a remote ``repro-worker`` can run the entire Diagnose → Generate →
-Backtest → Rank pipeline end-to-end and ship the ranked report back.
-
-The wire dict is JSON-able like every other wire format in the codebase
-and is distinguished from backtest job wires by ``"kind": "repair"`` —
-:func:`repro.distrib.jobs.build_runtime` dispatches on that key, so both
-job kinds travel over the identical frame protocol.  A repair job always
-has exactly one work item (the run itself), so the header carries
-``candidate_count: 1`` for the coordinator's queue bookkeeping.
+A ``RepairJob`` wraps a full :class:`~repro.api.config.RepairConfig`, so a
+``repro-worker`` runs the entire Diagnose → Generate → Backtest → Rank
+pipeline and ships the ranked report back.  Its wire is told from a
+backtest job wire (:func:`repro.distrib.jobs.build_job_wire`) by ``"kind":
+"repair"``, on which :func:`repro.distrib.jobs.build_runtime` dispatches,
+and carries ``candidate_count: 1`` — the run is its one work item — for the
+coordinator's queue bookkeeping.
 """
 
 from __future__ import annotations
@@ -20,27 +14,25 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
-from ..api.config import ConfigError, RepairConfig
+from ..api.config import RepairConfig
+from ..wire import NOT_ON_WIRE, Wire, WireError
 
 #: The ``kind`` discriminator that routes a job wire to
 #: :class:`~repro.service.runtime.RepairJobRuntime` on the worker.
 REPAIR_JOB_KIND = "repair"
 
-#: Keys a repair job wire may carry (unknown keys are rejected loudly,
-#: matching the strictness of ``RepairConfig.from_wire``).
-_WIRE_KEYS = {"kind", "session_id", "tenant", "config", "submitted_unix",
-              "candidate_count"}
 
-
-class RepairJobError(ValueError):
+class RepairJobError(WireError):
     """Raised for malformed repair job wires."""
 
 
 @dataclass
-class RepairJob:
+class RepairJob(Wire):
     """One whole repair run, addressed to a tenant, as a wire object."""
+
+    wire_name, wire_error = "repair job", RepairJobError
 
     #: Coordinator-assigned session identifier (unique per daemon).
     session_id: str
@@ -53,7 +45,8 @@ class RepairJob:
     submitted_unix: float = 0.0
     #: Per-tenant metric labels and anything else the daemon wants to
     #: remember with the job (not shipped to workers).
-    meta: Dict[str, object] = field(default_factory=dict)
+    meta: Dict[str, object] = field(default_factory=dict,
+                                    metadata=NOT_ON_WIRE)
 
     def __post_init__(self):
         if self.config.scenario is None:
@@ -61,55 +54,19 @@ class RepairJob:
                 "repair job config has no ScenarioSpec; only fully "
                 "declarative configs can cross the wire")
 
-    # ------------------------------------------------------------------
-    # Wire format
-    # ------------------------------------------------------------------
-
     def to_wire(self) -> Dict[str, object]:
-        return {
-            "kind": REPAIR_JOB_KIND,
-            "session_id": self.session_id,
-            "tenant": self.tenant,
-            "config": self.config.to_wire(),
-            "submitted_unix": self.submitted_unix,
-            "candidate_count": 1,
-        }
+        return {"kind": REPAIR_JOB_KIND, **super().to_wire(),
+                "candidate_count": 1}
 
     @classmethod
-    def from_wire(cls, wire: Dict[str, object]) -> "RepairJob":
-        if not isinstance(wire, dict):
-            raise RepairJobError("repair job wire must be an object")
-        kind = wire.get("kind")
-        if kind != REPAIR_JOB_KIND:
-            raise RepairJobError(
-                f"not a repair job wire (kind={kind!r})")
-        unknown = set(wire) - _WIRE_KEYS
-        if unknown:
-            raise RepairJobError(
-                f"unknown repair job keys: {sorted(unknown)}")
-        config_wire = wire.get("config")
-        if not isinstance(config_wire, dict):
-            raise RepairJobError("repair job wire has no config object")
-        try:
-            config = RepairConfig.from_wire(config_wire)
-        except ConfigError as exc:
-            raise RepairJobError(f"bad repair job config: {exc}") from exc
-        return cls(session_id=str(wire.get("session_id", "")),
-                   config=config,
-                   tenant=str(wire.get("tenant", "default")),
-                   submitted_unix=float(wire.get("submitted_unix", 0.0)))
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_wire(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RepairJob":
-        try:
-            wire = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise RepairJobError(
-                f"repair job is not valid JSON: {exc}") from exc
-        return cls.from_wire(wire)
+    def from_wire(cls, wire) -> "RepairJob":
+        """The fields, behind the header: kind ``repair``, one work item."""
+        fields = dict(wire) if isinstance(wire, dict) else {}
+        header = fields.pop("kind", None), fields.pop("candidate_count", None)
+        if header != (REPAIR_JOB_KIND, 1) or type(header[1]) is not int:
+            raise RepairJobError(f"not a repair job wire: (kind, "
+                                 f"candidate_count) is {header!r}")
+        return super().from_wire(fields)
 
 
 def scenario_digest(job_wire: Dict) -> str:

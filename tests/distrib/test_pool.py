@@ -11,9 +11,11 @@ Covered: the frame sequence, every failure reason, the one retry rule up
 to quarantine, deadline severing, budgeted backoff respawn with fresh
 worker ids, restartable close — and the hardening contract: a peer with
 no or a wrong token, an oversize or a garbage frame gets a typed error or
-a clean drop, never a traceback, a hang, or an unpickle.
+a clean drop, never a traceback or a hang, and frames are JSON, so a
+pickle is garbage even behind the right token.
 """
 
+import json
 import os
 import pickle
 import signal
@@ -37,11 +39,11 @@ from repro.service import RepairJob
 
 #: Appended to by :func:`_explode` — the visible side effect of unpickling
 #: a hostile payload.
-UNPICKLED = []
+DETONATED = []
 
 
 def _explode(tag):
-    UNPICKLED.append(tag)
+    DETONATED.append(tag)
     return {"type": "hello", "pid": None}
 
 
@@ -211,7 +213,8 @@ def test_frames_round_trip():
     (b"\x00\x00", "truncated frame header"),
     (framed(b"x" * 8)[:-3], "truncated frame payload"),
     (framed(b"\x00" * 16), "undecodable"),
-    (framed(pickle.dumps([1, 2, 3])), "not a message dict"),
+    (framed(pickle.dumps([1, 2, 3])), "undecodable"),
+    (framed(b"[1, 2, 3]"), "not a message dict"),
     (struct.pack(">I", MAX_FRAME_BYTES + 1), "exceeds"),
     (struct.pack(">I", 0xFFFFFFFF) + b"tail", "exceeds"),
 ])
@@ -223,7 +226,8 @@ def test_malformed_frames_are_typed_errors(data, complaint):
 @settings(max_examples=200, deadline=None)
 @given(st.binary(max_size=64))
 @example(struct.pack(">I", MAX_FRAME_BYTES + 1) + b"\x00" * 8)
-@example(framed(pickle.dumps("a string, not a dict")))
+@example(framed(b'"a string, not a dict"'))
+@example(framed(b"[" * 100_000))                 # nested past the stack
 def test_recv_frame_on_arbitrary_bytes(data):
     """A dict, a clean close or a ``FrameError`` — nothing else, and no
     waiting for bytes a length prefix promised but the peer never sent."""
@@ -239,29 +243,26 @@ def test_recv_frame_on_arbitrary_bytes(data):
 # ---------------------------------------------------------------------------
 
 
-def test_hostile_pickle_is_loaded_only_behind_the_token(make_pool):
-    """No token, a wrong token: dropped before ``pickle.loads`` and
-    counted.  The control — the same bytes behind the right token — does
-    detonate, so the first two assertions can fail."""
+def test_a_pickle_behind_the_token_is_a_frame_error_and_never_runs(
+        make_pool):
+    """No token, a wrong token: dropped before any decode and counted.
+    The right token followed by the same bytes: a frame error too, because
+    a frame is JSON — the pickle's ``__reduce__`` never runs, anywhere."""
     policy = FakePolicy()
     pool = make_pool(policy)
-    del UNPICKLED[:]
+    del DETONATED[:]
     wrong = "0" * len(pool.token)
-    for token in ("", wrong, wrong[:-1], pool.token[:-1] + "!"):
+    for token in ("", wrong, wrong[:-1], pool.token[:-1] + "!", pool.token):
         peer = StubWorker(pool, token=token, hello=False)
         peer.sock.sendall(HOSTILE_FRAME)
         peer.half_close()
         assert peer.dropped()
         peer.close()
-    assert UNPICKLED == []
-    assert pool.stats.frame_errors == 4
+    with pool.changed:
+        assert pool.changed.wait_for(lambda: pool.stats.frame_errors == 5,
+                                     30)
+    assert DETONATED == []
     assert pool.links == [] and policy.log == []
-
-    peer = StubWorker(pool, hello=False)
-    peer.sock.sendall(HOSTILE_FRAME)              # decodes to a hello dict
-    wait_registered(pool, 1)
-    assert UNPICKLED == ["boom"]
-    peer.close()
 
 
 def test_silent_peer_is_dropped_after_the_handshake_window(make_pool,
@@ -280,7 +281,7 @@ def test_silent_peer_is_dropped_after_the_handshake_window(make_pool,
 @example(b"\xff" * 64 + HOSTILE_FRAME)
 def test_unauthenticated_bytes_get_a_clean_drop(fuzz_pool, data):
     """Whatever a stranger sends: the connection is closed, it is never
-    registered, nothing is unpickled, and no pool thread dies of it."""
+    registered, nothing is decoded, and no pool thread dies of it."""
     pool, crashes = fuzz_pool
     before = pool.stats.frame_errors
     sock = socket.create_connection(pool.address, timeout=30)
@@ -296,19 +297,73 @@ def test_unauthenticated_bytes_get_a_clean_drop(fuzz_pool, data):
     with pool.changed:
         assert pool.changed.wait_for(
             lambda: pool.stats.frame_errors > before, 30)
-    assert pool.links == [] and UNPICKLED == [] and not crashes
+    assert pool.links == [] and DETONATED == [] and not crashes
 
 
-@pytest.fixture(scope="module")
-def fuzz_pool():
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.binary(max_size=200)
+       | JSON.map(lambda v: framed(json.dumps(v).encode()))
+       | st.dictionaries(st.text(max_size=8), JSON, max_size=3).map(
+           lambda v: framed(json.dumps(dict(v, type="hello")).encode())))
+@example(HOSTILE_FRAME)
+@example(framed(b'{"type": "hello", "pid": 7}') + b"\xff" * 8)
+def test_bytes_behind_the_token_are_a_hello_or_a_frame_error(token_pool,
+                                                             data):
+    """Whatever a token holder sends first: a JSON hello registers it, and
+    anything else — a pickle included — is a counted frame error and a
+    closed connection.  No pool thread dies, nothing hangs."""
+    pool, crashes = token_pool
+    try:
+        first = feed(data)
+    except FrameError:
+        first = None
+    hello = isinstance(first, dict) and first.get("type") == "hello"
+    with pool.changed:
+        errors, links = pool.stats.frame_errors, len(pool.links)
+    sock = socket.create_connection(pool.address, timeout=30)
+    try:
+        try:
+            sock.sendall(pool.token.encode() + data)
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass                                  # the pool hung up first
+        with pool.changed:
+            assert pool.changed.wait_for(
+                lambda: (pool.stats.frame_errors, len(pool.links))
+                == (errors + (not hello), links + hello), 30)
+    finally:
+        sock.close()
+    assert DETONATED == [] and not crashes
+
+
+def _module_pool():
     crashes = []
     previous = threading.excepthook
     threading.excepthook = lambda args: crashes.append(args)
     pool = WorkerPool(FakePolicy(), spawn_workers=False).start()
-    del UNPICKLED[:]
+    del DETONATED[:]
     yield pool, crashes
     pool.close()
     threading.excepthook = previous
+
+
+@pytest.fixture(scope="module")
+def fuzz_pool():
+    yield from _module_pool()
+
+
+@pytest.fixture(scope="module")
+def token_pool():
+    """Registered peers stay in its links, idle: the policy has no job."""
+    yield from _module_pool()
 
 
 # ---------------------------------------------------------------------------

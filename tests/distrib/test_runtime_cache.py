@@ -67,10 +67,11 @@ def test_runtime_cache_reuses_scenario_backtester_and_trunk(scenario,
     assert second.backtester is first.backtester
     assert second.scenario is first.scenario
     assert second.backtester._trunk is trunk      # served, not rebuilt
-    assert [o.result.ks for o in outcomes_first] == \
-        [o.result.ks for o in outcomes_second]
-    assert [o.result.accepted for o in outcomes_first] == \
-        [o.result.accepted for o in outcomes_second]
+    # The runtime answers with outcome wires; the coordinator decodes them.
+    assert [o["result"]["ks"] for o in outcomes_first] == \
+        [o["result"]["ks"] for o in outcomes_second]
+    assert [o["result"]["accepted"] for o in outcomes_first] == \
+        [o["result"]["accepted"] for o in outcomes_second]
 
 
 def test_runtime_cache_capacity_evicts_lru(scenario, candidates):
@@ -97,8 +98,9 @@ def test_header_jobs_stream_candidates_per_item(scenario, candidates):
         reference = full.evaluate(index)
         outcome = streamed.evaluate(index,
                                     candidate_wire=wire["candidates"][index])
-        assert outcome.result.ks == reference.result.ks
-        assert outcome.result.accepted == reference.result.accepted
+        assert outcome["result"]["ks"] == reference["result"]["ks"]
+        assert outcome["result"]["accepted"] == \
+            reference["result"]["accepted"]
     with pytest.raises(DistribError, match="not shipped"):
         JobRuntime(header).evaluate(0)
 
