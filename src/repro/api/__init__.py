@@ -25,8 +25,7 @@ from ..events import (BacktestProgress, CandidateAborted, CandidateFound,
                       CandidateQuarantined, CandidateVetoed, EventBus,
                       FabricFaultStats, JsonlEventWriter, SessionEvent,
                       SessionFinished, SessionStarted, StageFinished,
-                      StageStarted, WarmEngineStats, event_from_wire,
-                      progress_to_events)
+                      StageStarted, WarmEngineStats, progress_to_events)
 from .config import ConfigError, RepairConfig, TelemetryConfig
 from .session import DiagnosisReport, PhaseTimings, RepairSession, repair
 from .stages import (DEFAULT_STAGES, BacktestStage, DiagnoseStage,
@@ -40,5 +39,5 @@ __all__ = [
     "PhaseTimings", "RankStage", "RepairConfig", "RepairSession",
     "SessionEvent", "SessionFinished", "SessionStarted", "Stage",
     "StageError", "StageFinished", "StageStarted", "TelemetryConfig",
-    "WarmEngineStats", "event_from_wire", "progress_to_events", "repair",
+    "WarmEngineStats", "progress_to_events", "repair",
 ]

@@ -47,6 +47,7 @@ from .api import (EventBus, JsonlEventWriter, RepairConfig, RepairSession,
 from .backtest.abort import EarlyAbortPolicy
 from .backtest.ranking import format_table
 from .scenarios import SCENARIO_BUILDERS, build_scenario
+from .wire import WireError
 
 
 def _add_config_options(parser: argparse.ArgumentParser) -> None:
@@ -358,9 +359,11 @@ def _cmd_lint(args) -> int:
             print("repro lint: --candidates requires a scenario target "
                   "(schemas and base data)", file=sys.stderr)
             return 2
-        from .repair.candidates import candidate_from_wire
-        with open(args.candidates, "r", encoding="utf-8") as handle:
-            wires = json.load(handle)
+        try:
+            candidates = _read_candidates(args.candidates)
+        except (OSError, ValueError, RecursionError) as exc:
+            print(f"repro lint: {args.candidates}: {exc}", file=sys.stderr)
+            return 2
         mapping = scenario.mapping
         vetter = CandidateVetter(
             scenario.program,
@@ -368,10 +371,8 @@ def _cmd_lint(args) -> int:
             static_tuples=scenario.static_tuples,
             event_tables={mapping.packet_in_table},
             flow_table=mapping.flow_table)
-        for wire in wires:
-            candidate = candidate_from_wire(wire)
-            verdict = vetter.vet_candidate(candidate)
-            vet_rows.append((candidate, verdict))
+        vet_rows = [(candidate, vetter.vet_candidate(candidate))
+                    for candidate in candidates]
 
     if args.json:
         print(json.dumps({
@@ -401,6 +402,30 @@ def _cmd_lint(args) -> int:
     if not args.quiet:
         print(f"{source_name}: clean", file=sys.stderr)
     return 0
+
+
+def _decode_all(decode, wires, label):
+    """``decode`` of each ``(position, wire)``; a ``WireError`` names the
+    first position that does not decode."""
+    values = []
+    for position, wire in wires:
+        try:
+            values.append(decode(wire))
+        except WireError as exc:
+            raise WireError(f"{label} {position}: {exc}") from None
+    return values
+
+
+def _read_candidates(path):
+    """The candidates of a file holding a JSON list of candidate wires."""
+    from .repair.candidates import RepairCandidate
+    with open(path, "r", encoding="utf-8") as handle:
+        wires = json.load(handle)
+    if not isinstance(wires, list):
+        raise WireError(f"expected a list of candidate wires, not "
+                        f"{type(wires).__name__}")
+    return _decode_all(RepairCandidate.from_wire, enumerate(wires),
+                       "candidate")
 
 
 def _cmd_trace(args) -> int:
@@ -442,14 +467,10 @@ def _cmd_stats(args) -> int:
 
 
 def _read_event_log(path):
-    from .api import event_from_wire
-    events = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(event_from_wire(json.loads(line)))
-    return events
+        lines = [(number, line) for number, line in enumerate(handle, 1)
+                 if line.strip()]
+    return _decode_all(SessionEvent.from_json, lines, "line")
 
 
 def _summarize_sessions(events):
@@ -488,7 +509,7 @@ def _cmd_events_summarize(args) -> int:
         print(f"repro events: cannot read {args.file}: {exc}",
               file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"repro events: malformed event log {args.file}: {exc}",
               file=sys.stderr)
         return 2

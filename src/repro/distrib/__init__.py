@@ -4,9 +4,9 @@ Backtesting dominates the repair loop's turnaround (Figure 9b): every
 candidate replays the whole historical trace.  This package turns that
 embarrassingly parallel workload into a schedulable fabric:
 
-* :mod:`~repro.distrib.jobs` — declarative job wire format built on
-  spawn-safe :class:`~repro.scenarios.spec.ScenarioSpec` handles and the
-  structural candidate encoding of :mod:`repro.repair.candidates`;
+* :mod:`~repro.distrib.jobs` — the declarative job wire
+  (:class:`BacktestJob`, a :mod:`repro.wire` type) built on spawn-safe
+  :class:`~repro.scenarios.spec.ScenarioSpec` handles and candidate wires;
 * :mod:`~repro.distrib.coordinator` — pull-based work-queue dispatch with
   input-order result streaming, progress callbacks and optional
   early-abort of hopeless replays; spawn sessions of one process borrow
@@ -45,7 +45,8 @@ from .faults import (FAULT_KINDS, FaultAction, FaultInjector, FaultPlan,
 # name that needs them.
 __getattr__, __dir__ = lazy_exports(__name__, {
     "coordinator": ("Coordinator", "Scheduler", "close_parked_fleets"),
-    "jobs": ("DistribError", "JobRuntime", "RuntimeCache", "build_job_wire",
+    "jobs": ("BacktestJob", "BacktesterConfig", "DistribError",
+             "JobRuntime", "JobWireError", "RuntimeCache", "build_job_wire",
              "job_digest", "strip_candidates"),
     "pool": ("DispatchPolicy", "FrameError", "PoolJob", "TransportError",
              "WorkItem", "WorkerPool"),
@@ -54,12 +55,13 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 })
 
 __all__ = [
-    "BaseTransport", "Coordinator", "DispatchPolicy",
-    "DistribError", "EarlyAbortPolicy", "FAULT_KINDS", "FaultAction",
-    "FaultInjector", "FaultPlan", "FaultStats", "FaultToleranceConfig",
-    "FrameError", "InProcessTransport", "InjectedFault", "JobRuntime",
-    "PoolJob", "QuarantinedItem", "RuntimeCache", "Scheduler",
-    "SocketTransport", "TransportError", "WorkItem", "WorkerPool",
-    "build_job_wire", "close_parked_fleets", "job_digest", "make_transport",
+    "BacktestJob", "BacktesterConfig", "BaseTransport", "Coordinator",
+    "DispatchPolicy", "DistribError", "EarlyAbortPolicy", "FAULT_KINDS",
+    "FaultAction", "FaultInjector", "FaultPlan", "FaultStats",
+    "FaultToleranceConfig", "FrameError", "InProcessTransport",
+    "InjectedFault", "JobRuntime", "JobWireError", "PoolJob",
+    "QuarantinedItem", "RuntimeCache", "Scheduler", "SocketTransport",
+    "TransportError", "WorkItem", "WorkerPool", "build_job_wire",
+    "close_parked_fleets", "job_digest", "make_transport",
     "retry_or_quarantine", "strip_candidates",
 ]

@@ -2,20 +2,18 @@
 
 A *job* describes one ``evaluate_all`` call declaratively so that a process
 with no shared memory — a local ``repro-worker`` or one on another machine —
-can reconstruct everything it needs:
-
-* the scenario, as a :class:`~repro.scenarios.spec.ScenarioSpec` (name +
-  builder parameters + seed; see the registry in :mod:`repro.scenarios`),
-* the backtester (constructor configuration — ``multiquery`` included —
-  plus the optional early-abort policy),
-* the candidate list, in the structural wire format of
-  :mod:`repro.repair.candidates`.
-
-Everything in the job wire dict is JSON-able, so any transport that can
-move dicts can move jobs.  Results flow the other way as
-:class:`~repro.backtest.replay.ShardOutcome` wires (:mod:`repro.wire`),
-which carry no candidate: the coordinator decodes each one and re-attaches
-its own copy, meta provenance tree included.
+can rebuild everything it needs.  Its wire is one :mod:`repro.wire` type,
+:class:`BacktestJob` (``"kind": "backtest"``): the scenario as a
+:class:`~repro.scenarios.spec.ScenarioSpec`, the backtester's knobs as a
+:class:`BacktesterConfig`, the early-abort policy, the per-item deadline,
+the coordinator's telemetry context, and the candidates or, in a header,
+their count.  :func:`build_job_wire` returns the JSON wire, so any
+transport that can move dicts can move jobs, and :class:`JobRuntime`
+decodes it once: a malformed job is a :class:`JobWireError` before any
+work starts.  Results flow the other way as
+:class:`~repro.backtest.replay.ShardOutcome` wires, which carry no
+candidate: the coordinator decodes each one and re-attaches its own copy,
+meta provenance tree included.
 
 The :class:`JobRuntime` is the worker half: it rebuilds the scenario and
 backtester once per job and then serves per-candidate work items by index.
@@ -32,59 +30,91 @@ Two refinements keep repeated jobs cheap:
   backtester (warm engine included) and already-built shared trunk instead
   of rebuilding them from the wire.
 * **Candidate streaming.**  A job may ship *without* its candidate list
-  (:func:`strip_candidates` replaces it with a count + content digest);
-  candidate wires then arrive individually with each dispatched item, so a
-  worker only ever receives the candidates it actually evaluates — this is
-  what the socket transport uses instead of re-sending the whole list to
-  every connection.
+  (:func:`strip_candidates` replaces it with a count); candidate wires then
+  arrive individually with each dispatched item, so a worker only ever
+  receives the candidates it actually evaluates — this is what the socket
+  transport uses instead of re-sending the whole list to every connection.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import time as _time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..backtest.abort import EarlyAbortPolicy
 from ..backtest.replay import Backtester
-from ..repair.candidates import (RepairCandidate, candidate_from_wire,
-                                 candidate_to_wire)
+from ..obs.telemetry import JobContext, Telemetry
+from ..repair.candidates import RepairCandidate, candidate_from_wire
 from ..scenarios.spec import ScenarioSpec
-from ..wire import encode
+from ..wire import Wire, WireError, encode
 
 
 class DistribError(RuntimeError):
     """Raised for fabric-level failures (bad jobs, unusable scenarios)."""
 
 
-#: Constructor keywords that travel with a job.  ``workers`` intentionally
-#: stays local: parallelism is the transport's business, and a worker that
-#: started its own fleet would double-shard.
-_CONFIG_FIELDS = ("ks_threshold", "alpha", "use_significance", "trace_limit",
-                  "max_packet_in_growth", "replay_batch_size", "warm_engine",
-                  "multiquery")
+class JobWireError(WireError, DistribError):
+    """A backtest job wire that does not describe a job."""
+
+
+@dataclass(frozen=True)
+class BacktesterConfig:
+    """The ``Backtester`` keywords a job carries.  ``workers`` stays local:
+    parallelism is the transport's business, and a worker that started its
+    own fleet would double-shard."""
+
+    ks_threshold: float
+    alpha: float
+    use_significance: bool
+    trace_limit: Optional[int]
+    max_packet_in_growth: Optional[float]
+    replay_batch_size: Optional[int]
+    warm_engine: bool
+    multiquery: bool
+
+
+@dataclass(frozen=True)
+class BacktestJob(Wire):
+    """One ``evaluate_all`` call, with its candidates or, as a header, with
+    their count.  ``abort``, ``deadline`` and ``telemetry`` are per job and
+    stay out of :func:`job_digest`, so toggling them never defeats a
+    worker's runtime cache."""
+
+    wire_name, wire_error = "backtest job", JobWireError
+    #: Tells the wire from a repair job's (:func:`build_runtime`).
+    kind = "backtest"
+
+    spec: ScenarioSpec
+    config: BacktesterConfig
+    abort: Optional[EarlyAbortPolicy] = None
+    #: Seconds before a transport gives up on a hung worker's item.
+    deadline: Optional[float] = None
+    telemetry: Optional[JobContext] = None
+    candidates: Optional[Tuple[RepairCandidate, ...]] = None
+    candidate_count: Optional[int] = None
+
+    def __post_init__(self):
+        if (self.candidates is None) == (self.candidate_count is None):
+            raise ValueError("a backtest job carries either its candidates "
+                             "or candidate_count")
 
 
 def build_job_wire(backtester: Backtester,
                    candidates: Sequence[RepairCandidate],
                    abort_policy: Optional[EarlyAbortPolicy] = None,
                    telemetry=None, deadline: Optional[float] = None) -> Dict:
-    """Describe one ``evaluate_all`` call as a JSON-able job dict.
+    """Describe one ``evaluate_all`` call as a :class:`BacktestJob` wire.
 
-    ``telemetry`` (a :class:`repro.obs.Telemetry`) adds a ``"telemetry"``
-    key carrying the coordinator's span context, so worker-side spans
-    stitch under the coordinator's trace.  Like the abort policy, the key
-    is excluded from :func:`job_digest` — a telemetry toggle must not
-    defeat the worker runtime cache.
-
-    ``deadline`` (seconds) is the per-item soft deadline transports use to
-    catch hung workers — typically
+    ``telemetry`` (a :class:`repro.obs.Telemetry`) adds the coordinator's
+    span context.  ``deadline`` (seconds) is typically
     :meth:`~repro.distrib.faults.FaultToleranceConfig.resolve_deadline`
-    applied to the backtester's timed-baseline estimate.  Also
-    digest-excluded: a deadline tweak must not invalidate worker caches.
+    applied to the backtester's timed-baseline estimate.
     """
     spec = getattr(backtester.scenario, "spec", None)
     if spec is None:
@@ -92,19 +122,16 @@ def build_job_wire(backtester: Backtester,
             "scenario has no ScenarioSpec; build it via "
             "repro.scenarios.build_scenario (or set scenario.spec) so "
             "spawn/remote workers can reconstruct it")
-    if abort_policy is None:
-        abort_policy = backtester.abort_policy
-    job_wire = {
-        "spec": spec.to_wire(),
-        "config": {key: getattr(backtester, key) for key in _CONFIG_FIELDS},
-        "abort": abort_policy.to_wire() if abort_policy is not None else None,
-        "candidates": [candidate_to_wire(c) for c in candidates],
-    }
-    if telemetry is not None:
-        job_wire["telemetry"] = telemetry.context_wire()
-    if deadline is not None:
-        job_wire["deadline"] = float(deadline)
-    return job_wire
+    config = BacktesterConfig(**{
+        f.name: getattr(backtester, f.name)
+        for f in dataclasses.fields(BacktesterConfig)})
+    return encode(BacktestJob(
+        spec=spec, config=config,
+        abort=abort_policy if abort_policy is not None
+        else backtester.abort_policy,
+        deadline=None if deadline is None else float(deadline),
+        telemetry=None if telemetry is None else telemetry.job_context(),
+        candidates=tuple(candidates)))
 
 
 def job_digest(job_wire: Dict) -> str:
@@ -122,12 +149,8 @@ def job_digest(job_wire: Dict) -> str:
 
 
 def strip_candidates(job_wire: Dict) -> Dict:
-    """A job header without the candidate wires (streamed per item instead).
-
-    The header keeps everything that defines the runtime plus the
-    candidate count (for queue bookkeeping); the candidate wires
-    themselves ride with the dispatched items.
-    """
+    """A job header: the candidates' count instead of their wires, which
+    ride with the dispatched items."""
     header = {key: value for key, value in job_wire.items()
               if key != "candidates"}
     header["candidate_count"] = len(job_wire["candidates"])
@@ -188,26 +211,21 @@ class RuntimeCache:
 def build_runtime(job_wire: Dict, cache: Optional[RuntimeCache] = None):
     """Build the worker-side runtime for a job wire of any kind.
 
-    Job wires are discriminated by their ``"kind"`` key: absent or
-    ``"backtest"`` builds the classic :class:`JobRuntime`; ``"repair"``
+    Job wires are discriminated by their ``"kind"`` key: ``"repair"``
     builds a :class:`repro.service.runtime.RepairJobRuntime`, which runs
     a whole Diagnose → Generate → Backtest → Rank pipeline as one item.
     The service module is imported lazily — the api package imports this
-    one, so a top-level import would cycle.
+    one, so a top-level import would cycle.  Any other wire is a
+    :class:`BacktestJob` (``"backtest"``) or a :class:`JobWireError`.
 
     Every runtime exposes ``__len__`` and ``evaluate(index,
     candidate_wire=None)``; runtimes that stream events additionally
     expose ``set_event_sink``.
     """
-    kind = job_wire.get("kind", "backtest") if isinstance(job_wire, dict) \
-        else "backtest"
-    if kind == "backtest":
-        return JobRuntime(job_wire, cache=cache)
-    if kind == "repair":
+    if isinstance(job_wire, dict) and job_wire.get("kind") == "repair":
         from ..service.runtime import RepairJobRuntime
         return RepairJobRuntime(job_wire, cache=cache)
-    raise DistribError(f"unknown job kind {kind!r}; expected 'backtest' "
-                       f"or 'repair'")
+    return JobRuntime(job_wire, cache=cache)
 
 
 class JobRuntime:
@@ -221,44 +239,29 @@ class JobRuntime:
     """
 
     def __init__(self, job_wire: Dict, cache: Optional[RuntimeCache] = None):
-        try:
-            spec_wire = job_wire["spec"]
-            config = dict(job_wire["config"])
-            if "backtester" in job_wire or set(config) != set(_CONFIG_FIELDS):
-                raise ValueError(
-                    f"expected no 'backtester' class name and exactly the "
-                    f"config keys {sorted(_CONFIG_FIELDS)}")
-            abort_policy = EarlyAbortPolicy.coerce(job_wire.get("abort"))
-            if "candidates" in job_wire:
-                self.candidates: List[Optional[RepairCandidate]] = [
-                    candidate_from_wire(w) for w in job_wire["candidates"]]
-            else:
-                count = int(job_wire["candidate_count"])
-                self.candidates = [None] * count
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DistribError(f"malformed job wire: {exc!r}") from exc
+        job = BacktestJob.from_wire(job_wire)
+        self.candidates: List[Optional[RepairCandidate]] = (
+            [None] * job.candidate_count if job.candidates is None
+            else list(job.candidates))
         digest = job_digest(job_wire) if cache is not None else None
         entry = cache.get(digest) if cache is not None else None
         if entry is None:
-            scenario = ScenarioSpec.from_wire(spec_wire).build()
-            backtester = Backtester(scenario, workers=1, **config)
+            scenario = job.spec.build()
+            backtester = Backtester(scenario, workers=1,
+                                    **dataclasses.asdict(job.config))
             entry = _RuntimeEntry(scenario, backtester)
             if cache is not None:
                 cache.put(digest, entry)
         self.scenario = entry.scenario
         self.backtester = entry.backtester
         #: The policy is per-job even when the runtime is cached.
-        self.backtester.abort_policy = abort_policy
+        self.backtester.abort_policy = job.abort
         #: Worker-side telemetry, seeded from the coordinator's span
         #: context on the wire.  Per-job like the abort policy — and reset
         #: unconditionally so a cached runtime from a telemetry-enabled
         #: job never leaks spans into a disabled one.
-        telemetry_wire = job_wire.get("telemetry")
-        if telemetry_wire is not None:
-            from ..obs import Telemetry
-            self.telemetry = Telemetry.from_job_wire(telemetry_wire)
-        else:
-            self.telemetry = None
+        self.telemetry = (None if job.telemetry is None
+                          else Telemetry.from_job_context(job.telemetry))
         self.backtester.telemetry = self.telemetry
 
     def __len__(self) -> int:

@@ -9,10 +9,10 @@ any number of subscribers consume them — the live CLI renderer, a JSONL
 log file (:class:`JsonlEventWriter`), a test capturing the stream, or a
 dashboard on the other end of a socket.
 
-Events are plain frozen dataclasses with a stable ``kind`` string and a
-:meth:`SessionEvent.to_wire` JSON encoding, so the stream is as
-wire-friendly as the job/candidate/scenario formats of
-:mod:`repro.distrib`: a remote monitor needs nothing but ``json.loads``.
+Events are frozen :mod:`repro.wire` dataclasses with a stable ``kind``:
+``SessionEvent.from_json`` rebuilds the subclass a line's ``kind`` names.
+No field or kind was ever removed and every field has a default, so a log
+any version wrote decodes.
 
 Subscribers must not raise: a broken observer should not kill a repair
 run, so :meth:`EventBus.emit` isolates subscriber exceptions — but not
@@ -24,32 +24,22 @@ of each sink emits a ``RuntimeWarning`` (all failures stay on
 
 from __future__ import annotations
 
-import dataclasses
 import io
-import json
 import os
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, IO, List, Optional, Set, Tuple, Type
+from typing import Callable, IO, List, Optional, Set, Tuple
 
 from .obs.metrics import MetricsRegistry
-
-#: Registry of event dataclasses by their ``kind`` string (filled by
-#: :func:`register_event`; used by :func:`event_from_wire`).
-EVENT_KINDS: Dict[str, Type["SessionEvent"]] = {}
-
-
-def register_event(cls):
-    """Class decorator: index an event dataclass by its ``kind``."""
-    EVENT_KINDS[cls.kind] = cls
-    return cls
+from .wire import Wire
 
 
 @dataclass(frozen=True)
-class SessionEvent:
+class SessionEvent(Wire):
     """Base class for everything published on the bus."""
 
+    wire_name = "event"
     #: Stable machine-readable discriminator, overridden per subclass.
     kind = "event"
 
@@ -60,25 +50,9 @@ class SessionEvent:
     trace_id: str = ""
     span_id: str = ""
 
-    def to_wire(self) -> Dict[str, object]:
-        wire = {"kind": self.kind}
-        wire.update(dataclasses.asdict(self))
-        return wire
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_wire(), sort_keys=True, default=str)
-
-
-def event_from_wire(wire: Dict[str, object]) -> SessionEvent:
-    """Rebuild a typed event from its :meth:`SessionEvent.to_wire` dict."""
-    kind = wire.get("kind")
-    cls = EVENT_KINDS.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown event kind {kind!r}")
-    fields = {f.name for f in dataclasses.fields(cls)}
-    # JSON has no tuples; sequence fields come back as lists.
-    return cls(**{k: tuple(v) if isinstance(v, list) else v
-                  for k, v in wire.items() if k in fields})
+#: An event of whichever kind its wire names (``SessionEvent.from_wire``).
+event_from_wire = SessionEvent.from_wire
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +60,6 @@ def event_from_wire(wire: Dict[str, object]) -> SessionEvent:
 # ---------------------------------------------------------------------------
 
 
-@register_event
 @dataclass(frozen=True)
 class SessionStarted(SessionEvent):
     """A repair session began running its stage pipeline."""
@@ -97,7 +70,6 @@ class SessionStarted(SessionEvent):
     stages: Tuple[str, ...] = ()
 
 
-@register_event
 @dataclass(frozen=True)
 class SessionFinished(SessionEvent):
     """The pipeline completed; headline numbers of the final report."""
@@ -109,14 +81,12 @@ class SessionFinished(SessionEvent):
     elapsed_seconds: float = 0.0
 
 
-@register_event
 @dataclass(frozen=True)
 class StageStarted(SessionEvent):
     kind = "stage_started"
     stage: str = ""
 
 
-@register_event
 @dataclass(frozen=True)
 class StageFinished(SessionEvent):
     kind = "stage_finished"
@@ -124,7 +94,6 @@ class StageFinished(SessionEvent):
     elapsed_seconds: float = 0.0
 
 
-@register_event
 @dataclass(frozen=True)
 class CandidateFound(SessionEvent):
     """The explorer extracted one repair candidate (in cost order)."""
@@ -137,7 +106,6 @@ class CandidateFound(SessionEvent):
     cost: float = 0.0
 
 
-@register_event
 @dataclass(frozen=True)
 class BacktestProgress(SessionEvent):
     """One candidate's backtest completed (published in completion order)."""
@@ -155,7 +123,6 @@ class BacktestProgress(SessionEvent):
     elapsed_seconds: float = 0.0
 
 
-@register_event
 @dataclass(frozen=True)
 class CandidateAborted(SessionEvent):
     """The early-abort policy killed a candidate's replay mid-trace."""
@@ -165,7 +132,6 @@ class CandidateAborted(SessionEvent):
     note: str = ""
 
 
-@register_event
 @dataclass(frozen=True)
 class CandidateVetoed(SessionEvent):
     """Static analysis rejected a candidate before any replay ran."""
@@ -176,7 +142,6 @@ class CandidateVetoed(SessionEvent):
     note: str = ""
 
 
-@register_event
 @dataclass(frozen=True)
 class CandidateQuarantined(SessionEvent):
     """The fabric gave up on a candidate after exhausting its retries.
@@ -196,7 +161,6 @@ class CandidateQuarantined(SessionEvent):
     attempts: int = 0
 
 
-@register_event
 @dataclass(frozen=True)
 class FabricFaultStats(SessionEvent):
     """Fault-recovery counters for one fabric job (emitted only when any
@@ -217,7 +181,6 @@ class FabricFaultStats(SessionEvent):
     degraded: bool = False
 
 
-@register_event
 @dataclass(frozen=True)
 class WarmEngineStats(SessionEvent):
     """Static-analysis and warm-path counters after a backtest stage.

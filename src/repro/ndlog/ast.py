@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple, Union
 
+from ..wire import NOT_ON_WIRE
+
 
 #: Sentinel used for wildcard values (the ``*`` in the paper, e.g. Q5's
 #: ``Sip' := *`` meaning "match any source IP").
@@ -35,6 +37,9 @@ COMPARISON_OPERATORS = ("==", "!=", "<", ">", "<=", ">=")
 #: Arithmetic operators allowed inside expressions.
 ARITHMETIC_OPERATORS = ("+", "-", "*", "/", "%")
 
+#: The field options of a parser position (``line``/``column``).
+_POSITION = dict(default=None, compare=False, repr=False, metadata=NOT_ON_WIRE)
+
 
 # ---------------------------------------------------------------------------
 # Expressions
@@ -42,7 +47,8 @@ ARITHMETIC_OPERATORS = ("+", "-", "*", "/", "%")
 
 
 class Expression:
-    """Base class for expressions appearing in selections and assignments."""
+    """Base class for expressions appearing in selections and assignments
+    (a tagged union on the wire: each subclass carries a ``kind``)."""
 
     def variables(self):
         """Return the set of variable names referenced by this expression."""
@@ -59,6 +65,7 @@ class Expression:
 class Const(Expression):
     """A literal constant (integer, string or the wildcard ``*``)."""
 
+    kind = "const"
     value: Union[int, str]
 
     def to_ndlog(self):
@@ -73,6 +80,7 @@ class Const(Expression):
 class Var(Expression):
     """A variable reference (capitalised identifier in NDlog)."""
 
+    kind = "var"
     name: str
 
     def variables(self):
@@ -86,6 +94,7 @@ class Var(Expression):
 class BinOp(Expression):
     """A binary operation, either arithmetic or a comparison."""
 
+    kind = "binop"
     op: str
     left: Expression
     right: Expression
@@ -104,6 +113,7 @@ class BinOp(Expression):
 class FuncCall(Expression):
     """A call to a built-in function such as ``f_unique()`` or ``f_match()``."""
 
+    kind = "call"
     name: str
     args: Tuple[Expression, ...] = ()
 
@@ -136,17 +146,17 @@ class Atom:
             reference engine does not evaluate negation; the static analyzer
             (:mod:`repro.analysis`) uses the flag for stratification checks.
         line / column: 1-based source position of the atom's table name, when
-            the atom came from the parser.  Excluded from equality, hash and
-            repr so positional metadata never influences program diffing or
-            candidate signatures.
+            the atom came from the parser.  Excluded from equality, hash,
+            repr and the wire so positional metadata never influences
+            program diffing or candidate signatures.
     """
 
     table: str
     args: Tuple[Expression, ...]
     location_index: Optional[int] = 0
     negated: bool = False
-    line: Optional[int] = field(default=None, compare=False, repr=False)
-    column: Optional[int] = field(default=None, compare=False, repr=False)
+    line: Optional[int] = field(**_POSITION)
+    column: Optional[int] = field(**_POSITION)
 
     def __post_init__(self):
         if type(self.args) is not tuple:
@@ -268,9 +278,9 @@ class Rule(_Memoized):
     assignments: Tuple[Assignment, ...] = ()
     #: 1-based source position of the rule name when parsed from text
     #: (``None`` for programmatically built rules).  Excluded from equality,
-    #: hash and repr so positions never affect program diffing.
-    line: Optional[int] = field(default=None, compare=False, repr=False)
-    column: Optional[int] = field(default=None, compare=False, repr=False)
+    #: hash, repr and the wire so positions never affect program diffing.
+    line: Optional[int] = field(**_POSITION)
+    column: Optional[int] = field(**_POSITION)
 
     def __post_init__(self):
         for name in ("body", "selections", "assignments"):

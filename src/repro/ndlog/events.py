@@ -35,8 +35,6 @@ DISAPPEAR = "DISAPPEAR"
 SEND = "SEND"
 RECEIVE = "RECEIVE"
 
-EVENT_KINDS = (INSERT, DELETE, DERIVE, UNDERIVE, APPEAR, DISAPPEAR, SEND, RECEIVE)
-
 
 @dataclass(frozen=True)
 class DerivationRecord:

@@ -5,22 +5,33 @@ from the job wire) when telemetry is enabled; everywhere else the absence
 of telemetry is spelled ``None``, so disabled runs pay no construction and
 no bookkeeping.
 
-Worker flow: the coordinator puts ``telemetry.context_wire()`` on the job
+Worker flow: the coordinator puts ``telemetry.job_context()`` on the job
 wire; the worker rebuilds a telemetry bundle with
-:meth:`Telemetry.from_job_wire` (same trace id, remote parent span), runs
+:meth:`Telemetry.from_job_context` (same trace id, remote parent span), runs
 its items, and ships ``drain_remote()`` — finished span wire dicts plus a
 metrics *delta* — back on each item outcome.  The coordinator calls
 :meth:`absorb` to stitch those into the session trace.
 """
 
 import dataclasses
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from .export import spans_to_chrome, write_chrome_trace
 from .metrics import MetricsRegistry, prometheus_text
 from .trace import SpanContext, Tracer
 
-__all__ = ["Telemetry"]
+__all__ = ["JobContext", "Telemetry"]
+
+
+@dataclass(frozen=True)
+class JobContext:
+    """What a worker needs to continue the coordinator's trace: the span
+    its items hang under and the knobs that shape its spans."""
+
+    parent: SpanContext
+    slice_packets: Optional[int] = None
+    trace_fixpoints: bool = False
 
 
 class Telemetry:
@@ -51,21 +62,16 @@ class Telemetry:
 
     # -- cross-process propagation ----------------------------------------
 
-    def context_wire(self) -> Dict[str, Any]:
-        """Span context + knobs for the distrib job wire."""
-        context = self.tracer.context()
-        wire = context.to_wire()
-        if self.slice_packets is not None:
-            wire["slice_packets"] = self.slice_packets
-        if self.trace_fixpoints:
-            wire["trace_fixpoints"] = True
-        return wire
+    def job_context(self) -> JobContext:
+        """The span context and knobs a distrib job carries."""
+        return JobContext(self.tracer.context(), self.slice_packets,
+                          self.trace_fixpoints)
 
     @classmethod
-    def from_job_wire(cls, wire: Dict[str, Any]) -> "Telemetry":
-        return cls(parent=SpanContext.from_wire(wire),
-                   slice_packets=wire.get("slice_packets"),
-                   trace_fixpoints=bool(wire.get("trace_fixpoints")))
+    def from_job_context(cls, context: JobContext) -> "Telemetry":
+        return cls(parent=context.parent,
+                   slice_packets=context.slice_packets,
+                   trace_fixpoints=context.trace_fixpoints)
 
     def drain_remote(self) -> Tuple[List[Dict[str, Any]], Dict[str, list]]:
         """Spans finished + metrics accrued since the last drain (worker

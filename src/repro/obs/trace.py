@@ -22,7 +22,10 @@ for cross-process alignment; durations use ``time.perf_counter``.
 import os
 import threading
 import time
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from ..wire import Wire
 
 __all__ = ["Span", "SpanContext", "Tracer"]
 
@@ -37,24 +40,12 @@ def _new_trace_id() -> str:
         return f"{os.getpid():x}-{_TRACE_SEQ[0]:x}"
 
 
-class SpanContext:
+@dataclass(frozen=True)
+class SpanContext(Wire):
     """The propagatable part of a span: (trace id, span id)."""
 
-    __slots__ = ("trace_id", "span_id")
-
-    def __init__(self, trace_id: str, span_id: str):
-        self.trace_id = trace_id
-        self.span_id = span_id
-
-    def to_wire(self) -> Dict[str, str]:
-        return {"trace_id": self.trace_id, "span_id": self.span_id}
-
-    @classmethod
-    def from_wire(cls, data: Dict[str, str]) -> "SpanContext":
-        return cls(trace_id=data["trace_id"], span_id=data["span_id"])
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SpanContext({self.trace_id!r}, {self.span_id!r})"
+    trace_id: str
+    span_id: str
 
 
 class Span:

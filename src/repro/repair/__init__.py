@@ -18,12 +18,9 @@ from .candidates import (
     InsertTuple,
     PROGRAM_EDIT_KINDS,
     RepairCandidate,
-    WireFormatError,
     candidate_from_wire,
     candidate_to_wire,
     deduplicate,
-    edit_from_wire,
-    edit_to_wire,
     reset_candidate_ids,
 )
 
@@ -33,6 +30,6 @@ __all__ = [
     "ChangeRuleHead", "ChangeTuple", "CopyRule", "DATA_EDIT_KINDS",
     "DeletePredicate", "DeleteRule", "DeleteSelection", "DeleteTuple",
     "Edit", "InsertTuple", "PROGRAM_EDIT_KINDS", "RepairCandidate",
-    "WireFormatError", "candidate_from_wire", "candidate_to_wire",
-    "deduplicate", "edit_from_wire", "edit_to_wire", "reset_candidate_ids",
+    "candidate_from_wire", "candidate_to_wire", "deduplicate",
+    "reset_candidate_ids",
 ]

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..ndlog.ast import (Assignment, Atom, BinOp, Const, Expression, FuncCall,
-                         Rule, Selection, Var)
+from ..ndlog.ast import Atom, Expression, Rule
 from ..ndlog.tuples import NDTuple
+from ..wire import NOT_ON_WIRE, Wire, decode, encode
 
 
 _candidate_counter = itertools.count(1)
@@ -43,9 +43,9 @@ def reset_candidate_ids(start: int = 1) -> None:
 
 
 class Edit:
-    """Base class for a single program or data change."""
+    """Base class for a single program or data change (a tagged union on the
+    wire: each subclass carries the ``kind`` the cost model prices)."""
 
-    #: Symbolic kind name used by the cost model.
     kind = "edit"
 
     def describe(self) -> str:
@@ -244,13 +244,21 @@ DATA_EDIT_KINDS = ("insert_tuple", "delete_tuple", "change_tuple")
 
 
 @dataclass
-class RepairCandidate:
-    """A complete candidate repair: one or more edits plus bookkeeping."""
+class RepairCandidate(Wire):
+    """A complete candidate repair: one or more edits plus bookkeeping.
+
+    A :mod:`repro.wire` type without its meta provenance ``tree``: workers
+    only evaluate, and the coordinator re-attaches its own copy when
+    results stream back.
+    """
+
+    wire_name = "candidate"
 
     edits: Tuple[Edit, ...]
     cost: float
     description: str = ""
-    tree: object = None               # the MetaTree explaining this candidate
+    #: The MetaTree explaining this candidate.
+    tree: object = field(default=None, metadata=NOT_ON_WIRE)
     candidate_id: int = field(default_factory=lambda: next(_candidate_counter))
     notes: Tuple[str, ...] = ()
 
@@ -282,189 +290,14 @@ class RepairCandidate:
         return f"[cost {self.cost:.2f}] {self.description}"
 
 
-# ---------------------------------------------------------------------------
-# Wire format
-# ---------------------------------------------------------------------------
-#
-# The distributed backtest fabric (repro.distrib) ships candidates to worker
-# processes that cannot share memory with the coordinator.  Edits contain AST
-# nodes and base tuples, so the wire format encodes them *structurally* into
-# plain JSON-able dicts; the meta provenance tree stays coordinator-side
-# (workers only evaluate, they never explain).
-
-
-class WireFormatError(ValueError):
-    """Raised when a candidate or edit cannot be (de)serialised."""
-
-
-def _expr_to_wire(expr: Expression) -> Dict:
-    if isinstance(expr, Const):
-        return {"const": expr.value}
-    if isinstance(expr, Var):
-        return {"var": expr.name}
-    if isinstance(expr, BinOp):
-        return {"op": expr.op, "left": _expr_to_wire(expr.left),
-                "right": _expr_to_wire(expr.right)}
-    if isinstance(expr, FuncCall):
-        return {"func": expr.name,
-                "args": [_expr_to_wire(a) for a in expr.args]}
-    raise WireFormatError(f"unsupported expression {expr!r}")
-
-
-def _expr_from_wire(wire: Dict) -> Expression:
-    if "const" in wire:
-        return Const(wire["const"])
-    if "var" in wire:
-        return Var(wire["var"])
-    if "op" in wire:
-        return BinOp(wire["op"], _expr_from_wire(wire["left"]),
-                     _expr_from_wire(wire["right"]))
-    if "func" in wire:
-        return FuncCall(wire["func"],
-                        tuple(_expr_from_wire(a) for a in wire["args"]))
-    raise WireFormatError(f"malformed expression wire {wire!r}")
-
-
-def _atom_to_wire(atom: Atom) -> Dict:
-    return {"table": atom.table,
-            "args": [_expr_to_wire(a) for a in atom.args],
-            "location_index": atom.location_index}
-
-
-def _atom_from_wire(wire: Dict) -> Atom:
-    return Atom(wire["table"], [_expr_from_wire(a) for a in wire["args"]],
-                location_index=wire.get("location_index"))
-
-
-def _rule_to_wire(rule: Rule) -> Dict:
-    return {"name": rule.name,
-            "head": _atom_to_wire(rule.head),
-            "body": [_atom_to_wire(a) for a in rule.body],
-            "selections": [_expr_to_wire(s.expr) for s in rule.selections],
-            "assignments": [{"var": a.var, "expr": _expr_to_wire(a.expr)}
-                            for a in rule.assignments]}
-
-
-def _rule_from_wire(wire: Dict) -> Rule:
-    return Rule(name=wire["name"],
-                head=_atom_from_wire(wire["head"]),
-                body=[_atom_from_wire(a) for a in wire["body"]],
-                selections=[Selection(_expr_from_wire(s))
-                            for s in wire["selections"]],
-                assignments=[Assignment(a["var"], _expr_from_wire(a["expr"]))
-                             for a in wire["assignments"]])
-
-
-def _tuple_to_wire(tup: NDTuple) -> Dict:
-    return {"table": tup.table, "values": list(tup.values)}
-
-
-def _tuple_from_wire(wire: Dict) -> NDTuple:
-    return NDTuple(wire["table"], tuple(wire["values"]))
-
-
-#: Per-kind (encode, decode) handlers mapping edit fields to wire payloads.
-_EDIT_CODECS = {
-    "change_constant": (
-        lambda e: {"rule": e.rule, "selection_index": e.selection_index,
-                   "side": e.side, "old_value": e.old_value,
-                   "new_value": e.new_value},
-        lambda w: ChangeConstant(w["rule"], w["selection_index"], w["side"],
-                                 w["old_value"], w["new_value"])),
-    "change_operator": (
-        lambda e: {"rule": e.rule, "selection_index": e.selection_index,
-                   "old_op": e.old_op, "new_op": e.new_op},
-        lambda w: ChangeOperator(w["rule"], w["selection_index"],
-                                 w["old_op"], w["new_op"])),
-    "delete_selection": (
-        lambda e: {"rule": e.rule, "selection_index": e.selection_index,
-                   "text": e.text},
-        lambda w: DeleteSelection(w["rule"], w["selection_index"],
-                                  w.get("text", ""))),
-    "delete_predicate": (
-        lambda e: {"rule": e.rule, "predicate_index": e.predicate_index,
-                   "table": e.table},
-        lambda w: DeletePredicate(w["rule"], w["predicate_index"],
-                                  w.get("table", ""))),
-    "change_assignment": (
-        lambda e: {"rule": e.rule, "assignment_index": e.assignment_index,
-                   "var": e.var, "old_text": e.old_text,
-                   "new_expr": _expr_to_wire(e.new_expr)},
-        lambda w: ChangeAssignment(w["rule"], w["assignment_index"], w["var"],
-                                   w["old_text"],
-                                   _expr_from_wire(w["new_expr"]))),
-    "change_head": (
-        lambda e: {"rule": e.rule, "new_head": _atom_to_wire(e.new_head)},
-        lambda w: ChangeRuleHead(w["rule"], _atom_from_wire(w["new_head"]))),
-    "copy_rule": (
-        lambda e: {"source_rule": e.source_rule,
-                   "new_rule": _rule_to_wire(e.new_rule)},
-        lambda w: CopyRule(w["source_rule"], _rule_from_wire(w["new_rule"]))),
-    "add_rule": (
-        lambda e: {"new_rule": _rule_to_wire(e.new_rule)},
-        lambda w: AddRule(_rule_from_wire(w["new_rule"]))),
-    "delete_rule": (
-        lambda e: {"rule": e.rule},
-        lambda w: DeleteRule(w["rule"])),
-    "insert_tuple": (
-        lambda e: {"tuple": _tuple_to_wire(e.tuple)},
-        lambda w: InsertTuple(_tuple_from_wire(w["tuple"]))),
-    "delete_tuple": (
-        lambda e: {"tuple": _tuple_to_wire(e.tuple)},
-        lambda w: DeleteTuple(_tuple_from_wire(w["tuple"]))),
-    "change_tuple": (
-        lambda e: {"tuple": _tuple_to_wire(e.tuple), "column": e.column,
-                   "new_value": e.new_value},
-        lambda w: ChangeTuple(_tuple_from_wire(w["tuple"]), w["column"],
-                              w["new_value"])),
-}
-
-
-def edit_to_wire(edit: Edit) -> Dict:
-    """Encode one edit into a plain JSON-able dict."""
-    try:
-        encode, _ = _EDIT_CODECS[edit.kind]
-    except KeyError as exc:
-        raise WireFormatError(f"unsupported edit kind {edit.kind!r}") from exc
-    wire = encode(edit)
-    wire["kind"] = edit.kind
-    return wire
-
-
-def edit_from_wire(wire: Dict) -> Edit:
-    """Decode one edit from its wire dict."""
-    try:
-        _, decode = _EDIT_CODECS[wire["kind"]]
-    except KeyError as exc:
-        raise WireFormatError(f"malformed edit wire {wire!r}") from exc
-    return decode(wire)
-
-
 def candidate_to_wire(candidate: RepairCandidate) -> Dict:
-    """Encode a candidate for shipment to a worker.
-
-    The meta provenance ``tree`` is intentionally dropped: it explains the
-    candidate to the operator and can hold arbitrary explorer state, while
-    workers only need the edits to apply and the bookkeeping that identifies
-    the result.  The coordinator re-attaches the original candidate (tree
-    included) when results stream back.
-    """
-    return {"edits": [edit_to_wire(e) for e in candidate.edits],
-            "cost": candidate.cost,
-            "description": candidate.description,
-            "candidate_id": candidate.candidate_id,
-            "notes": list(candidate.notes)}
+    """A candidate's wire: its edits and bookkeeping, not its ``tree``."""
+    return encode(candidate)
 
 
 def candidate_from_wire(wire: Dict) -> RepairCandidate:
-    """Decode a worker-side candidate (same edits, id and tag; no tree)."""
-    return RepairCandidate(
-        edits=tuple(edit_from_wire(e) for e in wire["edits"]),
-        cost=wire["cost"],
-        description=wire.get("description", ""),
-        tree=None,
-        candidate_id=wire["candidate_id"],
-        notes=tuple(wire.get("notes", ())))
+    """A worker-side candidate (same edits, id and tag; no tree)."""
+    return decode(RepairCandidate, wire)
 
 
 def deduplicate(candidates: Sequence[RepairCandidate]) -> List[RepairCandidate]:

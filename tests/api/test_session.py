@@ -10,13 +10,12 @@ backtester — which must all report the same rows.
 """
 
 import io
-import json
 
 import pytest
 
 from repro.api import (DEFAULT_STAGES, EventBus, JsonlEventWriter,
-                       RepairConfig, RepairSession, Stage, StageError,
-                       event_from_wire, repair)
+                       RepairConfig, RepairSession, SessionEvent, Stage,
+                       StageError, repair)
 from repro.scenarios import build_q1, build_scenario
 
 
@@ -141,7 +140,7 @@ def test_events_round_trip_as_jsonl():
     lines = [line for line in stream.getvalue().splitlines() if line]
     assert len(lines) == len(bus.history)
     for line, original in zip(lines, bus.history):
-        assert event_from_wire(json.loads(line)) == original
+        assert SessionEvent.from_json(line) == original
 
 
 def test_broken_subscriber_does_not_kill_run():

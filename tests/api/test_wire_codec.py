@@ -6,9 +6,10 @@ Three contracts:
   the codec refuses with the class's own ``ValueError`` subclass;
 * a fuzz over every decoder: any JSON value, a valid wire with one value
   replaced, added, dropped or repeated, or any JSON text decodes to a value
-  whose re-encoding equals it (up to the defaults it omitted and the
-  upper-casing of scenario names) or raises the class's error — never a
-  ``TypeError``, ``KeyError`` or ``AttributeError``, and never a hang;
+  whose re-encoding equals it (up to the defaults it omitted, the
+  upper-casing of scenario names and the description a candidate derives
+  from its edits) or raises the class's error — never a ``TypeError``,
+  ``KeyError`` or ``AttributeError``, and never a hang;
 * nothing in ``src/repro`` pickles: no module imports ``pickle`` or
   defines a pickle hook.
 """
@@ -23,12 +24,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.api import (ConfigError, FaultToleranceConfig, RepairConfig,
-                       TelemetryConfig)
+from repro.api import (BacktestProgress, ConfigError, FaultToleranceConfig,
+                       RepairConfig, SessionEvent, TelemetryConfig)
 from repro.backtest import EarlyAbortPolicy
 from repro.backtest.metrics import KSResult
 from repro.backtest.replay import BacktestResult, ShardOutcome
-from repro.distrib import FaultAction, FaultPlan
+from repro.distrib import (BacktesterConfig, BacktestJob, FaultAction,
+                           FaultPlan, JobWireError)
+from repro.ndlog import make_tuple, parse_program
+from repro.obs.telemetry import JobContext, SpanContext
+from repro.ndlog.ast import BinOp, Const, FuncCall, Var
+from repro.repair import (ChangeAssignment, CopyRule, InsertTuple,
+                          RepairCandidate)
 from repro.scenarios.spec import ScenarioSpec, SpecError
 from repro.sdn.network import TrafficStats
 from repro.service import RepairJob
@@ -47,10 +54,26 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
     # Coerced the string and dropped the key; job abort wires decode here.
     (EarlyAbortPolicy, {"check_every": "32", "bogus": 1}, WireError),
     (ScenarioSpec, {"name": "q1", "seed": "7", "extra": 1}, SpecError),
+    # Refused before, but said "must be a list of 2": the suffix is for
+    # fixed tuples only.
+    (FaultPlan, {"actions": 5},
+     (WireError, "'actions' must be a list, not 5$")),
+    # The candidate, the job header and events had decoders of their own.
+    (RepairCandidate, {"edits": [], "cost": "1"}, WireError),
+    (RepairCandidate, {"edits": [{"kind": "change_constant", "rule": "r1",
+                                  "selection_index": "0", "side": "right",
+                                  "old_value": 1, "new_value": 2}],
+                       "cost": 1.0, "extra": 1}, WireError),
+    (BacktestJob, {"kind": "backtest", "spec": {"name": "Q1"},
+                   "config": {"ks_threshold": 0.1}, "candidate_count": "2"},
+     JobWireError),
+    (SessionEvent, {"kind": "stage_finished", "elapsed_seconds": "slow"},
+     WireError),
 ], ids=lambda value: getattr(value, "__name__", None))
 def test_wires_the_old_decoders_accepted_are_refused(cls, wire, error):
+    error, message = error if isinstance(error, tuple) else (error, None)
     assert cls.wire_error is error and issubclass(error, ValueError)
-    with pytest.raises(error):
+    with pytest.raises(error, match=message):
         cls.from_wire(wire)
 
 
@@ -65,6 +88,20 @@ def _outcome():
                               elapsed_seconds=0.01, notes=("vetoed",)),
         candidate_evaluations=4, spans=[{"name": "candidate"}],
         metrics={"counters": []})
+
+
+def _candidate():
+    """A negated atom, an expression of every kind and a wildcard tuple."""
+    rule = parse_program(
+        "neg FlowTable(@Swi, Sip, Hdr, Prt) :- PacketIn(@C, Swi, Sip, Hdr), "
+        "!WebLoadBalancer(@Swi, Sip, Prt), Swi != 2, Prt := 2.").rules[0]
+    return RepairCandidate(
+        edits=(CopyRule("r1", rule),
+               ChangeAssignment("r5", 0, "Prt", "1", BinOp(
+                   "+", FuncCall("f_port", (Var("Hdr"), Const("*"))),
+                   Const(1))),
+               InsertTuple(make_tuple("FlowTable", 2, "*", 80, 1))),
+        cost=2.5, candidate_id=7, notes=("hand-built",))
 
 
 #: One valid value per wire type: its re-encoding seeds the mutations.
@@ -88,6 +125,19 @@ SAMPLES = {
     RepairJob: RepairJob(session_id="s-1",
                          config=RepairConfig.for_scenario("Q1")),
     ShardOutcome: _outcome(),
+    RepairCandidate: _candidate(),
+    BacktestJob: BacktestJob(
+        spec=ScenarioSpec.create("Q1", params={"repetitions": 1}),
+        config=BacktesterConfig(
+            ks_threshold=0.05, alpha=0.05, use_significance=False,
+            trace_limit=None, max_packet_in_growth=2.0,
+            replay_batch_size=None, warm_engine=True, multiquery=False),
+        abort=EarlyAbortPolicy(check_every=8), deadline=30.0,
+        telemetry=JobContext(SpanContext("t1", "1"), slice_packets=64),
+        candidates=(_candidate(),)),
+    SessionEvent: BacktestProgress(done=2, total=3, description="r7",
+                                   accepted=True, ks_statistic=0.125,
+                                   trace_id="t1"),
 }
 
 SCALAR = (st.none() | st.booleans() | st.integers(-2, 2) | st.integers()
@@ -147,6 +197,8 @@ def _covers(full, part):
                 and all(map(_covers, full, part)))
     if isinstance(part, str) and full == part.upper():
         return True                       # scenario names are upper-cased
+    if part == "" and isinstance(full, str):
+        return True                       # a description is derived
     return type(full) is type(part) and full == part
 
 

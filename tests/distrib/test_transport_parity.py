@@ -353,8 +353,10 @@ def test_job_wire_naming_a_class_or_missing_the_flag_is_malformed(scenarios):
     flagless = dict(wire, config={key: value for key, value
                                   in wire["config"].items()
                                   if key != "multiquery"})
-    for bad in (named, flagless):
-        with pytest.raises(DistribError, match="malformed job wire"):
+    for bad, why in (
+            (named, r"unknown backtest job keys: \['backtester'\]"),
+            (flagless, "BacktesterConfig key 'multiquery' is missing")):
+        with pytest.raises(DistribError, match=why):
             JobRuntime(bad)
 
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.obs import validate_chrome_trace
 
@@ -108,6 +110,25 @@ def test_events_summarize_empty_file(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     assert main(["events", "summarize", str(empty)]) == 2
+
+
+@pytest.mark.parametrize("line, message", [
+    ("[1]", "event wire must be an object, not [1]"),
+    ('{"kind": "stage_finished", "elapsed_seconds": "slow"}',
+     "key 'elapsed_seconds' must be a number, not 'slow'"),
+    ('{"kind": "backtest_progress", "ks_statistic": "0.1"}',
+     "key 'ks_statistic' must be a number, not '0.1'"),
+    ('{"kind": "stage_finished", "stage": "rank"', "not valid JSON"),
+    ('{"kind": "no_such_event"}', "kind 'no_such_event' is not one of"),
+], ids=["not-an-object", "string-seconds", "string-ks", "truncated",
+        "unknown-kind"])
+def test_events_summarize_bad_line_is_named(tmp_path, capsys, line, message):
+    log = tmp_path / "bad.jsonl"
+    log.write_text('{"kind": "session_started", "scenario": "Q1"}\n\n'
+                   + line + "\n")
+    assert main(["events", "summarize", str(log)]) == 2
+    err = capsys.readouterr().err
+    assert f"malformed event log {log}: line 3: " in err and message in err
 
 
 def test_telemetry_off_by_default():

@@ -66,8 +66,7 @@ class TestBuildRuntime:
         assert len(runtime) == 1
 
     def test_dispatches_backtest_jobs(self):
-        # The historical job kind must keep resolving to JobRuntime —
-        # both tagged explicitly and untagged (pre-service coordinators).
+        # The backtest kind resolves to JobRuntime, whoever tagged it.
         from repro.backtest import Backtester
         from repro.distrib.jobs import build_job_wire
         from repro.scenarios import build_scenario
