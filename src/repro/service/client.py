@@ -77,8 +77,11 @@ class ServiceClient:
     def session(self, session_id: str) -> Dict:
         return self._json("GET", f"/sessions/{session_id}")
 
-    def events(self, session_id: str) -> List[Dict]:
-        raw = self._request("GET", f"/sessions/{session_id}/events")
+    def events(self, session_id: str, follow: bool = False) -> List[Dict]:
+        """The session's event wires; ``follow=True`` reads the
+        ``?follow=1`` stream to its end (the session terminal)."""
+        raw = self._request("GET", f"/sessions/{session_id}/events"
+                                   + ("?follow=1" if follow else ""))
         return [json.loads(line)
                 for line in raw.decode("utf-8").splitlines() if line.strip()]
 
@@ -90,10 +93,20 @@ class ServiceClient:
 
     def wait(self, session_id: str, timeout: float = 300.0,
              poll: float = 0.2) -> Dict:
-        """Poll until the session is terminal; returns its full wire."""
+        """Long-poll until the session is terminal; returns its full wire.
+
+        Each ``GET /sessions/<id>?wait=`` asks the server to hold it for
+        the time left, at most half the socket timeout (so the socket
+        never times out first); the server caps it too.  A session that
+        ends within one long poll costs one request.  ``poll`` is the
+        pause before asking again after one that came back non-terminal.
+        """
         deadline = _time.monotonic() + timeout
         while True:
-            wire = self.session(session_id)
+            hold = min(max(0.0, deadline - _time.monotonic()),
+                       self.timeout / 2)
+            wire = self._json("GET",
+                              f"/sessions/{session_id}?wait={hold:.3f}")
             if wire.get("state") in ("done", "failed"):
                 return wire
             if _time.monotonic() > deadline:

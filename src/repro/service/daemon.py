@@ -32,7 +32,15 @@ Events stream live: workers forward every
 and the daemon appends them to the owning session's record — per-session
 ordering is inherent (one session runs on one connection at a time).
 A retried session's partial event stream is discarded, so the final
-stream is always one complete, clean run.
+stream is always one complete, clean run; the record's ``generation``
+counts the discards, so a follower that was reading the old stream
+starts over on the new one instead of splicing the two.
+
+Readers block on the pool's condition rather than sleep: every
+transition (submit, event, requeue, finish, stop) notifies it, and
+:meth:`RepairServiceDaemon.wait` / :meth:`RepairServiceDaemon.events_since`
+wake on the one they wait for — the long-poll primitives behind
+``GET /sessions/<id>?wait=`` and ``/events?follow=1``.
 """
 
 from __future__ import annotations
@@ -85,8 +93,11 @@ class SessionRecord:
     error: str = ""
     #: Long-form failure detail (last traceback / disconnect note).
     error_detail: str = ""
-    #: Forwarded SessionEvent wires, in emission order.
+    #: Forwarded SessionEvent wires of the current attempt, in emission
+    #: order.
     events: List[Dict] = field(default_factory=list)
+    #: Bumped each time a requeue discards ``events``.
+    generation: int = 0
     worker_id: Optional[int] = None
 
     def summary(self) -> Dict[str, object]:
@@ -247,14 +258,31 @@ class RepairServiceDaemon(DispatchPolicy):
         with self._lock:
             return record.to_wire()
 
-    def events_since(self, session_id: str,
-                     offset: int = 0) -> Tuple[List[Dict], bool]:
-        """Event wires from ``offset`` on, plus whether the session is
-        terminal (the ``/events?follow=1`` long-poll primitive)."""
+    def events_since(self, session_id: str, offset: int = 0,
+                     generation: Optional[int] = None,
+                     timeout: Optional[float] = 0.0
+                     ) -> Tuple[int, List[Dict], bool]:
+        """``(generation, events, ended)`` — the ``/events?follow=1``
+        primitive.
+
+        ``events`` are the current attempt's event wires from ``offset``
+        on if ``generation`` names that attempt, else all of them (a
+        requeue discarded the stream the caller was reading).  Blocks up
+        to ``timeout`` seconds (``None``: no limit) until there is
+        something to report: a new event, a new attempt, or ``ended`` —
+        the session is terminal or the daemon stopped."""
         record = self.get(session_id)
         with self._lock:
-            return (list(record.events[offset:]),
-                    record.state in TERMINAL_STATES)
+            self._changed.wait_for(
+                lambda: (record.generation != generation
+                         or len(record.events) > offset
+                         or record.state in TERMINAL_STATES
+                         or self._stopped),
+                timeout)
+            if record.generation != generation:
+                offset = 0
+            return (record.generation, record.events[offset:],
+                    record.state in TERMINAL_STATES or self._stopped)
 
     def wait(self, session_id: str,
              timeout: Optional[float] = 120.0) -> SessionRecord:
@@ -361,6 +389,7 @@ class RepairServiceDaemon(DispatchPolicy):
         with self._lock:
             if record.state == RUNNING:
                 record.events.append(wire)
+                self._changed.notify_all()   # wakes ?follow=1 streams
         hook = self.on_event
         if hook is not None:
             annotated = dict(wire)
@@ -439,5 +468,6 @@ class RepairServiceDaemon(DispatchPolicy):
         record.state = QUEUED
         record.worker_id = None
         record.events.clear()
+        record.generation += 1
         self._queues[record.tenant].appendleft(record)
         self._changed.notify_all()

@@ -13,37 +13,45 @@ dependencies.  Endpoints:
                           with ``{"id", "tenant", "state"}``.
 ``GET /sessions``         All sessions (submission order), summary rows.
 ``GET /sessions/<id>``    One session: status plus the ranked report wire.
+                          With ``?wait=S`` the request is a long poll: it
+                          answers once the session is terminal, or after
+                          ``min(S, MAX_WAIT_SECONDS)`` seconds, or when
+                          the daemon stops — terminal or not.
 ``GET /sessions/<id>/events``  The session's event stream as JSONL; with
                           ``?follow=1`` the response streams until the
-                          session is terminal.
+                          session is terminal or the daemon stops.  A
+                          retried session's rerun follows its abandoned
+                          attempt from a second ``session_started``.
 ``GET /metrics``          The daemon's registry as Prometheus text.
 ``GET /healthz``          Drain state, the pool's fleet view (workers
                           connected / booting, respawns pending), session
                           totals and per-tenant queue depth + oldest age.
 ========================  ==================================================
 
-Errors: 400 for malformed bodies/configs or a bad ``Content-Length``,
-413 for a body over :data:`MAX_BODY_BYTES`, 404 for unknown sessions or
-paths, 503 while the daemon is draining.
+Errors: 400 for malformed bodies/configs, a bad ``Content-Length`` or a
+``?wait=`` that is not a finite, non-negative number, 413 for a body
+over :data:`MAX_BODY_BYTES`, 404 for unknown sessions (before any
+waiting) or paths, 503 while the daemon is draining.
 """
 
 from __future__ import annotations
 
 import json
-import time as _time
+import math
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..api.config import ConfigError
 from ..obs.metrics import prometheus_text
-from .daemon import RepairServiceDaemon, ServiceUnavailable
+from .daemon import RepairServiceDaemon, ServiceError, ServiceUnavailable
 
 #: Largest ``POST /sessions`` body read; a config wire is a few KiB.
 MAX_BODY_BYTES = 1 << 20
 
-#: Poll interval of the ``?follow=1`` event stream.
-_FOLLOW_TICK_SECONDS = 0.2
+#: Longest a request blocks on the daemon: a ``?wait=`` long poll, and
+#: each quiet stretch of a ``?follow=1`` stream.
+MAX_WAIT_SECONDS = 30.0
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -102,6 +110,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         service: RepairServiceDaemon = self.server.service
         split = urlsplit(self.path)
         parts = [p for p in split.path.split("/") if p]
+        query = parse_qs(split.query, keep_blank_values=True)
         try:
             if parts == ["metrics"]:
                 self._send_text(200,
@@ -111,11 +120,25 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             elif parts == ["sessions"]:
                 self._send_json(200, {"sessions": service.sessions()})
             elif len(parts) == 2 and parts[0] == "sessions":
+                if "wait" in query:
+                    raw = query["wait"][0]
+                    try:
+                        seconds = float(raw)
+                    except ValueError:
+                        seconds = math.nan
+                    if not 0.0 <= seconds < math.inf:
+                        self._error(400, f"?wait= must be a finite, "
+                                         f"non-negative number of seconds, "
+                                         f"not {raw!r}")
+                        return
+                    try:
+                        service.wait(parts[1], min(seconds, MAX_WAIT_SECONDS))
+                    except (TimeoutError, ServiceError):
+                        pass             # not terminal: answer as it stands
                 self._send_json(200, service.session_wire(parts[1]))
             elif (len(parts) == 3 and parts[0] == "sessions"
                   and parts[2] == "events"):
-                query = parse_qs(split.query)
-                follow = query.get("follow", ["0"])[0] not in ("0", "", None)
+                follow = query.get("follow", ["0"])[0] not in ("0", "")
                 self._stream_events(service, parts[1], follow)
             else:
                 self._error(404, f"no such route: {split.path}")
@@ -182,7 +205,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     def _stream_events(self, service: RepairServiceDaemon,
                        session_id: str, follow: bool) -> None:
         # Raises KeyError for unknown ids before any bytes are written.
-        events, terminal = service.events_since(session_id, 0)
+        generation, events, ended = service.events_since(session_id)
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.end_headers()
@@ -193,7 +216,10 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                 self.wfile.write(line.encode("utf-8"))
             offset += len(events)
             self.wfile.flush()
-            if terminal or not follow:
+            if ended or not follow:
                 return
-            _time.sleep(_FOLLOW_TICK_SECONDS)
-            events, terminal = service.events_since(session_id, offset)
+            seen = generation
+            generation, events, ended = service.events_since(
+                session_id, offset, seen, timeout=MAX_WAIT_SECONDS)
+            if generation != seen:
+                offset = 0               # a requeue: the rerun starts over

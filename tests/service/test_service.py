@@ -11,13 +11,17 @@ import http.client
 import json
 import subprocess
 import sys
+import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.api import RepairConfig, RepairSession
 from repro.distrib import FaultAction, FaultPlan, FaultToleranceConfig
 from repro.repair import reset_candidate_ids
-from repro.service import ClientError
+from repro.service import ClientError, ServiceClient
+from repro.service import http as service_http
 from repro.service.http import MAX_BODY_BYTES
 
 from conftest import report_minus_timings
@@ -30,6 +34,22 @@ def reference_report(config):
     """In-process run with fresh candidate numbering (= a worker's view)."""
     reset_candidate_ids()
     return report_minus_timings(RepairSession(config).run().to_wire())
+
+
+class CountingClient(ServiceClient):
+    """Counts HTTP requests, and overrides ``session`` with one parameter
+    the way the ledger's service client does."""
+
+    requests = 0
+    sessions_asked = 0
+
+    def _request(self, *args, **kwargs):
+        self.requests += 1
+        return super()._request(*args, **kwargs)
+
+    def session(self, session_id):
+        self.sessions_asked += 1
+        return super().session(session_id)
 
 
 class TestHTTPParity:
@@ -62,11 +82,15 @@ class TestHTTPParity:
             assert report_minus_timings(wire["report"]) == reference
 
     def test_event_stream_is_complete_and_ordered(self, fleet):
+        # Followed live from submission, the ?follow=1 stream is the
+        # stored stream, and it ends when the session does.
         _daemon, _server, client = fleet(workers=1)
         ack = client.submit(RepairConfig.for_scenario("Q1",
                                                       max_candidates=4))
-        client.wait(ack["id"], timeout=120)
+        followed = client.events(ack["id"], follow=True)
+        assert client.wait(ack["id"], timeout=120)["state"] == "done"
         events = client.events(ack["id"])
+        assert followed == events
         kinds = [event["kind"] for event in events]
         assert kinds[0] == "session_started"
         assert kinds[-1] == "session_finished"
@@ -151,6 +175,41 @@ class TestEndpoints:
             client.events("s-9999")
         assert excinfo.value.status == 404
 
+    def test_unknown_session_long_poll_is_404_without_waiting(self, fleet):
+        _daemon, _server, client = fleet(workers=1, spawn_workers=False)
+        started = time.monotonic()
+        with pytest.raises(ClientError) as excinfo:
+            client._request("GET", "/sessions/s-9999?wait=20")
+        assert excinfo.value.status == 404
+        assert time.monotonic() - started < 10
+
+    @pytest.mark.parametrize("value", [
+        "", "soon", "-1", "-1e-9", "nan", "inf", "-inf", "1e999"])
+    def test_bad_wait_is_400_naming_the_parameter(self, fleet, value):
+        daemon, _server, client = fleet(workers=1, spawn_workers=False)
+        session_id = daemon.submit(RepairConfig.for_scenario("Q1"))
+        with pytest.raises(ClientError) as excinfo:
+            client._request("GET", f"/sessions/{session_id}?wait={value}")
+        assert excinfo.value.status == 400
+        assert "?wait=" in str(excinfo.value)
+
+    def test_long_poll_answers_non_terminal_and_is_capped(self, fleet,
+                                                          monkeypatch):
+        # No worker: the session stays queued.  A long poll holds the
+        # request for what it asked, then answers with the wire as it
+        # stands; what it may ask is capped by MAX_WAIT_SECONDS.
+        daemon, _server, client = fleet(workers=1, spawn_workers=False)
+        session_id = daemon.submit(RepairConfig.for_scenario("Q1"))
+        started = time.monotonic()
+        wire = client._json("GET", f"/sessions/{session_id}?wait=0.3")
+        assert time.monotonic() - started >= 0.3
+        assert (wire["id"], wire["state"]) == (session_id, "queued")
+        monkeypatch.setattr(service_http, "MAX_WAIT_SECONDS", 0.05)
+        started = time.monotonic()
+        wire = client._json("GET", f"/sessions/{session_id}?wait=1000")
+        assert time.monotonic() - started < 10
+        assert wire["state"] == "queued"
+
     def test_unknown_route_is_404(self, fleet):
         _daemon, _server, client = fleet(workers=1, spawn_workers=False)
         with pytest.raises(ClientError) as excinfo:
@@ -212,6 +271,121 @@ class TestEndpoints:
             assert "JSON object" in json.loads(response.read())["error"]
         finally:
             connection.close()
+
+
+class TestLongPoll:
+    def test_a_session_that_ends_within_one_long_poll_costs_one_get(
+            self, fleet):
+        # ServiceClient.wait never calls session(), so a subclass that
+        # overrides it with one parameter (the ledger's) still waits.
+        _daemon, server, _client = fleet(workers=1)
+        client = CountingClient(server.url)
+        ack = client.submit(RepairConfig.for_scenario("Q1",
+                                                      max_candidates=4))
+        client.requests = 0
+        wire = client.wait(ack["id"], timeout=120)
+        assert wire["state"] == "done", wire.get("error")
+        assert client.requests == 1
+        assert client.sessions_asked == 0
+
+    def test_a_session_longer_than_the_cap_completes_through_reasks(
+            self, fleet, monkeypatch):
+        monkeypatch.setattr(service_http, "MAX_WAIT_SECONDS", 0.05)
+        plan = FaultPlan(actions=(FaultAction(
+            kind="delay_result", worker=0, after_items=0, seconds=0.5),))
+        config = RepairConfig.for_scenario("Q1", max_candidates=4)
+        _daemon, server, _client = fleet(workers=1, fault_plan=plan)
+        client = CountingClient(server.url)
+        ack = client.submit(config)
+        client.requests = 0
+        wire = client.wait(ack["id"], timeout=120, poll=0.01)
+        assert wire["state"] == "done", wire.get("error")
+        assert report_minus_timings(wire["report"]) == \
+            reference_report(config)
+        assert client.requests > 1
+
+    def test_an_event_wakes_a_blocked_follower(self, fleet):
+        daemon, _server, _client = fleet(workers=1, spawn_workers=False)
+        session_id = daemon.submit(RepairConfig.for_scenario("Q1"))
+        job = daemon.assign(SimpleNamespace(worker_id=0))
+        generation, events, ended = daemon.events_since(session_id)
+        assert (events, ended) == ([], False)
+        started = {"kind": "session_started"}
+        timer = threading.Timer(0.2, daemon.event, (job, started))
+        timer.start()
+        since = time.monotonic()
+        answer = daemon.events_since(session_id, 0, generation, timeout=30)
+        timer.join(timeout=10)
+        assert answer == (generation, [started], False)
+        assert time.monotonic() - since < 10
+
+    def test_followers_and_long_polls_under_requeue_churn(self, fleet):
+        # The policy hooks driven by hand (no worker): five attempts of
+        # one session, the first four requeued part-way, while six
+        # followers and three long polls hang on the daemon's condition
+        # with a 10 µs switch interval.  Each requeue lands together with
+        # the rerun's first events, past where the abandoned attempt
+        # stopped, so a follower wakes to a rerun already ahead of its
+        # offset.  No follower may splice two attempts — each piece of its
+        # stream, cut at session_started, is a prefix of one attempt, in
+        # attempt order, and the last is the whole final attempt — and
+        # every long poll gets the done wire.
+        ticks = 60
+        stops = [10, 20, 30, 40, ticks + 2]    # events out per attempt
+        daemon, _server, client = fleet(workers=1, spawn_workers=False)
+        session_id = daemon.submit(RepairConfig.for_scenario("Q1"))
+        record = daemon.get(session_id)
+        expected = [[{"kind": "session_started", "attempt": a}]
+                    + [{"kind": "tick", "attempt": a, "i": i}
+                       for i in range(ticks)]
+                    + [{"kind": "session_finished", "attempt": a}]
+                    for a in range(len(stops))]
+        streams, wires = [], []
+        readers = (
+            [threading.Thread(target=lambda: streams.append(
+                client.events(session_id, follow=True))) for _ in range(6)]
+            + [threading.Thread(target=lambda: wires.append(
+                client.wait(session_id, timeout=60, poll=0.0)))
+               for _ in range(3)])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for reader in readers:
+                reader.start()
+            job = daemon.assign(SimpleNamespace(worker_id=0))
+            shown = 0
+            for attempt, stop in enumerate(stops):
+                if attempt:
+                    shown = stops[attempt - 1] + 5
+                    with daemon._lock:
+                        daemon._requeue_locked(record)
+                        job = daemon.assign(
+                            SimpleNamespace(worker_id=attempt))
+                        for wire in expected[attempt][:shown]:
+                            daemon.event(job, wire)
+                for wire in expected[attempt][shown:stop]:
+                    daemon.event(job, wire)
+                    time.sleep(0)
+            daemon.result(job, None, {"report": {"ok": True}})
+            for reader in readers:
+                reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert client.events(session_id) == expected[-1]
+        assert [wire["state"] for wire in wires] == ["done"] * 3
+        assert len(streams) == 6
+        for stream in streams:
+            starts = [i for i, wire in enumerate(stream)
+                      if wire["kind"] == "session_started"]
+            assert starts[0] == 0
+            pieces = [stream[a:b] for a, b in zip(starts,
+                                                  starts[1:] + [None])]
+            seen = [piece[0]["attempt"] for piece in pieces]
+            assert seen == sorted(set(seen))
+            for piece in pieces:
+                assert piece == expected[piece[0]["attempt"]][:len(piece)]
+            assert pieces[-1] == expected[-1]
 
 
 class TestRemoteWorkers:
@@ -288,6 +462,31 @@ class TestChaos:
         assert wire["state"] == "done", wire.get("error")
         assert wire["attempts"] == 1
         assert report_minus_timings(wire["report"]) == reference
+
+    def test_follow_stream_of_a_retried_session_restarts_at_the_rerun(
+            self, fleet):
+        # The first attempt runs to its end but its result is swallowed;
+        # the deadline requeues the session, which discards the stored
+        # stream.  A follower that read the whole first attempt must not
+        # carry its offset into the rerun: it sees the rerun from its own
+        # session_started, and that tail is the stored (clean) stream.
+        policy = FaultToleranceConfig(max_attempts=3, job_deadline=2.0)
+        config = RepairConfig.for_scenario(
+            "Q1", max_candidates=4).with_updates(fault_tolerance=policy)
+        plan = FaultPlan(actions=(
+            FaultAction(kind="drop_result", worker=0, after_items=0),))
+        _daemon, _server, client = fleet(workers=1, fault_plan=plan)
+        ack = client.submit(config, tenant="chaos")
+        followed = client.events(ack["id"], follow=True)
+        wire = client.wait(ack["id"], timeout=120)
+        assert wire["state"] == "done", wire.get("error")
+        assert wire["attempts"] == 1
+        kinds = [event["kind"] for event in followed]
+        assert kinds[0] == "session_started"
+        assert kinds.count("session_started") == 2
+        rerun = kinds.index("session_started", 1)
+        assert kinds[rerun - 1] == "session_finished"   # attempt 1, whole
+        assert followed[rerun:] == client.events(ack["id"])
 
     def test_poisoned_session_quarantines(self, fleet):
         # A session that fails on every attempt is quarantined with the

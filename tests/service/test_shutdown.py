@@ -14,6 +14,7 @@ import socket
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import pytest
@@ -57,6 +58,33 @@ class TestDaemonStop:
         assert record.events == []
         with pytest.raises(ServiceError):
             daemon.wait(session_id, timeout=1.0)
+
+    def test_stop_releases_long_polls_and_follow_streams(self, fleet):
+        # No worker: the session stays queued, so a long poll and a
+        # follow stream both hang on the daemon until stop() answers
+        # them — with the wire as it stands, and an ended stream.
+        daemon, _server, client = fleet(workers=1, spawn_workers=False)
+        session_id = daemon.submit(RepairConfig.for_scenario("Q1"),
+                                   tenant="ops")
+        answers = {}
+        readers = [
+            threading.Thread(target=lambda: answers.setdefault(
+                "wire", client._json("GET",
+                                     f"/sessions/{session_id}?wait=60"))),
+            threading.Thread(target=lambda: answers.setdefault(
+                "events", client.events(session_id, follow=True)))]
+        for reader in readers:
+            reader.start()
+        time.sleep(0.5)
+        assert all(reader.is_alive() for reader in readers)
+        stopped = time.monotonic()
+        daemon.stop(grace=0.3)
+        for reader in readers:
+            reader.join(timeout=30)
+        assert not any(reader.is_alive() for reader in readers)
+        assert time.monotonic() - stopped < 10
+        assert answers["wire"]["state"] == "queued"
+        assert answers["events"] == []
 
     def test_draining_daemon_rejects_submissions(self, fleet):
         daemon, _server, _client = fleet(workers=1, spawn_workers=False)
@@ -177,6 +205,44 @@ class TestServeProcess:
         # session's full stream.
         lines = [l for l in events_log.read_text().splitlines() if l.strip()]
         assert any('"session_finished"' in l for l in lines)
+
+    def test_sigterm_answers_an_outstanding_long_poll_within_the_grace(
+            self):
+        # No worker (remote-only mode), so the session stays queued and a
+        # 60 s long poll is still held when SIGTERM arrives: the drain
+        # answers it with the queued wire, and the process exits 0
+        # within its --grace.
+        grace = 5.0
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--no-spawn-workers", "--grace", str(grace), "--quiet"],
+            env=dict(child_env(), REPRO_WORKER_TOKEN="long-poll-drain"),
+            stdout=subprocess.PIPE, text=True)
+        try:
+            line = process.stdout.readline()
+            assert "repro serve: HTTP on http://" in line
+            url = line.split("HTTP on ", 1)[1].split()[0]
+            from repro.service import ServiceClient
+            client = ServiceClient(url)
+            ack = client.submit(
+                RepairConfig.for_scenario("Q1", max_candidates=4))
+            answer = {}
+            poller = threading.Thread(target=lambda: answer.update(
+                client._json("GET", f"/sessions/{ack['id']}?wait=60")))
+            poller.start()
+            time.sleep(0.5)
+            assert poller.is_alive()
+            signalled = time.monotonic()
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=60) == 0
+            assert time.monotonic() - signalled < grace
+            poller.join(timeout=30)
+            assert not poller.is_alive()
+            assert answer["state"] == "queued"
+        finally:
+            if process.poll() is None:
+                process.kill()
+            process.stdout.close()
 
     def test_repro_serve_exits_zero_on_sigint(self):
         process = subprocess.Popen(
