@@ -1,30 +1,37 @@
 """Candidate vetting: static classification of repair candidates.
 
-The vetter runs the analysis passes over a candidate's *patched* program
-(and patched base data) and classifies it:
+The vetter applies a candidate to the base program and classifies it:
 
 ``reject``
     The candidate provably cannot change any backtest outcome, or provably
-    fails to evaluate.  Sound reject classes:
+    fails to evaluate.  Sound reject classes, checked in this order:
 
+    ``apply-failed``
+        the edits cannot be applied to the program at all;
     ``no-op-edit``
         the patched program and base data equal the originals;
-    ``inert-insert``
-        the edits only insert tuples, every one provably inert
-        (:meth:`ConstantPropagation.insert_inert`);
     ``negation-unsupported``
         the patched program contains a negated atom — the engine refuses
         such programs at plan time, so the backtest would fail anyway;
-    ``apply-failed``
-        the edits cannot be applied to the program at all.
+    ``inert-insert``
+        the edits only insert tuples, every one provably inert
+        (:meth:`ConstantPropagation.insert_inert`).
 
 ``warn``
-    The candidate is backtested, but the passes found something suspicious
-    (unsafe variable in a rule that may never fire, arity inconsistency,
-    type clash, ...).  Findings ride along for reporting.
+    The candidate is backtested, but the lint passes found something
+    suspicious (unsafe variable in a rule that may never fire, arity
+    inconsistency, type clash, ...).
 
 ``ok``
     No findings.
+
+The backtest asks only :meth:`CandidateVetter.veto`: the reject reason or
+``None``.  Each of its checks costs the edit, not the program — unedited
+rules are the base program's own objects, so a rule the candidate did not
+build is recognised by identity and never looked at.  The ``warn`` findings
+are the linter's (``repro lint --candidates``): :meth:`~CandidateVetter.vet`
+and :meth:`~CandidateVetter.vet_candidate` take their verdict from the same
+decision and add the whole-program lint passes over the patched program.
 
 Soundness contract (enforced by the differential test suite): a rejected
 candidate either fails to evaluate or backtests bit-identical to the
@@ -71,6 +78,18 @@ class VetResult:
         return self.verdict
 
 
+@dataclass
+class _Decision:
+    """What decides a veto: the reject class (``None``: backtest it), the
+    applied candidate (``None`` when it does not apply) and the evidence a
+    finding reports — the apply error, or each inserted tuple with the
+    reason it is inert."""
+
+    reason: Optional[str]
+    repaired: object = None
+    evidence: object = None
+
+
 class CandidateVetter:
     """Vets repair candidates against one scenario's program and base data."""
 
@@ -84,72 +103,129 @@ class CandidateVetter:
         self.static_tuples = list(static_tuples)
         self.event_tables = set(event_tables)
         self.flow_table = flow_table
+        #: A repair shares every rule it does not edit, so a rule that is
+        #: not one of these objects is one the candidate built (the base
+        #: program, held above, keeps the ids alive).
+        self._base_rule_ids = {id(rule) for rule in program.rules}
+        self._base_negated = _any_negated(program.rules)
 
     # ------------------------------------------------------------------
 
+    def veto(self, candidate) -> Optional[str]:
+        """The reason the backtest may skip ``candidate`` (a reject class),
+        or ``None`` when it must be replayed."""
+        applied = self._applied(candidate)
+        if applied.reason is not None:
+            return applied.reason
+        return self._judge(applied.repaired).reason
+
     def vet_candidate(self, candidate) -> VetResult:
         """Apply ``candidate`` to the base program, then vet the result."""
-        from ..repair.apply import RepairApplicationError, apply_candidate
-
-        try:
-            repaired = apply_candidate(self.program, candidate)
-        except RepairApplicationError as exc:
-            return VetResult(verdict=REJECT, reason="apply-failed", findings=[
-                LintFinding(pass_name="vet", code="apply-failed",
-                            severity=Severity.ERROR, message=str(exc))])
-        return self.vet(repaired)
+        applied = self._applied(candidate)
+        if applied.reason is not None:
+            return self._result(applied)
+        return self.vet(applied.repaired)
 
     def vet(self, repaired) -> VetResult:
         """Vet an applied candidate (a ``RepairedProgram``-shaped object
         with ``program`` / ``inserted_tuples`` / ``removed_tuples``)."""
+        return self._result(self._judge(repaired))
+
+    # ------------------------------------------------------------------
+    # The decision: the only place the reject rules live
+    # ------------------------------------------------------------------
+
+    def _applied(self, candidate) -> _Decision:
+        """``candidate`` applied to the base program, or the
+        ``apply-failed`` reject with the error as its evidence."""
+        from ..repair.apply import RepairApplicationError, apply_candidate
+
+        try:
+            return _Decision(None, apply_candidate(self.program, candidate))
+        except RepairApplicationError as exc:
+            return _Decision("apply-failed", evidence=str(exc))
+
+    def _judge(self, repaired) -> _Decision:
+        """The other three reject classes, in order, for an applied
+        candidate."""
         patched: Program = repaired.program
-        inserted: List[NDTuple] = list(repaired.inserted_tuples)
-        removed: List[NDTuple] = list(repaired.removed_tuples)
+        inserted = repaired.inserted_tuples
+        removed = repaired.removed_tuples
         # Rules the candidate did not edit are the base program's objects,
         # which tuple comparison recognises by identity.
         program_changed = patched.rules != self.program.rules
-
-        findings: List[LintFinding] = []
-
         if not program_changed and not inserted and not removed:
-            findings.append(LintFinding(
-                pass_name="vet", code="no-op-edit", severity=Severity.ERROR,
-                message="the edits leave the program and base data "
-                        "unchanged — the backtest would repeat the baseline"))
-            return VetResult(verdict=REJECT, reason="no-op-edit",
-                             findings=findings)
-
-        patched_static = self.static_tuples + inserted
-        findings.extend(DependencyGraph.of(patched).findings())
-        findings.extend(check_safety(patched, self.schemas, patched_static))
-
+            return _Decision("no-op-edit", repaired)
         # The engine refuses negated atoms at plan time, so the candidate
         # could never complete a backtest.
-        if any(f.code == "negation-unsupported" for f in findings):
-            return VetResult(verdict=REJECT, reason="negation-unsupported",
-                             findings=findings)
-
+        if self._negated(patched):
+            return _Decision("negation-unsupported", repaired)
         if inserted and not program_changed and not removed:
             propagation = ConstantPropagation(
-                patched, schemas=self.schemas, static_tuples=patched_static,
+                patched, schemas=self.schemas,
+                static_tuples=self.static_tuples + list(inserted),
                 event_tables=self.event_tables, flow_table=self.flow_table)
             reasons = []
             for tup in inserted:
                 reason = propagation.insert_inert(tup)
                 if reason is None:
-                    reasons = None
-                    break
+                    return _Decision(None, repaired)
                 reasons.append((tup, reason))
-            if reasons is not None:
-                for tup, reason in reasons:
-                    findings.append(LintFinding(
-                        pass_name="constprop", code="inert-insert",
-                        severity=Severity.ERROR,
-                        message=f"inserting {tup} is provably invisible "
-                                f"to every replay ({reason})"))
-                return VetResult(verdict=REJECT, reason="inert-insert",
-                                 findings=findings)
+            return _Decision("inert-insert", repaired, reasons)
+        return _Decision(None, repaired)
 
+    def _negated(self, patched: Program) -> bool:
+        """Does ``patched`` hold a negated atom?  Only the rules the
+        candidate built are read — unless the base program has one, which
+        an edit may have deleted."""
+        if self._base_negated:
+            return _any_negated(patched.rules)
+        base = self._base_rule_ids
+        return _any_negated([rule for rule in patched.rules
+                             if id(rule) not in base])
+
+    # ------------------------------------------------------------------
+    # The lint path: the decision plus the passes' findings
+    # ------------------------------------------------------------------
+
+    def _result(self, decision: _Decision) -> VetResult:
+        reason = decision.reason
+        if reason == "apply-failed":
+            return VetResult(verdict=REJECT, reason=reason, findings=[
+                LintFinding(pass_name="vet", code=reason,
+                            severity=Severity.ERROR,
+                            message=decision.evidence)])
+        if reason == "no-op-edit":
+            return VetResult(verdict=REJECT, reason=reason, findings=[
+                LintFinding(
+                    pass_name="vet", code=reason, severity=Severity.ERROR,
+                    message="the edits leave the program and base data "
+                            "unchanged — the backtest would repeat the "
+                            "baseline")])
+        repaired = decision.repaired
+        patched: Program = repaired.program
+        findings: List[LintFinding] = []
+        findings.extend(DependencyGraph.of(patched).findings())
+        findings.extend(check_safety(
+            patched, self.schemas,
+            self.static_tuples + list(repaired.inserted_tuples)))
+        if reason == "inert-insert":
+            for tup, why in decision.evidence:
+                findings.append(LintFinding(
+                    pass_name="constprop", code=reason,
+                    severity=Severity.ERROR,
+                    message=f"inserting {tup} is provably invisible "
+                            f"to every replay ({why})"))
+        if reason is not None:
+            return VetResult(verdict=REJECT, reason=reason, findings=findings)
         if findings:
             return VetResult(verdict=WARN, findings=findings)
         return VetResult(verdict=OK, findings=findings)
+
+
+def _any_negated(rules) -> bool:
+    for rule in rules:
+        for atom in rule.body:
+            if atom.negated:
+                return True
+    return False

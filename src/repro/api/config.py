@@ -94,7 +94,10 @@ class RepairConfig(Wire):
     warm_engine: bool = True
     #: Statically vet candidates before replay; provably behaviour-
     #: preserving ones (inert inserts, no-op edits) skip backtesting and
-    #: are reported rejected with a ``vetoed`` note.
+    #: are reported rejected with a ``vetoed`` note.  On by default for the
+    #: vet on/off rows of EXPERIMENTS.md "The backtest asks only for a
+    #: veto": on wins ``trace_heavy`` (9/10 pairs) and ties
+    #: ``candidate_heavy`` and ``program_heavy``.
     static_vet: bool = True
     #: Optional mid-trace kill switch for hopeless candidates.
     abort: Optional[EarlyAbortPolicy] = None

@@ -584,13 +584,13 @@ class Backtester:
         vetoed: Dict[int, BacktestResult] = {}
         for index, candidate in enumerate(candidates):
             started = _time.perf_counter()
-            verdict = vetter.vet_candidate(candidate)
-            if verdict.rejected:
+            reason = vetter.veto(candidate)
+            if reason is not None:
                 vetoed[index] = self.verdict(
                     candidate, self.baseline(),
-                    note=f"vetoed by static analysis: {verdict.reason}",
-                    judge=verdict.reason not in ("apply-failed",
-                                                 "negation-unsupported"))
+                    note=f"vetoed by static analysis: {reason}",
+                    judge=reason not in ("apply-failed",
+                                         "negation-unsupported"))
                 vetoed[index].elapsed_seconds = \
                     _time.perf_counter() - started
                 self.vetoed += 1

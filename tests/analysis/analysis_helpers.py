@@ -6,7 +6,9 @@ shared between the dependency-graph regression, the constant-propagation
 checks and the differential soundness suite.
 """
 
+from repro.analysis import CandidateVetter
 from repro.meta.explorer import MetaProvenanceExplorer
+from repro.ndlog.parser import parse_program
 from repro.scenarios import build_scenario
 
 #: Candidate budget used throughout; large enough that the support-insert
@@ -16,16 +18,43 @@ MAX_CANDIDATES = 25
 _cache = {}
 
 
-def scenario_and_candidates(name):
-    """(scenario, candidates) for ``name``, cached across the session."""
-    if name not in _cache:
+def padded(scenario, total_rules):
+    """The scenario's program plus policies for switches its topology does
+    not have (the ledger's ``program_heavy`` shape, fixed switch ids)."""
+    pads = total_rules - len(scenario.program)
+    return parse_program(scenario.program_source + "".join(
+        f"pad{index} FlowTable(@Swi,Sip,Hdr,Prt) :- PacketIn(@C,Swi,Sip,Hdr), "
+        f"Swi == {1000 + index}, Hdr == 80, Prt := 1.\n"
+        for index in range(pads)))
+
+
+def scenario_and_candidates(name, max_candidates=MAX_CANDIDATES,
+                            total_rules=None):
+    """(scenario, candidates) for ``name``, cached across the session; with
+    ``total_rules``, the scenario's program is padded to that many rules."""
+    key = (name, max_candidates, total_rules)
+    if key not in _cache:
         scenario = build_scenario(name)
         history = scenario.history_index()
+        if total_rules is not None:
+            scenario.program = padded(scenario, total_rules)
         explorer = MetaProvenanceExplorer(
-            scenario.program, history, max_candidates=MAX_CANDIDATES)
+            scenario.program, history, max_candidates=max_candidates)
         candidates = explorer.explore_missing(scenario.goal()).candidates
-        _cache[name] = (scenario, candidates)
-    return _cache[name]
+        _cache[key] = (scenario, candidates)
+    return _cache[key]
+
+
+def vetter_for(scenario, program=None):
+    """The vetter the backtester builds for ``scenario``, over ``program``
+    (the scenario's own by default)."""
+    mapping = scenario.mapping
+    return CandidateVetter(
+        scenario.program if program is None else program,
+        schemas={schema.name: schema for schema in scenario.schemas()},
+        static_tuples=scenario.static_tuples,
+        event_tables={mapping.packet_in_table},
+        flow_table=mapping.flow_table)
 
 
 def stats_snapshot(stats):

@@ -7,22 +7,30 @@ The acceptance contract (also stated in ``repro.analysis.vet``):
 * **no accepted repair is ever vetoed** — vetting on and off produce the
   same accepted candidates on the same candidate lists;
 * vetting strictly reduces the number of replays whenever it fires, and
-  every explored scenario has at least one veto at the shared budget.
+  every explored scenario has at least one veto at the shared budget;
+* the backtest's question, ``CandidateVetter.veto``, answers what the
+  linter's whole verdict (``vet_candidate``) decides: the same reject
+  reason, or ``None`` when the candidate is not rejected.
 """
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.analysis import CandidateVetter
 from repro.api import CandidateVetoed, RepairConfig, RepairSession
 from repro.backtest import Backtester
 from repro.events import WarmEngineStats, event_from_wire
 from repro.ndlog.parser import parse_program
-from repro.repair import AddRule, ChangeConstant, RepairCandidate
+from repro.ndlog.tuples import NDTuple
+from repro.repair import (AddRule, ChangeConstant, ChangeOperator,
+                          DeletePredicate, DeleteRule, DeleteSelection,
+                          DeleteTuple, InsertTuple, RepairCandidate)
+from repro.scenarios import build_q1
 
 from analysis_helpers import (MAX_CANDIDATES, scenario_and_candidates,
-                              stats_snapshot)
+                              stats_snapshot, vetter_for)
 
 SCENARIOS = ["Q1", "Q2", "Q3", "Q4", "Q5"]
 
@@ -36,13 +44,7 @@ def reports_for(name):
     """(candidates, vetter, report with vetting, report without), cached."""
     if name not in _reports:
         scenario, candidates = scenario_and_candidates(name)
-        mapping = scenario.mapping
-        vetter = CandidateVetter(
-            scenario.program,
-            schemas={schema.name: schema for schema in scenario.schemas()},
-            static_tuples=scenario.static_tuples,
-            event_tables={mapping.packet_in_table},
-            flow_table=mapping.flow_table)
+        vetter = vetter_for(scenario)
         on = Backtester(scenario, ks_threshold=scenario.ks_threshold)
         off = Backtester(scenario, ks_threshold=scenario.ks_threshold,
                          static_vet=False)
@@ -152,6 +154,130 @@ def test_rejected_unevaluable_candidates_fail_to_evaluate():
         with pytest.raises(Exception):
             off.evaluate(candidate)
     assert reasons == ["apply-failed", "negation-unsupported"]
+    assert [vetter.veto(c) for c in unevaluable] == reasons
+
+
+# ----------------------------------------------------------------------
+# The veto is the verdict
+# ----------------------------------------------------------------------
+
+def assert_veto_is_the_verdict(vetter, candidates):
+    """``veto`` returns the reject reason of ``vet_candidate``'s verdict,
+    or ``None`` when that verdict is not a reject; returns the reasons.
+
+    The two share their decision code, so the negation reject is also held
+    against the safety pass, which scans the whole patched program itself.
+    """
+    reasons = []
+    for candidate in candidates:
+        verdict = vetter.vet_candidate(candidate)
+        expected = verdict.reason if verdict.rejected else None
+        assert vetter.veto(candidate) == expected, (candidate.edits,
+                                                    verdict.describe())
+        if expected not in ("apply-failed", "no-op-edit"):
+            assert (expected == "negation-unsupported") == any(
+                f.code == "negation-unsupported" for f in verdict.findings)
+        reasons.append(expected)
+    return reasons
+
+
+@pytest.mark.parametrize("name, max_candidates, total_rules", [
+    *[(name, MAX_CANDIDATES, None) for name in SCENARIOS], ("Q1", 14, 250)],
+    ids=[*SCENARIOS, "Q1PAD"])
+def test_veto_is_the_verdict_on_explorer_candidates(name, max_candidates,
+                                                    total_rules):
+    scenario, candidates = scenario_and_candidates(name, max_candidates,
+                                                   total_rules)
+    reasons = assert_veto_is_the_verdict(vetter_for(scenario), candidates)
+    assert any(reasons)
+
+
+def _candidate(edit):
+    # An explicit id leaves the process-wide tag counter alone.
+    return RepairCandidate(edits=(edit,), cost=1.0, candidate_id=0)
+
+
+def test_veto_is_the_verdict_on_no_op_and_shared_names():
+    scenario, _candidates = scenario_and_candidates("Q1")
+    q1 = scenario.program
+    same_value = _candidate(ChangeConstant("r7", 0, "right", 2, 2))
+    to_s3 = _candidate(ChangeConstant("r7", 0, "right", 2, 3))
+    assert assert_veto_is_the_verdict(vetter_for(scenario),
+                                      [same_value, to_s3]) == \
+        ["no-op-edit", None]
+    # Two rules named r7: an edit names the first, and the second — the
+    # value the edit produces — is left alone.
+    twin = parse_program(
+        "r7 FlowTable(@Swi,Sip,Hdr,Prt) :- PacketIn(@C,Swi,Sip,Hdr), "
+        "Swi == 3, Hdr == 80, Prt := 2.").rules[0]
+    shared = vetter_for(scenario, dataclasses.replace(
+        q1, rules=q1.rules + (twin,)))
+    reasons = assert_veto_is_the_verdict(
+        shared, [same_value, to_s3, _candidate(DeleteRule("r7"))])
+    assert reasons[0] == "no-op-edit"
+
+
+def test_veto_reads_the_whole_program_when_the_base_has_negation():
+    """An edit may keep the base's negated atom or delete it; only the
+    rules the candidate built are not enough to tell."""
+    scenario, _candidates = scenario_and_candidates("Q1")
+    q1 = scenario.program
+    r1 = q1.rule_named("r1")
+    negated = dataclasses.replace(
+        r1, body=(r1.body[0], dataclasses.replace(r1.body[1], negated=True)))
+    vetter = vetter_for(scenario, dataclasses.replace(
+        q1, rules=(negated,) + q1.rules[1:]))
+    keeps = [_candidate(ChangeConstant("r7", 0, "right", 2, 3)),
+             _candidate(InsertTuple(NDTuple("WebLoadBalancer",
+                                            ("C", 150, 2))))]
+    deletes = [_candidate(DeleteRule("r1")),
+               _candidate(DeletePredicate("r1", 1))]
+    reasons = assert_veto_is_the_verdict(vetter, keeps + deletes)
+    assert reasons[:2] == ["negation-unsupported"] * 2
+    assert "negation-unsupported" not in reasons[2:]
+
+
+Q1_RULES = ("r1", "r2", "r5", "r6", "r7", "r8", "r9", "r10")
+RULE_NAMES = st.sampled_from(Q1_RULES + ("r99",))
+INDEXES = st.integers(0, 2)
+VALUES = st.sampled_from((0, 1, 2, 3, 53, 80, 101, "*", "C"))
+TUPLES = st.one_of(
+    st.builds(lambda ip, port: NDTuple("WebLoadBalancer", ("C", ip, port)),
+              st.sampled_from((99, 101, 102, 150, "*")), st.integers(0, 3)),
+    st.builds(lambda swi, port: NDTuple("FlowTable", (swi, "*", 80, port)),
+              st.integers(1, 4), st.integers(1, 3)),
+    st.builds(lambda swi, hdr: NDTuple("PacketIn", ("*", swi, "*", hdr)),
+              st.integers(1, 5), st.sampled_from((53, 80))),
+    st.builds(lambda value: NDTuple("Unread", ("C", value)), VALUES))
+
+
+def _added_rule(name, negate):
+    """A copy of Q1's rule ``name`` under a new name, its last body atom
+    negated if ``negate``."""
+    rule = build_q1().program.rule_named(name)
+    body = rule.body
+    if negate:
+        body = body[:-1] + (dataclasses.replace(body[-1], negated=True),)
+    return AddRule(dataclasses.replace(rule, name=f"{name}_added", body=body))
+
+
+SINGLE_EDITS = st.one_of(
+    st.builds(ChangeConstant, RULE_NAMES, INDEXES,
+              st.sampled_from(("left", "right")), VALUES, VALUES),
+    st.builds(ChangeOperator, RULE_NAMES, INDEXES, st.just("=="),
+              st.sampled_from(("==", "!=", "<", ">", "<=", ">="))),
+    st.builds(DeleteSelection, RULE_NAMES, INDEXES),
+    st.builds(DeletePredicate, RULE_NAMES, INDEXES),
+    st.builds(_added_rule, st.sampled_from(Q1_RULES), st.booleans()),
+    st.builds(InsertTuple, TUPLES),
+    st.builds(DeleteTuple, TUPLES))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(edit=SINGLE_EDITS)
+def test_veto_is_the_verdict_on_random_single_edits(edit):
+    scenario, _candidates = scenario_and_candidates("Q1")
+    assert_veto_is_the_verdict(vetter_for(scenario), [_candidate(edit)])
 
 
 # ----------------------------------------------------------------------

@@ -47,6 +47,11 @@ incremental deletion no workload entered).
 "A session borrows the fleet": three ``fabric_spawn``-shaped sessions in one
 process launch exactly 2 worker processes (6 while every session started and
 reaped a fleet of its own).
+"A candidate's veto costs its edit": the backtester's static prefilter of a
+rule-edit candidate makes the same number of calls into ``repro/`` on Q1's 8
+rules as on Q1 padded to 250, and the 14 candidates of the padded program
+stay under a ceiling — a tuple insert costs the rules that read its table,
+which is its edit's cone.
 """
 
 import collections
@@ -57,12 +62,13 @@ import tracemalloc
 import pytest
 
 from repro.api import RepairConfig, RepairSession, TelemetryConfig
-from repro.backtest import WarmEvaluationState, replay
+from repro.backtest import Backtester, WarmEvaluationState, replay
 from repro.distrib import WorkerPool, close_parked_fleets
 from repro.meta import MetaProvenanceExplorer, explorer
 from repro.ndlog import Engine, parse_program, plan
 from repro.ndlog.plan import PLAN_CACHE, CompiledRule
-from repro.repair import ChangeConstant, RepairCandidate, apply_candidate
+from repro.repair import (ChangeConstant, ChangeTuple, DeleteTuple,
+                          InsertTuple, RepairCandidate, apply_candidate)
 from repro.scenarios import build_q1
 from repro.sdn import switch
 from repro.sdn.network import NetworkSimulator
@@ -78,11 +84,11 @@ PINNED = {
     "Q1": {"engine_fixpoints": 778, "rules_fired": 866, "tuples_derived": 842,
            "packets_replayed": 2808, "plan_cache_misses": 11,
            "candidates_backtested": 14, "candidates_vetoed": 2,
-           "python_calls": 132056},
+           "python_calls": 120410},
     "Q4": {"engine_fixpoints": 160, "rules_fired": 248, "tuples_derived": 248,
            "packets_replayed": 1280, "plan_cache_misses": 9,
            "candidates_backtested": 11, "candidates_vetoed": 1,
-           "python_calls": 39395},
+           "python_calls": 37643},
 }
 #: Calls into ``repro/meta`` of one 14-candidate exploration of Q1's goal
 #: (explorer construction included), by number of rules in the program.
@@ -115,7 +121,13 @@ PINNED_JOURNAL_ENTRIES_Q1 = 2980
 JOURNAL_KINDS = {"dbadd", "dbrem", "dbflag", "supadd", "suppop", "supswap"}
 #: Worker processes three 2-worker spawn sessions of one process launch.
 PINNED_WORKER_LAUNCHES_3_SESSIONS = 2
+#: Calls into ``repro/`` of one static prefilter of the 14 explorer
+#: candidates of Q1 padded to 250 rules.  41,108 while the backtest took the
+#: linter's whole verdict, the findings of every pass over the patched
+#: program (2,630 on Q1's 8 rules).
+PREFILTER_CALLS_CEILING_250_RULES = 6000
 PYTHON_CALLS_CEILING = 1.10
+TUPLE_EDITS = (InsertTuple, DeleteTuple, ChangeTuple)
 SDN_PACKAGE = os.path.dirname(switch.__file__)
 META_PACKAGE = os.path.dirname(explorer.__file__)
 BACKTEST_PACKAGE = os.path.dirname(replay.__file__)
@@ -376,6 +388,45 @@ def test_apply_and_diff_cost_the_edit_not_the_program():
     small, large = _q1_padded_to(8), _q1_padded_to(250)
     assert (len(small), len(large)) == (8, 250)
     assert counts(small) == counts(large)
+
+
+def test_a_candidates_veto_costs_its_edit():
+    def prefilter(total_rules):
+        """The explorer's 14 candidates on Q1 padded to ``total_rules``, and
+        a backtester that has prefiltered them once."""
+        scenario = build_q1()
+        history = scenario.history_index()
+        scenario.program = _q1_padded_to(total_rules)
+        candidates = MetaProvenanceExplorer(
+            scenario.program, history, max_candidates=14,
+        ).explore_missing(scenario.goal()).candidates
+        backtester = Backtester(scenario, ks_threshold=scenario.ks_threshold)
+        backtester._prefilter(candidates)   # the baseline replay, the vetter
+        return candidates, backtester
+
+    candidates, small = prefilter(8)
+    padded, large = prefilter(250)
+    rule_edits = [candidate for candidate in candidates
+                  if not any(isinstance(edit, TUPLE_EDITS)
+                             for edit in candidate.edits)]
+    assert len(rule_edits) == 11
+    for candidate in rule_edits:
+        on_8, on_250 = (
+            _python_calls(lambda: backtester._prefilter([candidate]),
+                          under=REPRO_PACKAGE)
+            for backtester in (small, large))
+        assert on_8 == on_250, (
+            f"vetting {candidate.description!r} makes {on_8} calls into "
+            f"repro/ on 8 rules and {on_250} on 250: a pass reads rules the "
+            "candidate did not edit")
+
+    assert len(padded) == 14
+    calls = _python_calls(lambda: large._prefilter(padded),
+                          under=REPRO_PACKAGE)
+    assert calls <= PREFILTER_CALLS_CEILING_250_RULES, (
+        f"prefiltering the 250-rule program's 14 candidates makes {calls} "
+        f"calls into repro/, more than {PREFILTER_CALLS_CEILING_250_RULES} "
+        "(41,108 when the backtest took the linter's whole verdict)")
 
 
 def test_a_packet_in_costs_the_same_on_8_rules_as_on_250():

@@ -7,7 +7,8 @@ knob (plain Q1 with 100 candidates, the rest with 14; the abort policy
 carries a ``ks_slack``, so its mid-trace KS check over sample prefixes runs),
 a 2-worker session over the ``inprocess`` fabric and the exit hook that
 closes idle fleets, the two ``other_languages``
-scenarios (Table 3) and every CLI subcommand that needs no running service;
+scenarios (Table 3) and every CLI subcommand that needs no running service,
+``repro lint`` also over a file of Q1's explorer candidates;
 then it walks each module's AST and prints the functions never entered.
 Out of reach: worker subprocesses (``spawn``, ``socket``, ``repro serve`` and
 its clients), code that runs at import, the compiled fire functions and what
@@ -24,6 +25,7 @@ import argparse
 import ast
 import contextlib
 import io
+import json
 import pathlib
 import sys
 import tempfile
@@ -34,6 +36,9 @@ from repro.api import RepairConfig, RepairSession, TelemetryConfig
 from repro.backtest.abort import EarlyAbortPolicy
 from repro.cli import main as cli
 from repro.distrib import close_parked_fleets
+from repro.meta import MetaProvenanceExplorer
+from repro.repair import candidate_to_wire
+from repro.scenarios import build_scenario
 from repro.scenarios.other_languages import language_reports
 
 ROOT = pathlib.Path(repro.__file__).resolve().parent
@@ -63,8 +68,19 @@ def workloads():
     language_reports()
     with tempfile.TemporaryDirectory() as tmp:
         events, trace = f"{tmp}/events.jsonl", f"{tmp}/trace.json"
+        # The backtest asks the vetter only for a veto; its lint verdicts
+        # (findings, ``describe``) are what ``repro lint --candidates`` runs.
+        candidates = f"{tmp}/candidates.json"
+        scenario = build_scenario("Q1")
+        explorer = MetaProvenanceExplorer(
+            scenario.program, scenario.history_index(), max_candidates=14)
+        with open(candidates, "w", encoding="utf-8") as handle:
+            json.dump([candidate_to_wire(candidate) for candidate in
+                       explorer.explore_missing(scenario.goal()).candidates],
+                      handle)
         for argv in (["repair", "q1", "--quiet", "--json", "--events", events],
                      ["backtest", "q1", "--quiet"], ["lint", "q1"],
+                     ["lint", "q1", "--candidates", candidates],
                      ["trace", "q1", "--quiet", "--out", trace],
                      ["stats", "q1", "--quiet"],
                      ["events", "summarize", events], ["scenarios", "list"]):
