@@ -26,11 +26,12 @@ The vetter applies a candidate to the base program and classifies it:
     No findings.
 
 The backtest asks only :meth:`CandidateVetter.veto`: the reject reason or
-``None``.  Each of its checks costs the edit, not the program — unedited
-rules are the base program's own objects, so a rule the candidate did not
-build is recognised by identity and never looked at.  The ``warn`` findings
-are the linter's (``repro lint --candidates``): :meth:`~CandidateVetter.vet`
-and :meth:`~CandidateVetter.vet_candidate` take their verdict from the same
+``None``.  Its checks cost the edit, not the program — unedited rules are the
+base program's own objects, so the no-op check recognises them by identity;
+the negation check is one loop over body atoms, a single call on any
+program.  The ``warn`` findings are the linter's (``repro lint
+--candidates``): :meth:`~CandidateVetter.vet` and
+:meth:`~CandidateVetter.vet_candidate` take their verdict from the same
 decision and add the whole-program lint passes over the patched program.
 
 Soundness contract (enforced by the differential test suite): a rejected
@@ -81,13 +82,13 @@ class VetResult:
 @dataclass
 class _Decision:
     """What decides a veto: the reject class (``None``: backtest it), the
-    applied candidate (``None`` when it does not apply) and the evidence a
-    finding reports — the apply error, or each inserted tuple with the
-    reason it is inert."""
+    applied candidate to lint (``None`` when there is nothing to lint: it
+    does not apply, or it changes nothing) and the reject's own findings,
+    built only on a veto."""
 
     reason: Optional[str]
     repaired: object = None
-    evidence: object = None
+    findings: Sequence[LintFinding] = ()
 
 
 class CandidateVetter:
@@ -103,11 +104,6 @@ class CandidateVetter:
         self.static_tuples = list(static_tuples)
         self.event_tables = set(event_tables)
         self.flow_table = flow_table
-        #: A repair shares every rule it does not edit, so a rule that is
-        #: not one of these objects is one the candidate built (the base
-        #: program, held above, keeps the ids alive).
-        self._base_rule_ids = {id(rule) for rule in program.rules}
-        self._base_negated = _any_negated(program.rules)
 
     # ------------------------------------------------------------------
 
@@ -137,13 +133,15 @@ class CandidateVetter:
 
     def _applied(self, candidate) -> _Decision:
         """``candidate`` applied to the base program, or the
-        ``apply-failed`` reject with the error as its evidence."""
+        ``apply-failed`` reject."""
         from ..repair.apply import RepairApplicationError, apply_candidate
 
         try:
             return _Decision(None, apply_candidate(self.program, candidate))
         except RepairApplicationError as exc:
-            return _Decision("apply-failed", evidence=str(exc))
+            return _Decision("apply-failed", findings=[LintFinding(
+                pass_name="vet", code="apply-failed",
+                severity=Severity.ERROR, message=str(exc))])
 
     def _judge(self, repaired) -> _Decision:
         """The other three reject classes, in order, for an applied
@@ -155,10 +153,14 @@ class CandidateVetter:
         # which tuple comparison recognises by identity.
         program_changed = patched.rules != self.program.rules
         if not program_changed and not inserted and not removed:
-            return _Decision("no-op-edit", repaired)
+            return _Decision("no-op-edit", findings=[LintFinding(
+                pass_name="vet", code="no-op-edit", severity=Severity.ERROR,
+                message="the edits leave the program and base data "
+                        "unchanged — the backtest would repeat the "
+                        "baseline")])
         # The engine refuses negated atoms at plan time, so the candidate
         # could never complete a backtest.
-        if self._negated(patched):
+        if _any_negated(patched.rules):
             return _Decision("negation-unsupported", repaired)
         if inserted and not program_changed and not removed:
             propagation = ConstantPropagation(
@@ -171,56 +173,32 @@ class CandidateVetter:
                 if reason is None:
                     return _Decision(None, repaired)
                 reasons.append((tup, reason))
-            return _Decision("inert-insert", repaired, reasons)
+            return _Decision("inert-insert", repaired, [LintFinding(
+                pass_name="constprop", code="inert-insert",
+                severity=Severity.ERROR,
+                message=f"inserting {tup} is provably invisible "
+                        f"to every replay ({why})")
+                for tup, why in reasons])
         return _Decision(None, repaired)
-
-    def _negated(self, patched: Program) -> bool:
-        """Does ``patched`` hold a negated atom?  Only the rules the
-        candidate built are read — unless the base program has one, which
-        an edit may have deleted."""
-        if self._base_negated:
-            return _any_negated(patched.rules)
-        base = self._base_rule_ids
-        return _any_negated([rule for rule in patched.rules
-                             if id(rule) not in base])
 
     # ------------------------------------------------------------------
     # The lint path: the decision plus the passes' findings
     # ------------------------------------------------------------------
 
     def _result(self, decision: _Decision) -> VetResult:
-        reason = decision.reason
-        if reason == "apply-failed":
-            return VetResult(verdict=REJECT, reason=reason, findings=[
-                LintFinding(pass_name="vet", code=reason,
-                            severity=Severity.ERROR,
-                            message=decision.evidence)])
-        if reason == "no-op-edit":
-            return VetResult(verdict=REJECT, reason=reason, findings=[
-                LintFinding(
-                    pass_name="vet", code=reason, severity=Severity.ERROR,
-                    message="the edits leave the program and base data "
-                            "unchanged — the backtest would repeat the "
-                            "baseline")])
-        repaired = decision.repaired
+        reason, repaired = decision.reason, decision.repaired
+        if repaired is None:
+            return VetResult(verdict=REJECT, reason=reason,
+                             findings=list(decision.findings))
         patched: Program = repaired.program
         findings: List[LintFinding] = []
         findings.extend(DependencyGraph.of(patched).findings())
         findings.extend(check_safety(
             patched, self.schemas,
             self.static_tuples + list(repaired.inserted_tuples)))
-        if reason == "inert-insert":
-            for tup, why in decision.evidence:
-                findings.append(LintFinding(
-                    pass_name="constprop", code=reason,
-                    severity=Severity.ERROR,
-                    message=f"inserting {tup} is provably invisible "
-                            f"to every replay ({why})"))
-        if reason is not None:
-            return VetResult(verdict=REJECT, reason=reason, findings=findings)
-        if findings:
-            return VetResult(verdict=WARN, findings=findings)
-        return VetResult(verdict=OK, findings=findings)
+        findings.extend(decision.findings)
+        verdict = REJECT if reason is not None else WARN if findings else OK
+        return VetResult(verdict=verdict, findings=findings, reason=reason)
 
 
 def _any_negated(rules) -> bool:

@@ -646,8 +646,7 @@ def _cmd_serve(args) -> int:
     except KeyboardInterrupt:
         pass
     print("repro serve: draining...", flush=True)
-    server.shutdown()
-    daemon.stop(grace=args.grace)
+    server.stop(grace=args.grace)
     if log_handle is not None:
         log_handle.close()
     print("repro serve: stopped", flush=True)

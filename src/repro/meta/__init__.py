@@ -2,8 +2,8 @@
 
 This package implements the paper's primary contribution:
 
-* :mod:`repro.meta.metatuples` / :mod:`repro.meta.metaprogram` — the program
-  represented as data (Const, Oper, PredFunc, HeadFunc, Assign meta tuples).
+* :mod:`repro.meta.metatuples` — the program represented as data (Const,
+  Oper, PredFunc, HeadFunc, Assign meta tuples).
 * :mod:`repro.meta.metarules` — the µDlog meta model of Figure 4.
 * :mod:`repro.meta.forest` — meta provenance trees: the explanation of a
   repair candidate.
@@ -24,7 +24,6 @@ from .explorer import (
 )
 from .forest import EXIST, MetaForest, MetaTree, MetaVertex, NEXIST
 from .history import HistoryIndex
-from .metaprogram import MetaProgram
 from .metarules import (
     MUDLOG_META_RULES_SOURCE,
     MUDLOG_META_TUPLES,
@@ -56,7 +55,7 @@ __all__ = [
     "ExistingTupleGoal", "ExplorationResult", "ExplorationStats",
     "MetaProvenanceExplorer", "MissingTupleGoal",
     "EXIST", "MetaForest", "MetaTree", "MetaVertex", "NEXIST",
-    "HistoryIndex", "MetaProgram",
+    "HistoryIndex",
     "MUDLOG_META_RULES_SOURCE", "MUDLOG_META_TUPLES", "NDLOG_META_MODEL_SIZE",
     "PYRETIC_META_MODEL_SIZE", "TREMA_META_MODEL_SIZE",
     "meta_model_summary", "meta_rule_names", "mudlog_meta_program",

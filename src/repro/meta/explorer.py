@@ -24,14 +24,15 @@ cut-off, and the search stops after ``max_candidates`` emissions.  So the
 queue orders candidates, not partial trees: cheap (plausible) repairs come
 out before expensive ones.
 
-A :class:`~repro.repair.candidates.RepairCandidate` is constructed per
-attempt, although most are never emitted: ``candidate_id`` is drawn from a
-process-wide counter at construction, so a candidate's ``tag`` — the ``v247``
-of every report row and report digest — encodes how many attempts preceded
-it.  Its *explanation* is not per attempt:
-:meth:`MetaProvenanceExplorer._explain` builds the meta provenance tree when
-the candidate is emitted, so an exploration builds exactly as many trees as
-it returns candidates.
+An attempt is a light ``(edits, cost, candidate_id)`` tuple until it is
+emitted; most never are.  Its ``candidate_id`` is still reserved from the
+process-wide counter (:func:`~repro.repair.candidates.next_candidate_id`) when
+the attempt is made, so a candidate's ``tag`` — the ``v247`` of every report
+row and report digest — encodes how many attempts preceded it.  The
+:class:`~repro.repair.candidates.RepairCandidate`, its description and its
+meta provenance tree (:meth:`MetaProvenanceExplorer._explain`) are built when
+the attempt is emitted, so an exploration builds exactly as many candidates
+and trees as it returns.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ndlog.ast import (
     Atom,
+    BinOp,
     COMPARISON_OPERATORS,
     Const,
     Program,
@@ -68,13 +70,14 @@ from ..repair.candidates import (
     InsertTuple,
     RepairCandidate,
     deduplicate,
+    edits_signature,
+    next_candidate_id,
 )
 from .constant_values import (NEGATED_OPERATOR, first_satisfying_value,
                               satisfies)
 from .costs import CostModel
 from .forest import EXIST, MetaForest, MetaTree, MetaVertex, NEXIST
 from .history import HistoryIndex
-from .metaprogram import MetaProgram
 from .metatuples import (
     BaseMeta,
     ConstMeta,
@@ -88,6 +91,8 @@ from .metatuples import (
 
 #: Joint support choices kept per rule.
 MAX_BODY_COMBINATIONS = 100
+#: Historical tuples tried per body atom.
+MAX_ATOM_MATCHES = 20
 #: New values proposed for one constant of a failing selection.
 MAX_CONSTANT_VARIANTS = 4
 #: Joint fix choices tried per support choice.
@@ -99,6 +104,9 @@ MAX_FIX_COMBINATIONS = 64
 BodyChoice = Sequence[Tuple[str, object]]
 #: One way to repair one failing selection or assignment, and its cost.
 FixOption = Tuple[Edit, float]
+#: An attempt as the queue holds it: its edits, their summed cost and the
+#: candidate id reserved for it.
+Attempt = Tuple[Tuple[Edit, ...], float, int]
 
 #: Shapes explained by the one base tuple they insert.
 _INSERTION_NOTES = {"insert": "manual insertion", "support": "support insertion"}
@@ -204,11 +212,13 @@ class MetaProvenanceExplorer:
         self.program = program
         self.history = history
         self.cost_model = cost_model or CostModel()
-        self.meta_program = MetaProgram.from_program(program)
         self.max_candidates = max_candidates
         self._history_value_hints: Optional[List[object]] = None
         self._program_constant_hints: Optional[List[object]] = None
         self._constant_values_cache: Dict[Tuple, List[object]] = {}
+        self._fix_options_cache: Dict[Tuple, List[FixOption]] = {}
+        #: History matches per body pattern, for one exploration.
+        self._matches: Dict[Tuple, List[NDTuple]] = {}
 
     def _history_hints(self) -> List[object]:
         """History values to try for an unknown (computed once per explorer;
@@ -219,8 +229,25 @@ class MetaProvenanceExplorer:
         return self._history_value_hints
 
     def _constant_hints(self) -> List[object]:
+        """Every constant of the program's selections and assignments, rule
+        by rule (computed once per explorer)."""
         if self._program_constant_hints is None:
-            self._program_constant_hints = list(self.meta_program.program_constants())
+            values: List[object] = []
+
+            def collect(expr):
+                if isinstance(expr, Const):
+                    values.append(expr.value)
+                elif isinstance(expr, BinOp):
+                    collect(expr.left)
+                    collect(expr.right)
+
+            for rule in self.program.rules:
+                for selection in rule.selections:
+                    collect(selection.left)
+                    collect(selection.right)
+                for assignment in rule.assignments:
+                    collect(assignment.expr)
+            self._program_constant_hints = values
         return self._program_constant_hints
 
     # ==================================================================
@@ -231,16 +258,17 @@ class MetaProvenanceExplorer:
         stats = ExplorationStats()
         forest = MetaForest()
         lookups_before = self.history.lookup_count
+        self._matches.clear()
         candidates: List[RepairCandidate] = []
         queue: List[Tuple] = []
         counter = itertools.count()
         costs = self.cost_model.costs
 
         def push(cost: float, shape: str, rule: Optional[Rule],
-                 candidate: Optional[RepairCandidate] = None,
+                 attempt: Optional[Attempt] = None,
                  body_choice: BodyChoice = ()):
             heapq.heappush(queue, (cost, next(counter), shape, rule,
-                                   candidate, body_choice))
+                                   attempt, body_choice))
 
         # Seed the queue with the tasks: every rule that could derive the
         # goal table (as it is, and given one more support tuple), the manual
@@ -256,13 +284,19 @@ class MetaProvenanceExplorer:
 
         seen_signatures = set()
         while queue and len(candidates) < self.max_candidates:
-            cost, _, shape, rule, candidate, body_choice = heapq.heappop(queue)
+            cost, _, shape, rule, attempt, body_choice = heapq.heappop(queue)
             stats.work_items_processed += 1
-            if candidate is not None:
-                signature = candidate.signature()
+            if attempt is not None:
+                edits, _, candidate_id = attempt
+                signature = edits_signature(edits)
                 if (signature not in seen_signatures
-                        and self.cost_model.within_cutoff(candidate.cost)):
+                        and self.cost_model.within_cutoff(cost)):
                     seen_signatures.add(signature)
+                    candidate = RepairCandidate(
+                        edits=edits, cost=cost, candidate_id=candidate_id,
+                        description=(
+                            f"insert support tuple {edits[0].tuple} for "
+                            f"rule {rule.name}" if shape == "support" else ""))
                     candidate.tree = forest.add(self._explain(
                         goal, candidate, shape, rule, body_choice))
                     candidates.append(candidate)
@@ -279,7 +313,7 @@ class MetaProvenanceExplorer:
             else:
                 attempts = self._retarget_attempts(goal, rule)
             for attempt, body_choice in attempts:
-                push(attempt.cost, shape, rule, attempt, body_choice)
+                push(attempt[1], shape, rule, attempt, body_choice)
 
         stats.history_lookups += self.history.lookup_count - lookups_before
         final = deduplicate(candidates)[: self.max_candidates]
@@ -291,15 +325,15 @@ class MetaProvenanceExplorer:
 
     def _rule_attempts(self, goal: MissingTupleGoal, rule: Rule,
                        stats: ExplorationStats
-                       ) -> List[Tuple[RepairCandidate, BodyChoice]]:
+                       ) -> List[Tuple[Attempt, BodyChoice]]:
         """Every repair that makes ``rule`` fire, with the support choice
         each one is made under."""
         head_bindings = self._head_bindings(rule, goal)
         if head_bindings is None:
             return []
-        return [(candidate, body_choice)
+        return [(attempt, body_choice)
                 for body_choice in self._body_combinations(rule, head_bindings)
-                for candidate in self._repairs_for_combination(
+                for attempt in self._repairs_for_combination(
                     goal, rule, head_bindings, body_choice, stats)]
 
     def _head_bindings(self, rule: Rule, goal: MissingTupleGoal) -> Optional[Bindings]:
@@ -326,8 +360,7 @@ class MetaProvenanceExplorer:
         for atom in rule.body:
             pattern = self._atom_pattern(atom, head_bindings)
             options: List[Tuple[str, object]] = [
-                ("tuple", t)
-                for t in self.history.matching(atom.table, pattern)[:20]]
+                ("tuple", t) for t in self._matching(atom.table, pattern)]
             if not options:
                 options = [("missing", pattern)]
             per_atom_options.append(options)
@@ -339,6 +372,24 @@ class MetaProvenanceExplorer:
             if len(combos) >= MAX_BODY_COMBINATIONS:
                 break
         return combos
+
+    def _matching(self, table: str, pattern: Dict[int, object]) -> List[NDTuple]:
+        """The first historical tuples of ``table`` that match ``pattern``,
+        looked up once per pattern per exploration (every rule of a padded
+        program reads the same ``PacketIn`` pattern).  Each call still counts
+        as one history lookup."""
+        try:
+            key = (table, tuple(sorted(pattern.items())))
+            matches = self._matches.get(key)
+        except TypeError:           # an unhashable value: look it up
+            key = matches = None
+        if matches is None:
+            matches = self.history.matching(table, pattern)[:MAX_ATOM_MATCHES]
+            if key is not None:
+                self._matches[key] = matches
+        else:
+            self.history.lookup_count += 1
+        return matches
 
     def _atom_pattern(self, atom: Atom, bindings: Bindings) -> Dict[int, object]:
         """Column -> value for the columns of ``atom`` that are constants or
@@ -379,9 +430,9 @@ class MetaProvenanceExplorer:
     def _repairs_for_combination(self, goal: MissingTupleGoal, rule: Rule,
                                  head_bindings: Bindings,
                                  body_choice: BodyChoice,
-                                 stats: ExplorationStats) -> List[RepairCandidate]:
-        """The attempts under one joint support choice: one candidate per
-        joint choice of a fix for every failing selection and assignment.
+                                 stats: ExplorationStats) -> List[Attempt]:
+        """The attempts under one joint support choice: one per joint choice
+        of a fix for every failing selection and assignment.
 
         No constraint pool is solved to accept an attempt (Section 3.4 of
         the paper collects one per tree), because here it could not be
@@ -408,10 +459,9 @@ class MetaProvenanceExplorer:
 
         # Fix options per failing selection, then for the assignment (if any)
         # that sets a goal-constrained head column to something else.
-        option_sets: List[List[FixOption]] = [
+        option_sets = [options for options in (
             self._selection_fix_options(rule, sel_index, selection, env, stats)
-            for sel_index, selection in enumerate(rule.selections)
-            if try_evaluate(selection.expr, env) is not True]
+            for sel_index, selection in enumerate(rule.selections)) if options]
         assignment_options = self._assignment_fix_options(rule, head_bindings, env)
         if assignment_options:
             option_sets.append(assignment_options)
@@ -428,7 +478,7 @@ class MetaProvenanceExplorer:
                 # Nothing to change: the rule should already fire, so this
                 # combination does not explain the missing tuple.
                 continue
-            results.append(RepairCandidate(edits=tuple(edits), cost=cost))
+            results.append((tuple(edits), cost, next_candidate_id()))
         return results
 
     def _materialise_pattern(self, atom: Atom, pattern: Dict[int, object]) -> NDTuple:
@@ -440,18 +490,46 @@ class MetaProvenanceExplorer:
     def _selection_fix_options(self, rule: Rule, sel_index: int, selection,
                                env: Bindings,
                                stats: ExplorationStats) -> List[FixOption]:
-        """Single edits that make one failing selection true, cheapest first."""
+        """Single edits that make one selection true, cheapest first; empty
+        when it already holds under ``env``.
+
+        The options depend only on the selection and the values of its two
+        operands, so they are memoised per explorer on ``(rule, selection
+        index, left value, right value)`` — the rule by identity, as the
+        explorer's program holds it — and shared (edits are frozen).  Pad
+        rules re-ask the same selection for every support choice.
+        """
+        left_value = try_evaluate(selection.left, env)
+        right_value = try_evaluate(selection.right, env)
+        try:
+            key = (id(rule), sel_index, left_value, right_value)
+            options = self._fix_options_cache.get(key)
+        except TypeError:           # an unhashable value: no memo
+            key = options = None
+        if options is not None:
+            return options
+        if (left_value is not None and right_value is not None
+                and try_compare(selection.op, left_value, right_value) is True):
+            options = []
+        else:
+            options = self._fix_options(rule, sel_index, selection,
+                                        left_value, right_value, stats)
+        if key is not None:
+            self._fix_options_cache[key] = options
+        return options
+
+    def _fix_options(self, rule: Rule, sel_index: int, selection, left_value,
+                     right_value, stats: ExplorationStats) -> List[FixOption]:
+        """Single edits that make one failing selection true, cheapest first,
+        given what its operands evaluate to (``None``: cannot be)."""
         op = selection.op
         edits: List[Edit] = []
 
         # (a) Change the constant operand.
-        for side, const_expr, other in (
-                ("right", selection.right, selection.left),
-                ("left", selection.left, selection.right)):
-            if not isinstance(const_expr, Const):
-                continue
-            other_value = try_evaluate(other, env)
-            if other_value is None:
+        for side, const_expr, other_value in (
+                ("right", selection.right, left_value),
+                ("left", selection.left, right_value)):
+            if not isinstance(const_expr, Const) or other_value is None:
                 continue
             for new_value in self._constant_repair_values(
                     op, side, other_value, stats):
@@ -460,8 +538,6 @@ class MetaProvenanceExplorer:
                                                 const_expr.value, new_value))
 
         # (b) Change the comparison operator.
-        left_value = try_evaluate(selection.left, env)
-        right_value = try_evaluate(selection.right, env)
         if left_value is not None and right_value is not None:
             for new_op in COMPARISON_OPERATORS:
                 if new_op != op and try_compare(
@@ -547,17 +623,16 @@ class MetaProvenanceExplorer:
     # ------------------------------------------------------------------
 
     def _manual_insert_attempts(self, goal: MissingTupleGoal
-                                ) -> List[Tuple[RepairCandidate, BodyChoice]]:
+                                ) -> List[Tuple[Attempt, BodyChoice]]:
         arity = self._infer_table_arity(goal)
         if arity == 0:
             return []
         edit = InsertTuple(self._goal_tuple(goal, arity))
-        return [(RepairCandidate(
-            edits=(edit,), cost=self.cost_model.edit_cost(edit),
-            description=f"manually insert {edit.tuple}"), ())]
+        attempt = ((edit,), self.cost_model.edit_cost(edit), next_candidate_id())
+        return [(attempt, ())]
 
     def _support_insert_attempts(self, goal: MissingTupleGoal, rule: Rule
-                                 ) -> List[Tuple[RepairCandidate, BodyChoice]]:
+                                 ) -> List[Tuple[Attempt, BodyChoice]]:
         """Standalone base-tuple insertions that give ``rule`` the support
         it would need to derive the goal tuple.
 
@@ -580,10 +655,7 @@ class MetaProvenanceExplorer:
                 atom, self._atom_pattern(atom, head_bindings))
             if all(value == WILDCARD for value in tup.values):
                 continue    # no goal constant reaches this atom
-            out.append((RepairCandidate(
-                edits=(InsertTuple(tup),), cost=cost,
-                description=f"insert support tuple {tup} for rule {rule.name}"),
-                ()))
+            out.append((((InsertTuple(tup),), cost, next_candidate_id()), ()))
         return out
 
     def _infer_table_arity(self, goal: MissingTupleGoal) -> int:
@@ -596,7 +668,7 @@ class MetaProvenanceExplorer:
         return self._goal_arity(goal, None)
 
     def _retarget_attempts(self, goal: MissingTupleGoal, rule: Rule
-                           ) -> List[Tuple[RepairCandidate, BodyChoice]]:
+                           ) -> List[Tuple[Attempt, BodyChoice]]:
         """Candidates that re-point (or copy) a rule whose head table differs.
 
         Only rules that actually fired in the recorded history and whose
@@ -632,9 +704,8 @@ class MetaProvenanceExplorer:
             edits = (ChangeRuleHead(rule.name, new_head),
                      CopyRule(rule.name, replace(
                          rule, name=f"{rule.name}_copy", head=new_head)))
-            return [(RepairCandidate(edits=(edit,),
-                                     cost=self.cost_model.edit_cost(edit)),
-                     body_choice) for edit in edits]
+            return [(((edit,), self.cost_model.edit_cost(edit),
+                      next_candidate_id()), body_choice) for edit in edits]
         return []
 
     def _head_values_match_goal(self, head_values, goal: MissingTupleGoal) -> bool:
@@ -730,8 +801,10 @@ class MetaProvenanceExplorer:
             else:
                 const_id = f"{name}.s{sel_index}.{edit.side[0]}"
                 child(NEXIST, holds)
-                child(EXIST, self.meta_program.operator_of_selection(
-                    name, sel_index))
+                child(EXIST, OperMeta(
+                    name, sid, f"{name}.s{sel_index}.l",
+                    f"{name}.s{sel_index}.r", selection.op,
+                    MetaLocation(name, "selection", sel_index, "op")))
                 child(NEXIST, ExprMeta(name, "*", const_id, edit.new_value))
                 child(NEXIST, ConstMeta(
                     name, const_id, edit.new_value,

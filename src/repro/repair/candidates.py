@@ -37,6 +37,19 @@ def reset_candidate_ids(start: int = 1) -> None:
     _candidate_counter = itertools.count(start)
 
 
+def next_candidate_id() -> int:
+    """Draw the next candidate id from the process-global counter (the one
+    accessor: the explorer reserves an id per attempt without building the
+    candidate it may never return)."""
+    return next(_candidate_counter)
+
+
+def edits_signature(edits: Sequence[Edit]) -> Tuple:
+    """Structural signature of an edit set, used for de-duplication across
+    search paths."""
+    return tuple(sorted(repr(e) for e in edits))
+
+
 # ---------------------------------------------------------------------------
 # Edits
 # ---------------------------------------------------------------------------
@@ -259,7 +272,7 @@ class RepairCandidate(Wire):
     description: str = ""
     #: The MetaTree explaining this candidate.
     tree: object = field(default=None, metadata=NOT_ON_WIRE)
-    candidate_id: int = field(default_factory=lambda: next(_candidate_counter))
+    candidate_id: int = field(default_factory=next_candidate_id)
     notes: Tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -283,8 +296,7 @@ class RepairCandidate(Wire):
         return tuple(e.kind for e in self.edits)
 
     def signature(self) -> Tuple:
-        """Structural signature used for de-duplication across search paths."""
-        return tuple(sorted(repr(e) for e in self.edits))
+        return edits_signature(self.edits)
 
     def __str__(self):
         return f"[cost {self.cost:.2f}] {self.description}"

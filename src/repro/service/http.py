@@ -38,8 +38,10 @@ from __future__ import annotations
 
 import json
 import math
+import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..api.config import ConfigError
@@ -55,7 +57,13 @@ MAX_WAIT_SECONDS = 30.0
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
-    """The front door: one of these per daemon."""
+    """The front door: one of these per daemon.
+
+    Each request runs on a daemon thread, which the server remembers until
+    it finishes: :meth:`stop` waits for them, so a long poll that the
+    daemon's stop released still writes its whole body before the process
+    exits.
+    """
 
     daemon_threads = True
     allow_reuse_address = True
@@ -65,6 +73,31 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         super().__init__(address, _ServiceRequestHandler)
         self.service = service
         self.quiet = quiet
+        self._handlers: List[threading.Thread] = []
+
+    def process_request(self, request, client_address):
+        # ThreadingMixIn's own bookkeeping joins without a bound in
+        # server_close(); this one keeps the threads still running.
+        handler = threading.Thread(target=self.process_request_thread,
+                                   args=(request, client_address),
+                                   daemon=True)
+        self._handlers = [thread for thread in self._handlers
+                          if thread.is_alive()] + [handler]
+        handler.start()
+
+    def stop(self, grace: float) -> int:
+        """Drain within ``grace`` seconds: stop accepting, stop the daemon
+        (which answers every held long poll and follow stream), wait what
+        is left of the grace for the handlers to write those answers, and
+        close the socket.  Called while another thread serves; returns how
+        many handlers are still running (0 unless a client stalls)."""
+        deadline = time.monotonic() + max(0.0, grace)
+        self.shutdown()
+        self.service.stop(grace=grace)
+        for handler in self._handlers:
+            handler.join(max(0.0, deadline - time.monotonic()))
+        self.server_close()
+        return sum(handler.is_alive() for handler in self._handlers)
 
     @property
     def url(self) -> str:

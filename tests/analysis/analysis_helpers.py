@@ -8,24 +8,15 @@ checks and the differential soundness suite.
 
 from repro.analysis import CandidateVetter
 from repro.meta.explorer import MetaProvenanceExplorer
-from repro.ndlog.parser import parse_program
 from repro.scenarios import build_scenario
+
+from padded_programs import padded_program
 
 #: Candidate budget used throughout; large enough that the support-insert
 #: proposals (cost 2.0) materialise in every scenario.
 MAX_CANDIDATES = 25
 
 _cache = {}
-
-
-def padded(scenario, total_rules):
-    """The scenario's program plus policies for switches its topology does
-    not have (the ledger's ``program_heavy`` shape, fixed switch ids)."""
-    pads = total_rules - len(scenario.program)
-    return parse_program(scenario.program_source + "".join(
-        f"pad{index} FlowTable(@Swi,Sip,Hdr,Prt) :- PacketIn(@C,Swi,Sip,Hdr), "
-        f"Swi == {1000 + index}, Hdr == 80, Prt := 1.\n"
-        for index in range(pads)))
 
 
 def scenario_and_candidates(name, max_candidates=MAX_CANDIDATES,
@@ -37,7 +28,7 @@ def scenario_and_candidates(name, max_candidates=MAX_CANDIDATES,
         scenario = build_scenario(name)
         history = scenario.history_index()
         if total_rules is not None:
-            scenario.program = padded(scenario, total_rules)
+            scenario.program = padded_program(scenario, total_rules)
         explorer = MetaProvenanceExplorer(
             scenario.program, history, max_candidates=max_candidates)
         candidates = explorer.explore_missing(scenario.goal()).candidates

@@ -33,9 +33,10 @@ import pytest
 from repro.api import RepairConfig, RepairSession
 from repro.meta import MetaProvenanceExplorer, MissingTupleGoal
 from repro.meta import explorer as explorer_module
-from repro.ndlog import parse_program
 from repro.repair import reset_candidate_ids
 from repro.scenarios import build_scenario
+
+from padded_programs import padded_program
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("explore_golden.json")
 PADDED_RULES = 250
@@ -50,21 +51,11 @@ CONFIGURATIONS = {
 HASHED_TREES = ("Q1@100",)
 
 
-def _padded(scenario, total_rules):
-    """The scenario's program plus policies for switches its topology does
-    not have (the ledger's ``program_heavy`` shape, fixed switch ids)."""
-    pads = total_rules - len(scenario.program)
-    return parse_program(scenario.program_source + "".join(
-        f"pad{index} FlowTable(@Swi,Sip,Hdr,Prt) :- PacketIn(@C,Swi,Sip,Hdr), "
-        f"Swi == {1000 + index}, Hdr == 80, Prt := 1.\n"
-        for index in range(pads)))
-
-
 def explore(key):
     name, max_candidates, total_rules = CONFIGURATIONS[key]
     scenario = build_scenario(name)
     program = (scenario.program if total_rules is None
-               else _padded(scenario, total_rules))
+               else padded_program(scenario, total_rules))
     explorer = MetaProvenanceExplorer(program, scenario.history_index(),
                                       max_candidates=max_candidates)
     reset_candidate_ids()

@@ -26,7 +26,10 @@ rules it shares with the base are recognised by identity.
 pinned number of calls into ``repro/meta`` on Q1's 8 rules and on Q1 padded to
 250, and fewer than 100 per returned candidate under the function that builds
 a candidate's meta provenance tree — a tree per *attempt* would show up as a
-count here, not as a slower ``program_heavy``.
+count here, not as a slower ``program_heavy``.  "An exploration builds only
+what it returns": the same exploration constructs one ``RepairCandidate`` per
+returned candidate (210 on 8 rules and 2,872 on 250 while every attempt was
+one), and its ``ExplorationStats`` stay pinned.
 "A tuple fires only the rules it can match": one PacketIn makes the same
 number of calls into ``repro/ndlog`` on Q1's 8 rules as on Q1 padded to 250,
 and a serial 250-rule, 14-candidate session enters ``CompiledRule.fire`` a
@@ -65,7 +68,7 @@ from repro.api import RepairConfig, RepairSession, TelemetryConfig
 from repro.backtest import Backtester, WarmEvaluationState, replay
 from repro.distrib import WorkerPool, close_parked_fleets
 from repro.meta import MetaProvenanceExplorer, explorer
-from repro.ndlog import Engine, parse_program, plan
+from repro.ndlog import Engine, plan
 from repro.ndlog.plan import PLAN_CACHE, CompiledRule
 from repro.repair import (ChangeConstant, ChangeTuple, DeleteTuple,
                           InsertTuple, RepairCandidate, apply_candidate)
@@ -74,6 +77,8 @@ from repro.sdn import switch
 from repro.sdn.network import NetworkSimulator
 from repro.sdn.packets import Packet
 from repro.sdn.switch import FlowEntry, FlowTable, Switch
+
+from padded_programs import padded_program
 
 COUNTERS = ("engine_fixpoints", "rules_fired", "tuples_derived",
             "packets_replayed", "plan_cache_misses", "candidates_backtested",
@@ -84,15 +89,25 @@ PINNED = {
     "Q1": {"engine_fixpoints": 778, "rules_fired": 866, "tuples_derived": 842,
            "packets_replayed": 2808, "plan_cache_misses": 11,
            "candidates_backtested": 14, "candidates_vetoed": 2,
-           "python_calls": 120410},
+           "python_calls": 117273},
     "Q4": {"engine_fixpoints": 160, "rules_fired": 248, "tuples_derived": 248,
            "packets_replayed": 1280, "plan_cache_misses": 9,
            "candidates_backtested": 11, "candidates_vetoed": 1,
-           "python_calls": 37643},
+           "python_calls": 35798},
 }
 #: Calls into ``repro/meta`` of one 14-candidate exploration of Q1's goal
 #: (explorer construction included), by number of rules in the program.
-PINNED_EXPLORE_CALLS = {8: 2737, 250: 63479}
+#: 2,737 and 63,479 while a ``RepairCandidate`` was built per attempt, every
+#: rule re-ran the same history lookup and a ``MetaProgram`` was extracted.
+PINNED_EXPLORE_CALLS = {8: 1567, 250: 22379}
+#: What the same explorations search, by number of rules: building the
+#: candidates lazily must not change it.
+PINNED_EXPLORATION_STATS = {
+    8: {"work_items_processed": 48, "history_lookups": 9,
+        "solver_invocations": 2, "candidates_generated": 14},
+    250: {"work_items_processed": 774, "history_lookups": 251,
+          "solver_invocations": 2, "candidates_generated": 14},
+}
 #: ``CompiledRule.fire`` entries of one serial session over Q1 padded to 250
 #: rules, 14 candidates.
 PINNED_FIRE_ENTRIES_250_RULES = 1154
@@ -354,17 +369,6 @@ def test_three_spawn_sessions_launch_one_fleet(monkeypatch):
         "its own fleet): a session stopped borrowing the parked fleet")
 
 
-def _q1_padded_to(total_rules):
-    """Q1's program plus policies for switches its topology does not have
-    (the ledger's ``program_heavy`` shape)."""
-    source = build_q1().program_source
-    pads = total_rules - len(parse_program(source))
-    return parse_program(source + "".join(
-        f"pad{index} FlowTable(@Swi,Sip,Hdr,Prt) :- PacketIn(@C,Swi,Sip,Hdr), "
-        f"Swi == {1000 + index}, Hdr == 80, Prt := 1.\n"
-        for index in range(pads)))
-
-
 def test_apply_and_diff_cost_the_edit_not_the_program():
     candidate = RepairCandidate(
         edits=(ChangeConstant("r1", 0, "right", 1, 3),), cost=1.0)
@@ -385,7 +389,7 @@ def test_apply_and_diff_cost_the_edit_not_the_program():
         assert warm.engine.program is repaired[0].program
         return apply_calls, diff_calls
 
-    small, large = _q1_padded_to(8), _q1_padded_to(250)
+    small, large = (padded_program(build_q1(), rules) for rules in (8, 250))
     assert (len(small), len(large)) == (8, 250)
     assert counts(small) == counts(large)
 
@@ -396,7 +400,7 @@ def test_a_candidates_veto_costs_its_edit():
         a backtester that has prefiltered them once."""
         scenario = build_q1()
         history = scenario.history_index()
-        scenario.program = _q1_padded_to(total_rules)
+        scenario.program = padded_program(scenario, total_rules)
         candidates = MetaProvenanceExplorer(
             scenario.program, history, max_candidates=14,
         ).explore_missing(scenario.goal()).candidates
@@ -442,14 +446,14 @@ def test_a_packet_in_costs_the_same_on_8_rules_as_on_250():
                 for packet_in in (web, dns)]
 
     derived = []
-    small, large = _q1_padded_to(8), _q1_padded_to(250)
+    small, large = (padded_program(build_q1(), rules) for rules in (8, 250))
     assert calls_on(small) == calls_on(large)
     assert len(derived) == 4    # each PacketIn installed its flow entry
 
 
 def test_fire_entries_of_a_250_rule_session_are_pinned():
     scenario = build_q1()
-    scenario.program = _q1_padded_to(250)
+    scenario.program = padded_program(scenario, 250)
     session = RepairSession(RepairConfig(max_candidates=14),
                             scenario=scenario)
     PLAN_CACHE.clear()
@@ -467,7 +471,8 @@ def test_fire_entries_of_a_250_rule_session_are_pinned():
 @pytest.mark.parametrize("total_rules", sorted(PINNED_EXPLORE_CALLS))
 def test_an_exploration_explains_what_it_returns(total_rules, monkeypatch):
     scenario = build_q1()
-    program, history = _q1_padded_to(total_rules), scenario.history_index()
+    program = padded_program(scenario, total_rules)
+    history = scenario.history_index()
     explain = MetaProvenanceExplorer._explain
     explain_calls = []
 
@@ -491,3 +496,27 @@ def test_an_exploration_explains_what_it_returns(total_rules, monkeypatch):
     monkeypatch.setattr(MetaProvenanceExplorer, "_explain", counted_explain)
     assert len(explore().candidates) == len(explain_calls) == 14
     assert max(explain_calls) < EXPLAIN_CALLS_PER_CANDIDATE, explain_calls
+
+
+@pytest.mark.parametrize("total_rules", sorted(PINNED_EXPLORATION_STATS))
+def test_an_exploration_builds_only_what_it_returns(total_rules,
+                                                    monkeypatch):
+    scenario = build_q1()
+    program = padded_program(scenario, total_rules)
+    history = scenario.history_index()
+    built = []
+    init = RepairCandidate.__init__
+
+    def counted_init(candidate, *args, **kwargs):
+        built.append(candidate)
+        init(candidate, *args, **kwargs)
+
+    monkeypatch.setattr(RepairCandidate, "__init__", counted_init)
+    result = MetaProvenanceExplorer(
+        program, history, max_candidates=14).explore_missing(scenario.goal())
+    assert len(built) == len(result.candidates) == 14, (
+        f"an exploration of {total_rules} rules built {len(built)} "
+        f"candidates to return {len(result.candidates)} (210 and 2,872 on "
+        "8 and 250 rules when every attempt was one)")
+    pinned = PINNED_EXPLORATION_STATS[total_rules]
+    assert {name: getattr(result.stats, name) for name in pinned} == pinned

@@ -1,10 +1,10 @@
 """Extraction of program-based meta tuples from an NDlog program.
 
 The meta tuple generator of the paper's prototype ("tuple generators",
-Section 5.1) turns a controller program into meta tuples once, and the
-runtime log into runtime-based meta tuples on demand.  This module implements
-the program side; the runtime side is derived from the engine history by
-:class:`repro.meta.history.HistoryIndex`.
+Section 5.1) turns a controller program into meta tuples once.  The explorer
+reads what it needs of them straight from the rules (its constant pool, the
+operator of a selection it explains); this extraction is the reference the
+tests hold those readings against.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..ndlog.ast import BinOp, Const, Program, Rule, Var
-from .metatuples import (
+from repro.ndlog.ast import BinOp, Const, Program, Rule, Var
+from repro.meta.metatuples import (
     AssignMeta,
     ConstMeta,
     HeadFuncMeta,

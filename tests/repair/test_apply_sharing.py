@@ -45,6 +45,8 @@ from repro.repair import (PROGRAM_EDIT_KINDS, AddRule, ChangeAssignment,
                           reset_candidate_ids)
 from repro.scenarios import NDlogScenario, build_q1, build_scenario
 
+from padded_programs import padded_source
+
 GOLDEN_PATH = pathlib.Path(__file__).with_name("apply_golden.json")
 PADDED_RULES = 250
 
@@ -59,12 +61,9 @@ def padded_q1(total_rules=PADDED_RULES):
     """Q1 plus policies for switches its topology does not have — the
     ledger's ``program_heavy`` shape (Fig 10) with fixed switch ids."""
     base = build_q1()
-    pads = [f"pad{index} FlowTable(@Swi,Sip,Hdr,Prt) :- "
-            f"PacketIn(@C,Swi,Sip,Hdr), Swi == {1000 + index}, Hdr == 80, "
-            f"Prt := 1." for index in range(total_rules - len(base.program))]
     return NDlogScenario(
         name="Q1PAD", description=f"Q1 padded to {total_rules} rules",
-        program_source=base.program_source + "\n" + "\n".join(pads),
+        program_source=padded_source(base, total_rules),
         mapping=base.mapping, topology_factory=base.topology_factory,
         trace_factory=base.trace_factory, symptom=base.symptom,
         static_tuples=base.static_tuples, target_host=base.target_host,

@@ -5,8 +5,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.meta import EXIST, MetaProvenanceExplorer, OperMeta
 from repro.meta.costs import CostModel, DEFAULT_COSTS, uniform_cost_model
-from repro.meta.metaprogram import MetaProgram
 from repro.meta.metarules import (
     MUDLOG_META_TUPLES,
     meta_model_summary,
@@ -30,6 +30,10 @@ from repro.repair import (
     apply_candidate,
     deduplicate,
 )
+from repro.scenarios import build_scenario
+
+from metaprogram import MetaProgram
+from padded_programs import padded_program
 
 PROGRAM = """
 r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), WebLoadBalancer(@C,Hdr,Prt), Swi == 1.
@@ -190,6 +194,38 @@ class TestMetaProgramExtraction:
     def test_program_constants_pool(self, program):
         meta = MetaProgram.from_program(program)
         assert 80 in meta.program_constants()
+
+
+class TestExplorerReadsTheMetaTuples:
+    """The explorer reads its constant pool and the operator of a selection
+    it explains straight from the rules; both must equal the extraction."""
+
+    @pytest.fixture(scope="class", params=["Q1", "Q2", "Q3", "Q4", "Q5",
+                                           "Q1PAD"])
+    def explored(self, request):
+        name = request.param
+        scenario = build_scenario(name.replace("PAD", ""))
+        program = (padded_program(scenario, 250) if name.endswith("PAD")
+                   else scenario.program)
+        explorer = MetaProvenanceExplorer(program, scenario.history_index(),
+                                          max_candidates=25)
+        result = explorer.explore_missing(scenario.goal())
+        return explorer, MetaProgram.from_program(program), result
+
+    def test_constant_pool_is_the_programs_constants_in_order(self, explored):
+        explorer, meta, _result = explored
+        assert explorer._constant_hints() == meta.program_constants()
+
+    def test_an_explained_operator_is_the_selections_oper_tuple(self,
+                                                                explored):
+        _explorer, meta, result = explored
+        operators = [vertex.subject for candidate in result.candidates
+                     for vertex in candidate.tree.vertices()
+                     if vertex.kind == EXIST
+                     and isinstance(vertex.subject, OperMeta)]
+        for operator in operators:
+            assert operator == meta.operator_of_selection(
+                operator.rule, operator.location.index)
 
 
 class TestMetaModel:

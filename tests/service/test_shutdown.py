@@ -86,6 +86,36 @@ class TestDaemonStop:
         assert answers["wire"]["state"] == "queued"
         assert answers["events"] == []
 
+    def test_front_door_stop_waits_for_a_released_long_poll(self, fleet):
+        # The drain ``repro serve`` runs on SIGTERM.  stop() releases the
+        # held long poll, whose handler still has its answer to write
+        # (slowed down here); the drain returns only once it is written,
+        # so the process cannot exit under a half-sent body.
+        daemon, server, client = fleet(workers=1, spawn_workers=False)
+        session_id = daemon.submit(RepairConfig.for_scenario("Q1"),
+                                   tenant="ops")
+        held = threading.Event()
+        wait = daemon.wait
+
+        def slow_to_answer(*args, **kwargs):
+            held.set()
+            try:
+                return wait(*args, **kwargs)
+            finally:
+                time.sleep(0.3)
+
+        daemon.wait = slow_to_answer
+        answers = {}
+        reader = threading.Thread(target=lambda: answers.setdefault(
+            "wire", client._json("GET", f"/sessions/{session_id}?wait=60")))
+        reader.start()
+        assert held.wait(timeout=30), "the long poll never reached the daemon"
+        assert server.stop(grace=5.0) == 0      # no handler left running
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert answers["wire"]["id"] == session_id
+        assert answers["wire"]["state"] == "queued"
+
     def test_draining_daemon_rejects_submissions(self, fleet):
         daemon, _server, _client = fleet(workers=1, spawn_workers=False)
         daemon.stop(grace=0.0)
