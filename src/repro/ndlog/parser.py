@@ -11,11 +11,33 @@ comparison operator) or an assignment (``Var := Expr``).  Rule names are
 optional; anonymous rules receive sequential names ``r1``, ``r2``, ...
 
 Comments start with ``//`` or ``#`` and run to the end of the line.
+
+A rule costs its text.  One compiled pattern scans the source in a single
+``finditer`` pass into parallel lists of token texts, kinds and offsets,
+skipping whitespace and comments inside the pattern; only a ``-`` before
+digits takes a second look (it signs the number after an operator or any
+punctuation but ``)``).  Line and column come from a token's offset, by
+bisecting the source's newline offsets, and only for a ``Rule``, an ``Atom``
+or a ``ParseError``.  The descent reads the lists directly, padded with
+sentinels instead of end-of-input checks, and takes a name or number that
+``,`` ``)`` ``.`` or a comparison follows as an operand without descending
+through the expression grammar.  Three pitfalls of such a scanner:
+
+* the whitespace-and-comment prefix must be possessive (``*+``), or ``//.``
+  backtracks into the tokens ``/``, ``/``, ``.``;
+* ``finditer`` silently skips what it cannot match, so the pattern ends in a
+  catch-all (a stray character or unterminated ``"`` is the error) and an
+  end-of-input alternative;
+* no regex class is ``str.isalpha``/``isalnum``/``isdigit`` (``\\d`` is
+  ``isdecimal``), so a non-ASCII source's classes list its own non-ASCII
+  letters and digits: ``é`` and ``٣`` read as ever, and ``²`` is a number
+  that ``int`` refuses (a ``ParseError``).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import re
+from bisect import bisect_right
 
 from .ast import (
     Assignment,
@@ -35,339 +57,325 @@ from .errors import ParseError
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Scanner
 # ---------------------------------------------------------------------------
 
-_TWO_CHAR = (":-", ":=", "==", "!=", "<=", ">=")
-_ONE_CHAR = "(),.@<>+-*/%"
+_TOKEN = (
+    r"(?:[ \t\r\n]+|//[^\n]*|#[^\n]*)*+"
+    r"(?:(?P<ident>[A-Za-z{alpha}_][A-Za-z0-9{alnum}_']*)"
+    r"|(?P<punct>[(),.@])"
+    r"|(?P<op>:-|:=|==|!=|<=|>=|[<>+*/%!]|-(?![0-9{digit}]))"
+    r"|(?P<number>[0-9{digit}]+)"
+    r'|"(?P<string>[^"]*)"'
+    r"|(?P<minus>-)"
+    r'|(?P<quote>")'
+    r"|(?P<stray>.)"
+    r"|\Z)"
+)
+_ASCII_TOKEN = re.compile(_TOKEN.format(alpha="", alnum="", digit=""),
+                          re.DOTALL)
+_ASCII_CHARACTERS = frozenset(map(chr, range(128)))
+_NEWLINE = re.compile("\n")
+_PLAIN = frozenset(("ident", "punct", "op", "number"))
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind, text, line, column):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.text!r}, {self.line}:{self.column})"
+def _newlines(source):
+    """``-1`` (the break before line 1), then the offset of each newline."""
+    return [-1] + [match.start() for match in _NEWLINE.finditer(source)]
 
 
-def tokenize(source):
-    """Split ``source`` into a list of tokens, dropping comments."""
-    tokens = []
-    line = 1
-    column = 1
-    index = 0
-    length = len(source)
-    while index < length:
-        ch = source[index]
-        if ch == "\n":
-            line += 1
-            column = 1
-            index += 1
-            continue
-        if ch in " \t\r":
-            index += 1
-            column += 1
-            continue
-        if source.startswith("//", index) or ch == "#":
-            while index < length and source[index] != "\n":
-                index += 1
-            continue
-        if source.startswith(tuple(_TWO_CHAR), index):
-            for op in _TWO_CHAR:
-                if source.startswith(op, index):
-                    tokens.append(Token("op", op, line, column))
-                    index += len(op)
-                    column += len(op)
-                    break
-            continue
-        if ch == '"':
-            end = source.find('"', index + 1)
-            if end == -1:
-                raise ParseError("unterminated string literal", line, column)
-            tokens.append(Token("string", source[index + 1 : end], line, column))
-            column += end - index + 1
-            index = end + 1
-            continue
-        if ch.isdigit() or (ch == "-" and index + 1 < length and source[index + 1].isdigit()
-                            and (not tokens or tokens[-1].kind in ("op", "punct"))
-                            and (not tokens or tokens[-1].text not in (")",))):
-            start = index
-            index += 1
-            while index < length and source[index].isdigit():
-                index += 1
-            tokens.append(Token("number", source[start:index], line, column))
-            column += index - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = index
-            while index < length and (source[index].isalnum() or source[index] in "_'"):
-                index += 1
-            tokens.append(Token("ident", source[start:index], line, column))
-            column += index - start
-            continue
-        if ch in _ONE_CHAR or ch == "!":
-            kind = "punct" if ch in "(),.@" else "op"
-            tokens.append(Token(kind, ch, line, column))
-            index += 1
-            column += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, column)
-    return tokens
+def _position(newlines, offset):
+    """1-based (line, column) of ``offset``."""
+    line = bisect_right(newlines, offset)
+    return line, offset - newlines[line - 1]
+
+
+def _scan(source):
+    """Parallel lists of token texts, kinds and start offsets of ``source``
+    (a string token's text is its content, its offset its opening quote)."""
+    if source.isascii():
+        pattern = _ASCII_TOKEN
+    else:
+        # The classes add the source's non-ASCII letters and digits; ``re``
+        # caches the compiled pattern.
+        extra = sorted(set(source) - _ASCII_CHARACTERS)
+        pattern = re.compile(_TOKEN.format(
+            alpha="".join(filter(str.isalpha, extra)),
+            alnum="".join(filter(str.isalnum, extra)),
+            digit="".join(filter(str.isdigit, extra))), re.DOTALL)
+    texts, kinds, offsets, minuses = [], [], [], []
+    for match in pattern.finditer(source):
+        kind = match.lastgroup
+        if kind in _PLAIN:
+            texts.append(match[kind])
+            offsets.append(match.start(kind))
+        elif kind == "string":
+            texts.append(match[kind])
+            offsets.append(match.start(kind) - 1)
+        elif kind == "minus":
+            minuses.append(len(texts))
+            texts.append("-")
+            offsets.append(match.start(kind))
+        elif kind is None:
+            break
+        else:
+            message = ("unterminated string literal" if kind == "quote"
+                       else f"unexpected character {match[kind]!r}")
+            raise ParseError(message, *_position(_newlines(source),
+                                                 match.start(kind)))
+        kinds.append(kind)
+    for index in reversed(minuses):
+        # The next token is the digits the ``-`` was scanned before.
+        if index == 0 or (kinds[index - 1] in ("op", "punct")
+                          and texts[index - 1] != ")"):
+            texts[index] += texts.pop(index + 1)
+            kinds[index] = "number"
+            del kinds[index + 1], offsets[index + 1]
+        else:
+            kinds[index] = "op"
+    return texts, kinds, offsets
 
 
 # ---------------------------------------------------------------------------
 # Recursive-descent parser
 # ---------------------------------------------------------------------------
 
+_COMPARISONS = frozenset(COMPARISON_OPERATORS)
+_ADDITIVE = frozenset(("+", "-"))
+_MULTIPLICATIVE = frozenset(("*", "/", "%"))
+#: What may follow a wildcard ``*`` (otherwise ``*`` multiplies).
+_WILDCARD_END = frozenset((",", ")", "."))
+#: What may follow an operand that is its own expression.
+_OPERAND_END = _WILDCARD_END | _COMPARISONS
+_OPERANDS = frozenset(("ident", "number"))
+_BOOLEANS = {"true": 1, "false": 0}
+
+
+class _Syntax(Exception):
+    """A syntax error at a token index; :meth:`_Parser.run` makes it a
+    ``ParseError`` at that token's position."""
+
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    __slots__ = ("texts", "kinds", "offsets", "end", "newlines", "pos",
+                 "anonymous")
+
+    def __init__(self, source):
+        self.texts, self.kinds, self.offsets = _scan(source)
+        self.end = len(self.offsets)
+        # Lookahead reads sentinels past the last token instead of checking
+        # for the end of input: no production matches an empty text or kind.
+        self.texts += ("", "", "")
+        self.kinds += ("", "", "")
+        self.newlines = _newlines(source)
         self.pos = 0
-        self.anonymous_counter = 0
+        self.anonymous = 0
 
-    # -- token helpers ------------------------------------------------------
+    def run(self, production, *args):
+        """``production(self, *args)``, which must read every token.  A
+        syntax error or too deep a nesting is a ``ParseError`` at its token;
+        past the last token, the end of input (at the last token)."""
+        try:
+            result = production(self, *args)
+            if self.pos < self.end:
+                raise _Syntax(self.pos, "unexpected trailing input "
+                                        f"{self.texts[self.pos]!r}")
+            return result
+        except RecursionError:
+            index, message = self.pos, "expression nested too deeply"
+        except _Syntax as error:
+            index, message = error.args
+        if index < self.end:
+            raise ParseError(message, *self.position(index))
+        if self.end:
+            raise ParseError("unexpected end of input",
+                             *self.position(self.end - 1))
+        raise ParseError("unexpected end of input")
 
-    def _peek(self, offset=0) -> Optional[Token]:
-        index = self.pos + offset
-        if index < len(self.tokens):
-            return self.tokens[index]
-        return None
+    def position(self, index):
+        return _position(self.newlines, self.offsets[index])
 
-    def _next(self) -> Token:
-        token = self._peek()
-        if token is None:
-            if self.tokens:
-                last = self.tokens[-1]
-                raise ParseError("unexpected end of input", last.line, last.column)
-            raise ParseError("unexpected end of input")
-        self.pos += 1
-        return token
-
-    def _expect(self, text) -> Token:
-        token = self._next()
-        if token.text != text:
-            raise ParseError(
-                f"expected {text!r}, found {token.text!r}", token.line, token.column
-            )
-        return token
-
-    def _at(self, text, offset=0):
-        token = self._peek(offset)
-        return token is not None and token.text == text
+    def expect(self, text):
+        pos = self.pos
+        if self.texts[pos] != text:
+            raise _Syntax(pos, f"expected {text!r}, found {self.texts[pos]!r}")
+        self.pos = pos + 1
 
     # -- grammar ------------------------------------------------------------
 
-    def parse_program(self, name="program"):
+    def program(self, name):
         rules = []
-        while self._peek() is not None:
-            rules.append(self.parse_rule())
-        return Program(rules=rules, name=name)
+        while self.pos < self.end:
+            rules.append(self.rule())
+        return Program(tuple(rules), name)
 
-    def parse_rule(self):
-        start = self._peek()
-        name = self._parse_rule_name()
-        head = self.parse_atom()
-        if head.negated:
-            raise ParseError(
-                f"rule head {head.table!r} must not be negated",
-                head.line or 0, head.column or 0)
-        self._expect(":-")
-        body, selections, assignments = [], [], []
-        while True:
-            term = self._parse_term()
-            if isinstance(term, Atom):
-                body.append(term)
-            elif isinstance(term, Selection):
-                selections.append(term)
-            else:
-                assignments.append(term)
-            token = self._next()
-            if token.text == ".":
-                break
-            if token.text != ",":
-                raise ParseError(
-                    f"expected ',' or '.', found {token.text!r}",
-                    token.line,
-                    token.column,
-                )
-        return Rule(name=name, head=head, body=body,
-                    selections=selections, assignments=assignments,
-                    line=start.line if start else None,
-                    column=start.column if start else None)
-
-    def _parse_rule_name(self):
+    def rule(self):
+        texts, kinds = self.texts, self.kinds
+        start = self.pos
         # A rule name is an identifier immediately followed by another
         # identifier (the head table).  Without a name the head table is
         # followed directly by "(".
-        first = self._peek()
-        second = self._peek(1)
-        if (
-            first is not None
-            and second is not None
-            and first.kind == "ident"
-            and second.kind == "ident"
-        ):
-            self._next()
-            return first.text
-        self.anonymous_counter += 1
-        return f"r{self.anonymous_counter}"
-
-    def parse_atom(self):
-        negated = False
-        if self._at("!"):
-            self._next()
-            negated = True
-        table_token = self._next()
-        if table_token.kind != "ident":
-            raise ParseError(
-                f"expected table name, found {table_token.text!r}",
-                table_token.line,
-                table_token.column,
-            )
-        self._expect("(")
-        args = []
-        location_index = None
-        if not self._at(")"):
-            while True:
-                if self._at("@"):
-                    self._next()
-                    location_index = len(args)
-                args.append(self.parse_expression())
-                if self._at(","):
-                    self._next()
-                    continue
+        if kinds[start] == "ident" and kinds[start + 1] == "ident":
+            name = texts[start]
+            self.pos = start + 1
+        else:
+            self.anonymous += 1
+            name = f"r{self.anonymous}"
+        head = self.atom()
+        if head.negated:
+            raise ParseError(f"rule head {head.table!r} must not be negated",
+                             head.line or 0, head.column or 0)
+        self.expect(":-")
+        body, selections, assignments = [], [], []
+        terms = {Atom: body, Selection: selections, Assignment: assignments}
+        while True:
+            term = self.term()
+            terms[type(term)].append(term)
+            pos = self.pos
+            self.pos = pos + 1
+            if texts[pos] == ".":
                 break
-        self._expect(")")
-        return Atom(table_token.text, args, location_index=location_index,
-                    negated=negated, line=table_token.line,
-                    column=table_token.column)
+            if texts[pos] != ",":
+                raise _Syntax(pos, f"expected ',' or '.', found {texts[pos]!r}")
+        return Rule(name, head, tuple(body), tuple(selections),
+                    tuple(assignments), *self.position(start))
 
-    def _parse_term(self):
+    def atom(self):
+        texts = self.texts
+        negated = texts[self.pos] == "!"
+        table = self.pos + negated
+        if self.kinds[table] != "ident":
+            raise _Syntax(table,
+                          f"expected table name, found {texts[table]!r}")
+        self.pos = table + 1
+        args, location_index = self.arguments(located=True)
+        return Atom(texts[table], args, location_index, negated,
+                    *self.position(table))
+
+    def arguments(self, located):
+        """``(`` expressions ``)``, and the index of the last one marked
+        ``@`` when they are an atom's (``located``)."""
+        texts = self.texts
+        self.expect("(")
+        args, location_index = [], None
+        if texts[self.pos] != ")":
+            while True:
+                if located and texts[self.pos] == "@":
+                    self.pos += 1
+                    location_index = len(args)
+                args.append(self.expression())
+                if texts[self.pos] != ",":
+                    break
+                self.pos += 1
+        self.expect(")")
+        return tuple(args), location_index
+
+    def term(self):
+        texts, kinds = self.texts, self.kinds
+        pos = self.pos
         # Negated body atom: "!" ident "(" ...
-        token = self._peek()
-        nxt = self._peek(1)
-        after = self._peek(2)
-        if (token is not None and token.text == "!" and nxt is not None
-                and nxt.kind == "ident" and after is not None and after.text == "("):
-            return self.parse_atom()
-        # Body atom: ident "(" ...
-        if token is not None and token.kind == "ident" and nxt is not None and nxt.text == "(":
-            # Distinguish function-call selections (f_match(...) == True) from
-            # atoms by looking for a trailing comparison operator; plain
-            # function calls used as whole terms are treated as selections.
-            saved = self.pos
-            atom = self.parse_atom()
-            if self._peek() is not None and self._peek().text in COMPARISON_OPERATORS:
-                self.pos = saved
-            else:
-                return atom
-        # Assignment: Var ":=" expr
-        if token is not None and token.kind == "ident" and nxt is not None and nxt.text == ":=":
-            var_token = self._next()
-            self._next()  # consume ':='
-            expr = self.parse_expression()
-            return Assignment(var_token.text, expr)
-        # Otherwise a selection predicate.
-        left = self.parse_expression()
-        op_token = self._next()
-        if op_token.text not in COMPARISON_OPERATORS:
-            raise ParseError(
-                f"expected comparison operator, found {op_token.text!r}",
-                op_token.line,
-                op_token.column,
-            )
-        right = self.parse_expression()
-        return Selection(BinOp(op_token.text, left, right))
+        if (texts[pos] == "!" and kinds[pos + 1] == "ident"
+                and texts[pos + 2] == "("):
+            return self.atom()
+        if kinds[pos] == "ident":
+            # Body atom: ident "(" ...  Distinguish function-call selections
+            # (f_match(...) == True) from atoms by looking for a trailing
+            # comparison operator; plain function calls used as whole terms
+            # are treated as selections.
+            if texts[pos + 1] == "(":
+                atom = self.atom()
+                if texts[self.pos] not in _COMPARISONS:
+                    return atom
+                self.pos = pos
+            # Assignment: Var ":=" expr
+            elif texts[pos + 1] == ":=":
+                self.pos = pos + 2
+                return Assignment(texts[pos], self.expression())
+        # Otherwise a selection predicate: an expression never has a
+        # comparison at its top, so only a comparison() of two does.
+        expr = self.comparison()
+        if not (isinstance(expr, BinOp) and expr.op in _COMPARISONS):
+            raise _Syntax(self.pos, "expected comparison operator, found "
+                                    f"{texts[self.pos]!r}")
+        return Selection(expr)
 
     # Expressions: additive over multiplicative over primary.
 
-    def parse_expression(self):
-        return self._parse_additive()
+    def expression(self):
+        pos = self.pos
+        if (self.texts[pos + 1] in _OPERAND_END
+                and self.kinds[pos] in _OPERANDS):
+            return self.primary()
+        return self.additive()
 
-    def _parse_additive(self):
-        left = self._parse_multiplicative()
-        while self._peek() is not None and self._peek().text in ("+", "-"):
-            op = self._next().text
-            right = self._parse_multiplicative()
-            left = BinOp(op, left, right)
+    def additive(self):
+        texts = self.texts
+        left = self.multiplicative()
+        while texts[self.pos] in _ADDITIVE:
+            op = texts[self.pos]
+            self.pos += 1
+            left = BinOp(op, left, self.multiplicative())
         return left
 
-    def _parse_multiplicative(self):
-        left = self._parse_primary()
-        while self._peek() is not None and self._peek().text in ("*", "/", "%"):
+    def multiplicative(self):
+        texts = self.texts
+        left = self.primary()
+        while texts[self.pos] in _MULTIPLICATIVE:
+            pos = self.pos
             # "*" followed by "," or ")" is the wildcard constant, not a
             # multiplication; only treat it as an operator when an operand
             # follows.
-            nxt = self._peek(1)
-            if self._peek().text == "*" and (nxt is None or nxt.text in (",", ")", ".")):
+            if texts[pos] == "*" and (pos + 1 >= self.end
+                                      or texts[pos + 1] in _WILDCARD_END):
                 break
-            op = self._next().text
-            right = self._parse_primary()
-            left = BinOp(op, left, right)
+            self.pos = pos + 1
+            left = BinOp(texts[pos], left, self.primary())
         return left
 
-    def _parse_primary(self):
-        token = self._next()
-        if token.kind == "number":
-            return Const(int(token.text))
-        if token.kind == "string":
-            return Const(token.text)
-        if token.text == "*":
+    def primary(self):
+        texts = self.texts
+        pos = self.pos
+        kind, text = self.kinds[pos], texts[pos]
+        self.pos = pos + 1
+        if kind == "number":
+            try:
+                return Const(int(text))
+            except ValueError:
+                raise _Syntax(pos, f"invalid number {text!r}")
+        if kind == "string":
+            return Const(text)
+        if text == "*":
             return Const(WILDCARD)
-        if token.text == "(":
-            expr = self.parse_expression()
-            self._expect(")")
+        if text == "(":
+            expr = self.expression()
+            self.expect(")")
             return expr
-        if token.kind == "ident":
-            if self._at("("):
-                self._next()
-                args = []
-                if not self._at(")"):
-                    while True:
-                        args.append(self.parse_expression())
-                        if self._at(","):
-                            self._next()
-                            continue
-                        break
-                self._expect(")")
-                return FuncCall(token.text, tuple(args))
-            lowered = token.text.lower()
-            if lowered == "true":
-                return Const(1)
-            if lowered == "false":
-                return Const(0)
-            return Var(token.text)
-        raise ParseError(
-            f"unexpected token {token.text!r}", token.line, token.column
-        )
+        if kind == "ident":
+            if texts[self.pos] == "(":
+                return FuncCall(text, self.arguments(located=False)[0])
+            value = _BOOLEANS.get(text.lower())
+            return Var(text) if value is None else Const(value)
+        raise _Syntax(pos, f"unexpected token {text!r}")
 
+    def comparison(self):
+        """An expression with at most one trailing comparison."""
+        expr = self.expression()
+        op = self.texts[self.pos]
+        if op in _COMPARISONS:
+            self.pos += 1
+            expr = BinOp(op, expr, self.expression())
+        return expr
 
-# ---------------------------------------------------------------------------
-# Public API
-# ---------------------------------------------------------------------------
 
 
 def parse_program(source, name="program") -> Program:
     """Parse NDlog source text into a :class:`~repro.ndlog.ast.Program`."""
-    return _Parser(tokenize(source)).parse_program(name=name)
+    return _Parser(source).run(_Parser.program, name)
 
 
 def parse_rule(source) -> Rule:
     """Parse a single rule (must end with a period)."""
-    parser = _Parser(tokenize(source))
-    rule = parser.parse_rule()
-    if parser._peek() is not None:
-        extra = parser._peek()
-        raise ParseError(
-            f"unexpected trailing input {extra.text!r}", extra.line, extra.column
-        )
-    return rule
+    return _Parser(source).run(_Parser.rule)
 
 
 def parse_expression(source) -> Expression:
@@ -376,16 +384,4 @@ def parse_expression(source) -> Expression:
     A single trailing comparison is allowed, so both ``"Swi + 1"`` and
     ``"Swi == 2"`` parse.
     """
-    parser = _Parser(tokenize(source))
-    expr = parser.parse_expression()
-    token = parser._peek()
-    if token is not None and token.text in COMPARISON_OPERATORS:
-        parser._next()
-        right = parser.parse_expression()
-        expr = BinOp(token.text, expr, right)
-    if parser._peek() is not None:
-        extra = parser._peek()
-        raise ParseError(
-            f"unexpected trailing input {extra.text!r}", extra.line, extra.column
-        )
-    return expr
+    return _Parser(source).run(_Parser.comparison)

@@ -51,6 +51,18 @@ def test_cli_lint_parse_error_reports_position(tmp_path, capsys):
     assert f"{source}:1:" in err and "(parse)" in err
 
 
+@pytest.mark.parametrize("literal", ["\u00b2", "9" * 5000])
+def test_cli_lint_unparseable_number_is_a_parse_error(tmp_path, capsys,
+                                                      literal):
+    source = tmp_path / "bad.ndlog"
+    source.write_text(f"r1 A(@X) :- B(@X), X == {literal}.\n",
+                      encoding="utf-8")
+    assert main(["lint", str(source)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{source}:1:25: error: (parse) invalid number ")
+    assert "Traceback" not in err
+
+
 def _lint_candidates(tmp_path, capsys, candidates):
     path = tmp_path / "candidates.json"
     path.write_text(json.dumps([candidate_to_wire(c) for c in candidates]))

@@ -97,6 +97,17 @@ class TestRuleParsing:
         with pytest.raises(ParseError):
             parse_rule("r T(@X) :- U(@X). extra")
 
+    @pytest.mark.parametrize("literal", ["\u00b2", "1\u00b23", "-\u00b2"])
+    def test_a_digit_int_refuses_is_a_parse_error_at_its_position(
+            self, literal):
+        # str.isdigit accepts a superscript two and int() does not: the
+        # number is a ParseError at its own position.
+        source = f"r1 A(@X) :- B(@X), X == {literal}."
+        with pytest.raises(ParseError) as excinfo:
+            parse_program(source)
+        assert excinfo.value.message == f"invalid number {literal!r}"
+        assert (excinfo.value.line, excinfo.value.column) == (1, 25)
+
 
 class TestProgramParsing:
     def test_figure2_program_parses(self):

@@ -66,6 +66,27 @@ def test_parse_error_carries_position():
     assert excinfo.value.column >= 1
 
 
+def test_a_newline_inside_a_string_literal_moves_later_positions():
+    # The "2" is on line 2, column 12; a tokenizer that did not count the
+    # string's newline reported line 1, column 39.
+    with pytest.raises(ParseError) as excinfo:
+        parse_program('r1 A(@X) :- B(@X), X == "a\nb", Y == 1 2.')
+    assert excinfo.value.message == "expected ',' or '.', found '2'"
+    assert (excinfo.value.line, excinfo.value.column) == (2, 12)
+
+
+def test_rules_and_atoms_after_a_multi_line_string_keep_their_lines():
+    program = parse_program('r1 A(@X) :- B(@X), X == "a\nb", C(@X).\n'
+                            "r2 D(@X) :- E(@X).")
+    r1, r2 = program.rules
+    assert r1.selections[0].right.value == "a\nb"
+    assert (r1.line, r1.column) == (1, 1)
+    assert [(atom.line, atom.column) for atom in r1.body] == [(1, 13), (2, 5)]
+    assert (r2.line, r2.column) == (3, 1)
+    assert [(atom.line, atom.column) for atom in (r2.head, *r2.body)] == [
+        (3, 4), (3, 13)]
+
+
 def test_negated_atom_round_trips():
     program = parse_program(
         "a1 Allowed(@Swi, Sip) :- Request(@Swi, Sip), !Blocked(@Swi, Sip).")

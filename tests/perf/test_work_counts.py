@@ -55,6 +55,10 @@ rule-edit candidate makes the same number of calls into ``repro/`` on Q1's 8
 rules as on Q1 padded to 250, and the 14 candidates of the padded program
 stay under a ceiling — a tuple insert costs the rules that read its table,
 which is its edit's cone.
+"A rule costs its text": ``parse_program`` makes the same number of calls
+into ``repro/ndlog`` per rule (±1) on Q1 padded to 40 rules as on 250, at
+most 60 (310 while the tokenizer built a ``Token`` per token and the parser
+read each through ``_peek``/``_at``).
 """
 
 import collections
@@ -68,7 +72,7 @@ from repro.api import RepairConfig, RepairSession, TelemetryConfig
 from repro.backtest import Backtester, WarmEvaluationState, replay
 from repro.distrib import WorkerPool, close_parked_fleets
 from repro.meta import MetaProvenanceExplorer, explorer
-from repro.ndlog import Engine, plan
+from repro.ndlog import Engine, parse_program, plan
 from repro.ndlog.plan import PLAN_CACHE, CompiledRule
 from repro.repair import (ChangeConstant, ChangeTuple, DeleteTuple,
                           InsertTuple, RepairCandidate, apply_candidate)
@@ -78,7 +82,7 @@ from repro.sdn.network import NetworkSimulator
 from repro.sdn.packets import Packet
 from repro.sdn.switch import FlowEntry, FlowTable, Switch
 
-from padded_programs import padded_program
+from padded_programs import padded_program, padded_source
 
 COUNTERS = ("engine_fixpoints", "rules_fired", "tuples_derived",
             "packets_replayed", "plan_cache_misses", "candidates_backtested",
@@ -89,11 +93,11 @@ PINNED = {
     "Q1": {"engine_fixpoints": 778, "rules_fired": 866, "tuples_derived": 842,
            "packets_replayed": 2808, "plan_cache_misses": 11,
            "candidates_backtested": 14, "candidates_vetoed": 2,
-           "python_calls": 117273},
+           "python_calls": 115155},
     "Q4": {"engine_fixpoints": 160, "rules_fired": 248, "tuples_derived": 248,
            "packets_replayed": 1280, "plan_cache_misses": 9,
            "candidates_backtested": 11, "candidates_vetoed": 1,
-           "python_calls": 35798},
+           "python_calls": 35050},
 }
 #: Calls into ``repro/meta`` of one 14-candidate exploration of Q1's goal
 #: (explorer construction included), by number of rules in the program.
@@ -141,6 +145,11 @@ PINNED_WORKER_LAUNCHES_3_SESSIONS = 2
 #: linter's whole verdict, the findings of every pass over the patched
 #: program (2,630 on Q1's 8 rules).
 PREFILTER_CALLS_CEILING_250_RULES = 6000
+#: Calls into ``repro/ndlog`` of ``parse_program`` on Q1 padded to 250 rules,
+#: and the ceiling per rule.  77,318 (309.3 per rule; 310.7 on 40 rules)
+#: while a character loop built a ``Token`` per token.
+PINNED_PARSE_CALLS_250_RULES = 12769
+PARSE_CALLS_PER_RULE_CEILING = 60
 PYTHON_CALLS_CEILING = 1.10
 TUPLE_EDITS = (InsertTuple, DeleteTuple, ChangeTuple)
 SDN_PACKAGE = os.path.dirname(switch.__file__)
@@ -520,3 +529,30 @@ def test_an_exploration_builds_only_what_it_returns(total_rules,
         "8 and 250 rules when every attempt was one)")
     pinned = PINNED_EXPLORATION_STATS[total_rules]
     assert {name: getattr(result.stats, name) for name in pinned} == pinned
+
+
+def test_a_rule_costs_its_text():
+    def parse_calls(total_rules):
+        source = padded_source(build_q1(), total_rules)
+        programs = []
+        calls = _python_calls(
+            lambda: programs.append(parse_program(source)),
+            under=NDLOG_PACKAGE)
+        assert len(programs[0]) == total_rules
+        return calls
+
+    on_40, on_250 = parse_calls(40), parse_calls(250)
+    per_rule = (on_40 / 40, on_250 / 250)
+    assert abs(per_rule[0] - per_rule[1]) <= 1, (
+        f"parsing costs {per_rule[0]:.1f} calls into repro/ndlog per rule on "
+        f"40 rules and {per_rule[1]:.1f} on 250: the per-rule cost grows with "
+        "the program")
+    assert max(per_rule) <= PARSE_CALLS_PER_RULE_CEILING, (
+        f"parsing costs {max(per_rule):.1f} calls into repro/ndlog per rule, "
+        f"more than {PARSE_CALLS_PER_RULE_CEILING} (310 with a Token per "
+        "token)")
+    assert on_250 <= PINNED_PARSE_CALLS_250_RULES * PYTHON_CALLS_CEILING, (
+        f"parsing 250 rules makes {on_250} calls into repro/ndlog, more than "
+        f"{PYTHON_CALLS_CEILING:.2f} x the pinned "
+        f"{PINNED_PARSE_CALLS_250_RULES}; if the change is intended, update "
+        "PINNED_PARSE_CALLS_250_RULES")
