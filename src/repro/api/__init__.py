@@ -25,7 +25,7 @@ from ..events import (BacktestProgress, CandidateAborted, CandidateFound,
                       CandidateQuarantined, CandidateVetoed, EventBus,
                       FabricFaultStats, JsonlEventWriter, SessionEvent,
                       SessionFinished, SessionStarted, StageFinished,
-                      StageStarted, WarmEngineStats, progress_to_events)
+                      StageStarted, WarmEngineStats)
 from .config import ConfigError, RepairConfig, TelemetryConfig
 from .session import DiagnosisReport, PhaseTimings, RepairSession, repair
 from .stages import (DEFAULT_STAGES, BacktestStage, DiagnoseStage,
@@ -39,5 +39,5 @@ __all__ = [
     "PhaseTimings", "RankStage", "RepairConfig", "RepairSession",
     "SessionEvent", "SessionFinished", "SessionStarted", "Stage",
     "StageError", "StageFinished", "StageStarted", "TelemetryConfig",
-    "WarmEngineStats", "progress_to_events", "repair",
+    "WarmEngineStats", "repair",
 ]

@@ -106,9 +106,9 @@ class RepairConfig(Wire):
     #: Worker count for candidate evaluation (1 = serial).
     workers: int = 1
     #: Distributed-fabric transport name (``"inprocess"``, ``"spawn"``,
-    #: ``"socket"``); ``None`` leaves it to the backtester, which runs
-    #: serial or — ``workers > 1`` on a job worth it — on a spawn fleet of
-    #: its own (``Backtester._run_candidates``).
+    #: ``"socket"``); ``None`` runs serial or — ``workers > 1`` on a job
+    #: worth a fleet (``PARALLEL_MIN_SECONDS``) — on a borrowed spawn fleet
+    #: (:meth:`make_scheduler`).
     transport: Optional[str] = None
     #: Extra keyword arguments for the transport (e.g. socket ``port``).
     transport_options: Dict[str, object] = field(default_factory=dict)
@@ -172,27 +172,26 @@ class RepairConfig(Wire):
             use_significance=self.use_significance,
             trace_limit=self.trace_limit,
             max_packet_in_growth=self.max_packet_in_growth,
-            workers=self.workers,
             replay_batch_size=self.replay_batch_size,
             abort_policy=self.abort,
             warm_engine=self.warm_engine,
             static_vet=self.static_vet,
             multiquery=self.multiquery)
 
-    def make_scheduler(self, progress=None, events=None, telemetry=None):
-        """The configured distributed scheduler, or ``None`` for local runs.
+    def make_scheduler(self, events=None, telemetry=None):
+        """The configured distributed scheduler, or ``None`` for serial runs.
 
-        This is the single construction path from declarative knobs to a
-        :class:`repro.distrib.Scheduler` — call sites no longer hand-wire
-        transports, worker counts and abort policies.  The scheduler
-        borrows the process's idle fleet of this shape, if any, and
-        ``close()`` parks it again (``Scheduler.borrow``).
+        The single construction path from declarative knobs to a
+        :class:`repro.distrib.Scheduler`: a named ``transport`` or
+        ``workers > 1`` gets one.  The scheduler borrows the process's idle
+        fleet of this shape, if any, and ``close()`` parks it again
+        (``Scheduler.borrow``).  Without a named transport it is *gated*:
+        the backtester still runs a job too small for a fleet serially.
         """
-        if self.transport is None:
+        if self.transport is None and self.workers <= 1:
             return None
         from ..distrib.coordinator import Scheduler
-        return Scheduler.from_config(self, progress=progress, events=events,
-                                     telemetry=telemetry)
+        return Scheduler.from_config(self, events=events, telemetry=telemetry)
 
     def make_telemetry(self):
         """A live :class:`repro.obs.Telemetry` bundle, or ``None`` when the

@@ -27,8 +27,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from ..backtest.ranking import rank_results
-from ..events import (CandidateFound, CandidateVetoed, WarmEngineStats,
-                      progress_to_events)
+from ..events import CandidateFound, CandidateVetoed, WarmEngineStats
 from ..meta.explorer import MetaProvenanceExplorer
 
 
@@ -97,9 +96,10 @@ class BacktestStage(Stage):
     requires = ("exploration",)
 
     def run(self, session):
-        """Backtest serially, or on a fleet borrowed for this stage: closing
-        the scheduler parks the fleet for the process's next session of the
-        same shape, and the fleet is closed at interpreter exit."""
+        """Backtest serially, or on the fleet the config's scheduler
+        borrows for this stage: closing the scheduler parks the fleet for
+        the process's next session of the same shape, and the fleet is
+        closed at interpreter exit."""
         from ..ndlog.plan import PLAN_CACHE
 
         config = session.config
@@ -108,17 +108,11 @@ class BacktestStage(Stage):
         backtester.telemetry = telemetry
         session.backtester = backtester
         candidates = session.artifacts["exploration"].candidates
-        scheduler = config.make_scheduler(events=session.events,
-                                          telemetry=telemetry)
+        scheduler = config.make_scheduler(telemetry=telemetry)
         plan_cache_before = PLAN_CACHE.stats()
         try:
-            if scheduler is not None:
-                # The coordinator publishes BacktestProgress itself.
-                report = backtester.evaluate_all(candidates,
-                                                 scheduler=scheduler)
-            else:
-                report = backtester.evaluate_all(
-                    candidates, progress=progress_to_events(session.events))
+            report = backtester.evaluate_all(candidates, scheduler=scheduler,
+                                             events=session.events)
         finally:
             if scheduler is not None:
                 scheduler.close()

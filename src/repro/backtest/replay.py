@@ -27,6 +27,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..events import publish_progress
 from ..repair.apply import RepairedProgram, apply_candidate
 from ..repair.candidates import RepairCandidate
 from ..sdn.network import NetworkSimulator, TrafficStats
@@ -36,15 +37,17 @@ from .metrics import KSResult, compare_traffic
 from .multiquery import SharedTrunk
 
 
-#: Minimum estimated serial runtime (baseline replay seconds x candidate
-#: count) below which ``workers > 1`` runs serial anyway: starting a worker
-#: fleet (``distrib.fleet_start_s``) costs a few hundred milliseconds plus
-#: one scenario/warm-state rebuild per worker, so tiny jobs run *slower*
+#: Minimum estimated serial runtime (baseline replay seconds x surviving
+#: candidate count) below which a config with ``workers > 1`` and no named
+#: transport runs serial anyway (a *gated* scheduler, see
+#: :meth:`Backtester._run_candidates`): starting a worker fleet
+#: (``distrib.fleet_start_s``) costs a few hundred milliseconds plus one
+#: scenario/warm-state rebuild per worker, so tiny jobs run *slower*
 #: parallel — the Fig 9b crossover.  Only the first job of a process pays
 #: that start: later jobs of the same worker count borrow the fleet the
-#: last one parked (``Scheduler.borrow``).  One value is in
-#: use, hence a constant; the tests that push smoke-sized jobs through the
-#: fleet patch it to 0.
+#: last one parked (``Scheduler.borrow``).  A named transport bypasses the
+#: gate.  One value is in use, hence a constant; the tests that push
+#: smoke-sized jobs through a gated scheduler patch it to 0.
 PARALLEL_MIN_SECONDS = 1.0
 
 
@@ -202,16 +205,16 @@ class Backtester:
     One procedure (Sections 4.3-4.4): replay the recorded trace under each
     repaired program and compare with the baseline.  ``multiquery=True``
     keeps the procedure and shares the base program's work between
-    candidates (:mod:`repro.backtest.multiquery`); ``workers > 1`` keeps it
-    and moves the per-candidate evaluations onto the worker fabric
-    (:mod:`repro.distrib`).  Reports are bit-identical either way.
+    candidates (:mod:`repro.backtest.multiquery`); ``evaluate_all(...,
+    scheduler=...)`` keeps it and moves the per-candidate evaluations onto
+    the worker fabric (:mod:`repro.distrib`).  Reports are bit-identical
+    either way.
     """
 
     def __init__(self, scenario, ks_threshold: float = 0.05,
                  alpha: float = 0.05, use_significance: bool = False,
                  trace_limit: Optional[int] = None,
                  max_packet_in_growth: Optional[float] = None,
-                 workers: int = 1,
                  replay_batch_size: Optional[int] = None,
                  abort_policy: Optional[EarlyAbortPolicy] = None,
                  warm_engine: bool = True,
@@ -227,12 +230,6 @@ class Backtester:
         #: rejects some Q4 candidates for "significant increases of controller
         #: traffic").
         self.max_packet_in_growth = max_packet_in_growth
-        #: Candidate evaluations are independent of each other; with
-        #: ``workers > 1`` and no explicit scheduler, ``evaluate_all`` runs
-        #: them on a spawn fleet it owns for the call (see
-        #: :meth:`_run_candidates` for when it stays serial instead).
-        #: Results are bit-identical to the serial path, in input order.
-        self.workers = workers
         #: Replay the trace in bursts of this size (one engine fixpoint per
         #: burst of PacketIns) when the controller program admits it; see
         #: :mod:`repro.controllers.batching`.
@@ -497,43 +494,38 @@ class Backtester:
                               effective=effective, accepted=accepted,
                               notes=notes)
 
-    def _run_candidates(self, candidates: List[RepairCandidate],
-                        workers: Optional[int],
-                        scheduler, progress=None) -> List[ShardOutcome]:
-        """Evaluate candidates serially or through the worker fabric.
+    def _run_candidates(self, candidates: List[RepairCandidate], scheduler,
+                        events) -> List[ShardOutcome]:
+        """Evaluate candidates serially or through ``scheduler`` (a
+        :class:`repro.distrib.Scheduler`), in input order, publishing each
+        finished one on ``events``.
 
-        ``scheduler`` (a :class:`repro.distrib.Scheduler`) is used as given.
-        Without one, ``workers > 1`` borrows a ``spawn`` fleet for this call
-        (the process's idle one if it has that size, else a new one; parked
-        again afterwards) — provided the scenario carries a
-        :class:`~repro.scenarios.spec.ScenarioSpec` (fabric workers rebuild
-        the scenario from it; a live scenario object without a spec cannot
-        leave the process, so it runs serial) and the job is estimated at
-        :data:`PARALLEL_MIN_SECONDS` or more of serial replay (the baseline
-        replay, timed by ``evaluate_all``, times the candidate count, since
-        every candidate replays the same trace).  All paths return bit-identical
-        outcomes in input order and stream ``progress(done, total,
-        result)`` as candidates complete.
+        The min-work gate is decided here, once: a *gated* scheduler
+        (``workers > 1`` with no named transport) runs the job only when
+        there are several candidates, the scenario carries a
+        :class:`~repro.scenarios.spec.ScenarioSpec` (fabric workers
+        rebuild the scenario from it; a live scenario object without one
+        cannot leave the process) and the job is estimated at
+        :data:`PARALLEL_MIN_SECONDS` or more of serial replay (the timed
+        baseline replay times the candidate count, since every candidate
+        replays the same trace); otherwise the serial loop runs.  Every
+        path returns bit-identical outcomes.
         """
-        if scheduler is not None:
-            return scheduler.run(self, candidates, progress=progress)
-        workers = self.workers if workers is None else workers
-        if ((workers or 1) > 1 and len(candidates) > 1
+        if scheduler is not None and (not scheduler.gated or (
+                len(candidates) > 1
                 and getattr(self.scenario, "spec", None) is not None
                 and (self._baseline_seconds or 0.0) * len(candidates)
-                >= PARALLEL_MIN_SECONDS):
-            from ..distrib import Scheduler
-            with Scheduler.borrow("spawn", workers=workers) as owned:
-                return self._run_candidates(candidates, workers, owned,
-                                            progress=progress)
+                >= PARALLEL_MIN_SECONDS)):
+            return scheduler.run(self, candidates, events)
         outcomes = []
         for done, candidate in enumerate(candidates, 1):
             with self._span("candidate", index=done - 1, tag=candidate.tag,
                             description=candidate.description):
                 outcome = self.evaluate_outcome(candidate)
             outcomes.append(outcome)
-            if progress is not None:
-                progress(done, len(candidates), outcome.result)
+            if events is not None:
+                publish_progress(events, done, len(candidates),
+                                 outcome.result)
         return outcomes
 
     def _absorb_outcomes(self, outcomes) -> None:
@@ -599,15 +591,18 @@ class Backtester:
         return survivors, vetoed
 
     def evaluate_all(self, candidates: Sequence[RepairCandidate],
-                     workers: Optional[int] = None,
-                     scheduler=None, progress=None) -> BacktestReport:
+                     scheduler=None, events=None) -> BacktestReport:
+        """Backtest ``candidates`` into a report in input order: serially,
+        or on ``scheduler`` — the backtester's only fabric hook.  Progress
+        is published on ``events``, else on the scheduler's own bus."""
+        if events is None and scheduler is not None:
+            events = scheduler.events
         started = _time.perf_counter()
         report = BacktestReport(baseline=self.baseline(),
                                 packet_count=len(self._trace()))
         all_candidates = list(candidates)
         survivors, vetoed = self._prefilter(all_candidates)
-        outcomes = self._run_candidates(survivors, workers, scheduler,
-                                        progress=progress)
+        outcomes = self._run_candidates(survivors, scheduler, events)
         self._absorb_outcomes(outcomes)
         # Interleave replayed and vetoed results back into input order.
         replayed = iter(outcomes)

@@ -2,25 +2,28 @@
 
 Backtesting dominates the repair loop's turnaround (Figure 9b): every
 candidate replays the whole historical trace.  This package turns that
-embarrassingly parallel workload into a schedulable fabric:
+embarrassingly parallel workload into a schedulable fabric, with one way
+to run a job — a :class:`Scheduler` over a :class:`Transport`, built from
+a config by ``RepairConfig.make_scheduler`` only:
 
 * :mod:`~repro.distrib.jobs` — the declarative job wire
   (:class:`BacktestJob`, a :mod:`repro.wire` type) built on spawn-safe
   :class:`~repro.scenarios.spec.ScenarioSpec` handles and candidate wires;
-* :mod:`~repro.distrib.coordinator` — pull-based work-queue dispatch with
-  input-order result streaming, progress callbacks and optional
-  early-abort of hopeless replays; spawn sessions of one process borrow
-  its one idle fleet (``Scheduler.borrow``), closed at exit or by
-  :func:`close_parked_fleets`;
+* :mod:`~repro.distrib.coordinator` — :class:`Scheduler`: input-order
+  results, outcome decode, quarantine rows, the fault-stats fold,
+  progress on the session's event bus, optional early abort of hopeless
+  replays; spawn sessions of one process borrow its one idle fleet
+  (``Scheduler.borrow``), closed at exit or by :func:`close_parked_fleets`;
+* :mod:`~repro.distrib.transport` — :class:`Transport`, one class under
+  three names: ``"inprocess"`` is its zero-worker case (a serial drain in
+  the calling process), ``"spawn"`` and ``"socket"`` name one
+  pool-backed fleet;
 * :mod:`~repro.distrib.pool` — the one supervised worker fleet
   (:class:`WorkerPool`): listener, token handshake, frame protocol,
   respawn, deadlines and the retry rule, parametrised by a
   :class:`DispatchPolicy`;
-* :mod:`~repro.distrib.transport` — the in-process reference transport
-  and the pool-backed one (``"spawn"`` and ``"socket"`` are two names
-  for it), served by ``python -m repro.distrib.worker`` processes, which
-  may live on other machines;
-* :mod:`~repro.distrib.worker` — the ``repro-worker`` entry point.
+* :mod:`~repro.distrib.worker` — the ``repro-worker`` entry point
+  (``python -m repro.distrib.worker``), which may run on other machines.
 
 Every transport is an optimisation, not an approximation: with the abort
 policy off, reports are bit-identical to serial evaluation (asserted
@@ -44,24 +47,22 @@ from .faults import (FAULT_KINDS, FaultAction, FaultInjector, FaultPlan,
 # none of the fleet: sockets, subprocesses and frames load with the first
 # name that needs them.
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "coordinator": ("Coordinator", "Scheduler", "close_parked_fleets"),
+    "coordinator": ("Scheduler", "close_parked_fleets"),
     "jobs": ("BacktestJob", "BacktesterConfig", "DistribError",
              "JobRuntime", "JobWireError", "RuntimeCache", "build_job_wire",
              "job_digest", "strip_candidates"),
     "pool": ("DispatchPolicy", "FrameError", "PoolJob", "TransportError",
              "WorkItem", "WorkerPool"),
-    "transport": ("BaseTransport", "InProcessTransport", "SocketTransport",
-                  "make_transport"),
+    "transport": ("Transport",),
 })
 
 __all__ = [
-    "BacktestJob", "BacktesterConfig", "BaseTransport", "Coordinator",
-    "DispatchPolicy", "DistribError", "EarlyAbortPolicy", "FAULT_KINDS",
-    "FaultAction", "FaultInjector", "FaultPlan", "FaultStats",
-    "FaultToleranceConfig", "FrameError", "InProcessTransport",
+    "BacktestJob", "BacktesterConfig", "DispatchPolicy", "DistribError",
+    "EarlyAbortPolicy", "FAULT_KINDS", "FaultAction", "FaultInjector",
+    "FaultPlan", "FaultStats", "FaultToleranceConfig", "FrameError",
     "InjectedFault", "JobRuntime", "JobWireError", "PoolJob",
-    "QuarantinedItem", "RuntimeCache", "Scheduler", "SocketTransport",
+    "QuarantinedItem", "RuntimeCache", "Scheduler", "Transport",
     "TransportError", "WorkItem", "WorkerPool", "build_job_wire",
-    "close_parked_fleets", "job_digest", "make_transport",
-    "retry_or_quarantine", "strip_candidates",
+    "close_parked_fleets", "job_digest", "retry_or_quarantine",
+    "strip_candidates",
 ]

@@ -12,7 +12,7 @@ transport that can move dicts can move jobs, and :class:`JobRuntime`
 decodes it once: a malformed job is a :class:`JobWireError` before any
 work starts.  Results flow the other way as
 :class:`~repro.backtest.replay.ShardOutcome` wires, which carry no
-candidate: the coordinator decodes each one and re-attaches its own copy,
+candidate: the scheduler decodes each one and re-attaches its own copy,
 meta provenance tree included.
 
 The :class:`JobRuntime` is the worker half: it rebuilds the scenario and
@@ -65,9 +65,9 @@ class JobWireError(WireError, DistribError):
 
 @dataclass(frozen=True)
 class BacktesterConfig:
-    """The ``Backtester`` keywords a job carries.  ``workers`` stays local:
-    parallelism is the transport's business, and a worker that started its
-    own fleet would double-shard."""
+    """The ``Backtester`` keywords a job carries.  Parallelism is not one of
+    them: it is the scheduler's business, and a worker's backtester never
+    gets a scheduler, so it cannot start a fleet of its own."""
 
     ks_threshold: float
     alpha: float
@@ -247,7 +247,7 @@ class JobRuntime:
         entry = cache.get(digest) if cache is not None else None
         if entry is None:
             scenario = job.spec.build()
-            backtester = Backtester(scenario, workers=1,
+            backtester = Backtester(scenario,
                                     **dataclasses.asdict(job.config))
             entry = _RuntimeEntry(scenario, backtester)
             if cache is not None:

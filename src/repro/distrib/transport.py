@@ -1,28 +1,29 @@
-"""Pluggable transports for the distributed backtest fabric.
+"""The transport of the distributed backtest fabric.
 
-A transport moves one :mod:`~repro.distrib.jobs` job at a time through a
-worker set under *pull* scheduling: workers ask for the next candidate
-index when they become free, so slow candidates (deep repair programs,
-abort-policy survivors) never stall a statically assigned shard.  Two
-implementations:
+A :class:`Transport` moves one :mod:`~repro.distrib.jobs` job at a time
+through a worker set under *pull* scheduling: workers ask for the next
+candidate index when they become free, so slow candidates (deep repair
+programs, abort-policy survivors) never stall a statically assigned shard.
+It is one class under three names, each mapped to a pool size by
+:func:`fleet_size`:
 
-``InProcessTransport`` (``"inprocess"``)
-    Evaluates in the calling process through the same
-    :class:`~repro.distrib.jobs.JobRuntime` the workers use — the
-    reference implementation and the zero-dependency fallback.
+``"inprocess"``
+    Zero workers: every job drains serially in the calling process,
+    through the same :class:`~repro.distrib.jobs.JobRuntime` the workers
+    use (spec rebuild, candidate decode, the outcome wire the scheduler
+    decodes) — the reference path and the zero-dependency fallback.
 
-``SocketTransport`` (``"spawn"``, ``"socket"``)
-    A :class:`~repro.distrib.pool.WorkerPool` plus a one-job,
-    input-order dispatch policy: ``repro-worker`` processes
-    (``python -m repro.distrib.worker --connect HOST:PORT``) drain one
-    shared candidate queue.  The defaults — loopback, an ephemeral port,
-    ``workers`` local worker subprocesses — are what both ``"spawn"`` and
-    ``"socket"`` mean; nothing is inherited from the parent (the job wire
-    is the only input), so the path works without ``fork``.
-    ``spawn_workers=False`` with a fixed ``port`` (and ``host="0.0.0.0"``)
-    serves remote workers instead.
+``"spawn"``, ``"socket"``
+    A :class:`~repro.distrib.pool.WorkerPool` plus a one-job, input-order
+    dispatch policy: ``repro-worker`` processes (``python -m
+    repro.distrib.worker --connect HOST:PORT``) drain one shared candidate
+    queue.  The defaults — loopback, an ephemeral port, ``workers`` local
+    worker subprocesses — are what both names mean; nothing is inherited
+    from the parent (the job wire is the only input), so the path works
+    without ``fork``.  ``spawn_workers=False`` with a fixed ``port`` (and
+    ``host="0.0.0.0"``) serves remote workers instead.
 
-Both enforce one **fault-tolerance policy**
+Every transport enforces one **fault-tolerance policy**
 (:class:`~repro.distrib.faults.FaultToleranceConfig`, ``fault_policy=``)
 through one rule, :func:`~repro.distrib.faults.retry_or_quarantine`: a
 failed item is requeued with an attempt count and, after
@@ -35,15 +36,14 @@ entirely) with no restart budget left, the remaining queue drains
 serially in-process, a recorded downgrade, not an error.  Recovery
 counters of the most recent job are on ``transport.last_fault_stats``; a
 :class:`~repro.distrib.faults.FaultPlan` (``fault_plan=``) injects
-worker failures deterministically for chaos tests.
+failures deterministically for chaos tests (in-process, ``kill`` and
+``hang`` degrade to raises).
 
-Transports are reusable across jobs (workers persist between ``run_job``
-calls, and so do their runtime caches) and are context managers;
-``close()`` shuts the workers down.  Sessions reuse them too: a scheduler
-built by ``Scheduler.borrow`` / ``Scheduler.from_config`` takes the
-process's idle fleet when it has its shape and, if the transport is still
-``reusable()``, parks it again when it closes; the one idle fleet of a
-process is closed at interpreter exit (:mod:`repro.distrib.coordinator`).
+A transport is reusable across jobs (workers persist between ``run_job``
+calls, and so do their runtime caches); ``close()`` shuts the workers
+down.  Sessions share fleets through
+``Scheduler.borrow``, which parks a ``reusable()`` one between them
+(:mod:`repro.distrib.coordinator`).
 
 Security note.  A peer must present the pool's token
 (``REPRO_WORKER_TOKEN``) as raw bytes before any frame of its connection
@@ -66,127 +66,63 @@ from .faults import (FaultInjector, FaultPlan, FaultStats,
                      FaultToleranceConfig, QuarantinedItem,
                      retry_or_quarantine)
 from .jobs import DistribError, JobRuntime, RuntimeCache, strip_candidates
-from .pool import (TICK_SECONDS, DispatchPolicy, FrameError, PoolJob,
-                   TransportError, WorkItem, WorkerLink, WorkerPool,
-                   recv_frame, send_frame)
+from .pool import (TICK_SECONDS, DispatchPolicy, PoolJob, TransportError,
+                   WorkItem, WorkerLink, WorkerPool)
 
-__all__ = ["BaseTransport", "FrameError", "InProcessTransport",
-           "ResultCallback", "SocketTransport", "TRANSPORTS",
-           "TransportError", "make_transport", "recv_frame", "send_frame"]
+__all__ = ["ResultCallback", "Transport", "fleet_size"]
 
 #: Callback invoked by ``run_job`` as results stream in (completion order).
 ResultCallback = Callable[[int, object], None]
 
 
-class BaseTransport:
-    """Interface: run jobs through a (possibly remote) worker set."""
+def fleet_size(name: str, workers: int) -> int:
+    """How many pool workers a transport named ``name`` runs: none
+    ``"inprocess"``, ``workers`` under ``"spawn"`` and ``"socket"``."""
+    if name not in ("inprocess", "spawn", "socket"):
+        raise DistribError(f"unknown transport {name!r}; expected one of "
+                           f"['inprocess', 'socket', 'spawn']")
+    return 0 if name == "inprocess" else workers
 
-    name = "?"
 
-    def __init__(self, fault_policy=None, fault_plan=None):
-        #: Retry/restart/degradation policy; every transport has one (the
-        #: defaults make fault-free runs behave exactly as before).
+class Transport(DispatchPolicy):
+    """Run one job at a time, in the calling process or on a
+    :class:`WorkerPool` served in input order.
+
+    ``name`` is what spans, events and :attr:`name` report.  A pool-backed
+    transport launches ``workers`` local worker subprocesses unless
+    ``spawn_workers=False`` — set that when pointing real remote workers at
+    ``host:port`` (use ``port=<fixed>`` and ``host=0.0.0.0`` to listen
+    beyond loopback, and export the pool's token to them).
+
+    The pool supervises the fleet (disconnects, respawn, deadlines, the
+    retry rule); this class is its dispatch policy — the pending queue of
+    the current job — plus the barrier ``run_job``, which delivers every
+    result on the caller's thread, and the serial drain that is both the
+    zero-worker path and the degradation of a fleet that is gone.
+    """
+
+    def __init__(self, name: str = "spawn", workers: int = 2,
+                 host: str = "127.0.0.1", port: int = 0,
+                 spawn_workers: bool = True, result_timeout: float = 600.0,
+                 fault_policy=None, fault_plan=None):
+        self.name = name = name.lower()
+        self.workers = fleet_size(name, workers)
+        #: Retry/restart/degradation policy; the defaults make fault-free
+        #: runs behave exactly as without one.
         self.fault_policy = FaultToleranceConfig.coerce(fault_policy)
         #: Optional deterministic fault-injection script for chaos tests.
         self.fault_plan = FaultPlan.coerce(fault_plan)
         #: Recovery counters of the most recent ``run_job``.
         self.last_fault_stats = FaultStats()
-        #: Runtimes built in *this* process (the in-process transport's
-        #: only cache; the degradation drain's for the others).
+        #: Runtimes built in *this* process (the serial drain's).
         self.runtime_cache = RuntimeCache()
-
-    def run_job(self, job_wire: Dict, on_result: ResultCallback) -> None:
-        raise NotImplementedError
-
-    def reusable(self) -> bool:
-        """Whether another owner's next job may start on this transport as
-        it is — the condition for ``Scheduler.close`` to park it instead of
-        closing it.  Only a local worker fleet is worth keeping."""
-        return False
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
-    def _drain_serially(self, job_wire: Dict,
-                        items: List[Tuple[int, int]],
-                        on_result: ResultCallback, stats: FaultStats,
-                        injector: Optional[FaultInjector] = None) -> None:
-        """Evaluate ``(index, attempts)`` items in this process, under the
-        same retry rule as the worker paths — results stay bit-identical."""
-        runtime = JobRuntime(job_wire, cache=self.runtime_cache)
-        for index, attempts in items:
-            while True:
-                try:
-                    if injector is not None:
-                        injector.before_item(index)
-                    outcome = runtime.evaluate(index)
-                except Exception:        # noqa: BLE001 — the rule decides
-                    attempts, outcome = retry_or_quarantine(
-                        stats, self.fault_policy.max_attempts, index,
-                        attempts, "worker-exception", traceback.format_exc())
-                if outcome is not None:
-                    break
-            on_result(index, outcome)
-
-
-class InProcessTransport(BaseTransport):
-    """Evaluate in the calling process via the worker-side runtime.
-
-    This still exercises the whole wire path (spec rebuild, candidate
-    decode, the outcome wire the coordinator decodes), so it doubles as
-    the cheapest integration test of a job.
-    Repeated jobs on one transport instance share the runtime cache, like
-    a persistent worker would.  The retry/quarantine rule applies here
-    too (process-level fault kinds degrade to raises), so chaos semantics
-    are identical across transports.
-    """
-
-    name = "inprocess"
-
-    def run_job(self, job_wire: Dict, on_result: ResultCallback) -> None:
-        injector = (FaultInjector(self.fault_plan, worker_id=0,
-                                  inprocess=True)
-                    if self.fault_plan is not None else None)
-        self.last_fault_stats = FaultStats()
-        self._drain_serially(
-            job_wire, [(i, 0) for i in range(len(job_wire["candidates"]))],
-            on_result, self.last_fault_stats, injector)
-
-
-class SocketTransport(BaseTransport, DispatchPolicy):
-    """Serve one job at a time to a :class:`WorkerPool`, in input order.
-
-    ``workers`` local worker subprocesses are launched automatically
-    unless ``spawn_workers=False`` — set that when pointing real remote
-    workers at ``host:port`` (use ``port=<fixed>`` and ``host=0.0.0.0`` to
-    listen beyond loopback, and export the pool's token to them).
-
-    The pool supervises the fleet (disconnects, respawn, deadlines, the
-    retry rule); this class is its dispatch policy — the pending queue of
-    the current job — plus the barrier ``run_job``, which delivers every
-    result on the caller's thread, and the serial-drain degradation.
-    """
-
-    name = "socket"
-
-    def __init__(self, workers: int = 2, host: str = "127.0.0.1",
-                 port: int = 0, spawn_workers: bool = True,
-                 result_timeout: float = 600.0,
-                 fault_policy=None, fault_plan=None):
-        super().__init__(fault_policy=fault_policy, fault_plan=fault_plan)
-        self.workers = workers
         self.spawn_workers = spawn_workers
         self.result_timeout = result_timeout
-        self._pool = WorkerPool(self, workers=workers, host=host, port=port,
-                                spawn_workers=spawn_workers,
-                                fault_policy=self.fault_policy,
-                                fault_plan=self.fault_plan)
+        self._pool = (WorkerPool(self, workers=self.workers, host=host,
+                                 port=port, spawn_workers=spawn_workers,
+                                 fault_policy=self.fault_policy,
+                                 fault_plan=self.fault_plan)
+                      if self.workers else None)
         # Per-job state, guarded by the pool's lock.
         self._job_id = 0
         self._job: Optional[PoolJob] = None
@@ -216,17 +152,22 @@ class SocketTransport(BaseTransport, DispatchPolicy):
         return self._pool.token
 
     def close(self) -> None:
-        self._pool.close()
+        if self._pool is not None:
+            self._pool.close()
 
     def reusable(self) -> bool:
-        """A running fleet of local workers on an ephemeral port (a fixed
-        port would stay bound, remote workers connected), with no fault
-        plan armed (a worker's injector keeps its one-shot bookkeeping
-        across jobs, so a reused chaos fleet would not re-fire its faults),
-        whose last job returned normally and needed no recovery.  A job
-        that raised — a callback, an interrupt — may leave items running
-        on the workers, and only ``close()`` stops them."""
-        return (self.spawn_workers and self.fault_plan is None
+        """Whether another owner's next job may start on this transport as
+        it is — the condition for ``Scheduler.close`` to park it instead of
+        closing it: a running fleet of local workers on an ephemeral port
+        (a fixed port would stay bound, remote workers connected), with no
+        fault plan armed (a worker's injector keeps its one-shot
+        bookkeeping across jobs, so a reused chaos fleet would not re-fire
+        its faults), whose last job returned normally and needed no
+        recovery.  A job that raised — in the outcome decode, an interrupt
+        — may leave items running on the workers, and only ``close()``
+        stops them."""
+        return (self._pool is not None and self.spawn_workers
+                and self.fault_plan is None
                 and self._pool.port == 0 and self._pool.running
                 and self._job_completed
                 and not self.last_fault_stats.any())
@@ -237,6 +178,13 @@ class SocketTransport(BaseTransport, DispatchPolicy):
         pool = self._pool
         stats = self.last_fault_stats = FaultStats()
         remaining = len(job_wire["candidates"])
+        if pool is None:
+            injector = (FaultInjector(self.fault_plan, worker_id=0,
+                                      inprocess=True)
+                        if self.fault_plan is not None else None)
+            self._drain_serially(job_wire, [(i, 0) for i in range(remaining)],
+                                 on_result, stats, injector)
+            return
         with pool.lock:
             if self._job is not None:
                 raise TransportError("transport already has a job in flight")
@@ -272,7 +220,7 @@ class SocketTransport(BaseTransport, DispatchPolicy):
                                 f"({remaining} outstanding)")
                         pool.changed.wait(timeout=TICK_SECONDS)
                         continue
-                # Outside the lock: a slow (or transport-touching) callback
+                # Outside the lock: a slow (or transport-touching) handler
                 # must not stall dispatch, and neither must the serial
                 # drain of a fleet that is gone for good.
                 for index, outcome in ready:
@@ -295,6 +243,27 @@ class SocketTransport(BaseTransport, DispatchPolicy):
                 self._job = None
                 self._candidates = []
                 self._pending = deque()
+
+    def _drain_serially(self, job_wire: Dict,
+                        items: List[Tuple[int, int]],
+                        on_result: ResultCallback, stats: FaultStats,
+                        injector: Optional[FaultInjector] = None) -> None:
+        """Evaluate ``(index, attempts)`` items in this process, under the
+        same retry rule as the worker paths — results stay bit-identical."""
+        runtime = JobRuntime(job_wire, cache=self.runtime_cache)
+        for index, attempts in items:
+            while True:
+                try:
+                    if injector is not None:
+                        injector.before_item(index)
+                    outcome = runtime.evaluate(index)
+                except Exception:        # noqa: BLE001 — the rule decides
+                    attempts, outcome = retry_or_quarantine(
+                        stats, self.fault_policy.max_attempts, index,
+                        attempts, "worker-exception", traceback.format_exc())
+                if outcome is not None:
+                    break
+            on_result(index, outcome)
 
     def _claim_degraded_items_locked(self) -> Optional[List[Tuple[int, int]]]:
         """Claim the pending queue for a serial drain, or ``None``:
@@ -353,34 +322,3 @@ class SocketTransport(BaseTransport, DispatchPolicy):
     def unstarted(self, job: PoolJob, item: Optional[WorkItem]) -> None:
         if job is self._job and item is not None:
             self._pending.appendleft((item.index, item.attempts))
-
-
-# ---------------------------------------------------------------------------
-# Factory
-# ---------------------------------------------------------------------------
-
-#: ``"spawn"`` and ``"socket"`` are one fleet: the same class with the
-#: same loopback / ephemeral-port / local-worker defaults.  The name a
-#: transport was built under is only what spans, events and ``.name`` say.
-TRANSPORTS = {
-    "inprocess": InProcessTransport,
-    "spawn": SocketTransport,
-    "socket": SocketTransport,
-}
-
-
-def make_transport(name: str, **options) -> BaseTransport:
-    """Build a transport by name: inprocess | spawn | socket."""
-    name = name.lower()
-    try:
-        cls = TRANSPORTS[name]
-    except KeyError as exc:
-        raise DistribError(f"unknown transport {name!r}; expected one of "
-                           f"{sorted(TRANSPORTS)}") from exc
-    if cls is InProcessTransport:
-        options.pop("workers", None)     # meaningless in-process
-        options.pop("result_timeout", None)
-    transport = cls(**options)
-    if name == "spawn":
-        transport.name = name
-    return transport

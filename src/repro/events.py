@@ -1,13 +1,13 @@
 """The session event stream: one typed bus for the whole repair pipeline.
 
-Earlier PRs grew ad-hoc observation channels — a ``progress=`` callback on
-the distributed coordinator, ``warm_hits`` counters read off backtester
-objects, per-phase timing fields assembled by the debugger.  This module
-unifies them: every stage of a :class:`~repro.api.session.RepairSession`
-publishes typed :class:`SessionEvent` records on an :class:`EventBus`, and
-any number of subscribers consume them — the live CLI renderer, a JSONL
-log file (:class:`JsonlEventWriter`), a test capturing the stream, or a
-dashboard on the other end of a socket.
+The bus is the only observation channel of a repair: every stage of a
+:class:`~repro.api.session.RepairSession` publishes typed
+:class:`SessionEvent` records on an :class:`EventBus`, and any number of
+subscribers consume them — the live CLI renderer, a JSONL log file
+(:class:`JsonlEventWriter`), a test capturing the stream, or a dashboard
+on the other end of a socket.  Backtest progress has one producer,
+:func:`publish_progress`, called per finished candidate by the serial loop
+and by the distributed scheduler alike, so every path yields one stream.
 
 Events are frozen :mod:`repro.wire` dataclasses with a stable ``kind``:
 ``SessionEvent.from_json`` rebuilds the subclass a line's ``kind`` names.
@@ -309,28 +309,20 @@ class JsonlEventWriter:
             pass
 
 
-def progress_to_events(bus: EventBus) -> Callable:
-    """Adapt the legacy ``progress(done, total, result)`` callback shape.
+def publish_progress(bus: EventBus, done: int, total: int, result) -> None:
+    """Publish one finished candidate's :class:`BacktestProgress` — then a
+    :class:`CandidateAborted` when the abort policy cut its replay short.
 
-    Returns a callback that republishes each completed backtest result as a
-    :class:`BacktestProgress` event — the bridge by which pre-event-bus
-    call sites (and the distributed coordinator's worker streams) feed the
-    unified stream.
+    The one progress channel: the backtester's serial loop and the
+    scheduler's per-result handler both call it, in completion order.
     """
-
-    def progress(done: int, total: int, result) -> None:
-        note = next((n for n in getattr(result, "notes", ())
-                     if str(n).startswith("aborted")), None)
-        bus.emit(BacktestProgress(
-            done=done, total=total,
-            description=result.candidate.description if result.candidate else "",
-            accepted=result.accepted, effective=result.effective,
-            ks_statistic=result.ks.statistic, aborted=note is not None,
-            elapsed_seconds=getattr(result, "elapsed_seconds", 0.0)))
-        if note is not None:
-            bus.emit(CandidateAborted(
-                description=(result.candidate.description
-                             if result.candidate else ""),
-                note=str(note)))
-
-    return progress
+    note = next((n for n in result.notes if str(n).startswith("aborted")),
+                None)
+    description = result.candidate.description if result.candidate else ""
+    bus.emit(BacktestProgress(
+        done=done, total=total, description=description,
+        accepted=result.accepted, effective=result.effective,
+        ks_statistic=result.ks.statistic, aborted=note is not None,
+        elapsed_seconds=result.elapsed_seconds))
+    if note is not None:
+        bus.emit(CandidateAborted(description=description, note=str(note)))

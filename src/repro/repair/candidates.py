@@ -261,7 +261,7 @@ class RepairCandidate(Wire):
     """A complete candidate repair: one or more edits plus bookkeeping.
 
     A :mod:`repro.wire` type without its meta provenance ``tree``: workers
-    only evaluate, and the coordinator re-attaches its own copy when
+    only evaluate, and the scheduler re-attaches its own copy when
     results stream back.
     """
 

@@ -34,14 +34,14 @@ class RepairJob(Wire):
 
     wire_name, wire_error = "repair job", RepairJobError
 
-    #: Coordinator-assigned session identifier (unique per daemon).
+    #: Daemon-assigned session identifier (unique per daemon).
     session_id: str
     #: The full declarative run description (must carry a ScenarioSpec —
     #: a live scenario object cannot cross the wire).
     config: RepairConfig
     #: Fair-share scheduling key; every submission belongs to a tenant.
     tenant: str = "default"
-    #: Coordinator wall-clock at submission (0.0 = unknown).
+    #: Daemon wall-clock at submission (0.0 = unknown).
     submitted_unix: float = 0.0
     #: Per-tenant metric labels and anything else the daemon wants to
     #: remember with the job (not shipped to workers).

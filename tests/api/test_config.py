@@ -174,7 +174,7 @@ def test_make_backtester_wires_every_knob():
     assert backtester.max_packet_in_growth == 2.5
     assert backtester.replay_batch_size == 16
     assert backtester.warm_engine is False
-    assert backtester.workers == 3
+    assert not hasattr(backtester, "workers")    # the scheduler's knob
     assert backtester.abort_policy == config.abort
 
 
@@ -187,6 +187,19 @@ def test_make_backtester_defaults_to_scenario_threshold():
 
 def test_make_scheduler_none_for_local_runs():
     assert RepairConfig().make_scheduler() is None
+
+
+def test_make_scheduler_gates_workers_without_a_transport():
+    """``workers > 1`` alone gets a gated spawn scheduler carrying the whole
+    config; a named transport gets an ungated one."""
+    strict = FaultToleranceConfig(max_attempts=1)
+    for transport, gated in ((None, True), ("spawn", False)):
+        config = RepairConfig(workers=2, transport=transport,
+                              fault_tolerance=strict)
+        with config.make_scheduler() as scheduler:
+            assert scheduler.gated is gated
+            assert scheduler.transport.name == "spawn"
+            assert scheduler.transport.fault_policy == strict
 
 
 def test_make_scheduler_flows_from_config():

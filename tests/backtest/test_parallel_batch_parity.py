@@ -1,6 +1,7 @@
 """Parity suite: parallel and batched backtesting are optimisations.
 
-Fleet-dispatched candidate evaluation (``workers > 1``), batched trace replay
+Fleet-dispatched candidate evaluation (``workers > 1``: the gated spawn
+scheduler of ``RepairConfig.make_scheduler``), batched trace replay
 (``replay_batch_size``) and the batched PacketIn fixpoint behind it must all
 produce **bit-identical** reports to the serial per-packet path: the same
 ``TrafficStats`` (delivery records included), KS statistics, verdicts and
@@ -12,6 +13,7 @@ fallback to per-packet replay.
 import pytest
 
 import repro.backtest.replay as replay_module
+from repro.api import RepairConfig
 from repro.backtest import Backtester
 from repro.ndlog.ast import Var
 from repro.ndlog.parser import parse_program
@@ -133,6 +135,13 @@ def open_min_work_gate(monkeypatch):
     monkeypatch.setattr(replay_module, "PARALLEL_MIN_SECONDS", 0.0)
 
 
+def on_two_workers(backtester, candidates):
+    """``evaluate_all`` on the scheduler a config with ``workers=2`` and no
+    transport gets."""
+    with RepairConfig(workers=2).make_scheduler() as scheduler:
+        return backtester.evaluate_all(candidates, scheduler=scheduler)
+
+
 # The ids are the class names from before MultiQueryBacktester was folded
 # into Backtester(multiquery=True); keeping them keeps collected test ids.
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -145,9 +154,9 @@ def test_workers_match_serial(scenarios, name, multiquery,
     serial = Backtester(
         scenario, ks_threshold=scenario.ks_threshold,
         multiquery=multiquery).evaluate_all(candidates)
-    parallel = Backtester(
+    parallel = on_two_workers(Backtester(
         scenario, ks_threshold=scenario.ks_threshold,
-        multiquery=multiquery).evaluate_all(candidates, workers=2)
+        multiquery=multiquery), candidates)
     assert report_snapshot(parallel) == report_snapshot(serial)
 
 
@@ -186,7 +195,7 @@ def test_workers_and_batching_compose(scenarios, open_min_work_gate):
     candidates = scenario_candidates("Q1")
     plain = Backtester(
         scenario, ks_threshold=scenario.ks_threshold).evaluate_all(candidates)
-    combined = Backtester(
-        scenario, ks_threshold=scenario.ks_threshold, workers=2,
-        replay_batch_size=8).evaluate_all(candidates)
+    combined = on_two_workers(Backtester(
+        scenario, ks_threshold=scenario.ks_threshold,
+        replay_batch_size=8), candidates)
     assert report_snapshot(combined) == report_snapshot(plain)

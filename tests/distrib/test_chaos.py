@@ -26,7 +26,7 @@ import pytest
 from repro.api import EventBus
 from repro.backtest import Backtester
 from repro.distrib import (FaultAction, FaultPlan, FaultToleranceConfig,
-                           Scheduler, SocketTransport)
+                           Scheduler, Transport)
 from repro.obs import Telemetry
 from repro.repair import ChangeConstant, DeleteSelection, RepairCandidate
 from repro.scenarios import build_scenario
@@ -34,7 +34,7 @@ from repro.scenarios import build_scenario
 from test_transport_parity import (remote_workers, report_snapshot,
                                    scenario_candidates)
 
-#: Fault-taxonomy counters the coordinator may publish; a fault-free run
+#: Fault-taxonomy counters the scheduler may publish; a fault-free run
 #: must publish none of them.
 FAULT_COUNTERS = ("fabric_worker_restarts", "fabric_job_retries",
                   "fabric_quarantined", "fabric_frame_errors",
@@ -279,8 +279,8 @@ def test_socket_disconnect_mid_job(scenario, candidates, serial_snapshot):
     — it did not launch that process."""
     plan = FaultPlan(actions=(
         FaultAction(kind="kill", worker=0, after_items=0),))
-    transport = SocketTransport(spawn_workers=False, fault_plan=plan,
-                                result_timeout=120.0)
+    transport = Transport("socket", spawn_workers=False, fault_plan=plan,
+                          result_timeout=120.0)
     with remote_workers(transport, 2) as processes:
         try:
             report, stats = fabric_run(scenario, candidates, transport)
@@ -339,7 +339,7 @@ def test_socket_degrades_when_fleet_unrecoverable(scenario, candidates,
 
 
 # ---------------------------------------------------------------------------
-# Coordinator ordering under mixed outcomes (parity with the veto invariant)
+# Scheduler ordering under mixed outcomes (parity with the veto invariant)
 # ---------------------------------------------------------------------------
 
 

@@ -30,9 +30,8 @@ import pytest
 import repro.distrib.coordinator as coordinator
 from repro.api import RepairConfig, RepairSession
 from repro.backtest import replay
-from repro.distrib import (FaultStats, FaultToleranceConfig,
-                           InProcessTransport, Scheduler, WorkerPool,
-                           close_parked_fleets)
+from repro.distrib import (FaultStats, FaultToleranceConfig, Scheduler,
+                           Transport, WorkerPool, close_parked_fleets)
 from repro.repair import reset_candidate_ids
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
@@ -144,7 +143,7 @@ def test_a_fleet_that_needed_recovery_is_closed_not_parked(serial):
 
 
 def test_a_fleet_whose_job_raised_is_closed_not_parked(monkeypatch):
-    """A progress callback that raises mid-job leaves items running on the
+    """An outcome decode that raises mid-job leaves items running on the
     workers: the fleet is closed and its workers reaped, not handed to the
     next borrower with a stale job still on it."""
     monkeypatch.setattr(replay, "PARALLEL_MIN_SECONDS", 0.0)
@@ -155,18 +154,13 @@ def test_a_fleet_whose_job_raised_is_closed_not_parked(monkeypatch):
         launch(pool)
         pids.append(pool.processes[-1].pid)
 
+    def failing_decode(cls, wire):
+        raise RuntimeError("outcome decode failed")
+
     monkeypatch.setattr(WorkerPool, "_launch_worker", recorded_launch)
-    config = q1(workers=2)
-    session = RepairSession(config)
-    session.run(until="generate")
-    candidates = session.artifacts["exploration"].candidates
-    backtester = config.make_backtester(session.scenario)
-
-    def failing_progress(done, total, result):
-        raise RuntimeError("progress callback failed")
-
-    with pytest.raises(RuntimeError, match="progress callback failed"):
-        backtester.evaluate_all(candidates, progress=failing_progress)
+    monkeypatch.setattr(coordinator, "decode", failing_decode)
+    with pytest.raises(RuntimeError, match="outcome decode failed"):
+        RepairSession(q1(workers=2)).run()
     assert parked() == []
     assert len(pids) == 2
     assert not any(_alive(pid) for pid in pids)
@@ -198,8 +192,8 @@ def test_the_table_hands_a_fleet_to_one_borrower_at_a_time(monkeypatch):
     every microsecond: no transport is ever held by two schedulers at once,
     and each one built ends up parked or closed exactly once."""
     closed = collections.Counter()
-    monkeypatch.setattr(InProcessTransport, "reusable", lambda self: True)
-    monkeypatch.setattr(InProcessTransport, "close",
+    monkeypatch.setattr(Transport, "reusable", lambda self: True)
+    monkeypatch.setattr(Transport, "close",
                         lambda self: closed.update([id(self)]))
     held, built, errors = set(), {}, []
     guard = threading.Lock()

@@ -9,10 +9,10 @@ ids stay (the CLI, the ledger and ``RepairConfig.transport`` use them)
 over one shared body, each with 2 persistent workers, so every tier-1 run
 includes real coordinator rounds through the fleet.
 
-Also covered: progress streaming, the early-abort policy (on the fabric
-and off — off must stay bit-identical), ``workers=N`` dispatch without an
-explicit scheduler (spawn fleet with a spec, serial without), job-wire
-validation, and coordinator error paths.
+Also covered: progress events, the early-abort policy (on the fabric
+and off — off must stay bit-identical), the gated scheduler a config with
+``workers=N`` and no transport gets (spawn fleet with a spec, serial
+without), job-wire validation, and scheduler error paths.
 """
 
 import contextlib
@@ -24,8 +24,9 @@ import time
 import pytest
 
 import repro.backtest.replay as replay_module
+from repro.api import EventBus, RepairConfig
 from repro.backtest import Backtester, EarlyAbortPolicy
-from repro.distrib import (DistribError, JobRuntime, Scheduler,
+from repro.distrib import (DistribError, JobRuntime, Scheduler, Transport,
                            build_job_wire, job_digest)
 from repro.repair import (AddRule, ChangeAssignment, ChangeConstant,
                           DeleteRule, DeleteSelection, RepairCandidate)
@@ -223,39 +224,41 @@ def test_socket_transport_matches_serial(scenarios, serial_snapshots,
 
 
 def test_progress_streams_in_completion_order(scenarios, candidate_sets):
-    updates = []
+    events = EventBus()
     scenario = scenarios["Q1"]
     candidates = candidate_sets["Q1"]
-    with Scheduler(transport="inprocess",
-                   progress=lambda done, total, result:
-                   updates.append((done, total, result.candidate.tag))) \
-            as scheduler:
+    with Scheduler(transport="inprocess", events=events) as scheduler:
         Backtester(scenario, ks_threshold=scenario.ks_threshold
                    ).evaluate_all(candidates, scheduler=scheduler)
-    assert [(done, total) for done, total, _tag in updates] == [(1, 2), (2, 2)]
-    assert {tag for _d, _t, tag in updates} == \
-        {candidate.tag for candidate in candidates}
+    updates = events.of_kind("backtest_progress")
+    assert [(event.done, event.total) for event in updates] == \
+        [(1, 2), (2, 2)]
+    assert {event.description for event in updates} == \
+        {candidate.description for candidate in candidates}
 
 
 def test_workers_without_scheduler_use_spawn(scenarios, serial_snapshots,
                                             candidate_sets, monkeypatch):
-    """workers=N without a scheduler must route through the spawn transport
-    (not silently run serial) whenever the scenario carries a spec."""
-    import repro.distrib as distrib
+    """A config with workers=N and no transport gets a gated spawn
+    scheduler, which runs the job on its fleet (not silently serial) once
+    the job is worth it and the scenario carries a spec."""
     used = []
+    run = Scheduler.run
 
-    class SpyScheduler(Scheduler):
-        def run(self, backtester, candidates, progress=None):
-            used.append(self.transport.name)
-            return super().run(backtester, candidates, progress=progress)
+    def spy(self, backtester, candidates, events):
+        used.append(self.transport.name)
+        return run(self, backtester, candidates, events)
 
     # These smoke-sized replays are exactly what the min-work gate keeps
     # serial; open it.
     monkeypatch.setattr(replay_module, "PARALLEL_MIN_SECONDS", 0.0)
-    monkeypatch.setattr(distrib, "Scheduler", SpyScheduler)
+    monkeypatch.setattr(Scheduler, "run", spy)
     scenario = scenarios["Q2"]
-    report = Backtester(scenario, ks_threshold=scenario.ks_threshold
-                        ).evaluate_all(candidate_sets["Q2"], workers=2)
+    with RepairConfig(workers=2).make_scheduler() as scheduler:
+        assert scheduler.gated
+        report = Backtester(scenario, ks_threshold=scenario.ks_threshold
+                            ).evaluate_all(candidate_sets["Q2"],
+                                           scheduler=scheduler)
     assert used == ["spawn"]
     assert report_snapshot(report) == serial_snapshots[("Q2", "Backtester")]
 
@@ -310,22 +313,23 @@ def test_missing_spec_raises(scenarios):
 
 def test_workers_without_spec_run_serial(monkeypatch):
     """A live scenario object with no ScenarioSpec cannot leave the process:
-    workers=2 above the min-work gate runs the serial loop (no fleet is
-    started, no error) and reports what the serial run reports."""
-    import repro.distrib as distrib
+    a gated scheduler above the min-work gate runs the serial loop (the
+    job never reaches the transport, no error) and reports what the serial
+    run reports."""
 
     def no_fleet(*args, **kwargs):
-        raise AssertionError("a spec-less scenario must not start a fleet")
+        raise AssertionError("a spec-less scenario must not reach a fleet")
 
     monkeypatch.setattr(replay_module, "PARALLEL_MIN_SECONDS", 0.0)
-    monkeypatch.setattr(distrib, "Scheduler", no_fleet)
+    monkeypatch.setattr(Transport, "run_job", no_fleet)
     scenario = build_scenario("Q1", repetitions=1)
     scenario.spec = None
     candidates = scenario_candidates("Q1")
     serial = Backtester(scenario, ks_threshold=scenario.ks_threshold
                         ).evaluate_all(candidates)
-    parallel = Backtester(scenario, ks_threshold=scenario.ks_threshold,
-                          workers=2).evaluate_all(candidates)
+    with RepairConfig(workers=2).make_scheduler() as scheduler:
+        parallel = Backtester(scenario, ks_threshold=scenario.ks_threshold
+                              ).evaluate_all(candidates, scheduler=scheduler)
     assert report_snapshot(parallel) == report_snapshot(serial)
 
 
@@ -365,10 +369,9 @@ def test_socket_transport_restarts_after_close(serial_snapshots,
     """close() must leave the transport restartable: the next run_job
     rebuilds the listener and spawns fresh workers, instead of hanging
     with orphaned workers."""
-    from repro.distrib import SocketTransport
     scenario = build_scenario("Q1", repetitions=1)
     candidates = candidate_sets["Q1"]
-    transport = SocketTransport(workers=1, result_timeout=120.0)
+    transport = Transport("socket", workers=1, result_timeout=120.0)
     snapshots = []
     for _round in range(2):
         with Scheduler(transport=transport) as scheduler:

@@ -143,9 +143,11 @@ def test_telemetry_config_wire_round_trip():
 
 
 def test_local_workers_spans_stitch(monkeypatch):
-    """workers>1 without a scheduler runs on a spawn fleet the backtester
-    owns; the workers' candidate spans stitch under its ``fabric.job``."""
+    """workers>1 without a transport runs on the spawn fleet of the config's
+    gated scheduler; the workers' candidate spans stitch under its
+    ``fabric.job``."""
     import repro.backtest.replay as replay_module
+    from repro.api import RepairConfig
     from repro.backtest import Backtester
     from repro.scenarios import build_scenario
     scenario = build_scenario("Q1")
@@ -157,13 +159,13 @@ def test_local_workers_spans_stitch(monkeypatch):
                         cost=1.0, description="c1"),
     ]
     telemetry = Telemetry()
-    backtester = Backtester(scenario, ks_threshold=scenario.ks_threshold,
-                            workers=2)
+    backtester = Backtester(scenario, ks_threshold=scenario.ks_threshold)
     # Open the min-work gate: send 2 tiny items through the fleet anyway.
     monkeypatch.setattr(replay_module, "PARALLEL_MIN_SECONDS", 0.0)
     backtester.telemetry = telemetry
-    with telemetry.span("session"):
-        backtester.evaluate_all(candidates)
+    with telemetry.span("session"), \
+            RepairConfig(workers=2).make_scheduler() as scheduler:
+        backtester.evaluate_all(candidates, scheduler=scheduler)
     spans = telemetry.tracer.finished
     [job] = [span for span in spans if span["name"] == "fabric.job"]
     assert job["attrs"]["transport"] == "spawn"

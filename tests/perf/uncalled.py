@@ -5,7 +5,8 @@ Under a ``sys.setprofile`` / ``threading.setprofile`` hook it runs, in this
 process: serial Q1–Q5 sessions with the default config and once per ablation
 knob (plain Q1 with 100 candidates, the rest with 14; the abort policy
 carries a ``ks_slack``, so its mid-trace KS check over sample prefixes runs),
-a 2-worker session over the ``inprocess`` fabric and the exit hook that
+a ``workers=2`` session on the ``inprocess`` transport (the scheduler's
+zero-worker case: its serial drain, not a fleet) and the exit hook that
 closes idle fleets, the two ``other_languages``
 scenarios (Table 3) and every CLI subcommand that needs no running service,
 ``repro lint`` also over a file of Q1's explorer candidates;

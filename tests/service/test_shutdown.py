@@ -168,12 +168,12 @@ class TestWorkerSignals:
         script = textwrap.dedent("""
             import os, signal
             from repro.backtest import Backtester
-            from repro.distrib import Scheduler, make_transport
+            from repro.distrib import Scheduler, Transport
             from repro.repair import ChangeConstant, RepairCandidate
             from repro.scenarios import build_scenario
 
             signal.signal(signal.SIGINT, lambda *_: None)  # parent drains
-            transport = make_transport("spawn", workers=1)
+            transport = Transport("spawn", workers=1)
             pool = transport._pool
             pool.start()
             with pool.changed:            # the worker's hello registration
