@@ -5,9 +5,11 @@ The package provides, from the bottom up:
 
 * :mod:`repro.ndlog` -- an NDlog/uDlog engine (the declarative controller
   substrate).
-* :mod:`repro.provenance` -- classical positive/negative network provenance.
 * :mod:`repro.meta` -- meta provenance: provenance over programs as well as
-  data and the cost-ordered exploration of repairs.
+  data and the cost-ordered exploration of repairs.  (The classical
+  positive/negative provenance of Section 3.1, the Figure 4 meta model and
+  the scan-based reference engine are test references, kept under
+  ``tests/``.)
 * :mod:`repro.repair` -- repair candidates and their application.
 * :mod:`repro.backtest` -- replay-based backtesting with KS acceptance and
   multi-query optimization.
@@ -39,10 +41,10 @@ Or from a shell: ``python -m repro repair q1`` (see ``python -m repro
 
 The runtime is stdlib-only.  ``import repro`` loads the API and what a
 serial repair runs; the worker fleet and transports of
-:mod:`repro.distrib`, :mod:`repro.service`, the reference engine
-(``repro.ndlog.NaiveEngine``) and the tracing half of :mod:`repro.obs` are
-imported by the first name that needs them (:mod:`repro._lazy`); the Table 3
-front ends only by importing :mod:`repro.scenarios.other_languages`.
+:mod:`repro.distrib`, :mod:`repro.service` and the tracing half of
+:mod:`repro.obs` are imported by the first name that needs them
+(:mod:`repro._lazy`); the Table 3 front ends only by importing
+:mod:`repro.scenarios.other_languages`.
 """
 
 from .api import (DiagnosisReport, EventBus, PhaseTimings, RepairConfig,

@@ -3,7 +3,7 @@
 A fresh ``python -m repro repair`` pays for every module it imports — the
 benchmark host compiles them from source each time — so a package
 ``__init__`` must not pull in subsystems that the importing process may
-never run (the worker fleet, the reference engine, the profiler).  Those
+never run (the worker fleet, the tracer, the profiler).  Those
 packages hand their re-exports to
 :func:`lazy_exports`; the names stay importable, patchable and listed
 exactly as if ``__init__`` had imported them.

@@ -227,12 +227,6 @@ class DependencyGraph:
                     self._scc_index[table] = number
         return self._scc_index
 
-    def scc_of(self, table: str) -> FrozenSet[str]:
-        number = self.scc_index().get(table)
-        if number is None:
-            return frozenset({table})
-        return self.sccs()[number]
-
     def recursive_tables(self) -> Set[str]:
         """Tables involved in recursion (multi-node SCC or a self-loop)."""
         out: Set[str] = set()

@@ -622,9 +622,24 @@ def _cmd_serve(args) -> int:
                                  spawn_workers=not args.no_spawn_workers,
                                  fault_plan=plan,
                                  on_event=on_event)
-    daemon.start()
-    server = ServiceHTTPServer((args.host, args.port), daemon,
-                               quiet=args.quiet)
+    # Both ports are bound before a worker is launched (the pool binds its
+    # own before it spawns), so a busy one leaves no process behind.
+    server = None
+    try:
+        server = ServiceHTTPServer((args.host, args.port), daemon,
+                                   quiet=args.quiet)
+        daemon.start()
+    except OSError as error:
+        host, port = ((args.host, args.port) if server is None
+                      else (args.daemon_host, args.daemon_port))
+        if server is not None:
+            daemon.stop(grace=0)
+            server.server_close()
+        if log_handle is not None:
+            log_handle.close()
+        print(f"repro serve: cannot listen on {host}:{port}: "
+              f"{error.strerror or error}", file=sys.stderr)
+        return 2
     stop = threading.Event()
 
     def _request_stop(signum, frame):

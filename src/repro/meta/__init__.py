@@ -4,7 +4,6 @@ This package implements the paper's primary contribution:
 
 * :mod:`repro.meta.metatuples` — the program represented as data (Const,
   Oper, PredFunc, HeadFunc, Assign meta tuples).
-* :mod:`repro.meta.metarules` — the µDlog meta model of Figure 4.
 * :mod:`repro.meta.forest` — meta provenance trees: the explanation of a
   repair candidate.
 * :mod:`repro.meta.constant_values` — what is left of the constraint pools
@@ -12,6 +11,10 @@ This package implements the paper's primary contribution:
 * :mod:`repro.meta.costs` — the plausibility cost model (Section 3.5).
 * :mod:`repro.meta.explorer` — the cost-ordered search over repair attempts
   and the tree that explains each candidate it returns (Figures 5, 6, 17).
+
+The µDlog meta model of Figure 4, as NDlog source, is what the explorer
+encodes operationally; no repair reads the source, so it is kept with the
+suites that parse it (``tests/metarules.py``).
 """
 
 from .costs import CostModel, DEFAULT_COSTS, uniform_cost_model
@@ -24,16 +27,6 @@ from .explorer import (
 )
 from .forest import EXIST, MetaForest, MetaTree, MetaVertex, NEXIST
 from .history import HistoryIndex
-from .metarules import (
-    MUDLOG_META_RULES_SOURCE,
-    MUDLOG_META_TUPLES,
-    NDLOG_META_MODEL_SIZE,
-    PYRETIC_META_MODEL_SIZE,
-    TREMA_META_MODEL_SIZE,
-    meta_model_summary,
-    meta_rule_names,
-    mudlog_meta_program,
-)
 from .metatuples import (
     AssignMeta,
     BaseMeta,
@@ -56,9 +49,6 @@ __all__ = [
     "MetaProvenanceExplorer", "MissingTupleGoal",
     "EXIST", "MetaForest", "MetaTree", "MetaVertex", "NEXIST",
     "HistoryIndex",
-    "MUDLOG_META_RULES_SOURCE", "MUDLOG_META_TUPLES", "NDLOG_META_MODEL_SIZE",
-    "PYRETIC_META_MODEL_SIZE", "TREMA_META_MODEL_SIZE",
-    "meta_model_summary", "meta_rule_names", "mudlog_meta_program",
     "AssignMeta", "BaseMeta", "ConstMeta", "ExprMeta", "HeadFuncMeta",
     "HeadValMeta", "JoinMeta", "MetaLocation", "OperMeta", "PredFuncMeta",
     "SelMeta", "TupleMeta", "TuplePredMeta",

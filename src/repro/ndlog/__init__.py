@@ -11,7 +11,6 @@ Public entry points:
 * :class:`repro.ndlog.tuples.NDTuple` / :class:`repro.ndlog.tuples.Database`.
 """
 
-from .._lazy import lazy_exports
 from .ast import (
     Assignment,
     Atom,
@@ -44,14 +43,11 @@ from .expr import Bindings, FunctionRegistry, evaluate, try_evaluate, values_equ
 from .parser import parse_expression, parse_program, parse_rule
 from .tuples import Database, NDTuple, TableSchema, make_tuple
 
-# The scan-based reference engine is the tests' oracle; no repair runs it.
-__getattr__, __dir__ = lazy_exports(__name__, {"naive": ("NaiveEngine",)})
-
 __all__ = [
     "Assignment", "Atom", "BinOp", "COMPARISON_OPERATORS", "Const",
     "Expression", "FuncCall", "Program", "Rule", "Selection", "Var",
     "WILDCARD",
-    "Engine", "EngineCheckpoint", "NaiveEngine", "evaluate_program",
+    "Engine", "EngineCheckpoint", "evaluate_program",
     "EvaluationError", "NDlogError", "ParseError", "SchemaError",
     "APPEAR", "DELETE", "DERIVE", "DISAPPEAR", "INSERT", "RECEIVE", "SEND",
     "UNDERIVE", "DerivationRecord", "EngineEvent",

@@ -90,9 +90,9 @@ the store afterwards, as in the reference evaluator's recompute.
 The engine is deliberately single-threaded and deterministic: logical time is
 a simple counter, and rule/body iteration order is the program order.  This
 determinism is what makes backtesting reproducible.  A scan-based reference
-implementation with identical insert-time semantics is kept in
-:mod:`repro.ndlog.naive` and is used by the test suite as a cross-check
-oracle.
+implementation with identical insert-time semantics, ``NaiveEngine``, is the
+test suite's cross-check oracle and lives with it
+(``tests/ndlog/reference_engine.py``); no repair runs it.
 
 Warm evaluation
 ---------------

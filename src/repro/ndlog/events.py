@@ -3,8 +3,9 @@
 The engine keeps a chronological log of everything that happens to tuples:
 insertions and deletions of base tuples, derivations and underivations,
 appearances/disappearances in the database, and cross-node message traffic.
-The provenance reader (:class:`repro.provenance.query.ProvenanceQuery`) turns
-this history into the provenance graph of Section 3.1 of the paper.
+The classical provenance reader (``ProvenanceQuery``, kept with its suite in
+``tests/provenance/classical_provenance.py``) turns this history into the
+provenance graph of Section 3.1 of the paper.
 
 With incremental deletion (see :mod:`repro.ndlog.engine`), a retraction
 emits DELETE/DISAPPEAR for the retracted base tuple and UNDERIVE/DISAPPEAR

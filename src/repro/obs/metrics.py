@@ -194,10 +194,15 @@ def merge_snapshots(snapshots: Iterable[Dict[str, list]]) -> Dict[str, list]:
     return registry.snapshot()
 
 
+#: The text format's escapes for a label value; a tenant name is one.
+_LABEL_VALUE_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n"})
+
+
 def _format_labels(labels: List[list]) -> str:
     if not labels:
         return ""
-    inner = ",".join(f'{k}="{v}"' for k, v in labels)
+    inner = ",".join(f'{k}="{str(v).translate(_LABEL_VALUE_ESCAPES)}"'
+                     for k, v in labels)
     return "{" + inner + "}"
 
 

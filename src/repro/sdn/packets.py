@@ -109,12 +109,6 @@ class Packet:
         """Return a copy with some header fields modified."""
         return replace(self, **changes)
 
-    def is_http(self) -> bool:
-        return self.dst_port == HTTP_PORT
-
-    def is_dns(self) -> bool:
-        return self.dst_port == DNS_PORT
-
     def __str__(self):
         return (f"pkt#{self.packet_id} {self.proto} "
                 f"{format_ip(self.src_ip)}:{self.src_port} -> "

@@ -62,9 +62,6 @@ class FlowEntry:
         return cls(match=tuple(sorted(match.items())), out_port=out_port,
                    priority=priority, tags=tuple(tags))
 
-    def match_dict(self) -> Dict[str, object]:
-        return dict(self.match)
-
     def matches(self, packet: Packet, in_port: Optional[int] = None) -> bool:
         values = packet.header_values + (in_port, None)
         for field_name, value in self.match:

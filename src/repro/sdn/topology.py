@@ -50,9 +50,6 @@ class Host:
     def mac(self) -> int:
         return self.host_id
 
-    def display_name(self) -> str:
-        return self.name or f"H{self.host_id}"
-
 
 _Node = Tuple[str, int]  # ("switch", switch_id) or ("host", host_id)
 
@@ -117,9 +114,6 @@ class Topology:
 
     def host(self, host_id: int) -> Host:
         return self.hosts[host_id]
-
-    def hosts_on_switch(self, switch_id: int) -> List[Host]:
-        return [h for h in self.hosts.values() if h.switch_id == switch_id]
 
     def hosts_with_role(self, role: str) -> List[Host]:
         return [h for h in self.hosts.values() if h.role == role]

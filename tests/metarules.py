@@ -7,10 +7,10 @@ rule's join produced values that satisfied both selection predicates (h2);
 joins, expressions, assignments and selections each have their own meta
 rules.
 
-This module keeps the meta model both as *source text* (useful for
-documentation and for testing that our parser accepts it) and as structured
-metadata (tables and rule names) consumed by tests and by the DESIGN
-inventory.  The repair search itself uses the operational encoding in
+This module keeps the meta model both as *source text* (the parser must
+accept it) and as structured metadata (tables and rule names) that the
+suites hold to the paper's counts.  No repair reads it: the search uses the
+operational encoding in
 :mod:`repro.meta.explorer`, which is an optimised implementation of the same
 semantics — the explorer never enumerates full cross-product ``Join`` tuples
 but decides one join combination at a time while it enumerates support
@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..ndlog.ast import Program
-from ..ndlog.parser import parse_program
+from repro.ndlog.ast import Program
+from repro.ndlog.parser import parse_program
 
 
 #: Names of the µDlog meta tuples (Section 3.2).

@@ -8,8 +8,7 @@ deliberately simple and slow.
 
 Tests cross-check the indexed engine against this oracle (identical derived
 tuple sets over the Q1–Q5 scenario workloads and over delete/reinsert
-sequences driven through ``insert``/``remove``), and the engine
-microbenchmark uses it as the baseline the indexed join must beat.
+sequences driven through ``insert``/``remove``); no repair runs it.
 
 Two intentional notes on oracle fidelity:
 
@@ -31,9 +30,9 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .ast import Atom, Const, Program, Rule, Var
-from .errors import EvaluationError
-from .events import (
+from repro.ndlog.ast import Atom, Const, Program, Rule, Var
+from repro.ndlog.errors import EvaluationError
+from repro.ndlog.events import (
     APPEAR,
     DELETE,
     DERIVE,
@@ -45,8 +44,8 @@ from .events import (
     DerivationRecord,
     EngineEvent,
 )
-from .expr import Bindings, FunctionRegistry, evaluate
-from .tuples import Database, NDTuple, TableSchema
+from repro.ndlog.expr import Bindings, FunctionRegistry, evaluate
+from repro.ndlog.tuples import Database, NDTuple, TableSchema
 
 
 class NaiveEngine:

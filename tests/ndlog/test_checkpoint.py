@@ -20,7 +20,8 @@ import random
 
 import pytest
 
-from repro.ndlog import Engine, NaiveEngine, make_tuple, parse_program
+from reference_engine import NaiveEngine
+from repro.ndlog import Engine, make_tuple, parse_program
 from repro.ndlog.tuples import TableSchema
 
 

@@ -1,7 +1,7 @@
 """Cross-check of the indexed engine against the naive reference evaluator.
 
 The indexed engine (:class:`repro.ndlog.Engine`) must produce *bit-identical*
-derived-tuple sets to the scan-based oracle (:class:`repro.ndlog.NaiveEngine`)
+derived-tuple sets to the scan-based oracle (``reference_engine.NaiveEngine``)
 — the original evaluation strategy kept for exactly this purpose.  The checks
 run the real Q1–Q5 controller programs over their recorded traffic traces,
 plus synthetic insert/delete workloads: small scripted ones and the bulk
@@ -10,8 +10,8 @@ join, delete and wide-program (Figure 10-style) ones.
 
 import pytest
 
-from repro.ndlog import (Engine, NaiveEngine, TableSchema, make_tuple,
-                         parse_program)
+from reference_engine import NaiveEngine
+from repro.ndlog import Engine, TableSchema, make_tuple, parse_program
 from repro.scenarios import SCENARIO_BUILDERS, build_scenario
 
 

@@ -33,7 +33,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 import reference_parser
-from repro.meta.metarules import MUDLOG_META_RULES_SOURCE
+from metarules import MUDLOG_META_RULES_SOURCE
 from repro.ndlog import ParseError, parse_expression, parse_program, parse_rule
 from repro.scenarios import SCENARIO_BUILDERS, build_q1, build_scenario
 

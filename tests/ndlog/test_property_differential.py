@@ -38,7 +38,8 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from repro.ndlog import Engine, NaiveEngine, parse_program
+from reference_engine import NaiveEngine
+from repro.ndlog import Engine, parse_program
 from repro.ndlog.tuples import NDTuple, TableSchema
 
 TABLES = ("A", "B", "C", "D", "E")

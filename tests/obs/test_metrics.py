@@ -97,6 +97,7 @@ def test_prometheus_text_format():
     registry.counter("hits", worker="a").inc(2)
     registry.gauge("depth").set(3)
     registry.histogram("lat", buckets=(0.1, 1.0)).observe(0.5)
+    registry.counter("hits", worker='a"}\nfake 1\n\\').inc()
     text = prometheus_text(registry.snapshot())
     assert "# TYPE hits counter" in text
     assert 'hits{worker="a"} 2' in text
@@ -107,6 +108,9 @@ def test_prometheus_text_format():
     assert 'lat_bucket{le="+Inf"} 1' in text
     assert "lat_sum 0.5" in text
     assert "lat_count 1" in text
+    # A label value is escaped, so it cannot end its line early.
+    assert 'hits{worker="a\\"}\\nfake 1\\n\\\\"} 1\n' in text
+    assert not any(line.startswith("fake") for line in text.splitlines())
 
 
 def test_prometheus_text_empty_snapshot():

@@ -10,12 +10,16 @@ zero-worker case: its serial drain, not a fleet) and the exit hook that
 closes idle fleets, the two ``other_languages``
 scenarios (Table 3) and every CLI subcommand that needs no running service,
 ``repro lint`` also over a file of Q1's explorer candidates;
-then it walks each module's AST and prints the functions never entered.
+then it walks each module's AST and prints the functions never entered, and
+the modules no workload imported, each with the ``src/repro`` modules whose
+import statements (or lazy re-exports) name it.
 Out of reach: worker subprocesses (``spawn``, ``socket``, ``repro serve`` and
 its clients), code that runs at import, the compiled fire functions and what
 ``@dataclass`` writes.  "Never entered here" opens an investigation — the
 function may be the fleet's, a test oracle's or an error path's — it does
-not close one.  The last line is the total, and CI holds it to a ceiling
+not close one.  A module nothing imports here is the first place to look:
+either a subprocess or the service runs it, or it belongs with the tests.
+The last line is the total, and CI holds it to a ceiling
 (``--max-never-entered N``: exit 1 above it) that each diet PR lowers to its
 own total, so the number can only fall.
 
@@ -111,6 +115,39 @@ def never_entered(path):
     return missing, total
 
 
+def module_name(path):
+    parts = path.relative_to(ROOT.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def importers(paths):
+    """``{module: sorted modules of src/repro that import it}``, read from
+    import statements and ``lazy_exports`` tables."""
+    modules = {module_name(path) for path in paths}
+    found = {}
+    for path in paths:
+        importer = module_name(path)
+        package = importer if path.name == "__init__.py" \
+            else importer.rpartition(".")[0]
+        targets = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                targets.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                parts = package.split(".")
+                base = parts[:len(parts) + 1 - node.level] if node.level else []
+                source = ".".join(base + ([node.module] if node.module else []))
+                targets.add(source)
+                targets.update(f"{source}.{alias.name}" for alias in node.names)
+            elif isinstance(node, ast.Call) and getattr(
+                    node.func, "id", None) == "lazy_exports":
+                targets.update(f"{package}.{key.value}"
+                               for key in node.args[1].keys)
+        for target in targets & modules - {importer}:
+            found.setdefault(target, set()).add(importer)
+    return {module: sorted(names) for module, names in found.items()}
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-never-entered", type=int, metavar="N")
@@ -121,8 +158,10 @@ if __name__ == "__main__":
             contextlib.redirect_stderr(io.StringIO()):
         workloads()
     sys.setprofile(None)
+    imported = set(sys.modules)
+    paths = sorted(ROOT.rglob("*.py"))
     all_missing = all_functions = 0
-    for path in sorted(ROOT.rglob("*.py")):
+    for path in paths:
         missing, total = never_entered(path)
         all_missing += len(missing)
         all_functions += total
@@ -131,6 +170,13 @@ if __name__ == "__main__":
                   f"{len(missing)} of {total} functions never entered")
         for name, line in missing:
             print(f"    {name}  (line {line})")
+    named_by = importers(paths)
+    unimported = [module_name(path) for path in paths
+                  if module_name(path) not in imported]
+    print(f"{len(unimported)} modules no workload imports:")
+    for module in unimported:
+        print(f"    {module}  imported by: "
+              f"{', '.join(named_by.get(module, ())) or 'nothing in src'}")
     print(f"total: {all_missing} of {all_functions} functions never entered")
     if ceiling is not None and all_missing > ceiling:
         sys.exit(f"{all_missing} functions never entered, more than the "

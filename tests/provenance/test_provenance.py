@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.ndlog import Engine, TableSchema, make_tuple, parse_program
-from repro.provenance import (
+from classical_provenance import (
     DERIVE,
     EXIST,
     INSERT,
@@ -17,6 +16,7 @@ from repro.provenance import (
     is_negative,
     negative_twin,
 )
+from repro.ndlog import Engine, TableSchema, make_tuple, parse_program
 
 FIGURE2_PROGRAM = """
 r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), WebLoadBalancer(@C,Hdr,Prt), Swi == 1.

@@ -5,13 +5,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.meta import EXIST, MetaProvenanceExplorer, OperMeta
-from repro.meta.costs import CostModel, DEFAULT_COSTS, uniform_cost_model
-from repro.meta.metarules import (
+from metarules import (
     MUDLOG_META_TUPLES,
     meta_model_summary,
     mudlog_meta_program,
 )
+from repro.meta import EXIST, MetaProvenanceExplorer, OperMeta
+from repro.meta.costs import CostModel, DEFAULT_COSTS, uniform_cost_model
 from repro.ndlog import Const, Var, make_tuple, parse_program
 from repro.repair import (
     AddRule,

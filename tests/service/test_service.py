@@ -156,6 +156,19 @@ class TestEndpoints:
             'service_sessions_finished{tenant="alice",state="done"} 1' in text
         assert "service_workers_connected" in text
 
+    def test_a_hostile_tenant_cannot_inject_metric_lines(self, fleet):
+        # The tenant comes from the request body and is a label value on
+        # /metrics: escaped, it stays inside its one sample line.
+        _daemon, _server, client = fleet(workers=1, spawn_workers=False)
+        client.submit(RepairConfig.for_scenario("Q1", max_candidates=4),
+                      tenant='a"}\nservice_fake 1\n')
+        lines = client.metrics_text().splitlines()
+        submitted = [line for line in lines
+                     if line.startswith("service_sessions_submitted{")]
+        assert submitted == [
+            'service_sessions_submitted{tenant="a\\"}\\nservice_fake 1\\n"} 1']
+        assert not any(line.startswith("service_fake") for line in lines)
+
     def test_tenant_from_header_and_query(self, fleet):
         _daemon, _server, client = fleet(workers=1, spawn_workers=False)
         config = RepairConfig.for_scenario("Q1", max_candidates=4)

@@ -288,3 +288,47 @@ class TestServeProcess:
             if process.poll() is None:
                 process.kill()
             process.stdout.close()
+
+
+def free_port():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def worker_commands(address):
+    """Command lines of the running worker processes that connect to
+    ``address``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                argv = handle.read().decode(errors="replace").split("\0")
+        except OSError:
+            continue
+        if "repro.distrib.worker" in argv and address in argv:
+            found.append(" ".join(argv))
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+@pytest.mark.parametrize("busy", ["--port", "--daemon-port"])
+def test_repro_serve_on_a_busy_port_exits_2_and_leaves_no_worker(busy):
+    # Either port already taken: one line on stderr, exit 2, and no
+    # worker launched to find the daemon gone.
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen(1)
+        ports = {"--port": free_port(), "--daemon-port": free_port(),
+                 busy: taken.getsockname()[1]}
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--workers", "1",
+             "--port", str(ports["--port"]),
+             "--daemon-port", str(ports["--daemon-port"])],
+            env=child_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.count("\n") == 1, done.stderr
+    assert done.stderr.startswith("repro serve: cannot listen on "
+                                  f"127.0.0.1:{ports[busy]}: "), done.stderr
+    assert "Traceback" not in done.stderr
+    assert worker_commands(f"127.0.0.1:{ports['--daemon-port']}") == []
