@@ -123,6 +123,14 @@ class RepairConfig(Wire):
     #: disabled path constructs nothing and costs nothing).
     telemetry: Optional[TelemetryConfig] = None
 
+    def __post_init__(self):
+        # Construction, ``with_updates`` and the wire decode all land here.
+        for name in ("max_candidates", "trace_limit", "workers"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"config {name} must be >= 1, "
+                                  f"not {value!r}")
+
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------

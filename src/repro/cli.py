@@ -119,6 +119,23 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> RepairConfig:
+    """The run's config (:func:`_fold_args`).  One the session cannot run —
+    an unreadable or malformed file, a knob out of range, an unregistered
+    scenario — is one line on stderr and exit status 2."""
+    try:
+        config = _fold_args(args)
+    except (OSError, ValueError) as exc:     # WireError is a ValueError
+        problem = str(exc)
+    else:
+        if config.scenario.name in SCENARIO_BUILDERS:
+            return config
+        problem = (f"unknown scenario {config.scenario.name!r}; registered: "
+                   f"{', '.join(sorted(SCENARIO_BUILDERS))}")
+    print(f"repro {args.command}: {problem}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _fold_args(args) -> RepairConfig:
     """Start from --config (or defaults) and fold in the CLI overrides.
 
     The scenario may come from either side: an explicit name on the

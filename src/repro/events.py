@@ -197,8 +197,10 @@ class WarmEngineStats(SessionEvent):
     probe_hits: int = 0
     probe_misses: int = 0
     #: Shared rule-plan cache traffic during the stage (process-wide
-    #: :data:`repro.ndlog.plan.PLAN_CACHE` delta): near-identical candidate
-    #: programs should hit almost every rule.
+    #: :data:`repro.ndlog.plan.PLAN_CACHE` delta): a miss is plan code
+    #: compiled for a rule shape not seen before, a hit a lookup that
+    #: compiled nothing; near-identical candidate programs should miss
+    #: only for an edit that changes a rule's structure.
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
 

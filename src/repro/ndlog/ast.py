@@ -13,7 +13,7 @@ copy, and is edited with :func:`dataclasses.replace`, which keeps the source
 position.  Nodes are shared, not copied: a repair (:mod:`repro.repair.apply`)
 builds its program by replacing the rules it edits, and every other rule of
 the result *is* the base program's object.  Facts derived from a rule or a
-program (its structural digest, its name index, its dependency graph) are
+program (its plan shape, its name index, its dependency graph) are
 computed once per value (:class:`_Memoized`), because the value can no
 longer change under them.  ``to_ndlog()`` pretty-prints a node and
 round-trips through :mod:`repro.ndlog.parser`.

@@ -14,16 +14,17 @@ Evaluation strategy
 
 Rules are *compiled* when a program is installed: each rule becomes a
 :class:`~repro.ndlog.plan.CompiledRule` — specialized Python fire functions
-(one per trigger position) generated from the rule's structure and shared
-across programs through the process-global, structural-digest-keyed
-:data:`~repro.ndlog.plan.PLAN_CACHE`.  A fire function processes a whole
-batch of trigger tuples per call; joins probe the database's ``(column,
-value)`` hash indexes with the equality constraints implied by constants and
-already-bound variables, and selection predicates are pushed down to the
-first join depth where their variables are bound.  There are two fixpoint
-loops.  The event-visible one (:meth:`Engine._fixpoint`) runs off a
-deque-based worklist of single-tuple batches, which fixes the firing order
-the event log and the derivation history record.  The quiet one
+(one per trigger position), made from code compiled once per rule *shape*
+(its structure, constants as parameters) and shared across programs through
+the process-global :data:`~repro.ndlog.plan.PLAN_CACHE`.  A fire function
+processes a whole batch of trigger tuples per call; joins probe the
+database's ``(column, value)`` hash indexes with the equality constraints
+implied by constants and already-bound variables, and selection predicates
+are pushed down to the first join depth where their variables are bound.
+There are two fixpoint loops.  The event-visible one
+(:meth:`Engine._fixpoint`) runs off a deque-based worklist of single-tuple
+batches, which fixes the firing order the event log and the derivation
+history record.  The quiet one
 (:meth:`Engine._rederive_fixpoint`) is the recompute behind
 :meth:`Engine.remove`: semi-naive delta rounds, each joining only the
 previous round's fresh tuples — batched per table — against the indexes.
@@ -219,11 +220,11 @@ class Engine:
     def _index_rules(self):
         """(Re)assemble the dispatch table for the current program.
 
-        Plans are fetched from the process-global :data:`PLAN_CACHE`, keyed
-        by structural digest, so structurally unchanged rules — whether from
-        a program swap, a sibling candidate program, or another engine
-        entirely — share one compiled plan, and the guards ride on the plan:
-        assembly analyses no rule, it files one entry per body atom.  A fresh
+        Plans are fetched from the process-global :data:`PLAN_CACHE`: an
+        unchanged rule — whether from a program swap, a sibling candidate
+        program, or another engine entirely — reuses its binding, a rule that
+        differs only in constants binds its shape's compiled code, and the
+        guards ride on the plan: assembly files one entry per body atom.  A fresh
         table is assigned rather than the old one cleared: checkpoints hold a
         reference to the previous one, making a restore's rollback a pointer
         swap.
@@ -568,7 +569,7 @@ class Engine:
         builds a fresh engine when it cannot).  :meth:`restore` to a
         checkpoint taken under another program swaps back.
 
-        Plans come from the shared structural-digest cache, so the rules
+        Plans come from the shared plan cache, so the rules
         ``program`` shares with the current one cost a dictionary hit and one
         dispatch entry per body atom each (:meth:`_index_rules`); making that
         assembly proportional to the rules that differ is the one place to

@@ -5,7 +5,7 @@ nothing needs a copy of one.  Applying a candidate builds a *new*
 :class:`~repro.ndlog.ast.Program` in which each rule an edit names is
 replaced by an edited value (:func:`dataclasses.replace`, a new ``rules``
 tuple) and every other rule is shared with the base program — the same
-object, with whatever has been derived from it (compiled plan digest, ...)
+object, with whatever has been derived from it (its plan shape, ...)
 already attached.  A repair therefore costs its edit, not the size of the
 program.  The result is a :class:`RepairedProgram`: that program plus the
 base tuples to insert or remove before replaying.

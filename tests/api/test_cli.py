@@ -93,6 +93,27 @@ def test_missing_scenario_is_a_usage_error(capsys):
     assert "no scenario specified" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, problem", [
+    (["repair", "q9"], "unknown scenario 'Q9'; registered: Q1, Q2, Q3, Q4, "
+                       "Q5"),
+    (["backtest", "q9"], "unknown scenario 'Q9'; registered: Q1, Q2, Q3, "
+                         "Q4, Q5"),
+    (["repair", "q1", "--max-candidates", "-3"],
+     "config max_candidates must be >= 1, not -3"),
+    (["backtest", "q1", "--trace-limit", "0"],
+     "config trace_limit must be >= 1, not 0"),
+    (["repair", "q1", "--workers", "-1"], "config workers must be >= 1, "
+                                          "not -1")])
+def test_a_config_that_cannot_run_is_one_line_and_exit_2(argv, problem,
+                                                         capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--quiet"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"repro {argv[0]}: {problem}\n"
+    assert captured.out == ""
+
+
 def test_boolean_flags_override_config_both_ways(tmp_path):
     from repro.cli import _config_from_args, build_parser
     from repro.api import RepairConfig

@@ -221,3 +221,25 @@ def test_with_updates_returns_modified_copy():
     assert tuned.max_candidates == 3 and tuned.multiquery
     assert config.max_candidates == 20 and not config.multiquery
     assert tuned.scenario == config.scenario
+
+
+@pytest.mark.parametrize("key, value", [
+    ("max_candidates", 0), ("max_candidates", -3),   # explores nothing
+    ("trace_limit", 0),                              # rejects every candidate
+    ("trace_limit", -5),                             # trace[:-5], silently
+    ("workers", 0), ("workers", -1)])
+def test_counts_out_of_range_are_refused_on_every_path(key, value):
+    message = f"config {key} must be >= 1, not {value}"
+    with pytest.raises(ConfigError, match=message):
+        RepairConfig.from_wire({"scenario": {"name": "Q1"}, key: value})
+    with pytest.raises(ConfigError, match=message):
+        RepairConfig.for_scenario("Q1", **{key: value})
+    with pytest.raises(ConfigError, match=message):
+        RepairConfig.for_scenario("Q1").with_updates(**{key: value})
+
+
+def test_counts_at_their_floor_are_accepted():
+    config = RepairConfig.from_wire({"max_candidates": 1, "trace_limit": 1,
+                                     "workers": 1})
+    assert (config.max_candidates, config.trace_limit, config.workers) == \
+        (1, 1, 1)

@@ -1,16 +1,21 @@
 """Shared rule-plan cache: cross-program reuse and counter plumbing.
 
-The cache key is the rule's structural digest, so near-identical candidate
-programs (one rule edited, the rest untouched) re-index against cached
-plans — the property the warm candidate switch and the distributed
-workers' ``RuntimeCache`` rely on.
+Code is keyed by the rule's structural shape and bindings by rule, so
+near-identical candidate programs (one rule edited, the rest untouched)
+re-index against cached plans — the property the warm candidate switch and
+the distributed workers' ``RuntimeCache`` rely on — and rules that differ
+only in their constants share compiled code.
 """
+
+import dataclasses
 
 import pytest
 
+from reference_engine import NaiveEngine
+from repro.ndlog.ast import Assignment, BinOp, Const, Program, Selection, Var
 from repro.ndlog.engine import Engine
 from repro.ndlog.parser import parse_program
-from repro.ndlog.plan import PLAN_CACHE, PlanCache, rule_digest
+from repro.ndlog.plan import PLAN_CACHE, PlanCache, rule_shape
 from repro.ndlog.tuples import NDTuple
 
 CHAIN = """
@@ -37,13 +42,13 @@ def test_identical_rules_share_one_plan_across_programs():
                              "capacity": cache.capacity}
 
 
-def test_digest_ignores_object_identity_but_not_structure():
+def test_shape_ignores_object_identity_but_not_structure():
     rule_a = parse_program(CHAIN).rules[0]
     rule_b = parse_program(CHAIN).rules[0]
     assert rule_a is not rule_b
-    assert rule_digest(rule_a) == rule_digest(rule_b)
+    assert rule_shape(rule_a) == rule_shape(rule_b)
     edited = parse_program(CHAIN_EDITED).rules[1]
-    assert rule_digest(rule_a) != rule_digest(edited)
+    assert rule_shape(rule_a) != rule_shape(edited)
 
 
 def test_lru_eviction_keeps_capacity():
@@ -51,7 +56,7 @@ def test_lru_eviction_keeps_capacity():
     rules = parse_program(CHAIN).rules
     for rule in rules:
         cache.get(rule)
-    assert len(cache) == 2
+    assert cache.stats()["size"] == 2
     # r1 was evicted: fetching it again is a miss.
     misses = cache.misses
     cache.get(rules[0])
@@ -93,3 +98,55 @@ def test_warm_engine_stats_event_carries_plan_cache_counters():
     # New fields default to zero so old wire records still decode.
     assert event.plan_cache_hits == 0 and event.plan_cache_misses == 0
     assert WarmEngineStats(plan_cache_hits=7).plan_cache_hits == 7
+
+
+#: Two selections on quoted constants, and one selection whose constant holds
+#: the quotes: ``to_ndlog`` renders both rules as the same text.
+QUOTED = parse_program(
+    'r1 B(@N, X, Y) :- A(@N, X, Y), X == "1", Y == "2".').rules[0]
+SMUGGLED = dataclasses.replace(QUOTED, selections=(
+    Selection(BinOp("==", Var("X"), Const('1", Y == "2'))),))
+#: Head values a constant writes: equal under ``==``, of four types.
+TYPED = [dataclasses.replace(
+    parse_program("r2 C(@N, Y) :- A(@N, X, Z).").rules[0],
+    assignments=(Assignment("Y", Const(value)),))
+    for value in (1, True, 1.0, "1")]
+INPUTS = [NDTuple("A", ("n", "1", "2")), NDTuple("A", ("n", '1", Y == "2', 0))]
+
+
+def _derived(rules):
+    """What the engine and the reference engine derive from ``INPUTS``, each
+    rule in a program of its own, in order, with the shared cache warm from
+    the rules before it."""
+    found = []
+    for rule in rules:
+        program = Program(rules=[rule])
+        engine, oracle = Engine(program), NaiveEngine(program)
+        for tup in INPUTS:
+            engine.insert(tup)
+            oracle.insert(tup)
+        table = rule.head.table
+        derived = sorted((repr(t.values) for t in engine.database.tuples(table)))
+        assert derived == sorted(
+            repr(t.values) for t in oracle.database.tuples(table)), rule
+        found.append(derived)
+    return found
+
+
+@pytest.mark.parametrize("order", [(QUOTED, SMUGGLED), (SMUGGLED, QUOTED)],
+                         ids=["quoted-first", "smuggled-first"])
+def test_rules_of_one_text_but_two_structures_never_share_a_plan(order):
+    assert QUOTED.to_ndlog() == SMUGGLED.to_ndlog()
+    PLAN_CACHE.clear()
+    derived = dict(zip(order, _derived(order)))
+    assert derived[QUOTED] == ["('n', '1', '2')"]
+    assert derived[SMUGGLED] == ["""('n', '1", Y == "2', 0)"""]
+
+
+def test_equal_constants_of_other_types_keep_their_type():
+    PLAN_CACHE.clear()
+    derived = _derived(TYPED + TYPED[::-1])
+    assert derived[:4] == [["('n', 1)"], ["('n', True)"], ["('n', 1.0)"],
+                           ["('n', '1')"]]
+    assert derived[4:] == derived[:4][::-1]
+    assert len({PLAN_CACHE.get(rule) for rule in TYPED}) == 4

@@ -27,6 +27,10 @@ the ``1`` bucket, as ``==`` does).  Programs of single-atom rules, where a
 tuple fires a rule at most once and the order of firings is the order of
 rules, are held to the oracle's *event log*, also across a
 checkpoint/``swap_program``/restore round trip of the dispatch table.
+Rules also compare against and write the string ``"1"``, and one shape puts
+a constant in the head, so rules that differ only by a constant's type meet
+in the shared plan cache across examples: one compiled shape, never one
+binding.
 
 These are the same invariants the hand-written golden suite pins, but
 explored over a much wider program space.
@@ -46,8 +50,12 @@ TABLES = ("A", "B", "C", "D", "E")
 #: What tuples hold.  ``True == 1`` and they hash alike, so (x, True) *is*
 #: the tuple (x, 1) — and a ``Y == 1`` guard must see it that way too.
 VALUES = (0, 1, 2, 3, "*", True)
-#: What rules compare against, as NDlog text.
-CONSTANTS = ("0", "1", "2", "3", "*")
+#: What ordered comparisons take without raising, as NDlog text.
+ORDERED = ("0", "1", "2", "3", "*")
+#: What rules compare against and write.  ``"1"`` is a string: rules that
+#: differ only by ``1``/``"1"`` are one shape up to the constant's type, so
+#: they share compiled code but never a binding.
+CONSTANTS = ORDERED + ('"1"',)
 
 #: A primary key over *every* column never evicts (two tuples with one key
 #: are one tuple), so results stay evaluation-order independent while the
@@ -59,7 +67,7 @@ _SHAPES = (
     "{name} {head}(@X, Y) :- {b1}(@X, Y).",
     "{name} {head}(@X, Y) :- {b1}(@Y, X).",
     "{name} {head}(@X, Z) :- {b1}(@X, Y), {b2}(@Y, Z).",
-    "{name} {head}(@X, Y) :- {b1}(@X, Y), Y > {const}.",
+    "{name} {head}(@X, Y) :- {b1}(@X, Y), Y > {ordered}.",
     "{name} {head}(@X, Y) :- {b1}(@X, Y), {b2}(@X, Y).",
     # Three atoms: when {head} equals {b2} or {b3} the head feeds a body atom
     # that the join reaches at depth >= 2 (cf. golden case selffeed3_live).
@@ -81,6 +89,8 @@ _GUARD_SHAPES = (
     "{name}c {b3}(@X, Y) :- {b1}(@X, Y), Y == {const2}.",
     "{name} {head}(@X, Y) :- {b1}(@X, Y).",
     "{name} {head}(@Y, X) :- {b1}(@X, Y), Y != {const}.",
+    # A constant in the head: the value a tuple holds is the constant itself.
+    "{name} {head}(@X, {const}) :- {b1}(@X, Y).",
 )
 
 
@@ -98,6 +108,7 @@ def programs(draw, shapes=_SHAPES + _GUARD_SHAPES):
             b3=draw(st.sampled_from(TABLES)),
             const=draw(st.sampled_from(CONSTANTS)),
             const2=draw(st.sampled_from(CONSTANTS)),
+            ordered=draw(st.sampled_from(ORDERED)),
         ))
     return parse_program("\n".join(rules))
 

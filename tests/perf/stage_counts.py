@@ -1,0 +1,155 @@
+"""Stage counts: Python calls per repair stage, and plan code compiled.
+
+A tool, not a test — pytest does not collect this file.  Each row runs in a
+fresh interpreter under ``PYTHONHASHSEED=0``, so its plan cache starts cold,
+as a ``repro repair`` does: one serial session, stage by stage, under a
+``sys.setprofile`` call counter (the ledger's ``api.python_calls``).  The
+stages are the scenario build (``session.scenario``), then ``diagnose``,
+``generate``, ``backtest`` and ``rank``; ``compiled`` is the plan code
+objects the session compiled (``PLAN_CACHE`` misses).  The rows are Q1 and
+Q4 at 14 candidates and the session shapes of three ledger workloads, built
+by the ledger's own workload modules (``benchmarks/ledger/workloads``) at
+seed 0: ``trace_heavy``, ``candidate_heavy`` and ``program_heavy``.  Every
+count repeats exactly from run to run on one CPython minor version.
+
+    PYTHONPATH=src python tests/perf/stage_counts.py
+    PYTHONPATH=src python tests/perf/stage_counts.py --check
+    PYTHONPATH=src python tests/perf/stage_counts.py --append COMMIT
+
+``--check`` fails when a count exceeds the last entry of
+``BENCH_counts.json`` (repository root) by more than 10 %, the work-count
+ceiling of ``tests/perf/test_work_counts.py``; ``--append`` adds an entry
+(commit, CPython version, rows) to that file.  A PR that changes the counts
+on purpose appends its own entry.
+"""
+
+import argparse
+import json
+import os
+import pathlib
+import platform
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+LEDGER = ROOT / "benchmarks" / "ledger"
+TRAJECTORY = ROOT / "BENCH_counts.json"
+ROWS = ("Q1@14", "Q4", "trace_heavy", "candidate_heavy", "program_heavy")
+STAGES = ("scenario", "diagnose", "generate", "backtest", "rank")
+CEILING = 1.10
+
+
+def _config(row):
+    """The session config wire of ``row``."""
+    if row in ("Q1@14", "Q4"):
+        from repro.api import RepairConfig
+        return RepairConfig.for_scenario(row.split("@")[0],
+                                         max_candidates=14).to_wire()
+    sys.path.insert(0, str(LEDGER))
+    from workloads import WORKLOADS
+    module = WORKLOADS[row]
+    return module.runner(module.inputs(0, smoke=False)).config
+
+
+def _python_calls(call):
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profiler)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def count_row(row):
+    """The counts of ``row``, measured in this interpreter."""
+    from repro.api import RepairSession
+    from repro.ndlog.plan import PLAN_CACHE
+    from repro.repair import reset_candidate_ids
+    config = _config(row)
+    reset_candidate_ids()
+    session = RepairSession.from_wire(config)
+    compiled = PLAN_CACHE.misses
+    counts = {"scenario": _python_calls(lambda: session.scenario)}
+    for stage in STAGES[1:]:
+        counts[stage] = _python_calls(lambda: session.run(until=stage))
+    counts["session"] = sum(counts.values())
+    counts["compiled"] = PLAN_CACHE.misses - compiled
+    return counts
+
+
+def measure():
+    """``{row: counts}``, each row in a fresh interpreter."""
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    rows = {}
+    for row in ROWS:
+        out = subprocess.run(
+            [sys.executable, __file__, "--row", row], env=env, check=True,
+            capture_output=True, text=True).stdout
+        rows[row] = json.loads(out.splitlines()[-1])
+    return rows
+
+
+def table(rows):
+    columns = STAGES + ("session", "compiled")
+    lines = ["| row | " + " | ".join(columns) + " |",
+             "| --- |" + " ---: |" * len(columns)]
+    for row, counts in rows.items():
+        lines.append(f"| {row} | " + " | ".join(
+            f"{counts[column]:,}" for column in columns) + " |")
+    return "\n".join(lines)
+
+
+def check(rows, entry):
+    """The counts of ``rows`` above ``CEILING`` x ``entry``'s."""
+    return [f"{row} {column}: {count:,} > {CEILING:.2f} x "
+            f"{entry['rows'][row][column]:,}"
+            for row, counts in rows.items() if row in entry["rows"]
+            for column, count in counts.items()
+            if count > CEILING * entry["rows"][row].get(column, count)]
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--row", choices=ROWS, help=argparse.SUPPRESS)
+    parser.add_argument("--check", action="store_true")
+    parser.add_argument("--append", metavar="COMMIT")
+    args = parser.parse_args()
+    if args.row:
+        print(json.dumps(count_row(args.row)))
+        return 0
+    rows = measure()
+    print(table(rows))
+    version = platform.python_version()
+    entries = (json.loads(TRAJECTORY.read_text())
+               if TRAJECTORY.exists() else [])
+    if args.append:
+        entries.append({"commit": args.append, "python": version,
+                        "rows": rows})
+        TRAJECTORY.write_text(json.dumps(entries, indent=2) + "\n")
+    if args.check:
+        if not entries:
+            print(f"no entry in {TRAJECTORY.name} to check against")
+            return 1
+        last = entries[-1]
+        if last["python"].split(".")[:2] != version.split(".")[:2]:
+            print(f"counts were taken on CPython {last['python']}, this is "
+                  f"{version}: nothing to compare")
+            return 0
+        over = check(rows, last)
+        for line in over:
+            print(line)
+        print(f"{len(over)} counts above {CEILING:.2f} x the entry of "
+              f"{last['commit']}")
+        return 1 if over else 0
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -55,6 +55,10 @@ rule-edit candidate makes the same number of calls into ``repro/`` on Q1's 8
 rules as on Q1 padded to 250, and the 14 candidates of the padded program
 stay under a ceiling — a tuple insert costs the rules that read its table,
 which is its edit's cone.
+"A rule shape compiles once": a session on a cold plan cache compiles
+the same number of plan code objects on Q1's 8 rules as on 250, switching to
+a candidate that changes only a constant compiles none, and the 250-rule
+Diagnose stage stays under a call ceiling.
 "A rule costs its text": ``parse_program`` makes the same number of calls
 into ``repro/ndlog`` per rule (±1) on Q1 padded to 40 rules as on 250, at
 most 60 (310 while the tokenizer built a ``Token`` per token and the parser
@@ -89,15 +93,17 @@ COUNTERS = ("engine_fixpoints", "rules_fired", "tuples_derived",
             "candidates_vetoed")
 
 #: ``python_calls`` was pinned on CPython 3.11 in a fresh interpreter.
+#: ``plan_cache_misses`` counts plan code compiled, one per rule shape: 11 and
+#: 9 while a plan was compiled per rule text.
 PINNED = {
     "Q1": {"engine_fixpoints": 778, "rules_fired": 866, "tuples_derived": 842,
-           "packets_replayed": 2808, "plan_cache_misses": 11,
+           "packets_replayed": 2808, "plan_cache_misses": 8,
            "candidates_backtested": 14, "candidates_vetoed": 2,
-           "python_calls": 115155},
+           "python_calls": 114500},
     "Q4": {"engine_fixpoints": 160, "rules_fired": 248, "tuples_derived": 248,
-           "packets_replayed": 1280, "plan_cache_misses": 9,
+           "packets_replayed": 1280, "plan_cache_misses": 5,
            "candidates_backtested": 11, "candidates_vetoed": 1,
-           "python_calls": 35050},
+           "python_calls": 34666},
 }
 #: Calls into ``repro/meta`` of one 14-candidate exploration of Q1's goal
 #: (explorer construction included), by number of rules in the program.
@@ -115,6 +121,14 @@ PINNED_EXPLORATION_STATS = {
 #: ``CompiledRule.fire`` entries of one serial session over Q1 padded to 250
 #: rules, 14 candidates.
 PINNED_FIRE_ENTRIES_250_RULES = 1154
+#: Plan code objects one 14-candidate session compiles on a cold plan cache,
+#: on Q1's 8 rules and on 250 alike (19 and 261 while a plan was compiled
+#: per rule text).
+PINNED_SESSION_COMPILES = 10
+#: Python calls of the Diagnose stage over Q1 padded to 250 rules on a cold
+#: plan cache (49,098 while a plan was compiled per rule text and keyed by
+#: its rendered text; 19,513 on a warm cache).
+DIAGNOSE_CALLS_CEILING_250_RULES = 20000
 EXPLAIN_CALLS_PER_CANDIDATE = 100
 #: Calls into ``repro/sdn`` of one ``Switch.lookup``.  Before compiled match
 #: keys a hit cost 5 with one match field and 10 with six (``header()``, one
@@ -556,3 +570,47 @@ def test_a_rule_costs_its_text():
         f"{PYTHON_CALLS_CEILING:.2f} x the pinned "
         f"{PINNED_PARSE_CALLS_250_RULES}; if the change is intended, update "
         "PINNED_PARSE_CALLS_250_RULES")
+
+
+def _padded_session(total_rules):
+    scenario = build_q1()
+    scenario.program = padded_program(scenario, total_rules)
+    return RepairSession(RepairConfig(max_candidates=14), scenario=scenario)
+
+
+@pytest.mark.parametrize("total_rules", [8, 250])
+def test_a_cold_session_compiles_one_code_object_per_shape(total_rules):
+    session = _padded_session(total_rules)
+    PLAN_CACHE.clear()
+    assert len(session.run().candidates) == 14
+    assert PLAN_CACHE.misses == PINNED_SESSION_COMPILES, (
+        f"a cold session over {total_rules} rules compiled "
+        f"{PLAN_CACHE.misses} plan code objects, pinned "
+        f"{PINNED_SESSION_COMPILES} on 8 rules and on 250 alike: plan code "
+        "is keyed by something finer than the rule's shape")
+
+
+def test_a_changed_constant_compiles_nothing():
+    scenario = build_q1()
+    PLAN_CACHE.clear()
+    warm = WarmEvaluationState(scenario)
+    candidate = RepairCandidate(
+        edits=(ChangeConstant("r1", 0, "right", 1, 7),), cost=1.0)
+    repaired = apply_candidate(scenario.program, candidate)
+    compiled = PLAN_CACHE.misses
+    assert warm.prepare_controller(repaired) is warm.controller
+    Engine(repaired.program, record_events=False)
+    assert PLAN_CACHE.misses == compiled, (
+        "a candidate that changes one constant compiled plan code: its rule "
+        "has the shape of a rule already compiled")
+
+
+def test_a_cold_250_rule_diagnose_stays_under_its_ceiling():
+    session = _padded_session(250)
+    session.scenario                    # the scenario build is its own stage
+    PLAN_CACHE.clear()
+    calls = _python_calls(lambda: session.run(until="diagnose"))
+    assert calls <= DIAGNOSE_CALLS_CEILING_250_RULES, (
+        f"Diagnose over 250 rules on a cold plan cache makes {calls} Python "
+        f"calls, more than {DIAGNOSE_CALLS_CEILING_250_RULES} (49,098 while "
+        "each rule text compiled a plan of its own)")

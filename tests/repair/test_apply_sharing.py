@@ -35,7 +35,7 @@ from repro.api import RepairConfig, RepairSession
 from repro.backtest import modified_rule_names
 from repro.ndlog import (Assignment, Atom, BinOp, Const, Program, Rule,
                          Selection, Var, make_tuple, parse_program)
-from repro.ndlog.plan import rule_digest
+from repro.ndlog.plan import rule_shape
 from repro.repair import (PROGRAM_EDIT_KINDS, AddRule, ChangeAssignment,
                           ChangeConstant, ChangeOperator, ChangeRuleHead,
                           ChangeTuple, CopyRule, DeletePredicate, DeleteRule,
@@ -277,7 +277,7 @@ def test_replace_keeps_positions_and_repr_shows_fields_only():
     assert renamed.head is rule.head and renamed.body is rule.body
     text = repr(rule)
     Program(rules=[rule]).rule_named("r5")      # whatever gets memoized ...
-    rule_digest(rule)
+    rule_shape(rule)
     assert repr(rule) == text                   # ... stays out of repr
     assert "line" not in text and "column" not in text
 

@@ -245,6 +245,13 @@ class TestEndpoints:
             client.submit({"scenario": {"name": "Q1"}, "workers": "2"})
         assert excinfo.value.status == 400
         assert "'workers' must be an integer" in str(excinfo.value)
+        # So is a count out of range: ``trace_limit=-5`` would judge Q1 on
+        # a silently truncated trace.
+        with pytest.raises(ClientError) as excinfo:
+            client.submit({"scenario": {"name": "Q1"}, "trace_limit": -5})
+        assert excinfo.value.status == 400
+        assert "bad repair config: config trace_limit must be >= 1" in \
+            str(excinfo.value)
         with pytest.raises(ClientError) as excinfo:
             client._json("POST", "/sessions",
                          payload={"config": {}, "tenant": "x", "oops": 1})
