@@ -167,6 +167,10 @@ class RepairSession:
         self.stage_seconds: Dict[str, float] = {}
         #: The backtester built by the backtest stage (for warm statistics).
         self.backtester = None
+        #: Diagnose's one replay of the buggy program
+        #: (:class:`~repro.scenarios.base.RecordedRun`): the run behind the
+        #: ``history`` artifact, and the backtest's baseline.
+        self.recorded_run = None
 
     @classmethod
     def from_wire(cls, wire: Dict[str, object],

@@ -12,13 +12,16 @@ session shell, event stream and CLI rendering).
 The four standard stages (the :class:`~repro.api.session.PhaseTimings`
 field each one fills is in brackets):
 
-* :class:`DiagnoseStage` — replay the recorded trace under the buggy
-  program and index the historical base tuples (``history_lookups``).
+* :class:`DiagnoseStage` — replay the recorded trace once under the buggy
+  program and the runtime recorder; index what it recorded for the explorer
+  and keep its traffic statistics as the backtest baseline
+  (``history_lookups``).
 * :class:`GenerateStage` — explore the meta provenance forest and extract
   repair candidates in cost order (``constraint_solving`` +
   ``patch_generation``).
 * :class:`BacktestStage` — evaluate every candidate against the recorded
-  traffic, locally or through the distributed fabric (``replay``).
+  traffic, locally or through the distributed fabric, judged against
+  Diagnose's baseline (``replay``).
 * :class:`RankStage` — order the survivors by complexity.
 """
 
@@ -56,14 +59,25 @@ class Stage:
 
 
 class DiagnoseStage(Stage):
-    """Build the history index for the scenario's recorded trace."""
+    """Replay the buggy program over the (trace-limited) trace once, quietly,
+    under the runtime recorder.
+
+    The artifact is the history index the explorer searches.  The same run
+    is the backtest baseline — its traffic statistics and replay seconds —
+    so the session keeps it (:attr:`RepairSession.recorded_run`) for
+    :class:`BacktestStage`, which then replays no baseline of its own.
+    Nothing else of the run is kept: no packet log, no engine event, no
+    derivation record; a repair reads none of them.
+    """
 
     name = "diagnose"
     provides = "history"
 
     def run(self, session):
-        scenario = session.scenario
-        return scenario.history_index(trace_limit=session.config.trace_limit)
+        run = session.scenario.recorded_run(
+            trace_limit=session.config.trace_limit)
+        session.recorded_run = run
+        return run.history
 
 
 class GenerateStage(Stage):
@@ -106,6 +120,14 @@ class BacktestStage(Stage):
         telemetry = session.telemetry
         backtester = config.make_backtester(session.scenario)
         backtester.telemetry = telemetry
+        # Diagnose's run is the baseline when it produced the session's
+        # history over the same cut; without it (a custom pipeline, a
+        # hand-filled history) the backtester replays its own.
+        recorded = session.recorded_run
+        if (recorded is not None
+                and recorded.history is session.artifacts.get("history")
+                and recorded.trace_limit == config.trace_limit):
+            backtester.use_baseline(recorded.baseline, recorded.seconds)
         session.backtester = backtester
         candidates = session.artifacts["exploration"].candidates
         scheduler = config.make_scheduler(telemetry=telemetry)

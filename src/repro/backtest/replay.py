@@ -1,8 +1,10 @@
 """Backtesting repair candidates by replaying historical traffic.
 
-The :class:`Backtester` runs the *original* (buggy) program over the recorded
-trace once to obtain the baseline traffic distribution, then replays the same
-trace against each repaired program.  A candidate is
+The :class:`Backtester` judges each repaired program's replay of the
+recorded trace against the baseline traffic distribution — the *original*
+(buggy) program's replay of the same trace, which a session's Diagnose stage
+has already run and hands over, and which a backtester on its own replays
+once.  A candidate is
 
 * **effective** if it fixes the symptom (the scenario's effectiveness
   predicate holds, e.g. "the backup web server receives at least some HTTP
@@ -43,8 +45,12 @@ from .multiquery import SharedTrunk
 #: :meth:`Backtester._run_candidates`): starting a worker fleet
 #: (``distrib.fleet_start_s``) costs a few hundred milliseconds plus one
 #: scenario/warm-state rebuild per worker, so tiny jobs run *slower*
-#: parallel — the Fig 9b crossover.  Only the first job of a process pays
-#: that start: later jobs of the same worker count borrow the fleet the
+#: parallel — the Fig 9b crossover.  The baseline seconds are the wall time
+#: of the one replay of the buggy program: in a session, Diagnose's recorded
+#: run (the replay alone, not the history index built after it), handed over
+#: with its statistics; otherwise the backtester's own
+#: :meth:`Backtester.baseline`.  Only the first job of a process pays the
+#: fleet's start: later jobs of the same worker count borrow the fleet the
 #: last one parked (``Scheduler.borrow``).  A named transport bypasses the
 #: gate.  One value is in use, hence a constant; the tests that push
 #: smoke-sized jobs through a gated scheduler patch it to 0.
@@ -290,9 +296,13 @@ class Backtester:
     def baseline(self) -> TrafficStats:
         """Traffic distribution of the original (buggy) program.
 
-        The wall-clock of the (cold) baseline replay doubles as the
-        per-candidate cost estimate for the parallel min-work threshold:
-        every candidate replays the same trace.
+        A session's backtester is handed it (:meth:`use_baseline`): Diagnose
+        already replayed the buggy program over the same cut of the trace.
+        A backtester that was not — ``repro backtest``, a fabric worker's
+        runtime, a custom pipeline — replays its own here, once.  The replay's
+        wall time doubles as the per-candidate cost estimate for the parallel
+        min-work threshold and the fabric's item deadline: every candidate
+        replays the same trace.
         """
         if self._baseline is None:
             started = _time.perf_counter()
@@ -304,6 +314,13 @@ class Backtester:
             self._baseline = simulator.stats
             self._baseline_seconds = _time.perf_counter() - started
         return self._baseline
+
+    def use_baseline(self, stats: TrafficStats, seconds: float) -> None:
+        """Judge against ``stats`` instead of replaying a baseline: a replay
+        of the buggy program over this backtester's cut of the trace that
+        the caller already ran, which took ``seconds``."""
+        self._baseline = stats
+        self._baseline_seconds = seconds
 
     def _span(self, name: str, **attrs):
         """A telemetry span, or a no-op context when telemetry is off."""

@@ -436,15 +436,3 @@ class NDlogController(Controller):
         ``'*'`` next to an integer in the same column still compares)."""
         return sorted(self.engine.tuples(self.mapping.flow_table),
                       key=lambda t: [(type(v).__name__, v) for v in t.values])
-
-    def history_tuples(self) -> List[NDTuple]:
-        """Base tuples observed by the controller (for the HistoryIndex)."""
-        from ..ndlog.events import INSERT
-
-        out = []
-        seen = set()
-        for event in self.engine.events:
-            if event.kind == INSERT and event.tuple not in seen:
-                seen.add(event.tuple)
-                out.append(event.tuple)
-        return out

@@ -221,7 +221,8 @@ class Scheduler:
             job_span = telemetry.span("fabric.job",
                                       transport=self.transport.name,
                                       candidates=len(candidates))
-        # Per-item soft deadline: the timed baseline replay (set by
+        # Per-item soft deadline: the timed baseline replay (Diagnose's
+        # recorded run in a session, else the backtester's own, replayed by
         # ``evaluate_all`` before the scheduler runs) estimates one
         # candidate's cost; the transport's policy scales and floors it.
         deadline = self.transport.fault_policy.resolve_deadline(

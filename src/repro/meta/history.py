@@ -3,27 +3,31 @@
 The explorer needs two things from the network's history: (a) the base
 tuples that existed (or arrived) during the time window of the diagnostic
 query — e.g. which ``PacketIn`` events switch S3 reported — and (b) the set
-of "interesting" constant values observed per table column, which the
-explorer tries as a repaired constant's new value (this is how repairs such
-as ``Sip < 6  ->  Sip < 16`` arise: 16 is a value seen in the history).
+of "interesting" constant values observed, which the explorer tries as a
+repaired constant's new value (this is how repairs such as
+``Sip < 6  ->  Sip < 16`` arise: 16 is a value seen in the history).
 
-A :class:`HistoryIndex` is built from an :class:`~repro.ndlog.engine.Engine`
-(:meth:`HistoryIndex.from_engine`: its event log and current database) or
-from a plain iterable of tuples (:meth:`HistoryIndex.from_tuples`).
+A :class:`HistoryIndex` is a plain index over tuples given in order; each
+tuple counts once, at its first appearance.  A repair builds it from the
+one recorded replay of the buggy program
+(:meth:`repro.scenarios.base.NDlogScenario.recorded_run`): the tuples that
+entered the controller — static configuration, then the PacketIn of every
+recorded event — and then the run's final store in store order.  Order is
+part of the value (it is the order :meth:`HistoryIndex.matching` returns
+and :meth:`HistoryIndex.all_values` seeds the explorer's constants in), so
+nothing here iterates a set.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Set
 
-from ..ndlog.engine import Engine
-from ..ndlog.events import INSERT
 from ..ndlog.tuples import NDTuple
 
 
 class HistoryIndex:
-    """Index of historical tuples by table and by (table, column)."""
+    """Index of historical tuples by table, each in first-seen order."""
 
     def __init__(self, tuples: Optional[Iterable[NDTuple]] = None):
         self._by_table: Dict[str, List[NDTuple]] = defaultdict(list)
@@ -31,28 +35,6 @@ class HistoryIndex:
         self.lookup_count = 0
         for tup in tuples or ():
             self.add(tup)
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_engine(cls, engine: Engine, include_derived: bool = True) -> "HistoryIndex":
-        """Build an index from an engine's event log and current database."""
-        index = cls()
-        for event in engine.events:
-            if event.kind == INSERT:
-                index.add(event.tuple)
-        for tup in engine.database.base_tuples():
-            index.add(tup)
-        if include_derived:
-            for tup in engine.database.derived_tuples():
-                index.add(tup)
-        return index
-
-    @classmethod
-    def from_tuples(cls, tuples: Iterable[NDTuple]) -> "HistoryIndex":
-        return cls(tuples)
 
     def add(self, tup: NDTuple):
         if tup in self._seen:
@@ -76,18 +58,6 @@ class HistoryIndex:
         if table is not None:
             return len(self._by_table.get(table, ()))
         return len(self._seen)
-
-    def column_values(self, table: str, column: int) -> List[object]:
-        """Distinct values observed in one column of a table, in first-seen order."""
-        seen = set()
-        out = []
-        for tup in self._by_table.get(table, ()):
-            if column < len(tup.values):
-                value = tup.values[column]
-                if value not in seen:
-                    seen.add(value)
-                    out.append(value)
-        return out
 
     def all_values(self) -> List[object]:
         """Every distinct value in the history (candidate-pool seeding)."""

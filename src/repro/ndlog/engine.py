@@ -116,7 +116,7 @@ decide it builds a fresh engine.
 from __future__ import annotations
 
 import weakref
-from collections import defaultdict, deque
+from collections import deque
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -180,7 +180,6 @@ class Engine:
         self.clock = 0
         self.events: List[EngineEvent] = []
         self.derivations: List[DerivationRecord] = []
-        self._derivations_by_head: Dict[NDTuple, List[DerivationRecord]] = defaultdict(list)
         #: Per-(rule, head) bodies already recorded — O(1) duplicate check.
         self._recorded_bodies: Dict[Tuple[str, NDTuple], Set[Tuple[NDTuple, ...]]] = {}
         #: Firings applied to each derived tuple: {(rule_name, body), ...}
@@ -538,12 +537,8 @@ class Engine:
                     raise EvaluationError(f"unknown journal entry {kind!r}")
         finally:
             database.journal = journal
-        # Append-only history: truncate, unwinding the per-head indexes.
+        # Append-only history: truncate, unwinding the duplicate check.
         for record in reversed(self.derivations[cp.derivation_count:]):
-            by_head = self._derivations_by_head[record.head]
-            by_head.pop()
-            if not by_head:
-                del self._derivations_by_head[record.head]
             recorded = self._recorded_bodies.get((record.rule, record.head))
             if recorded is not None:
                 recorded.discard(record.body)
@@ -589,13 +584,6 @@ class Engine:
     def contains(self, tup: NDTuple) -> bool:
         return self.database.contains(tup)
 
-    def derivations_of(self, tup: NDTuple) -> List[DerivationRecord]:
-        """All historical derivations of ``tup`` (possibly via several rules)."""
-        return list(self._derivations_by_head.get(tup, ()))
-
-    def event_log(self) -> List[EngineEvent]:
-        return list(self.events)
-
     # ------------------------------------------------------------------
     # Fixpoint evaluation
     # ------------------------------------------------------------------
@@ -639,7 +627,8 @@ class Engine:
                             # the historical record already exists, but the
                             # tuple reappears now.
                             self._log(APPEAR, head,
-                                      node=self._head_node(plan.rule, head),
+                                      node=head.location(
+                                          database.schema(head.table)),
                                       rule=plan.name)
                     else:
                         self._quiet_firings += 1
@@ -743,10 +732,9 @@ class Engine:
             body=body,
             bindings=bindings,
             time=self.clock + 1,
-            node=self._head_node(rule, head),
+            node=head.location(self.database.schema(head.table)),
         )
         self.derivations.append(record)
-        self._derivations_by_head[head].append(record)
         head_node = record.node
         trigger_node = body[0].location(self.database.schema(body[0].table)) if body else None
         if body and head_node is not None and trigger_node is not None and head_node != trigger_node:
@@ -758,10 +746,6 @@ class Engine:
         if not self.database.contains(head):
             self._log(APPEAR, head, node=head_node, rule=rule.name)
         return record
-
-    def _head_node(self, rule: Rule, head: NDTuple):
-        schema = self.database.schema(head.table)
-        return head.location(schema)
 
     # ------------------------------------------------------------------
     # Transient-tuple handling

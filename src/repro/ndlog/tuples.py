@@ -268,7 +268,11 @@ class Database:
         return [t for t, flags in self._flags.items() if flags & BASE_FLAG]
 
     def derived_tuples(self) -> Set[NDTuple]:
-        return {t for t, flags in self._flags.items() if flags & DERIVED_FLAG}
+        return set(self.derived_in_order())
+
+    def derived_in_order(self) -> List[NDTuple]:
+        """Derived tuples in the order they entered the store."""
+        return [t for t, flags in self._flags.items() if flags & DERIVED_FLAG]
 
     def contains(self, tup: NDTuple) -> bool:
         return tup in self._tables.get(tup.table, _EMPTY_SET)

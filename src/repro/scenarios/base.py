@@ -11,11 +11,22 @@ A :class:`NDlogScenario` bundles everything one diagnostic case needs:
 
 Scenarios are pure descriptions: they build fresh topologies and controllers
 on demand, so backtesting runs never contaminate each other.
+
+Diagnosis starts from what the runtime records (Sections 4.3 and 5.4): the
+PacketIns the switches raised and the controller's answers.
+:meth:`NDlogScenario.recorded_run` replays the buggy program over the trace
+once, on a quiet engine under the recorder
+(:class:`~repro.sdn.controller.RecordingController`), and that one run
+yields both inputs of a repair: the :class:`~repro.meta.history.HistoryIndex`
+the explorer searches and the baseline traffic statistics the backtest judges
+every candidate against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time as _time
+from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..controllers.ndlog_controller import FieldMapping, NDlogController
@@ -25,7 +36,6 @@ from ..ndlog.ast import Program
 from ..ndlog.parser import parse_program
 from ..ndlog.tuples import NDTuple, TableSchema
 from ..sdn.controller import RecordingController
-from ..sdn.log import HistoricalLog
 from ..sdn.network import NetworkSimulator, TrafficStats
 from ..sdn.packets import Packet
 from ..sdn.topology import Topology
@@ -44,6 +54,23 @@ class Symptom:
         return MissingTupleGoal.create(self.table, self.constraints,
                                        node=self.node,
                                        description=self.description)
+
+
+@dataclass
+class RecordedRun:
+    """One replay of the buggy program over the (cut) trace, as recorded.
+
+    ``history`` is what the explorer searches; ``baseline`` and ``seconds``
+    are the backtest baseline: the traffic statistics every candidate is
+    judged against, and the replay's wall time, which estimates one
+    candidate's replay for the fabric's min-work gate and item deadline.
+    ``trace_limit`` is the cut both were taken under.
+    """
+
+    history: HistoryIndex
+    baseline: TrafficStats
+    seconds: float
+    trace_limit: Optional[int] = None
 
 
 class NDlogScenario:
@@ -130,33 +157,45 @@ class NDlogScenario:
     def goal(self) -> MissingTupleGoal:
         return self.symptom.goal()
 
-    def record_history(self, trace_limit: Optional[int] = None):
-        """Run the buggy program over the trace, recording everything.
+    def recorded_run(self, trace_limit: Optional[int] = None) -> RecordedRun:
+        """Replay the buggy program over the trace once, under the recorder.
 
-        Returns ``(controller, log, stats)``: the controller's engine holds
-        the derivation history; the log holds the packet history.  This is
-        the "diagnostic information we already record for the provenance"
-        that meta provenance and backtesting consume.
+        The controller is quiet (``record_events=False``): it keeps no event
+        log and no derivation records, and answers a repeated PacketIn that
+        derived nothing from its memo.  The recorder still sees every
+        PacketIn, so the history holds, in this order and each tuple once:
+        the controller's static tuples, the PacketIn tuple of every recorded
+        event, the final store's base and then derived tuples in store
+        order, and the scenario's static tuples — the tuples a recording
+        engine would have logged as INSERTs, then its store.  ``seconds``
+        times the replay alone, not the index.
         """
-        topology = self.build_topology()
-        log = HistoricalLog()
-        controller = self.build_controller(record_events=True)
-        recording = RecordingController(controller, log=log)
-        simulator = NetworkSimulator(topology, recording, log=log,
-                                     require_packet_out=self.require_packet_out)
+        started = _time.perf_counter()
+        controller = self.build_controller()
+        recorder = RecordingController(controller)
+        simulator = NetworkSimulator(self.build_topology(), recorder,
+                                     require_packet_out=self.require_packet_out,
+                                     record_ingress=False)
         trace = self.trace()
         if trace_limit is not None:
             trace = trace[:trace_limit]
         simulator.run_trace(trace)
-        return controller, log, simulator.stats
+        seconds = _time.perf_counter() - started
+        database = controller.engine.database
+        packet_in = self.mapping.packet_in_tuple
+        history = HistoryIndex(chain(
+            controller.static_tuples,
+            map(packet_in, recorder.packet_ins),
+            database.base_in_order(),
+            database.derived_in_order(),
+            self.static_tuples))
+        return RecordedRun(history=history, baseline=simulator.stats,
+                           seconds=seconds, trace_limit=trace_limit)
 
     def history_index(self, trace_limit: Optional[int] = None) -> HistoryIndex:
-        """Historical base tuples for the meta provenance explorer."""
-        controller, _, _ = self.record_history(trace_limit=trace_limit)
-        index = HistoryIndex.from_engine(controller.engine)
-        for tup in self.static_tuples:
-            index.add(tup)
-        return index
+        """Historical tuples for the meta provenance explorer (the history
+        of :meth:`recorded_run`)."""
+        return self.recorded_run(trace_limit=trace_limit).history
 
     # ------------------------------------------------------------------
     # Backtesting hooks

@@ -87,9 +87,16 @@ class StaticController(Controller):
 class RecordingController(Controller):
     """Wraps another controller and records the control-plane conversation.
 
-    This is the "runtime recording" component of the paper's prototype: the
-    log of PacketIn events and controller responses is what meta provenance
-    replays when answering a diagnostic query.
+    This is the "runtime recording" component of the paper's prototype
+    (Sections 4.3 and 5.4): every PacketIn the switches raise, in order, and
+    the controller's answer to it.  A repair's Diagnose stage replays the
+    buggy program once under this recorder, around a quiet controller, and
+    indexes the recorded PacketIns for the explorer
+    (:meth:`repro.scenarios.base.NDlogScenario.recorded_run`).  Recording is
+    transparent: the wrapped controller answers exactly as it would alone,
+    so the same run's traffic statistics are the backtest baseline.  With a
+    :class:`~repro.sdn.log.HistoricalLog` the conversation is also appended
+    to that log (the Section 5.4 storage accounting); a repair passes none.
     """
 
     def __init__(self, inner: Controller, log=None):

@@ -3,10 +3,11 @@
 :class:`NetworkSimulator` walks packets through the topology switch by
 switch, consulting flow tables, raising ``PacketIn`` events to the controller
 on table misses, and applying the controller's ``FlowMod`` / ``PacketOut``
-responses.  It logs every ingress packet in a
-:class:`~repro.sdn.log.HistoricalLog` (control messages reach the same log
-through a :class:`~repro.sdn.controller.RecordingController`) so that meta
-provenance and backtesting can replay history later.
+responses.  With ``record_ingress`` (the default) it logs every ingress
+packet in a :class:`~repro.sdn.log.HistoricalLog` (control messages reach
+the same log through a :class:`~repro.sdn.controller.RecordingController`):
+the Section 5.4 recording.  A repair's replays — Diagnose's one recorded run
+and every backtest replay — turn it off; none of them reads the log.
 
 A packet's fate is one int, its *destination*: the id of the host that
 received it, or :data:`DROPPED`.  That is all a verdict reads — the KS

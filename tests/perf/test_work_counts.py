@@ -59,6 +59,11 @@ which is its edit's cone.
 the same number of plan code objects on Q1's 8 rules as on 250, switching to
 a candidate that changes only a constant compiles none, and the 250-rule
 Diagnose stage stays under a call ceiling.
+"A session replays the trace once per program": a serial Q1@14 session
+injects exactly ``len(trace) x (1 + candidates replayed)`` packets — the
+buggy program's one replay is Diagnose's, which is also the backtest
+baseline (one trace more while the backtest replayed a baseline of its own)
+— and its Diagnose constructs no ``EngineEvent``.
 "A rule costs its text": ``parse_program`` makes the same number of calls
 into ``repro/ndlog`` per rule (±1) on Q1 padded to 40 rules as on 250, at
 most 60 (310 while the tokenizer built a ``Token`` per token and the parser
@@ -76,7 +81,7 @@ from repro.api import RepairConfig, RepairSession, TelemetryConfig
 from repro.backtest import Backtester, WarmEvaluationState, replay
 from repro.distrib import WorkerPool, close_parked_fleets
 from repro.meta import MetaProvenanceExplorer, explorer
-from repro.ndlog import Engine, parse_program, plan
+from repro.ndlog import Engine, EngineEvent, parse_program, plan
 from repro.ndlog.plan import PLAN_CACHE, CompiledRule
 from repro.repair import (ChangeConstant, ChangeTuple, DeleteTuple,
                           InsertTuple, RepairCandidate, apply_candidate)
@@ -119,8 +124,9 @@ PINNED_EXPLORATION_STATS = {
           "solver_invocations": 2, "candidates_generated": 14},
 }
 #: ``CompiledRule.fire`` entries of one serial session over Q1 padded to 250
-#: rules, 14 candidates.
-PINNED_FIRE_ENTRIES_250_RULES = 1154
+#: rules, 14 candidates.  1,154 while Diagnose replayed on a recording engine
+#: (no empty-response memo) and the backtest replayed a baseline of its own.
+PINNED_FIRE_ENTRIES_250_RULES = 1066
 #: Plan code objects one 14-candidate session compiles on a cold plan cache,
 #: on Q1's 8 rules and on 250 alike (19 and 261 while a plan was compiled
 #: per rule text).
@@ -603,6 +609,25 @@ def test_a_changed_constant_compiles_nothing():
     assert PLAN_CACHE.misses == compiled, (
         "a candidate that changes one constant compiled plan code: its rule "
         "has the shape of a rule already compiled")
+
+
+def test_a_session_replays_the_trace_once_per_program():
+    config = RepairConfig.for_scenario("Q1", max_candidates=14)
+    diagnosing = RepairSession(config)
+    events = _python_calls(lambda: diagnosing.run(until="diagnose"),
+                           entering=EngineEvent.__init__)
+    assert events == 0, (
+        f"Diagnose constructed {events} engine events: it replays on a "
+        "quiet engine, and nothing in a repair reads an event log")
+    session = RepairSession(config)
+    trace = session.scenario.trace()
+    injected = _python_calls(session.run, entering=NetworkSimulator.inject)
+    report = session.report()
+    replayed = len(report.backtest.results) - report.backtest.vetoed_count
+    assert (replayed, injected) == (12, len(trace) * (1 + replayed)), (
+        f"a Q1@14 session injected {injected} packets for {replayed} "
+        f"replayed candidates over a {len(trace)}-packet trace: the buggy "
+        "program's one replay is Diagnose's, and it is the baseline")
 
 
 def test_a_cold_250_rule_diagnose_stays_under_its_ceiling():

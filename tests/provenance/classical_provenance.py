@@ -30,6 +30,8 @@ from repro.ndlog.engine import Engine
 from repro.ndlog.expr import Bindings, match_atom, try_evaluate
 from repro.ndlog.tuples import NDTuple
 
+from recording_oracle import derivations_of
+
 
 # Positive vertex kinds.
 EXIST = "EXIST"
@@ -298,7 +300,7 @@ class ProvenanceQuery:
         if depth > self.max_depth or tup in on_path:
             return
         on_path = on_path | {tup}
-        derivations = self.engine.derivations_of(tup)
+        derivations = derivations_of(self.engine, tup)
         if not derivations:
             # A base tuple: its cause is the external insertion.
             node = tup.location(self.engine.database.schema(tup.table))

@@ -35,7 +35,7 @@ class TestScenarioDefinitions:
     def test_baseline_reproduces_the_symptom(self, name):
         """The buggy program must actually exhibit the reported problem."""
         scenario = build_scenario(name)
-        controller, log, stats = scenario.record_history()
+        stats = scenario.recorded_run().baseline
         assert not scenario.is_effective(stats), \
             f"{name}: the symptom should be present under the buggy program"
 
