@@ -7,7 +7,14 @@ the packet-out table become ``PacketOut`` messages, exactly like the paper's
 proxy "translates NDlog tuples into OpenFlow messages and vice versa".
 
 Because different scenarios use different packet headers, the mapping between
-packets and tuples is configurable through :class:`FieldMapping`.
+packets and tuples is configurable through :class:`FieldMapping`.  Both
+directions are compiled once per mapping and read positions, not names: a
+PacketIn tuple is one getter over the packet's value tuple, and a flow tuple
+becomes a ``FlowEntry`` through its layout's arity, match columns (sorted by
+field name, checked against the match fields when compiled) and out-port
+column — no dict, no sort and no validation per entry.  A replayed PacketIn
+thus costs the rule firing it triggers plus a fixed few calls of
+translation.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from ..ndlog.engine import Engine
 from ..ndlog.tuples import NDTuple, TableSchema
 from ..sdn.controller import Controller, FlowMod, PacketInEvent, PacketOut
 from ..sdn.packets import IN_PORT_FIELD, Packet, header_getter
-from ..sdn.switch import DROP_PORT, FlowEntry
+from ..sdn.switch import DROP_PORT, MATCH_FIELDS, FlowEntry
 from . import batching
 
 
@@ -35,6 +42,27 @@ def _packet_in_getter(fields: Tuple[str, ...]):
     :func:`repro.sdn.packets.header_getter`), built once; a name that is no
     header field is a ``KeyError`` every time it is asked for."""
     return header_getter(fields, strict=True)
+
+
+@lru_cache(maxsize=None)
+def _flow_entry_layout(layout: Tuple[str, ...]):
+    """The compiled form of one ``flow_entry_layout``, built once: the flow
+    tuple's arity, the ``(field name, column)`` of every match column sorted
+    by name, and the column of ``out_port`` (the last one; ``None`` without
+    one).  A name that is no match field, or a match field named twice, is
+    a ``ValueError`` every time it is asked for."""
+    match: Dict[str, int] = {}
+    out_column: Optional[int] = None
+    for column, name in enumerate(layout, start=1):
+        if name == "out_port":
+            out_column = column
+        elif name not in MATCH_FIELDS:
+            raise ValueError(f"unknown match field {name!r}")
+        elif name in match:
+            raise ValueError(f"match field {name!r} is named twice")
+        else:
+            match[name] = column
+    return len(layout) + 1, tuple(sorted(match.items())), out_column
 
 
 @dataclass(frozen=True)
@@ -71,24 +99,26 @@ class FieldMapping:
 
     def flow_entry_from_tuple(self, tup: NDTuple, priority: int,
                               tags: Tuple[str, ...] = ()) -> Optional[Tuple[int, FlowEntry]]:
-        """Translate a flow-entry tuple into (switch id, FlowEntry)."""
-        if tup.arity != len(self.flow_entry_layout) + 1:
+        """Translate a flow-entry tuple into (switch id, FlowEntry): ``None``
+        for a tuple of another arity, a switch id or out-port that is no
+        int, or a layout without ``out_port``.  A match column holding
+        ``WILDCARD`` is left out of the match."""
+        arity, match_columns, out_column = _flow_entry_layout(
+            self.flow_entry_layout)
+        values = tup.values
+        if len(values) != arity or out_column is None:
             return None
-        switch_id = tup.values[0]
-        match: Dict[str, object] = {}
-        out_port: Optional[int] = None
-        for column, name in enumerate(self.flow_entry_layout, start=1):
-            value = tup.values[column]
-            if name == "out_port":
-                out_port = value
-            elif value != WILDCARD:
-                match[name] = value
-        if out_port is None or not isinstance(switch_id, int):
+        switch_id = values[0]
+        out_port = values[out_column]
+        if not isinstance(switch_id, int) or not isinstance(out_port, int):
             return None
-        if not isinstance(out_port, int):
-            return None
-        entry = FlowEntry.create(match, out_port, priority=priority, tags=tags)
-        return switch_id, entry
+        match = []
+        for name, column in match_columns:
+            value = values[column]
+            if value != WILDCARD:
+                match.append((name, value))
+        return switch_id, FlowEntry(match=tuple(match), out_port=out_port,
+                                    priority=priority, tags=tuple(tags))
 
     def schemas(self) -> List[TableSchema]:
         packet_in = TableSchema(
@@ -141,8 +171,8 @@ class PacketInResponse:
 
     def messages_for(self, packet: Packet) -> List[object]:
         messages: List[object] = list(self.flow_mods)
-        messages.extend(PacketOut(switch_id, port, packet)
-                        for switch_id, port in self.packet_out_specs)
+        for switch_id, port in self.packet_out_specs:
+            messages.append(PacketOut(switch_id, port, packet))
         return messages
 
 
@@ -258,7 +288,8 @@ class NDlogController(Controller):
         return messages
 
     def handle_packet_in(self, event: PacketInEvent) -> List[object]:
-        packet_in = self.mapping.packet_in_tuple(event)
+        packet_in = self.mapping.packet_in_tuple_from(
+            event.switch_id, event.packet, event.in_port)
         if packet_in.values in self._empty_responses:
             return []
         derived = self.engine.insert(packet_in)
@@ -338,9 +369,10 @@ class NDlogController(Controller):
                     if switch_id == event.switch_id:
                         packet_out_for_switch = True
         if self.auto_packet_out and not packet_out_for_switch:
-            forward_ports = [p for p in matched_ports if p != DROP_PORT]
-            if forward_ports:
-                packet_out_specs.append((event.switch_id, forward_ports[0]))
+            for port in matched_ports:
+                if port != DROP_PORT:
+                    packet_out_specs.append((event.switch_id, port))
+                    break
         return PacketInResponse(flow_mods=tuple(flow_mods),
                                 packet_out_specs=tuple(packet_out_specs),
                                 derived_any=bool(derived))
@@ -388,8 +420,12 @@ class NDlogController(Controller):
     def _consume_packet_outs(self):
         # Packet-out tuples are one-shot messages: consume them so they do
         # not accumulate in the engine database between PacketIns.
-        for stale in list(self.engine.tuples(self.mapping.packet_out_table)):
-            self.engine.consume(stale)
+        engine = self.engine
+        table = self.mapping.packet_out_table
+        if not engine.database.count(table):
+            return
+        for stale in engine.tuples(table):
+            engine.consume(stale)
 
     # ------------------------------------------------------------------
     # Batched-replay protocol (consumed by NetworkSimulator.run_trace)

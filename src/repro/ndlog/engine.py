@@ -307,7 +307,8 @@ class Engine:
         if not self.record_events:
             # Quiet engines skip the schema/node lookups; the clock still
             # advances by the same amount as the INSERT (+ APPEAR) logs.
-            fresh = self.database.insert(tup, derived=False)
+            database = self.database
+            fresh = database.insert(tup, derived=False)
             self.clock += 2 if fresh else 1
             if not fresh:
                 derived = []
@@ -315,7 +316,15 @@ class Engine:
                 derived = self._fixpoint([tup])
             else:
                 derived = self._traced_fixpoint(tup)
-            self._cleanup_transients([tup] + derived)
+            # The transient sweep of _cleanup_transients, over the inserted
+            # tuple and then the derived ones.
+            transients = database.transient_tables
+            if transients:
+                if tup.table in transients:
+                    database.remove(tup)
+                for head in derived:
+                    if head.table in transients:
+                        database.remove(head)
             return derived
         schema = self.database.schema(tup.table)
         node = tup.location(schema)
@@ -598,10 +607,13 @@ class Engine:
         journal = self._journal
         functions = self.functions
         recording = self.record_events
+        dispatch = self._dispatch
         plans_triggered_by = self.plans_triggered_by
         limit = self.max_derivations
         while worklist:
             trigger = worklist.popleft()
+            if trigger.table not in dispatch:
+                continue        # no rule reads its table (e.g. a flow head)
             batch = (trigger,)
             for plan, position in plans_triggered_by(trigger):
                 # fire() returns its complete list before any firing below
@@ -610,10 +622,11 @@ class Engine:
                         position, batch, database, functions, recording):
                     key = (plan.name, body)
                     head_supports = supports.setdefault(head, set())
-                    if key in head_supports:
+                    size = len(head_supports)
+                    head_supports.add(key)
+                    if len(head_supports) == size:
                         # Exact duplicate firing: nothing new to derive.
                         continue
-                    head_supports.add(key)
                     if journal is not None:
                         journal.append(("supadd", head, key))
                     if fired is not None:
@@ -700,9 +713,10 @@ class Engine:
                             position, batch, database, functions, False):
                         key = (plan.name, body)
                         head_supports = supports.setdefault(head, set())
-                        if key in head_supports:
-                            continue
+                        size = len(head_supports)
                         head_supports.add(key)
+                        if len(head_supports) == size:
+                            continue
                         if journal is not None:
                             journal.append(("supadd", head, key))
                         if database.insert(head, derived=True):

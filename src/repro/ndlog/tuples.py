@@ -24,6 +24,14 @@ Storage details that the evaluation layer relies on:
   column, and only materialised columns are maintained afterwards — tables
   that are only ever scanned (or probed on one column) never pay for
   indexing the rest.
+* Every replayed PacketIn and every tuple it derives passes through
+  :meth:`Database.insert`, so an insert pays only for what its table has:
+  the schema is read once (arity is ``len(fields)`` against
+  ``len(values)``), the primary-key eviction runs only for a table with a
+  key, freshness is one ``set.add`` with the set's size compared before and
+  after, and the secondary buckets are touched only for a table with a
+  materialised column.  :meth:`Database.remove` is the mirror image
+  (``discard`` plus a size check).
 """
 
 from __future__ import annotations
@@ -290,19 +298,9 @@ class Database:
 
     # -- mutation ----------------------------------------------------------
 
-    def _check_schema(self, tup: NDTuple):
-        schema = self._schemas.get(tup.table)
-        if schema is not None and schema.arity != tup.arity:
-            raise SchemaError(
-                f"tuple {tup} has arity {tup.arity}, schema of "
-                f"{tup.table!r} expects {schema.arity}"
-            )
-        return schema
-
-    def _evict_key_conflicts(self, tup: NDTuple, schema: Optional[TableSchema]):
-        """Remove tuples sharing the primary key (NDlog update semantics)."""
-        if schema is None or not schema.primary_key:
-            return []
+    def _evict_key_conflicts(self, tup: NDTuple, schema: TableSchema):
+        """Remove tuples sharing the primary key (NDlog update semantics);
+        only called for a schema that has one."""
         key_columns = schema.key_indexes()
         key = tup.key(schema)
         # Probe the index on the first key column instead of scanning.
@@ -314,7 +312,6 @@ class Database:
             self.remove(other)
             if hook is not None:
                 hook(other)
-        return conflicting
 
     def _index_add(self, tup: NDTuple):
         """Register a fresh tuple in the table's materialised buckets."""
@@ -346,37 +343,51 @@ class Database:
 
     def insert(self, tup: NDTuple, derived=False):
         """Insert a tuple; returns ``True`` if it was not already present."""
-        schema = self._check_schema(tup)
-        self._evict_key_conflicts(tup, schema)
-        bucket = self._tables.setdefault(tup.table, set())
-        fresh = tup not in bucket
-        if fresh:
-            bucket.add(tup)
-            self._index_add(tup)
+        table = tup.table
+        schema = self._schemas.get(table)
+        if schema is not None:
+            if len(schema.fields) != len(tup.values):
+                raise SchemaError(
+                    f"tuple {tup} has arity {len(tup.values)}, schema of "
+                    f"{table!r} expects {len(schema.fields)}"
+                )
+            if schema.primary_key:
+                self._evict_key_conflicts(tup, schema)
+        bucket = self._tables.get(table)
+        if bucket is None:
+            bucket = self._tables[table] = set()
+        flag = DERIVED_FLAG if derived else BASE_FLAG
+        size = len(bucket)
+        bucket.add(tup)
+        if len(bucket) != size:
+            if table in self._indexed_columns:
+                self._index_add(tup)
             if self.journal is not None:
                 self.journal.append(("dbadd", tup))
-            flag = DERIVED_FLAG if derived else BASE_FLAG
             self._flags[tup] = flag
             return True
-        flag = DERIVED_FLAG if derived else BASE_FLAG
         old = self._flags.get(tup, 0)
         new = old | flag
         if new != old:
             if self.journal is not None:
                 self.journal.append(("dbflag", tup, old))
             self._flags[tup] = new
-        return fresh
+        return False
 
     def remove(self, tup: NDTuple):
         """Remove a tuple entirely (both flags); returns ``True`` if present."""
         bucket = self._tables.get(tup.table)
-        if bucket is None or tup not in bucket:
+        if bucket is None:
             return False
+        size = len(bucket)
+        bucket.discard(tup)
+        if len(bucket) == size:
+            return False
+        flags = self._flags.pop(tup, 0)
         if self.journal is not None:
-            self.journal.append(("dbrem", tup, self._flags.get(tup, 0)))
-        bucket.remove(tup)
-        self._index_discard(tup)
-        self._flags.pop(tup, None)
+            self.journal.append(("dbrem", tup, flags))
+        if tup.table in self._indexed_columns:
+            self._index_discard(tup)
         return True
 
     def clear_base_flag(self, tup: NDTuple) -> bool:

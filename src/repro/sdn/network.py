@@ -13,7 +13,12 @@ A packet's fate is one int, its *destination*: the id of the host that
 received it, or :data:`DROPPED`.  That is all a verdict reads — the KS
 sample value (Section 5.3) and the input of the scenarios' symptom checks —
 so the walk builds no path and no record, and :class:`TrafficStats` keeps
-one destination per injected packet beside its counters.
+one destination per injected packet beside its counters.  A hop reads the
+port it leaves by from the flow table and the neighbour behind it from the
+switch's link record for that port (:attr:`~repro.sdn.switch.Switch.links`,
+written when the topology attaches the port), which also names the port
+the packet enters the next switch on — the far end of the link actually
+taken, even where two switches share several links.
 
 OpenFlow-faithful detail that matters for scenario Q4: when a packet misses
 in the flow table, installing a flow entry is *not* enough to forward that
@@ -262,13 +267,12 @@ class NetworkSimulator:
                 entry = None
             if out_port == FLOOD_PORT:
                 return self._flood(switch, packet, in_port)
-            neighbor = switch.ports.get(out_port)
-            if neighbor is None:
+            link = switch.links.get(out_port)
+            if link is None:
                 return DROPPED
-            kind, identifier = neighbor
+            kind, identifier, in_port = link
             if kind == "host":
                 return identifier
-            in_port = switches[identifier].port_to("switch", switch_id)
             switch_id = identifier
         return DROPPED
 

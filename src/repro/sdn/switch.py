@@ -51,7 +51,7 @@ class FlowEntry:
     out_port: int
     priority: int = 1
     tags: Tuple[str, ...] = ()
-    entry_id: int = field(default_factory=lambda: next(_entry_ids))
+    entry_id: int = field(default_factory=_entry_ids.__next__)
 
     @classmethod
     def create(cls, match: Dict[str, object], out_port: int, priority: int = 1,
@@ -124,11 +124,10 @@ class FlowTable:
         allowed to co-exist (as in OpenFlow); lookups resolve ties in favour
         of the entry installed first, which keeps forwarding deterministic.
         """
-        values = tuple([value for _name, value in entry.match])
+        signature, values = tuple(zip(*entry.match)) or ((), ())
         if "*" in values:
             bucket = self._residual
         else:
-            signature = tuple([name for name, _value in entry.match])
             group = self._exact.get(signature)
             if group is None:
                 group = self._exact[signature] = (header_getter(signature), {})
@@ -196,36 +195,38 @@ class Switch:
 
     switch_id: int
     flow_table: FlowTable = field(default_factory=FlowTable)
-    #: port number -> ("switch", switch_id) or ("host", host_id); written
-    #: only by :meth:`attach`, which keeps the reverse map below in step.
-    ports: Dict[int, Tuple[str, int]] = field(default_factory=dict)
     name: str = ""
-    #: (kind, identifier) -> the first port, in attach order, that leads there
-    _port_to: Dict[Tuple[str, int], int] = field(
+    #: port number -> ("switch", switch_id) or ("host", host_id).  This and
+    #: the link record below are written only by :meth:`attach`, which keeps
+    #: them in step.
+    ports: Dict[int, Tuple[str, int]] = field(default_factory=dict,
+                                              init=False)
+    #: port number -> (kind, identifier, arrival port): the neighbour and
+    #: the port on which a packet sent out of this port arrives there
+    #: (``None`` for a host) — what the hop loop reads per hop.
+    links: Dict[int, Tuple[str, int, Optional[int]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.name:
             self.name = f"S{self.switch_id}"
-        self._index_ports()
 
-    def _index_ports(self):
-        self._port_to = {}
-        for port, neighbor in self.ports.items():
-            self._port_to.setdefault(neighbor, port)
-
-    def attach(self, port: int, kind: str, identifier: int):
+    def attach(self, port: int, kind: str, identifier: int,
+               arrival_port: Optional[int] = None):
+        """Connect ``port`` to a neighbour; ``arrival_port`` is the port a
+        packet sent out of ``port`` arrives on at a neighbouring switch."""
         if kind not in ("switch", "host"):
             raise ValueError(f"unknown attachment kind {kind!r}")
-        rewired = port in self.ports
         self.ports[port] = (kind, identifier)
-        if rewired:
-            self._index_ports()
-        else:
-            self._port_to.setdefault((kind, identifier), port)
+        self.links[port] = (kind, identifier, arrival_port)
 
     def port_to(self, kind: str, identifier: int) -> Optional[int]:
-        return self._port_to.get((kind, identifier))
+        """The first port, in attach order, that leads to the neighbour
+        (routing's question; the hop loop reads :attr:`links`)."""
+        for port, neighbor in self.ports.items():
+            if neighbor == (kind, identifier):
+                return port
+        return None
 
     def install(self, entry: FlowEntry) -> FlowEntry:
         return self.flow_table.install(entry)

@@ -97,8 +97,8 @@ class Topology:
     def add_link(self, switch_a: int, port_a: int, switch_b: int, port_b: int):
         self.add_switch(switch_a)
         self.add_switch(switch_b)
-        self.switches[switch_a].attach(port_a, "switch", switch_b)
-        self.switches[switch_b].attach(port_b, "switch", switch_a)
+        self.switches[switch_a].attach(port_a, "switch", switch_b, port_b)
+        self.switches[switch_b].attach(port_b, "switch", switch_a, port_a)
         self._connect(("switch", switch_a), ("switch", switch_b))
 
     def _connect(self, a: _Node, b: _Node) -> None:

@@ -39,10 +39,18 @@ pinned number of times (232,548 when every PacketIn was offered to every rule)
 into ``repro/sdn`` whether the entry matches one field or six — at most 2,
 ``Switch.lookup`` and ``FlowTable.lookup``.  "A replayed packet is one
 destination": a replayed packet that hits at every hop makes one call into
-``repro/sdn`` for ``inject``, one for the hop loop, one ``FlowTable.lookup``
-per hop and one ``port_to`` per further hop, and a replay leaves nothing
-behind per packet but an int in ``TrafficStats.destinations`` — no record
-object, no path, no delivery log.
+``repro/sdn`` for ``inject``, one for the hop loop and one
+``FlowTable.lookup`` per hop — the port a hop enters the next switch on is
+read from the link record, not asked of ``port_to`` — and a replay leaves
+nothing behind per packet but an int in ``TrafficStats.destinations`` — no
+record object, no path, no delivery log.
+"A PacketIn costs its firing": on Q1's base replay the typical table miss
+whose PacketIn derives a flow entry makes at most 45 Python calls, the
+PacketIn, the rule firing, the FlowMod and the PacketOut included (68 while
+every insert re-checked its schema through two properties, probed for key
+conflicts in keyless tables and hashed a tuple twice, and every FlowEntry
+was built from a re-sorted dict), and one the empty-response memo answers
+at most 8 (9).
 "Retraction is a recompute": a warm Q1 session's engines journal only tuple,
 flag and support changes, a pinned number of them (3,890 while every fresh
 firing also journaled one ``depadd`` per body member — 910 — for an
@@ -72,6 +80,7 @@ read each through ``_peek``/``_at``).
 
 import collections
 import os
+import statistics
 import sys
 import tracemalloc
 
@@ -104,11 +113,11 @@ PINNED = {
     "Q1": {"engine_fixpoints": 778, "rules_fired": 866, "tuples_derived": 842,
            "packets_replayed": 2808, "plan_cache_misses": 8,
            "candidates_backtested": 14, "candidates_vetoed": 2,
-           "python_calls": 114500},
+           "python_calls": 76974},
     "Q4": {"engine_fixpoints": 160, "rules_fired": 248, "tuples_derived": 248,
            "packets_replayed": 1280, "plan_cache_misses": 5,
            "candidates_backtested": 11, "candidates_vetoed": 1,
-           "python_calls": 34666},
+           "python_calls": 26459},
 }
 #: Calls into ``repro/meta`` of one 14-candidate exploration of Q1's goal
 #: (explorer construction included), by number of rules in the program.
@@ -146,9 +155,19 @@ LOOKUP_MISS_CALLS_CEILING = 4
 #: built a header dict), and the ceiling now.  Until the hop loop read the
 #: flow table and the port map itself and stopped building a delivery record
 #: it was 7 / 12 / 17 (``Switch.lookup``, ``is_drop``, ``neighbor`` and
-#: ``record_delivery`` were calls of their own).
+#: ``record_delivery`` were calls of their own), and until each switch kept
+#: a link record per port 3 / 5 / 7 (one ``port_to`` per further hop).
 PARENT_CALLS_PER_HIT_PACKET = {1: 15, 2: 24, 3: 33}
-HIT_PACKET_CALLS_CEILING = {1: 3, 2: 5, 3: 7}
+HIT_PACKET_CALLS_CEILING = {1: 3, 2: 4, 3: 5}
+#: Python calls under one table miss on Q1's base replay, by what answered
+#: the PacketIn: the median of those that derive one flow entry (41 when
+#: this was written; 68 before) and the most any memo-answered one makes
+#: (9 before).  The first misses of a replay also materialise indexes and
+#: compile flow-table signatures, hence a median.
+PACKET_IN_CALLS_CEILING = {"derives a flow entry": 45,
+                           "answered by the memo": 8}
+#: How many misses of that replay fall in each class.
+PACKET_INS_BY_CLASS = {"derives a flow entry": 56, "answered by the memo": 16}
 #: Memory blocks a second replay of Q1's trace x4 (936 packets, every flow
 #: entry already installed) may still hold when it returns: one delivery
 #: record per packet plus the log that listed them held 1,882 (9 when this
@@ -325,6 +344,52 @@ def test_a_replayed_hit_packet_costs_at_most_60_percent_of_what_it_did():
         assert calls <= ceiling, (
             f"a {hops}-hop hit packet makes {calls} calls into repro/sdn, "
             f"more than {ceiling} ({parent} with a header dict per hop)")
+
+
+def test_a_packet_in_costs_its_firing(monkeypatch):
+    scenario = build_q1()
+    trace = scenario.trace()
+    _q1_simulator(scenario).run_trace(trace)    # a warm plan cache
+    simulator = _q1_simulator(scenario)
+    miss = NetworkSimulator._handle_table_miss
+    engine_insert = Engine.insert.__code__
+    costs = collections.defaultdict(list)
+
+    def measured(sim, switch_, packet, in_port):
+        calls = inserts = 0
+
+        def profiler(frame, event, arg):
+            nonlocal calls, inserts
+            if event == "call":
+                calls += 1
+                inserts += frame.f_code is engine_insert
+
+        flow_mods = sim.stats.flow_mod_count
+        previous = sys.getprofile()
+        sys.setprofile(profiler)
+        try:
+            return miss(sim, switch_, packet, in_port)
+        finally:
+            sys.setprofile(previous)
+            if sim.stats.flow_mod_count - flow_mods == 1:
+                costs["derives a flow entry"].append(calls)
+            elif not inserts:
+                costs["answered by the memo"].append(calls)
+
+    monkeypatch.setattr(NetworkSimulator, "_handle_table_miss", measured)
+    simulator.run_trace(trace)
+    assert {kind: len(calls) for kind, calls in costs.items()} == \
+        PACKET_INS_BY_CLASS
+    derives = statistics.median(costs["derives a flow entry"])
+    memo = max(costs["answered by the memo"])
+    assert derives <= PACKET_IN_CALLS_CEILING["derives a flow entry"], (
+        f"a PacketIn that derives a flow entry makes {derives} calls "
+        f"(median), more than {PACKET_IN_CALLS_CEILING['derives a flow entry']}"
+        " (68 while the replay path re-checked, re-sorted and re-hashed per "
+        "event)")
+    assert memo <= PACKET_IN_CALLS_CEILING["answered by the memo"], (
+        f"a memo-answered PacketIn makes {memo} calls, more than "
+        f"{PACKET_IN_CALLS_CEILING['answered by the memo']} (9 before)")
 
 
 def test_a_replayed_packet_allocates_no_record():

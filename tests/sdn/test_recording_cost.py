@@ -11,7 +11,10 @@ cost in Python calls into ``repro/`` (what a garbage collection runs inside
 the window is left out): one per packet (``record_packet``), two per
 PacketIn (the recorder's ``handle_packet_in`` and ``record_packet_in``), one
 per control message and one for ``on_start``.  On CPython 3.11 that is a
-recording/bare ratio of 1.10 (26.0 against 23.7 calls per packet).
+recording/bare ratio of 1.16 (16.9 against 14.6 calls per packet).  The
+recorder's calls are the same as when the ratio was 1.10 (26.0 against
+23.7); the bare replay's fell, when a PacketIn stopped paying for schema
+re-checks, double hashing and a re-sorted FlowEntry per event.
 """
 
 import os
@@ -26,8 +29,9 @@ from repro.sdn.log import LOG_ENTRY_BYTES, HistoricalLog
 from repro.sdn.network import NetworkSimulator
 
 #: Recording/bare Python calls into ``repro/`` of one replay of Q1's trace,
-#: pinned on CPython 3.11 to two decimals.
-PINNED_Q1_CALL_RATIO = 1.10
+#: pinned on CPython 3.11 to two decimals (1.10 while the bare replay made
+#: 23.7 calls per packet).
+PINNED_Q1_CALL_RATIO = 1.16
 REPRO_PACKAGE = os.path.dirname(repro.__file__)
 
 
