@@ -59,15 +59,15 @@ class Stage:
 
 
 class DiagnoseStage(Stage):
-    """Replay the buggy program over the (trace-limited) trace once, quietly,
-    under the runtime recorder.
+    """Replay the buggy program over the (trace-limited) trace once, under
+    the runtime recorder.
 
     The artifact is the history index the explorer searches.  The same run
     is the backtest baseline — its traffic statistics and replay seconds —
     so the session keeps it (:attr:`RepairSession.recorded_run`) for
     :class:`BacktestStage`, which then replays no baseline of its own.
-    Nothing else of the run is kept: no packet log, no engine event, no
-    derivation record; a repair reads none of them.
+    Nothing else of the run is kept: no packet log; the engine keeps no
+    history of its own.
     """
 
     name = "diagnose"

@@ -84,8 +84,7 @@ class _RuleDeltaChecker:
     def _build_engine(self, rules: Sequence[Rule]) -> Optional[Engine]:
         if not rules:
             return None
-        engine = Engine(Program(rules=rules, name="delta"),
-                        record_events=False)
+        engine = Engine(Program(rules=rules, name="delta"))
         for schema in self.scenario.schemas():
             engine.register_schema(schema)
         engine.insert_many(list(self.scenario.static_tuples))

@@ -209,8 +209,7 @@ class NDlogController(Controller):
                  extra_schemas: Sequence[TableSchema] = (),
                  auto_packet_out: bool = True,
                  priority: int = 10,
-                 tags: Tuple[str, ...] = (),
-                 record_events: bool = True):
+                 tags: Tuple[str, ...] = ()):
         self.program = program
         self.mapping = mapping
         self.static_tuples = list(static_tuples)
@@ -218,17 +217,15 @@ class NDlogController(Controller):
         self.auto_packet_out = auto_packet_out
         self.priority = priority
         self.tags = tags
-        self.record_events = record_events
         #: Cached batch-safety verdicts (program and mapping are fixed).
         self._engine_batch_safe: Optional[bool] = None
         self._batch_replay_safe: Optional[bool] = None
-        #: PacketIn tuple values whose derivation is provably always empty.
-        #: Under the engine-batch-safe analysis a PacketIn joins only tables
-        #: that never change during replay, so an empty derivation stays
-        #: empty for the lifetime of the controller — repeated misses (e.g.
-        #: packets dropped on every repetition of a trace) skip the engine
-        #: entirely.  Disabled while recording events, where each insertion
-        #: must reach the historical log.
+        #: PacketIn tuple values whose derivation is provably always empty,
+        #: filled only while :attr:`engine_batch_safe` holds: under that
+        #: analysis a PacketIn joins only tables that never change during
+        #: replay, so an empty derivation stays empty for the lifetime of
+        #: the controller — repeated misses (e.g. packets dropped on every
+        #: repetition of a trace) skip the engine entirely.
         self._empty_responses: set = set()
         #: Lazily-built static inertness probe (see
         #: :class:`repro.controllers.batching.PacketInInertProbe`).
@@ -240,7 +237,7 @@ class NDlogController(Controller):
     # ------------------------------------------------------------------
 
     def _build_engine(self) -> Engine:
-        engine = Engine(self.program, record_events=self.record_events)
+        engine = Engine(self.program)
         for schema in self.mapping.schemas():
             engine.register_schema(schema)
         for schema in self.extra_schemas:
@@ -293,7 +290,7 @@ class NDlogController(Controller):
         if packet_in.values in self._empty_responses:
             return []
         derived = self.engine.insert(packet_in)
-        if not derived and self._may_memoise_empty():
+        if not derived and self.engine_batch_safe:
             self._empty_responses.add(packet_in.values)
         response = self._translate_derived(event, derived)
         self._consume_packet_outs()
@@ -327,9 +324,8 @@ class NDlogController(Controller):
             derived_lists = self.engine.insert_batch(
                 [tuples[i] for i in pending],
                 consumed_tables=(self.mapping.packet_out_table,))
-            memoise = self._may_memoise_empty()
             for index, derived in zip(pending, derived_lists):
-                if not derived and memoise:
+                if not derived:
                     self._empty_responses.add(tuples[index].values)
                 responses[index] = self._translate_derived(events[index], derived)
             self._consume_packet_outs()
@@ -337,7 +333,7 @@ class NDlogController(Controller):
         for index in range(len(events)):
             if responses[index] is None:
                 derived = self.engine.insert(tuples[index])
-                if not derived and self._may_memoise_empty():
+                if not derived and self.engine_batch_safe:
                     self._empty_responses.add(tuples[index].values)
                 responses[index] = self._translate_derived(events[index],
                                                            derived)
@@ -385,12 +381,8 @@ class NDlogController(Controller):
         the key (see :class:`repro.controllers.batching.PacketInInertProbe`)
         — then a live insertion would leave the engine untouched (the
         PacketIn tuple is transient) and return no derivations, so skipping
-        it is behaviour-preserving.  Requires a transient PacketIn schema
-        and is only consulted on replay paths (``record_events=False``);
-        recording controllers must log every insertion.
+        it is behaviour-preserving.  Requires a transient PacketIn schema.
         """
-        if self.record_events:
-            return False
         schema = self.engine.database.schema(self.mapping.packet_in_table)
         if schema is None or schema.persistent:
             return False
@@ -411,12 +403,6 @@ class NDlogController(Controller):
         return {"inert_probe_hits": self._inert_probe.hits,
                 "inert_probe_misses": self._inert_probe.misses}
 
-    def _may_memoise_empty(self) -> bool:
-        """Empty responses are permanent only when PacketIns join nothing
-        that replay can change, and skipping inserts must not starve the
-        event log consumed by provenance."""
-        return not self.record_events and self.engine_batch_safe
-
     def _consume_packet_outs(self):
         # Packet-out tuples are one-shot messages: consume them so they do
         # not accumulate in the engine database between PacketIns.
@@ -433,15 +419,8 @@ class NDlogController(Controller):
 
     @property
     def engine_batch_safe(self) -> bool:
-        """May distinct PacketIn tuples share one engine fixpoint?
-
-        Joint fixpoints keep a *different event log* than sequential
-        insertion (``Engine.insert_batch``), so recording controllers —
-        whose logs feed provenance — always answer ``False`` and fall back
-        to per-event insertion.
-        """
-        if self.record_events:
-            return False
+        """May distinct PacketIn tuples share one engine fixpoint?  (See
+        :func:`repro.controllers.batching.engine_batch_safe`.)"""
         if self._engine_batch_safe is None:
             schemas = self.engine.database.schemas()
             self._engine_batch_safe = batching.engine_batch_safe(
@@ -452,8 +431,6 @@ class NDlogController(Controller):
     def batch_replay_adapter(self) -> Optional["_BatchReplayAdapter"]:
         """Adapter for batched trace replay, or ``None`` when the program's
         responses could interact across a burst (then replay is per-packet)."""
-        if self.record_events:
-            return None
         if self._batch_replay_safe is None:
             schemas = self.engine.database.schemas()
             self._batch_replay_safe = batching.batch_replay_safe(

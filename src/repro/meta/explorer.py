@@ -824,9 +824,10 @@ class MetaProvenanceExplorer:
                          derivations) -> ExplorationResult:
         """Repairs that make an existing (unwanted) tuple disappear.
 
-        ``derivations`` is the list of
-        :class:`~repro.ndlog.events.DerivationRecord` supporting the tuple
-        (obtained from the engine / provenance layer).
+        ``derivations`` are the rule firings supporting the tuple, each read
+        through three fields: ``rule`` (the rule's name), ``body`` (the body
+        tuples in body-atom order) and ``bindings`` (``(variable, value)``
+        pairs); a recorder of classical provenance supplies them.
         """
         stats = ExplorationStats()
         forest = MetaForest()
@@ -837,7 +838,7 @@ class MetaProvenanceExplorer:
                 rule = self.program.rule_named(record.rule)
             except KeyError:
                 continue
-            bindings = Bindings(record.bindings_dict())
+            bindings = Bindings(dict(record.bindings))
             tree = self._build_existing_tree(goal, rule, record)
             forest.add(tree)
             candidates.extend(self._break_selection_candidates(rule, bindings, tree, stats))
@@ -973,9 +974,10 @@ class MetaProvenanceExplorer:
         repaired = apply_candidate(self.program, candidate)
         engine = Engine(repaired.program)
         removed = set(repaired.removed_tuples)
+        derived_tables = self.program.derived_tables()
         base = []
         for table in self.history.tables():
-            if table in self.program.derived_tables():
+            if table in derived_tables:
                 continue
             for tup in self.history.tuples_of(table):
                 if tup not in removed:

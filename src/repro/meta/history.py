@@ -46,8 +46,9 @@ class HistoryIndex:
     # Queries
     # ------------------------------------------------------------------
 
-    def tables(self) -> Set[str]:
-        return set(self._by_table)
+    def tables(self) -> List[str]:
+        """The tables with a tuple, in the order each was first seen."""
+        return list(self._by_table)
 
     def tuples_of(self, table: str) -> List[NDTuple]:
         """All historical tuples of a table (each counted once)."""

@@ -1,8 +1,10 @@
 """NDlog / µDlog: a declarative networking language runtime.
 
 This subpackage implements the substrate on which the paper's meta provenance
-is defined: a network datalog engine with location specifiers, base and
-derived tuples, and a full event/derivation history.
+is defined: a network datalog engine with location specifiers and base and
+derived tuples.  The engine keeps the current state, not its history: a
+repair records the control plane's inputs around the engine
+(:meth:`repro.scenarios.base.NDlogScenario.recorded_run`).
 
 Public entry points:
 
@@ -25,20 +27,8 @@ from .ast import (
     Var,
     WILDCARD,
 )
-from .engine import Engine, EngineCheckpoint, evaluate_program
+from .engine import Engine, EngineCheckpoint
 from .errors import EvaluationError, NDlogError, ParseError, SchemaError
-from .events import (
-    APPEAR,
-    DELETE,
-    DERIVE,
-    DISAPPEAR,
-    INSERT,
-    RECEIVE,
-    SEND,
-    UNDERIVE,
-    DerivationRecord,
-    EngineEvent,
-)
 from .expr import Bindings, FunctionRegistry, evaluate, try_evaluate, values_equal
 from .parser import parse_expression, parse_program, parse_rule
 from .tuples import Database, NDTuple, TableSchema, make_tuple
@@ -47,10 +37,8 @@ __all__ = [
     "Assignment", "Atom", "BinOp", "COMPARISON_OPERATORS", "Const",
     "Expression", "FuncCall", "Program", "Rule", "Selection", "Var",
     "WILDCARD",
-    "Engine", "EngineCheckpoint", "evaluate_program",
+    "Engine", "EngineCheckpoint",
     "EvaluationError", "NDlogError", "ParseError", "SchemaError",
-    "APPEAR", "DELETE", "DERIVE", "DISAPPEAR", "INSERT", "RECEIVE", "SEND",
-    "UNDERIVE", "DerivationRecord", "EngineEvent",
     "Bindings", "FunctionRegistry", "evaluate", "try_evaluate", "values_equal",
     "parse_expression", "parse_program", "parse_rule",
     "Database", "NDTuple", "TableSchema", "make_tuple",

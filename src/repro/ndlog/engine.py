@@ -1,13 +1,12 @@
 """Indexed, incrementally-maintained evaluation engine for NDlog programs.
 
-The engine stores tuples in a :class:`~repro.ndlog.tuples.Database`, evaluates
-rules to a fixpoint whenever base tuples are inserted, and keeps two kinds of
-history used by the provenance subsystem:
-
-* a chronological event log (`EngineEvent` records: INSERT / DERIVE /
-  APPEAR / SEND / RECEIVE / ... ), and
-* the set of `DerivationRecord`s, one per successful rule firing, storing
-  the head tuple, the body tuples and the variable bindings.
+The engine stores tuples in a :class:`~repro.ndlog.tuples.Database` and
+evaluates rules to a fixpoint whenever base tuples are inserted.  It keeps
+the current state only — tuples, their base/derived flags and the supports
+of derived tuples — and no history: no event log, no derivation records and
+no clock to stamp them.  A repair reads the meta provenance of the control
+plane off one recorded run (:meth:`repro.scenarios.base.NDlogScenario.
+recorded_run`), not off the engine.
 
 Evaluation strategy
 -------------------
@@ -21,19 +20,20 @@ processes a whole batch of trigger tuples per call; joins probe the
 database's ``(column, value)`` hash indexes with the equality constraints
 implied by constants and already-bound variables, and selection predicates
 are pushed down to the first join depth where their variables are bound.
-There are two fixpoint loops.  The event-visible one
+There are two fixpoint loops.  The insert-time one
 (:meth:`Engine._fixpoint`) runs off a deque-based worklist of single-tuple
-batches, which fixes the firing order the event log and the derivation
-history record.  The quiet one
-(:meth:`Engine._rederive_fixpoint`) is the recompute behind
-:meth:`Engine.remove`: semi-naive delta rounds, each joining only the
-previous round's fresh tuples — batched per table — against the indexes.
-Duplicate rule firings are detected with a per-(rule, head) hash set rather
-than a linear scan of the derivation history.
+batches, which fixes the order in which an insert reports what it derived.
+The recompute behind :meth:`Engine.remove`
+(:meth:`Engine._rederive_fixpoint`) runs semi-naive delta rounds, each
+joining only the previous round's fresh tuples — batched per table —
+against the indexes.  Duplicate rule firings are detected with a per-head
+hash set of supports.  Both loops spend one firing budget,
+``max_derivations``: a program that keeps deriving raises
+:class:`~repro.ndlog.errors.EvaluationError` instead of running forever.
 
 The fire functions are the only code that joins a rule body.  Firing is
 *eager*: a fire call returns the complete list of firings for its batch, and
-only then does the engine apply them (supports, events, inserts).  Every
+only then does the engine apply them (supports, inserts).  Every
 join therefore reads a single database state, and the order of the firings
 is a function of that state alone — atoms in program order around the
 trigger, candidates in index-bucket order — even for a rule whose head
@@ -55,11 +55,11 @@ compatible with it, a tuple too short for a signature selects none of its
 buckets) and merges the hits with ``residual`` by ordinal.  The invariant:
 **dispatch returns a superset of the plans that would produce a firing, in
 program order; ``fire`` still performs every check it would without it.**
-So the set of firings and their order — every event log, derivation record
-and report — are those of offering each tuple to every rule of its table,
-and what a tuple costs depends on the rules it can match, not on the size
-of the program.  Order comes from the ordinals alone, never from dict or
-set iteration.  The batched quiet fixpoint offers a batch to all entries of
+So the set of firings and their order — every derived list and report —
+are those of offering each tuple to every rule of its table, and what a
+tuple costs depends on the rules it can match, not on the size of the
+program.  Order comes from the ordinals alone, never from dict or
+set iteration.  The batched recompute offers a batch to all entries of
 its table: guards select per tuple.
 
 Retraction
@@ -68,7 +68,7 @@ Retraction
 Backtesting replays a recorded trace, and a replay only inserts: nothing
 the debugger runs retracts a tuple.  So :meth:`Engine.remove` is a
 recompute, not an incremental algorithm: it drops the tuple, clears every
-derived flag and the supports, and re-runs the quiet fixpoint from the
+derived flag and the supports, and re-derives everything from the
 remaining base tuples in insertion order (a tuple can be base *and* derived
 at once; retracting one base tuple never evicts another).  What disappeared
 is reported in store order.  Freeing a primary key lets a tuple an earlier
@@ -81,19 +81,20 @@ The *supports* — per derived tuple, the ``(rule, body tuples)`` firings
 that produced it — are what stops the same firing from being applied
 twice.  :meth:`Engine.consume` (one-shot messages such as ``PacketOut``)
 and the post-fixpoint sweep of transient tables drop a tuple but keep its
-supports, so replaying the exact same firing does not re-emit it — the
-historical message semantics of the event log.  A key update that evicts a
-derived tuple forgets its supports, so the same firing can re-derive it
-once the key is free.  A recompute starts from no supports, so a consumed
+supports, so replaying the exact same firing does not re-emit it — NDlog's
+one-shot message semantics.  A key update that evicts a derived tuple
+forgets its supports, so the same firing can re-derive it once the key is
+free.  A recompute starts from no supports, so a consumed
 message or transient head that the remaining base still derives is back in
 the store afterwards, as in the reference evaluator's recompute.
 
-The engine is deliberately single-threaded and deterministic: logical time is
-a simple counter, and rule/body iteration order is the program order.  This
-determinism is what makes backtesting reproducible.  A scan-based reference
-implementation with identical insert-time semantics, ``NaiveEngine``, is the
-test suite's cross-check oracle and lives with it
-(``tests/ndlog/reference_engine.py``); no repair runs it.
+The engine is deliberately single-threaded and deterministic: rule/body
+iteration order is the program order.  This determinism is what makes
+backtesting reproducible.  A scan-based reference implementation with
+identical insert-time semantics, ``NaiveEngine``, is the test suite's
+cross-check oracle and lives with it (``tests/ndlog/reference_engine.py``);
+it also keeps the event log and derivation records that classical
+provenance reads.  No repair runs it.
 
 Warm evaluation
 ---------------
@@ -102,13 +103,12 @@ Backtesting replays the same trace against many near-identical programs, and
 rebuilding an engine per candidate makes *setup* — not the fixpoint — the
 recurring cost.  :meth:`Engine.checkpoint` / :meth:`Engine.restore` snapshot
 the complete evaluation state in O(changed) via an undo journal: once a
-checkpoint exists, every mutation (tuples, flags, indexes, supports)
-appends an inverse entry, and restoring rewinds the journal
-instead of copying tables.  Append-only history (events, derivations) is
-simply truncated back to the checkpointed lengths.  A rewound engine takes
-the next candidate's program through :meth:`Engine.swap_program`, which
-re-resolves the plans and touches no tuple: deciding that the checkpointed
-state is also the new program's is the caller's job
+checkpoint exists, every mutation (tuples, flags, indexes, supports) appends
+an inverse entry, and restoring rewinds the journal instead of copying
+tables.  A rewound engine takes the next candidate's program through
+:meth:`Engine.swap_program`, which re-resolves the plans and touches no
+tuple: deciding that the checkpointed state is also the new program's is
+the caller's job
 (:class:`repro.backtest.replay.WarmEvaluationState`), and whoever cannot
 decide it builds a fresh engine.
 """
@@ -120,20 +120,8 @@ from collections import deque
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .ast import Program, Rule, WILDCARD
+from .ast import Program, WILDCARD
 from .errors import EvaluationError
-from .events import (
-    APPEAR,
-    DELETE,
-    DERIVE,
-    DISAPPEAR,
-    INSERT,
-    RECEIVE,
-    SEND,
-    UNDERIVE,
-    DerivationRecord,
-    EngineEvent,
-)
 from .expr import FunctionRegistry
 from .plan import CompiledRule, PLAN_CACHE
 from .tuples import DERIVED_FLAG, Database, NDTuple, TableSchema
@@ -148,16 +136,12 @@ class EngineCheckpoint:
     """Opaque handle to a point-in-time engine state (see
     :meth:`Engine.checkpoint`)."""
 
-    __slots__ = ("engine", "journal_length", "clock", "event_count",
-                 "derivation_count", "quiet_firings", "program", "dispatch")
+    __slots__ = ("engine", "journal_length", "firings", "program", "dispatch")
 
     def __init__(self, engine: "Engine"):
         self.engine = engine
         self.journal_length = len(engine._journal)
-        self.clock = engine.clock
-        self.event_count = len(engine.events)
-        self.derivation_count = len(engine.derivations)
-        self.quiet_firings = engine._quiet_firings
+        self.firings = engine._firings
         self.program = engine.program
         # The dispatch table is replaced (never mutated) by _index_rules, so
         # holding a reference makes the restore-side rollback a pointer swap.
@@ -170,18 +154,11 @@ class Engine:
     def __init__(self, program: Program,
                  schemas: Optional[Dict[str, TableSchema]] = None,
                  functions: Optional[FunctionRegistry] = None,
-                 record_events: bool = True,
                  max_derivations: int = 1_000_000):
         self.program = program
         self.database = Database(schemas)
         self.functions = functions or FunctionRegistry()
-        self.record_events = record_events
         self.max_derivations = max_derivations
-        self.clock = 0
-        self.events: List[EngineEvent] = []
-        self.derivations: List[DerivationRecord] = []
-        #: Per-(rule, head) bodies already recorded — O(1) duplicate check.
-        self._recorded_bodies: Dict[Tuple[str, NDTuple], Set[Tuple[NDTuple, ...]]] = {}
         #: Firings applied to each derived tuple: {(rule_name, body), ...}
         #: — the firing dedup (module docstring, "Retraction").
         self._supports: Dict[NDTuple, Set[Tuple[str, Tuple[NDTuple, ...]]]] = {}
@@ -189,11 +166,10 @@ class Engine:
         #: exact)``; read through :meth:`plans_triggered_by`.
         self._dispatch: Dict[str, Tuple[List[_Entry], Dict[
             Tuple[int, ...], Dict[Tuple, List[_Entry]]]]] = {}
-        #: Rule firings processed on quiet paths (``record_events=False``
-        #: skips the derivation history entirely); stands in for the
-        #: ``max_derivations`` runaway guard there, and is checkpointed so a
-        #: restore rewinds the budget too.
-        self._quiet_firings = 0
+        #: Rule firings applied by both fixpoints: the ``max_derivations``
+        #: runaway guard counts them, and they are checkpointed so a restore
+        #: rewinds the budget too.
+        self._firings = 0
         #: Undo journal, shared with the database; ``None`` until the first
         #: :meth:`checkpoint` — non-warm engines pay one None-check per
         #: mutation and nothing else.
@@ -276,23 +252,6 @@ class Engine:
         self.database.register_schema(schema)
 
     # ------------------------------------------------------------------
-    # Event logging
-    # ------------------------------------------------------------------
-
-    def _tick(self):
-        self.clock += 1
-        return self.clock
-
-    def _log(self, kind, tup, node=None, rule=None, derivation=None,
-             source=None, destination=None):
-        time = self._tick()
-        if self.record_events:
-            self.events.append(EngineEvent(
-                kind=kind, time=time, tuple=tup, node=node, rule=rule,
-                derivation=derivation, source=source, destination=destination))
-        return time
-
-    # ------------------------------------------------------------------
     # Public mutation API
     # ------------------------------------------------------------------
 
@@ -301,61 +260,31 @@ class Engine:
 
         Transient (non-persistent) tuples — both the inserted one and any
         transient derived heads — are removed from the database after the
-        fixpoint, but remain visible in the event log and in the returned
-        list, mirroring NDlog's message semantics.
+        fixpoint, but remain in the returned list, mirroring NDlog's message
+        semantics.
         """
-        if not self.record_events:
-            # Quiet engines skip the schema/node lookups; the clock still
-            # advances by the same amount as the INSERT (+ APPEAR) logs.
-            database = self.database
-            fresh = database.insert(tup, derived=False)
-            self.clock += 2 if fresh else 1
-            if not fresh:
-                derived = []
-            elif self.tracer is None:
-                derived = self._fixpoint([tup])
-            else:
-                derived = self._traced_fixpoint(tup)
-            # The transient sweep of _cleanup_transients, over the inserted
-            # tuple and then the derived ones.
-            transients = database.transient_tables
-            if transients:
-                if tup.table in transients:
-                    database.remove(tup)
-                for head in derived:
-                    if head.table in transients:
-                        database.remove(head)
-            return derived
-        schema = self.database.schema(tup.table)
-        node = tup.location(schema)
-        fresh = self.database.insert(tup, derived=False)
-        self._log(INSERT, tup, node=node)
-        if fresh:
-            self._log(APPEAR, tup, node=node)
-            derived = (self._fixpoint([tup]) if self.tracer is None
-                       else self._traced_fixpoint(tup))
-        else:
+        database = self.database
+        if not database.insert(tup, derived=False):
             derived = []
-        self._cleanup_transients([tup] + derived)
+        elif self.tracer is None:
+            derived = self._fixpoint([tup])
+        else:
+            derived = self._traced_fixpoint(tup)
+        # The transient sweep of _cleanup_transients, over the inserted
+        # tuple and then the derived ones.
+        transients = database.transient_tables
+        if transients:
+            if tup.table in transients:
+                database.remove(tup)
+            for head in derived:
+                if head.table in transients:
+                    database.remove(head)
         return derived
 
     def insert_many(self, tuples: Iterable[NDTuple]) -> List[NDTuple]:
         """Insert several base tuples, running a single fixpoint at the end."""
-        inserted = []
-        if not self.record_events:
-            db_insert = self.database.insert
-            for tup in tuples:
-                if db_insert(tup, derived=False):
-                    inserted.append(tup)
-                    self.clock += 2
-        else:
-            for tup in tuples:
-                schema = self.database.schema(tup.table)
-                node = tup.location(schema)
-                if self.database.insert(tup, derived=False):
-                    inserted.append(tup)
-                    self._log(INSERT, tup, node=node)
-                    self._log(APPEAR, tup, node=node)
+        db_insert = self.database.insert
+        inserted = [tup for tup in tuples if db_insert(tup, derived=False)]
         derived = self._fixpoint(inserted)
         self._cleanup_transients(inserted + derived)
         return derived
@@ -382,11 +311,6 @@ class Engine:
         Heads in those tables are re-reported for every batch entry that
         contributes a distinct derivation, matching the sequential behaviour
         where the previous event's message has already been consumed.
-
-        Unlike sequential insertion, the event log records all INSERT/APPEAR
-        events up front and does not log re-appearances of consumed heads;
-        backtesting controllers run with ``record_events=False``, where the
-        logs are identical.
         """
         batch = list(tuples)
         results: List[List[NDTuple]] = [[] for _ in batch]
@@ -395,14 +319,10 @@ class Engine:
         fresh_list: List[NDTuple] = []
         ready: Dict[NDTuple, int] = {}
         for position, tup in enumerate(batch):
-            schema = self.database.schema(tup.table)
-            node = tup.location(schema)
             if self.database.insert(tup, derived=False):
                 if tup not in ready:
                     ready[tup] = position
                 fresh_list.append(tup)
-                self._log(INSERT, tup, node=node)
-                self._log(APPEAR, tup, node=node)
         fired: List[Tuple[NDTuple, Tuple[NDTuple, ...]]] = []
         newly_derived = self._fixpoint(fresh_list, fired=fired)
         batch_created = set(fresh_list) | set(newly_derived)
@@ -454,17 +374,14 @@ class Engine:
     def remove(self, tup: NDTuple) -> List[NDTuple]:
         """Retract a tuple and recompute the derived set from the base.
 
-        Returns the derived tuples that disappeared, in store order, each
-        logged UNDERIVE + DISAPPEAR.  Derived flags and supports are dropped
-        and the quiet fixpoint re-runs from the remaining base tuples in
-        insertion order (module docstring, "Retraction").
+        Returns the derived tuples that disappeared, in store order.  Derived
+        flags and supports are dropped and everything is re-derived from the
+        remaining base tuples in insertion order (module docstring,
+        "Retraction").
         """
         database = self.database
         if not database.contains(tup):
             return []
-        node = tup.location(database.schema(tup.table))
-        self._log(DELETE, tup, node=node)
-        self._log(DISAPPEAR, tup, node=node)
         database.remove(tup)
         before = [t for t, flags in database._flags.items()
                   if flags & DERIVED_FLAG]
@@ -474,22 +391,15 @@ class Engine:
             self._journal.append(("supswap", self._supports))
         self._supports = {}
         self._rederive_fixpoint(database.base_in_order())
-        disappeared = []
-        for gone in before:
-            if not database.contains(gone):
-                node = gone.location(database.schema(gone.table))
-                self._log(UNDERIVE, gone, node=node)
-                self._log(DISAPPEAR, gone, node=node)
-                disappeared.append(gone)
-        return disappeared
+        return [gone for gone in before if not database.contains(gone)]
 
     def consume(self, tup: NDTuple) -> bool:
         """Drop a message tuple from the database without underiving anything.
 
         Used by controllers for derived tuples that act as one-shot messages
-        (e.g. ``PacketOut``): the tuple leaves the store, but its supports and
-        history stay registered, so replaying the exact same firing does not
-        re-emit it.  A later :meth:`remove` recomputes from no supports and
+        (e.g. ``PacketOut``): the tuple leaves the store, but its supports
+        stay registered, so replaying the exact same firing does not re-emit
+        it.  A later :meth:`remove` recomputes from no supports and
         brings the message back if the remaining base still derives it.
         """
         return self.database.remove(tup)
@@ -514,9 +424,9 @@ class Engine:
 
     def restore(self, cp: EngineCheckpoint) -> None:
         """Rewind all state to ``cp``: tuples, flags, indexes, supports,
-        program/plans, clock and the event/derivation history.  Supports
-        come back per firing (``supadd``), per evicted tuple (``suppop``) or
-        whole, for a :meth:`remove` in between (``supswap``)."""
+        program/plans and the firing budget.  Supports come back per firing
+        (``supadd``), per evicted tuple (``suppop``) or whole, for a
+        :meth:`remove` in between (``supswap``)."""
         if cp.engine is not self:
             raise EvaluationError("checkpoint belongs to a different engine")
         journal = self._journal
@@ -546,17 +456,7 @@ class Engine:
                     raise EvaluationError(f"unknown journal entry {kind!r}")
         finally:
             database.journal = journal
-        # Append-only history: truncate, unwinding the duplicate check.
-        for record in reversed(self.derivations[cp.derivation_count:]):
-            recorded = self._recorded_bodies.get((record.rule, record.head))
-            if recorded is not None:
-                recorded.discard(record.body)
-                if not recorded:
-                    del self._recorded_bodies[(record.rule, record.head)]
-        del self.derivations[cp.derivation_count:]
-        del self.events[cp.event_count:]
-        self.clock = cp.clock
-        self._quiet_firings = cp.quiet_firings
+        self._firings = cp.firings
         if self.program is not cp.program:
             self.program = cp.program
             self._dispatch = cp.dispatch
@@ -606,7 +506,6 @@ class Engine:
         database = self.database
         journal = self._journal
         functions = self.functions
-        recording = self.record_events
         dispatch = self._dispatch
         plans_triggered_by = self.plans_triggered_by
         limit = self.max_derivations
@@ -618,8 +517,8 @@ class Engine:
             for plan, position in plans_triggered_by(trigger):
                 # fire() returns its complete list before any firing below
                 # is applied, so every join in it reads one database state.
-                for head, body, bindings in plan.fire(
-                        position, batch, database, functions, recording):
+                for head, body in plan.fire(position, batch, database,
+                                            functions):
                     key = (plan.name, body)
                     head_supports = supports.setdefault(head, set())
                     size = len(head_supports)
@@ -631,24 +530,12 @@ class Engine:
                         journal.append(("supadd", head, key))
                     if fired is not None:
                         fired.append((head, body))
+                    self._firings += 1
+                    if self._firings > limit:
+                        raise EvaluationError(
+                            f"derivation limit of {limit} exceeded; "
+                            "the program is probably not terminating")
                     is_new = not database.contains(head)
-                    if recording:
-                        record = self._record_derivation(plan.rule, head,
-                                                         body, bindings)
-                        if record is None and is_new:
-                            # Re-derivation of a previously deleted tuple:
-                            # the historical record already exists, but the
-                            # tuple reappears now.
-                            self._log(APPEAR, head,
-                                      node=head.location(
-                                          database.schema(head.table)),
-                                      rule=plan.name)
-                    else:
-                        self._quiet_firings += 1
-                        if self._quiet_firings > limit:
-                            raise EvaluationError(
-                                f"derivation limit of {limit} exceeded; "
-                                "the program is probably not terminating")
                     database.insert(head, derived=True)
                     if is_new:
                         newly_derived.append(head)
@@ -671,29 +558,25 @@ class Engine:
     def telemetry_counters(self) -> Dict[str, int]:
         """Monotone work counters sampled by the observability layer.
 
-        ``rules_fired`` unifies the quiet counter with the recorded
-        derivation history so the number means the same thing for quiet
-        and recording engines.  Cheap enough to sample per replay slice.
+        ``rules_fired`` is the firing budget spent so far.  Cheap enough to
+        sample per replay slice.
         """
         return {
             "engine_fixpoints": self.fixpoint_count,
             "tuples_derived": self.tuples_derived_total,
-            "rules_fired": self._quiet_firings + len(self.derivations),
+            "rules_fired": self._firings,
             "index_materializations": self.database.index_materializations,
         }
 
     def _rederive_fixpoint(self, delta: Sequence[NDTuple]):
-        """The quiet fixpoint behind :meth:`remove`'s recompute.
-
-        Registers supports and inserts derived tuples without appending to
-        the event log or the derivation history (matching the silent
-        recompute of the reference evaluator).
-        """
+        """The recompute behind :meth:`remove`: registers supports and
+        inserts derived tuples, spending the insert-time firing budget."""
         database = self.database
         functions = self.functions
         dispatch = self._dispatch
         supports = self._supports
         journal = self._journal
+        limit = self.max_derivations
         frontier = list(delta)
         while frontier:
             # Semi-naive delta round: batch the frontier per table and fire
@@ -709,8 +592,8 @@ class Engine:
                 for _ordinal, plan, position in sorted(chain(
                         residual, *(bucket for buckets in exact.values()
                                     for bucket in buckets.values()))):
-                    for head, body, _bindings in plan.fire(
-                            position, batch, database, functions, False):
+                    for head, body in plan.fire(position, batch, database,
+                                                functions):
                         key = (plan.name, body)
                         head_supports = supports.setdefault(head, set())
                         size = len(head_supports)
@@ -719,6 +602,11 @@ class Engine:
                             continue
                         if journal is not None:
                             journal.append(("supadd", head, key))
+                        self._firings += 1
+                        if self._firings > limit:
+                            raise EvaluationError(
+                                f"derivation limit of {limit} exceeded; "
+                                "the program is probably not terminating")
                         if database.insert(head, derived=True):
                             frontier.append(head)
 
@@ -728,38 +616,6 @@ class Engine:
         popped = self._supports.pop(tup, None)
         if popped is not None and self._journal is not None:
             self._journal.append(("suppop", tup, popped))
-
-    def _record_derivation(self, rule: Rule, head: NDTuple,
-                           body: Tuple[NDTuple, ...], bindings):
-        if len(self.derivations) >= self.max_derivations:
-            raise EvaluationError(
-                f"derivation limit of {self.max_derivations} exceeded; "
-                "the program is probably not terminating")
-        # Avoid recording the exact same firing twice (O(1) set lookup).
-        recorded = self._recorded_bodies.setdefault((rule.name, head), set())
-        if body in recorded:
-            return None
-        recorded.add(body)
-        record = DerivationRecord(
-            rule=rule.name,
-            head=head,
-            body=body,
-            bindings=bindings,
-            time=self.clock + 1,
-            node=head.location(self.database.schema(head.table)),
-        )
-        self.derivations.append(record)
-        head_node = record.node
-        trigger_node = body[0].location(self.database.schema(body[0].table)) if body else None
-        if body and head_node is not None and trigger_node is not None and head_node != trigger_node:
-            self._log(SEND, head, node=trigger_node, rule=rule.name,
-                      source=trigger_node, destination=head_node)
-            self._log(RECEIVE, head, node=head_node, rule=rule.name,
-                      source=trigger_node, destination=head_node)
-        self._log(DERIVE, head, node=head_node, rule=rule.name, derivation=record)
-        if not self.database.contains(head):
-            self._log(APPEAR, head, node=head_node, rule=rule.name)
-        return record
 
     # ------------------------------------------------------------------
     # Transient-tuple handling
@@ -772,11 +628,3 @@ class Engine:
         for tup in candidates:
             if tup.table in transients:
                 self.database.remove(tup)
-
-
-def evaluate_program(program: Program, base_tuples: Iterable[NDTuple],
-                     schemas: Optional[Dict[str, TableSchema]] = None) -> Engine:
-    """Convenience helper: build an engine, insert all base tuples, return it."""
-    engine = Engine(program, schemas=schemas)
-    engine.insert_many(list(base_tuples))
-    return engine

@@ -304,8 +304,8 @@ def _compile(rule: Rule):
             # needs is never bound: the rule cannot fire from this position.
             body = _Emitter()
             body.w(1, "return []")
-        emitter.w(1, f"def _fire{position}(_triggers, _db, _functions, "
-                     f"_record{defaults}):")
+        emitter.w(1, f"def _fire{position}(_triggers, _db, _functions"
+                     f"{defaults}):")
         emitter.lines.extend("    " + line for line in body.lines)
     emitter.w(1, "return " + _tuple_code(
         [f"_fire{position}" for position in range(len(atoms))]))
@@ -434,9 +434,7 @@ def _emit_fire_body(out, rule, position, atoms, slots, sel_vars, pushable):
     out.w(depth, f"_h = NDTuple({rule.head.table!r}, "
                  f"{_tuple_code(head_values)})")
     body_vars = _tuple_code([f"_a{i}" for i in range(len(atoms))])
-    pairs = "".join(f"({name!r}, {env[name]}), " for name in sorted(env))
-    out.w(depth, f"_ap((_h, {body_vars}, "
-                 f"(({pairs})) if _record else None))")
+    out.w(depth, f"_ap((_h, {body_vars}))")
     out.w(1, "return _out")
 
 
@@ -461,25 +459,24 @@ class CompiledRule:
                              for recipe in recipes])
         self._fires = make(*constants)
 
-    def fire(self, position: int, triggers, database, functions, record):
+    def fire(self, position: int, triggers, database, functions):
         """All firings of the rule with each trigger at ``position``.
 
-        Returns ``[(head, body, bindings_or_None), ...]``; ``bindings`` is a
-        name-sorted tuple of ``(var, value)`` pairs when ``record`` is
-        truthy, else ``None``.  The caller applies the firings only after
-        this returns (the module invariant).
+        Returns ``[(head, body), ...]``, ``body`` the matched tuples in
+        body-atom order.  The caller applies the firings only after this
+        returns (the module invariant).
         """
-        return self._fires[position](triggers, database, functions, record)
+        return self._fires[position](triggers, database, functions)
 
 
 class PlanCache:
     """Process-global LRU of plans: code by rule shape, bindings by rule.
 
-    Plans are engine-stateless (the database, function registry and
-    record flag are call arguments), so one cache serves every engine in
-    the process — across the candidate corpus of one backtest and across
-    jobs inside a distributed worker's ``RuntimeCache``.  ``misses`` counts
-    code compiled, ``hits`` the lookups that compiled nothing, ``size`` the
+    Plans are engine-stateless (the database and function registry are
+    call arguments), so one cache serves every engine in the process —
+    across the candidate corpus of one backtest and across jobs inside a
+    distributed worker's ``RuntimeCache``.  ``misses`` counts code
+    compiled, ``hits`` the lookups that compiled nothing, ``size`` the
     shapes held; ``capacity`` bounds each level.
     """
 

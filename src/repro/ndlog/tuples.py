@@ -14,7 +14,7 @@ Storage details that the evaluation layer relies on:
   the tuple while the other flag remains.
 * A table is one live set of tuples.  The only insertion-ordered record is
   the flag dict itself, which :meth:`Database.base_in_order` exposes so the
-  engine's quiet recompute can seed in an order that does not depend on the
+  engine's recompute can seed in an order that does not depend on the
   string hash seed, and which ``Engine.remove`` walks to report what
   disappeared in that same store order.
 * Secondary hash indexes keyed on ``(column, value)`` let joins probe the
@@ -114,12 +114,6 @@ class NDTuple:
     @property
     def arity(self):
         return len(self.values)
-
-    def location(self, schema: Optional[TableSchema] = None):
-        index = schema.location_index if schema is not None else 0
-        if index >= len(self.values):
-            return None
-        return self.values[index]
 
     def key(self, schema: Optional[TableSchema] = None):
         """Primary-key projection used for update semantics."""

@@ -15,7 +15,7 @@ on demand, so backtesting runs never contaminate each other.
 Diagnosis starts from what the runtime records (Sections 4.3 and 5.4): the
 PacketIns the switches raised and the controller's answers.
 :meth:`NDlogScenario.recorded_run` replays the buggy program over the trace
-once, on a quiet engine under the recorder
+once, under the recorder
 (:class:`~repro.sdn.controller.RecordingController`), and that one run
 yields both inputs of a repair: the :class:`~repro.meta.history.HistoryIndex`
 the explorer searches and the baseline traffic statistics the backtest judges
@@ -124,8 +124,7 @@ class NDlogScenario:
     def build_controller(self, program: Optional[Program] = None,
                          extra_tuples: Sequence[NDTuple] = (),
                          removed_tuples: Sequence[NDTuple] = (),
-                         tags: Tuple[str, ...] = (),
-                         record_events: bool = False) -> NDlogController:
+                         tags: Tuple[str, ...] = ()) -> NDlogController:
         removed = set(removed_tuples)
         static = [t for t in self.static_tuples if t not in removed]
         static += [t for t in extra_tuples if t not in removed]
@@ -135,8 +134,7 @@ class NDlogScenario:
             static_tuples=static,
             extra_schemas=self.extra_schemas,
             auto_packet_out=self.auto_packet_out,
-            tags=tags,
-            record_events=record_events)
+            tags=tags)
 
     def schemas(self) -> List[TableSchema]:
         return list(self.mapping.schemas()) + list(self.extra_schemas)
@@ -160,15 +158,14 @@ class NDlogScenario:
     def recorded_run(self, trace_limit: Optional[int] = None) -> RecordedRun:
         """Replay the buggy program over the trace once, under the recorder.
 
-        The controller is quiet (``record_events=False``): it keeps no event
-        log and no derivation records, and answers a repeated PacketIn that
-        derived nothing from its memo.  The recorder still sees every
-        PacketIn, so the history holds, in this order and each tuple once:
-        the controller's static tuples, the PacketIn tuple of every recorded
-        event, the final store's base and then derived tuples in store
-        order, and the scenario's static tuples — the tuples a recording
-        engine would have logged as INSERTs, then its store.  ``seconds``
-        times the replay alone, not the index.
+        The controller's engine keeps no history, and the controller answers
+        a repeated PacketIn that derived nothing from its memo.  The
+        recorder around it sees every PacketIn, so the history holds, in
+        this order and each tuple once: the controller's static tuples, the
+        PacketIn tuple of every recorded event, the final store's base and
+        then derived tuples in store order, and the scenario's static tuples
+        — the tuples an engine that logs every insert would have logged,
+        then its store.  ``seconds`` times the replay alone, not the index.
         """
         started = _time.perf_counter()
         controller = self.build_controller()

@@ -90,7 +90,7 @@ class RecordingController(Controller):
     This is the "runtime recording" component of the paper's prototype
     (Sections 4.3 and 5.4): every PacketIn the switches raise, in order, and
     the controller's answer to it.  A repair's Diagnose stage replays the
-    buggy program once under this recorder, around a quiet controller, and
+    buggy program once under this recorder, around the NDlog controller, and
     indexes the recorded PacketIns for the explorer
     (:meth:`repro.scenarios.base.NDlogScenario.recorded_run`).  Recording is
     transparent: the wrapped controller answers exactly as it would alone,

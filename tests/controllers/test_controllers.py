@@ -12,7 +12,7 @@ from repro.sdn import FlowMod, PacketOut
 from repro.sdn.controller import PacketInEvent
 from repro.sdn.packets import Packet, http_request
 
-from recording_oracle import history_from_engine
+from recording_oracle import RecordingNDlogController, history_from_engine
 
 FIG2 = """
 r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), WebLoadBalancer(@C,Hdr,Prt), Swi == 1.
@@ -71,7 +71,8 @@ class TestNDlogController:
         assert tup.values[2] == 7 and tup.values[3] == 9
 
     def test_history_tuples_collects_base_inserts(self):
-        controller = NDlogController(parse_program(FIG2), FIGURE2_MAPPING)
+        controller = RecordingNDlogController(parse_program(FIG2),
+                                              FIGURE2_MAPPING)
         controller.handle_packet_in(PacketInEvent(2, http_request(1, 2)))
         tables = history_from_engine(controller.engine).tables()
         assert "PacketIn" in tables

@@ -47,7 +47,7 @@ def test_verdicts_are_sound_against_the_engine():
     """Whenever the probe says inert, a live insertion derives nothing."""
     program = parse_program(PROGRAM_TEXT)
     probe = PacketInInertProbe(program, "PacketIn")
-    engine = Engine(program, record_events=False)
+    engine = Engine(program)
     engine.insert(make_tuple("Config", "C", 80))
     for swi in range(1, 6):
         for hdr in (53, 80, 150):

@@ -104,26 +104,6 @@ def test_wildcard_static_data_opts_out_of_batched_replay():
     assert eligible.batch_replay_adapter() is not None
 
 
-def test_recording_controller_never_batches():
-    """Joint fixpoints keep a different engine event log, so controllers
-    whose logs feed provenance must refuse the batch fast paths."""
-    scenario = build_scenario("Q1")
-    recording = scenario.build_controller(record_events=True)
-    assert recording.batch_replay_adapter() is None
-    assert not recording.engine_batch_safe
-    events = _ingress_events(scenario)[:6]
-    reference_controller = scenario.build_controller(record_events=True)
-    reference = [_normalise(reference_controller.handle_packet_in(event))
-                 for event in events]
-    responses = recording.handle_packet_in_batch(events)
-    batched = [_normalise(response.messages_for(event.packet))
-               for event, response in zip(events, responses)]
-    assert batched == reference
-    # The per-event fallback keeps the logs identical too.
-    assert [(e.kind, e.tuple) for e in recording.engine.events] == \
-        [(e.kind, e.tuple) for e in reference_controller.engine.events]
-
-
 def test_cross_key_installer_opts_out_of_batched_replay():
     """A rule may install an entry for a *different* key than the triggering
     packet's (constant match value, foreign switch, reshuffled fields).

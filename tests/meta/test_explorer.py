@@ -29,6 +29,7 @@ from repro.repair import (
 )
 
 from recording_oracle import derivations_of, history_from_engine
+from reference_engine import NaiveEngine
 
 FIGURE2_PROGRAM = """
 r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), WebLoadBalancer(@C,Hdr,Prt), Swi == 1.
@@ -222,7 +223,7 @@ class TestPositiveSymptoms:
 
     @pytest.fixture
     def engine(self, program):
-        engine = Engine(program)
+        engine = NaiveEngine(program)
         engine.register_schema(TableSchema("PacketIn", ("C", "Swi", "Hdr")))
         engine.register_schema(TableSchema("WebLoadBalancer", ("C", "Hdr", "Prt")))
         engine.register_schema(TableSchema("FlowTable", ("Swi", "Hdr", "Prt")))
@@ -278,12 +279,20 @@ class TestHistoryIndex:
         assert matches == [make_tuple("PacketIn", "C", 3, 80)]
 
     def test_from_engine_includes_transient_events(self, program):
-        engine = Engine(program)
+        engine = NaiveEngine(program)
         engine.register_schema(TableSchema("PacketIn", ("C", "Swi", "Hdr"),
                                            persistent=False))
         engine.insert(make_tuple("PacketIn", "C", 3, 80))
         history = history_from_engine(engine)
         assert history.count("PacketIn") == 1
+
+    def test_tables_follow_first_seen_order(self):
+        # An explorer replays the history table by table: the order must be
+        # the history's own, never a set's (which follows the hash seed).
+        names = ["Zeta", "PacketIn", "Alpha", "FlowTable", "M"]
+        history = HistoryIndex([make_tuple(name, "C", 1) for name in names]
+                               + [make_tuple("Alpha", "C", 2)])
+        assert history.tables() == names
 
     def test_lookup_counter_increments(self, history):
         before = history.lookup_count

@@ -1,10 +1,10 @@
 """Shared case definitions for the golden differential suite.
 
 The golden suite pins the *observable* behaviour of the NDlog engine —
-per-operation derived lists (in order), the event log, the derivation
-history and the final table contents — against JSON fixtures captured from
-the pre-rewrite indexed engine.  Any engine-core change that perturbs an
-event-visible ordering shows up as a fixture diff instead of a silent
+per-operation derived lists (in order), the final table contents, the
+base/derived flags and the support counts — against JSON fixtures captured
+from the pre-rewrite indexed engine.  Any engine-core change that perturbs
+an observable ordering shows up as a fixture diff instead of a silent
 semantic drift.
 
 Set-iteration order inside the engine (the order in which a join visits the
@@ -12,8 +12,8 @@ candidates of an index bucket) depends on Python's string hash, so fixtures
 are captured and compared under ``PYTHONHASHSEED=0`` — both :func:`main` and
 the test's fingerprint subprocess re-exec themselves with the seed pinned.
 The ``remove`` steps of ``chain``, ``checkpoint``, ``selffeed3_live`` and
-``selfrec`` were re-dumped when removal became a recompute: same tuples and
-event slots, now in store order.
+``selfrec`` were re-dumped when removal became a recompute: same tuples, now
+in store order.
 
 Regenerate (only when an intentional behaviour change is being made)::
 
@@ -44,7 +44,7 @@ def _t(table, *values):
 
 #: What the ``guarded_dispatch_order`` case (below) produced at the commit
 #: before rule dispatch existed, when every tuple was offered to every rule
-#: of its table (``PYTHONHASHSEED=0``): per-op derived lists and the event log.
+#: of its table (``PYTHONHASHSEED=0``): the per-op derived lists.
 GUARDED_DISPATCH_ORDER_AT_PARENT = {
     "steps": [
         {"op": "insert", "result":
@@ -58,52 +58,6 @@ GUARDED_DISPATCH_ORDER_AT_PARENT = {
          ["Out(2, True, 'g1')", "Out(2, True, 'u')", "Out(2, True, 'g2')",
           "Out(2, 7, 'c')", "Out(2, 2, 'a')"]},
         {"op": "insert", "result": []},
-    ],
-    "events": [
-        ['INSERT', 1, 'In(1, 1)', 1, None],
-        ['APPEAR', 2, 'In(1, 1)', 1, None],
-        ['DERIVE', 3, "Out(1, 1, 'g1')", 1, 'g1'],
-        ['APPEAR', 4, "Out(1, 1, 'g1')", 1, 'g1'],
-        ['DERIVE', 5, "Out(1, 1, 'u')", 1, 'u'],
-        ['APPEAR', 6, "Out(1, 1, 'u')", 1, 'u'],
-        ['DERIVE', 7, "Out(1, 1, 'g2')", 1, 'g2'],
-        ['APPEAR', 8, "Out(1, 1, 'g2')", 1, 'g2'],
-        ['DERIVE', 9, "Out(1, 7, 'c')", 1, 'c'],
-        ['APPEAR', 10, "Out(1, 7, 'c')", 1, 'c'],
-        ['DERIVE', 11, "Out(1, 2, 'a')", 1, 'a'],
-        ['APPEAR', 12, "Out(1, 2, 'a')", 1, 'a'],
-        ['INSERT', 13, 'In(1, 2)', 1, None],
-        ['APPEAR', 14, 'In(1, 2)', 1, None],
-        ['DERIVE', 15, "Out(1, 2, 'u')", 1, 'u'],
-        ['APPEAR', 16, "Out(1, 2, 'u')", 1, 'u'],
-        ['DERIVE', 17, "Out(1, 2, 'a')", 1, 'a'],
-        ['DERIVE', 18, "Out(1, 2, 'g3')", 1, 'g3'],
-        ['APPEAR', 19, "Out(1, 2, 'g3')", 1, 'g3'],
-        ['INSERT', 20, "In(1, '*')", 1, None],
-        ['APPEAR', 21, "In(1, '*')", 1, None],
-        ['DERIVE', 22, "Out(1, '*', 'g1')", 1, 'g1'],
-        ['APPEAR', 23, "Out(1, '*', 'g1')", 1, 'g1'],
-        ['DERIVE', 24, "Out(1, '*', 'u')", 1, 'u'],
-        ['APPEAR', 25, "Out(1, '*', 'u')", 1, 'u'],
-        ['DERIVE', 26, "Out(1, '*', 'g2')", 1, 'g2'],
-        ['APPEAR', 27, "Out(1, '*', 'g2')", 1, 'g2'],
-        ['DERIVE', 28, "Out(1, 2, 'a')", 1, 'a'],
-        ['DERIVE', 29, "Out(1, '*', 'g3')", 1, 'g3'],
-        ['APPEAR', 30, "Out(1, '*', 'g3')", 1, 'g3'],
-        ['INSERT', 31, 'In(2, True)', 2, None],
-        ['APPEAR', 32, 'In(2, True)', 2, None],
-        ['DERIVE', 33, "Out(2, True, 'g1')", 2, 'g1'],
-        ['APPEAR', 34, "Out(2, True, 'g1')", 2, 'g1'],
-        ['DERIVE', 35, "Out(2, True, 'u')", 2, 'u'],
-        ['APPEAR', 36, "Out(2, True, 'u')", 2, 'u'],
-        ['DERIVE', 37, "Out(2, True, 'g2')", 2, 'g2'],
-        ['APPEAR', 38, "Out(2, True, 'g2')", 2, 'g2'],
-        ['DERIVE', 39, "Out(2, 7, 'c')", 2, 'c'],
-        ['APPEAR', 40, "Out(2, 7, 'c')", 2, 'c'],
-        ['DERIVE', 41, "Out(2, 2, 'a')", 2, 'a'],
-        ['APPEAR', 42, "Out(2, 2, 'a')", 2, 'a'],
-        ['INSERT', 43, 'In(3)', 3, None],
-        ['APPEAR', 44, 'In(3)', 3, None],
     ],
 }
 
@@ -289,9 +243,9 @@ CASES: Dict[str, dict] = {
     # both ways round), ``c`` a constant argument, ``u`` none, and ``a``
     # compares an assignment target (which must not become a guard: the
     # selection reads the assigned 2, whatever the tuple's column holds, so
-    # ``a`` fires for every tuple) — interleaved on one table, so
-    # the events pin that guarded and unguarded rules still fire in program
-    # order, that a wildcard value reaches every selection guard (but not
+    # ``a`` fires for every tuple) — interleaved on one table, so the
+    # derived lists pin that guarded and unguarded rules still fire in
+    # program order, that a wildcard value reaches every selection guard (but not
     # the strict constant argument), that ``True`` finds the ``1`` bucket,
     # and that a tuple too short for the guarded column fires nothing.  The
     # expectation is written out below instead of living in the fixture
@@ -365,11 +319,6 @@ def run_case(case: dict) -> dict:
             steps.append({"op": "restore", "result": None})
         else:  # pragma: no cover — case-spec typo guard
             raise ValueError(f"unknown op {kind!r}")
-    events = [[e.kind, e.time, _render(e.tuple), e.node, e.rule]
-              for e in engine.events]
-    derivations = [[r.rule, _render(r.head), [_render(b) for b in r.body],
-                    [[k, v] for k, v in r.bindings], r.time, r.node]
-                   for r in engine.derivations]
     tables = {name: sorted(_render(t) for t in engine.database.tuples(name))
               for name in sorted(engine.database.tables())}
     flags = sorted(f"{_render(t)}:{'B' if engine.database.is_base(t) else ''}"
@@ -383,12 +332,9 @@ def run_case(case: dict) -> dict:
     }
     return {
         "steps": steps,
-        "events": events,
-        "derivations": derivations,
         "tables": tables,
         "flags": flags,
         "supports": support_counts,
-        "clock": engine.clock,
     }
 
 

@@ -10,6 +10,14 @@ Tests cross-check the indexed engine against this oracle (identical derived
 tuple sets over the Q1–Q5 scenario workloads and over delete/reinsert
 sequences driven through ``insert``/``remove``); no repair runs it.
 
+It is also the only engine that records: a chronological event log
+(:class:`EngineEvent`: INSERT / DELETE / DERIVE / UNDERIVE / APPEAR /
+DISAPPEAR / SEND / RECEIVE) and one :class:`DerivationRecord` per distinct
+rule firing, stamped by a logical clock.  The indexed engine keeps state,
+not history; classical provenance (``tests/provenance``) and the
+recording-engine Diagnose (``tests/recording_oracle.py``) read this
+history.
+
 Two intentional notes on oracle fidelity:
 
 * the original evaluator refused to re-insert a head whose exact firing was
@@ -22,44 +30,86 @@ Two intentional notes on oracle fidelity:
   the cross-checked surface.
 
 The oracle shares the storage layer (:class:`~repro.ndlog.tuples.Database`)
-with the real engine; only the evaluation strategy differs.
+with the real engine; only the evaluation strategy and the recording differ.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.ndlog.ast import Atom, Const, Program, Rule, Var
 from repro.ndlog.errors import EvaluationError
-from repro.ndlog.events import (
-    APPEAR,
-    DELETE,
-    DERIVE,
-    DISAPPEAR,
-    INSERT,
-    RECEIVE,
-    SEND,
-    UNDERIVE,
-    DerivationRecord,
-    EngineEvent,
-)
 from repro.ndlog.expr import Bindings, FunctionRegistry, evaluate
 from repro.ndlog.tuples import Database, NDTuple, TableSchema
 
 
+# Event kinds.  They mirror the vertex names used by the paper.
+INSERT = "INSERT"
+DELETE = "DELETE"
+DERIVE = "DERIVE"
+UNDERIVE = "UNDERIVE"
+APPEAR = "APPEAR"
+DISAPPEAR = "DISAPPEAR"
+SEND = "SEND"
+RECEIVE = "RECEIVE"
+
+
+def location(tup: NDTuple, schema: Optional[TableSchema] = None):
+    """The node ``tup`` lives at: its location-specifier column (the first
+    without a schema), ``None`` for a tuple too short to have one."""
+    index = schema.location_index if schema is not None else 0
+    return tup.values[index] if index < len(tup.values) else None
+
+
+@dataclass(frozen=True)
+class DerivationRecord:
+    """A single successful rule firing.
+
+    Attributes:
+        rule: name of the rule that fired.
+        head: the derived head tuple.
+        body: the body tuples that satisfied the rule, in body-atom order.
+        bindings: the variable assignment under which the rule fired, as
+            name-sorted ``(var, value)`` pairs.
+        time: logical timestamp of the derivation.
+        node: node at which the head tuple was produced.
+    """
+
+    rule: str
+    head: NDTuple
+    body: Tuple[NDTuple, ...]
+    bindings: Tuple[Tuple[str, object], ...]
+    time: int
+    node: object = None
+
+
+@dataclass(frozen=True)
+class EngineEvent:
+    """One entry of the chronological event log."""
+
+    kind: str
+    time: int
+    tuple: NDTuple
+    node: object = None
+    rule: Optional[str] = None
+    derivation: Optional[DerivationRecord] = None
+    source: object = None
+    destination: object = None
+
+
 class NaiveEngine:
-    """Evaluates an NDlog program by scanning tables (the pre-index engine)."""
+    """Evaluates an NDlog program by scanning tables (the pre-index engine),
+    recording every event and derivation."""
 
     def __init__(self, program: Program,
                  schemas: Optional[Dict[str, TableSchema]] = None,
                  functions: Optional[FunctionRegistry] = None,
-                 record_events: bool = True,
                  max_derivations: int = 1_000_000):
         self.program = program
         self.database = Database(schemas)
         self.functions = functions or FunctionRegistry()
-        self.record_events = record_events
         self.max_derivations = max_derivations
         self.clock = 0
         self.events: List[EngineEvent] = []
@@ -92,10 +142,9 @@ class NaiveEngine:
     def _log(self, kind, tup, node=None, rule=None, derivation=None,
              source=None, destination=None):
         time = self._tick()
-        if self.record_events:
-            self.events.append(EngineEvent(
-                kind=kind, time=time, tuple=tup, node=node, rule=rule,
-                derivation=derivation, source=source, destination=destination))
+        self.events.append(EngineEvent(
+            kind=kind, time=time, tuple=tup, node=node, rule=rule,
+            derivation=derivation, source=source, destination=destination))
         return time
 
     # ------------------------------------------------------------------
@@ -104,7 +153,7 @@ class NaiveEngine:
 
     def insert(self, tup: NDTuple) -> List[NDTuple]:
         schema = self.database.schema(tup.table)
-        node = tup.location(schema)
+        node = location(tup, schema)
         fresh = self.database.insert(tup, derived=False)
         self._log(INSERT, tup, node=node)
         if fresh:
@@ -117,7 +166,7 @@ class NaiveEngine:
         inserted = []
         for tup in tuples:
             schema = self.database.schema(tup.table)
-            node = tup.location(schema)
+            node = location(tup, schema)
             if self.database.insert(tup, derived=False):
                 inserted.append(tup)
                 self._log(INSERT, tup, node=node)
@@ -131,7 +180,7 @@ class NaiveEngine:
         if not self.database.contains(tup):
             return []
         schema = self.database.schema(tup.table)
-        node = tup.location(schema)
+        node = location(tup, schema)
         self.database.clear_base_flag(tup)
         self.database.clear_derived_flag(tup)
         self._log(DELETE, tup, node=node)
@@ -207,7 +256,7 @@ class NaiveEngine:
         disappeared = [t for t in before if not self.database.contains(t)]
         for tup in disappeared:
             schema = self.database.schema(tup.table)
-            node = tup.location(schema)
+            node = location(tup, schema)
             self._log(UNDERIVE, tup, node=node)
             self._log(DISAPPEAR, tup, node=node)
         return disappeared
@@ -232,7 +281,7 @@ class NaiveEngine:
         self.derivations.append(record)
         self._derivations_by_head[head].append(record)
         head_node = record.node
-        trigger_node = body[0].location(self.database.schema(body[0].table)) if body else None
+        trigger_node = location(body[0], self.database.schema(body[0].table)) if body else None
         if body and head_node is not None and trigger_node is not None and head_node != trigger_node:
             self._log(SEND, head, node=trigger_node, rule=rule.name,
                       source=trigger_node, destination=head_node)
@@ -245,7 +294,7 @@ class NaiveEngine:
 
     def _head_node(self, rule: Rule, head: NDTuple):
         schema = self.database.schema(head.table)
-        return head.location(schema)
+        return location(head, schema)
 
     # ------------------------------------------------------------------
     # Rule firing (scan-based joins)

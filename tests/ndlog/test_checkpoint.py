@@ -3,8 +3,8 @@
 Two properties underpin warm candidate evaluation:
 
 * ``restore(checkpoint())`` is a *complete* rewind: database contents,
-  flags, secondary indexes, supports, program/plans, clock and the
-  event/derivation history all return to the snapshot — verified here
+  flags, secondary indexes, supports and program/plans all return to the
+  snapshot — verified here
   against deep copies, including under randomized mutation sequences
   (inserts, recomputing deletes, batched inserts, key updates).
 * ``restore(checkpoint)`` + ``swap_program(new)`` leaves the engine where
@@ -81,11 +81,6 @@ def engine_fingerprint(engine):
         dict(db._flags),
         {head: frozenset(supports)
          for head, supports in engine._supports.items()},
-        engine.clock,
-        tuple(engine.events),
-        tuple(engine.derivations),
-        {key: frozenset(bodies)
-         for key, bodies in engine._recorded_bodies.items() if bodies},
         engine.program.to_ndlog(),
     )
 

@@ -62,7 +62,7 @@ UNIVERSE = (0, 1, 2, "*", True)
 
 def test_dispatch_is_a_superset_in_program_order():
     program = parse_program(PROGRAM)
-    engine = Engine(program, record_events=False)
+    engine = Engine(program)
     engine.insert(NDTuple("Side", (0, 9)))
     every_plan = [(PLAN_CACHE.get(rule), position)
                   for rule in program.rules
@@ -76,7 +76,7 @@ def test_dispatch_is_a_superset_in_program_order():
         assert [entry for entry in every_plan if entry in offered] == offered
         firing = [(plan, position) for plan, position in every_plan
                   if plan.fire(position, (trigger,), engine.database,
-                               engine.functions, False)]
+                               engine.functions)]
         assert [entry for entry in offered if entry in firing] == firing, \
             f"{trigger} fires a rule it was not offered to"
         narrowed += len(offered) < len(every_plan)

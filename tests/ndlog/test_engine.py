@@ -5,20 +5,17 @@ from dataclasses import replace
 import pytest
 
 from repro.ndlog import (
-    DERIVE,
     Engine,
     EvaluationError,
-    INSERT,
     NDTuple,
-    SEND,
     TableSchema,
-    evaluate_program,
     make_tuple,
     parse_program,
 )
 from repro.ndlog.expr import match_atom
 
 from recording_oracle import derivations_of
+from reference_engine import DERIVE, INSERT, SEND, NaiveEngine
 
 FIGURE2_PROGRAM = """
 r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), WebLoadBalancer(@C,Hdr,Prt), Swi == 1.
@@ -31,8 +28,8 @@ r7 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 2, Hdr == 80, Prt := 
 """
 
 
-def make_figure2_engine(program=None):
-    engine = Engine(program or parse_program(FIGURE2_PROGRAM))
+def make_figure2_engine(program=None, engine_class=Engine):
+    engine = engine_class(program or parse_program(FIGURE2_PROGRAM))
     engine.register_schema(TableSchema("PacketIn", ("C", "Swi", "Hdr"), persistent=False))
     engine.register_schema(TableSchema("WebLoadBalancer", ("C", "Hdr", "Prt")))
     engine.register_schema(TableSchema("FlowTable", ("Swi", "Hdr", "Prt")))
@@ -126,32 +123,34 @@ class TestFigure2Scenario:
 
 
 class TestEventsAndDerivations:
+    """The event log and the derivation records: the recording oracle's."""
+
     def test_insert_and_derive_events_logged(self):
-        engine = make_figure2_engine()
+        engine = make_figure2_engine(engine_class=NaiveEngine)
         engine.insert(make_tuple("PacketIn", "C", 2, 80))
         kinds = [e.kind for e in engine.events]
         assert INSERT in kinds
         assert DERIVE in kinds
 
     def test_send_event_for_cross_node_derivation(self):
-        engine = make_figure2_engine()
+        engine = make_figure2_engine(engine_class=NaiveEngine)
         engine.insert(make_tuple("PacketIn", "C", 2, 80))
         sends = [e for e in engine.events if e.kind == SEND]
         # The FlowTable head lives at switch 2 while PacketIn lives at C.
         assert sends and sends[0].destination == 2
 
     def test_derivation_record_contains_body_and_bindings(self):
-        engine = make_figure2_engine()
+        engine = make_figure2_engine(engine_class=NaiveEngine)
         engine.insert(make_tuple("WebLoadBalancer", "C", 80, 2))
         engine.insert(make_tuple("PacketIn", "C", 1, 80))
         records = derivations_of(engine, make_tuple("FlowTable", 1, 80, 2))
         assert any(r.rule == "r1" for r in records)
         r1_record = next(r for r in records if r.rule == "r1")
         assert make_tuple("PacketIn", "C", 1, 80) in r1_record.body
-        assert r1_record.bindings_dict()["Swi"] == 1
+        assert dict(r1_record.bindings)["Swi"] == 1
 
     def test_multiple_derivations_of_same_tuple_are_recorded(self):
-        engine = make_figure2_engine()
+        engine = make_figure2_engine(engine_class=NaiveEngine)
         engine.insert(make_tuple("PacketIn", "C", 2, 53))
         # r6 derives FlowTable(2,53,2); insert a second packet -> same entry.
         engine.insert(make_tuple("PacketIn", "C", 2, 53))
@@ -183,10 +182,11 @@ class TestRemoval:
         assert engine.remove(make_tuple("A", "n1", 1)) == []
 
 
-class TestEvaluateProgramHelper:
+class TestBulkEvaluation:
     def test_bulk_evaluation(self):
         program = parse_program("r C(@X,P) :- A(@X,P), B(@X,P), P > 0.")
-        engine = evaluate_program(program, [
+        engine = Engine(program)
+        engine.insert_many([
             make_tuple("A", "n1", 1),
             make_tuple("A", "n1", 2),
             make_tuple("B", "n1", 2),

@@ -1,12 +1,11 @@
 """Golden differential suite: the engine's observable behaviour (ordered
-derived lists, event log, derivation history, final state) must match the
+derived lists, final tables, flags and support counts) must match the
 fixtures captured from the pre-rewrite indexed engine.
 
-Fingerprints are computed in a ``PYTHONHASHSEED=0`` subprocess because a
-join visits its candidates in index-bucket (set) order, which depends on the
-string hash seed: ``selffeed3_live``'s insert-time derivations and events
-differ between seeds 0 and 1.  A removal reports in store order, the same
-under every seed.  See :mod:`tests.ndlog.golden_cases` for the case
+Fingerprints are computed in a ``PYTHONHASHSEED=0`` subprocess, the seed the
+fixtures were captured under, because a join visits its candidates in
+index-bucket (set) order, which depends on the string hash seed.  A removal
+reports in store order, the same under every seed.  See :mod:`tests.ndlog.golden_cases` for the case
 definitions and the regeneration command.
 """
 

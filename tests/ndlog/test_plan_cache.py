@@ -67,10 +67,10 @@ def test_engine_reindex_hits_shared_cache():
     PLAN_CACHE.clear()
     old = parse_program(CHAIN)
     new = parse_program(CHAIN_EDITED)
-    engine = Engine(old, record_events=False)
+    engine = Engine(old)
     baseline = PLAN_CACHE.stats()
     assert baseline["misses"] == 3
-    second = Engine(old, record_events=False)
+    second = Engine(old)
     after = PLAN_CACHE.stats()
     assert after["misses"] == 3 and after["hits"] >= 3
     # Warm switch: only the edited rule compiles anew.

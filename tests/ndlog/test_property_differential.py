@@ -10,8 +10,8 @@ engine equivalences:
   (per-operation derived sets and the final database state), and after
   every removal its tuples, flags and support bookkeeping equal those of a
   fresh engine fed the remaining base tuples,
-* the quiet engine (``record_events=False``) reaches the same final state
-  as the recording one over the same script, and
+* one ``insert_many`` reaches the state of the same tuples inserted one by
+  one, and
 * a checkpoint/restore round-trip is a perfect rewind in the middle of any
   script, including the rule-plan and support bookkeeping.
 
@@ -25,7 +25,8 @@ unguarded rule of the same table — and the value universe has ``"*"`` (a
 wildcard value meets every selection guard) and ``True`` (which must find
 the ``1`` bucket, as ``==`` does).  Programs of single-atom rules, where a
 tuple fires a rule at most once and the order of firings is the order of
-rules, are held to the oracle's *event log*, also across a
+rules, are held to the oracle's *order*: each insert's derived list, the
+final state and the store order of the derived tuples, also across a
 checkpoint/``swap_program``/restore round trip of the dispatch table.
 Rules also compare against and write the string ``"1"``, and one shape puts
 a constant in the head, so rules that differ only by a constant's type meet
@@ -166,12 +167,6 @@ def supports_of(engine):
             for head, keys in engine._supports.items() if keys}
 
 
-def support_fingerprint(engine):
-    """Engine-internal bookkeeping that checkpoint/restore must rewind."""
-    return (final_state(engine), supports_of(engine), engine.clock,
-            len(engine.events), len(engine.derivations))
-
-
 def derived_state(engine):
     """What a deletion must leave exactly as a from-scratch evaluation
     would: tuples, flags and supports."""
@@ -202,29 +197,14 @@ def test_engine_matches_naive_oracle(program, script):
     assert final_state(engine) == final_state(naive)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(program=programs(), script=scripts())
-def test_quiet_engine_reaches_same_state_as_recording(program, script):
-    recording = build(Engine, program)
-    quiet = build(Engine, program, record_events=False)
-    recorded_steps = run_script(recording, script)
-    quiet_steps = run_script(quiet, script)
-    assert [frozenset(s) for s in quiet_steps] == \
-        [frozenset(s) for s in recorded_steps]
-    assert final_state(quiet) == final_state(recording)
-    # Note: clocks are NOT compared — quiet engines advance the clock for
-    # inserts/removes but not per rule firing (they skip the derivation
-    # records firings would have stamped).
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(program=programs(), base=st.lists(tuples_strategy(), min_size=1,
                                          max_size=12))
 def test_insert_many_matches_sequential_inserts(program, base):
-    sequential = build(Engine, program, record_events=False)
+    sequential = build(Engine, program)
     for tup in base:
         sequential.insert(tup)
-    batched = build(Engine, program, record_events=False)
+    batched = build(Engine, program)
     batched.insert_many(list(base))
     assert final_state(batched) == final_state(sequential)
 
@@ -234,11 +214,11 @@ def test_insert_many_matches_sequential_inserts(program, base):
 def test_checkpoint_restore_rewinds_any_script(program, prefix, suffix):
     engine = build(Engine, program)
     run_script(engine, prefix)
-    before = support_fingerprint(engine)
+    before = derived_state(engine)
     checkpoint = engine.checkpoint()
     run_script(engine, suffix)
     engine.restore(checkpoint)
-    assert support_fingerprint(engine) == before
+    assert derived_state(engine) == before
     assert engine.database.index_consistent()
     # The restored engine must keep evolving exactly like a never-
     # checkpointed twin.
@@ -248,17 +228,11 @@ def test_checkpoint_restore_rewinds_any_script(program, prefix, suffix):
     assert final_state(engine) == final_state(twin)
 
 
-def history(engine):
-    """Everything a recording engine remembers, in order."""
-    events = [(e.kind, e.time, e.tuple, e.node, e.rule) for e in engine.events]
-    derivations = [(r.rule, r.head, r.body, r.bindings, r.time, r.node)
-                   for r in engine.derivations]
-    return events, derivations
-
-
 def inserted(engine, base):
-    return [engine.insert(tup) for tup in base], history(engine), \
-        final_state(engine)
+    """Each insert's ordered result, the final state, and the order in
+    which the derived tuples entered the store."""
+    return ([engine.insert(tup) for tup in base], final_state(engine),
+            list(engine.database.derived_in_order()))
 
 
 single_atom_programs = programs(shapes=_GUARD_SHAPES)
@@ -267,7 +241,7 @@ base_tuples = st.lists(tuples_strategy(), min_size=1, max_size=12)
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(program=single_atom_programs, base=base_tuples)
-def test_dispatch_keeps_the_oracles_event_log(program, base):
+def test_dispatch_keeps_the_oracles_order(program, base):
     assert inserted(build(Engine, program), base) == \
         inserted(build(NaiveEngine, program), base)
 

@@ -7,8 +7,16 @@
   (the historical derivation dedup suppressed the re-insertion);
 * what a removal reports came in the visit order of a set walk, which
   depends on the string hash seed; it is store order now (CI runs this file
-  under two seeds).
+  under two seeds);
+* the recompute behind a removal counted no firings, so on a program that
+  never stops deriving ``Engine.remove`` ran forever where ``insert`` had
+  raised at the ``max_derivations`` guard.
 """
+
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -157,11 +165,52 @@ class TestDeleteRederiveRoundTrip:
         assert engine.remove(make_tuple("A", 1, 10)) == [
             make_tuple("B", 1, 10), make_tuple("C", 1, 10),
             make_tuple("D", 1, 10)]
-        assert [(event.kind, str(event.tuple)) for event in engine.events[-8:]] \
-            == [("DELETE", "A(1, 10)"), ("DISAPPEAR", "A(1, 10)"),
-                ("UNDERIVE", "B(1, 10)"), ("DISAPPEAR", "B(1, 10)"),
-                ("UNDERIVE", "C(1, 10)"), ("DISAPPEAR", "C(1, 10)"),
-                ("UNDERIVE", "D(1, 10)"), ("DISAPPEAR", "D(1, 10)")]
+
+
+#: A program that never stops deriving: each B feeds an A one larger.
+RUNAWAY = """
+r B(@X, Y) :- A(@X, Z), Y := Z + 1.
+s A(@X, Y) :- B(@X, Y).
+"""
+LIMIT_ERROR = ("derivation limit of 200 exceeded; "
+               "the program is probably not terminating")
+
+
+class TestRunawayGuard:
+    def test_insert_stops_at_the_derivation_limit(self):
+        engine = Engine(parse_program(RUNAWAY), max_derivations=200)
+        with pytest.raises(EvaluationError, match=LIMIT_ERROR):
+            engine.insert(make_tuple("A", 1, 0))
+
+    def test_remove_spends_the_same_budget(self):
+        # Run in a child with a timeout: a recompute that counts no firings
+        # never returns, and must fail this test rather than hang the suite.
+        script = textwrap.dedent(f"""
+            from repro.ndlog import (Engine, EvaluationError, make_tuple,
+                                     parse_program)
+            engine = Engine(parse_program({RUNAWAY!r}), max_derivations=200)
+            engine.insert(make_tuple("C", 1))
+            try:
+                engine.insert(make_tuple("A", 1, 0))
+            except EvaluationError:
+                pass
+            try:
+                engine.remove(make_tuple("C", 1))
+            except EvaluationError as error:
+                print(error)
+        """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                           "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+        try:
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=20)
+        except subprocess.TimeoutExpired:
+            pytest.fail("Engine.remove on a runaway program did not return "
+                        "within 20 s: the recompute ignores max_derivations")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == LIMIT_ERROR
 
 
 class TestPrimaryKeyEviction:

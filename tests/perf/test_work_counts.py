@@ -70,8 +70,7 @@ Diagnose stage stays under a call ceiling.
 "A session replays the trace once per program": a serial Q1@14 session
 injects exactly ``len(trace) x (1 + candidates replayed)`` packets — the
 buggy program's one replay is Diagnose's, which is also the backtest
-baseline (one trace more while the backtest replayed a baseline of its own)
-— and its Diagnose constructs no ``EngineEvent``.
+baseline (one trace more while the backtest replayed a baseline of its own).
 "A rule costs its text": ``parse_program`` makes the same number of calls
 into ``repro/ndlog`` per rule (±1) on Q1 padded to 40 rules as on 250, at
 most 60 (310 while the tokenizer built a ``Token`` per token and the parser
@@ -90,7 +89,7 @@ from repro.api import RepairConfig, RepairSession, TelemetryConfig
 from repro.backtest import Backtester, WarmEvaluationState, replay
 from repro.distrib import WorkerPool, close_parked_fleets
 from repro.meta import MetaProvenanceExplorer, explorer
-from repro.ndlog import Engine, EngineEvent, parse_program, plan
+from repro.ndlog import Engine, parse_program, plan
 from repro.ndlog.plan import PLAN_CACHE, CompiledRule
 from repro.repair import (ChangeConstant, ChangeTuple, DeleteTuple,
                           InsertTuple, RepairCandidate, apply_candidate)
@@ -670,7 +669,7 @@ def test_a_changed_constant_compiles_nothing():
     repaired = apply_candidate(scenario.program, candidate)
     compiled = PLAN_CACHE.misses
     assert warm.prepare_controller(repaired) is warm.controller
-    Engine(repaired.program, record_events=False)
+    Engine(repaired.program)
     assert PLAN_CACHE.misses == compiled, (
         "a candidate that changes one constant compiled plan code: its rule "
         "has the shape of a rule already compiled")
@@ -678,12 +677,6 @@ def test_a_changed_constant_compiles_nothing():
 
 def test_a_session_replays_the_trace_once_per_program():
     config = RepairConfig.for_scenario("Q1", max_candidates=14)
-    diagnosing = RepairSession(config)
-    events = _python_calls(lambda: diagnosing.run(until="diagnose"),
-                           entering=EngineEvent.__init__)
-    assert events == 0, (
-        f"Diagnose constructed {events} engine events: it replays on a "
-        "quiet engine, and nothing in a repair reads an event log")
     session = RepairSession(config)
     trace = session.scenario.trace()
     injected = _python_calls(session.run, entering=NetworkSimulator.inject)

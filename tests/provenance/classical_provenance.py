@@ -14,8 +14,8 @@ APPEAR, DISAPPEAR, SEND, RECEIVE) and a negative twin for most of them
 (NEXIST, NAPPEAR, NDERIVE, ...).  A :class:`ProvenanceGraph` is a DAG whose
 edges point from an effect to its direct causes, so the leaves reached from
 the root are base-tuple insertions (or, for negative provenance, missing base
-tuples); :class:`ProvenanceQuery` builds one from an engine's event and
-derivation history.
+tuples); :class:`ProvenanceQuery` builds one from the event and derivation
+history of the one engine that keeps it, the oracle ``NaiveEngine``.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from reference_engine import NaiveEngine, location
 from repro.ndlog.ast import Const, Rule, Var
-from repro.ndlog.engine import Engine
 from repro.ndlog.expr import Bindings, match_atom, try_evaluate
 from repro.ndlog.tuples import NDTuple
 
@@ -279,7 +279,7 @@ class ProvenanceGraph:
 class ProvenanceQuery:
     """Builds provenance graphs from an engine's history."""
 
-    def __init__(self, engine: Engine, max_depth: int = 20):
+    def __init__(self, engine: NaiveEngine, max_depth: int = 20):
         self.engine = engine
         self.max_depth = max_depth
 
@@ -289,7 +289,7 @@ class ProvenanceQuery:
 
     def explain_exists(self, tup: NDTuple) -> ProvenanceGraph:
         """Explain why ``tup`` exists (or existed) in the database."""
-        node = tup.location(self.engine.database.schema(tup.table))
+        node = location(tup, self.engine.database.schema(tup.table))
         root = Vertex(EXIST, tup, node=node)
         graph = ProvenanceGraph(root)
         self._expand_positive(graph, root, tup, depth=0, on_path=set())
@@ -303,7 +303,7 @@ class ProvenanceQuery:
         derivations = derivations_of(self.engine, tup)
         if not derivations:
             # A base tuple: its cause is the external insertion.
-            node = tup.location(self.engine.database.schema(tup.table))
+            node = location(tup, self.engine.database.schema(tup.table))
             insert = Vertex(INSERT, tup, node=node)
             graph.add_edge(vertex, insert)
             return
@@ -312,8 +312,8 @@ class ProvenanceQuery:
                             time=record.time)
             graph.add_edge(vertex, derive)
             for body_tuple in record.body:
-                body_node = body_tuple.location(
-                    self.engine.database.schema(body_tuple.table))
+                body_node = location(
+                    body_tuple, self.engine.database.schema(body_tuple.table))
                 exist = Vertex(EXIST, body_tuple, node=body_node)
                 if body_node is not None and record.node is not None \
                         and body_node != record.node:
@@ -364,7 +364,7 @@ class ProvenanceQuery:
             if matching:
                 best = matching[0]
                 exist = Vertex(EXIST, best,
-                               node=best.location(self.engine.database.schema(best.table)))
+                               node=location(best, self.engine.database.schema(best.table)))
                 graph.add_edge(nderive, exist)
             else:
                 body_pattern = self._atom_pattern(atom, bindings)

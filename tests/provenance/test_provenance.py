@@ -16,7 +16,8 @@ from classical_provenance import (
     is_negative,
     negative_twin,
 )
-from repro.ndlog import Engine, TableSchema, make_tuple, parse_program
+from reference_engine import NaiveEngine
+from repro.ndlog import TableSchema, make_tuple, parse_program
 
 FIGURE2_PROGRAM = """
 r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), WebLoadBalancer(@C,Hdr,Prt), Swi == 1.
@@ -29,7 +30,7 @@ r7 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 2, Hdr == 80, Prt := 
 @pytest.fixture
 def engine():
     program = parse_program(FIGURE2_PROGRAM)
-    engine = Engine(program)
+    engine = NaiveEngine(program)
     engine.register_schema(TableSchema("PacketIn", ("C", "Swi", "Hdr")))
     engine.register_schema(TableSchema("WebLoadBalancer", ("C", "Hdr", "Prt")))
     engine.register_schema(TableSchema("FlowTable", ("Swi", "Hdr", "Prt")))
