@@ -21,9 +21,8 @@ path below it in the condensation.
 The graph also answers cone queries: ``downstream(tables)`` is the set of
 tables whose contents may change when the given tables' derivations change.
 The engine asks nothing of the graph: it evaluates rules off worklists, not
-stratum by stratum, and a warm candidate switch looks at the changed rules'
-own bodies (:class:`repro.backtest.replay.WarmEvaluationState`), so SCCs and
-strata serve the stratification findings of the linter and the vetter only.
+stratum by stratum, so SCCs and strata serve the stratification findings of
+the linter and the vetter only.
 """
 
 from __future__ import annotations

@@ -30,6 +30,14 @@ class ConfigError(WireError):
     """Raised for malformed or inconsistent repair configurations."""
 
 
+#: Knobs of mechanisms that are gone, which the benchmark ledger's ablation
+#: rows still flip through :meth:`RepairConfig.with_updates`: accepted there
+#: and dropped, so each such row reads the default configuration.  They are
+#: no ``RepairConfig`` field, so a wire or a CLI flag naming one is refused.
+#: ``warm_engine``: every candidate builds cold.
+LEDGER_ONLY_KNOBS = ("warm_engine",)
+
+
 @dataclass
 class TelemetryConfig(Wire):
     """Knobs for the observability layer (:mod:`repro.obs`).
@@ -90,8 +98,6 @@ class RepairConfig(Wire):
     max_packet_in_growth: Optional[float] = None
     #: Replay the trace in bursts of this size where statically safe.
     replay_batch_size: Optional[int] = None
-    #: Switch candidates on a warm engine (checkpoint restore + program swap).
-    warm_engine: bool = True
     #: Statically vet candidates before replay; provably behaviour-
     #: preserving ones (inert inserts, no-op edits) skip backtesting and
     #: are reported rejected with a ``vetoed`` note.  On by default for the
@@ -142,7 +148,11 @@ class RepairConfig(Wire):
         return cls(scenario=ScenarioSpec.create(name, params=params), **knobs)
 
     def with_updates(self, **knobs) -> "RepairConfig":
-        """A copy with some knobs replaced (configs are cheap values)."""
+        """A copy with some knobs replaced (configs are cheap values).
+
+        A name in :data:`LEDGER_ONLY_KNOBS` is accepted and dropped."""
+        for name in LEDGER_ONLY_KNOBS:
+            knobs.pop(name, None)
         return replace(self, **knobs)
 
     # ------------------------------------------------------------------
@@ -182,7 +192,6 @@ class RepairConfig(Wire):
             max_packet_in_growth=self.max_packet_in_growth,
             replay_batch_size=self.replay_batch_size,
             abort_policy=self.abort,
-            warm_engine=self.warm_engine,
             static_vet=self.static_vet,
             multiquery=self.multiquery)
 

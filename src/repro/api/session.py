@@ -11,7 +11,7 @@ a pure function of (config, scenario) — and exposes the steps on the way:
   and a later ``session.run()`` picks up where it stopped instead of
   recomputing;
 * **streaming events** — stage boundaries, extracted candidates, per-
-  candidate backtest verdicts and warm-engine statistics are published on
+  candidate backtest verdicts and static-analysis statistics are published on
   ``session.events`` while the run is in flight;
 * **declarative scheduling** — the backtester, worker count, transport and
   abort policy all flow from the config, so the identical session
@@ -165,7 +165,7 @@ class RepairSession:
         self.artifacts: Dict[str, object] = {}
         #: Wall-clock seconds per completed stage, by stage name.
         self.stage_seconds: Dict[str, float] = {}
-        #: The backtester built by the backtest stage (for warm statistics).
+        #: The backtester built by the backtest stage (for its statistics).
         self.backtester = None
         #: Diagnose's one replay of the buggy program
         #: (:class:`~repro.scenarios.base.RecordedRun`): the run behind the

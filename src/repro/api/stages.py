@@ -148,30 +148,22 @@ class BacktestStage(Stage):
                     description=(result.candidate.description
                                  if result.candidate else ""),
                     reason=reason, note=note))
-        probes = backtester.probe_counters()
         plan_cache_after = PLAN_CACHE.stats()
         plan_hits = plan_cache_after["hits"] - plan_cache_before["hits"]
         plan_misses = (plan_cache_after["misses"]
                        - plan_cache_before["misses"])
-        if (backtester.warm_hits or backtester.warm_fallbacks
-                or backtester.vetoed
-                or probes["inert_probe_hits"] or probes["inert_probe_misses"]
-                or plan_hits or plan_misses):
+        if backtester.vetoed or plan_hits or plan_misses:
             session.events.emit(WarmEngineStats(
-                hits=backtester.warm_hits,
-                fallbacks=backtester.warm_fallbacks,
                 vetoed=backtester.vetoed,
-                probe_hits=probes["inert_probe_hits"],
-                probe_misses=probes["inert_probe_misses"],
                 plan_cache_hits=plan_hits,
                 plan_cache_misses=plan_misses))
         if telemetry is not None:
-            self._record_metrics(telemetry, backtester, report, probes,
+            self._record_metrics(telemetry, backtester, report,
                                  plan_hits, plan_misses)
         return report
 
     @staticmethod
-    def _record_metrics(telemetry, backtester, report, probes, plan_hits,
+    def _record_metrics(telemetry, backtester, report, plan_hits,
                         plan_misses) -> None:
         """Consolidate the stage's scattered counters into the registry.
 
@@ -182,11 +174,7 @@ class BacktestStage(Stage):
         metrics = telemetry.metrics
         metrics.counter("plan_cache_hits").inc(plan_hits)
         metrics.counter("plan_cache_misses").inc(plan_misses)
-        metrics.counter("warm_hits").inc(backtester.warm_hits)
-        metrics.counter("warm_fallbacks").inc(backtester.warm_fallbacks)
         metrics.counter("candidates_vetoed").inc(backtester.vetoed)
-        metrics.counter("probe_hits").inc(probes["inert_probe_hits"])
-        metrics.counter("probe_misses").inc(probes["inert_probe_misses"])
         metrics.counter("candidates_backtested").inc(len(report.results))
         metrics.gauge("backtest_packet_count").set(report.packet_count)
         if report.elapsed_seconds:

@@ -14,7 +14,9 @@ once.  A candidate is
 
 Scenarios (see :mod:`repro.scenarios.base`) provide the environment: a fresh
 topology, a controller factory for an arbitrary program, the recorded trace
-and the effectiveness predicate.
+and the effectiveness predicate.  Every candidate replays on a topology and
+a controller built for it alone: its engine runs the scenario's static
+tuples to a fixpoint under the repaired program, then takes the trace.
 
 There is one backtester with one replay loop and one verdict function.
 Multi-query sharing (:mod:`repro.backtest.multiquery`) is a strategy it
@@ -44,7 +46,7 @@ from .multiquery import SharedTrunk
 #: transport runs serial anyway (a *gated* scheduler, see
 #: :meth:`Backtester._run_candidates`): starting a worker fleet
 #: (``distrib.fleet_start_s``) costs a few hundred milliseconds plus one
-#: scenario/warm-state rebuild per worker, so tiny jobs run *slower*
+#: scenario rebuild per worker, so tiny jobs run *slower*
 #: parallel — the Fig 9b crossover.  The baseline seconds are the wall time
 #: of the one replay of the buggy program: in a session, Diagnose's recorded
 #: run (the replay alone, not the history index built after it), handed over
@@ -69,78 +71,6 @@ class ShardOutcome:
     #: telemetry is off or the evaluation ran in the parent process.
     spans: List[dict] = field(default_factory=list)
     metrics: Optional[dict] = None
-
-
-class WarmEvaluationState:
-    """One warm engine/controller/topology trio, reused across candidates.
-
-    Cold candidate evaluation pays a full setup per candidate: a fresh
-    engine (static-tuple fixpoint included), controller and topology.
-    The warm state pays it once — for the *base* program — and a switch to
-    a candidate is a rewind: restore the engine to the trace-start
-    checkpoint, point it at the candidate's program, drop the controller's
-    per-program caches, wipe the data plane.
-
-    The checkpoint holds the *base* program's trace-start state, so a
-    candidate may take it only when that is its own trace-start state too.
-    :meth:`prepare_controller` says yes iff the candidate carries no data
-    edits and every rule in which its program differs from the base — in
-    its old and in its new form — is *dormant* until the first PacketIn:
-    it has a positive body atom on the scenario's PacketIn table, and that
-    table is input-only (head of no rule of either program, inhabited by
-    no static tuple).  Such a rule has not fired and cannot fire while
-    PacketIn is empty, so the static fixpoint ran, firing for firing, over
-    the rules the two programs share.  Everyone else gets ``None`` and the
-    caller builds cold, which stays the oracle.
-    """
-
-    def __init__(self, scenario):
-        self.scenario = scenario
-        self.base_program = scenario.program
-        self.controller = scenario.build_controller(program=None)
-        self.engine = self.controller.engine
-        self.checkpoint = self.engine.checkpoint()
-        self.topology = scenario.build_topology()
-        self._packet_in = packet_in = scenario.mapping.packet_in_table
-        #: Programs are values and a repair shares every rule it does not
-        #: edit, so "differs from the base" is an identity test (the base
-        #: program, held above, keeps the ids alive).
-        self._base_rule_ids = {id(rule) for rule in self.base_program.rules}
-        self._packet_in_is_input = not (
-            any(rule.head.table == packet_in
-                for rule in self.base_program.rules)
-            or any(tup.table == packet_in for tup in scenario.static_tuples))
-
-    def prepare_controller(self, repaired: RepairedProgram):
-        """The warm controller rewound and switched to ``repaired``, or
-        ``None`` when only a cold build is known to be right."""
-        if (repaired.inserted_tuples or repaired.removed_tuples
-                or not self._differs_in_dormant_rules_only(repaired.program)):
-            return None
-        self.engine.restore(self.checkpoint)
-        self.engine.swap_program(repaired.program)
-        self.controller.rebind_program(repaired.program)
-        return self.controller
-
-    def _differs_in_dormant_rules_only(self, program) -> bool:
-        if not self._packet_in_is_input:
-            return False
-        base_ids = self._base_rule_ids
-        new_ids = {id(rule) for rule in program.rules}
-        changed = [rule for rule in program.rules if id(rule) not in base_ids]
-        changed += [rule for rule in self.base_program.rules
-                    if id(rule) not in new_ids]
-        packet_in = self._packet_in
-        return all(
-            rule.head.table != packet_in
-            and any(atom.table == packet_in and not atom.negated
-                    for atom in rule.body)
-            for rule in changed)
-
-    def reset_data_plane(self) -> None:
-        """Wipe the shared topology's flow tables for the next replay."""
-        for switch in self.topology.switches.values():
-            switch.flow_table.clear()
 
 
 @dataclass
@@ -217,13 +147,18 @@ class Backtester:
     either way.
     """
 
+    #: Read by the benchmark ledger's backtest probe (``backtest.warm_hits``
+    #: and ``backtest.warm_fallbacks``): every candidate builds cold, so
+    #: both are 0.
+    warm_hits = 0
+    warm_fallbacks = 0
+
     def __init__(self, scenario, ks_threshold: float = 0.05,
                  alpha: float = 0.05, use_significance: bool = False,
                  trace_limit: Optional[int] = None,
                  max_packet_in_growth: Optional[float] = None,
                  replay_batch_size: Optional[int] = None,
                  abort_policy: Optional[EarlyAbortPolicy] = None,
-                 warm_engine: bool = True,
                  static_vet: bool = True,
                  multiquery: bool = False):
         self.scenario = scenario
@@ -245,12 +180,6 @@ class Backtester:
         #: default) replays every candidate to completion, keeping all
         #: execution paths bit-identical.
         self.abort_policy = abort_policy
-        #: Reuse one warm engine+topology pair per process, switching
-        #: candidates via checkpoint restore + program swap instead of a
-        #: cold rebuild (see :class:`WarmEvaluationState`).  Bit-identical to
-        #: the cold path; ineligible candidates fall back automatically.
-        self.warm_engine = warm_engine
-        self._warm_state: Optional[WarmEvaluationState] = None
         #: Vet each candidate with the static analyzer before replaying it;
         #: provably behaviour-preserving candidates (inert inserts, no-op
         #: edits) skip their replay entirely and are reported rejected with
@@ -264,10 +193,7 @@ class Backtester:
         self.multiquery = multiquery
         self._trunk: Optional[SharedTrunk] = None
         self._baseline_seconds: Optional[float] = None
-        #: Per-process counters: candidates served warm vs cold fallbacks,
-        #: plus candidates vetoed without any replay.
-        self.warm_hits = 0
-        self.warm_fallbacks = 0
+        #: Candidates vetoed without any replay.
         self.vetoed = 0
         self._baseline: Optional[TrafficStats] = None
         #: Live :class:`repro.obs.Telemetry` bundle, attached by the
@@ -332,28 +258,8 @@ class Backtester:
     # Candidate evaluation
     # ------------------------------------------------------------------
 
-    def probe_counters(self) -> Dict[str, int]:
-        """Inert-probe hit/miss counts of the warm controller (zeros when
-        no warm state exists, e.g. cold-only or remote runs)."""
-        state = self._warm_state
-        if state is not None and hasattr(state.controller, "probe_counters"):
-            return state.controller.probe_counters()
-        return {"inert_probe_hits": 0, "inert_probe_misses": 0}
-
     def _candidate_network(self, repaired: RepairedProgram):
-        """``(topology, controller)`` ready to replay ``repaired`` — the warm
-        pair when eligible, otherwise a cold per-candidate build
-        (bit-identical either way)."""
-        if self.warm_engine:
-            if self._warm_state is None:
-                self._warm_state = WarmEvaluationState(self.scenario)
-            warm = self._warm_state
-            controller = warm.prepare_controller(repaired)
-            if controller is not None:
-                self.warm_hits += 1
-                warm.reset_data_plane()
-                return warm.topology, controller
-            self.warm_fallbacks += 1
+        """A fresh ``(topology, controller)`` to replay ``repaired`` on."""
         return (self.scenario.build_topology(),
                 self.scenario.build_controller(
                     program=repaired.program,

@@ -73,12 +73,6 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
                      help="reject repairs growing PacketIn load beyond X×")
     run.add_argument("--batch-size", type=int, metavar="N", dest="batch_size",
                      help="replay the trace in bursts of N packets")
-    warm = run.add_mutually_exclusive_group()
-    warm.add_argument("--cold", dest="warm", action="store_false",
-                      default=None,
-                      help="disable warm-engine candidate switching")
-    warm.add_argument("--warm", dest="warm", action="store_true",
-                      help="force warm-engine candidate switching")
     sched = parser.add_argument_group("scheduling")
     sched.add_argument("--workers", type=int, metavar="N",
                        help="worker count for candidate evaluation")
@@ -164,8 +158,6 @@ def _fold_args(args) -> RepairConfig:
         updates["max_packet_in_growth"] = args.max_packet_in_growth
     if args.batch_size is not None:
         updates["replay_batch_size"] = args.batch_size
-    if args.warm is not None:
-        updates["warm_engine"] = args.warm
     if args.workers is not None:
         updates["workers"] = args.workers
     if args.transport is not None:
@@ -249,11 +241,9 @@ class _LiveRenderer:
                     f"{event.quarantined} quarantined, "
                     f"{event.frame_errors} frame error(s){degraded}")
         if kind == "warm_engine_stats":
-            return (f"   warm engine: {event.hits} hits, "
-                    f"{event.fallbacks} cold fallbacks; "
-                    f"static analysis: {event.vetoed} vetoed, "
-                    f"probe {event.probe_hits}/"
-                    f"{event.probe_hits + event.probe_misses} inert")
+            return (f"   static analysis: {event.vetoed} vetoed; plan cache: "
+                    f"{event.plan_cache_misses} compiled, "
+                    f"{event.plan_cache_hits} reused")
         if kind == "session_finished":
             return (f"== {event.scenario}: {event.generated} candidates, "
                     f"{event.surviving} survived "

@@ -88,10 +88,11 @@ class FieldMapping:
                              in_port: Optional[int] = None) -> NDTuple:
         values = packet.header_values + (
             in_port if in_port is not None else 0, None)
-        return NDTuple(
+        # The values are a tuple already: build the NDTuple in C.
+        return tuple.__new__(NDTuple, (
             self.packet_in_table,
             (CONTROLLER_NODE, switch_id)
-            + _packet_in_getter(self.packet_in_fields)(values))
+            + _packet_in_getter(self.packet_in_fields)(values)))
 
     def packet_in_tuple(self, event: PacketInEvent) -> NDTuple:
         return self.packet_in_tuple_from(event.switch_id, event.packet,
@@ -246,21 +247,6 @@ class NDlogController(Controller):
             engine.insert_many(list(self.static_tuples))
         return engine
 
-    def rebind_program(self, program: Program):
-        """Point the controller at a program its engine already evaluates.
-
-        Warm candidate switching swaps the *engine's* rules in place
-        (:meth:`Engine.swap_program` after a checkpoint restore);
-        this drops every per-program cache — batch-safety verdicts, the
-        empty-response memo, the inertness probe — so they are re-derived
-        for the new rule set.  The engine itself is left untouched.
-        """
-        self.program = program
-        self._engine_batch_safe = None
-        self._batch_replay_safe = None
-        self._empty_responses = set()
-        self._inert_probe = None
-
     # ------------------------------------------------------------------
     # Controller interface
     # ------------------------------------------------------------------
@@ -394,14 +380,6 @@ class NDlogController(Controller):
                 flow_table=self.mapping.flow_table,
                 closed_world=True)
         return self._inert_probe.inert(values)
-
-    def probe_counters(self) -> Dict[str, int]:
-        """Hit/miss counters of the static inertness probe (zero until the
-        probe is first consulted); reported through ``warm_engine_stats``."""
-        if self._inert_probe is None:
-            return {"inert_probe_hits": 0, "inert_probe_misses": 0}
-        return {"inert_probe_hits": self._inert_probe.hits,
-                "inert_probe_misses": self._inert_probe.misses}
 
     def _consume_packet_outs(self):
         # Packet-out tuples are one-shot messages: consume them so they do

@@ -27,8 +27,9 @@ Two refinements keep repeated jobs cheap:
   :class:`RuntimeCache` keyed by the job's :func:`job_digest` — the
   scenario spec and backtester configuration.  A repeated
   ``evaluate_all`` on the same scenario reuses the worker's scenario,
-  backtester (warm engine included) and already-built shared trunk instead
-  of rebuilding them from the wire.
+  backtester (its baseline included) and already-built shared trunk instead
+  of rebuilding them from the wire.  Candidates themselves share nothing:
+  each one builds its own engine and topology.
 * **Candidate streaming.**  A job may ship *without* its candidate list
   (:func:`strip_candidates` replaces it with a count); candidate wires then
   arrive individually with each dispatched item, so a worker only ever
@@ -75,7 +76,6 @@ class BacktesterConfig:
     trace_limit: Optional[int]
     max_packet_in_growth: Optional[float]
     replay_batch_size: Optional[int]
-    warm_engine: bool
     multiquery: bool
 
 
@@ -159,7 +159,7 @@ def strip_candidates(job_wire: Dict) -> Dict:
 
 class _RuntimeEntry:
     """One cached (scenario, backtester) pair; the backtester holds its
-    warm engine, baseline and shared trunk."""
+    baseline and shared trunk."""
 
     __slots__ = ("scenario", "backtester")
 
@@ -173,8 +173,8 @@ class RuntimeCache:
 
     Closes the "remote workers rebuild the shared trunk once per job"
     cost: a repeated ``evaluate_all`` on the same scenario reuses the
-    scenario object, the backtester (with its warm engine and cached
-    baseline) and the shared multiquery trunk.  ``hits``/``misses`` are
+    scenario object, the backtester (with its cached baseline) and the
+    shared multiquery trunk.  ``hits``/``misses`` are
     exposed for tests and benchmarks.
     """
 
@@ -198,14 +198,6 @@ class RuntimeCache:
         self._entries.move_to_end(digest)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-
-    def plan_cache_stats(self) -> Dict[str, int]:
-        """Counters of this worker's process-global rule-plan cache
-        (:data:`repro.ndlog.plan.PLAN_CACHE`).  Cached runtimes keep their
-        engines alive across jobs, so near-identical candidate programs
-        re-index against mostly cached plans; the hit rate quantifies it."""
-        from ..ndlog.plan import PLAN_CACHE
-        return PLAN_CACHE.stats()
 
 
 def build_runtime(job_wire: Dict, cache: Optional[RuntimeCache] = None):

@@ -183,12 +183,13 @@ class FabricFaultStats(SessionEvent):
 
 @dataclass(frozen=True)
 class WarmEngineStats(SessionEvent):
-    """Static-analysis and warm-path counters after a backtest stage.
+    """Static-analysis and plan-cache counters after a backtest stage:
+    candidates vetoed before replay and the rule-plan cache traffic.
 
-    Besides the warm-engine hit counters this carries the other two
-    "work the analysis saved" numbers: candidates vetoed before replay
-    and the inert-probe hit/miss counts of the warm controller (local
-    paths only; the fields default to zero so old wire records decode)."""
+    ``hits``, ``fallbacks``, ``probe_hits`` and ``probe_misses`` counted
+    warm candidate switches and the warm controller's inert probe; every
+    candidate now builds cold, so they are always 0 and stay fields only so
+    that old event logs decode."""
 
     kind = "warm_engine_stats"
     hits: int = 0
@@ -222,7 +223,7 @@ class EventBus:
     invisible.  The bus also keeps an optional bounded :attr:`history`
     (handy for tests and post-run summaries); once ``history_limit`` is
     exceeded the *oldest* events are dropped, so the tail —
-    ``session_finished``, warm-engine statistics — survives long runs.
+    ``session_finished``, the backtest statistics — survives long runs.
     Disable with ``keep_history=False``.
     """
 

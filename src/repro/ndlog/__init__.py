@@ -27,7 +27,7 @@ from .ast import (
     Var,
     WILDCARD,
 )
-from .engine import Engine, EngineCheckpoint
+from .engine import Engine
 from .errors import EvaluationError, NDlogError, ParseError, SchemaError
 from .expr import Bindings, FunctionRegistry, evaluate, try_evaluate, values_equal
 from .parser import parse_expression, parse_program, parse_rule
@@ -37,7 +37,7 @@ __all__ = [
     "Assignment", "Atom", "BinOp", "COMPARISON_OPERATORS", "Const",
     "Expression", "FuncCall", "Program", "Rule", "Selection", "Var",
     "WILDCARD",
-    "Engine", "EngineCheckpoint",
+    "Engine",
     "EvaluationError", "NDlogError", "ParseError", "SchemaError",
     "Bindings", "FunctionRegistry", "evaluate", "try_evaluate", "values_equal",
     "parse_expression", "parse_program", "parse_rule",

@@ -96,21 +96,9 @@ cross-check oracle and lives with it (``tests/ndlog/reference_engine.py``);
 it also keeps the event log and derivation records that classical
 provenance reads.  No repair runs it.
 
-Warm evaluation
----------------
-
-Backtesting replays the same trace against many near-identical programs, and
-rebuilding an engine per candidate makes *setup* — not the fixpoint — the
-recurring cost.  :meth:`Engine.checkpoint` / :meth:`Engine.restore` snapshot
-the complete evaluation state in O(changed) via an undo journal: once a
-checkpoint exists, every mutation (tuples, flags, indexes, supports) appends
-an inverse entry, and restoring rewinds the journal instead of copying
-tables.  A rewound engine takes the next candidate's program through
-:meth:`Engine.swap_program`, which re-resolves the plans and touches no
-tuple: deciding that the checkpointed state is also the new program's is
-the caller's job
-(:class:`repro.backtest.replay.WarmEvaluationState`), and whoever cannot
-decide it builds a fresh engine.
+Every backtested candidate gets an engine of its own, built cold: the
+static tuples of its scenario run to a fixpoint under its program, and the
+recorded trace is replayed on top.  Nothing is rewound or switched.
 """
 
 from __future__ import annotations
@@ -132,22 +120,6 @@ from .tuples import DERIVED_FLAG, Database, NDTuple, TableSchema
 _Entry = Tuple[int, CompiledRule, int]
 
 
-class EngineCheckpoint:
-    """Opaque handle to a point-in-time engine state (see
-    :meth:`Engine.checkpoint`)."""
-
-    __slots__ = ("engine", "journal_length", "firings", "program", "dispatch")
-
-    def __init__(self, engine: "Engine"):
-        self.engine = engine
-        self.journal_length = len(engine._journal)
-        self.firings = engine._firings
-        self.program = engine.program
-        # The dispatch table is replaced (never mutated) by _index_rules, so
-        # holding a reference makes the restore-side rollback a pointer swap.
-        self.dispatch = engine._dispatch
-
-
 class Engine:
     """Evaluates an NDlog program over a database of tuples."""
 
@@ -167,17 +139,10 @@ class Engine:
         self._dispatch: Dict[str, Tuple[List[_Entry], Dict[
             Tuple[int, ...], Dict[Tuple, List[_Entry]]]]] = {}
         #: Rule firings applied by both fixpoints: the ``max_derivations``
-        #: runaway guard counts them, and they are checkpointed so a restore
-        #: rewinds the budget too.
+        #: runaway guard counts them.
         self._firings = 0
-        #: Undo journal, shared with the database; ``None`` until the first
-        #: :meth:`checkpoint` — non-warm engines pay one None-check per
-        #: mutation and nothing else.
-        self._journal: Optional[List] = None
         #: Monotone telemetry counters (:meth:`telemetry_counters`) — two
-        #: unconditional int adds per fixpoint, deliberately *not*
-        #: checkpointed: they report work performed, not logical state, so
-        #: a warm-engine restore must not rewind them.
+        #: unconditional int adds per fixpoint.
         self.fixpoint_count = 0
         self.tuples_derived_total = 0
         #: Optional :class:`repro.obs.Tracer`; when attached, each
@@ -193,16 +158,13 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _index_rules(self):
-        """(Re)assemble the dispatch table for the current program.
+        """Assemble the dispatch table for the program.
 
         Plans are fetched from the process-global :data:`PLAN_CACHE`: an
-        unchanged rule — whether from a program swap, a sibling candidate
-        program, or another engine entirely — reuses its binding, a rule that
-        differs only in constants binds its shape's compiled code, and the
-        guards ride on the plan: assembly files one entry per body atom.  A fresh
-        table is assigned rather than the old one cleared: checkpoints hold a
-        reference to the previous one, making a restore's rollback a pointer
-        swap.
+        unchanged rule — from a sibling candidate program or another engine
+        entirely — reuses its binding, a rule that differs only in constants
+        binds its shape's compiled code, and the guards ride on the plan:
+        assembly files one entry per body atom.
         """
         dispatch = {}
         cache = PLAN_CACHE
@@ -221,14 +183,15 @@ class Engine:
                 ordinal += 1
         self._dispatch = dispatch
 
-    def plans_triggered_by(self, trigger: NDTuple
-                           ) -> List[Tuple[CompiledRule, int]]:
-        """``(plan, position)`` of every rule ``trigger`` can fire, in
-        program order: the unguarded entries of its table merged with the
-        buckets whose guard it meets (module docstring, "Rule dispatch")."""
+    def plans_triggered_by(self, trigger: NDTuple) -> Sequence[_Entry]:
+        """The ``(ordinal, plan, position)`` entry of every rule ``trigger``
+        can fire, in program order: the unguarded entries of its table merged
+        with the buckets whose guard it meets (module docstring, "Rule
+        dispatch").  A live bucket when one run holds them all: do not
+        mutate."""
         found = self._dispatch.get(trigger.table)
         if found is None:
-            return []
+            return ()
         residual, exact = found
         runs = [residual] if residual else []
         value_at = trigger.values.__getitem__
@@ -245,8 +208,7 @@ class Engine:
             else:
                 runs.append(buckets.get(key, ()))
         # Ordinals are unique, so the sort never compares two plans.
-        hits = runs[0] if len(runs) == 1 else sorted(chain.from_iterable(runs))
-        return [(plan, position) for _ordinal, plan, position in hits]
+        return runs[0] if len(runs) == 1 else sorted(chain.from_iterable(runs))
 
     def register_schema(self, schema: TableSchema):
         self.database.register_schema(schema)
@@ -387,8 +349,6 @@ class Engine:
                   if flags & DERIVED_FLAG]
         for derived in before:
             database.clear_derived_flag(derived)
-        if self._journal is not None:
-            self._journal.append(("supswap", self._supports))
         self._supports = {}
         self._rederive_fixpoint(database.base_in_order())
         return [gone for gone in before if not database.contains(gone)]
@@ -403,85 +363,6 @@ class Engine:
         brings the message back if the remaining base still derives it.
         """
         return self.database.remove(tup)
-
-    # ------------------------------------------------------------------
-    # Checkpoint / restore / program swap (warm candidate switching)
-    # ------------------------------------------------------------------
-
-    def checkpoint(self) -> EngineCheckpoint:
-        """Snapshot the complete evaluation state in O(1).
-
-        The first checkpoint turns on the undo journal: from then on every
-        mutation appends an inverse entry, so :meth:`restore` rewinds in
-        O(mutations since the checkpoint) rather than O(database).
-        Checkpoints nest (restore to any still-live one); restoring an
-        older checkpoint invalidates newer ones.
-        """
-        if self._journal is None:
-            self._journal = []
-            self.database.journal = self._journal
-        return EngineCheckpoint(self)
-
-    def restore(self, cp: EngineCheckpoint) -> None:
-        """Rewind all state to ``cp``: tuples, flags, indexes, supports,
-        program/plans and the firing budget.  Supports come back per firing
-        (``supadd``), per evicted tuple (``suppop``) or whole, for a
-        :meth:`remove` in between (``supswap``)."""
-        if cp.engine is not self:
-            raise EvaluationError("checkpoint belongs to a different engine")
-        journal = self._journal
-        if journal is None or len(journal) < cp.journal_length:
-            raise EvaluationError("checkpoint is no longer restorable")
-        database = self.database
-        database.journal = None     # undo must not journal itself
-        try:
-            while len(journal) > cp.journal_length:
-                entry = journal.pop()
-                kind = entry[0]
-                if kind.startswith("db"):
-                    database.apply_undo(entry)
-                elif kind == "supadd":
-                    _, head, key = entry
-                    supports = self._supports.get(head)
-                    if supports is not None:
-                        supports.discard(key)
-                        if not supports:
-                            del self._supports[head]
-                elif kind == "suppop":
-                    _, head, old_set = entry
-                    self._supports[head] = old_set
-                elif kind == "supswap":
-                    self._supports = entry[1]
-                else:           # pragma: no cover — defensive
-                    raise EvaluationError(f"unknown journal entry {kind!r}")
-        finally:
-            database.journal = journal
-        self._firings = cp.firings
-        if self.program is not cp.program:
-            self.program = cp.program
-            self._dispatch = cp.dispatch
-
-    def swap_program(self, program: Program) -> None:
-        """Evaluate ``program`` from here on, over the state as it stands.
-
-        Only the plans change: no tuple is retracted, nothing is re-derived.
-        That is right exactly when the current state is also the one
-        ``program`` would have reached over the same base tuples — e.g.
-        every rule in which the two programs differ needs a tuple of a
-        table that is still empty — and establishing that is the caller's
-        job (:class:`repro.backtest.replay.WarmEvaluationState` does, and
-        builds a fresh engine when it cannot).  :meth:`restore` to a
-        checkpoint taken under another program swaps back.
-
-        Plans come from the shared plan cache, so the rules
-        ``program`` shares with the current one cost a dictionary hit and one
-        dispatch entry per body atom each (:meth:`_index_rules`); making that
-        assembly proportional to the rules that differ is the one place to
-        do it.  What a tuple then costs no longer depends on the rule count
-        (:meth:`plans_triggered_by`).
-        """
-        self.program = program
-        self._index_rules()
 
     # ------------------------------------------------------------------
     # Queries
@@ -504,7 +385,6 @@ class Engine:
         newly_derived: List[NDTuple] = []
         supports = self._supports
         database = self.database
-        journal = self._journal
         functions = self.functions
         dispatch = self._dispatch
         plans_triggered_by = self.plans_triggered_by
@@ -514,7 +394,7 @@ class Engine:
             if trigger.table not in dispatch:
                 continue        # no rule reads its table (e.g. a flow head)
             batch = (trigger,)
-            for plan, position in plans_triggered_by(trigger):
+            for _ordinal, plan, position in plans_triggered_by(trigger):
                 # fire() returns its complete list before any firing below
                 # is applied, so every join in it reads one database state.
                 for head, body in plan.fire(position, batch, database,
@@ -526,8 +406,6 @@ class Engine:
                     if len(head_supports) == size:
                         # Exact duplicate firing: nothing new to derive.
                         continue
-                    if journal is not None:
-                        journal.append(("supadd", head, key))
                     if fired is not None:
                         fired.append((head, body))
                     self._firings += 1
@@ -535,9 +413,7 @@ class Engine:
                         raise EvaluationError(
                             f"derivation limit of {limit} exceeded; "
                             "the program is probably not terminating")
-                    is_new = not database.contains(head)
-                    database.insert(head, derived=True)
-                    if is_new:
+                    if database.insert(head, derived=True):
                         newly_derived.append(head)
                         worklist.append(head)
         self.fixpoint_count += 1
@@ -575,7 +451,6 @@ class Engine:
         functions = self.functions
         dispatch = self._dispatch
         supports = self._supports
-        journal = self._journal
         limit = self.max_derivations
         frontier = list(delta)
         while frontier:
@@ -600,8 +475,6 @@ class Engine:
                         head_supports.add(key)
                         if len(head_supports) == size:
                             continue
-                        if journal is not None:
-                            journal.append(("supadd", head, key))
                         self._firings += 1
                         if self._firings > limit:
                             raise EvaluationError(
@@ -613,9 +486,7 @@ class Engine:
     def _on_evicted(self, tup: NDTuple):
         """A primary-key update evicted ``tup``: forget its supports so the
         same firing can re-derive it once the key is free again."""
-        popped = self._supports.pop(tup, None)
-        if popped is not None and self._journal is not None:
-            self._journal.append(("suppop", tup, popped))
+        self._supports.pop(tup, None)
 
     # ------------------------------------------------------------------
     # Transient-tuple handling

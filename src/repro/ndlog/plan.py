@@ -309,8 +309,9 @@ def _compile(rule: Rule):
         emitter.lines.extend("    " + line for line in body.lines)
     emitter.w(1, "return " + _tuple_code(
         [f"_fire{position}" for position in range(len(atoms))]))
-    namespace = {"NDTuple": NDTuple, "_cmp": _compare, "_ar": _arith,
-                 "_W": WILDCARD, "EvaluationError": EvaluationError}
+    namespace = {"NDTuple": NDTuple, "_nt": tuple.__new__, "_cmp": _compare,
+                 "_ar": _arith, "_W": WILDCARD,
+                 "EvaluationError": EvaluationError}
     exec(compile("\n".join(emitter.lines) + "\n", "<rule plan>", "exec"),
          namespace)
     return (namespace["_make"], tuple(atom.table for atom in template.body),
@@ -431,8 +432,9 @@ def _emit_fire_body(out, rule, position, atoms, slots, sel_vars, pushable):
         raise _Unresolvable("<pending>")
 
     head_values = [_emit_expr(arg, env)[0] for arg in rule.head.args]
-    out.w(depth, f"_h = NDTuple({rule.head.table!r}, "
-                 f"{_tuple_code(head_values)})")
+    # The head's values are a tuple already: build it in C.
+    out.w(depth, f"_h = _nt(NDTuple, ({rule.head.table!r}, "
+                 f"{_tuple_code(head_values)}))")
     body_vars = _tuple_code([f"_a{i}" for i in range(len(atoms))])
     out.w(depth, f"_ap((_h, {body_vars}))")
     out.w(1, "return _out")

@@ -36,8 +36,9 @@ Storage details that the evaluation layer relies on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple as PyTuple
+from dataclasses import dataclass
+from typing import (Dict, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple as PyTuple)
 
 from .errors import SchemaError
 
@@ -89,27 +90,32 @@ class TableSchema:
         return tuple(self.fields.index(name) for name in self.primary_key)
 
 
-@dataclass(frozen=True)
-class NDTuple:
+class _NDTupleFields(NamedTuple):
+    table: str
+    values: PyTuple
+
+
+class NDTuple(_NDTupleFields):
     """An immutable NDlog tuple: a table name plus a vector of values.
 
     The node on which the tuple resides is carried in the value at the
     schema's location index (by convention index 0).
+
+    An ``NDTuple`` *is* the Python tuple ``(table, values)``: it is hashed
+    on every index probe and set membership test in the engine's hot loop,
+    and as a tuple its hashing, equality and field reads run in C, with
+    ``hash(t) == hash((t.table, t.values))``.  Code that has a tuple of
+    values in hand (compiled rule plans, the controller's PacketIn) builds
+    one with ``tuple.__new__(NDTuple, (table, values))``, skipping the one
+    Python frame of :meth:`__new__`, which turns list values into a tuple.
     """
 
-    table: str
-    values: PyTuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        # Normalise lists into tuples so instances remain hashable.
-        if not isinstance(self.values, tuple):
-            object.__setattr__(self, "values", tuple(self.values))
-        # Tuples are hashed on every index probe and set membership test in
-        # the engine's hot loop; cache the hash once at construction.
-        object.__setattr__(self, "_hash", hash((self.table, self.values)))
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, table: str, values):
+        if type(values) is not tuple:
+            values = tuple(values)
+        return tuple.__new__(cls, (table, values))
 
     @property
     def arity(self):
@@ -171,10 +177,6 @@ class Database:
         #: firing dedup consistent.  Weak, so that an engine and
         #: its database form no reference cycle.
         self.eviction_hook = None
-        #: Undo journal shared with an :class:`~repro.ndlog.engine.Engine`
-        #: checkpoint.  While set, every mutation appends an inverse entry;
-        #: :meth:`apply_undo` plays entries back (newest first) to rewind.
-        self.journal: Optional[List] = None
 
     # -- schema management -------------------------------------------------
 
@@ -356,15 +358,11 @@ class Database:
         if len(bucket) != size:
             if table in self._indexed_columns:
                 self._index_add(tup)
-            if self.journal is not None:
-                self.journal.append(("dbadd", tup))
             self._flags[tup] = flag
             return True
         old = self._flags.get(tup, 0)
         new = old | flag
         if new != old:
-            if self.journal is not None:
-                self.journal.append(("dbflag", tup, old))
             self._flags[tup] = new
         return False
 
@@ -377,9 +375,7 @@ class Database:
         bucket.discard(tup)
         if len(bucket) == size:
             return False
-        flags = self._flags.pop(tup, 0)
-        if self.journal is not None:
-            self.journal.append(("dbrem", tup, flags))
+        self._flags.pop(tup, None)
         if tup.table in self._indexed_columns:
             self._index_discard(tup)
         return True
@@ -395,8 +391,6 @@ class Database:
             return False
         remaining = flags & ~BASE_FLAG
         if remaining:
-            if self.journal is not None:
-                self.journal.append(("dbflag", tup, flags))
             self._flags[tup] = remaining
             return False
         return self.remove(tup)
@@ -411,65 +405,12 @@ class Database:
             return False
         remaining = flags & ~DERIVED_FLAG
         if remaining:
-            if self.journal is not None:
-                self.journal.append(("dbflag", tup, flags))
             self._flags[tup] = remaining
             return False
         return self.remove(tup)
 
-    def apply_undo(self, entry) -> None:
-        """Invert one journal entry (callers replay the journal newest-first).
-
-        Undo bypasses schema checks, key-conflict eviction and further
-        journaling on purpose: the entry describes the exact storage-level
-        change to revert, nothing more.
-        """
-        kind = entry[0]
-        if kind == "dbadd":
-            tup = entry[1]
-            bucket = self._tables.get(tup.table)
-            if bucket is not None and tup in bucket:
-                bucket.discard(tup)
-                self._index_discard(tup)
-            self._flags.pop(tup, None)
-        elif kind == "dbrem":
-            _, tup, flags = entry
-            bucket = self._tables.setdefault(tup.table, set())
-            if tup not in bucket:
-                bucket.add(tup)
-                self._index_add(tup)
-            self._flags[tup] = flags
-        elif kind == "dbflag":
-            _, tup, flags = entry
-            self._flags[tup] = flags
-        else:                        # pragma: no cover — engine-side entry
-            raise ValueError(f"unknown database journal entry {kind!r}")
-
-    def index_consistent(self) -> bool:
-        """Does every materialised bucket agree with the live tuple sets?
-        (Diagnostic used by the checkpoint tests.)"""
-        for table, index in self._indexes.items():
-            live = self._tables.get(table, _EMPTY_SET)
-            indexed = self._indexed_columns.get(table, set())
-            for (column, value), bucket in index.items():
-                if column not in indexed:
-                    return False
-                if any(tup not in live or tup.values[column] != value
-                       for tup in bucket):
-                    return False
-            for tup in live:
-                for column in indexed:
-                    if column < len(tup.values) and \
-                            tup not in index.get((column, tup.values[column]),
-                                                 _EMPTY_SET):
-                        return False
-        return True
-
     def __len__(self):
         return self.count()
-
-    def __contains__(self, tup):
-        return isinstance(tup, NDTuple) and self.contains(tup)
 
 
 _EMPTY_SET: Set[NDTuple] = frozenset()

@@ -107,7 +107,7 @@ class NetworkSimulator:
             if isinstance(message, FlowMod):
                 switch = self.topology.switches.get(message.switch_id)
                 if switch is not None:
-                    switch.install(message.entry)
+                    switch.flow_table.install(message.entry)
                     self.stats.flow_mod_count += 1
             elif isinstance(message, PacketOut):
                 packet_outs.append(message)

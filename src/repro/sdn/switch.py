@@ -228,9 +228,6 @@ class Switch:
                 return port
         return None
 
-    def install(self, entry: FlowEntry) -> FlowEntry:
-        return self.flow_table.install(entry)
-
     def lookup(self, packet: Packet, in_port: Optional[int] = None,
                tag: Optional[str] = None) -> Optional[FlowEntry]:
         return self.flow_table.lookup(packet, in_port, tag)

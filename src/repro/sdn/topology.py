@@ -217,7 +217,7 @@ class Topology:
                     continue
                 entry = FlowEntry.create({"dst_ip": host.ip}, port,
                                          priority=priority)
-                self.switches[switch_id].install(entry)
+                self.switches[switch_id].flow_table.install(entry)
                 installed += 1
         return installed
 

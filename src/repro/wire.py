@@ -1,20 +1,21 @@
 """The one codec of the program's wire types: typed values to JSON and back.
 
-A wire type is a dataclass; its wire is its fields as JSON, shaped by their
-annotations (``bool``, ``int``, ``float``, ``str``, a ``Union`` of them,
-``object``, ``dict``, ``Optional``, ``List``, ``Tuple`` — a bare one of
-scalars —, ``Dict`` with ``str`` or ``int`` keys, nested wire types), by
-``field(metadata={"wire": hint})`` where the wire shape differs, and minus
-:data:`NOT_ON_WIRE` fields.  A class with a ``kind`` string of its own (a
-class attribute, not a field) is *tagged*, its wire ``{"kind": kind,
-**fields}``; a hint naming a class with tagged subclasses (``Edit``,
-``Expression``, ``SessionEvent``) is a tagged union, decoded to the subclass
-the ``kind`` names.  :func:`decode` checks a wire at the door, since JSON
-has no coercion to lean on (``"no"`` is truthy and ``"2" > 1`` raises deep
-inside a worker): ``bool`` is exactly ``bool``, an ``int`` refuses ``bool``
-and ``str``, a ``float`` takes either number, ``None`` passes only where a
-field is ``Optional``, and an unknown key or kind, or a missing key without
-a default, is a :class:`WireError`.
+A wire type is a dataclass, or a ``NamedTuple`` whose fields are all on the
+wire (:class:`~repro.ndlog.tuples.NDTuple`); its wire is its fields as JSON,
+shaped by their annotations (``bool``, ``int``, ``float``, ``str``, a
+``Union`` of them, ``object``, ``dict``, ``Optional``, ``List``, ``Tuple`` —
+a bare one of scalars —, ``Dict`` with ``str`` or ``int`` keys, nested wire
+types), by ``field(metadata={"wire": hint})`` where the wire shape differs,
+and minus :data:`NOT_ON_WIRE` fields.  A class with a ``kind`` string of
+its own (a class attribute, not a field) is *tagged*, its wire
+``{"kind": kind, **fields}``; a hint naming a class with tagged subclasses
+(``Edit``, ``Expression``, ``SessionEvent``) is a tagged union, decoded to
+the subclass the ``kind`` names.  :func:`decode` checks a wire at the
+door, since JSON has no coercion to lean on (``"no"`` is truthy and
+``"2" > 1`` raises deep inside a worker): ``bool`` is exactly ``bool``, an
+``int`` refuses ``bool`` and ``str``, a ``float`` takes either number,
+``None`` passes only where a field is ``Optional``, and an unknown key or
+kind, or a missing key without a default, is a :class:`WireError`.
 """
 
 from __future__ import annotations
@@ -64,12 +65,21 @@ def _variants(cls):
     return found
 
 
+def _is_named_tuple(cls) -> bool:
+    return isinstance(cls, type) and issubclass(cls, tuple) \
+        and hasattr(cls, "_fields")
+
+
 @functools.lru_cache(maxsize=None)
 def _fields(cls):
     """``cls``'s ``(name, wire hint, required)`` triples, the ``{name:
     None}`` a decode passes for local fields without a default, its tag and
     the keys its wire may hold."""
     hints, wired, local = get_type_hints(cls), [], {}
+    if _is_named_tuple(cls):
+        wired = tuple((name, hints[name], name not in cls._field_defaults)
+                      for name in cls._fields)
+        return wired, local, None, frozenset(cls._fields)
     for f in dataclasses.fields(cls):
         required = (f.default is dataclasses.MISSING
                     and f.default_factory is dataclasses.MISSING)
@@ -99,7 +109,8 @@ def _unpack(hint):
              if all(m in _SCALARS for m in members) else None)
     nested = (exact is None and isinstance(hint, type)
               and hint not in (object, dict, list, tuple)
-              and (dataclasses.is_dataclass(hint) or bool(_variants(hint))))
+              and (dataclasses.is_dataclass(hint) or _is_named_tuple(hint)
+                   or bool(_variants(hint))))
     return hint, nullable, origin, args, exact, nested
 
 

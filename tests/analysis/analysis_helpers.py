@@ -49,8 +49,7 @@ def vetter_for(scenario, program=None):
 
 
 def stats_snapshot(stats):
-    """Order-stable image of a TrafficStats for bit-identity checks
-    (mirrors tests/backtest/test_warm_parity.py)."""
+    """Order-stable image of a TrafficStats for bit-identity checks."""
     return (stats.delivered_per_host, stats.dropped, stats.total,
             stats.packet_in_count, stats.flow_mod_count,
             stats.packet_out_count, stats.destinations)

@@ -117,15 +117,23 @@ def test_a_config_that_cannot_run_is_one_line_and_exit_2(argv, problem,
 def test_boolean_flags_override_config_both_ways(tmp_path):
     from repro.cli import _config_from_args, build_parser
     from repro.api import RepairConfig
-    config_path = tmp_path / "run.json"
-    config_path.write_text(RepairConfig.for_scenario(
-        "Q1", multiquery=True, warm_engine=False).to_json())
     parser = build_parser()
-    args = parser.parse_args(["repair", "q1", "--config", str(config_path),
-                              "--no-multiquery", "--warm"])
-    config = _config_from_args(args)
-    assert config.multiquery is False
-    assert config.warm_engine is True
+    for stored, flag in ((True, "--no-multiquery"), (False, "--multiquery")):
+        config_path = tmp_path / f"run_{stored}.json"
+        config_path.write_text(RepairConfig.for_scenario(
+            "Q1", multiquery=stored).to_json())
+        args = parser.parse_args(["repair", "q1", "--config",
+                                  str(config_path), flag])
+        assert _config_from_args(args).multiquery is not stored
+
+
+@pytest.mark.parametrize("flag", ["--warm", "--cold"])
+def test_warm_engine_flags_are_gone(flag, capsys):
+    from repro.cli import build_parser
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["repair", "q1", flag])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_q4_report_does_not_depend_on_the_hash_seed():

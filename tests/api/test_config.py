@@ -26,7 +26,6 @@ def full_config():
         trace_limit=120,
         max_packet_in_growth=2.5,
         replay_batch_size=16,
-        warm_engine=False,
         abort=EarlyAbortPolicy(check_every=16, ks_slack=1.5,
                                min_fraction=0.5),
         workers=3,
@@ -50,7 +49,6 @@ def test_json_round_trip_every_knob():
     assert wire["abort"]["check_every"] == 16
     assert wire["transport"] == "spawn"
     assert wire["workers"] == 3
-    assert wire["warm_engine"] is False
 
 
 def test_from_file_round_trip(tmp_path):
@@ -71,7 +69,7 @@ def test_unknown_keys_rejected():
 
 
 @pytest.mark.parametrize("key, value, expected", [
-    ("warm_engine", "no", "a boolean"),               # bool: exactly bool
+    ("static_vet", "no", "a boolean"),                # bool: exactly bool
     ("static_vet", 0, "a boolean"),
     ("workers", "2", "an integer"),                   # int: no str ...
     ("max_candidates", True, "an integer"),           # ... and no bool
@@ -173,7 +171,6 @@ def test_make_backtester_wires_every_knob():
     assert backtester.trace_limit == 120
     assert backtester.max_packet_in_growth == 2.5
     assert backtester.replay_batch_size == 16
-    assert backtester.warm_engine is False
     assert not hasattr(backtester, "workers")    # the scheduler's knob
     assert backtester.abort_policy == config.abort
 

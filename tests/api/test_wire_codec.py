@@ -131,7 +131,7 @@ SAMPLES = {
         config=BacktesterConfig(
             ks_threshold=0.05, alpha=0.05, use_significance=False,
             trace_limit=None, max_packet_in_growth=2.0,
-            replay_batch_size=None, warm_engine=True, multiquery=False),
+            replay_batch_size=None, multiquery=False),
         abort=EarlyAbortPolicy(check_every=8), deadline=30.0,
         telemetry=JobContext(SpanContext("t1", "1"), slice_packets=64),
         candidates=(_candidate(),)),

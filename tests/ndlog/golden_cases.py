@@ -11,9 +11,8 @@ Set-iteration order inside the engine (the order in which a join visits the
 candidates of an index bucket) depends on Python's string hash, so fixtures
 are captured and compared under ``PYTHONHASHSEED=0`` — both :func:`main` and
 the test's fingerprint subprocess re-exec themselves with the seed pinned.
-The ``remove`` steps of ``chain``, ``checkpoint``, ``selffeed3_live`` and
-``selfrec`` were re-dumped when removal became a recompute: same tuples, now
-in store order.
+The ``remove`` steps of ``chain``, ``selffeed3_live`` and ``selfrec`` were
+re-dumped when removal became a recompute: same tuples, now in store order.
 
 Regenerate (only when an intentional behaviour change is being made)::
 
@@ -63,9 +62,8 @@ GUARDED_DISPATCH_ORDER_AT_PARENT = {
 
 #: Each case: program text, schemas, and a list of operations.  Operations
 #: are ("insert", tup) / ("insert_many", [tup...]) / ("batch", [tup...],
-#: [consumed...]) / ("remove", tup) / ("consume", tup) / ("checkpoint",) /
-#: ("restore",) — checkpoints nest as a stack.  A case with an "expected"
-#: entry is held against that instead of the fixture file.
+#: [consumed...]) / ("remove", tup) / ("consume", tup).  A case with an
+#: "expected" entry is held against that instead of the fixture file.
 CASES: Dict[str, dict] = {
     "chain": {
         "program": """
@@ -209,21 +207,6 @@ CASES: Dict[str, dict] = {
              ["Out"]),
         ],
     },
-    "checkpoint": {
-        "program": """
-            r1 B(@X, Y) :- A(@X, Y).
-            r2 C(@X, Y) :- B(@X, Y), A(@X, Y).
-        """,
-        "schemas": [],
-        "ops": [
-            ("insert", _t("A", 1, 10)),
-            ("checkpoint",),
-            ("insert", _t("A", 2, 20)),
-            ("remove", _t("A", 1, 10)),
-            ("restore",),
-            ("insert", _t("A", 3, 30)),
-        ],
-    },
     "sendrecv": {
         # Head location differs from the trigger's: exercises SEND/RECEIVE.
         "program": """
@@ -288,7 +271,6 @@ def run_case(case: dict) -> dict:
     for schema in case["schemas"]:
         engine.register_schema(schema)
     steps: List[dict] = []
-    checkpoints = []
     for op in case["ops"]:
         kind = op[0]
         if kind == "insert":
@@ -311,12 +293,6 @@ def run_case(case: dict) -> dict:
         elif kind == "consume":
             steps.append({"op": "consume",
                           "result": engine.consume(_tuple(op[1]))})
-        elif kind == "checkpoint":
-            checkpoints.append(engine.checkpoint())
-            steps.append({"op": "checkpoint", "result": None})
-        elif kind == "restore":
-            engine.restore(checkpoints.pop())
-            steps.append({"op": "restore", "result": None})
         else:  # pragma: no cover — case-spec typo guard
             raise ValueError(f"unknown op {kind!r}")
     tables = {name: sorted(_render(t) for t in engine.database.tuples(name))

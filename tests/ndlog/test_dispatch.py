@@ -72,7 +72,8 @@ def test_dispatch_is_a_superset_in_program_order():
                 for values in itertools.product(UNIVERSE, repeat=width)]
     narrowed = 0
     for trigger in triggers:
-        offered = engine.plans_triggered_by(trigger)
+        offered = [(plan, position) for _ordinal, plan, position
+                   in engine.plans_triggered_by(trigger)]
         assert [entry for entry in every_plan if entry in offered] == offered
         firing = [(plan, position) for plan, position in every_plan
                   if plan.fire(position, (trigger,), engine.database,
@@ -81,7 +82,7 @@ def test_dispatch_is_a_superset_in_program_order():
             f"{trigger} fires a rule it was not offered to"
         narrowed += len(offered) < len(every_plan)
     assert narrowed > len(triggers) // 2
-    assert engine.plans_triggered_by(NDTuple("Nobody", (1, 2))) == []
+    assert engine.plans_triggered_by(NDTuple("Nobody", (1, 2))) == ()
 
 
 def test_a_rule_is_not_skipped_past_a_side_effect_or_an_error():

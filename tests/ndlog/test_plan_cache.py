@@ -2,8 +2,8 @@
 
 Code is keyed by the rule's structural shape and bindings by rule, so
 near-identical candidate programs (one rule edited, the rest untouched)
-re-index against cached plans — the property the warm candidate switch and
-the distributed workers' ``RuntimeCache`` rely on — and rules that differ
+index against cached plans — the property every candidate's engine and the
+distributed workers' ``RuntimeCache`` rely on — and rules that differ
 only in their constants share compiled code.
 """
 
@@ -73,23 +73,15 @@ def test_engine_reindex_hits_shared_cache():
     second = Engine(old)
     after = PLAN_CACHE.stats()
     assert after["misses"] == 3 and after["hits"] >= 3
-    # Warm switch: only the edited rule compiles anew.
-    cp = engine.checkpoint()
-    engine.restore(cp)
-    engine.swap_program(new)
+    # The edited program: only the edited rule compiles anew.
+    edited = Engine(new)
     final = PLAN_CACHE.stats()
     assert final["misses"] == 4
     # r1 is the one rule table A triggers, under both programs.
     trigger = NDTuple("A", (1, 2))
-    (r1_plan, _position), = engine.plans_triggered_by(trigger)
-    assert r1_plan is second.plans_triggered_by(trigger)[0][0]
-
-
-def test_runtime_cache_exposes_plan_cache_stats():
-    from repro.distrib.jobs import RuntimeCache
-    stats = RuntimeCache().plan_cache_stats()
-    assert stats == PLAN_CACHE.stats()
-    assert set(stats) == {"hits", "misses", "size", "capacity"}
+    (_ordinal, r1_plan, _position), = edited.plans_triggered_by(trigger)
+    assert r1_plan is engine.plans_triggered_by(trigger)[0][1]
+    assert r1_plan is second.plans_triggered_by(trigger)[0][1]
 
 
 def test_warm_engine_stats_event_carries_plan_cache_counters():

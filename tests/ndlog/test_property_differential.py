@@ -3,17 +3,15 @@
 Hypothesis generates small NDlog programs from a terminating grammar
 (copy/swap/join/selection rules of up to three body atoms over a closed
 value universe — recursion is allowed, arithmetic value creation is not)
-together with random insert/remove/insert_many scripts, and asserts three
+together with random insert/remove/insert_many scripts, and asserts two
 engine equivalences:
 
 * the rewritten engine matches the scan-based :class:`NaiveEngine` oracle
   (per-operation derived sets and the final database state), and after
   every removal its tuples, flags and support bookkeeping equal those of a
-  fresh engine fed the remaining base tuples,
+  fresh engine fed the remaining base tuples, and
 * one ``insert_many`` reaches the state of the same tuples inserted one by
-  one, and
-* a checkpoint/restore round-trip is a perfect rewind in the middle of any
-  script, including the rule-plan and support bookkeeping.
+  one.
 
 The engine offers a tuple only to the rules whose *guard* it meets
 (:mod:`repro.ndlog.engine`, "Rule dispatch"), a pre-filter that must never
@@ -26,8 +24,7 @@ wildcard value meets every selection guard) and ``True`` (which must find
 the ``1`` bucket, as ``==`` does).  Programs of single-atom rules, where a
 tuple fires a rule at most once and the order of firings is the order of
 rules, are held to the oracle's *order*: each insert's derived list, the
-final state and the store order of the derived tuples, also across a
-checkpoint/``swap_program``/restore round trip of the dispatch table.
+final state and the store order of the derived tuples.
 Rules also compare against and write the string ``"1"``, and one shape puts
 a constant in the head, so rules that differ only by a constant's type meet
 in the shared plan cache across examples: one compiled shape, never one
@@ -209,25 +206,6 @@ def test_insert_many_matches_sequential_inserts(program, base):
     assert final_state(batched) == final_state(sequential)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(program=programs(), prefix=scripts(), suffix=scripts())
-def test_checkpoint_restore_rewinds_any_script(program, prefix, suffix):
-    engine = build(Engine, program)
-    run_script(engine, prefix)
-    before = derived_state(engine)
-    checkpoint = engine.checkpoint()
-    run_script(engine, suffix)
-    engine.restore(checkpoint)
-    assert derived_state(engine) == before
-    assert engine.database.index_consistent()
-    # The restored engine must keep evolving exactly like a never-
-    # checkpointed twin.
-    twin = build(Engine, program)
-    run_script(twin, prefix)
-    assert run_script(engine, suffix) == run_script(twin, suffix)
-    assert final_state(engine) == final_state(twin)
-
-
 def inserted(engine, base):
     """Each insert's ordered result, the final state, and the order in
     which the derived tuples entered the store."""
@@ -244,19 +222,3 @@ base_tuples = st.lists(tuples_strategy(), min_size=1, max_size=12)
 def test_dispatch_keeps_the_oracles_order(program, base):
     assert inserted(build(Engine, program), base) == \
         inserted(build(NaiveEngine, program), base)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(first=single_atom_programs, second=single_atom_programs,
-       base=base_tuples)
-def test_dispatch_follows_the_program_through_swap_and_restore(first, second,
-                                                               base):
-    engine = build(Engine, first)
-    checkpoint = engine.checkpoint()    # empty: the state of any program
-    under_first = inserted(engine, base)
-    engine.restore(checkpoint)
-    engine.swap_program(second)
-    assert inserted(engine, base) == inserted(build(NaiveEngine, second), base)
-    engine.restore(checkpoint)
-    assert engine.program is first
-    assert inserted(engine, base) == under_first

@@ -95,7 +95,7 @@ def test_metrics_consolidate_pipeline_counters(traced_session):
     counters = {name for name, _labels, _value in snapshot["counters"]}
     assert {"candidates_backtested", "engine_fixpoints", "rules_fired",
             "tuples_derived", "packets_replayed", "plan_cache_hits",
-            "warm_hits", "index_materializations"} <= counters
+            "candidates_vetoed", "index_materializations"} <= counters
     histograms = {name for name, _labels, _payload in snapshot["histograms"]}
     assert {"stage_seconds", "candidate_replay_seconds"} <= histograms
     gauges = {name for name, _labels, _value in snapshot["gauges"]}

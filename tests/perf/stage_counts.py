@@ -12,11 +12,18 @@ by the ledger's own workload modules (``benchmarks/ledger/workloads``) at
 seed 0: ``trace_heavy``, ``candidate_heavy`` and ``program_heavy``.  Every
 count repeats exactly from run to run on one CPython minor version.
 
+Each stage's calls are also split into *cells* by the package of the code
+entered: ``ndlog``, ``sdn``, ``controllers``, ``meta``, ``repair``,
+``analysis``, ``backtest`` and ``api`` under ``repro/``; ``<generated>``,
+the code ``@dataclass`` and the rule plans compile at run time; and
+``other``, everything else (the standard library and the rest of
+``repro/``).  A stage's cells sum to its count.
+
     PYTHONPATH=src python tests/perf/stage_counts.py
     PYTHONPATH=src python tests/perf/stage_counts.py --check
     PYTHONPATH=src python tests/perf/stage_counts.py --append COMMIT
 
-``--check`` fails when a count exceeds the last entry of
+``--check`` fails when a count, or a cell, exceeds the last entry of
 ``BENCH_counts.json`` (repository root) by more than 10 %, the work-count
 ceiling of ``tests/perf/test_work_counts.py``; ``--append`` adds an entry
 (commit, CPython version, rows) to that file.  A PR that changes the counts
@@ -36,6 +43,12 @@ LEDGER = ROOT / "benchmarks" / "ledger"
 TRAJECTORY = ROOT / "BENCH_counts.json"
 ROWS = ("Q1@14", "Q4", "trace_heavy", "candidate_heavy", "program_heavy")
 STAGES = ("scenario", "diagnose", "generate", "backtest", "rank")
+PACKAGES = ("ndlog", "sdn", "controllers", "meta", "repair", "analysis",
+            "backtest", "api")
+CELLS = PACKAGES + ("<generated>", "other")
+#: File names of the code compiled at run time: what ``@dataclass`` writes
+#: (``__init__`` and friends) and the rule plans.
+GENERATED = ("<string>", "<rule plan>")
 CEILING = 1.10
 
 
@@ -51,24 +64,43 @@ def _config(row):
     return module.runner(module.inputs(0, smoke=False)).config
 
 
+def _cell_of(filename, package_root):
+    """The cell of the code a file name holds (see the module docstring)."""
+    if filename in GENERATED:
+        return "<generated>"
+    if filename.startswith(package_root):
+        package = filename[len(package_root):].split(os.sep, 1)[0]
+        if package in PACKAGES:
+            return package
+    return "other"
+
+
 def _python_calls(call):
-    calls = 0
+    """``{cell: calls}`` of ``call()``."""
+    import repro
+    package_root = os.path.dirname(repro.__file__) + os.sep
+    cells = dict.fromkeys(CELLS, 0)
+    cell_of = {}
 
     def profiler(frame, event, arg):
-        nonlocal calls
         if event == "call":
-            calls += 1
+            filename = frame.f_code.co_filename
+            cell = cell_of.get(filename)
+            if cell is None:
+                cell = cell_of[filename] = _cell_of(filename, package_root)
+            cells[cell] += 1
 
     sys.setprofile(profiler)
     try:
         call()
     finally:
         sys.setprofile(None)
-    return calls
+    return cells
 
 
 def count_row(row):
-    """The counts of ``row``, measured in this interpreter."""
+    """The counts of ``row``, measured in this interpreter: per stage, the
+    session, the code compiled, and per stage its cells."""
     from repro.api import RepairSession
     from repro.ndlog.plan import PLAN_CACHE
     from repro.repair import reset_candidate_ids
@@ -76,11 +108,13 @@ def count_row(row):
     reset_candidate_ids()
     session = RepairSession.from_wire(config)
     compiled = PLAN_CACHE.misses
-    counts = {"scenario": _python_calls(lambda: session.scenario)}
+    cells = {"scenario": _python_calls(lambda: session.scenario)}
     for stage in STAGES[1:]:
-        counts[stage] = _python_calls(lambda: session.run(until=stage))
+        cells[stage] = _python_calls(lambda: session.run(until=stage))
+    counts = {stage: sum(cells[stage].values()) for stage in STAGES}
     counts["session"] = sum(counts.values())
     counts["compiled"] = PLAN_CACHE.misses - compiled
+    counts["cells"] = cells
     return counts
 
 
@@ -97,22 +131,45 @@ def measure():
 
 
 def table(rows):
+    """Markdown: the counts per stage, then the session's calls per cell."""
     columns = STAGES + ("session", "compiled")
     lines = ["| row | " + " | ".join(columns) + " |",
              "| --- |" + " ---: |" * len(columns)]
     for row, counts in rows.items():
         lines.append(f"| {row} | " + " | ".join(
             f"{counts[column]:,}" for column in columns) + " |")
+    lines += ["", "| row | " + " | ".join(CELLS) + " |",
+              "| --- |" + " ---: |" * len(CELLS)]
+    for row, counts in rows.items():
+        lines.append(f"| {row} | " + " | ".join(
+            f"{sum(counts['cells'][stage][cell] for stage in STAGES):,}"
+            for cell in CELLS) + " |")
     return "\n".join(lines)
 
 
+def _flat(counts):
+    """``{name: count}`` of one row: its columns, then ``stage/cell``."""
+    flat = {column: count for column, count in counts.items()
+            if column != "cells"}
+    for stage, cells in counts.get("cells", {}).items():
+        flat.update({f"{stage}/{cell}": count
+                     for cell, count in cells.items()})
+    return flat
+
+
 def check(rows, entry):
-    """The counts of ``rows`` above ``CEILING`` x ``entry``'s."""
-    return [f"{row} {column}: {count:,} > {CEILING:.2f} x "
-            f"{entry['rows'][row][column]:,}"
-            for row, counts in rows.items() if row in entry["rows"]
-            for column, count in counts.items()
-            if count > CEILING * entry["rows"][row].get(column, count)]
+    """The counts and cells of ``rows`` above ``CEILING`` x ``entry``'s (an
+    entry without cells checks the counts only)."""
+    over = []
+    for row, counts in rows.items():
+        if row not in entry["rows"]:
+            continue
+        pinned = _flat(entry["rows"][row])
+        over += [f"{row} {name}: {count:,} > {CEILING:.2f} x "
+                 f"{pinned[name]:,}"
+                 for name, count in _flat(counts).items()
+                 if count > CEILING * pinned.get(name, count)]
+    return over
 
 
 def main():

@@ -2,7 +2,9 @@
 
 Two files at the repository root record what each performance change
 measured.  ``BENCH_counts.json`` is the Python calls per repair stage, one
-entry per change (``tests/perf/stage_counts.py --append``).
+entry per change (``tests/perf/stage_counts.py --append``); an entry from
+PR 41's on also splits each stage into cells by package, which sum to the
+stage's count.
 ``BENCH_ledger.json`` is the benchmark's claim pairs: per change, workload
 and end-to-end metric, the parent's and the change's median and quartiles
 over alternating parent/change runs of ``benchmarks/ledger/run.py``, how
@@ -15,7 +17,7 @@ import json
 import numbers
 import pathlib
 
-from stage_counts import ROWS, STAGES
+from stage_counts import CELLS, ROWS, STAGES
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 LEDGER_FIELDS = {"pr", "commit", "workload", "metric", "claimed", "seeds",
@@ -39,8 +41,18 @@ def test_the_stage_count_trajectory_parses():
         assert isinstance(entry["commit"], str) and entry["python"]
         assert set(entry["rows"]) == set(ROWS), entry["commit"]
         for counts in entry["rows"].values():
+            cells = counts.get("cells")
+            counts = {name: count for name, count in counts.items()
+                      if name != "cells"}
             assert set(STAGES) <= set(counts)
             assert all(isinstance(count, int) for count in counts.values())
+            if cells is not None:
+                assert set(cells) == set(STAGES), entry["commit"]
+                for stage, split in cells.items():
+                    assert set(split) == set(CELLS), entry["commit"]
+                    assert all(isinstance(n, int) for n in split.values())
+                    assert sum(split.values()) == counts[stage], \
+                        (entry["commit"], stage)
 
 
 def test_every_ledger_entry_names_a_declared_workload_and_metric():

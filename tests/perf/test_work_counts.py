@@ -19,9 +19,7 @@ O(1)": one ``FlowTable.install`` plus one ``lookup`` must make the same number
 of Python calls into ``repro/sdn`` on a table of 10 entries as on one of
 1,000.  "A repair costs its edit, not the program": applying a one-rule
 candidate makes the same number of Python calls on Q1's 8 rules as on Q1
-padded to 250, and so does finding the rules in which the repaired program
-differs from its base when the backtester decides on a warm switch — the
-rules it shares with the base are recognised by identity.
+padded to 250 — the rules it shares with the base are shared by identity.
 "An exploration explains what it returns": one ``explore_missing`` makes a
 pinned number of calls into ``repro/meta`` on Q1's 8 rules and on Q1 padded to
 250, and fewer than 100 per returned candidate under the function that builds
@@ -45,16 +43,15 @@ read from the link record, not asked of ``port_to`` — and a replay leaves
 nothing behind per packet but an int in ``TrafficStats.destinations`` — no
 record object, no path, no delivery log.
 "A PacketIn costs its firing": on Q1's base replay the typical table miss
-whose PacketIn derives a flow entry makes at most 45 Python calls, the
-PacketIn, the rule firing, the FlowMod and the PacketOut included (68 while
+whose PacketIn derives a flow entry makes at most 28 Python calls, the
+PacketIn, the rule firing, the FlowMod and the PacketOut included (41 while
+``NDTuple`` was a dataclass built, hashed and compared in Python, the
+fixpoint probed the store before each insert and copied its dispatch
+entries per trigger, and a FlowMod went through ``Switch.install``; 68 while
 every insert re-checked its schema through two properties, probed for key
 conflicts in keyless tables and hashed a tuple twice, and every FlowEntry
 was built from a re-sorted dict), and one the empty-response memo answers
-at most 8 (9).
-"Retraction is a recompute": a warm Q1 session's engines journal only tuple,
-flag and support changes, a pinned number of them (3,890 while every fresh
-firing also journaled one ``depadd`` per body member — 910 — for an
-incremental deletion no workload entered).
+at most 7 (8, and 9 before that).
 "A session borrows the fleet": three ``fabric_spawn``-shaped sessions in one
 process launch exactly 2 worker processes (6 while every session started and
 reaped a fleet of its own).
@@ -86,7 +83,7 @@ import tracemalloc
 import pytest
 
 from repro.api import RepairConfig, RepairSession, TelemetryConfig
-from repro.backtest import Backtester, WarmEvaluationState, replay
+from repro.backtest import Backtester
 from repro.distrib import WorkerPool, close_parked_fleets
 from repro.meta import MetaProvenanceExplorer, explorer
 from repro.ndlog import Engine, parse_program, plan
@@ -105,18 +102,20 @@ COUNTERS = ("engine_fixpoints", "rules_fired", "tuples_derived",
             "packets_replayed", "plan_cache_misses", "candidates_backtested",
             "candidates_vetoed")
 
-#: ``python_calls`` was pinned on CPython 3.11 in a fresh interpreter.
+#: ``python_calls`` was pinned on CPython 3.11 in a fresh interpreter (76,974
+#: and 26,459 while candidates switched on a warm engine and ``NDTuple`` was
+#: a dataclass hashed, built and compared in Python).
 #: ``plan_cache_misses`` counts plan code compiled, one per rule shape: 11 and
 #: 9 while a plan was compiled per rule text.
 PINNED = {
     "Q1": {"engine_fixpoints": 778, "rules_fired": 866, "tuples_derived": 842,
            "packets_replayed": 2808, "plan_cache_misses": 8,
            "candidates_backtested": 14, "candidates_vetoed": 2,
-           "python_calls": 76974},
+           "python_calls": 50472},
     "Q4": {"engine_fixpoints": 160, "rules_fired": 248, "tuples_derived": 248,
            "packets_replayed": 1280, "plan_cache_misses": 5,
            "candidates_backtested": 11, "candidates_vetoed": 1,
-           "python_calls": 26459},
+           "python_calls": 20075},
 }
 #: Calls into ``repro/meta`` of one 14-candidate exploration of Q1's goal
 #: (explorer construction included), by number of rules in the program.
@@ -133,8 +132,10 @@ PINNED_EXPLORATION_STATS = {
 }
 #: ``CompiledRule.fire`` entries of one serial session over Q1 padded to 250
 #: rules, 14 candidates.  1,154 while Diagnose replayed on a recording engine
-#: (no empty-response memo) and the backtest replayed a baseline of its own.
-PINNED_FIRE_ENTRIES_250_RULES = 1066
+#: (no empty-response memo) and the backtest replayed a baseline of its own;
+#: 1,066 while candidates switched on a warm engine, before every candidate
+#: ran its own static fixpoint.
+PINNED_FIRE_ENTRIES_250_RULES = 1186
 #: Plan code objects one 14-candidate session compiles on a cold plan cache,
 #: on Q1's 8 rules and on 250 alike (19 and 261 while a plan was compiled
 #: per rule text).
@@ -159,12 +160,14 @@ LOOKUP_MISS_CALLS_CEILING = 4
 PARENT_CALLS_PER_HIT_PACKET = {1: 15, 2: 24, 3: 33}
 HIT_PACKET_CALLS_CEILING = {1: 3, 2: 4, 3: 5}
 #: Python calls under one table miss on Q1's base replay, by what answered
-#: the PacketIn: the median of those that derive one flow entry (41 when
-#: this was written; 68 before) and the most any memo-answered one makes
-#: (9 before).  The first misses of a replay also materialise indexes and
-#: compile flow-table signatures, hence a median.
-PACKET_IN_CALLS_CEILING = {"derives a flow entry": 45,
-                           "answered by the memo": 8}
+#: the PacketIn: the median of those that derive one flow entry (25 when
+#: this was written; 41 while ``NDTuple`` was a dataclass, whose init, hash
+#: and equality ran in Python, and 68 before that) and the most any
+#: memo-answered one makes (6; 8 and 9 before).  The first misses of a
+#: replay also materialise indexes and compile flow-table signatures, hence
+#: a median.
+PACKET_IN_CALLS_CEILING = {"derives a flow entry": 28,
+                           "answered by the memo": 7}
 #: How many misses of that replay fall in each class.
 PACKET_INS_BY_CLASS = {"derives a flow entry": 56, "answered by the memo": 16}
 #: Memory blocks a second replay of Q1's trace x4 (936 packets, every flow
@@ -172,10 +175,6 @@ PACKET_INS_BY_CLASS = {"derives a flow entry": 56, "answered by the memo": 16}
 #: record per packet plus the log that listed them held 1,882 (9 when this
 #: was written, four of them the snapshot's own).
 RETAINED_BLOCKS_CEILING = 50
-#: Undo-journal entries the engines of one warm Q1@14 session write, and the
-#: kinds they may be.  3,890 when ``depadd`` (910 of them) was a kind too.
-PINNED_JOURNAL_ENTRIES_Q1 = 2980
-JOURNAL_KINDS = {"dbadd", "dbrem", "dbflag", "supadd", "suppop", "supswap"}
 #: Worker processes three 2-worker spawn sessions of one process launch.
 PINNED_WORKER_LAUNCHES_3_SESSIONS = 2
 #: Calls into ``repro/`` of one static prefilter of the 14 explorer
@@ -192,7 +191,6 @@ PYTHON_CALLS_CEILING = 1.10
 TUPLE_EDITS = (InsertTuple, DeleteTuple, ChangeTuple)
 SDN_PACKAGE = os.path.dirname(switch.__file__)
 META_PACKAGE = os.path.dirname(explorer.__file__)
-BACKTEST_PACKAGE = os.path.dirname(replay.__file__)
 NDLOG_PACKAGE = os.path.dirname(plan.__file__)
 REPRO_PACKAGE = os.path.dirname(META_PACKAGE)
 
@@ -285,14 +283,14 @@ def test_a_table_hit_costs_the_same_for_one_match_field_as_for_six():
 
     def calls_with_fields(count):
         node = Switch(1)
-        entry = node.install(FlowEntry.create(
+        entry = node.flow_table.install(FlowEntry.create(
             dict(list(match.items())[:count]), out_port=2))
         found = []
         hit = _python_calls(lambda: found.append(node.lookup(packet, 3)),
                             under=SDN_PACKAGE)
         # A miss also walks the residual ``*`` entries, one call each.
-        node.install(FlowEntry.create({"src_ip": 99, "dst_port": "*"},
-                                      out_port=2))
+        node.flow_table.install(FlowEntry.create(
+            {"src_ip": 99, "dst_port": "*"}, out_port=2))
         miss = _python_calls(lambda: found.append(node.lookup(stranger, 3)),
                              under=SDN_PACKAGE)
         assert found == [entry, None]
@@ -384,11 +382,11 @@ def test_a_packet_in_costs_its_firing(monkeypatch):
     assert derives <= PACKET_IN_CALLS_CEILING["derives a flow entry"], (
         f"a PacketIn that derives a flow entry makes {derives} calls "
         f"(median), more than {PACKET_IN_CALLS_CEILING['derives a flow entry']}"
-        " (68 while the replay path re-checked, re-sorted and re-hashed per "
-        "event)")
+        " (41 while NDTuple was a dataclass, 68 while the replay path "
+        "re-checked, re-sorted and re-hashed per event)")
     assert memo <= PACKET_IN_CALLS_CEILING["answered by the memo"], (
         f"a memo-answered PacketIn makes {memo} calls, more than "
-        f"{PACKET_IN_CALLS_CEILING['answered by the memo']} (9 before)")
+        f"{PACKET_IN_CALLS_CEILING['answered by the memo']} (8 before)")
 
 
 def test_a_replayed_packet_allocates_no_record():
@@ -410,31 +408,6 @@ def test_a_replayed_packet_allocates_no_record():
         f"replaying {len(trace)} packets left {retained} memory blocks "
         f"behind (ceiling {RETAINED_BLOCKS_CEILING}): something is kept per "
         "packet besides its destination")
-
-
-def test_journal_entries_of_a_warm_q1_session_are_pinned(monkeypatch):
-    kinds = collections.Counter()
-
-    class CountingJournal(list):
-        def append(self, entry):
-            kinds[entry[0]] += 1
-            super().append(entry)
-
-    checkpoint = Engine.checkpoint
-
-    def counted_checkpoint(engine):
-        if engine._journal is None:
-            engine._journal = engine.database.journal = CountingJournal()
-        return checkpoint(engine)
-
-    monkeypatch.setattr(Engine, "checkpoint", counted_checkpoint)
-    RepairSession(RepairConfig.for_scenario("Q1", max_candidates=14)).run()
-    assert set(kinds) <= JOURNAL_KINDS, dict(kinds)
-    entries = sum(kinds.values())
-    assert entries == PINNED_JOURNAL_ENTRIES_Q1, (
-        f"a warm Q1 session journaled {entries} entries {dict(kinds)}, "
-        f"pinned {PINNED_JOURNAL_ENTRIES_Q1}; if the change is intended, "
-        "update PINNED_JOURNAL_ENTRIES_Q1")
 
 
 def test_three_spawn_sessions_launch_one_fleet(monkeypatch):
@@ -462,25 +435,16 @@ def test_three_spawn_sessions_launch_one_fleet(monkeypatch):
         "its own fleet): a session stopped borrowing the parked fleet")
 
 
-def test_apply_and_diff_cost_the_edit_not_the_program():
+def test_apply_costs_the_edit_not_the_program():
     candidate = RepairCandidate(
         edits=(ChangeConstant("r1", 0, "right", 1, 3),), cost=1.0)
 
     def counts(program):
-        scenario = build_q1()
-        scenario.program = program
-        warm = WarmEvaluationState(scenario)
         repaired = []
         apply_calls = _python_calls(
             lambda: repaired.append(apply_candidate(program, candidate)))
         assert repaired[0].program.rule_named("r1") != program.rule_named("r1")
-        switched = []
-        diff_calls = _python_calls(
-            lambda: switched.append(warm.prepare_controller(repaired[0])),
-            under=BACKTEST_PACKAGE)
-        assert switched[0] is warm.controller
-        assert warm.engine.program is repaired[0].program
-        return apply_calls, diff_calls
+        return apply_calls
 
     small, large = (padded_program(build_q1(), rules) for rules in (8, 250))
     assert (len(small), len(large)) == (8, 250)
@@ -663,12 +627,12 @@ def test_a_cold_session_compiles_one_code_object_per_shape(total_rules):
 def test_a_changed_constant_compiles_nothing():
     scenario = build_q1()
     PLAN_CACHE.clear()
-    warm = WarmEvaluationState(scenario)
+    scenario.build_controller()
     candidate = RepairCandidate(
         edits=(ChangeConstant("r1", 0, "right", 1, 7),), cost=1.0)
     repaired = apply_candidate(scenario.program, candidate)
     compiled = PLAN_CACHE.misses
-    assert warm.prepare_controller(repaired) is warm.controller
+    scenario.build_controller(program=repaired.program)
     Engine(repaired.program)
     assert PLAN_CACHE.misses == compiled, (
         "a candidate that changes one constant compiled plan code: its rule "

@@ -47,7 +47,7 @@ from repro.scenarios import build_scenario
 from repro.scenarios.other_languages import language_reports
 
 ROOT = pathlib.Path(repro.__file__).resolve().parent
-KNOBS = ({}, {"warm_engine": False}, {"replay_batch_size": 8},
+KNOBS = ({}, {"replay_batch_size": 8},
          {"multiquery": True}, {"static_vet": False},
          {"abort": EarlyAbortPolicy(ks_slack=2.0)},
          {"telemetry": TelemetryConfig()})

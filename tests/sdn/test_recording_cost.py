@@ -30,8 +30,9 @@ from repro.sdn.network import NetworkSimulator
 
 #: Recording/bare Python calls into ``repro/`` of one replay of Q1's trace,
 #: pinned on CPython 3.11 to two decimals (1.10 while the bare replay made
-#: 23.7 calls per packet).
-PINNED_Q1_CALL_RATIO = 1.16
+#: 23.7 calls per packet; 1.16 until ``NDTuple`` hashed and compared in C,
+#: which made the bare replay cheaper and the recorder's calls no fewer).
+PINNED_Q1_CALL_RATIO = 1.23
 REPRO_PACKAGE = os.path.dirname(repro.__file__)
 
 
