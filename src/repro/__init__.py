@@ -40,10 +40,11 @@ Or from a shell: ``python -m repro repair q1`` (see ``python -m repro
 --help``).
 
 The runtime is stdlib-only.  ``import repro`` loads the API and what a
-serial repair runs; the worker fleet and transports of
-:mod:`repro.distrib`, :mod:`repro.service` and the tracing half of
-:mod:`repro.obs` are imported by the first name that needs them
-(:mod:`repro._lazy`); the Table 3 front ends only by importing
+serial repair runs; :mod:`repro.distrib`, :mod:`repro.service`,
+:mod:`repro.obs`, the lint passes of :mod:`repro.analysis` and each of
+the Q1-Q5 case studies are imported by the first name that needs them
+(:mod:`repro._lazy`), the CLI's other subcommands (:mod:`repro.cli_tools`)
+when one is run, and the Table 3 front ends only by importing
 :mod:`repro.scenarios.other_languages`.
 """
 

@@ -18,21 +18,24 @@ def lazy_exports(package: str, exports: Dict[str, Sequence[str]]
                  ) -> Tuple[Callable[[str], object], Callable[[], List[str]]]:
     """Module-level ``(__getattr__, __dir__)`` for ``package``.
 
-    ``exports`` maps a submodule of ``package`` to the names the package
-    re-exports from it.  The first access to such a name — or to the
-    submodule's own name — imports the submodule and binds the value in
+    ``exports`` maps a module to the names the package re-exports from it,
+    the module written as after ``from .`` in the package's ``__init__``: a
+    submodule (``"trace"``), or with a leading dot a module of the parent
+    package (``".distrib.faults"``).  The first access to such a name — or
+    to a submodule's own name — imports the module and binds the value in
     the package namespace, so later accesses (and ``monkeypatch``) see an
     ordinary attribute.
     """
-    origin = {name: submodule
-              for submodule, names in exports.items() for name in names}
+    origin = {name: module
+              for module, names in exports.items() for name in names}
+    submodules = {module for module in exports if not module.startswith(".")}
     namespace = sys.modules[package].__dict__
 
     def __getattr__(name: str) -> object:
         if name in origin:
-            value = getattr(import_module(f"{package}.{origin[name]}"), name)
-        elif name in exports:
-            value = import_module(f"{package}.{name}")
+            value = getattr(import_module(f".{origin[name]}", package), name)
+        elif name in submodules:
+            value = import_module(f".{name}", package)
         else:
             raise AttributeError(
                 f"module {package!r} has no attribute {name!r}")
@@ -40,6 +43,6 @@ def lazy_exports(package: str, exports: Dict[str, Sequence[str]]
         return value
 
     def __dir__() -> List[str]:
-        return sorted(set(namespace) | set(origin) | set(exports))
+        return sorted(set(namespace) | set(origin) | submodules)
 
     return __getattr__, __dir__

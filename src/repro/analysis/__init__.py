@@ -29,12 +29,19 @@ The package only imports :mod:`repro.ndlog` leaf modules (``ast``, ``expr``,
 without import cycles.
 """
 
+from .._lazy import lazy_exports
 from .constprop import ConstantPropagation
-from .depgraph import DependencyEdge, DependencyGraph
 from .findings import LintFinding, Severity
-from .lint import lint_program, lint_scenario
-from .safety import check_safety
 from .vet import CandidateVetter, VetResult
+
+# The backtest's veto needs ``vet`` and ``constprop`` only; the lint passes
+# load with the first name that needs them (``repro lint``,
+# ``CandidateVetter.vet``).
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "depgraph": ("DependencyEdge", "DependencyGraph"),
+    "lint": ("lint_program", "lint_scenario"),
+    "safety": ("check_safety",),
+})
 
 __all__ = [
     "CandidateVetter",

@@ -48,9 +48,7 @@ from ..ndlog.ast import Program
 from ..ndlog.tuples import NDTuple, TableSchema
 
 from .constprop import ConstantPropagation
-from .depgraph import DependencyGraph
 from .findings import LintFinding, Severity
-from .safety import check_safety
 
 
 REJECT = "reject"
@@ -186,6 +184,9 @@ class CandidateVetter:
     # ------------------------------------------------------------------
 
     def _result(self, decision: _Decision) -> VetResult:
+        from .depgraph import DependencyGraph
+        from .safety import check_safety
+
         reason, repaired = decision.reason, decision.repaired
         if repaired is None:
             return VetResult(verdict=REJECT, reason=reason,

@@ -20,16 +20,23 @@ Start here::
     report = session.run()
 """
 
-from ..distrib.faults import FaultPlan, FaultToleranceConfig
+from .._lazy import lazy_exports
 from ..events import (BacktestProgress, CandidateAborted, CandidateFound,
                       CandidateQuarantined, CandidateVetoed, EventBus,
                       FabricFaultStats, JsonlEventWriter, SessionEvent,
                       SessionFinished, SessionStarted, StageFinished,
                       StageStarted, WarmEngineStats)
-from .config import ConfigError, RepairConfig, TelemetryConfig
+from .config import (ConfigError, FaultToleranceConfig, RepairConfig,
+                     TelemetryConfig)
 from .session import DiagnosisReport, PhaseTimings, RepairSession, repair
 from .stages import (DEFAULT_STAGES, BacktestStage, DiagnoseStage,
                      GenerateStage, RankStage, Stage, StageError)
+
+# A fault plan is read by ``--fault-plan`` and the fleet only: a serial
+# repair imports no ``repro.distrib`` module.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".distrib.faults": ("FaultPlan",),
+})
 
 __all__ = [
     "BacktestProgress", "BacktestStage", "CandidateAborted", "CandidateFound",

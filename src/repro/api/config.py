@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from ..backtest.abort import EarlyAbortPolicy
-from ..distrib.faults import FaultToleranceConfig
 from ..meta.costs import CostModel
 from ..scenarios.spec import ScenarioSpec
 from ..wire import Wire, WireError
@@ -59,6 +58,70 @@ class TelemetryConfig(Wire):
     #: Attach the tracer to replay engines so every PacketIn fixpoint gets
     #: its own span (``engine.fixpoint``) — verbose; for deep dives only.
     trace_fixpoints: bool = False
+
+
+#: Soft-deadline floor: even tiny scenarios (millisecond baselines) get a
+#: generous per-item allowance so slow CI machines never trip it.
+DEADLINE_FLOOR_SECONDS = 30.0
+
+
+@dataclass
+class FaultToleranceConfig(Wire):
+    """Retry / restart / degradation policy of the fabric
+    (:mod:`repro.distrib`), a ``RepairConfig`` knob like
+    :class:`TelemetryConfig`; :mod:`repro.distrib.faults` re-exports it.
+
+    Also serves as the runtime policy object on every transport
+    (``transport.fault_policy``); the defaults keep fault-free runs
+    bit-identical to a fabric without fault tolerance — retries simply
+    never trigger.
+    """
+
+    wire_name = "fault_tolerance"
+
+    #: An item that fails on a worker is retried until it has been
+    #: attempted this many times, then quarantined (a deterministic
+    #: rejected result with a ``quarantined(<reason>)`` note).
+    max_attempts: int = 3
+    #: How many crashed workers a single job may respawn (capped
+    #: exponential backoff between restarts).
+    restart_budget: int = 2
+    #: Per-item soft deadline = ``job_deadline_factor`` × the timed
+    #: baseline replay (every candidate replays the same trace), floored
+    #: at ``DEADLINE_FLOOR_SECONDS``.  ``None`` disables deadline
+    #: enforcement.
+    job_deadline_factor: Optional[float] = 50.0
+    #: Absolute per-item deadline override in seconds (``None`` = derive
+    #: from the factor).  Chaos tests use this for sub-second hang bounds.
+    job_deadline: Optional[float] = None
+    #: When the live worker fleet drops below this floor and the restart
+    #: budget is spent, the transport drains the remaining queue serially
+    #: in-process instead of raising.
+    min_workers: int = 1
+    #: Restart backoff: ``min(backoff_cap, backoff_base * 2**n)`` seconds
+    #: before the ``n``-th respawn of a job.
+    backoff_base: float = 0.1
+    backoff_cap: float = 2.0
+
+    @classmethod
+    def coerce(cls, value) -> "FaultToleranceConfig":
+        """As :meth:`Wire.coerce`, but ``None`` is the default policy."""
+        return super().coerce(value) or cls()
+
+    def resolve_deadline(self, per_item_estimate: Optional[float]
+                         ) -> Optional[float]:
+        """The per-item soft deadline in seconds, or ``None``."""
+        if self.job_deadline is not None:
+            return self.job_deadline
+        if self.job_deadline_factor is None or not per_item_estimate:
+            return None
+        return max(DEADLINE_FLOOR_SECONDS,
+                   self.job_deadline_factor * per_item_estimate)
+
+    def backoff(self, restart_number: int) -> float:
+        """Seconds to wait before the ``restart_number``-th respawn."""
+        return min(self.backoff_cap,
+                   self.backoff_base * (2.0 ** restart_number))
 
 
 @dataclass
@@ -120,7 +183,7 @@ class RepairConfig(Wire):
     transport_options: Dict[str, object] = field(default_factory=dict)
     #: Fabric fault-tolerance policy (retry budget, worker restart budget,
     #: per-item deadlines, degradation floor); ``None`` = the defaults in
-    #: :class:`repro.distrib.FaultToleranceConfig`, which keep fault-free
+    #: :class:`FaultToleranceConfig`, which keep fault-free
     #: runs bit-identical to a fabric without fault tolerance.
     fault_tolerance: Optional[FaultToleranceConfig] = None
 

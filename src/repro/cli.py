@@ -30,6 +30,9 @@ writes machine-readable event logs with ``--events FILE``, and with
 (``--trace FILE``, ``--stats FILE``, ``--profile``, ``--trace-slices``,
 ``--trace-fixpoints``) switch the observability layer on for any
 run-shaped command.
+
+This module runs ``repair``; the other handlers live in
+:mod:`repro.cli_tools`, imported only when one of them is dispatched.
 """
 
 from __future__ import annotations
@@ -38,16 +41,13 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
 from dataclasses import replace as _dc_replace
 from typing import List, Optional
 
 from .api import (EventBus, JsonlEventWriter, RepairConfig, RepairSession,
                   SessionEvent, TelemetryConfig)
 from .backtest.abort import EarlyAbortPolicy
-from .backtest.ranking import format_table
-from .scenarios import SCENARIO_BUILDERS, build_scenario
-from .wire import WireError
+from .scenarios import SCENARIO_BUILDERS
 
 
 def _add_config_options(parser: argparse.ArgumentParser) -> None:
@@ -314,470 +314,20 @@ def _cmd_repair(args) -> int:
     return 0
 
 
-def _cmd_backtest(args) -> int:
-    _, report = _run_session(args)
-    if args.json:
-        print(json.dumps(report.to_wire(), indent=2, sort_keys=True))
-        return 0
-    print(format_table(report.backtest.results))
-    generated, surviving = report.counts()
-    print(f"\n{generated} candidates backtested over "
-          f"{report.backtest.packet_count} packets, {surviving} accepted")
-    return 0
 
+class _Tool:
+    """The handler ``name`` of :mod:`repro.cli_tools`, imported when its
+    subcommand is dispatched."""
 
-def _cmd_lint(args) -> int:
-    """Statically analyse a program (and optionally vet candidates).
+    def __init__(self, name: str):
+        self.name = name
 
-    The target is either a registered scenario name — linted with its
-    schemas and static base data — or a path to an ``.ndlog`` source file.
-    Exit status: 0 when the program lints clean, 1 when there are
-    findings, 2 for unreadable/unparseable input.
-    """
-    from .analysis import CandidateVetter, lint_program, lint_scenario
-    from .ndlog.errors import ParseError
-    from .ndlog.parser import parse_program
+    def resolve(self):
+        from . import cli_tools
+        return getattr(cli_tools, self.name)
 
-    target = args.target
-    scenario = None
-    if target.upper() in SCENARIO_BUILDERS:
-        scenario = build_scenario(target.upper())
-        source_name = target.upper()
-        findings = lint_scenario(scenario)
-    else:
-        try:
-            with open(target, "r", encoding="utf-8") as handle:
-                source = handle.read()
-        except OSError as exc:
-            print(f"repro lint: cannot read {target}: {exc}", file=sys.stderr)
-            return 2
-        source_name = target
-        try:
-            program = parse_program(source, name=target)
-        except ParseError as exc:
-            print(f"{target}:{exc.line}:{exc.column}: error: (parse) "
-                  f"{exc.message}", file=sys.stderr)
-            return 2
-        findings = lint_program(program)
-
-    vet_rows = []
-    if args.candidates:
-        if scenario is None:
-            print("repro lint: --candidates requires a scenario target "
-                  "(schemas and base data)", file=sys.stderr)
-            return 2
-        try:
-            candidates = _read_candidates(args.candidates)
-        except (OSError, ValueError, RecursionError) as exc:
-            print(f"repro lint: {args.candidates}: {exc}", file=sys.stderr)
-            return 2
-        mapping = scenario.mapping
-        vetter = CandidateVetter(
-            scenario.program,
-            schemas={s.name: s for s in scenario.schemas()},
-            static_tuples=scenario.static_tuples,
-            event_tables={mapping.packet_in_table},
-            flow_table=mapping.flow_table)
-        vet_rows = [(candidate, vetter.vet_candidate(candidate))
-                    for candidate in candidates]
-
-    if args.json:
-        print(json.dumps({
-            "target": source_name,
-            "clean": not findings,
-            "findings": [finding.as_dict() for finding in findings],
-            "candidates": [
-                {"description": candidate.description,
-                 "candidate_id": candidate.candidate_id,
-                 "verdict": verdict.verdict,
-                 "reason": verdict.reason,
-                 "findings": [f.as_dict() for f in verdict.findings]}
-                for candidate, verdict in vet_rows],
-        }, indent=2, sort_keys=True))
-        return 1 if findings else 0
-
-    for finding in findings:
-        print(finding.render(source_name))
-    for candidate, verdict in vet_rows:
-        label = candidate.description or candidate.candidate_id
-        print(f"{source_name}: candidate {label}: {verdict.describe()}")
-    if findings:
-        errors = sum(1 for f in findings if f.severity == "error")
-        print(f"{source_name}: {len(findings)} finding(s), "
-              f"{errors} error(s)", file=sys.stderr)
-        return 1
-    if not args.quiet:
-        print(f"{source_name}: clean", file=sys.stderr)
-    return 0
-
-
-def _decode_all(decode, wires, label):
-    """``decode`` of each ``(position, wire)``; a ``WireError`` names the
-    first position that does not decode."""
-    values = []
-    for position, wire in wires:
-        try:
-            values.append(decode(wire))
-        except WireError as exc:
-            raise WireError(f"{label} {position}: {exc}") from None
-    return values
-
-
-def _read_candidates(path):
-    """The candidates of a file holding a JSON list of candidate wires."""
-    from .repair.candidates import RepairCandidate
-    with open(path, "r", encoding="utf-8") as handle:
-        wires = json.load(handle)
-    if not isinstance(wires, list):
-        raise WireError(f"expected a list of candidate wires, not "
-                        f"{type(wires).__name__}")
-    return _decode_all(RepairCandidate.from_wire, enumerate(wires),
-                       "candidate")
-
-
-def _cmd_trace(args) -> int:
-    """Run the pipeline with tracing on and write a Chrome trace file."""
-    args.trace = args.trace or args.out
-    session, _ = _run_session(args)
-    telemetry = session.telemetry
-    from .obs import validate_chrome_trace
-    info = validate_chrome_trace(telemetry.chrome_trace())
-    if args.json:
-        print(json.dumps({
-            "trace_id": telemetry.trace_id,
-            "file": args.trace,
-            "spans": info["span_count"],
-            "pids": sorted(info["pids"]),
-            "names": sorted(info["names"]),
-        }, indent=2, sort_keys=True))
-        return 0
-    print(f"trace {telemetry.trace_id}: {info['span_count']} spans over "
-          f"{len(info['pids'])} process(es) -> {args.trace}")
-    by_name = Counter()
-    for span in telemetry.tracer.finished:
-        by_name[span["name"]] += 1
-    for name, count in sorted(by_name.items()):
-        print(f"  {name:20s} {count:5d}")
-    return 0
-
-
-def _cmd_stats(args) -> int:
-    """Run the pipeline with metrics on and print the registry."""
-    args.force_telemetry = True
-    if not args.stats and not args.json:
-        args.stats = "-"
-    session, _ = _run_session(args)
-    if args.json:
-        print(json.dumps(session.telemetry.metrics.snapshot(),
-                         indent=2, sort_keys=True))
-    return 0
-
-
-def _read_event_log(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [(number, line) for number, line in enumerate(handle, 1)
-                 if line.strip()]
-    return _decode_all(SessionEvent.from_json, lines, "line")
-
-
-def _summarize_sessions(events):
-    """Group a (possibly multi-run) event log into per-session summaries."""
-    sessions = []
-    current = None
-    for event in events:
-        if event.kind == "session_started" or current is None:
-            current = {"scenario": getattr(event, "scenario", ""),
-                       "symptom": getattr(event, "symptom", ""),
-                       "trace_id": event.trace_id,
-                       "stages": [], "candidates": [], "vetoes": [],
-                       "aborts": [], "finished": None}
-            sessions.append(current)
-        if event.trace_id and not current["trace_id"]:
-            current["trace_id"] = event.trace_id
-        kind = event.kind
-        if kind == "stage_finished":
-            current["stages"].append((event.stage, event.elapsed_seconds))
-        elif kind == "backtest_progress":
-            current["candidates"].append(event)
-        elif kind == "candidate_vetoed":
-            current["vetoes"].append(event)
-        elif kind == "candidate_aborted":
-            current["aborts"].append(event)
-        elif kind == "session_finished":
-            current["finished"] = event
-    return sessions
-
-
-def _cmd_events_summarize(args) -> int:
-    """Digest a ``--events`` JSONL log into timing and verdict tables."""
-    try:
-        events = _read_event_log(args.file)
-    except OSError as exc:
-        print(f"repro events: cannot read {args.file}: {exc}",
-              file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"repro events: malformed event log {args.file}: {exc}",
-              file=sys.stderr)
-        return 2
-    if not events:
-        print(f"repro events: {args.file} holds no events", file=sys.stderr)
-        return 2
-    sessions = _summarize_sessions(events)
-    if args.json:
-        print(json.dumps([{
-            "scenario": s["scenario"],
-            "trace_id": s["trace_id"],
-            "stages": [{"stage": name, "seconds": secs}
-                       for name, secs in s["stages"]],
-            "candidates": [{"description": c.description,
-                            "accepted": c.accepted,
-                            "ks_statistic": c.ks_statistic,
-                            "elapsed_seconds": c.elapsed_seconds,
-                            "aborted": c.aborted} for c in s["candidates"]],
-            "vetoes": [{"description": v.description, "reason": v.reason}
-                       for v in s["vetoes"]],
-            "aborts": [{"description": a.description, "note": a.note}
-                       for a in s["aborts"]],
-        } for s in sessions], indent=2, sort_keys=True))
-        return 0
-    for number, summary in enumerate(sessions, 1):
-        title = summary["scenario"] or "(unknown scenario)"
-        trace = (f" [trace {summary['trace_id']}]"
-                 if summary["trace_id"] else "")
-        print(f"== session {number}: {title}{trace}")
-        total = sum(secs for _, secs in summary["stages"]) or 0.0
-        if summary["stages"]:
-            print("   stage timing:")
-            for name, secs in summary["stages"]:
-                share = (100.0 * secs / total) if total else 0.0
-                print(f"     {name:10s} {secs:8.3f}s  {share:5.1f}%")
-            print(f"     {'total':10s} {total:8.3f}s")
-        candidates = summary["candidates"]
-        if candidates:
-            accepted = sum(1 for c in candidates if c.accepted)
-            print(f"   candidates: {len(candidates)} backtested, "
-                  f"{accepted} accepted, {len(summary['vetoes'])} vetoed, "
-                  f"{len(summary['aborts'])} aborted")
-            slowest = sorted(candidates, key=lambda c: -c.elapsed_seconds)
-            print("   slowest candidates:")
-            for candidate in slowest[:args.top]:
-                verdict = "PASS" if candidate.accepted else "FAIL"
-                print(f"     {candidate.elapsed_seconds:8.3f}s {verdict} "
-                      f"KS={candidate.ks_statistic:.4f} "
-                      f"{candidate.description}")
-        if summary["vetoes"]:
-            print("   vetoes by reason:")
-            reasons = Counter(v.reason for v in summary["vetoes"])
-            for reason, count in reasons.most_common():
-                print(f"     {count:4d}  {reason}")
-        if summary["aborts"]:
-            print("   aborted candidates:")
-            for abort in summary["aborts"]:
-                print(f"     {abort.description} ({abort.note})")
-    return 0
-
-
-def _cmd_worker(args) -> int:
-    from .distrib.worker import main as worker_main
-    return worker_main(["--connect", args.connect])
-
-
-class _WireJsonlLog:
-    """JSONL sink for already-wire-format event dicts (serve --events)."""
-
-    def __init__(self, stream):
-        self.stream = stream
-
-    def __call__(self, wire) -> None:
-        self.stream.write(json.dumps(wire, sort_keys=True, default=str) + "\n")
-        self.stream.flush()
-
-    def sync(self) -> None:
-        self.stream.flush()
-        try:
-            os.fsync(self.stream.fileno())
-        except (AttributeError, OSError, ValueError):
-            pass
-
-
-def _cmd_serve(args) -> int:
-    """Run the multi-tenant repair service (daemon + HTTP front door)."""
-    import signal
-    import threading
-
-    from .distrib.pool import TOKEN_ENV
-    from .service import RepairServiceDaemon, ServiceHTTPServer
-
-    if args.no_spawn_workers and not os.environ.get(TOKEN_ENV):
-        # Without it the pool draws a random token no remote worker knows.
-        print(f"repro serve: --no-spawn-workers needs {TOKEN_ENV} set, to "
-              f"the same secret here and for every remote repro-worker",
-              file=sys.stderr)
-        return 2
-    plan = None
-    if args.fault_plan:
-        from .distrib.faults import FaultPlan
-        plan = FaultPlan.from_file(args.fault_plan)
-    log_handle = on_event = None
-    if args.events:
-        log_handle = open(args.events, "a", encoding="utf-8")
-        on_event = _WireJsonlLog(log_handle)
-    daemon = RepairServiceDaemon(workers=args.workers,
-                                 host=args.daemon_host,
-                                 port=args.daemon_port,
-                                 spawn_workers=not args.no_spawn_workers,
-                                 fault_plan=plan,
-                                 on_event=on_event)
-    # Both ports are bound before a worker is launched (the pool binds its
-    # own before it spawns), so a busy one leaves no process behind.
-    server = None
-    try:
-        server = ServiceHTTPServer((args.host, args.port), daemon,
-                                   quiet=args.quiet)
-        daemon.start()
-    except OSError as error:
-        host, port = ((args.host, args.port) if server is None
-                      else (args.daemon_host, args.daemon_port))
-        if server is not None:
-            daemon.stop(grace=0)
-            server.server_close()
-        if log_handle is not None:
-            log_handle.close()
-        print(f"repro serve: cannot listen on {host}:{port}: "
-              f"{error.strerror or error}", file=sys.stderr)
-        return 2
-    stop = threading.Event()
-
-    def _request_stop(signum, frame):
-        stop.set()
-
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            signal.signal(signum, _request_stop)
-        except (ValueError, OSError):
-            pass
-    serving = threading.Thread(target=server.serve_forever, daemon=True)
-    serving.start()
-    worker_host, worker_port = daemon.address
-    print(f"repro serve: HTTP on {server.url} "
-          f"(workers connect to {worker_host}:{worker_port})", flush=True)
-    try:
-        while not stop.is_set():
-            stop.wait(0.2)
-    except KeyboardInterrupt:
-        pass
-    print("repro serve: draining...", flush=True)
-    server.stop(grace=args.grace)
-    if log_handle is not None:
-        log_handle.close()
-    print("repro serve: stopped", flush=True)
-    return 0
-
-
-def _format_service_session(wire) -> str:
-    """Human-readable view of a GET /sessions/<id> wire."""
-    lines = [f"session {wire.get('id')} [{wire.get('tenant')}] "
-             f"{wire.get('scenario')}: {wire.get('state')}"
-             + (f" ({wire.get('error')})" if wire.get("error") else "")]
-    report = wire.get("report")
-    if report:
-        lines.append(f"  generated {report.get('generated')} candidates, "
-                     f"{report.get('surviving')} survived backtesting")
-        for description in report.get("suggestions", []):
-            lines.append(f"    suggested: {description}")
-    return "\n".join(lines)
-
-
-def _cmd_submit(args) -> int:
-    """Submit a repair run to a ``repro serve`` front door over HTTP."""
-    from .service.client import ClientError, ServiceClient
-
-    config = _config_from_args(args)
-    client = ServiceClient(args.url)
-    try:
-        ack = client.submit(config, tenant=args.tenant)
-        session_id = ack["id"]
-        if not args.quiet:
-            print(f"submitted {session_id} (tenant {ack['tenant']}) "
-                  f"to {args.url}", file=sys.stderr)
-        if args.no_wait:
-            print(json.dumps(ack, indent=2, sort_keys=True) if args.json
-                  else session_id)
-            return 0
-        wire = client.wait(session_id, timeout=args.timeout)
-    except ClientError as exc:
-        print(f"repro submit: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, TimeoutError) as exc:
-        print(f"repro submit: {args.url}: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(wire, indent=2, sort_keys=True))
-    else:
-        print(_format_service_session(wire))
-    if wire.get("state") == "failed":
-        return 1
-    report = wire.get("report") or {}
-    return 0 if report.get("suggestions") else 2
-
-
-def _cmd_status(args) -> int:
-    """Inspect a running service: all sessions, or one in detail."""
-    from .service.client import ClientError, ServiceClient
-
-    client = ServiceClient(args.url)
-    try:
-        if args.session:
-            if args.events:
-                for wire in client.events(args.session):
-                    print(json.dumps(wire, sort_keys=True, default=str))
-                return 0
-            wire = client.session(args.session)
-            print(json.dumps(wire, indent=2, sort_keys=True) if args.json
-                  else _format_service_session(wire))
-            return 0
-        sessions = client.sessions()
-    except ClientError as exc:
-        print(f"repro status: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"repro status: {args.url}: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(sessions, indent=2, sort_keys=True))
-        return 0
-    if not sessions:
-        print("no sessions")
-        return 0
-    for row in sessions:
-        error = f"  {row['error']}" if row.get("error") else ""
-        print(f"{row['id']}  {row['tenant']:10s} {row['scenario']:4s} "
-              f"{row['state']:8s} attempts={row['attempts']}{error}")
-    return 0
-
-
-def _cmd_scenarios_list(args) -> int:
-    entries = []
-    for name in sorted(SCENARIO_BUILDERS):
-        scenario = build_scenario(name)
-        entries.append({
-            "name": name,
-            "description": getattr(scenario, "description", ""),
-            "symptom": getattr(getattr(scenario, "symptom", None),
-                               "description", ""),
-            "rules": len(scenario.program.rules),
-            "trace_packets": len(scenario.trace()),
-        })
-    if args.json:
-        print(json.dumps(entries, indent=2, sort_keys=True))
-        return 0
-    for entry in entries:
-        print(f"{entry['name']:4s} {entry['description']}")
-        print(f"     symptom: {entry['symptom']}")
-        print(f"     {entry['rules']} rules, "
-              f"{entry['trace_packets']} trace packets")
-    return 0
+    def __call__(self, args) -> int:
+        return self.resolve()(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -798,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         "backtest", help="print the full candidate verdict table")
     backtest.add_argument("scenario", type=str.upper, nargs="?", default=None)
     _add_config_options(backtest)
-    backtest.set_defaults(func=_cmd_backtest)
+    backtest.set_defaults(func=_Tool("cmd_backtest"))
 
     lint = sub.add_parser(
         "lint", help="statically analyse an NDlog program")
@@ -812,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="print findings (and vet verdicts) as JSON")
     lint.add_argument("--quiet", action="store_true",
                       help="no 'clean' confirmation on stderr")
-    lint.set_defaults(func=_cmd_lint)
+    lint.set_defaults(func=_Tool("cmd_lint"))
 
     trace = sub.add_parser(
         "trace", help="run the pipeline traced and write a Chrome "
@@ -821,13 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--out", metavar="FILE", default="trace.json",
                        help="trace file to write (default: trace.json)")
     _add_config_options(trace)
-    trace.set_defaults(func=_cmd_trace)
+    trace.set_defaults(func=_Tool("cmd_trace"))
 
     stats = sub.add_parser(
         "stats", help="run the pipeline and print the metrics registry")
     stats.add_argument("scenario", type=str.upper, nargs="?", default=None)
     _add_config_options(stats)
-    stats.set_defaults(func=_cmd_stats)
+    stats.set_defaults(func=_Tool("cmd_stats"))
 
     events = sub.add_parser("events", help="event-log tooling")
     events_sub = events.add_subparsers(dest="events_command", required=True)
@@ -839,13 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
                            help="slowest candidates to list (default 5)")
     summarize.add_argument("--json", action="store_true",
                            help="print the summary as JSON")
-    summarize.set_defaults(func=_cmd_events_summarize)
+    summarize.set_defaults(func=_Tool("cmd_events_summarize"))
 
     worker = sub.add_parser(
         "worker", help="join a coordinator's worker pool "
                        "(token from REPRO_WORKER_TOKEN)")
     worker.add_argument("--connect", required=True, metavar="HOST:PORT")
-    worker.set_defaults(func=_cmd_worker)
+    worker.set_defaults(func=_Tool("cmd_worker"))
 
     serve = sub.add_parser(
         "serve", help="run the multi-tenant repair service "
@@ -876,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="drain budget in seconds on SIGTERM/SIGINT")
     serve.add_argument("--quiet", action="store_true",
                        help="no per-request HTTP log on stderr")
-    serve.set_defaults(func=_cmd_serve)
+    serve.set_defaults(func=_Tool("cmd_serve"))
 
     submit = sub.add_parser(
         "submit", help="submit a repair run to a repro serve front door")
@@ -893,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--timeout", type=float, default=300.0,
                         help="seconds to wait for completion")
     _add_config_options(submit)
-    submit.set_defaults(func=_cmd_submit)
+    submit.set_defaults(func=_Tool("cmd_submit"))
 
     status = sub.add_parser(
         "status", help="inspect a repro serve service's sessions")
@@ -905,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the session's event stream as JSONL")
     status.add_argument("--json", action="store_true",
                         help="print the raw wire as JSON")
-    status.set_defaults(func=_cmd_status)
+    status.set_defaults(func=_Tool("cmd_status"))
 
     scenarios = sub.add_parser("scenarios", help="scenario catalogue")
     scenarios_sub = scenarios.add_subparsers(dest="scenarios_command",
@@ -913,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     listing = scenarios_sub.add_parser("list",
                                        help="list registered scenarios")
     listing.add_argument("--json", action="store_true")
-    listing.set_defaults(func=_cmd_scenarios_list)
+    listing.set_defaults(func=_Tool("cmd_scenarios_list"))
 
     return parser
 
@@ -921,9 +471,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
     except KeyboardInterrupt:
         return 130
+    except BrokenPipeError:
+        # The reader went away (``repro repair q1 --json | head``).  Point
+        # stdout at devnull so the flush at interpreter exit cannot raise
+        # again (Python docs, "Note on SIGPIPE").
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Fault-tolerance primitives for the distributed backtest fabric.
 
-Three declarative objects live here, each a :mod:`repro.wire` type like
+Three declarative objects serve here, each a :mod:`repro.wire` type like
 :class:`~repro.scenarios.spec.ScenarioSpec`:
 
 :class:`FaultToleranceConfig`
@@ -10,7 +10,9 @@ Three declarative objects live here, each a :mod:`repro.wire` type like
     transport drains the remaining queue serially in-process.  Every
     transport carries one (``RepairConfig.fault_tolerance`` overrides it),
     so retry/quarantine semantics are identical across in-process, spawn
-    and socket execution.
+    and socket execution.  It is a ``RepairConfig`` knob, so it is defined
+    in :mod:`repro.api.config` (a serial repair loads none of this
+    package) and re-exported here.
 
 :class:`FaultPlan` / :class:`FaultAction`
     A deterministic fault-injection script: *kill worker 0 before its 2nd
@@ -34,6 +36,7 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..api.config import DEADLINE_FLOOR_SECONDS, FaultToleranceConfig
 from ..wire import Wire
 
 __all__ = [
@@ -41,10 +44,6 @@ __all__ = [
     "FaultStats", "FaultToleranceConfig", "InjectedFault", "QuarantinedItem",
     "retry_or_quarantine",
 ]
-
-#: Soft-deadline floor: even tiny scenarios (millisecond baselines) get a
-#: generous per-item allowance so slow CI machines never trip it.
-DEADLINE_FLOOR_SECONDS = 30.0
 
 #: Every fault kind a plan may script.  ``kill``/``hang``/``raise`` fire
 #: before a worker evaluates its Nth item; ``poison`` fires on *every*
@@ -122,63 +121,6 @@ class FaultPlan(Wire):
                         seconds=round(rng.uniform(0.01, 0.1), 3))
             for _ in range(count))
         return cls(seed=seed, actions=actions)
-
-
-@dataclass
-class FaultToleranceConfig(Wire):
-    """Retry / restart / degradation policy of the fabric.
-
-    Also serves as the runtime policy object on every transport
-    (``transport.fault_policy``); the defaults keep fault-free runs
-    bit-identical to a fabric without fault tolerance — retries simply
-    never trigger.
-    """
-
-    wire_name = "fault_tolerance"
-
-    #: An item that fails on a worker is retried until it has been
-    #: attempted this many times, then quarantined (a deterministic
-    #: rejected result with a ``quarantined(<reason>)`` note).
-    max_attempts: int = 3
-    #: How many crashed workers a single job may respawn (capped
-    #: exponential backoff between restarts).
-    restart_budget: int = 2
-    #: Per-item soft deadline = ``job_deadline_factor`` × the timed
-    #: baseline replay (the PR 7 estimate; every candidate replays the
-    #: same trace), floored at ``DEADLINE_FLOOR_SECONDS``.  ``None``
-    #: disables deadline enforcement.
-    job_deadline_factor: Optional[float] = 50.0
-    #: Absolute per-item deadline override in seconds (``None`` = derive
-    #: from the factor).  Chaos tests use this for sub-second hang bounds.
-    job_deadline: Optional[float] = None
-    #: When the live worker fleet drops below this floor and the restart
-    #: budget is spent, the transport drains the remaining queue serially
-    #: in-process instead of raising.
-    min_workers: int = 1
-    #: Restart backoff: ``min(backoff_cap, backoff_base * 2**n)`` seconds
-    #: before the ``n``-th respawn of a job.
-    backoff_base: float = 0.1
-    backoff_cap: float = 2.0
-
-    @classmethod
-    def coerce(cls, value) -> "FaultToleranceConfig":
-        """As :meth:`Wire.coerce`, but ``None`` is the default policy."""
-        return super().coerce(value) or cls()
-
-    def resolve_deadline(self, per_item_estimate: Optional[float]
-                         ) -> Optional[float]:
-        """The per-item soft deadline in seconds, or ``None``."""
-        if self.job_deadline is not None:
-            return self.job_deadline
-        if self.job_deadline_factor is None or not per_item_estimate:
-            return None
-        return max(DEADLINE_FLOOR_SECONDS,
-                   self.job_deadline_factor * per_item_estimate)
-
-    def backoff(self, restart_number: int) -> float:
-        """Seconds to wait before the ``restart_number``-th respawn."""
-        return min(self.backoff_cap,
-                   self.backoff_base * (2.0 ** restart_number))
 
 
 @dataclass

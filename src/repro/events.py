@@ -29,10 +29,12 @@ import os
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, IO, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, IO, List, Optional, Set, Tuple
 
-from .obs.metrics import MetricsRegistry
 from .wire import Wire
+
+if TYPE_CHECKING:
+    from .obs.metrics import MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -234,14 +236,25 @@ class EventBus:
         self.history_limit = history_limit
         self.history: "deque[SessionEvent]" = deque(maxlen=history_limit)
         self.subscriber_errors: List[Tuple[Subscriber, BaseException]] = []
-        #: Where ``bus_sink_errors`` is counted; a telemetry-enabled
-        #: session points this at its own registry so sink failures show
-        #: up in ``repro stats``.
-        self.metrics: MetricsRegistry = metrics or MetricsRegistry()
+        self._metrics = metrics
         #: Optional hook applied to every event before fan-out (telemetry
         #: uses it to stamp trace/span ids).
         self.stamp: Optional[Callable[[SessionEvent], SessionEvent]] = None
         self._warned_sinks: Set[int] = set()
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """Where ``bus_sink_errors`` is counted; a telemetry-enabled session
+        points this at its own registry so sink failures show up in ``repro
+        stats``.  Built on first read, that is on the first sink failure."""
+        if self._metrics is None:
+            from .obs.metrics import MetricsRegistry
+            self._metrics = MetricsRegistry()
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, registry: MetricsRegistry) -> None:
+        self._metrics = registry
 
     def subscribe(self, subscriber: Subscriber) -> Subscriber:
         """Register a callable; returns it (usable as a decorator)."""

@@ -1,19 +1,22 @@
 """The five diagnostic case studies of Section 5.3 (Q1-Q5)."""
 
-from typing import Callable, Dict, List
+import sys
+from functools import partial
+from typing import Callable, List
 
+from .._lazy import lazy_exports
 from .base import NDlogScenario, Symptom
-from .q1_copy_paste import build_q1
-from .q2_forwarding import build_q2
-from .q3_policy_update import build_q3
-from .q4_forgotten_packets import build_q4
-from .q5_mac_learning import build_q5
-from .spec import ScenarioSpec, SpecError
+from .spec import SCENARIO_BUILDERS, ScenarioSpec, SpecError
 
-#: Registry of scenario builders by name.  Entries are what makes a scenario
-#: spawn-safe: a :class:`ScenarioSpec` naming a registered scenario can be
-#: rebuilt in any worker process (see :mod:`repro.scenarios.spec`).
-SCENARIO_BUILDERS: Dict[str, Callable[[], NDlogScenario]] = {}
+# A repair runs one case study: the others load with the first name that
+# needs them.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "q1_copy_paste": ("build_q1",),
+    "q2_forwarding": ("build_q2",),
+    "q3_policy_update": ("build_q3",),
+    "q4_forgotten_packets": ("build_q4",),
+    "q5_mac_learning": ("build_q5",),
+})
 
 
 def register_scenario(name: str,
@@ -27,10 +30,16 @@ def register_scenario(name: str,
     SCENARIO_BUILDERS[name.upper()] = builder
 
 
-for _name, _builder in (("Q1", build_q1), ("Q2", build_q2), ("Q3", build_q3),
-                        ("Q4", build_q4), ("Q5", build_q5)):
-    register_scenario(_name, _builder)
-del _name, _builder
+def _build_case_study(builder: str, **kwargs) -> NDlogScenario:
+    """Build one of Q1-Q5 through its lazy export, which imports the case
+    study's module on the first build."""
+    return getattr(sys.modules[__name__], builder)(**kwargs)
+
+
+for _name in ("Q1", "Q2", "Q3", "Q4", "Q5"):
+    register_scenario(_name, partial(_build_case_study,
+                                     f"build_{_name.lower()}"))
+del _name
 
 
 def build_scenario(name: str, **kwargs) -> NDlogScenario:

@@ -18,9 +18,15 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..wire import Wire, WireError
+
+#: Registry of scenario builders by name (``repro.scenarios`` fills it with
+#: Q1-Q5; ``register_scenario`` adds more).  Entries are what makes a
+#: scenario spawn-safe: a :class:`ScenarioSpec` naming a registered scenario
+#: can be rebuilt in any worker process.
+SCENARIO_BUILDERS: Dict[str, Callable[..., object]] = {}
 
 
 class SpecError(WireError):
@@ -61,7 +67,6 @@ class ScenarioSpec(Wire):
         forwarded only to builders that accept it, so deterministic scenarios
         need not grow an unused argument.
         """
-        from . import SCENARIO_BUILDERS
         try:
             builder = SCENARIO_BUILDERS[self.name]
         except KeyError as exc:

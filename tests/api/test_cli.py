@@ -163,3 +163,62 @@ def test_q4_report_does_not_depend_on_the_hash_seed():
         return json.dumps(wire, sort_keys=True).encode()
 
     assert report_bytes(0) == report_bytes(3)
+
+
+def _subcommand_parsers(parser, prefix=()):
+    """``(words, parser)`` of every runnable subcommand under ``parser``."""
+    import argparse
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for word, sub in action.choices.items():
+                nested = list(_subcommand_parsers(sub, prefix + (word,)))
+                yield from nested or [(prefix + (word,), sub)]
+
+
+def test_every_subcommand_dispatches_to_a_handler():
+    """The parser names the handler of every subcommand but ``repair`` by
+    its name in ``repro.cli_tools``, imported on dispatch; a typo there
+    would fail only when somebody ran that subcommand."""
+    from repro import cli, cli_tools
+    handlers = dict(_subcommand_parsers(cli.build_parser()))
+    assert {" ".join(words) for words in handlers} == {
+        "repair", "backtest", "lint", "trace", "stats", "events summarize",
+        "worker", "serve", "submit", "status", "scenarios list"}
+    for words, parser in handlers.items():
+        func = parser.get_default("func")
+        if words == ("repair",):
+            assert func is cli._cmd_repair
+            continue
+        assert isinstance(func, cli._Tool), words
+        handler = func.resolve()
+        assert callable(handler), words
+        assert getattr(cli_tools, handler.__name__) is handler, words
+
+
+def test_a_reader_that_goes_away_is_exit_1_without_a_traceback():
+    """``repro repair q1 --json | head -c 20``: the reader closes the pipe
+    before the report is written.  The report is dropped (stdout goes to
+    devnull), the exit status is 1, and nothing lands on stderr — no
+    traceback from the ``print`` and no "Exception ignored" from the flush
+    at interpreter exit."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    source_root = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [source_root, os.environ.get("PYTHONPATH", "")]))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "repair", "q1", "--max-candidates",
+         "2", "--json", "--quiet"], env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    process.stdout.close()
+    try:
+        _, stderr = process.communicate(timeout=120)
+    finally:
+        process.kill()
+    assert b"Traceback" not in stderr and b"Exception ignored" not in stderr
+    assert stderr == b""
+    assert process.returncode == 1

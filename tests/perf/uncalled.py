@@ -141,8 +141,11 @@ def importers(paths):
                 targets.update(f"{source}.{alias.name}" for alias in node.names)
             elif isinstance(node, ast.Call) and getattr(
                     node.func, "id", None) == "lazy_exports":
-                targets.update(f"{package}.{key.value}"
-                               for key in node.args[1].keys)
+                # A key with a leading dot names a module of the parent.
+                targets.update(
+                    package.rpartition(".")[0] + key.value
+                    if key.value.startswith(".") else
+                    f"{package}.{key.value}" for key in node.args[1].keys)
         for target in targets & modules - {importer}:
             found.setdefault(target, set()).add(importer)
     return {module: sorted(names) for module, names in found.items()}
