@@ -15,9 +15,9 @@ pipeline):
     lattice over join keys and comparison constants.
 
 ``constprop``
-    Constant propagation through joined static tables: proves PacketIn keys
-    inert across multi-atom joins (the engine-exact generalisation of the
-    single-variable guard probe) and proves whole tuple *insertions* inert.
+    Constant propagation through joined static tables: proves a tuple
+    inert (no rule can fire on it) across multi-atom joins, and whole tuple
+    *insertions* inert — the vetter's inert-insert veto.
 
 ``vet``
     Candidate vetting: runs the passes over a repair candidate's patched

@@ -3,14 +3,13 @@
 The pass answers two questions, both *proofs* (a positive answer is never
 wrong; "don't know" is always safe):
 
-``packet_in_inert(values)``
-    Can a PacketIn tuple with these concrete values ever make any rule
-    fire?  Generalises the single-variable guard probe: besides constant
-    arguments, repeated variables and pushable selection guards (evaluated
-    with the engine's own wildcard-aware expression semantics), the pass
-    propagates the tuple's constants through *joins with statically
-    enumerable tables* — a key whose join column matches no static tuple is
-    inert even though every guard alone is satisfiable.
+``tuple_inert_reason(table, values)``
+    Can a tuple with these concrete values ever make any rule fire?  Besides
+    constant arguments, repeated variables and pushable selection guards
+    (evaluated with the engine's own wildcard-aware expression semantics),
+    the pass propagates the tuple's constants through *joins with
+    statically enumerable tables* — a key whose join column matches no
+    static tuple is inert even though every guard alone is satisfiable.
 
 ``insert_inert(tup)``
     Is inserting ``tup`` at setup provably invisible to every replay?  True
@@ -80,7 +79,6 @@ class ConstantPropagation:
             for index, atom in enumerate(rule.body):
                 self._occurrences.setdefault(atom.table, []).append(
                     (rule, index))
-        self._inert_cache: Dict[Tuple[str, Tuple], Optional[str]] = {}
 
     # ------------------------------------------------------------------
     # Table classification
@@ -226,20 +224,13 @@ class ConstantPropagation:
         return None
 
     # ------------------------------------------------------------------
-    # PacketIn inertness (the probe)
+    # Tuple inertness
     # ------------------------------------------------------------------
 
-    def tuple_inert(self, table: str, values: Tuple) -> bool:
-        """Can a tuple of ``table`` with these values make no rule fire?"""
-        key = (table, values)
-        cached = self._inert_cache.get(key, _MISSING)
-        if cached is not _MISSING:
-            return cached is not None
-        reason = self._tuple_inert_reason(table, values)
-        self._inert_cache[key] = reason
-        return reason is not None
-
-    def _tuple_inert_reason(self, table: str, values: Tuple) -> Optional[str]:
+    def tuple_inert_reason(self, table: str, values: Tuple) -> Optional[str]:
+        """Why a tuple of ``table`` with these values can make no rule fire
+        (``"unconsumed-table"``, ``"join-impossible"``, ``"guard-refuted"``
+        or ``"shape-mismatch"``), or ``None`` when it might."""
         occurrences = self._occurrences.get(table, [])
         if not occurrences:
             return "unconsumed-table"
@@ -296,7 +287,7 @@ class ConstantPropagation:
         preserving, or ``None`` when it might have an effect."""
         if self.flow_table is not None and tup.table == self.flow_table:
             return None     # flow tuples are pushed to switches at on_start
-        reason = self._tuple_inert_reason(tup.table, tup.values)
+        reason = self.tuple_inert_reason(tup.table, tup.values)
         if reason is None:
             return None
         # A rule deriving exactly this tuple at runtime would find it already

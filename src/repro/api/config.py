@@ -33,8 +33,9 @@ class ConfigError(WireError):
 #: rows still flip through :meth:`RepairConfig.with_updates`: accepted there
 #: and dropped, so each such row reads the default configuration.  They are
 #: no ``RepairConfig`` field, so a wire or a CLI flag naming one is refused.
-#: ``warm_engine``: every candidate builds cold.
-LEDGER_ONLY_KNOBS = ("warm_engine",)
+#: ``warm_engine``: every candidate builds cold.  ``replay_batch_size``: a
+#: trace replays through the one hop loop, with no bursts.
+LEDGER_ONLY_KNOBS = ("warm_engine", "replay_batch_size")
 
 
 @dataclass
@@ -159,8 +160,6 @@ class RepairConfig(Wire):
     trace_limit: Optional[int] = None
     #: Reject repairs multiplying controller PacketIn load by more than this.
     max_packet_in_growth: Optional[float] = None
-    #: Replay the trace in bursts of this size where statically safe.
-    replay_batch_size: Optional[int] = None
     #: Statically vet candidates before replay; provably behaviour-
     #: preserving ones (inert inserts, no-op edits) skip backtesting and
     #: are reported rejected with a ``vetoed`` note.  On by default for the
@@ -253,7 +252,6 @@ class RepairConfig(Wire):
             use_significance=self.use_significance,
             trace_limit=self.trace_limit,
             max_packet_in_growth=self.max_packet_in_growth,
-            replay_batch_size=self.replay_batch_size,
             abort_policy=self.abort,
             static_vet=self.static_vet,
             multiquery=self.multiquery)

@@ -7,7 +7,9 @@ end.  An :class:`EarlyAbortPolicy` lets the replay loops kill such a
 candidate mid-trace.
 
 Two checks run every ``check_every`` packets (once at least
-``min_fraction`` of the trace has replayed):
+``min_fraction`` of the trace has replayed); the replay loop cuts the trace
+at those check points (:meth:`EarlyAbortPolicy.check_points`), one
+``run_trace`` call per piece:
 
 * **controller overload** — the candidate's cumulative ``PacketIn`` count
   already exceeds the *final* baseline count times the growth bound.  The
@@ -62,29 +64,16 @@ class EarlyAbortPolicy(Wire):
             raise ValueError("abort min_fraction must be within [0, 1], "
                              f"not {self.min_fraction!r}")
 
-    def due_span(self, start: int, done: int, total: int) -> bool:
-        """Did the replay pass a scheduled check anywhere in ``(start, done]``?
-
-        Burst-batched replays can only pause at batch boundaries; this
-        answers "was a per-packet check due since the last boundary", so the
-        abort cadence composes with ``replay_batch_size`` instead of forcing
-        per-packet replay.  Checks run against the statistics at ``done``;
-        the overload bound stays sound (the PacketIn counter is monotone)
-        and the KS heuristic simply observes a slightly longer prefix.
-
-        A completed replay (``done >= total``) schedules no check — check
-        points that fall inside the *final* burst are subsumed by the full
-        report's own verdict logic: the overload bound is re-applied to the
-        complete statistics by the backtester (identical verdict), while the
-        heuristic KS abort simply does not fire on a replay that finished —
-        the documented cadence dependence of a heuristic whose prefix
-        observations depend on ``check_every`` and batch size to begin with.
-        """
-        if done >= total:
-            return False
-        lowest = max(start + 1, math.ceil(self.min_fraction * total))
-        first = math.ceil(lowest / self.check_every) * self.check_every
-        return first <= done
+    def check_points(self, total: int) -> range:
+        """The packet counts at which a ``total``-packet replay is checked:
+        every multiple of ``check_every`` from ``min_fraction`` of the trace
+        on, short of ``total`` — a replay that finished is judged by the
+        backtester's verdict, not by the abort checks.  The replay loop cuts
+        the trace at these counts, so each check sees the statistics of
+        exactly that prefix."""
+        first = max(1, math.ceil(self.min_fraction * total))
+        first = math.ceil(first / self.check_every) * self.check_every
+        return range(first, total, self.check_every)
 
     def breach(self, stats, done: int, baseline_stats,
                ks_threshold: Optional[float],

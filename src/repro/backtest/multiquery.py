@@ -277,8 +277,7 @@ class SharedReplay:
     replay loop drives either.  Chunks must arrive in trace order: the
     replayer keeps its own position to look up each packet's base outcome.
     Packets the candidate cannot affect adopt that outcome; the rest are
-    injected into the candidate's own network.  ``batch_size`` is accepted
-    and ignored — adoption is per packet, so bursts do not apply.
+    injected into the candidate's own network.
     """
 
     def __init__(self, trunk: SharedTrunk, checker: _RuleDeltaChecker,
@@ -292,16 +291,30 @@ class SharedReplay:
         self.shared_evaluations = 0
         self.candidate_evaluations = 0
 
-    def run_trace(self, chunk, batch_size: Optional[int] = None):
+    def run_trace(self, chunk):
+        """Adopt each unaffected packet's base outcome and walk each run of
+        consecutive affected packets in one ``simulator.run_trace`` call
+        (the checker reads no network state, so a run may wait until the
+        next adopted packet)."""
         trunk = self.trunk
-        for index, (switch_id, packet) in enumerate(chunk, self.position):
-            if self.checker.affects_anywhere(packet, trunk.switch_ids):
-                self.candidate_evaluations += 1
-                self.simulator.inject(packet, switch_id)
-            else:
-                self.shared_evaluations += 1
-                self._adopt(trunk.base_destinations[index],
-                            trunk.base_deltas[index])
+        affects_anywhere = self.checker.affects_anywhere
+        switch_ids = trunk.switch_ids
+        walk = self.simulator.run_trace
+        affected = []
+        for index, item in enumerate(chunk, self.position):
+            if affects_anywhere(item[1], switch_ids):
+                affected.append(item)
+                continue
+            if affected:
+                self.candidate_evaluations += len(affected)
+                walk(affected)
+                affected = []
+            self.shared_evaluations += 1
+            self._adopt(trunk.base_destinations[index],
+                        trunk.base_deltas[index])
+        if affected:
+            self.candidate_evaluations += len(affected)
+            walk(affected)
         self.position += len(chunk)
         return self.stats
 

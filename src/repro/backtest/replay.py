@@ -19,7 +19,10 @@ a controller built for it alone: its engine runs the scenario's static
 tuples to a fixpoint under the repaired program, then takes the trace.
 
 There is one backtester with one replay loop and one verdict function.
-Multi-query sharing (:mod:`repro.backtest.multiquery`) is a strategy it
+The loop hands the trace to the data plane's one walk
+(:meth:`~repro.sdn.network.NetworkSimulator.run_trace`) whole, or — under
+an early-abort policy — cut at the policy's check points, one call per
+piece.  Multi-query sharing (:mod:`repro.backtest.multiquery`) is a strategy it
 consults, and the worker fabric (:mod:`repro.distrib`) is the only way a
 candidate evaluation leaves the calling process.
 """
@@ -157,7 +160,6 @@ class Backtester:
                  alpha: float = 0.05, use_significance: bool = False,
                  trace_limit: Optional[int] = None,
                  max_packet_in_growth: Optional[float] = None,
-                 replay_batch_size: Optional[int] = None,
                  abort_policy: Optional[EarlyAbortPolicy] = None,
                  static_vet: bool = True,
                  multiquery: bool = False):
@@ -171,10 +173,6 @@ class Backtester:
         #: rejects some Q4 candidates for "significant increases of controller
         #: traffic").
         self.max_packet_in_growth = max_packet_in_growth
-        #: Replay the trace in bursts of this size (one engine fixpoint per
-        #: burst of PacketIns) when the controller program admits it; see
-        #: :mod:`repro.controllers.batching`.
-        self.replay_batch_size = replay_batch_size
         #: Optional mid-trace kill switch for hopeless candidates; see
         #: :class:`repro.backtest.abort.EarlyAbortPolicy`.  ``None`` (the
         #: default) replays every candidate to completion, keeping all
@@ -235,8 +233,7 @@ class Backtester:
             simulator = self._simulator(
                 self.scenario.build_topology(),
                 self.scenario.build_controller(program=None))
-            simulator.run_trace(self._trace(),
-                                batch_size=self.replay_batch_size)
+            simulator.run_trace(self._trace())
             self._baseline = simulator.stats
             self._baseline_seconds = _time.perf_counter() - started
         return self._baseline
@@ -320,7 +317,7 @@ class Backtester:
     def _replay(self, replayer, engine) -> Optional[str]:
         """Replay the trace through ``replayer``; the abort note, or ``None``.
 
-        With telemetry on, every replay — plain, batched, aborted or
+        With telemetry on, every replay — plain, aborted or
         shared-trunk — runs under one ``replay`` span carrying the engine's
         fixpoint/derivation counter deltas and the number of packets
         actually replayed (the prefix length when aborted), which also
@@ -344,45 +341,44 @@ class Backtester:
     def _replay_chunks(self, replayer, engine) -> Tuple[int, Optional[str]]:
         """The one replay loop: ``(packets replayed, abort note or None)``.
 
-        The trace replays in chunks.  By default the chunk is the whole
-        trace — a single ``run_trace`` call.  Under an abort policy the
-        chunk is the burst size (``replay_batch_size``; the shared-trunk
-        replayer does not batch) or one packet, and the policy's checks run
-        at chunk ends: :meth:`EarlyAbortPolicy.due_span` answers whether a
-        check point fell inside the chunk just replayed, which at chunk size
-        1 is "is one due now".  With telemetry's ``slice_packets``
-        (and no abort policy, whose cadence must not depend on a telemetry
-        knob) each chunk is a slice under its own ``replay.slice`` span.
-        Chunked ``run_trace`` is the same execution as the one-shot call,
-        so statistics are bit-identical whatever the chunking.
+        The trace replays in chunks, one ``run_trace`` call each.  By
+        default the chunk is the whole trace.  Under an abort policy the
+        trace is cut at the policy's check points
+        (:meth:`EarlyAbortPolicy.check_points`), and the policy's checks run
+        at every cut: a chunk that ends before the trace does ends on a
+        check point.  With telemetry's ``slice_packets`` (and no abort
+        policy, whose cadence must not depend on a telemetry knob) each
+        chunk is a slice under its own ``replay.slice`` span.  Chunked
+        ``run_trace`` is the same execution as the one-shot call, so
+        statistics are bit-identical whatever the chunking.
         """
         trace = self._trace()
         total = len(trace)
         policy = self.abort_policy
-        batch = None if self.multiquery else self.replay_batch_size
         slice_packets = None
         if policy is not None:
-            chunk = batch if batch is not None and batch > 1 else 1
+            cuts = policy.check_points(total)
             baseline = self.baseline()
             threshold = None if self.use_significance else self.ks_threshold
         else:
             if self.telemetry is not None:
                 slice_packets = self.telemetry.slice_packets
-            chunk = slice_packets or total
+            cuts = range(slice_packets, total, slice_packets) \
+                if slice_packets else ()
         done = 0
-        while done < total:
-            piece = trace if chunk >= total else trace[done:done + chunk]
+        for cut in (*cuts, total):
+            piece = trace[done:cut] if cuts else trace
             if slice_packets:
                 with self.telemetry.span("replay.slice", offset=done,
                                          packets=len(piece)) as slice_span:
                     before = self._engine_counters(engine)
-                    replayer.run_trace(piece, batch_size=batch)
+                    replayer.run_trace(piece)
                     self._span_engine_delta(slice_span, before,
                                             self._engine_counters(engine))
             else:
-                replayer.run_trace(piece, batch_size=batch)
-            previous, done = done, done + len(piece)
-            if policy is not None and policy.due_span(previous, done, total):
+                replayer.run_trace(piece)
+            done = cut
+            if policy is not None and done < total:
                 reason = policy.breach(replayer.stats, done, baseline,
                                        threshold, self.max_packet_in_growth)
                 if reason is not None:

@@ -71,8 +71,6 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
                      help="KS acceptance threshold (default: scenario's)")
     run.add_argument("--max-packet-in-growth", type=float, metavar="X",
                      help="reject repairs growing PacketIn load beyond X×")
-    run.add_argument("--batch-size", type=int, metavar="N", dest="batch_size",
-                     help="replay the trace in bursts of N packets")
     sched = parser.add_argument_group("scheduling")
     sched.add_argument("--workers", type=int, metavar="N",
                        help="worker count for candidate evaluation")
@@ -156,8 +154,6 @@ def _fold_args(args) -> RepairConfig:
         updates["ks_threshold"] = args.ks_threshold
     if args.max_packet_in_growth is not None:
         updates["max_packet_in_growth"] = args.max_packet_in_growth
-    if args.batch_size is not None:
-        updates["replay_batch_size"] = args.batch_size
     if args.workers is not None:
         updates["workers"] = args.workers
     if args.transport is not None:

@@ -1,16 +1,16 @@
 """The declarative (RapidNet/NDlog) controller, the primary target of meta
-provenance, and the replay-batching analyses over its programs.
+provenance.
 
 * :mod:`repro.controllers.ndlog_controller` — runs an NDlog program as the
-  SDN controller application.
-* :mod:`repro.controllers.batching` — which PacketIns may be replayed in
-  batches, and the inertness probe.
+  SDN controller application: one PacketIn, one engine insert, its derived
+  tuples translated straight into ``FlowMod`` and ``PacketOut`` messages,
+  and ``engine_batch_safe``, the static check behind its empty-response
+  memo.
 
 The paper's two other languages (Trema, Pyretic) serve Table 3 only; their
 front ends live beside that scenario in :mod:`repro.scenarios.other_languages`.
 """
 
-from .batching import batch_replay_safe, engine_batch_safe, probe_exact
 from .ndlog_controller import (
     FIELD_MAPPINGS,
     FIGURE2_MAPPING,
@@ -18,11 +18,10 @@ from .ndlog_controller import (
     FieldMapping,
     IN_PORT_FIELD,
     NDlogController,
-    PacketInResponse,
+    engine_batch_safe,
 )
 
 __all__ = [
     "FIELD_MAPPINGS", "FIGURE2_MAPPING", "FIVE_TUPLE_MAPPING", "FieldMapping",
-    "IN_PORT_FIELD", "NDlogController", "PacketInResponse",
-    "batch_replay_safe", "engine_batch_safe", "probe_exact",
+    "IN_PORT_FIELD", "NDlogController", "engine_batch_safe",
 ]

@@ -12,16 +12,25 @@ directions are compiled once per mapping and read positions, not names: a
 PacketIn tuple is one getter over the packet's value tuple, and a flow tuple
 becomes a ``FlowEntry`` through its layout's arity, match columns (sorted by
 field name, checked against the match fields when compiled) and out-port
-column — no dict, no sort and no validation per entry.  A replayed PacketIn
-thus costs the rule firing it triggers plus a fixed few calls of
-translation.
+column — no dict, no sort and no validation per entry.
+:meth:`NDlogController.handle_packet_in` turns what one PacketIn derived
+straight into the message list the data plane applies — a ``FlowMod`` per
+flow tuple, then the packet-outs — with no intermediate response
+object; the messages are plain values (:mod:`repro.sdn.controller`).  A
+replayed PacketIn thus costs the rule firing it triggers plus a fixed few
+calls of translation.
+
+A PacketIn that derives nothing is remembered, and its repeats never reach
+the engine (the *empty-response memo*), when the program passes
+:func:`engine_batch_safe`: then a PacketIn joins only tables no replay
+changes, so nothing it derives depends on the PacketIns before it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ndlog.ast import Program, WILDCARD
 from ..ndlog.engine import Engine
@@ -29,11 +38,9 @@ from ..ndlog.tuples import NDTuple, TableSchema
 from ..sdn.controller import Controller, FlowMod, PacketInEvent, PacketOut
 from ..sdn.packets import IN_PORT_FIELD, Packet, header_getter
 from ..sdn.switch import DROP_PORT, MATCH_FIELDS, FlowEntry
-from . import batching
 
 
 CONTROLLER_NODE = "C"
-
 
 
 @lru_cache(maxsize=None)
@@ -118,8 +125,8 @@ class FieldMapping:
             value = values[column]
             if value != WILDCARD:
                 match.append((name, value))
-        return switch_id, FlowEntry(match=tuple(match), out_port=out_port,
-                                    priority=priority, tags=tuple(tags))
+        return switch_id, FlowEntry(tuple(match), out_port, priority,
+                                    tuple(tags))
 
     def schemas(self) -> List[TableSchema]:
         packet_in = TableSchema(
@@ -152,51 +159,56 @@ FIELD_MAPPINGS = {
 }
 
 
-@dataclass(frozen=True)
-class PacketInResponse:
-    """One event's controller response in packet-agnostic template form.
+def derivable_tables(program: Program, packet_in_table: str) -> Set[str]:
+    """Tables whose contents can (transitively) depend on PacketIn tuples."""
+    tainted = {packet_in_table}
+    changed = True
+    while changed:
+        changed = False
+        for rule in program.rules:
+            if rule.head.table in tainted:
+                continue
+            if any(atom.table in tainted for atom in rule.body):
+                tainted.add(rule.head.table)
+                changed = True
+    return tainted
 
-    ``FlowMod`` messages are fully determined by the derived tuples, but
-    ``PacketOut`` messages carry the triggering packet — batched replay may
-    serve one precomputed response to several packets sharing a PacketIn
-    tuple key, so packet-outs are stored as ``(switch_id, port)`` specs and
-    materialised per packet by :meth:`messages_for`.
+
+def engine_batch_safe(program: Program, packet_in_table: str,
+                      packet_out_table: str,
+                      schemas: Dict[str, TableSchema]) -> bool:
+    """Is what a PacketIn derives independent of the PacketIns before it?
+
+    A conservative static check of the program: no rule derives PacketIns,
+    joins two PacketIn-derivable tables (two packets, or their derivations,
+    could meet — Q5's ``PacketIn`` ⋈ ``Learned``), reads the consumed
+    packet-out table or a transient derivable table, and no derivable table
+    has a primary key (key updates evict by arrival order).  When it holds,
+    a PacketIn joins only tables no replay changes, so a PacketIn that
+    derived nothing derives nothing again: the controller's empty-response
+    memo rests on it.
     """
-
-    flow_mods: Tuple[FlowMod, ...]
-    packet_out_specs: Tuple[Tuple[int, int], ...]
-    #: Whether the event derived anything at all.  An empty derivation leaves
-    #: the engine untouched, so the identical response may be replayed for
-    #: later same-key events without consulting the engine again.
-    derived_any: bool
-
-    def messages_for(self, packet: Packet) -> List[object]:
-        messages: List[object] = list(self.flow_mods)
-        for switch_id, port in self.packet_out_specs:
-            messages.append(PacketOut(switch_id, port, packet))
-        return messages
-
-
-class _BatchReplayAdapter:
-    """Hooks a batch-safe NDlog controller into batched trace replay."""
-
-    def __init__(self, controller: "NDlogController"):
-        self.controller = controller
-
-    def key(self, switch_id: int, packet: Packet,
-            in_port: Optional[int]) -> Tuple:
-        """The PacketIn tuple key that fully determines the response."""
-        return self.controller.mapping.packet_in_tuple_from(
-            switch_id, packet, in_port).values
-
-    def handle(self, events: Sequence[PacketInEvent]) -> List[PacketInResponse]:
-        return self.controller.handle_packet_in_batch(events)
-
-    def is_inert(self, key: Tuple) -> bool:
-        """Is an empty response *provably* correct for this key, with no
-        engine involvement?  Lets multi-switch walks answer downstream
-        misses without breaking out of the shared batch call."""
-        return self.controller.packet_in_provably_inert(key)
+    tainted = derivable_tables(program, packet_in_table)
+    for rule in program.rules:
+        if rule.head.table == packet_in_table:
+            return False
+        tainted_atoms = sum(1 for atom in rule.body if atom.table in tainted)
+        if tainted_atoms >= 2:
+            return False
+        for atom in rule.body:
+            if atom.table == packet_out_table:
+                return False
+            schema = schemas.get(atom.table)
+            if (atom.table != packet_in_table and atom.table in tainted
+                    and schema is not None and not schema.persistent):
+                return False
+    for table in tainted:
+        if table == packet_in_table:
+            continue
+        schema = schemas.get(table)
+        if schema is not None and schema.primary_key:
+            return False
+    return True
 
 
 class NDlogController(Controller):
@@ -218,9 +230,8 @@ class NDlogController(Controller):
         self.auto_packet_out = auto_packet_out
         self.priority = priority
         self.tags = tags
-        #: Cached batch-safety verdicts (program and mapping are fixed).
+        #: Cached :func:`engine_batch_safe` verdict (the program is fixed).
         self._engine_batch_safe: Optional[bool] = None
-        self._batch_replay_safe: Optional[bool] = None
         #: PacketIn tuple values whose derivation is provably always empty,
         #: filled only while :attr:`engine_batch_safe` holds: under that
         #: analysis a PacketIn joins only tables that never change during
@@ -228,9 +239,6 @@ class NDlogController(Controller):
         #: the controller — repeated misses (e.g. packets dropped on every
         #: repetition of a trace) skip the engine entirely.
         self._empty_responses: set = set()
-        #: Lazily-built static inertness probe (see
-        #: :class:`repro.controllers.batching.PacketInInertProbe`).
-        self._inert_probe = None
         self.engine = self._build_engine()
 
     # ------------------------------------------------------------------
@@ -271,115 +279,50 @@ class NDlogController(Controller):
         return messages
 
     def handle_packet_in(self, event: PacketInEvent) -> List[object]:
-        packet_in = self.mapping.packet_in_tuple_from(
-            event.switch_id, event.packet, event.in_port)
+        """The control messages one PacketIn derives: a ``FlowMod`` per
+        derived flow tuple, then a ``PacketOut`` per derived packet-out
+        tuple, then — with ``auto_packet_out`` and no packet-out for the
+        event's switch — one out of the first derived entry that matches
+        the packet there and does not drop it."""
+        switch_id, packet, in_port, _time = event
+        mapping = self.mapping
+        packet_in = mapping.packet_in_tuple_from(switch_id, packet, in_port)
         if packet_in.values in self._empty_responses:
             return []
         derived = self.engine.insert(packet_in)
         if not derived and self.engine_batch_safe:
             self._empty_responses.add(packet_in.values)
-        response = self._translate_derived(event, derived)
-        self._consume_packet_outs()
-        return response.messages_for(event.packet)
-
-    def handle_packet_in_batch(self, events: Sequence[PacketInEvent]
-                               ) -> List["PacketInResponse"]:
-        """Handle a burst of PacketIn events, sharing one engine fixpoint.
-
-        Equivalent to calling :meth:`handle_packet_in` for each event in
-        order.  When the program is batch-order-independent (see
-        :mod:`repro.controllers.batching`), all first-occurrence PacketIn
-        tuples are inserted with a single :meth:`Engine.insert_batch`
-        fixpoint; repeated tuples and unsafe programs fall back to per-event
-        insertion, so the responses are always bit-identical to the
-        sequential ones.
-        """
-        responses: List[Optional[PacketInResponse]] = [None] * len(events)
-        tuples = [self.mapping.packet_in_tuple(event) for event in events]
-        empty = PacketInResponse(flow_mods=(), packet_out_specs=(),
-                                 derived_any=False)
-        first_occurrence: Dict[Tuple, int] = {}
-        pending: List[int] = []
-        for index, tup in enumerate(tuples):
-            if tup.values in self._empty_responses:
-                responses[index] = empty
-            elif tup.values not in first_occurrence:
-                first_occurrence[tup.values] = index
-                pending.append(index)
-        if self.engine_batch_safe and len(pending) > 1:
-            derived_lists = self.engine.insert_batch(
-                [tuples[i] for i in pending],
-                consumed_tables=(self.mapping.packet_out_table,))
-            for index, derived in zip(pending, derived_lists):
-                if not derived:
-                    self._empty_responses.add(tuples[index].values)
-                responses[index] = self._translate_derived(events[index], derived)
-            self._consume_packet_outs()
-            pending = []
-        for index in range(len(events)):
-            if responses[index] is None:
-                derived = self.engine.insert(tuples[index])
-                if not derived and self.engine_batch_safe:
-                    self._empty_responses.add(tuples[index].values)
-                responses[index] = self._translate_derived(events[index],
-                                                           derived)
-                self._consume_packet_outs()
-        return responses
-
-    def _translate_derived(self, event: PacketInEvent,
-                           derived: Sequence[NDTuple]) -> "PacketInResponse":
-        """Turn one event's newly-derived tuples into control messages."""
-        flow_mods: List[FlowMod] = []
-        packet_out_specs: List[Tuple[int, int]] = []
-        packet_out_for_switch = False
-        matched_ports: List[int] = []
+        messages: List[object] = []
+        packet_outs: List[PacketOut] = []
+        released = False            # a packet-out names the event's switch
+        auto_port = None
+        flow_table = mapping.flow_table
+        packet_out_table = mapping.packet_out_table
         for tup in derived:
-            if tup.table == self.mapping.flow_table:
-                translated = self.mapping.flow_entry_from_tuple(
+            table = tup.table
+            if table == flow_table:
+                translated = mapping.flow_entry_from_tuple(
                     tup, self.priority, self.tags)
                 if translated is None:
                     continue
-                switch_id, entry = translated
-                flow_mods.append(FlowMod(switch_id, entry))
-                if switch_id == event.switch_id and entry.matches(event.packet,
-                                                                  event.in_port):
-                    matched_ports.append(entry.out_port)
-            elif tup.table == self.mapping.packet_out_table:
-                switch_id, port = tup.values[0], tup.values[-1]
-                if isinstance(switch_id, int) and isinstance(port, int):
-                    packet_out_specs.append((switch_id, port))
-                    if switch_id == event.switch_id:
-                        packet_out_for_switch = True
-        if self.auto_packet_out and not packet_out_for_switch:
-            for port in matched_ports:
-                if port != DROP_PORT:
-                    packet_out_specs.append((event.switch_id, port))
-                    break
-        return PacketInResponse(flow_mods=tuple(flow_mods),
-                                packet_out_specs=tuple(packet_out_specs),
-                                derived_any=bool(derived))
-
-    def packet_in_provably_inert(self, values: Tuple) -> bool:
-        """May a PacketIn with this tuple key be answered with an empty
-        response without consulting the engine?
-
-        ``True`` only when the static analysis proves no rule can fire for
-        the key (see :class:`repro.controllers.batching.PacketInInertProbe`)
-        — then a live insertion would leave the engine untouched (the
-        PacketIn tuple is transient) and return no derivations, so skipping
-        it is behaviour-preserving.  Requires a transient PacketIn schema.
-        """
-        schema = self.engine.database.schema(self.mapping.packet_in_table)
-        if schema is None or schema.persistent:
-            return False
-        if self._inert_probe is None:
-            self._inert_probe = batching.PacketInInertProbe(
-                self.program, self.mapping.packet_in_table,
-                schemas=self.engine.database.schemas(),
-                static_tuples=self.static_tuples,
-                flow_table=self.mapping.flow_table,
-                closed_world=True)
-        return self._inert_probe.inert(values)
+                to_switch, entry = translated
+                messages.append(FlowMod(to_switch, entry))
+                if (auto_port is None and to_switch == switch_id
+                        and entry.out_port != DROP_PORT
+                        and entry.matches(packet, in_port)):
+                    auto_port = entry.out_port
+            elif table == packet_out_table:
+                values = tup.values
+                to_switch, port = values[0], values[-1]
+                if isinstance(to_switch, int) and isinstance(port, int):
+                    packet_outs.append(PacketOut(to_switch, port, packet))
+                    if to_switch == switch_id:
+                        released = True
+        if self.auto_packet_out and not released and auto_port is not None:
+            packet_outs.append(PacketOut(switch_id, auto_port, packet))
+        messages += packet_outs
+        self._consume_packet_outs()
+        return messages
 
     def _consume_packet_outs(self):
         # Packet-out tuples are one-shot messages: consume them so they do
@@ -391,32 +334,16 @@ class NDlogController(Controller):
         for stale in engine.tuples(table):
             engine.consume(stale)
 
-    # ------------------------------------------------------------------
-    # Batched-replay protocol (consumed by NetworkSimulator.run_trace)
-    # ------------------------------------------------------------------
-
     @property
     def engine_batch_safe(self) -> bool:
-        """May distinct PacketIn tuples share one engine fixpoint?  (See
-        :func:`repro.controllers.batching.engine_batch_safe`.)"""
+        """Do PacketIns of this program leave one another alone?  The gate
+        of the empty-response memo (see :func:`engine_batch_safe`)."""
         if self._engine_batch_safe is None:
             schemas = self.engine.database.schemas()
-            self._engine_batch_safe = batching.engine_batch_safe(
+            self._engine_batch_safe = engine_batch_safe(
                 self.program, self.mapping.packet_in_table,
                 self.mapping.packet_out_table, schemas)
         return self._engine_batch_safe
-
-    def batch_replay_adapter(self) -> Optional["_BatchReplayAdapter"]:
-        """Adapter for batched trace replay, or ``None`` when the program's
-        responses could interact across a burst (then replay is per-packet)."""
-        if self._batch_replay_safe is None:
-            schemas = self.engine.database.schemas()
-            self._batch_replay_safe = batching.batch_replay_safe(
-                self.program, self.mapping, schemas,
-                static_tuples=self.static_tuples)
-        if not self._batch_replay_safe:
-            return None
-        return _BatchReplayAdapter(self)
 
     # ------------------------------------------------------------------
     # Introspection used by the debugger

@@ -75,7 +75,6 @@ class BacktesterConfig:
     use_significance: bool
     trace_limit: Optional[int]
     max_packet_in_growth: Optional[float]
-    replay_batch_size: Optional[int]
     multiquery: bool
 
 

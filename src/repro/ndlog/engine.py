@@ -251,88 +251,6 @@ class Engine:
         self._cleanup_transients(inserted + derived)
         return derived
 
-    def insert_batch(self, tuples: Sequence[NDTuple],
-                     consumed_tables: Iterable[str] = ()) -> List[List[NDTuple]]:
-        """Insert a batch of base tuples with ONE fixpoint, attributing results.
-
-        Returns one list per batch entry, equivalent to what a sequence of
-        :meth:`insert` calls would have returned — but the join work runs in a
-        single fixpoint, which is what makes batched ``PacketIn`` handling
-        cheaper than per-packet evaluation.
-
-        The equivalence holds only for *batch-order-independent* programs: no
-        rule may join two tuples that both descend from batch entries, no
-        batch-derivable table may carry a primary key, and batch entries must
-        be pairwise distinct.  Callers are responsible for checking this
-        (see :func:`repro.controllers.batching.analyze_batch_safety`); the
-        engine itself only reconstructs, per entry, which heads a sequential
-        insertion at that point would have reported as newly derived.
-
-        ``consumed_tables`` names tables whose tuples the caller drops (via
-        :meth:`consume`) between events — e.g. one-shot ``PacketOut`` messages.
-        Heads in those tables are re-reported for every batch entry that
-        contributes a distinct derivation, matching the sequential behaviour
-        where the previous event's message has already been consumed.
-        """
-        batch = list(tuples)
-        results: List[List[NDTuple]] = [[] for _ in batch]
-        if not batch:
-            return results
-        fresh_list: List[NDTuple] = []
-        ready: Dict[NDTuple, int] = {}
-        for position, tup in enumerate(batch):
-            if self.database.insert(tup, derived=False):
-                if tup not in ready:
-                    ready[tup] = position
-                fresh_list.append(tup)
-        fired: List[Tuple[NDTuple, Tuple[NDTuple, ...]]] = []
-        newly_derived = self._fixpoint(fresh_list, fired=fired)
-        batch_created = set(fresh_list) | set(newly_derived)
-
-        # Earliest batch position at which each tuple becomes derivable: a
-        # firing completes once all its batch-descended body members exist.
-        # Relax to fixpoint — the joint worklist order is not topological.
-        changed = True
-        while changed:
-            changed = False
-            for head, body in fired:
-                positions = [ready[member] for member in body if member in ready]
-                if not positions:
-                    continue
-                at = max(positions)
-                if at < ready.get(head, len(batch)):
-                    ready[head] = at
-                    changed = True
-
-        # Group firings by the batch entry that completes them, preserving
-        # the joint fixpoint's firing order (which preserves each entry's
-        # own sequential derivation order).
-        per_entry: List[List[NDTuple]] = [[] for _ in batch]
-        for head, body in fired:
-            positions = [ready[member] for member in body if member in ready]
-            if positions:
-                per_entry[max(positions)].append(head)
-
-        # Replay sequential visibility: a head is "newly derived" for the
-        # entry at which a sequential insert would have found it absent.
-        # Consumed/transient heads leave the store between events, so each
-        # entry with a distinct derivation re-reports them.
-        consumed = set(consumed_tables)
-        live: Set[NDTuple] = set()
-        for position in range(len(batch)):
-            listed: Set[NDTuple] = set()
-            for head in per_entry[position]:
-                if head in live or head in listed or head not in batch_created:
-                    continue
-                results[position].append(head)
-                listed.add(head)
-                schema = self.database.schema(head.table)
-                transient = schema is not None and not schema.persistent
-                if head.table not in consumed and not transient:
-                    live.add(head)
-        self._cleanup_transients(fresh_list + newly_derived)
-        return results
-
     def remove(self, tup: NDTuple) -> List[NDTuple]:
         """Retract a tuple and recompute the derived set from the base.
 
@@ -378,9 +296,7 @@ class Engine:
     # Fixpoint evaluation
     # ------------------------------------------------------------------
 
-    def _fixpoint(self, delta: Sequence[NDTuple],
-                  fired: Optional[List[Tuple[NDTuple, Tuple[NDTuple, ...]]]] = None
-                  ) -> List[NDTuple]:
+    def _fixpoint(self, delta: Sequence[NDTuple]) -> List[NDTuple]:
         worklist = deque(delta)
         newly_derived: List[NDTuple] = []
         supports = self._supports
@@ -406,8 +322,6 @@ class Engine:
                     if len(head_supports) == size:
                         # Exact duplicate firing: nothing new to derive.
                         continue
-                    if fired is not None:
-                        fired.append((head, body))
                     self._firings += 1
                     if self._firings > limit:
                         raise EvaluationError(

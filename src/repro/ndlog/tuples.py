@@ -192,9 +192,6 @@ class Database:
         else:
             self.transient_tables.discard(schema.name)
 
-    def schema(self, table) -> Optional[TableSchema]:
-        return self._schemas.get(table)
-
     def schemas(self) -> Dict[str, TableSchema]:
         return dict(self._schemas)
 

@@ -4,19 +4,23 @@ The simulated control channel mirrors the OpenFlow interactions the paper's
 prototype uses: switches send ``PacketIn`` events to the controller on a
 table miss; the controller responds with ``FlowMod`` messages (install a
 flow entry) and ``PacketOut`` messages (forward the buffered packet).
+
+The three messages are plain values, ``NamedTuple`` classes built
+positionally: a replay builds one ``PacketInEvent`` per table miss and a
+``FlowMod`` and a ``PacketOut`` per derived flow entry, so their field
+reads, hashing and equality run in C.  The data plane tells the two responses apart by
+type (:meth:`repro.sdn.network.NetworkSimulator._apply_messages`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .packets import Packet
 from .switch import FlowEntry
 
 
-@dataclass(frozen=True)
-class PacketInEvent:
+class PacketInEvent(NamedTuple):
     """A table-miss notification sent from a switch to the controller."""
 
     switch_id: int
@@ -25,8 +29,7 @@ class PacketInEvent:
     time: int = 0
 
 
-@dataclass(frozen=True)
-class FlowMod:
+class FlowMod(NamedTuple):
     """Install a flow entry on a switch."""
 
     switch_id: int
@@ -36,8 +39,7 @@ class FlowMod:
         return f"FlowMod(S{self.switch_id}, {self.entry})"
 
 
-@dataclass(frozen=True)
-class PacketOut:
+class PacketOut(NamedTuple):
     """Tell a switch to emit the buffered packet on a given port."""
 
     switch_id: int

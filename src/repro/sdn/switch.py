@@ -12,14 +12,23 @@ owns a getter (:func:`~repro.sdn.packets.header_getter`, compiled the first
 time the signature is installed) that turns that tuple into the signature's
 bucket key — one C-level call and one dict probe per signature, however many
 fields it names.  A getter is a pure function of its signature and packets
-are frozen, so there is nothing to invalidate.
+are frozen, so there is nothing to invalidate.  Among the matches, a lookup
+keeps the best by comparing priority, then install sequence — no rank tuple
+is built per candidate entry.
+
+A :class:`FlowEntry` is a plain value (a ``NamedTuple``): a controller
+builds one per derived flow tuple, positionally, and a table keys its
+entries by value, so an exact duplicate replaces the entry it equals.  The
+hop loop (:meth:`repro.sdn.network.NetworkSimulator.run_trace`) calls
+:meth:`FlowTable.lookup` once per hop and reads the neighbour behind the
+chosen port from :attr:`Switch.links`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .packets import (ABSENT_POSITION, HEADER_FIELDS, HEADER_POSITIONS,
                       IN_PORT_FIELD, Packet, header_getter)
@@ -33,25 +42,23 @@ FLOOD_PORT = -3
 #: Header fields a flow entry may match on.
 MATCH_FIELDS = HEADER_FIELDS + (IN_PORT_FIELD,)
 
-_entry_ids = itertools.count(1)
 
-
-@dataclass(frozen=True)
-class FlowEntry:
-    """A single flow-table entry.
+class FlowEntry(NamedTuple):
+    """A single flow-table entry, a plain value built positionally.
 
     ``match`` maps field names (from :data:`MATCH_FIELDS`, plus ``in_port``)
     to required values; fields not present are wildcarded.  ``out_port`` is a
     physical port number, or one of the special pseudo ports.  ``tags`` is
     used by multi-query backtesting (Section 4.4) to restrict an entry to a
     subset of repair candidates; an empty tag set means "all candidates".
+    Two entries with equal fields are equal: a flow table keys its entries
+    by value (:class:`FlowTable`).
     """
 
     match: Tuple[Tuple[str, object], ...]
     out_port: int
     priority: int = 1
     tags: Tuple[str, ...] = ()
-    entry_id: int = field(default_factory=_entry_ids.__next__)
 
     @classmethod
     def create(cls, match: Dict[str, object], out_port: int, priority: int = 1,
@@ -59,8 +66,8 @@ class FlowEntry:
         for field_name in match:
             if field_name not in MATCH_FIELDS:
                 raise ValueError(f"unknown match field {field_name!r}")
-        return cls(match=tuple(sorted(match.items())), out_port=out_port,
-                   priority=priority, tags=tuple(tags))
+        return cls(tuple(sorted(match.items())), out_port, priority,
+                   tuple(tags))
 
     def matches(self, packet: Packet, in_port: Optional[int] = None) -> bool:
         values = packet.header_values + (in_port, None)
@@ -83,8 +90,8 @@ class FlowEntry:
 class FlowTable:
     """A priority-ordered collection of flow entries, indexed as it is built.
 
-    An entry's *identity* is ``(match, priority, out_port, tags)``: entries
-    live in one insertion-ordered dict from identity to ``(sequence number,
+    An entry is its own identity (a :class:`FlowEntry` is a value): entries
+    live in one insertion-ordered dict from entry to ``(sequence number,
     entry)``, so a table never holds two exact duplicates.  Lookups are
     indexed by *exact-match signature*: entries that wildcard no field are
     grouped by the tuple of fields they match on, and within each group
@@ -106,8 +113,8 @@ class FlowTable:
     """
 
     def __init__(self):
-        #: identity -> (sequence, entry), in install order
-        self._entries: Dict[Tuple, Tuple[int, FlowEntry]] = {}
+        #: entry -> (sequence, entry), in install order
+        self._entries: Dict[FlowEntry, Tuple[int, FlowEntry]] = {}
         #: signature (ordered field names) ->
         #:     (key getter, match values -> [(sequence, entry)])
         self._exact: Dict[Tuple[str, ...],
@@ -132,12 +139,11 @@ class FlowTable:
             if group is None:
                 group = self._exact[signature] = (header_getter(signature), {})
             bucket = group[1].setdefault(values, [])
-        identity = (entry.match, entry.priority, entry.out_port, entry.tags)
-        duplicate = self._entries.pop(identity, None)
+        duplicate = self._entries.pop(entry, None)
         if duplicate is not None:
             bucket.remove(duplicate)
         ranked = (next(self._sequence), entry)
-        self._entries[identity] = ranked
+        self._entries[entry] = ranked
         bucket.append(ranked)
         return entry
 
@@ -154,32 +160,32 @@ class FlowTable:
         """Return the best matching entry, or ``None`` on a table miss.
 
         When ``tag`` is given (multi-query backtesting), only entries whose
-        tag set is empty or contains the tag are considered.  The winner is
-        the highest-priority match; among equal priorities the entry
-        installed first wins, exactly as the pre-index linear scan did.
+        tag set is empty or contains the tag are considered; without one,
+        only untagged entries are.  The winner is the highest-priority
+        match; among equal priorities the entry installed first wins,
+        exactly as the pre-index linear scan did.
         """
         values = packet.header_values + (in_port, None)
         best: Optional[FlowEntry] = None
-        best_rank = None
+        best_priority = best_sequence = 0
         for key_of, buckets in self._exact.values():
             for sequence, entry in buckets.get(key_of(values), ()):
-                if tag is not None and entry.tags and tag not in entry.tags:
+                if entry.tags and (tag is None or tag not in entry.tags):
                     continue
-                if tag is None and entry.tags:
-                    continue
-                rank = (entry.priority, -sequence)
-                if best_rank is None or rank > best_rank:
-                    best, best_rank = entry, rank
+                priority = entry.priority
+                if best is None or priority > best_priority or (
+                        priority == best_priority and sequence < best_sequence):
+                    best, best_priority, best_sequence = \
+                        entry, priority, sequence
         for sequence, entry in self._residual:
-            if tag is not None and entry.tags and tag not in entry.tags:
-                continue
-            if tag is None and entry.tags:
+            if entry.tags and (tag is None or tag not in entry.tags):
                 continue
             if not entry.matches(packet, in_port):
                 continue
-            rank = (entry.priority, -sequence)
-            if best_rank is None or rank > best_rank:
-                best, best_rank = entry, rank
+            priority = entry.priority
+            if best is None or priority > best_priority or (
+                    priority == best_priority and sequence < best_sequence):
+                best, best_priority, best_sequence = entry, priority, sequence
         return best
 
     def __len__(self):
@@ -227,10 +233,6 @@ class Switch:
             if neighbor == (kind, identifier):
                 return port
         return None
-
-    def lookup(self, packet: Packet, in_port: Optional[int] = None,
-               tag: Optional[str] = None) -> Optional[FlowEntry]:
-        return self.flow_table.lookup(packet, in_port, tag)
 
     def __str__(self):
         return f"{self.name}(ports={sorted(self.ports)}, entries={len(self.flow_table)})"

@@ -11,6 +11,7 @@ open-world callers.
 import pytest
 
 from repro.analysis import ConstantPropagation
+from repro.ndlog import Engine, make_tuple
 from repro.ndlog.parser import parse_program
 from repro.ndlog.tuples import NDTuple, TableSchema
 
@@ -93,7 +94,7 @@ def test_open_world_disables_static_join_proofs():
 def test_scenario_join_proofs_survive_open_world():
     # Q5's Learned proof rests on the event-table wildcard axiom (PacketIn
     # tuples are built from concrete packet data), not on enumeration — it
-    # must hold for open-world callers such as the bare probe.
+    # must hold for open-world callers too.
     scenario, _ = scenario_and_candidates("Q5")
     open_ = propagation_for(scenario, closed_world=False)
     assert open_.insert_inert(
@@ -144,7 +145,7 @@ def test_guard_refutation_respects_engine_deferral():
         "Prt > 1, Prt := 2.")
     propagation = ConstantPropagation(program, event_tables={"PacketIn"})
     # Prt is assigned, so Prt > 1 must not refute statically.
-    assert propagation.tuple_inert("PacketIn", ("C", 1, 2, 80)) is False
+    assert propagation.tuple_inert_reason("PacketIn", ("C", 1, 2, 80)) is None
 
 
 def test_ordered_comparison_against_wildcard_refutes():
@@ -153,4 +154,82 @@ def test_ordered_comparison_against_wildcard_refutes():
     program = parse_program(
         "r1 Out(@Swi) :- Req(@Swi, Sip), Sip < 6.")
     propagation = ConstantPropagation(program)
-    assert propagation.tuple_inert("Req", (1, "*")) is True
+    assert propagation.tuple_inert_reason("Req", (1, "*")) is not None
+
+
+#: Guarded PacketIn rules for the tuple-inertness proofs: g1 and g2 can be
+#: refuted by their guards, g3 only through its Config join.
+GUARDED_PROGRAM = """
+g1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 2, Hdr == 80, Prt := 1.
+g2 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 3, Hdr < 100, Prt := 2.
+g3 Mirror(@C,Hdr) :- PacketIn(@C,Swi,Hdr), Config(@C,Hdr).
+"""
+
+
+def packet_in_propagation(text):
+    """Guards alone: no schemas, no static tuples, an open world (Config
+    may gain tuples at runtime, so its join refutes nothing)."""
+    return ConstantPropagation(parse_program(text), event_tables={"PacketIn"},
+                               closed_world=False)
+
+
+#: GUARDED_PROGRAM without g3: only guards decide.
+GUARDS_ONLY_PROGRAM = GUARDED_PROGRAM.replace(
+    "g3 Mirror(@C,Hdr) :- PacketIn(@C,Swi,Hdr), Config(@C,Hdr).\n", "")
+
+
+def test_guard_rejections_prove_tuple_inertness():
+    inert = packet_in_propagation(GUARDED_PROGRAM).tuple_inert_reason
+    # Swi=5 fails g1/g2's equality guards; g3 has no guard, so the Hdr
+    # value must be joinable: not inert.
+    assert inert("PacketIn", ("C", 5, 80)) is None
+    inert = packet_in_propagation(GUARDS_ONLY_PROGRAM).tuple_inert_reason
+    assert inert("PacketIn", ("C", 5, 80)) == "guard-refuted"  # no guard passes
+    assert inert("PacketIn", ("C", 2, 53)) == "guard-refuted"  # g1 Hdr, g2 Swi
+    assert inert("PacketIn", ("C", 2, 80)) is None              # g1 may fire
+    assert inert("PacketIn", ("C", 3, 53)) is None              # g2 may fire
+    assert inert("PacketIn", ("C", 3, 200)) == "guard-refuted"  # g2: Hdr<100
+
+
+def test_conflicting_repeated_variables_rule_out():
+    inert = packet_in_propagation(
+        "d1 Seen(@C,X) :- PacketIn(@C,X,X).").tuple_inert_reason
+    assert inert("PacketIn", ("C", 1, 2)) == "shape-mismatch"
+    assert inert("PacketIn", ("C", 2, 2)) is None
+
+
+def test_arity_mismatch_is_inert():
+    inert = packet_in_propagation(GUARDED_PROGRAM).tuple_inert_reason
+    assert inert("PacketIn", ("C", 1)) == "shape-mismatch"
+
+
+@pytest.mark.parametrize("text, closed_world", [
+    (GUARDED_PROGRAM, False), (GUARDS_ONLY_PROGRAM, False),
+    (GUARDED_PROGRAM, True)], ids=["open", "guards-only", "closed"])
+def test_inert_verdicts_are_sound_against_the_engine(text, closed_world):
+    """Whenever the proof says inert, a live insertion derives nothing."""
+    config = make_tuple("Config", "C", 80)
+    propagation = ConstantPropagation(
+        parse_program(text), static_tuples=[config],
+        event_tables={"PacketIn"}, closed_world=closed_world)
+    engine = Engine(propagation.program)
+    engine.insert(config)
+    verdicts = []
+    for swi in range(1, 6):
+        for hdr in (53, 80, 150):
+            tup = make_tuple("PacketIn", "C", swi, hdr)
+            derived = engine.insert(tup)
+            for head in derived:
+                engine.consume(head)
+            engine.consume(tup)
+            reason = propagation.tuple_inert_reason("PacketIn", tup.values)
+            verdicts.append(reason)
+            if reason is not None:
+                assert derived == [], (swi, hdr, reason)
+    # With g3 in an open world every key may fire; in the other two
+    # settings some keys are proven inert, through the Config join when
+    # Config(C,80) is its whole extent.
+    assert (verdicts.count(None) == len(verdicts)) == (
+        text == GUARDED_PROGRAM and not closed_world)
+    if closed_world:
+        assert "join-impossible" in verdicts

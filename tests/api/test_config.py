@@ -25,7 +25,6 @@ def full_config():
         use_significance=True,
         trace_limit=120,
         max_packet_in_growth=2.5,
-        replay_batch_size=16,
         abort=EarlyAbortPolicy(check_every=16, ks_slack=1.5,
                                min_fraction=0.5),
         workers=3,
@@ -170,7 +169,6 @@ def test_make_backtester_wires_every_knob():
     assert backtester.use_significance is True
     assert backtester.trace_limit == 120
     assert backtester.max_packet_in_growth == 2.5
-    assert backtester.replay_batch_size == 16
     assert not hasattr(backtester, "workers")    # the scheduler's knob
     assert backtester.abort_policy == config.abort
 

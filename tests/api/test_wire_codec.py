@@ -130,8 +130,7 @@ SAMPLES = {
         spec=ScenarioSpec.create("Q1", params={"repetitions": 1}),
         config=BacktesterConfig(
             ks_threshold=0.05, alpha=0.05, use_significance=False,
-            trace_limit=None, max_packet_in_growth=2.0,
-            replay_batch_size=None, multiquery=False),
+            trace_limit=None, max_packet_in_growth=2.0, multiquery=False),
         abort=EarlyAbortPolicy(check_every=8), deadline=30.0,
         telemetry=JobContext(SpanContext("t1", "1"), slice_packets=64),
         candidates=(_candidate(),)),

@@ -207,29 +207,3 @@ def test_an_aborted_candidate_leaves_no_trace(multiquery):
     assert aborted.stats.total < len(scenario.trace())
     assert accepted.accepted
     assert accepted.stats.total == len(scenario.trace())
-
-
-def test_batched_abort_composes_with_replay_batch_size():
-    """With both a batch size and an abort policy, the burst replayer
-    yields at batch boundaries and the policy still kills the flooder."""
-    scenario = build_scenario("Q1")
-    flooder = RepairCandidate(edits=(DeleteRule("r1"),), cost=3.0,
-                              description="delete r1 (floods controller)")
-    fix = scenario_candidates("Q1")[0]
-    policy = EarlyAbortPolicy(check_every=8, min_fraction=0.1)
-    total = len(scenario.trace())
-    batch = 16
-    report = Backtester(scenario, ks_threshold=scenario.ks_threshold,
-                        max_packet_in_growth=1.5, abort_policy=policy,
-                        replay_batch_size=batch).evaluate_all([flooder, fix])
-    aborted, accepted = report.results
-    assert not aborted.accepted and not aborted.effective
-    assert any(note.startswith("aborted after") for note in aborted.notes)
-    assert aborted.stats.total < total
-    # The replay only pauses at burst boundaries.
-    assert aborted.stats.total % batch == 0
-    assert accepted.accepted
-    # The surviving candidate's full replay matches the unbatched verdict.
-    reference = Backtester(scenario, ks_threshold=scenario.ks_threshold) \
-        .evaluate_all([fix])
-    assert accepted.accepted == reference.results[0].accepted

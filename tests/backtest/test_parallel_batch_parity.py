@@ -1,13 +1,12 @@
-"""Parity suite: parallel and batched backtesting are optimisations.
+"""Parity suite: parallel backtesting is an optimisation.
 
 Fleet-dispatched candidate evaluation (``workers > 1``: the gated spawn
-scheduler of ``RepairConfig.make_scheduler``), batched trace replay
-(``replay_batch_size``) and the batched PacketIn fixpoint behind it must all
-produce **bit-identical** reports to the serial per-packet path: the same
-``TrafficStats`` (delivery records included), KS statistics, verdicts and
-sharing counters, in the same order.  Q1–Q4 exercise the deep batched path;
-Q5 (wildcard flow heads, keyed ``Learned`` table) exercises the analysed
-fallback to per-packet replay.
+scheduler of ``RepairConfig.make_scheduler``) must produce **bit-identical**
+reports to the serial path: the same ``TrafficStats`` (every destination
+included), KS statistics, verdicts and sharing counters, in the same order,
+with and without multi-query sharing.  The data plane's own parity — one
+``run_trace`` against chunks, single packets and the previous walk — is
+``tests/sdn/test_walk_differential.py``.
 """
 
 import pytest
@@ -26,7 +25,6 @@ from repro.repair import (
     RepairCandidate,
 )
 from repro.scenarios import build_scenario
-from repro.sdn.network import NetworkSimulator
 
 SCENARIOS = ["Q1", "Q2", "Q3", "Q4", "Q5"]
 
@@ -103,31 +101,6 @@ def scenarios():
     return {name: build_scenario(name) for name in SCENARIOS}
 
 
-@pytest.mark.parametrize("name", SCENARIOS)
-@pytest.mark.parametrize("batch_size", [2, 7, 32])
-def test_batched_replay_matches_per_packet(scenarios, name, batch_size):
-    scenario = scenarios[name]
-    trace = scenario.trace()
-    reference = NetworkSimulator(
-        scenario.build_topology(), scenario.build_controller(),
-        require_packet_out=scenario.require_packet_out, record_ingress=False)
-    reference.run_trace(trace)
-    batched = NetworkSimulator(
-        scenario.build_topology(), scenario.build_controller(),
-        require_packet_out=scenario.require_packet_out, record_ingress=False)
-    batched.run_trace(trace, batch_size=batch_size)
-    assert stats_snapshot(batched.stats) == stats_snapshot(reference.stats)
-
-
-def test_batch_eligibility_is_as_analysed(scenarios):
-    """Q1-Q4 replay through the batched pipeline; Q5's wildcard-installing,
-    keyed-join program must be rejected by the static analysis."""
-    eligible = {name: scenarios[name].build_controller().batch_replay_adapter()
-                is not None for name in SCENARIOS}
-    assert eligible == {"Q1": True, "Q2": True, "Q3": True, "Q4": True,
-                       "Q5": False}
-
-
 @pytest.fixture()
 def open_min_work_gate(monkeypatch):
     """These smoke-sized replays are exactly what the min-work gate keeps
@@ -161,18 +134,6 @@ def test_workers_match_serial(scenarios, name, multiquery,
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_batched_backtest_matches_per_packet(scenarios, name):
-    scenario = scenarios[name]
-    candidates = scenario_candidates(name)
-    per_packet = Backtester(
-        scenario, ks_threshold=scenario.ks_threshold).evaluate_all(candidates)
-    batched = Backtester(
-        scenario, ks_threshold=scenario.ks_threshold,
-        replay_batch_size=16).evaluate_all(candidates)
-    assert report_snapshot(batched) == report_snapshot(per_packet)
-
-
-@pytest.mark.parametrize("name", SCENARIOS)
 def test_multiquery_verdicts_match_sequential(scenarios, name):
     """The restructured (hermetic, shardable) multiquery path preserves the
     Figure 9b invariant on every scenario, not just Q1."""
@@ -187,15 +148,3 @@ def test_multiquery_verdicts_match_sequential(scenarios, name):
            [r.accepted for r in joint.results]
     assert [r.effective for r in sequential.results] == \
            [r.effective for r in joint.results]
-
-
-def test_workers_and_batching_compose(scenarios, open_min_work_gate):
-    """workers>1 plus replay_batch_size together still match plain serial."""
-    scenario = scenarios["Q1"]
-    candidates = scenario_candidates("Q1")
-    plain = Backtester(
-        scenario, ks_threshold=scenario.ks_threshold).evaluate_all(candidates)
-    combined = on_two_workers(Backtester(
-        scenario, ks_threshold=scenario.ks_threshold,
-        replay_batch_size=8), candidates)
-    assert report_snapshot(combined) == report_snapshot(plain)

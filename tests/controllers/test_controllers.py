@@ -6,10 +6,12 @@ from repro.controllers import (
     FIGURE2_MAPPING,
     FIVE_TUPLE_MAPPING,
     NDlogController,
+    engine_batch_safe,
 )
 from repro.ndlog import make_tuple, parse_program
 from repro.sdn import FlowMod, PacketOut
 from repro.sdn.controller import PacketInEvent
+from repro.scenarios import build_scenario
 from repro.sdn.packets import Packet, http_request
 
 from recording_oracle import RecordingNDlogController, history_from_engine
@@ -76,3 +78,19 @@ class TestNDlogController:
         controller.handle_packet_in(PacketInEvent(2, http_request(1, 2)))
         tables = history_from_engine(controller.engine).tables()
         assert "PacketIn" in tables
+
+
+def test_the_empty_response_memo_is_gated_as_analysed():
+    """``engine_batch_safe`` — the gate of the empty-response memo — holds
+    for the PacketIn-only programs of Q1–Q4 and not for Q5, whose PacketIn
+    joins the keyed ``Learned`` table that earlier PacketIns fill."""
+    verdicts = {}
+    for name in ("Q1", "Q2", "Q3", "Q4", "Q5"):
+        scenario = build_scenario(name)
+        schemas = {schema.name: schema for schema in scenario.schemas()}
+        verdicts[name] = engine_batch_safe(
+            scenario.program, scenario.mapping.packet_in_table,
+            scenario.mapping.packet_out_table, schemas)
+        assert scenario.build_controller().engine_batch_safe == verdicts[name]
+    assert verdicts == {"Q1": True, "Q2": True, "Q3": True, "Q4": True,
+                        "Q5": False}

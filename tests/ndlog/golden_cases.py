@@ -61,9 +61,9 @@ GUARDED_DISPATCH_ORDER_AT_PARENT = {
 }
 
 #: Each case: program text, schemas, and a list of operations.  Operations
-#: are ("insert", tup) / ("insert_many", [tup...]) / ("batch", [tup...],
-#: [consumed...]) / ("remove", tup) / ("consume", tup).  A case with an
-#: "expected" entry is held against that instead of the fixture file.
+#: are ("insert", tup) / ("insert_many", [tup...]) / ("remove", tup) /
+#: ("consume", tup).  A case with an "expected" entry is held against that
+#: instead of the fixture file.
 CASES: Dict[str, dict] = {
     "chain": {
         "program": """
@@ -193,20 +193,6 @@ CASES: Dict[str, dict] = {
             ("insert", _t("PacketIn", 1, 98)),
         ],
     },
-    "batch": {
-        "program": """
-            fwd Out(@X, P) :- Pkt(@X, P), Tbl(@X).
-        """,
-        "schemas": [
-            TableSchema(name="Pkt", fields=("sw", "pkt"), persistent=False),
-            TableSchema(name="Out", fields=("sw", "pkt"), persistent=False),
-        ],
-        "ops": [
-            ("insert", _t("Tbl", 1)),
-            ("batch", [_t("Pkt", 1, 7), _t("Pkt", 1, 8), _t("Pkt", 2, 9)],
-             ["Out"]),
-        ],
-    },
     "sendrecv": {
         # Head location differs from the trigger's: exercises SEND/RECEIVE.
         "program": """
@@ -280,13 +266,6 @@ def run_case(case: dict) -> dict:
             result = engine.insert_many([_tuple(s) for s in op[1]])
             steps.append({"op": "insert_many",
                           "result": [_render(t) for t in result]})
-        elif kind == "batch":
-            consumed = op[2] if len(op) > 2 else []
-            result = engine.insert_batch([_tuple(s) for s in op[1]],
-                                         consumed_tables=consumed)
-            steps.append({"op": "batch",
-                          "result": [[_render(t) for t in entry]
-                                     for entry in result]})
         elif kind == "remove":
             result = engine.remove(_tuple(op[1]))
             steps.append({"op": "remove", "result": [_render(t) for t in result]})

@@ -109,6 +109,7 @@ class NaiveEngine:
                  max_derivations: int = 1_000_000):
         self.program = program
         self.database = Database(schemas)
+        self.schemas: Dict[str, TableSchema] = dict(schemas or {})
         self.functions = functions or FunctionRegistry()
         self.max_derivations = max_derivations
         self.clock = 0
@@ -130,6 +131,7 @@ class NaiveEngine:
 
     def register_schema(self, schema: TableSchema):
         self.database.register_schema(schema)
+        self.schemas[schema.name] = schema
 
     # ------------------------------------------------------------------
     # Event logging
@@ -152,7 +154,7 @@ class NaiveEngine:
     # ------------------------------------------------------------------
 
     def insert(self, tup: NDTuple) -> List[NDTuple]:
-        schema = self.database.schema(tup.table)
+        schema = self.schemas.get(tup.table)
         node = location(tup, schema)
         fresh = self.database.insert(tup, derived=False)
         self._log(INSERT, tup, node=node)
@@ -165,7 +167,7 @@ class NaiveEngine:
     def insert_many(self, tuples: Iterable[NDTuple]) -> List[NDTuple]:
         inserted = []
         for tup in tuples:
-            schema = self.database.schema(tup.table)
+            schema = self.schemas.get(tup.table)
             node = location(tup, schema)
             if self.database.insert(tup, derived=False):
                 inserted.append(tup)
@@ -179,7 +181,7 @@ class NaiveEngine:
         """Remove a base tuple and recompute the derived set from scratch."""
         if not self.database.contains(tup):
             return []
-        schema = self.database.schema(tup.table)
+        schema = self.schemas.get(tup.table)
         node = location(tup, schema)
         self.database.clear_base_flag(tup)
         self.database.clear_derived_flag(tup)
@@ -255,7 +257,7 @@ class NaiveEngine:
         # update evicted it again.
         disappeared = [t for t in before if not self.database.contains(t)]
         for tup in disappeared:
-            schema = self.database.schema(tup.table)
+            schema = self.schemas.get(tup.table)
             node = location(tup, schema)
             self._log(UNDERIVE, tup, node=node)
             self._log(DISAPPEAR, tup, node=node)
@@ -281,7 +283,7 @@ class NaiveEngine:
         self.derivations.append(record)
         self._derivations_by_head[head].append(record)
         head_node = record.node
-        trigger_node = location(body[0], self.database.schema(body[0].table)) if body else None
+        trigger_node = location(body[0], self.schemas.get(body[0].table)) if body else None
         if body and head_node is not None and trigger_node is not None and head_node != trigger_node:
             self._log(SEND, head, node=trigger_node, rule=rule.name,
                       source=trigger_node, destination=head_node)
@@ -293,7 +295,7 @@ class NaiveEngine:
         return record
 
     def _head_node(self, rule: Rule, head: NDTuple):
-        schema = self.database.schema(head.table)
+        schema = self.schemas.get(head.table)
         return location(head, schema)
 
     # ------------------------------------------------------------------
@@ -392,6 +394,6 @@ class NaiveEngine:
 
     def _cleanup_transients(self, candidates: Iterable[NDTuple]):
         for tup in candidates:
-            schema = self.database.schema(tup.table)
+            schema = self.schemas.get(tup.table)
             if schema is not None and not schema.persistent:
                 self.database.remove(tup)

@@ -15,19 +15,25 @@ count repeats exactly from run to run on one CPython minor version.
 Each stage's calls are also split into *cells* by the package of the code
 entered: ``ndlog``, ``sdn``, ``controllers``, ``meta``, ``repair``,
 ``analysis``, ``backtest`` and ``api`` under ``repro/``; ``<generated>``,
-the code ``@dataclass`` and the rule plans compile at run time; and
-``other``, everything else (the standard library and the rest of
-``repro/``).  A stage's cells sum to its count.
+the code ``@dataclass`` and the rule plans compile at run time; ``other``,
+everything else (the standard library and the rest of ``repro/``); and
+``import``, every call made while a module is imported for the first time
+(``importlib._bootstrap._find_and_load`` on the stack: the import system's
+own frames and the module's top-level code), whatever package it enters.
+A stage's cells sum to its count.
 
     PYTHONPATH=src python tests/perf/stage_counts.py
     PYTHONPATH=src python tests/perf/stage_counts.py --check
     PYTHONPATH=src python tests/perf/stage_counts.py --append COMMIT
 
-``--check`` fails when a count, or a cell, exceeds the last entry of
+``--check`` fails when a count exceeds the last entry of
 ``BENCH_counts.json`` (repository root) by more than 10 %, the work-count
-ceiling of ``tests/perf/test_work_counts.py``; ``--append`` adds an entry
-(commit, CPython version, rows) to that file.  A PR that changes the counts
-on purpose appends its own entry.
+ceiling of ``tests/perf/test_work_counts.py``: each stage's count and the
+session's without their ``import`` cell, every other cell, and the
+session's ``import`` total.  So a first import that moves from one stage to
+another fails nothing, and new import work still does.  ``--append`` adds
+an entry (commit, CPython version, rows) to that file.  A change that moves
+the counts on purpose appends its own entry.
 """
 
 import argparse
@@ -45,7 +51,7 @@ ROWS = ("Q1@14", "Q4", "trace_heavy", "candidate_heavy", "program_heavy")
 STAGES = ("scenario", "diagnose", "generate", "backtest", "rank")
 PACKAGES = ("ndlog", "sdn", "controllers", "meta", "repair", "analysis",
             "backtest", "api")
-CELLS = PACKAGES + ("<generated>", "other")
+CELLS = PACKAGES + ("<generated>", "other", "import")
 #: File names of the code compiled at run time: what ``@dataclass`` writes
 #: (``__init__`` and friends) and the rule plans.
 GENERATED = ("<string>", "<rule plan>")
@@ -77,18 +83,30 @@ def _cell_of(filename, package_root):
 
 def _python_calls(call):
     """``{cell: calls}`` of ``call()``."""
+    import importlib._bootstrap
     import repro
     package_root = os.path.dirname(repro.__file__) + os.sep
+    find_and_load = importlib._bootstrap._find_and_load.__code__
     cells = dict.fromkeys(CELLS, 0)
     cell_of = {}
+    importing = 0       # _find_and_load frames on the stack
 
     def profiler(frame, event, arg):
+        nonlocal importing
+        code = frame.f_code
         if event == "call":
-            filename = frame.f_code.co_filename
+            if code is find_and_load:
+                importing += 1
+            if importing:
+                cells["import"] += 1
+                return
+            filename = code.co_filename
             cell = cell_of.get(filename)
             if cell is None:
                 cell = cell_of[filename] = _cell_of(filename, package_root)
             cells[cell] += 1
+        elif event == "return" and code is find_and_load:
+            importing -= 1
 
     sys.setprofile(profiler)
     try:
@@ -148,12 +166,21 @@ def table(rows):
 
 
 def _flat(counts):
-    """``{name: count}`` of one row: its columns, then ``stage/cell``."""
-    flat = {column: count for column, count in counts.items()
-            if column != "cells"}
-    for stage, cells in counts.get("cells", {}).items():
+    """``{name: count}`` of one row, as ``--check`` compares it: the stage
+    and session counts without their ``import`` cell, ``compiled``, every
+    ``stage/cell`` but ``import``, and the session's ``import`` total (an
+    entry from before the ``import`` cell has none to take away)."""
+    cells = counts.get("cells", {})
+    imports = {stage: split.get("import", 0) for stage, split in cells.items()}
+    flat = {column: count - imports.get(column, 0)
+            for column, count in counts.items()
+            if column not in ("cells", "session")}
+    flat["session"] = counts["session"] - sum(imports.values())
+    for stage, split in cells.items():
         flat.update({f"{stage}/{cell}": count
-                     for cell, count in cells.items()})
+                     for cell, count in split.items() if cell != "import"})
+    if any("import" in split for split in cells.values()):
+        flat["import"] = sum(imports.values())
     return flat
 
 

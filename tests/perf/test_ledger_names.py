@@ -32,7 +32,7 @@ SHIM = SRC / "api" / "config.py"
 
 #: The value each knob had by default while its mechanism existed; the
 #: test flips it.
-DEFAULTS = {"warm_engine": True}
+DEFAULTS = {"warm_engine": True, "replay_batch_size": None}
 
 _reports = {}
 

@@ -4,7 +4,7 @@ Two files at the repository root record what each performance change
 measured.  ``BENCH_counts.json`` is the Python calls per repair stage, one
 entry per change (``tests/perf/stage_counts.py --append``); an entry from
 PR 41's on also splits each stage into cells by package, which sum to the
-stage's count.
+stage's count, and one from PR 43's on has an ``import`` cell as well.
 ``BENCH_ledger.json`` is the benchmark's claim pairs: per change, workload
 and end-to-end metric, the parent's and the change's median and quartiles
 over alternating parent/change runs of ``benchmarks/ledger/run.py``, how
@@ -49,7 +49,8 @@ def test_the_stage_count_trajectory_parses():
             if cells is not None:
                 assert set(cells) == set(STAGES), entry["commit"]
                 for stage, split in cells.items():
-                    assert set(split) == set(CELLS), entry["commit"]
+                    assert set(split) in (set(CELLS), set(CELLS) - {"import"}), \
+                        entry["commit"]
                     assert all(isinstance(n, int) for n in split.values())
                     assert sum(split.values()) == counts[stage], \
                         (entry["commit"], stage)

@@ -34,24 +34,25 @@ and a serial 250-rule, 14-candidate session enters ``CompiledRule.fire`` a
 pinned number of times (232,548 when every PacketIn was offered to every rule)
 — a change that re-broadens the engine's rule dispatch fails that by name.
 "A hop is one tuple probe": a flow-table hit makes the same number of calls
-into ``repro/sdn`` whether the entry matches one field or six — at most 2,
-``Switch.lookup`` and ``FlowTable.lookup``.  "A replayed packet is one
-destination": a replayed packet that hits at every hop makes one call into
-``repro/sdn`` for ``inject``, one for the hop loop and one
-``FlowTable.lookup`` per hop — the port a hop enters the next switch on is
-read from the link record, not asked of ``port_to`` — and a replay leaves
-nothing behind per packet but an int in ``TrafficStats.destinations`` — no
-record object, no path, no delivery log.
+into ``repro/sdn`` whether the entry matches one field or six — at most 2
+(``FlowTable.lookup`` alone since ``Switch.lookup``, a wrapper, went).  "A replayed packet costs its
+hops": inside a ``run_trace``, a replayed packet that hits at every hop
+makes one call into ``repro/sdn`` per hop, its ``FlowTable.lookup``, and
+nothing else — the port a hop enters the next switch on is read from the
+link record, not asked of ``port_to`` — and a replay leaves nothing behind
+per packet but an int in ``TrafficStats.destinations`` — no record object,
+no path, no delivery log.
 "A PacketIn costs its firing": on Q1's base replay the typical table miss
-whose PacketIn derives a flow entry makes at most 28 Python calls, the
-PacketIn, the rule firing, the FlowMod and the PacketOut included (41 while
-``NDTuple`` was a dataclass built, hashed and compared in Python, the
-fixpoint probed the store before each insert and copied its dispatch
-entries per trigger, and a FlowMod went through ``Switch.install``; 68 while
-every insert re-checked its schema through two properties, probed for key
-conflicts in keyless tables and hashed a tuple twice, and every FlowEntry
-was built from a re-sorted dict), and one the empty-response memo answers
-at most 7 (8, and 9 before that).
+whose PacketIn derives a flow entry makes at most 24 Python calls, the
+PacketIn, the rule firing, the FlowMod and the PacketOut included (28 while
+the controller answered through a ``PacketInResponse`` and the messages were
+frozen dataclasses; 41 while ``NDTuple`` was a dataclass built, hashed and
+compared in Python, the fixpoint probed the store before each insert and
+copied its dispatch entries per trigger, and a FlowMod went through
+``Switch.install``; 68 while every insert re-checked its schema through two
+properties, probed for key conflicts in keyless tables and hashed a tuple
+twice, and every FlowEntry was built from a re-sorted dict), and one the
+empty-response memo answers at most 5 (7, 8, and 9 before that).
 "A session borrows the fleet": three ``fabric_spawn``-shaped sessions in one
 process launch exactly 2 worker processes (6 while every session started and
 reaped a fleet of its own).
@@ -64,8 +65,9 @@ which is its edit's cone.
 the same number of plan code objects on Q1's 8 rules as on 250, switching to
 a candidate that changes only a constant compiles none, and the 250-rule
 Diagnose stage stays under a call ceiling.
-"A session replays the trace once per program": a serial Q1@14 session
-injects exactly ``len(trace) x (1 + candidates replayed)`` packets — the
+"A session replays the trace once per program": the replays of a serial
+Q1@14 session walk exactly ``len(trace) x (1 + candidates replayed)``
+packets, counted from their statistics — the
 buggy program's one replay is Diagnose's, which is also the backtest
 baseline (one trace more while the backtest replayed a baseline of its own).
 "A rule costs its text": ``parse_program`` makes the same number of calls
@@ -145,29 +147,33 @@ PINNED_SESSION_COMPILES = 10
 #: its rendered text; 19,513 on a warm cache).
 DIAGNOSE_CALLS_CEILING_250_RULES = 20000
 EXPLAIN_CALLS_PER_CANDIDATE = 100
-#: Calls into ``repro/sdn`` of one ``Switch.lookup``.  Before compiled match
+#: Calls into ``repro/sdn`` of one flow-table lookup (``Switch.lookup`` and
+#: the ``FlowTable.lookup`` it wrapped until it went).  Before compiled match
 #: keys a hit cost 5 with one match field and 10 with six (``header()``, one
 #: generator frame per field ...), a miss past one residual ``*`` entry 7 and 12.
 LOOKUP_HIT_CALLS_CEILING = 2
 LOOKUP_MISS_CALLS_CEILING = 4
 #: Calls into ``repro/sdn`` of one replayed Q1 packet that hits at every hop,
-#: by hops walked: before compiled match keys (15 / 24 / 33, when every hop
-#: built a header dict), and the ceiling now.  Until the hop loop read the
-#: flow table and the port map itself and stopped building a delivery record
-#: it was 7 / 12 / 17 (``Switch.lookup``, ``is_drop``, ``neighbor`` and
-#: ``record_delivery`` were calls of their own), and until each switch kept
-#: a link record per port 3 / 5 / 7 (one ``port_to`` per further hop).
+#: inside one ``run_trace``, by hops walked: before compiled match keys (15 /
+#: 24 / 33, when every hop built a header dict), and now, one
+#: ``FlowTable.lookup`` per hop.  Until the hop loop read the flow table and
+#: the port map itself and stopped building a delivery record it was 7 / 12
+#: / 17 (``Switch.lookup``, ``is_drop``, ``neighbor`` and ``record_delivery``
+#: were calls of their own), until each switch kept a link record per port
+#: 3 / 5 / 7 (one ``port_to`` per further hop), and until ``run_trace`` was
+#: the walk 3 / 4 / 5 (an ``inject`` and a ``_forward`` per packet).
 PARENT_CALLS_PER_HIT_PACKET = {1: 15, 2: 24, 3: 33}
-HIT_PACKET_CALLS_CEILING = {1: 3, 2: 4, 3: 5}
+HIT_PACKET_CALLS = {1: 1, 2: 2, 3: 3}
 #: Python calls under one table miss on Q1's base replay, by what answered
-#: the PacketIn: the median of those that derive one flow entry (25 when
-#: this was written; 41 while ``NDTuple`` was a dataclass, whose init, hash
-#: and equality ran in Python, and 68 before that) and the most any
-#: memo-answered one makes (6; 8 and 9 before).  The first misses of a
-#: replay also materialise indexes and compile flow-table signatures, hence
-#: a median.
-PACKET_IN_CALLS_CEILING = {"derives a flow entry": 28,
-                           "answered by the memo": 7}
+#: the PacketIn: the median of those that derive one flow entry (21 when
+#: this was written; 25 while the answer went through a ``PacketInResponse``
+#: and the messages were frozen dataclasses, 41 while ``NDTuple`` was a
+#: dataclass, whose init, hash and equality ran in Python, and 68 before
+#: that) and the most any memo-answered one makes (4; 6, 8 and 9 before).
+#: The first misses of a replay also materialise indexes and compile
+#: flow-table signatures, hence a median.
+PACKET_IN_CALLS_CEILING = {"derives a flow entry": 24,
+                           "answered by the memo": 5}
 #: How many misses of that replay fall in each class.
 PACKET_INS_BY_CLASS = {"derives a flow entry": 56, "answered by the memo": 16}
 #: Memory blocks a second replay of Q1's trace x4 (936 packets, every flow
@@ -286,13 +292,15 @@ def test_a_table_hit_costs_the_same_for_one_match_field_as_for_six():
         entry = node.flow_table.install(FlowEntry.create(
             dict(list(match.items())[:count]), out_port=2))
         found = []
-        hit = _python_calls(lambda: found.append(node.lookup(packet, 3)),
-                            under=SDN_PACKAGE)
+        hit = _python_calls(
+            lambda: found.append(node.flow_table.lookup(packet, 3)),
+            under=SDN_PACKAGE)
         # A miss also walks the residual ``*`` entries, one call each.
         node.flow_table.install(FlowEntry.create(
             {"src_ip": 99, "dst_port": "*"}, out_port=2))
-        miss = _python_calls(lambda: found.append(node.lookup(stranger, 3)),
-                             under=SDN_PACKAGE)
+        miss = _python_calls(
+            lambda: found.append(node.flow_table.lookup(stranger, 3)),
+            under=SDN_PACKAGE)
         assert found == [entry, None]
         return hit, miss
 
@@ -314,6 +322,7 @@ def test_a_replayed_hit_packet_costs_at_most_60_percent_of_what_it_did():
     trace = scenario.trace()
     simulator.run_trace(trace)          # every reactive entry is installed
     stats, seen = simulator.stats, {}
+    walk = NetworkSimulator.run_trace.__code__
     lookup = FlowTable.lookup.__code__
     for switch_id, packet in trace:
         packet_ins = stats.packet_in_count
@@ -321,26 +330,27 @@ def test_a_replayed_hit_packet_costs_at_most_60_percent_of_what_it_did():
 
         def profiler(frame, event, arg):
             nonlocal calls, hops
-            if event == "call" and SDN_PACKAGE in frame.f_code.co_filename:
+            if (event == "call" and SDN_PACKAGE in frame.f_code.co_filename
+                    and frame.f_code is not walk):
                 calls += 1
                 hops += frame.f_code is lookup
 
         previous = sys.getprofile()
         sys.setprofile(profiler)
         try:
-            destination = simulator.inject(packet, switch_id)
+            simulator.run_trace(((switch_id, packet),))
         finally:
             sys.setprofile(previous)
-        assert destination == stats.destinations[-1]
         if stats.packet_in_count == packet_ins:
             seen.setdefault(hops, set()).add(calls)
-    assert sorted(seen) == sorted(HIT_PACKET_CALLS_CEILING)
-    for hops, ceiling in HIT_PACKET_CALLS_CEILING.items():
+    assert sorted(seen) == sorted(HIT_PACKET_CALLS)
+    for hops, pinned in HIT_PACKET_CALLS.items():
         (calls,) = seen[hops]           # a hit costs its hops, nothing else
         parent = PARENT_CALLS_PER_HIT_PACKET[hops]
-        assert calls <= ceiling, (
-            f"a {hops}-hop hit packet makes {calls} calls into repro/sdn, "
-            f"more than {ceiling} ({parent} with a header dict per hop)")
+        assert calls == pinned, (
+            f"a {hops}-hop hit packet makes {calls} calls into repro/sdn "
+            f"inside run_trace, pinned {pinned}: one FlowTable.lookup per "
+            f"hop ({parent} with a header dict per hop)")
 
 
 def test_a_packet_in_costs_its_firing(monkeypatch):
@@ -639,15 +649,24 @@ def test_a_changed_constant_compiles_nothing():
         "has the shape of a rule already compiled")
 
 
-def test_a_session_replays_the_trace_once_per_program():
+def test_a_session_replays_the_trace_once_per_program(monkeypatch):
     config = RepairConfig.for_scenario("Q1", max_candidates=14)
     session = RepairSession(config)
     trace = session.scenario.trace()
-    injected = _python_calls(session.run, entering=NetworkSimulator.inject)
+    simulators = []
+    init = NetworkSimulator.__init__
+
+    def kept(simulator, *args, **kwargs):
+        simulators.append(simulator)
+        init(simulator, *args, **kwargs)
+
+    monkeypatch.setattr(NetworkSimulator, "__init__", kept)
+    session.run()
+    walked = sum(simulator.stats.total for simulator in simulators)
     report = session.report()
     replayed = len(report.backtest.results) - report.backtest.vetoed_count
-    assert (replayed, injected) == (12, len(trace) * (1 + replayed)), (
-        f"a Q1@14 session injected {injected} packets for {replayed} "
+    assert (replayed, walked) == (12, len(trace) * (1 + replayed)), (
+        f"a Q1@14 session's replays walked {walked} packets for {replayed} "
         f"replayed candidates over a {len(trace)}-packet trace: the buggy "
         "program's one replay is Diagnose's, and it is the baseline")
 

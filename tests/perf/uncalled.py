@@ -13,8 +13,10 @@ scenarios (Table 3) and every CLI subcommand that needs no running service,
 then it walks each module's AST and prints the functions never entered, and
 the modules no workload imported, each with the ``src/repro`` modules whose
 import statements (or lazy re-exports) name it.
-Out of reach: worker subprocesses (``spawn``, ``socket``, ``repro serve`` and
-its clients), code that runs at import, the compiled fire functions and what
+The hook is installed before any ``repro`` module is imported, so what runs
+at import time (``lazy_exports``, ``register_scenario``, decorators) counts
+as entered.  Out of reach: worker subprocesses (``spawn``, ``socket``,
+``repro serve`` and its clients), the compiled fire functions and what
 ``@dataclass`` writes.  "Never entered here" opens an investigation — the
 function may be the fleet's, a test oracle's or an error path's — it does
 not close one.  A module nothing imports here is the first place to look:
@@ -36,21 +38,6 @@ import sys
 import tempfile
 import threading
 
-import repro
-from repro.api import RepairConfig, RepairSession, TelemetryConfig
-from repro.backtest.abort import EarlyAbortPolicy
-from repro.cli import main as cli
-from repro.distrib import close_parked_fleets
-from repro.meta import MetaProvenanceExplorer
-from repro.repair import candidate_to_wire
-from repro.scenarios import build_scenario
-from repro.scenarios.other_languages import language_reports
-
-ROOT = pathlib.Path(repro.__file__).resolve().parent
-KNOBS = ({}, {"replay_batch_size": 8},
-         {"multiquery": True}, {"static_vet": False},
-         {"abort": EarlyAbortPolicy(ks_slack=2.0)},
-         {"telemetry": TelemetryConfig()})
 ENTERED = set()      # (file name, first line) of every code object entered
 
 
@@ -60,8 +47,21 @@ def _profile(frame, event, _arg):
 
 
 def workloads():
+    """Everything the census runs, its ``repro`` imports included."""
+    from repro.api import RepairConfig, RepairSession, TelemetryConfig
+    from repro.backtest.abort import EarlyAbortPolicy
+    from repro.cli import main as cli
+    from repro.distrib import close_parked_fleets
+    from repro.meta import MetaProvenanceExplorer
+    from repro.repair import candidate_to_wire
+    from repro.scenarios import build_scenario
+    from repro.scenarios.other_languages import language_reports
+
+    knob_rows = ({}, {"multiquery": True}, {"static_vet": False},
+                 {"abort": EarlyAbortPolicy(ks_slack=2.0)},
+                 {"telemetry": TelemetryConfig()})
     for name in ("Q1", "Q2", "Q3", "Q4", "Q5"):
-        for knobs in KNOBS:
+        for knobs in knob_rows:
             budget = 14 if knobs or name != "Q1" else 100
             RepairSession(RepairConfig.for_scenario(
                 name, max_candidates=budget, **knobs)).run()
@@ -161,6 +161,8 @@ if __name__ == "__main__":
             contextlib.redirect_stderr(io.StringIO()):
         workloads()
     sys.setprofile(None)
+    import repro
+    ROOT = pathlib.Path(repro.__file__).resolve().parent
     imported = set(sys.modules)
     paths = sorted(ROOT.rglob("*.py"))
     all_missing = all_functions = 0

@@ -289,7 +289,7 @@ class ProvenanceQuery:
 
     def explain_exists(self, tup: NDTuple) -> ProvenanceGraph:
         """Explain why ``tup`` exists (or existed) in the database."""
-        node = location(tup, self.engine.database.schema(tup.table))
+        node = location(tup, self.engine.schemas.get(tup.table))
         root = Vertex(EXIST, tup, node=node)
         graph = ProvenanceGraph(root)
         self._expand_positive(graph, root, tup, depth=0, on_path=set())
@@ -303,7 +303,7 @@ class ProvenanceQuery:
         derivations = derivations_of(self.engine, tup)
         if not derivations:
             # A base tuple: its cause is the external insertion.
-            node = location(tup, self.engine.database.schema(tup.table))
+            node = location(tup, self.engine.schemas.get(tup.table))
             insert = Vertex(INSERT, tup, node=node)
             graph.add_edge(vertex, insert)
             return
@@ -313,7 +313,7 @@ class ProvenanceQuery:
             graph.add_edge(vertex, derive)
             for body_tuple in record.body:
                 body_node = location(
-                    body_tuple, self.engine.database.schema(body_tuple.table))
+                    body_tuple, self.engine.schemas.get(body_tuple.table))
                 exist = Vertex(EXIST, body_tuple, node=body_node)
                 if body_node is not None and record.node is not None \
                         and body_node != record.node:
@@ -364,7 +364,7 @@ class ProvenanceQuery:
             if matching:
                 best = matching[0]
                 exist = Vertex(EXIST, best,
-                               node=location(best, self.engine.database.schema(best.table)))
+                               node=location(best, self.engine.schemas.get(best.table)))
                 graph.add_edge(nderive, exist)
             else:
                 body_pattern = self._atom_pattern(atom, bindings)

@@ -34,8 +34,8 @@ class RecordingNDlogController(NDlogController):
     """An NDlog controller whose engine records every event and derivation.
 
     Its engine is a :class:`~reference_engine.NaiveEngine`, and every
-    PacketIn reaches it: no empty-response memo, no inertness probe and no
-    batch paths, so the event log holds each insertion in trace order.
+    PacketIn reaches it: no empty-response memo, so the event log holds
+    each insertion in trace order.
     """
 
     def _build_engine(self):
@@ -51,12 +51,6 @@ class RecordingNDlogController(NDlogController):
     @property
     def engine_batch_safe(self) -> bool:
         return False
-
-    def packet_in_provably_inert(self, values) -> bool:
-        return False
-
-    def batch_replay_adapter(self):
-        return None
 
 
 def record_history(scenario, trace_limit: Optional[int] = None):
