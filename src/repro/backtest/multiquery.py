@@ -40,6 +40,7 @@ from ..ndlog.ast import Program, Rule
 from ..ndlog.engine import Engine
 from ..ndlog.tuples import NDTuple
 from ..repair.candidates import RepairCandidate
+from ..sdn.controller import Controller
 from ..sdn.network import DROPPED, NetworkSimulator
 from ..sdn.packets import Packet
 
@@ -128,7 +129,7 @@ class _RuleDeltaChecker:
         return frozenset(derived)
 
 
-class _SharedResponseController:
+class _SharedResponseController(Controller):
     """Controller wrapper that forwards unaffected packets to a shared base.
 
     All candidates share one base controller and one response cache, so the
@@ -163,7 +164,7 @@ class _SharedResponseController:
         return self.base_cache[key]
 
 
-class _CachePrimingController:
+class _CachePrimingController(Controller):
     """Wraps the trunk's base controller, recording its responses.
 
     Delegates every PacketIn to the real controller (the trunk replay stays

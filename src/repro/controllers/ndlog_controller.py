@@ -23,7 +23,17 @@ calls of translation.
 A PacketIn that derives nothing is remembered, and its repeats never reach
 the engine (the *empty-response memo*), when the program passes
 :func:`engine_batch_safe`: then a PacketIn joins only tables no replay
-changes, so nothing it derives depends on the PacketIns before it.
+changes, so nothing it derives depends on the PacketIns before it.  Such an
+answer is always ``[]`` and changes nothing, so the controller's
+:attr:`~repro.sdn.controller.Controller.version` counts only the PacketIns
+that reach the engine: while it stands still, the simulator may remember
+the fate of a packet whose misses the memo answered and not walk its
+repeats at all (:mod:`repro.sdn.network`).
+
+Packet-out tuples are one-shot messages: each one a PacketIn derives is
+consumed (dropped from the store) as it is translated, and those the static
+fixpoint left are swept on the first PacketIn that reaches the engine, so
+the table is empty after every such PacketIn.
 """
 
 from __future__ import annotations
@@ -239,7 +249,12 @@ class NDlogController(Controller):
         #: the controller — repeated misses (e.g. packets dropped on every
         #: repetition of a trace) skip the engine entirely.
         self._empty_responses: set = set()
+        #: PacketIns that reached the engine (:attr:`Controller.version`).
+        self.version = 0
         self.engine = self._build_engine()
+        #: Did the static fixpoint leave packet-out tuples to sweep?
+        self._static_packet_outs = bool(
+            self.engine.database.count(mapping.packet_out_table))
 
     # ------------------------------------------------------------------
     # Engine lifecycle
@@ -289,9 +304,13 @@ class NDlogController(Controller):
         packet_in = mapping.packet_in_tuple_from(switch_id, packet, in_port)
         if packet_in.values in self._empty_responses:
             return []
-        derived = self.engine.insert(packet_in)
+        self.version += 1
+        engine = self.engine
+        derived = engine.insert(packet_in)
         if not derived and self.engine_batch_safe:
             self._empty_responses.add(packet_in.values)
+        if self._static_packet_outs:
+            self._sweep_static_packet_outs()
         messages: List[object] = []
         packet_outs: List[PacketOut] = []
         released = False            # a packet-out names the event's switch
@@ -312,6 +331,7 @@ class NDlogController(Controller):
                         and entry.matches(packet, in_port)):
                     auto_port = entry.out_port
             elif table == packet_out_table:
+                engine.consume(tup)
                 values = tup.values
                 to_switch, port = values[0], values[-1]
                 if isinstance(to_switch, int) and isinstance(port, int):
@@ -321,18 +341,15 @@ class NDlogController(Controller):
         if self.auto_packet_out and not released and auto_port is not None:
             packet_outs.append(PacketOut(switch_id, auto_port, packet))
         messages += packet_outs
-        self._consume_packet_outs()
         return messages
 
-    def _consume_packet_outs(self):
-        # Packet-out tuples are one-shot messages: consume them so they do
-        # not accumulate in the engine database between PacketIns.
+    def _sweep_static_packet_outs(self):
+        """Consume the packet-out tuples the static fixpoint derived: no
+        PacketIn derived them, so none was consumed as a message."""
         engine = self.engine
-        table = self.mapping.packet_out_table
-        if not engine.database.count(table):
-            return
-        for stale in engine.tuples(table):
+        for stale in engine.tuples(self.mapping.packet_out_table):
             engine.consume(stale)
+        self._static_packet_outs = False
 
     @property
     def engine_batch_safe(self) -> bool:

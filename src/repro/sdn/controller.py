@@ -10,6 +10,13 @@ positionally: a replay builds one ``PacketInEvent`` per table miss and a
 ``FlowMod`` and a ``PacketOut`` per derived flow entry, so their field
 reads, hashing and equality run in C.  The data plane tells the two responses apart by
 type (:meth:`repro.sdn.network.NetworkSimulator._apply_messages`).
+
+A controller says when its answers may be remembered through one
+attribute, :attr:`Controller.version`: while it does not move, the answer
+to a PacketIn depends only on the switch, the headers and the ingress port,
+and giving it changes nothing; ``None`` (the default) says any PacketIn may
+change the controller.  The simulator's per-call fate memo rests on it
+(:mod:`repro.sdn.network`).
 """
 
 from __future__ import annotations
@@ -62,6 +69,16 @@ class Controller:
     """
 
     name = "controller"
+    #: The contract: while ``version`` does not move, the answer to a
+    #: PacketIn depends only on its switch, headers and ingress port, and
+    #: answering it changes nothing, so the data plane may reuse what one
+    #: answer did instead of asking again.  A controller that keeps it
+    #: bumps ``version`` whenever a PacketIn may change it.  ``None``, the
+    #: default, means "any PacketIn may change me"; the recorder, the static
+    #: controller, the multi-query wrappers and the Table 3 controllers keep
+    #: it, and :class:`~repro.controllers.NDlogController` counts the
+    #: PacketIns that reach its engine.
+    version: Optional[int] = None
 
     def on_start(self, network) -> List[ControlMessage]:
         """Called once before traffic is injected; may install proactive state."""

@@ -29,6 +29,20 @@ several links.  The totals (packets, drops) are added once per call.
 :meth:`NetworkSimulator.inject` is a one-packet ``run_trace``, so a trace
 replayed in one call, in chunks or packet by packet is the same execution.
 
+Each call also keeps a *fate memo*, the exact-match microflow cache of an
+Open vSwitch datapath: a dict from (ingress switch, header values) to the
+packet's destination and its PacketIn count.  A packet found there is
+recorded as any other (the Section 5.4 log is the same), takes that
+destination and count, and walks no hop.  A walked packet's fate is stored
+when its walk met no table miss, or when every miss left the controller's
+:attr:`~repro.sdn.controller.Controller.version` where it was and was
+answered with no message; any other miss clears the memo.  That is exact
+because a walk reads only the flow tables, the topology and the packet's
+headers (its ingress port follows from them), flow tables change only
+through control messages, and an answer given while ``version`` stands
+still changes nothing and would be the same again.  The memo dies with the
+call, so nothing installed between calls meets a stale entry.
+
 OpenFlow-faithful detail that matters for scenario Q4: when a packet misses
 in the flow table, installing a flow entry is *not* enough to forward that
 packet — the switch buffered it and only releases it when the controller also
@@ -153,10 +167,12 @@ class NetworkSimulator:
 
     def run_trace(self, trace: Iterable[Tuple[int, Packet]]) -> TrafficStats:
         """Walk every (ingress switch, packet) pair of a trace to its
-        destination, in order: the one hop loop (module docstring)."""
+        destination, in order: the one hop loop, behind the call's fate
+        memo (module docstring)."""
         started = self._started
         switches = self.topology.switches
         hosts = self.topology.hosts
+        controller = self.controller
         stats = self.stats
         destinations = stats.destinations
         delivered = stats.delivered_per_host
@@ -165,6 +181,9 @@ class NetworkSimulator:
         tag = self.tag
         hops = range(self.max_hops)
         before = len(destinations)
+        # The fate memo: (ingress switch, headers) -> (destination, PacketIns).
+        fates: Dict[Tuple[int, Tuple], Tuple[int, int]] = {}
+        remembered_packet_ins = 0
         try:
             for at_switch, packet in trace:
                 if not started:     # on the first packet, as a switch would
@@ -176,32 +195,51 @@ class NetworkSimulator:
                            and source.switch_id == at_switch else None)
                 if record is not None:
                     record(at_switch, packet, in_port)
-                switch_id = at_switch
-                destination = DROPPED
-                for _hop in hops:
-                    switch = switches.get(switch_id)
-                    if switch is None:
-                        break
-                    entry = switch.flow_table.lookup(packet, in_port, tag)
-                    if entry is None:
-                        out_port = miss(switch, packet, in_port)
-                        if out_port is None:
+                key = (at_switch, packet.header_values)
+                fate = fates.get(key)
+                if fate is not None:
+                    destination, packet_ins = fate
+                    remembered_packet_ins += packet_ins
+                else:
+                    switch_id = at_switch
+                    destination = DROPPED
+                    packet_ins = 0      # None: a miss may have changed state
+                    for _hop in hops:
+                        switch = switches.get(switch_id)
+                        if switch is None:
                             break
-                    else:
-                        out_port = entry.out_port
-                        if out_port == DROP_PORT:
+                        entry = switch.flow_table.lookup(packet, in_port, tag)
+                        if entry is None:
+                            version = controller.version
+                            sent = stats.flow_mod_count + stats.packet_out_count
+                            out_port = miss(switch, packet, in_port)
+                            if (version is None
+                                    or controller.version != version
+                                    or sent != stats.flow_mod_count
+                                    + stats.packet_out_count):
+                                fates.clear()
+                                packet_ins = None
+                            elif packet_ins is not None:
+                                packet_ins += 1
+                            if out_port is None:
+                                break
+                        else:
+                            out_port = entry.out_port
+                            if out_port == DROP_PORT:
+                                break
+                        if out_port == FLOOD_PORT:
+                            destination = self._flood(switch, packet, in_port)
                             break
-                    if out_port == FLOOD_PORT:
-                        destination = self._flood(switch, packet, in_port)
-                        break
-                    link = switch.links.get(out_port)
-                    if link is None:
-                        break
-                    kind, identifier, in_port = link
-                    if kind == "host":
-                        destination = identifier
-                        break
-                    switch_id = identifier
+                        link = switch.links.get(out_port)
+                        if link is None:
+                            break
+                        kind, identifier, in_port = link
+                        if kind == "host":
+                            destination = identifier
+                            break
+                        switch_id = identifier
+                    if packet_ins is not None:
+                        fates[key] = (destination, packet_ins)
                 destinations.append(destination)
                 if destination != DROPPED:
                     delivered[destination] = delivered.get(destination, 0) + 1
@@ -209,6 +247,7 @@ class NetworkSimulator:
             walked = destinations[before:]
             stats.total += len(walked)
             stats.dropped += walked.count(DROPPED)
+            stats.packet_in_count += remembered_packet_ins
         return stats
 
     def _flood(self, switch: Switch, packet: Packet,

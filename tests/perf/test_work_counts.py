@@ -42,6 +42,12 @@ nothing else — the port a hop enters the next switch on is read from the
 link record, not asked of ``port_to`` — and a replay leaves nothing behind
 per packet but an int in ``TrafficStats.destinations`` — no record object,
 no path, no delivery log.
+"A repeated packet costs one probe": inside one ``run_trace``, a packet
+whose fate the call remembers — on a warm Q1 replay every packet, table
+hits and misses the empty-response memo answers alike — makes no Python
+call into ``repro/`` and no ``FlowTable.lookup``, and the packets of one
+replay of the buggy program over the ``trace_heavy`` trace that take a
+remembered fate are pinned.
 "A PacketIn costs its firing": on Q1's base replay the typical table miss
 whose PacketIn derives a flow entry makes at most 24 Python calls, the
 PacketIn, the rule firing, the FlowMod and the PacketOut included (28 while
@@ -174,8 +180,14 @@ HIT_PACKET_CALLS = {1: 1, 2: 2, 3: 3}
 #: flow-table signatures, hence a median.
 PACKET_IN_CALLS_CEILING = {"derives a flow entry": 24,
                            "answered by the memo": 5}
-#: How many misses of that replay fall in each class.
-PACKET_INS_BY_CLASS = {"derives a flow entry": 56, "answered by the memo": 16}
+#: How many misses of that replay fall in each class.  16 were memo-answered
+#: while every packet was walked: a repeat of a packet whose misses the memo
+#: answered now takes its remembered fate and asks the controller nothing.
+PACKET_INS_BY_CLASS = {"derives a flow entry": 56, "answered by the memo": 10}
+#: Packets of one replay of the buggy program over the ``trace_heavy`` trace
+#: (Q1 with 48 s1 and 16 s4 clients, 10 repetitions: 2,940 packets, 294
+#: distinct) that take a fate the replay remembered instead of walking.
+PINNED_TRACE_HEAVY_MEMO_HITS = 2352
 #: Memory blocks a second replay of Q1's trace x4 (936 packets, every flow
 #: entry already installed) may still hold when it returns: one delivery
 #: record per packet plus the log that listed them held 1,882 (9 when this
@@ -418,6 +430,99 @@ def test_a_replayed_packet_allocates_no_record():
         f"replaying {len(trace)} packets left {retained} memory blocks "
         f"behind (ceiling {RETAINED_BLOCKS_CEILING}): something is kept per "
         "packet besides its destination")
+
+
+def _walk_cost(simulator, trace):
+    """(calls into ``repro/``, ``FlowTable.lookup`` entries) of one
+    ``run_trace`` of ``trace``, not counting the ``run_trace`` frame."""
+    walk = NetworkSimulator.run_trace.__code__
+    lookup = FlowTable.lookup.__code__
+    calls = lookups = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls, lookups
+        if (event == "call" and REPRO_PACKAGE in frame.f_code.co_filename
+                and frame.f_code is not walk):
+            calls += 1
+            lookups += frame.f_code is lookup
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        simulator.run_trace(trace)
+    finally:
+        sys.setprofile(previous)
+    return calls, lookups
+
+
+def test_a_remembered_packet_costs_no_call():
+    """Inside one ``run_trace``, a packet whose fate the call remembers —
+    every packet of a warm Q1 replay, table hits and memo-answered misses
+    alike — makes no Python call into ``repro/`` and no lookup: repeating
+    it costs what one walk of it costs."""
+    scenario = build_q1()
+    simulator = _q1_simulator(scenario)
+    trace = scenario.trace()
+    simulator.run_trace(trace)          # every reactive entry is installed
+    stats = simulator.stats
+    distinct = {}
+    for switch_id, packet in trace:
+        distinct.setdefault((switch_id, packet.header_values),
+                            (switch_id, packet))
+    answered = 0                        # packets whose walk misses
+    for item in distinct.values():
+        packet_ins = stats.packet_in_count
+        once = _walk_cost(simulator, [item])
+        destination = stats.destinations[-1]
+        misses = stats.packet_in_count - packet_ins
+        packet_ins = stats.packet_in_count
+        assert _walk_cost(simulator, [item] * 4) == once, item
+        assert stats.destinations[-4:] == [destination] * 4
+        assert stats.packet_in_count - packet_ins == 4 * misses
+        answered += misses > 0
+    assert len(distinct) == 78 and 0 < answered < 78
+
+
+def _memo_hits(simulator, trace):
+    """Packets of one ``run_trace`` that make no ``FlowTable.lookup`` between
+    their ingress record and the next packet's: those whose fate the call
+    remembered (every ingress switch of the trace is a switch)."""
+    record = simulator.log.record_packet.__code__
+    lookup = FlowTable.lookup.__code__
+    packets = walked = 0
+    looked = False
+
+    def profiler(frame, event, arg):
+        nonlocal packets, walked, looked
+        if event == "call":
+            if frame.f_code is record:
+                walked += looked
+                packets += 1
+                looked = False
+            elif frame.f_code is lookup:
+                looked = True
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        simulator.run_trace(trace)
+    finally:
+        sys.setprofile(previous)
+    walked += looked
+    assert packets == len(trace)
+    return packets - walked
+
+
+def test_the_trace_heavy_memo_hits_are_pinned():
+    scenario = build_q1(s1_clients=48, s4_clients=16, repetitions=10)
+    trace = scenario.trace()
+    simulator = NetworkSimulator(
+        scenario.build_topology(), scenario.build_controller(),
+        require_packet_out=scenario.require_packet_out)
+    hits = _memo_hits(simulator, trace)
+    assert (len(trace), hits) == (2940, PINNED_TRACE_HEAVY_MEMO_HITS), (
+        f"{hits} of the {len(trace)} packets of a trace_heavy-shaped replay "
+        f"take a remembered fate, pinned {PINNED_TRACE_HEAVY_MEMO_HITS}")
 
 
 def test_three_spawn_sessions_launch_one_fleet(monkeypatch):
