@@ -11,8 +11,7 @@ The package provides, from the bottom up:
   the scan-based reference engine are test references, kept under
   ``tests/``.)
 * :mod:`repro.repair` -- repair candidates and their application.
-* :mod:`repro.backtest` -- replay-based backtesting with KS acceptance and
-  multi-query optimization.
+* :mod:`repro.backtest` -- replay-based backtesting with KS acceptance.
 * :mod:`repro.sdn` -- a simulated SDN (switches, flow tables, topologies,
   traffic, historical logs): the Mininet substitute.
 * :mod:`repro.controllers` -- the NDlog controller front end.

@@ -34,8 +34,9 @@ class ConfigError(WireError):
 #: and dropped, so each such row reads the default configuration.  They are
 #: no ``RepairConfig`` field, so a wire or a CLI flag naming one is refused.
 #: ``warm_engine``: every candidate builds cold.  ``replay_batch_size``: a
-#: trace replays through the one hop loop, with no bursts.
-LEDGER_ONLY_KNOBS = ("warm_engine", "replay_batch_size")
+#: trace replays through the one hop loop, with no bursts.  ``multiquery``:
+#: every candidate replays the whole trace on its own network.
+LEDGER_ONLY_KNOBS = ("warm_engine", "replay_batch_size", "multiquery")
 
 
 @dataclass
@@ -148,8 +149,6 @@ class RepairConfig(Wire):
     far_constant_surcharge: Optional[float] = None
 
     # -- Backtest: replay and acceptance --------------------------------
-    #: Share the base program's replay between candidates (Section 4.4).
-    multiquery: bool = False
     #: KS acceptance threshold; ``None`` uses the scenario's own default.
     ks_threshold: Optional[float] = None
     #: Significance level when ``use_significance`` is on.
@@ -253,8 +252,7 @@ class RepairConfig(Wire):
             trace_limit=self.trace_limit,
             max_packet_in_growth=self.max_packet_in_growth,
             abort_policy=self.abort,
-            static_vet=self.static_vet,
-            multiquery=self.multiquery)
+            static_vet=self.static_vet)
 
     def make_scheduler(self, events=None, telemetry=None):
         """The configured distributed scheduler, or ``None`` for serial runs.

@@ -22,8 +22,7 @@ There is one backtester with one replay loop and one verdict function.
 The loop hands the trace to the data plane's one walk
 (:meth:`~repro.sdn.network.NetworkSimulator.run_trace`) whole, or — under
 an early-abort policy — cut at the policy's check points, one call per
-piece.  Multi-query sharing (:mod:`repro.backtest.multiquery`) is a strategy it
-consults, and the worker fabric (:mod:`repro.distrib`) is the only way a
+piece.  The worker fabric (:mod:`repro.distrib`) is the only way a
 candidate evaluation leaves the calling process.
 """
 
@@ -41,7 +40,6 @@ from ..sdn.network import NetworkSimulator, TrafficStats
 from ..wire import NOT_ON_WIRE
 from .abort import EarlyAbortPolicy
 from .metrics import KSResult, compare_traffic
-from .multiquery import SharedTrunk
 
 
 #: Minimum estimated serial runtime (baseline replay seconds x surviving
@@ -67,8 +65,6 @@ class ShardOutcome:
     """What one candidate's evaluation sends back: a :mod:`repro.wire` type."""
 
     result: "BacktestResult"
-    shared_evaluations: int = 0
-    candidate_evaluations: int = 0
     #: Telemetry piggyback: span wire dicts finished in the worker during
     #: this evaluation plus a metrics-registry delta.  Empty/None when
     #: telemetry is off or the evaluation ran in the parent process.
@@ -111,21 +107,11 @@ class BacktestReport:
     #: budget; like vetoes, their (deterministic, rejected) results stay
     #: in :attr:`results`, marked by a ``quarantined(<reason>)`` note.
     quarantined_count: int = 0
-    #: Multi-query sharing statistics: packet x candidate decisions served
-    #: by the shared trunk vs replayed under the candidate's own program.
-    #: Both stay zero when sharing is off.
-    shared_evaluations: int = 0
-    candidate_evaluations: int = 0
 
     def sharing_ratio(self) -> float:
-        """Fraction of packet x candidate decisions served by the shared trunk.
-
-        Each (packet, candidate) pair is counted exactly once, so under
-        ``multiquery`` the two counters sum to the packets replayed; 0.0
-        when sharing is off.
-        """
-        total = self.shared_evaluations + self.candidate_evaluations
-        return self.shared_evaluations / total if total else 0.0
+        """Read by the benchmark ledger's backtest probe: every candidate
+        replays on its own, so no decision is shared."""
+        return 0.0
 
     def accepted(self) -> List[BacktestResult]:
         return [r for r in self.results if r.accepted]
@@ -142,12 +128,10 @@ class Backtester:
     """Backtests repair candidates against a scenario.
 
     One procedure (Sections 4.3-4.4): replay the recorded trace under each
-    repaired program and compare with the baseline.  ``multiquery=True``
-    keeps the procedure and shares the base program's work between
-    candidates (:mod:`repro.backtest.multiquery`); ``evaluate_all(...,
-    scheduler=...)`` keeps it and moves the per-candidate evaluations onto
-    the worker fabric (:mod:`repro.distrib`).  Reports are bit-identical
-    either way.
+    repaired program, built cold, and compare with the baseline.
+    ``evaluate_all(..., scheduler=...)`` keeps the procedure and moves the
+    per-candidate evaluations onto the worker fabric (:mod:`repro.distrib`).
+    Reports are bit-identical either way.
     """
 
     #: Read by the benchmark ledger's backtest probe (``backtest.warm_hits``
@@ -161,8 +145,7 @@ class Backtester:
                  trace_limit: Optional[int] = None,
                  max_packet_in_growth: Optional[float] = None,
                  abort_policy: Optional[EarlyAbortPolicy] = None,
-                 static_vet: bool = True,
-                 multiquery: bool = False):
+                 static_vet: bool = True):
         self.scenario = scenario
         self.ks_threshold = ks_threshold
         self.alpha = alpha
@@ -184,12 +167,6 @@ class Backtester:
         #: a ``vetoed`` note (see :class:`repro.analysis.vet.CandidateVetter`).
         self.static_vet = static_vet
         self._vetter = None
-        #: Share the base program's work between candidates (Section 4.4):
-        #: packets a candidate's modified rules cannot affect adopt the
-        #: outcome of one shared base replay, built on first use and kept
-        #: for this backtester's life (see :class:`SharedTrunk`).
-        self.multiquery = multiquery
-        self._trunk: Optional[SharedTrunk] = None
         self._baseline_seconds: Optional[float] = None
         #: Candidates vetoed without any replay.
         self.vetoed = 0
@@ -263,12 +240,6 @@ class Backtester:
                     extra_tuples=repaired.inserted_tuples,
                     removed_tuples=repaired.removed_tuples))
 
-    def _shared_trunk(self) -> SharedTrunk:
-        if self._trunk is None:
-            with self._span("trunk.build"):
-                self._trunk = SharedTrunk.build(self.scenario, self._trace())
-        return self._trunk
-
     def evaluate(self, candidate: RepairCandidate) -> BacktestResult:
         return self.evaluate_outcome(candidate).result
 
@@ -278,24 +249,16 @@ class Backtester:
         started = _time.perf_counter()
         repaired = apply_candidate(self.scenario.program, candidate)
         topology, controller = self._candidate_network(repaired)
-        if self.multiquery:
-            replayer = self._shared_trunk().replayer(
-                self.scenario, candidate, repaired.program, controller,
-                topology)
-        else:
-            replayer = self._simulator(topology, controller)
-        abort_note = self._replay(replayer, getattr(controller, "engine", None))
-        result = self.verdict(candidate, replayer.stats, note=abort_note,
+        simulator = self._simulator(topology, controller)
+        abort_note = self._replay(simulator,
+                                  getattr(controller, "engine", None))
+        result = self.verdict(candidate, simulator.stats, note=abort_note,
                               judge=abort_note is None)
         result.elapsed_seconds = _time.perf_counter() - started
         if self.telemetry is not None:
             self.telemetry.metrics.histogram(
                 "candidate_replay_seconds").observe(result.elapsed_seconds)
-        outcome = ShardOutcome(result=result)
-        if self.multiquery:
-            outcome.shared_evaluations = replayer.shared_evaluations
-            outcome.candidate_evaluations = replayer.candidate_evaluations
-        return outcome
+        return ShardOutcome(result=result)
 
     @staticmethod
     def _engine_counters(engine) -> Optional[Dict[str, int]]:
@@ -314,23 +277,23 @@ class Backtester:
             if record_metrics and delta:
                 self.telemetry.metrics.counter(key).inc(delta)
 
-    def _replay(self, replayer, engine) -> Optional[str]:
-        """Replay the trace through ``replayer``; the abort note, or ``None``.
+    def _replay(self, simulator, engine) -> Optional[str]:
+        """Replay the trace through ``simulator``; the abort note, or ``None``.
 
-        With telemetry on, every replay — plain, aborted or
-        shared-trunk — runs under one ``replay`` span carrying the engine's
-        fixpoint/derivation counter deltas and the number of packets
-        actually replayed (the prefix length when aborted), which also
-        feeds the ``packets_replayed`` counter.
+        With telemetry on, every replay — whole or aborted — runs under one
+        ``replay`` span carrying the engine's fixpoint/derivation counter
+        deltas and the number of packets actually replayed (the prefix
+        length when aborted), which also feeds the ``packets_replayed``
+        counter.
         """
         telemetry = self.telemetry
         if telemetry is None:
-            return self._replay_chunks(replayer, engine)[1]
+            return self._replay_chunks(simulator, engine)[1]
         with telemetry.span("replay") as span:
             if telemetry.trace_fixpoints and hasattr(engine, "tracer"):
                 engine.tracer = telemetry.tracer
             before = self._engine_counters(engine)
-            done, abort_note = self._replay_chunks(replayer, engine)
+            done, abort_note = self._replay_chunks(simulator, engine)
             self._span_engine_delta(span, before,
                                     self._engine_counters(engine),
                                     record_metrics=True)
@@ -338,7 +301,7 @@ class Backtester:
             telemetry.metrics.counter("packets_replayed").inc(done)
         return abort_note
 
-    def _replay_chunks(self, replayer, engine) -> Tuple[int, Optional[str]]:
+    def _replay_chunks(self, simulator, engine) -> Tuple[int, Optional[str]]:
         """The one replay loop: ``(packets replayed, abort note or None)``.
 
         The trace replays in chunks, one ``run_trace`` call each.  By
@@ -372,14 +335,14 @@ class Backtester:
                 with self.telemetry.span("replay.slice", offset=done,
                                          packets=len(piece)) as slice_span:
                     before = self._engine_counters(engine)
-                    replayer.run_trace(piece)
+                    simulator.run_trace(piece)
                     self._span_engine_delta(slice_span, before,
                                             self._engine_counters(engine))
             else:
-                replayer.run_trace(piece)
+                simulator.run_trace(piece)
             done = cut
             if policy is not None and done < total:
-                reason = policy.breach(replayer.stats, done, baseline,
+                reason = policy.breach(simulator.stats, done, baseline,
                                        threshold, self.max_packet_in_growth)
                 if reason is not None:
                     return done, (f"aborted after {done}/{total} packets: "
@@ -531,8 +494,6 @@ class Backtester:
                 continue
             outcome = next(replayed)
             report.results.append(outcome.result)
-            report.shared_evaluations += outcome.shared_evaluations
-            report.candidate_evaluations += outcome.candidate_evaluations
         report.vetoed_count = len(vetoed)
         report.quarantined_count = sum(
             1 for result in report.results

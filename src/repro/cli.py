@@ -58,13 +58,6 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
                           "(CLI flags override it)")
     run.add_argument("--max-candidates", type=int, metavar="N",
                      help="candidate budget for the explorer")
-    multiquery = run.add_mutually_exclusive_group()
-    multiquery.add_argument("--multiquery", action="store_true", default=None,
-                            help="use the multi-query (shared-trunk) "
-                                 "backtester")
-    multiquery.add_argument("--no-multiquery", dest="multiquery",
-                            action="store_false",
-                            help="force the sequential backtester")
     run.add_argument("--trace-limit", type=int, metavar="N",
                      help="replay only the first N trace packets")
     run.add_argument("--ks-threshold", type=float, metavar="X",
@@ -146,8 +139,6 @@ def _fold_args(args) -> RepairConfig:
         raise SystemExit(2)
     if args.max_candidates is not None:
         updates["max_candidates"] = args.max_candidates
-    if args.multiquery is not None:
-        updates["multiquery"] = args.multiquery
     if args.trace_limit is not None:
         updates["trace_limit"] = args.trace_limit
     if args.ks_threshold is not None:

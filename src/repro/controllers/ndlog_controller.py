@@ -115,8 +115,8 @@ class FieldMapping:
         return self.packet_in_tuple_from(event.switch_id, event.packet,
                                          event.in_port)
 
-    def flow_entry_from_tuple(self, tup: NDTuple, priority: int,
-                              tags: Tuple[str, ...] = ()) -> Optional[Tuple[int, FlowEntry]]:
+    def flow_entry_from_tuple(self, tup: NDTuple, priority: int
+                              ) -> Optional[Tuple[int, FlowEntry]]:
         """Translate a flow-entry tuple into (switch id, FlowEntry): ``None``
         for a tuple of another arity, a switch id or out-port that is no
         int, or a layout without ``out_port``.  A match column holding
@@ -135,8 +135,7 @@ class FieldMapping:
             value = values[column]
             if value != WILDCARD:
                 match.append((name, value))
-        return switch_id, FlowEntry(tuple(match), out_port, priority,
-                                    tuple(tags))
+        return switch_id, FlowEntry(tuple(match), out_port, priority)
 
     def schemas(self) -> List[TableSchema]:
         packet_in = TableSchema(
@@ -231,15 +230,13 @@ class NDlogController(Controller):
                  static_tuples: Sequence[NDTuple] = (),
                  extra_schemas: Sequence[TableSchema] = (),
                  auto_packet_out: bool = True,
-                 priority: int = 10,
-                 tags: Tuple[str, ...] = ()):
+                 priority: int = 10):
         self.program = program
         self.mapping = mapping
         self.static_tuples = list(static_tuples)
         self.extra_schemas = list(extra_schemas)
         self.auto_packet_out = auto_packet_out
         self.priority = priority
-        self.tags = tags
         #: Cached :func:`engine_batch_safe` verdict (the program is fixed).
         self._engine_batch_safe: Optional[bool] = None
         #: PacketIn tuple values whose derivation is provably always empty,
@@ -286,8 +283,7 @@ class NDlogController(Controller):
         # priority are matched in installation order, so hash order here
         # would make the replay depend on PYTHONHASHSEED.
         for tup in self.flow_table_tuples():
-            translated = self.mapping.flow_entry_from_tuple(
-                tup, self.priority, self.tags)
+            translated = self.mapping.flow_entry_from_tuple(tup, self.priority)
             if translated is not None:
                 switch_id, entry = translated
                 messages.append(FlowMod(switch_id, entry))
@@ -320,8 +316,7 @@ class NDlogController(Controller):
         for tup in derived:
             table = tup.table
             if table == flow_table:
-                translated = mapping.flow_entry_from_tuple(
-                    tup, self.priority, self.tags)
+                translated = mapping.flow_entry_from_tuple(tup, self.priority)
                 if translated is None:
                     continue
                 to_switch, entry = translated

@@ -18,17 +18,16 @@ meta provenance tree included.
 The :class:`JobRuntime` is the worker half: it rebuilds the scenario and
 backtester once per job and then serves per-candidate work items by index.
 Because the runtime calls the same ``Backtester.evaluate_outcome`` as the
-serial loop (which builds the multi-query shared trunk on first use), its
-results are bit-identical to the serial path's.
+serial loop, its results are bit-identical to the serial path's.
 
 Two refinements keep repeated jobs cheap:
 
 * **Runtime cache.**  Workers persist across jobs, so they keep a
   :class:`RuntimeCache` keyed by the job's :func:`job_digest` — the
   scenario spec and backtester configuration.  A repeated
-  ``evaluate_all`` on the same scenario reuses the worker's scenario,
-  backtester (its baseline included) and already-built shared trunk instead
-  of rebuilding them from the wire.  Candidates themselves share nothing:
+  ``evaluate_all`` on the same scenario reuses the worker's scenario and
+  backtester (its baseline included) instead of rebuilding them from the
+  wire.  Candidates themselves share nothing:
   each one builds its own engine and topology.
 * **Candidate streaming.**  A job may ship *without* its candidate list
   (:func:`strip_candidates` replaces it with a count); candidate wires then
@@ -75,7 +74,6 @@ class BacktesterConfig:
     use_significance: bool
     trace_limit: Optional[int]
     max_packet_in_growth: Optional[float]
-    multiquery: bool
 
 
 @dataclass(frozen=True)
@@ -158,7 +156,7 @@ def strip_candidates(job_wire: Dict) -> Dict:
 
 class _RuntimeEntry:
     """One cached (scenario, backtester) pair; the backtester holds its
-    baseline and shared trunk."""
+    baseline."""
 
     __slots__ = ("scenario", "backtester")
 
@@ -170,11 +168,10 @@ class _RuntimeEntry:
 class RuntimeCache:
     """Worker-side LRU cache of job runtimes, keyed by :func:`job_digest`.
 
-    Closes the "remote workers rebuild the shared trunk once per job"
-    cost: a repeated ``evaluate_all`` on the same scenario reuses the
-    scenario object, the backtester (with its cached baseline) and the
-    shared multiquery trunk.  ``hits``/``misses`` are
-    exposed for tests and benchmarks.
+    A repeated ``evaluate_all`` on the same scenario reuses the scenario
+    object and the backtester (with its cached baseline) instead of
+    rebuilding them from the wire.  ``hits``/``misses`` are exposed for
+    tests and benchmarks.
     """
 
     def __init__(self, capacity: int = 8):

@@ -284,7 +284,7 @@ class Transport(DispatchPolicy):
         """Hand the current job to ``link`` whenever candidate indices are
         pending — unless its own setup for this job already failed.  A
         worker re-enters a job it finished only when a peer's item was
-        re-queued; re-serving the job (trunk rebuild included) is then
+        re-queued; re-serving the job (runtime rebuild included) is then
         the recovery path."""
         if (self._job is None or not self._pending
                 or link.failed_job == self._job_id):

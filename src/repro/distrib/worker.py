@@ -16,7 +16,7 @@ dispatched item, so the worker only ever holds the candidates it
 evaluates) or a whole repair run — builds its runtime, then pulls items
 one at a time and streams results back until the coordinator says
 ``job_done``.  A :class:`RuntimeCache` persists across jobs, so repeated
-jobs on the same scenario skip the scenario/backtester/trunk rebuild.
+jobs on the same scenario skip the scenario/backtester rebuild.
 It then waits for the next job; ``shutdown`` (or a closed connection) ends
 the process.  Frames are JSON: a coordinator can make a worker replay
 scenarios, never run code of its choosing.

@@ -9,7 +9,6 @@ from .candidates import (
     ChangeRuleHead,
     ChangeTuple,
     CopyRule,
-    DATA_EDIT_KINDS,
     DeletePredicate,
     DeleteRule,
     DeleteSelection,
@@ -27,7 +26,7 @@ from .candidates import (
 __all__ = [
     "RepairApplicationError", "RepairedProgram", "apply_candidate",
     "AddRule", "ChangeAssignment", "ChangeConstant", "ChangeOperator",
-    "ChangeRuleHead", "ChangeTuple", "CopyRule", "DATA_EDIT_KINDS",
+    "ChangeRuleHead", "ChangeTuple", "CopyRule",
     "DeletePredicate", "DeleteRule", "DeleteSelection", "DeleteTuple",
     "Edit", "InsertTuple", "PROGRAM_EDIT_KINDS", "RepairCandidate",
     "candidate_from_wire", "candidate_to_wire", "deduplicate",

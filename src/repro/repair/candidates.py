@@ -248,8 +248,6 @@ PROGRAM_EDIT_KINDS = (
     "add_rule", "delete_rule",
 )
 
-DATA_EDIT_KINDS = ("insert_tuple", "delete_tuple", "change_tuple")
-
 
 # ---------------------------------------------------------------------------
 # Repair candidates
@@ -283,14 +281,9 @@ class RepairCandidate(Wire):
 
     @property
     def tag(self) -> str:
-        """Short identifier used for multi-query backtesting."""
+        """Short identifier naming the candidate in spans, events and
+        tables."""
         return f"v{self.candidate_id}"
-
-    def is_program_change(self) -> bool:
-        return any(e.kind in PROGRAM_EDIT_KINDS for e in self.edits)
-
-    def is_data_change(self) -> bool:
-        return any(e.kind in DATA_EDIT_KINDS for e in self.edits)
 
     def edit_kinds(self) -> Tuple[str, ...]:
         return tuple(e.kind for e in self.edits)

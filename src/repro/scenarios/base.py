@@ -123,8 +123,8 @@ class NDlogScenario:
 
     def build_controller(self, program: Optional[Program] = None,
                          extra_tuples: Sequence[NDTuple] = (),
-                         removed_tuples: Sequence[NDTuple] = (),
-                         tags: Tuple[str, ...] = ()) -> NDlogController:
+                         removed_tuples: Sequence[NDTuple] = ()
+                         ) -> NDlogController:
         removed = set(removed_tuples)
         static = [t for t in self.static_tuples if t not in removed]
         static += [t for t in extra_tuples if t not in removed]
@@ -133,8 +133,7 @@ class NDlogScenario:
             mapping=self.mapping,
             static_tuples=static,
             extra_schemas=self.extra_schemas,
-            auto_packet_out=self.auto_packet_out,
-            tags=tags)
+            auto_packet_out=self.auto_packet_out)
 
     def schemas(self) -> List[TableSchema]:
         return list(self.mapping.schemas()) + list(self.extra_schemas)

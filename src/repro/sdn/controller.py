@@ -75,9 +75,9 @@ class Controller:
     #: answer did instead of asking again.  A controller that keeps it
     #: bumps ``version`` whenever a PacketIn may change it.  ``None``, the
     #: default, means "any PacketIn may change me"; the recorder, the static
-    #: controller, the multi-query wrappers and the Table 3 controllers keep
-    #: it, and :class:`~repro.controllers.NDlogController` counts the
-    #: PacketIns that reach its engine.
+    #: controller and the Table 3 controllers keep it, and
+    #: :class:`~repro.controllers.NDlogController` counts the PacketIns that
+    #: reach its engine.
     version: Optional[int] = None
 
     def on_start(self, network) -> List[ControlMessage]:

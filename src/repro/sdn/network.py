@@ -26,8 +26,8 @@ and the neighbour behind it from the switch's link record for that port
 the port), which also names the port the packet enters the next switch on —
 the far end of the link actually taken, even where two switches share
 several links.  The totals (packets, drops) are added once per call.
-:meth:`NetworkSimulator.inject` is a one-packet ``run_trace``, so a trace
-replayed in one call, in chunks or packet by packet is the same execution.
+A trace replayed in one call, in chunks or one call per packet is the
+same execution.
 
 Each call also keeps a *fate memo*, the exact-match microflow cache of an
 Open vSwitch datapath: a dict from (ingress switch, header values) to the
@@ -96,14 +96,12 @@ class NetworkSimulator:
                  log: Optional[HistoricalLog] = None,
                  require_packet_out: bool = True,
                  max_hops: int = 64,
-                 tag: Optional[str] = None,
                  record_ingress: bool = True):
         self.topology = topology
         self.controller = controller
         self.log = log if log is not None else HistoricalLog()
         self.require_packet_out = require_packet_out
         self.max_hops = max_hops
-        self.tag = tag
         self.record_ingress = record_ingress
         self.stats = TrafficStats()
         self._started = False
@@ -149,7 +147,7 @@ class NetworkSimulator:
         if port is not None or self.require_packet_out:
             return port
         # Lenient mode: retry the lookup with any freshly installed entries.
-        entry = switch.flow_table.lookup(packet, in_port, self.tag)
+        entry = switch.flow_table.lookup(packet, in_port)
         if entry is not None and entry.out_port != DROP_PORT:
             return entry.out_port
         return None
@@ -157,13 +155,6 @@ class NetworkSimulator:
     # ------------------------------------------------------------------
     # Packet forwarding
     # ------------------------------------------------------------------
-
-    def inject(self, packet: Packet, at_switch: int) -> int:
-        """Inject one packet at a switch, walk it to its fate and return its
-        destination (a host id, or :data:`DROPPED`): a one-packet
-        :meth:`run_trace`."""
-        self.run_trace(((at_switch, packet),))
-        return self.stats.destinations[-1]
 
     def run_trace(self, trace: Iterable[Tuple[int, Packet]]) -> TrafficStats:
         """Walk every (ingress switch, packet) pair of a trace to its
@@ -178,7 +169,6 @@ class NetworkSimulator:
         delivered = stats.delivered_per_host
         miss = self._handle_table_miss
         record = self.log.record_packet if self.record_ingress else None
-        tag = self.tag
         hops = range(self.max_hops)
         before = len(destinations)
         # The fate memo: (ingress switch, headers) -> (destination, PacketIns).
@@ -208,7 +198,7 @@ class NetworkSimulator:
                         switch = switches.get(switch_id)
                         if switch is None:
                             break
-                        entry = switch.flow_table.lookup(packet, in_port, tag)
+                        entry = switch.flow_table.lookup(packet, in_port)
                         if entry is None:
                             version = controller.version
                             sent = stats.flow_mod_count + stats.packet_out_count

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .packets import (ABSENT_POSITION, HEADER_FIELDS, HEADER_POSITIONS,
                       IN_PORT_FIELD, Packet, header_getter)
@@ -48,26 +48,22 @@ class FlowEntry(NamedTuple):
 
     ``match`` maps field names (from :data:`MATCH_FIELDS`, plus ``in_port``)
     to required values; fields not present are wildcarded.  ``out_port`` is a
-    physical port number, or one of the special pseudo ports.  ``tags`` is
-    used by multi-query backtesting (Section 4.4) to restrict an entry to a
-    subset of repair candidates; an empty tag set means "all candidates".
-    Two entries with equal fields are equal: a flow table keys its entries
-    by value (:class:`FlowTable`).
+    physical port number, or one of the special pseudo ports.  Two entries
+    with equal fields are equal: a flow table keys its entries by value
+    (:class:`FlowTable`).
     """
 
     match: Tuple[Tuple[str, object], ...]
     out_port: int
     priority: int = 1
-    tags: Tuple[str, ...] = ()
 
     @classmethod
-    def create(cls, match: Dict[str, object], out_port: int, priority: int = 1,
-               tags: Iterable[str] = ()) -> "FlowEntry":
+    def create(cls, match: Dict[str, object], out_port: int,
+               priority: int = 1) -> "FlowEntry":
         for field_name in match:
             if field_name not in MATCH_FIELDS:
                 raise ValueError(f"unknown match field {field_name!r}")
-        return cls(tuple(sorted(match.items())), out_port, priority,
-                   tuple(tags))
+        return cls(tuple(sorted(match.items())), out_port, priority)
 
     def matches(self, packet: Packet, in_port: Optional[int] = None) -> bool:
         values = packet.header_values + (in_port, None)
@@ -83,8 +79,7 @@ class FlowEntry(NamedTuple):
         match = ", ".join(f"{k}={v}" for k, v in self.match) or "any"
         action = {DROP_PORT: "drop", CONTROLLER_PORT: "to-controller",
                   FLOOD_PORT: "flood"}.get(self.out_port, f"fwd({self.out_port})")
-        tag = f" tags={list(self.tags)}" if self.tags else ""
-        return f"FlowEntry[{match} -> {action} prio={self.priority}{tag}]"
+        return f"FlowEntry[{match} -> {action} prio={self.priority}]"
 
 
 class FlowTable:
@@ -155,31 +150,25 @@ class FlowTable:
     def entries(self) -> List[FlowEntry]:
         return [entry for _sequence, entry in self._entries.values()]
 
-    def lookup(self, packet: Packet, in_port: Optional[int] = None,
-               tag: Optional[str] = None) -> Optional[FlowEntry]:
+    def lookup(self, packet: Packet,
+               in_port: Optional[int] = None) -> Optional[FlowEntry]:
         """Return the best matching entry, or ``None`` on a table miss.
 
-        When ``tag`` is given (multi-query backtesting), only entries whose
-        tag set is empty or contains the tag are considered; without one,
-        only untagged entries are.  The winner is the highest-priority
-        match; among equal priorities the entry installed first wins,
-        exactly as the pre-index linear scan did.
+        The winner is the highest-priority match; among equal priorities
+        the entry installed first wins, exactly as the pre-index linear
+        scan did.
         """
         values = packet.header_values + (in_port, None)
         best: Optional[FlowEntry] = None
         best_priority = best_sequence = 0
         for key_of, buckets in self._exact.values():
             for sequence, entry in buckets.get(key_of(values), ()):
-                if entry.tags and (tag is None or tag not in entry.tags):
-                    continue
                 priority = entry.priority
                 if best is None or priority > best_priority or (
                         priority == best_priority and sequence < best_sequence):
                     best, best_priority, best_sequence = \
                         entry, priority, sequence
         for sequence, entry in self._residual:
-            if entry.tags and (tag is None or tag not in entry.tags):
-                continue
             if not entry.matches(packet, in_port):
                 continue
             priority = entry.priority

@@ -36,6 +36,13 @@ stream is always one complete, clean run; the record's ``generation``
 counts the discards, so a follower that was reading the old stream
 starts over on the new one instead of splicing the two.
 
+Finished sessions stay readable — status, report and event stream — up
+to :data:`MAX_FINISHED_SESSIONS` of them: when a session ends with more
+than that many finished, the oldest submitted ones are dropped and their
+ids answer 404 from then on.  Queued and running sessions are never
+dropped, so a long-lived ``repro serve`` holds a bounded number of records
+however many sessions it has served.
+
 Readers block on the pool's condition rather than sleep: every
 transition (submit, event, requeue, finish, stop) notifies it, and
 :meth:`RepairServiceDaemon.wait` / :meth:`RepairServiceDaemon.events_since`
@@ -62,6 +69,10 @@ from .wire import RepairJob
 #: Session lifecycle states.
 QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
 TERMINAL_STATES = frozenset({DONE, FAILED})
+
+#: Finished (done or failed) session records a daemon keeps; the oldest
+#: one goes first when another session finishes.
+MAX_FINISHED_SESSIONS = 1000
 
 
 class ServiceError(RuntimeError):
@@ -138,6 +149,9 @@ class RepairServiceDaemon(DispatchPolicy):
     ``on_event`` (optional) observes every forwarded session event as a
     wire dict annotated with ``session_id``/``tenant`` — the ``repro
     serve --events`` JSONL log hangs off this hook.
+
+    The daemon keeps every queued and running session and the newest
+    :data:`MAX_FINISHED_SESSIONS` finished ones (module docstring).
     """
 
     def __init__(self, workers: int = 2, host: str = "127.0.0.1",
@@ -159,13 +173,13 @@ class RepairServiceDaemon(DispatchPolicy):
         self._changed = self._pool.changed
         self._draining = False
         self._stopped = False
+        #: In submission order, which is the order of listings.
         self._records: Dict[str, SessionRecord] = {}
-        self._order: List[str] = []           # submission order, for listings
         self._queues: Dict[str, deque] = {}   # tenant -> deque[SessionRecord]
         self._running: Dict[str, SessionRecord] = {}   # by session id
         self._dispatch_seq = itertools.count()
         self._last_dispatch: Dict[str, int] = {}
-        self._ids = itertools.count(1)
+        self._submitted = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -230,12 +244,12 @@ class RepairServiceDaemon(DispatchPolicy):
         with self._lock:
             if self._draining:
                 raise ServiceUnavailable("service is draining")
-            session_id = f"s-{next(self._ids):04d}"
+            self._submitted += 1
+            session_id = f"s-{self._submitted:04d}"
             record = SessionRecord(session_id=session_id, tenant=tenant,
                                    config=config, policy=policy,
                                    submitted_unix=_time.time())
             self._records[session_id] = record
-            self._order.append(session_id)
             self._queues.setdefault(tenant, deque()).append(record)
             self.metrics.counter("service_sessions_submitted",
                                  tenant=tenant).inc()
@@ -251,7 +265,7 @@ class RepairServiceDaemon(DispatchPolicy):
 
     def sessions(self) -> List[Dict[str, object]]:
         with self._lock:
-            return [self._records[sid].summary() for sid in self._order]
+            return [record.summary() for record in self._records.values()]
 
     def session_wire(self, session_id: str) -> Dict[str, object]:
         record = self.get(session_id)
@@ -338,7 +352,7 @@ class RepairServiceDaemon(DispatchPolicy):
             return {
                 "state": ("draining" if self._draining else "serving"),
                 **self._pool.status(),
-                "sessions_total": len(self._records),
+                "sessions_total": self._submitted,
                 "sessions_queued": sum(t["queued"] for t in tenants.values()),
                 "sessions_running": len(self._running),
                 "tenants": tenants,
@@ -418,6 +432,7 @@ class RepairServiceDaemon(DispatchPolicy):
                 self.metrics.histogram(
                     "service_session_seconds", tenant=record.tenant).observe(
                         record.finished_unix - record.started_unix)
+            self._forget_finished_locked()
             self._changed.notify_all()
 
     def retry(self, job: PoolJob, item: WorkItem, reason: str,
@@ -448,6 +463,17 @@ class RepairServiceDaemon(DispatchPolicy):
                              tenant=record.tenant, state=FAILED).inc()
         self.metrics.counter("service_quarantined", tenant=record.tenant,
                              reason=quarantined.reason).inc()
+        self._forget_finished_locked()
+
+    def _forget_finished_locked(self) -> None:
+        """Drop the oldest finished records beyond
+        :data:`MAX_FINISHED_SESSIONS`.  A reader already holding a dropped
+        record (a long poll, a follower) still reads it to the end."""
+        finished = [session_id for session_id, record in self._records.items()
+                    if record.state in TERMINAL_STATES]
+        for session_id in finished[:max(0, len(finished)
+                                        - MAX_FINISHED_SESSIONS)]:
+            del self._records[session_id]
 
     def unstarted(self, job: PoolJob, item: Optional[WorkItem]) -> None:
         if job.key.state == RUNNING:

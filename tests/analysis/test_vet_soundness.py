@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import CandidateVetoed, RepairConfig, RepairSession
-from repro.backtest import Backtester
+from repro.backtest import Backtester, EarlyAbortPolicy
 from repro.events import WarmEngineStats, event_from_wire
 from repro.ndlog.parser import parse_program
 from repro.ndlog.tuples import NDTuple
@@ -121,16 +121,24 @@ def test_accepted_sets_identical_and_fewer_replays(name):
     assert report_off.vetoed_count == 0
 
 
-def test_multiquery_backtester_vets_identically():
-    scenario, candidates = scenario_and_candidates("Q1")
-    _c, _v, (_on, sequential), _off = reports_for("Q1")
-    multi = Backtester(scenario, ks_threshold=scenario.ks_threshold,
-                       multiquery=True)
-    report = multi.evaluate_all(candidates)
-    assert report.vetoed_count == sequential.vetoed_count
-    assert [(r.candidate.description, r.accepted) for r in report.results] \
-        == [(r.candidate.description, r.accepted)
-            for r in sequential.results]
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_an_abort_policy_vets_identically(name):
+    """Vetting runs before the replay: an abort policy changes how far a
+    replayed candidate gets, never which candidates are vetoed."""
+    scenario, candidates = scenario_and_candidates(name)
+    _c, _v, (_on, whole), _off = reports_for(name)
+    report = Backtester(
+        scenario, ks_threshold=scenario.ks_threshold,
+        abort_policy=EarlyAbortPolicy(check_every=8, min_fraction=0.1)
+    ).evaluate_all(candidates)
+    assert report.vetoed_count == whole.vetoed_count
+    assert [(r.candidate.description, _is_vetoed(r))
+            for r in report.results] == \
+        [(r.candidate.description, _is_vetoed(r)) for r in whole.results]
+    for result, reference in zip(report.results, whole.results):
+        if _is_vetoed(result):
+            assert stats_snapshot(result.stats) == \
+                stats_snapshot(reference.stats)
 
 
 def test_rejected_unevaluable_candidates_fail_to_evaluate():

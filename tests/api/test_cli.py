@@ -114,17 +114,12 @@ def test_a_config_that_cannot_run_is_one_line_and_exit_2(argv, problem,
     assert captured.out == ""
 
 
-def test_boolean_flags_override_config_both_ways(tmp_path):
-    from repro.cli import _config_from_args, build_parser
-    from repro.api import RepairConfig
-    parser = build_parser()
-    for stored, flag in ((True, "--no-multiquery"), (False, "--multiquery")):
-        config_path = tmp_path / f"run_{stored}.json"
-        config_path.write_text(RepairConfig.for_scenario(
-            "Q1", multiquery=stored).to_json())
-        args = parser.parse_args(["repair", "q1", "--config",
-                                  str(config_path), flag])
-        assert _config_from_args(args).multiquery is not stored
+@pytest.mark.parametrize("flag", ["--multiquery", "--no-multiquery"])
+def test_multiquery_flags_are_gone(flag, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["repair", "q1", flag])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--warm", "--cold"])

@@ -19,7 +19,6 @@ def full_config():
         cost_overrides={"change_constant": 0.7},
         cost_cutoff=4.5,
         far_constant_surcharge=0.4,
-        multiquery=True,
         ks_threshold=0.11,
         alpha=0.01,
         use_significance=True,
@@ -163,7 +162,7 @@ def test_make_backtester_wires_every_knob():
     config = full_config()
     scenario = build_scenario("Q2")
     backtester = config.make_backtester(scenario)
-    assert isinstance(backtester, Backtester) and backtester.multiquery
+    assert isinstance(backtester, Backtester)
     assert backtester.ks_threshold == 0.11
     assert backtester.alpha == 0.01
     assert backtester.use_significance is True
@@ -212,9 +211,9 @@ def test_make_scheduler_flows_from_config():
 
 def test_with_updates_returns_modified_copy():
     config = RepairConfig.for_scenario("Q1")
-    tuned = config.with_updates(max_candidates=3, multiquery=True)
-    assert tuned.max_candidates == 3 and tuned.multiquery
-    assert config.max_candidates == 20 and not config.multiquery
+    tuned = config.with_updates(max_candidates=3, use_significance=True)
+    assert tuned.max_candidates == 3 and tuned.use_significance
+    assert config.max_candidates == 20 and not config.use_significance
     assert tuned.scenario == config.scenario
 
 

@@ -78,24 +78,6 @@ def test_session_matches_legacy_on_2worker_scheduler(legacy_report, transport):
     assert report_rows(report) == report_rows(legacy_report)
 
 
-def test_session_multiquery_matches_legacy(legacy_report):
-    """Shared-trunk backtesting changes the work done, not the verdicts:
-    both construction paths share the same evaluations, and the rows equal
-    the sequential backtester's."""
-    legacy = live_object_report(build_q1(), max_candidates=14,
-                                multiquery=True)
-    config = RepairConfig.for_scenario("Q1", max_candidates=14,
-                                       multiquery=True)
-    report = RepairSession(config).run()
-    assert report_rows(report) == report_rows(legacy)
-    assert report_rows(report) == report_rows(legacy_report)
-    assert 0 < report.backtest.shared_evaluations
-    assert (report.backtest.shared_evaluations
-            == legacy.backtest.shared_evaluations)
-    assert (report.backtest.candidate_evaluations
-            == legacy.backtest.candidate_evaluations)
-
-
 def test_stepwise_run_until_then_backtest():
     """Diagnose, generate and backtest as three separate calls."""
     config = RepairConfig.for_scenario("Q1", max_candidates=6)

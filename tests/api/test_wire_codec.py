@@ -86,7 +86,7 @@ def _outcome():
                               ks=KSResult(0.25, 0.875, (4, 4)),
                               effective=True, accepted=False,
                               elapsed_seconds=0.01, notes=("vetoed",)),
-        candidate_evaluations=4, spans=[{"name": "candidate"}],
+        spans=[{"name": "candidate"}],
         metrics={"counters": []})
 
 
@@ -130,7 +130,7 @@ SAMPLES = {
         spec=ScenarioSpec.create("Q1", params={"repetitions": 1}),
         config=BacktesterConfig(
             ks_threshold=0.05, alpha=0.05, use_significance=False,
-            trace_limit=None, max_packet_in_growth=2.0, multiquery=False),
+            trace_limit=None, max_packet_in_growth=2.0),
         abort=EarlyAbortPolicy(check_every=8), deadline=30.0,
         telemetry=JobContext(SpanContext("t1", "1"), slice_packets=64),
         candidates=(_candidate(),)),

@@ -1,4 +1,4 @@
-"""Tests for backtesting: metrics, sequential and multi-query replay, ranking."""
+"""Tests for backtesting: metrics, replay, ranking."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,39 +95,45 @@ class TestSequentialBacktesting:
         assert "accepted" in text and "rejected" in text
 
 
-class TestMultiQueryBacktesting:
-    def test_verdicts_match_sequential(self, q1, q1_candidates):
-        candidates = list(q1_candidates)
-        sequential = Backtester(q1, ks_threshold=q1.ks_threshold
-                                ).evaluate_all(candidates)
-        joint = Backtester(q1, ks_threshold=q1.ks_threshold,
-                           multiquery=True).evaluate_all(candidates)
-        assert [r.accepted for r in sequential.results] == \
-               [r.accepted for r in joint.results]
-        assert [r.effective for r in sequential.results] == \
-               [r.effective for r in joint.results]
-
-    def test_sharing_is_reported(self, q1, q1_candidates):
-        report = Backtester(q1, ks_threshold=q1.ks_threshold, multiquery=True
+    def test_elapsed_seconds_recorded_per_candidate(self, q1, q1_candidates):
+        report = Backtester(q1, ks_threshold=q1.ks_threshold
                             ).evaluate_all(list(q1_candidates))
-        assert report.shared_evaluations + report.candidate_evaluations > 0
-        # Figure 9b's premise: a meaningful share of the packet decisions
-        # is answered once for all candidates.
-        assert 0.1 < report.sharing_ratio() <= 1.0
-
-    def test_counters_sum_to_packets_times_candidates(self, q1, q1_candidates):
-        """Each packet×candidate decision is counted exactly once.
-
-        Regression test: the shared controller used to increment the same
-        counters again for every PacketIn raised while replaying an affected
-        packet, double-counting decisions and skewing sharing_ratio().
-        """
-        candidates = list(q1_candidates)
-        report = Backtester(q1, ks_threshold=q1.ks_threshold,
-                            multiquery=True).evaluate_all(candidates)
         assert report.packet_count == len(q1.trace())
-        assert report.shared_evaluations + report.candidate_evaluations == \
-            report.packet_count * len(candidates)
+        assert all(r.elapsed_seconds > 0.0 for r in report.results)
+        assert report.elapsed_seconds >= max(r.elapsed_seconds
+                                             for r in report.results)
+
+    def test_every_candidate_replays_the_whole_trace(self, q1,
+                                                      q1_candidates):
+        """Each candidate replays cold, on its own simulator: every
+        packet of the trace is decided once per candidate."""
+        candidates = list(q1_candidates)
+        report = Backtester(q1, ks_threshold=q1.ks_threshold
+                            ).evaluate_all(candidates)
+        assert report.packet_count == len(q1.trace())
+        assert [r.stats.total for r in report.results] == \
+            [report.packet_count] * len(candidates)
+        assert report.baseline.total == report.packet_count
+
+    def test_sharing_ratio_reads_zero(self, q1, q1_candidates):
+        """No packet decision is shared between candidates; the ledger's
+        ``backtest.sharing_ratio`` row reads this constant."""
+        report = Backtester(q1, ks_threshold=q1.ks_threshold
+                            ).evaluate_all(list(q1_candidates))
+        assert report.sharing_ratio() == 0.0
+
+    def test_packet_in_growth_cap_rejects_an_effective_repair(
+            self, q1, q1_candidates):
+        """With the growth cap below 1.0 every effective candidate trips
+        the controller-load check; without it the same candidate passes."""
+        good, _ = q1_candidates
+        capped = Backtester(q1, ks_threshold=q1.ks_threshold,
+                            max_packet_in_growth=0.5).evaluate_all([good])
+        assert capped.results[0].effective
+        assert not capped.results[0].accepted
+        relaxed = Backtester(q1, ks_threshold=q1.ks_threshold
+                             ).evaluate_all([good])
+        assert relaxed.results[0].accepted
 
 
 class TestResultFormatting:
@@ -141,40 +147,6 @@ class TestResultFormatting:
         assert "(PASS)" in str(accepted) and "KS=" in str(accepted)
         assert "(FAIL)" in str(rejected)
         assert "(3)" not in str(accepted) and "(5)" not in str(rejected)
-
-
-class TestMultiQueryAccounting:
-    def test_elapsed_seconds_recorded_per_candidate(self, q1, q1_candidates):
-        """Regression: multiquery results left elapsed_seconds at 0.0, so
-        reports were not comparable with the sequential backtester."""
-        report = Backtester(q1, ks_threshold=q1.ks_threshold, multiquery=True
-                            ).evaluate_all(list(q1_candidates))
-        assert all(r.elapsed_seconds > 0.0 for r in report.results)
-        assert report.elapsed_seconds >= max(r.elapsed_seconds
-                                             for r in report.results)
-
-    def test_overload_check_applied_by_multiquery(self, q1, q1_candidates):
-        """Regression: the multiquery evaluation omitted the
-        _overloads_controller check, so a candidate flooding the controller
-        could be accepted jointly but rejected sequentially.  With the
-        growth cap below 1.0 every effective candidate trips the check."""
-        good, _ = q1_candidates
-        sequential = Backtester(q1, ks_threshold=q1.ks_threshold,
-                                max_packet_in_growth=0.5).evaluate_all([good])
-        joint = Backtester(q1, ks_threshold=q1.ks_threshold,
-                           max_packet_in_growth=0.5, multiquery=True
-                           ).evaluate_all([good])
-        assert sequential.results[0].effective
-        assert not sequential.results[0].accepted
-        assert [r.accepted for r in joint.results] == \
-               [r.accepted for r in sequential.results]
-        # Control: without the cap the same candidate passes both paths.
-        relaxed_seq = Backtester(q1, ks_threshold=q1.ks_threshold
-                                 ).evaluate_all([good])
-        relaxed_joint = Backtester(q1, ks_threshold=q1.ks_threshold,
-                                   multiquery=True).evaluate_all([good])
-        assert relaxed_seq.results[0].accepted
-        assert relaxed_joint.results[0].accepted
 
 
 class TestRanking:

@@ -4,9 +4,8 @@ Every backtested candidate builds cold: a fresh topology and controller
 whose engine runs the scenario's static tuples under the repaired program.
 What one candidate derives, installs or aborts must therefore leave no trace
 on the next: each row of a mixed ``evaluate_all`` run equals the row of the
-same candidate evaluated alone, in either order and in either mode of the
-one ``Backtester`` (per-candidate and ``multiquery`` shared trunk), and a
-second run on the same backtester repeats the first.
+same candidate evaluated alone, in either order, and a second run on the
+same backtester repeats the first.
 
 The candidates cover rule edits that join ``PacketIn``, data edits (Q1's
 ``FlowTable``/``WebLoadBalancer`` edits, Q5's keyed ``Learned`` table), rules
@@ -26,9 +25,6 @@ from repro.repair import (AddRule, ChangeAssignment, ChangeConstant,
 from repro.scenarios import build_scenario
 
 SCENARIOS = ["Q1", "Q2", "Q3", "Q4", "Q5"]
-MODE_IDS = {False: "Backtester", True: "MultiQueryBacktester"}
-both_modes = pytest.mark.parametrize("multiquery", list(MODE_IDS),
-                                     ids=list(MODE_IDS.values()))
 
 
 def _rule(source):
@@ -107,26 +103,23 @@ def rows(report):
     return [row(result) for result in report.results]
 
 
-def backtester(scenario, multiquery, **kwargs):
-    return Backtester(scenario, ks_threshold=scenario.ks_threshold,
-                      multiquery=multiquery, **kwargs)
+def backtester(scenario, **kwargs):
+    return Backtester(scenario, ks_threshold=scenario.ks_threshold, **kwargs)
 
 
-def alone(scenario, candidates, multiquery, **kwargs):
+def alone(scenario, candidates, **kwargs):
     """Each candidate's row from a backtester that sees only it."""
-    return [rows(backtester(scenario, multiquery, **kwargs)
+    return [rows(backtester(scenario, **kwargs)
                  .evaluate_all([candidate]))[0]
             for candidate in candidates]
 
 
-def assert_isolated(scenario, candidates, multiquery, **kwargs):
+def assert_isolated(scenario, candidates, **kwargs):
     """A mixed run, in either order, reads row for row as the candidates
     evaluated alone; returns the forward report."""
-    expected = alone(scenario, candidates, multiquery, **kwargs)
-    forward = backtester(scenario, multiquery, **kwargs) \
-        .evaluate_all(candidates)
-    backward = backtester(scenario, multiquery, **kwargs) \
-        .evaluate_all(candidates[::-1])
+    expected = alone(scenario, candidates, **kwargs)
+    forward = backtester(scenario, **kwargs).evaluate_all(candidates)
+    backward = backtester(scenario, **kwargs).evaluate_all(candidates[::-1])
     assert rows(forward) == expected
     assert rows(backward) == expected[::-1]
     return forward
@@ -137,28 +130,37 @@ def scenarios():
     return {name: build_scenario(name) for name in SCENARIOS}
 
 
-@both_modes
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_each_candidate_reads_as_if_alone(scenarios, name, multiquery):
-    report = assert_isolated(scenarios[name], scenario_candidates(name),
-                             multiquery)
+def test_each_candidate_reads_as_if_alone(scenarios, name):
+    report = assert_isolated(scenarios[name], scenario_candidates(name))
     assert report.packet_count == len(scenarios[name].trace())
 
 
-@both_modes
-def test_a_second_run_repeats_the_first(scenarios, multiquery):
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_each_candidate_reads_as_if_alone_under_an_abort_policy(scenarios,
+                                                                name):
+    """The abort policy cuts every replay at its check points, one
+    ``run_trace`` call per piece; the pieces of one candidate must not leak
+    into the next either."""
+    policy = EarlyAbortPolicy(check_every=8, min_fraction=0.1)
+    report = assert_isolated(scenarios[name], scenario_candidates(name),
+                             max_packet_in_growth=1.5, abort_policy=policy)
+    assert report.packet_count == len(scenarios[name].trace())
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_a_second_run_repeats_the_first(scenarios, name):
     """Nothing a run leaves behind (plan cache, baseline, counters) moves
     the next run's rows on the same backtester."""
-    scenario = scenarios["Q1"]
-    candidates = scenario_candidates("Q1")
-    reused = backtester(scenario, multiquery)
+    scenario = scenarios[name]
+    candidates = scenario_candidates(name)
+    reused = backtester(scenario)
     first = reused.evaluate_all(candidates)
     second = reused.evaluate_all(candidates)
     assert rows(second) == rows(first)
     assert stats_snapshot(second.baseline) == stats_snapshot(first.baseline)
 
 
-@both_modes
 @pytest.mark.parametrize("rule_text, description", [
     ("s1 FlowTable(@Swi,Sip,Hdr,Prt) :- WebLoadBalancer(@C,Sip,Any), "
      "Swi := 3, Hdr := 80, Prt := 2.",
@@ -168,18 +170,17 @@ def test_a_second_run_repeats_the_first(scenarios, multiquery):
      "derives PacketIn: the table is no longer input-only"),
 ], ids=["static_body", "derived_packet_in"])
 def test_a_rule_that_need_not_wait_for_a_packet_in_leaves_no_trace(
-        scenarios, multiquery, rule_text, description):
+        scenarios, rule_text, description):
     scenario = scenarios["Q1"]
     candidates = [
         RepairCandidate(edits=(AddRule(_rule(rule_text)),), cost=2.0,
                         description=description),
         scenario_candidates("Q1")[0],
     ]
-    assert_isolated(scenario, candidates, multiquery)
+    assert_isolated(scenario, candidates)
 
 
-@both_modes
-def test_a_keyed_data_edit_mid_run_leaves_no_trace(scenarios, multiquery):
+def test_a_keyed_data_edit_mid_run_leaves_no_trace(scenarios):
     """Q5's manual ``Learned`` insertion (Table 6d candidate I) between
     two rule edits of the rule that feeds that primary-key table."""
     scenario = scenarios["Q5"]
@@ -187,11 +188,10 @@ def test_a_keyed_data_edit_mid_run_leaves_no_trace(scenarios, multiquery):
     learned = RepairCandidate(
         edits=(InsertTuple(NDTuple("Learned", ("C", 9, 21, 5))),), cost=3.0,
         description="manually insert Learned(C,9,21,5)")
-    assert_isolated(scenario, [fix, learned, general], multiquery)
+    assert_isolated(scenario, [fix, learned, general])
 
 
-@both_modes
-def test_an_aborted_candidate_leaves_no_trace(multiquery):
+def test_an_aborted_candidate_leaves_no_trace():
     """A flooder stopped mid-trace by the abort policy: its partial row is
     the one it gets alone, and the fix after it replays in full."""
     scenario = build_scenario("Q1")
@@ -199,7 +199,7 @@ def test_an_aborted_candidate_leaves_no_trace(multiquery):
                               description="delete r1 (floods controller)")
     fix = scenario_candidates("Q1")[0]
     policy = EarlyAbortPolicy(check_every=8, min_fraction=0.1)
-    report = assert_isolated(scenario, [flooder, fix], multiquery,
+    report = assert_isolated(scenario, [flooder, fix],
                              max_packet_in_growth=1.5, abort_policy=policy)
     aborted, accepted = report.results
     assert not aborted.accepted

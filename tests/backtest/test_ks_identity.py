@@ -7,15 +7,14 @@ per-packet sample is, by construction, ``delivered_per_host`` plus
 so ``compare_traffic`` computes the statistic from those.  Same sorted
 values, same float additions: the result must equal ``ks_two_sample`` over
 the two sample lists **bit for bit** (``==`` on the floats, no tolerance), on
-every default Q1–Q5 result, plain and multi-query, and on drawn lists of
-destinations.
+every default Q1–Q5 result and on drawn lists of destinations.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import RepairConfig, RepairSession
-from repro.backtest import compare_traffic, ks_two_sample
+from repro.backtest import EarlyAbortPolicy, compare_traffic, ks_two_sample
 from repro.sdn.network import DROPPED, TrafficStats
 
 
@@ -31,12 +30,10 @@ def assert_counters_describe_the_destinations(stats):
         host: samples.count(host) for host in set(samples) - {-1}}
 
 
-@pytest.mark.parametrize("multiquery", [False, True],
-                         ids=["plain", "multiquery"])
-@pytest.mark.parametrize("name", ["Q1", "Q2", "Q3", "Q4", "Q5"])
-def test_the_two_computations_agree_on_every_result(name, multiquery):
-    backtest = RepairSession(RepairConfig.for_scenario(
-        name, multiquery=multiquery)).run().backtest
+SCENARIOS = ["Q1", "Q2", "Q3", "Q4", "Q5"]
+
+
+def assert_the_two_computations_agree(backtest):
     assert_counters_describe_the_destinations(backtest.baseline)
     assert backtest.results
     for result in backtest.results:
@@ -47,8 +44,24 @@ def test_the_two_computations_agree_on_every_result(name, multiquery):
             assert result.ks == from_counters
 
 
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_the_two_computations_agree_on_every_result(name):
+    assert_the_two_computations_agree(
+        RepairSession(RepairConfig.for_scenario(name)).run().backtest)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_the_two_computations_agree_under_an_abort_policy(name):
+    """Under an abort policy the trace replays in pieces cut at the check
+    points, and an aborted candidate's statistics describe a prefix."""
+    config = RepairConfig.for_scenario(
+        name, max_packet_in_growth=1.5,
+        abort=EarlyAbortPolicy(check_every=8, min_fraction=0.1))
+    assert_the_two_computations_agree(RepairSession(config).run().backtest)
+
+
 def stats_of(destinations):
-    """What ``NetworkSimulator.inject`` leaves behind for these fates
+    """What ``NetworkSimulator.run_trace`` leaves behind for these fates
     (a host id, or ``DROPPED``)."""
     stats = TrafficStats()
     for host in destinations:

@@ -3,8 +3,8 @@
 Fleet-dispatched candidate evaluation (``workers > 1``: the gated spawn
 scheduler of ``RepairConfig.make_scheduler``) must produce **bit-identical**
 reports to the serial path: the same ``TrafficStats`` (every destination
-included), KS statistics, verdicts and sharing counters, in the same order,
-with and without multi-query sharing.  The data plane's own parity — one
+included), KS statistics and verdicts, in the same order.  The data
+plane's own parity — one
 ``run_trace`` against chunks, single packets and the previous walk — is
 ``tests/sdn/test_walk_differential.py``.
 """
@@ -13,7 +13,7 @@ import pytest
 
 import repro.backtest.replay as replay_module
 from repro.api import RepairConfig
-from repro.backtest import Backtester
+from repro.backtest import Backtester, EarlyAbortPolicy
 from repro.ndlog.ast import Var
 from repro.ndlog.parser import parse_program
 from repro.repair import (
@@ -35,8 +35,7 @@ def _rule(source):
 
 def scenario_candidates(name):
     """A small, scenario-specific candidate set: one plausible fix plus one
-    overly general repair, so both the shared trunk and the per-candidate
-    forks carry real traffic."""
+    overly general repair."""
     if name == "Q1":
         return [
             RepairCandidate(edits=(ChangeConstant("r7", 0, "right", 2, 3),),
@@ -91,8 +90,7 @@ def report_snapshot(report):
         rows.append((result.candidate.description, result.effective,
                      result.accepted, result.ks.statistic,
                      stats_snapshot(result.stats)))
-    extra = (report.shared_evaluations, report.candidate_evaluations)
-    return (stats_snapshot(report.baseline), tuple(rows), extra,
+    return (stats_snapshot(report.baseline), tuple(rows),
             report.packet_count)
 
 
@@ -115,36 +113,28 @@ def on_two_workers(backtester, candidates):
         return backtester.evaluate_all(candidates, scheduler=scheduler)
 
 
-# The ids are the class names from before MultiQueryBacktester was folded
-# into Backtester(multiquery=True); keeping them keeps collected test ids.
 @pytest.mark.parametrize("name", SCENARIOS)
-@pytest.mark.parametrize("multiquery", [False, True],
-                         ids=["Backtester", "MultiQueryBacktester"])
-def test_workers_match_serial(scenarios, name, multiquery,
-                              open_min_work_gate):
+def test_workers_match_serial(scenarios, name, open_min_work_gate):
     scenario = scenarios[name]
     candidates = scenario_candidates(name)
     serial = Backtester(
-        scenario, ks_threshold=scenario.ks_threshold,
-        multiquery=multiquery).evaluate_all(candidates)
+        scenario, ks_threshold=scenario.ks_threshold).evaluate_all(candidates)
     parallel = on_two_workers(Backtester(
-        scenario, ks_threshold=scenario.ks_threshold,
-        multiquery=multiquery), candidates)
+        scenario, ks_threshold=scenario.ks_threshold), candidates)
     assert report_snapshot(parallel) == report_snapshot(serial)
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_multiquery_verdicts_match_sequential(scenarios, name):
-    """The restructured (hermetic, shardable) multiquery path preserves the
-    Figure 9b invariant on every scenario, not just Q1."""
+def test_workers_match_serial_under_an_abort_policy(scenarios, name,
+                                                    open_min_work_gate):
+    """The policy rides the job wire: each worker cuts its replays at the
+    same check points and reaches the same verdicts as the serial path."""
     scenario = scenarios[name]
     candidates = scenario_candidates(name)
-    sequential = Backtester(
-        scenario, ks_threshold=scenario.ks_threshold).evaluate_all(candidates)
-    joint = Backtester(
-        scenario, ks_threshold=scenario.ks_threshold,
-        multiquery=True).evaluate_all(candidates)
-    assert [r.accepted for r in sequential.results] == \
-           [r.accepted for r in joint.results]
-    assert [r.effective for r in sequential.results] == \
-           [r.effective for r in joint.results]
+    knobs = dict(ks_threshold=scenario.ks_threshold, max_packet_in_growth=1.5,
+                 abort_policy=EarlyAbortPolicy(check_every=8,
+                                               min_fraction=0.1,
+                                               ks_slack=1.5))
+    serial = Backtester(scenario, **knobs).evaluate_all(candidates)
+    parallel = on_two_workers(Backtester(scenario, **knobs), candidates)
+    assert report_snapshot(parallel) == report_snapshot(serial)

@@ -8,7 +8,7 @@ non-wildcard match columns, then ``FlowEntry.create``, which sorts it.  Over
 random tuples of the ``figure2``, ``five_tuple`` and Q1 mappings — of the
 right and the wrong arity, with ``WILDCARD`` in any match column, a switch id
 or out-port that is no int, or a ``"*"`` out-port — both give the same
-``(switch, match, out_port, priority, tags)``, or both ``None``.  A layout
+``(switch, match, out_port, priority)``, or both ``None``.  A layout
 naming a field that is no match field is still a ``ValueError``.
 
 The storage layer under the same replay path reads its schema once per
@@ -31,7 +31,7 @@ from repro.sdn.switch import FlowEntry
 MAPPINGS = dict(FIELD_MAPPINGS, q1=Q1_MAPPING)
 
 
-def dict_built(mapping, tup, priority, tags=()):
+def dict_built(mapping, tup, priority):
     """``flow_entry_from_tuple`` as it was before compiled layouts."""
     if tup.arity != len(mapping.flow_entry_layout) + 1:
         return None
@@ -48,7 +48,7 @@ def dict_built(mapping, tup, priority, tags=()):
         return None
     if not isinstance(out_port, int):
         return None
-    entry = FlowEntry.create(match, out_port, priority=priority, tags=tags)
+    entry = FlowEntry.create(match, out_port, priority=priority)
     return switch_id, entry
 
 
@@ -56,8 +56,7 @@ def observable(translated):
     if translated is None:
         return None
     switch_id, entry = translated
-    return (switch_id, entry.match, entry.out_port, entry.priority,
-            entry.tags)
+    return switch_id, entry.match, entry.out_port, entry.priority
 
 
 def random_value(rng):
@@ -87,10 +86,9 @@ def test_the_compiled_translation_equals_the_dict_built_one(name):
     for _ in range(2000):
         tup = random_tuple(rng, mapping)
         priority = rng.choice([1, 10, 100])
-        tags = rng.choice([(), ("c1",), ("c1", "c2")])
-        expected = observable(dict_built(mapping, tup, priority, tags))
+        expected = observable(dict_built(mapping, tup, priority))
         assert observable(mapping.flow_entry_from_tuple(
-            tup, priority, tags)) == expected, tup
+            tup, priority)) == expected, tup
         outcomes.add(expected is None)
     assert outcomes == {True, False}
 

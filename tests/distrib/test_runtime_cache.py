@@ -3,7 +3,7 @@
 Covers the two connection-cost refinements of the fabric:
 
 * repeated ``evaluate_all`` calls with the same scenario + configuration
-  reuse the worker's scenario, backtester and shared trunk (the
+  reuse the worker's scenario and backtester, baseline included (the
   :class:`RuntimeCache`, keyed by :func:`job_digest`), and
 * jobs can ship as candidate-free headers (:func:`strip_candidates`) with
   candidate wires arriving per dispatched item — the socket transport's
@@ -46,27 +46,24 @@ def test_job_digest_keys_runtime_not_candidates(scenario, candidates):
     assert job_digest(wire_a) == job_digest(wire_b)
     other = Backtester(scenario, ks_threshold=0.5)
     assert job_digest(build_job_wire(other, candidates)) != job_digest(wire_a)
-    multi = Backtester(scenario, ks_threshold=scenario.ks_threshold,
-                       multiquery=True)
-    assert job_digest(build_job_wire(multi, candidates)) != job_digest(wire_a)
+    cut = Backtester(scenario, ks_threshold=scenario.ks_threshold,
+                     trace_limit=10)
+    assert job_digest(build_job_wire(cut, candidates)) != job_digest(wire_a)
 
 
-def test_runtime_cache_reuses_scenario_backtester_and_trunk(scenario,
-                                                            candidates):
-    backtester = Backtester(scenario, ks_threshold=scenario.ks_threshold,
-                            multiquery=True)
+def test_runtime_cache_reuses_scenario_and_backtester(scenario, candidates):
+    backtester = Backtester(scenario, ks_threshold=scenario.ks_threshold)
     wire = build_job_wire(backtester, candidates)
     cache = RuntimeCache()
     first = JobRuntime(wire, cache=cache)
     outcomes_first = [first.evaluate(i) for i in range(len(first))]
-    trunk = first.backtester._trunk
-    assert trunk is not None and trunk.base_destinations
+    baseline = first.backtester.baseline()
     second = JobRuntime(wire, cache=cache)
     outcomes_second = [second.evaluate(i) for i in range(len(second))]
     assert cache.misses == 1 and cache.hits == 1
     assert second.backtester is first.backtester
     assert second.scenario is first.scenario
-    assert second.backtester._trunk is trunk      # served, not rebuilt
+    assert second.backtester.baseline() is baseline   # served, not replayed
     # The runtime answers with outcome wires; the coordinator decodes them.
     assert [o["result"]["ks"] for o in outcomes_first] == \
         [o["result"]["ks"] for o in outcomes_second]
@@ -108,8 +105,7 @@ def test_header_jobs_stream_candidates_per_item(scenario, candidates):
 def test_inprocess_scheduler_hits_cache_across_evaluate_all(scenario,
                                                             candidates):
     with Scheduler(transport="inprocess") as scheduler:
-        backtester = Backtester(
-            scenario, ks_threshold=scenario.ks_threshold, multiquery=True)
+        backtester = Backtester(scenario, ks_threshold=scenario.ks_threshold)
         first = backtester.evaluate_all(candidates, scheduler=scheduler)
         second = backtester.evaluate_all(candidates, scheduler=scheduler)
         cache = scheduler.transport.runtime_cache
@@ -119,7 +115,7 @@ def test_inprocess_scheduler_hits_cache_across_evaluate_all(scenario,
 
 def test_socket_round_repeats_with_warm_worker_cache(scenario, candidates):
     """Two jobs over one socket transport: the second reuses the worker's
-    cached runtime (trunk rebuild skipped) and reports stay identical."""
+    cached runtime (scenario rebuild skipped) and reports stay identical."""
     with Scheduler(transport="socket", workers=1,
                    result_timeout=120.0) as scheduler:
         backtester = Backtester(scenario, ks_threshold=scenario.ks_threshold)

@@ -2,8 +2,7 @@
 
 Acceptance contract: serial, in-process and worker-pool transports produce
 **bit-identical** ``BacktestReport``s — statistics (delivery records
-included), KS results, verdicts and multi-query sharing counters — for
-Q1-Q5, with and without ``multiquery``.
+included), KS results and verdicts — for Q1-Q5.
 ``"spawn"`` and ``"socket"`` name the same pool-backed transport; both
 ids stay (the CLI, the ledger and ``RepairConfig.transport`` use them)
 over one shared body, each with 2 persistent workers, so every tier-1 run
@@ -35,17 +34,10 @@ from repro.ndlog.parser import parse_program
 from repro.scenarios import build_scenario
 
 SCENARIOS = ["Q1", "Q2", "Q3", "Q4", "Q5"]
-#: The two modes of the one ``Backtester``.  The ids are the class names
-#: from before ``MultiQueryBacktester`` was folded into
-#: ``Backtester(multiquery=True)``; keeping them keeps collected test ids.
-MODE_IDS = {False: "Backtester", True: "MultiQueryBacktester"}
-both_modes = pytest.mark.parametrize("multiquery", list(MODE_IDS),
-                                     ids=list(MODE_IDS.values()))
 
 
 def scenario_candidates(name):
-    """One plausible fix plus one overly general repair per scenario, so
-    both shared trunks and per-candidate forks carry real traffic."""
+    """One plausible fix plus one overly general repair per scenario."""
     if name == "Q1":
         return [
             RepairCandidate(edits=(ChangeConstant("r7", 0, "right", 2, 3),),
@@ -136,8 +128,7 @@ def report_snapshot(report):
         rows.append((result.candidate.description, result.candidate.tag,
                      result.effective, result.accepted, result.ks,
                      result.notes, stats_snapshot(result.stats)))
-    extra = (report.shared_evaluations, report.candidate_evaluations)
-    return (stats_snapshot(report.baseline), tuple(rows), extra,
+    return (stats_snapshot(report.baseline), tuple(rows),
             report.packet_count)
 
 
@@ -156,16 +147,11 @@ def candidate_sets():
 
 @pytest.fixture(scope="module")
 def serial_snapshots(scenarios, candidate_sets):
-    """Reference reports, computed once per (scenario, backtester mode)."""
-    out = {}
-    for name in SCENARIOS:
-        for multiquery, mode in MODE_IDS.items():
-            report = Backtester(scenarios[name],
-                                ks_threshold=scenarios[name].ks_threshold,
-                                multiquery=multiquery
-                                ).evaluate_all(candidate_sets[name])
-            out[(name, mode)] = report_snapshot(report)
-    return out
+    """Reference reports, computed once per scenario."""
+    return {name: report_snapshot(
+        Backtester(scenarios[name], ks_threshold=scenarios[name].ks_threshold
+                   ).evaluate_all(candidate_sets[name]))
+        for name in SCENARIOS}
 
 
 @pytest.fixture(scope="module")
@@ -180,47 +166,64 @@ def socket_scheduler():
         yield scheduler
 
 
-def assert_matches_serial(scheduler, scenario, candidates, multiquery,
-                          expected):
+def assert_matches_serial(scheduler, scenario, candidates, expected):
     """The one parity body: ``evaluate_all`` through ``scheduler`` equals
     the serial reference, and the fabric needed no recovery to get there."""
-    report = Backtester(scenario, ks_threshold=scenario.ks_threshold,
-                        multiquery=multiquery).evaluate_all(
-        candidates, scheduler=scheduler)
+    report = Backtester(scenario, ks_threshold=scenario.ks_threshold
+                        ).evaluate_all(candidates, scheduler=scheduler)
     assert report_snapshot(report) == expected
     assert not scheduler.transport.last_fault_stats.any()
 
 
-@both_modes
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_inprocess_transport_matches_serial(scenarios, serial_snapshots,
-                                            candidate_sets, name, multiquery):
+                                            candidate_sets, name):
     with Scheduler(transport="inprocess") as scheduler:
         assert_matches_serial(scheduler, scenarios[name],
-                              candidate_sets[name], multiquery,
-                              serial_snapshots[(name, MODE_IDS[multiquery])])
+                              candidate_sets[name], serial_snapshots[name])
 
 
-@both_modes
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_spawn_transport_matches_serial(scenarios, serial_snapshots,
                                         candidate_sets, spawn_scheduler,
-                                        name, multiquery):
+                                        name):
     assert spawn_scheduler.transport.name == "spawn"
     assert_matches_serial(spawn_scheduler, scenarios[name],
-                          candidate_sets[name], multiquery,
-                          serial_snapshots[(name, MODE_IDS[multiquery])])
+                          candidate_sets[name], serial_snapshots[name])
 
 
-@both_modes
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_socket_transport_matches_serial(scenarios, serial_snapshots,
                                          candidate_sets, socket_scheduler,
-                                         name, multiquery):
+                                         name):
     assert socket_scheduler.transport.name == "socket"
     assert_matches_serial(socket_scheduler, scenarios[name],
-                          candidate_sets[name], multiquery,
-                          serial_snapshots[(name, MODE_IDS[multiquery])])
+                          candidate_sets[name], serial_snapshots[name])
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+@pytest.mark.parametrize("transport", ["inprocess", "spawn", "socket"])
+def test_transport_matches_serial_under_an_abort_policy(
+        request, scenarios, candidate_sets, transport, name):
+    """The backtester's abort policy crosses the job wire: every transport
+    cuts each replay at the same check points, and aborts (Q1–Q4 here)
+    at the same one, as the serial path."""
+    scenario = scenarios[name]
+    knobs = dict(ks_threshold=scenario.ks_threshold, max_packet_in_growth=1.5,
+                 abort_policy=EarlyAbortPolicy(check_every=8,
+                                               min_fraction=0.1,
+                                               ks_slack=1.5))
+    expected = report_snapshot(
+        Backtester(scenario, **knobs).evaluate_all(candidate_sets[name]))
+    with contextlib.ExitStack() as stack:
+        if transport == "inprocess":
+            scheduler = stack.enter_context(Scheduler(transport="inprocess"))
+        else:
+            scheduler = request.getfixturevalue(f"{transport}_scheduler")
+        report = Backtester(scenario, **knobs).evaluate_all(
+            candidate_sets[name], scheduler=scheduler)
+    assert report_snapshot(report) == expected
+    assert not scheduler.transport.last_fault_stats.any()
 
 
 def test_progress_streams_in_completion_order(scenarios, candidate_sets):
@@ -260,7 +263,7 @@ def test_workers_without_scheduler_use_spawn(scenarios, serial_snapshots,
                             ).evaluate_all(candidate_sets["Q2"],
                                            scheduler=scheduler)
     assert used == ["spawn"]
-    assert report_snapshot(report) == serial_snapshots[("Q2", "Backtester")]
+    assert report_snapshot(report) == serial_snapshots["Q2"]
 
 
 def test_early_abort_rejects_overloading_candidate(scenarios):
@@ -272,19 +275,16 @@ def test_early_abort_rejects_overloading_candidate(scenarios):
                               description="delete r1 (floods controller)")
     fix = scenario_candidates("Q1")[0]   # fresh copy: notes compared below
     policy = EarlyAbortPolicy(check_every=8, min_fraction=0.1)
-    full_packets = len(scenario.trace())
-    for multiquery in MODE_IDS:
-        with Scheduler(transport="inprocess", early_abort=policy) as scheduler:
-            report = Backtester(scenario, ks_threshold=scenario.ks_threshold,
-                                max_packet_in_growth=1.5,
-                                multiquery=multiquery).evaluate_all(
-                                    [flooder, fix], scheduler=scheduler)
-        aborted, accepted = report.results
-        assert not aborted.accepted and not aborted.effective
-        assert any(note.startswith("aborted after") for note in aborted.notes)
-        assert aborted.stats.total < full_packets
-        assert accepted.accepted
-        assert accepted.notes == fix.notes
+    with Scheduler(transport="inprocess", early_abort=policy) as scheduler:
+        report = Backtester(scenario, ks_threshold=scenario.ks_threshold,
+                            max_packet_in_growth=1.5).evaluate_all(
+                                [flooder, fix], scheduler=scheduler)
+    aborted, accepted = report.results
+    assert not aborted.accepted and not aborted.effective
+    assert any(note.startswith("aborted after") for note in aborted.notes)
+    assert aborted.stats.total < len(scenario.trace())
+    assert accepted.accepted
+    assert accepted.notes == fix.notes
 
 
 def test_abort_policy_off_is_bit_identical(scenarios, serial_snapshots,
@@ -295,11 +295,9 @@ def test_abort_policy_off_is_bit_identical(scenarios, serial_snapshots,
     scenario = scenarios["Q3"]
     with Scheduler(transport="inprocess", early_abort=None) as scheduler:
         report = Backtester(
-            scenario, ks_threshold=scenario.ks_threshold,
-            multiquery=True).evaluate_all(
+            scenario, ks_threshold=scenario.ks_threshold).evaluate_all(
                 candidate_sets["Q3"], scheduler=scheduler)
-    assert report_snapshot(report) == \
-        serial_snapshots[("Q3", "MultiQueryBacktester")]
+    assert report_snapshot(report) == serial_snapshots["Q3"]
 
 
 def test_missing_spec_raises(scenarios):
@@ -333,35 +331,36 @@ def test_workers_without_spec_run_serial(monkeypatch):
     assert report_snapshot(parallel) == report_snapshot(serial)
 
 
-def test_job_wire_carries_the_multiquery_flag(scenarios):
+def test_job_wire_carries_the_backtester_config(scenarios):
     scenario = scenarios["Q1"]
     candidates = scenario_candidates("Q1")
-    wires = {multiquery: build_job_wire(
-        Backtester(scenario, ks_threshold=scenario.ks_threshold,
-                   multiquery=multiquery), candidates)
-        for multiquery in MODE_IDS}
-    for multiquery, wire in wires.items():
-        assert wire["config"]["multiquery"] is multiquery
+    wires = {threshold: build_job_wire(
+        Backtester(scenario, ks_threshold=threshold), candidates)
+        for threshold in (0.05, 0.2)}
+    for threshold, wire in wires.items():
+        assert wire["config"]["ks_threshold"] == threshold
         assert "backtester" not in wire
-        assert JobRuntime(wire).backtester.multiquery is multiquery
-    assert job_digest(wires[False]) != job_digest(wires[True])
+        assert JobRuntime(wire).backtester.ks_threshold == threshold
+    assert job_digest(wires[0.05]) != job_digest(wires[0.2])
 
 
-def test_job_wire_naming_a_class_or_missing_the_flag_is_malformed(scenarios):
-    """Wires from before the fold (a ``"backtester"`` class name, no
-    ``multiquery`` in the config) are refused up front as DistribError —
-    never a KeyError/TypeError inside a worker."""
+def test_job_wire_naming_a_class_or_a_gone_knob_is_malformed(scenarios):
+    """Wires from older coordinators (a ``"backtester"`` class name, a
+    ``multiquery`` flag in the config) are refused up front as
+    DistribError — never a KeyError/TypeError inside a worker."""
     scenario = scenarios["Q1"]
     wire = build_job_wire(Backtester(scenario), scenario_candidates("Q1"))
     named = dict(wire, backtester="MultiQueryBacktester")
-    flagless = dict(wire, config={key: value for key, value
-                                  in wire["config"].items()
-                                  if key != "multiquery"})
-    for bad, why in (
-            (named, r"unknown backtest job keys: \['backtester'\]"),
-            (flagless, "BacktesterConfig key 'multiquery' is missing")):
-        with pytest.raises(DistribError, match=why):
-            JobRuntime(bad)
+    for multiquery in (False, True):
+        flagged = dict(wire, config=dict(wire["config"],
+                                         multiquery=multiquery))
+        with pytest.raises(DistribError,
+                           match=r"unknown BacktesterConfig keys: "
+                                 r"\['multiquery'\]"):
+            JobRuntime(flagged)
+    with pytest.raises(DistribError,
+                       match=r"unknown backtest job keys: \['backtester'\]"):
+        JobRuntime(named)
 
 
 def test_socket_transport_restarts_after_close(serial_snapshots,
@@ -432,7 +431,7 @@ def test_spawn_workers_stitch_under_coordinator_trace(
                                            spawn_scheduler)
     _assert_stitched(telemetry, len(candidates), cross_process=True)
     # Telemetry must never perturb results: bit-identical to serial.
-    assert report_snapshot(report) == serial_snapshots[("Q1", "Backtester")]
+    assert report_snapshot(report) == serial_snapshots["Q1"]
 
 
 def test_socket_workers_stitch_under_coordinator_trace(
@@ -441,7 +440,7 @@ def test_socket_workers_stitch_under_coordinator_trace(
     telemetry, report = _traced_fabric_run(scenarios["Q2"], candidates,
                                            socket_scheduler)
     _assert_stitched(telemetry, len(candidates), cross_process=True)
-    assert report_snapshot(report) == serial_snapshots[("Q2", "Backtester")]
+    assert report_snapshot(report) == serial_snapshots["Q2"]
 
 
 def test_inprocess_transport_stitches_without_processes(

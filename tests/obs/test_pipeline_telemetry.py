@@ -177,15 +177,14 @@ def test_local_workers_spans_stitch(monkeypatch):
 
 
 @pytest.mark.parametrize("knobs", [
+    dict(),
+    dict(max_packet_in_growth=1.5),
     dict(abort=EarlyAbortPolicy(check_every=8, min_fraction=0.1),
          max_packet_in_growth=1.5),
-    dict(multiquery=True),
-    dict(multiquery=True, max_packet_in_growth=1.5,
-         abort=EarlyAbortPolicy(check_every=8, min_fraction=0.1)),
-], ids=["abort", "multiquery", "multiquery-abort"])
+], ids=["whole", "growth-cap", "abort"])
 def test_every_replay_is_traced(knobs):
-    """Replays under an abort policy or through the shared trunk used to
-    vanish from the trace: no ``replay`` span, no ``packets_replayed``.
+    """Replays under an abort policy used to vanish from the trace: no
+    ``replay`` span, no ``packets_replayed``.
     Every replayed (non-vetoed) candidate has exactly one ``replay`` span
     whose ``packets`` is what was actually replayed — the prefix length
     when aborted — and telemetry still changes no report bit."""

@@ -16,9 +16,11 @@ caused:
 * ``equal``   — share of (packet, candidate) outcomes equal to the base's
   anywhere in the trace: the bound for a per-packet (per-flow) sharing that
   could skip a packet in the middle of a diverged replay.
-* ``static``  — what the existing static estimate reaches: the share of
-  (packet, candidate) decisions ``multiquery``'s ``_RuleDeltaChecker
-  .affects_anywhere`` serves from the base replay (``sharing_ratio``).
+
+An earlier version also printed a ``static`` column: the share of (packet,
+candidate) decisions the multi-query backtester's static rule-delta check
+served from the base replay.  That backtester is gone, and the column with
+it; ``prefix`` and ``equal`` bound every sharing scheme it could have been.
 
 Candidates the static vet rejects are never replayed (the vet is a proof that
 they equal the base), so each ratio is printed twice: over every candidate
@@ -33,7 +35,6 @@ seeds to see that it does not depend on one:
     done
 """
 
-import dataclasses
 import pathlib
 import sys
 
@@ -69,7 +70,8 @@ def outcomes(scenario, trace, repaired=None):
     for switch_id, packet in trace:
         before = (stats.packet_in_count, stats.flow_mod_count,
                   stats.packet_out_count)
-        rows.append((simulator.inject(packet, switch_id),
+        simulator.run_trace(((switch_id, packet),))
+        rows.append((stats.destinations[-1],
                      stats.packet_in_count - before[0],
                      stats.flow_mod_count - before[1],
                      stats.packet_out_count - before[2]))
@@ -95,9 +97,7 @@ def census(config):
         same = [ours == theirs for ours, theirs in zip(mine, base)]
         prefix = same.index(False) if False in same else len(trace)
         rows.append((prefix, sum(same), replayed))
-    static = RepairSession(dataclasses.replace(
-        config, multiquery=True)).run().backtest.sharing_ratio()
-    return len(trace), rows, static
+    return len(trace), rows
 
 
 def ratios(packets, rows):
@@ -109,9 +109,9 @@ def ratios(packets, rows):
 if __name__ == "__main__":
     print(f"{'session':<16} {'trace':>5} {'cands':>5} {'at pkt 0':>8} "
           f"{'never':>5} {'prefix':>7} {'equal':>6} | {'replayed':>8} "
-          f"{'prefix':>7} {'equal':>6} {'static':>6}")
+          f"{'prefix':>7} {'equal':>6}")
     for label, config in configs():
-        packets, rows, static = census(config)
+        packets, rows = census(config)
         replayed = [row for row in rows if row[2]]
         at_zero = sum(prefix == 0 for prefix, _equal, _replayed in rows)
         never = sum(prefix == packets for prefix, _equal, _replayed in rows)
@@ -119,4 +119,4 @@ if __name__ == "__main__":
         replayed_prefix, replayed_equal = ratios(packets, replayed)
         print(f"{label:<16} {packets:>5} {len(rows):>5} {at_zero:>8} "
               f"{never:>5} {prefix:>7.3f} {equal:>6.3f} | {len(replayed):>8} "
-              f"{replayed_prefix:>7.3f} {replayed_equal:>6.3f} {static:>6.3f}")
+              f"{replayed_prefix:>7.3f} {replayed_equal:>6.3f}")

@@ -8,8 +8,8 @@ holds it to three things:
 
 * a flipped name changes nothing: Q1–Q5 ``repair --json`` minus
   ``timings`` is byte-identical to the default configuration's;
-* the name is no config field: a config wire carrying it is refused like
-  any unknown key;
+* the name is no config field: a ``RepairConfig`` wire or a backtest job's
+  ``BacktesterConfig`` wire carrying it is refused like any unknown key;
 * no ``src/`` module names it outside the shim.
 """
 
@@ -23,7 +23,8 @@ import pytest
 import repro
 from repro.api import RepairConfig, RepairSession
 from repro.api.config import LEDGER_ONLY_KNOBS, ConfigError
-from repro.distrib.jobs import BacktesterConfig
+from repro.distrib.jobs import (BacktesterConfig, JobRuntime, JobWireError,
+                                build_job_wire)
 from repro.repair import reset_candidate_ids
 
 SCENARIOS = ("Q1", "Q2", "Q3", "Q4", "Q5")
@@ -32,7 +33,8 @@ SHIM = SRC / "api" / "config.py"
 
 #: The value each knob had by default while its mechanism existed; the
 #: test flips it.
-DEFAULTS = {"warm_engine": True, "replay_batch_size": None}
+DEFAULTS = {"warm_engine": True, "replay_batch_size": None,
+            "multiquery": False}
 
 _reports = {}
 
@@ -75,6 +77,18 @@ def test_a_ledger_only_knob_is_no_field_and_no_wire_key(knob):
     assert knob not in wire
     with pytest.raises(ConfigError, match="unknown config keys"):
         RepairConfig.from_wire({**wire, knob: not DEFAULTS[knob]})
+
+
+@pytest.mark.parametrize("knob", LEDGER_ONLY_KNOBS)
+def test_a_job_wire_carrying_a_ledger_only_knob_is_refused(knob):
+    config = RepairConfig.for_scenario("Q1")
+    scenario = config.build_scenario()
+    wire = build_job_wire(config.make_backtester(scenario), [])
+    assert knob not in wire["config"]
+    flagged = dict(wire, config={**wire["config"], knob: DEFAULTS[knob]})
+    with pytest.raises(JobWireError, match=re.escape(
+            f"unknown BacktesterConfig keys: ['{knob}']")):
+        JobRuntime(flagged)
 
 
 @pytest.mark.parametrize("knob", LEDGER_ONLY_KNOBS)

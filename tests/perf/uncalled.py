@@ -57,7 +57,7 @@ def workloads():
     from repro.scenarios import build_scenario
     from repro.scenarios.other_languages import language_reports
 
-    knob_rows = ({}, {"multiquery": True}, {"static_vet": False},
+    knob_rows = ({}, {"static_vet": False},
                  {"abort": EarlyAbortPolicy(ks_slack=2.0)},
                  {"telemetry": TelemetryConfig()})
     for name in ("Q1", "Q2", "Q3", "Q4", "Q5"):

@@ -138,10 +138,6 @@ class TestCandidates:
         assert len(unique) == 2
         assert unique[0].cost == 1.0
 
-    def test_program_vs_data_changes(self):
-        assert single(ChangeConstant("r7", 0, "right", 2, 3)).is_program_change()
-        assert single(InsertTuple(make_tuple("FlowTable", 3, 80, 2))).is_data_change()
-
 
 class TestCostModel:
     def test_relative_ordering_of_default_costs(self):

@@ -2,8 +2,7 @@
 
 Lookups must stay semantically identical to the original linear scan:
 highest priority wins, ties go to the entry installed first, ``*`` values
-and absent fields are wildcards, and tag filtering (multi-query
-backtesting) applies before matching.  The table keeps its index in step
+and absent fields are wildcards.  The table keeps its index in step
 with every ``install`` and ``clear``; a randomized cross-check pits it
 against a list model (the install it replaced, verbatim) under a reference
 linear scan, and hand-written cases pin the orderings no report golden
@@ -37,8 +36,7 @@ class ListModel:
             existing for existing in self._entries
             if not (existing.match == entry.match
                     and existing.priority == entry.priority
-                    and existing.out_port == entry.out_port
-                    and existing.tags == entry.tags)
+                    and existing.out_port == entry.out_port)
         ]
         self._entries.append(entry)
         return entry
@@ -59,14 +57,10 @@ def dict_matches(entry, packet, in_port=None):
                for name, value in entry.match)
 
 
-def linear_lookup(table, packet, in_port=None, tag=None):
+def linear_lookup(table, packet, in_port=None):
     """The pre-index reference semantics, verbatim."""
     best = None
     for entry in table.entries():
-        if tag is not None and entry.tags and tag not in entry.tags:
-            continue
-        if tag is None and entry.tags:
-            continue
         if not dict_matches(entry, packet, in_port):
             continue
         if best is None or entry.priority > best.priority:
@@ -110,17 +104,6 @@ def test_wildcard_value_entries_still_match():
                                            out_port=1, priority=4))
     assert table.lookup(Packet(src_ip=5, dst_ip=9, dst_port=80)) is wild
     assert table.lookup(Packet(src_ip=3, dst_ip=9, dst_port=80)) is exact
-
-
-def test_tag_filtering():
-    table = FlowTable()
-    untagged = table.install(FlowEntry.create({"dst_port": 80}, out_port=1))
-    tagged = table.install(FlowEntry.create({"dst_port": 80}, out_port=2,
-                                            priority=9, tags=("v1",)))
-    packet = Packet(src_ip=1, dst_ip=2, dst_port=80)
-    assert table.lookup(packet) is untagged          # tag=None skips tagged
-    assert table.lookup(packet, tag="v1") is tagged
-    assert table.lookup(packet, tag="v2") is untagged
 
 
 def test_in_port_is_indexable():
@@ -208,9 +191,8 @@ def test_randomized_cross_check_against_linear_scan():
                     match[field] = rng.choice(["tcp", "udp", "*"])
                 else:
                     match[field] = rng.choice([rng.randint(1, 5), "*"])
-            tags = rng.choice([(), (), ("v1",), ("v2",), ("v1", "v2")])
             entry = FlowEntry.create(match, out_port=rng.randint(1, 4),
-                                     priority=rng.randint(1, 3), tags=tags)
+                                     priority=rng.randint(1, 3))
             if rng.random() < 0.1:
                 # ``create`` refuses unknown names; the constructor does not.
                 # Such a field reads None: only a None value (or ``*``)
@@ -218,14 +200,14 @@ def test_randomized_cross_check_against_linear_scan():
                 stray = ("vlan", rng.choice([None, None, 7, "*"]))
                 entry = FlowEntry(match=tuple(sorted(entry.match + (stray,))),
                                   out_port=entry.out_port,
-                                  priority=entry.priority, tags=entry.tags)
+                                  priority=entry.priority)
                 counts["no_such_field"] += 1
             counts["install"] += 1
         elif action < 0.70:
-            # Same match/priority/out_port/tags as a live entry, a new object.
+            # Same match/priority/out_port as a live entry, a new object.
             old = rng.choice(model.entries())
             entry = FlowEntry(match=old.match, out_port=old.out_port,
-                              priority=old.priority, tags=old.tags)
+                              priority=old.priority)
             counts["duplicate"] += 1
         elif action < 0.73:
             table.clear()
@@ -250,12 +232,11 @@ def test_randomized_cross_check_against_linear_scan():
                                                       packet.src_ip)
         in_port = rng.choice([None, rng.randint(1, 5)])
         counts["no_in_port"] += in_port is None
-        for tag in (None, rng.choice(["v1", "v2", "v3"])):
-            found = table.lookup(packet, in_port, tag)
-            assert found is linear_lookup(model, packet, in_port, tag)
-            if found is not None:
-                assert found.matches(packet, in_port)
-                counts["residual_hit"] += "*" in dict(found.match).values()
+        found = table.lookup(packet, in_port)
+        assert found is linear_lookup(model, packet, in_port)
+        if found is not None:
+            assert found.matches(packet, in_port)
+            counts["residual_hit"] += "*" in dict(found.match).values()
         for entry in expected:
             assert entry.matches(packet, in_port) \
                 == dict_matches(entry, packet, in_port)

@@ -38,13 +38,14 @@ def test_a_packet_sent_on_the_second_link_enters_on_its_far_end():
         FlowMod(2, FlowEntry.create({"in_port": 1}, out_port=11)),
         FlowMod(2, FlowEntry.create({"in_port": 2}, out_port=12)),
     ])
-    assert sim.inject(Packet(src_ip=100, dst_ip=201), at_switch=1) == 202
+    stats = sim.run_trace([(1, Packet(src_ip=100, dst_ip=201))])
+    assert stats.destinations == [202]
     assert recording.packet_ins == []
 
 
 def test_a_packet_in_raised_after_the_second_link_names_its_far_end():
     sim, recording = simulator([FlowMod(1, FlowEntry.create({}, out_port=2))])
-    sim.inject(Packet(src_ip=100, dst_ip=201), at_switch=1)
+    sim.run_trace([(1, Packet(src_ip=100, dst_ip=201))])
     (event,) = recording.packet_ins
     assert (event.switch_id, event.in_port) == (2, 2)
 

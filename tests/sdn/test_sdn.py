@@ -24,6 +24,11 @@ from repro.sdn import (
 )
 
 
+def walk(sim, packet, at_switch=1):
+    """Walk one packet through ``sim``: its destination."""
+    return sim.run_trace([(at_switch, packet)]).destinations[-1]
+
+
 class TestFlowTable:
     def test_exact_match_and_wildcards(self):
         entry = FlowEntry.create({"dst_port": 80}, out_port=1)
@@ -47,13 +52,6 @@ class TestFlowTable:
         table.install(FlowEntry.create({"dst_port": 80}, out_port=1))
         table.install(FlowEntry.create({"dst_port": 80}, out_port=1))
         assert len(table) == 1
-
-    def test_tag_filtering(self):
-        table = FlowTable()
-        table.install(FlowEntry.create({"dst_port": 80}, out_port=1, tags=("v1",)))
-        assert table.lookup(http_request(1, 2)) is None
-        assert table.lookup(http_request(1, 2), tag="v1").out_port == 1
-        assert table.lookup(http_request(1, 2), tag="v2") is None
 
     def test_unknown_match_field_rejected(self):
         with pytest.raises(ValueError):
@@ -107,7 +105,7 @@ class TestSimulator:
                 FlowMod(2, FlowEntry.create({"dst_port": 80}, out_port=1))]
         recording = RecordingController(StaticController(mods))
         sim = NetworkSimulator(topo, recording)
-        assert sim.inject(http_request(100, 11), at_switch=1) == 11
+        assert walk(sim, http_request(100, 11)) == 11
         assert sim.stats.destinations == [11]
         # S1 -> S2 -> H11: both hit, and S3 (empty) was never asked.
         assert [len(topo.switch(s).flow_table) for s in (1, 2, 3)] == [1, 1, 0]
@@ -117,7 +115,7 @@ class TestSimulator:
         topo = figure1_topology()
         recording = RecordingController(StaticController([]))
         sim = NetworkSimulator(topo, recording)
-        assert sim.inject(http_request(100, 11), at_switch=1) == DROPPED
+        assert walk(sim, http_request(100, 11)) == DROPPED
         assert [event.switch_id for event in recording.packet_ins] == [1]
         assert (sim.stats.dropped, sim.stats.destinations) == (1, [DROPPED])
 
@@ -126,7 +124,7 @@ class TestSimulator:
         mods = [FlowMod(1, FlowEntry.create({"dst_port": 80}, out_port=1))]
         recording = RecordingController(StaticController(mods))
         sim = NetworkSimulator(topo, recording)
-        assert sim.inject(http_request(100, 11), at_switch=1) == DROPPED
+        assert walk(sim, http_request(100, 11)) == DROPPED
         (event,) = recording.packet_ins
         assert event.switch_id == 2
         assert event.in_port == topo.switch(2).port_to("switch", 1)
@@ -136,7 +134,7 @@ class TestSimulator:
         mods = [FlowMod(1, FlowEntry.create({"dst_port": 80}, out_port=DROP_PORT))]
         recording = RecordingController(StaticController(mods))
         sim = NetworkSimulator(topo, recording)
-        assert sim.inject(http_request(100, 11), at_switch=1) == DROPPED
+        assert walk(sim, http_request(100, 11)) == DROPPED
         assert recording.packet_ins == [] and sim.stats.dropped == 1
 
     def test_stats_accumulate(self):
@@ -145,7 +143,7 @@ class TestSimulator:
                 FlowMod(2, FlowEntry.create({"dst_port": 80}, out_port=1))]
         sim = NetworkSimulator(topo, StaticController(mods))
         for _ in range(5):
-            sim.inject(http_request(100, 11), at_switch=1)
+            walk(sim, http_request(100, 11))
         assert sim.stats.total == 5
         assert sim.stats.delivered_to(11) == 5
         assert sim.stats.delivery_ratio() == 1.0
@@ -153,7 +151,7 @@ class TestSimulator:
     def test_log_records_packets_and_storage(self):
         topo = figure1_topology()
         sim = NetworkSimulator(topo, StaticController([]))
-        sim.inject(http_request(100, 11), at_switch=1)
+        walk(sim, http_request(100, 11))
         assert len(sim.log) == 1
         assert sim.log.storage_bytes() == LOG_ENTRY_BYTES
 

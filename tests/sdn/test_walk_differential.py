@@ -1,8 +1,8 @@
 """The one hop loop against the per-packet walk it replaced.
 
-``NetworkSimulator.run_trace`` is the only walk: ``inject`` is a one-packet
-``run_trace``, and the totals of a call are added once at its end.  It must
-do what ``walk_oracle.ParentWalkSimulator`` — the ``inject`` /
+``NetworkSimulator.run_trace`` is the only walk, and the totals of a call
+are added once at its end.  It must do what
+``walk_oracle.ParentWalkSimulator`` — the ``inject`` /
 ``_forward`` / ``_handle_table_miss`` walk before it — does: equal
 ``TrafficStats`` (every destination, the per-host counts in first-delivery
 order, drops, PacketIn / FlowMod / PacketOut counts), the same controller
@@ -14,15 +14,16 @@ settings:
   explorer candidates, with the packet-out requirement on and off;
 * Hypothesis-drawn topologies and tables covering flood, ``DROP_PORT``, a
   port with no link, an unknown ingress switch, a loop past ``max_hops``,
-  ``require_packet_out=False``, parallel links and tagged entries, behind a
+  ``require_packet_out=False`` and parallel links, behind a
   reactive controller whose answers are drawn too;
-* one ``run_trace`` against chunked ``run_trace`` calls and against one
-  ``inject`` per packet.
+* one ``run_trace`` against chunked ``run_trace`` calls, down to one call
+  per packet, and against the pieces an abort policy's check points cut.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.backtest import EarlyAbortPolicy
 from repro.meta import MetaProvenanceExplorer
 from repro.repair import apply_candidate
 from repro.scenarios import build_scenario
@@ -108,7 +109,7 @@ def test_a_scenario_trace_walks_as_before(name, program, require_packet_out):
     assert snapshot(one_loop) == snapshot(oracle)
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 17, 64, "inject"])
+@pytest.mark.parametrize("chunk", [1, 3, 17, 64])
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_chunked_and_per_packet_replays_equal_one_call(name, chunk):
     scenario, _ = scenario_and_candidates(name)
@@ -119,17 +120,34 @@ def test_chunked_and_per_packet_replays_equal_one_call(name, chunk):
                          require_packet_out=scenario.require_packet_out)
         for _ in range(2))
     whole.run_trace(trace)
-    if chunk == "inject":
-        for switch_id, packet in trace:
-            assert pieces.inject(packet, switch_id) == \
-                pieces.stats.destinations[-1]
-    else:
-        for start in range(0, len(trace), chunk):
-            pieces.run_trace(trace[start:start + chunk])
+    for start in range(0, len(trace), chunk):
+        pieces.run_trace(trace[start:start + chunk])
     assert snapshot(pieces) == snapshot(whole)
     assert [(r.switch_id, r.packet, r.in_port)
             for r in pieces.log.packet_records] == \
         [(r.switch_id, r.packet, r.in_port) for r in whole.log.packet_records]
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_a_trace_cut_at_abort_check_points_equals_one_call(name):
+    """The backtester's replay under an abort policy: pieces cut at
+    :meth:`EarlyAbortPolicy.check_points`, a short first piece included."""
+    scenario, _ = scenario_and_candidates(name)
+    trace = scenario.trace()
+    whole, pieces = (
+        NetworkSimulator(scenario.build_topology(),
+                         RecordingController(scenario.build_controller()),
+                         require_packet_out=scenario.require_packet_out)
+        for _ in range(2))
+    whole.run_trace(trace)
+    cuts = EarlyAbortPolicy(check_every=8, min_fraction=0.1).check_points(
+        len(trace))
+    assert len(cuts) > 1
+    done = 0
+    for cut in (*cuts, len(trace)):
+        pieces.run_trace(trace[done:cut])
+        done = cut
+    assert snapshot(pieces) == snapshot(whole)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +161,6 @@ ADDRESSES = HOSTS + (9,)
 #: Ports 1-4 may carry links, 5-6 hosts; 7 never has a link.
 LINK_PORTS = (1, 2, 3, 4)
 UNLINKED_PORT = 7
-TAGS = ("a", "b")
 
 
 @st.composite
@@ -189,10 +206,9 @@ matches = st.dictionaries(
     st.sampled_from(("dst_ip", "src_ip", "dst_port", "in_port")),
     st.sampled_from((11, 12, 21, 31, 80, 1, 5, "*")), max_size=2)
 entries = st.builds(
-    lambda match, out_port, priority, tags: FlowEntry.create(
-        match, out_port, priority=priority, tags=tags),
-    matches, out_ports, st.integers(1, 3),
-    st.lists(st.sampled_from(TAGS), max_size=1))
+    lambda match, out_port, priority: FlowEntry.create(
+        match, out_port, priority=priority),
+    matches, out_ports, st.integers(1, 3))
 flow_mods = st.lists(st.builds(FlowMod, st.sampled_from(SWITCHES + (4,)),
                                entries), max_size=12)
 packet_outs = st.builds(lambda switch_id, port: (switch_id, port),
@@ -237,12 +253,12 @@ traces = st.lists(st.tuples(st.sampled_from(SWITCHES + (99,)), packets),
 @settings(max_examples=150, deadline=None)
 @given(recipe=networks(), proactive=flow_mods, reactive=answers,
        trace=traces, require_packet_out=st.booleans(),
-       tag=st.sampled_from((None,) + TAGS), max_hops=st.integers(1, 6))
+       max_hops=st.integers(1, 6))
 def test_a_drawn_network_walks_as_before(recipe, proactive, reactive, trace,
-                                         require_packet_out, tag, max_hops):
+                                         require_packet_out, max_hops):
     one_loop, oracle = pair(
         lambda: build(recipe), lambda: DrawnController(proactive, reactive),
-        require_packet_out=require_packet_out, tag=tag, max_hops=max_hops)
+        require_packet_out=require_packet_out, max_hops=max_hops)
     one_loop.run_trace(trace)
     oracle.run_trace(trace)
     assert snapshot(one_loop) == snapshot(oracle)
@@ -251,14 +267,13 @@ def test_a_drawn_network_walks_as_before(recipe, proactive, reactive, trace,
 
 @settings(max_examples=60, deadline=None)
 @given(recipe=networks(), proactive=flow_mods, trace=traces,
-       cuts=st.lists(st.integers(0, 30), max_size=4),
-       tag=st.sampled_from((None,) + TAGS))
+       cuts=st.lists(st.integers(0, 30), max_size=4))
 def test_a_drawn_trace_walks_alike_in_any_chunking(recipe, proactive, trace,
-                                                   cuts, tag):
+                                                   cuts):
     whole, pieces = (
         NetworkSimulator(build(recipe),
                          RecordingController(StaticController(proactive)),
-                         tag=tag, max_hops=4)
+                         max_hops=4)
         for _ in range(2))
     whole.run_trace(trace)
     bounds = sorted({0, len(trace), *(cut for cut in cuts
@@ -281,6 +296,7 @@ def test_a_loop_past_max_hops_is_a_drop():
     one_loop, oracle = pair(two_switches, lambda: StaticController(loop),
                             max_hops=5)
     packet = Packet(src_ip=9, dst_ip=9)
-    assert one_loop.inject(packet, 1) == oracle.inject(packet, 1) == -1
+    assert one_loop.run_trace([(1, packet)]).destinations == \
+        oracle.run_trace([(1, packet)]).destinations == [-1]
     assert snapshot(one_loop)["counts"] == snapshot(oracle)["counts"] == \
         (1, 1, 0, 2, 0)

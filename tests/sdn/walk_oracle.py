@@ -9,7 +9,8 @@ walk as a class of its own, :class:`ParentWalkSimulator`, unchanged but for
 what only the batched-replay burst path used (``ingress_entry``, the burst
 responses and ``_controller_response``, which went with that path) and its
 one ``Switch.lookup``, a wrapper that went too, read here as the
-``switch.flow_table.lookup`` it called, so
+``switch.flow_table.lookup`` it called, and the ``tag`` lookup filter, which
+went with the flow entries' tags, so
 ``tests/sdn/test_walk_differential.py`` can hold the new loop to it.  It
 shares the flow table, the switches' link records and the messages with the
 product, not the walk.  Never edit it to make a difference go away.
@@ -36,14 +37,12 @@ class ParentWalkSimulator:
                  log: Optional[HistoricalLog] = None,
                  require_packet_out: bool = True,
                  max_hops: int = 64,
-                 tag: Optional[str] = None,
                  record_ingress: bool = True):
         self.topology = topology
         self.controller = controller
         self.log = log if log is not None else HistoricalLog()
         self.require_packet_out = require_packet_out
         self.max_hops = max_hops
-        self.tag = tag
         self.record_ingress = record_ingress
         self.stats = TrafficStats()
         self._started = False
@@ -109,7 +108,7 @@ class ParentWalkSimulator:
             if switch is None:
                 return DROPPED
             if entry is None:
-                entry = switch.flow_table.lookup(packet, in_port, self.tag)
+                entry = switch.flow_table.lookup(packet, in_port)
             if entry is None:
                 out_port = self._handle_table_miss(switch, packet, in_port)
                 if out_port is None:
@@ -144,7 +143,7 @@ class ParentWalkSimulator:
         if self.require_packet_out:
             return None
         # Lenient mode: retry the lookup with any freshly installed entries.
-        entry = switch.flow_table.lookup(packet, in_port, self.tag)
+        entry = switch.flow_table.lookup(packet, in_port)
         if entry is not None and entry.out_port != DROP_PORT:
             return entry.out_port
         return None

@@ -22,6 +22,7 @@ from repro.distrib import FaultAction, FaultPlan, FaultToleranceConfig
 from repro.repair import reset_candidate_ids
 from repro.service import ClientError, ServiceClient
 from repro.service import http as service_http
+from repro.service import daemon as service_daemon
 from repro.service.http import MAX_BODY_BYTES
 
 from conftest import report_minus_timings
@@ -119,6 +120,29 @@ class TestEndpoints:
         assert rows[0]["tenant"] == "alice"
         assert rows[0]["state"] == "done"
         assert daemon.get(ack["id"]).attempts == 0
+
+    def test_only_the_newest_finished_sessions_are_kept(self, fleet,
+                                                        monkeypatch):
+        # The policy hooks driven by hand (no worker): four sessions finish
+        # one after the other while a fifth stays queued.
+        monkeypatch.setattr(service_daemon, "MAX_FINISHED_SESSIONS", 2)
+        daemon, _server, client = fleet(workers=1, spawn_workers=False)
+        config = RepairConfig.for_scenario("Q1")
+        finished = [daemon.submit(config) for _ in range(4)]
+        queued = daemon.submit(config)
+        for session_id in finished:
+            job = daemon.assign(SimpleNamespace(worker_id=0))
+            assert job.key.session_id == session_id
+            daemon.result(job, None, {"report": {"ok": True}})
+        rows = client.sessions()
+        assert [row["id"] for row in rows] == finished[2:] + [queued]
+        assert [row["state"] for row in rows] == ["done", "done", "queued"]
+        for evicted in finished[:2]:
+            with pytest.raises(ClientError) as excinfo:
+                client.session(evicted)
+            assert excinfo.value.status == 404
+        assert client.session(finished[3])["report"] == {"ok": True}
+        assert client.health()["sessions_total"] == 5
 
     def test_healthz_reports_fleet_and_tenant_queues(self, fleet):
         # What is the daemon doing right now?  The pool's fleet view plus
