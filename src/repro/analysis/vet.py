@@ -122,7 +122,7 @@ class CandidateVetter:
 
     def vet(self, repaired) -> VetResult:
         """Vet an applied candidate (a ``RepairedProgram``-shaped object
-        with ``program`` / ``inserted_tuples`` / ``removed_tuples``)."""
+        with ``program`` / ``inserted_tuples``)."""
         return self._result(self._judge(repaired))
 
     # ------------------------------------------------------------------
@@ -146,11 +146,10 @@ class CandidateVetter:
         candidate."""
         patched: Program = repaired.program
         inserted = repaired.inserted_tuples
-        removed = repaired.removed_tuples
         # Rules the candidate did not edit are the base program's objects,
         # which tuple comparison recognises by identity.
         program_changed = patched.rules != self.program.rules
-        if not program_changed and not inserted and not removed:
+        if not program_changed and not inserted:
             return _Decision("no-op-edit", findings=[LintFinding(
                 pass_name="vet", code="no-op-edit", severity=Severity.ERROR,
                 message="the edits leave the program and base data "
@@ -160,7 +159,7 @@ class CandidateVetter:
         # could never complete a backtest.
         if _any_negated(patched.rules):
             return _Decision("negation-unsupported", repaired)
-        if inserted and not program_changed and not removed:
+        if inserted and not program_changed:
             propagation = ConstantPropagation(
                 patched, schemas=self.schemas,
                 static_tuples=self.static_tuples + list(inserted),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from ..backtest.abort import EarlyAbortPolicy
-from ..meta.costs import CostModel
+from ..meta.costs import DEFAULT_COSTS, CostModel
 from ..scenarios.spec import ScenarioSpec
 from ..wire import Wire, WireError
 
@@ -141,7 +141,8 @@ class RepairConfig(Wire):
     # -- Generate: candidate exploration --------------------------------
     #: Stop exploring once this many candidates were extracted.
     max_candidates: int = 20
-    #: Per-edit-kind cost overrides (merged over the paper's defaults).
+    #: Per-edit-kind cost overrides (merged over the paper's defaults); a
+    #: key must be one of ``DEFAULT_COSTS``.
     cost_overrides: Dict[str, float] = field(default_factory=dict)
     #: Candidate cost cutoff; ``None`` keeps the cost model's default.
     cost_cutoff: Optional[float] = None
@@ -197,6 +198,11 @@ class RepairConfig(Wire):
             if value is not None and value < 1:
                 raise ConfigError(f"config {name} must be >= 1, "
                                   f"not {value!r}")
+        unknown = sorted(set(self.cost_overrides) - set(DEFAULT_COSTS))
+        if unknown:
+            raise ConfigError(
+                f"config cost_overrides names unknown edit kinds {unknown}; "
+                f"known kinds are {sorted(DEFAULT_COSTS)}")
 
     # ------------------------------------------------------------------
     # Construction helpers

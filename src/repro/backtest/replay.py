@@ -237,8 +237,7 @@ class Backtester:
         return (self.scenario.build_topology(),
                 self.scenario.build_controller(
                     program=repaired.program,
-                    extra_tuples=repaired.inserted_tuples,
-                    removed_tuples=repaired.removed_tuples))
+                    extra_tuples=repaired.inserted_tuples))
 
     def evaluate(self, candidate: RepairCandidate) -> BacktestResult:
         return self.evaluate_outcome(candidate).result

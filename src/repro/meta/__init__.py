@@ -2,8 +2,9 @@
 
 This package implements the paper's primary contribution:
 
-* :mod:`repro.meta.metatuples` — the program represented as data (Const,
-  Oper, PredFunc, HeadFunc, Assign meta tuples).
+* :mod:`repro.meta.metatuples` — the meta tuples a meta provenance tree
+  names (Const and Oper from the program; Base, Tuple, Expr, Sel and
+  HeadVal from the runtime).
 * :mod:`repro.meta.forest` — meta provenance trees: the explanation of a
   repair candidate.
 * :mod:`repro.meta.constant_values` — what is left of the constraint pools
@@ -19,7 +20,6 @@ suites that parse it (``tests/metarules.py``).
 
 from .costs import CostModel, DEFAULT_COSTS, uniform_cost_model
 from .explorer import (
-    ExistingTupleGoal,
     ExplorationResult,
     ExplorationStats,
     MetaProvenanceExplorer,
@@ -28,28 +28,22 @@ from .explorer import (
 from .forest import EXIST, MetaForest, MetaTree, MetaVertex, NEXIST
 from .history import HistoryIndex
 from .metatuples import (
-    AssignMeta,
     BaseMeta,
     ConstMeta,
     ExprMeta,
-    HeadFuncMeta,
     HeadValMeta,
-    JoinMeta,
     MetaLocation,
     OperMeta,
-    PredFuncMeta,
     SelMeta,
     TupleMeta,
-    TuplePredMeta,
 )
 
 __all__ = [
     "CostModel", "DEFAULT_COSTS", "uniform_cost_model",
-    "ExistingTupleGoal", "ExplorationResult", "ExplorationStats",
+    "ExplorationResult", "ExplorationStats",
     "MetaProvenanceExplorer", "MissingTupleGoal",
     "EXIST", "MetaForest", "MetaTree", "MetaVertex", "NEXIST",
     "HistoryIndex",
-    "AssignMeta", "BaseMeta", "ConstMeta", "ExprMeta", "HeadFuncMeta",
-    "HeadValMeta", "JoinMeta", "MetaLocation", "OperMeta", "PredFuncMeta",
-    "SelMeta", "TupleMeta", "TuplePredMeta",
+    "BaseMeta", "ConstMeta", "ExprMeta", "HeadValMeta", "MetaLocation",
+    "OperMeta", "SelMeta", "TupleMeta",
 ]

@@ -3,8 +3,8 @@
 Section 3.4 of the paper collects a constraint pool per meta provenance tree
 and hands it to a solver.  Here joins and heads are decided while support
 choices are enumerated (``explorer._combo_joins``), so what is left to solve
-is a single selection with one side known: which value must a constant (or a
-base tuple's column) take for it to hold — or, negated, to stop holding?
+is a single selection with one side known: which value must a constant take
+for it to hold?
 """
 
 from __future__ import annotations
@@ -13,12 +13,6 @@ from typing import Iterable
 
 from ..ndlog.ast import WILDCARD
 from ..ndlog.expr import try_compare
-
-#: The operator a positive symptom is repaired with: a value satisfying it
-#: breaks the selection that held.
-NEGATED_OPERATOR = {"==": "!=", "!=": "==", "<": ">=", ">": "<=",
-                    "<=": ">", ">=": "<"}
-
 
 def satisfies(op: str, known, unknown_side: str, value) -> bool:
     """Whether ``known <op> value`` holds (``unknown_side == "right"``;

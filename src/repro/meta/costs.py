@@ -20,21 +20,18 @@ from typing import Dict
 from ..repair.candidates import Edit
 
 
-#: Default per-edit-kind base costs.
+#: Default base costs: one per :class:`~repro.repair.candidates.Edit` kind,
+#: plus ``support_tuple`` (an ``insert_tuple`` that lets a rule fire).
+#: ``RepairConfig`` refuses an override naming any other key.
 DEFAULT_COSTS: Dict[str, float] = {
     "insert_tuple": 1.0,       # manually install a flow entry / config row
     "change_constant": 1.1,    # tweak a literal (most common bug-fix pattern)
-    "delete_tuple": 1.4,
-    "change_tuple": 1.4,
     "change_operator": 1.6,    # == -> !=, < -> <=, ...
     "change_assignment": 1.8,  # change the expression assigned to a head var
     "delete_selection": 2.0,   # drop a condition
     "support_tuple": 2.0,      # insert base data to let an existing rule fire
     "change_head": 2.4,        # re-target a rule head
-    "delete_predicate": 2.5,   # drop a joined table
     "copy_rule": 3.0,          # copy an existing rule with modifications
-    "delete_rule": 3.0,
-    "add_rule": 4.0,           # write a new rule from scratch
 }
 
 #: Extra cost added when a constant change moves the value by more than one
@@ -54,7 +51,7 @@ class CostModel:
     cutoff: float = DEFAULT_CUTOFF
 
     def edit_cost(self, edit: Edit) -> float:
-        base = self.costs.get(edit.kind, max(self.costs.values()))
+        base = self.costs[edit.kind]
         if edit.kind == "change_constant":
             base += self._constant_distance_surcharge(edit)
         return base
@@ -73,8 +70,8 @@ def uniform_cost_model(cost: float = 1.0, cutoff: float = DEFAULT_CUTOFF * 2) ->
     """A cost model where every edit kind costs the same.
 
     Used by the ablation benchmark to show why the plausibility-ordered model
-    matters: with uniform costs, implausible repairs (deleting predicates,
-    adding rules) are explored as eagerly as constant tweaks.
+    matters: with uniform costs, implausible repairs (copying a rule,
+    re-targeting a head) are explored as eagerly as constant tweaks.
     """
     return CostModel(costs={kind: cost for kind in DEFAULT_COSTS},
                      far_constant_surcharge=0.0, cutoff=cutoff)

@@ -1,12 +1,13 @@
 """Meta provenance exploration and repair-candidate extraction.
 
-Given a symptom — a tuple that should exist but does not ("negative
-symptom"), or one that exists but should not ("positive symptom") — this
-module searches for program and data edits that make it go away and explains
-each repair it returns with a meta provenance tree (Figures 5, 6 and 17 of
-the paper).
+Given a symptom — a tuple that should exist but does not (a "negative
+symptom", the kind all five of the paper's queries report) — this module
+searches for program and data edits that make it appear and explains each
+repair it returns with a meta provenance tree (Figures 5, 6 and 17 of the
+paper).  The paper's other kind, a tuple that exists but should not, has no
+search here: no scenario reports one.
 
-For a missing tuple the search is cost-ordered over *attempts*.  An attempt
+The search is cost-ordered over *attempts*.  An attempt
 is a rule that could derive the goal, one joint support choice for its body
 atoms (a historical tuple per atom, or a base-tuple insertion where history
 has none) and one fix per selection or assignment that fails under that
@@ -60,12 +61,8 @@ from ..repair.candidates import (
     ChangeConstant,
     ChangeOperator,
     ChangeRuleHead,
-    ChangeTuple,
     CopyRule,
-    DeletePredicate,
-    DeleteRule,
     DeleteSelection,
-    DeleteTuple,
     Edit,
     InsertTuple,
     RepairCandidate,
@@ -73,8 +70,7 @@ from ..repair.candidates import (
     edits_signature,
     next_candidate_id,
 )
-from .constant_values import (NEGATED_OPERATOR, first_satisfying_value,
-                              satisfies)
+from .constant_values import first_satisfying_value, satisfies
 from .costs import CostModel
 from .forest import EXIST, MetaForest, MetaTree, MetaVertex, NEXIST
 from .history import HistoryIndex
@@ -141,17 +137,6 @@ class MissingTupleGoal:
     def __str__(self):
         inner = ", ".join(f"[{i}]={v!r}" for i, v in self.constraints)
         return f"missing {self.table}({inner})"
-
-
-@dataclass(frozen=True)
-class ExistingTupleGoal:
-    """A positive symptom: "this tuple exists but should not"."""
-
-    tuple: NDTuple
-    description: str = ""
-
-    def __str__(self):
-        return f"unwanted {self.tuple}"
 
 
 # ---------------------------------------------------------------------------
@@ -815,176 +800,3 @@ class MetaProvenanceExplorer:
                     name, "*", edit.var,
                     self._head_bindings(rule, goal)[edit.var]))
         return tree
-
-    # ==================================================================
-    # Positive symptoms (unwanted tuples)
-    # ==================================================================
-
-    def explore_existing(self, goal: ExistingTupleGoal,
-                         derivations) -> ExplorationResult:
-        """Repairs that make an existing (unwanted) tuple disappear.
-
-        ``derivations`` are the rule firings supporting the tuple, each read
-        through three fields: ``rule`` (the rule's name), ``body`` (the body
-        tuples in body-atom order) and ``bindings`` (``(variable, value)``
-        pairs); a recorder of classical provenance supplies them.
-        """
-        stats = ExplorationStats()
-        forest = MetaForest()
-        lookups_before = self.history.lookup_count
-        candidates: List[RepairCandidate] = []
-        for record in derivations:
-            try:
-                rule = self.program.rule_named(record.rule)
-            except KeyError:
-                continue
-            bindings = Bindings(dict(record.bindings))
-            tree = self._build_existing_tree(goal, rule, record)
-            forest.add(tree)
-            candidates.extend(self._break_selection_candidates(rule, bindings, tree, stats))
-            candidates.extend(self._delete_structure_candidates(rule, record, tree))
-            candidates.extend(self._base_tuple_candidates(rule, record, bindings, tree, stats))
-        candidates = [c for c in candidates if self.cost_model.within_cutoff(c.cost)]
-        candidates = [c for c in candidates
-                      if not self._rederives(goal.tuple, c)]
-        stats.candidates_generated = len(candidates)
-        stats.history_lookups += self.history.lookup_count - lookups_before
-        final = deduplicate(candidates)[: self.max_candidates]
-        return ExplorationResult(goal=goal, candidates=final, forest=forest, stats=stats)
-
-    def _build_existing_tree(self, goal: ExistingTupleGoal, rule: Rule,
-                             record) -> MetaTree:
-        root = MetaVertex(EXIST, TupleMeta(goal.tuple), rule=rule.name)
-        tree = MetaTree(root)
-        join = MetaVertex(EXIST, HeadValMeta(rule.name, "*", "head", goal.tuple.table),
-                          rule=rule.name)
-        tree.add_child(root, join)
-        for body_tuple in record.body:
-            tree.add_child(join, MetaVertex(EXIST, TupleMeta(body_tuple)))
-        for index, selection in enumerate(rule.selections):
-            tree.add_child(join, MetaVertex(EXIST, SelMeta(
-                rule.name, "*", selection.to_ndlog(), True)))
-        tree.completed = True
-        return tree
-
-    def _break_selection_candidates(self, rule: Rule, bindings: Bindings,
-                                    tree: MetaTree, stats: ExplorationStats):
-        """Change a constant or operator so a satisfied selection becomes false."""
-        out = []
-        for sel_index, selection in enumerate(rule.selections):
-            left_value = try_evaluate(selection.left, bindings)
-            right_value = try_evaluate(selection.right, bindings)
-            # Constant change: a value the negated selection holds for
-            # (Section 4.2).
-            for side, expr, other_value in (("right", selection.right, left_value),
-                                            ("left", selection.left, right_value)):
-                if not isinstance(expr, Const) or other_value is None:
-                    continue
-                new_value = _pick_value(
-                    stats, NEGATED_OPERATOR[selection.op], other_value, side,
-                    self._history_hints())
-                if new_value is None or new_value == expr.value:
-                    continue
-                edit = ChangeConstant(rule.name, sel_index, side, expr.value, new_value)
-                out.append(RepairCandidate(
-                    edits=(edit,), cost=self.cost_model.edit_cost(edit), tree=tree))
-            # Operator change making the selection false.
-            if left_value is not None and right_value is not None:
-                for new_op in COMPARISON_OPERATORS:
-                    if new_op == selection.op:
-                        continue
-                    if not try_compare(new_op, left_value, right_value):
-                        edit = ChangeOperator(rule.name, sel_index, selection.op, new_op)
-                        out.append(RepairCandidate(
-                            edits=(edit,), cost=self.cost_model.edit_cost(edit),
-                            tree=tree))
-                        break
-        return out
-
-    def _delete_structure_candidates(self, rule: Rule, record, tree: MetaTree):
-        """Delete a predicate or the whole rule (syntax permitting)."""
-        out = []
-        if len(rule.body) > 1:
-            for index, atom in enumerate(rule.body):
-                edit = DeletePredicate(rule.name, index, atom.table)
-                out.append(RepairCandidate(
-                    edits=(edit,), cost=self.cost_model.edit_cost(edit), tree=tree,
-                    notes=("may allow re-derivation via other meta rules",)))
-        rule_edit = DeleteRule(rule.name)
-        out.append(RepairCandidate(
-            edits=(rule_edit,), cost=self.cost_model.edit_cost(rule_edit), tree=tree))
-        return out
-
-    def _base_tuple_candidates(self, rule: Rule, record, bindings: Bindings,
-                               tree: MetaTree, stats: ExplorationStats):
-        """Delete or change the base tuples supporting the derivation."""
-        out = []
-        for body_tuple in record.body:
-            edit = DeleteTuple(body_tuple)
-            out.append(RepairCandidate(
-                edits=(edit,), cost=self.cost_model.edit_cost(edit), tree=tree))
-            # Change a value that feeds a selection so the derivation breaks.
-            atom = self._atom_for_tuple(rule, body_tuple)
-            if atom is None:
-                continue
-            for column, arg in enumerate(atom.args):
-                if not isinstance(arg, Var):
-                    continue
-                affected = [s for s in rule.selections if arg.name in s.variables()]
-                if not affected:
-                    continue
-                selection = affected[0]
-                # The column is the unknown only as one operand of the
-                # selection: as both, no value breaks a selection that held,
-                # and inside an expression it has its recorded value.
-                if (selection.left == arg) == (selection.right == arg):
-                    continue
-                side, other = (("left", selection.right)
-                               if selection.left == arg
-                               else ("right", selection.left))
-                other_value = try_evaluate(other, bindings)
-                if other_value is None:
-                    continue
-                new_value = _pick_value(
-                    stats, NEGATED_OPERATOR[selection.op], other_value, side,
-                    self._history_hints())
-                if new_value is None or new_value == body_tuple.values[column]:
-                    continue
-                change = ChangeTuple(body_tuple, column, new_value)
-                out.append(RepairCandidate(
-                    edits=(change,), cost=self.cost_model.edit_cost(change), tree=tree))
-        return out
-
-    def _atom_for_tuple(self, rule: Rule, tup: NDTuple) -> Optional[Atom]:
-        for atom in rule.body:
-            if atom.table == tup.table and atom.arity == tup.arity:
-                return atom
-        return None
-
-    def _rederives(self, unwanted: NDTuple, candidate: RepairCandidate) -> bool:
-        """Quick check whether the repaired program still derives the tuple.
-
-        The check replays only the historical base tuples (cheap), mirroring
-        the paper's observation that full protection against re-derivation is
-        undecidable and best left to backtesting.
-        """
-        from ..repair.apply import apply_candidate
-        from ..ndlog.engine import Engine
-
-        repaired = apply_candidate(self.program, candidate)
-        engine = Engine(repaired.program)
-        removed = set(repaired.removed_tuples)
-        derived_tables = self.program.derived_tables()
-        base = []
-        for table in self.history.tables():
-            if table in derived_tables:
-                continue
-            for tup in self.history.tuples_of(table):
-                if tup not in removed:
-                    base.append(tup)
-        base.extend(repaired.inserted_tuples)
-        try:
-            engine.insert_many(base)
-        except Exception:
-            return False
-        return engine.contains(unwanted)

@@ -3,10 +3,9 @@
 A meta provenance *tree* is the record of one repair attempt: the symptom at
 the root and, below it, what held during the recorded execution (``EXIST``)
 and what the attempt's edits bring into existence (``NEXIST``).  The explorer
-builds it when it *emits* a candidate (``MetaProvenanceExplorer._explain``) —
-for an unwanted tuple, once per derivation, shared by the candidates that
-break that derivation — and the *forest* of an exploration is the list of
-trees behind the candidates it returned.
+builds it when it *emits* a candidate (``MetaProvenanceExplorer._explain``),
+and the *forest* of an exploration is the list of trees behind the
+candidates it returned.
 
 The paper (Section 3.3-3.5, Figure 5) expands a forest of *partial* trees in
 cost order, forks a tree wherever a vertex has k individually sufficient

@@ -6,15 +6,18 @@ assignments, constants, operators) — from *runtime-based* meta tuples that
 describe structures inside the NDlog runtime (tuples, joins, selections,
 evaluated expressions, head values).
 
-Every program-based meta tuple carries a *location*: a precise pointer back
-into the AST (rule name plus component index), which is what lets the repair
-generator turn a change to a meta tuple into a concrete program edit.
+Only the meta tuples a meta provenance tree names are kept here: ``Const``
+and ``Oper`` among the program-based ones, ``Base``, ``Tuple``, ``Expr``,
+``Sel`` and ``HeadVal`` among the runtime-based ones.  A program-based meta
+tuple carries a *location*: a precise pointer back into the AST (rule name
+plus component index), which is what lets the repair generator turn a
+change to a meta tuple into a concrete program edit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..ndlog.tuples import NDTuple
 
@@ -42,32 +45,6 @@ class MetaLocation:
     def __str__(self):
         slot = f".{self.slot}" if self.slot is not None else ""
         return f"{self.rule}/{self.component}[{self.index}]{slot}"
-
-
-@dataclass(frozen=True)
-class HeadFuncMeta:
-    """The head of a rule: ``HeadFunc(Rul, Tab, Args)``."""
-
-    rule: str
-    table: str
-    args: Tuple[str, ...]
-    location: MetaLocation
-
-    def __str__(self):
-        return f"HeadFunc(Rul={self.rule!r}, Tab={self.table!r}, Args={self.args})"
-
-
-@dataclass(frozen=True)
-class PredFuncMeta:
-    """A body predicate: ``PredFunc(Rul, Tab, Args)``."""
-
-    rule: str
-    table: str
-    args: Tuple[str, ...]
-    location: MetaLocation
-
-    def __str__(self):
-        return f"PredFunc(Rul={self.rule!r}, Tab={self.table!r}, Args={self.args})"
 
 
 @dataclass(frozen=True)
@@ -99,23 +76,6 @@ class OperMeta:
                 f"ID'={self.left_id!r}, ID''={self.right_id!r}, Opr={self.op!r})")
 
 
-@dataclass(frozen=True)
-class AssignMeta:
-    """An assignment: ``Assign(Rul, Arg, ID)``."""
-
-    rule: str
-    var: str
-    expr_id: str
-    expr_text: str
-    location: MetaLocation
-
-    def __str__(self):
-        return f"Assign(Rul={self.rule!r}, Arg={self.var!r}, ID={self.expr_id!r})"
-
-
-PROGRAM_META_TYPES = (HeadFuncMeta, PredFuncMeta, ConstMeta, OperMeta, AssignMeta)
-
-
 # ---------------------------------------------------------------------------
 # Runtime-based meta tuples
 # ---------------------------------------------------------------------------
@@ -140,33 +100,6 @@ class TupleMeta:
 
     def __str__(self):
         return f"Tuple(L={self.node}, {self.tuple})"
-
-
-@dataclass(frozen=True)
-class TuplePredMeta:
-    """A variable assignment generated by matching a tuple against a predicate."""
-
-    rule: str
-    table: str
-    args: Tuple[str, ...]
-    values: Tuple
-
-    def __str__(self):
-        binding = ", ".join(f"{a}={v!r}" for a, v in zip(self.args, self.values))
-        return f"TuplePred(Rul={self.rule!r}, Tab={self.table!r}, {binding})"
-
-
-@dataclass(frozen=True)
-class JoinMeta:
-    """A (cross-product) join state: ``Join(Rul, JID, Args, Vals)``."""
-
-    rule: str
-    join_id: int
-    args: Tuple[str, ...]
-    values: Tuple
-
-    def __str__(self):
-        return f"Join(Rul={self.rule!r}, JID={self.join_id}, Args={self.args})"
 
 
 @dataclass(frozen=True)
@@ -209,7 +142,3 @@ class HeadValMeta:
     def __str__(self):
         return (f"HeadVal(Rul={self.rule!r}, JID={self.join_id}, "
                 f"Arg={self.arg!r}, Val={self.value!r})")
-
-
-RUNTIME_META_TYPES = (BaseMeta, TupleMeta, TuplePredMeta, JoinMeta, ExprMeta,
-                      SelMeta, HeadValMeta)

@@ -20,15 +20,12 @@ processes a whole batch of trigger tuples per call; joins probe the
 database's ``(column, value)`` hash indexes with the equality constraints
 implied by constants and already-bound variables, and selection predicates
 are pushed down to the first join depth where their variables are bound.
-There are two fixpoint loops.  The insert-time one
-(:meth:`Engine._fixpoint`) runs off a deque-based worklist of single-tuple
-batches, which fixes the order in which an insert reports what it derived.
-The recompute behind :meth:`Engine.remove`
-(:meth:`Engine._rederive_fixpoint`) runs semi-naive delta rounds, each
-joining only the previous round's fresh tuples — batched per table —
-against the indexes.  Duplicate rule firings are detected with a per-head
-hash set of supports.  Both loops spend one firing budget,
-``max_derivations``: a program that keeps deriving raises
+There is one fixpoint loop, :meth:`Engine._fixpoint`: a deque-based
+worklist of single-tuple batches, which fixes the order in which an insert
+reports what it derived.  The recompute behind :meth:`Engine.remove` runs
+the same loop over every remaining base tuple.  Duplicate rule firings are
+detected with a per-head hash set of supports.  The loop spends one firing
+budget, ``max_derivations``: a program that keeps deriving raises
 :class:`~repro.ndlog.errors.EvaluationError` instead of running forever.
 
 The fire functions are the only code that joins a rule body.  Firing is
@@ -59,8 +56,7 @@ So the set of firings and their order — every derived list and report —
 are those of offering each tuple to every rule of its table, and what a
 tuple costs depends on the rules it can match, not on the size of the
 program.  Order comes from the ordinals alone, never from dict or
-set iteration.  The batched recompute offers a batch to all entries of
-its table: guards select per tuple.
+set iteration.
 
 Retraction
 ----------
@@ -268,7 +264,7 @@ class Engine:
         for derived in before:
             database.clear_derived_flag(derived)
         self._supports = {}
-        self._rederive_fixpoint(database.base_in_order())
+        self._fixpoint(list(database.base_in_order()))
         return [gone for gone in before if not database.contains(gone)]
 
     def consume(self, tup: NDTuple) -> bool:
@@ -357,45 +353,6 @@ class Engine:
             "rules_fired": self._firings,
             "index_materializations": self.database.index_materializations,
         }
-
-    def _rederive_fixpoint(self, delta: Sequence[NDTuple]):
-        """The recompute behind :meth:`remove`: registers supports and
-        inserts derived tuples, spending the insert-time firing budget."""
-        database = self.database
-        functions = self.functions
-        dispatch = self._dispatch
-        supports = self._supports
-        limit = self.max_derivations
-        frontier = list(delta)
-        while frontier:
-            # Semi-naive delta round: batch the frontier per table and fire
-            # each consuming plan once over the whole batch.
-            by_table: Dict[str, List[NDTuple]] = {}
-            for tup in frontier:
-                by_table.setdefault(tup.table, []).append(tup)
-            frontier = []
-            for table, batch in by_table.items():
-                # A batch is offered to every plan of its table, in program
-                # order: guards select per tuple, and fire checks them anyway.
-                residual, exact = dispatch.get(table, ((), {}))
-                for _ordinal, plan, position in sorted(chain(
-                        residual, *(bucket for buckets in exact.values()
-                                    for bucket in buckets.values()))):
-                    for head, body in plan.fire(position, batch, database,
-                                                functions):
-                        key = (plan.name, body)
-                        head_supports = supports.setdefault(head, set())
-                        size = len(head_supports)
-                        head_supports.add(key)
-                        if len(head_supports) == size:
-                            continue
-                        self._firings += 1
-                        if self._firings > limit:
-                            raise EvaluationError(
-                                f"derivation limit of {limit} exceeded; "
-                                "the program is probably not terminating")
-                        if database.insert(head, derived=True):
-                            frontier.append(head)
 
     def _on_evicted(self, tup: NDTuple):
         """A primary-key update evicted ``tup``: forget its supports so the

@@ -2,20 +2,14 @@
 
 from .apply import RepairApplicationError, RepairedProgram, apply_candidate
 from .candidates import (
-    AddRule,
     ChangeAssignment,
     ChangeConstant,
     ChangeOperator,
     ChangeRuleHead,
-    ChangeTuple,
     CopyRule,
-    DeletePredicate,
-    DeleteRule,
     DeleteSelection,
-    DeleteTuple,
     Edit,
     InsertTuple,
-    PROGRAM_EDIT_KINDS,
     RepairCandidate,
     candidate_from_wire,
     candidate_to_wire,
@@ -25,10 +19,9 @@ from .candidates import (
 
 __all__ = [
     "RepairApplicationError", "RepairedProgram", "apply_candidate",
-    "AddRule", "ChangeAssignment", "ChangeConstant", "ChangeOperator",
-    "ChangeRuleHead", "ChangeTuple", "CopyRule",
-    "DeletePredicate", "DeleteRule", "DeleteSelection", "DeleteTuple",
-    "Edit", "InsertTuple", "PROGRAM_EDIT_KINDS", "RepairCandidate",
+    "ChangeAssignment", "ChangeConstant", "ChangeOperator",
+    "ChangeRuleHead", "CopyRule", "DeleteSelection",
+    "Edit", "InsertTuple", "RepairCandidate",
     "candidate_from_wire", "candidate_to_wire", "deduplicate",
     "reset_candidate_ids",
 ]

@@ -8,7 +8,7 @@ tuple) and every other rule is shared with the base program — the same
 object, with whatever has been derived from it (its plan shape, ...)
 already attached.  A repair therefore costs its edit, not the size of the
 program.  The result is a :class:`RepairedProgram`: that program plus the
-base tuples to insert or remove before replaying.
+base tuples to insert before replaying.
 """
 
 from __future__ import annotations
@@ -19,17 +19,12 @@ from typing import List, Optional, Tuple
 from ..ndlog.ast import BinOp, Const, Program, Selection
 from ..ndlog.tuples import NDTuple
 from .candidates import (
-    AddRule,
     ChangeAssignment,
     ChangeConstant,
     ChangeOperator,
     ChangeRuleHead,
-    ChangeTuple,
     CopyRule,
-    DeletePredicate,
-    DeleteRule,
     DeleteSelection,
-    DeleteTuple,
     Edit,
     InsertTuple,
     RepairCandidate,
@@ -46,7 +41,6 @@ class RepairedProgram:
 
     program: Program
     inserted_tuples: List[NDTuple] = field(default_factory=list)
-    removed_tuples: List[NDTuple] = field(default_factory=list)
     candidate: Optional[RepairCandidate] = None
 
     def summary(self) -> str:
@@ -55,8 +49,6 @@ class RepairedProgram:
             lines.append(f"candidate: {self.candidate.description}")
         for tup in self.inserted_tuples:
             lines.append(f"  + insert {tup}")
-        for tup in self.removed_tuples:
-            lines.append(f"  - remove {tup}")
         return "\n".join(lines)
 
 
@@ -67,17 +59,11 @@ def apply_candidate(program: Program, candidate: RepairCandidate) -> RepairedPro
     candidate without program edits returns ``program`` itself.
     """
     repaired = RepairedProgram(program=program, candidate=candidate)
-    # Deletions of selections/predicates must be applied from the highest
-    # index down so earlier deletions do not shift later indexes.
+    # Deletions of selections must be applied from the highest index down
+    # so earlier deletions do not shift later indexes.
     for edit in sorted(candidate.edits, key=_deletion_sort_key):
         if isinstance(edit, InsertTuple):
             repaired.inserted_tuples.append(edit.tuple)
-        elif isinstance(edit, DeleteTuple):
-            repaired.removed_tuples.append(edit.tuple)
-        elif isinstance(edit, ChangeTuple):
-            repaired.removed_tuples.append(edit.tuple)
-            repaired.inserted_tuples.append(
-                edit.tuple.replace(edit.column, edit.new_value))
         else:
             repaired.program = _edited(repaired.program, edit)
     return repaired
@@ -86,15 +72,14 @@ def apply_candidate(program: Program, candidate: RepairCandidate) -> RepairedPro
 def _deletion_sort_key(edit: Edit):
     if isinstance(edit, DeleteSelection):
         return (1, -edit.selection_index)
-    if isinstance(edit, DeletePredicate):
-        return (1, -edit.predicate_index)
     return (0, 0)
 
 
 def _edited(program: Program, edit: Edit) -> Program:
-    """``program`` with the one rule ``edit`` names replaced, removed or
-    appended; a name held by several rules means the first of them."""
-    if isinstance(edit, (CopyRule, AddRule)):
+    """``program`` with the one rule ``edit`` names replaced, or with a
+    copied rule appended; a name held by several rules means the first of
+    them."""
+    if isinstance(edit, CopyRule):
         return replace(program, rules=program.rules + (edit.new_rule,))
     if not isinstance(edit, _RULE_EDITS):
         raise RepairApplicationError(f"unknown edit type {type(edit).__name__}")
@@ -103,8 +88,6 @@ def _edited(program: Program, edit: Edit) -> Program:
     except KeyError as exc:
         raise RepairApplicationError(f"rule {edit.rule!r} not found") from exc
     rule = program.rules[position]
-    if isinstance(edit, DeleteRule):
-        return replace(program, rules=_splice(program.rules, position))
     if isinstance(edit, ChangeRuleHead):
         rule = replace(rule, head=edit.new_head)
     elif isinstance(edit, ChangeAssignment):
@@ -113,13 +96,6 @@ def _edited(program: Program, edit: Edit) -> Program:
         rule = replace(rule, assignments=_splice(
             rule.assignments, index,
             replace(rule.assignments[index], expr=edit.new_expr)))
-    elif isinstance(edit, DeletePredicate):
-        index = _checked(rule.body, edit.predicate_index, "predicate",
-                         edit.rule)
-        if len(rule.body) <= 1:
-            raise RepairApplicationError(
-                f"cannot delete the only body predicate of rule {edit.rule}")
-        rule = replace(rule, body=_splice(rule.body, index))
     else:
         index = _checked(rule.selections, edit.selection_index, "selection",
                          edit.rule)
@@ -140,7 +116,7 @@ def _edited(program: Program, edit: Edit) -> Program:
 
 #: The edits that name one existing rule (``edit.rule``).
 _RULE_EDITS = (ChangeConstant, ChangeOperator, DeleteSelection,
-               DeletePredicate, ChangeAssignment, ChangeRuleHead, DeleteRule)
+               ChangeAssignment, ChangeRuleHead)
 
 
 def _splice(items: Tuple, index: int, *replacement) -> Tuple:

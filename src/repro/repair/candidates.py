@@ -121,21 +121,6 @@ class DeleteSelection(Edit):
 
 
 @dataclass(frozen=True)
-class DeletePredicate(Edit):
-    """Delete a body predicate (a joined table) from a rule."""
-
-    rule: str
-    predicate_index: int
-    table: str = ""
-
-    kind = "delete_predicate"
-
-    def describe(self):
-        what = self.table or f"predicate #{self.predicate_index}"
-        return f"delete predicate {what} from rule {self.rule}"
-
-
-@dataclass(frozen=True)
 class ChangeAssignment(Edit):
     """Replace the expression assigned to a head variable."""
 
@@ -180,30 +165,6 @@ class CopyRule(Edit):
 
 
 @dataclass(frozen=True)
-class AddRule(Edit):
-    """Add an entirely new rule to the program."""
-
-    new_rule: Rule
-
-    kind = "add_rule"
-
-    def describe(self):
-        return f"add rule {self.new_rule.to_ndlog()}"
-
-
-@dataclass(frozen=True)
-class DeleteRule(Edit):
-    """Remove a rule from the program."""
-
-    rule: str
-
-    kind = "delete_rule"
-
-    def describe(self):
-        return f"delete rule {self.rule}"
-
-
-@dataclass(frozen=True)
 class InsertTuple(Edit):
     """Manually insert a base tuple (e.g. manually install a flow entry)."""
 
@@ -213,40 +174,6 @@ class InsertTuple(Edit):
 
     def describe(self):
         return f"manually insert {self.tuple}"
-
-
-@dataclass(frozen=True)
-class DeleteTuple(Edit):
-    """Remove a base tuple (e.g. withdraw a configuration entry)."""
-
-    tuple: NDTuple
-
-    kind = "delete_tuple"
-
-    def describe(self):
-        return f"delete base tuple {self.tuple}"
-
-
-@dataclass(frozen=True)
-class ChangeTuple(Edit):
-    """Change one value of a base tuple."""
-
-    tuple: NDTuple
-    column: int
-    new_value: object
-
-    kind = "change_tuple"
-
-    def describe(self):
-        return (f"change column {self.column} of {self.tuple} to "
-                f"{self.new_value!r}")
-
-
-PROGRAM_EDIT_KINDS = (
-    "change_constant", "change_operator", "delete_selection",
-    "delete_predicate", "change_assignment", "change_head", "copy_rule",
-    "add_rule", "delete_rule",
-)
 
 
 # ---------------------------------------------------------------------------

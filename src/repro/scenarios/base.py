@@ -122,16 +122,12 @@ class NDlogScenario:
         return self.topology_factory()
 
     def build_controller(self, program: Optional[Program] = None,
-                         extra_tuples: Sequence[NDTuple] = (),
-                         removed_tuples: Sequence[NDTuple] = ()
+                         extra_tuples: Sequence[NDTuple] = ()
                          ) -> NDlogController:
-        removed = set(removed_tuples)
-        static = [t for t in self.static_tuples if t not in removed]
-        static += [t for t in extra_tuples if t not in removed]
         return NDlogController(
             program=program if program is not None else self.program,
             mapping=self.mapping,
-            static_tuples=static,
+            static_tuples=self.static_tuples + list(extra_tuples),
             extra_schemas=self.extra_schemas,
             auto_packet_out=self.auto_packet_out)
 

@@ -108,9 +108,9 @@ CHANGE_CONSTANT = {"kind": "change_constant", "rule": "r1",
 @pytest.mark.parametrize("text, message", [
     (None, "No such file"),
     ("[{", "Expecting property name"),
-    ('{"kind": "delete_rule"}', "expected a list of candidate wires"),
-    ('[{"edits": [{"kind": "delete_rule"}], "cost": 1.0}]',
-     "candidate 0: Edit 'delete_rule' key 'rule' is missing"),
+    ('{"kind": "delete_selection"}', "expected a list of candidate wires"),
+    ('[{"edits": [{"kind": "delete_selection"}], "cost": 1.0}]',
+     "candidate 0: Edit 'delete_selection' key 'rule' is missing"),
     (json.dumps([{"edits": [dict(CHANGE_CONSTANT, selection_index="0")],
                   "cost": 1.0}]), "'selection_index' must be an integer"),
     ('[{"edits": [], "cost": "1"}]', "'cost' must be a number"),

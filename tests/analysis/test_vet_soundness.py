@@ -22,11 +22,12 @@ from hypothesis import given, settings, strategies as st
 from repro.api import CandidateVetoed, RepairConfig, RepairSession
 from repro.backtest import Backtester, EarlyAbortPolicy
 from repro.events import WarmEngineStats, event_from_wire
+from repro.ndlog.ast import Const
 from repro.ndlog.parser import parse_program
 from repro.ndlog.tuples import NDTuple
-from repro.repair import (AddRule, ChangeConstant, ChangeOperator,
-                          DeletePredicate, DeleteRule, DeleteSelection,
-                          DeleteTuple, InsertTuple, RepairCandidate)
+from repro.repair import (ChangeAssignment, ChangeConstant, ChangeOperator,
+                          ChangeRuleHead, CopyRule, DeleteSelection,
+                          InsertTuple, RepairCandidate)
 from repro.scenarios import build_q1
 
 from analysis_helpers import (MAX_CANDIDATES, scenario_and_candidates,
@@ -153,7 +154,7 @@ def test_rejected_unevaluable_candidates_fail_to_evaluate():
         RepairCandidate(edits=(ChangeConstant("no-such-rule", 0, "right",
                                               1, 2),),
                         cost=1.0, description="edit a missing rule"),
-        RepairCandidate(edits=(AddRule(negated),), cost=1.4,
+        RepairCandidate(edits=(CopyRule("r1", negated),), cost=1.4,
                         description="add a negated rule"),
     ]
     reasons = []
@@ -223,13 +224,15 @@ def test_veto_is_the_verdict_on_no_op_and_shared_names():
     shared = vetter_for(scenario, dataclasses.replace(
         q1, rules=q1.rules + (twin,)))
     reasons = assert_veto_is_the_verdict(
-        shared, [same_value, to_s3, _candidate(DeleteRule("r7"))])
+        shared, [same_value, to_s3, _candidate(DeleteSelection("r7", 0))])
     assert reasons[0] == "no-op-edit"
 
 
 def test_veto_reads_the_whole_program_when_the_base_has_negation():
-    """An edit may keep the base's negated atom or delete it; only the
-    rules the candidate built are not enough to tell."""
+    """No edit kind deletes a body atom, so every edit keeps the base's
+    negated atom — an edit of another rule or an insert as well as one of
+    the negated rule itself: the rules the candidate built are not enough
+    to tell."""
     scenario, _candidates = scenario_and_candidates("Q1")
     q1 = scenario.program
     r1 = q1.rule_named("r1")
@@ -240,11 +243,10 @@ def test_veto_reads_the_whole_program_when_the_base_has_negation():
     keeps = [_candidate(ChangeConstant("r7", 0, "right", 2, 3)),
              _candidate(InsertTuple(NDTuple("WebLoadBalancer",
                                             ("C", 150, 2))))]
-    deletes = [_candidate(DeleteRule("r1")),
-               _candidate(DeletePredicate("r1", 1))]
-    reasons = assert_veto_is_the_verdict(vetter, keeps + deletes)
-    assert reasons[:2] == ["negation-unsupported"] * 2
-    assert "negation-unsupported" not in reasons[2:]
+    edits_r1 = [_candidate(ChangeConstant("r1", 0, "right", 1, 5)),
+                _candidate(DeleteSelection("r1", 1))]
+    reasons = assert_veto_is_the_verdict(vetter, keeps + edits_r1)
+    assert reasons == ["negation-unsupported"] * 4
 
 
 Q1_RULES = ("r1", "r2", "r5", "r6", "r7", "r8", "r9", "r10")
@@ -268,7 +270,13 @@ def _added_rule(name, negate):
     body = rule.body
     if negate:
         body = body[:-1] + (dataclasses.replace(body[-1], negated=True),)
-    return AddRule(dataclasses.replace(rule, name=f"{name}_added", body=body))
+    return CopyRule(name, dataclasses.replace(rule, name=f"{name}_added",
+                                              body=body))
+
+
+def _retargeted_head(table):
+    """Q1's rule head, writing ``table``."""
+    return dataclasses.replace(build_q1().program.rules[0].head, table=table)
 
 
 SINGLE_EDITS = st.one_of(
@@ -277,10 +285,13 @@ SINGLE_EDITS = st.one_of(
     st.builds(ChangeOperator, RULE_NAMES, INDEXES, st.just("=="),
               st.sampled_from(("==", "!=", "<", ">", "<=", ">="))),
     st.builds(DeleteSelection, RULE_NAMES, INDEXES),
-    st.builds(DeletePredicate, RULE_NAMES, INDEXES),
+    st.builds(ChangeAssignment, RULE_NAMES, INDEXES, st.just("Prt"),
+              st.just("2"), st.builds(Const, VALUES)),
+    st.builds(ChangeRuleHead, RULE_NAMES,
+              st.builds(_retargeted_head, st.sampled_from(("FlowTable",
+                                                          "Unread")))),
     st.builds(_added_rule, st.sampled_from(Q1_RULES), st.booleans()),
-    st.builds(InsertTuple, TUPLES),
-    st.builds(DeleteTuple, TUPLES))
+    st.builds(InsertTuple, TUPLES))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -114,6 +114,20 @@ def test_a_config_that_cannot_run_is_one_line_and_exit_2(argv, problem,
     assert captured.out == ""
 
 
+def test_a_config_file_naming_an_unknown_cost_kind_is_exit_2(tmp_path,
+                                                             capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"cost_overrides": {"chnage_constant": 0.1}}))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["repair", "q1", "--config", str(path), "--quiet"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "repro repair: config cost_overrides names unknown edit kinds "
+        "['chnage_constant']; known kinds are ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 @pytest.mark.parametrize("flag", ["--multiquery", "--no-multiquery"])
 def test_multiquery_flags_are_gone(flag, capsys):
     with pytest.raises(SystemExit) as excinfo:

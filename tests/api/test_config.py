@@ -64,6 +64,18 @@ def test_unknown_keys_rejected():
     with pytest.raises(ConfigError, match=r"unknown config keys: "
                                           r"\['expansion_cost'\]"):
         RepairConfig.from_wire({"expansion_cost": 0.02})
+    # A cost override for an edit kind the table does not price is refused
+    # too: a misspelt kind was merged into the cost table and priced nothing.
+    with pytest.raises(ConfigError, match=(
+            r"config cost_overrides names unknown edit kinds "
+            r"\['chnage_constant'\]; known kinds are \['change_assignment', "
+            r"'change_constant', .*'support_tuple'\]")):
+        RepairConfig.from_wire({"scenario": {"name": "Q1"},
+                                "cost_overrides": {"chnage_constant": 0.1}})
+    with pytest.raises(ConfigError, match=r"\['delete_rule'\]"):
+        RepairConfig(cost_overrides={"delete_rule": 2.0})
+    config = RepairConfig.from_wire({"cost_overrides": {"support_tuple": 1.5}})
+    assert config.cost_model().costs["support_tuple"] == 1.5
 
 
 @pytest.mark.parametrize("key, value, expected", [

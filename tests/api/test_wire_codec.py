@@ -69,6 +69,10 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
      JobWireError),
     (SessionEvent, {"kind": "stage_finished", "elapsed_seconds": "slow"},
      WireError),
+    # An edit kind no search emits any more is refused by name.
+    (RepairCandidate, {"edits": [{"kind": "delete_rule", "rule": "r1"}],
+                       "cost": 1.0},
+     (WireError, "Edit kind 'delete_rule' is not one of")),
 ], ids=lambda value: getattr(value, "__name__", None))
 def test_wires_the_old_decoders_accepted_are_refused(cls, wire, error):
     error, message = error if isinstance(error, tuple) else (error, None)

@@ -19,9 +19,9 @@ from repro.backtest import Backtester, EarlyAbortPolicy
 from repro.ndlog.ast import Var
 from repro.ndlog.parser import parse_program
 from repro.ndlog.tuples import NDTuple
-from repro.repair import (AddRule, ChangeAssignment, ChangeConstant,
-                          ChangeTuple, DeleteRule, DeleteSelection,
-                          DeleteTuple, InsertTuple, RepairCandidate)
+from repro.repair import (ChangeAssignment, ChangeConstant, ChangeRuleHead,
+                          CopyRule, DeleteSelection, InsertTuple,
+                          RepairCandidate)
 from repro.scenarios import build_scenario
 
 SCENARIOS = ["Q1", "Q2", "Q3", "Q4", "Q5"]
@@ -29,6 +29,13 @@ SCENARIOS = ["Q1", "Q2", "Q3", "Q4", "Q5"]
 
 def _rule(source):
     return parse_program(source).rules[0]
+
+
+#: A head no rule reads: re-pointing Q5's ``f2`` at it stops every flow
+#: entry, as deleting the rule would.
+UNROUTED_HEAD = parse_program(
+    "f2 Unrouted(@Swi,SipP,Dip,Prt) :- PacketIn(@C,Swi,Sip,Dip,Ipt), "
+    "Learned(@C,Swi,Dip,Prt), SipP := *.").rules[0].head
 
 
 def scenario_candidates(name):
@@ -44,12 +51,11 @@ def scenario_candidates(name):
                 edits=(InsertTuple(NDTuple("FlowTable", (3, 101, 80, 2))),),
                 cost=3.0, description="insert FlowTable(3,101,80,2)"),
             RepairCandidate(
-                edits=(DeleteTuple(NDTuple("WebLoadBalancer", ("C", 103, 1))),),
-                cost=3.1, description="delete WebLoadBalancer(C,103,1)"),
+                edits=(InsertTuple(NDTuple("WebLoadBalancer", ("C", 103, 2))),),
+                cost=3.1, description="insert WebLoadBalancer(C,103,2)"),
             RepairCandidate(
-                edits=(ChangeTuple(NDTuple("WebLoadBalancer", ("C", 101, 2)),
-                                   2, 1),),
-                cost=3.2, description="WebLoadBalancer(C,101): port 2 -> 1"),
+                edits=(InsertTuple(NDTuple("WebLoadBalancer", ("C", 101, 1))),),
+                cost=3.2, description="insert WebLoadBalancer(C,101,1)"),
         ]
     if name == "Q2":
         return [
@@ -70,9 +76,10 @@ def scenario_candidates(name):
             "q4poH PacketOut(@Swi,Prt) :- PacketIn(@C,Swi,Sip,Hdr), "
             "Swi == 8, Hdr == 80, Prt := 1.")
         return [
-            RepairCandidate(edits=(AddRule(po_http),), cost=1.4,
+            RepairCandidate(edits=(CopyRule("q4po", po_http),), cost=1.4,
                             description="add HTTP packet-out rule"),
-            RepairCandidate(edits=(AddRule(po_http), DeleteRule("q4http")),
+            RepairCandidate(edits=(CopyRule("q4po", po_http),
+                                   ChangeConstant("q4http", 0, "right", 8, 9)),
                             cost=2.4,
                             description="packet-out only (no flow entries)"),
         ]
@@ -81,8 +88,8 @@ def scenario_candidates(name):
             RepairCandidate(edits=(ChangeAssignment("f1", 0, "Hip", "*",
                                                     Var("Sip")),),
                             cost=1.1, description="f1: Hip := * -> Sip"),
-            RepairCandidate(edits=(DeleteRule("f2"),), cost=2.0,
-                            description="delete f2"),
+            RepairCandidate(edits=(ChangeRuleHead("f2", UNROUTED_HEAD),),
+                            cost=2.0, description="f2 installs no flow entries"),
         ]
     raise ValueError(name)
 
@@ -173,7 +180,7 @@ def test_a_rule_that_need_not_wait_for_a_packet_in_leaves_no_trace(
         scenarios, rule_text, description):
     scenario = scenarios["Q1"]
     candidates = [
-        RepairCandidate(edits=(AddRule(_rule(rule_text)),), cost=2.0,
+        RepairCandidate(edits=(CopyRule("r1", _rule(rule_text)),), cost=2.0,
                         description=description),
         scenario_candidates("Q1")[0],
     ]
@@ -195,8 +202,9 @@ def test_an_aborted_candidate_leaves_no_trace():
     """A flooder stopped mid-trace by the abort policy: its partial row is
     the one it gets alone, and the fix after it replays in full."""
     scenario = build_scenario("Q1")
-    flooder = RepairCandidate(edits=(DeleteRule("r1"),), cost=3.0,
-                              description="delete r1 (floods controller)")
+    flooder = RepairCandidate(
+        edits=(ChangeConstant("r1", 0, "right", 1, 5),), cost=3.0,
+        description="r1: Swi==1 -> Swi==5 (floods controller)")
     fix = scenario_candidates("Q1")[0]
     policy = EarlyAbortPolicy(check_every=8, min_fraction=0.1)
     report = assert_isolated(scenario, [flooder, fix],

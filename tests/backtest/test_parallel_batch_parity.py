@@ -17,16 +17,22 @@ from repro.backtest import Backtester, EarlyAbortPolicy
 from repro.ndlog.ast import Var
 from repro.ndlog.parser import parse_program
 from repro.repair import (
-    AddRule,
     ChangeAssignment,
     ChangeConstant,
-    DeleteRule,
+    ChangeRuleHead,
+    CopyRule,
     DeleteSelection,
     RepairCandidate,
 )
 from repro.scenarios import build_scenario
 
 SCENARIOS = ["Q1", "Q2", "Q3", "Q4", "Q5"]
+
+#: A head no rule reads: re-pointing Q5's ``f2`` at it stops every flow
+#: entry, as deleting the rule would.
+UNROUTED_HEAD = parse_program(
+    "f2 Unrouted(@Swi,SipP,Dip,Prt) :- PacketIn(@C,Swi,Sip,Dip,Ipt), "
+    "Learned(@C,Swi,Dip,Prt), SipP := *.").rules[0].head
 
 
 def _rule(source):
@@ -61,9 +67,10 @@ def scenario_candidates(name):
         po_http = _rule("q4poH PacketOut(@Swi,Prt) :- PacketIn(@C,Swi,Sip,Hdr), "
                         "Swi == 8, Hdr == 80, Prt := 1.")
         return [
-            RepairCandidate(edits=(AddRule(po_http),), cost=1.4,
+            RepairCandidate(edits=(CopyRule("q4po", po_http),), cost=1.4,
                             description="add HTTP packet-out rule"),
-            RepairCandidate(edits=(AddRule(po_http), DeleteRule("q4http")),
+            RepairCandidate(edits=(CopyRule("q4po", po_http),
+                                   ChangeConstant("q4http", 0, "right", 8, 9)),
                             cost=2.4,
                             description="packet-out only (no flow entries)"),
         ]
@@ -72,8 +79,8 @@ def scenario_candidates(name):
             RepairCandidate(edits=(ChangeAssignment("f1", 0, "Hip", "*",
                                                     Var("Sip")),),
                             cost=1.1, description="f1: Hip := * -> Sip"),
-            RepairCandidate(edits=(DeleteRule("f2"),), cost=2.0,
-                            description="delete f2"),
+            RepairCandidate(edits=(ChangeRuleHead("f2", UNROUTED_HEAD),),
+                            cost=2.0, description="f2 installs no flow entries"),
         ]
     raise ValueError(name)
 

@@ -27,13 +27,19 @@ from repro.api import EventBus, RepairConfig
 from repro.backtest import Backtester, EarlyAbortPolicy
 from repro.distrib import (DistribError, JobRuntime, Scheduler, Transport,
                            build_job_wire, job_digest)
-from repro.repair import (AddRule, ChangeAssignment, ChangeConstant,
-                          DeleteRule, DeleteSelection, RepairCandidate)
+from repro.repair import (ChangeAssignment, ChangeConstant, ChangeRuleHead,
+                          CopyRule, DeleteSelection, RepairCandidate)
 from repro.ndlog.ast import Var
 from repro.ndlog.parser import parse_program
 from repro.scenarios import build_scenario
 
 SCENARIOS = ["Q1", "Q2", "Q3", "Q4", "Q5"]
+
+#: A head no rule reads: re-pointing Q5's ``f2`` at it stops every flow
+#: entry, as deleting the rule would.
+UNROUTED_HEAD = parse_program(
+    "f2 Unrouted(@Swi,SipP,Dip,Prt) :- PacketIn(@C,Swi,Sip,Dip,Ipt), "
+    "Learned(@C,Swi,Dip,Prt), SipP := *.").rules[0].head
 
 
 def scenario_candidates(name):
@@ -64,9 +70,10 @@ def scenario_candidates(name):
             "q4poH PacketOut(@Swi,Prt) :- PacketIn(@C,Swi,Sip,Hdr), "
             "Swi == 8, Hdr == 80, Prt := 1.").rules[0]
         return [
-            RepairCandidate(edits=(AddRule(po_http),), cost=1.4,
+            RepairCandidate(edits=(CopyRule("q4po", po_http),), cost=1.4,
                             description="add HTTP packet-out rule"),
-            RepairCandidate(edits=(AddRule(po_http), DeleteRule("q4http")),
+            RepairCandidate(edits=(CopyRule("q4po", po_http),
+                                   ChangeConstant("q4http", 0, "right", 8, 9)),
                             cost=2.4,
                             description="packet-out only (no flow entries)"),
         ]
@@ -75,8 +82,8 @@ def scenario_candidates(name):
             RepairCandidate(edits=(ChangeAssignment("f1", 0, "Hip", "*",
                                                     Var("Sip")),),
                             cost=1.1, description="f1: Hip := * -> Sip"),
-            RepairCandidate(edits=(DeleteRule("f2"),), cost=2.0,
-                            description="delete f2"),
+            RepairCandidate(edits=(ChangeRuleHead("f2", UNROUTED_HEAD),),
+                            cost=2.0, description="f2 installs no flow entries"),
         ]
     raise ValueError(name)
 
@@ -271,8 +278,9 @@ def test_early_abort_rejects_overloading_candidate(scenarios):
     sound (monotone) overload bound means the verdict matches the full
     replay's rejection."""
     scenario = scenarios["Q1"]
-    flooder = RepairCandidate(edits=(DeleteRule("r1"),), cost=3.0,
-                              description="delete r1 (floods controller)")
+    flooder = RepairCandidate(
+        edits=(ChangeConstant("r1", 0, "right", 1, 5),), cost=3.0,
+        description="r1: Swi==1 -> Swi==5 (floods controller)")
     fix = scenario_candidates("Q1")[0]   # fresh copy: notes compared below
     policy = EarlyAbortPolicy(check_every=8, min_fraction=0.1)
     with Scheduler(transport="inprocess", early_abort=policy) as scheduler:

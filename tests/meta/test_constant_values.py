@@ -8,8 +8,9 @@ comparison, for 6 operators x 7 known values x 2 sides x 6 hint lists — a
 value that makes the comparison ``hold`` (the pool solved as it is) and one
 that makes it ``break`` (its negation solved) — which the function must
 reproduce in value *and* type; to break a comparison is to satisfy the
-negated operator (the solver also appended the known value to the hints,
-which is where the function tries it anyway).  The Hypothesis tests hold the
+negated operator, :data:`NEGATED_OPERATOR` below (the solver also appended
+the known value to the hints, which is where the function tries it
+anyway).  The Hypothesis tests hold the
 search to the engine: a comparison holds for the explorer exactly when the
 selection would evaluate to true.
 """
@@ -20,13 +21,18 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.meta.constant_values import NEGATED_OPERATOR, first_satisfying_value
+from repro.meta.constant_values import first_satisfying_value
 from repro.ndlog.ast import BinOp, COMPARISON_OPERATORS, Const
 from repro.ndlog.errors import EvaluationError
 from repro.ndlog.expr import evaluate, try_compare
 
 GOLDEN = json.loads(pathlib.Path(__file__).with_name(
     "constant_values_golden.json").read_text())["rows"]
+
+#: The operator whose satisfying value breaks a comparison that held: what
+#: the golden's ``break`` rows were solved with.
+NEGATED_OPERATOR = {"==": "!=", "!=": "==", "<": ">=", ">": "<=",
+                    "<=": ">", ">=": "<"}
 
 
 def typed(value):

@@ -3,14 +3,12 @@
 These tests recreate the paper's running example (Figures 1, 2, 6 and 7):
 a copy-and-paste bug in rule r7 prevents switch S3 from getting a flow entry
 for HTTP traffic, and meta provenance must suggest the fix ``Swi == 2`` ->
-``Swi == 3`` (among others), while the positive-symptom machinery must be
-able to remove an unwanted flow entry.
+``Swi == 3`` (among others).
 """
 
 import pytest
 
 from repro.meta import (
-    ExistingTupleGoal,
     HistoryIndex,
     MetaProvenanceExplorer,
     MissingTupleGoal,
@@ -28,7 +26,7 @@ from repro.repair import (
     apply_candidate,
 )
 
-from recording_oracle import derivations_of, history_from_engine
+from recording_oracle import history_from_engine
 from reference_engine import NaiveEngine
 
 FIGURE2_PROGRAM = """
@@ -216,61 +214,6 @@ class TestCostOrdering:
     def test_first_candidate_is_cheapest(self, explorer, q1_goal):
         result = explorer.explore_missing(q1_goal)
         assert result.best().cost == min(c.cost for c in result.candidates)
-
-
-class TestPositiveSymptoms:
-    """Figure 7: removing a flow entry that exists but should not."""
-
-    @pytest.fixture
-    def engine(self, program):
-        engine = NaiveEngine(program)
-        engine.register_schema(TableSchema("PacketIn", ("C", "Swi", "Hdr")))
-        engine.register_schema(TableSchema("WebLoadBalancer", ("C", "Hdr", "Prt")))
-        engine.register_schema(TableSchema("FlowTable", ("Swi", "Hdr", "Prt")))
-        engine.insert(make_tuple("WebLoadBalancer", "C", 80, 2))
-        engine.insert(make_tuple("PacketIn", "C", 1, 80))
-        return engine
-
-    def test_candidates_remove_the_unwanted_entry(self, program, engine):
-        unwanted = make_tuple("FlowTable", 1, 80, 2)
-        assert engine.contains(unwanted)
-        history = history_from_engine(engine, include_derived=False)
-        explorer = MetaProvenanceExplorer(program, history)
-        goal = ExistingTupleGoal(unwanted)
-        result = explorer.explore_existing(goal, derivations_of(engine, unwanted))
-        assert result.candidates
-        # Apply each candidate and verify the tuple is no longer derived.
-        for candidate in result.candidates:
-            repaired = apply_candidate(program, candidate)
-            check = Engine(repaired.program)
-            removed = set(repaired.removed_tuples)
-            base = [t for t in engine.database.base_tuples() if t not in removed]
-            base += [make_tuple("PacketIn", "C", 1, 80)]
-            base = [t for t in base if t not in removed]
-            base += repaired.inserted_tuples
-            check.insert_many(base)
-            assert not check.contains(unwanted), candidate.description
-
-    def test_green_repair_of_figure7(self, program, engine):
-        """Changing Swi==1 in r1 to a different switch id breaks the derivation."""
-        unwanted = make_tuple("FlowTable", 1, 80, 2)
-        history = history_from_engine(engine, include_derived=False)
-        explorer = MetaProvenanceExplorer(program, history)
-        result = explorer.explore_existing(
-            ExistingTupleGoal(unwanted), derivations_of(engine, unwanted))
-        const_changes = [c for c in result.candidates
-                         if any(isinstance(e, ChangeConstant) and e.rule == "r1"
-                                for e in c.edits)]
-        assert const_changes
-
-    def test_existing_tree_has_exist_vertices(self, program, engine):
-        unwanted = make_tuple("FlowTable", 1, 80, 2)
-        history = history_from_engine(engine, include_derived=False)
-        explorer = MetaProvenanceExplorer(program, history)
-        result = explorer.explore_existing(
-            ExistingTupleGoal(unwanted), derivations_of(engine, unwanted))
-        tree = result.forest.trees[0]
-        assert all(v.kind == "EXIST" for v in tree.vertices())
 
 
 class TestHistoryIndex:

@@ -61,8 +61,7 @@ def outcomes(scenario, trace, repaired=None):
         controller = scenario.build_controller(program=None)
     else:
         controller = scenario.build_controller(
-            program=repaired.program, extra_tuples=repaired.inserted_tuples,
-            removed_tuples=repaired.removed_tuples)
+            program=repaired.program, extra_tuples=repaired.inserted_tuples)
     simulator = NetworkSimulator(
         scenario.build_topology(), controller,
         require_packet_out=scenario.require_packet_out, record_ingress=False)

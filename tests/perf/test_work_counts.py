@@ -96,8 +96,8 @@ from repro.distrib import WorkerPool, close_parked_fleets
 from repro.meta import MetaProvenanceExplorer, explorer
 from repro.ndlog import Engine, parse_program, plan
 from repro.ndlog.plan import PLAN_CACHE, CompiledRule
-from repro.repair import (ChangeConstant, ChangeTuple, DeleteTuple,
-                          InsertTuple, RepairCandidate, apply_candidate)
+from repro.repair import (ChangeConstant, InsertTuple, RepairCandidate,
+                          apply_candidate)
 from repro.scenarios import build_q1
 from repro.sdn import switch
 from repro.sdn.network import NetworkSimulator
@@ -206,7 +206,6 @@ PREFILTER_CALLS_CEILING_250_RULES = 6000
 PINNED_PARSE_CALLS_250_RULES = 12769
 PARSE_CALLS_PER_RULE_CEILING = 60
 PYTHON_CALLS_CEILING = 1.10
-TUPLE_EDITS = (InsertTuple, DeleteTuple, ChangeTuple)
 SDN_PACKAGE = os.path.dirname(switch.__file__)
 META_PACKAGE = os.path.dirname(explorer.__file__)
 NDLOG_PACKAGE = os.path.dirname(plan.__file__)
@@ -583,7 +582,7 @@ def test_a_candidates_veto_costs_its_edit():
     candidates, small = prefilter(8)
     padded, large = prefilter(250)
     rule_edits = [candidate for candidate in candidates
-                  if not any(isinstance(edit, TUPLE_EDITS)
+                  if not any(isinstance(edit, InsertTuple)
                              for edit in candidate.edits)]
     assert len(rule_edits) == 11
     for candidate in rule_edits:

@@ -7,7 +7,11 @@ knob (plain Q1 with 100 candidates, the rest with 14; the abort policy
 carries a ``ks_slack``, so its mid-trace KS check over sample prefixes runs),
 a ``workers=2`` session on the ``inprocess`` transport (the scheduler's
 zero-worker case: its serial drain, not a fleet) and the exit hook that
-closes idle fleets, the two ``other_languages``
+closes idle fleets, one Q1 session through an in-process repair service
+(a ``RepairServiceDaemon`` without workers and its ``ServiceHTTPServer``:
+HTTP submit, the daemon's ``assign``/``event``/``result`` hooks driven by
+hand around the worker's ``RepairJobRuntime``, an events follow, a long
+poll and ``/healthz``, then the drain), the two ``other_languages``
 scenarios (Table 3) and every CLI subcommand that needs no running service,
 ``repro lint`` also over a file of Q1's explorer candidates;
 then it walks each module's AST and prints the functions never entered, and
@@ -15,8 +19,9 @@ the modules no workload imported, each with the ``src/repro`` modules whose
 import statements (or lazy re-exports) name it.
 The hook is installed before any ``repro`` module is imported, so what runs
 at import time (``lazy_exports``, ``register_scenario``, decorators) counts
-as entered.  Out of reach: worker subprocesses (``spawn``, ``socket``,
-``repro serve`` and its clients), the compiled fire functions and what
+as entered.  Out of reach: worker subprocesses and the worker loop
+(``spawn``, ``socket``), the pool's worker links and frames, the ``repro serve``
+/ ``submit`` / ``status`` front ends, the compiled fire functions and what
 ``@dataclass`` writes.  "Never entered here" opens an investigation — the
 function may be the fleet's, a test oracle's or an error path's — it does
 not close one.  A module nothing imports here is the first place to look:
@@ -46,6 +51,37 @@ def _profile(frame, event, _arg):
         ENTERED.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
 
+def service_session(config):
+    """One session through an in-process daemon and its HTTP front door,
+    the pool's policy hooks called by hand (no worker), as the service
+    suite's long-poll tests do; the run is the worker's runtime, here."""
+    from types import SimpleNamespace
+
+    from repro.service import (RepairServiceDaemon, ServiceClient,
+                               ServiceHTTPServer)
+    from repro.service.runtime import RepairJobRuntime
+
+    daemon = RepairServiceDaemon(workers=1, spawn_workers=False).start()
+    server = ServiceHTTPServer(("127.0.0.1", 0), daemon)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        client = ServiceClient(server.url)
+        session_id = client.submit(config, tenant="census")["id"]
+        job = daemon.assign(SimpleNamespace(worker_id=0))
+        followed = []
+        follower = threading.Thread(target=lambda: followed.extend(
+            client.events(session_id, follow=True)))
+        follower.start()
+        runtime = RepairJobRuntime(job.wire)
+        runtime.set_event_sink(lambda wire: daemon.event(job, wire))
+        daemon.result(job, None, runtime.evaluate(0))
+        follower.join(timeout=60)
+        assert client.wait(session_id, timeout=60)["state"] == "done"
+        assert followed and client.health()["sessions_total"] == 1
+    finally:
+        server.stop(grace=5.0)
+
+
 def workloads():
     """Everything the census runs, its ``repro`` imports included."""
     from repro.api import RepairConfig, RepairSession, TelemetryConfig
@@ -70,6 +106,7 @@ def workloads():
     # What interpreter exit runs after a fabric session (an atexit hook,
     # past the reach of the profile): idle fleets are closed.
     close_parked_fleets()
+    service_session(RepairConfig.for_scenario("Q1", max_candidates=14))
     language_reports()
     with tempfile.TemporaryDirectory() as tmp:
         events, trace = f"{tmp}/events.jsonl", f"{tmp}/trace.json"

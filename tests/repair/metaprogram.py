@@ -13,14 +13,51 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.ndlog.ast import BinOp, Const, Program, Rule, Var
-from repro.meta.metatuples import (
-    AssignMeta,
-    ConstMeta,
-    HeadFuncMeta,
-    MetaLocation,
-    OperMeta,
-    PredFuncMeta,
-)
+from repro.meta.metatuples import ConstMeta, MetaLocation, OperMeta
+
+
+# The program-based meta tuples no repair reads: the explorer takes heads,
+# body predicates and assignments straight from the rules.
+
+
+@dataclass(frozen=True)
+class HeadFuncMeta:
+    """The head of a rule: ``HeadFunc(Rul, Tab, Args)``."""
+
+    rule: str
+    table: str
+    args: Tuple[str, ...]
+    location: MetaLocation
+
+    def __str__(self):
+        return f"HeadFunc(Rul={self.rule!r}, Tab={self.table!r}, Args={self.args})"
+
+
+@dataclass(frozen=True)
+class PredFuncMeta:
+    """A body predicate: ``PredFunc(Rul, Tab, Args)``."""
+
+    rule: str
+    table: str
+    args: Tuple[str, ...]
+    location: MetaLocation
+
+    def __str__(self):
+        return f"PredFunc(Rul={self.rule!r}, Tab={self.table!r}, Args={self.args})"
+
+
+@dataclass(frozen=True)
+class AssignMeta:
+    """An assignment: ``Assign(Rul, Arg, ID)``."""
+
+    rule: str
+    var: str
+    expr_id: str
+    expr_text: str
+    location: MetaLocation
+
+    def __str__(self):
+        return f"Assign(Rul={self.rule!r}, Arg={self.var!r}, ID={self.expr_id!r})"
 
 
 @dataclass

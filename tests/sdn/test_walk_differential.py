@@ -61,8 +61,7 @@ def controller_factory(name, program):
     repaired = apply_candidate(scenario.program,
                                candidates[PROGRAMS.index(program) - 1])
     return lambda: scenario.build_controller(
-        program=repaired.program, extra_tuples=repaired.inserted_tuples,
-        removed_tuples=repaired.removed_tuples)
+        program=repaired.program, extra_tuples=repaired.inserted_tuples)
 
 
 def snapshot(simulator):
