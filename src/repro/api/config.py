@@ -1,8 +1,8 @@
 """Declarative configuration for a full repair run.
 
-:class:`RepairConfig` holds every knob — the explorer's candidate budget and
-cost model, the backtester's replay and KS acceptance parameters, the
-transport, the early-abort policy — in one :mod:`repro.wire` type.  With its
+:class:`RepairConfig` holds every knob — the explorer's candidate budget,
+the backtester's replay and acceptance bounds, the transport, the
+early-abort policy — in one :mod:`repro.wire` type.  With its
 :class:`~repro.scenarios.spec.ScenarioSpec` it is a complete description of
 a repair run: it configures an in-process session, is saved as a file for
 ``python -m repro repair --config``, or is dispatched to a worker.
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from ..backtest.abort import EarlyAbortPolicy
-from ..meta.costs import DEFAULT_COSTS, CostModel
+from ..meta.costs import CostModel
 from ..scenarios.spec import ScenarioSpec
 from ..wire import Wire, WireError
 
@@ -141,24 +141,14 @@ class RepairConfig(Wire):
     # -- Generate: candidate exploration --------------------------------
     #: Stop exploring once this many candidates were extracted.
     max_candidates: int = 20
-    #: Per-edit-kind cost overrides (merged over the paper's defaults); a
-    #: key must be one of ``DEFAULT_COSTS``.
-    cost_overrides: Dict[str, float] = field(default_factory=dict)
-    #: Candidate cost cutoff; ``None`` keeps the cost model's default.
-    cost_cutoff: Optional[float] = None
-    #: Surcharge for far-away constant changes; ``None`` keeps the default.
-    far_constant_surcharge: Optional[float] = None
 
     # -- Backtest: replay and acceptance --------------------------------
-    #: KS acceptance threshold; ``None`` uses the scenario's own default.
+    #: KS acceptance threshold; ``None`` uses the scenario's own.
     ks_threshold: Optional[float] = None
-    #: Significance level when ``use_significance`` is on.
-    alpha: float = 0.05
-    #: Accept by KS significance test instead of the fixed threshold.
-    use_significance: bool = False
     #: Replay only this many trace packets (``None`` = whole trace).
     trace_limit: Optional[int] = None
-    #: Reject repairs multiplying controller PacketIn load by more than this.
+    #: Reject repairs multiplying controller PacketIn load by more than
+    #: this; an ``abort`` policy checks the same bound mid-trace.
     max_packet_in_growth: Optional[float] = None
     #: Statically vet candidates before replay; provably behaviour-
     #: preserving ones (inert inserts, no-op edits) skip backtesting and
@@ -167,7 +157,8 @@ class RepairConfig(Wire):
     #: veto": on wins ``trace_heavy`` (9/10 pairs) and ties
     #: ``candidate_heavy`` and ``program_heavy``.
     static_vet: bool = True
-    #: Optional mid-trace kill switch for hopeless candidates.
+    #: Optional mid-trace check of ``max_packet_in_growth``, to stop a
+    #: flooding candidate's replay early.
     abort: Optional[EarlyAbortPolicy] = None
 
     # -- Scheduling: where candidate evaluations run --------------------
@@ -198,11 +189,6 @@ class RepairConfig(Wire):
             if value is not None and value < 1:
                 raise ConfigError(f"config {name} must be >= 1, "
                                   f"not {value!r}")
-        unknown = sorted(set(self.cost_overrides) - set(DEFAULT_COSTS))
-        if unknown:
-            raise ConfigError(
-                f"config cost_overrides names unknown edit kinds {unknown}; "
-                f"known kinds are {sorted(DEFAULT_COSTS)}")
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -233,28 +219,15 @@ class RepairConfig(Wire):
         return self.scenario.build()
 
     def cost_model(self) -> CostModel:
-        model = CostModel()
-        if self.cost_overrides:
-            model.costs.update(self.cost_overrides)
-        if self.cost_cutoff is not None:
-            model.cutoff = self.cost_cutoff
-        if self.far_constant_surcharge is not None:
-            model.far_constant_surcharge = self.far_constant_surcharge
-        return model
-
-    def resolve_ks_threshold(self, scenario) -> float:
-        if self.ks_threshold is not None:
-            return self.ks_threshold
-        return getattr(scenario, "ks_threshold", 0.05)
+        """The paper's cost model: no run tunes it."""
+        return CostModel()
 
     def make_backtester(self, scenario):
         """The configured backtester (every replay knob)."""
         from ..backtest.replay import Backtester
         return Backtester(
             scenario,
-            ks_threshold=self.resolve_ks_threshold(scenario),
-            alpha=self.alpha,
-            use_significance=self.use_significance,
+            ks_threshold=self.ks_threshold,
             trace_limit=self.trace_limit,
             max_packet_in_growth=self.max_packet_in_growth,
             abort_policy=self.abort,

@@ -36,7 +36,6 @@ from ..backtest.ranking import rank_results
 from ..backtest.replay import BacktestReport, BacktestResult
 from ..events import (EventBus, SessionFinished, SessionStarted,
                       StageFinished, StageStarted)
-from ..meta.costs import CostModel
 from ..meta.explorer import ExplorationResult
 from ..repair.candidates import RepairCandidate
 from .config import RepairConfig
@@ -136,23 +135,19 @@ class RepairSession:
     """Runs a configured repair pipeline, stage by stage.
 
     ``scenario`` may be passed explicitly for scenarios that are not in
-    the registry (then the config's spec is optional); ``cost_model``
-    likewise overrides the config's declarative cost knobs for callers
-    holding a live :class:`CostModel`.  ``stages`` replaces the standard
-    pipeline with a custom one.
+    the registry (then the config's spec is optional).  ``stages``
+    replaces the standard pipeline with a custom one.
     """
 
     def __init__(self, config: Optional[RepairConfig] = None,
                  scenario=None,
                  events: Optional[EventBus] = None,
-                 stages: Optional[Sequence[Stage]] = None,
-                 cost_model: Optional[CostModel] = None):
+                 stages: Optional[Sequence[Stage]] = None):
         self.config = config or RepairConfig()
         self.events = events if events is not None else EventBus()
         self.stages: List[Stage] = list(stages
                                         if stages is not None else DEFAULT_STAGES)
         self._scenario = scenario
-        self._cost_model = cost_model
         #: Live telemetry bundle (``None`` when the config's ``telemetry``
         #: knob is off — the entire observability layer then costs nothing).
         self.telemetry = self.config.make_telemetry()
@@ -195,12 +190,6 @@ class RepairSession:
         if self._scenario is None:
             self._scenario = self.config.build_scenario()
         return self._scenario
-
-    @property
-    def cost_model(self) -> CostModel:
-        if self._cost_model is None:
-            self._cost_model = self.config.cost_model()
-        return self._cost_model
 
     # ------------------------------------------------------------------
     # Running

@@ -91,7 +91,7 @@ class GenerateStage(Stage):
         scenario = session.scenario
         explorer = MetaProvenanceExplorer(
             scenario.program, session.artifacts["history"],
-            cost_model=session.cost_model,
+            cost_model=session.config.cost_model(),
             max_candidates=session.config.max_candidates)
         exploration = explorer.explore_missing(scenario.goal())
         total = len(exploration.candidates)

@@ -1,58 +1,44 @@
 """Early-abort policy for candidate replays.
 
 Backtesting cost is dominated by hopeless candidates: a repair that floods
-the controller or visibly distorts the traffic distribution keeps replaying
-the whole historical trace even though its fate is sealed long before the
-end.  An :class:`EarlyAbortPolicy` lets the replay loops kill such a
-candidate mid-trace.
+the controller keeps replaying the whole historical trace even though its
+fate is sealed long before the end.  An :class:`EarlyAbortPolicy` lets the
+replay loop kill such a candidate mid-trace.
 
-Two checks run every ``check_every`` packets (once at least
-``min_fraction`` of the trace has replayed); the replay loop cuts the trace
+One check runs every ``check_every`` packets, once at least
+``min_fraction`` of the trace has replayed; the replay loop cuts the trace
 at those check points (:meth:`EarlyAbortPolicy.check_points`), one
-``run_trace`` call per piece:
-
-* **controller overload** — the candidate's cumulative ``PacketIn`` count
-  already exceeds the *final* baseline count times the growth bound.  The
-  counter is monotone, so this abort is *sound*: the full replay would have
-  been rejected by the same ``max_packet_in_growth`` test.
-* **KS mid-trace** (opt-in via ``ks_slack``) — the KS statistic between the
-  baseline's first ``k`` destination samples and the candidate's ``k``
-  samples exceeds ``ks_threshold * ks_slack``.  This is a *heuristic*: a
-  distribution can in principle recover late in the trace, so the slack
-  factor should stay comfortably above 1.
+``run_trace`` call per piece.  The check is the verdict's own **controller
+overload** test (``Backtester._overload``), applied early: the candidate's
+cumulative ``PacketIn`` count already exceeds the *final* baseline count
+times the backtester's ``max_packet_in_growth``.  The counter is monotone
+and the bound is the one the verdict applies, so an abort is *sound* by
+construction: the full replay would have been rejected by the same test.
+Without a growth bound the policy checks nothing (the trace is still cut
+at its check points).
 
 Aborted candidates are reported as rejected (``effective=False,
 accepted=False``) with an ``aborted after k/N packets: ...`` note.  With no
-policy configured every replay runs to completion and results stay
-bit-identical to the serial path — the parity suites run with the policy
-off.
+policy configured every replay runs to completion.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from ..wire import Wire
-from .metrics import ks_two_sample
 
 
 @dataclass(frozen=True)
 class EarlyAbortPolicy(Wire):
-    """When and why to kill a candidate's replay mid-trace; workers get it
-    as its :mod:`repro.wire` wire."""
+    """When to check a candidate's replay mid-trace; workers get it as its
+    :mod:`repro.wire` wire."""
 
     wire_name = "abort"
 
-    #: Run the checks every this many replayed packets.
+    #: Run the check every this many replayed packets.
     check_every: int = 32
-    #: Overload bound; ``None`` falls back to the backtester's
-    #: ``max_packet_in_growth`` (and the check is skipped if both are unset).
-    max_packet_in_growth: Optional[float] = None
-    #: Slack multiplier on the KS threshold for the mid-trace check;
-    #: ``None`` disables the (heuristic) KS abort.
-    ks_slack: Optional[float] = None
     #: Never abort before this fraction of the trace has replayed.
     min_fraction: float = 0.25
 
@@ -74,27 +60,3 @@ class EarlyAbortPolicy(Wire):
         first = max(1, math.ceil(self.min_fraction * total))
         first = math.ceil(first / self.check_every) * self.check_every
         return range(first, total, self.check_every)
-
-    def breach(self, stats, done: int, baseline_stats,
-               ks_threshold: Optional[float],
-               max_packet_in_growth: Optional[float]) -> Optional[str]:
-        """Return an abort reason, or ``None`` to keep replaying.
-
-        ``stats`` are the candidate's partial statistics after ``done``
-        packets; ``baseline_stats`` the baseline's *complete* statistics.
-        """
-        growth = self.max_packet_in_growth
-        if growth is None:
-            growth = max_packet_in_growth
-        if growth is not None:
-            bound = max(1, baseline_stats.packet_in_count) * growth
-            if stats.packet_in_count > bound:
-                return (f"controller overload: {stats.packet_in_count} "
-                        f"PacketIns > {bound:.0f} allowed")
-        if self.ks_slack is not None and ks_threshold is not None:
-            ks = ks_two_sample(baseline_stats.destinations[:done],
-                               stats.destinations)
-            if ks.statistic > ks_threshold * self.ks_slack:
-                return (f"KS mid-trace: {ks.statistic:.4f} > "
-                        f"{ks_threshold * self.ks_slack:.4f}")
-        return None

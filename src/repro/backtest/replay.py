@@ -9,8 +9,10 @@ once.  A candidate is
 * **effective** if it fixes the symptom (the scenario's effectiveness
   predicate holds, e.g. "the backup web server receives at least some HTTP
   traffic"), and
-* **accepted** if it is effective *and* does not significantly distort the
-  traffic distribution of unrelated flows (two-sample KS test, Section 5.3).
+* **accepted** if it is effective *and* does not distort the traffic
+  distribution of unrelated flows (the two-sample KS statistic stays within
+  the scenario's ``ks_threshold``, Section 5.3) or, under a
+  ``max_packet_in_growth`` bound, the controller's load.
 
 Scenarios (see :mod:`repro.scenarios.base`) provide the environment: a fresh
 topology, a controller factory for an arbitrary program, the recorded trace
@@ -140,26 +142,26 @@ class Backtester:
     warm_hits = 0
     warm_fallbacks = 0
 
-    def __init__(self, scenario, ks_threshold: float = 0.05,
-                 alpha: float = 0.05, use_significance: bool = False,
+    def __init__(self, scenario, ks_threshold: Optional[float] = None,
                  trace_limit: Optional[int] = None,
                  max_packet_in_growth: Optional[float] = None,
                  abort_policy: Optional[EarlyAbortPolicy] = None,
                  static_vet: bool = True):
         self.scenario = scenario
-        self.ks_threshold = ks_threshold
-        self.alpha = alpha
-        self.use_significance = use_significance
+        #: Reject a repair whose KS statistic against the baseline exceeds
+        #: this; ``None`` means the scenario's own threshold.
+        self.ks_threshold = (scenario.ks_threshold if ks_threshold is None
+                             else ks_threshold)
         self.trace_limit = trace_limit
         #: Optional extra side-effect metric: reject repairs that multiply the
         #: controller's PacketIn load by more than this factor (the paper
         #: rejects some Q4 candidates for "significant increases of controller
         #: traffic").
         self.max_packet_in_growth = max_packet_in_growth
-        #: Optional mid-trace kill switch for hopeless candidates; see
+        #: Optional mid-trace check of that same bound, to stop a flooding
+        #: candidate's replay early; see
         #: :class:`repro.backtest.abort.EarlyAbortPolicy`.  ``None`` (the
-        #: default) replays every candidate to completion, keeping all
-        #: execution paths bit-identical.
+        #: default) replays every candidate to completion.
         self.abort_policy = abort_policy
         #: Vet each candidate with the static analyzer before replaying it;
         #: provably behaviour-preserving candidates (inert inserts, no-op
@@ -320,8 +322,6 @@ class Backtester:
         slice_packets = None
         if policy is not None:
             cuts = policy.check_points(total)
-            baseline = self.baseline()
-            threshold = None if self.use_significance else self.ks_threshold
         else:
             if self.telemetry is not None:
                 slice_packets = self.telemetry.slice_packets
@@ -341,8 +341,7 @@ class Backtester:
                 simulator.run_trace(piece)
             done = cut
             if policy is not None and done < total:
-                reason = policy.breach(simulator.stats, done, baseline,
-                                       threshold, self.max_packet_in_growth)
+                reason = self._overload(simulator.stats)
                 if reason is not None:
                     return done, (f"aborted after {done}/{total} packets: "
                                   f"{reason}")
@@ -361,19 +360,31 @@ class Backtester:
         prefixes, candidates that cannot be evaluated, quarantined items);
         ``note`` says why and is appended to the candidate's notes.
         """
-        baseline = self.baseline()
-        ks = compare_traffic(baseline, stats)
+        ks = compare_traffic(self.baseline(), stats)
         effective = judge and bool(self.scenario.is_effective(stats))
-        distorted = (ks.significant(self.alpha) if self.use_significance
-                     else ks.statistic > self.ks_threshold)
-        growth = self.max_packet_in_growth
-        overloaded = growth is not None and stats.packet_in_count > \
-            max(1, baseline.packet_in_count) * growth
-        accepted = effective and not distorted and not overloaded
+        accepted = (effective and ks.statistic <= self.ks_threshold
+                    and (self.max_packet_in_growth is None
+                         or self._overload(stats) is None))
         notes = candidate.notes if note is None else candidate.notes + (note,)
         return BacktestResult(candidate=candidate, stats=stats, ks=ks,
                               effective=effective, accepted=accepted,
                               notes=notes)
+
+    def _overload(self, stats: TrafficStats) -> Optional[str]:
+        """Why ``stats`` overload the controller, or ``None``: more
+        PacketIns than the baseline's (at least 1) times
+        ``max_packet_in_growth``.  The verdict rejects a full replay on it
+        and an abort policy stops a replay early on it; the count only
+        grows, so such an abort is the verdict's rejection, reached
+        sooner."""
+        growth = self.max_packet_in_growth
+        if growth is None:
+            return None
+        bound = max(1, self.baseline().packet_in_count) * growth
+        if stats.packet_in_count > bound:
+            return (f"controller overload: {stats.packet_in_count} "
+                    f"PacketIns > {bound:.0f} allowed")
+        return None
 
     def _run_candidates(self, candidates: List[RepairCandidate], scheduler,
                         events) -> List[ShardOutcome]:

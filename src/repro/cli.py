@@ -50,26 +50,38 @@ from .backtest.abort import EarlyAbortPolicy
 from .scenarios import SCENARIO_BUILDERS
 
 
+#: The run flags that set one ``RepairConfig`` field each:
+#: ``(argument group, field, type or choices, metavar, help)``.  The flag is
+#: the field's name with dashes; ``None`` (flag absent) keeps the config's
+#: value.
+_CONFIG_FLAGS = (
+    ("run", "max_candidates", int, "N",
+     "candidate budget for the explorer"),
+    ("run", "trace_limit", int, "N", "replay only the first N trace packets"),
+    ("run", "ks_threshold", float, "X",
+     "KS acceptance threshold (default: scenario's)"),
+    ("run", "max_packet_in_growth", float, "X",
+     "reject repairs growing PacketIn load beyond X×"),
+    ("sched", "workers", int, "N", "worker count for candidate evaluation"),
+    ("sched", "transport", ("inprocess", "spawn", "socket"), None,
+     "evaluate candidates through the distributed fabric instead of the "
+     "local path"),
+)
+
+
 def _add_config_options(parser: argparse.ArgumentParser) -> None:
     """Options mirroring RepairConfig knobs (None = keep config default)."""
-    run = parser.add_argument_group("pipeline configuration")
-    run.add_argument("--config", metavar="FILE",
-                     help="JSON RepairConfig to start from "
-                          "(CLI flags override it)")
-    run.add_argument("--max-candidates", type=int, metavar="N",
-                     help="candidate budget for the explorer")
-    run.add_argument("--trace-limit", type=int, metavar="N",
-                     help="replay only the first N trace packets")
-    run.add_argument("--ks-threshold", type=float, metavar="X",
-                     help="KS acceptance threshold (default: scenario's)")
-    run.add_argument("--max-packet-in-growth", type=float, metavar="X",
-                     help="reject repairs growing PacketIn load beyond X×")
-    sched = parser.add_argument_group("scheduling")
-    sched.add_argument("--workers", type=int, metavar="N",
-                       help="worker count for candidate evaluation")
-    sched.add_argument("--transport", choices=["inprocess", "spawn", "socket"],
-                       help="evaluate candidates through the distributed "
-                            "fabric instead of the local path")
+    groups = {"run": parser.add_argument_group("pipeline configuration"),
+              "sched": parser.add_argument_group("scheduling")}
+    groups["run"].add_argument("--config", metavar="FILE",
+                               help="JSON RepairConfig to start from "
+                                    "(CLI flags override it)")
+    for group, name, kind, metavar, text in _CONFIG_FLAGS:
+        typed = ({"choices": kind} if isinstance(kind, tuple)
+                 else {"type": kind, "metavar": metavar})
+        groups[group].add_argument("--" + name.replace("_", "-"), help=text,
+                                   **typed)
+    sched = groups["sched"]
     sched.add_argument("--port", type=int,
                        help="listen port for --transport socket")
     sched.add_argument("--fault-plan", metavar="FILE", dest="fault_plan",
@@ -77,8 +89,6 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
                             "(deterministic chaos reproduction)")
     sched.add_argument("--abort-check-every", type=int, metavar="N",
                        help="enable early abort, checking every N packets")
-    sched.add_argument("--abort-ks-slack", type=float, metavar="X",
-                       help="slack multiplier for the heuristic KS abort")
     out = parser.add_argument_group("output")
     out.add_argument("--json", action="store_true",
                      help="print the final report as JSON on stdout")
@@ -137,18 +147,9 @@ def _fold_args(args) -> RepairConfig:
         print("repro: no scenario specified (name one on the command line "
               "or in the --config file)", file=sys.stderr)
         raise SystemExit(2)
-    if args.max_candidates is not None:
-        updates["max_candidates"] = args.max_candidates
-    if args.trace_limit is not None:
-        updates["trace_limit"] = args.trace_limit
-    if args.ks_threshold is not None:
-        updates["ks_threshold"] = args.ks_threshold
-    if args.max_packet_in_growth is not None:
-        updates["max_packet_in_growth"] = args.max_packet_in_growth
-    if args.workers is not None:
-        updates["workers"] = args.workers
-    if args.transport is not None:
-        updates["transport"] = args.transport
+    for _, name, _, _, _ in _CONFIG_FLAGS:
+        if getattr(args, name) is not None:
+            updates[name] = getattr(args, name)
     transport_options = dict(config.transport_options)
     if args.port is not None:
         transport_options["port"] = args.port
@@ -160,16 +161,9 @@ def _fold_args(args) -> RepairConfig:
             FaultPlan.from_file(args.fault_plan).to_wire()
     if transport_options != config.transport_options:
         updates["transport_options"] = transport_options
-    if args.abort_check_every is not None or args.abort_ks_slack is not None:
-        base = config.abort or EarlyAbortPolicy()
-        updates["abort"] = EarlyAbortPolicy(
-            check_every=(args.abort_check_every
-                         if args.abort_check_every is not None
-                         else base.check_every),
-            max_packet_in_growth=base.max_packet_in_growth,
-            ks_slack=(args.abort_ks_slack if args.abort_ks_slack is not None
-                      else base.ks_slack),
-            min_fraction=base.min_fraction)
+    if args.abort_check_every is not None:
+        updates["abort"] = _dc_replace(config.abort or EarlyAbortPolicy(),
+                                       check_every=args.abort_check_every)
     telemetry_updates = {}
     if getattr(args, "profile", None):
         telemetry_updates["profile"] = True

@@ -11,9 +11,9 @@ a config by ``RepairConfig.make_scheduler`` only:
   :class:`~repro.scenarios.spec.ScenarioSpec` handles and candidate wires;
 * :mod:`~repro.distrib.coordinator` — :class:`Scheduler`: input-order
   results, outcome decode, quarantine rows, the fault-stats fold,
-  progress on the session's event bus, optional early abort of hopeless
-  replays; spawn sessions of one process borrow its one idle fleet
-  (``Scheduler.borrow``), closed at exit or by :func:`close_parked_fleets`;
+  progress on the session's event bus; spawn sessions of one process
+  borrow its one idle fleet (``Scheduler.borrow``), closed at exit or by
+  :func:`close_parked_fleets`;
 * :mod:`~repro.distrib.transport` — :class:`Transport`, one class under
   three names: ``"inprocess"`` is its zero-worker case (a serial drain in
   the calling process), ``"spawn"`` and ``"socket"`` name one
@@ -25,12 +25,12 @@ a config by ``RepairConfig.make_scheduler`` only:
 * :mod:`~repro.distrib.worker` — the ``repro-worker`` entry point
   (``python -m repro.distrib.worker``), which may run on other machines.
 
-Every transport is an optimisation, not an approximation: with the abort
-policy off, reports are bit-identical to serial evaluation (asserted
-across Q1-Q5 by ``tests/distrib/test_transport_parity.py``).  The same
-holds under faults: :mod:`~repro.distrib.faults` gives every transport a
-retry/restart/quarantine policy (:class:`FaultToleranceConfig`) and a
-deterministic chaos harness (:class:`FaultPlan`), and
+Every transport is an optimisation, not an approximation: reports are
+bit-identical to serial evaluation, with an abort policy or without
+(asserted across Q1-Q5 by ``tests/distrib/test_transport_parity.py``).
+The same holds under faults: :mod:`~repro.distrib.faults` gives every
+transport a retry/restart/quarantine policy (:class:`FaultToleranceConfig`)
+and a deterministic chaos harness (:class:`FaultPlan`), and
 ``tests/distrib/test_chaos.py`` asserts reports stay bit-identical under
 injected worker crashes, hangs, disconnects and frame corruption —
 modulo the deterministic quarantine rows of genuinely poisonous

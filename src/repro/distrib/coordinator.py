@@ -11,8 +11,9 @@ stream back as they complete.  :class:`Scheduler`
 * publishes :class:`~repro.events.BacktestProgress` per completed
   candidate on the run's event bus — the one progress channel, shared with
   the serial loop (:func:`repro.events.publish_progress`),
-* forwards an optional :class:`~repro.backtest.abort.EarlyAbortPolicy` so
-  workers can kill a hopeless candidate's replay mid-trace, and
+* ships the backtester's knobs, its
+  :class:`~repro.backtest.abort.EarlyAbortPolicy` included, on the job
+  wire, so workers replay and judge as the serial loop does, and
 * converts :class:`~repro.distrib.faults.QuarantinedItem` deliveries
   (items that exhausted their retry budget) into deterministic rejected
   results — so ``len(results) == len(candidates)`` holds even when a
@@ -53,7 +54,6 @@ import os
 import threading
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..backtest.abort import EarlyAbortPolicy
 from ..backtest.replay import Backtester, ShardOutcome
 from ..events import (CandidateQuarantined, EventBus, FabricFaultStats,
                       publish_progress)
@@ -102,8 +102,7 @@ def _fleet_key(transport: str, workers: int, options: Dict) -> Optional[str]:
 
 
 class Scheduler:
-    """A transport, its worker count and the job's knobs, pluggable into
-    ``evaluate_all``.
+    """A transport and its worker count, pluggable into ``evaluate_all``.
 
     ``transport`` is a name (``"inprocess"``, ``"spawn"``, ``"socket"``)
     or an already-configured :class:`Transport`.  Name-built transports
@@ -121,7 +120,6 @@ class Scheduler:
 
     def __init__(self, transport: Union[str, Transport] = "spawn",
                  workers: int = 2,
-                 early_abort: Optional[EarlyAbortPolicy] = None,
                  events: Optional[EventBus] = None, telemetry=None,
                  fault=None, fault_plan=None, **transport_options):
         if isinstance(transport, Transport):
@@ -144,7 +142,6 @@ class Scheduler:
                                        **transport_options)
             self._owns_transport = True
         self.workers = workers
-        self.early_abort = early_abort
         self.events = events
         self.telemetry = telemetry
         #: Set by :meth:`from_config` for ``workers > 1`` with no transport
@@ -157,7 +154,6 @@ class Scheduler:
 
     @classmethod
     def borrow(cls, transport: str = "spawn", workers: int = 2,
-               early_abort: Optional[EarlyAbortPolicy] = None,
                events: Optional[EventBus] = None,
                telemetry=None, fault=None,
                **transport_options) -> "Scheduler":
@@ -176,12 +172,12 @@ class Scheduler:
             with _PARKED_LOCK:
                 parked = _PARKED.pop(key, None)
         if parked is None:
-            scheduler = cls(transport, workers, early_abort, events,
-                            telemetry, fault=fault, **transport_options)
+            scheduler = cls(transport, workers, events, telemetry,
+                            fault=fault, **transport_options)
         else:
             parked.fault_policy = FaultToleranceConfig.coerce(
                 transport_options.get("fault_policy", fault))
-            scheduler = cls(parked, workers, early_abort, events, telemetry)
+            scheduler = cls(parked, workers, events, telemetry)
             scheduler._owns_transport = True
         scheduler._fleet_key = key
         return scheduler
@@ -192,12 +188,13 @@ class Scheduler:
         """Borrow a scheduler for a :class:`repro.api.RepairConfig`.
 
         The single construction path from declarative knobs (transport
-        name, worker count, abort policy, fault-tolerance block, transport
-        options) to a live scheduler.  ``config.transport`` of ``None``
+        name, worker count, fault-tolerance block, transport options) to a
+        live scheduler; the abort policy rides the backtester
+        (``RepairConfig.make_backtester``).  ``config.transport`` of ``None``
         maps to ``"spawn"`` behind the min-work gate (:attr:`gated`).
         """
         scheduler = cls.borrow(config.transport or "spawn", config.workers,
-                               config.abort, events, telemetry,
+                               events, telemetry,
                                fault=config.fault_tolerance,
                                **dict(config.transport_options))
         scheduler.gated = config.transport is None
@@ -228,7 +225,6 @@ class Scheduler:
         deadline = self.transport.fault_policy.resolve_deadline(
             getattr(backtester, "_baseline_seconds", None))
         job_wire = build_job_wire(backtester, candidates,
-                                  abort_policy=self.early_abort,
                                   telemetry=telemetry,
                                   deadline=deadline)
         outcomes: List[Optional[ShardOutcome]] = [None] * len(candidates)

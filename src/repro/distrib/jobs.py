@@ -69,9 +69,9 @@ class BacktesterConfig:
     them: it is the scheduler's business, and a worker's backtester never
     gets a scheduler, so it cannot start a fleet of its own."""
 
+    #: Resolved: a backtester holds the scenario's threshold when it was
+    #: given none.
     ks_threshold: float
-    alpha: float
-    use_significance: bool
     trace_limit: Optional[int]
     max_packet_in_growth: Optional[float]
 
@@ -104,9 +104,9 @@ class BacktestJob(Wire):
 
 def build_job_wire(backtester: Backtester,
                    candidates: Sequence[RepairCandidate],
-                   abort_policy: Optional[EarlyAbortPolicy] = None,
                    telemetry=None, deadline: Optional[float] = None) -> Dict:
-    """Describe one ``evaluate_all`` call as a :class:`BacktestJob` wire.
+    """Describe one ``evaluate_all`` call as a :class:`BacktestJob` wire:
+    the backtester's knobs and its abort policy, and the candidates.
 
     ``telemetry`` (a :class:`repro.obs.Telemetry`) adds the coordinator's
     span context.  ``deadline`` (seconds) is typically
@@ -124,8 +124,7 @@ def build_job_wire(backtester: Backtester,
         for f in dataclasses.fields(BacktesterConfig)})
     return encode(BacktestJob(
         spec=spec, config=config,
-        abort=abort_policy if abort_policy is not None
-        else backtester.abort_policy,
+        abort=backtester.abort_policy,
         deadline=None if deadline is None else float(deadline),
         telemetry=None if telemetry is None else telemetry.job_context(),
         candidates=tuple(candidates)))

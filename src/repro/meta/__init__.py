@@ -18,7 +18,7 @@ encodes operationally; no repair reads the source, so it is kept with the
 suites that parse it (``tests/metarules.py``).
 """
 
-from .costs import CostModel, DEFAULT_COSTS, uniform_cost_model
+from .costs import CostModel, DEFAULT_COSTS
 from .explorer import (
     ExplorationResult,
     ExplorationStats,
@@ -39,7 +39,7 @@ from .metatuples import (
 )
 
 __all__ = [
-    "CostModel", "DEFAULT_COSTS", "uniform_cost_model",
+    "CostModel", "DEFAULT_COSTS",
     "ExplorationResult", "ExplorationStats",
     "MetaProvenanceExplorer", "MissingTupleGoal",
     "EXIST", "MetaForest", "MetaTree", "MetaVertex", "NEXIST",

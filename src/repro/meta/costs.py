@@ -8,8 +8,9 @@ reported by Pan et al. (cited as [41] in the paper): tweaks to existing
 literals are the most common fixes, changes to operators and deleted
 conditions follow, and whole-rule additions are rare.
 
-The model is deliberately table-driven so that ablation benchmarks can swap
-in a uniform-cost model and measure the effect on search effort.
+Every run explores under these defaults (``RepairConfig.cost_model``); the
+explorer reads the table, the surcharge and the cutoff from one
+:class:`CostModel`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from ..repair.candidates import Edit
 
 #: Default base costs: one per :class:`~repro.repair.candidates.Edit` kind,
 #: plus ``support_tuple`` (an ``insert_tuple`` that lets a rule fire).
-#: ``RepairConfig`` refuses an override naming any other key.
 DEFAULT_COSTS: Dict[str, float] = {
     "insert_tuple": 1.0,       # manually install a flow entry / config row
     "change_constant": 1.1,    # tweak a literal (most common bug-fix pattern)
@@ -47,7 +47,6 @@ class CostModel:
     """Assigns costs to individual edits; a candidate costs their sum."""
 
     costs: Dict[str, float] = field(default_factory=lambda: dict(DEFAULT_COSTS))
-    far_constant_surcharge: float = FAR_CONSTANT_SURCHARGE
     cutoff: float = DEFAULT_CUTOFF
 
     def edit_cost(self, edit: Edit) -> float:
@@ -59,19 +58,9 @@ class CostModel:
     def _constant_distance_surcharge(self, edit) -> float:
         old, new = getattr(edit, "old_value", None), getattr(edit, "new_value", None)
         if isinstance(old, int) and isinstance(new, int) and abs(old - new) > 1:
-            return self.far_constant_surcharge
+            return FAR_CONSTANT_SURCHARGE
         return 0.0
 
     def within_cutoff(self, cost: float) -> bool:
         return cost <= self.cutoff
 
-
-def uniform_cost_model(cost: float = 1.0, cutoff: float = DEFAULT_CUTOFF * 2) -> CostModel:
-    """A cost model where every edit kind costs the same.
-
-    Used by the ablation benchmark to show why the plausibility-ordered model
-    matters: with uniform costs, implausible repairs (copying a rule,
-    re-targeting a head) are explored as eagerly as constant tweaks.
-    """
-    return CostModel(costs={kind: cost for kind in DEFAULT_COSTS},
-                     far_constant_surcharge=0.0, cutoff=cutoff)

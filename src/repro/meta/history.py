@@ -46,10 +46,6 @@ class HistoryIndex:
     # Queries
     # ------------------------------------------------------------------
 
-    def tables(self) -> List[str]:
-        """The tables with a tuple, in the order each was first seen."""
-        return list(self._by_table)
-
     def tuples_of(self, table: str) -> List[NDTuple]:
         """All historical tuples of a table (each counted once)."""
         self.lookup_count += 1

@@ -309,10 +309,6 @@ class Program(_Memoized):
         if type(self.rules) is not tuple:
             object.__setattr__(self, "rules", tuple(self.rules))
 
-    def rule_named(self, name):
-        """Return the first rule with the given name, or raise ``KeyError``."""
-        return self.rules[self.rule_index(name)]
-
     def rule_index(self, name):
         """Position of the first rule with the given name (``KeyError``)."""
         return self.memo("rule_positions", _first_positions)[name]
@@ -320,23 +316,6 @@ class Program(_Memoized):
     def rules_deriving(self, table):
         """Return all rules whose head populates ``table``."""
         return [r for r in self.rules if r.head.table == table]
-
-    def tables(self):
-        """Return the set of table names mentioned anywhere in the program."""
-        names = set()
-        for rule in self.rules:
-            names.add(rule.head.table)
-            for atom in rule.body:
-                names.add(atom.table)
-        return names
-
-    def base_tables(self):
-        """Tables that are never derived by any rule (only inserted)."""
-        derived = {r.head.table for r in self.rules}
-        return self.tables() - derived
-
-    def derived_tables(self):
-        return {r.head.table for r in self.rules}
 
     def to_ndlog(self):
         return "\n".join(rule.to_ndlog() for rule in self.rules) + "\n"

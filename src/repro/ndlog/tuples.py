@@ -127,12 +127,6 @@ class NDTuple(_NDTupleFields):
             return self.values
         return tuple(self.values[i] for i in schema.key_indexes())
 
-    def replace(self, index, value):
-        """Return a copy of the tuple with one value replaced."""
-        values = list(self.values)
-        values[index] = value
-        return NDTuple(self.table, tuple(values))
-
     def __str__(self):
         rendered = ", ".join(repr(v) if isinstance(v, str) else str(v) for v in self.values)
         return f"{self.table}({rendered})"

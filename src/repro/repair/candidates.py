@@ -212,9 +212,6 @@ class RepairCandidate(Wire):
         tables."""
         return f"v{self.candidate_id}"
 
-    def edit_kinds(self) -> Tuple[str, ...]:
-        return tuple(e.kind for e in self.edits)
-
     def signature(self) -> Tuple:
         return edits_signature(self.edits)
 

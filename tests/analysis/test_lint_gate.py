@@ -22,6 +22,7 @@ from repro.repair import CopyRule, RepairCandidate, candidate_to_wire
 from repro.scenarios import SCENARIO_BUILDERS, build_scenario
 
 from analysis_helpers import scenario_and_candidates
+from helpers import rule_named
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
@@ -90,7 +91,7 @@ def test_cli_lint_candidates_match_the_in_process_vetter(tmp_path, capsys):
 def test_cli_lint_candidates_keep_a_negated_atom(tmp_path, capsys):
     """The wire used to drop ``Atom.negated``: this copy of r1 linted
     ``ok`` from a file and ``negation-unsupported`` in process."""
-    r1 = build_scenario("Q1").program.rule_named("r1")
+    r1 = rule_named(build_scenario("Q1").program, "r1")
     balancer = dataclasses.replace(r1.body[1], negated=True)
     copy = dataclasses.replace(r1, name="r1_neg",
                                body=(r1.body[0], balancer))

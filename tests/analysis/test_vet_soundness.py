@@ -32,6 +32,7 @@ from repro.scenarios import build_q1
 
 from analysis_helpers import (MAX_CANDIDATES, scenario_and_candidates,
                               stats_snapshot, vetter_for)
+from helpers import rule_named
 
 SCENARIOS = ["Q1", "Q2", "Q3", "Q4", "Q5"]
 
@@ -235,7 +236,7 @@ def test_veto_reads_the_whole_program_when_the_base_has_negation():
     to tell."""
     scenario, _candidates = scenario_and_candidates("Q1")
     q1 = scenario.program
-    r1 = q1.rule_named("r1")
+    r1 = rule_named(q1, "r1")
     negated = dataclasses.replace(
         r1, body=(r1.body[0], dataclasses.replace(r1.body[1], negated=True)))
     vetter = vetter_for(scenario, dataclasses.replace(
@@ -266,7 +267,7 @@ TUPLES = st.one_of(
 def _added_rule(name, negate):
     """A copy of Q1's rule ``name`` under a new name, its last body atom
     negated if ``negate``."""
-    rule = build_q1().program.rule_named(name)
+    rule = rule_named(build_q1().program, name)
     body = rule.body
     if negate:
         body = body[:-1] + (dataclasses.replace(body[-1], negated=True),)

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.api import RepairConfig
+from repro.backtest import EarlyAbortPolicy
 from repro.cli import main
 
 
@@ -114,18 +116,52 @@ def test_a_config_that_cannot_run_is_one_line_and_exit_2(argv, problem,
     assert captured.out == ""
 
 
-def test_a_config_file_naming_an_unknown_cost_kind_is_exit_2(tmp_path,
-                                                             capsys):
+def test_a_config_file_naming_a_removed_knob_is_exit_2(tmp_path, capsys):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"cost_overrides": {"chnage_constant": 0.1}}))
+    path.write_text(json.dumps({"cost_overrides": {"change_constant": 0.1}}))
     with pytest.raises(SystemExit) as excinfo:
         main(["repair", "q1", "--config", str(path), "--quiet"])
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(
-        "repro repair: config cost_overrides names unknown edit kinds "
-        "['chnage_constant']; known kinds are ")
+        "repro repair: unknown config keys: ['cost_overrides']")
     assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+#: Every option of a run-shaped subcommand, in ``--help`` order.
+RUN_FLAGS = ["--config", "--max-candidates", "--trace-limit",
+             "--ks-threshold", "--max-packet-in-growth", "--workers",
+             "--transport", "--port", "--fault-plan", "--abort-check-every",
+             "--json", "--events", "--quiet", "--trace", "--stats",
+             "--profile", "--trace-slices", "--trace-fixpoints"]
+
+
+def test_the_run_flags_are_pinned():
+    from repro import cli
+    parsers = dict(_subcommand_parsers(cli.build_parser()))
+    options = {words: [option for action in parsers[words]._actions
+                       for option in action.option_strings]
+               for words in (("repair",), ("backtest",), ("trace",),
+                             ("stats",), ("submit",))}
+    assert options[("repair",)] == ["-h", "--help"] + RUN_FLAGS
+    for words, flags in options.items():
+        assert flags[-len(RUN_FLAGS):] == RUN_FLAGS, words
+
+
+def test_the_run_flags_fold_into_the_config():
+    from repro import cli
+    args = cli.build_parser().parse_args([
+        "repair", "q1", "--max-candidates", "6", "--trace-limit", "90",
+        "--ks-threshold", "0.2", "--max-packet-in-growth", "1.5",
+        "--workers", "2", "--transport", "inprocess",
+        "--abort-check-every", "8"])
+    config = cli._fold_args(args)
+    assert (config.max_candidates, config.trace_limit, config.ks_threshold,
+            config.max_packet_in_growth, config.workers,
+            config.transport) == (6, 90, 0.2, 1.5, 2, "inprocess")
+    assert config.abort == EarlyAbortPolicy(check_every=8)
+    unset = cli._fold_args(cli.build_parser().parse_args(["repair", "q1"]))
+    assert unset == RepairConfig.for_scenario("q1")
 
 
 @pytest.mark.parametrize("flag", ["--multiquery", "--no-multiquery"])
@@ -134,6 +170,14 @@ def test_multiquery_flags_are_gone(flag, capsys):
         main(["repair", "q1", flag])
     assert excinfo.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_abort_ks_slack_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["repair", "q1", "--abort-ks-slack", "1.5"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --abort-ks-slack" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--warm", "--cold"])

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from repro.api import (ConfigError, FaultToleranceConfig, RepairConfig,
-                       TelemetryConfig)
+                       RepairSession, TelemetryConfig)
 from repro.backtest import Backtester, EarlyAbortPolicy
+from repro.meta.costs import DEFAULT_COSTS, CostModel
 from repro.scenarios import build_scenario
 from repro.scenarios.spec import ScenarioSpec
 
@@ -16,16 +17,11 @@ def full_config():
     return RepairConfig(
         scenario=ScenarioSpec.create("Q2", params={}),
         max_candidates=9,
-        cost_overrides={"change_constant": 0.7},
-        cost_cutoff=4.5,
-        far_constant_surcharge=0.4,
         ks_threshold=0.11,
-        alpha=0.01,
-        use_significance=True,
         trace_limit=120,
         max_packet_in_growth=2.5,
-        abort=EarlyAbortPolicy(check_every=16, ks_slack=1.5,
-                               min_fraction=0.5),
+        static_vet=False,
+        abort=EarlyAbortPolicy(check_every=16, min_fraction=0.5),
         workers=3,
         transport="spawn",
         transport_options={"port": 0},
@@ -64,18 +60,21 @@ def test_unknown_keys_rejected():
     with pytest.raises(ConfigError, match=r"unknown config keys: "
                                           r"\['expansion_cost'\]"):
         RepairConfig.from_wire({"expansion_cost": 0.02})
-    # A cost override for an edit kind the table does not price is refused
-    # too: a misspelt kind was merged into the cost table and priced nothing.
-    with pytest.raises(ConfigError, match=(
-            r"config cost_overrides names unknown edit kinds "
-            r"\['chnage_constant'\]; known kinds are \['change_assignment', "
-            r"'change_constant', .*'support_tuple'\]")):
-        RepairConfig.from_wire({"scenario": {"name": "Q1"},
-                                "cost_overrides": {"chnage_constant": 0.1}})
-    with pytest.raises(ConfigError, match=r"\['delete_rule'\]"):
-        RepairConfig(cost_overrides={"delete_rule": 2.0})
-    config = RepairConfig.from_wire({"cost_overrides": {"support_tuple": 1.5}})
-    assert config.cost_model().costs["support_tuple"] == 1.5
+    # The significance mode and the cost knobs went the same way: one
+    # acceptance rule (the scenario's KS threshold) and the paper's costs.
+    for key, value in (("alpha", 0.05), ("use_significance", True),
+                       ("cost_overrides", {"change_constant": 0.7}),
+                       ("cost_cutoff", 4.5),
+                       ("far_constant_surcharge", 0.4)):
+        with pytest.raises(ConfigError, match=rf"unknown config keys: "
+                                              rf"\['{key}'\]"):
+            RepairConfig.from_wire({"scenario": {"name": "Q1"}, key: value})
+    # The abort policy checks the backtester's own growth bound, never a
+    # private one, and has no KS check.
+    for key, value in (("ks_slack", 1.5), ("max_packet_in_growth", 2.0)):
+        with pytest.raises(ConfigError, match=rf"unknown abort keys: "
+                                              rf"\['{key}'\]"):
+            RepairConfig.from_wire({"abort": {key: value}})
 
 
 @pytest.mark.parametrize("key, value, expected", [
@@ -86,11 +85,11 @@ def test_unknown_keys_rejected():
     ("max_candidates", 14.0, "an integer"),
     ("max_candidates", None, "an integer"),           # not Optional
     ("trace_limit", "120", "an integer or null"),     # Optional[int]
-    ("alpha", "0.05", "a number"),                    # float
-    ("alpha", False, "a number"),
     ("ks_threshold", [0.1], "a number or null"),      # Optional[float]
+    ("ks_threshold", "0.05", "a number or null"),
+    ("max_packet_in_growth", False, "a number or null"),
     ("transport", 3, "a string or null"),             # Optional[str]
-    ("cost_overrides", [["change_constant", 1]], "an object"),   # Dict
+    ("transport_options", [["port", 1]], "an object"),   # Dict
     ("transport_options", None, "an object"),
     ("scenario", "Q1", "an object or null"),          # nested configs
     ("abort", True, "an object or null"),
@@ -105,10 +104,11 @@ def test_wire_values_are_type_checked_at_the_door(key, value, expected):
 
 def test_wire_numbers_and_nulls_the_fields_declare_are_accepted():
     config = RepairConfig.from_wire({
-        "alpha": 1, "ks_threshold": 0, "cost_cutoff": 4.5,     # int for float
+        "max_packet_in_growth": 2, "ks_threshold": 0,          # int for float
         "trace_limit": None, "transport": None, "abort": None,
         "telemetry": None, "scenario": None, "workers": 2})
-    assert (config.alpha, config.ks_threshold, config.workers) == (1, 0, 2)
+    assert (config.max_packet_in_growth, config.ks_threshold,
+            config.workers) == (2, 0, 2)
 
 
 def test_telemetry_wire_is_type_checked_too():
@@ -159,15 +159,10 @@ def test_build_scenario_requires_spec():
         RepairConfig().build_scenario()
 
 
-def test_cost_model_factory_applies_overrides():
+def test_cost_model_factory_is_the_papers_model():
     model = full_config().cost_model()
-    assert model.costs["change_constant"] == 0.7
-    assert model.cutoff == 4.5
-    assert model.far_constant_surcharge == 0.4
-    # A default config keeps the paper's cost model untouched.
-    default_model = RepairConfig().cost_model()
-    assert default_model.costs["change_constant"] != 0.7
-    assert default_model.cutoff != 4.5
+    assert model == CostModel()
+    assert model.costs == DEFAULT_COSTS and model.costs is not DEFAULT_COSTS
 
 
 def test_make_backtester_wires_every_knob():
@@ -176,10 +171,9 @@ def test_make_backtester_wires_every_knob():
     backtester = config.make_backtester(scenario)
     assert isinstance(backtester, Backtester)
     assert backtester.ks_threshold == 0.11
-    assert backtester.alpha == 0.01
-    assert backtester.use_significance is True
     assert backtester.trace_limit == 120
     assert backtester.max_packet_in_growth == 2.5
+    assert backtester.static_vet is False
     assert not hasattr(backtester, "workers")    # the scheduler's knob
     assert backtester.abort_policy == config.abort
 
@@ -189,6 +183,25 @@ def test_make_backtester_defaults_to_scenario_threshold():
     backtester = RepairConfig().make_backtester(scenario)
     assert isinstance(backtester, Backtester)
     assert backtester.ks_threshold == scenario.ks_threshold
+
+
+@pytest.mark.parametrize("name", ["Q1", "Q2", "Q3", "Q4", "Q5"])
+def test_a_bare_backtester_judges_as_a_session_does(name):
+    """The threshold has one default, the scenario's: ``Backtester(scenario)``
+    — the usage the fabric's docstring shows — accepts exactly what a
+    session with the default config accepts.  (With a second default of
+    0.05 it accepted 0 of Q1's 7.)"""
+    session = RepairSession(RepairConfig.for_scenario(name))
+    report = session.run()
+    scenario = build_scenario(name)
+    assert Backtester(scenario).ks_threshold == scenario.ks_threshold
+    bare = Backtester(scenario).evaluate_all(
+        [result.candidate for result in report.backtest.results])
+    assert [(r.accepted, r.effective, r.ks.statistic)
+            for r in bare.results] == \
+        [(r.accepted, r.effective, r.ks.statistic)
+         for r in report.backtest.results]
+    assert bare.accepted()
 
 
 def test_make_scheduler_none_for_local_runs():
@@ -215,7 +228,6 @@ def test_make_scheduler_flows_from_config():
     try:
         assert scheduler is not None
         assert scheduler.workers == 2
-        assert scheduler.early_abort == config.abort
         assert scheduler.transport.name == "inprocess"
     finally:
         scheduler.close()
@@ -223,9 +235,9 @@ def test_make_scheduler_flows_from_config():
 
 def test_with_updates_returns_modified_copy():
     config = RepairConfig.for_scenario("Q1")
-    tuned = config.with_updates(max_candidates=3, use_significance=True)
-    assert tuned.max_candidates == 3 and tuned.use_significance
-    assert config.max_candidates == 20 and not config.use_significance
+    tuned = config.with_updates(max_candidates=3, static_vet=False)
+    assert tuned.max_candidates == 3 and not tuned.static_vet
+    assert config.max_candidates == 20 and config.static_vet
     assert tuned.scenario == config.scenario
 
 

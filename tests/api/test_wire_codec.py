@@ -87,7 +87,7 @@ def _outcome():
                          destinations=[3, 5, -1, 3])
     return ShardOutcome(
         result=BacktestResult(candidate=None, stats=stats,
-                              ks=KSResult(0.25, 0.875, (4, 4)),
+                              ks=KSResult(0.25, (4, 4)),
                               effective=True, accepted=False,
                               elapsed_seconds=0.01, notes=("vetoed",)),
         spans=[{"name": "candidate"}],
@@ -112,13 +112,13 @@ def _candidate():
 SAMPLES = {
     RepairConfig: RepairConfig(
         scenario=ScenarioSpec.create("Q2", params={"repetitions": 2}),
-        cost_overrides={"change_constant": 0.7}, trace_limit=120,
-        abort=EarlyAbortPolicy(check_every=16, ks_slack=1.5),
+        trace_limit=120, max_packet_in_growth=2.5,
+        abort=EarlyAbortPolicy(check_every=16, min_fraction=0.5),
         transport="spawn", transport_options={"port": 0},
         fault_tolerance=FaultToleranceConfig(job_deadline=2.5),
         telemetry=TelemetryConfig(slice_packets=64)),
     TelemetryConfig: TelemetryConfig(slice_packets=8, profile=True),
-    EarlyAbortPolicy: EarlyAbortPolicy(max_packet_in_growth=2.0),
+    EarlyAbortPolicy: EarlyAbortPolicy(check_every=8, min_fraction=0.1),
     FaultToleranceConfig: FaultToleranceConfig(min_workers=2),
     FaultPlan: FaultPlan(seed=3, actions=(
         FaultAction(kind="kill", worker=0, after_items=1),
@@ -133,8 +133,7 @@ SAMPLES = {
     BacktestJob: BacktestJob(
         spec=ScenarioSpec.create("Q1", params={"repetitions": 1}),
         config=BacktesterConfig(
-            ks_threshold=0.05, alpha=0.05, use_significance=False,
-            trace_limit=None, max_packet_in_growth=2.0),
+            ks_threshold=0.05, trace_limit=None, max_packet_in_growth=2.0),
         abort=EarlyAbortPolicy(check_every=8), deadline=30.0,
         telemetry=JobContext(SpanContext("t1", "1"), slice_packets=64),
         candidates=(_candidate(),)),

@@ -86,5 +86,5 @@ def test_the_two_computations_agree_on_drawn_record_lists(before, after):
     result = compare_traffic(before, after)
     reference = by_samples(before, after)
     assert result == reference
-    assert (result.statistic, result.p_value, result.sample_sizes) == (
-        reference.statistic, reference.p_value, reference.sample_sizes)
+    assert (result.statistic, result.sample_sizes) == (
+        reference.statistic, reference.sample_sizes)

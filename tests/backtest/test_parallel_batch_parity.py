@@ -135,13 +135,19 @@ def test_workers_match_serial(scenarios, name, open_min_work_gate):
 def test_workers_match_serial_under_an_abort_policy(scenarios, name,
                                                     open_min_work_gate):
     """The policy rides the job wire: each worker cuts its replays at the
-    same check points and reaches the same verdicts as the serial path."""
+    same check points and reaches the same verdicts as the serial path,
+    aborting Q1's controller flooder at the same packet."""
     scenario = scenarios[name]
     candidates = scenario_candidates(name)
-    knobs = dict(ks_threshold=scenario.ks_threshold, max_packet_in_growth=1.5,
+    if name == "Q1":
+        candidates.append(RepairCandidate(
+            edits=(ChangeConstant("r1", 0, "right", 1, 5),), cost=3.0,
+            description="r1: Swi==1 -> Swi==5 (floods controller)"))
+    knobs = dict(max_packet_in_growth=1.5,
                  abort_policy=EarlyAbortPolicy(check_every=8,
-                                               min_fraction=0.1,
-                                               ks_slack=1.5))
+                                               min_fraction=0.1))
     serial = Backtester(scenario, **knobs).evaluate_all(candidates)
     parallel = on_two_workers(Backtester(scenario, **knobs), candidates)
     assert report_snapshot(parallel) == report_snapshot(serial)
+    if name == "Q1":
+        assert parallel.results[-1].notes[-1].startswith("aborted after")

@@ -15,6 +15,7 @@ from repro.scenarios import build_scenario
 from repro.sdn.packets import Packet, http_request
 
 from recording_oracle import RecordingNDlogController, history_from_engine
+from helpers import history_tables
 
 FIG2 = """
 r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), WebLoadBalancer(@C,Hdr,Prt), Swi == 1.
@@ -76,7 +77,7 @@ class TestNDlogController:
         controller = RecordingNDlogController(parse_program(FIG2),
                                               FIGURE2_MAPPING)
         controller.handle_packet_in(PacketInEvent(2, http_request(1, 2)))
-        tables = history_from_engine(controller.engine).tables()
+        tables = history_tables(history_from_engine(controller.engine))
         assert "PacketIn" in tables
 
 

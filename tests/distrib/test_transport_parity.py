@@ -88,6 +88,15 @@ def scenario_candidates(name):
     raise ValueError(name)
 
 
+def flooding_candidate():
+    """Q1's ``r1`` matching switch 5 instead of 1: every packet at switch 1
+    goes to the controller, which the verdict rejects under a PacketIn
+    growth bound of 1.5 and an abort policy stops early."""
+    return RepairCandidate(
+        edits=(ChangeConstant("r1", 0, "right", 1, 5),), cost=3.0,
+        description="r1: Swi==1 -> Swi==5 (floods controller)")
+
+
 @contextlib.contextmanager
 def remote_workers(owner, count, token=None):
     """``count`` hand-started ``repro-worker`` processes pointed at
@@ -213,24 +222,27 @@ def test_socket_transport_matches_serial(scenarios, serial_snapshots,
 def test_transport_matches_serial_under_an_abort_policy(
         request, scenarios, candidate_sets, transport, name):
     """The backtester's abort policy crosses the job wire: every transport
-    cuts each replay at the same check points, and aborts (Q1–Q4 here)
-    at the same one, as the serial path."""
+    cuts each replay at the same check points, and aborts a flooder (Q1's,
+    Q4's packet-out-only repair) at the same packet, as the serial path."""
     scenario = scenarios[name]
-    knobs = dict(ks_threshold=scenario.ks_threshold, max_packet_in_growth=1.5,
+    candidates = candidate_sets[name]
+    if name == "Q1":
+        candidates = [*candidates, flooding_candidate()]
+    knobs = dict(max_packet_in_growth=1.5,
                  abort_policy=EarlyAbortPolicy(check_every=8,
-                                               min_fraction=0.1,
-                                               ks_slack=1.5))
-    expected = report_snapshot(
-        Backtester(scenario, **knobs).evaluate_all(candidate_sets[name]))
+                                               min_fraction=0.1))
+    serial = Backtester(scenario, **knobs).evaluate_all(candidates)
     with contextlib.ExitStack() as stack:
         if transport == "inprocess":
             scheduler = stack.enter_context(Scheduler(transport="inprocess"))
         else:
             scheduler = request.getfixturevalue(f"{transport}_scheduler")
         report = Backtester(scenario, **knobs).evaluate_all(
-            candidate_sets[name], scheduler=scheduler)
-    assert report_snapshot(report) == expected
+            candidates, scheduler=scheduler)
+    assert report_snapshot(report) == report_snapshot(serial)
     assert not scheduler.transport.last_fault_stats.any()
+    if name == "Q1":
+        assert report.results[-1].notes[-1].startswith("aborted after")
 
 
 def test_progress_streams_in_completion_order(scenarios, candidate_sets):
@@ -278,14 +290,12 @@ def test_early_abort_rejects_overloading_candidate(scenarios):
     sound (monotone) overload bound means the verdict matches the full
     replay's rejection."""
     scenario = scenarios["Q1"]
-    flooder = RepairCandidate(
-        edits=(ChangeConstant("r1", 0, "right", 1, 5),), cost=3.0,
-        description="r1: Swi==1 -> Swi==5 (floods controller)")
+    flooder = flooding_candidate()
     fix = scenario_candidates("Q1")[0]   # fresh copy: notes compared below
     policy = EarlyAbortPolicy(check_every=8, min_fraction=0.1)
-    with Scheduler(transport="inprocess", early_abort=policy) as scheduler:
-        report = Backtester(scenario, ks_threshold=scenario.ks_threshold,
-                            max_packet_in_growth=1.5).evaluate_all(
+    with Scheduler(transport="inprocess") as scheduler:
+        report = Backtester(scenario, max_packet_in_growth=1.5,
+                            abort_policy=policy).evaluate_all(
                                 [flooder, fix], scheduler=scheduler)
     aborted, accepted = report.results
     assert not aborted.accepted and not aborted.effective
@@ -293,6 +303,12 @@ def test_early_abort_rejects_overloading_candidate(scenarios):
     assert aborted.stats.total < len(scenario.trace())
     assert accepted.accepted
     assert accepted.notes == fix.notes
+    # Sound: the full replay breaks the bound the abort checked.
+    backtester = Backtester(scenario, max_packet_in_growth=1.5)
+    full = backtester.evaluate(flooding_candidate())
+    assert not full.accepted
+    assert full.stats.packet_in_count > \
+        1.5 * backtester.baseline().packet_in_count
 
 
 def test_abort_policy_off_is_bit_identical(scenarios, serial_snapshots,
@@ -301,7 +317,7 @@ def test_abort_policy_off_is_bit_identical(scenarios, serial_snapshots,
     the serial report exactly (this is what the parity tests above rely
     on)."""
     scenario = scenarios["Q3"]
-    with Scheduler(transport="inprocess", early_abort=None) as scheduler:
+    with Scheduler(transport="inprocess") as scheduler:
         report = Backtester(
             scenario, ks_threshold=scenario.ks_threshold).evaluate_all(
                 candidate_sets["Q3"], scheduler=scheduler)

@@ -37,6 +37,7 @@ from repro.repair import reset_candidate_ids
 from repro.scenarios import build_scenario
 
 from padded_programs import padded_program
+from helpers import edit_kinds
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("explore_golden.json")
 PADDED_RULES = 250
@@ -67,7 +68,7 @@ def dump(key):
     for candidate in explore(key).candidates:
         row = {"tag": candidate.tag, "cost": candidate.cost,
                "description": candidate.description,
-               "edit_kinds": list(candidate.edit_kinds())}
+               "edit_kinds": list(edit_kinds(candidate))}
         text = candidate.tree.to_text()
         if key in HASHED_TREES:
             row["tree_sha1"] = hashlib.sha1(text.encode()).hexdigest()
@@ -112,7 +113,7 @@ def test_every_root_keeps_the_goals_column_positions():
     result = MetaProvenanceExplorer(
         scenario.program, scenario.history_index()).explore_missing(goal)
     assert {"insert_tuple", "change_head", "copy_rule"} == {
-        kind for c in result.candidates for kind in c.edit_kinds()}
+        kind for c in result.candidates for kind in edit_kinds(c)}
     for candidate in result.candidates:
         root = candidate.tree.root.subject.tuple
         assert root.values[:3] == (8, "*", 80), candidate.tree.to_text()

@@ -13,7 +13,7 @@ from repro.meta import (
     MetaProvenanceExplorer,
     MissingTupleGoal,
 )
-from repro.meta.costs import CostModel, uniform_cost_model
+from repro.meta.costs import CostModel
 from repro.meta.metatuples import ConstMeta, SelMeta
 from repro.ndlog import Engine, TableSchema, make_tuple, parse_program
 from repro.repair import (
@@ -28,6 +28,7 @@ from repro.repair import (
 
 from recording_oracle import history_from_engine
 from reference_engine import NaiveEngine
+from helpers import history_tables, uniform_cost_model
 
 FIGURE2_PROGRAM = """
 r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), WebLoadBalancer(@C,Hdr,Prt), Swi == 1.
@@ -235,7 +236,7 @@ class TestHistoryIndex:
         names = ["Zeta", "PacketIn", "Alpha", "FlowTable", "M"]
         history = HistoryIndex([make_tuple(name, "C", 1) for name in names]
                                + [make_tuple("Alpha", "C", 2)])
-        assert history.tables() == names
+        assert history_tables(history) == names
 
     def test_lookup_counter_increments(self, history):
         before = history.lookup_count

@@ -16,6 +16,7 @@ from repro.ndlog.expr import match_atom
 
 from recording_oracle import derivations_of
 from reference_engine import DERIVE, INSERT, SEND, NaiveEngine
+from helpers import rule_named
 
 FIGURE2_PROGRAM = """
 r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), WebLoadBalancer(@C,Hdr,Prt), Swi == 1.
@@ -112,7 +113,7 @@ class TestFigure2Scenario:
         buggy = parse_program(FIGURE2_PROGRAM)
         # The fix the paper's operator would apply: Swi == 2 -> Swi == 3 in r7.
         from repro.ndlog import BinOp, Const, Selection, Var
-        r7 = buggy.rule_named("r7")
+        r7 = rule_named(buggy, "r7")
         fixed_r7 = replace(r7, selections=(
             Selection(BinOp("==", Var("Swi"), Const(3))),) + r7.selections[1:])
         fixed = replace(buggy, rules=tuple(

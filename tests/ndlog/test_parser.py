@@ -18,6 +18,8 @@ from repro.ndlog import (
     parse_rule,
 )
 
+from helpers import base_tables, derived_tables, rule_named
+
 FIGURE2_PROGRAM = """
 r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), WebLoadBalancer(@C,Hdr,Prt), Swi == 1.
 r2 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Swi == 1, Hdr == 53, Prt := 2.
@@ -115,8 +117,8 @@ class TestProgramParsing:
         assert len(program.rules) == 7
         assert [r.name for r in program.rules] == [f"r{i}" for i in range(1, 8)]
         assert program.rules_deriving("FlowTable") == list(program.rules)
-        assert program.base_tables() == {"PacketIn", "WebLoadBalancer"}
-        assert program.derived_tables() == {"FlowTable"}
+        assert base_tables(program) == {"PacketIn", "WebLoadBalancer"}
+        assert derived_tables(program) == {"FlowTable"}
 
     def test_round_trip_through_pretty_printer(self):
         program = parse_program(FIGURE2_PROGRAM)
@@ -126,17 +128,17 @@ class TestProgramParsing:
 
     def test_rule_named_lookup(self):
         program = parse_program(FIGURE2_PROGRAM)
-        assert program.rule_named("r7").selections[0].to_ndlog() == "Swi == 2"
+        assert rule_named(program, "r7").selections[0].to_ndlog() == "Swi == 2"
         with pytest.raises(KeyError):
-            program.rule_named("r99")
+            rule_named(program, "r99")
 
     def test_an_edited_value_leaves_the_original_alone(self):
         program = parse_program(FIGURE2_PROGRAM)
-        r7 = program.rule_named("r7")
+        r7 = rule_named(program, "r7")
         swi_is_3 = replace(r7.selections[0],
                            expr=BinOp("==", Var("Swi"), Const(3)))
         edited = replace(r7, selections=(swi_is_3,) + r7.selections[1:])
-        assert program.rule_named("r7").selections[0].right == Const(2)
+        assert rule_named(program, "r7").selections[0].right == Const(2)
         assert edited.selections[0].right == Const(3)
         assert edited.selections[1] is r7.selections[1]
         assert edited != r7 and edited.head is r7.head

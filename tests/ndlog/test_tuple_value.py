@@ -23,6 +23,8 @@ from repro.ndlog import Engine, NDTuple, make_tuple, parse_program
 from repro.repair import InsertTuple, RepairCandidate, candidate_from_wire
 from repro.wire import WireError
 
+from helpers import replace_value
+
 SAMPLES = [
     ("FlowTable", (3, "*", 80, 2)),
     ("PacketIn", ("C", 1, 101, 1, 80)),
@@ -79,7 +81,7 @@ def test_a_tuple_is_immutable():
     tup = NDTuple("T", (1,))
     with pytest.raises(AttributeError):
         tup.table = "U"
-    assert tup.replace(0, 2) == NDTuple("T", (2,)) and tup.values == (1,)
+    assert replace_value(tup, 0, 2) == NDTuple("T", (2,)) and tup.values == (1,)
 
 
 @pytest.mark.parametrize("sample, strings", zip(SAMPLES, PARENT_STRINGS))

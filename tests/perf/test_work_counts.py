@@ -105,25 +105,28 @@ from repro.sdn.packets import Packet
 from repro.sdn.switch import FlowEntry, FlowTable, Switch
 
 from padded_programs import padded_program, padded_source
+from helpers import rule_named
 
 COUNTERS = ("engine_fixpoints", "rules_fired", "tuples_derived",
             "packets_replayed", "plan_cache_misses", "candidates_backtested",
             "candidates_vetoed")
 
-#: ``python_calls`` was pinned on CPython 3.11 in a fresh interpreter (76,974
-#: and 26,459 while candidates switched on a warm engine and ``NDTuple`` was
-#: a dataclass hashed, built and compared in Python).
+#: ``python_calls`` was pinned on CPython 3.11 in a fresh interpreter (36,363
+#: and 14,565 while every KS comparison also computed an asymptotic p-value,
+#: one call more per ``compare_traffic``, under pins of 50,472 and 20,075;
+#: 76,974 and 26,459 while candidates switched on a warm engine and
+#: ``NDTuple`` was a dataclass hashed, built and compared in Python).
 #: ``plan_cache_misses`` counts plan code compiled, one per rule shape: 11 and
 #: 9 while a plan was compiled per rule text.
 PINNED = {
     "Q1": {"engine_fixpoints": 778, "rules_fired": 866, "tuples_derived": 842,
            "packets_replayed": 2808, "plan_cache_misses": 8,
            "candidates_backtested": 14, "candidates_vetoed": 2,
-           "python_calls": 50472},
+           "python_calls": 36347},
     "Q4": {"engine_fixpoints": 160, "rules_fired": 248, "tuples_derived": 248,
            "packets_replayed": 1280, "plan_cache_misses": 5,
            "candidates_backtested": 11, "candidates_vetoed": 1,
-           "python_calls": 20075},
+           "python_calls": 14552},
 }
 #: Calls into ``repro/meta`` of one 14-candidate exploration of Q1's goal
 #: (explorer construction included), by number of rules in the program.
@@ -557,7 +560,7 @@ def test_apply_costs_the_edit_not_the_program():
         repaired = []
         apply_calls = _python_calls(
             lambda: repaired.append(apply_candidate(program, candidate)))
-        assert repaired[0].program.rule_named("r1") != program.rule_named("r1")
+        assert rule_named(repaired[0].program, "r1") != rule_named(program, "r1")
         return apply_calls
 
     small, large = (padded_program(build_q1(), rules) for rules in (8, 250))

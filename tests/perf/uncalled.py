@@ -3,8 +3,9 @@
 A tool for sizing diet PRs, not a test — pytest does not collect this file.
 Under a ``sys.setprofile`` / ``threading.setprofile`` hook it runs, in this
 process: serial Q1–Q5 sessions with the default config and once per ablation
-knob (plain Q1 with 100 candidates, the rest with 14; the abort policy
-carries a ``ks_slack``, so its mid-trace KS check over sample prefixes runs),
+knob (plain Q1 with 100 candidates, the rest with 14; the abort row pairs
+``EarlyAbortPolicy()`` with ``max_packet_in_growth=2.0``, so the overload
+check runs at every check point and aborts one of Q4's 11 candidates),
 a ``workers=2`` session on the ``inprocess`` transport (the scheduler's
 zero-worker case: its serial drain, not a fleet) and the exit hook that
 closes idle fleets, one Q1 session through an in-process repair service
@@ -94,7 +95,7 @@ def workloads():
     from repro.scenarios.other_languages import language_reports
 
     knob_rows = ({}, {"static_vet": False},
-                 {"abort": EarlyAbortPolicy(ks_slack=2.0)},
+                 {"abort": EarlyAbortPolicy(), "max_packet_in_growth": 2.0},
                  {"telemetry": TelemetryConfig()})
     for name in ("Q1", "Q2", "Q3", "Q4", "Q5"):
         for knobs in knob_rows:

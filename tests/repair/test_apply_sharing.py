@@ -47,6 +47,7 @@ from repro.repair import (ChangeAssignment, ChangeConstant, ChangeOperator,
 from repro.scenarios import NDlogScenario, build_q1, build_scenario
 
 from padded_programs import padded_source
+from helpers import rule_named
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("apply_golden.json")
 PADDED_RULES = 250
@@ -94,7 +95,7 @@ def _hand_built(program):
 
     Each keeps the candidate id it was first pinned with, which is part of
     its wire bytes."""
-    r7 = program.rule_named("r7")
+    r7 = rule_named(program, "r7")
     flow = make_tuple("FlowTable", 3, 80, 2)
     balancer = make_tuple("WebLoadBalancer", "C", 443, 2)
     packet_out = dataclasses.replace(r7.head, table="PacketOut")
@@ -251,7 +252,7 @@ def test_base_programs_are_unchanged_after_every_application():
 
 
 def _nodes():
-    rule = parse_program(HAND_PROGRAM).rule_named("r5")
+    rule = rule_named(parse_program(HAND_PROGRAM), "r5")
     return [rule.head, rule.selections[0], rule.assignments[0], rule,
             Program(rules=[rule])]
 
@@ -306,12 +307,12 @@ def test_equal_nodes_hash_equal_and_positions_do_not_count():
 
 
 def test_replace_keeps_positions_and_repr_shows_fields_only():
-    rule = parse_program(HAND_PROGRAM).rule_named("r5")
+    rule = rule_named(parse_program(HAND_PROGRAM), "r5")
     renamed = dataclasses.replace(rule, name="r6")
     assert (renamed.line, renamed.column) == (rule.line, rule.column)
     assert renamed.head is rule.head and renamed.body is rule.body
     text = repr(rule)
-    Program(rules=[rule]).rule_named("r5")      # whatever gets memoized ...
+    rule_named(Program(rules=[rule]), "r5")      # whatever gets memoized ...
     rule_shape(rule)
     assert repr(rule) == text                   # ... stays out of repr
     assert "line" not in text and "column" not in text

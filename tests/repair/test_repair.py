@@ -10,7 +10,7 @@ from metarules import (
     mudlog_meta_program,
 )
 from repro.meta import EXIST, MetaProvenanceExplorer, OperMeta
-from repro.meta.costs import CostModel, DEFAULT_COSTS, uniform_cost_model
+from repro.meta.costs import CostModel, DEFAULT_COSTS
 from repro.ndlog import Const, Var, make_tuple, parse_program
 from repro.repair import (
     ChangeAssignment,
@@ -30,6 +30,7 @@ from repro.scenarios import build_scenario
 
 from metaprogram import MetaProgram
 from padded_programs import padded_program
+from helpers import rule_named, uniform_cost_model
 
 PROGRAM = """
 r1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), WebLoadBalancer(@C,Hdr,Prt), Swi == 1.
@@ -50,18 +51,18 @@ class TestApplyEdits:
     def test_change_constant(self, program):
         repaired = apply_candidate(program, single(
             ChangeConstant("r7", 0, "right", 2, 3)))
-        assert repaired.program.rule_named("r7").selections[0].right == Const(3)
+        assert rule_named(repaired.program, "r7").selections[0].right == Const(3)
         # The original program is untouched.
-        assert program.rule_named("r7").selections[0].right == Const(2)
+        assert rule_named(program, "r7").selections[0].right == Const(2)
 
     def test_change_operator(self, program):
         repaired = apply_candidate(program, single(
             ChangeOperator("r7", 0, "==", ">=")))
-        assert repaired.program.rule_named("r7").selections[0].op == ">="
+        assert rule_named(repaired.program, "r7").selections[0].op == ">="
 
     def test_delete_selection(self, program):
         repaired = apply_candidate(program, single(DeleteSelection("r7", 0)))
-        assert len(repaired.program.rule_named("r7").selections) == 1
+        assert len(rule_named(repaired.program, "r7").selections) == 1
 
     def test_multiple_deletions_apply_in_reverse_index_order(self, program):
         candidate = RepairCandidate(edits=(
@@ -69,18 +70,18 @@ class TestApplyEdits:
             DeleteSelection("r7", 1, "Hdr == 80"),
         ), cost=4.0)
         repaired = apply_candidate(program, candidate)
-        assert repaired.program.rule_named("r7").selections == ()
+        assert rule_named(repaired.program, "r7").selections == ()
 
     def test_change_assignment(self, program):
         repaired = apply_candidate(program, single(
             ChangeAssignment("r7", 0, "Prt", "2", Const(9))))
-        assert repaired.program.rule_named("r7").assignments[0].expr == Const(9)
+        assert rule_named(repaired.program, "r7").assignments[0].expr == Const(9)
 
     def test_change_rule_head_and_copy(self, program):
-        r7 = program.rule_named("r7")
+        r7 = rule_named(program, "r7")
         new_head = replace(r7.head, table="PacketOut")
         repaired = apply_candidate(program, single(ChangeRuleHead("r7", new_head)))
-        assert repaired.program.rule_named("r7").head.table == "PacketOut"
+        assert rule_named(repaired.program, "r7").head.table == "PacketOut"
         assert r7.head.table == "FlowTable"
         copied_rule = replace(r7, name="r7_copy")
         repaired = apply_candidate(program, single(CopyRule("r7", copied_rule)))
@@ -88,16 +89,16 @@ class TestApplyEdits:
         assert repaired.program.rules[2] is copied_rule
 
     def test_copy_rule_appends_a_new_rule_last(self, program):
-        extra = replace(program.rule_named("r7"), name="r9")
+        extra = replace(rule_named(program, "r7"), name="r9")
         repaired = apply_candidate(program, single(CopyRule("r7", extra)))
         assert [r.name for r in repaired.program.rules] == ["r1", "r7", "r9"]
         assert [r.name for r in program.rules] == ["r1", "r7"]
 
     def test_deleting_the_only_selection_keeps_the_body(self, program):
         repaired = apply_candidate(program, single(DeleteSelection("r1", 0)))
-        rule = repaired.program.rule_named("r1")
+        rule = rule_named(repaired.program, "r1")
         assert rule.selections == ()
-        assert rule.body == program.rule_named("r1").body
+        assert rule.body == rule_named(program, "r1").body
 
     def test_data_edits_alone_return_the_program_itself(self, program):
         flow = make_tuple("FlowTable", 3, 80, 2)
@@ -111,7 +112,7 @@ class TestApplyEdits:
             edits=(InsertTuple(flow), ChangeConstant("r7", 0, "right", 2, 3)),
             cost=2.0))
         assert repaired.inserted_tuples == [flow]
-        assert repaired.program.rule_named("r7").selections[0].right == Const(3)
+        assert rule_named(repaired.program, "r7").selections[0].right == Const(3)
         assert "insert" in repaired.summary()
 
     def test_unknown_rule_raises(self, program):

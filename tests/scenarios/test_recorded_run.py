@@ -33,6 +33,7 @@ from repro.repair import reset_candidate_ids
 from repro.scenarios import SCENARIO_BUILDERS, build_scenario
 
 import recording_oracle
+from helpers import history_tables
 
 LEDGER = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "ledger"
 PAPER = ("Q1", "Q2", "Q3", "Q4", "Q5")
@@ -84,7 +85,7 @@ def _rows(history):
     """An index as a value: per-table tuple lists in order, then
     ``all_values()``."""
     return ([(table, [tup.values for tup in history.tuples_of(table)])
-             for table in sorted(history.tables())],
+             for table in sorted(history_tables(history))],
             history.all_values())
 
 
