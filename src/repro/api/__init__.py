@@ -26,8 +26,7 @@ from ..events import (BacktestProgress, CandidateAborted, CandidateFound,
                       FabricFaultStats, JsonlEventWriter, SessionEvent,
                       SessionFinished, SessionStarted, StageFinished,
                       StageStarted, WarmEngineStats)
-from .config import (ConfigError, FaultToleranceConfig, RepairConfig,
-                     TelemetryConfig)
+from .config import ConfigError, RepairConfig, TelemetryConfig
 from .session import DiagnosisReport, PhaseTimings, RepairSession, repair
 from .stages import (DEFAULT_STAGES, BacktestStage, DiagnoseStage,
                      GenerateStage, RankStage, Stage, StageError)
@@ -42,7 +41,7 @@ __all__ = [
     "BacktestProgress", "BacktestStage", "CandidateAborted", "CandidateFound",
     "CandidateQuarantined", "CandidateVetoed", "ConfigError", "DEFAULT_STAGES",
     "DiagnoseStage", "DiagnosisReport", "EventBus", "FabricFaultStats",
-    "FaultPlan", "FaultToleranceConfig", "GenerateStage", "JsonlEventWriter",
+    "FaultPlan", "GenerateStage", "JsonlEventWriter",
     "PhaseTimings", "RankStage", "RepairConfig", "RepairSession",
     "SessionEvent", "SessionFinished", "SessionStarted", "Stage",
     "StageError", "StageFinished", "StageStarted", "TelemetryConfig",

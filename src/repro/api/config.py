@@ -38,6 +38,13 @@ class ConfigError(WireError):
 #: every candidate replays the whole trace on its own network.
 LEDGER_ONLY_KNOBS = ("warm_engine", "replay_batch_size", "multiquery")
 
+#: The keyword arguments of ``repro.distrib.Transport`` a config's
+#: ``transport_options`` may set, with the exact JSON types each takes (a
+#: ``fault_plan`` must decode as a ``FaultPlan``); anything else is a
+#: :class:`ConfigError`, not a crash when the run starts.
+TRANSPORT_OPTIONS = {"host": (str,), "port": (int,), "spawn_workers": (bool,),
+                     "result_timeout": (int, float), "fault_plan": None}
+
 
 @dataclass
 class TelemetryConfig(Wire):
@@ -60,70 +67,6 @@ class TelemetryConfig(Wire):
     #: Attach the tracer to replay engines so every PacketIn fixpoint gets
     #: its own span (``engine.fixpoint``) — verbose; for deep dives only.
     trace_fixpoints: bool = False
-
-
-#: Soft-deadline floor: even tiny scenarios (millisecond baselines) get a
-#: generous per-item allowance so slow CI machines never trip it.
-DEADLINE_FLOOR_SECONDS = 30.0
-
-
-@dataclass
-class FaultToleranceConfig(Wire):
-    """Retry / restart / degradation policy of the fabric
-    (:mod:`repro.distrib`), a ``RepairConfig`` knob like
-    :class:`TelemetryConfig`; :mod:`repro.distrib.faults` re-exports it.
-
-    Also serves as the runtime policy object on every transport
-    (``transport.fault_policy``); the defaults keep fault-free runs
-    bit-identical to a fabric without fault tolerance — retries simply
-    never trigger.
-    """
-
-    wire_name = "fault_tolerance"
-
-    #: An item that fails on a worker is retried until it has been
-    #: attempted this many times, then quarantined (a deterministic
-    #: rejected result with a ``quarantined(<reason>)`` note).
-    max_attempts: int = 3
-    #: How many crashed workers a single job may respawn (capped
-    #: exponential backoff between restarts).
-    restart_budget: int = 2
-    #: Per-item soft deadline = ``job_deadline_factor`` × the timed
-    #: baseline replay (every candidate replays the same trace), floored
-    #: at ``DEADLINE_FLOOR_SECONDS``.  ``None`` disables deadline
-    #: enforcement.
-    job_deadline_factor: Optional[float] = 50.0
-    #: Absolute per-item deadline override in seconds (``None`` = derive
-    #: from the factor).  Chaos tests use this for sub-second hang bounds.
-    job_deadline: Optional[float] = None
-    #: When the live worker fleet drops below this floor and the restart
-    #: budget is spent, the transport drains the remaining queue serially
-    #: in-process instead of raising.
-    min_workers: int = 1
-    #: Restart backoff: ``min(backoff_cap, backoff_base * 2**n)`` seconds
-    #: before the ``n``-th respawn of a job.
-    backoff_base: float = 0.1
-    backoff_cap: float = 2.0
-
-    @classmethod
-    def coerce(cls, value) -> "FaultToleranceConfig":
-        """As :meth:`Wire.coerce`, but ``None`` is the default policy."""
-        return super().coerce(value) or cls()
-
-    def resolve_deadline(self, per_item_estimate: Optional[float]
-                         ) -> Optional[float]:
-        """The per-item soft deadline in seconds, or ``None``."""
-        if self.job_deadline is not None:
-            return self.job_deadline
-        if self.job_deadline_factor is None or not per_item_estimate:
-            return None
-        return max(DEADLINE_FLOOR_SECONDS,
-                   self.job_deadline_factor * per_item_estimate)
-
-    def backoff(self, restart_number: int) -> float:
-        """Seconds to wait before the ``restart_number``-th respawn."""
-        return min(self.backoff_cap,
-                   self.backoff_base * (2.0 ** restart_number))
 
 
 @dataclass
@@ -169,13 +112,11 @@ class RepairConfig(Wire):
     #: worth a fleet (``PARALLEL_MIN_SECONDS``) — on a borrowed spawn fleet
     #: (:meth:`make_scheduler`).
     transport: Optional[str] = None
-    #: Extra keyword arguments for the transport (e.g. socket ``port``).
+    #: Extra keyword arguments for the transport, among
+    #: :data:`TRANSPORT_OPTIONS` (e.g. socket ``port``).  The fabric's
+    #: retry, restart and deadline rule is no knob: it is the constants of
+    #: :mod:`repro.distrib.faults`.
     transport_options: Dict[str, object] = field(default_factory=dict)
-    #: Fabric fault-tolerance policy (retry budget, worker restart budget,
-    #: per-item deadlines, degradation floor); ``None`` = the defaults in
-    #: :class:`FaultToleranceConfig`, which keep fault-free
-    #: runs bit-identical to a fabric without fault tolerance.
-    fault_tolerance: Optional[FaultToleranceConfig] = None
 
     # -- Observability ---------------------------------------------------
     #: Tracing/metrics/profiling knobs; ``None`` = telemetry off (the
@@ -189,6 +130,28 @@ class RepairConfig(Wire):
             if value is not None and value < 1:
                 raise ConfigError(f"config {name} must be >= 1, "
                                   f"not {value!r}")
+        options = self.transport_options
+        unknown = set(options).difference(TRANSPORT_OPTIONS)
+        if unknown:
+            raise ConfigError(f"unknown config transport_options keys: "
+                              f"{sorted(unknown, key=str)}")
+        for key, kinds in TRANSPORT_OPTIONS.items():
+            if kinds and key in options and type(options[key]) not in kinds:
+                raise ConfigError(
+                    f"config transport_options key {key!r} must be "
+                    f"{' or '.join(kind.__name__ for kind in kinds)}, "
+                    f"not {options[key]!r}")
+        if not 0 <= options.get("port", 0) <= 65535:
+            raise ConfigError(f"config transport_options port must be "
+                              f"within [0, 65535], not {options['port']}")
+        if options.get("fault_plan") is not None:
+            # Only a run that arms one loads the fleet's fault module.
+            from ..distrib.faults import FaultPlan
+            try:
+                FaultPlan.coerce(options["fault_plan"])
+            except ValueError as exc:        # a WireError is a ValueError
+                raise ConfigError(f"config transport_options 'fault_plan': "
+                                  f"{exc}") from exc
 
     # ------------------------------------------------------------------
     # Construction helpers

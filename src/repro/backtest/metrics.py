@@ -15,9 +15,8 @@ SciPy at run time.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Tuple
 
 from ..sdn.network import DROPPED, TrafficStats
 
@@ -30,21 +29,15 @@ class KSResult:
     sample_sizes: Tuple[int, int]
 
 
-def ks_two_sample(sample_a: Sequence[float], sample_b: Sequence[float]) -> KSResult:
-    """Two-sample KS test over numeric samples.
-
-    Destination samples are categorical host identifiers; using their numeric
-    order is exactly what the paper's prototype does when it feeds per-host
-    traffic counts to the KS test — the statistic measures how much
-    probability mass moved between hosts, regardless of which hosts.
-    """
-    return _ks_from_counts(Counter(sample_a), len(sample_a),
-                           Counter(sample_b), len(sample_b))
-
-
 def _ks_from_counts(counts_a: Mapping[float, int], n_a: int,
                     counts_b: Mapping[float, int], n_b: int) -> KSResult:
-    """The test over two multisets given as value -> multiplicity."""
+    """The test over two multisets given as value -> multiplicity.
+
+    Destination samples are categorical host identifiers; using their
+    numeric order is exactly what the paper's prototype does when it feeds
+    per-host traffic counts to the KS test — the statistic measures how
+    much probability mass moved between hosts, regardless of which hosts.
+    """
     if n_a == 0 or n_b == 0:
         return KSResult(statistic=1.0 if (n_a or n_b) else 0.0,
                         sample_sizes=(n_a, n_b))
@@ -72,8 +65,9 @@ def compare_traffic(before: TrafficStats, after: TrafficStats) -> KSResult:
     """KS test between two runs' destination distributions.
 
     Computed from the per-host counters of the two runs — the same sorted
-    values and the same float additions as :func:`ks_two_sample` over their
-    ``destinations``, so the result is equal bit for bit.
+    values and the same float additions as a KS test over their
+    ``destinations`` lists (the suites' reference, ``ks_two_sample``), so
+    the result is equal bit for bit.
     """
     return _ks_from_counts(_destination_counts(before), before.total,
                            _destination_counts(after), after.total)

@@ -28,8 +28,8 @@ a config by ``RepairConfig.make_scheduler`` only:
 Every transport is an optimisation, not an approximation: reports are
 bit-identical to serial evaluation, with an abort policy or without
 (asserted across Q1-Q5 by ``tests/distrib/test_transport_parity.py``).
-The same holds under faults: :mod:`~repro.distrib.faults` gives every
-transport a retry/restart/quarantine policy (:class:`FaultToleranceConfig`)
+The same holds under faults: :mod:`~repro.distrib.faults` holds the one
+retry/restart/quarantine rule every transport applies (module constants)
 and a deterministic chaos harness (:class:`FaultPlan`), and
 ``tests/distrib/test_chaos.py`` asserts reports stay bit-identical under
 injected worker crashes, hangs, disconnects and frame corruption —
@@ -40,12 +40,10 @@ candidates.
 from .._lazy import lazy_exports
 from ..backtest.abort import EarlyAbortPolicy
 from .faults import (FAULT_KINDS, FaultAction, FaultInjector, FaultPlan,
-                     FaultStats, FaultToleranceConfig, InjectedFault,
-                     QuarantinedItem, retry_or_quarantine)
+                     FaultStats, InjectedFault, QuarantinedItem,
+                     retry_or_quarantine)
 
-# A serial repair needs the fault-tolerance *config* (``api/config.py``) and
-# none of the fleet: sockets, subprocesses and frames load with the first
-# name that needs them.
+# Sockets, subprocesses and frames load with the first name that needs them.
 __getattr__, __dir__ = lazy_exports(__name__, {
     "coordinator": ("Scheduler", "close_parked_fleets"),
     "jobs": ("BacktestJob", "BacktesterConfig", "DistribError",
@@ -59,7 +57,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 __all__ = [
     "BacktestJob", "BacktesterConfig", "DispatchPolicy", "DistribError",
     "EarlyAbortPolicy", "FAULT_KINDS", "FaultAction", "FaultInjector",
-    "FaultPlan", "FaultStats", "FaultToleranceConfig", "FrameError",
+    "FaultPlan", "FaultStats", "FrameError",
     "InjectedFault", "JobRuntime", "JobWireError", "PoolJob",
     "QuarantinedItem", "RuntimeCache", "Scheduler", "Transport",
     "TransportError", "WorkItem", "WorkerPool", "build_job_wire",

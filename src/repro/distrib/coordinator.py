@@ -59,7 +59,7 @@ from ..events import (CandidateQuarantined, EventBus, FabricFaultStats,
                       publish_progress)
 from ..repair.candidates import RepairCandidate
 from ..wire import decode
-from .faults import FaultPlan, FaultStats, FaultToleranceConfig, QuarantinedItem
+from .faults import FaultPlan, FaultStats, QuarantinedItem, item_deadline
 from .jobs import DistribError, build_job_wire
 from .transport import Transport
 
@@ -111,9 +111,9 @@ class Scheduler:
     :meth:`borrow` builds a scheduler over the process's idle fleet when it
     has the requested shape, and its :meth:`close` parks the fleet again.
 
-    ``fault`` (a :class:`~repro.distrib.faults.FaultToleranceConfig` or
-    wire dict) sets the transport's retry/restart/degradation policy;
-    ``fault_plan`` arms deterministic fault injection for chaos testing.
+    ``fault_plan`` arms deterministic fault injection for chaos testing;
+    the retry/restart/degradation rule is the same for every scheduler
+    (:mod:`repro.distrib.faults`).
     ``events`` is the bus a run publishes on when ``evaluate_all`` names
     none; ``telemetry`` defaults to the backtester's bundle.
     """
@@ -121,21 +121,16 @@ class Scheduler:
     def __init__(self, transport: Union[str, Transport] = "spawn",
                  workers: int = 2,
                  events: Optional[EventBus] = None, telemetry=None,
-                 fault=None, fault_plan=None, **transport_options):
+                 fault_plan=None, **transport_options):
         if isinstance(transport, Transport):
             if transport_options:
                 raise DistribError("transport_options only apply when the "
                                    "scheduler builds the transport itself")
             self.transport = transport
             self._owns_transport = False
-            if fault is not None:
-                self.transport.fault_policy = \
-                    FaultToleranceConfig.coerce(fault)
             if fault_plan is not None:
                 self.transport.fault_plan = FaultPlan.coerce(fault_plan)
         else:
-            if fault is not None:
-                transport_options.setdefault("fault_policy", fault)
             if fault_plan is not None:
                 transport_options.setdefault("fault_plan", fault_plan)
             self.transport = Transport(transport, workers=workers,
@@ -154,17 +149,14 @@ class Scheduler:
 
     @classmethod
     def borrow(cls, transport: str = "spawn", workers: int = 2,
-               events: Optional[EventBus] = None,
-               telemetry=None, fault=None,
+               events: Optional[EventBus] = None, telemetry=None,
                **transport_options) -> "Scheduler":
         """A scheduler over the idle fleet of this shape, or a new one.
 
         Takes the same arguments as the constructor (``fault_plan`` only
-        inside ``transport_options``).  A parked transport gets this
-        call's fault-tolerance policy — the default when ``fault`` is
-        ``None`` — never the previous borrower's.  :meth:`close` parks the
-        fleet for the process's next borrower and the process closes it at
-        exit; :func:`close_parked_fleets` closes it sooner.
+        inside ``transport_options``).  :meth:`close` parks the fleet for
+        the process's next borrower and the process closes it at exit;
+        :func:`close_parked_fleets` closes it sooner.
         """
         key = _fleet_key(transport, workers, transport_options)
         parked = None
@@ -173,10 +165,8 @@ class Scheduler:
                 parked = _PARKED.pop(key, None)
         if parked is None:
             scheduler = cls(transport, workers, events, telemetry,
-                            fault=fault, **transport_options)
+                            **transport_options)
         else:
-            parked.fault_policy = FaultToleranceConfig.coerce(
-                transport_options.get("fault_policy", fault))
             scheduler = cls(parked, workers, events, telemetry)
             scheduler._owns_transport = True
         scheduler._fleet_key = key
@@ -188,14 +178,13 @@ class Scheduler:
         """Borrow a scheduler for a :class:`repro.api.RepairConfig`.
 
         The single construction path from declarative knobs (transport
-        name, worker count, fault-tolerance block, transport options) to a
-        live scheduler; the abort policy rides the backtester
-        (``RepairConfig.make_backtester``).  ``config.transport`` of ``None``
-        maps to ``"spawn"`` behind the min-work gate (:attr:`gated`).
+        name, worker count, transport options) to a live scheduler; the
+        abort policy rides the backtester (``RepairConfig.make_backtester``).
+        ``config.transport`` of ``None`` maps to ``"spawn"`` behind the
+        min-work gate (:attr:`gated`).
         """
         scheduler = cls.borrow(config.transport or "spawn", config.workers,
                                events, telemetry,
-                               fault=config.fault_tolerance,
                                **dict(config.transport_options))
         scheduler.gated = config.transport is None
         return scheduler
@@ -221,9 +210,9 @@ class Scheduler:
         # Per-item soft deadline: the timed baseline replay (Diagnose's
         # recorded run in a session, else the backtester's own, replayed by
         # ``evaluate_all`` before the scheduler runs) estimates one
-        # candidate's cost; the transport's policy scales and floors it.
-        deadline = self.transport.fault_policy.resolve_deadline(
-            getattr(backtester, "_baseline_seconds", None))
+        # candidate's cost, which the fabric's rule scales and floors.
+        deadline = item_deadline(getattr(backtester, "_baseline_seconds",
+                                         None))
         job_wire = build_job_wire(backtester, candidates,
                                   telemetry=telemetry,
                                   deadline=deadline)

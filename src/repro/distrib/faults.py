@@ -1,25 +1,31 @@
 """Fault-tolerance primitives for the distributed backtest fabric.
 
-Three declarative objects serve here, each a :mod:`repro.wire` type like
-:class:`~repro.scenarios.spec.ScenarioSpec`:
+The fabric's one recovery rule is a handful of module constants, the same
+for every run, transport and service session (no config, flag or request
+sets them):
 
-:class:`FaultToleranceConfig`
-    The policy knobs — per-item retry budget, worker restart budget with
-    capped exponential backoff, the per-item soft deadline derived from
-    the timed baseline replay, and the worker-fleet floor below which the
-    transport drains the remaining queue serially in-process.  Every
-    transport carries one (``RepairConfig.fault_tolerance`` overrides it),
-    so retry/quarantine semantics are identical across in-process, spawn
-    and socket execution.  It is a ``RepairConfig`` knob, so it is defined
-    in :mod:`repro.api.config` (a serial repair loads none of this
-    package) and re-exported here.
+* :data:`MAX_ATTEMPTS` — an item that fails on a worker is retried until
+  it has been attempted this many times, then quarantined;
+* :data:`RESTART_BUDGET` — how many crashed local workers one job may
+  respawn, each after :func:`backoff` (:data:`BACKOFF_BASE_SECONDS` × 2ⁿ,
+  capped at :data:`BACKOFF_CAP_SECONDS`);
+* :func:`item_deadline` — an item's soft deadline, :data:`DEADLINE_FACTOR`
+  × the timed baseline replay, floored at :data:`DEADLINE_FLOOR_SECONDS`;
+* degradation — when no eligible worker is connected or booting and no
+  restart is left, a transport drains the remaining queue serially
+  in-process.
+
+Fault-free runs trigger none of it.  Code reads the constants at call
+time, so a test that needs another rule patches them here
+(``faults.MAX_ATTEMPTS``), never a name bound by ``from … import``.
 
 :class:`FaultPlan` / :class:`FaultAction`
-    A deterministic fault-injection script: *kill worker 0 before its 2nd
-    item*, *poison candidate 3*, *corrupt the result frame for item 1*.
-    Plans are seeded (:meth:`FaultPlan.generate`) and injectable into any
-    transport, so chaos tests — and the CI chaos step — replay the exact
-    same failure sequence every run and assert bit-identical reports.
+    A deterministic fault-injection script, a :mod:`repro.wire` type:
+    *kill worker 0 before its 2nd item*, *poison candidate 3*, *corrupt the
+    result frame for item 1*.  Plans are seeded (:meth:`FaultPlan.generate`)
+    and injectable into any transport, so chaos tests — and the CI chaos
+    step — replay the exact same failure sequence every run and assert
+    bit-identical reports.
 
 :class:`FaultInjector` is the worker-side interpreter of a plan, and
 :class:`QuarantinedItem` is what a transport delivers in place of an
@@ -36,14 +42,41 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..api.config import DEADLINE_FLOOR_SECONDS, FaultToleranceConfig
 from ..wire import Wire
 
 __all__ = [
     "FAULT_KINDS", "FaultAction", "FaultInjector", "FaultPlan",
-    "FaultStats", "FaultToleranceConfig", "InjectedFault", "QuarantinedItem",
-    "retry_or_quarantine",
+    "FaultStats", "InjectedFault", "QuarantinedItem", "backoff",
+    "item_deadline", "retry_or_quarantine",
 ]
+
+#: Attempts an item gets before it is quarantined.
+MAX_ATTEMPTS = 3
+#: Crashed local workers one job may respawn (the service heals forever).
+RESTART_BUDGET = 2
+#: An item's soft deadline is this many times the baseline replay ...
+DEADLINE_FACTOR = 50.0
+#: ... but never less: even a millisecond baseline gets a generous
+#: allowance, so a slow CI machine does not trip it.
+DEADLINE_FLOOR_SECONDS = 30.0
+#: Respawn backoff: ``min(BACKOFF_CAP_SECONDS, BACKOFF_BASE_SECONDS * 2**n)``.
+BACKOFF_BASE_SECONDS = 0.1
+BACKOFF_CAP_SECONDS = 2.0
+
+
+def item_deadline(estimate: Optional[float]) -> Optional[float]:
+    """The per-item soft deadline in seconds for a job whose items each
+    replay about ``estimate`` seconds; ``None`` (unbounded) without one."""
+    if not estimate:
+        return None
+    return max(DEADLINE_FLOOR_SECONDS, DEADLINE_FACTOR * estimate)
+
+
+def backoff(restart_number: int) -> float:
+    """Seconds to wait before the ``restart_number``-th respawn."""
+    return min(BACKOFF_CAP_SECONDS,
+               BACKOFF_BASE_SECONDS * (2.0 ** restart_number))
+
 
 #: Every fault kind a plan may script.  ``kill``/``hang``/``raise`` fire
 #: before a worker evaluates its Nth item; ``poison`` fires on *every*
@@ -173,20 +206,20 @@ class FaultStats:
                     or self.frame_errors or self.degraded)
 
 
-def retry_or_quarantine(stats: FaultStats, max_attempts: int, index: int,
-                        attempts: int, reason: str, detail: str = ""
+def retry_or_quarantine(stats: FaultStats, index: int, attempts: int,
+                        reason: str, detail: str = ""
                         ) -> Tuple[int, Optional[QuarantinedItem]]:
     """The fabric's one retry rule: charge a failed item an attempt.
 
     Returns ``(attempts, None)`` after recording a retry on ``stats`` —
     the caller requeues the item with the new count — or ``(attempts,
-    QuarantinedItem)`` once the item has been tried ``max_attempts``
+    QuarantinedItem)`` once the item has been tried :data:`MAX_ATTEMPTS`
     times.  The in-process drain, the worker pool (hence both process
     transports) and the repair service all decide through this function,
     so an item's fate never depends on where it ran.
     """
     attempts += 1
-    if attempts >= max_attempts:
+    if attempts >= MAX_ATTEMPTS:
         stats.quarantined += 1
         return attempts, QuarantinedItem(index=index, reason=reason,
                                          attempts=attempts, detail=detail)

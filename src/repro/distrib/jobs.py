@@ -110,8 +110,8 @@ def build_job_wire(backtester: Backtester,
 
     ``telemetry`` (a :class:`repro.obs.Telemetry`) adds the coordinator's
     span context.  ``deadline`` (seconds) is typically
-    :meth:`~repro.distrib.faults.FaultToleranceConfig.resolve_deadline`
-    applied to the backtester's timed-baseline estimate.
+    :func:`~repro.distrib.faults.item_deadline` of the backtester's
+    timed-baseline estimate.
     """
     spec = getattr(backtester.scenario, "spec", None)
     if spec is None:

@@ -51,8 +51,9 @@ import time as _time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from .faults import (FaultPlan, FaultStats, FaultToleranceConfig,
-                     QuarantinedItem, retry_or_quarantine)
+from . import faults
+from .faults import (FaultPlan, FaultStats, QuarantinedItem,
+                     retry_or_quarantine)
 from .jobs import DistribError
 
 #: Environment variable carrying the fleet token (a deployment credential:
@@ -161,7 +162,6 @@ class WorkItem:
     candidate: Optional[Dict]
     #: Soft deadline in seconds from dispatch (``None`` = unbounded).
     deadline: Optional[float]
-    max_attempts: int
     #: Monotonic dispatch time, set by the pool.
     started: float = 0.0
 
@@ -328,17 +328,18 @@ class WorkerPool:
     session, so a terminal Ctrl-C never reaches them; they exit when the
     pool closes or its process dies) unless ``spawn_workers=False`` —
     then point remote workers at :attr:`address` with :data:`TOKEN_ENV`
-    set to :attr:`token`.  ``fault_policy`` supplies backoff, and the
-    restart budget unless ``unlimited_restarts`` (a long-lived service
-    heals forever; a crash streak only lengthens the backoff).
-    ``fault_policy``, ``fault_plan`` and ``stats`` are plain attributes:
-    an owner may swap them between jobs.
+    set to :attr:`token`.  A dead local worker is respawned after
+    :func:`~repro.distrib.faults.backoff`, within
+    :data:`~repro.distrib.faults.RESTART_BUDGET` per job unless
+    ``unlimited_restarts`` (a long-lived service heals forever; a crash
+    streak only lengthens the backoff).  ``fault_plan`` and ``stats`` are
+    plain attributes: an owner may swap them between jobs.
     """
 
     def __init__(self, policy: DispatchPolicy, workers: int = 2,
                  host: str = "127.0.0.1", port: int = 0,
-                 spawn_workers: bool = True, fault_policy=None,
-                 fault_plan=None, unlimited_restarts: bool = False):
+                 spawn_workers: bool = True, fault_plan=None,
+                 unlimited_restarts: bool = False):
         if spawn_workers and workers < 1:
             raise ValueError("workers must be >= 1 when spawning locally")
         self.policy = policy
@@ -346,7 +347,6 @@ class WorkerPool:
         self.host = host
         self.port = port
         self.spawn_workers = spawn_workers
-        self.fault_policy = FaultToleranceConfig.coerce(fault_policy)
         self.fault_plan = FaultPlan.coerce(fault_plan)
         self.unlimited_restarts = unlimited_restarts
         self.token = os.environ.get(TOKEN_ENV) or secrets.token_hex(32)
@@ -521,22 +521,18 @@ class WorkerPool:
     def can_serve(self, job_key) -> bool:
         """Whether the fleet can still make progress on the job (call
         with ``lock`` held): an item is in flight, a respawn is queued or
-        still affordable, or — counting connected workers whose setup for
-        ``job_key`` did not fail, plus local ones still booting — a
-        connected worker remains or ``min_workers`` are on their way."""
+        still affordable, or some worker whose setup for ``job_key`` did
+        not fail is connected, or a local one is still booting."""
         if self._in_flight or self._respawn_at or self.restart_budget_left():
             return True
-        eligible = sum(1 for link in self.links
-                       if link.failed_job != job_key)
-        size = eligible + self.status()["workers_booting"]
-        return bool(size and (eligible
-                              or size >= self.fault_policy.min_workers))
+        return (any(link.failed_job != job_key for link in self.links)
+                or self.status()["workers_booting"] > 0)
 
     def restart_budget_left(self) -> bool:
         """Whether a dead local worker would still be respawned."""
         return self.spawn_workers and (
             self.unlimited_restarts
-            or self._restarts_used < self.fault_policy.restart_budget)
+            or self._restarts_used < faults.RESTART_BUDGET)
 
     def begin_job(self, stats: FaultStats) -> None:
         """A new accounting epoch: fresh counters, fresh restart budget."""
@@ -551,8 +547,7 @@ class WorkerPool:
         """Charge ``item`` an attempt and hand the verdict to the policy
         (call with ``lock`` held)."""
         item.attempts, quarantined = retry_or_quarantine(
-            self.stats, item.max_attempts, item.index, item.attempts,
-            reason, detail)
+            self.stats, item.index, item.attempts, reason, detail)
         if quarantined is None:
             self.policy.retry(job, item, reason, detail)
         else:
@@ -713,7 +708,7 @@ class WorkerPool:
                 continue
             self._last_crash = now
             self._respawn_at.append(
-                now + self.fault_policy.backoff(self._restarts_used))
+                now + faults.backoff(self._restarts_used))
             self._restarts_used += 1
             self.stats.worker_restarts += 1
         due = [t for t in self._respawn_at if t <= now]

@@ -23,18 +23,17 @@ It is one class under three names, each mapped to a pool size by
     without ``fork``.  ``spawn_workers=False`` with a fixed ``port`` (and
     ``host="0.0.0.0"``) serves remote workers instead.
 
-Every transport enforces one **fault-tolerance policy**
-(:class:`~repro.distrib.faults.FaultToleranceConfig`, ``fault_policy=``)
-through one rule, :func:`~repro.distrib.faults.retry_or_quarantine`: a
-failed item is requeued with an attempt count and, after
-``max_attempts``, delivered as a
-:class:`~repro.distrib.faults.QuarantinedItem` instead of poisoning the
+Every transport applies the fabric's one **fault-tolerance rule** (the
+constants of :mod:`repro.distrib.faults`) through
+:func:`~repro.distrib.faults.retry_or_quarantine`: a failed item is
+requeued with an attempt count and, after ``MAX_ATTEMPTS``, delivered as
+a :class:`~repro.distrib.faults.QuarantinedItem` instead of poisoning the
 job.  The pool adds prompt crash detection, budgeted backoff respawn and
 per-item soft deadlines (the job wire's ``deadline``); this module adds
-the last resort — when the fleet falls below ``min_workers`` (or dies
-entirely) with no restart budget left, the remaining queue drains
-serially in-process, a recorded downgrade, not an error.  Recovery
-counters of the most recent job are on ``transport.last_fault_stats``; a
+the last resort — when no eligible worker is connected or booting and no
+restart budget is left, the remaining queue drains serially in-process,
+a recorded downgrade, not an error.  Recovery counters of the most recent
+job are on ``transport.last_fault_stats``; a
 :class:`~repro.distrib.faults.FaultPlan` (``fault_plan=``) injects
 failures deterministically for chaos tests (in-process, ``kill`` and
 ``hang`` degrade to raises).
@@ -62,8 +61,7 @@ import traceback
 from collections import deque
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from .faults import (FaultInjector, FaultPlan, FaultStats,
-                     FaultToleranceConfig, QuarantinedItem,
+from .faults import (FaultInjector, FaultPlan, FaultStats, QuarantinedItem,
                      retry_or_quarantine)
 from .jobs import DistribError, JobRuntime, RuntimeCache, strip_candidates
 from .pool import (TICK_SECONDS, DispatchPolicy, PoolJob, TransportError,
@@ -104,12 +102,9 @@ class Transport(DispatchPolicy):
     def __init__(self, name: str = "spawn", workers: int = 2,
                  host: str = "127.0.0.1", port: int = 0,
                  spawn_workers: bool = True, result_timeout: float = 600.0,
-                 fault_policy=None, fault_plan=None):
+                 fault_plan=None):
         self.name = name = name.lower()
         self.workers = fleet_size(name, workers)
-        #: Retry/restart/degradation policy; the defaults make fault-free
-        #: runs behave exactly as without one.
-        self.fault_policy = FaultToleranceConfig.coerce(fault_policy)
         #: Optional deterministic fault-injection script for chaos tests.
         self.fault_plan = FaultPlan.coerce(fault_plan)
         #: Recovery counters of the most recent ``run_job``.
@@ -120,7 +115,6 @@ class Transport(DispatchPolicy):
         self.result_timeout = result_timeout
         self._pool = (WorkerPool(self, workers=self.workers, host=host,
                                  port=port, spawn_workers=spawn_workers,
-                                 fault_policy=self.fault_policy,
                                  fault_plan=self.fault_plan)
                       if self.workers else None)
         # Per-job state, guarded by the pool's lock.
@@ -188,8 +182,7 @@ class Transport(DispatchPolicy):
         with pool.lock:
             if self._job is not None:
                 raise TransportError("transport already has a job in flight")
-            # A scheduler may have re-pointed these since construction.
-            pool.fault_policy = self.fault_policy
+            # A scheduler may have re-pointed the plan since construction.
             pool.fault_plan = self.fault_plan
             pool.begin_job(stats)
             pool.start()
@@ -259,8 +252,8 @@ class Transport(DispatchPolicy):
                     outcome = runtime.evaluate(index)
                 except Exception:        # noqa: BLE001 — the rule decides
                     attempts, outcome = retry_or_quarantine(
-                        stats, self.fault_policy.max_attempts, index,
-                        attempts, "worker-exception", traceback.format_exc())
+                        stats, index, attempts, "worker-exception",
+                        traceback.format_exc())
                 if outcome is not None:
                     break
             on_result(index, outcome)
@@ -297,7 +290,7 @@ class Transport(DispatchPolicy):
             return None
         index, attempts = self._pending.popleft()
         return WorkItem(index, attempts, self._candidates[index],
-                        self._deadline, self.fault_policy.max_attempts)
+                        self._deadline)
 
     def _settle(self, job: PoolJob, index: int, outcome) -> None:
         if job is self._job and index not in self._settled:

@@ -18,14 +18,15 @@ daemon picks the queued tenant with the fewest sessions currently
 running, breaking ties by least-recently-dispatched — so a tenant that
 dumps a hundred sessions cannot starve a tenant submitting one.
 
-The fault machinery applies per repair job: a worker crash, hang
-(explicit ``job_deadline``), disconnect or exception requeues the
-session with an attempt charged, and a session out of attempts is failed
-with the same ``quarantined(<reason>) after N attempts`` shape the
-backtest fabric uses.  Dead local workers are respawned forever (a crash
-streak only lengthens the capped backoff); respawned workers get fresh
-worker ids, so positional :class:`~repro.distrib.faults.FaultPlan`
-actions do not re-fire.
+The fabric's fault rule (:mod:`repro.distrib.faults`) applies per repair
+job, and no submission can change it: a worker crash, disconnect,
+exception or — when :data:`SESSION_DEADLINE_SECONDS` is set — hang
+requeues the session with an attempt charged, and a session out of
+attempts is failed with the same ``quarantined(<reason>) after N
+attempts`` shape the backtest fabric uses.  Dead local workers are
+respawned forever (a crash streak only lengthens the capped backoff);
+respawned workers get fresh worker ids, so positional
+:class:`~repro.distrib.faults.FaultPlan` actions do not re-fire.
 
 Events stream live: workers forward every
 :class:`~repro.events.SessionEvent` as a ``{"type": "event"}`` frame,
@@ -60,7 +61,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..api.config import ConfigError, RepairConfig
-from ..distrib.faults import FaultStats, FaultToleranceConfig, QuarantinedItem
+from ..distrib.faults import FaultStats, QuarantinedItem
 from ..distrib.pool import (DispatchPolicy, PoolJob, WorkItem, WorkerLink,
                             WorkerPool)
 from ..obs.metrics import MetricsRegistry
@@ -73,6 +74,10 @@ TERMINAL_STATES = frozenset({DONE, FAILED})
 #: Finished (done or failed) session records a daemon keeps; the oldest
 #: one goes first when another session finishes.
 MAX_FINISHED_SESSIONS = 1000
+
+#: A running session's soft deadline in seconds; ``None``: none.  There is
+#: no baseline estimate of a whole run up front to scale one from.
+SESSION_DEADLINE_SECONDS: Optional[float] = None
 
 
 class ServiceError(RuntimeError):
@@ -90,7 +95,6 @@ class SessionRecord:
     session_id: str
     tenant: str
     config: RepairConfig
-    policy: FaultToleranceConfig
     state: str = QUEUED
     attempts: int = 0
     submitted_unix: float = 0.0
@@ -141,10 +145,8 @@ class RepairServiceDaemon(DispatchPolicy):
     ``workers`` local ``repro-worker`` subprocesses are launched against
     the daemon's pool unless ``spawn_workers=False`` (then point remote
     workers at :attr:`address`, with ``REPRO_WORKER_TOKEN`` set to the
-    same value on both sides).  ``fault_policy`` sets the *default*
-    retry/quarantine policy; a session whose config carries its own
-    ``fault_tolerance`` uses that instead.  ``fault_plan`` arms
-    deterministic chaos against the fleet, exactly like the transports.
+    same value on both sides).  ``fault_plan`` arms deterministic chaos
+    against the fleet, exactly like the transports.
 
     ``on_event`` (optional) observes every forwarded session event as a
     wire dict annotated with ``session_id``/``tenant`` — the ``repro
@@ -156,15 +158,13 @@ class RepairServiceDaemon(DispatchPolicy):
 
     def __init__(self, workers: int = 2, host: str = "127.0.0.1",
                  port: int = 0, spawn_workers: bool = True,
-                 fault_policy=None, fault_plan=None,
+                 fault_plan=None,
                  metrics: Optional[MetricsRegistry] = None,
                  on_event: Optional[Callable[[Dict], None]] = None):
-        self.fault_policy = FaultToleranceConfig.coerce(fault_policy)
         self.metrics = metrics or MetricsRegistry()
         self.on_event = on_event
         self._pool = WorkerPool(self, workers=workers, host=host, port=port,
                                 spawn_workers=spawn_workers,
-                                fault_policy=self.fault_policy,
                                 fault_plan=fault_plan,
                                 unlimited_restarts=True)
         # One lock for fleet and sessions: every hook below that the pool
@@ -240,15 +240,13 @@ class RepairServiceDaemon(DispatchPolicy):
         if config is None or config.scenario is None:
             raise ConfigError("submitted config names no scenario")
         tenant = str(tenant or "default")
-        policy = config.fault_tolerance or self.fault_policy
         with self._lock:
             if self._draining:
                 raise ServiceUnavailable("service is draining")
             self._submitted += 1
             session_id = f"s-{self._submitted:04d}"
             record = SessionRecord(session_id=session_id, tenant=tenant,
-                                   config=config, policy=policy,
-                                   submitted_unix=_time.time())
+                                   config=config, submitted_unix=_time.time())
             self._records[session_id] = record
             self._queues.setdefault(tenant, deque()).append(record)
             self.metrics.counter("service_sessions_submitted",
@@ -384,12 +382,9 @@ class RepairServiceDaemon(DispatchPolicy):
         return PoolJob(record, job.to_wire())
 
     def _work_item(self, record: SessionRecord) -> WorkItem:
-        """A repair job has exactly one item: the run itself.  Its soft
-        deadline is an explicit ``job_deadline`` only — a whole-run
-        baseline estimate does not exist up front."""
-        return WorkItem(0, record.attempts, None,
-                        record.policy.resolve_deadline(None),
-                        record.policy.max_attempts)
+        """A repair job has exactly one item: the run itself, under
+        :data:`SESSION_DEADLINE_SECONDS`."""
+        return WorkItem(0, record.attempts, None, SESSION_DEADLINE_SECONDS)
 
     def next_item(self, link: WorkerLink, job: PoolJob) -> Optional[WorkItem]:
         record: SessionRecord = job.key

@@ -128,6 +128,28 @@ def test_a_config_file_naming_a_removed_knob_is_exit_2(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and captured.out == ""
 
 
+@pytest.mark.parametrize("config, problem", [
+    ({"fault_tolerance": {"max_attempts": 1000000000, "job_deadline": -1.0}},
+     "unknown config keys: ['fault_tolerance']"),
+    # These two crashed with a traceback from the transport, exit 1.
+    ({"transport": "inprocess", "transport_options": {"bogus": 1}},
+     "unknown config transport_options keys: ['bogus']"),
+    ({"transport_options": {"fault_plan": {"actions": [
+        {"kind": "explode"}]}}},
+     "config transport_options 'fault_plan': unknown fault kind 'explode'")],
+    ids=["fault_tolerance", "unknown_option", "fault_plan"])
+def test_a_config_file_setting_the_fleets_rule_is_exit_2(tmp_path, capsys,
+                                                          config, problem):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["repair", "q1", "--config", str(path), "--quiet"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"repro repair: {problem}")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 #: Every option of a run-shaped subcommand, in ``--help`` order.
 RUN_FLAGS = ["--config", "--max-candidates", "--trace-limit",
              "--ks-threshold", "--max-packet-in-growth", "--workers",

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.api import (ConfigError, FaultToleranceConfig, RepairConfig,
-                       RepairSession, TelemetryConfig)
+from repro.api import (ConfigError, RepairConfig, RepairSession,
+                       TelemetryConfig)
 from repro.backtest import Backtester, EarlyAbortPolicy
 from repro.meta.costs import DEFAULT_COSTS, CostModel
 from repro.scenarios import build_scenario
@@ -65,7 +65,9 @@ def test_unknown_keys_rejected():
     for key, value in (("alpha", 0.05), ("use_significance", True),
                        ("cost_overrides", {"change_constant": 0.7}),
                        ("cost_cutoff", 4.5),
-                       ("far_constant_surcharge", 0.4)):
+                       ("far_constant_surcharge", 0.4),
+                       # The fabric's fault rule is constants, not a knob.
+                       ("fault_tolerance", {"max_attempts": 1})):
         with pytest.raises(ConfigError, match=rf"unknown config keys: "
                                               rf"\['{key}'\]"):
             RepairConfig.from_wire({"scenario": {"name": "Q1"}, key: value})
@@ -75,6 +77,44 @@ def test_unknown_keys_rejected():
         with pytest.raises(ConfigError, match=rf"unknown abort keys: "
                                               rf"\['{key}'\]"):
             RepairConfig.from_wire({"abort": {key: value}})
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"bogus": 1}, r"unknown config transport_options keys: \['bogus'\]"),
+    ({"fault_policy": {"max_attempts": 1}},
+     r"unknown config transport_options keys: \['fault_policy'\]"),
+    ({"fault_plan": {"actions": [{"kind": "explode"}]}},
+     r"config transport_options 'fault_plan': unknown fault kind 'explode'"),
+    ({"fault_plan": "chaos"},
+     r"config transport_options 'fault_plan': cannot build a FaultPlan"),
+    # Each crashed inside the transport or the pool once the run started.
+    ({"port": "x"}, r"key 'port' must be int, not 'x'"),
+    ({"port": True}, r"key 'port' must be int, not True"),
+    ({"port": 70000}, r"port must be within \[0, 65535\], not 70000"),
+    ({"host": 5}, r"key 'host' must be str, not 5"),
+    ({"spawn_workers": "no"}, r"key 'spawn_workers' must be bool, not 'no'"),
+    ({"result_timeout": None},
+     r"key 'result_timeout' must be int or float, not None"),
+], ids=["unknown", "fault_policy", "plan_kind", "plan_type", "port_str",
+        "port_bool", "port_range", "host", "spawn_workers", "result_timeout"])
+def test_transport_options_are_checked_when_decoded(options, message):
+    """Only ``Transport`` keywords, of their types, and a fault plan that
+    decodes: the transport would otherwise raise a ``TypeError`` or
+    ``WireError`` when the run starts."""
+    with pytest.raises(ConfigError, match=message):
+        RepairConfig.from_wire({"scenario": {"name": "Q1"},
+                                "transport_options": options})
+    with pytest.raises(ConfigError, match=message):
+        RepairConfig.for_scenario("Q1", transport_options=options)
+
+
+def test_every_transport_keyword_is_accepted():
+    options = {"host": "127.0.0.1", "port": 0, "spawn_workers": True,
+               "result_timeout": 60.0,
+               "fault_plan": {"seed": 0, "actions": [
+                   {"kind": "kill", "worker": 0, "after_items": 0}]}}
+    config = RepairConfig.from_wire({"transport_options": options})
+    assert config.transport_options == options
 
 
 @pytest.mark.parametrize("key, value, expected", [
@@ -94,7 +134,6 @@ def test_unknown_keys_rejected():
     ("scenario", "Q1", "an object or null"),          # nested configs
     ("abort", True, "an object or null"),
     ("telemetry", "on", "an object or null"),
-    ("fault_tolerance", 3, "an object or null"),
 ])
 def test_wire_values_are_type_checked_at_the_door(key, value, expected):
     with pytest.raises(ConfigError) as excinfo:
@@ -140,8 +179,7 @@ def test_every_to_wire_output_still_round_trips():
                    full_config(),
                    full_config().with_updates(
                        telemetry=TelemetryConfig(slice_packets=64,
-                                                 profile=True),
-                       fault_tolerance=FaultToleranceConfig())):
+                                                 profile=True))):
         wire = json.loads(json.dumps(config.to_wire()))
         assert RepairConfig.from_wire(wire) == config
         assert RepairConfig.from_wire(wire).to_wire() == config.to_wire()
@@ -211,14 +249,13 @@ def test_make_scheduler_none_for_local_runs():
 def test_make_scheduler_gates_workers_without_a_transport():
     """``workers > 1`` alone gets a gated spawn scheduler carrying the whole
     config; a named transport gets an ungated one."""
-    strict = FaultToleranceConfig(max_attempts=1)
     for transport, gated in ((None, True), ("spawn", False)):
         config = RepairConfig(workers=2, transport=transport,
-                              fault_tolerance=strict)
+                              transport_options={"result_timeout": 60.0})
         with config.make_scheduler() as scheduler:
             assert scheduler.gated is gated
             assert scheduler.transport.name == "spawn"
-            assert scheduler.transport.fault_policy == strict
+            assert scheduler.transport.result_timeout == 60.0
 
 
 def test_make_scheduler_flows_from_config():

@@ -24,8 +24,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.api import (BacktestProgress, ConfigError, FaultToleranceConfig,
-                       RepairConfig, SessionEvent, TelemetryConfig)
+from repro.api import (BacktestProgress, ConfigError, RepairConfig,
+                       SessionEvent, TelemetryConfig)
 from repro.backtest import EarlyAbortPolicy
 from repro.backtest.metrics import KSResult
 from repro.backtest.replay import BacktestResult, ShardOutcome
@@ -46,7 +46,7 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 @pytest.mark.parametrize("cls, wire, error", [
     # The value later raised ``TypeError: '>=' not supported`` inside
-    # ``retry_or_quarantine``, on a pool thread.
+    # ``retry_or_quarantine``, on a pool thread; the block is no key now.
     (RepairConfig, {"fault_tolerance": {"max_attempts": "3"}}, ConfigError),
     (FaultPlan, {"actions": [{"kind": "kill", "after_items": "1"}]},
      WireError),
@@ -115,11 +115,9 @@ SAMPLES = {
         trace_limit=120, max_packet_in_growth=2.5,
         abort=EarlyAbortPolicy(check_every=16, min_fraction=0.5),
         transport="spawn", transport_options={"port": 0},
-        fault_tolerance=FaultToleranceConfig(job_deadline=2.5),
         telemetry=TelemetryConfig(slice_packets=64)),
     TelemetryConfig: TelemetryConfig(slice_packets=8, profile=True),
     EarlyAbortPolicy: EarlyAbortPolicy(check_every=8, min_fraction=0.1),
-    FaultToleranceConfig: FaultToleranceConfig(min_workers=2),
     FaultPlan: FaultPlan(seed=3, actions=(
         FaultAction(kind="kill", worker=0, after_items=1),
         FaultAction(kind="poison", index=2))),

@@ -7,11 +7,12 @@ from scipy import stats as scipy_stats
 from repro.backtest import (
     Backtester,
     format_table,
-    ks_two_sample,
     rank_results,
 )
 from repro.repair import ChangeConstant, DeleteSelection, RepairCandidate
 from repro.scenarios import build_q1
+
+from ks_reference import ks_two_sample
 
 
 @pytest.fixture(scope="module")

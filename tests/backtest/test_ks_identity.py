@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import RepairConfig, RepairSession
-from repro.backtest import EarlyAbortPolicy, compare_traffic, ks_two_sample
+from repro.backtest import EarlyAbortPolicy, compare_traffic
 from repro.sdn.network import DROPPED, TrafficStats
+
+from ks_reference import ks_two_sample
 
 
 def by_samples(before, after):

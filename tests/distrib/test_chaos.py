@@ -25,8 +25,8 @@ import pytest
 
 from repro.api import EventBus
 from repro.backtest import Backtester
-from repro.distrib import (FaultAction, FaultPlan, FaultToleranceConfig,
-                           Scheduler, Transport)
+from repro.distrib import FaultAction, FaultPlan, Scheduler, Transport
+from repro.distrib import faults
 from repro.obs import Telemetry
 from repro.repair import ChangeConstant, DeleteSelection, RepairCandidate
 from repro.scenarios import build_scenario
@@ -74,18 +74,25 @@ def serial_snapshot(scenario, candidates):
     return report_snapshot(report)
 
 
-def fabric_run(scenario, candidates, transport, *, workers=2, fault=None,
+def fabric_run(scenario, candidates, transport, *, workers=2,
                fault_plan=None, events=None, telemetry=None, **options):
     """One evaluate_all through the fabric; returns (report, fault stats)."""
     backtester = Backtester(scenario, ks_threshold=scenario.ks_threshold)
     if telemetry is not None:
         backtester.telemetry = telemetry
-    with Scheduler(transport=transport, workers=workers, fault=fault,
+    with Scheduler(transport=transport, workers=workers,
                    fault_plan=fault_plan, events=events,
                    **options) as scheduler:
         report = backtester.evaluate_all(candidates, scheduler=scheduler)
         stats = scheduler.transport.last_fault_stats
     return report, stats
+
+
+@pytest.fixture
+def short_deadline(monkeypatch):
+    """A 2 s per-item deadline floor: a Q1 candidate's baseline is
+    milliseconds, so the floor is the deadline."""
+    monkeypatch.setattr(faults, "DEADLINE_FLOOR_SECONDS", 2.0)
 
 
 def assert_identical_modulo_quarantine(snapshot, reference, quarantined):
@@ -118,17 +125,14 @@ def quarantine_notes(report):
 @pytest.mark.parametrize("transport", ["inprocess", "spawn", "socket"])
 def test_fault_free_run_is_bit_identical(scenario, candidates,
                                          serial_snapshot, transport):
-    """With retry/deadline/restart machinery armed but no faults, reports,
+    """With the retry/deadline/restart rule armed but no faults, reports,
     events and metrics are indistinguishable from a plain run — and the
     absent fault counters prove zero recovery actions fired."""
     telemetry = Telemetry()
     events = EventBus()
     options = {} if transport == "inprocess" else {"result_timeout": 120.0}
-    report, stats = fabric_run(
-        scenario, candidates, transport,
-        fault=FaultToleranceConfig(max_attempts=3, restart_budget=2,
-                                   job_deadline=60.0),
-        events=events, telemetry=telemetry, **options)
+    report, stats = fabric_run(scenario, candidates, transport,
+                               events=events, telemetry=telemetry, **options)
     assert report_snapshot(report) == serial_snapshot
     assert report.quarantined_count == 0
     assert not stats.any()
@@ -147,7 +151,7 @@ def test_fault_free_run_is_bit_identical(scenario, candidates,
 @pytest.mark.parametrize("name", ["Q1", "Q2", "Q3", "Q4", "Q5"])
 def test_poison_candidate_quarantined_q1_to_q5(name):
     """A candidate that fails on every worker is quarantined after
-    ``max_attempts`` with a deterministic machine-readable row; every
+    ``MAX_ATTEMPTS`` with a deterministic machine-readable row; every
     other row stays bit-identical to the fault-free run."""
     scenario = build_scenario(name)
     candidates = scenario_candidates(name)
@@ -156,13 +160,11 @@ def test_poison_candidate_quarantined_q1_to_q5(name):
                    ).evaluate_all(candidates))
     events = EventBus()
     plan = FaultPlan(actions=(FaultAction(kind="poison", index=1),))
-    report, stats = fabric_run(
-        scenario, candidates, "inprocess",
-        fault=FaultToleranceConfig(max_attempts=2),
-        fault_plan=plan, events=events)
+    report, stats = fabric_run(scenario, candidates, "inprocess",
+                               fault_plan=plan, events=events)
     assert report.vetoed_count == 0               # plan indexes == row indexes
     notes = quarantine_notes(report)
-    assert notes == {1: "quarantined(worker-exception) after 2 attempts"}
+    assert notes == {1: "quarantined(worker-exception) after 3 attempts"}
     assert report.quarantined_count == 1
     assert len(report.results) == len(candidates)
     assert not report.results[1].accepted
@@ -170,7 +172,7 @@ def test_poison_candidate_quarantined_q1_to_q5(name):
                                        quarantined={1})
     quarantined = events.of_kind("candidate_quarantined")
     assert [(e.index, e.reason, e.attempts) for e in quarantined] == \
-        [(1, "worker-exception", 2)]
+        [(1, "worker-exception", 3)]
     (fault_event,) = events.of_kind("fabric_fault_stats")
     assert fault_event.quarantined == 1
     assert "worker-exception" in fault_event.retry_reasons
@@ -215,21 +217,19 @@ def test_spawn_worker_crash_recovers_promptly(scenario, candidates,
 
 
 def test_spawn_hang_killed_at_deadline(scenario, candidates,
-                                       serial_snapshot):
+                                       serial_snapshot, short_deadline):
     """A wedged worker (sleeping far past the per-item soft deadline) is
     terminated and its item retried with reason ``deadline``."""
     plan = FaultPlan(actions=(
         FaultAction(kind="hang", worker=0, after_items=0, seconds=60.0),))
-    report, stats = fabric_run(
-        scenario, candidates, "spawn",
-        fault=FaultToleranceConfig(job_deadline=2.0),
-        fault_plan=plan)
+    report, stats = fabric_run(scenario, candidates, "spawn",
+                               fault_plan=plan)
     assert report_snapshot(report) == serial_snapshot
     assert stats.retries.get("deadline", 0) >= 1
 
 
 def test_spawn_dropped_and_delayed_results(scenario, candidates,
-                                           serial_snapshot):
+                                           serial_snapshot, short_deadline):
     """A silently swallowed result is recovered by the deadline; a merely
     delayed result needs no recovery at all."""
     plan = FaultPlan(actions=(
@@ -237,29 +237,30 @@ def test_spawn_dropped_and_delayed_results(scenario, candidates,
         FaultAction(kind="delay_result", worker=1, after_items=0,
                     seconds=0.05),
     ))
-    report, stats = fabric_run(
-        scenario, candidates, "spawn",
-        fault=FaultToleranceConfig(job_deadline=2.0),
-        fault_plan=plan)
+    report, stats = fabric_run(scenario, candidates, "spawn",
+                               fault_plan=plan)
     assert report_snapshot(report) == serial_snapshot
     assert stats.retries.get("deadline", 0) >= 1
 
 
 def test_spawn_degrades_to_serial_drain(scenario, candidates,
                                         serial_snapshot):
-    """Fleet gone, no restart budget: the queue drains serially
-    in-process and the downgrade is recorded instead of raised."""
+    """Fleet gone, restart budget spent: the queue drains serially
+    in-process and the downgrade is recorded instead of raised.  One
+    worker at a time, each killed before its first item (a positional
+    action without ``worker`` fires once on every fresh worker id): one
+    crash per item of the first ``1 + RESTART_BUDGET``, none quarantined."""
     events = EventBus()
     telemetry = Telemetry()
-    plan = FaultPlan(actions=(
-        FaultAction(kind="kill", worker=0, after_items=0),))
+    plan = FaultPlan(actions=(FaultAction(kind="kill", after_items=0),))
     report, stats = fabric_run(
         scenario, candidates, "spawn", workers=1,
-        fault=FaultToleranceConfig(restart_budget=0),
         fault_plan=plan, events=events, telemetry=telemetry)
     assert report_snapshot(report) == serial_snapshot
     assert stats.degraded
-    assert stats.retries.get("worker-crash", 0) >= 1
+    assert stats.worker_restarts == faults.RESTART_BUDGET
+    assert stats.retries == {"worker-crash": 1 + faults.RESTART_BUDGET}
+    assert stats.quarantined == 0
     (fault_event,) = events.of_kind("fabric_fault_stats")
     assert fault_event.degraded
     counters = {name for name, _labels, _value
@@ -327,15 +328,17 @@ def test_socket_truncated_frames_quarantine_after_retries(
 
 
 def test_socket_degrades_when_fleet_unrecoverable(scenario, candidates,
-                                                  serial_snapshot):
+                                                  serial_snapshot,
+                                                  monkeypatch):
+    """Without a restart budget the first crash leaves no worker."""
+    monkeypatch.setattr(faults, "RESTART_BUDGET", 0)
     plan = FaultPlan(actions=(
         FaultAction(kind="kill", worker=0, after_items=0),))
-    report, stats = fabric_run(
-        scenario, candidates, "socket", workers=1,
-        fault=FaultToleranceConfig(restart_budget=0),
-        fault_plan=plan, result_timeout=120.0)
+    report, stats = fabric_run(scenario, candidates, "socket", workers=1,
+                               fault_plan=plan, result_timeout=120.0)
     assert report_snapshot(report) == serial_snapshot
     assert stats.degraded
+    assert stats.worker_restarts == 0
 
 
 # ---------------------------------------------------------------------------

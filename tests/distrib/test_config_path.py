@@ -3,8 +3,8 @@
 events.
 
 * ``workers > 1`` with no ``transport`` gets a gated spawn scheduler built
-  from the whole config: its fault-tolerance policy, its transport options
-  (a fault plan here) and the session's event bus;
+  from the whole config: its transport options (a fault plan here) and the
+  session's event bus;
 * every path — serial, ``inprocess``, ``spawn`` on two workers, and
   ``workers=2`` with the min-work gate opened — publishes the same
   ``backtest_progress`` stream.
@@ -16,7 +16,7 @@ import pytest
 
 from repro.api import EventBus, RepairConfig, RepairSession
 from repro.backtest import replay
-from repro.distrib import FaultToleranceConfig, Transport, close_parked_fleets
+from repro.distrib import FaultPlan, Transport, close_parked_fleets
 from repro.repair import reset_candidate_ids
 
 
@@ -35,48 +35,38 @@ def session(config):
 
 
 def test_workers_without_a_transport_honour_the_whole_config(monkeypatch):
-    """The fleet gets the configured policy and fault plan, and the session
-    hears about the recovery.  With ``max_attempts=1`` the killed worker's
-    in-flight item is quarantined, not retried (which item that is depends
-    on which worker asks first); every other row equals the serial run's."""
+    """The fleet gets the configured fault plan, and the session hears
+    about the recovery: the killed worker's in-flight item is retried on a
+    survivor or a respawn, so every row equals the serial run's."""
     monkeypatch.setattr(replay, "PARALLEL_MIN_SECONDS", 0.0)
-    strict = FaultToleranceConfig(max_attempts=1)
     plan = {"seed": 0,
             "actions": [{"kind": "kill", "worker": 0, "after_items": 0}]}
-    policies = []
+    plans = []
     run_job = Transport.run_job
 
     def recording_run_job(transport, job_wire, on_result):
-        policies.append((transport.fault_policy,
-                         transport._pool.fault_policy))
+        plans.append(transport.fault_plan)
         return run_job(transport, job_wire, on_result)
 
     monkeypatch.setattr(Transport, "run_job", recording_run_job)
     config = RepairConfig.for_scenario(
-        "Q1", workers=2, fault_tolerance=strict,
-        transport_options={"fault_plan": plan})
+        "Q1", workers=2, transport_options={"fault_plan": plan})
     report, bus = session(config)
     serial, _ = session(RepairConfig.for_scenario("Q1"))
 
-    assert policies == [(strict, strict)]
+    assert plans == [FaultPlan.from_wire(plan)]
     (stats,) = bus.of_kind("fabric_fault_stats")
     assert stats.worker_restarts >= 1
-    quarantined = {event.description for event in
-                   bus.of_kind("candidate_quarantined")}
-    assert stats.quarantined == len(quarantined) == 1
+    assert stats.job_retries >= 1 and "worker-crash" in stats.retry_reasons
+    assert stats.quarantined == 0
+    assert bus.of_kind("candidate_quarantined") == []
 
     def rows(result_report):
         return [(r.candidate.description, r.effective, r.accepted,
                  r.ks.statistic, r.notes)
                 for r in result_report.backtest.results]
 
-    fabric_rows, serial_rows = rows(report), rows(serial)
-    assert [row[0] for row in fabric_rows] == [row[0] for row in serial_rows]
-    for row, expected in zip(fabric_rows, serial_rows):
-        if row[0] in quarantined:
-            assert row[4][-1] == "quarantined(worker-crash) after 1 attempts"
-        else:
-            assert row == expected, f"{row[0]!r} diverged"
+    assert rows(report) == rows(serial)
 
 
 PATHS = {

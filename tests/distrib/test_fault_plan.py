@@ -1,20 +1,19 @@
 """Wire-format and policy-math tests for the fault-tolerance primitives.
 
-FaultPlan / FaultAction / FaultToleranceConfig are declarative objects
-like ScenarioSpec: they must JSON round-trip exactly, reject unknown
-keys, and (for plans) generate deterministically from a seed — that
-determinism is what makes the chaos suite and the CI chaos step
-reproducible anywhere.
+FaultPlan / FaultAction are declarative objects like ScenarioSpec: they
+must JSON round-trip exactly, reject unknown keys, and generate
+deterministically from a seed — that determinism is what makes the chaos
+suite and the CI chaos step reproducible anywhere.  The retry, restart and
+deadline rule is module constants, whose arithmetic is checked here.
 """
 
 import json
 
 import pytest
 
-from repro.api import ConfigError, RepairConfig
 from repro.distrib import (FAULT_KINDS, FaultAction, FaultInjector,
-                           FaultPlan, FaultToleranceConfig, InjectedFault)
-from repro.distrib.faults import DEADLINE_FLOOR_SECONDS
+                           FaultPlan, InjectedFault)
+from repro.distrib import faults
 
 
 # ---------------------------------------------------------------------------
@@ -85,64 +84,23 @@ def test_coerce():
 
 
 # ---------------------------------------------------------------------------
-# FaultToleranceConfig
+# The fault rule's arithmetic
 # ---------------------------------------------------------------------------
 
 
-def test_config_round_trip_and_unknown_keys():
-    config = FaultToleranceConfig(max_attempts=5, restart_budget=1,
-                                  job_deadline=12.5, min_workers=2)
-    assert FaultToleranceConfig.from_wire(config.to_wire()) == config
-    with pytest.raises(ValueError, match="unknown fault_tolerance keys"):
-        FaultToleranceConfig.from_wire({"max_attempts": 2, "lives": 9})
-
-
-def test_config_coerce_defaults():
-    assert FaultToleranceConfig.coerce(None) == FaultToleranceConfig()
-    config = FaultToleranceConfig(max_attempts=2)
-    assert FaultToleranceConfig.coerce(config) is config
-    assert FaultToleranceConfig.coerce({"max_attempts": 2}) == config
-
-
-def test_resolve_deadline_floor_factor_and_override():
-    policy = FaultToleranceConfig(job_deadline_factor=50.0)
+def test_item_deadline_scales_the_baseline_above_a_floor():
     # Tiny baselines ride the floor; big ones scale with the factor.
-    assert policy.resolve_deadline(0.001) == DEADLINE_FLOOR_SECONDS
-    assert policy.resolve_deadline(10.0) == 500.0
-    assert policy.resolve_deadline(None) is None
-    assert FaultToleranceConfig(job_deadline_factor=None
-                                ).resolve_deadline(10.0) is None
-    assert FaultToleranceConfig(job_deadline=2.5).resolve_deadline(10.0) == 2.5
+    assert faults.item_deadline(0.001) == faults.DEADLINE_FLOOR_SECONDS
+    assert faults.item_deadline(10.0) == 500.0
+    assert faults.item_deadline(None) is None
 
 
-def test_backoff_is_capped_exponential():
-    policy = FaultToleranceConfig(backoff_base=0.1, backoff_cap=0.35)
-    assert policy.backoff(0) == pytest.approx(0.1)
-    assert policy.backoff(1) == pytest.approx(0.2)
-    assert policy.backoff(2) == pytest.approx(0.35)   # capped, not 0.4
-    assert policy.backoff(10) == pytest.approx(0.35)
-
-
-# ---------------------------------------------------------------------------
-# RepairConfig integration
-# ---------------------------------------------------------------------------
-
-
-def test_repair_config_fault_tolerance_round_trip():
-    config = RepairConfig.for_scenario(
-        "Q1", transport="spawn",
-        fault_tolerance=FaultToleranceConfig(max_attempts=4,
-                                             restart_budget=3))
-    rebuilt = RepairConfig.from_json(config.to_json())
-    assert rebuilt.fault_tolerance == config.fault_tolerance
-    assert RepairConfig().fault_tolerance is None
-
-
-def test_repair_config_rejects_bad_fault_tolerance():
-    wire = RepairConfig().to_wire()
-    wire["fault_tolerance"] = {"nine_lives": True}
-    with pytest.raises(ConfigError, match="unknown fault_tolerance keys"):
-        RepairConfig.from_wire(wire)
+def test_backoff_is_capped_exponential(monkeypatch):
+    assert faults.backoff(0) == pytest.approx(0.1)
+    assert faults.backoff(1) == pytest.approx(0.2)
+    assert faults.backoff(10) == pytest.approx(2.0)   # capped
+    monkeypatch.setattr(faults, "BACKOFF_CAP_SECONDS", 0.35)
+    assert faults.backoff(2) == pytest.approx(0.35)   # capped, not 0.4
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ shape — transport name, worker count, transport options — and
   borrowers;
 * a chaos fleet (a ``fault_plan`` armed) is never parked, nor one whose
   last job needed recovery or raised before it finished;
-* a borrower never inherits the previous borrower's fault-tolerance policy;
 * the idle fleet dies with its process, and a forked child starts with none.
 """
 
@@ -30,8 +29,8 @@ import pytest
 import repro.distrib.coordinator as coordinator
 from repro.api import RepairConfig, RepairSession
 from repro.backtest import replay
-from repro.distrib import (FaultStats, FaultToleranceConfig, Scheduler,
-                           Transport, WorkerPool, close_parked_fleets)
+from repro.distrib import (FaultStats, Scheduler, Transport, WorkerPool,
+                           close_parked_fleets)
 from repro.repair import reset_candidate_ids
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
@@ -174,17 +173,6 @@ def test_a_process_keeps_one_idle_fleet_whatever_its_shape(serial):
     assert one_worker is not two_workers
     assert not two_workers._pool.running and one_worker._pool.running
     assert len(worker_pids(one_worker)) == 1
-
-
-def test_a_borrower_gets_its_own_fault_policy_or_the_default(serial):
-    strict = FaultToleranceConfig(max_attempts=1)
-    assert report_wire(spawn(fault_tolerance=strict)) == serial["q1"]
-    (transport,) = parked()
-    assert transport.fault_policy == strict
-    assert report_wire(spawn()) == serial["q1"]
-    assert parked() == [transport]
-    assert transport.fault_policy == FaultToleranceConfig()
-    assert transport._pool.fault_policy == FaultToleranceConfig()
 
 
 def test_the_table_hands_a_fleet_to_one_borrower_at_a_time(monkeypatch):

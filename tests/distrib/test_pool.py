@@ -31,8 +31,8 @@ from hypothesis import strategies as st
 
 from repro.api import RepairConfig
 from repro.distrib import (DispatchPolicy, FaultAction, FaultPlan,
-                           FaultToleranceConfig, FrameError, PoolJob,
-                           WorkItem, WorkerPool)
+                           FrameError, PoolJob, WorkItem, WorkerPool)
+from repro.distrib import faults
 from repro.distrib import pool as pool_module
 from repro.distrib.pool import MAX_FRAME_BYTES, recv_frame, send_frame
 from repro.service import RepairJob
@@ -65,9 +65,9 @@ class FakePolicy(DispatchPolicy):
     """Numbered items from one job; every hook is logged and wakes
     :meth:`wait_for`."""
 
-    def __init__(self, items=0, deadline=None, max_attempts=3, wire=None):
+    def __init__(self, items=0, deadline=None, wire=None):
         self.job = PoolJob("job-1", wire or {"kind": "stub"})
-        self.pending = deque(WorkItem(i, 0, {"n": i}, deadline, max_attempts)
+        self.pending = deque(WorkItem(i, 0, {"n": i}, deadline)
                              for i in range(items))
         self.requeue_retries = True
         self.log = []
@@ -458,21 +458,22 @@ def test_remote_failure_reasons(make_pool, misbehave, reason, frame_errors):
 
 
 def test_item_out_of_attempts_is_quarantined(make_pool):
-    policy = FakePolicy(items=1, max_attempts=2)
+    policy = FakePolicy(items=1)
     pool = make_pool(policy)
     peer = StubWorker(pool)
     peer.take_item()
-    _report_error(peer)
-    assert peer.recv()["type"] == "item"
+    for _ in range(faults.MAX_ATTEMPTS - 1):
+        _report_error(peer)
+        assert peer.recv()["type"] == "item"
     _report_error(peer)
     assert peer.recv() == {"type": "job_done"}
     (entry,) = policy.logged("quarantine")
     quarantined = entry[1]
     assert (quarantined.index, quarantined.reason, quarantined.attempts,
-            quarantined.detail) == (0, "worker-exception", 2,
+            quarantined.detail) == (0, "worker-exception", 3,
                                     "Traceback: boom")
     assert pool.stats.quarantined == 1
-    assert pool.stats.retries == {"worker-exception": 1}
+    assert pool.stats.retries == {"worker-exception": 2}
     peer.close()
 
 
@@ -535,14 +536,15 @@ def repair_job_wire():
                      config=RepairConfig.for_scenario("Q1")).to_wire()
 
 
-def test_local_crash_is_worker_crash_and_respawn_is_budgeted(make_pool):
+def test_local_crash_is_worker_crash_and_respawn_is_budgeted(make_pool,
+                                                             monkeypatch):
+    monkeypatch.setattr(faults, "RESTART_BUDGET", 1)
+    monkeypatch.setattr(faults, "BACKOFF_BASE_SECONDS", 0.3)
     policy = FakePolicy(items=1, wire=repair_job_wire())
     policy.requeue_retries = False                # one attempt is the test
     plan = FaultPlan(actions=(FaultAction(kind="kill", worker=0,
                                           after_items=0),))
-    pool = make_pool(policy, workers=1, spawn_workers=True, fault_plan=plan,
-                     fault_policy=FaultToleranceConfig(restart_budget=1,
-                                                       backoff_base=0.3))
+    pool = make_pool(policy, workers=1, spawn_workers=True, fault_plan=plan)
     (first,) = pool.processes
     assert os.getpgid(first.pid) != os.getpgid(0)   # its own session
     policy.wait_for(lambda: policy.logged("retry"))
@@ -569,12 +571,13 @@ def test_local_crash_is_worker_crash_and_respawn_is_budgeted(make_pool):
     assert not pool.restart_budget_left()
 
 
-def test_unlimited_restarts_keep_healing_with_fresh_ids(make_pool):
+def test_unlimited_restarts_keep_healing_with_fresh_ids(make_pool,
+                                                        monkeypatch):
+    monkeypatch.setattr(faults, "RESTART_BUDGET", 0)     # not consulted
+    monkeypatch.setattr(faults, "BACKOFF_BASE_SECONDS", 0.01)
     policy = FakePolicy()
     pool = make_pool(policy, workers=1, spawn_workers=True,
-                     unlimited_restarts=True,
-                     fault_policy=FaultToleranceConfig(restart_budget=0,
-                                                       backoff_base=0.01))
+                     unlimited_restarts=True)
     for generation in range(3):
         wait_registered(pool, 1)
         (link,) = pool.links

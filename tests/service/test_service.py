@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.api import RepairConfig, RepairSession
-from repro.distrib import FaultAction, FaultPlan, FaultToleranceConfig
+from repro.distrib import FaultAction, FaultPlan
 from repro.repair import reset_candidate_ids
 from repro.service import ClientError, ServiceClient
 from repro.service import http as service_http
@@ -282,6 +282,30 @@ class TestEndpoints:
         assert excinfo.value.status == 400
         assert "envelope" in str(excinfo.value)
 
+    @pytest.mark.parametrize("config, problem", [
+        ({"fault_tolerance": {"max_attempts": 1000000000,
+                              "job_deadline": -1.0}},
+         "unknown config keys: ['fault_tolerance']"),
+        ({"transport_options": {"fault_policy": {"job_deadline": -1.0}}},
+         "unknown config transport_options keys: ['fault_policy']"),
+        ({"transport_options": {"fault_plan": {"actions": [
+            {"kind": "explode"}]}}},
+         "config transport_options 'fault_plan': unknown fault kind")],
+        ids=["fault_tolerance", "fault_policy", "fault_plan"])
+    def test_a_tenant_cannot_set_the_fleets_fault_rule(self, fleet, config,
+                                                       problem):
+        # The retry and deadline rule is the fleet's, shared by every
+        # tenant: a config that tries to set it is refused at the door and
+        # queues nothing (one such POST once kept the fleet killing and
+        # respawning a session's worker at every supervision tick).
+        daemon, _server, client = fleet(workers=1, spawn_workers=False)
+        with pytest.raises(ClientError) as excinfo:
+            client.submit({"scenario": {"name": "Q1"}, **config})
+        assert excinfo.value.status == 400
+        assert f"bad repair config: {problem}" in str(excinfo.value)
+        assert daemon.sessions() == []
+        assert daemon.status()["sessions_total"] == 0
+
     @pytest.mark.parametrize("length, status", [
         ("nope", 400), ("-5", 400), ("1.5", 400),
         (str(MAX_BODY_BYTES + 1), 413), (str(1 << 40), 413)])
@@ -491,12 +515,12 @@ class TestChaos:
         assert kinds.count("session_started") == 1
         assert kinds[-1] == "session_finished"
 
-    def test_hung_worker_hits_deadline_and_retries(self, fleet):
-        # An explicit job_deadline severs a hung worker; the respawned
-        # one reruns the session to the fault-free verdict.
-        policy = FaultToleranceConfig(max_attempts=3, job_deadline=2.0)
-        config = RepairConfig.for_scenario(
-            "Q1", max_candidates=4).with_updates(fault_tolerance=policy)
+    def test_hung_worker_hits_deadline_and_retries(self, fleet,
+                                                   monkeypatch):
+        # A session deadline severs a hung worker; the respawned one
+        # reruns the session to the fault-free verdict.
+        monkeypatch.setattr(service_daemon, "SESSION_DEADLINE_SECONDS", 2.0)
+        config = RepairConfig.for_scenario("Q1", max_candidates=4)
         reference = reference_report(config)
         plan = FaultPlan(actions=(
             FaultAction(kind="hang", worker=0, after_items=0, seconds=60),))
@@ -508,15 +532,14 @@ class TestChaos:
         assert report_minus_timings(wire["report"]) == reference
 
     def test_follow_stream_of_a_retried_session_restarts_at_the_rerun(
-            self, fleet):
+            self, fleet, monkeypatch):
         # The first attempt runs to its end but its result is swallowed;
         # the deadline requeues the session, which discards the stored
         # stream.  A follower that read the whole first attempt must not
         # carry its offset into the rerun: it sees the rerun from its own
         # session_started, and that tail is the stored (clean) stream.
-        policy = FaultToleranceConfig(max_attempts=3, job_deadline=2.0)
-        config = RepairConfig.for_scenario(
-            "Q1", max_candidates=4).with_updates(fault_tolerance=policy)
+        monkeypatch.setattr(service_daemon, "SESSION_DEADLINE_SECONDS", 2.0)
+        config = RepairConfig.for_scenario("Q1", max_candidates=4)
         plan = FaultPlan(actions=(
             FaultAction(kind="drop_result", worker=0, after_items=0),))
         _daemon, _server, client = fleet(workers=1, fault_plan=plan)
