@@ -16,12 +16,14 @@ instead of being hand-wired at every call site.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from ..backtest.abort import EarlyAbortPolicy
 from ..meta.costs import CostModel
-from ..scenarios.spec import ScenarioSpec
+from ..scenarios import check_spec
+from ..scenarios.spec import ScenarioSpec, SpecError
 from ..wire import Wire, WireError
 
 
@@ -44,6 +46,13 @@ LEDGER_ONLY_KNOBS = ("warm_engine", "replay_batch_size", "multiquery")
 #: :class:`ConfigError`, not a crash when the run starts.
 TRANSPORT_OPTIONS = {"host": (str,), "port": (int,), "spawn_workers": (bool,),
                      "result_timeout": (int, float), "fault_plan": None}
+
+
+def _check_positive(name: str, value) -> None:
+    """A bound that is absent, or a finite number above 0."""
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"config {name} must be finite and > 0, "
+                          f"not {value!r}")
 
 
 @dataclass
@@ -125,11 +134,25 @@ class RepairConfig(Wire):
 
     def __post_init__(self):
         # Construction, ``with_updates`` and the wire decode all land here.
-        for name in ("max_candidates", "trace_limit", "workers"):
-            value = getattr(self, name)
+        if self.scenario is not None:
+            try:
+                check_spec(self.scenario)
+            except SpecError as exc:
+                raise ConfigError(str(exc)) from exc
+        counts = {name: getattr(self, name)
+                  for name in ("max_candidates", "trace_limit", "workers")}
+        if self.telemetry is not None:
+            counts["telemetry.slice_packets"] = self.telemetry.slice_packets
+        for name, value in counts.items():
             if value is not None and value < 1:
                 raise ConfigError(f"config {name} must be >= 1, "
                                   f"not {value!r}")
+        # Each bound is written as what a value must satisfy, so NaN fails.
+        threshold = self.ks_threshold
+        if threshold is not None and not 0 <= threshold <= 1:
+            raise ConfigError(f"config ks_threshold must be within [0, 1], "
+                              f"not {threshold!r}")
+        _check_positive("max_packet_in_growth", self.max_packet_in_growth)
         options = self.transport_options
         unknown = set(options).difference(TRANSPORT_OPTIONS)
         if unknown:
@@ -144,6 +167,8 @@ class RepairConfig(Wire):
         if not 0 <= options.get("port", 0) <= 65535:
             raise ConfigError(f"config transport_options port must be "
                               f"within [0, 65535], not {options['port']}")
+        _check_positive("transport_options result_timeout",
+                        options.get("result_timeout"))
         if options.get("fault_plan") is not None:
             # Only a run that arms one loads the fleet's fault module.
             from ..distrib.faults import FaultPlan

@@ -12,15 +12,18 @@ Storage details that the evaluation layer relies on:
   overlapping sets: a tuple inserted from the outside and later re-derived by
   a rule is both base and derived at once, and dropping one flag never evicts
   the tuple while the other flag remains.
-* A table is one live set of tuples.  The only insertion-ordered record is
-  the flag dict itself, which :meth:`Database.base_in_order` exposes so the
-  engine's recompute can seed in an order that does not depend on the
-  string hash seed, and which ``Engine.remove`` walks to report what
-  disappeared in that same store order.
+* A table, and each bucket of its indexes, is one live dict used as an
+  ordered set (tuple -> ``None``): a join enumerates a bucket in the order
+  its tuples entered the store, never in hash order, so what a rule derives
+  from two tuples of one bucket — two equal-priority flow entries, say —
+  comes out in the same order under every ``PYTHONHASHSEED``.  The flag
+  dict is in store order too: :meth:`Database.base_in_order` exposes it so
+  the engine's recompute seeds in that order, and ``Engine.remove`` walks
+  it to report what disappeared.
 * Secondary hash indexes keyed on ``(column, value)`` let joins probe the
   tuples matching an already-bound variable instead of scanning (and
   copying) the whole table.  Indexes are *lazy*: a column's buckets are
-  materialised from the live set the first time a probe constrains that
+  materialised from the live table the first time a probe constrains that
   column, and only materialised columns are maintained afterwards — tables
   that are only ever scanned (or probed on one column) never pay for
   indexing the rest.
@@ -28,17 +31,17 @@ Storage details that the evaluation layer relies on:
   :meth:`Database.insert`, so an insert pays only for what its table has:
   the schema is read once (arity is ``len(fields)`` against
   ``len(values)``), the primary-key eviction runs only for a table with a
-  key, freshness is one ``set.add`` with the set's size compared before and
+  key, freshness is one store with the table's size compared before and
   after, and the secondary buckets are touched only for a table with a
   materialised column.  :meth:`Database.remove` is the mirror image
-  (``discard`` plus a size check).
+  (``pop`` plus a size check).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Dict, List, NamedTuple, Optional, Sequence, Set,
-                    Tuple as PyTuple)
+from typing import (Collection, Dict, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple as PyTuple)
 
 from .errors import SchemaError
 
@@ -154,13 +157,15 @@ class Database:
         self.transient_tables: Set[str] = {
             name for name, schema in self._schemas.items()
             if not schema.persistent}
-        self._tables: Dict[str, Set[NDTuple]] = {}
+        self._tables: Dict[str, Dict[NDTuple, None]] = {}
         #: Per-tuple BASE_FLAG / DERIVED_FLAG bits.
         self._flags: Dict[NDTuple, int] = {}
-        #: Per-table secondary indexes: (column, value) -> set of tuples.
+        #: Per-table secondary indexes: (column, value) -> ordered set of
+        #: tuples.
         #: Only the columns in ``_indexed_columns[table]`` are materialised;
         #: others are built on first probe (see :meth:`_ensure_column`).
-        self._indexes: Dict[str, Dict[PyTuple[int, object], Set[NDTuple]]] = {}
+        self._indexes: Dict[str, Dict[PyTuple[int, object],
+                                      Dict[NDTuple, None]]] = {}
         self._indexed_columns: Dict[str, Set[int]] = {}
         #: Monotone count of lazily materialised secondary indexes
         #: (:meth:`_ensure_column` actually building buckets) — sampled by
@@ -209,9 +214,9 @@ class Database:
         for tup in self._tables.get(table, ()):
             values = tup.values
             if column < len(values):
-                index.setdefault((column, values[column]), set()).add(tup)
+                index.setdefault((column, values[column]), {})[tup] = None
 
-    def lookup(self, table, column, value) -> Set[NDTuple]:
+    def lookup(self, table, column, value) -> Collection[NDTuple]:
         """Tuples of ``table`` whose ``column`` holds exactly ``value``.
 
         Returns the live index bucket (do not mutate).  Comparison is strict
@@ -225,12 +230,13 @@ class Database:
             return _EMPTY_SET
         return index.get((column, value), _EMPTY_SET)
 
-    def candidates(self, table, constraints: Sequence[PyTuple[int, object]]) -> Set[NDTuple]:
+    def candidates(self, table, constraints: Sequence[PyTuple[int, object]]
+                   ) -> Collection[NDTuple]:
         """Smallest candidate set for a join probe.
 
         ``constraints`` is a sequence of ``(column, value)`` equality
         constraints; the smallest matching index bucket is returned (the full
-        table when no constraint is given).  The result is a live set — it
+        table when no constraint is given).  The result is a live bucket — it
         over-approximates the match, so callers still verify each tuple.
         """
         bucket = self._tables.get(table)
@@ -309,7 +315,7 @@ class Database:
             values = tup.values
             for column in indexed:
                 if column < len(values):
-                    index.setdefault((column, values[column]), set()).add(tup)
+                    index.setdefault((column, values[column]), {})[tup] = None
 
     def _index_discard(self, tup: NDTuple):
         """Drop a tuple from the table's materialised buckets."""
@@ -324,7 +330,7 @@ class Database:
                 key = (column, values[column])
                 bucket = index.get(key)
                 if bucket is not None:
-                    bucket.discard(tup)
+                    bucket.pop(tup, None)
                     if not bucket:
                         del index[key]
 
@@ -342,10 +348,10 @@ class Database:
                 self._evict_key_conflicts(tup, schema)
         bucket = self._tables.get(table)
         if bucket is None:
-            bucket = self._tables[table] = set()
+            bucket = self._tables[table] = {}
         flag = DERIVED_FLAG if derived else BASE_FLAG
         size = len(bucket)
-        bucket.add(tup)
+        bucket[tup] = None
         if len(bucket) != size:
             if table in self._indexed_columns:
                 self._index_add(tup)
@@ -363,7 +369,7 @@ class Database:
         if bucket is None:
             return False
         size = len(bucket)
-        bucket.discard(tup)
+        bucket.pop(tup, None)
         if len(bucket) == size:
             return False
         self._flags.pop(tup, None)

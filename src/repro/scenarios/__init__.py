@@ -1,7 +1,8 @@
 """The five diagnostic case studies of Section 5.3 (Q1-Q5)."""
 
+import inspect
 import sys
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, List
 
 from .._lazy import lazy_exports
@@ -42,6 +43,35 @@ for _name in ("Q1", "Q2", "Q3", "Q4", "Q5"):
 del _name
 
 
+@lru_cache(maxsize=None)
+def _parameters(builder: Callable[..., NDlogScenario]):
+    """The parameters of a registered builder; a lazily imported case study
+    answers with its real builder's."""
+    if isinstance(builder, partial) and builder.func is _build_case_study:
+        builder = getattr(sys.modules[__name__], *builder.args)
+    return inspect.signature(builder).parameters
+
+
+def check_spec(spec: ScenarioSpec) -> None:
+    """Refuse a spec that its builder could not take, as a :class:`SpecError`:
+    an unregistered name, a parameter the builder lacks, or a value whose
+    type is not its default's (``bool`` is no ``int``)."""
+    builder = SCENARIO_BUILDERS.get(spec.name)
+    if builder is None:
+        raise SpecError(f"unknown scenario {spec.name!r}; registered: "
+                        f"{', '.join(sorted(SCENARIO_BUILDERS))}")
+    parameters = _parameters(builder)
+    for key, value in spec.params:
+        parameter = parameters.get(key)
+        if parameter is None:
+            raise SpecError(f"scenario {spec.name} has no parameter {key!r}; "
+                            f"it takes {sorted(parameters)}")
+        default = parameter.default
+        if default is not parameter.empty and type(value) is not type(default):
+            raise SpecError(f"scenario {spec.name} parameter {key!r} must be "
+                            f"{type(default).__name__}, not {value!r}")
+
+
 def build_scenario(name: str, **kwargs) -> NDlogScenario:
     """Build a scenario by name ("Q1" ... "Q5"), stamping its spec."""
     try:
@@ -63,5 +93,5 @@ __all__ = [
     "NDlogScenario", "ScenarioSpec", "SpecError", "Symptom",
     "SCENARIO_BUILDERS", "register_scenario",
     "build_q1", "build_q2", "build_q3", "build_q4", "build_q5",
-    "build_scenario", "all_scenarios",
+    "build_scenario", "all_scenarios", "check_spec",
 ]

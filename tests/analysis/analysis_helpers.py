@@ -46,10 +46,3 @@ def vetter_for(scenario, program=None):
         static_tuples=scenario.static_tuples,
         event_tables={mapping.packet_in_table},
         flow_table=mapping.flow_table)
-
-
-def stats_snapshot(stats):
-    """Order-stable image of a TrafficStats for bit-identity checks."""
-    return (stats.delivered_per_host, stats.dropped, stats.total,
-            stats.packet_in_count, stats.flow_mod_count,
-            stats.packet_out_count, stats.destinations)

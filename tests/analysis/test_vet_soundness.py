@@ -31,7 +31,8 @@ from repro.repair import (ChangeAssignment, ChangeConstant, ChangeOperator,
 from repro.scenarios import build_q1
 
 from analysis_helpers import (MAX_CANDIDATES, scenario_and_candidates,
-                              stats_snapshot, vetter_for)
+                              vetter_for)
+from cases import stats_snapshot
 from helpers import rule_named
 
 SCENARIOS = ["Q1", "Q2", "Q3", "Q4", "Q5"]

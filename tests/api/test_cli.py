@@ -67,13 +67,13 @@ def test_repair_with_config_file_and_events_log(tmp_path, capsys):
 
 
 def test_repair_exit_code_when_nothing_survives(capsys):
-    # An impossible KS threshold rejects every candidate.
+    # A KS threshold of 0 rejects every candidate that changes the traffic.
     assert main(["repair", "q1", "--max-candidates", "4",
-                 "--ks-threshold", "-1", "--quiet"]) == 2
+                 "--ks-threshold", "0", "--quiet"]) == 2
     assert "no repair survived" in capsys.readouterr().err
     # --json signals the same outcome through the exit code.
     assert main(["repair", "q1", "--max-candidates", "4",
-                 "--ks-threshold", "-1", "--quiet", "--json"]) == 2
+                 "--ks-threshold", "0", "--quiet", "--json"]) == 2
     assert json.loads(capsys.readouterr().out)["surviving"] == 0
 
 
@@ -136,8 +136,14 @@ def test_a_config_file_naming_a_removed_knob_is_exit_2(tmp_path, capsys):
      "unknown config transport_options keys: ['bogus']"),
     ({"transport_options": {"fault_plan": {"actions": [
         {"kind": "explode"}]}}},
-     "config transport_options 'fault_plan': unknown fault kind 'explode'")],
-    ids=["fault_tolerance", "unknown_option", "fault_plan"])
+     "config transport_options 'fault_plan': unknown fault kind 'explode'"),
+    # These two crashed with a TypeError from the scenario's builder.
+    ({"scenario": {"name": "Q1", "params": {"bogus": 1}}},
+     "scenario Q1 has no parameter 'bogus'"),
+    ({"scenario": {"name": "Q1", "params": {"s1_clients": "x"}}},
+     "scenario Q1 parameter 's1_clients' must be int, not 'x'")],
+    ids=["fault_tolerance", "unknown_option", "fault_plan",
+         "scenario_param", "scenario_param_type"])
 def test_a_config_file_setting_the_fleets_rule_is_exit_2(tmp_path, capsys,
                                                           config, problem):
     path = tmp_path / "config.json"

@@ -1,6 +1,8 @@
 """RepairConfig: JSON round-trip, factories, and error handling."""
 
 import json
+import math
+import re
 
 import pytest
 
@@ -95,8 +97,17 @@ def test_unknown_keys_rejected():
     ({"spawn_workers": "no"}, r"key 'spawn_workers' must be bool, not 'no'"),
     ({"result_timeout": None},
      r"key 'result_timeout' must be int or float, not None"),
+    # A spawn fleet raised TransportError("no worker progress for -1s").
+    ({"result_timeout": -1},
+     r"result_timeout must be finite and > 0, not -1"),
+    ({"result_timeout": 0.0},
+     r"result_timeout must be finite and > 0, not 0.0"),
+    ({"result_timeout": math.nan},
+     r"result_timeout must be finite and > 0, not nan"),
 ], ids=["unknown", "fault_policy", "plan_kind", "plan_type", "port_str",
-        "port_bool", "port_range", "host", "spawn_workers", "result_timeout"])
+        "port_bool", "port_range", "host", "spawn_workers", "result_timeout",
+        "result_timeout_negative", "result_timeout_zero",
+        "result_timeout_nan"])
 def test_transport_options_are_checked_when_decoded(options, message):
     """Only ``Transport`` keywords, of their types, and a fault plan that
     decodes: the transport would otherwise raise a ``TypeError`` or
@@ -278,23 +289,65 @@ def test_with_updates_returns_modified_copy():
     assert tuned.scenario == config.scenario
 
 
-@pytest.mark.parametrize("key, value", [
-    ("max_candidates", 0), ("max_candidates", -3),   # explores nothing
-    ("trace_limit", 0),                              # rejects every candidate
-    ("trace_limit", -5),                             # trace[:-5], silently
-    ("workers", 0), ("workers", -1)])
-def test_counts_out_of_range_are_refused_on_every_path(key, value):
-    message = f"config {key} must be >= 1, not {value}"
-    with pytest.raises(ConfigError, match=message):
-        RepairConfig.from_wire({"scenario": {"name": "Q1"}, key: value})
-    with pytest.raises(ConfigError, match=message):
-        RepairConfig.for_scenario("Q1", **{key: value})
-    with pytest.raises(ConfigError, match=message):
-        RepairConfig.for_scenario("Q1").with_updates(**{key: value})
+Q1 = ScenarioSpec.create("Q1")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("max_candidates", 0, "max_candidates must be >= 1, not 0"),  # explores
+    ("max_candidates", -3, "max_candidates must be >= 1, not -3"),  # nothing
+    ("trace_limit", 0, "trace_limit must be >= 1, not 0"),  # rejects all
+    ("trace_limit", -5, "trace_limit must be >= 1, not -5"),  # trace[:-5]
+    ("workers", 0, "workers must be >= 1, not 0"),
+    ("workers", -1, "workers must be >= 1, not -1"),
+    # Each rejected all 20 of Q1's candidates, as if none had survived.
+    ("ks_threshold", math.nan, "ks_threshold must be within [0, 1], not nan"),
+    ("ks_threshold", -1.0, "ks_threshold must be within [0, 1], not -1.0"),
+    ("ks_threshold", 1.5, "ks_threshold must be within [0, 1], not 1.5"),
+    ("max_packet_in_growth", 0.0, "growth must be finite and > 0, not 0.0"),
+    ("max_packet_in_growth", -2.0, "growth must be finite and > 0, not -2.0"),
+    ("max_packet_in_growth", math.inf, "must be finite and > 0, not inf"),
+    # Accepted, and meant nothing.
+    ("telemetry", TelemetryConfig(slice_packets=0),
+     "config telemetry.slice_packets must be >= 1, not 0"),
+    ("telemetry", TelemetryConfig(slice_packets=-3),
+     "config telemetry.slice_packets must be >= 1, not -3"),
+    # Each raised inside the scenario's builder (a traceback, exit 1), or
+    # was queued for a worker to fail on.
+    ("scenario", ScenarioSpec.create("Q9"),
+     "unknown scenario 'Q9'; registered: Q1, Q2, Q3, Q4, Q5"),
+    ("scenario", ScenarioSpec.create("Q1", params={"bogus": 1}),
+     "scenario Q1 has no parameter 'bogus'; it takes ['repetitions', "
+     "'s1_clients', 's4_clients']"),
+    ("scenario", ScenarioSpec.create("Q1", params={"s1_clients": "x"}),
+     "scenario Q1 parameter 's1_clients' must be int, not 'x'"),
+    ("scenario", ScenarioSpec.create("Q4", params={"clients": True}),
+     "scenario Q4 parameter 'clients' must be int, not True"),
+    ("scenario", ScenarioSpec.create("Q2", params={"repetitions": 2.0}),
+     "scenario Q2 parameter 'repetitions' must be int, not 2.0"),
+], ids=["max_candidates-0", "max_candidates--3", "trace_limit-0",
+        "trace_limit--5", "workers-0", "workers--1", "ks_threshold-nan",
+        "ks_threshold--1", "ks_threshold-1.5", "max_packet_in_growth-0",
+        "max_packet_in_growth--2", "max_packet_in_growth-inf",
+        "slice_packets-0", "slice_packets--3", "scenario-unknown",
+        "scenario-param-unknown", "scenario-param-str",
+        "scenario-param-bool", "scenario-param-float"])
+def test_counts_out_of_range_are_refused_on_every_path(key, value, message):
+    """Counts, bounds and the scenario spec are checked when a config is
+    built, copied or decoded."""
+    wire = value.to_wire() if hasattr(value, "to_wire") else value
+    match = re.escape(message)
+    with pytest.raises(ConfigError, match=match):
+        RepairConfig.from_wire({"scenario": Q1.to_wire(), key: wire})
+    with pytest.raises(ConfigError, match=match):
+        RepairConfig(**{"scenario": Q1, key: value})
+    with pytest.raises(ConfigError, match=match):
+        RepairConfig(scenario=Q1).with_updates(**{key: value})
 
 
 def test_counts_at_their_floor_are_accepted():
     config = RepairConfig.from_wire({"max_candidates": 1, "trace_limit": 1,
-                                     "workers": 1})
-    assert (config.max_candidates, config.trace_limit, config.workers) == \
-        (1, 1, 1)
+                                     "workers": 1, "ks_threshold": 1,
+                                     "telemetry": {"slice_packets": 1}})
+    assert (config.max_candidates, config.trace_limit, config.workers,
+            config.ks_threshold, config.telemetry.slice_packets) == \
+        (1, 1, 1, 1, 1)

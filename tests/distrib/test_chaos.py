@@ -4,9 +4,11 @@ Acceptance contract (ISSUE 9): for every fault class a :class:`FaultPlan`
 can script — worker crash, hang past the per-item deadline, TCP
 disconnect mid-job, corrupt/truncated frames, poison candidates — a run
 completes without raising and the final report is **bit-identical to the
-fault-free run** modulo the deterministic quarantine rows.  Fault-free
-runs with fault tolerance enabled stay bit-identical to the plain
-transports, and the telemetry counters prove zero recovery actions fired.
+fault-free run** modulo the deterministic quarantine rows.  That a
+fault-free run is bit-identical on every transport, with no recovery
+action fired, is the path axis of the contract table
+(``tests/contracts``), which also holds a run under a killed worker to the
+serial digest.
 
 The crash tests double as the regression for the old failure mode where
 a dead worker stalled the job until the 600s ``result_timeout`` and then
@@ -31,14 +33,8 @@ from repro.obs import Telemetry
 from repro.repair import ChangeConstant, DeleteSelection, RepairCandidate
 from repro.scenarios import build_scenario
 
-from test_transport_parity import (remote_workers, report_snapshot,
-                                   scenario_candidates)
-
-#: Fault-taxonomy counters the scheduler may publish; a fault-free run
-#: must publish none of them.
-FAULT_COUNTERS = ("fabric_worker_restarts", "fabric_job_retries",
-                  "fabric_quarantined", "fabric_frame_errors",
-                  "fabric_degraded")
+from cases import report_snapshot, scenario_candidates
+from test_transport_parity import remote_workers
 
 
 def q1_candidates():
@@ -115,32 +111,6 @@ def quarantine_notes(report):
             assert len(notes) == 1                # exactly once per row
             out[index] = notes[0]
     return out
-
-
-# ---------------------------------------------------------------------------
-# Fault-free runs: fault tolerance enabled must change nothing
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("transport", ["inprocess", "spawn", "socket"])
-def test_fault_free_run_is_bit_identical(scenario, candidates,
-                                         serial_snapshot, transport):
-    """With the retry/deadline/restart rule armed but no faults, reports,
-    events and metrics are indistinguishable from a plain run — and the
-    absent fault counters prove zero recovery actions fired."""
-    telemetry = Telemetry()
-    events = EventBus()
-    options = {} if transport == "inprocess" else {"result_timeout": 120.0}
-    report, stats = fabric_run(scenario, candidates, transport,
-                               events=events, telemetry=telemetry, **options)
-    assert report_snapshot(report) == serial_snapshot
-    assert report.quarantined_count == 0
-    assert not stats.any()
-    counters = {name for name, _labels, _value
-                in telemetry.metrics.snapshot()["counters"]}
-    assert not counters.intersection(FAULT_COUNTERS)
-    assert events.of_kind("fabric_fault_stats") == []
-    assert events.of_kind("candidate_quarantined") == []
 
 
 # ---------------------------------------------------------------------------

@@ -261,12 +261,15 @@ class TestIndexMaintenance:
         engine = Engine(program)
         engine.insert(make_tuple("A", "n1", 1))
         engine.insert(make_tuple("A", "n2", 1))
-        assert engine.database.lookup("A", 0, "n1") == {make_tuple("A", "n1", 1)}
-        assert engine.database.lookup("A", 1, 1) == {make_tuple("A", "n1", 1),
-                                                     make_tuple("A", "n2", 1)}
+        # A bucket lists its tuples in the order they entered the store.
+        assert list(engine.database.lookup("A", 0, "n1")) == \
+            [make_tuple("A", "n1", 1)]
+        assert list(engine.database.lookup("A", 1, 1)) == \
+            [make_tuple("A", "n1", 1), make_tuple("A", "n2", 1)]
         engine.remove(make_tuple("A", "n1", 1))
-        assert engine.database.lookup("A", 0, "n1") == frozenset()
-        assert engine.database.lookup("A", 1, 1) == {make_tuple("A", "n2", 1)}
+        assert list(engine.database.lookup("A", 0, "n1")) == []
+        assert list(engine.database.lookup("A", 1, 1)) == \
+            [make_tuple("A", "n2", 1)]
 
     def test_primary_key_eviction_updates_indexes(self):
         engine = Engine(parse_program("r Dummy(@X) :- NeverUsed(@X)."))
@@ -274,9 +277,9 @@ class TestIndexMaintenance:
             "Config", ("Node", "Key", "Value"), primary_key=("Node", "Key")))
         engine.insert(make_tuple("Config", "n1", "mode", 1))
         engine.insert(make_tuple("Config", "n1", "mode", 2))
-        assert engine.database.lookup("Config", 2, 1) == frozenset()
-        assert engine.database.lookup("Config", 2, 2) == {
-            make_tuple("Config", "n1", "mode", 2)}
+        assert list(engine.database.lookup("Config", 2, 1)) == []
+        assert list(engine.database.lookup("Config", 2, 2)) == [
+            make_tuple("Config", "n1", "mode", 2)]
 
     def test_selection_type_error_only_raised_when_join_completes(self):
         # A mixed-type ordered comparison raises — but only for joins that

@@ -2,7 +2,8 @@
 
 The core contract — telemetry observes, never perturbs: with telemetry on,
 the pipeline produces the bit-identical report it produces with telemetry
-off, and with telemetry off it constructs nothing.
+off (the telemetry row of ``tests/contracts``), and with telemetry off it
+constructs nothing.
 """
 
 import pytest
@@ -33,12 +34,6 @@ def test_disabled_telemetry_constructs_nothing():
     # The disabled knob also maps to None (not a dead bundle).
     assert RepairConfig.for_scenario(
         "Q1", telemetry=TelemetryConfig(enabled=False)).make_telemetry() is None
-
-
-def test_reports_bit_identical_with_telemetry_on(traced_session):
-    _, traced_report = traced_session
-    plain_report = RepairSession(RepairConfig.for_scenario("Q1")).run()
-    assert result_rows(traced_report) == result_rows(plain_report)
 
 
 def test_session_span_hierarchy(traced_session):
@@ -107,14 +102,6 @@ def test_stage_profiles_captured(traced_session):
     profiles = session.telemetry.profiles
     assert set(profiles) == {"diagnose", "generate", "backtest", "rank"}
     assert "cumulative" in profiles["backtest"]
-
-
-def test_slice_spans_do_not_change_results():
-    """Chunked replay (slice spans) is the same execution as one-shot."""
-    sliced = RepairSession(RepairConfig.for_scenario(
-        "Q1", telemetry=TelemetryConfig(slice_packets=3))).run()
-    plain = RepairSession(RepairConfig.for_scenario("Q1")).run()
-    assert result_rows(sliced) == result_rows(plain)
 
 
 def test_trace_fixpoints_produces_engine_spans():

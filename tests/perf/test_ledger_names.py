@@ -6,64 +6,34 @@ are gone — each in :data:`repro.api.config.LEDGER_ONLY_KNOBS` — through
 stops naming them, the product keeps exactly that one shim, and this file
 holds it to three things:
 
-* a flipped name changes nothing: Q1–Q5 ``repair --json`` minus
-  ``timings`` is byte-identical to the default configuration's;
+* a flipped name changes nothing: Q1–Q5 reports are byte-identical to the
+  default configuration's (a row per name of the contract table,
+  ``tests/contracts``);
 * the name is no config field: a ``RepairConfig`` wire or a backtest job's
   ``BacktesterConfig`` wire carrying it is refused like any unknown key;
 * no ``src/`` module names it outside the shim.
 """
 
 import dataclasses
-import json
 import pathlib
 import re
 
 import pytest
 
 import repro
-from repro.api import RepairConfig, RepairSession
+from repro.api import RepairConfig
 from repro.api.config import LEDGER_ONLY_KNOBS, ConfigError
 from repro.distrib.jobs import (BacktesterConfig, JobRuntime, JobWireError,
                                 build_job_wire)
-from repro.repair import reset_candidate_ids
 
-SCENARIOS = ("Q1", "Q2", "Q3", "Q4", "Q5")
+from cases import LEDGER_DEFAULTS as DEFAULTS
+
 SRC = pathlib.Path(repro.__file__).resolve().parent
 SHIM = SRC / "api" / "config.py"
-
-#: The value each knob had by default while its mechanism existed; the
-#: test flips it.
-DEFAULTS = {"warm_engine": True, "replay_batch_size": None,
-            "multiquery": False}
-
-_reports = {}
-
-
-def report_json(config: RepairConfig) -> str:
-    """``repro repair --json`` minus ``timings``, as the CLI prints it."""
-    reset_candidate_ids()
-    wire = RepairSession(config).run().to_wire()
-    del wire["timings"]
-    return json.dumps(wire, sort_keys=True)
-
-
-def default_report(name: str) -> str:
-    if name not in _reports:
-        _reports[name] = report_json(RepairConfig.for_scenario(name))
-    return _reports[name]
 
 
 def test_every_shim_name_has_a_default():
     assert set(LEDGER_ONLY_KNOBS) == set(DEFAULTS)
-
-
-@pytest.mark.parametrize("name", SCENARIOS)
-@pytest.mark.parametrize("knob", LEDGER_ONLY_KNOBS)
-def test_flipping_a_ledger_only_knob_changes_no_report(knob, name):
-    default = RepairConfig.for_scenario(name)
-    flipped = default.with_updates(**{knob: not DEFAULTS[knob]})
-    assert flipped == default
-    assert report_json(flipped) == default_report(name)
 
 
 @pytest.mark.parametrize("knob", LEDGER_ONLY_KNOBS)

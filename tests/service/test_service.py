@@ -276,6 +276,14 @@ class TestEndpoints:
         assert excinfo.value.status == 400
         assert "bad repair config: config trace_limit must be >= 1" in \
             str(excinfo.value)
+        # And a scenario spec its builder cannot take: a worker would raise
+        # building it, on every attempt, until quarantine.
+        with pytest.raises(ClientError) as excinfo:
+            client.submit({"scenario": {"name": "Q1",
+                                        "params": {"bogus": 1}}})
+        assert excinfo.value.status == 400
+        assert "bad repair config: scenario Q1 has no parameter 'bogus'" in \
+            str(excinfo.value)
         with pytest.raises(ClientError) as excinfo:
             client._json("POST", "/sessions",
                          payload={"config": {}, "tenant": "x", "oops": 1})
