@@ -14,8 +14,6 @@ setup(
             # The unified CLI, same surface as `python -m repro`; the
             # subcommands are listed in repro/cli.py's module docstring.
             "repro = repro.cli:main",
-            # Back-compat alias for `repro worker --connect HOST:PORT`.
-            "repro-worker = repro.distrib.worker:main",
         ],
     },
 )

@@ -40,12 +40,15 @@ class ConfigError(WireError):
 #: every candidate replays the whole trace on its own network.
 LEDGER_ONLY_KNOBS = ("warm_engine", "replay_batch_size", "multiquery")
 
+#: The largest candidate budget a config may ask for (the ledger's
+#: ``candidate_heavy`` asks for 100).
+MAX_CANDIDATES_LIMIT = 1000
+
 #: The keyword arguments of ``repro.distrib.Transport`` a config's
 #: ``transport_options`` may set, with the exact JSON types each takes (a
 #: ``fault_plan`` must decode as a ``FaultPlan``); anything else is a
 #: :class:`ConfigError`, not a crash when the run starts.
-TRANSPORT_OPTIONS = {"host": (str,), "port": (int,), "spawn_workers": (bool,),
-                     "result_timeout": (int, float), "fault_plan": None}
+TRANSPORT_OPTIONS = {"result_timeout": (int, float), "fault_plan": None}
 
 
 def _check_positive(name: str, value) -> None:
@@ -122,7 +125,7 @@ class RepairConfig(Wire):
     #: (:meth:`make_scheduler`).
     transport: Optional[str] = None
     #: Extra keyword arguments for the transport, among
-    #: :data:`TRANSPORT_OPTIONS` (e.g. socket ``port``).  The fabric's
+    #: :data:`TRANSPORT_OPTIONS` (e.g. ``result_timeout``).  The fabric's
     #: retry, restart and deadline rule is no knob: it is the constants of
     #: :mod:`repro.distrib.faults`.
     transport_options: Dict[str, object] = field(default_factory=dict)
@@ -147,6 +150,10 @@ class RepairConfig(Wire):
             if value is not None and value < 1:
                 raise ConfigError(f"config {name} must be >= 1, "
                                   f"not {value!r}")
+        if self.max_candidates > MAX_CANDIDATES_LIMIT:
+            raise ConfigError(f"config max_candidates must be <= "
+                              f"{MAX_CANDIDATES_LIMIT}, "
+                              f"not {self.max_candidates!r}")
         # Each bound is written as what a value must satisfy, so NaN fails.
         threshold = self.ks_threshold
         if threshold is not None and not 0 <= threshold <= 1:
@@ -164,9 +171,6 @@ class RepairConfig(Wire):
                     f"config transport_options key {key!r} must be "
                     f"{' or '.join(kind.__name__ for kind in kinds)}, "
                     f"not {options[key]!r}")
-        if not 0 <= options.get("port", 0) <= 65535:
-            raise ConfigError(f"config transport_options port must be "
-                              f"within [0, 65535], not {options['port']}")
         _check_positive("transport_options result_timeout",
                         options.get("result_timeout"))
         if options.get("fault_plan") is not None:

@@ -15,7 +15,7 @@ a pure function of (config, scenario) — and exposes the steps on the way:
   ``session.events`` while the run is in flight;
 * **declarative scheduling** — the backtester, worker count, transport and
   abort policy all flow from the config, so the identical session
-  description runs serially, on a local pool, or against remote workers.
+  description runs serially or on a worker fleet.
 
 Quickstart::
 

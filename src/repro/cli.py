@@ -8,9 +8,6 @@ Subcommands (all built on :mod:`repro.api`):
   verdict table (every backtested candidate with its KS statistic).
 * ``repro lint Q1`` (or a ``.ndlog`` file) — statically analyse a
   program; ``--candidates FILE`` also vets repair candidates against it.
-* ``repro worker --connect HOST:PORT`` — join a coordinator's worker
-  pool as a remote worker (alias of the ``repro-worker`` entry point;
-  the pool's token comes from ``REPRO_WORKER_TOKEN``).
 * ``repro serve`` — the multi-tenant repair service (coordinator daemon,
   worker fleet and HTTP front door); ``repro submit Q1`` sends it a run
   and ``repro status [SESSION]`` inspects its sessions.
@@ -81,8 +78,6 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
         groups[group].add_argument("--" + name.replace("_", "-"), help=text,
                                    **typed)
     sched = groups["sched"]
-    sched.add_argument("--port", type=int,
-                       help="listen port for --transport socket")
     sched.add_argument("--fault-plan", metavar="FILE", dest="fault_plan",
                        help="JSON FaultPlan injected into the transport "
                             "(deterministic chaos reproduction)")
@@ -144,8 +139,6 @@ def _fold_args(args) -> RepairConfig:
         if getattr(args, name) is not None:
             updates[name] = getattr(args, name)
     transport_options = dict(config.transport_options)
-    if args.port is not None:
-        transport_options["port"] = args.port
     if getattr(args, "fault_plan", None):
         from .distrib.faults import FaultPlan
         # Stored as its wire dict so the folded config stays JSON-able;
@@ -365,12 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="print the summary as JSON")
     summarize.set_defaults(func=_Tool("cmd_events_summarize"))
 
-    worker = sub.add_parser(
-        "worker", help="join a coordinator's worker pool "
-                       "(token from REPRO_WORKER_TOKEN)")
-    worker.add_argument("--connect", required=True, metavar="HOST:PORT")
-    worker.set_defaults(func=_Tool("cmd_worker"))
-
     serve = sub.add_parser(
         "serve", help="run the multi-tenant repair service "
                       "(coordinator daemon + HTTP front door)")
@@ -379,17 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8180,
                        help="HTTP front-door port (default 8180; "
                             "0 = ephemeral)")
-    serve.add_argument("--daemon-host", default="127.0.0.1",
-                       help="worker coordinator bind host")
-    serve.add_argument("--daemon-port", type=int, default=0,
-                       help="worker coordinator port (default 0 = ephemeral)")
     serve.add_argument("--workers", type=int, default=2,
-                       help="local repro-worker processes to spawn")
-    serve.add_argument("--no-spawn-workers", action="store_true",
-                       help="spawn no local workers (point remote "
-                            "repro-worker processes at the daemon port; "
-                            "REPRO_WORKER_TOKEN must be set to one secret "
-                            "here and for them)")
+                       help="worker processes to launch (default 2)")
     serve.add_argument("--fault-plan", metavar="FILE", dest="fault_plan",
                        help="JSON FaultPlan armed against the fleet "
                             "(deterministic chaos reproduction)")

@@ -285,11 +285,6 @@ def cmd_events_summarize(args) -> int:
     return 0
 
 
-def cmd_worker(args) -> int:
-    from .distrib.worker import main as worker_main
-    return worker_main(["--connect", args.connect])
-
-
 class _WireJsonlLog:
     """JSONL sink for already-wire-format event dicts (serve --events)."""
 
@@ -313,14 +308,17 @@ def cmd_serve(args) -> int:
     import signal
     import threading
 
-    from .distrib.pool import TOKEN_ENV
     from .service import RepairServiceDaemon, ServiceHTTPServer
 
-    if args.no_spawn_workers and not os.environ.get(TOKEN_ENV):
-        # Without it the pool draws a random token no remote worker knows.
-        print(f"repro serve: --no-spawn-workers needs {TOKEN_ENV} set, to "
-              f"the same secret here and for every remote repro-worker",
+    # Refused before anything binds or launches; a daemon without workers
+    # would queue sessions forever.
+    if args.workers < 1:
+        print(f"repro serve: --workers must be >= 1, not {args.workers}",
               file=sys.stderr)
+        return 2
+    if not 0 <= args.port <= 65535:
+        print(f"repro serve: --port must be within [0, 65535], "
+              f"not {args.port}", file=sys.stderr)
         return 2
     plan = None
     if args.fault_plan:
@@ -330,30 +328,20 @@ def cmd_serve(args) -> int:
     if args.events:
         log_handle = open(args.events, "a", encoding="utf-8")
         on_event = _WireJsonlLog(log_handle)
-    daemon = RepairServiceDaemon(workers=args.workers,
-                                 host=args.daemon_host,
-                                 port=args.daemon_port,
-                                 spawn_workers=not args.no_spawn_workers,
-                                 fault_plan=plan,
+    daemon = RepairServiceDaemon(workers=args.workers, fault_plan=plan,
                                  on_event=on_event)
-    # Both ports are bound before a worker is launched (the pool binds its
-    # own before it spawns), so a busy one leaves no process behind.
-    server = None
+    # The port is bound before a worker is launched, so a busy one leaves
+    # no process behind.
     try:
         server = ServiceHTTPServer((args.host, args.port), daemon,
                                    quiet=args.quiet)
-        daemon.start()
     except OSError as error:
-        host, port = ((args.host, args.port) if server is None
-                      else (args.daemon_host, args.daemon_port))
-        if server is not None:
-            daemon.stop(grace=0)
-            server.server_close()
         if log_handle is not None:
             log_handle.close()
-        print(f"repro serve: cannot listen on {host}:{port}: "
+        print(f"repro serve: cannot listen on {args.host}:{args.port}: "
               f"{error.strerror or error}", file=sys.stderr)
         return 2
+    daemon.start()
     stop = threading.Event()
 
     def _request_stop(signum, frame):
@@ -366,9 +354,8 @@ def cmd_serve(args) -> int:
             pass
     serving = threading.Thread(target=server.serve_forever, daemon=True)
     serving.start()
-    worker_host, worker_port = daemon.address
-    print(f"repro serve: HTTP on {server.url} "
-          f"(workers connect to {worker_host}:{worker_port})", flush=True)
+    print(f"repro serve: HTTP on {server.url} ({args.workers} workers)",
+          flush=True)
     try:
         while not stop.is_set():
             stop.wait(0.2)

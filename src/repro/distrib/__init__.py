@@ -19,11 +19,11 @@ a config by ``RepairConfig.make_scheduler`` only:
   the calling process), ``"spawn"`` and ``"socket"`` name one
   pool-backed fleet;
 * :mod:`~repro.distrib.pool` — the one supervised worker fleet
-  (:class:`WorkerPool`): listener, token handshake, frame protocol,
+  (:class:`WorkerPool`): child processes on socketpairs, frame protocol,
   respawn, deadlines and the retry rule, parametrised by a
   :class:`DispatchPolicy`;
-* :mod:`~repro.distrib.worker` — the ``repro-worker`` entry point
-  (``python -m repro.distrib.worker``), which may run on other machines.
+* :mod:`~repro.distrib.worker` — the worker main
+  (``python -m repro.distrib.worker --fd N``), launched by the pool.
 
 Every transport is an optimisation, not an approximation: reports are
 bit-identical to serial evaluation, with an abort policy or without
@@ -32,7 +32,7 @@ The same holds under faults: :mod:`~repro.distrib.faults` holds the one
 retry/restart/quarantine rule every transport applies (module constants)
 and a deterministic chaos harness (:class:`FaultPlan`), and
 ``tests/distrib/test_chaos.py`` asserts reports stay bit-identical under
-injected worker crashes, hangs, disconnects and frame corruption —
+injected worker crashes, hangs and frame corruption —
 modulo the deterministic quarantine rows of genuinely poisonous
 candidates.
 """

@@ -165,8 +165,8 @@ class QuarantinedItem:
     ``BacktestResult`` (baseline stats, machine-readable
     ``quarantined(<reason>)`` note) so ``len(results)`` still equals the
     candidate count.  ``reason`` is one of the failure-taxonomy codes:
-    ``worker-exception`` | ``worker-crash`` | ``deadline`` | ``disconnect``
-    | ``frame-error``.
+    ``worker-exception`` | ``worker-crash`` | ``deadline`` |
+    ``frame-error``.
     """
 
     index: int

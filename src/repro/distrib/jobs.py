@@ -1,8 +1,8 @@
 """Backtest jobs: what crosses the wire, and how workers execute it.
 
 A *job* describes one ``evaluate_all`` call declaratively so that a process
-with no shared memory — a local ``repro-worker`` or one on another machine —
-can rebuild everything it needs.  Its wire is one :mod:`repro.wire` type,
+with no shared memory — a worker process the pool launched — can rebuild
+everything it needs.  Its wire is one :mod:`repro.wire` type,
 :class:`BacktestJob` (``"kind": "backtest"``): the scenario as a
 :class:`~repro.scenarios.spec.ScenarioSpec`, the backtester's knobs as a
 :class:`BacktesterConfig`, the early-abort policy, the per-item deadline,

@@ -1,19 +1,22 @@
-"""The one supervised worker fleet: listener, frame protocol, supervision.
+"""The one supervised worker fleet: children, frame protocol, supervision.
 
 Every process-backed execution path — ``Scheduler("spawn" | "socket")``
 and the repair service daemon — runs on one :class:`WorkerPool`.  The
-pool is the only code that listens and accepts, launches, reaps and
-backoff-respawns local ``repro-worker`` subprocesses, speaks the frame
+pool is the only code that launches, reaps and backoff-respawns worker
+processes (``python -m repro.distrib.worker``), speaks the frame
 protocol, enforces per-item deadlines, assigns worker ids and applies
 :func:`~repro.distrib.faults.retry_or_quarantine`.  *What* runs where is
 not its business: a :class:`DispatchPolicy` answers that (the socket
 transport's one-job input-order queue, the daemon's per-tenant fair
 share, a test's fake).
 
-Wire protocol, one connection per worker (``>`` worker to pool)::
+Each worker is a child of the pool's process on its own
+``socket.socketpair()``: the child inherits one end (``--fd N``), the pool
+serves the other on one link thread.  Nothing listens, so no process but
+the pool's own children can send it a frame.  Wire protocol, per worker
+(``>`` worker to pool)::
 
-    > <token bytes>                      raw, compared before any decode
-    > hello {pid}
+    > hello
     < job {job, worker_id[, fault]}      policy.assign
     > next | job_error {message}         job_error: policy.setup_failed
     < item {index, candidate}            policy.next_item
@@ -24,13 +27,11 @@ Wire protocol, one connection per worker (``>`` worker to pool)::
     < shutdown                           on close()
 
 Frames are a 4-byte big-endian length (capped at :data:`MAX_FRAME_BYTES`)
-plus a JSON object; the token is random per pool, or :data:`TOKEN_ENV`
-from the environment when set.  What that does and does not protect is
-the "Security note" of :mod:`repro.distrib.transport`.
+plus a JSON object, never code: a child's bytes are still input from
+outside the process.
 
 Failure reasons, exactly: ``worker-exception`` (an ``error`` frame),
-``worker-crash`` (the connection of a worker process *this pool
-launched* went away), ``disconnect`` (a remote peer went away),
+``worker-crash`` (the worker's end of the socket went away),
 ``deadline`` (the pool severed it) and ``frame-error``.  Respawned
 workers get fresh worker ids, so positional fault-plan actions never
 re-fire on a replacement.
@@ -38,10 +39,8 @@ re-fire on a replacement.
 
 from __future__ import annotations
 
-import hmac
 import json
 import os
-import secrets
 import socket
 import struct
 import subprocess
@@ -49,22 +48,15 @@ import sys
 import threading
 import time as _time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from . import faults
 from .faults import (FaultPlan, FaultStats, QuarantinedItem,
                      retry_or_quarantine)
 from .jobs import DistribError
 
-#: Environment variable carrying the fleet token (a deployment credential:
-#: set it on the coordinator *and* on hand-started remote workers).
-TOKEN_ENV = "REPRO_WORKER_TOKEN"
-
 #: Largest frame payload accepted; the length field alone allows 4 GiB.
 MAX_FRAME_BYTES = 64 << 20
-
-#: A connected peer has this long to present its token and hello.
-_HANDSHAKE_SECONDS = 10.0
 
 #: Supervision tick: bounds crash-detection, deadline and respawn latency.
 TICK_SECONDS = 0.2
@@ -82,9 +74,9 @@ class FrameError(TransportError):
     """A truncated, oversize or undecodable length-prefixed frame.
 
     Distinct from a clean close (``recv_frame`` returning ``None``): the
-    peer wrote garbage or died mid-frame.  The pool treats it as a
-    disconnect — requeue the in-flight item, drop the connection — and
-    counts it in ``frame_errors``.
+    peer wrote garbage or died mid-frame.  The pool treats it as a lost
+    worker — requeue the in-flight item, drop the connection — and counts
+    it in ``frame_errors``.
     """
 
 
@@ -213,18 +205,19 @@ class DispatchPolicy:
 class WorkerLink(threading.Thread):
     """Pool-side handler: speaks the frame protocol with one worker."""
 
-    def __init__(self, pool: "WorkerPool", sock: socket.socket):
+    def __init__(self, pool: "WorkerPool", sock: socket.socket,
+                 process: Optional[subprocess.Popen]):
         super().__init__(daemon=True)
         self.pool = pool
         self.sock = sock
-        #: Worker ordinal for fault-plan targeting; set once the peer has
-        #: presented the token and said hello.
+        #: The child process on the other end (``None``: a socket the
+        #: pool was handed by :meth:`WorkerPool.adopt` alone).
+        self.process = process
+        #: Worker ordinal for fault-plan targeting; set once the worker
+        #: has said hello.
         self.worker_id: Optional[int] = None
-        #: PID from the hello frame: tells a local worker from a remote
-        #: peer, and which process to kill on a deadline breach.
-        self.pid: Optional[int] = None
         #: Why the pool is severing this link (``"deadline"``,
-        #: ``"frame-error"``); ``None`` means the peer went away itself.
+        #: ``"frame-error"``); ``None`` means the worker went away itself.
         self.fault_reason: Optional[str] = None
         #: The job being served, and the key of one whose setup failed here.
         self.job: Optional[PoolJob] = None
@@ -236,8 +229,9 @@ class WorkerLink(threading.Thread):
     def run(self):
         pool = self.pool
         try:
-            if not self._handshake():
-                return
+            hello = recv_frame(self.sock)
+            if hello is None or hello.get("type") != "hello":
+                raise FrameError("expected a hello frame")
             pool._register(self)
             while True:
                 job = pool._await_job(self)
@@ -253,7 +247,11 @@ class WorkerLink(threading.Thread):
                     frame["fault"] = pool.fault_plan.to_wire()
                 send_frame(self.sock, frame)
                 self._serve_job(job)
-        except (OSError, EOFError, FrameError):
+        except FrameError:
+            # Account it, then treat the worker as lost (the in-flight
+            # item is retried by _link_lost).
+            pool._frame_error(self)
+        except (OSError, EOFError):
             pass
         finally:
             pool._link_lost(self)
@@ -262,36 +260,10 @@ class WorkerLink(threading.Thread):
             except OSError:
                 pass
 
-    def _handshake(self) -> bool:
-        """Token, then hello.  The token is compared as raw bytes, so an
-        unauthenticated peer's bytes are never decoded."""
-        expected = self.pool.token.encode("utf-8")
-        try:
-            self.sock.settimeout(_HANDSHAKE_SECONDS)
-            presented = _recv_upto(self.sock, len(expected))
-            if not hmac.compare_digest(presented, expected):
-                raise FrameError("missing or wrong worker token")
-            hello = recv_frame(self.sock)
-            if hello is None or hello.get("type") != "hello":
-                raise FrameError("expected a hello frame")
-            self.sock.settimeout(None)
-        except (OSError, FrameError):
-            self.pool._frame_error(self)
-            return False
-        pid = hello.get("pid")
-        self.pid = pid if isinstance(pid, int) else None
-        return True
-
     def _serve_job(self, job: PoolJob) -> None:
         pool = self.pool
         while True:
-            try:
-                message = recv_frame(self.sock)
-            except FrameError:
-                # Account it, then treat the connection as lost (the
-                # in-flight item is retried by _link_lost).
-                pool._frame_error(self)
-                raise
+            message = recv_frame(self.sock)
             if message is None:
                 raise EOFError
             kind = message.get("type")
@@ -322,34 +294,28 @@ class WorkerLink(threading.Thread):
 
 
 class WorkerPool:
-    """A supervised fleet of ``repro-worker`` connections.
+    """A supervised fleet of ``workers`` worker processes.
 
-    ``workers`` local worker subprocesses are launched (each in its own
-    session, so a terminal Ctrl-C never reaches them; they exit when the
-    pool closes or its process dies) unless ``spawn_workers=False`` —
-    then point remote workers at :attr:`address` with :data:`TOKEN_ENV`
-    set to :attr:`token`.  A dead local worker is respawned after
+    Each is a child on its own socketpair, in its own session, so a
+    terminal Ctrl-C never reaches it; it exits when the pool closes or its
+    process dies.  A dead worker is respawned after
     :func:`~repro.distrib.faults.backoff`, within
     :data:`~repro.distrib.faults.RESTART_BUDGET` per job unless
     ``unlimited_restarts`` (a long-lived service heals forever; a crash
-    streak only lengthens the backoff).  ``fault_plan`` and ``stats`` are
-    plain attributes: an owner may swap them between jobs.
+    streak only lengthens the backoff).  ``workers=0`` launches none: the
+    owner drives the policy by hand or hands the pool sockets through
+    :meth:`adopt`.  ``fault_plan`` and ``stats`` are plain attributes: an
+    owner may swap them between jobs.
     """
 
     def __init__(self, policy: DispatchPolicy, workers: int = 2,
-                 host: str = "127.0.0.1", port: int = 0,
-                 spawn_workers: bool = True, fault_plan=None,
-                 unlimited_restarts: bool = False):
-        if spawn_workers and workers < 1:
-            raise ValueError("workers must be >= 1 when spawning locally")
+                 fault_plan=None, unlimited_restarts: bool = False):
+        if workers < 0:
+            raise ValueError(f"workers must be >= 0, not {workers}")
         self.policy = policy
         self.workers = workers
-        self.host = host
-        self.port = port
-        self.spawn_workers = spawn_workers
         self.fault_plan = FaultPlan.coerce(fault_plan)
         self.unlimited_restarts = unlimited_restarts
-        self.token = os.environ.get(TOKEN_ENV) or secrets.token_hex(32)
         #: Recovery counters; every charge and respawn lands here.
         self.stats = FaultStats()
         #: Guards all pool state and is shared with the policy; ``changed``
@@ -357,16 +323,14 @@ class WorkerPool:
         #: ``run_job``, ``daemon.wait``) may have something new to see.
         self.lock = threading.RLock()
         self.changed = threading.Condition(self.lock)
-        #: Registered (token + hello) links, in registration order.
+        #: Links whose worker said hello, in registration order.
         self.links: List[WorkerLink] = []
-        self._listener: Optional[socket.socket] = None
+        self._supervisor: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._shutdown = False
-        self._service_threads: List[threading.Thread] = []
-        #: Every accepted connection, registered or still shaking hands.
-        self._accepted: List[WorkerLink] = []
+        #: Every link thread still running, registered or not.
+        self._adopted: List[WorkerLink] = []
         self._processes: List[subprocess.Popen] = []
-        self._local_pids: Set[int] = set()
         self._in_flight: Dict[WorkerLink, WorkItem] = {}
         self._next_worker_id = 0
         self._restarts_used = 0
@@ -377,112 +341,85 @@ class WorkerPool:
 
     def start(self) -> "WorkerPool":
         with self.lock:
-            if self._listener is not None:
+            if self._supervisor is not None:
                 return self
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self.host, self.port))
-            listener.listen(16)
-            self._listener = listener
             self._stop = stop = threading.Event()
-            self._service_threads = [
-                threading.Thread(target=self._accept_loop,
-                                 args=(listener, stop), daemon=True),
-                threading.Thread(target=self._supervise_loop, args=(stop,),
-                                 daemon=True)]
-            for thread in self._service_threads:
-                thread.start()
-            if self.spawn_workers:
-                for _ in range(self.workers):
-                    self._launch_worker()
+            self._supervisor = threading.Thread(
+                target=self._supervise_loop, args=(stop,), daemon=True)
+            self._supervisor.start()
+            for _ in range(self.workers):
+                self._launch_worker()
         return self
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """(host, port) workers connect to (starts the pool if needed)."""
-        self.start()
-        return self._listener.getsockname()[:2]
 
     @property
     def running(self) -> bool:
         """Started and not closed since."""
-        return self._listener is not None
+        return self._supervisor is not None
 
     @property
     def processes(self) -> List[subprocess.Popen]:
-        """The local worker processes not yet reaped."""
+        """The worker processes not yet reaped."""
         with self.lock:
             return list(self._processes)
 
     def _launch_worker(self) -> None:
-        host, port = self._listener.getsockname()[:2]
-        if host == "0.0.0.0":
-            host = "127.0.0.1"
+        ours, theirs = socket.socketpair()
         env = dict(os.environ)
         src_dir = os.path.dirname(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))))
         existing = env.get("PYTHONPATH")
         env["PYTHONPATH"] = (src_dir if not existing
                              else src_dir + os.pathsep + existing)
-        env[TOKEN_ENV] = self.token
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro.distrib.worker",
-             "--connect", f"{host}:{port}"],
-            env=env, start_new_session=True)
+        try:
+            process = subprocess.Popen(
+                [sys.executable, "-m", "repro.distrib.worker",
+                 "--fd", str(theirs.fileno())],
+                env=env, pass_fds=(theirs.fileno(),), start_new_session=True)
+        finally:
+            # Only the child may hold its end: then its death is our EOF.
+            theirs.close()
         self._processes.append(process)
-        self._local_pids.add(process.pid)
+        self.adopt(ours, process)
 
-    def _accept_loop(self, listener: socket.socket,
-                     stop: threading.Event) -> None:
-        while True:
-            try:
-                sock, _addr = listener.accept()
-            except OSError:
-                return
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            link = WorkerLink(self, sock)
-            with self.lock:
-                if stop.is_set():
-                    sock.close()
-                    return
-                self._accepted.append(link)
-            link.start()
+    def adopt(self, sock: socket.socket,
+              process: Optional[subprocess.Popen] = None) -> WorkerLink:
+        """Serve ``sock`` as one worker's link; ``process`` is the child on
+        its other end, if the pool launched one."""
+        link = WorkerLink(self, sock, process)
+        with self.lock:
+            self._adopted.append(link)
+        link.start()
+        return link
 
     def close(self) -> None:
         """Shut the fleet down and return to a restartable state.
 
         Idle workers get a ``shutdown`` frame.  Work still in flight is
         work nobody waits for any more: it is dropped without a policy
-        callback (no attempt charged), its link severed and its local
-        process killed.  Local workers that never got as far as hello are
-        terminated rather than left to find the port closed.
+        callback (no attempt charged), its link severed and its process
+        killed.  Workers that never got as far as hello are terminated.
         """
         with self.lock:
-            if self._listener is None:
+            if self._supervisor is None:
                 return
-            listener, self._listener = self._listener, None
+            supervisor, self._supervisor = self._supervisor, None
             self._shutdown = True
             self._stop.set()
-            idle = {link.pid for link in self.links
+            idle = {link.process for link in self.links
                     if link not in self._in_flight}
-            for link in self._accepted:
+            for link in self._adopted:
                 if link in self._in_flight or link.worker_id is None:
                     self._sever(link)
             for process in self._processes:
-                if process.pid not in idle:
+                if process not in idle:
                     process.terminate()
             for link in self._in_flight:
-                self._kill_local(link)   # mid-item: SIGTERM would be deferred
+                self._kill_process(link)  # mid-item: SIGTERM is deferred
             self._in_flight.clear()
-            threads = self._service_threads + self._accepted
-            self._service_threads, self._accepted = [], []
+            threads = [supervisor] + self._adopted
+            self._adopted = []
             processes, self._processes = self._processes, []
             self.changed.notify_all()
-        try:
-            listener.shutdown(socket.SHUT_RDWR)   # wakes the blocked accept
-        except OSError:
-            pass
-        listener.close()
         for process in processes:
             try:
                 process.wait(timeout=10)
@@ -498,7 +435,6 @@ class WorkerPool:
         with self.lock:
             self._shutdown = False
             self.links = []
-            self._local_pids = set()
             self._next_worker_id = 0
             self._restarts_used = 0
             self._respawn_at = []
@@ -508,12 +444,12 @@ class WorkerPool:
     def status(self) -> Dict[str, int]:
         """Fleet view: connected / booting workers, queued respawns."""
         with self.lock:
-            connected = {link.pid for link in self.links}
+            connected = {link.process for link in self.links}
             return {
                 "workers_connected": len(self.links),
                 "workers_booting": sum(
                     1 for p in self._processes
-                    if p.poll() is None and p.pid not in connected),
+                    if p.poll() is None and p not in connected),
                 "respawns_pending": len(self._respawn_at),
                 "restarts_used": self._restarts_used,
             }
@@ -522,17 +458,16 @@ class WorkerPool:
         """Whether the fleet can still make progress on the job (call
         with ``lock`` held): an item is in flight, a respawn is queued or
         still affordable, or some worker whose setup for ``job_key`` did
-        not fail is connected, or a local one is still booting."""
+        not fail is connected, or one is still booting."""
         if self._in_flight or self._respawn_at or self.restart_budget_left():
             return True
         return (any(link.failed_job != job_key for link in self.links)
                 or self.status()["workers_booting"] > 0)
 
     def restart_budget_left(self) -> bool:
-        """Whether a dead local worker would still be respawned."""
-        return self.spawn_workers and (
-            self.unlimited_restarts
-            or self._restarts_used < faults.RESTART_BUDGET)
+        """Whether a dead worker would still be respawned."""
+        return (self.unlimited_restarts
+                or self._restarts_used < faults.RESTART_BUDGET)
 
     def begin_job(self, stats: FaultStats) -> None:
         """A new accounting epoch: fresh counters, fresh restart budget."""
@@ -626,8 +561,8 @@ class WorkerPool:
 
     def _link_lost(self, link: WorkerLink) -> None:
         with self.lock:
-            if link in self._accepted:
-                self._accepted.remove(link)
+            if link in self._adopted:
+                self._adopted.remove(link)
             if link not in self.links:
                 return                   # never registered: nothing to undo
             self.links.remove(link)
@@ -635,18 +570,15 @@ class WorkerPool:
             job, link.job = link.job, None
             if self._shutdown:
                 return
-            local = link.pid in self._local_pids
-            if self._kill_local(link):
-                # A local worker without its connection is finished (it
-                # exits on EOF).  Making that certain now decides the
-                # respawn in the same critical section as the retry below,
-                # not a supervision tick later.
+            if self._kill_process(link):
+                # A worker without its socket is finished (it exits on
+                # EOF).  Making that certain now decides the respawn in the
+                # same critical section as the retry below, not a
+                # supervision tick later.
                 self._supervise_locked(_time.monotonic())
             if item is not None:
-                self.fail_item(job, item, link.fault_reason
-                               or ("worker-crash" if local else "disconnect"),
-                               "worker process died" if local
-                               else "worker connection lost")
+                self.fail_item(job, item, link.fault_reason or "worker-crash",
+                               "worker process died")
             elif job is not None:
                 self.policy.unstarted(job, None)
             self.changed.notify_all()
@@ -656,23 +588,22 @@ class WorkerPool:
     def _sever(self, link: WorkerLink) -> None:
         """Make the link's thread leave — its ``recv`` fails, or its idle
         wait sees the flag — and run the lost-link path, which kills the
-        worker process if it is ours."""
+        worker process."""
         link.severed = True
         try:
             link.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
 
-    def _kill_local(self, link: WorkerLink) -> bool:
-        """SIGKILL and reap the local worker process behind ``link``, if
-        there is one; no grace — it is wedged, or evaluating work nobody
+    def _kill_process(self, link: WorkerLink) -> bool:
+        """SIGKILL and reap the worker process behind ``link``, if it is
+        not reaped yet; no grace — it is wedged, or evaluating work nobody
         waits for."""
-        for process in self._processes:
-            if process.pid == link.pid:
-                process.kill()
-                process.wait()
-                return True
-        return False
+        if link.process not in self._processes:
+            return False
+        link.process.kill()
+        link.process.wait()
+        return True
 
     def _supervise_loop(self, stop: threading.Event) -> None:
         while not stop.wait(TICK_SECONDS):
@@ -699,7 +630,7 @@ class WorkerPool:
         for process in reaped:
             self._processes.remove(process)
             for link in self.links:
-                if link.pid == process.pid:
+                if link.process is process:
                     self._sever(link)    # an idle link cannot see the EOF
             if self.unlimited_restarts:
                 if now - self._last_crash > _CRASH_STREAK_WINDOW:

@@ -14,14 +14,12 @@ It is one class under three names, each mapped to a pool size by
     decodes) — the reference path and the zero-dependency fallback.
 
 ``"spawn"``, ``"socket"``
-    A :class:`~repro.distrib.pool.WorkerPool` plus a one-job, input-order
-    dispatch policy: ``repro-worker`` processes (``python -m
-    repro.distrib.worker --connect HOST:PORT``) drain one shared candidate
-    queue.  The defaults — loopback, an ephemeral port, ``workers`` local
-    worker subprocesses — are what both names mean; nothing is inherited
-    from the parent (the job wire is the only input), so the path works
-    without ``fork``.  ``spawn_workers=False`` with a fixed ``port`` (and
-    ``host="0.0.0.0"``) serves remote workers instead.
+    Two names for one fleet: a :class:`~repro.distrib.pool.WorkerPool` of
+    ``workers`` child processes (``python -m repro.distrib.worker``, each
+    on its own socketpair) plus a one-job, input-order dispatch policy,
+    draining one shared candidate queue.  Nothing is inherited from the
+    parent but the socket (the job wire is the only input), so the path
+    works without ``fork``.
 
 Every transport applies the fabric's one **fault-tolerance rule** (the
 constants of :mod:`repro.distrib.faults`) through
@@ -44,14 +42,10 @@ down.  Sessions share fleets through
 ``Scheduler.borrow``, which parks a ``reusable()`` one between them
 (:mod:`repro.distrib.coordinator`).
 
-Security note.  A peer must present the pool's token
-(``REPRO_WORKER_TOKEN``) as raw bytes before any frame of its connection
-is decoded; frames are size-capped JSON, and a wrong token, an oversize or
-a malformed frame drops the connection.  A token holder can submit work
-and report results, but frames are data decoded into checked wire types
-(:mod:`repro.wire`), never code.  Traffic is neither encrypted nor
-integrity-checked: keep the port on loopback or a private network and the
-token secret.
+Security note.  Nothing listens: frames come only from the pool's own
+children, each over a socketpair it created.  Frames stay size-capped
+JSON, decoded into checked wire types (:mod:`repro.wire`), never code; an
+oversize or a malformed frame drops the worker.
 """
 
 from __future__ import annotations
@@ -87,22 +81,17 @@ class Transport(DispatchPolicy):
     :class:`WorkerPool` served in input order.
 
     ``name`` is what spans, events and :attr:`name` report.  A pool-backed
-    transport launches ``workers`` local worker subprocesses unless
-    ``spawn_workers=False`` — set that when pointing real remote workers at
-    ``host:port`` (use ``port=<fixed>`` and ``host=0.0.0.0`` to listen
-    beyond loopback, and export the pool's token to them).
+    transport launches ``workers`` worker subprocesses.
 
-    The pool supervises the fleet (disconnects, respawn, deadlines, the
-    retry rule); this class is its dispatch policy — the pending queue of
+    The pool supervises the fleet (crashes, respawn, deadlines, the retry
+    rule); this class is its dispatch policy — the pending queue of
     the current job — plus the barrier ``run_job``, which delivers every
     result on the caller's thread, and the serial drain that is both the
     zero-worker path and the degradation of a fleet that is gone.
     """
 
     def __init__(self, name: str = "spawn", workers: int = 2,
-                 host: str = "127.0.0.1", port: int = 0,
-                 spawn_workers: bool = True, result_timeout: float = 600.0,
-                 fault_plan=None):
+                 result_timeout: float = 600.0, fault_plan=None):
         self.name = name = name.lower()
         self.workers = fleet_size(name, workers)
         #: Optional deterministic fault-injection script for chaos tests.
@@ -111,10 +100,8 @@ class Transport(DispatchPolicy):
         self.last_fault_stats = FaultStats()
         #: Runtimes built in *this* process (the serial drain's).
         self.runtime_cache = RuntimeCache()
-        self.spawn_workers = spawn_workers
         self.result_timeout = result_timeout
-        self._pool = (WorkerPool(self, workers=self.workers, host=host,
-                                 port=port, spawn_workers=spawn_workers,
+        self._pool = (WorkerPool(self, workers=self.workers,
                                  fault_plan=self.fault_plan)
                       if self.workers else None)
         # Per-job state, guarded by the pool's lock.
@@ -130,20 +117,9 @@ class Transport(DispatchPolicy):
         #: and the indices that ever got one (a second is dropped).
         self._ready: List[Tuple[int, object]] = []
         self._settled: Set[int] = set()
-        self._job_had_connection = False
         self._last_progress = 0.0
         #: Whether the last ``run_job`` delivered every result and returned.
         self._job_completed = False
-
-    @property
-    def address(self):
-        """(host, port) the transport listens on (starts it if needed)."""
-        return self._pool.address
-
-    @property
-    def token(self) -> str:
-        """What a hand-started worker must carry in ``REPRO_WORKER_TOKEN``."""
-        return self._pool.token
 
     def close(self) -> None:
         if self._pool is not None:
@@ -152,18 +128,14 @@ class Transport(DispatchPolicy):
     def reusable(self) -> bool:
         """Whether another owner's next job may start on this transport as
         it is — the condition for ``Scheduler.close`` to park it instead of
-        closing it: a running fleet of local workers on an ephemeral port
-        (a fixed port would stay bound, remote workers connected), with no
-        fault plan armed (a worker's injector keeps its one-shot
-        bookkeeping across jobs, so a reused chaos fleet would not re-fire
-        its faults), whose last job returned normally and needed no
-        recovery.  A job that raised — in the outcome decode, an interrupt
-        — may leave items running on the workers, and only ``close()``
-        stops them."""
-        return (self._pool is not None and self.spawn_workers
-                and self.fault_plan is None
-                and self._pool.port == 0 and self._pool.running
-                and self._job_completed
+        closing it: a running fleet with no fault plan armed (a worker's
+        injector keeps its one-shot bookkeeping across jobs, so a reused
+        chaos fleet would not re-fire its faults), whose last job returned
+        normally and needed no recovery.  A job that raised — in the
+        outcome decode, an interrupt — may leave items running on the
+        workers, and only ``close()`` stops them."""
+        return (self._pool is not None and self.fault_plan is None
+                and self._pool.running and self._job_completed
                 and not self.last_fault_stats.any())
 
     # -- job execution ------------------------------------------------------
@@ -192,7 +164,6 @@ class Transport(DispatchPolicy):
             self._deadline = job_wire.get("deadline")
             self._pending = deque((i, 0) for i in range(remaining))
             self._ready, self._settled = [], set()
-            self._job_had_connection = bool(pool.links)
             self._last_progress = _time.monotonic()
             self._job_completed = False
             pool.changed.notify_all()
@@ -264,8 +235,6 @@ class Transport(DispatchPolicy):
         (:meth:`WorkerPool.can_serve`)."""
         if not self._pending or self._pool.can_serve(self._job_id):
             return None
-        if not self.spawn_workers and not self._job_had_connection:
-            return None                  # remote workers may still connect
         items = list(self._pending)
         self._pending.clear()
         self._settled.update(index for index, _ in items)
@@ -282,7 +251,6 @@ class Transport(DispatchPolicy):
         if (self._job is None or not self._pending
                 or link.failed_job == self._job_id):
             return None
-        self._job_had_connection = True
         return self._job
 
     def next_item(self, link: WorkerLink, job: PoolJob) -> Optional[WorkItem]:

@@ -1,27 +1,25 @@
-"""``repro-worker`` — the one worker main: serve a coordinator's jobs.
+"""The one worker main: serve the jobs of the pool that launched it.
 
-Run one (or many, across machines) against a listening
-:class:`~repro.distrib.pool.WorkerPool` — a ``spawn``/``socket``
-transport or the repair service daemon, which launch their local workers
-exactly this way::
+A :class:`~repro.distrib.pool.WorkerPool` — behind a ``spawn``/``socket``
+transport or the repair service daemon — launches each worker as its own
+child on one end of a socketpair::
 
-    REPRO_WORKER_TOKEN=<pool token> python -m repro.distrib.worker --connect HOST:PORT
+    python -m repro.distrib.worker --fd N
 
-The worker presents the token (raw bytes, read from the environment; the
-pool sets it for workers it launches) and then speaks the pool's
-length-prefixed frame protocol (see :mod:`repro.distrib.pool`): it
+The worker says hello and then speaks the pool's length-prefixed frame
+protocol (see :mod:`repro.distrib.pool`) on that descriptor: it
 receives a job — a backtest *header* (scenario spec + backtester
 configuration + candidate count; the candidate wires arrive with each
 dispatched item, so the worker only ever holds the candidates it
 evaluates) or a whole repair run — builds its runtime, then pulls items
-one at a time and streams results back until the coordinator says
+one at a time and streams results back until the pool says
 ``job_done``.  A :class:`RuntimeCache` persists across jobs, so repeated
 jobs on the same scenario skip the scenario/backtester rebuild.
-It then waits for the next job; ``shutdown`` (or a closed connection) ends
-the process.  Frames are JSON: a coordinator can make a worker replay
+It then waits for the next job; ``shutdown`` (or the pool's end closing)
+ends the process.  Frames are JSON: the pool can make a worker replay
 scenarios, never run code of its choosing.
 
-When the coordinator ships a :class:`~repro.distrib.faults.FaultPlan` with
+When the pool ships a :class:`~repro.distrib.faults.FaultPlan` with
 the job frame, the worker arms a :class:`FaultInjector` against its
 assigned ``worker_id`` — the one fault-injection mapping, whichever
 transport name built the pool: ``kill`` exits the process, ``hang`` and
@@ -43,7 +41,7 @@ from typing import Optional
 
 from .faults import FaultInjector, FaultPlan
 from .jobs import RuntimeCache, build_runtime
-from .pool import _LENGTH, TOKEN_ENV, FrameError, recv_frame, send_frame
+from .pool import _LENGTH, FrameError, recv_frame, send_frame
 
 
 class GracefulShutdown:
@@ -52,9 +50,9 @@ class GracefulShutdown:
     An idle worker (blocked in ``recv`` between jobs or items) exits
     immediately; a busy one finishes the item it is evaluating, delivers
     the result frame, and exits before taking more work.  Either way the
-    coordinator sees a clean close and requeues nothing that was already
+    pool sees a clean close and requeues nothing that was already
     delivered — a Ctrl-C against a worker fleet therefore loses no
-    completed work and never wedges the coordinator.
+    completed work and never wedges the pool.
     """
 
     def __init__(self):
@@ -87,7 +85,7 @@ def _tamper_result_frame(sock: socket.socket, action) -> None:
 
     ``corrupt_frame`` sends a well-formed length prefix over an
     undecodable payload; ``truncate_frame`` promises more payload bytes
-    than it delivers and closes mid-frame.  Either way the coordinator
+    than it delivers and closes mid-frame.  Either way the pool
     must requeue the in-flight item and count a frame error, and this
     process is beyond saving.
     """
@@ -119,7 +117,7 @@ def _serve_job(sock: socket.socket, job_wire, cache: RuntimeCache,
     while True:
         message = recv_frame(sock)
         if message is None:
-            raise ConnectionError("coordinator closed mid-job")
+            raise ConnectionError("pool closed mid-job")
         kind = message.get("type")
         if kind == "job_done":
             return
@@ -156,38 +154,24 @@ def _serve_job(sock: socket.socket, job_wire, cache: RuntimeCache,
         shutdown.checkpoint()
 
 
-def serve(host: str, port: int, shutdown: GracefulShutdown) -> None:
-    """Connect to a coordinator and process jobs until shutdown."""
+def serve(sock: socket.socket, shutdown: GracefulShutdown) -> None:
+    """Say hello on ``sock`` and process jobs until shutdown."""
     cache = RuntimeCache()
     injector: Optional[FaultInjector] = None
     armed_wire = None
-    greeted = False
-    with socket.create_connection((host, port)) as sock:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.sendall(os.environ.get(TOKEN_ENV, "").encode("utf-8"))
-        send_frame(sock, {"type": "hello", "pid": os.getpid()})
+    with sock:
+        send_frame(sock, {"type": "hello"})
         while True:
             shutdown.checkpoint()
-            try:
-                message = recv_frame(sock)
-            except ConnectionResetError:
-                if greeted:
-                    raise
-                message = None
-            if message is None and not greeted:
-                # A pool that accepted us says ``shutdown`` before it goes.
-                raise ConnectionError(
-                    f"coordinator closed the connection without a frame "
-                    f"(wrong or missing {TOKEN_ENV}?)")
-            greeted = True
+            message = recv_frame(sock)
             if message is None or message.get("type") == "shutdown":
                 return
             if message.get("type") == "job":
                 fault_wire = message.get("fault")
                 if fault_wire != armed_wire:
                     # One injector per plan (the worker id is fixed for
-                    # the connection): its one-shot bookkeeping must
-                    # persist across jobs, not re-arm with every job frame.
+                    # the process): its one-shot bookkeeping must persist
+                    # across jobs, not re-arm with every job frame.
                     armed_wire = fault_wire
                     injector = (FaultInjector(
                         FaultPlan.from_wire(fault_wire),
@@ -198,22 +182,20 @@ def serve(host: str, port: int, shutdown: GracefulShutdown) -> None:
 
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro-worker", description=__doc__.splitlines()[0])
-    parser.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="coordinator socket to pull candidates from")
+        prog="python -m repro.distrib.worker",
+        description=__doc__.splitlines()[0])
+    parser.add_argument("--fd", required=True, type=int, metavar="N",
+                        help="inherited descriptor of the pool's socketpair")
     args = parser.parse_args(argv)
-    host, _, port = args.connect.rpartition(":")
-    if not host or not port.isdigit():
-        parser.error(f"--connect expects HOST:PORT, got {args.connect!r}")
     shutdown = GracefulShutdown().install()
     try:
-        serve(host, int(port), shutdown)
+        serve(socket.socket(fileno=args.fd), shutdown)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ConnectionError, OSError, FrameError) as exc:
         if shutdown.requested:
             return 0                     # drain raced the socket teardown
-        print(f"repro-worker: {exc}", file=sys.stderr)
+        print(f"repro.distrib.worker: {exc}", file=sys.stderr)
         return 1
     return 0
 

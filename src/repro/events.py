@@ -153,7 +153,7 @@ class CandidateQuarantined(SessionEvent):
     so one poisonous candidate cannot kill a thousand-candidate run.
     ``reason`` is the machine-readable failure class
     (``worker-exception`` / ``worker-crash`` / ``deadline`` /
-    ``disconnect`` / ``frame-error``).
+    ``frame-error``).
     """
 
     kind = "candidate_quarantined"

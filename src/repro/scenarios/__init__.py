@@ -25,7 +25,7 @@ def register_scenario(name: str,
     """Register a scenario builder under ``name`` (upper-cased).
 
     Registered scenarios can be named by :class:`ScenarioSpec` and therefore
-    evaluated on ``spawn`` and remote workers of the distributed backtest
+    evaluated by the worker processes of the distributed backtest
     fabric.  Re-registering a name replaces the previous builder.
     """
     SCENARIO_BUILDERS[name.upper()] = builder
@@ -45,22 +45,26 @@ del _name
 
 @lru_cache(maxsize=None)
 def _parameters(builder: Callable[..., NDlogScenario]):
-    """The parameters of a registered builder; a lazily imported case study
-    answers with its real builder's."""
+    """The parameters of a registered builder and the ``SIZE_RANGES`` table
+    beside it (none: no bounds); a lazily imported case study answers with
+    its real builder's."""
     if isinstance(builder, partial) and builder.func is _build_case_study:
         builder = getattr(sys.modules[__name__], *builder.args)
-    return inspect.signature(builder).parameters
+    module = sys.modules.get(getattr(builder, "__module__", None))
+    return (inspect.signature(builder).parameters,
+            getattr(module, "SIZE_RANGES", {}))
 
 
 def check_spec(spec: ScenarioSpec) -> None:
     """Refuse a spec that its builder could not take, as a :class:`SpecError`:
-    an unregistered name, a parameter the builder lacks, or a value whose
-    type is not its default's (``bool`` is no ``int``)."""
+    an unregistered name, a parameter the builder lacks, a value whose type
+    is not its default's (``bool`` is no ``int``), or a size outside the
+    closed range the builder's ``SIZE_RANGES`` declares."""
     builder = SCENARIO_BUILDERS.get(spec.name)
     if builder is None:
         raise SpecError(f"unknown scenario {spec.name!r}; registered: "
                         f"{', '.join(sorted(SCENARIO_BUILDERS))}")
-    parameters = _parameters(builder)
+    parameters, ranges = _parameters(builder)
     for key, value in spec.params:
         parameter = parameters.get(key)
         if parameter is None:
@@ -70,6 +74,10 @@ def check_spec(spec: ScenarioSpec) -> None:
         if default is not parameter.empty and type(value) is not type(default):
             raise SpecError(f"scenario {spec.name} parameter {key!r} must be "
                             f"{type(default).__name__}, not {value!r}")
+        if key in ranges and not ranges[key][0] <= value <= ranges[key][1]:
+            raise SpecError(f"scenario {spec.name} parameter {key!r} must be "
+                            f"within [{ranges[key][0]}, {ranges[key][1]}], "
+                            f"not {value!r}")
 
 
 def build_scenario(name: str, **kwargs) -> NDlogScenario:

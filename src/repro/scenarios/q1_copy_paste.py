@@ -117,6 +117,13 @@ def q1_trace(topology: Topology, repetitions: int = 3) -> List[Tuple[int, Packet
     return trace
 
 
+#: The closed range of each size parameter of :func:`build_q1`
+#: (``check_spec``): S1's client ids (101 on) keep the two offloaded clients
+#: and stay below S4's (201 on).
+SIZE_RANGES = {"s1_clients": (2, 100), "s4_clients": (0, 100),
+               "repetitions": (1, 50)}
+
+
 def build_q1(s1_clients: int = 12, s4_clients: int = 4,
              repetitions: int = 3) -> NDlogScenario:
     """Build the Q1 scenario ("H2 is not receiving HTTP requests")."""

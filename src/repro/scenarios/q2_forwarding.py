@@ -87,6 +87,10 @@ def _dns_from_affected_client_delivered(outcomes) -> bool:
                for packet, destination in outcomes)
 
 
+#: The closed range of each size parameter of :func:`build_q2`.
+SIZE_RANGES = {"repetitions": (1, 50)}
+
+
 def build_q2(repetitions: int = 2) -> NDlogScenario:
     """Build the Q2 scenario ("H17 is not receiving DNS queries from H1")."""
     symptom = Symptom(

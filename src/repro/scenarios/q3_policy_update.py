@@ -75,6 +75,10 @@ def _offloaded_client_reaches_server(outcomes) -> bool:
                for packet, destination in outcomes)
 
 
+#: The closed range of each size parameter of :func:`build_q3`.
+SIZE_RANGES = {"repetitions": (1, 50)}
+
+
 def build_q3(repetitions: int = 2) -> NDlogScenario:
     """Build the Q3 scenario ("H20 is not receiving HTTP requests from H1")."""
     symptom = Symptom(

@@ -74,6 +74,10 @@ def _no_http_packet_lost(outcomes) -> bool:
                    for packet, destination in outcomes)
 
 
+#: The closed range of each size parameter of :func:`build_q4`.
+SIZE_RANGES = {"clients": (1, 100), "repetitions": (1, 50)}
+
+
 def build_q4(clients: int = 8, repetitions: int = 2) -> NDlogScenario:
     """Build the Q4 scenario ("First HTTP packet from H2 to H20 is not received")."""
     symptom = Symptom(

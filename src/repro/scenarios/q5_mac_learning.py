@@ -73,6 +73,11 @@ def q5_trace(topology: Topology, repetitions: int = 3) -> List[Tuple[int, Packet
     return trace
 
 
+#: The closed range of each size parameter of :func:`build_q5`: every host
+#: talks to every other, so the trace grows with the square of the hosts.
+SIZE_RANGES = {"extra_hosts": (1, 30), "repetitions": (1, 50)}
+
+
 def build_q5(extra_hosts: int = 3, repetitions: int = 3) -> NDlogScenario:
     """Build the Q5 scenario ("H2's address is not learned by the controller")."""
     symptom = Symptom(

@@ -2,7 +2,7 @@
 
 Scenarios themselves cannot be shipped: they close over topology and trace
 factories, hold a parsed program and cache a materialised trace.  Worker
-processes and remote machines get a fresh interpreter and need a
+processes get a fresh interpreter and need a
 *description* they can rebuild the scenario from.
 
 A :class:`ScenarioSpec` is that description: the registered scenario name,

@@ -10,7 +10,7 @@ fault-tolerant; this package turns the pieces into a long-lived service:
   worker-side interpreter (scenario-cached, event-streaming);
 * :mod:`~repro.service.daemon` — :class:`RepairServiceDaemon`, the
   multi-tenant coordinator: fair-share scheduling over a supervised
-  ``repro-worker`` fleet, per-job retry/quarantine/deadlines, live
+  worker fleet, per-job retry/quarantine/deadlines, live
   per-session event streams;
 * :mod:`~repro.service.http` — the stdlib HTTP/JSON front door
   (``repro serve``);

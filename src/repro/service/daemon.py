@@ -5,8 +5,8 @@ barrier semantics (``run_job`` blocks until every item is delivered) —
 the right shape for a backtest stage, the wrong shape for a long-lived
 service accepting submissions while others run.  The
 :class:`RepairServiceDaemon` therefore drives the *same*
-:class:`~repro.distrib.pool.WorkerPool` — same ``repro-worker``
-processes, frame protocol, token, supervision and retry rule — with a
+:class:`~repro.distrib.pool.WorkerPool` — same worker processes, frame
+protocol, supervision and retry rule — with a
 different :class:`~repro.distrib.pool.DispatchPolicy`: every repair
 session is one single-item job (:class:`~repro.service.wire.RepairJob`),
 idle workers pull the next session the moment they finish one, and
@@ -19,13 +19,12 @@ running, breaking ties by least-recently-dispatched — so a tenant that
 dumps a hundred sessions cannot starve a tenant submitting one.
 
 The fabric's fault rule (:mod:`repro.distrib.faults`) applies per repair
-job, and no submission can change it: a worker crash, disconnect,
-exception or — when :data:`SESSION_DEADLINE_SECONDS` is set — hang
-requeues the session with an attempt charged, and a session out of
-attempts is failed with the same ``quarantined(<reason>) after N
-attempts`` shape the backtest fabric uses.  Dead local workers are
-respawned forever (a crash streak only lengthens the capped backoff);
-respawned workers get fresh worker ids, so positional
+job, and no submission can change it: a worker crash, exception or —
+when :data:`SESSION_DEADLINE_SECONDS` is set — hang requeues the session
+with an attempt charged, and a session out of attempts is failed with the
+same ``quarantined(<reason>) after N attempts`` shape the backtest fabric
+uses.  Dead workers are respawned forever (a crash streak only lengthens
+the capped backoff); respawned workers get fresh worker ids, so positional
 :class:`~repro.distrib.faults.FaultPlan` actions do not re-fire.
 
 Events stream live: workers forward every
@@ -106,7 +105,7 @@ class SessionRecord:
     stage_seconds: Optional[Dict] = None
     #: ``quarantined(<reason>) after N attempts`` when the state is failed.
     error: str = ""
-    #: Long-form failure detail (last traceback / disconnect note).
+    #: Long-form failure detail (last traceback / crash note).
     error_detail: str = ""
     #: Forwarded SessionEvent wires of the current attempt, in emission
     #: order.
@@ -142,11 +141,9 @@ class SessionRecord:
 class RepairServiceDaemon(DispatchPolicy):
     """Accept, schedule and supervise many concurrent repair sessions.
 
-    ``workers`` local ``repro-worker`` subprocesses are launched against
-    the daemon's pool unless ``spawn_workers=False`` (then point remote
-    workers at :attr:`address`, with ``REPRO_WORKER_TOKEN`` set to the
-    same value on both sides).  ``fault_plan`` arms deterministic chaos
-    against the fleet, exactly like the transports.
+    ``workers`` worker subprocesses serve the daemon's pool (``0``: none,
+    and the policy hooks are driven by hand).  ``fault_plan`` arms
+    deterministic chaos against the fleet, exactly like the transports.
 
     ``on_event`` (optional) observes every forwarded session event as a
     wire dict annotated with ``session_id``/``tenant`` — the ``repro
@@ -156,16 +153,12 @@ class RepairServiceDaemon(DispatchPolicy):
     :data:`MAX_FINISHED_SESSIONS` finished ones (module docstring).
     """
 
-    def __init__(self, workers: int = 2, host: str = "127.0.0.1",
-                 port: int = 0, spawn_workers: bool = True,
-                 fault_plan=None,
+    def __init__(self, workers: int = 2, fault_plan=None,
                  metrics: Optional[MetricsRegistry] = None,
                  on_event: Optional[Callable[[Dict], None]] = None):
         self.metrics = metrics or MetricsRegistry()
         self.on_event = on_event
-        self._pool = WorkerPool(self, workers=workers, host=host, port=port,
-                                spawn_workers=spawn_workers,
-                                fault_plan=fault_plan,
+        self._pool = WorkerPool(self, workers=workers, fault_plan=fault_plan,
                                 unlimited_restarts=True)
         # One lock for fleet and sessions: every hook below that the pool
         # calls with its lock held can touch the records directly.
@@ -188,16 +181,6 @@ class RepairServiceDaemon(DispatchPolicy):
     def start(self) -> "RepairServiceDaemon":
         self._pool.start()
         return self
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """(host, port) workers connect to (starts the daemon if needed)."""
-        return self._pool.address
-
-    @property
-    def token(self) -> str:
-        """What a hand-started worker must carry in ``REPRO_WORKER_TOKEN``."""
-        return self._pool.token
 
     @property
     def fault_stats(self) -> FaultStats:

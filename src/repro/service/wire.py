@@ -1,7 +1,7 @@
 """The :class:`RepairJob` wire: a whole repair run as one job.
 
 A ``RepairJob`` wraps a full :class:`~repro.api.config.RepairConfig`, so a
-``repro-worker`` runs the entire Diagnose → Generate → Backtest → Rank
+worker runs the entire Diagnose → Generate → Backtest → Rank
 pipeline and ships the ranked report back.  Its wire is told from a
 backtest job wire (:func:`repro.distrib.jobs.build_job_wire`) by ``"kind":
 "repair"``, on which :func:`repro.distrib.jobs.build_runtime` dispatches,

@@ -141,9 +141,15 @@ def test_a_config_file_naming_a_removed_knob_is_exit_2(tmp_path, capsys):
     ({"scenario": {"name": "Q1", "params": {"bogus": 1}}},
      "scenario Q1 has no parameter 'bogus'"),
     ({"scenario": {"name": "Q1", "params": {"s1_clients": "x"}}},
-     "scenario Q1 parameter 's1_clients' must be int, not 'x'")],
+     "scenario Q1 parameter 's1_clients' must be int, not 'x'"),
+    # These two ran: an empty-handed report, and a job beyond any fleet.
+    ({"scenario": {"name": "Q1", "params": {"s1_clients": 150}}},
+     "scenario Q1 parameter 's1_clients' must be within [2, 100], not 150"),
+    ({"max_candidates": 10 ** 12},
+     f"config max_candidates must be <= 1000, not {10 ** 12}")],
     ids=["fault_tolerance", "unknown_option", "fault_plan",
-         "scenario_param", "scenario_param_type"])
+         "scenario_param", "scenario_param_type", "scenario_size",
+         "max_candidates"])
 def test_a_config_file_setting_the_fleets_rule_is_exit_2(tmp_path, capsys,
                                                           config, problem):
     path = tmp_path / "config.json"
@@ -159,7 +165,7 @@ def test_a_config_file_setting_the_fleets_rule_is_exit_2(tmp_path, capsys,
 #: Every option of a run-shaped subcommand, in ``--help`` order.
 RUN_FLAGS = ["--config", "--max-candidates", "--trace-limit",
              "--ks-threshold", "--max-packet-in-growth", "--workers",
-             "--transport", "--port", "--fault-plan", "--abort-check-every",
+             "--transport", "--fault-plan", "--abort-check-every",
              "--json", "--events", "--quiet", "--trace", "--stats",
              "--profile", "--trace-slices", "--trace-fixpoints"]
 
@@ -264,7 +270,7 @@ def test_every_subcommand_dispatches_to_a_handler():
     handlers = dict(_subcommand_parsers(cli.build_parser()))
     assert {" ".join(words) for words in handlers} == {
         "repair", "backtest", "lint", "trace", "stats", "events summarize",
-        "worker", "serve", "submit", "status", "scenarios list"}
+        "serve", "submit", "status", "scenarios list"}
     for words, parser in handlers.items():
         func = parser.get_default("func")
         if words == ("repair",):

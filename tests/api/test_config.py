@@ -26,7 +26,7 @@ def full_config():
         abort=EarlyAbortPolicy(check_every=16, min_fraction=0.5),
         workers=3,
         transport="spawn",
-        transport_options={"port": 0},
+        transport_options={"result_timeout": 60.0},
     )
 
 
@@ -89,12 +89,11 @@ def test_unknown_keys_rejected():
      r"config transport_options 'fault_plan': unknown fault kind 'explode'"),
     ({"fault_plan": "chaos"},
      r"config transport_options 'fault_plan': cannot build a FaultPlan"),
-    # Each crashed inside the transport or the pool once the run started.
-    ({"port": "x"}, r"key 'port' must be int, not 'x'"),
-    ({"port": True}, r"key 'port' must be int, not True"),
-    ({"port": 70000}, r"port must be within \[0, 65535\], not 70000"),
-    ({"host": 5}, r"key 'host' must be str, not 5"),
-    ({"spawn_workers": "no"}, r"key 'spawn_workers' must be bool, not 'no'"),
+    # The remote-worker keys are gone with the listener.
+    ({"host": "127.0.0.1", "port": 0, "spawn_workers": False},
+     r"unknown config transport_options keys: "
+     r"\['host', 'port', 'spawn_workers'\]"),
+    # Crashed inside the transport once the run started.
     ({"result_timeout": None},
      r"key 'result_timeout' must be int or float, not None"),
     # A spawn fleet raised TransportError("no worker progress for -1s").
@@ -104,8 +103,8 @@ def test_unknown_keys_rejected():
      r"result_timeout must be finite and > 0, not 0.0"),
     ({"result_timeout": math.nan},
      r"result_timeout must be finite and > 0, not nan"),
-], ids=["unknown", "fault_policy", "plan_kind", "plan_type", "port_str",
-        "port_bool", "port_range", "host", "spawn_workers", "result_timeout",
+], ids=["unknown", "fault_policy", "plan_kind", "plan_type", "remote_keys",
+        "result_timeout",
         "result_timeout_negative", "result_timeout_zero",
         "result_timeout_nan"])
 def test_transport_options_are_checked_when_decoded(options, message):
@@ -120,8 +119,7 @@ def test_transport_options_are_checked_when_decoded(options, message):
 
 
 def test_every_transport_keyword_is_accepted():
-    options = {"host": "127.0.0.1", "port": 0, "spawn_workers": True,
-               "result_timeout": 60.0,
+    options = {"result_timeout": 60.0,
                "fault_plan": {"seed": 0, "actions": [
                    {"kind": "kill", "worker": 0, "after_items": 0}]}}
     config = RepairConfig.from_wire({"transport_options": options})
@@ -324,13 +322,38 @@ Q1 = ScenarioSpec.create("Q1")
      "scenario Q4 parameter 'clients' must be int, not True"),
     ("scenario", ScenarioSpec.create("Q2", params={"repetitions": 2.0}),
      "scenario Q2 parameter 'repetitions' must be int, not 2.0"),
+    # Each decoded: the first two a job no worker could finish, the rest
+    # a run that exited 0 with a meaningless report (an empty trace, or
+    # ids 201-204 given to both an S1 and an S4 client).
+    ("max_candidates", 1001, "max_candidates must be <= 1000, not 1001"),
+    ("max_candidates", 10 ** 12,
+     f"max_candidates must be <= 1000, not {10 ** 12}"),
+    ("scenario", ScenarioSpec.create("Q1", params={"s1_clients": 10 ** 7}),
+     "scenario Q1 parameter 's1_clients' must be within [2, 100], "
+     "not 10000000"),
+    ("scenario", ScenarioSpec.create("Q1", params={"s1_clients": 0}),
+     "scenario Q1 parameter 's1_clients' must be within [2, 100], not 0"),
+    ("scenario", ScenarioSpec.create("Q1", params={"s1_clients": -5}),
+     "scenario Q1 parameter 's1_clients' must be within [2, 100], not -5"),
+    ("scenario", ScenarioSpec.create("Q1", params={"s1_clients": 150}),
+     "scenario Q1 parameter 's1_clients' must be within [2, 100], not 150"),
+    ("scenario", ScenarioSpec.create("Q1", params={"repetitions": 0}),
+     "scenario Q1 parameter 'repetitions' must be within [1, 50], not 0"),
+    ("scenario", ScenarioSpec.create("Q4", params={"clients": 0}),
+     "scenario Q4 parameter 'clients' must be within [1, 100], not 0"),
+    ("scenario", ScenarioSpec.create("Q5", params={"extra_hosts": 31}),
+     "scenario Q5 parameter 'extra_hosts' must be within [1, 30], not 31"),
 ], ids=["max_candidates-0", "max_candidates--3", "trace_limit-0",
         "trace_limit--5", "workers-0", "workers--1", "ks_threshold-nan",
         "ks_threshold--1", "ks_threshold-1.5", "max_packet_in_growth-0",
         "max_packet_in_growth--2", "max_packet_in_growth-inf",
         "slice_packets-0", "slice_packets--3", "scenario-unknown",
         "scenario-param-unknown", "scenario-param-str",
-        "scenario-param-bool", "scenario-param-float"])
+        "scenario-param-bool", "scenario-param-float", "max_candidates-1001",
+        "max_candidates-1e12", "scenario-q1-s1_clients-1e7",
+        "scenario-q1-s1_clients-0", "scenario-q1-s1_clients--5",
+        "scenario-q1-s1_clients-150", "scenario-q1-repetitions-0",
+        "scenario-q4-clients-0", "scenario-q5-extra_hosts-31"])
 def test_counts_out_of_range_are_refused_on_every_path(key, value, message):
     """Counts, bounds and the scenario spec are checked when a config is
     built, copied or decoded."""
@@ -342,6 +365,28 @@ def test_counts_out_of_range_are_refused_on_every_path(key, value, message):
         RepairConfig(**{"scenario": Q1, key: value})
     with pytest.raises(ConfigError, match=match):
         RepairConfig(scenario=Q1).with_updates(**{key: value})
+
+
+@pytest.mark.parametrize("name, params, max_candidates", [
+    *[(name, {}, 20) for name in ("Q1", "Q2", "Q3", "Q4", "Q5")],
+    # The ledger's sizes: trace_heavy's three draws, candidate_heavy.
+    ("Q1", {"s1_clients": 48, "s4_clients": 16, "repetitions": 10}, 14),
+    ("Q1", {"s1_clients": 45, "s4_clients": 18, "repetitions": 10}, 14),
+    ("Q1", {"s1_clients": 51, "s4_clients": 14, "repetitions": 10}, 14),
+    ("Q1", {}, 100),
+    # Each end of each range.
+    ("Q1", {"s1_clients": 2, "s4_clients": 0, "repetitions": 1}, 1000),
+    ("Q1", {"s1_clients": 100, "s4_clients": 100, "repetitions": 50}, 1),
+    ("Q4", {"clients": 1, "repetitions": 50}, 20),
+    ("Q4", {"clients": 100, "repetitions": 1}, 20),
+    ("Q5", {"extra_hosts": 1, "repetitions": 50}, 20),
+    ("Q5", {"extra_hosts": 30, "repetitions": 1}, 20),
+])
+def test_defaults_ledger_sizes_and_range_ends_are_accepted(name, params,
+                                                           max_candidates):
+    config = RepairConfig.for_scenario(name, params=params,
+                                       max_candidates=max_candidates)
+    assert RepairConfig.from_wire(config.to_wire()) == config
 
 
 def test_counts_at_their_floor_are_accepted():

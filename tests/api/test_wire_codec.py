@@ -114,7 +114,7 @@ SAMPLES = {
         scenario=ScenarioSpec.create("Q2", params={"repetitions": 2}),
         trace_limit=120, max_packet_in_growth=2.5,
         abort=EarlyAbortPolicy(check_every=16, min_fraction=0.5),
-        transport="spawn", transport_options={"port": 0},
+        transport="spawn", transport_options={"result_timeout": 60.0},
         telemetry=TelemetryConfig(slice_packets=64)),
     TelemetryConfig: TelemetryConfig(slice_packets=8, profile=True),
     EarlyAbortPolicy: EarlyAbortPolicy(check_every=8, min_fraction=0.1),

@@ -1,8 +1,8 @@
 """Deterministic chaos suite for the fault-tolerant fabric.
 
 Acceptance contract (ISSUE 9): for every fault class a :class:`FaultPlan`
-can script — worker crash, hang past the per-item deadline, TCP
-disconnect mid-job, corrupt/truncated frames, poison candidates — a run
+can script — worker crash, hang past the per-item deadline,
+corrupt/truncated frames, poison candidates — a run
 completes without raising and the final report is **bit-identical to the
 fault-free run** modulo the deterministic quarantine rows.  That a
 fault-free run is bit-identical on every transport, with no recovery
@@ -17,7 +17,7 @@ killed the whole run.
 ``"spawn"`` and ``"socket"`` are two names for one pool-backed transport
 (:class:`repro.distrib.WorkerPool`), so each fault class is exercised
 once, under whichever name it was first pinned; the pool's own mechanics
-(every failure reason, budgeted respawn, token and frame hardening) are
+(every failure reason, budgeted respawn, frame hardening) are
 driven without a scenario in ``test_pool.py``.
 """
 
@@ -27,14 +27,13 @@ import pytest
 
 from repro.api import EventBus
 from repro.backtest import Backtester
-from repro.distrib import FaultAction, FaultPlan, Scheduler, Transport
+from repro.distrib import FaultAction, FaultPlan, Scheduler
 from repro.distrib import faults
 from repro.obs import Telemetry
 from repro.repair import ChangeConstant, DeleteSelection, RepairCandidate
 from repro.scenarios import build_scenario
 
 from cases import report_snapshot, scenario_candidates
-from test_transport_parity import remote_workers
 
 
 def q1_candidates():
@@ -239,33 +238,13 @@ def test_spawn_degrades_to_serial_drain(scenario, candidates,
 
 
 # ---------------------------------------------------------------------------
-# Remote peers and frame corruption
+# Frame corruption
 # ---------------------------------------------------------------------------
-
-
-def test_socket_disconnect_mid_job(scenario, candidates, serial_snapshot):
-    """A *remote* worker (hand-started, token in its environment) dying
-    mid-item is a ``disconnect``, not a ``worker-crash``: the in-flight
-    item is requeued to the surviving peer, and the pool respawns nothing
-    — it did not launch that process."""
-    plan = FaultPlan(actions=(
-        FaultAction(kind="kill", worker=0, after_items=0),))
-    transport = Transport("socket", spawn_workers=False, fault_plan=plan,
-                          result_timeout=120.0)
-    with remote_workers(transport, 2) as processes:
-        try:
-            report, stats = fabric_run(scenario, candidates, transport)
-        finally:
-            transport.close()
-    assert report_snapshot(report) == serial_snapshot
-    assert stats.retries == {"disconnect": 1}
-    assert stats.worker_restarts == 0
-    assert sorted(p.returncode for p in processes) == [0, 1]
 
 
 def test_socket_corrupt_frame_is_disconnect_with_requeue(
         scenario, candidates, serial_snapshot):
-    """An undecodable length-prefixed frame is handled as a disconnect —
+    """An undecodable length-prefixed frame is handled as a lost worker —
     counted in ``fabric_frame_errors``, item requeued — not a hard error."""
     plan = FaultPlan(actions=(
         FaultAction(kind="corrupt_frame", worker=0, after_items=0),))

@@ -2,17 +2,18 @@
 
 No scenario is built and no backtester runs here.  A ``FakePolicy``
 hands out numbered items and logs every hook the pool calls; a
-``StubWorker`` is a bare socket speaking (or abusing) the frame protocol,
-which makes it a *remote* peer.  The few tests that need a process the
-pool itself launched use the real ``repro-worker`` main, idle or killed
-by a fault plan before it evaluates anything.
+``StubWorker`` is one end of a socketpair whose other end the pool
+adopts (``WorkerPool.adopt``), speaking (or abusing) the frame protocol
+with no process behind it.  The few tests that need a process the pool
+itself launched use the real worker main, idle or killed by a fault plan
+before it evaluates anything.
 
 Covered: the frame sequence, every failure reason, the one retry rule up
 to quarantine, deadline severing, budgeted backoff respawn with fresh
-worker ids, restartable close — and the hardening contract: a peer with
-no or a wrong token, an oversize or a garbage frame gets a typed error or
-a clean drop, never a traceback or a hang, and frames are JSON, so a
-pickle is garbage even behind the right token.
+worker ids, restartable close, one thread per worker — and the hardening
+contract: an oversize or a garbage frame gets a typed error or a clean
+drop, never a traceback or a hang, and frames are JSON, so a pickle is
+garbage.
 """
 
 import json
@@ -31,11 +32,11 @@ from hypothesis import strategies as st
 
 from repro.api import RepairConfig
 from repro.distrib import (DispatchPolicy, FaultAction, FaultPlan,
-                           FrameError, PoolJob, WorkItem, WorkerPool)
+                           FrameError, PoolJob, Transport, WorkItem,
+                           WorkerPool)
 from repro.distrib import faults
-from repro.distrib import pool as pool_module
 from repro.distrib.pool import MAX_FRAME_BYTES, recv_frame, send_frame
-from repro.service import RepairJob
+from repro.service import RepairJob, RepairServiceDaemon
 
 #: Appended to by :func:`_explode` — the visible side effect of unpickling
 #: a hostile payload.
@@ -117,13 +118,15 @@ class FakePolicy(DispatchPolicy):
 
 
 class StubWorker:
-    """A remote peer: raw socket, honest or not."""
+    """A worker played by hand, honest or not: the pool adopts the other
+    end of its socketpair, with no process behind it."""
 
-    def __init__(self, pool, token=None, hello=True):
-        self.sock = socket.create_connection(pool.address, timeout=30)
-        self.sock.sendall((pool.token if token is None else token).encode())
+    def __init__(self, pool, hello=True):
+        self.sock, theirs = socket.socketpair()
+        self.sock.settimeout(30)
+        pool.adopt(theirs)
         if hello:
-            self.send(type="hello", pid=None)
+            self.send(type="hello")
 
     def send(self, **frame):
         send_frame(self.sock, frame)
@@ -165,7 +168,7 @@ def make_pool():
     threading.excepthook = lambda args: crashes.append(args)
 
     def _make(policy, **kwargs):
-        kwargs.setdefault("spawn_workers", False)
+        kwargs.setdefault("workers", 0)
         pool = WorkerPool(policy, **kwargs).start()
         pools.append(pool)
         return pool
@@ -238,68 +241,6 @@ def test_recv_frame_on_arbitrary_bytes(data):
     assert message is None or isinstance(message, dict)
 
 
-# ---------------------------------------------------------------------------
-# The token gate
-# ---------------------------------------------------------------------------
-
-
-def test_a_pickle_behind_the_token_is_a_frame_error_and_never_runs(
-        make_pool):
-    """No token, a wrong token: dropped before any decode and counted.
-    The right token followed by the same bytes: a frame error too, because
-    a frame is JSON — the pickle's ``__reduce__`` never runs, anywhere."""
-    policy = FakePolicy()
-    pool = make_pool(policy)
-    del DETONATED[:]
-    wrong = "0" * len(pool.token)
-    for token in ("", wrong, wrong[:-1], pool.token[:-1] + "!", pool.token):
-        peer = StubWorker(pool, token=token, hello=False)
-        peer.sock.sendall(HOSTILE_FRAME)
-        peer.half_close()
-        assert peer.dropped()
-        peer.close()
-    with pool.changed:
-        assert pool.changed.wait_for(lambda: pool.stats.frame_errors == 5,
-                                     30)
-    assert DETONATED == []
-    assert pool.links == [] and policy.log == []
-
-
-def test_silent_peer_is_dropped_after_the_handshake_window(make_pool,
-                                                           monkeypatch):
-    monkeypatch.setattr(pool_module, "_HANDSHAKE_SECONDS", 0.2)
-    pool = make_pool(FakePolicy())
-    peer = StubWorker(pool, token="", hello=False)    # connects, says nothing
-    assert peer.dropped()
-    assert pool.stats.frame_errors == 1 and pool.links == []
-    peer.close()
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.binary(max_size=200))
-@example(HOSTILE_FRAME)
-@example(b"\xff" * 64 + HOSTILE_FRAME)
-def test_unauthenticated_bytes_get_a_clean_drop(fuzz_pool, data):
-    """Whatever a stranger sends: the connection is closed, it is never
-    registered, nothing is decoded, and no pool thread dies of it."""
-    pool, crashes = fuzz_pool
-    before = pool.stats.frame_errors
-    sock = socket.create_connection(pool.address, timeout=30)
-    try:
-        sock.sendall(data)
-        sock.shutdown(socket.SHUT_WR)
-        while sock.recv(4096):
-            pass                                  # until the pool hangs up
-    except OSError as exc:
-        assert not isinstance(exc, socket.timeout)   # reset, never a hang
-    finally:
-        sock.close()
-    with pool.changed:
-        assert pool.changed.wait_for(
-            lambda: pool.stats.frame_errors > before, 30)
-    assert pool.links == [] and DETONATED == [] and not crashes
-
-
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=8)
     | st.floats(allow_nan=False, allow_infinity=False),
@@ -314,13 +255,15 @@ JSON = st.recursive(
        | st.dictionaries(st.text(max_size=8), JSON, max_size=3).map(
            lambda v: framed(json.dumps(dict(v, type="hello")).encode())))
 @example(HOSTILE_FRAME)
+@example(b"\xff" * 64 + HOSTILE_FRAME)
 @example(framed(b'{"type": "hello", "pid": 7}') + b"\xff" * 8)
-def test_bytes_behind_the_token_are_a_hello_or_a_frame_error(token_pool,
-                                                             data):
-    """Whatever a token holder sends first: a JSON hello registers it, and
+def test_a_workers_first_bytes_are_a_hello_or_a_frame_error(fuzz_pool,
+                                                            data):
+    """Whatever a worker sends first: a JSON hello registers it, and
     anything else — a pickle included — is a counted frame error and a
-    closed connection.  No pool thread dies, nothing hangs."""
-    pool, crashes = token_pool
+    closed socket, with nothing unpickled.  No pool thread dies, nothing
+    hangs."""
+    pool, crashes = fuzz_pool
     try:
         first = feed(data)
     except FrameError:
@@ -328,11 +271,12 @@ def test_bytes_behind_the_token_are_a_hello_or_a_frame_error(token_pool,
     hello = isinstance(first, dict) and first.get("type") == "hello"
     with pool.changed:
         errors, links = pool.stats.frame_errors, len(pool.links)
-    sock = socket.create_connection(pool.address, timeout=30)
+    ours, theirs = socket.socketpair()
+    pool.adopt(theirs)
     try:
         try:
-            sock.sendall(pool.token.encode() + data)
-            sock.shutdown(socket.SHUT_WR)
+            ours.sendall(data)
+            ours.shutdown(socket.SHUT_WR)
         except OSError:
             pass                                  # the pool hung up first
         with pool.changed:
@@ -340,30 +284,21 @@ def test_bytes_behind_the_token_are_a_hello_or_a_frame_error(token_pool,
                 lambda: (pool.stats.frame_errors, len(pool.links))
                 == (errors + (not hello), links + hello), 30)
     finally:
-        sock.close()
+        ours.close()
     assert DETONATED == [] and not crashes
-
-
-def _module_pool():
-    crashes = []
-    previous = threading.excepthook
-    threading.excepthook = lambda args: crashes.append(args)
-    pool = WorkerPool(FakePolicy(), spawn_workers=False).start()
-    del DETONATED[:]
-    yield pool, crashes
-    pool.close()
-    threading.excepthook = previous
 
 
 @pytest.fixture(scope="module")
 def fuzz_pool():
-    yield from _module_pool()
-
-
-@pytest.fixture(scope="module")
-def token_pool():
-    """Registered peers stay in its links, idle: the policy has no job."""
-    yield from _module_pool()
+    """Registered stubs stay in its links, idle: the policy has no job."""
+    crashes = []
+    previous = threading.excepthook
+    threading.excepthook = lambda args: crashes.append(args)
+    pool = WorkerPool(FakePolicy(), workers=0).start()
+    del DETONATED[:]
+    yield pool, crashes
+    pool.close()
+    threading.excepthook = previous
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +364,12 @@ def _hang(peer):
 
 @pytest.mark.parametrize("misbehave, reason, frame_errors", [
     (_report_error, "worker-exception", 0),
-    (_vanish, "disconnect", 0),
+    (_vanish, "worker-crash", 0),
     (_send_garbage, "frame-error", 1),
     (_send_oversize, "frame-error", 1),
     (_hang, "deadline", 0),
 ])
-def test_remote_failure_reasons(make_pool, misbehave, reason, frame_errors):
+def test_failure_reasons(make_pool, misbehave, reason, frame_errors):
     policy = FakePolicy(items=1, deadline=0.3 if reason == "deadline"
                         else None)
     pool = make_pool(policy)
@@ -447,7 +382,7 @@ def test_remote_failure_reasons(make_pool, misbehave, reason, frame_errors):
     assert pool.stats.retries == {reason: 1}
     assert pool.stats.retry_log == [(0, reason, 1)]
     assert pool.stats.frame_errors == frame_errors
-    assert pool.stats.worker_restarts == 0        # not ours to respawn
+    assert pool.stats.worker_restarts == 0        # no process to respawn
     if reason == "worker-exception":
         # The link survives an error frame and is offered the retry.
         assert peer.recv() == {"type": "item", "index": 0,
@@ -524,7 +459,7 @@ def test_setup_failure_takes_the_link_out_of_the_job(make_pool):
 
 
 # ---------------------------------------------------------------------------
-# Local workers: crash reason, budgeted backoff respawn, fresh ids
+# Launched workers: crash reason, budgeted backoff respawn, fresh ids
 # ---------------------------------------------------------------------------
 
 
@@ -544,7 +479,7 @@ def test_local_crash_is_worker_crash_and_respawn_is_budgeted(make_pool,
     policy.requeue_retries = False                # one attempt is the test
     plan = FaultPlan(actions=(FaultAction(kind="kill", worker=0,
                                           after_items=0),))
-    pool = make_pool(policy, workers=1, spawn_workers=True, fault_plan=plan)
+    pool = make_pool(policy, workers=1, fault_plan=plan)
     (first,) = pool.processes
     assert os.getpgid(first.pid) != os.getpgid(0)   # its own session
     policy.wait_for(lambda: policy.logged("retry"))
@@ -576,14 +511,13 @@ def test_unlimited_restarts_keep_healing_with_fresh_ids(make_pool,
     monkeypatch.setattr(faults, "RESTART_BUDGET", 0)     # not consulted
     monkeypatch.setattr(faults, "BACKOFF_BASE_SECONDS", 0.01)
     policy = FakePolicy()
-    pool = make_pool(policy, workers=1, spawn_workers=True,
-                     unlimited_restarts=True)
+    pool = make_pool(policy, workers=1, unlimited_restarts=True)
     for generation in range(3):
         wait_registered(pool, 1)
         (link,) = pool.links
         assert link.worker_id == generation
         if generation < 2:
-            os.kill(link.pid, signal.SIGKILL)
+            os.kill(link.process.pid, signal.SIGKILL)
             with pool.changed:
                 assert pool.changed.wait_for(lambda: link not in pool.links,
                                              30)
@@ -591,15 +525,61 @@ def test_unlimited_restarts_keep_healing_with_fresh_ids(make_pool,
     assert not policy.logged("retry")             # idle deaths charge nothing
 
 
+def test_a_negative_worker_count_is_refused():
+    # Zero is the no-worker seam; below it a transport would wait for
+    # workers that never come until its result timeout.
+    with pytest.raises(ValueError, match="workers must be >= 0, not -1"):
+        WorkerPool(FakePolicy(), workers=-1)
+
+
 def test_close_reaps_and_leaves_the_pool_restartable(make_pool):
-    pool = make_pool(FakePolicy(), workers=2, spawn_workers=True)
+    pool = make_pool(FakePolicy(), workers=2)
     wait_registered(pool, 2)
     processes = pool.processes
-    first_address = pool.address
     pool.close()
     assert [p.returncode for p in processes] == [0, 0]   # shutdown frames
     assert not pool.running and pool.processes == []
     pool.start()
     wait_registered(pool, 2)
     assert sorted(link.worker_id for link in pool.links) == [0, 1]
-    assert pool.address[0] == first_address[0]
+
+
+def worker_pids():
+    """Pids of the running processes that run the worker main."""
+    found = set()
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                argv = handle.read().split(b"\0")
+        except OSError:
+            continue
+        if b"repro.distrib.worker" in argv:
+            found.add(int(entry))
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_a_fleet_runs_one_thread_per_worker_and_leaves_nothing_behind():
+    """A 2-worker ``spawn`` transport and a 2-worker service daemon each
+    run three fabric threads — the supervision loop and one link per
+    worker, nothing that listens — and after ``close()`` / ``stop()`` no
+    fabric thread and no worker process is left."""
+    transport = Transport("spawn", workers=2)
+    daemon = RepairServiceDaemon(workers=2)
+    for pool, start, stop in ((transport._pool, transport._pool.start,
+                               transport.close),
+                              (daemon._pool, daemon.start, daemon.stop)):
+        threads_before = set(threading.enumerate())
+        workers_before = worker_pids()
+        start()
+        with pool.changed:
+            assert pool.changed.wait_for(
+                lambda: pool.status()["workers_connected"] == 2, 60)
+        threads = set(threading.enumerate()) - threads_before
+        processes = pool.processes
+        assert len(threads) == 3, sorted(t.name for t in threads)
+        assert worker_pids() - workers_before == {p.pid for p in processes}
+        stop()
+        assert not [t for t in threads if t.is_alive()]
+        assert all(p.poll() is not None for p in processes)
+        assert worker_pids() - workers_before == set()

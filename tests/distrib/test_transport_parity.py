@@ -10,11 +10,7 @@ transport's restart after ``close()`` and the stitched traces of worker
 spans.
 """
 
-import contextlib
 import os
-import subprocess
-import sys
-import time
 
 import pytest
 
@@ -29,41 +25,6 @@ from cases import flooding_candidate, report_snapshot, scenario_candidates
 
 #: The scenarios the tests below run on (Q1-Q5 parity is the table's).
 SCENARIOS = ["Q1", "Q2"]
-
-
-@contextlib.contextmanager
-def remote_workers(owner, count, token=None):
-    """``count`` hand-started ``repro-worker`` processes pointed at
-    ``owner`` (a pool-backed transport or the service daemon), carrying
-    its token in their environment like a real remote deployment.  Yields
-    once all have registered (unless a ``token`` override keeps them out);
-    reaped on exit — close the owner first and they leave on its shutdown
-    frame."""
-    host, port = owner.address
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__)))), "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    env["REPRO_WORKER_TOKEN"] = owner.token if token is None else token
-    processes = [subprocess.Popen(
-        [sys.executable, "-m", "repro.distrib.worker",
-         "--connect", f"{host}:{port}"], env=env, stderr=subprocess.DEVNULL)
-        for _ in range(count)]
-    try:
-        deadline = time.monotonic() + 60
-        while token is None and \
-                owner._pool.status()["workers_connected"] < count:
-            assert time.monotonic() < deadline, "remote workers never joined"
-            time.sleep(0.01)
-        yield processes
-    finally:
-        for process in processes:
-            try:
-                process.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait()
 
 
 @pytest.fixture(scope="module")
@@ -232,7 +193,7 @@ def test_job_wire_naming_a_class_or_a_gone_knob_is_malformed(scenarios):
 def test_socket_transport_restarts_after_close(serial_snapshots,
                                                candidate_sets):
     """close() must leave the transport restartable: the next run_job
-    rebuilds the listener and spawns fresh workers, instead of hanging
+    restarts supervision and spawns fresh workers, instead of hanging
     with orphaned workers."""
     scenario = build_scenario("Q1", repetitions=1)
     candidates = candidate_sets["Q1"]

@@ -62,7 +62,7 @@ def service_session(config):
                                ServiceHTTPServer)
     from repro.service.runtime import RepairJobRuntime
 
-    daemon = RepairServiceDaemon(workers=1, spawn_workers=False).start()
+    daemon = RepairServiceDaemon(workers=0).start()
     server = ServiceHTTPServer(("127.0.0.1", 0), daemon)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     try:

@@ -9,7 +9,6 @@ the fault-free verdicts.
 
 import http.client
 import json
-import subprocess
 import sys
 import threading
 import time
@@ -26,7 +25,6 @@ from repro.service import daemon as service_daemon
 from repro.service.http import MAX_BODY_BYTES
 
 from conftest import report_minus_timings
-from test_shutdown import child_env
 
 SCENARIOS = ("Q1", "Q2", "Q3", "Q4", "Q5")
 
@@ -126,7 +124,7 @@ class TestEndpoints:
         # The policy hooks driven by hand (no worker): four sessions finish
         # one after the other while a fifth stays queued.
         monkeypatch.setattr(service_daemon, "MAX_FINISHED_SESSIONS", 2)
-        daemon, _server, client = fleet(workers=1, spawn_workers=False)
+        daemon, _server, client = fleet(workers=0)
         config = RepairConfig.for_scenario("Q1")
         finished = [daemon.submit(config) for _ in range(4)]
         queued = daemon.submit(config)
@@ -148,7 +146,7 @@ class TestEndpoints:
         # What is the daemon doing right now?  The pool's fleet view plus
         # per-tenant queue depth and the age of the longest-waiting
         # session — here with no worker at all, so everything queues.
-        _daemon, _server, client = fleet(workers=1, spawn_workers=False)
+        _daemon, _server, client = fleet(workers=0)
         config = RepairConfig.for_scenario("Q1", max_candidates=4)
         for tenant in ("alice", "alice", "bob"):
             client.submit(config, tenant=tenant)
@@ -183,7 +181,7 @@ class TestEndpoints:
     def test_a_hostile_tenant_cannot_inject_metric_lines(self, fleet):
         # The tenant comes from the request body and is a label value on
         # /metrics: escaped, it stays inside its one sample line.
-        _daemon, _server, client = fleet(workers=1, spawn_workers=False)
+        _daemon, _server, client = fleet(workers=0)
         client.submit(RepairConfig.for_scenario("Q1", max_candidates=4),
                       tenant='a"}\nservice_fake 1\n')
         lines = client.metrics_text().splitlines()
@@ -194,7 +192,7 @@ class TestEndpoints:
         assert not any(line.startswith("service_fake") for line in lines)
 
     def test_tenant_from_header_and_query(self, fleet):
-        _daemon, _server, client = fleet(workers=1, spawn_workers=False)
+        _daemon, _server, client = fleet(workers=0)
         config = RepairConfig.for_scenario("Q1", max_candidates=4)
         ack = client._json("POST", "/sessions", payload=config.to_wire(),
                            headers={"X-Repro-Tenant": "hdr"})
@@ -204,7 +202,7 @@ class TestEndpoints:
         assert ack["tenant"] == "qry"
 
     def test_unknown_session_is_404(self, fleet):
-        _daemon, _server, client = fleet(workers=1, spawn_workers=False)
+        _daemon, _server, client = fleet(workers=0)
         with pytest.raises(ClientError) as excinfo:
             client.session("s-9999")
         assert excinfo.value.status == 404
@@ -213,7 +211,7 @@ class TestEndpoints:
         assert excinfo.value.status == 404
 
     def test_unknown_session_long_poll_is_404_without_waiting(self, fleet):
-        _daemon, _server, client = fleet(workers=1, spawn_workers=False)
+        _daemon, _server, client = fleet(workers=0)
         started = time.monotonic()
         with pytest.raises(ClientError) as excinfo:
             client._request("GET", "/sessions/s-9999?wait=20")
@@ -223,7 +221,7 @@ class TestEndpoints:
     @pytest.mark.parametrize("value", [
         "", "soon", "-1", "-1e-9", "nan", "inf", "-inf", "1e999"])
     def test_bad_wait_is_400_naming_the_parameter(self, fleet, value):
-        daemon, _server, client = fleet(workers=1, spawn_workers=False)
+        daemon, _server, client = fleet(workers=0)
         session_id = daemon.submit(RepairConfig.for_scenario("Q1"))
         with pytest.raises(ClientError) as excinfo:
             client._request("GET", f"/sessions/{session_id}?wait={value}")
@@ -235,7 +233,7 @@ class TestEndpoints:
         # No worker: the session stays queued.  A long poll holds the
         # request for what it asked, then answers with the wire as it
         # stands; what it may ask is capped by MAX_WAIT_SECONDS.
-        daemon, _server, client = fleet(workers=1, spawn_workers=False)
+        daemon, _server, client = fleet(workers=0)
         session_id = daemon.submit(RepairConfig.for_scenario("Q1"))
         started = time.monotonic()
         wire = client._json("GET", f"/sessions/{session_id}?wait=0.3")
@@ -248,13 +246,13 @@ class TestEndpoints:
         assert wire["state"] == "queued"
 
     def test_unknown_route_is_404(self, fleet):
-        _daemon, _server, client = fleet(workers=1, spawn_workers=False)
+        _daemon, _server, client = fleet(workers=0)
         with pytest.raises(ClientError) as excinfo:
             client._request("GET", "/frobnicate")
         assert excinfo.value.status == 404
 
     def test_bad_submissions_are_400(self, fleet):
-        _daemon, _server, client = fleet(workers=1, spawn_workers=False)
+        _daemon, _server, client = fleet(workers=0)
         with pytest.raises(ClientError) as excinfo:
             client._request("POST", "/sessions", payload=None,
                             headers={"Content-Length": "0"})
@@ -284,6 +282,14 @@ class TestEndpoints:
         assert excinfo.value.status == 400
         assert "bad repair config: scenario Q1 has no parameter 'bogus'" in \
             str(excinfo.value)
+        # Or a size outside its builder's range: ten million clients would
+        # be built by a worker, and 150 give two hosts one id.
+        with pytest.raises(ClientError) as excinfo:
+            client.submit({"scenario": {"name": "Q1",
+                                        "params": {"s1_clients": 150}}})
+        assert excinfo.value.status == 400
+        assert ("bad repair config: scenario Q1 parameter 's1_clients' must "
+                "be within [2, 100], not 150") in str(excinfo.value)
         with pytest.raises(ClientError) as excinfo:
             client._json("POST", "/sessions",
                          payload={"config": {}, "tenant": "x", "oops": 1})
@@ -306,7 +312,7 @@ class TestEndpoints:
         # tenant: a config that tries to set it is refused at the door and
         # queues nothing (one such POST once kept the fleet killing and
         # respawning a session's worker at every supervision tick).
-        daemon, _server, client = fleet(workers=1, spawn_workers=False)
+        daemon, _server, client = fleet(workers=0)
         with pytest.raises(ClientError) as excinfo:
             client.submit({"scenario": {"name": "Q1"}, **config})
         assert excinfo.value.status == 400
@@ -321,7 +327,7 @@ class TestEndpoints:
                                                   status):
         # The declared length is judged before a byte of body is read: a
         # 1 TiB claim costs the server nothing, and nothing is queued.
-        daemon, server, _client = fleet(workers=1, spawn_workers=False)
+        daemon, server, _client = fleet(workers=0)
         connection = http.client.HTTPConnection(*server.server_address[:2],
                                                 timeout=30)
         try:
@@ -336,7 +342,7 @@ class TestEndpoints:
         assert daemon.sessions() == []
 
     def test_body_at_the_limit_is_still_parsed(self, fleet):
-        _daemon, server, _client = fleet(workers=1, spawn_workers=False)
+        _daemon, server, _client = fleet(workers=0)
         body = b" " * (MAX_BODY_BYTES - 2) + b"[]"
         connection = http.client.HTTPConnection(*server.server_address[:2],
                                                 timeout=30)
@@ -381,7 +387,7 @@ class TestLongPoll:
         assert client.requests > 1
 
     def test_an_event_wakes_a_blocked_follower(self, fleet):
-        daemon, _server, _client = fleet(workers=1, spawn_workers=False)
+        daemon, _server, _client = fleet(workers=0)
         session_id = daemon.submit(RepairConfig.for_scenario("Q1"))
         job = daemon.assign(SimpleNamespace(worker_id=0))
         generation, events, ended = daemon.events_since(session_id)
@@ -408,7 +414,7 @@ class TestLongPoll:
         # every long poll gets the done wire.
         ticks = 60
         stops = [10, 20, 30, 40, ticks + 2]    # events out per attempt
-        daemon, _server, client = fleet(workers=1, spawn_workers=False)
+        daemon, _server, client = fleet(workers=0)
         session_id = daemon.submit(RepairConfig.for_scenario("Q1"))
         record = daemon.get(session_id)
         expected = [[{"kind": "session_started", "attempt": a}]
@@ -462,43 +468,6 @@ class TestLongPoll:
             for piece in pieces:
                 assert piece == expected[piece[0]["attempt"]][:len(piece)]
             assert pieces[-1] == expected[-1]
-
-
-class TestRemoteWorkers:
-    def test_token_admits_a_worker_and_a_wrong_one_is_refused(self, fleet):
-        # --no-spawn-workers deployments: a hand-started repro-worker
-        # joins by carrying the pool's token in its environment; one
-        # with a wrong token is dropped before a byte of it is
-        # unpickled, counted, and the daemon keeps serving.
-        daemon, _server, client = fleet(workers=1, spawn_workers=False)
-        host, port = daemon.address
-        command = [sys.executable, "-m", "repro.distrib.worker",
-                   "--connect", f"{host}:{port}"]
-        stranger = subprocess.run(
-            command, env=dict(child_env(), REPRO_WORKER_TOKEN="wrong"),
-            capture_output=True, text=True, timeout=60)
-        assert stranger.returncode == 1
-        assert "REPRO_WORKER_TOKEN" in stranger.stderr
-        assert daemon.fault_stats.frame_errors == 1
-        assert client.health()["workers_connected"] == 0
-
-        config = RepairConfig.for_scenario("Q1", max_candidates=4)
-        reference = reference_report(config)
-        worker = subprocess.Popen(
-            command, env=dict(child_env(), REPRO_WORKER_TOKEN=daemon.token))
-        try:
-            ack = client.submit(config, tenant="remote")
-            wire = client.wait(ack["id"], timeout=120)
-            assert wire["state"] == "done", wire.get("error")
-            assert wire["attempts"] == 0
-            assert report_minus_timings(wire["report"]) == reference
-            assert client.health()["workers_connected"] == 1
-            daemon.stop(grace=5.0)
-            assert worker.wait(timeout=30) == 0       # shutdown frame
-        finally:
-            if worker.poll() is None:
-                worker.kill()
-                worker.wait()
 
 
 class TestChaos:

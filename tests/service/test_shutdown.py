@@ -1,6 +1,6 @@
 """Graceful shutdown: drain, requeue, never strand a process.
 
-The ISSUE 10 satellite contract: ``repro serve`` and ``repro-worker``
+The ISSUE 10 satellite contract: ``repro serve`` and the worker main
 handle SIGTERM/SIGINT by draining — in-flight sessions are requeued
 with no attempt charged, event sinks are flushed, and every child
 process exits cleanly.  Plus the regression for the old failure mode
@@ -63,7 +63,7 @@ class TestDaemonStop:
         # No worker: the session stays queued, so a long poll and a
         # follow stream both hang on the daemon until stop() answers
         # them — with the wire as it stands, and an ended stream.
-        daemon, _server, client = fleet(workers=1, spawn_workers=False)
+        daemon, _server, client = fleet(workers=0)
         session_id = daemon.submit(RepairConfig.for_scenario("Q1"),
                                    tenant="ops")
         answers = {}
@@ -91,7 +91,7 @@ class TestDaemonStop:
         # held long poll, whose handler still has its answer to write
         # (slowed down here); the drain returns only once it is written,
         # so the process cannot exit under a half-sent body.
-        daemon, server, client = fleet(workers=1, spawn_workers=False)
+        daemon, server, client = fleet(workers=0)
         session_id = daemon.submit(RepairConfig.for_scenario("Q1"),
                                    tenant="ops")
         held = threading.Event()
@@ -117,7 +117,7 @@ class TestDaemonStop:
         assert answers["wire"]["state"] == "queued"
 
     def test_draining_daemon_rejects_submissions(self, fleet):
-        daemon, _server, _client = fleet(workers=1, spawn_workers=False)
+        daemon, _server, _client = fleet(workers=0)
         daemon.stop(grace=0.0)
         with pytest.raises(ServiceUnavailable):
             daemon.submit(RepairConfig.for_scenario("Q1"))
@@ -137,26 +137,22 @@ class TestDaemonStop:
 class TestWorkerSignals:
     def test_idle_worker_exits_cleanly_on_sigterm(self):
         # A worker blocked in recv between jobs must exit 0 on SIGTERM,
-        # not strand until the coordinator closes the socket.
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        host, port = listener.getsockname()
+        # not strand until the pool closes its end of the socket.
+        ours, theirs = socket.socketpair()
         process = subprocess.Popen(
             [sys.executable, "-m", "repro.distrib.worker",
-             "--connect", f"{host}:{port}"], env=child_env())
+             "--fd", str(theirs.fileno())],
+            env=child_env(), pass_fds=(theirs.fileno(),))
+        theirs.close()
         try:
-            listener.settimeout(30)
-            sock, _addr = listener.accept()
-            hello = recv_frame(sock)
-            assert hello["type"] == "hello"
-            assert hello["pid"] == process.pid
+            ours.settimeout(30)
+            assert recv_frame(ours) == {"type": "hello"}
             process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=30) == 0
         finally:
             if process.poll() is None:
                 process.kill()
-            listener.close()
+            ours.close()
 
     def test_spawn_children_survive_a_terminal_sigint(self):
         # Regression: a terminal Ctrl-C delivers SIGINT to the whole
@@ -237,25 +233,30 @@ class TestServeProcess:
         assert any('"session_finished"' in l for l in lines)
 
     def test_sigterm_answers_an_outstanding_long_poll_within_the_grace(
-            self):
-        # No worker (remote-only mode), so the session stays queued and a
-        # 60 s long poll is still held when SIGTERM arrives: the drain
-        # answers it with the queued wire, and the process exits 0
-        # within its --grace.
+            self, tmp_path):
+        # The one worker hangs 1.5 s in the first session, so the second
+        # stays queued and a 60 s long poll on it is still held when
+        # SIGTERM arrives: the drain lets the first finish, answers the
+        # poll with the queued wire, and the process exits 0 within its
+        # --grace.
         grace = 5.0
+        plan = tmp_path / "plan.json"
+        plan.write_text(FaultPlan(actions=(FaultAction(
+            kind="hang", worker=0, after_items=0, seconds=1.5),)).to_json())
         process = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-             "--no-spawn-workers", "--grace", str(grace), "--quiet"],
-            env=dict(child_env(), REPRO_WORKER_TOKEN="long-poll-drain"),
-            stdout=subprocess.PIPE, text=True)
+             "--workers", "1", "--fault-plan", str(plan),
+             "--grace", str(grace), "--quiet"],
+            env=child_env(), stdout=subprocess.PIPE, text=True)
         try:
             line = process.stdout.readline()
             assert "repro serve: HTTP on http://" in line
             url = line.split("HTTP on ", 1)[1].split()[0]
             from repro.service import ServiceClient
             client = ServiceClient(url)
-            ack = client.submit(
-                RepairConfig.for_scenario("Q1", max_candidates=4))
+            config = RepairConfig.for_scenario("Q1", max_candidates=4)
+            client.submit(config)
+            ack = client.submit(config)
             answer = {}
             poller = threading.Thread(target=lambda: answer.update(
                 client._json("GET", f"/sessions/{ack['id']}?wait=60")))
@@ -290,45 +291,59 @@ class TestServeProcess:
             process.stdout.close()
 
 
-def free_port():
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
-
-
-def worker_commands(address):
-    """Command lines of the running worker processes that connect to
-    ``address``."""
-    found = []
+def worker_pids():
+    """Pids of the running processes that run the worker main."""
+    found = set()
     for entry in os.listdir("/proc"):
         try:
             with open(f"/proc/{entry}/cmdline", "rb") as handle:
-                argv = handle.read().decode(errors="replace").split("\0")
+                argv = handle.read().split(b"\0")
         except OSError:
             continue
-        if "repro.distrib.worker" in argv and address in argv:
-            found.append(" ".join(argv))
+        if b"repro.distrib.worker" in argv:
+            found.add(int(entry))
     return found
 
 
+def serve(*args):
+    """``repro serve`` with ``args``, run to its exit; a worker it left
+    running counts as ``leftover``."""
+    before = worker_pids()
+    done = subprocess.run([sys.executable, "-m", "repro", "serve", *args],
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=60)
+    return done, worker_pids() - before
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
-@pytest.mark.parametrize("busy", ["--port", "--daemon-port"])
-def test_repro_serve_on_a_busy_port_exits_2_and_leaves_no_worker(busy):
-    # Either port already taken: one line on stderr, exit 2, and no
-    # worker launched to find the daemon gone.
+def test_repro_serve_on_a_busy_port_exits_2_and_leaves_no_worker():
+    # The port already taken: one line on stderr, exit 2, and no worker
+    # launched to find the daemon gone.
     with socket.socket() as taken:
         taken.bind(("127.0.0.1", 0))
         taken.listen(1)
-        ports = {"--port": free_port(), "--daemon-port": free_port(),
-                 busy: taken.getsockname()[1]}
-        done = subprocess.run(
-            [sys.executable, "-m", "repro", "serve", "--workers", "1",
-             "--port", str(ports["--port"]),
-             "--daemon-port", str(ports["--daemon-port"])],
-            env=child_env(), capture_output=True, text=True, timeout=60)
+        port = taken.getsockname()[1]
+        done, leftover = serve("--workers", "1", "--port", str(port))
     assert done.returncode == 2, done.stderr
     assert done.stderr.count("\n") == 1, done.stderr
     assert done.stderr.startswith("repro serve: cannot listen on "
-                                  f"127.0.0.1:{ports[busy]}: "), done.stderr
+                                  f"127.0.0.1:{port}: "), done.stderr
     assert "Traceback" not in done.stderr
-    assert worker_commands(f"127.0.0.1:{ports['--daemon-port']}") == []
+    assert leftover == set()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+@pytest.mark.parametrize("flag, value, message", [
+    ("--workers", "0", "--workers must be >= 1, not 0"),
+    ("--workers", "-3", "--workers must be >= 1, not -3"),
+    ("--port", "70000", "--port must be within [0, 65535], not 70000"),
+    ("--port", "-1", "--port must be within [0, 65535], not -1"),
+], ids=["workers-0", "workers--3", "port-70000", "port--1"])
+def test_repro_serve_refuses_bad_numbers_with_exit_2(flag, value, message):
+    # Refused before anything binds or launches: a daemon without
+    # workers would queue sessions forever, a port out of range was an
+    # OverflowError traceback from bind.
+    done, leftover = serve("--workers", "1", "--port", "0", flag, value)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == f"repro serve: {message}\n"
+    assert leftover == set()
