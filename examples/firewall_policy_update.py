@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Scenario Q3: repairing a stale firewall white-list, stage by stage.
+"""Scenario Q3: repairing a stale firewall white-list, step by step.
 
 A load-balancing app offloaded some clients onto a route whose firewall
 white-list was never updated; the offloaded client's HTTP requests are
-silently dropped.  This example drives the pipeline one stage at a time
-(``session.run(until=...)``) to show the intermediate artefacts the
-monolithic call used to hide: the exploration statistics after Generate,
+silently dropped.  This example drives the session one step at a time
+(``session.run(until=...)``) to show what each step leaves on the
+session: the exploration statistics after Generate,
 the meta provenance tree behind the chosen repair, and why the overly
 permissive candidates (which would also admit a blocked source) are
 rejected at Backtest.
@@ -28,11 +28,11 @@ def main():
     print("Firewall program:")
     print(scenario.program.to_ndlog())
 
-    # Stage 1+2: history lookups, then candidate extraction.  The session
-    # stops after `generate`; the artifacts are inspectable and the later
-    # stages have not paid their cost yet.
+    # Steps 1+2: history lookups, then candidate extraction.  The session
+    # stops after `generate`; its exploration is inspectable and the later
+    # steps have not paid their cost yet.
     session.run(until="generate")
-    exploration = session.artifacts["exploration"]
+    exploration = session.exploration
     print("Exploration statistics (after the `generate` stage):")
     stats = exploration.stats
     print(f"  work items processed : {stats.work_items_processed}")
@@ -40,7 +40,7 @@ def main():
     print(f"  solver invocations   : {stats.solver_invocations}")
     print(f"  candidates generated : {stats.candidates_generated}\n")
 
-    # Stages 3+4: resume exactly where the session stopped — `diagnose`
+    # Steps 3+4: resume exactly where the session stopped — `diagnose`
     # and `generate` are not recomputed.
     report = session.run()
 

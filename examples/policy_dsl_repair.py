@@ -6,40 +6,16 @@ NetCore-style policy DSL: a ``match(switch=2, dst_port=80)[fwd(2)]`` branch
 was copied for the new backup server and the switch id was never updated.
 
 The policy repairer has its own candidate generator and backtest loop, so
-this example demonstrates the *pluggable* side of the stage API: two
-custom :class:`repro.api.Stage` subclasses slot into a
-:class:`repro.api.RepairSession` in place of the standard NDlog stages,
-and the session shell still provides artifact storage, stage timing and
-the streaming event bus.
+this example drives them directly: the scenario generates candidate
+policies, then replays each on the simulated network and judges it by the
+same KS test as the NDlog pipeline.
 
 Run with::
 
     python examples/policy_dsl_repair.py
 """
 
-from repro.api import RepairSession, Stage
 from repro.scenarios.other_languages import PolicyQ1Scenario
-
-
-class PolicyGenerateStage(Stage):
-    """Generate candidate policies with the DSL's own repairer."""
-
-    name = "generate"
-    provides = "candidates"
-
-    def run(self, session):
-        return session.scenario.generate_candidates()
-
-
-class PolicyBacktestStage(Stage):
-    """Backtest candidate policies on the simulated network."""
-
-    name = "backtest"
-    provides = "language_report"
-    requires = ("candidates",)
-
-    def run(self, session):
-        return session.scenario.backtest(session.artifacts["candidates"])
 
 
 def main():
@@ -48,21 +24,13 @@ def main():
     print("Buggy policy program:")
     print(f"  {policy.describe()}\n")
 
-    session = RepairSession(
-        scenario=scenario,
-        stages=[PolicyGenerateStage(), PolicyBacktestStage()])
-    session.events.subscribe(
-        lambda event: print(f"  [{event.kind}] {getattr(event, 'stage', '')}")
-        if event.kind.startswith("stage_") else None)
-    session.run()
-
-    candidates = session.artifacts["candidates"]
-    print(f"\nThe repairer generated {len(candidates)} candidates:")
+    candidates = scenario.generate_candidates()
+    print(f"The repairer generated {len(candidates)} candidates:")
     for candidate in candidates:
         print(f"  [cost {candidate.cost:.1f}] {candidate.description}")
     print()
 
-    report = session.artifacts["language_report"]
+    report = scenario.backtest(candidates)
     print("Backtest verdicts (the Pyretic column of Table 3):")
     for result in report.results:
         verdict = "accepted" if result.accepted else "rejected"

@@ -22,8 +22,8 @@ The package provides, from the bottom up:
 * :mod:`repro.distrib` -- the distributed backtest fabric (work-queue
   scheduling over in-process, spawn and socket transports).
 * :mod:`repro.api` -- the unified repair-pipeline API:
-  :class:`~repro.api.RepairSession` (staged Diagnose → Generate →
-  Backtest → Rank pipeline), the declarative
+  :class:`~repro.api.RepairSession` (the paper's four steps, Diagnose →
+  Generate → Backtest → Rank), the declarative
   :class:`~repro.api.RepairConfig`, and the streaming event bus of
   :mod:`repro.events`.
 
@@ -48,9 +48,9 @@ when one is run, and the Table 3 front ends only by importing
 """
 
 from .api import (DiagnosisReport, EventBus, PhaseTimings, RepairConfig,
-                  RepairSession, SessionEvent, repair)
+                  RepairSession, SessionEvent)
 
 __version__ = "2.0.0"
 
 __all__ = ["DiagnosisReport", "EventBus", "PhaseTimings", "RepairConfig",
-           "RepairSession", "SessionEvent", "repair", "__version__"]
+           "RepairSession", "SessionEvent", "__version__"]

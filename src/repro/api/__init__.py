@@ -4,12 +4,12 @@ One import point for the redesigned end-to-end surface:
 
 * :class:`RepairConfig` — every knob of a repair run in one declarative,
   JSON-round-trippable dataclass (:mod:`repro.api.config`);
-* :class:`RepairSession` — the facade composing the pipeline stages
-  Diagnose → Generate → Backtest → Rank with resumable artifacts
-  (:mod:`repro.api.session`, :mod:`repro.api.stages`);
+* :class:`RepairSession` — the one entry point: it runs the paper's four
+  steps Diagnose → Generate → Backtest → Rank (:data:`STEPS`), and
+  ``run(until=...)`` stops after one of them and resumes
+  (:mod:`repro.api.session`);
 * the streaming event surface — :class:`EventBus` and the
-  :class:`SessionEvent` hierarchy (re-exported from :mod:`repro.events`);
-* :func:`repair` — the one-call convenience wrapper.
+  :class:`SessionEvent` hierarchy (re-exported from :mod:`repro.events`).
 
 Start here::
 
@@ -27,9 +27,7 @@ from ..events import (BacktestProgress, CandidateAborted, CandidateFound,
                       SessionFinished, SessionStarted, StageFinished,
                       StageStarted, WarmEngineStats)
 from .config import ConfigError, RepairConfig, TelemetryConfig
-from .session import DiagnosisReport, PhaseTimings, RepairSession, repair
-from .stages import (DEFAULT_STAGES, BacktestStage, DiagnoseStage,
-                     GenerateStage, RankStage, Stage, StageError)
+from .session import STEPS, DiagnosisReport, PhaseTimings, RepairSession
 
 # A fault plan is read by ``--fault-plan`` and the fleet only: a serial
 # repair imports no ``repro.distrib`` module.
@@ -38,12 +36,10 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 })
 
 __all__ = [
-    "BacktestProgress", "BacktestStage", "CandidateAborted", "CandidateFound",
-    "CandidateQuarantined", "CandidateVetoed", "ConfigError", "DEFAULT_STAGES",
-    "DiagnoseStage", "DiagnosisReport", "EventBus", "FabricFaultStats",
-    "FaultPlan", "GenerateStage", "JsonlEventWriter",
-    "PhaseTimings", "RankStage", "RepairConfig", "RepairSession",
-    "SessionEvent", "SessionFinished", "SessionStarted", "Stage",
-    "StageError", "StageFinished", "StageStarted", "TelemetryConfig",
-    "WarmEngineStats", "repair",
+    "BacktestProgress", "CandidateAborted", "CandidateFound",
+    "CandidateQuarantined", "CandidateVetoed", "ConfigError",
+    "DiagnosisReport", "EventBus", "FabricFaultStats", "FaultPlan",
+    "JsonlEventWriter", "PhaseTimings", "RepairConfig", "RepairSession",
+    "STEPS", "SessionEvent", "SessionFinished", "SessionStarted",
+    "StageFinished", "StageStarted", "TelemetryConfig", "WarmEngineStats",
 ]

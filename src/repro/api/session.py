@@ -1,21 +1,19 @@
 """The :class:`RepairSession` facade: one object, the whole repair pipeline.
 
-A session binds a declarative :class:`~repro.api.config.RepairConfig` to a
-stage pipeline (default: Diagnose → Generate → Backtest → Rank) and an
-:class:`~repro.events.EventBus`.  Running it produces a
+A session binds a declarative :class:`~repro.api.config.RepairConfig` to
+the paper's four steps (§4, Fig 9a; :data:`STEPS`) and an
+:class:`~repro.events.EventBus`.  Each step fills one attribute of the
+session: ``diagnose`` the :attr:`~RepairSession.history` (its replay is
+also the backtest baseline), ``generate`` the
+:attr:`~RepairSession.exploration`, ``backtest`` the
+:attr:`~RepairSession.backtest` and ``rank`` the
+:attr:`~RepairSession.suggestions`.  Running it produces a
 :class:`DiagnosisReport` — candidates, verdicts and KS statistics that are
-a pure function of (config, scenario) — and exposes the steps on the way:
-
-* **resumable artifacts** — ``session.run(until="generate")`` stops after
-  candidate extraction; the partial results sit in ``session.artifacts``
-  and a later ``session.run()`` picks up where it stopped instead of
-  recomputing;
-* **streaming events** — stage boundaries, extracted candidates, per-
-  candidate backtest verdicts and static-analysis statistics are published on
-  ``session.events`` while the run is in flight;
-* **declarative scheduling** — the backtester, worker count, transport and
-  abort policy all flow from the config, so the identical session
-  description runs serially or on a worker fleet.
+a pure function of (config, scenario).  While the run is in flight, step
+boundaries, extracted candidates, per-candidate backtest verdicts and
+static-analysis statistics are published on ``session.events``;
+``session.run(until="generate")`` stops after a step, and a later
+``session.run()`` resumes after it instead of recomputing.
 
 Quickstart::
 
@@ -30,16 +28,21 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..backtest.ranking import rank_results
 from ..backtest.replay import BacktestReport, BacktestResult
-from ..events import (EventBus, SessionFinished, SessionStarted,
-                      StageFinished, StageStarted)
-from ..meta.explorer import ExplorationResult
+from ..events import (CandidateFound, CandidateVetoed, EventBus,
+                      SessionFinished, SessionStarted, StageFinished,
+                      StageStarted, WarmEngineStats)
+from ..meta.explorer import ExplorationResult, MetaProvenanceExplorer
 from ..repair.candidates import RepairCandidate
 from .config import RepairConfig
-from .stages import DEFAULT_STAGES, Stage, StageError
+
+#: The steps of a session, in order: the names ``run(until=)`` takes, and
+#: the ``stage`` of their events, ``stage.<name>`` spans and
+#: ``stage_seconds`` keys.
+STEPS = ("diagnose", "generate", "backtest", "rank")
 
 
 @dataclass
@@ -75,6 +78,8 @@ class DiagnosisReport:
     exploration: ExplorationResult
     backtest: BacktestReport
     timings: PhaseTimings
+    #: Rank's list: the accepted repairs in complexity order.
+    ranked: List[BacktestResult]
 
     @property
     def candidates(self) -> List[RepairCandidate]:
@@ -82,11 +87,11 @@ class DiagnosisReport:
 
     def suggestions(self) -> List[BacktestResult]:
         """Accepted repairs, in complexity order (what the operator sees)."""
-        return rank_results(self.backtest.results, accepted_only=True)
+        return list(self.ranked)
 
     def counts(self):
         """(candidates generated, candidates surviving backtest) — Table 1."""
-        return len(self.backtest.results), len(self.suggestions())
+        return len(self.backtest.results), len(self.ranked)
 
     def summary(self) -> str:
         generated, surviving = self.counts()
@@ -100,7 +105,7 @@ class DiagnosisReport:
             f"patches {self.timings.patch_generation:.2f}s, "
             f"replay {self.timings.replay:.2f}s)",
         ]
-        for result in self.suggestions():
+        for result in self.ranked:
             lines.append(f"    suggested: {result.candidate.description} "
                          f"(KS {result.ks.statistic:.5f})")
         return "\n".join(lines)
@@ -111,7 +116,7 @@ class DiagnosisReport:
             "scenario": self.scenario_name,
             "symptom": self.symptom,
             "generated": len(self.backtest.results),
-            "surviving": len(self.suggestions()),
+            "surviving": len(self.ranked),
             "timings": self.timings.as_dict(),
             "packet_count": self.backtest.packet_count,
             "results": [
@@ -127,26 +132,22 @@ class DiagnosisReport:
                 for result in self.backtest.results
             ],
             "suggestions": [result.candidate.description
-                            for result in self.suggestions()],
+                            for result in self.ranked],
         }
 
 
 class RepairSession:
-    """Runs a configured repair pipeline, stage by stage.
+    """Runs the four steps of a configured repair, one after another.
 
     ``scenario`` may be passed explicitly for scenarios that are not in
-    the registry (then the config's spec is optional).  ``stages``
-    replaces the standard pipeline with a custom one.
+    the registry (then the config's spec is optional).
     """
 
     def __init__(self, config: Optional[RepairConfig] = None,
                  scenario=None,
-                 events: Optional[EventBus] = None,
-                 stages: Optional[Sequence[Stage]] = None):
+                 events: Optional[EventBus] = None):
         self.config = config or RepairConfig()
         self.events = events if events is not None else EventBus()
-        self.stages: List[Stage] = list(stages
-                                        if stages is not None else DEFAULT_STAGES)
         self._scenario = scenario
         #: Live telemetry bundle (``None`` when the config's ``telemetry``
         #: knob is off — the entire observability layer then costs nothing).
@@ -156,21 +157,26 @@ class RepairSession:
             # session's metric registry.
             self.events.stamp = self.telemetry.stamp_event
             self.events.metrics = self.telemetry.metrics
-        #: Intermediate results, keyed by each stage's ``provides`` name.
-        self.artifacts: Dict[str, object] = {}
-        #: Wall-clock seconds per completed stage, by stage name.
+        #: Wall-clock seconds per completed step, by step name.
         self.stage_seconds: Dict[str, float] = {}
-        #: The backtester built by the backtest stage (for its statistics).
-        self.backtester = None
         #: Diagnose's one replay of the buggy program
-        #: (:class:`~repro.scenarios.base.RecordedRun`): the run behind the
-        #: ``history`` artifact, and the backtest's baseline.
+        #: (:class:`~repro.scenarios.base.RecordedRun`): the run behind
+        #: :attr:`history`, and the backtest's baseline.
         self.recorded_run = None
+        #: Diagnose: the history index the explorer searches.
+        self.history = None
+        #: Generate: the :class:`ExplorationResult`, candidates in cost order.
+        self.exploration: Optional[ExplorationResult] = None
+        #: The backtester Backtest built (for its statistics).
+        self.backtester = None
+        #: Backtest: the :class:`BacktestReport`, one result per candidate.
+        self.backtest: Optional[BacktestReport] = None
+        #: Rank: the accepted results in complexity order.
+        self.suggestions: Optional[List[BacktestResult]] = None
 
     @classmethod
     def from_wire(cls, wire: Dict[str, object],
-                  events: Optional[EventBus] = None,
-                  stages: Optional[Sequence[Stage]] = None) -> "RepairSession":
+                  events: Optional[EventBus] = None) -> "RepairSession":
         """A session from a ``RepairConfig`` wire dict.
 
         The construction path of the repair service: an HTTP body or a
@@ -178,12 +184,7 @@ class RepairSession:
         straight into a runnable session.  Raises
         :class:`~repro.api.config.ConfigError` on malformed wires.
         """
-        return cls(RepairConfig.from_wire(wire), events=events,
-                   stages=stages)
-
-    # ------------------------------------------------------------------
-    # Lazy runtime pieces
-    # ------------------------------------------------------------------
+        return cls(RepairConfig.from_wire(wire), events=events)
 
     @property
     def scenario(self):
@@ -195,82 +196,38 @@ class RepairSession:
     # Running
     # ------------------------------------------------------------------
 
-    def stage(self, name: str) -> Stage:
-        for stage in self.stages:
-            if stage.name == name:
-                return stage
-        raise StageError(f"no stage named {name!r}; have "
-                         f"{[s.name for s in self.stages]}")
-
-    def completed(self, stage: Stage) -> bool:
-        return stage.provides in self.artifacts
-
-    def run_stage(self, stage: Stage):
-        """Run one stage (its inputs must exist) and store its artifact."""
-        missing = [key for key in stage.requires if key not in self.artifacts]
-        if missing:
-            raise StageError(f"stage {stage.name!r} requires artifacts "
-                             f"{missing}; run the earlier stages first")
-        span = profiler = None
-        if self.telemetry is not None:
-            span = self.telemetry.span(f"stage.{stage.name}",
-                                       stage=stage.name)
-            if self.telemetry.profile:
-                from ..obs import StageProfiler
-                profiler = StageProfiler().__enter__()
-        self.events.emit(StageStarted(stage=stage.name))
-        started = _time.perf_counter()
-        try:
-            artifact = stage.run(self)
-        finally:
-            elapsed = _time.perf_counter() - started
-            if profiler is not None:
-                profiler.__exit__(None, None, None)
-                self.telemetry.profiles[stage.name] = profiler.text
-            if span is not None:
-                span.finish()
-                self.telemetry.metrics.histogram(
-                    "stage_seconds", stage=stage.name).observe(elapsed)
-        self.artifacts[stage.provides] = artifact
-        self.stage_seconds[stage.name] = elapsed
-        self.events.emit(StageFinished(stage=stage.name,
-                                       elapsed_seconds=elapsed))
-        return artifact
-
     def run(self, until: Optional[str] = None) -> Optional[DiagnosisReport]:
-        """Run the pipeline (resuming after completed stages).
+        """Run the steps up to ``until`` (default: all), skipping those
+        already done.
 
-        ``until`` names the last stage to run — later stages stay pending
-        and their artifacts absent.  Returns the :class:`DiagnosisReport`
-        once the standard artifacts exist, else ``None`` (partial runs and
-        custom pipelines; the artifacts are on :attr:`artifacts`).
+        Returns the :class:`DiagnosisReport` once Rank has run, else
+        ``None``; the steps' outputs are on the session's attributes.
         """
-        stages = self.stages
-        if until is not None:
-            self.stage(until)         # reject unknown names loudly
-            cutoff = next(i for i, stage in enumerate(stages)
-                          if stage.name == until)
-            stages = stages[:cutoff + 1]
-        pending = [stage for stage in stages if not self.completed(stage)]
+        if until is None:
+            until = STEPS[-1]
+        elif until not in STEPS:
+            raise ValueError(f"no step named {until!r}; the steps are "
+                             f"{', '.join(STEPS)}")
+        pending = [name for name in STEPS[:STEPS.index(until) + 1]
+                   if name not in self.stage_seconds]
+        if not pending:
+            return self.report()
         started = _time.perf_counter()
         session_span = None
-        if pending and self.telemetry is not None:
+        if self.telemetry is not None:
             session_span = self.telemetry.span(
                 "session", scenario=self._scenario_name())
         try:
-            if pending:
-                self.events.emit(SessionStarted(
-                    scenario=self._scenario_name(),
-                    symptom=self._symptom(),
-                    stages=tuple(stage.name for stage in pending)))
-            for stage in pending:
-                self.run_stage(stage)
+            self.events.emit(SessionStarted(
+                scenario=self._scenario_name(), symptom=self._symptom(),
+                stages=tuple(pending)))
+            for name in pending:
+                self._run_step(name)
         finally:
             if session_span is not None:
                 session_span.finish()
         report = self.report()
-        if pending and report is not None and (until is None
-                                               or until == self.stages[-1].name):
+        if report is not None:
             generated, surviving = report.counts()
             self.events.emit(SessionFinished(
                 scenario=report.scenario_name, generated=generated,
@@ -278,30 +235,125 @@ class RepairSession:
                 elapsed_seconds=_time.perf_counter() - started))
         return report
 
-    def reset(self, from_stage: Optional[str] = None) -> None:
-        """Drop artifacts so stages re-run — all, or from one stage on."""
-        if from_stage is not None:
-            self.stage(from_stage)    # reject unknown names loudly
-        dropping = False if from_stage is not None else True
-        for stage in self.stages:
-            if from_stage is not None and stage.name == from_stage:
-                dropping = True
-            if dropping:
-                self.artifacts.pop(stage.provides, None)
-                self.stage_seconds.pop(stage.name, None)
+    def _run_step(self, name: str) -> None:
+        """Run one step under its events, span, profile and timing."""
+        span = profiler = None
+        if self.telemetry is not None:
+            span = self.telemetry.span(f"stage.{name}", stage=name)
+            if self.telemetry.profile:
+                from ..obs import StageProfiler
+                profiler = StageProfiler().__enter__()
+        self.events.emit(StageStarted(stage=name))
+        started = _time.perf_counter()
+        try:
+            getattr(self, f"_{name}")()
+        finally:
+            elapsed = _time.perf_counter() - started
+            if profiler is not None:
+                profiler.__exit__(None, None, None)
+                self.telemetry.profiles[name] = profiler.text
+            if span is not None:
+                span.finish()
+                self.telemetry.metrics.histogram(
+                    "stage_seconds", stage=name).observe(elapsed)
+        self.stage_seconds[name] = elapsed
+        self.events.emit(StageFinished(stage=name, elapsed_seconds=elapsed))
+
+    def _diagnose(self) -> None:
+        """Replay the buggy program over the (trace-limited) trace once,
+        under the runtime recorder: what it recorded is the history, and
+        the run — its traffic statistics and replay seconds — is the
+        backtest baseline.  Nothing else of the run is kept."""
+        run = self.scenario.recorded_run(trace_limit=self.config.trace_limit)
+        self.recorded_run = run
+        self.history = run.history
+
+    def _generate(self) -> None:
+        """Explore meta provenance and extract candidates in cost order."""
+        explorer = MetaProvenanceExplorer(
+            self.scenario.program, self.history,
+            cost_model=self.config.cost_model(),
+            max_candidates=self.config.max_candidates)
+        exploration = explorer.explore_missing(self.scenario.goal())
+        total = len(exploration.candidates)
+        for index, candidate in enumerate(exploration.candidates, 1):
+            self.events.emit(CandidateFound(
+                index=index, total=total, tag=candidate.tag,
+                description=candidate.description, cost=candidate.cost))
+        self.exploration = exploration
+
+    def _backtest(self) -> None:
+        """Replay every candidate against the recorded traffic, serially or
+        on the fleet the config's scheduler borrows for this step: closing
+        the scheduler parks the fleet for the process's next session of the
+        same shape, and the fleet is closed at interpreter exit."""
+        from ..ndlog.plan import PLAN_CACHE
+
+        config, telemetry, events = self.config, self.telemetry, self.events
+        backtester = config.make_backtester(self.scenario)
+        backtester.telemetry = telemetry
+        backtester.use_baseline(self.recorded_run.baseline,
+                                self.recorded_run.seconds)
+        self.backtester = backtester
+        scheduler = config.make_scheduler(telemetry=telemetry)
+        plan_cache_before = PLAN_CACHE.stats()
+        try:
+            report = backtester.evaluate_all(self.exploration.candidates,
+                                             scheduler=scheduler,
+                                             events=events)
+        finally:
+            if scheduler is not None:
+                scheduler.close()
+        for result in report.results:
+            note = next((str(n) for n in result.notes
+                         if str(n).startswith("vetoed by static analysis")),
+                        None)
+            if note is not None:
+                events.emit(CandidateVetoed(
+                    description=(result.candidate.description
+                                 if result.candidate else ""),
+                    reason=note.rsplit(": ", 1)[-1], note=note))
+        plan_cache_after = PLAN_CACHE.stats()
+        plan_hits = plan_cache_after["hits"] - plan_cache_before["hits"]
+        plan_misses = (plan_cache_after["misses"]
+                       - plan_cache_before["misses"])
+        if backtester.vetoed or plan_hits or plan_misses:
+            events.emit(WarmEngineStats(
+                vetoed=backtester.vetoed,
+                plan_cache_hits=plan_hits,
+                plan_cache_misses=plan_misses))
+        if telemetry is not None:
+            # The backtester's counters, as registry metrics (``repro
+            # stats``, the Prometheus dump).
+            metrics = telemetry.metrics
+            metrics.counter("plan_cache_hits").inc(plan_hits)
+            metrics.counter("plan_cache_misses").inc(plan_misses)
+            metrics.counter("candidates_vetoed").inc(backtester.vetoed)
+            metrics.counter("candidates_backtested").inc(len(report.results))
+            metrics.gauge("backtest_packet_count").set(report.packet_count)
+            if report.elapsed_seconds:
+                metrics.gauge("packets_replayed_per_second").set(
+                    report.packet_count * max(1, len(report.results))
+                    / report.elapsed_seconds)
+        self.backtest = report
+
+    def _rank(self) -> None:
+        """Order the accepted repairs by complexity (what the operator
+        sees)."""
+        self.suggestions = rank_results(self.backtest.results,
+                                        accepted_only=True)
 
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
 
     def timings(self) -> PhaseTimings:
-        """Map stage timings onto the paper's Figure 9a phase breakdown."""
+        """Map step timings onto the paper's Figure 9a phase breakdown."""
         timings = PhaseTimings()
         timings.history_lookups = self.stage_seconds.get("diagnose", 0.0)
         generation = self.stage_seconds.get("generate", 0.0)
-        exploration = self.artifacts.get("exploration")
-        solver_seconds = (exploration.stats.solver_seconds
-                          if exploration is not None else 0.0)
+        solver_seconds = (self.exploration.stats.solver_seconds
+                          if self.exploration is not None else 0.0)
         timings.constraint_solving = min(generation, solver_seconds)
         timings.patch_generation = max(0.0,
                                        generation - timings.constraint_solving)
@@ -309,17 +361,16 @@ class RepairSession:
         return timings
 
     def report(self) -> Optional[DiagnosisReport]:
-        """The standard report, or ``None`` until its artifacts exist."""
-        exploration = self.artifacts.get("exploration")
-        backtest = self.artifacts.get("backtest")
-        if exploration is None or backtest is None:
+        """The report, or ``None`` until Rank has run."""
+        if self.suggestions is None:
             return None
         return DiagnosisReport(
             scenario_name=self._scenario_name(),
             symptom=self._symptom(),
-            exploration=exploration,
-            backtest=backtest,
-            timings=self.timings())
+            exploration=self.exploration,
+            backtest=self.backtest,
+            timings=self.timings(),
+            ranked=self.suggestions)
 
     def _scenario_name(self) -> str:
         if self._scenario is not None or self.config.scenario is None:
@@ -329,10 +380,3 @@ class RepairSession:
     def _symptom(self) -> str:
         symptom = getattr(self.scenario, "symptom", None)
         return getattr(symptom, "description", "") if symptom else ""
-
-
-def repair(scenario_name: str, events: Optional[EventBus] = None,
-           **knobs) -> DiagnosisReport:
-    """One-call convenience: ``repair("Q1", max_candidates=14)``."""
-    config = RepairConfig.for_scenario(scenario_name, **knobs)
-    return RepairSession(config, events=events).run()

@@ -214,6 +214,9 @@ class WarmEngineStats(SessionEvent):
 
 Subscriber = Callable[[SessionEvent], None]
 
+#: Most events an :class:`EventBus` keeps on its :attr:`~EventBus.history`.
+HISTORY_LIMIT = 10_000
+
 
 class EventBus:
     """Synchronous fan-out of session events to any number of subscribers.
@@ -223,18 +226,17 @@ class EventBus:
     metric on :attr:`metrics`, and warned about once per sink — so
     observability cannot break the run but broken observers are no longer
     invisible.  The bus also keeps an optional bounded :attr:`history`
-    (handy for tests and post-run summaries); once ``history_limit`` is
+    (handy for tests and post-run summaries); once :data:`HISTORY_LIMIT` is
     exceeded the *oldest* events are dropped, so the tail —
     ``session_finished``, the backtest statistics — survives long runs.
     Disable with ``keep_history=False``.
     """
 
-    def __init__(self, keep_history: bool = True, history_limit: int = 10_000,
+    def __init__(self, keep_history: bool = True,
                  metrics: Optional[MetricsRegistry] = None):
         self._subscribers: List[Subscriber] = []
         self.keep_history = keep_history
-        self.history_limit = history_limit
-        self.history: "deque[SessionEvent]" = deque(maxlen=history_limit)
+        self.history: "deque[SessionEvent]" = deque(maxlen=HISTORY_LIMIT)
         self.subscriber_errors: List[Tuple[Subscriber, BaseException]] = []
         self._metrics = metrics
         #: Optional hook applied to every event before fan-out (telemetry

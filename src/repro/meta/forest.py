@@ -20,16 +20,13 @@ Nothing here is partial, forked or solved.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 
 # Vertex polarity.
 EXIST = "EXIST"
 NEXIST = "NEXIST"
-
-_vertex_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -46,7 +43,6 @@ class MetaVertex:
     subject: object
     rule: Optional[str] = None
     note: str = ""
-    vertex_id: int = field(default_factory=lambda: next(_vertex_ids))
 
     def label(self) -> str:
         rule = f" [{self.rule}]" if self.rule else ""
@@ -58,39 +54,44 @@ class MetaVertex:
 
 
 class MetaTree:
-    """A meta provenance tree, grown from its root by :meth:`add_child`."""
+    """A meta provenance tree, grown from its root by :meth:`add_child`.
+
+    Vertices are kept by position, in the order they were added; a
+    vertex's children are the positions hung below it.  A vertex is found
+    by identity: two equal vertices may hang in one tree."""
 
     def __init__(self, root: MetaVertex):
         self.root = root
-        self._vertices: Dict[int, MetaVertex] = {root.vertex_id: root}
-        self._children: Dict[int, List[int]] = {root.vertex_id: []}
+        self._vertices: List[MetaVertex] = [root]
+        self._children: List[List[int]] = [[]]
+        self._positions: Dict[int, int] = {id(root): 0}
         self.completed = False
 
     def add_child(self, parent: MetaVertex, child: MetaVertex) -> MetaVertex:
         """Hang ``child`` below ``parent``, which must be in the tree."""
-        self._vertices[child.vertex_id] = child
-        self._children[child.vertex_id] = []
-        self._children[parent.vertex_id].append(child.vertex_id)
+        position = len(self._vertices)
+        self._children[self._positions[id(parent)]].append(position)
+        self._positions[id(child)] = position
+        self._vertices.append(child)
+        self._children.append([])
         return child
 
-    def children(self, vertex: MetaVertex) -> List[MetaVertex]:
-        return [self._vertices[i] for i in self._children.get(vertex.vertex_id, [])]
-
     def vertices(self) -> List[MetaVertex]:
-        return list(self._vertices.values())
+        return list(self._vertices)
 
     def find(self, predicate) -> List[MetaVertex]:
-        return [v for v in self._vertices.values() if predicate(v)]
+        return [v for v in self._vertices if predicate(v)]
 
     def to_text(self) -> str:
         lines: List[str] = []
 
-        def visit(vertex: MetaVertex, depth: int):
-            lines.append("  " * depth + "- " + vertex.label())
-            for child in self.children(vertex):
+        def visit(position: int, depth: int):
+            lines.append("  " * depth + "- "
+                         + self._vertices[position].label())
+            for child in self._children[position]:
                 visit(child, depth + 1)
 
-        visit(self.root, 0)
+        visit(0, 0)
         return "\n".join(lines)
 
 

@@ -21,7 +21,6 @@ of :mod:`repro.scenarios.other_languages`); a subclass overriding it is
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -47,8 +46,6 @@ HEADER_POSITIONS: Dict[str, int] = {
 #: Position of the trailing ``None``: what a name that is no header field
 #: reads, as ``header.get(name)`` would.
 ABSENT_POSITION = len(HEADER_POSITIONS)
-
-_packet_ids = itertools.count(1)
 
 
 def header_getter(names: Sequence[str],
@@ -83,12 +80,6 @@ class Packet:
     src_mac: Optional[int] = None
     dst_mac: Optional[int] = None
     size: int = 120
-    #: Process-local serial number used only for human-readable logs; it is
-    #: excluded from equality/hashing so that a trace rebuilt from a
-    #: ScenarioSpec in a fresh worker process compares bit-identical to the
-    #: coordinator's copy.
-    packet_id: int = field(default_factory=lambda: next(_packet_ids),
-                           compare=False)
     #: The :data:`HEADER_FIELDS` values in order, MAC addresses defaulted to
     #: the IPs: what every lookup and PacketIn tuple reads.  Derived from the
     #: fields above at construction, so it takes no part in equality or repr.
@@ -110,7 +101,7 @@ class Packet:
         return replace(self, **changes)
 
     def __str__(self):
-        return (f"pkt#{self.packet_id} {self.proto} "
+        return (f"{self.proto} "
                 f"{format_ip(self.src_ip)}:{self.src_port} -> "
                 f"{format_ip(self.dst_ip)}:{self.dst_port}")
 

@@ -6,11 +6,11 @@ Thin by design: every route is a JSON view over
 dependencies.  Endpoints:
 
 ========================  ==================================================
-``POST /sessions``        Submit a run.  Body: a ``RepairConfig`` wire dict,
-                          or ``{"tenant": ..., "config": {...}}``.  The
-                          tenant may also ride the ``X-Repro-Tenant`` header
-                          or a ``?tenant=`` query parameter.  Returns 202
-                          with ``{"id", "tenant", "state"}``.
+``POST /sessions``        Submit a run.  Body: ``{"config": {...}}`` with a
+                          ``RepairConfig`` wire, and an optional
+                          ``"tenant"``: 1–64 characters of
+                          ``[A-Za-z0-9_.-]`` (else ``"default"``).  Returns
+                          202 with ``{"id", "tenant", "state"}``.
 ``GET /sessions``         All sessions (submission order), summary rows.
 ``GET /sessions/<id>``    One session: status plus the ranked report wire.
                           With ``?wait=S`` the request is a long poll: it
@@ -28,25 +28,29 @@ dependencies.  Endpoints:
                           totals and per-tenant queue depth + oldest age.
 ========================  ==================================================
 
-Errors: 400 for malformed bodies/configs, a bad ``Content-Length`` or a
-``?wait=`` that is not a finite, non-negative number, 413 for a body
-over :data:`MAX_BODY_BYTES`, 404 for unknown sessions (before any
-waiting) or paths, 503 while the daemon is draining.
+Errors: 400 for malformed bodies, configs or tenants, a bad
+``Content-Length`` or a ``?wait=`` that is not a finite, non-negative
+number, 413 for a body over :data:`MAX_BODY_BYTES`, 404 for unknown
+sessions (before any waiting) or paths, 503 while the daemon is draining.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..api.config import ConfigError
 from ..obs.metrics import prometheus_text
 from .daemon import RepairServiceDaemon, ServiceError, ServiceUnavailable
+
+#: What a tenant may be: it becomes a metric label and a ``/healthz`` key.
+TENANT_PATTERN = re.compile(r"[A-Za-z0-9_.-]{1,64}")
 
 #: Largest ``POST /sessions`` body read; a config wire is a few KiB.
 MAX_BODY_BYTES = 1 << 20
@@ -187,6 +191,12 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         if parts != ["sessions"]:
             self._error(404, f"no such route: {split.path}")
             return
+        if split.query or "X-Repro-Tenant" in self.headers:
+            # The tenant rides in the body only; elsewhere it is refused,
+            # not silently filed under "default".
+            self._error(400, 'the tenant goes in the body\'s "tenant" key, '
+                             'not in the query or a header')
+            return
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
@@ -204,35 +214,26 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             self._error(400, f"body is not valid JSON: {exc}")
             return
-        if not isinstance(payload, dict):
-            self._error(400, "body must be a JSON object "
-                             "(a RepairConfig wire, or {tenant, config})")
+        if not (isinstance(payload, dict) and "config" in payload
+                and set(payload) <= {"config", "tenant"}):
+            self._error(400, 'body must be a JSON object, the envelope '
+                             '{"config": {...}, "tenant": ...} ("tenant" '
+                             'optional)')
             return
-        # Envelope form wins, then header, then query parameter.
-        config_wire = payload
-        tenant: Optional[str] = None
-        if "config" in payload and isinstance(payload["config"], dict):
-            config_wire = payload["config"]
-            extra = set(payload) - {"config", "tenant"}
-            if extra:
-                self._error(400, f"unknown envelope keys: {sorted(extra)}")
-                return
-            tenant = payload.get("tenant")
-        if tenant is None:
-            tenant = self.headers.get("X-Repro-Tenant")
-        if tenant is None:
-            tenant = parse_qs(split.query).get("tenant", [None])[0]
+        tenant = payload.get("tenant", "default")
+        if not (isinstance(tenant, str) and TENANT_PATTERN.fullmatch(tenant)):
+            self._error(400, "tenant must be 1-64 characters of "
+                             "[A-Za-z0-9_.-]")
+            return
         try:
-            session_id = service.submit(config_wire,
-                                        tenant=tenant or "default")
+            session_id = service.submit(payload["config"], tenant=tenant)
         except ServiceUnavailable as exc:
             self._error(503, str(exc))
             return
         except ConfigError as exc:
             self._error(400, f"bad repair config: {exc}")
             return
-        self._send_json(202, {"id": session_id,
-                              "tenant": tenant or "default",
+        self._send_json(202, {"id": session_id, "tenant": tenant,
                               "state": "queued"})
 
     def _stream_events(self, service: RepairServiceDaemon,

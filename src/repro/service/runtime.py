@@ -95,8 +95,6 @@ class RepairJobRuntime:
         session = RepairSession(config, scenario=self._scenario(),
                                 events=events)
         report = session.run()
-        if report is None:               # custom stage lists only
-            raise DistribError("repair session produced no report")
         return {
             "session_id": self.job.session_id,
             "tenant": self.job.tenant,

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from ..api.config import RepairConfig
-from ..wire import NOT_ON_WIRE, Wire, WireError
+from ..wire import Wire, WireError
 
 #: The ``kind`` discriminator that routes a job wire to
 #: :class:`~repro.service.runtime.RepairJobRuntime` on the worker.
@@ -43,10 +43,6 @@ class RepairJob(Wire):
     tenant: str = "default"
     #: Daemon wall-clock at submission (0.0 = unknown).
     submitted_unix: float = 0.0
-    #: Per-tenant metric labels and anything else the daemon wants to
-    #: remember with the job (not shipped to workers).
-    meta: Dict[str, object] = field(default_factory=dict,
-                                    metadata=NOT_ON_WIRE)
 
     def __post_init__(self):
         if self.config.scenario is None:

@@ -311,7 +311,7 @@ def test_session_emits_veto_events_and_counters():
     config = RepairConfig.for_scenario("Q1", max_candidates=MAX_CANDIDATES)
     session = RepairSession(config)
     report = session.run()
-    backtest = session.artifacts["backtest"]
+    backtest = session.backtest
     assert backtest.vetoed_count == EXPECTED_VETOED["Q1"]
     vetoes = session.events.of_kind("candidate_vetoed")
     assert len(vetoes) == backtest.vetoed_count
@@ -327,7 +327,7 @@ def test_static_vet_off_suppresses_veto_events():
                                        static_vet=False)
     session = RepairSession(config)
     session.run()
-    assert session.artifacts["backtest"].vetoed_count == 0
+    assert session.backtest.vetoed_count == 0
     assert session.events.of_kind("candidate_vetoed") == []
 
 

@@ -13,15 +13,14 @@ import io
 
 import pytest
 
-from repro.api import (DEFAULT_STAGES, EventBus, JsonlEventWriter,
-                       RepairConfig, RepairSession, SessionEvent, Stage,
-                       StageError, repair)
+from repro.api import (STEPS, EventBus, JsonlEventWriter, RepairConfig,
+                       RepairSession, SessionEvent)
 from repro.scenarios import build_q1, build_scenario
 
 
 def report_rows(report):
     """Everything observable about a report except wall-clock timings and
-    candidate tags (tags serialise a process-global vertex counter, so two
+    candidate tags (tags serialise a process-global candidate counter, so two
     *identical* runs in one process never share them)."""
     return [
         (r.candidate.description, r.candidate.cost,
@@ -83,9 +82,9 @@ def test_stepwise_run_until_then_backtest():
     config = RepairConfig.for_scenario("Q1", max_candidates=6)
     session = RepairSession(config)
     session.run(until="diagnose")
-    assert set(session.artifacts) == {"history"}
+    assert session.history is not None and session.exploration is None
     session.run(until="generate")
-    exploration = session.artifacts["exploration"]
+    exploration = session.exploration
     assert 0 < len(exploration.candidates) <= 6
     backtester = config.make_backtester(session.scenario)
     report = backtester.evaluate_all(exploration.candidates)
@@ -106,7 +105,7 @@ def test_event_stream_structure():
                             session.events.of_kind("stage_finished")]
     found = session.events.of_kind("candidate_found")
     progress = session.events.of_kind("backtest_progress")
-    generated = len(session.artifacts["exploration"].candidates)
+    generated = len(session.exploration.candidates)
     assert [e.index for e in found] == list(range(1, generated + 1))
     assert [e.done for e in progress] == list(range(1, generated + 1))
     finished = history[-1]
@@ -142,12 +141,12 @@ def test_partial_run_and_resume():
     config = RepairConfig.for_scenario("Q1", max_candidates=6)
     session = RepairSession(config)
     assert session.run(until="generate") is None
-    assert set(session.artifacts) == {"history", "exploration"}
-    exploration = session.artifacts["exploration"]
+    assert session.backtest is None
+    exploration = session.exploration
     report = session.run()
     assert report is not None
-    # Resuming reuses the earlier artifacts instead of recomputing them.
-    assert session.artifacts["exploration"] is exploration
+    # Resuming reuses the earlier steps' outputs instead of recomputing them.
+    assert session.exploration is exploration
     stage_starts = [e.stage for e in session.events.of_kind("stage_started")]
     assert stage_starts == ["diagnose", "generate", "backtest", "rank"]
 
@@ -156,53 +155,31 @@ def test_run_until_completed_stage_stays_partial():
     config = RepairConfig.for_scenario("Q1", max_candidates=4)
     session = RepairSession(config)
     session.run(until="generate")
-    # Repeating the partial run must NOT fall through to the later stages.
+    # Repeating the partial run must NOT fall through to the later steps.
     session.run(until="generate")
-    assert set(session.artifacts) == {"history", "exploration"}
-    with pytest.raises(StageError, match="no stage named"):
-        session.run(until="genrate")
+    assert list(session.stage_seconds) == ["diagnose", "generate"]
+    assert session.backtest is None
 
 
-def test_reset_from_stage_drops_later_artifacts():
-    config = RepairConfig.for_scenario("Q1", max_candidates=4)
-    session = RepairSession(config)
-    session.run()
-    session.reset(from_stage="backtest")
-    assert set(session.artifacts) == {"history", "exploration"}
-    assert session.run() is not None
-    with pytest.raises(StageError, match="no stage named"):
-        session.reset(from_stage="backtests")
-
-
-def test_run_stage_requires_inputs():
-    config = RepairConfig.for_scenario("Q1", max_candidates=4)
-    session = RepairSession(config)
-    with pytest.raises(StageError, match="requires artifacts"):
-        session.run_stage(session.stage("backtest"))
-    with pytest.raises(StageError, match="no stage named"):
-        session.stage("nope")
-
-
-def test_custom_stage_pipeline():
-    class CountStage(Stage):
-        name = "count"
-        provides = "rule_count"
-
-        def run(self, session):
-            return len(session.scenario.program.rules)
-
-    session = RepairSession(scenario=build_scenario("Q1"),
-                            stages=[CountStage()])
-    assert session.run() is None          # no standard report artifacts
-    assert session.artifacts["rule_count"] == 8
-    assert "count" in session.stage_seconds
-
-
-def test_repair_convenience_wrapper():
-    report = repair("Q1", max_candidates=4)
-    assert len(report.backtest.results) == 4
-
-
-def test_default_stage_pipeline_is_documented_order():
-    assert [stage.name for stage in DEFAULT_STAGES] == [
-        "diagnose", "generate", "backtest", "rank"]
+def test_run_until_takes_the_four_step_names():
+    """``run(until=)`` resumes over the four steps and nothing else; the
+    report exists once Rank has run, and holds Rank's list."""
+    assert STEPS == ("diagnose", "generate", "backtest", "rank")
+    session = RepairSession(RepairConfig.for_scenario("Q1", max_candidates=4))
+    for bad in ("genrate", "Rank", "", "report"):
+        with pytest.raises(ValueError, match="diagnose, generate, backtest, "
+                                             "rank"):
+            session.run(until=bad)
+    assert session.stage_seconds == {}
+    for step in STEPS[:-1]:
+        assert session.run(until=step) is None
+        assert list(session.stage_seconds) == list(STEPS[:STEPS.index(step)
+                                                         + 1])
+    report = session.run(until="rank")
+    assert report is not None and session.suggestions is not None
+    assert report.suggestions() == session.suggestions
+    assert report.counts() == (4, len(session.suggestions))
+    assert session.run(until="diagnose") is not None
+    assert [e.stage for e in session.events.of_kind("stage_started")] == \
+        list(STEPS)
+    assert len(session.events.of_kind("session_finished")) == 1

@@ -43,14 +43,13 @@ def test_a_packet_round_trips_as_its_constructor_arguments():
     for packet in (defaulted, explicit):
         arguments = {field.name: getattr(packet, field.name)
                      for field in dataclasses.fields(Packet) if field.init}
-        # The derived tuple is no constructor argument: only the nine are.
+        # The derived tuple is no constructor argument: only the eight are.
         assert list(arguments) == ["src_ip", "dst_ip", "src_port",
                                    "dst_port", "proto", "src_mac", "dst_mac",
-                                   "size", "packet_id"]
+                                   "size"]
         for clone in (Packet(**arguments), copy.copy(packet),
                       copy.deepcopy(packet)):
             assert clone == packet and hash(clone) == hash(packet)
-            assert clone.packet_id == packet.packet_id
             assert clone.size == packet.size
             assert clone.header_values == packet.header_values
             assert clone.header() == packet.header()

@@ -153,7 +153,7 @@ def test_only_constant_repairs_ask_for_a_value(monkeypatch):
         session = RepairSession(RepairConfig.for_scenario(name, max_candidates=14))
         session.run(until="generate")
         assert callers == expected, name
-        stats = session.artifacts["exploration"].stats
+        stats = session.exploration.stats
         assert stats.solver_invocations == len(expected), name
         solving = session.timings().constraint_solving
         assert (solving > 0) if expected else (solving == 0.0), name

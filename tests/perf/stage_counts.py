@@ -48,6 +48,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[2]
 LEDGER = ROOT / "benchmarks" / "ledger"
 TRAJECTORY = ROOT / "BENCH_counts.json"
 ROWS = ("Q1@14", "Q4", "trace_heavy", "candidate_heavy", "program_heavy")
+#: The scenario build, then the session's steps (`repro.api.STEPS`).
 STAGES = ("scenario", "diagnose", "generate", "backtest", "rank")
 PACKAGES = ("ndlog", "sdn", "controllers", "meta", "repair", "analysis",
             "backtest", "api")
@@ -119,7 +120,7 @@ def _python_calls(call):
 def count_row(row):
     """The counts of ``row``, measured in this interpreter: per stage, the
     session, the code compiled, and per stage its cells."""
-    from repro.api import RepairSession
+    from repro.api import STEPS, RepairSession
     from repro.ndlog.plan import PLAN_CACHE
     from repro.repair import reset_candidate_ids
     config = _config(row)
@@ -127,7 +128,7 @@ def count_row(row):
     session = RepairSession.from_wire(config)
     compiled = PLAN_CACHE.misses
     cells = {"scenario": _python_calls(lambda: session.scenario)}
-    for stage in STAGES[1:]:
+    for stage in STEPS:
         cells[stage] = _python_calls(lambda: session.run(until=stage))
     counts = {stage: sum(cells[stage].values()) for stage in STAGES}
     counts["session"] = sum(counts.values())

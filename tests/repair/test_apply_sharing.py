@@ -168,8 +168,7 @@ def cases():
         session = RepairSession(RepairConfig(max_candidates=14),
                                 scenario=scenario)
         session.run(until="generate")
-        for index, candidate in enumerate(
-                session.artifacts["exploration"].candidates):
+        for index, candidate in enumerate(session.exploration.candidates):
             out.append((f"{name}/{index:02d}", scenario.program, candidate))
     hand_program = parse_program(HAND_PROGRAM, name="hand")
     for label, candidate in _hand_built(hand_program):

@@ -14,14 +14,13 @@ by the ledger's own workload modules as ``tests/perf/stage_counts.py``
 builds them, each over the whole trace and over a cut of it.  The history
 must equal the oracle's table by table, in order, and in ``all_values()``;
 the baseline must equal an unseeded ``Backtester.baseline()``; a session's
-report must equal that of the same session whose backtester replays its own
-baseline.  The index of each of Q1–Q5 is also pinned by digest: it used to
+backtester must hold Diagnose's baseline and reach the verdicts of a
+backtester that replays its own.  The index of each of Q1–Q5 is also pinned by digest: it used to
 be read off the store's *sets*, and its order then moved with
 ``PYTHONHASHSEED``.  CI runs this module under hash seeds 0 and 3.
 """
 
 import hashlib
-import json
 import pathlib
 import sys
 
@@ -29,7 +28,6 @@ import pytest
 
 from repro.api import RepairConfig, RepairSession
 from repro.backtest import Backtester
-from repro.repair import reset_candidate_ids
 from repro.scenarios import SCENARIO_BUILDERS, build_scenario
 
 import recording_oracle
@@ -38,9 +36,8 @@ from helpers import history_tables
 LEDGER = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "ledger"
 PAPER = ("Q1", "Q2", "Q3", "Q4", "Q5")
 SHAPES = ("trace_heavy", "candidate_heavy", "program_heavy")
-#: The cut of the trace-limited cases and of the session tests below, in
-#: packets: shorter than every trace above, so a cut run replays a strict
-#: prefix.
+#: The cut of the trace-limited cases below, in packets: shorter than every
+#: trace above, so a cut run replays a strict prefix.
 CUT = 30
 #: sha256 (first 16 hex digits) of each scenario's history index over the
 #: whole trace: its per-table tuple lists, then ``all_values()``.
@@ -117,61 +114,29 @@ def test_the_history_index_is_pinned(name):
         "matches and seeds constants in; a move that is not meant is a bug")
 
 
-def _report(session):
-    reset_candidate_ids()
-    wire = session.run().to_wire()
-    del wire["timings"]
-    return json.dumps(wire, sort_keys=True)
-
-
 @pytest.mark.parametrize("trace_limit", (None, CUT))
 @pytest.mark.parametrize("name", PAPER + SHAPES)
 def test_a_session_judges_against_diagnoses_run(name, trace_limit):
-    """The same report as a session whose backtester replays its own
-    baseline: there, ``history`` is filled by hand, so no Diagnose run is
-    at hand and the backtester falls back to :meth:`Backtester.baseline`."""
+    """Backtest holds Diagnose's baseline object, which equals a fresh
+    :meth:`Backtester.baseline` field by field, and its verdicts equal
+    those of a backtester that replays its own baseline."""
     config = dict(_config(name), trace_limit=trace_limit)
     session = RepairSession.from_wire(config)
-    report = _report(session)
+    session.run()
     recorded = session.recorded_run
+    assert recorded.trace_limit == trace_limit
     assert session.backtester.baseline() is recorded.baseline
-
-    replaying = RepairSession.from_wire(config)
-    replaying.artifacts["history"] = replaying.scenario.history_index(
-        trace_limit=trace_limit)
-    assert _report(replaying) == report
-    assert replaying.recorded_run is None
-    own = replaying.backtester.baseline()
-    assert own is not recorded.baseline
+    fresh = Backtester(session.scenario, trace_limit=trace_limit).baseline()
     for field in BASELINE_FIELDS:
-        assert getattr(own, field) == getattr(recorded.baseline, field), field
+        assert getattr(recorded.baseline, field) == getattr(fresh, field), \
+            field
+
+    replaying = session.config.make_backtester(session.scenario)
+    own = replaying.evaluate_all(session.exploration.candidates)
+    assert replaying.baseline() is not recorded.baseline
+    assert _verdicts(own) == _verdicts(session.backtest)
 
 
-def test_a_baseline_of_another_cut_is_not_used():
-    session = RepairSession(RepairConfig.for_scenario("Q1", max_candidates=4))
-    session.run(until="diagnose")
-    session.config.trace_limit = CUT
-    session.run()
-    assert session.backtester.baseline() is not \
-        session.recorded_run.baseline
-    assert session.backtester.baseline().total == CUT
-
-
-def test_a_history_filled_by_hand_after_diagnose_is_not_its_run():
-    session = RepairSession(RepairConfig.for_scenario("Q1", max_candidates=4))
-    session.run(until="diagnose")
-    session.artifacts["history"] = recording_oracle.history_index(
-        session.scenario)
-    session.run()
-    assert session.backtester.baseline() is not \
-        session.recorded_run.baseline
-
-
-def test_a_rerun_diagnose_hands_over_its_own_run():
-    session = RepairSession(RepairConfig.for_scenario("Q1", max_candidates=4))
-    session.run(until="diagnose")
-    first = session.recorded_run
-    session.reset("diagnose")
-    session.run()
-    assert session.recorded_run is not first
-    assert session.backtester.baseline() is session.recorded_run.baseline
+def _verdicts(report):
+    return [(r.candidate.tag, r.ks.statistic, r.effective, r.accepted,
+             r.notes) for r in report.results]

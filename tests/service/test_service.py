@@ -180,26 +180,45 @@ class TestEndpoints:
 
     def test_a_hostile_tenant_cannot_inject_metric_lines(self, fleet):
         # The tenant comes from the request body and is a label value on
-        # /metrics: escaped, it stays inside its one sample line.
+        # /metrics: one that is no plain name is refused at the door, and
+        # no sample line is written for it.
         _daemon, _server, client = fleet(workers=0)
-        client.submit(RepairConfig.for_scenario("Q1", max_candidates=4),
-                      tenant='a"}\nservice_fake 1\n')
+        with pytest.raises(ClientError) as excinfo:
+            client.submit(RepairConfig.for_scenario("Q1", max_candidates=4),
+                          tenant='a"}\nservice_fake 1\n')
+        assert excinfo.value.status == 400
         lines = client.metrics_text().splitlines()
-        submitted = [line for line in lines
-                     if line.startswith("service_sessions_submitted{")]
-        assert submitted == [
-            'service_sessions_submitted{tenant="a\\"}\\nservice_fake 1\\n"} 1']
-        assert not any(line.startswith("service_fake") for line in lines)
+        assert not any(line.startswith(("service_sessions_submitted{",
+                                        "service_fake")) for line in lines)
 
-    def test_tenant_from_header_and_query(self, fleet):
-        _daemon, _server, client = fleet(workers=0)
+    @pytest.mark.parametrize("envelope, path, headers", [
+        ({"tenant": ["a"]}, "/sessions", None),
+        ({"tenant": 7}, "/sessions", None),
+        ({"tenant": ""}, "/sessions", None),
+        ({"tenant": "t" * 65}, "/sessions", None),
+        ({}, "/sessions", {"X-Repro-Tenant": "hdr"}),
+        ({}, "/sessions?tenant=qry", None),
+        (None, "/sessions", None)],
+        ids=["list", "int", "empty", "65 characters", "header only",
+             "query only", "bare body"])
+    def test_a_tenant_outside_the_envelope_or_its_alphabet_is_400(
+            self, fleet, envelope, path, headers):
+        daemon, _server, client = fleet(workers=0)
+        config = RepairConfig.for_scenario("Q1", max_candidates=4).to_wire()
+        payload = config if envelope is None else {"config": config,
+                                                   **envelope}
+        with pytest.raises(ClientError) as excinfo:
+            client._json("POST", path, payload=payload, headers=headers)
+        assert excinfo.value.status == 400
+        assert daemon.status()["sessions_total"] == 0
+
+    def test_the_ack_echoes_the_recorded_tenant(self, fleet):
+        daemon, _server, client = fleet(workers=0)
         config = RepairConfig.for_scenario("Q1", max_candidates=4)
-        ack = client._json("POST", "/sessions", payload=config.to_wire(),
-                           headers={"X-Repro-Tenant": "hdr"})
-        assert ack["tenant"] == "hdr"
-        ack = client._json("POST", "/sessions?tenant=qry",
-                           payload=config.to_wire())
-        assert ack["tenant"] == "qry"
+        for tenant, recorded in (("team-a_1.x", "team-a_1.x"),
+                                 ("t" * 64, "t" * 64), (None, "default")):
+            ack = client.submit(config, tenant=tenant)
+            assert ack["tenant"] == daemon.get(ack["id"]).tenant == recorded
 
     def test_unknown_session_is_404(self, fleet):
         _daemon, _server, client = fleet(workers=0)
