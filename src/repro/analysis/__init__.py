@@ -1,16 +1,11 @@
 """Static analysis over NDlog programs.
 
-Four cooperating passes (Section "static program analysis" of the repair
-pipeline):
-
-``depgraph``
-    Predicate-level program dependency graph with positive / negative /
-    aggregate edges, strongly connected components, stratification and
-    recursion-through-negation detection.
+Three cooperating passes (Section "static program analysis" of the repair
+pipeline); ``lint`` runs ``safety`` over a whole program (``repro lint``):
 
 ``safety``
-    Range restriction (every head / negated / comparison variable bound by a
-    positive body atom or an assignment), arity consistency against declared
+    Range restriction (every head, assignment and comparison variable bound
+    by a body atom or an assignment), arity consistency against declared
     :class:`~repro.ndlog.tuples.TableSchema`, and a small type-inference
     lattice over join keys and comparison constants.
 
@@ -38,7 +33,6 @@ from .vet import CandidateVetter, VetResult
 # load with the first name that needs them (``repro lint``,
 # ``CandidateVetter.vet``).
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "depgraph": ("DependencyEdge", "DependencyGraph"),
     "lint": ("lint_program", "lint_scenario"),
     "safety": ("check_safety",),
 })
@@ -46,8 +40,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 __all__ = [
     "CandidateVetter",
     "ConstantPropagation",
-    "DependencyEdge",
-    "DependencyGraph",
     "LintFinding",
     "Severity",
     "VetResult",

@@ -172,7 +172,7 @@ class ConstantPropagation:
         """A ``'*'`` binding can never strictly unify with a column that is
         provably wildcard-free (event tuples, clean static tables)."""
         for index, atom in enumerate(rule.body):
-            if index == skip_index or atom.negated:
+            if index == skip_index:
                 continue
             for column, arg in enumerate(atom.args):
                 if (isinstance(arg, Var)
@@ -186,7 +186,7 @@ class ConstantPropagation:
         """Propagate the bindings through every statically enumerable body
         atom; refuted when no combination of static tuples is consistent."""
         enum_atoms = [atom for index, atom in enumerate(rule.body)
-                      if index != skip_index and not atom.negated
+                      if index != skip_index
                       and self.enumerable(atom.table)]
         if not enum_atoms:
             return False
@@ -236,8 +236,6 @@ class ConstantPropagation:
             return "unconsumed-table"
         reasons = []
         for rule, atom_index in occurrences:
-            if rule.body[atom_index].negated:
-                return None     # negation is beyond this analysis
             reason = self.occurrence_ruled_out(rule, atom_index, values)
             if reason is None:
                 return None

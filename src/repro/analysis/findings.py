@@ -35,10 +35,10 @@ class LintFinding:
     """One diagnostic from a static-analysis pass.
 
     Attributes:
-        pass_name: which pass produced it (``depgraph`` / ``safety`` /
+        pass_name: which pass produced it (``safety`` / ``lint`` /
             ``constprop`` / ``vet``).
         code: stable kebab-case slug identifying the finding class
-            (e.g. ``unsafe-variable``, ``unstratified-negation``).
+            (e.g. ``unsafe-variable``, ``duplicate-rule``).
         severity: one of :class:`Severity`'s levels.
         message: human-readable description.
         rule: name of the rule the finding anchors to, or ``None`` for

@@ -1,7 +1,7 @@
 """Program-level linting: the entry point behind ``repro lint``.
 
-``lint_program`` runs the dependency-graph and safety passes plus a few
-program-level checks (duplicate rules), returning every finding.  The
+``lint_program`` runs the safety pass plus a program-level check
+(duplicate rules), returning every finding.  The
 Q1-Q5 ground-truth programs lint clean; the tier-1 lint gate asserts this
 for every registered scenario.
 """
@@ -14,7 +14,6 @@ from typing import Dict, Iterable, List, Optional
 from ..ndlog.ast import Program
 from ..ndlog.tuples import TableSchema
 
-from .depgraph import DependencyGraph
 from .findings import LintFinding, Severity, finding_at
 from .safety import check_safety
 
@@ -44,7 +43,6 @@ def lint_program(program: Program,
                  static_tuples: Iterable = ()) -> List[LintFinding]:
     """Run every program-level pass; returns all findings, errors first."""
     findings: List[LintFinding] = []
-    findings.extend(DependencyGraph(program).findings())
     findings.extend(check_safety(program, schemas, static_tuples))
     findings.extend(_check_duplicate_rules(program))
     order = {Severity.ERROR: 0, Severity.WARNING: 1, Severity.NOTE: 2}

@@ -2,11 +2,10 @@
 
 Three families of checks, all reported as :class:`LintFinding`s:
 
-Range restriction (``unsafe-variable`` / ``unsafe-negation``)
-    Every head variable must be bound by a positive body atom or computed by
-    an assignment; every assignment may only read bound variables; every
-    comparison (selection) variable must be bound; every variable of a
-    negated atom must be bound by a positive atom.  Violations surface at
+Range restriction (``unsafe-variable``)
+    Every head variable must be bound by a body atom or computed by an
+    assignment; every assignment may only read bound variables; every
+    comparison (selection) variable must be bound.  Violations surface at
     runtime as :class:`~repro.ndlog.errors.UnboundVariableError` — the lint
     catches them before any packet is replayed.
 
@@ -80,11 +79,9 @@ def _check_range_restriction(rule: Rule) -> Tuple[LintFinding, ...]:
     :func:`check_safety` takes it once per ``Rule`` value (``rule.memo``):
     a candidate program shares all but its edited rules with the base."""
     findings: List[LintFinding] = []
-    positive_vars: Set[str] = set()
+    bound: Set[str] = set()
     for atom in rule.body:
-        if not atom.negated:
-            positive_vars |= atom.variables()
-    bound = set(positive_vars)
+        bound |= atom.variables()
     for assignment in rule.assignments:
         for name in sorted(assignment.expr.variables() - bound):
             findings.append(finding_at(
@@ -106,16 +103,6 @@ def _check_range_restriction(rule: Rule) -> Tuple[LintFinding, ...]:
             f"head variable {name!r} is bound by no positive body atom "
             f"and no assignment",
             rule=rule, atom=rule.head, atom_index=-1))
-    for index, atom in enumerate(rule.body):
-        if not atom.negated:
-            continue
-        for name in sorted(atom.variables() - positive_vars
-                           - {a.var for a in rule.assignments}):
-            findings.append(finding_at(
-                "safety", "unsafe-negation", Severity.ERROR,
-                f"negated atom !{atom.table} uses variable {name!r} that "
-                f"no positive body atom binds",
-                rule=rule, atom=atom, atom_index=index))
     return tuple(findings)
 
 
@@ -162,8 +149,6 @@ def _check_types(program: Program,
         var_types: Dict[str, Set[str]] = {}
         anchor: Dict[str, Tuple[Atom, int]] = {}
         for index, atom in enumerate(rule.body):
-            if atom.negated:
-                continue
             for column, arg in enumerate(atom.args):
                 if not isinstance(arg, Var):
                     continue
@@ -192,19 +177,6 @@ def _check_types(program: Program,
     return findings
 
 
-def _check_negation_support(program: Program) -> List[LintFinding]:
-    findings: List[LintFinding] = []
-    for rule in program.rules:
-        for index, atom in enumerate(rule.body):
-            if atom.negated:
-                findings.append(finding_at(
-                    "safety", "negation-unsupported", Severity.ERROR,
-                    f"negated atom !{atom.table} is not supported by the "
-                    f"reference evaluator (the engine refuses the program)",
-                    rule=rule, atom=atom, atom_index=index))
-    return findings
-
-
 def check_safety(program: Program,
                  schemas: Optional[Dict[str, TableSchema]] = None,
                  static_tuples: Iterable = ()) -> List[LintFinding]:
@@ -217,5 +189,4 @@ def check_safety(program: Program,
     findings.extend(_check_arity(program, schemas))
     findings.extend(_check_types(
         program, column_type_evidence(program, static_tuples)))
-    findings.extend(_check_negation_support(program))
     return findings

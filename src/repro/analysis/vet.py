@@ -10,9 +10,6 @@ The vetter applies a candidate to the base program and classifies it:
         the edits cannot be applied to the program at all;
     ``no-op-edit``
         the patched program and base data equal the originals;
-    ``negation-unsupported``
-        the patched program contains a negated atom — the engine refuses
-        such programs at plan time, so the backtest would fail anyway;
     ``inert-insert``
         the edits only insert tuples, every one provably inert
         (:meth:`ConstantPropagation.insert_inert`).
@@ -27,9 +24,8 @@ The vetter applies a candidate to the base program and classifies it:
 
 The backtest asks only :meth:`CandidateVetter.veto`: the reject reason or
 ``None``.  Its checks cost the edit, not the program — unedited rules are the
-base program's own objects, so the no-op check recognises them by identity;
-the negation check is one loop over body atoms, a single call on any
-program.  The ``warn`` findings are the linter's (``repro lint
+base program's own objects, so the no-op check recognises them by identity.
+The ``warn`` findings are the linter's (``repro lint
 --candidates``): :meth:`~CandidateVetter.vet` and
 :meth:`~CandidateVetter.vet_candidate` take their verdict from the same
 decision and add the whole-program lint passes over the patched program.
@@ -142,7 +138,7 @@ class CandidateVetter:
                 severity=Severity.ERROR, message=str(exc))])
 
     def _judge(self, repaired) -> _Decision:
-        """The other three reject classes, in order, for an applied
+        """The other two reject classes, in order, for an applied
         candidate."""
         patched: Program = repaired.program
         inserted = repaired.inserted_tuples
@@ -155,10 +151,6 @@ class CandidateVetter:
                 message="the edits leave the program and base data "
                         "unchanged — the backtest would repeat the "
                         "baseline")])
-        # The engine refuses negated atoms at plan time, so the candidate
-        # could never complete a backtest.
-        if _any_negated(patched.rules):
-            return _Decision("negation-unsupported", repaired)
         if inserted and not program_changed:
             propagation = ConstantPropagation(
                 patched, schemas=self.schemas,
@@ -183,7 +175,6 @@ class CandidateVetter:
     # ------------------------------------------------------------------
 
     def _result(self, decision: _Decision) -> VetResult:
-        from .depgraph import DependencyGraph
         from .safety import check_safety
 
         reason, repaired = decision.reason, decision.repaired
@@ -192,18 +183,9 @@ class CandidateVetter:
                              findings=list(decision.findings))
         patched: Program = repaired.program
         findings: List[LintFinding] = []
-        findings.extend(DependencyGraph.of(patched).findings())
         findings.extend(check_safety(
             patched, self.schemas,
             self.static_tuples + list(repaired.inserted_tuples)))
         findings.extend(decision.findings)
         verdict = REJECT if reason is not None else WARN if findings else OK
         return VetResult(verdict=verdict, findings=findings, reason=reason)
-
-
-def _any_negated(rules) -> bool:
-    for rule in rules:
-        for atom in rule.body:
-            if atom.negated:
-                return True
-    return False

@@ -24,7 +24,7 @@ from ..backtest.abort import EarlyAbortPolicy
 from ..meta.costs import CostModel
 from ..scenarios import check_spec
 from ..scenarios.spec import ScenarioSpec, SpecError
-from ..wire import Wire, WireError
+from ..wire import Wire, WireError, decode_fields
 
 
 class ConfigError(WireError):
@@ -49,6 +49,10 @@ MAX_CANDIDATES_LIMIT = 1000
 #: ``fault_plan`` must decode as a ``FaultPlan``); anything else is a
 #: :class:`ConfigError`, not a crash when the run starts.
 TRANSPORT_OPTIONS = {"result_timeout": (int, float), "fault_plan": None}
+
+#: The names a config's ``transport`` may hold (the CLI's ``--transport``
+#: choices): ``repro.distrib.fleet_size`` maps each to a worker count.
+TRANSPORTS = ("inprocess", "spawn", "socket")
 
 
 def _check_positive(name: str, value) -> None:
@@ -79,6 +83,9 @@ class TelemetryConfig(Wire):
     #: Attach the tracer to replay engines so every PacketIn fixpoint gets
     #: its own span (``engine.fixpoint``) — verbose; for deep dives only.
     trace_fixpoints: bool = False
+
+    def __post_init__(self):
+        decode_fields(self)
 
 
 @dataclass
@@ -137,6 +144,7 @@ class RepairConfig(Wire):
 
     def __post_init__(self):
         # Construction, ``with_updates`` and the wire decode all land here.
+        decode_fields(self)
         if self.scenario is not None:
             try:
                 check_spec(self.scenario)
@@ -160,6 +168,10 @@ class RepairConfig(Wire):
             raise ConfigError(f"config ks_threshold must be within [0, 1], "
                               f"not {threshold!r}")
         _check_positive("max_packet_in_growth", self.max_packet_in_growth)
+        if self.transport not in (None, *TRANSPORTS):
+            raise ConfigError(f"config transport must be one of "
+                              f"{list(TRANSPORTS)} or null, "
+                              f"not {self.transport!r}")
         options = self.transport_options
         unknown = set(options).difference(TRANSPORT_OPTIONS)
         if unknown:

@@ -457,9 +457,8 @@ class Backtester:
         produced.  Inert-insert and no-op vetoes are behaviour-preservation
         proofs: the patched run is bit-identical to the baseline, so the
         baseline statistics are judged exactly as a replay's would be.
-        Candidates vetoed because they fail to evaluate at all (apply
-        errors, unsupported negation) have no well-defined replay and are
-        reported flatly rejected.
+        Candidates vetoed because their edits do not apply have no
+        replay and are reported flatly rejected.
         """
         if not self.static_vet:
             return list(candidates), {}
@@ -473,8 +472,7 @@ class Backtester:
                 vetoed[index] = self.verdict(
                     candidate, self.baseline(),
                     note=f"vetoed by static analysis: {reason}",
-                    judge=reason not in ("apply-failed",
-                                         "negation-unsupported"))
+                    judge=reason != "apply-failed")
                 vetoed[index].elapsed_seconds = \
                     _time.perf_counter() - started
                 self.vetoed += 1

@@ -43,6 +43,7 @@ from typing import List, Optional
 
 from .api import (EventBus, JsonlEventWriter, RepairConfig, RepairSession,
                   SessionEvent, TelemetryConfig)
+from .api.config import TRANSPORTS
 from .backtest.abort import EarlyAbortPolicy
 
 
@@ -59,7 +60,7 @@ _CONFIG_FLAGS = (
     ("run", "max_packet_in_growth", float, "X",
      "reject repairs growing PacketIn load beyond X×"),
     ("sched", "workers", int, "N", "worker count for candidate evaluation"),
-    ("sched", "transport", ("inprocess", "spawn", "socket"), None,
+    ("sched", "transport", TRANSPORTS, None,
      "evaluate candidates through the distributed fabric instead of the "
      "local path"),
 )

@@ -55,6 +55,7 @@ import traceback
 from collections import deque
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from ..api.config import TRANSPORTS
 from .faults import (FaultInjector, FaultPlan, FaultStats, QuarantinedItem,
                      retry_or_quarantine)
 from .jobs import DistribError, JobRuntime, RuntimeCache, strip_candidates
@@ -70,9 +71,9 @@ ResultCallback = Callable[[int, object], None]
 def fleet_size(name: str, workers: int) -> int:
     """How many pool workers a transport named ``name`` runs: none
     ``"inprocess"``, ``workers`` under ``"spawn"`` and ``"socket"``."""
-    if name not in ("inprocess", "spawn", "socket"):
+    if name not in TRANSPORTS:
         raise DistribError(f"unknown transport {name!r}; expected one of "
-                           f"['inprocess', 'socket', 'spawn']")
+                           f"{sorted(TRANSPORTS)}")
     return 0 if name == "inprocess" else workers
 
 

@@ -13,9 +13,9 @@ copy, and is edited with :func:`dataclasses.replace`, which keeps the source
 position.  Nodes are shared, not copied: a repair (:mod:`repro.repair.apply`)
 builds its program by replacing the rules it edits, and every other rule of
 the result *is* the base program's object.  Facts derived from a rule or a
-program (its plan shape, its name index, its dependency graph) are
-computed once per value (:class:`_Memoized`), because the value can no
-longer change under them.  ``to_ndlog()`` pretty-prints a node and
+program (its plan shape, its name index, its range checks) are computed
+once per value (:class:`_Memoized`), because the value can no longer change
+under them.  ``to_ndlog()`` pretty-prints a node and
 round-trips through :mod:`repro.ndlog.parser`.
 """
 
@@ -142,9 +142,6 @@ class Atom:
         args: expressions filling the columns (usually ``Var`` or ``Const``).
         location_index: index of the argument carrying the ``@`` location
             specifier, or ``None`` if the atom has no location.
-        negated: ``True`` for a negated body atom (``!Table(...)``).  The
-            reference engine does not evaluate negation; the static analyzer
-            (:mod:`repro.analysis`) uses the flag for stratification checks.
         line / column: 1-based source position of the atom's table name, when
             the atom came from the parser.  Excluded from equality, hash,
             repr and the wire so positional metadata never influences
@@ -154,7 +151,6 @@ class Atom:
     table: str
     args: Tuple[Expression, ...]
     location_index: Optional[int] = 0
-    negated: bool = False
     line: Optional[int] = field(**_POSITION)
     column: Optional[int] = field(**_POSITION)
 
@@ -185,8 +181,7 @@ class Atom:
             if index == self.location_index:
                 text = "@" + text
             parts.append(text)
-        prefix = "!" if self.negated else ""
-        return f"{prefix}{self.table}({', '.join(parts)})"
+        return f"{self.table}({', '.join(parts)})"
 
     def __str__(self):
         return self.to_ndlog()

@@ -32,6 +32,9 @@ through the expression grammar.  Three pitfalls of such a scanner:
   ``isdecimal``), so a non-ASCII source's classes list its own non-ASCII
   letters and digits: ``é`` and ``٣`` read as ever, and ``²`` is a number
   that ``int`` refuses (a ``ParseError``).
+
+There is no negation: an atom written ``!Table(...)``, in a head or a body,
+is a ``ParseError`` at the ``!``.
 """
 
 from __future__ import annotations
@@ -222,9 +225,6 @@ class _Parser:
             self.anonymous += 1
             name = f"r{self.anonymous}"
         head = self.atom()
-        if head.negated:
-            raise ParseError(f"rule head {head.table!r} must not be negated",
-                             head.line or 0, head.column or 0)
         self.expect(":-")
         body, selections, assignments = [], [], []
         terms = {Atom: body, Selection: selections, Assignment: assignments}
@@ -242,15 +242,18 @@ class _Parser:
 
     def atom(self):
         texts = self.texts
-        negated = texts[self.pos] == "!"
-        table = self.pos + negated
+        bang = texts[self.pos] == "!"
+        table = self.pos + bang
         if self.kinds[table] != "ident":
             raise _Syntax(table,
                           f"expected table name, found {texts[table]!r}")
         self.pos = table + 1
         args, location_index = self.arguments(located=True)
-        return Atom(texts[table], args, location_index, negated,
-                    *self.position(table))
+        if bang:
+            # Refused at the "!" once the atom is read, so an error inside
+            # the atom is still the one reported.
+            raise _Syntax(table - 1, "negation is not supported")
+        return Atom(texts[table], args, location_index, *self.position(table))
 
     def arguments(self, located):
         """``(`` expressions ``)``, and the index of the last one marked
@@ -273,7 +276,7 @@ class _Parser:
     def term(self):
         texts, kinds = self.texts, self.kinds
         pos = self.pos
-        # Negated body atom: "!" ident "(" ...
+        # Negated body atom: "!" ident "(" ..., which atom() refuses.
         if (texts[pos] == "!" and kinds[pos + 1] == "ident"
                 and texts[pos + 2] == "("):
             return self.atom()

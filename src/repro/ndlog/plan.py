@@ -79,7 +79,7 @@ def rule_shape(rule: Rule):
     """``(shape, constants)`` of ``rule``, walked once per rule value.
 
     ``shape`` is nested tuples of the structure without the rule's name: its
-    atoms, head first, each ``(table, location_index, negated, args)``, its
+    atoms, head first, each ``(table, location_index, args)``, its
     selections and its assignments ``(var, expr)``, where a variable is its
     name, a constant ``type(value)``, an operation ``(op, left, right)`` and
     a call ``(FuncCall, name, args)``; ``constants`` are the values in walk
@@ -96,7 +96,7 @@ def _binding_key(rule: Rule) -> frozenset:
 
 def _walk(rule: Rule) -> frozenset:
     constants = []
-    atoms = tuple([(atom.table, atom.location_index, atom.negated, tuple([
+    atoms = tuple([(atom.table, atom.location_index, tuple([
         arg.name if arg.__class__ is Var else _expr_shape(arg, constants)
         for arg in atom.args])) for atom in (rule.head,) + rule.body])
     shape = (atoms, tuple([_expr_shape(selection.expr, constants)
@@ -137,8 +137,8 @@ def _template(shape) -> Rule:
         return BinOp(key[0], node(key[1]), node(key[2]))
 
     atoms, selections, assignments = shape
-    head, *body = [Atom(table, tuple(map(node, args)), location_index, negated)
-                   for table, location_index, negated, args in atoms]
+    head, *body = [Atom(table, tuple(map(node, args)), location_index)
+                   for table, location_index, args in atoms]
     return Rule("", head, body, [Selection(node(key)) for key in selections],
                 [Assignment(var, node(key)) for var, key in assignments])
 
@@ -269,11 +269,6 @@ def _compile(rule: Rule):
     rule of that shape and ``recipes`` are its guard recipes by position."""
     shape, constants = rule_shape(rule)
     template = _template(shape)
-    for body_atom in template.body:
-        if body_atom.negated:
-            raise EvaluationError(
-                f"rule {rule.name!r}: negated atom "
-                f"!{body_atom.table} is not supported by the evaluator")
     atoms = [(atom,) + _atom_layout(atom) for atom in template.body]
     assigned = {a.var for a in template.assignments}
     sel_vars = [frozenset(s.variables()) for s in template.selections]

@@ -16,6 +16,7 @@ door, since JSON has no coercion to lean on (``"no"`` is truthy and
 ``int`` refuses ``bool`` and ``str``, a ``float`` takes either number,
 ``None`` passes only where a field is ``Optional``, and an unknown key or
 kind, or a missing key without a default, is a :class:`WireError`.
+:func:`decode_fields` holds a value built in process to the same rule.
 """
 
 from __future__ import annotations
@@ -168,10 +169,24 @@ def decode(cls, wire):
         raise WireError(str(exc)) from exc
 
 
+def decode_fields(value: Wire) -> None:
+    """Decode the wired fields of ``value``, built in process, in place: a
+    field takes what :func:`decode` would make of it as a wire (a nested
+    type's wire dict becomes its value), or the class's ``wire_error`` is
+    raised with the message a wire holding it gets."""
+    cls = type(value)
+    try:
+        for name, hint, _ in _fields(cls)[0]:
+            setattr(value, name, _decode(hint, getattr(value, name),
+                                         cls.wire_name, repr(name)))
+    except WireError as exc:
+        raise cls.wire_error(str(exc)) from None
+
+
 def _decode(hint, value, what: str, where: str):
     hint, nullable, origin, args, exact, nested = _unpack(hint)
     if type(value) in (exact or ()) or value is None and nullable \
-            or hint is object:
+            or hint is object or nested and isinstance(value, hint):
         return value
     fixed = origin is tuple and args[1:] != (Ellipsis,)
     if origin in (list, tuple) and type(value) in (list, tuple):

@@ -11,7 +11,6 @@ candidates get the verdicts the in-process vetter gives them, and a file
 that is not a list of candidate wires is a usage error, never a traceback.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -88,17 +87,14 @@ def test_cli_lint_candidates_match_the_in_process_vetter(tmp_path, capsys):
     assert _lint_candidates(tmp_path, capsys, candidates) == expected
 
 
-def test_cli_lint_candidates_keep_a_negated_atom(tmp_path, capsys):
-    """The wire used to drop ``Atom.negated``: this copy of r1 linted
-    ``ok`` from a file and ``negation-unsupported`` in process."""
+def _negated_atom_wire():
+    """Q1's r1 copied, with its second body atom marked ``negated``: a key
+    the ``Atom`` wire does not have, since NDlog here has no negation."""
     r1 = rule_named(build_scenario("Q1").program, "r1")
-    balancer = dataclasses.replace(r1.body[1], negated=True)
-    copy = dataclasses.replace(r1, name="r1_neg",
-                               body=(r1.body[0], balancer))
-    candidate = RepairCandidate(edits=(CopyRule("r1", copy),), cost=1.0,
-                                candidate_id=1)
-    assert _lint_candidates(tmp_path, capsys, [candidate]) == [
-        (1, "reject", "negation-unsupported")]
+    wire = candidate_to_wire(RepairCandidate(
+        edits=(CopyRule("r1", r1),), cost=1.0, candidate_id=1))
+    wire["edits"][0]["new_rule"]["body"][1]["negated"] = True
+    return json.dumps([wire])
 
 
 CHANGE_CONSTANT = {"kind": "change_constant", "rule": "r1",
@@ -116,8 +112,9 @@ CHANGE_CONSTANT = {"kind": "change_constant", "rule": "r1",
                   "cost": 1.0}]), "'selection_index' must be an integer"),
     ('[{"edits": [], "cost": "1"}]', "'cost' must be a number"),
     ('[{"edits": [], "cost": 1.0, "bogus": 1}]', "unknown candidate keys"),
+    (_negated_atom_wire(), "candidate 0: unknown Atom keys: ['negated']"),
 ], ids=["missing", "not-json", "not-a-list", "missing-key", "string-index",
-        "string-cost", "unknown-key"])
+        "string-cost", "unknown-key", "negated-atom"])
 def test_cli_lint_bad_candidate_file_is_usage_error(tmp_path, capsys, text,
                                                     message):
     path = tmp_path / "candidates.json"

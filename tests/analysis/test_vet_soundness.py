@@ -145,19 +145,14 @@ def test_an_abort_policy_vets_identically(name):
 
 
 def test_rejected_unevaluable_candidates_fail_to_evaluate():
-    """The other half of the contract: apply-failed / negation-unsupported
-    rejects are candidates the replay machinery cannot evaluate at all."""
+    """The other half of the contract: apply-failed rejects are candidates
+    the replay machinery cannot evaluate at all."""
     scenario, _candidates = scenario_and_candidates("Q1")
     _c, vetter, _on, (off, _report) = reports_for("Q1")
-    negated = parse_program(
-        "neg FlowTable(@Swi, Sip, Hdr, Prt) :- PacketIn(@C, Swi, Sip, Hdr), "
-        "!WebLoadBalancer(@Swi, Sip, Prt), Prt := 2.").rules[0]
     unevaluable = [
         RepairCandidate(edits=(ChangeConstant("no-such-rule", 0, "right",
                                               1, 2),),
                         cost=1.0, description="edit a missing rule"),
-        RepairCandidate(edits=(CopyRule("r1", negated),), cost=1.4,
-                        description="add a negated rule"),
     ]
     reasons = []
     for candidate in unevaluable:
@@ -166,7 +161,7 @@ def test_rejected_unevaluable_candidates_fail_to_evaluate():
         reasons.append(verdict.reason)
         with pytest.raises(Exception):
             off.evaluate(candidate)
-    assert reasons == ["apply-failed", "negation-unsupported"]
+    assert reasons == ["apply-failed"]
     assert [vetter.veto(c) for c in unevaluable] == reasons
 
 
@@ -176,20 +171,13 @@ def test_rejected_unevaluable_candidates_fail_to_evaluate():
 
 def assert_veto_is_the_verdict(vetter, candidates):
     """``veto`` returns the reject reason of ``vet_candidate``'s verdict,
-    or ``None`` when that verdict is not a reject; returns the reasons.
-
-    The two share their decision code, so the negation reject is also held
-    against the safety pass, which scans the whole patched program itself.
-    """
+    or ``None`` when that verdict is not a reject; returns the reasons."""
     reasons = []
     for candidate in candidates:
         verdict = vetter.vet_candidate(candidate)
         expected = verdict.reason if verdict.rejected else None
         assert vetter.veto(candidate) == expected, (candidate.edits,
                                                     verdict.describe())
-        if expected not in ("apply-failed", "no-op-edit"):
-            assert (expected == "negation-unsupported") == any(
-                f.code == "negation-unsupported" for f in verdict.findings)
         reasons.append(expected)
     return reasons
 
@@ -230,27 +218,6 @@ def test_veto_is_the_verdict_on_no_op_and_shared_names():
     assert reasons[0] == "no-op-edit"
 
 
-def test_veto_reads_the_whole_program_when_the_base_has_negation():
-    """No edit kind deletes a body atom, so every edit keeps the base's
-    negated atom — an edit of another rule or an insert as well as one of
-    the negated rule itself: the rules the candidate built are not enough
-    to tell."""
-    scenario, _candidates = scenario_and_candidates("Q1")
-    q1 = scenario.program
-    r1 = rule_named(q1, "r1")
-    negated = dataclasses.replace(
-        r1, body=(r1.body[0], dataclasses.replace(r1.body[1], negated=True)))
-    vetter = vetter_for(scenario, dataclasses.replace(
-        q1, rules=(negated,) + q1.rules[1:]))
-    keeps = [_candidate(ChangeConstant("r7", 0, "right", 2, 3)),
-             _candidate(InsertTuple(NDTuple("WebLoadBalancer",
-                                            ("C", 150, 2))))]
-    edits_r1 = [_candidate(ChangeConstant("r1", 0, "right", 1, 5)),
-                _candidate(DeleteSelection("r1", 1))]
-    reasons = assert_veto_is_the_verdict(vetter, keeps + edits_r1)
-    assert reasons == ["negation-unsupported"] * 4
-
-
 Q1_RULES = ("r1", "r2", "r5", "r6", "r7", "r8", "r9", "r10")
 RULE_NAMES = st.sampled_from(Q1_RULES + ("r99",))
 INDEXES = st.integers(0, 2)
@@ -265,15 +232,10 @@ TUPLES = st.one_of(
     st.builds(lambda value: NDTuple("Unread", ("C", value)), VALUES))
 
 
-def _added_rule(name, negate):
-    """A copy of Q1's rule ``name`` under a new name, its last body atom
-    negated if ``negate``."""
+def _added_rule(name):
+    """A copy of Q1's rule ``name`` under a new name."""
     rule = rule_named(build_q1().program, name)
-    body = rule.body
-    if negate:
-        body = body[:-1] + (dataclasses.replace(body[-1], negated=True),)
-    return CopyRule(name, dataclasses.replace(rule, name=f"{name}_added",
-                                              body=body))
+    return CopyRule(name, dataclasses.replace(rule, name=f"{name}_added"))
 
 
 def _retargeted_head(table):
@@ -292,7 +254,7 @@ SINGLE_EDITS = st.one_of(
     st.builds(ChangeRuleHead, RULE_NAMES,
               st.builds(_retargeted_head, st.sampled_from(("FlowTable",
                                                           "Unread")))),
-    st.builds(_added_rule, st.sampled_from(Q1_RULES), st.booleans()),
+    st.builds(_added_rule, st.sampled_from(Q1_RULES)),
     st.builds(InsertTuple, TUPLES))
 
 

@@ -146,10 +146,15 @@ def test_a_config_file_naming_a_removed_knob_is_exit_2(tmp_path, capsys):
     ({"scenario": {"name": "Q1", "params": {"s1_clients": 150}}},
      "scenario Q1 parameter 's1_clients' must be within [2, 100], not 150"),
     ({"max_candidates": 10 ** 12},
-     f"config max_candidates must be <= 1000, not {10 ** 12}")],
+     f"config max_candidates must be <= 1000, not {10 ** 12}"),
+    # This one ran Diagnose and Generate, then exited 1 with a DistribError
+    # traceback when the fleet was sized.
+    ({"scenario": {"name": "Q1"}, "transport": "bogus"},
+     "config transport must be one of ['inprocess', 'spawn', 'socket'] or "
+     "null, not 'bogus'")],
     ids=["fault_tolerance", "unknown_option", "fault_plan",
          "scenario_param", "scenario_param_type", "scenario_size",
-         "max_candidates"])
+         "max_candidates", "transport"])
 def test_a_config_file_setting_the_fleets_rule_is_exit_2(tmp_path, capsys,
                                                           config, problem):
     path = tmp_path / "config.json"

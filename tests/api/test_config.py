@@ -126,7 +126,8 @@ def test_every_transport_keyword_is_accepted():
     assert config.transport_options == options
 
 
-@pytest.mark.parametrize("key, value, expected", [
+#: ``(key, value, what the refusal says the key must be)``.
+MISTYPED = [
     ("static_vet", "no", "a boolean"),                # bool: exactly bool
     ("static_vet", 0, "a boolean"),
     ("workers", "2", "an integer"),                   # int: no str ...
@@ -143,11 +144,71 @@ def test_every_transport_keyword_is_accepted():
     ("scenario", "Q1", "an object or null"),          # nested configs
     ("abort", True, "an object or null"),
     ("telemetry", "on", "an object or null"),
-])
+]
+
+
+@pytest.mark.parametrize("key, value, expected", MISTYPED)
 def test_wire_values_are_type_checked_at_the_door(key, value, expected):
     with pytest.raises(ConfigError) as excinfo:
         RepairConfig.from_wire({"scenario": {"name": "Q1"}, key: value})
     assert f"config key {key!r} must be {expected}" in str(excinfo.value)
+
+
+def _outcome(build):
+    try:
+        return "built", build()
+    except ConfigError as exc:
+        return "refused", str(exc)
+
+
+@pytest.mark.parametrize("key, value", [
+    *[(key, value) for key, value, _ in MISTYPED],
+    ("max_candidates", "5"), ("ks_threshold", "0.1"),
+    ("transport", "bogus"), ("transport", "SPAWN"),
+    ("telemetry", {"enabled": True}), ("telemetry", {"slice_packets": "64"}),
+    ("telemetry", {"enable": True}), ("abort", {"check_every": 8}),
+    ("abort", {"check_every": 0}), ("abort", {"bogus": 1}),
+    ("scenario", {"name": "Q2"}), ("scenario", {"name": "Q9"}),
+    ("transport_options", {"result_timeout": 60}),
+    ("transport_options", {1: 60.0}),
+    ("max_packet_in_growth", 2), ("trace_limit", None),
+])
+def test_a_config_built_in_process_is_checked_as_its_wire_is(key, value):
+    """Built in process, a config holds what its wire decodes to — a nested
+    block's wire dict becomes the block — or is refused with the wire's own
+    message; it once crashed later (``'dict' object has no attribute
+    'check_points'``, ``'<' not supported``)."""
+    in_process = _outcome(lambda: RepairConfig(
+        **{"scenario": ScenarioSpec.create("Q1"), key: value}))
+    wired = _outcome(lambda: RepairConfig.from_wire(
+        {"scenario": {"name": "Q1"}, key: value}))
+    assert in_process == wired
+
+
+def test_nested_blocks_built_in_process_are_checked_too():
+    with pytest.raises(ConfigError, match="'slice_packets' must be an "
+                                          "integer or null, not '64'"):
+        RepairConfig(telemetry=TelemetryConfig(slice_packets="64"))
+    config = RepairConfig.for_scenario("Q1", abort={"check_every": 8})
+    assert config.abort == EarlyAbortPolicy(check_every=8)
+    assert config.make_backtester(build_scenario("Q1")).abort_policy == \
+        EarlyAbortPolicy(check_every=8)
+
+
+def test_transport_names_are_one_table():
+    from repro.api.config import TRANSPORTS
+    from repro.cli import build_parser
+    from repro.distrib import DistribError
+    from repro.distrib.transport import fleet_size
+    repair = build_parser()._subparsers._group_actions[0].choices["repair"]
+    flag, = [action for action in repair._actions
+             if action.dest == "transport"]
+    assert tuple(flag.choices) == TRANSPORTS
+    for name in TRANSPORTS:
+        assert RepairConfig(transport=name).transport == name
+        assert fleet_size(name, 3) == (0 if name == "inprocess" else 3)
+    with pytest.raises(DistribError, match="unknown transport 'bogus'"):
+        fleet_size("bogus", 3)
 
 
 def test_wire_numbers_and_nulls_the_fields_declare_are_accepted():

@@ -30,8 +30,7 @@ REEXPORTING_PACKAGES = ["repro.analysis", "repro.api", "repro.distrib",
 #: Modules a serial ``repro repair`` has no business loading.
 UNWANTED = ["networkx", "socket", "subprocess", "pickle", "cProfile",
             "repro.distrib", "repro.service", "repro.obs",
-            "repro.analysis.depgraph", "repro.analysis.safety",
-            "repro.analysis.lint", "repro.cli_tools",
+            "repro.analysis.safety", "repro.analysis.lint", "repro.cli_tools",
             "repro.scenarios.q2_forwarding", "repro.scenarios.q3_policy_update",
             "repro.scenarios.q4_forgotten_packets",
             "repro.scenarios.q5_mac_learning",
@@ -134,8 +133,7 @@ print(json.dumps({"before": before, "checks": checks}))
                   "repro.obs.telemetry", "repro.scenarios.other_languages",
                   "repro.scenarios.q3_policy_update",
                   "repro.scenarios.q4_forgotten_packets",
-                  "repro.analysis.safety", "repro.analysis.depgraph",
-                  "repro.analysis.lint"):
+                  "repro.analysis.safety", "repro.analysis.lint"):
         assert heavy not in result["before"]
     assert all(result["checks"].values()), result["checks"]
 

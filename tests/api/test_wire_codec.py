@@ -95,10 +95,10 @@ def _outcome():
 
 
 def _candidate():
-    """A negated atom, an expression of every kind and a wildcard tuple."""
+    """A copied rule, an expression of every kind and a wildcard tuple."""
     rule = parse_program(
-        "neg FlowTable(@Swi, Sip, Hdr, Prt) :- PacketIn(@C, Swi, Sip, Hdr), "
-        "!WebLoadBalancer(@Swi, Sip, Prt), Swi != 2, Prt := 2.").rules[0]
+        "copied FlowTable(@Swi, Sip, Hdr, Prt) :- PacketIn(@C, Swi, Sip, Hdr), "
+        "WebLoadBalancer(@Swi, Sip, Prt), Swi != 2, Prt := 2.").rules[0]
     return RepairCandidate(
         edits=(CopyRule("r1", rule),
                ChangeAssignment("r5", 0, "Prt", "1", BinOp(

@@ -10,14 +10,20 @@ mutants of it: the same node types and fields, ``line``/``column`` included
 (they are ``compare=False``, so ``==`` would not see them), or a
 ``ParseError`` with the same message, line and column.
 
-The oracle has two defects the parser fixes, and the comparison knows them:
+The comparison knows three differences, two of them defects of the oracle
+that the parser fixes:
 
 * where the oracle raises anything but ``ParseError`` (``int('²')``, a
   number over the interpreter's digit limit, nesting deeper than the
   recursion limit), the parser raises ``ParseError``;
 * the oracle does not count the newlines inside a string literal, so after
   such a literal its positions are wrong; there only the positions are left
-  out of the comparison.
+  out of the comparison;
+* where the oracle builds a negated atom (``!Table(...)``, in a head or a
+  body), the parser raises ``ParseError("negation is not supported")`` at
+  the ``!``: NDlog here has no negation.  The oracle still calls ``Atom``
+  with the ``negated`` flag the AST no longer has, so it is handed the
+  :class:`Atom` below, which takes the flag and reports a negated atom.
 
 The parser never raises anything but ``ParseError``.
 """
@@ -34,12 +40,32 @@ from hypothesis import given, settings, strategies as st
 
 import reference_parser
 from metarules import MUDLOG_META_RULES_SOURCE
-from repro.ndlog import ParseError, parse_expression, parse_program, parse_rule
+from repro.ndlog import ParseError, ast, parse_expression, parse_program, parse_rule
 from repro.scenarios import SCENARIO_BUILDERS, build_q1, build_scenario
 
 from padded_programs import padded_source
 
 LINT_CORPUS = pathlib.Path(__file__).parent.parent / "analysis" / "broken_programs"
+
+
+class _Negated(Exception):
+    """The oracle built a negated atom whose table name is at
+    ``(line, column)``."""
+
+
+class Atom(ast.Atom):
+    """The AST's ``Atom`` as the oracle builds one, with a ``negated``
+    flag: a negated atom is reported, not built."""
+
+    negated = False
+
+    def __init__(self, *args, negated=False, **kwargs):
+        if negated:
+            raise _Negated(kwargs["line"], kwargs["column"])
+        super().__init__(*args, **kwargs)
+
+
+reference_parser.Atom = Atom
 
 SOURCES = (
     [build_scenario(name).program_source for name in sorted(SCENARIO_BUILDERS)]
@@ -47,13 +73,16 @@ SOURCES = (
     + [path.read_text() for path in sorted(LINT_CORPUS.glob("*.ndlog"))])
 LINES = sorted({line for source in SOURCES for line in source.splitlines()
                 if line.strip()})
+#: The sources without negation parse; their terms seed the expressions.
+PARSED = [program for source in SOURCES if "!" not in source.replace("!=", "")
+          for program in [parse_program(source)]]
 EXPRESSIONS = sorted({str(term)
-                      for source in SOURCES
-                      for rule in parse_program(source).rules
+                      for program in PARSED
+                      for rule in program.rules
                       for term in rule.selections + rule.assignments}
                      | {str(term.expr)
-                        for source in SOURCES
-                        for rule in parse_program(source).rules
+                        for program in PARSED
+                        for rule in program.rules
                         for term in rule.assignments})
 CORPUS = SOURCES + LINES + EXPRESSIONS
 #: Inputs at the corners of the scanner and the expression grammar.
@@ -116,6 +145,17 @@ def _oracle(parse, text, positions):
         return _outcome(parse, text, positions)
     except (ValueError, RecursionError) as exc:
         return "crashed", type(exc).__name__
+    except _Negated as negated:
+        return ("negated",) + (negated.args if positions else ())
+
+
+def _offset(text, line, column):
+    lines = text.split("\n")
+    return sum(len(before) + 1 for before in lines[:line - 1]) + column - 1
+
+
+#: What separates two tokens: whitespace and comments.
+_GAP = re.compile(r"(?:[ \t\r\n\f]+|//[^\n]*|#[^\n]*)*")
 
 
 def assert_same_as_the_reference(text):
@@ -125,6 +165,15 @@ def assert_same_as_the_reference(text):
         if expected[0] == "crashed":
             got = _outcome(parse, text, positions=True)
             assert got[0] == "ParseError" and got[2] >= 1, (entry, text, got)
+        elif expected[0] == "negated":
+            got = _outcome(parse, text, positions=True)
+            assert got[:2] == ("ParseError", "negation is not supported"), (
+                entry, text, got)
+            bang = _offset(text, *got[2:])
+            assert text[bang] == "!", (entry, text, got)
+            table = _GAP.match(text, bang + 1).end()
+            if positions:       # the oracle's table name follows the "!"
+                assert _offset(text, *expected[1:]) == table, (entry, text)
         else:
             assert _outcome(parse, text, positions) == expected, (entry, text)
 

@@ -1,4 +1,4 @@
-"""Source positions on the parsed AST, and negation syntax.
+"""Source positions on the parsed AST, and the refusal of negation.
 
 Positions feed the lint findings (``file:line:col``); they are carried as
 non-comparing fields so structural rule equality — which the rule-delta
@@ -52,7 +52,7 @@ def test_replace_preserves_positions():
     rule = parse_program(SOURCE).rules[0]
     edited = replace(rule, name="renamed",
                      head=replace(rule.head, table="Other"),
-                     body=[replace(a, negated=True) for a in rule.body])
+                     body=[replace(a, table=a.table + "2") for a in rule.body])
     assert (edited.line, edited.column) == (rule.line, rule.column)
     assert (edited.head.line, edited.head.column) == (rule.head.line,
                                                       rule.head.column)
@@ -87,13 +87,18 @@ def test_rules_and_atoms_after_a_multi_line_string_keep_their_lines():
         (3, 4), (3, 13)]
 
 
-def test_negated_atom_round_trips():
-    program = parse_program(
-        "a1 Allowed(@Swi, Sip) :- Request(@Swi, Sip), !Blocked(@Swi, Sip).")
-    rule = program.rules[0]
-    blocked = rule.body[1]
-    assert blocked.negated
-    assert not rule.body[0].negated
-    rendered = rule.to_ndlog()
-    assert "!Blocked(@Swi, Sip)" in rendered
-    assert parse_program(rendered).rules[0] == rule
+@pytest.mark.parametrize("source, position", [
+    ("a1 Allowed(@Swi, Sip) :- Request(@Swi, Sip),\n   !Blocked(@Swi, Sip).",
+     (2, 4)),
+    ("a1 Allowed(@Swi) :- Request(@Swi, Sip), ! // comment\n Blocked(@Swi).",
+     (1, 41)),
+    ("!Allowed(@Swi, Sip) :- Request(@Swi, Sip).", (1, 1)),
+    ("r1 Ok(@X) :- A(@X).\n  !Allowed(@Swi) :- Request(@Swi).", (2, 3)),
+], ids=["body", "body-split", "head", "second-head"])
+def test_a_negated_atom_is_refused_at_its_bang(source, position):
+    with pytest.raises(ParseError) as excinfo:
+        parse_program(source)
+    assert excinfo.value.message == "negation is not supported"
+    assert (excinfo.value.line, excinfo.value.column) == position
+    line, column = position
+    assert source.splitlines()[line - 1][column - 1] == "!"

@@ -309,6 +309,13 @@ class TestEndpoints:
         assert excinfo.value.status == 400
         assert ("bad repair config: scenario Q1 parameter 's1_clients' must "
                 "be within [2, 100], not 150") in str(excinfo.value)
+        # And a transport no fleet has: a worker would size none.
+        with pytest.raises(ClientError) as excinfo:
+            client.submit({"scenario": {"name": "Q1"}, "transport": "bogus"})
+        assert excinfo.value.status == 400
+        assert ("bad repair config: config transport must be one of "
+                "['inprocess', 'spawn', 'socket'] or null, not 'bogus'") in \
+            str(excinfo.value)
         with pytest.raises(ClientError) as excinfo:
             client._json("POST", "/sessions",
                          payload={"config": {}, "tenant": "x", "oops": 1})
