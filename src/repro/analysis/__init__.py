@@ -12,7 +12,9 @@ pipeline); ``lint`` runs ``safety`` over a whole program (``repro lint``):
 ``constprop``
     Constant propagation through joined static tables: proves a tuple
     inert (no rule can fire on it) across multi-atom joins, and whole tuple
-    *insertions* inert — the vetter's inert-insert veto.
+    *insertions* inert — the vetter's inert-insert veto; and keys patched
+    programs so that equal keys replay alike — the backtest's replay
+    classes.
 
 ``vet``
     Candidate vetting: runs the passes over a repair candidate's patched
@@ -20,8 +22,8 @@ pipeline); ``lint`` runs ``safety`` over a whole program (``repro lint``):
     :class:`~repro.analysis.findings.LintFinding` records.
 
 The package only imports :mod:`repro.ndlog` leaf modules (``ast``, ``expr``,
-``tuples``) so it can be used from the engine, controllers and repair layers
-without import cycles.
+``plan``, ``tuples``) so it can be used from the engine, controllers and
+repair layers without import cycles.
 """
 
 from .._lazy import lazy_exports

@@ -22,8 +22,10 @@ The vetter applies a candidate to the base program and classifies it:
 ``ok``
     No findings.
 
-The backtest asks only :meth:`CandidateVetter.veto`: the reject reason or
-``None``.  Its checks cost the edit, not the program — unedited rules are the
+The backtest asks only :meth:`CandidateVetter.decide`: the reject reason,
+or ``None`` with the applied candidate, which the backtest keys for its
+replay classes without applying it again.  Its checks cost the edit, not the
+program — unedited rules are the
 base program's own objects, so the no-op check recognises them by identity.
 The ``warn`` findings are the linter's (``repro lint
 --candidates``): :meth:`~CandidateVetter.vet` and
@@ -101,13 +103,14 @@ class CandidateVetter:
 
     # ------------------------------------------------------------------
 
-    def veto(self, candidate) -> Optional[str]:
-        """The reason the backtest may skip ``candidate`` (a reject class),
-        or ``None`` when it must be replayed."""
+    def decide(self, candidate) -> "_Decision":
+        """What the backtest does with ``candidate``: its ``reason`` is the
+        reject class that lets the backtest skip it, or ``None`` when it
+        must be replayed; then ``repaired`` is the applied candidate."""
         applied = self._applied(candidate)
         if applied.reason is not None:
-            return applied.reason
-        return self._judge(applied.repaired).reason
+            return applied
+        return self._judge(applied.repaired)
 
     def vet_candidate(self, candidate) -> VetResult:
         """Apply ``candidate`` to the base program, then vet the result."""

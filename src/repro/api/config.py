@@ -71,6 +71,7 @@ class TelemetryConfig(Wire):
     """
 
     wire_name, wire_error = "telemetry", ConfigError
+    decodes_own_fields = True
 
     #: Master switch; ``TelemetryConfig()`` alone means "on".
     enabled: bool = True
@@ -94,6 +95,7 @@ class RepairConfig(Wire):
     a malformed wire, nested blocks included, is a :class:`ConfigError`."""
 
     wire_name, wire_error = "config", ConfigError
+    decodes_own_fields = True
 
     #: The scenario to repair, as a spawn-safe declarative handle.  May be
     #: ``None`` when the session is given a live scenario object directly

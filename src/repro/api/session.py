@@ -331,6 +331,8 @@ class RepairSession:
             metrics.counter("candidates_vetoed").inc(backtester.vetoed)
             metrics.counter("candidates_backtested").inc(len(report.results))
             metrics.gauge("backtest_packet_count").set(report.packet_count)
+            metrics.gauge("backtest_sharing_ratio").set(
+                report.sharing_ratio())
             if report.elapsed_seconds:
                 metrics.gauge("packets_replayed_per_second").set(
                     report.packet_count * max(1, len(report.results))

@@ -26,6 +26,17 @@ The loop hands the trace to the data plane's one walk
 an early-abort policy — cut at the policy's check points, one call per
 piece.  The worker fabric (:mod:`repro.distrib`) is the only way a
 candidate evaluation leaves the calling process.
+
+Equivalent candidates replay once.  After the vet, every surviving
+candidate's patched program gets a closed-world key
+(:class:`~repro.analysis.constprop.ClosedWorldKeys`): two programs with
+equal keys derive the same control messages from every PacketIn of this
+replay, so they replay identically, packet by packet.  The first candidate
+of each key, in input order, is its class's *representative* and replays;
+every other *member* is judged by its own :meth:`Backtester.verdict` over
+the representative's statistics, and takes the note its representative's
+evaluation appended — an abort (the abort depends only on the statistics'
+prefix) or a fabric quarantine — as a flat rejection.
 """
 
 from __future__ import annotations
@@ -36,19 +47,21 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..events import publish_progress
-from ..repair.apply import RepairedProgram, apply_candidate
+from ..repair.apply import (RepairApplicationError, RepairedProgram,
+                            apply_candidate)
 from ..repair.candidates import RepairCandidate
 from ..sdn.network import NetworkSimulator, TrafficStats
+from ..sdn.packets import HEADER_FIELDS, HEADER_POSITIONS
 from ..wire import NOT_ON_WIRE
 from .abort import EarlyAbortPolicy
 from .metrics import KSResult, compare_traffic
 
 
-#: Minimum estimated serial runtime (baseline replay seconds x surviving
-#: candidate count) below which a config with ``workers > 1`` and no named
-#: transport runs serial anyway (a *gated* scheduler, see
-#: :meth:`Backtester._run_candidates`): starting a worker fleet
-#: (``distrib.fleet_start_s``) costs a few hundred milliseconds plus one
+#: Minimum estimated serial runtime (baseline replay seconds x replayed
+#: candidates, one per replay class) below which a config with
+#: ``workers > 1`` and no named transport runs serial anyway (a *gated*
+#: scheduler, see :meth:`Backtester._run_candidates`): starting a worker
+#: fleet (``distrib.fleet_start_s``) costs a few hundred milliseconds plus one
 #: scenario rebuild per worker, so tiny jobs run *slower*
 #: parallel — the Fig 9b crossover.  The baseline seconds are the wall time
 #: of the one replay of the buggy program: in a session, Diagnose's recorded
@@ -109,11 +122,17 @@ class BacktestReport:
     #: budget; like vetoes, their (deterministic, rejected) results stay
     #: in :attr:`results`, marked by a ``quarantined(<reason>)`` note.
     quarantined_count: int = 0
+    #: Surviving candidates judged from their replay class representative's
+    #: statistics instead of a replay of their own.
+    shared_count: int = 0
 
     def sharing_ratio(self) -> float:
-        """Read by the benchmark ledger's backtest probe: every candidate
-        replays on its own, so no decision is shared."""
-        return 0.0
+        """The share of the candidates that survived the vet which were
+        judged from their class representative's replay (the benchmark
+        ledger's ``backtest.sharing_ratio`` row): 0.0 when every survivor
+        replayed."""
+        survivors = len(self.results) - self.vetoed_count
+        return self.shared_count / survivors if survivors else 0.0
 
     def accepted(self) -> List[BacktestResult]:
         return [r for r in self.results if r.accepted]
@@ -130,15 +149,16 @@ class Backtester:
     """Backtests repair candidates against a scenario.
 
     One procedure (Sections 4.3-4.4): replay the recorded trace under each
-    repaired program, built cold, and compare with the baseline.
-    ``evaluate_all(..., scheduler=...)`` keeps the procedure and moves the
-    per-candidate evaluations onto the worker fabric (:mod:`repro.distrib`).
-    Reports are bit-identical either way.
+    repaired program, built cold, once per replay class, and compare with
+    the baseline.  ``evaluate_all(..., scheduler=...)`` keeps the procedure
+    and moves the representatives' evaluations onto the worker fabric
+    (:mod:`repro.distrib`).  Reports are bit-identical either way.
     """
 
     #: Read by the benchmark ledger's backtest probe (``backtest.warm_hits``
-    #: and ``backtest.warm_fallbacks``): every candidate builds cold, so
-    #: both are 0.
+    #: and ``backtest.warm_fallbacks``): every replay builds cold, so both
+    #: are 0; what a candidate saves by sharing its class's replay is
+    #: :meth:`BacktestReport.sharing_ratio`.
     warm_hits = 0
     warm_fallbacks = 0
 
@@ -169,6 +189,7 @@ class Backtester:
         #: a ``vetoed`` note (see :class:`repro.analysis.vet.CandidateVetter`).
         self.static_vet = static_vet
         self._vetter = None
+        self._keys = None
         self._baseline_seconds: Optional[float] = None
         #: Candidates vetoed without any replay.
         self.vetoed = 0
@@ -386,39 +407,94 @@ class Backtester:
                     f"PacketIns > {bound:.0f} allowed")
         return None
 
-    def _run_candidates(self, candidates: List[RepairCandidate], scheduler,
+    def _run_candidates(self, candidates: List[RepairCandidate],
+                        classes: List[int], scheduler,
                         events) -> List[ShardOutcome]:
         """Evaluate candidates serially or through ``scheduler`` (a
         :class:`repro.distrib.Scheduler`), in input order, publishing each
         finished one on ``events``.
 
+        ``classes[i]`` is the index of candidate ``i``'s representative
+        (:meth:`_classes`): only representatives replay, and each member
+        is judged from its representative's outcome (:meth:`_shared`).
+        Every candidate gets one ``BacktestProgress`` out of
+        ``len(candidates)``: serially in input order, on the fleet a
+        representative's as it completes, then its members'.
+
         The min-work gate is decided here, once: a *gated* scheduler
         (``workers > 1`` with no named transport) runs the job only when
-        there are several candidates, the scenario carries a
+        there are several representatives, the scenario carries a
         :class:`~repro.scenarios.spec.ScenarioSpec` (fabric workers
         rebuild the scenario from it; a live scenario object without one
         cannot leave the process) and the job is estimated at
         :data:`PARALLEL_MIN_SECONDS` or more of serial replay (the timed
-        baseline replay times the candidate count, since every candidate
-        replays the same trace); otherwise the serial loop runs.  Every
-        path returns bit-identical outcomes.
+        baseline replay times the representative count, since every
+        replay walks the same trace); otherwise the serial loop runs.
+        Every path returns bit-identical outcomes.
         """
-        if scheduler is not None and (not scheduler.gated or (
-                len(candidates) > 1
-                and getattr(self.scenario, "spec", None) is not None
-                and (self._baseline_seconds or 0.0) * len(candidates)
-                >= PARALLEL_MIN_SECONDS)):
-            return scheduler.run(self, candidates, events)
-        outcomes = []
-        for done, candidate in enumerate(candidates, 1):
-            with self._span("candidate", index=done - 1, tag=candidate.tag,
-                            description=candidate.description):
-                outcome = self.evaluate_outcome(candidate)
-            outcomes.append(outcome)
+        total = len(candidates)
+        outcomes: List[Optional[ShardOutcome]] = [None] * total
+        representatives = [index for index, representative
+                           in enumerate(classes) if representative == index]
+        done = 0
+
+        def finish(index: int, outcome: ShardOutcome) -> None:
+            nonlocal done
+            outcomes[index] = outcome
+            done += 1
             if events is not None:
-                publish_progress(events, done, len(candidates),
-                                 outcome.result)
+                publish_progress(events, done, total, outcome.result)
+
+        if scheduler is not None and (not scheduler.gated or (
+                len(representatives) > 1
+                and getattr(self.scenario, "spec", None) is not None
+                and (self._baseline_seconds or 0.0) * len(representatives)
+                >= PARALLEL_MIN_SECONDS)):
+            members: Dict[int, List[int]] = {}
+            for index, representative in enumerate(classes):
+                if representative != index:
+                    members.setdefault(representative, []).append(index)
+
+            def delivered(position: int, outcome: ShardOutcome) -> None:
+                index = representatives[position]
+                finish(index, outcome)
+                for member in members.get(index, ()):
+                    finish(member, self._shared(candidates[member], member,
+                                                outcome))
+
+            scheduler.run(self, [candidates[index]
+                                 for index in representatives],
+                          delivered, events)
+            return outcomes
+        for index, candidate in enumerate(candidates):
+            representative = classes[index]
+            if representative != index:
+                finish(index, self._shared(candidate, index,
+                                           outcomes[representative]))
+                continue
+            with self._span("candidate", index=index, tag=candidate.tag,
+                            description=candidate.description):
+                finish(index, self.evaluate_outcome(candidate))
         return outcomes
+
+    def _shared(self, candidate: RepairCandidate, index: int,
+                representative: ShardOutcome) -> ShardOutcome:
+        """``candidate``'s outcome judged from its class representative's:
+        its own verdict over the representative's statistics, with the
+        note (abort or quarantine) the representative's evaluation
+        appended, as a flat rejection.  With telemetry on it has a
+        ``candidate`` span naming its representative, and no replay."""
+        started = _time.perf_counter()
+        replayed = representative.result
+        with self._span("candidate", index=index, tag=candidate.tag,
+                        description=candidate.description,
+                        representative=replayed.candidate.tag):
+            appended = replayed.notes[len(replayed.candidate.notes):]
+            note = appended[-1] if appended else None
+            result = self.verdict(candidate, replayed.stats, note=note,
+                                  judge=note is None)
+        result.elapsed_seconds = _time.perf_counter() - started
+        return ShardOutcome(result=result)
 
     def _absorb_outcomes(self, outcomes) -> None:
         """Stitch telemetry piggybacked on fabric workers' outcomes into
@@ -451,7 +527,9 @@ class Backtester:
         return self._vetter
 
     def _prefilter(self, candidates: Sequence[RepairCandidate]):
-        """Vet all candidates; returns (survivors, index -> vetoed result).
+        """Vet all candidates; returns (survivors, index -> vetoed result),
+        each survivor a ``(candidate, applied candidate)`` pair — the
+        application ``None`` when nothing vetted it.
 
         A vetoed candidate gets the result its replay *would* have
         produced.  Inert-insert and no-op vetoes are behaviour-preservation
@@ -461,13 +539,14 @@ class Backtester:
         replay and are reported flatly rejected.
         """
         if not self.static_vet:
-            return list(candidates), {}
+            return [(candidate, None) for candidate in candidates], {}
         vetter = self._candidate_vetter()
-        survivors: List[RepairCandidate] = []
+        survivors: List[Tuple[RepairCandidate, RepairedProgram]] = []
         vetoed: Dict[int, BacktestResult] = {}
         for index, candidate in enumerate(candidates):
             started = _time.perf_counter()
-            reason = vetter.veto(candidate)
+            decision = vetter.decide(candidate)
+            reason = decision.reason
             if reason is not None:
                 vetoed[index] = self.verdict(
                     candidate, self.baseline(),
@@ -477,8 +556,57 @@ class Backtester:
                     _time.perf_counter() - started
                 self.vetoed += 1
             else:
-                survivors.append(candidate)
+                survivors.append((candidate, decision.repaired))
         return survivors, vetoed
+
+    # ------------------------------------------------------------------
+    # Replay classes (parent-side, after the vet)
+    # ------------------------------------------------------------------
+
+    def _replay_keys(self):
+        """The closed-world keyer of this backtester's replays, built once.
+
+        Its domain (:class:`~repro.analysis.constprop.ClosedWorldKeys`):
+        the PacketIn switch column ranges over the topology's switch ids,
+        each column that is a packet header field over that field's values
+        in this backtester's cut of the trace; the controller column and
+        ``in_port`` have none.
+        """
+        if self._keys is None:
+            from ..analysis.constprop import ClosedWorldKeys
+            mapping = getattr(self.scenario, "mapping", None)
+            if mapping is None:
+                self._keys = ClosedWorldKeys(None)
+            else:
+                headers = [packet.header_values
+                           for _switch, packet in self._trace()]
+                self._keys = ClosedWorldKeys(mapping.packet_in_table, (
+                    None, self.scenario.build_topology().switches,
+                    *({values[HEADER_POSITIONS[name]] for values in headers}
+                      if name in HEADER_FIELDS else None
+                      for name in mapping.packet_in_fields)))
+        return self._keys
+
+    def _classes(self, survivors) -> List[int]:
+        """For each surviving ``(candidate, applied candidate)``, the index
+        of its replay class's representative: the first survivor whose
+        patched program has the same closed-world key.  A candidate no vet
+        applied is applied here; one that does not apply is its own class
+        (its replay fails as it always did)."""
+        keys = self._replay_keys()
+        first: Dict[tuple, int] = {}
+        classes: List[int] = []
+        for index, (candidate, repaired) in enumerate(survivors):
+            if repaired is None:
+                try:
+                    repaired = apply_candidate(self.scenario.program,
+                                               candidate)
+                except RepairApplicationError:
+                    classes.append(index)
+                    continue
+            key = keys.key(repaired.program, repaired.inserted_tuples)
+            classes.append(first.setdefault(key, index))
+        return classes
 
     def evaluate_all(self, candidates: Sequence[RepairCandidate],
                      scheduler=None, events=None) -> BacktestReport:
@@ -492,7 +620,10 @@ class Backtester:
                                 packet_count=len(self._trace()))
         all_candidates = list(candidates)
         survivors, vetoed = self._prefilter(all_candidates)
-        outcomes = self._run_candidates(survivors, scheduler, events)
+        classes = self._classes(survivors)
+        outcomes = self._run_candidates(
+            [candidate for candidate, _repaired in survivors], classes,
+            scheduler, events)
         self._absorb_outcomes(outcomes)
         # Interleave replayed and vetoed results back into input order.
         replayed = iter(outcomes)
@@ -503,6 +634,9 @@ class Backtester:
             outcome = next(replayed)
             report.results.append(outcome.result)
         report.vetoed_count = len(vetoed)
+        report.shared_count = sum(1 for index, representative
+                                  in enumerate(classes)
+                                  if representative != index)
         report.quarantined_count = sum(
             1 for result in report.results
             if any(str(note).startswith("quarantined(")

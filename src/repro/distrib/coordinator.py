@@ -8,9 +8,10 @@ stream back as they complete.  :class:`Scheduler`
   reports rely on),
 * decodes each ``ShardOutcome`` wire and re-attaches the caller's
   candidate object (the meta provenance tree stays here),
-* publishes :class:`~repro.events.BacktestProgress` per completed
-  candidate on the run's event bus — the one progress channel, shared with
-  the serial loop (:func:`repro.events.publish_progress`),
+* hands each outcome, as it completes, to the backtester's ``delivered``
+  callback, which publishes :class:`~repro.events.BacktestProgress` for it
+  and for the candidates judged from it — the one progress channel,
+  shared with the serial loop (:func:`repro.events.publish_progress`),
 * ships the backtester's knobs, its
   :class:`~repro.backtest.abort.EarlyAbortPolicy` included, on the job
   wire, so workers replay and judge as the serial loop does, and
@@ -52,11 +53,10 @@ import atexit
 import json
 import os
 import threading
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..backtest.replay import Backtester, ShardOutcome
-from ..events import (CandidateQuarantined, EventBus, FabricFaultStats,
-                      publish_progress)
+from ..events import CandidateQuarantined, EventBus, FabricFaultStats
 from ..repair.candidates import RepairCandidate
 from ..wire import decode
 from .faults import FaultPlan, FaultStats, QuarantinedItem, item_deadline
@@ -191,10 +191,12 @@ class Scheduler:
 
     def run(self, backtester: Backtester,
             candidates: Sequence[RepairCandidate],
+            delivered: Callable[[int, ShardOutcome], None],
             events: Optional[EventBus] = None) -> List[ShardOutcome]:
         """Evaluate ``candidates`` for ``backtester`` through the
-        transport; progress, quarantine rows and fault stats go to
-        ``events`` (``evaluate_all`` passes its bus, or this scheduler's)."""
+        transport; each outcome goes to ``delivered(index, outcome)`` as
+        it completes, quarantine rows and fault stats to ``events``
+        (``evaluate_all`` passes its bus, or this scheduler's)."""
         candidates = list(candidates)
         if not candidates:
             return []
@@ -234,9 +236,7 @@ class Scheduler:
                 telemetry.metrics.counter("fabric_items").inc()
                 telemetry.metrics.gauge("fabric_queue_depth").set(
                     len(candidates) - done)
-            if events is not None:
-                publish_progress(events, done, len(candidates),
-                                 outcome.result)
+            delivered(index, outcome)
 
         try:
             self.transport.run_job(job_wire, on_result)

@@ -72,8 +72,8 @@ def fleet_size(name: str, workers: int) -> int:
     """How many pool workers a transport named ``name`` runs: none
     ``"inprocess"``, ``workers`` under ``"spawn"`` and ``"socket"``."""
     if name not in TRANSPORTS:
-        raise DistribError(f"unknown transport {name!r}; expected one of "
-                           f"{sorted(TRANSPORTS)}")
+        raise DistribError(f"transport must be one of {list(TRANSPORTS)}, "
+                           f"not {name!r}")
     return 0 if name == "inprocess" else workers
 
 
@@ -93,7 +93,7 @@ class Transport(DispatchPolicy):
 
     def __init__(self, name: str = "spawn", workers: int = 2,
                  result_timeout: float = 600.0, fault_plan=None):
-        self.name = name = name.lower()
+        self.name = name
         self.workers = fleet_size(name, workers)
         #: Optional deterministic fault-injection script for chaos tests.
         self.fault_plan = FaultPlan.coerce(fault_plan)

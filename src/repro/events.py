@@ -6,8 +6,9 @@ The bus is the only observation channel of a repair: every stage of a
 subscribers consume them — the live CLI renderer, a JSONL log file
 (:class:`JsonlEventWriter`), a test capturing the stream, or a dashboard
 on the other end of a socket.  Backtest progress has one producer,
-:func:`publish_progress`, called per finished candidate by the serial loop
-and by the distributed scheduler alike, so every path yields one stream.
+:func:`publish_progress`, called by the backtester per finished candidate,
+in its serial loop and as the distributed scheduler delivers outcomes
+alike, so every path yields one stream.
 
 Events are frozen :mod:`repro.wire` dataclasses with a stable ``kind``:
 ``SessionEvent.from_json`` rebuilds the subclass a line's ``kind`` names.
@@ -331,8 +332,8 @@ def publish_progress(bus: EventBus, done: int, total: int, result) -> None:
     """Publish one finished candidate's :class:`BacktestProgress` — then a
     :class:`CandidateAborted` when the abort policy cut its replay short.
 
-    The one progress channel: the backtester's serial loop and the
-    scheduler's per-result handler both call it, in completion order.
+    The one progress channel: the backtester calls it for every candidate
+    in completion order, serially or as the scheduler delivers outcomes.
     """
     note = next((n for n in result.notes if str(n).startswith("aborted")),
                 None)

@@ -16,7 +16,9 @@ door, since JSON has no coercion to lean on (``"no"`` is truthy and
 ``int`` refuses ``bool`` and ``str``, a ``float`` takes either number,
 ``None`` passes only where a field is ``Optional``, and an unknown key or
 kind, or a missing key without a default, is a :class:`WireError`.
-:func:`decode_fields` holds a value built in process to the same rule.
+:func:`decode_fields` holds a value built in process to the same rule; a
+class whose construction runs it (:attr:`Wire.decodes_own_fields`) is
+handed its wire's values as they are, so each field is decoded once.
 """
 
 from __future__ import annotations
@@ -158,9 +160,11 @@ def decode(cls, wire):
     if unknown:
         raise WireError(f"unknown {what} keys: {sorted(unknown, key=str)}")
     values = dict(local)
+    raw = getattr(cls, "decodes_own_fields", False)
     for name, hint, required in wired:
         if name in wire:
-            values[name] = _decode(hint, wire[name], what, repr(name))
+            values[name] = (wire[name] if raw
+                            else _decode(hint, wire[name], what, repr(name)))
         elif required:
             raise WireError(f"{what} key {name!r} is missing")
     try:
@@ -223,6 +227,9 @@ class Wire:
     #: The class's name in error messages, and what every refusal raises.
     wire_name = "value"
     wire_error = WireError
+    #: Whether construction runs :func:`decode_fields`: then :func:`decode`
+    #: hands the constructor the wire's values undecoded.
+    decodes_own_fields = False
 
     def to_wire(self) -> Dict[str, object]:
         return encode(self)

@@ -8,7 +8,7 @@ The acceptance contract (also stated in ``repro.analysis.vet``):
   same accepted candidates on the same candidate lists;
 * vetting strictly reduces the number of replays whenever it fires, and
   every explored scenario has at least one veto at the shared budget;
-* the backtest's question, ``CandidateVetter.veto``, answers what the
+* the backtest's question, ``CandidateVetter.decide``, answers what the
   linter's whole verdict (``vet_candidate``) decides: the same reject
   reason, or ``None`` when the candidate is not rejected.
 """
@@ -162,7 +162,7 @@ def test_rejected_unevaluable_candidates_fail_to_evaluate():
         with pytest.raises(Exception):
             off.evaluate(candidate)
     assert reasons == ["apply-failed"]
-    assert [vetter.veto(c) for c in unevaluable] == reasons
+    assert [vetter.decide(c).reason for c in unevaluable] == reasons
 
 
 # ----------------------------------------------------------------------
@@ -170,14 +170,14 @@ def test_rejected_unevaluable_candidates_fail_to_evaluate():
 # ----------------------------------------------------------------------
 
 def assert_veto_is_the_verdict(vetter, candidates):
-    """``veto`` returns the reject reason of ``vet_candidate``'s verdict,
+    """``decide`` returns the reject reason of ``vet_candidate``'s verdict,
     or ``None`` when that verdict is not a reject; returns the reasons."""
     reasons = []
     for candidate in candidates:
         verdict = vetter.vet_candidate(candidate)
         expected = verdict.reason if verdict.rejected else None
-        assert vetter.veto(candidate) == expected, (candidate.edits,
-                                                    verdict.describe())
+        assert vetter.decide(candidate).reason == expected, (
+            candidate.edits, verdict.describe())
         reasons.append(expected)
     return reasons
 

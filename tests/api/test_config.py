@@ -1,5 +1,6 @@
 """RepairConfig: JSON round-trip, factories, and error handling."""
 
+import collections
 import json
 import math
 import re
@@ -185,6 +186,31 @@ def test_a_config_built_in_process_is_checked_as_its_wire_is(key, value):
     assert in_process == wired
 
 
+def test_the_config_wire_decodes_each_field_once(monkeypatch):
+    """``decode`` hands a class that decodes its own fields (the config and
+    its telemetry block) the raw values: each field is decoded once, where
+    the wire path once decoded every field twice (``decode``, then the
+    constructor's ``decode_fields``)."""
+    import repro.wire as wire_module
+    decode_one = wire_module._decode
+    calls = collections.Counter()
+
+    def counted(hint, value, what, where):
+        calls[what, where] += 1
+        return decode_one(hint, value, what, where)
+
+    text = RepairConfig.for_scenario(
+        "Q1", telemetry=TelemetryConfig(slice_packets=8),
+        abort=EarlyAbortPolicy(check_every=8)).to_json()
+    monkeypatch.setattr(wire_module, "_decode", counted)
+    config = RepairConfig.from_json(text)
+    assert config.telemetry.slice_packets == 8
+    assert ("config", "'max_candidates'") in calls
+    assert ("telemetry", "'slice_packets'") in calls
+    twice = {key: count for key, count in calls.items() if count > 1}
+    assert not twice, f"decoded more than once: {twice}"
+
+
 def test_nested_blocks_built_in_process_are_checked_too():
     with pytest.raises(ConfigError, match="'slice_packets' must be an "
                                           "integer or null, not '64'"):
@@ -207,8 +233,26 @@ def test_transport_names_are_one_table():
     for name in TRANSPORTS:
         assert RepairConfig(transport=name).transport == name
         assert fleet_size(name, 3) == (0 if name == "inprocess" else 3)
-    with pytest.raises(DistribError, match="unknown transport 'bogus'"):
+    with pytest.raises(DistribError, match="transport must be one of "
+                       r"\['inprocess', 'spawn', 'socket'\], not 'bogus'"):
         fleet_size("bogus", 3)
+
+
+@pytest.mark.parametrize("name", ["INPROCESS", "Spawn", "bogus"])
+def test_a_transport_outside_the_table_is_refused_everywhere(name):
+    """One rule for a transport name: what a config refuses, a
+    ``Transport`` and a ``Scheduler`` built by name refuse too (a
+    ``Transport`` once lower-cased its name and ran ``"INPROCESS"``)."""
+    from repro.distrib import DistribError, Scheduler
+    from repro.distrib.transport import Transport
+    with pytest.raises(ConfigError, match="config transport must be one "
+                       f"of .* or null, not '{name}'"):
+        RepairConfig(transport=name)
+    for build in (lambda: Transport(name, workers=1),
+                  lambda: Scheduler(transport=name, workers=1)):
+        with pytest.raises(DistribError, match="transport must be one of "
+                           f".*, not '{name}'"):
+            build()
 
 
 def test_wire_numbers_and_nulls_the_fields_declare_are_accepted():

@@ -9,7 +9,8 @@ from repro.backtest import (
     format_table,
     rank_results,
 )
-from repro.repair import ChangeConstant, DeleteSelection, RepairCandidate
+from repro.repair import (ChangeConstant, ChangeOperator, DeleteSelection,
+                          RepairCandidate)
 from repro.scenarios import build_q1
 
 from ks_reference import ks_two_sample
@@ -114,12 +115,28 @@ class TestSequentialBacktesting:
             [report.packet_count] * len(candidates)
         assert report.baseline.total == report.packet_count
 
-    def test_sharing_ratio_reads_zero(self, q1, q1_candidates):
-        """No packet decision is shared between candidates; the ledger's
-        ``backtest.sharing_ratio`` row reads this constant."""
-        report = Backtester(q1, ks_threshold=q1.ks_threshold
-                            ).evaluate_all(list(q1_candidates))
-        assert report.sharing_ratio() == 0.0
+    def test_sharing_ratio_reads_the_share_judged_from_a_representative(
+            self, q1, q1_candidates):
+        """``Swi >= 1`` in r7 is deleting ``Swi == 2`` on Q1's four
+        switches: the second candidate of that replay class takes the
+        first one's statistics, and the ledger's ``backtest.sharing_ratio``
+        row reads the share of survivors judged so (0.0 when every
+        survivor replays)."""
+        good, harmful = q1_candidates
+        twin = RepairCandidate(
+            edits=(ChangeOperator("r7", 0, "==", ">="),
+                   ChangeConstant("r7", 0, "right", 2, 1)), cost=2.1,
+            description="Swi==2 -> Swi>=1 in r7")
+        backtester = Backtester(q1, ks_threshold=q1.ks_threshold)
+        assert backtester.evaluate_all([good, harmful]).sharing_ratio() \
+            == 0.0
+        report = backtester.evaluate_all([good, harmful, twin])
+        assert (report.shared_count, report.sharing_ratio()) == (1, 1 / 3)
+        _, replayed, shared = report.results
+        assert shared.stats is replayed.stats
+        assert (shared.effective, shared.accepted, shared.ks,
+                shared.notes) == (replayed.effective, replayed.accepted,
+                                  replayed.ks, ())
 
     def test_packet_in_growth_cap_rejects_an_effective_repair(
             self, q1, q1_candidates):

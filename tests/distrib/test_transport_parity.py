@@ -83,9 +83,9 @@ def test_workers_without_scheduler_use_spawn(scenarios, serial_snapshots,
     used = []
     run = Scheduler.run
 
-    def spy(self, backtester, candidates, events):
+    def spy(self, backtester, candidates, *args):
         used.append(self.transport.name)
-        return run(self, backtester, candidates, events)
+        return run(self, backtester, candidates, *args)
 
     # These smoke-sized replays are exactly what the min-work gate keeps
     # serial; open it.

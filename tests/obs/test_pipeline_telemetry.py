@@ -94,7 +94,7 @@ def test_metrics_consolidate_pipeline_counters(traced_session):
     histograms = {name for name, _labels, _payload in snapshot["histograms"]}
     assert {"stage_seconds", "candidate_replay_seconds"} <= histograms
     gauges = {name for name, _labels, _value in snapshot["gauges"]}
-    assert "packets_replayed_per_second" in gauges
+    assert {"packets_replayed_per_second", "backtest_sharing_ratio"} <= gauges
 
 
 def test_stage_profiles_captured(traced_session):
@@ -172,9 +172,11 @@ def test_local_workers_spans_stitch(monkeypatch):
 def test_every_replay_is_traced(knobs):
     """Replays under an abort policy used to vanish from the trace: no
     ``replay`` span, no ``packets_replayed``.
-    Every replayed (non-vetoed) candidate has exactly one ``replay`` span
-    whose ``packets`` is what was actually replayed — the prefix length
-    when aborted — and telemetry still changes no report bit."""
+    Every non-vetoed candidate has one ``candidate`` span.  A class
+    representative's has exactly one ``replay`` child whose ``packets`` is
+    what was actually replayed — the prefix length when aborted; a
+    member's has none and names its representative's tag.  Telemetry
+    still changes no report bit."""
     config = RepairConfig.for_scenario("Q1", telemetry=TelemetryConfig(),
                                        **knobs)
     session = RepairSession(config)
@@ -193,11 +195,23 @@ def test_every_replay_is_traced(knobs):
         (span for span in spans if span["name"] == "candidate"),
         key=lambda span: span["attrs"]["index"])
     assert len(candidate_spans) == len(replayed)
+    tags = [result.candidate.tag for result in replayed]
+    representatives = []
     for span, result in zip(candidate_spans, replayed):
-        [replay] = [child for child in spans if child["name"] == "replay"
-                    and child["parent_id"] == span["span_id"]]
-        assert replay["attrs"]["packets"] == result.stats.total
+        replays = [child for child in spans if child["name"] == "replay"
+                   and child["parent_id"] == span["span_id"]]
+        representative = span["attrs"].get("representative")
+        if representative is None:
+            [replay] = replays
+            assert replay["attrs"]["packets"] == result.stats.total
+            representatives.append(result)
+        else:
+            assert replays == []
+            assert tags.index(representative) < tags.index(
+                result.candidate.tag)
+    assert len(representatives) == \
+        len(replayed) - report.backtest.shared_count < len(replayed)
     counters = {name: value for name, _labels, value
                 in session.telemetry.metrics.snapshot()["counters"]}
     assert counters["packets_replayed"] == \
-        sum(result.stats.total for result in replayed)
+        sum(result.stats.total for result in representatives)

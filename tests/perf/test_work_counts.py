@@ -71,11 +71,13 @@ which is its edit's cone.
 the same number of plan code objects on Q1's 8 rules as on 250, switching to
 a candidate that changes only a constant compiles none, and the 250-rule
 Diagnose stage stays under a call ceiling.
-"A session replays the trace once per program": the replays of a serial
-Q1@14 session walk exactly ``len(trace) x (1 + candidates replayed)``
-packets, counted from their statistics — the
-buggy program's one replay is Diagnose's, which is also the backtest
-baseline (one trace more while the backtest replayed a baseline of its own).
+"A session replays the trace once per replay class": the replays of a
+serial Q1@14 session walk exactly ``len(trace) x (1 + representatives)``
+packets, counted from their statistics — the buggy program's one replay is
+Diagnose's, which is also the backtest baseline (one trace more while the
+backtest replayed a baseline of its own), and of the 12 candidates that
+survive the vet only the 10 representatives of their closed-world keys
+replay (every survivor did until equivalent candidates shared a replay).
 "A rule costs its text": ``parse_program`` makes the same number of calls
 into ``repro/ndlog`` per rule (±1) on Q1 padded to 40 rules as on 250, at
 most 60 (310 while the tokenizer built a ``Token`` per token and the parser
@@ -117,16 +119,19 @@ COUNTERS = ("engine_fixpoints", "rules_fired", "tuples_derived",
 #: 76,974 and 26,459 while candidates switched on a warm engine and
 #: ``NDTuple`` was a dataclass hashed, built and compared in Python).
 #: ``plan_cache_misses`` counts plan code compiled, one per rule shape: 11 and
-#: 9 while a plan was compiled per rule text.
+#: 9 while a plan was compiled per rule text.  Until equivalent candidates
+#: shared one replay per closed-world key, every surviving candidate
+#: replayed: Q1 read 778 fixpoints, 866 firings, 842 tuples, 2,808 packets,
+#: 8 misses and 36,347 calls; Q4 160, 248, 248, 1,280, 5 and 14,552.
 PINNED = {
-    "Q1": {"engine_fixpoints": 778, "rules_fired": 866, "tuples_derived": 842,
-           "packets_replayed": 2808, "plan_cache_misses": 8,
+    "Q1": {"engine_fixpoints": 654, "rules_fired": 734, "tuples_derived": 720,
+           "packets_replayed": 2340, "plan_cache_misses": 6,
            "candidates_backtested": 14, "candidates_vetoed": 2,
-           "python_calls": 36347},
-    "Q4": {"engine_fixpoints": 160, "rules_fired": 248, "tuples_derived": 248,
-           "packets_replayed": 1280, "plan_cache_misses": 5,
+           "python_calls": 32107},
+    "Q4": {"engine_fixpoints": 112, "rules_fired": 168, "tuples_derived": 168,
+           "packets_replayed": 896, "plan_cache_misses": 2,
            "candidates_backtested": 11, "candidates_vetoed": 1,
-           "python_calls": 14552},
+           "python_calls": 12165},
 }
 #: Calls into ``repro/meta`` of one 14-candidate exploration of Q1's goal
 #: (explorer construction included), by number of rules in the program.
@@ -145,12 +150,14 @@ PINNED_EXPLORATION_STATS = {
 #: rules, 14 candidates.  1,154 while Diagnose replayed on a recording engine
 #: (no empty-response memo) and the backtest replayed a baseline of its own;
 #: 1,066 while candidates switched on a warm engine, before every candidate
-#: ran its own static fixpoint.
-PINNED_FIRE_ENTRIES_250_RULES = 1186
+#: ran its own static fixpoint; 1,186 while every surviving candidate
+#: replayed, before equivalent candidates shared one replay.
+PINNED_FIRE_ENTRIES_250_RULES = 1008
 #: Plan code objects one 14-candidate session compiles on a cold plan cache,
 #: on Q1's 8 rules and on 250 alike (19 and 261 while a plan was compiled
-#: per rule text).
-PINNED_SESSION_COMPILES = 10
+#: per rule text; 10 while a candidate sharing its class's replay still
+#: built an engine of its own).
+PINNED_SESSION_COMPILES = 8
 #: Python calls of the Diagnose stage over Q1 padded to 250 rules on a cold
 #: plan cache (49,098 while a plan was compiled per rule text and keyed by
 #: its rendered text; 19,513 on a warm cache).
@@ -756,7 +763,7 @@ def test_a_changed_constant_compiles_nothing():
         "has the shape of a rule already compiled")
 
 
-def test_a_session_replays_the_trace_once_per_program(monkeypatch):
+def test_a_session_replays_the_trace_once_per_class(monkeypatch):
     config = RepairConfig.for_scenario("Q1", max_candidates=14)
     session = RepairSession(config)
     trace = session.scenario.trace()
@@ -770,12 +777,15 @@ def test_a_session_replays_the_trace_once_per_program(monkeypatch):
     monkeypatch.setattr(NetworkSimulator, "__init__", kept)
     session.run()
     walked = sum(simulator.stats.total for simulator in simulators)
-    report = session.report()
-    replayed = len(report.backtest.results) - report.backtest.vetoed_count
-    assert (replayed, walked) == (12, len(trace) * (1 + replayed)), (
-        f"a Q1@14 session's replays walked {walked} packets for {replayed} "
-        f"replayed candidates over a {len(trace)}-packet trace: the buggy "
-        "program's one replay is Diagnose's, and it is the baseline")
+    backtest = session.report().backtest
+    survivors = len(backtest.results) - backtest.vetoed_count
+    classes = survivors - backtest.shared_count
+    assert (survivors, classes, walked) == \
+        (12, 10, len(trace) * (1 + classes)), (
+        f"a Q1@14 session's replays walked {walked} packets for {classes} "
+        f"replay classes among {survivors} surviving candidates over a "
+        f"{len(trace)}-packet trace: the buggy program's one replay is "
+        "Diagnose's, and it is the baseline; each class replays once")
 
 
 def test_a_cold_250_rule_diagnose_stays_under_its_ceiling():
