@@ -14,11 +14,18 @@ once.  A candidate is
   the scenario's ``ks_threshold``, Section 5.3) or, under a
   ``max_packet_in_growth`` bound, the controller's load.
 
-Scenarios (see :mod:`repro.scenarios.base`) provide the environment: a fresh
-topology, a controller factory for an arbitrary program, the recorded trace
-and the effectiveness predicate.  Every candidate replays on a topology and
-a controller built for it alone: its engine runs the scenario's static
-tuples to a fixpoint under the repaired program, then takes the trace.
+Scenarios (see :mod:`repro.scenarios.base`) provide the environment: a
+topology factory, a controller factory for an arbitrary program, the
+recorded trace and the effectiveness predicate.  A backtester builds the
+scenario's topology once, as its *template*, and every replay — the
+baseline's and each candidate's — runs on a
+:meth:`~repro.sdn.topology.Topology.replica` of it: hosts, links and
+adjacency shared, switches and flow tables of its own (the template's
+pre-installed entries copied in install order), so no replay writes the
+template and a backtester reused across jobs or threads stays sound.  Every
+candidate replays on a controller built for it alone: its engine runs the
+scenario's static tuples to a fixpoint under the repaired program, then
+takes the trace.
 
 There is one backtester with one replay loop and one verdict function.
 The loop hands the trace to the data plane's one walk
@@ -36,7 +43,10 @@ of each key, in input order, is its class's *representative* and replays;
 every other *member* is judged by its own :meth:`Backtester.verdict` over
 the representative's statistics, and takes the note its representative's
 evaluation appended — an abort (the abort depends only on the statistics'
-prefix) or a fabric quarantine — as a flat rejection.
+prefix) or a fabric quarantine — as a flat rejection.  On the serial path a
+representative replays the patched program the vet already applied;
+:meth:`Backtester.evaluate_outcome`, a fabric worker's unit of work,
+applies its candidate itself.
 """
 
 from __future__ import annotations
@@ -52,6 +62,7 @@ from ..repair.apply import (RepairApplicationError, RepairedProgram,
 from ..repair.candidates import RepairCandidate
 from ..sdn.network import NetworkSimulator, TrafficStats
 from ..sdn.packets import HEADER_FIELDS, HEADER_POSITIONS
+from ..sdn.topology import Topology
 from ..wire import NOT_ON_WIRE
 from .abort import EarlyAbortPolicy
 from .metrics import KSResult, compare_traffic
@@ -190,6 +201,7 @@ class Backtester:
         self.static_vet = static_vet
         self._vetter = None
         self._keys = None
+        self._topology: Optional[Topology] = None
         self._baseline_seconds: Optional[float] = None
         #: Candidates vetoed without any replay.
         self.vetoed = 0
@@ -211,9 +223,19 @@ class Backtester:
             return trace[: self.trace_limit]
         return trace
 
-    def _simulator(self, topology, controller) -> NetworkSimulator:
+    def _template(self) -> Topology:
+        """The scenario's topology, built once per backtester.  Replays run
+        on replicas of it (:meth:`~repro.sdn.topology.Topology.replica`)
+        and never write it; the keyer reads its switch ids."""
+        if self._topology is None:
+            self._topology = self.scenario.build_topology()
+        return self._topology
+
+    def _simulator(self, controller) -> NetworkSimulator:
+        """A simulator for ``controller`` on a fresh replica of the
+        template."""
         return NetworkSimulator(
-            topology, controller,
+            self._template().replica(), controller,
             require_packet_out=self.scenario.require_packet_out,
             record_ingress=False)
 
@@ -231,7 +253,6 @@ class Backtester:
         if self._baseline is None:
             started = _time.perf_counter()
             simulator = self._simulator(
-                self.scenario.build_topology(),
                 self.scenario.build_controller(program=None))
             simulator.run_trace(self._trace())
             self._baseline = simulator.stats
@@ -256,22 +277,30 @@ class Backtester:
     # ------------------------------------------------------------------
 
     def _candidate_network(self, repaired: RepairedProgram):
-        """A fresh ``(topology, controller)`` to replay ``repaired`` on."""
-        return (self.scenario.build_topology(),
-                self.scenario.build_controller(
-                    program=repaired.program,
-                    extra_tuples=repaired.inserted_tuples))
+        """A ``(simulator, controller)`` to replay ``repaired`` on: a replica
+        of the template topology — its switches and flow tables the
+        replay's own, the template's entries copied in install order, its
+        hosts and links shared — and a controller built cold for the
+        repaired program and its inserted tuples."""
+        controller = self.scenario.build_controller(
+            program=repaired.program, extra_tuples=repaired.inserted_tuples)
+        return self._simulator(controller), controller
 
     def evaluate(self, candidate: RepairCandidate) -> BacktestResult:
         return self.evaluate_outcome(candidate).result
 
     def evaluate_outcome(self, candidate: RepairCandidate) -> ShardOutcome:
-        """Hermetic evaluation of one candidate: the unit of work of the
-        serial loop and of every fabric worker alike."""
+        """Hermetic evaluation of one candidate, applied here: a fabric
+        worker's unit of work, and the serial loop's for a candidate that
+        no vet applied."""
+        return self._evaluate_applied(
+            candidate, apply_candidate(self.scenario.program, candidate))
+
+    def _evaluate_applied(self, candidate: RepairCandidate,
+                          repaired: RepairedProgram) -> ShardOutcome:
+        """Replay ``repaired`` (``candidate`` applied) and judge it."""
         started = _time.perf_counter()
-        repaired = apply_candidate(self.scenario.program, candidate)
-        topology, controller = self._candidate_network(repaired)
-        simulator = self._simulator(topology, controller)
+        simulator, controller = self._candidate_network(repaired)
         abort_note = self._replay(simulator,
                                   getattr(controller, "engine", None))
         result = self.verdict(candidate, simulator.stats, note=abort_note,
@@ -407,18 +436,21 @@ class Backtester:
                     f"PacketIns > {bound:.0f} allowed")
         return None
 
-    def _run_candidates(self, candidates: List[RepairCandidate],
-                        classes: List[int], scheduler,
+    def _run_candidates(self, survivors, classes: List[int], scheduler,
                         events) -> List[ShardOutcome]:
-        """Evaluate candidates serially or through ``scheduler`` (a
+        """Evaluate the surviving ``(candidate, applied candidate)`` pairs
+        serially or through ``scheduler`` (a
         :class:`repro.distrib.Scheduler`), in input order, publishing each
         finished one on ``events``.
 
         ``classes[i]`` is the index of candidate ``i``'s representative
         (:meth:`_classes`): only representatives replay, and each member
         is judged from its representative's outcome (:meth:`_shared`).
-        Every candidate gets one ``BacktestProgress`` out of
-        ``len(candidates)``: serially in input order, on the fleet a
+        Serially a representative replays its applied candidate; one that
+        did not apply goes through :meth:`evaluate_outcome`, which fails
+        as it always did.  The fleet ships candidates, and each worker
+        applies its own.  Every candidate gets one ``BacktestProgress`` out
+        of ``len(survivors)``: serially in input order, on the fleet a
         representative's as it completes, then its members'.
 
         The min-work gate is decided here, once: a *gated* scheduler
@@ -432,6 +464,7 @@ class Backtester:
         replay walks the same trace); otherwise the serial loop runs.
         Every path returns bit-identical outcomes.
         """
+        candidates = [candidate for candidate, _repaired in survivors]
         total = len(candidates)
         outcomes: List[Optional[ShardOutcome]] = [None] * total
         representatives = [index for index, representative
@@ -466,7 +499,7 @@ class Backtester:
                                  for index in representatives],
                           delivered, events)
             return outcomes
-        for index, candidate in enumerate(candidates):
+        for index, (candidate, repaired) in enumerate(survivors):
             representative = classes[index]
             if representative != index:
                 finish(index, self._shared(candidate, index,
@@ -474,7 +507,9 @@ class Backtester:
                 continue
             with self._span("candidate", index=index, tag=candidate.tag,
                             description=candidate.description):
-                finish(index, self.evaluate_outcome(candidate))
+                finish(index, self.evaluate_outcome(candidate)
+                       if repaired is None
+                       else self._evaluate_applied(candidate, repaired))
         return outcomes
 
     def _shared(self, candidate: RepairCandidate, index: int,
@@ -528,8 +563,10 @@ class Backtester:
 
     def _prefilter(self, candidates: Sequence[RepairCandidate]):
         """Vet all candidates; returns (survivors, index -> vetoed result),
-        each survivor a ``(candidate, applied candidate)`` pair — the
-        application ``None`` when nothing vetted it.
+        each survivor a ``(candidate, applied candidate)`` pair.  The vet
+        applies each candidate (:meth:`CandidateVetter.decide`); without
+        the vet each is applied here, and one that does not apply survives
+        with ``None`` (its replay fails as it always did).
 
         A vetoed candidate gets the result its replay *would* have
         produced.  Inert-insert and no-op vetoes are behaviour-preservation
@@ -539,7 +576,8 @@ class Backtester:
         replay and are reported flatly rejected.
         """
         if not self.static_vet:
-            return [(candidate, None) for candidate in candidates], {}
+            return [(candidate, self._applied(candidate))
+                    for candidate in candidates], {}
         vetter = self._candidate_vetter()
         survivors: List[Tuple[RepairCandidate, RepairedProgram]] = []
         vetoed: Dict[int, BacktestResult] = {}
@@ -559,6 +597,15 @@ class Backtester:
                 survivors.append((candidate, decision.repaired))
         return survivors, vetoed
 
+    def _applied(self, candidate: RepairCandidate
+                 ) -> Optional[RepairedProgram]:
+        """``candidate`` applied to the scenario's program, or ``None``
+        when its edits do not apply."""
+        try:
+            return apply_candidate(self.scenario.program, candidate)
+        except RepairApplicationError:
+            return None
+
     # ------------------------------------------------------------------
     # Replay classes (parent-side, after the vet)
     # ------------------------------------------------------------------
@@ -567,7 +614,7 @@ class Backtester:
         """The closed-world keyer of this backtester's replays, built once.
 
         Its domain (:class:`~repro.analysis.constprop.ClosedWorldKeys`):
-        the PacketIn switch column ranges over the topology's switch ids,
+        the PacketIn switch column ranges over the template's switch ids,
         each column that is a packet header field over that field's values
         in this backtester's cut of the trace; the controller column and
         ``in_port`` have none.
@@ -581,7 +628,7 @@ class Backtester:
                 headers = [packet.header_values
                            for _switch, packet in self._trace()]
                 self._keys = ClosedWorldKeys(mapping.packet_in_table, (
-                    None, self.scenario.build_topology().switches,
+                    None, self._template().switches,
                     *({values[HEADER_POSITIONS[name]] for values in headers}
                       if name in HEADER_FIELDS else None
                       for name in mapping.packet_in_fields)))
@@ -590,20 +637,15 @@ class Backtester:
     def _classes(self, survivors) -> List[int]:
         """For each surviving ``(candidate, applied candidate)``, the index
         of its replay class's representative: the first survivor whose
-        patched program has the same closed-world key.  A candidate no vet
-        applied is applied here; one that does not apply is its own class
-        (its replay fails as it always did)."""
+        patched program has the same closed-world key.  A candidate that
+        does not apply is its own class."""
         keys = self._replay_keys()
         first: Dict[tuple, int] = {}
         classes: List[int] = []
-        for index, (candidate, repaired) in enumerate(survivors):
+        for index, (_candidate, repaired) in enumerate(survivors):
             if repaired is None:
-                try:
-                    repaired = apply_candidate(self.scenario.program,
-                                               candidate)
-                except RepairApplicationError:
-                    classes.append(index)
-                    continue
+                classes.append(index)
+                continue
             key = keys.key(repaired.program, repaired.inserted_tuples)
             classes.append(first.setdefault(key, index))
         return classes
@@ -621,9 +663,7 @@ class Backtester:
         all_candidates = list(candidates)
         survivors, vetoed = self._prefilter(all_candidates)
         classes = self._classes(survivors)
-        outcomes = self._run_candidates(
-            [candidate for candidate, _repaired in survivors], classes,
-            scheduler, events)
+        outcomes = self._run_candidates(survivors, classes, scheduler, events)
         self._absorb_outcomes(outcomes)
         # Interleave replayed and vetoed results back into input order.
         replayed = iter(outcomes)

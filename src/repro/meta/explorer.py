@@ -26,10 +26,12 @@ queue orders candidates, not partial trees: cheap (plausible) repairs come
 out before expensive ones.
 
 An attempt is a light ``(edits, cost, candidate_id)`` tuple until it is
-emitted; most never are.  Its ``candidate_id`` is still reserved from the
-process-wide counter (:func:`~repro.repair.candidates.next_candidate_id`) when
-the attempt is made, so a candidate's ``tag`` — the ``v247`` of every report
-row and report digest — encodes how many attempts preceded it.  The
+emitted; most never are.  Its ``candidate_id`` is still reserved when the
+attempt is made, from a counter of the exploration's own that starts at 1
+with each :meth:`~MetaProvenanceExplorer.explore_missing` call, so a
+candidate's ``tag`` — the ``v247`` of every report row and report digest —
+encodes how many attempts of the same exploration preceded it, and neither
+an earlier session of the process nor one on another thread moves it.  The
 :class:`~repro.repair.candidates.RepairCandidate`, its description and its
 meta provenance tree (:meth:`MetaProvenanceExplorer._explain`) are built when
 the attempt is emitted, so an exploration builds exactly as many candidates
@@ -68,7 +70,6 @@ from ..repair.candidates import (
     RepairCandidate,
     deduplicate,
     edits_signature,
-    next_candidate_id,
 )
 from .constant_values import first_satisfying_value, satisfies
 from .costs import CostModel
@@ -204,6 +205,8 @@ class MetaProvenanceExplorer:
         self._fix_options_cache: Dict[Tuple, List[FixOption]] = {}
         #: History matches per body pattern, for one exploration.
         self._matches: Dict[Tuple, List[NDTuple]] = {}
+        #: Candidate ids of one exploration, one per attempt, from 1.
+        self._ids = itertools.count(1)
 
     def _history_hints(self) -> List[object]:
         """History values to try for an unknown (computed once per explorer;
@@ -244,6 +247,7 @@ class MetaProvenanceExplorer:
         forest = MetaForest()
         lookups_before = self.history.lookup_count
         self._matches.clear()
+        self._ids = itertools.count(1)
         candidates: List[RepairCandidate] = []
         queue: List[Tuple] = []
         counter = itertools.count()
@@ -463,7 +467,7 @@ class MetaProvenanceExplorer:
                 # Nothing to change: the rule should already fire, so this
                 # combination does not explain the missing tuple.
                 continue
-            results.append((tuple(edits), cost, next_candidate_id()))
+            results.append((tuple(edits), cost, next(self._ids)))
         return results
 
     def _materialise_pattern(self, atom: Atom, pattern: Dict[int, object]) -> NDTuple:
@@ -613,7 +617,7 @@ class MetaProvenanceExplorer:
         if arity == 0:
             return []
         edit = InsertTuple(self._goal_tuple(goal, arity))
-        attempt = ((edit,), self.cost_model.edit_cost(edit), next_candidate_id())
+        attempt = ((edit,), self.cost_model.edit_cost(edit), next(self._ids))
         return [(attempt, ())]
 
     def _support_insert_attempts(self, goal: MissingTupleGoal, rule: Rule
@@ -640,7 +644,7 @@ class MetaProvenanceExplorer:
                 atom, self._atom_pattern(atom, head_bindings))
             if all(value == WILDCARD for value in tup.values):
                 continue    # no goal constant reaches this atom
-            out.append((((InsertTuple(tup),), cost, next_candidate_id()), ()))
+            out.append((((InsertTuple(tup),), cost, next(self._ids)), ()))
         return out
 
     def _infer_table_arity(self, goal: MissingTupleGoal) -> int:
@@ -690,7 +694,7 @@ class MetaProvenanceExplorer:
                      CopyRule(rule.name, replace(
                          rule, name=f"{rule.name}_copy", head=new_head)))
             return [(((edit,), self.cost_model.edit_cost(edit),
-                      next_candidate_id()), body_choice) for edit in edits]
+                      next(self._ids)), body_choice) for edit in edits]
         return []
 
     def _head_values_match_goal(self, head_values, goal: MissingTupleGoal) -> bool:

@@ -24,23 +24,19 @@ _candidate_counter = itertools.count(1)
 def reset_candidate_ids(start: int = 1) -> None:
     """Restart the process-global candidate numbering at ``start``.
 
-    Candidate ids (and the ``v<N>`` tags derived from them) are assigned
-    from a process-global counter, so the N-th repair run in a process
-    numbers its candidates differently from the first.  Long-lived
-    service workers call this at the start of every repair job so that a
-    report is a pure function of its config — bit-identical whether the
-    run happened in a fresh ``repro repair`` process or on a worker that
-    has served a thousand sessions.  Ids stay unique within a run, which
-    is the only scope that ever compares them.
+    The explorer numbers its candidates from a counter of each
+    exploration's own, so a session's tags never depend on this one.  It
+    numbers candidates built by hand (``RepairCandidate``'s default id),
+    and a caller that builds such candidates restarts it to number them
+    as a fresh process would.
     """
     global _candidate_counter
     _candidate_counter = itertools.count(start)
 
 
 def next_candidate_id() -> int:
-    """Draw the next candidate id from the process-global counter (the one
-    accessor: the explorer reserves an id per attempt without building the
-    candidate it may never return)."""
+    """Draw the next candidate id from the process-global counter: the
+    default id of a candidate built by hand."""
     return next(_candidate_counter)
 
 

@@ -10,7 +10,12 @@ A :class:`NDlogScenario` bundles everything one diagnostic case needs:
 * bookkeeping used by the experiment harness (reference repair, name, ...).
 
 Scenarios are pure descriptions: they build fresh topologies and controllers
-on demand, so backtesting runs never contaminate each other.
+on demand.  A backtester builds the topology once and replays every candidate
+on a replica of it with flow tables of its own
+(:meth:`~repro.sdn.topology.Topology.replica`), so backtesting runs never
+contaminate each other.  A trace builder builds one repetition and repeats
+it: the ``(switch, Packet)`` pairs are frozen values, shared by every
+repetition.
 
 Diagnosis starts from what the runtime records (Sections 4.3 and 5.4): the
 PacketIns the switches raised and the controller's answers.

@@ -91,30 +91,36 @@ def q1_static_tuples(s1_clients: int = 12, offloaded_clients: int = 2) -> List[N
 
 
 def q1_trace(topology: Topology, repetitions: int = 3) -> List[Tuple[int, Packet]]:
-    """Deterministic campus-style trace: web plus DNS from both edges."""
-    trace: List[Tuple[int, Packet]] = []
-    s1_clients = [h for h in topology.hosts.values()
-                  if h.switch_id == 1 and h.role == "client"]
-    s4_clients = [h for h in topology.hosts.values()
-                  if h.switch_id == 4 and h.role == "client"]
-    for _ in range(repetitions):
-        for client in sorted(s1_clients, key=lambda h: h.host_id):
-            for sequence in range(3):
-                trace.append((1, Packet(src_ip=client.ip, dst_ip=WEB_VIP,
-                                        src_port=40000 + sequence,
-                                        dst_port=HTTP_PORT, proto=PROTO_TCP)))
-            trace.append((1, Packet(src_ip=client.ip, dst_ip=DNS_SERVER,
-                                    src_port=52000, dst_port=DNS_PORT,
-                                    proto=PROTO_UDP)))
-        for client in sorted(s4_clients, key=lambda h: h.host_id):
-            for sequence in range(5):
-                trace.append((4, Packet(src_ip=client.ip, dst_ip=H3,
-                                        src_port=41000 + sequence,
-                                        dst_port=HTTP_PORT, proto=PROTO_TCP)))
-            trace.append((4, Packet(src_ip=client.ip, dst_ip=DNS_SERVER,
-                                    src_port=53000, dst_port=DNS_PORT,
-                                    proto=PROTO_UDP)))
-    return trace
+    """Deterministic campus-style trace: web plus DNS from both edges.
+
+    One repetition is built and the trace is that list ``repetitions``
+    times over: every repetition holds the same frozen ``(switch,
+    Packet)`` values, so repetition *k* shares repetition 1's objects.
+    """
+    one: List[Tuple[int, Packet]] = []
+    s1_clients = sorted((h for h in topology.hosts.values()
+                         if h.switch_id == 1 and h.role == "client"),
+                        key=lambda h: h.host_id)
+    s4_clients = sorted((h for h in topology.hosts.values()
+                         if h.switch_id == 4 and h.role == "client"),
+                        key=lambda h: h.host_id)
+    for client in s1_clients:
+        for sequence in range(3):
+            one.append((1, Packet(src_ip=client.ip, dst_ip=WEB_VIP,
+                                  src_port=40000 + sequence,
+                                  dst_port=HTTP_PORT, proto=PROTO_TCP)))
+        one.append((1, Packet(src_ip=client.ip, dst_ip=DNS_SERVER,
+                              src_port=52000, dst_port=DNS_PORT,
+                              proto=PROTO_UDP)))
+    for client in s4_clients:
+        for sequence in range(5):
+            one.append((4, Packet(src_ip=client.ip, dst_ip=H3,
+                                  src_port=41000 + sequence,
+                                  dst_port=HTTP_PORT, proto=PROTO_TCP)))
+        one.append((4, Packet(src_ip=client.ip, dst_ip=DNS_SERVER,
+                              src_port=53000, dst_port=DNS_PORT,
+                              proto=PROTO_UDP)))
+    return one * repetitions
 
 
 #: The closed range of each size parameter of :func:`build_q1`

@@ -55,31 +55,32 @@ def q2_topology() -> Topology:
 
 
 def q2_trace(topology: Topology, repetitions: int = 2) -> List[Tuple[int, Packet]]:
-    trace: List[Tuple[int, Packet]] = []
-    for _ in range(repetitions):
-        for ip in range(1, 6):          # healthy clients: heavy traffic
-            for sequence in range(6):
-                trace.append((6, Packet(src_ip=ip, dst_ip=WEB_SERVER,
-                                        src_port=41000 + sequence,
-                                        dst_port=HTTP_PORT, proto=PROTO_TCP)))
-            for sequence in range(4):
-                trace.append((6, Packet(src_ip=ip, dst_ip=DNS_SERVER,
-                                        src_port=52000 + sequence,
-                                        dst_port=DNS_PORT, proto=PROTO_UDP)))
-        for sequence in range(3):       # the affected client: a small share
-            trace.append((6, Packet(src_ip=AFFECTED_CLIENT, dst_ip=DNS_SERVER,
-                                    src_port=52100 + sequence,
-                                    dst_port=DNS_PORT, proto=PROTO_UDP)))
-        for ip in (7, 8):               # not-yet-whitelisted clients
-            for sequence in range(5):
-                trace.append((6, Packet(src_ip=ip, dst_ip=DNS_SERVER,
-                                        src_port=52200 + sequence,
-                                        dst_port=DNS_PORT, proto=PROTO_UDP)))
-        for sequence in range(20):      # the scanner: must stay blocked
-            trace.append((6, Packet(src_ip=SCANNER, dst_ip=DNS_SERVER,
-                                    src_port=53000 + sequence,
-                                    dst_port=DNS_PORT, proto=PROTO_UDP)))
-    return trace
+    """One repetition of the clients' traffic, ``repetitions`` times over
+    (repetition *k* shares repetition 1's frozen packets)."""
+    one: List[Tuple[int, Packet]] = []
+    for ip in range(1, 6):              # healthy clients: heavy traffic
+        for sequence in range(6):
+            one.append((6, Packet(src_ip=ip, dst_ip=WEB_SERVER,
+                                  src_port=41000 + sequence,
+                                  dst_port=HTTP_PORT, proto=PROTO_TCP)))
+        for sequence in range(4):
+            one.append((6, Packet(src_ip=ip, dst_ip=DNS_SERVER,
+                                  src_port=52000 + sequence,
+                                  dst_port=DNS_PORT, proto=PROTO_UDP)))
+    for sequence in range(3):           # the affected client: a small share
+        one.append((6, Packet(src_ip=AFFECTED_CLIENT, dst_ip=DNS_SERVER,
+                              src_port=52100 + sequence,
+                              dst_port=DNS_PORT, proto=PROTO_UDP)))
+    for ip in (7, 8):                   # not-yet-whitelisted clients
+        for sequence in range(5):
+            one.append((6, Packet(src_ip=ip, dst_ip=DNS_SERVER,
+                                  src_port=52200 + sequence,
+                                  dst_port=DNS_PORT, proto=PROTO_UDP)))
+    for sequence in range(20):          # the scanner: must stay blocked
+        one.append((6, Packet(src_ip=SCANNER, dst_ip=DNS_SERVER,
+                              src_port=53000 + sequence,
+                              dst_port=DNS_PORT, proto=PROTO_UDP)))
+    return one * repetitions
 
 
 def _dns_from_affected_client_delivered(outcomes) -> bool:

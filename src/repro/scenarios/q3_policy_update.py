@@ -49,25 +49,26 @@ def q3_topology() -> Topology:
 
 
 def q3_trace(topology: Topology, repetitions: int = 2) -> List[Tuple[int, Packet]]:
-    trace: List[Tuple[int, Packet]] = []
-    for _ in range(repetitions):
-        for ip in range(4, 10):        # white-listed clients: heavy traffic
-            for sequence in range(6):
-                trace.append((7, Packet(src_ip=ip, dst_ip=WEB_SERVER,
-                                        src_port=41000 + sequence,
-                                        dst_port=HTTP_PORT, proto=PROTO_TCP)))
-            trace.append((7, Packet(src_ip=ip, dst_ip=DNS_SERVER,
-                                    src_port=52000, dst_port=DNS_PORT,
-                                    proto=PROTO_UDP)))
-        for sequence in range(4):      # the offloaded client: small share
-            trace.append((7, Packet(src_ip=OFFLOADED_CLIENT, dst_ip=WEB_SERVER,
-                                    src_port=42000 + sequence,
-                                    dst_port=HTTP_PORT, proto=PROTO_TCP)))
-        for sequence in range(25):     # the blocked source: must stay blocked
-            trace.append((7, Packet(src_ip=BLOCKED_SOURCE, dst_ip=WEB_SERVER,
-                                    src_port=43000 + sequence,
-                                    dst_port=HTTP_PORT, proto=PROTO_TCP)))
-    return trace
+    """One repetition of the clients' traffic, ``repetitions`` times over
+    (repetition *k* shares repetition 1's frozen packets)."""
+    one: List[Tuple[int, Packet]] = []
+    for ip in range(4, 10):            # white-listed clients: heavy traffic
+        for sequence in range(6):
+            one.append((7, Packet(src_ip=ip, dst_ip=WEB_SERVER,
+                                  src_port=41000 + sequence,
+                                  dst_port=HTTP_PORT, proto=PROTO_TCP)))
+        one.append((7, Packet(src_ip=ip, dst_ip=DNS_SERVER,
+                              src_port=52000, dst_port=DNS_PORT,
+                              proto=PROTO_UDP)))
+    for sequence in range(4):          # the offloaded client: small share
+        one.append((7, Packet(src_ip=OFFLOADED_CLIENT, dst_ip=WEB_SERVER,
+                              src_port=42000 + sequence,
+                              dst_port=HTTP_PORT, proto=PROTO_TCP)))
+    for sequence in range(25):         # the blocked source: must stay blocked
+        one.append((7, Packet(src_ip=BLOCKED_SOURCE, dst_ip=WEB_SERVER,
+                              src_port=43000 + sequence,
+                              dst_port=HTTP_PORT, proto=PROTO_TCP)))
+    return one * repetitions
 
 
 def _offloaded_client_reaches_server(outcomes) -> bool:

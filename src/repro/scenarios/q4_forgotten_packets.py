@@ -52,20 +52,22 @@ def q4_topology(clients: int = 8) -> Topology:
 
 def q4_trace(topology: Topology, packets_per_flow: int = 6,
              repetitions: int = 2) -> List[Tuple[int, Packet]]:
-    trace: List[Tuple[int, Packet]] = []
+    """One repetition of every client's HTTP and DNS flows,
+    ``repetitions`` times over (repetition *k* shares repetition 1's
+    frozen packets)."""
+    one: List[Tuple[int, Packet]] = []
     clients = sorted((h for h in topology.hosts.values() if h.role == "client"),
                      key=lambda h: h.host_id)
-    for _ in range(repetitions):
-        for client in clients:
-            for sequence in range(packets_per_flow):
-                trace.append((8, Packet(src_ip=client.ip, dst_ip=WEB_SERVER,
-                                        src_port=41000 + sequence,
-                                        dst_port=HTTP_PORT, proto=PROTO_TCP)))
-            for sequence in range(2):
-                trace.append((8, Packet(src_ip=client.ip, dst_ip=DNS_SERVER,
-                                        src_port=52000 + sequence,
-                                        dst_port=DNS_PORT, proto=PROTO_UDP)))
-    return trace
+    for client in clients:
+        for sequence in range(packets_per_flow):
+            one.append((8, Packet(src_ip=client.ip, dst_ip=WEB_SERVER,
+                                  src_port=41000 + sequence,
+                                  dst_port=HTTP_PORT, proto=PROTO_TCP)))
+        for sequence in range(2):
+            one.append((8, Packet(src_ip=client.ip, dst_ip=DNS_SERVER,
+                                  src_port=52000 + sequence,
+                                  dst_port=DNS_PORT, proto=PROTO_UDP)))
+    return one * repetitions
 
 
 def _no_http_packet_lost(outcomes) -> bool:

@@ -58,19 +58,22 @@ def q5_topology(extra_hosts: int = 3) -> Topology:
 
 
 def q5_trace(topology: Topology, repetitions: int = 3) -> List[Tuple[int, Packet]]:
-    """Every host talks to every other host; H2 both sends and receives."""
-    trace: List[Tuple[int, Packet]] = []
+    """Every host talks to every other host; H2 both sends and receives.
+
+    One repetition is built and the trace is that list ``repetitions``
+    times over (repetition *k* shares repetition 1's frozen packets).
+    """
+    one: List[Tuple[int, Packet]] = []
     hosts = sorted(topology.hosts.values(), key=lambda h: h.host_id)
-    for _ in range(repetitions):
-        for src in hosts:
-            for dst in hosts:
-                if src.host_id == dst.host_id:
-                    continue
-                trace.append((SWITCH, Packet(
-                    src_ip=src.ip, dst_ip=dst.ip, src_port=40000,
-                    dst_port=HTTP_PORT, proto=PROTO_TCP,
-                    src_mac=src.mac, dst_mac=dst.mac)))
-    return trace
+    for src in hosts:
+        for dst in hosts:
+            if src.host_id == dst.host_id:
+                continue
+            one.append((SWITCH, Packet(
+                src_ip=src.ip, dst_ip=dst.ip, src_port=40000,
+                dst_port=HTTP_PORT, proto=PROTO_TCP,
+                src_mac=src.mac, dst_mac=dst.mac)))
+    return one * repetitions
 
 
 #: The closed range of each size parameter of :func:`build_q5`: every host

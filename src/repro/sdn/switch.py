@@ -105,6 +105,7 @@ class FlowTable:
     number does, i.e. the entry installed first.  Re-installing an exact
     duplicate replaces the object and takes a fresh sequence number, which
     moves the entry to the back of that tie-break and of :meth:`entries`.
+    :meth:`copy` re-installs the entries, in that order, into a new table.
     """
 
     def __init__(self):
@@ -146,6 +147,15 @@ class FlowTable:
         self._entries.clear()
         self._exact.clear()
         self._residual.clear()
+
+    def copy(self) -> "FlowTable":
+        """A table of this one's entries, installed in its install order,
+        so every tie-break among equal priorities is the same; neither
+        table's later installs reach the other."""
+        table = FlowTable()
+        for entry in self.entries():
+            table.install(entry)
+        return table
 
     def entries(self) -> List[FlowEntry]:
         return [entry for _sequence, entry in self._entries.values()]
@@ -214,6 +224,15 @@ class Switch:
             raise ValueError(f"unknown attachment kind {kind!r}")
         self.ports[port] = (kind, identifier)
         self.links[port] = (kind, identifier, arrival_port)
+
+    def replica(self) -> "Switch":
+        """This switch with a flow table of its own (a :meth:`FlowTable.copy`)
+        and the same :attr:`ports` and :attr:`links` records, shared: a
+        replay installs entries and never attaches a port."""
+        switch = Switch(self.switch_id, self.flow_table.copy(), self.name)
+        switch.ports = self.ports
+        switch.links = self.links
+        return switch
 
     def port_to(self, kind: str, identifier: int) -> Optional[int]:
         """The first port, in attach order, that leads to the neighbour

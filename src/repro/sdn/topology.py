@@ -19,6 +19,13 @@ controller application under test, matching the paper's setup.
 Shortest paths come from a breadth-first search over the topology's own
 adjacency (no graph library); which of several equal-length paths wins is
 fixed by the order links were added, see :meth:`Topology._first_hop`.
+
+A replay changes only flow tables.  So a backtester builds its scenario's
+topology once, as a *template*, and replays every candidate on a
+:meth:`Topology.replica`: the template's hosts, links and adjacency,
+shared, and switches of the replica's own, each flow table a copy of the
+template's in install order (:func:`stanford_campus` pre-installs its core
+routes).  Nothing a replay installs reaches the template.
 """
 
 from __future__ import annotations
@@ -104,6 +111,21 @@ class Topology:
     def _connect(self, a: _Node, b: _Node) -> None:
         self._adjacency[a][b] = None
         self._adjacency[b][a] = None
+
+    def replica(self) -> "Topology":
+        """A topology to replay on: this one's hosts, links and adjacency,
+        shared, and a :meth:`~repro.sdn.switch.Switch.replica` of every
+        switch, whose flow table is a copy of this one's.  A replay
+        installs entries in the replica's tables only; adding a switch,
+        host or link to a replica would write the shared records."""
+        topology = Topology.__new__(Topology)
+        topology.name = self.name
+        topology.hosts = self.hosts
+        topology._adjacency = self._adjacency
+        topology._next_host_id = self._next_host_id
+        topology.switches = {switch_id: switch.replica()
+                             for switch_id, switch in self.switches.items()}
+        return topology
 
     # ------------------------------------------------------------------
     # Queries

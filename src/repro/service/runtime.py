@@ -75,12 +75,6 @@ class RepairJobRuntime:
         # Local import: the session facade imports the distrib package,
         # and build_runtime imports this module lazily for the same reason.
         from ..api.session import RepairSession
-        from ..repair import reset_candidate_ids
-        # Candidate ids come from a process-global counter; restarting it
-        # per job makes the report a pure function of the config — the
-        # N-th session on a long-lived worker is bit-identical to a fresh
-        # in-process run of the same config.
-        reset_candidate_ids()
         config = self.job.config
         if config.transport is not None or config.workers != 1 \
                 or config.transport_options:

@@ -7,7 +7,9 @@ The acceptance contract (also stated in ``repro.analysis.vet``):
 * **no accepted repair is ever vetoed** — vetting on and off produce the
   same accepted candidates on the same candidate lists;
 * vetting strictly reduces the number of replays whenever it fires, and
-  every explored scenario has at least one veto at the shared budget;
+  every explored scenario has at least one veto at the shared budget (a
+  replay is counted where it runs, and equals the survivors that are
+  their class's representative: neither vetoed nor shared);
 * the backtest's question, ``CandidateVetter.decide``, answers what the
   linter's whole verdict (``vet_candidate``) decides: the same reject
   reason, or ``None`` when the candidate is not rejected.
@@ -43,17 +45,37 @@ EXPECTED_VETOED = {"Q1": 2, "Q2": 1, "Q3": 1, "Q4": 1, "Q5": 1}
 _reports = {}
 
 
+#: name -> (candidate replays with vetting, without), counted as they run.
+_replays = {}
+
+
+def counted(backtester, replays):
+    """``backtester`` with every candidate replay appended to
+    ``replays``."""
+    replay = backtester._replay
+
+    def counting(simulator, engine):
+        replays.append(simulator)
+        return replay(simulator, engine)
+
+    backtester._replay = counting
+    return backtester
+
+
 def reports_for(name):
     """(candidates, vetter, report with vetting, report without), cached."""
     if name not in _reports:
         scenario, candidates = scenario_and_candidates(name)
         vetter = vetter_for(scenario)
-        on = Backtester(scenario, ks_threshold=scenario.ks_threshold)
-        off = Backtester(scenario, ks_threshold=scenario.ks_threshold,
-                         static_vet=False)
+        replays_on, replays_off = [], []
+        on = counted(Backtester(scenario, ks_threshold=scenario.ks_threshold),
+                     replays_on)
+        off = counted(Backtester(scenario, ks_threshold=scenario.ks_threshold,
+                                 static_vet=False), replays_off)
         _reports[name] = (candidates, vetter,
                           (on, on.evaluate_all(candidates)),
                           (off, off.evaluate_all(candidates)))
+        _replays[name] = (len(replays_on), len(replays_off))
     return _reports[name]
 
 
@@ -115,13 +137,14 @@ def test_accepted_sets_identical_and_fewer_replays(name):
                 for r in report_off.results]
     assert rows_on == rows_off
     # Strictly fewer replays with vetting on: a vetoed row is judged on the
-    # baseline's statistics, a replayed one on statistics of its own.
-    def replayed(report):
-        return sum(r.stats is not report.baseline for r in report.results)
-
-    assert replayed(report_on) == len(candidates) - report_on.vetoed_count
-    assert replayed(report_off) == len(candidates)
+    # baseline's statistics, a shared one on its class representative's,
+    # and only representatives replay.
+    replays_on, replays_off = _replays[name]
+    assert replays_on == (len(candidates) - report_on.vetoed_count
+                          - report_on.shared_count)
+    assert replays_off == len(candidates) - report_off.shared_count
     assert report_off.vetoed_count == 0
+    assert replays_on < replays_off
 
 
 @pytest.mark.parametrize("name", SCENARIOS)

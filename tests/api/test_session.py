@@ -20,8 +20,8 @@ from repro.scenarios import build_q1, build_scenario
 
 def report_rows(report):
     """Everything observable about a report except wall-clock timings and
-    candidate tags (tags serialise a process-global candidate counter, so two
-    *identical* runs in one process never share them)."""
+    candidate tags (``tests/meta/test_candidate_numbering.py`` holds the
+    tags of repeated runs)."""
     return [
         (r.candidate.description, r.candidate.cost,
          r.ks.statistic, r.effective, r.accepted, r.notes)

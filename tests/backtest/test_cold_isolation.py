@@ -1,7 +1,8 @@
 """Candidate isolation suite.
 
-Every backtested candidate builds cold: a fresh topology and controller
-whose engine runs the scenario's static tuples under the repaired program.
+Every backtested candidate builds cold: a controller whose engine runs the
+scenario's static tuples under the repaired program, on a replica of the
+backtester's template topology with flow tables of its own.
 What one candidate derives, installs or aborts must therefore leave no trace
 on the next: each row of a mixed ``evaluate_all`` run equals the row of the
 same candidate evaluated alone, in either order.  For the hand-built

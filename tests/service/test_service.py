@@ -416,16 +416,23 @@ class TestLongPoll:
         daemon, _server, _client = fleet(workers=0)
         session_id = daemon.submit(RepairConfig.for_scenario("Q1"))
         job = daemon.assign(SimpleNamespace(worker_id=0))
-        generation, events, ended = daemon.events_since(session_id)
-        assert (events, ended) == ([], False)
-        started = {"kind": "session_started"}
-        timer = threading.Timer(0.2, daemon.event, (job, started))
-        timer.start()
-        since = time.monotonic()
-        answer = daemon.events_since(session_id, 0, generation, timeout=30)
-        timer.join(timeout=10)
-        assert answer == (generation, [started], False)
-        assert time.monotonic() - since < 10
+        try:
+            generation, events, ended = daemon.events_since(session_id)
+            assert (events, ended) == ([], False)
+            started = {"kind": "session_started"}
+            timer = threading.Timer(0.2, daemon.event, (job, started))
+            timer.start()
+            since = time.monotonic()
+            answer = daemon.events_since(session_id, 0, generation,
+                                         timeout=30)
+            timer.join(timeout=10)
+            assert answer == (generation, [started], False)
+            assert time.monotonic() - since < 10
+        finally:
+            # Finish the session the test handed to a worker that does not
+            # exist, so the fixture's stop has nothing to wait out.
+            daemon.result(job, None, {"report": {"ok": True}})
+        assert daemon.get(session_id).state == "done"
 
     def test_followers_and_long_polls_under_requeue_churn(self, fleet):
         # The policy hooks driven by hand (no worker): five attempts of
