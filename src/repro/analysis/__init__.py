@@ -10,11 +10,10 @@ pipeline); ``lint`` runs ``safety`` over a whole program (``repro lint``):
     lattice over join keys and comparison constants.
 
 ``constprop``
-    Constant propagation through joined static tables: proves a tuple
-    inert (no rule can fire on it) across multi-atom joins, and whole tuple
-    *insertions* inert — the vetter's inert-insert veto; and keys patched
-    programs so that equal keys replay alike — the backtest's replay
-    classes.
+    The closed world of one replay, in one model: proves a tuple
+    *insertion* inert (no rule can fire on it, nothing collides with it) —
+    the vetter's inert-insert veto; and keys patched programs so that equal
+    keys replay alike — the backtest's replay classes.
 
 ``vet``
     Candidate vetting: runs the passes over a repair candidate's patched
@@ -27,7 +26,6 @@ repair layers without import cycles.
 """
 
 from .._lazy import lazy_exports
-from .constprop import ConstantPropagation
 from .findings import LintFinding, Severity
 from .vet import CandidateVetter, VetResult
 
@@ -41,7 +39,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 
 __all__ = [
     "CandidateVetter",
-    "ConstantPropagation",
     "LintFinding",
     "Severity",
     "VetResult",

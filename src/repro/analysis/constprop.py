@@ -1,326 +1,177 @@
-"""Constant propagation through joined static tables, and over the closed
-world of one replay.
+"""The closed world of one replay: which tuples can make a rule fire.
 
-The pass answers three questions, all *proofs* (a positive answer is never
-wrong; "don't know" is always safe):
+The backtest replays one recorded trace under every candidate.  Two
+questions let it skip a replay, and both answers are *proofs* (a positive
+answer is never wrong; "don't know" is always safe):
 
-``tuple_inert_reason(table, values)``
-    Can a tuple with these concrete values ever make any rule fire?  Besides
-    constant arguments, repeated variables and pushable selection guards
-    (evaluated with the engine's own wildcard-aware expression semantics),
-    the pass propagates the tuple's constants through *joins with
-    statically enumerable tables* — a key whose join column matches no
-    static tuple is inert even though every guard alone is satisfiable.
+:func:`insert_inert`
+    Is inserting a tuple at set-up invisible to every replay?  The vetter's
+    ``inert-insert`` veto asks it of each tuple an insert-only candidate
+    inserts.
+:meth:`ClosedWorldKeys.key`
+    Do two patched programs replay one trace alike?  Equal keys say yes.
 
-``insert_inert(tup)``
-    Is inserting ``tup`` at setup provably invisible to every replay?  True
-    when (a) no rule can ever match the tuple (every consuming occurrence
-    is ruled out by strict constant mismatch, an impossible wildcard join,
-    a refuted guard, or an empty/mismatched static join), (b) the tuple is
-    not in the flow table (whose contents are pushed to switches at
-    ``on_start``), and (c) no rule could derive a tuple colliding with it
-    (a pre-existing copy would suppress the runtime derivation delta, and
-    under primary-key update semantics a key collision evicts).
+Both read a rule as the engine evaluates it (:mod:`repro.ndlog.plan`):
+constant arguments and variable joins are **strict** — ``'*'`` is an
+ordinary value at the storage layer — while selections evaluate
+wildcard-aware (``'*' == x`` holds, ordered comparisons against ``'*'``
+fail).  Neither decides on a selection that raises an
+:class:`~repro.ndlog.errors.EvaluationError` (the engine defers it) or
+evaluates one that could escape (:func:`~repro.ndlog.plan._may_escape`: a
+function call, or ``/`` and ``%``, whose ``ZeroDivisionError`` the engine
+does not defer).  What a replay's PacketIns hold:
 
-``ClosedWorldKeys.key(program, inserted)``
-    Do two patched programs replay one trace alike?  Equal keys say yes:
-    their rules select the same PacketIns of the replay's domain (switch
-    ids, the trace's header values), in the same order.
+0. *The PacketIn axiom*: the data plane builds a PacketIn tuple from a
+   switch id and a packet's header values, so it never holds ``'*'``; a
+   ``'*'`` that must join a column of an event table joins nothing.
+1. A PacketIn's switch lies among the topology's switches (the data plane
+   raises PacketIns only from switches it has).
+2. No action rewrites a header, so every packet at every hop carries the
+   headers it entered the trace with (a ``FlowEntry`` has only an
+   ``out_port``, a ``PacketOut`` sends the packet it was given).
+3. No rule derives PacketIn tuples, and every value an inserted PacketIn
+   tuple holds at a column with a domain lies within it.
 
-Matching mirrors the engine exactly (see :mod:`repro.ndlog.plan` and
-:func:`repro.ndlog.expr.match_atom`): constant arguments and variable joins
-are **strict** — the wildcard is an ordinary value at the storage layer —
-while selection predicates evaluate wildcard-aware (``'*' == x`` holds,
-ordered comparisons against ``'*'`` are false).  Event tables
-(``PacketIn``) carry one axiom: runtime tuples are built from packet
-headers and switch identifiers, so they never contain the wildcard.
+:func:`insert_inert` rests on the axiom alone; :class:`ClosedWorldKeys`
+keys a program closed-world only where 1–3 hold.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from math import prod
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Collection, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
-from ..ndlog.ast import (
-    Atom, BinOp, Const, Expression, FuncCall, Program, Rule, Var, WILDCARD,
-)
+from ..ndlog.ast import Atom, Const, Expression, Program, Rule, Var, WILDCARD
 from ..ndlog.errors import EvaluationError
 from ..ndlog.expr import _compare, evaluate
 from ..ndlog.plan import _may_escape, rule_shape
 from ..ndlog.tuples import NDTuple, TableSchema
 
 
-def _contains_call(expr: Expression) -> bool:
-    if isinstance(expr, FuncCall):
-        return True
-    left = getattr(expr, "left", None)
-    right = getattr(expr, "right", None)
-    return any(_contains_call(sub) for sub in (left, right) if sub is not None)
+def insert_inert(tup: NDTuple, program: Program, setup: Sequence[NDTuple],
+                 event_tables: Collection[str] = (),
+                 schemas: Optional[Mapping[str, TableSchema]] = None,
+                 flow_table: Optional[str] = None) -> Optional[str]:
+    """Why inserting ``tup`` at set-up is invisible to every replay of
+    ``program``, or ``None`` when it might not be.  It is when no consuming
+    occurrence may fire on it (a strict mismatch, a refuted guard, or a
+    ``'*'`` the PacketIn axiom keeps from joining ``event_tables``), it is
+    no flow-table tuple (pushed to switches at ``on_start``), no rule could
+    derive it (a copy already there would change the derivation delta),
+    and under a primary key neither a derivable tuple nor another tuple of
+    ``setup`` (the tuples the replay starts from, ``tup``'s own copy
+    skipped once) shares its key (one would evict the other).
 
-
-class ConstantPropagation:
-    """Constant propagation over one program plus its static base data."""
-
-    def __init__(self, program: Program,
-                 schemas: Optional[Dict[str, TableSchema]] = None,
-                 static_tuples: Sequence[NDTuple] = (),
-                 event_tables: Iterable[str] = (),
-                 flow_table: Optional[str] = None,
-                 closed_world: bool = True):
-        self.program = program
-        self.schemas = schemas or {}
-        self.event_tables = set(event_tables)
-        self.flow_table = flow_table
-        #: Under the closed-world assumption, ``static_tuples`` is the
-        #: *complete* extent of every non-derived, non-event table (true for
-        #: controllers, whose only base insertions are their static setup
-        #: tuples).  Callers that may insert base tuples at runtime must
-        #: pass ``closed_world=False``, which disables static-join
-        #: enumeration and falls back to guard/shape reasoning only.
-        self.closed_world = closed_world
-        self._extent: Dict[str, List[NDTuple]] = {}
-        for tup in static_tuples:
-            self._extent.setdefault(tup.table, []).append(tup)
-        self._derived: Set[str] = {rule.head.table for rule in program.rules}
-        self._occurrences: Dict[str, List[Tuple[Rule, int]]] = {}
-        for rule in program.rules:
-            for index, atom in enumerate(rule.body):
-                self._occurrences.setdefault(atom.table, []).append(
-                    (rule, index))
-
-    # ------------------------------------------------------------------
-    # Table classification
-    # ------------------------------------------------------------------
-
-    def enumerable(self, table: str) -> bool:
-        """Is the table's full runtime extent known statically?
-
-        True for tables that no rule derives and no event populates: their
-        contents are exactly the static setup tuples (possibly none).
-        Requires the closed-world assumption.
-        """
-        return (self.closed_world and table not in self._derived
-                and table not in self.event_tables)
-
-    def extent(self, table: str) -> List[NDTuple]:
-        return self._extent.get(table, [])
-
-    def never_wildcard(self, table: str, column: int) -> bool:
-        """Can a tuple of ``table`` provably never carry ``'*'`` at
-        ``column``?  Event tuples are built from concrete packet data
-        (axiom); enumerable tables are checked tuple by tuple."""
-        if table in self.event_tables:
-            return True
-        if self.enumerable(table):
-            return all(tup.values[column] != WILDCARD
-                       for tup in self.extent(table)
-                       if column < len(tup.values))
-        return False
-
-    # ------------------------------------------------------------------
-    # Occurrence-level reasoning
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _match_atom(atom: Atom, values: Tuple,
-                    bindings: Dict[str, object]) -> Optional[Dict[str, object]]:
-        """Strict engine-style match of ``values`` against ``atom``."""
-        if len(atom.args) != len(values):
-            return None
-        new = dict(bindings)
-        for column, arg in enumerate(atom.args):
-            value = values[column]
-            if isinstance(arg, Const):
-                if value != arg.value:
-                    return None
-            elif isinstance(arg, Var):
-                existing = new.get(arg.name, _MISSING)
-                if existing is _MISSING:
-                    new[arg.name] = value
-                elif existing != value:
-                    return None
-            else:
-                # Complex expression argument: evaluate when fully bound,
-                # otherwise assume it could match.
-                try:
-                    computed = evaluate(arg, new)
-                except EvaluationError:
-                    continue
-                if computed != value:
-                    return None
-        return new
-
-    def _guard_refuted(self, rule: Rule, bindings: Dict[str, object]) -> bool:
-        """Does a selection definitively fail under these bindings?
-
-        Mirrors the engine's pushable-guard semantics: selections touching
-        assigned variables wait for the assignment, selections that raise
-        are deferred ("might fire"), function calls are never evaluated
-        statically (they may be stateful).
-        """
-        assigned = {assignment.var for assignment in rule.assignments}
-        for selection in rule.selections:
-            vars_ = selection.variables()
-            if vars_ & assigned:
-                continue
-            if not vars_ <= bindings.keys():
-                continue
-            if _contains_call(selection.expr):
-                continue
-            try:
-                ok = evaluate(selection.expr, bindings)
-            except EvaluationError:
-                continue
-            if not ok:
-                return True
-        return False
-
-    def _wildcard_join_refuted(self, rule: Rule, skip_index: int,
-                               bindings: Dict[str, object]) -> bool:
-        """A ``'*'`` binding can never strictly unify with a column that is
-        provably wildcard-free (event tuples, clean static tables)."""
-        for index, atom in enumerate(rule.body):
-            if index == skip_index:
-                continue
-            for column, arg in enumerate(atom.args):
-                if (isinstance(arg, Var)
-                        and bindings.get(arg.name) == WILDCARD
-                        and self.never_wildcard(atom.table, column)):
-                    return True
-        return False
-
-    def _static_join_refuted(self, rule: Rule, skip_index: int,
-                             bindings: Dict[str, object]) -> bool:
-        """Propagate the bindings through every statically enumerable body
-        atom; refuted when no combination of static tuples is consistent."""
-        enum_atoms = [atom for index, atom in enumerate(rule.body)
-                      if index != skip_index
-                      and self.enumerable(atom.table)]
-        if not enum_atoms:
-            return False
-
-        def search(position: int, env: Dict[str, object]) -> bool:
-            if position == len(enum_atoms):
-                return True
-            atom = enum_atoms[position]
-            for tup in self.extent(atom.table):
-                extended = self._match_atom(atom, tup.values, env)
-                if extended is None:
-                    continue
-                if self._guard_refuted(rule, extended):
-                    continue
-                if search(position + 1, extended):
-                    return True
-            return False
-
-        return not search(0, dict(bindings))
-
-    def occurrence_ruled_out(self, rule: Rule, atom_index: int,
-                             values: Tuple) -> Optional[str]:
-        """Why can ``values`` never fire ``rule`` at body position
-        ``atom_index``?  ``None`` when the occurrence might fire."""
-        atom = rule.body[atom_index]
-        bindings = self._match_atom(atom, values, {})
-        if bindings is None:
-            return "shape-mismatch"
-        if self._guard_refuted(rule, bindings):
-            return "guard-refuted"
-        if self._wildcard_join_refuted(rule, atom_index, bindings):
-            return "join-impossible"
-        if self._static_join_refuted(rule, atom_index, bindings):
-            return "join-impossible"
+    The reason is ``"unconsumed-table"`` when no rule reads the table, else
+    the strongest an occurrence gave: ``"join-impossible"``, then
+    ``"guard-refuted"``, then ``"shape-mismatch"``."""
+    if flow_table is not None and tup.table == flow_table:
         return None
-
-    # ------------------------------------------------------------------
-    # Tuple inertness
-    # ------------------------------------------------------------------
-
-    def tuple_inert_reason(self, table: str, values: Tuple) -> Optional[str]:
-        """Why a tuple of ``table`` with these values can make no rule fire
-        (``"unconsumed-table"``, ``"join-impossible"``, ``"guard-refuted"``
-        or ``"shape-mismatch"``), or ``None`` when it might."""
-        occurrences = self._occurrences.get(table, [])
-        if not occurrences:
-            return "unconsumed-table"
-        reasons = []
-        for rule, atom_index in occurrences:
-            reason = self.occurrence_ruled_out(rule, atom_index, values)
-            if reason is None:
-                return None
-            reasons.append(f"{rule.name}:{reason}")
-        if any(reason.endswith("join-impossible") for reason in reasons):
-            return "join-impossible"
-        if any(reason.endswith("guard-refuted") for reason in reasons):
-            return "guard-refuted"
-        return "shape-mismatch"
-
-    # ------------------------------------------------------------------
-    # Insert inertness (candidate vetting)
-    # ------------------------------------------------------------------
-
-    def _may_derive_matching(self, table: str, values: Tuple,
-                             columns: Iterable[int]) -> bool:
-        """Could some rule derive a tuple of ``table`` agreeing with
-        ``values`` on ``columns``?  Conservative: unknown head columns
-        (plain variables) are assumed to match."""
-        for rule in self.program.rules:
-            if rule.head.table != table:
-                continue
-            if len(rule.head.args) != len(values):
-                continue
-            assigned_const = {
-                assignment.var: assignment.expr.value
-                for assignment in rule.assignments
-                if isinstance(assignment.expr, Const)}
-            compatible = True
-            for column in columns:
-                arg = rule.head.args[column]
-                if isinstance(arg, Const):
-                    if arg.value != values[column]:
-                        compatible = False
-                        break
-                elif isinstance(arg, Var) and arg.name in assigned_const:
-                    if assigned_const[arg.name] != values[column]:
-                        compatible = False
-                        break
-                # otherwise: unknown, assume it can match
-            if compatible:
-                return True
-        return False
-
-    def insert_inert(self, tup: NDTuple) -> Optional[str]:
-        """Reason why inserting ``tup`` at setup is provably behaviour-
-        preserving, or ``None`` when it might have an effect."""
-        if self.flow_table is not None and tup.table == self.flow_table:
-            return None     # flow tuples are pushed to switches at on_start
-        reason = self.tuple_inert_reason(tup.table, tup.values)
-        if reason is None:
-            return None
-        # A rule deriving exactly this tuple at runtime would find it already
-        # present — the derivation delta (and hence the emitted messages)
-        # could differ from the un-inserted run.
-        if self._may_derive_matching(tup.table, tup.values,
-                                     range(len(tup.values))):
-            return None
-        schema = self.schemas.get(tup.table)
-        if schema is not None and schema.primary_key:
-            key_columns = schema.key_indexes()
-            # Colliding with existing setup data would *replace* it.
-            matched_self = False
-            for other in self.extent(tup.table):
-                if other == tup and not matched_self:
-                    matched_self = True
-                    continue
-                if len(other.values) == len(tup.values) and all(
-                        other.values[c] == tup.values[c]
-                        for c in key_columns):
+    table, values = tup.table, tup.values
+    reasons = set()
+    for rule in program.rules:
+        for index, atom in enumerate(rule.body):
+            if atom.table == table:
+                reason = _ruled_out(rule, index, values, event_tables)
+                if reason is None:
                     return None
-            # A runtime derivation sharing the key would evict the insert —
-            # update semantics make the delta order-visible.
-            if self._may_derive_matching(tup.table, tup.values, key_columns):
+                reasons.add(reason)
+    if _may_derive(program, table, values, range(len(values))):
+        return None
+    schema = (schemas or {}).get(table)
+    if schema is not None and schema.primary_key:
+        key_columns = schema.key_indexes()
+        matched_self = False
+        for other in setup:
+            if other.table != table:
+                continue
+            if other == tup and not matched_self:
+                matched_self = True
+            elif len(other.values) == len(values) and all(
+                    other.values[c] == values[c] for c in key_columns):
                 return None
-        return reason
+        if _may_derive(program, table, values, key_columns):
+            return None
+    for reason in ("join-impossible", "guard-refuted", "shape-mismatch"):
+        if reason in reasons:
+            return reason
+    return "unconsumed-table"
+
+
+def _ruled_out(rule: Rule, atom_index: int, values: Tuple,
+               event_tables: Collection[str]) -> Optional[str]:
+    """Why ``values`` never fires ``rule`` at body position ``atom_index``,
+    or ``None``."""
+    bindings = _match(rule.body[atom_index], values)
+    if bindings is None:
+        return "shape-mismatch"
+    if _guard_refuted(rule, bindings):
+        return "guard-refuted"
+    for index, atom in enumerate(rule.body):
+        if index != atom_index and atom.table in event_tables and any(
+                arg.__class__ is Var and bindings.get(arg.name) == WILDCARD
+                for arg in atom.args):
+            return "join-impossible"
+    return None
+
+
+def _match(atom: Atom, values: Tuple) -> Optional[Dict[str, object]]:
+    """The bindings of a strict, engine-style match of ``values`` against
+    ``atom``, or ``None``.  An expression argument is compared only where
+    it evaluates, and without escaping."""
+    if len(atom.args) != len(values):
+        return None
+    bindings: Dict[str, object] = {}
+    for arg, value in zip(atom.args, values):
+        if arg.__class__ is Const:
+            if value != arg.value:
+                return None
+        elif arg.__class__ is Var:
+            if bindings.setdefault(arg.name, value) != value:
+                return None
+        elif not _may_escape(arg):
+            try:
+                if evaluate(arg, bindings) != value:
+                    return None
+            except EvaluationError:
+                pass
+    return bindings
+
+
+def _guard_refuted(rule: Rule, bindings: Dict[str, object]) -> bool:
+    """Does a selection the engine evaluates on ``bindings`` alone fail?
+    One over an assigned variable waits for the assignment."""
+    assigned = {assignment.var for assignment in rule.assignments}
+    names, point = tuple(bindings), tuple(bindings.values())
+    return any(_satisfying([selection.expr], names, [point]) == []
+               for selection in rule.selections
+               if selection.variables() <= bindings.keys() - assigned
+               and not _may_escape(selection.expr))
+
+
+def _may_derive(program: Program, table: str, values: Tuple,
+                columns: Iterable[int]) -> bool:
+    """Could some rule derive a tuple of ``table`` agreeing with ``values``
+    on ``columns``?  A head column that is neither a constant nor a
+    variable assigned one is assumed to agree."""
+    for rule in program.rules:
+        head = rule.head
+        if head.table != table or len(head.args) != len(values):
+            continue
+        constants = {assignment.var: assignment.expr
+                     for assignment in rule.assignments
+                     if isinstance(assignment.expr, Const)}
+        for column in columns:
+            arg = head.args[column]
+            if isinstance(arg, Var):
+                arg = constants.get(arg.name, arg)
+            if isinstance(arg, Const) and arg.value != values[column]:
+                break
+        else:
+            return True
+    return False
 
 
 #: Most domain points one rule's closed-world key may enumerate; a rule
@@ -348,9 +199,8 @@ class ClosedWorldKeys:
 
     * **closed-world**: when its body has one PacketIn atom and every
       selection variable is a direct argument of that atom at a column
-      with a domain, is no assignment target, and no selection could be
-      observed but through its value (a function call, or ``/`` and ``%``,
-      whose ``ZeroDivisionError`` the engine does not defer), the key is
+      with a domain, is no assignment target, and no selection could
+      escape (module docstring), the key is
       ``(head, body, assignments, variables, points)``: ``points`` are the
       domain points of ``variables`` that satisfy every selection, as the
       engine evaluates them, with a variable the selections leave free
@@ -369,16 +219,7 @@ class ClosedWorldKeys:
     program order, and flow entries of one priority match in installation
     order — plus its inserted tuples in order.  The domain is closed, and a
     program keys closed-world, only when every PacketIn of the replay has
-    its values in the domain:
-
-    1. a PacketIn's switch lies among the topology's switches (the data
-       plane raises PacketIns only from switches it has);
-    2. no action rewrites a header, so every packet at every hop carries
-       the headers it entered the trace with (a ``FlowEntry`` has only an
-       ``out_port``, a ``PacketOut`` sends the packet it was given);
-    3. no rule derives PacketIn tuples, and every value an inserted
-       PacketIn tuple holds at a column with a domain lies within it.
-
+    its values in the domain: rules 1–3 of the module docstring.
     Otherwise every rule of the program keys structurally.  Rule keys are
     memoised by rule identity: programs share their unedited rules.
     """
@@ -421,16 +262,14 @@ class ClosedWorldKeys:
         return self._id((rule.name,) + rule_shape(rule))
 
     def _entry(self, rule: Rule) -> Tuple[Rule, int]:
-        if rule.head.table == self.packet_in_table:
-            closed = _OPENS
-        else:
-            closed = self._closed_world_id(rule)
-            if closed is None:
-                closed = self._structural(rule)
+        closed = (_OPENS if rule.head.table == self.packet_in_table
+                  else self._closed_id(rule))
+        if closed is None:
+            closed = self._structural(rule)
         entry = self._rules[id(rule)] = (rule, closed)
         return entry
 
-    def _closed_world_id(self, rule: Rule) -> Optional[int]:
+    def _closed_id(self, rule: Rule) -> Optional[int]:
         """The rule's closed-world key id, :data:`_DROPPED`, or ``None``
         when it keys as itself (class docstring)."""
         table, domains = self.packet_in_table, self.domains
@@ -515,9 +354,8 @@ def _satisfying(exprs: Sequence[Expression], names: Tuple[str, ...],
                 points: Iterable[Tuple]) -> Optional[List[Tuple]]:
     """The ``points`` (value tuples over ``names``) at which every one of
     the selections ``exprs`` holds, as the engine evaluates them, or
-    ``None`` when one raises an :class:`EvaluationError` at some point: the
-    engine defers such a selection, and a static answer would be a
-    guess."""
+    ``None`` when one raises an :class:`EvaluationError` at some point (the
+    engine defers it, so a static answer would be a guess)."""
     if not exprs:
         return list(points)
     kept = []
@@ -530,5 +368,3 @@ def _satisfying(exprs: Sequence[Expression], names: Tuple[str, ...],
             return None
     return kept
 
-
-_MISSING = object()

@@ -12,7 +12,11 @@ The vetter applies a candidate to the base program and classifies it:
         the patched program and base data equal the originals;
     ``inert-insert``
         the edits only insert tuples, every one provably inert
-        (:meth:`ConstantPropagation.insert_inert`).
+        (:func:`~repro.analysis.constprop.insert_inert`).  A selection
+        that could raise other than an
+        :class:`~repro.ndlog.errors.EvaluationError` (``/``, ``%``, a
+        function call) is never evaluated, so an insert that reaches one
+        is replayed.
 
 ``warn``
     The candidate is backtested, but the lint passes found something
@@ -45,7 +49,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from ..ndlog.ast import Program
 from ..ndlog.tuples import NDTuple, TableSchema
 
-from .constprop import ConstantPropagation
+from .constprop import insert_inert
 from .findings import LintFinding, Severity
 
 
@@ -155,13 +159,11 @@ class CandidateVetter:
                         "unchanged — the backtest would repeat the "
                         "baseline")])
         if inserted and not program_changed:
-            propagation = ConstantPropagation(
-                patched, schemas=self.schemas,
-                static_tuples=self.static_tuples + list(inserted),
-                event_tables=self.event_tables, flow_table=self.flow_table)
+            setup = self.static_tuples + list(inserted)
             reasons = []
             for tup in inserted:
-                reason = propagation.insert_inert(tup)
+                reason = insert_inert(tup, patched, setup, self.event_tables,
+                                      self.schemas, self.flow_table)
                 if reason is None:
                     return _Decision(None, repaired)
                 reasons.append((tup, reason))

@@ -117,7 +117,7 @@ class NDlogScenario:
         #: hand-assembled scenarios, which are then only evaluated in the
         #: calling process.
         self.spec = None
-        self._trace: Optional[List[Tuple[int, Packet]]] = None
+        self._trace: Optional[Tuple[Tuple[int, Packet], ...]] = None
 
     # ------------------------------------------------------------------
     # Environment construction
@@ -143,10 +143,11 @@ class NDlogScenario:
                         in_port: Optional[int] = None) -> NDTuple:
         return self.mapping.packet_in_tuple_from(switch_id, packet, in_port)
 
-    def trace(self) -> List[Tuple[int, Packet]]:
+    def trace(self) -> Tuple[Tuple[int, Packet], ...]:
+        """The trace, built once; every call returns that same tuple."""
         if self._trace is None:
-            self._trace = list(self.trace_factory(self.build_topology()))
-        return list(self._trace)
+            self._trace = tuple(self.trace_factory(self.build_topology()))
+        return self._trace
 
     # ------------------------------------------------------------------
     # Diagnosis inputs

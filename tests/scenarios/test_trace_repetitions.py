@@ -13,6 +13,7 @@ from typing import List, Tuple
 
 import pytest
 
+from repro.scenarios import build_scenario
 from repro.scenarios.q1_copy_paste import WEB_VIP, H3, q1_topology, q1_trace
 from repro.scenarios.q1_copy_paste import DNS_SERVER as Q1_DNS
 from repro.scenarios.q2_forwarding import (AFFECTED_CLIENT, SCANNER,
@@ -208,3 +209,13 @@ def test_trace_heavy_builds_one_repetitions_packets():
     trace = q1_trace(q1_topology(48, 16), repetitions=10)
     assert len(trace) == 2940
     assert len({id(packet) for _switch, packet in trace}) == 294
+
+
+@pytest.mark.parametrize("name", ["Q1", "Q5"])
+def test_a_scenario_stores_its_trace_once_and_hands_it_out(name):
+    # trace() is called by every replay and every verdict of a session:
+    # it returns the one tuple it built, never a copy.
+    scenario = build_scenario(name)
+    trace = scenario.trace()
+    assert isinstance(trace, tuple)
+    assert scenario.trace() is trace
