@@ -25,7 +25,8 @@ The package provides, from the bottom up:
   :class:`~repro.api.RepairSession` (the paper's four steps, Diagnose →
   Generate → Backtest → Rank), the declarative
   :class:`~repro.api.RepairConfig`, and the streaming event bus of
-  :mod:`repro.events`.
+  :mod:`repro.bus` (its events, :mod:`repro.events`, load with the first
+  one a listening bus is handed).
 
 Quickstart::
 
@@ -47,8 +48,17 @@ when one is run, and the Table 3 front ends only by importing
 :mod:`repro.scenarios.other_languages`.
 """
 
+from time import perf_counter as _perf_counter
+
+#: When this package began to import: ``repro repair --json`` reports the
+#: seconds from here to :func:`repro.cli.main` as ``timings.import_s``.
+IMPORT_STARTED = _perf_counter()
+
+from ._lazy import lazy_exports
 from .api import (DiagnosisReport, EventBus, PhaseTimings, RepairConfig,
-                  RepairSession, SessionEvent)
+                  RepairSession)
+
+__getattr__, __dir__ = lazy_exports(__name__, {"events": ("SessionEvent",)})
 
 __version__ = "2.0.0"
 

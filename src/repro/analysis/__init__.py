@@ -16,8 +16,9 @@ pipeline); ``lint`` runs ``safety`` over a whole program (``repro lint``):
     keys replay alike — the backtest's replay classes.
 
 ``vet``
-    Candidate vetting: runs the passes over a repair candidate's patched
-    program and classifies it ``ok | warn | reject`` with machine-readable
+    Candidate vetting: decides the backtest's vetoes, and on the lint path
+    runs the passes over a repair candidate's patched program and
+    classifies it ``ok | warn | reject`` with machine-readable
     :class:`~repro.analysis.findings.LintFinding` records.
 
 The package only imports :mod:`repro.ndlog` leaf modules (``ast``, ``expr``,
@@ -26,13 +27,13 @@ repair layers without import cycles.
 """
 
 from .._lazy import lazy_exports
-from .findings import LintFinding, Severity
-from .vet import CandidateVetter, VetResult
+from .vet import CandidateVetter
 
-# The backtest's veto needs ``vet`` and ``constprop`` only; the lint passes
-# load with the first name that needs them (``repro lint``,
+# The backtest's veto needs ``vet`` and ``constprop`` only; the findings and
+# the lint passes load with the first name that needs them (``repro lint``,
 # ``CandidateVetter.vet``).
 __getattr__, __dir__ = lazy_exports(__name__, {
+    "findings": ("LintFinding", "Severity", "VetResult"),
     "lint": ("lint_program", "lint_scenario"),
     "safety": ("check_safety",),
 })

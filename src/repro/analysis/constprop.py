@@ -23,7 +23,9 @@ does not defer).  What a replay's PacketIns hold:
 
 0. *The PacketIn axiom*: the data plane builds a PacketIn tuple from a
    switch id and a packet's header values, so it never holds ``'*'``; a
-   ``'*'`` that must join a column of an event table joins nothing.
+   ``'*'`` that must join a column of an event table joins nothing —
+   unless a rule derives that table, or a set-up tuple of it (an inserted
+   one) holds ``'*'`` at that column.
 1. A PacketIn's switch lies among the topology's switches (the data plane
    raises PacketIns only from switches it has).
 2. No action rewrites a header, so every packet at every hop carries the
@@ -40,8 +42,8 @@ from __future__ import annotations
 
 from itertools import product
 from math import prod
-from typing import (Collection, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Collection, Dict, Iterable, List, Mapping,
+                    Optional, Sequence, Set, Tuple)
 
 from ..ndlog.ast import Atom, Const, Expression, Program, Rule, Var, WILDCARD
 from ..ndlog.errors import EvaluationError
@@ -57,12 +59,13 @@ def insert_inert(tup: NDTuple, program: Program, setup: Sequence[NDTuple],
     """Why inserting ``tup`` at set-up is invisible to every replay of
     ``program``, or ``None`` when it might not be.  It is when no consuming
     occurrence may fire on it (a strict mismatch, a refuted guard, or a
-    ``'*'`` the PacketIn axiom keeps from joining ``event_tables``), it is
-    no flow-table tuple (pushed to switches at ``on_start``), no rule could
-    derive it (a copy already there would change the derivation delta),
-    and under a primary key neither a derivable tuple nor another tuple of
-    ``setup`` (the tuples the replay starts from, ``tup``'s own copy
-    skipped once) shares its key (one would evict the other).
+    ``'*'`` the PacketIn axiom keeps from joining ``event_tables``: a table
+    no rule derives, at a column where no ``setup`` tuple holds ``'*'``),
+    it is no flow-table tuple (pushed to switches at ``on_start``), no rule
+    could derive it (a copy already there would change the derivation
+    delta), and under a primary key neither a derivable tuple nor another
+    tuple of ``setup`` (the tuples the replay starts from, ``tup``'s own
+    copy skipped once) shares its key (one would evict the other).
 
     The reason is ``"unconsumed-table"`` when no rule reads the table, else
     the strongest an occurrence gave: ``"join-impossible"``, then
@@ -71,10 +74,32 @@ def insert_inert(tup: NDTuple, program: Program, setup: Sequence[NDTuple],
         return None
     table, values = tup.table, tup.values
     reasons = set()
+    # Per event table the axiom covers, the columns a set-up tuple of it
+    # holds ``'*'`` at; ``None`` for one a rule derives.  Filled on need.
+    wildcards: Dict[str, Optional[Set[int]]] = {}
+
+    def joins_nothing(atom: Atom, bindings: Dict[str, object]) -> bool:
+        """Does the PacketIn axiom keep ``atom`` of an event table from
+        joining a ``'*'`` that ``bindings`` give one of its variables?"""
+        wild = [column for column, arg in enumerate(atom.args)
+                if arg.__class__ is Var and bindings.get(arg.name) == WILDCARD]
+        if not wild:
+            return False
+        if atom.table not in wildcards:
+            wildcards[atom.table] = (
+                None if program.rules_deriving(atom.table) else
+                {column for other in setup if other.table == atom.table
+                 for column, value in enumerate(other.values)
+                 if value == WILDCARD})
+        held = wildcards[atom.table]
+        return held is not None and any(column not in held
+                                         for column in wild)
+
     for rule in program.rules:
         for index, atom in enumerate(rule.body):
             if atom.table == table:
-                reason = _ruled_out(rule, index, values, event_tables)
+                reason = _ruled_out(rule, index, values, event_tables,
+                                    joins_nothing)
                 if reason is None:
                     return None
                 reasons.add(reason)
@@ -101,7 +126,9 @@ def insert_inert(tup: NDTuple, program: Program, setup: Sequence[NDTuple],
 
 
 def _ruled_out(rule: Rule, atom_index: int, values: Tuple,
-               event_tables: Collection[str]) -> Optional[str]:
+               event_tables: Collection[str],
+               joins_nothing: Callable[[Atom, Dict[str, object]], bool]
+               ) -> Optional[str]:
     """Why ``values`` never fires ``rule`` at body position ``atom_index``,
     or ``None``."""
     bindings = _match(rule.body[atom_index], values)
@@ -110,9 +137,8 @@ def _ruled_out(rule: Rule, atom_index: int, values: Tuple,
     if _guard_refuted(rule, bindings):
         return "guard-refuted"
     for index, atom in enumerate(rule.body):
-        if index != atom_index and atom.table in event_tables and any(
-                arg.__class__ is Var and bindings.get(arg.name) == WILDCARD
-                for arg in atom.args):
+        if (index != atom_index and atom.table in event_tables
+                and joins_nothing(atom, bindings)):
             return "join-impossible"
     return None
 

@@ -3,13 +3,20 @@
 A :class:`LintFinding` names the pass that produced it, a stable ``code``
 slug (the veto taxonomy in EXPERIMENTS.md enumerates them), the rule and
 atom it anchors to, and — when the program came from the parser — the
-source line/column, so findings render as ``program.ndlog:12:4``.
+source line/column, so findings render as ``program.ndlog:12:4``.  A
+:class:`VetResult` is one candidate's lint verdict with its findings.  The
+backtest's vetoes build neither: this module loads only when linting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional
+
+#: The verdicts of :class:`VetResult`.
+REJECT = "reject"
+WARN = "warn"
+OK = "ok"
 
 
 class Severity:
@@ -94,3 +101,25 @@ def finding_at(pass_name, code, severity, message, rule=None, atom=None,
         pass_name=pass_name, code=code, severity=severity, message=message,
         rule=rule.name if rule is not None else None,
         atom_index=atom_index, line=line, column=column)
+
+
+@dataclass
+class VetResult:
+    """Outcome of vetting one candidate
+    (:meth:`~repro.analysis.vet.CandidateVetter.vet_candidate`)."""
+
+    verdict: str                     # "ok" | "warn" | "reject"
+    findings: List[LintFinding] = field(default_factory=list)
+    reason: Optional[str] = None     # primary reject code
+
+    @property
+    def rejected(self) -> bool:
+        return self.verdict == REJECT
+
+    def describe(self) -> str:
+        if self.verdict == REJECT:
+            return f"vetoed ({self.reason})"
+        if self.findings:
+            codes = sorted({f.code for f in self.findings})
+            return f"{self.verdict} ({', '.join(codes)})"
+        return self.verdict

@@ -28,9 +28,13 @@ The vetter applies a candidate to the base program and classifies it:
 
 The backtest asks only :meth:`CandidateVetter.decide`: the reject reason,
 or ``None`` with the applied candidate, which the backtest keys for its
-replay classes without applying it again.  Its checks cost the edit, not the
-program — unedited rules are the
-base program's own objects, so the no-op check recognises them by identity.
+replay classes without applying it again.  A decision builds no finding:
+:meth:`~CandidateVetter.vet` and :meth:`~CandidateVetter.vet_candidate` word
+the reject's :class:`~repro.analysis.findings.LintFinding` records and the
+:class:`~repro.analysis.findings.VetResult`, so
+:mod:`repro.analysis.findings` loads only when linting.  Its checks cost the
+edit, not the program — unedited rules are the base program's own objects,
+so the no-op check recognises them by identity.
 The ``warn`` findings are the linter's (``repro lint
 --candidates``): :meth:`~CandidateVetter.vet` and
 :meth:`~CandidateVetter.vet_candidate` take their verdict from the same
@@ -43,52 +47,29 @@ unpatched program — no accepted repair is ever vetoed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 from ..ndlog.ast import Program
 from ..ndlog.tuples import NDTuple, TableSchema
 
 from .constprop import insert_inert
-from .findings import LintFinding, Severity
+
+if TYPE_CHECKING:
+    from .findings import LintFinding, VetResult
 
 
-REJECT = "reject"
-WARN = "warn"
-OK = "ok"
-
-
-@dataclass
-class VetResult:
-    """Outcome of vetting one candidate."""
-
-    verdict: str                     # "ok" | "warn" | "reject"
-    findings: List[LintFinding] = field(default_factory=list)
-    reason: Optional[str] = None     # primary reject code
-
-    @property
-    def rejected(self) -> bool:
-        return self.verdict == REJECT
-
-    def describe(self) -> str:
-        if self.verdict == REJECT:
-            return f"vetoed ({self.reason})"
-        if self.findings:
-            codes = sorted({f.code for f in self.findings})
-            return f"{self.verdict} ({', '.join(codes)})"
-        return self.verdict
-
-
-@dataclass
 class _Decision:
     """What decides a veto: the reject class (``None``: backtest it), the
-    applied candidate to lint (``None`` when there is nothing to lint: it
-    does not apply, or it changes nothing) and the reject's own findings,
-    built only on a veto."""
+    applied candidate (``None`` when it does not apply, or changes
+    nothing) and what the lint path words the reject's findings from —
+    the apply error's message, or each inert tuple with its reason."""
 
-    reason: Optional[str]
-    repaired: object = None
-    findings: Sequence[LintFinding] = ()
+    __slots__ = ("reason", "repaired", "detail")
+
+    def __init__(self, reason: Optional[str], repaired=None, detail=None):
+        self.reason = reason
+        self.repaired = repaired
+        self.detail = detail
 
 
 class CandidateVetter:
@@ -107,7 +88,7 @@ class CandidateVetter:
 
     # ------------------------------------------------------------------
 
-    def decide(self, candidate) -> "_Decision":
+    def decide(self, candidate) -> _Decision:
         """What the backtest does with ``candidate``: its ``reason`` is the
         reject class that lets the backtest skip it, or ``None`` when it
         must be replayed; then ``repaired`` is the applied candidate."""
@@ -140,9 +121,7 @@ class CandidateVetter:
         try:
             return _Decision(None, apply_candidate(self.program, candidate))
         except RepairApplicationError as exc:
-            return _Decision("apply-failed", findings=[LintFinding(
-                pass_name="vet", code="apply-failed",
-                severity=Severity.ERROR, message=str(exc))])
+            return _Decision("apply-failed", detail=str(exc))
 
     def _judge(self, repaired) -> _Decision:
         """The other two reject classes, in order, for an applied
@@ -153,11 +132,7 @@ class CandidateVetter:
         # which tuple comparison recognises by identity.
         program_changed = patched.rules != self.program.rules
         if not program_changed and not inserted:
-            return _Decision("no-op-edit", findings=[LintFinding(
-                pass_name="vet", code="no-op-edit", severity=Severity.ERROR,
-                message="the edits leave the program and base data "
-                        "unchanged — the backtest would repeat the "
-                        "baseline")])
+            return _Decision("no-op-edit")
         if inserted and not program_changed:
             setup = self.static_tuples + list(inserted)
             reasons = []
@@ -167,12 +142,7 @@ class CandidateVetter:
                 if reason is None:
                     return _Decision(None, repaired)
                 reasons.append((tup, reason))
-            return _Decision("inert-insert", repaired, [LintFinding(
-                pass_name="constprop", code="inert-insert",
-                severity=Severity.ERROR,
-                message=f"inserting {tup} is provably invisible "
-                        f"to every replay ({why})")
-                for tup, why in reasons])
+            return _Decision("inert-insert", repaired, reasons)
         return _Decision(None, repaired)
 
     # ------------------------------------------------------------------
@@ -180,17 +150,40 @@ class CandidateVetter:
     # ------------------------------------------------------------------
 
     def _result(self, decision: _Decision) -> VetResult:
+        from .findings import OK, REJECT, WARN, VetResult
         from .safety import check_safety
 
         reason, repaired = decision.reason, decision.repaired
         if repaired is None:
             return VetResult(verdict=REJECT, reason=reason,
-                             findings=list(decision.findings))
+                             findings=_reject_findings(decision))
         patched: Program = repaired.program
         findings: List[LintFinding] = []
         findings.extend(check_safety(
             patched, self.schemas,
             self.static_tuples + list(repaired.inserted_tuples)))
-        findings.extend(decision.findings)
+        findings.extend(_reject_findings(decision))
         verdict = REJECT if reason is not None else WARN if findings else OK
         return VetResult(verdict=verdict, findings=findings, reason=reason)
+
+
+def _reject_findings(decision: _Decision) -> List[LintFinding]:
+    """The findings a reject reports (none for a candidate to replay)."""
+    from .findings import LintFinding, Severity
+
+    reason, detail = decision.reason, decision.detail
+    if reason == "apply-failed":
+        return [LintFinding(pass_name="vet", code="apply-failed",
+                            severity=Severity.ERROR, message=detail)]
+    if reason == "no-op-edit":
+        return [LintFinding(
+            pass_name="vet", code="no-op-edit", severity=Severity.ERROR,
+            message="the edits leave the program and base data unchanged "
+                    "— the backtest would repeat the baseline")]
+    if reason == "inert-insert":
+        return [LintFinding(
+            pass_name="constprop", code="inert-insert",
+            severity=Severity.ERROR,
+            message=f"inserting {tup} is provably invisible to every "
+                    f"replay ({why})") for tup, why in detail]
+    return []

@@ -8,8 +8,9 @@ One import point for the redesigned end-to-end surface:
   steps Diagnose → Generate → Backtest → Rank (:data:`STEPS`), and
   ``run(until=...)`` stops after one of them and resumes
   (:mod:`repro.api.session`);
-* the streaming event surface — :class:`EventBus` and the
-  :class:`SessionEvent` hierarchy (re-exported from :mod:`repro.events`).
+* the streaming event surface — :class:`EventBus` (:mod:`repro.bus`) and
+  the :class:`SessionEvent` hierarchy (:mod:`repro.events`, loaded on first
+  use).
 
 Start here::
 
@@ -21,17 +22,20 @@ Start here::
 """
 
 from .._lazy import lazy_exports
-from ..events import (BacktestProgress, CandidateAborted, CandidateFound,
-                      CandidateQuarantined, CandidateVetoed, EventBus,
-                      FabricFaultStats, JsonlEventWriter, SessionEvent,
-                      SessionFinished, SessionStarted, StageFinished,
-                      StageStarted, WarmEngineStats)
+from ..bus import EventBus
 from .config import ConfigError, RepairConfig, TelemetryConfig
 from .session import STEPS, DiagnosisReport, PhaseTimings, RepairSession
 
-# A fault plan is read by ``--fault-plan`` and the fleet only: a serial
-# repair imports no ``repro.distrib`` module.
+# The event classes load with the first event a listening bus is handed
+# (a quiet CLI repair builds none), and a fault plan is read by
+# ``--fault-plan`` and the fleet only: a serial repair imports no
+# ``repro.distrib`` module.
 __getattr__, __dir__ = lazy_exports(__name__, {
+    ".events": ("BacktestProgress", "CandidateAborted", "CandidateFound",
+                "CandidateQuarantined", "CandidateVetoed",
+                "FabricFaultStats", "JsonlEventWriter", "SessionEvent",
+                "SessionFinished", "SessionStarted", "StageFinished",
+                "StageStarted", "WarmEngineStats"),
     ".distrib.faults": ("FaultPlan",),
 })
 

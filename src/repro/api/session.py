@@ -11,7 +11,9 @@ also the backtest baseline), ``generate`` the
 :class:`DiagnosisReport` — candidates, verdicts and KS statistics that are
 a pure function of (config, scenario).  While the run is in flight, step
 boundaries, extracted candidates, per-candidate backtest verdicts and
-static-analysis statistics are published on ``session.events``;
+static-analysis statistics are published on ``session.events`` — built
+only while the bus is :attr:`~repro.bus.EventBus.listening`, so a bus
+without subscribers or history costs no event;
 ``session.run(until="generate")`` stops after a step, and a later
 ``session.run()`` resumes after it instead of recomputing.
 
@@ -32,9 +34,7 @@ from typing import Dict, List, Optional
 
 from ..backtest.ranking import rank_results
 from ..backtest.replay import BacktestReport, BacktestResult
-from ..events import (CandidateFound, CandidateVetoed, EventBus,
-                      SessionFinished, SessionStarted, StageFinished,
-                      StageStarted, WarmEngineStats)
+from ..bus import EventBus
 from ..meta.explorer import ExplorationResult, MetaProvenanceExplorer
 from ..repair.candidates import RepairCandidate
 from .config import RepairConfig
@@ -218,16 +218,21 @@ class RepairSession:
             session_span = self.telemetry.span(
                 "session", scenario=self._scenario_name())
         try:
-            self.events.emit(SessionStarted(
-                scenario=self._scenario_name(), symptom=self._symptom(),
-                stages=tuple(pending)))
+            # Builds the scenario, if need be, before the first step's clock.
+            symptom = self._symptom()
+            if self.events.listening:
+                from ..events import SessionStarted
+                self.events.emit(SessionStarted(
+                    scenario=self._scenario_name(), symptom=symptom,
+                    stages=tuple(pending)))
             for name in pending:
                 self._run_step(name)
         finally:
             if session_span is not None:
                 session_span.finish()
         report = self.report()
-        if report is not None:
+        if report is not None and self.events.listening:
+            from ..events import SessionFinished
             generated, surviving = report.counts()
             self.events.emit(SessionFinished(
                 scenario=report.scenario_name, generated=generated,
@@ -243,7 +248,9 @@ class RepairSession:
             if self.telemetry.profile:
                 from ..obs import StageProfiler
                 profiler = StageProfiler().__enter__()
-        self.events.emit(StageStarted(stage=name))
+        if self.events.listening:
+            from ..events import StageStarted
+            self.events.emit(StageStarted(stage=name))
         started = _time.perf_counter()
         try:
             getattr(self, f"_{name}")()
@@ -257,7 +264,10 @@ class RepairSession:
                 self.telemetry.metrics.histogram(
                     "stage_seconds", stage=name).observe(elapsed)
         self.stage_seconds[name] = elapsed
-        self.events.emit(StageFinished(stage=name, elapsed_seconds=elapsed))
+        if self.events.listening:
+            from ..events import StageFinished
+            self.events.emit(StageFinished(stage=name,
+                                           elapsed_seconds=elapsed))
 
     def _diagnose(self) -> None:
         """Replay the buggy program over the (trace-limited) trace once,
@@ -275,11 +285,13 @@ class RepairSession:
             cost_model=self.config.cost_model(),
             max_candidates=self.config.max_candidates)
         exploration = explorer.explore_missing(self.scenario.goal())
-        total = len(exploration.candidates)
-        for index, candidate in enumerate(exploration.candidates, 1):
-            self.events.emit(CandidateFound(
-                index=index, total=total, tag=candidate.tag,
-                description=candidate.description, cost=candidate.cost))
+        if self.events.listening:
+            from ..events import CandidateFound
+            total = len(exploration.candidates)
+            for index, candidate in enumerate(exploration.candidates, 1):
+                self.events.emit(CandidateFound(
+                    index=index, total=total, tag=candidate.tag,
+                    description=candidate.description, cost=candidate.cost))
         self.exploration = exploration
 
     def _backtest(self) -> None:
@@ -304,24 +316,26 @@ class RepairSession:
         finally:
             if scheduler is not None:
                 scheduler.close()
-        for result in report.results:
-            note = next((str(n) for n in result.notes
-                         if str(n).startswith("vetoed by static analysis")),
-                        None)
-            if note is not None:
-                events.emit(CandidateVetoed(
-                    description=(result.candidate.description
-                                 if result.candidate else ""),
-                    reason=note.rsplit(": ", 1)[-1], note=note))
         plan_cache_after = PLAN_CACHE.stats()
         plan_hits = plan_cache_after["hits"] - plan_cache_before["hits"]
         plan_misses = (plan_cache_after["misses"]
                        - plan_cache_before["misses"])
-        if backtester.vetoed or plan_hits or plan_misses:
-            events.emit(WarmEngineStats(
-                vetoed=backtester.vetoed,
-                plan_cache_hits=plan_hits,
-                plan_cache_misses=plan_misses))
+        if events.listening:
+            from ..events import CandidateVetoed, WarmEngineStats
+            for result in report.results:
+                note = next((str(n) for n in result.notes
+                             if str(n).startswith("vetoed by static "
+                                                  "analysis")), None)
+                if note is not None:
+                    events.emit(CandidateVetoed(
+                        description=(result.candidate.description
+                                     if result.candidate else ""),
+                        reason=note.rsplit(": ", 1)[-1], note=note))
+            if backtester.vetoed or plan_hits or plan_misses:
+                events.emit(WarmEngineStats(
+                    vetoed=backtester.vetoed,
+                    plan_cache_hits=plan_hits,
+                    plan_cache_misses=plan_misses))
         if telemetry is not None:
             # The backtester's counters, as registry metrics (``repro
             # stats``, the Prometheus dump).

@@ -16,9 +16,9 @@ once.  A candidate is
 
 Scenarios (see :mod:`repro.scenarios.base`) provide the environment: a
 topology factory, a controller factory for an arbitrary program, the
-recorded trace and the effectiveness predicate.  A backtester builds the
-scenario's topology once, as its *template*, and every replay — the
-baseline's and each candidate's — runs on a
+recorded trace and the effectiveness predicate.  The scenario builds its
+topology once, as its *template*, and every replay — the baseline's, each
+candidate's and Diagnose's recorded run — runs on a
 :meth:`~repro.sdn.topology.Topology.replica` of it: hosts, links and
 adjacency shared, switches and flow tables of its own (the template's
 pre-installed entries copied in install order), so no replay writes the
@@ -56,7 +56,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..events import publish_progress
+from ..bus import publish_progress
 from ..repair.apply import (RepairApplicationError, RepairedProgram,
                             apply_candidate)
 from ..repair.candidates import RepairCandidate
@@ -201,7 +201,6 @@ class Backtester:
         self.static_vet = static_vet
         self._vetter = None
         self._keys = None
-        self._topology: Optional[Topology] = None
         self._baseline_seconds: Optional[float] = None
         #: Candidates vetoed without any replay.
         self.vetoed = 0
@@ -224,12 +223,11 @@ class Backtester:
         return trace
 
     def _template(self) -> Topology:
-        """The scenario's topology, built once per backtester.  Replays run
-        on replicas of it (:meth:`~repro.sdn.topology.Topology.replica`)
+        """The scenario's topology, built once
+        (:meth:`~repro.scenarios.base.NDlogScenario.template`).  Replays
+        run on replicas of it (:meth:`~repro.sdn.topology.Topology.replica`)
         and never write it; the keyer reads its switch ids."""
-        if self._topology is None:
-            self._topology = self.scenario.build_topology()
-        return self._topology
+        return self.scenario.template()
 
     def _simulator(self, controller) -> NetworkSimulator:
         """A simulator for ``controller`` on a fresh replica of the

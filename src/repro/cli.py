@@ -23,10 +23,11 @@ Every run-shaped command accepts ``--config FILE`` (a JSON
 :class:`~repro.api.RepairConfig`) plus per-knob overrides, streams live
 progress from the session event bus to stderr (``--quiet`` silences it),
 writes machine-readable event logs with ``--events FILE``, and with
-``--json`` prints the final report as JSON on stdout.  Telemetry flags
-(``--trace FILE``, ``--stats FILE``, ``--profile``, ``--trace-slices``,
-``--trace-fixpoints``) switch the observability layer on for any
-run-shaped command.
+``--json`` prints the final report as JSON on stdout (for ``repair``, its
+``timings`` include ``import_s``: the seconds this process took to import
+``repro``).  Telemetry flags (``--trace FILE``, ``--stats FILE``,
+``--profile``, ``--trace-slices``, ``--trace-fixpoints``) switch the
+observability layer on for any run-shaped command.
 
 This module runs ``repair``; the other handlers live in
 :mod:`repro.cli_tools`, imported only when one of them is dispatched.
@@ -39,12 +40,16 @@ import json
 import os
 import sys
 from dataclasses import replace as _dc_replace
-from typing import List, Optional
+from time import perf_counter
+from typing import TYPE_CHECKING, List, Optional
 
-from .api import (EventBus, JsonlEventWriter, RepairConfig, RepairSession,
-                  SessionEvent, TelemetryConfig)
+from . import IMPORT_STARTED
+from .api import EventBus, RepairConfig, RepairSession, TelemetryConfig
 from .api.config import TRANSPORTS
 from .backtest.abort import EarlyAbortPolicy
+
+if TYPE_CHECKING:
+    from .events import SessionEvent
 
 
 #: The run flags that set one ``RepairConfig`` field each:
@@ -247,9 +252,11 @@ def _emit_telemetry(session, args) -> None:
 def _run_session(args) -> "tuple":
     """Build the configured session from CLI args and run it."""
     config = _config_from_args(args)
-    events = EventBus()
+    # Nothing reads the history; without a subscriber no event is built.
+    events = EventBus(keep_history=False)
     log_handle = None
     if args.events:
+        from .events import JsonlEventWriter
         log_handle = open(args.events, "a", encoding="utf-8")
         events.subscribe(JsonlEventWriter(log_handle))
     if not args.quiet:
@@ -268,7 +275,9 @@ def _cmd_repair(args) -> int:
     session, report = _run_session(args)
     suggestions = report.suggestions()
     if args.json:
-        print(json.dumps(report.to_wire(), indent=2, sort_keys=True))
+        wire = report.to_wire()
+        wire["timings"]["import_s"] = args.import_seconds
+        print(json.dumps(wire, indent=2, sort_keys=True))
         return 0 if suggestions else 2
     print(report.summary())
     if not suggestions:
@@ -422,7 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # ``repair --json`` reports it: the seconds from the first line of
+    # ``repro/__init__.py`` to here.
+    import_seconds = perf_counter() - IMPORT_STARTED
     args = build_parser().parse_args(argv)
+    args.import_seconds = import_seconds
     try:
         status = args.func(args)
         sys.stdout.flush()

@@ -11,7 +11,7 @@ stream back as they complete.  :class:`Scheduler`
 * hands each outcome, as it completes, to the backtester's ``delivered``
   callback, which publishes :class:`~repro.events.BacktestProgress` for it
   and for the candidates judged from it — the one progress channel,
-  shared with the serial loop (:func:`repro.events.publish_progress`),
+  shared with the serial loop (:func:`repro.bus.publish_progress`),
 * ships the backtester's knobs, its
   :class:`~repro.backtest.abort.EarlyAbortPolicy` included, on the job
   wire, so workers replay and judge as the serial loop does, and
@@ -22,7 +22,8 @@ stream back as they complete.  :class:`Scheduler`
   folding the transport's recovery counters into telemetry
   (``fabric_worker_restarts``, ``fabric_job_retries{reason=…}``,
   ``fabric_quarantined``, ``fabric_frame_errors``, retry spans) and a
-  ``fabric_fault_stats`` event after each job.
+  ``fabric_fault_stats`` event after each job — each event built only
+  when its bus is :attr:`~repro.bus.EventBus.listening`.
 
 It plugs into ``Backtester.evaluate_all(..., scheduler=...)``::
 
@@ -56,7 +57,7 @@ import threading
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..backtest.replay import Backtester, ShardOutcome
-from ..events import CandidateQuarantined, EventBus, FabricFaultStats
+from ..bus import EventBus
 from ..repair.candidates import RepairCandidate
 from ..wire import decode
 from .faults import FaultPlan, FaultStats, QuarantinedItem, item_deadline
@@ -265,7 +266,8 @@ class Scheduler:
         result = backtester.verdict(
             candidate, backtester.baseline(), judge=False,
             note=f"quarantined({item.reason}) after {item.attempts} attempts")
-        if events is not None:
+        if events is not None and events.listening:
+            from ..events import CandidateQuarantined
             events.emit(CandidateQuarantined(
                 index=item.index, description=candidate.description or "",
                 reason=item.reason, attempts=item.attempts))
@@ -300,7 +302,8 @@ class Scheduler:
                 with telemetry.span("fabric.retry", index=index,
                                     reason=reason, attempt=attempt):
                     pass
-        if events is not None:
+        if events is not None and events.listening:
+            from ..events import FabricFaultStats
             reasons = ",".join(f"{reason}={count}" for reason, count
                                in sorted(stats.retries.items()))
             events.emit(FabricFaultStats(

@@ -1,41 +1,38 @@
-"""The session event stream: one typed bus for the whole repair pipeline.
+"""The session event stream: the typed events of the whole repair pipeline.
 
-The bus is the only observation channel of a repair: every stage of a
+The bus (:class:`~repro.bus.EventBus`, re-exported here) is the only
+observation channel of a repair: every stage of a
 :class:`~repro.api.session.RepairSession` publishes typed
-:class:`SessionEvent` records on an :class:`EventBus`, and any number of
-subscribers consume them — the live CLI renderer, a JSONL log file
-(:class:`JsonlEventWriter`), a test capturing the stream, or a dashboard
-on the other end of a socket.  Backtest progress has one producer,
-:func:`publish_progress`, called by the backtester per finished candidate,
-in its serial loop and as the distributed scheduler delivers outcomes
-alike, so every path yields one stream.
+:class:`SessionEvent` records on it, and any number of subscribers consume
+them — the live CLI renderer, a JSONL log file (:class:`JsonlEventWriter`),
+a test capturing the stream, or a dashboard on the other end of a socket.
+Backtest progress has one producer, :func:`~repro.bus.publish_progress`,
+called by the backtester per finished candidate, in its serial loop and as
+the distributed scheduler delivers outcomes alike, so every path yields one
+stream.
+
+A producer builds an event only when the bus is
+:attr:`~repro.bus.EventBus.listening` (it has a subscriber or keeps a
+history), and imports this module at that first event: a quiet ``repro
+repair``, whose bus keeps no history, never loads it.
 
 Events are frozen :mod:`repro.wire` dataclasses with a stable ``kind``:
 ``SessionEvent.from_json`` rebuilds the subclass a line's ``kind`` names.
 No field or kind was ever removed and every field has a default, so a log
 any version wrote decodes.
-
-Subscribers must not raise: a broken observer should not kill a repair
-run, so :meth:`EventBus.emit` isolates subscriber exceptions — but not
-silently: each failure increments the ``bus_sink_errors`` metric on the
-bus's :class:`~repro.obs.metrics.MetricsRegistry` and the *first* failure
-of each sink emits a ``RuntimeWarning`` (all failures stay on
-:attr:`EventBus.subscriber_errors` for tests and debugging).
 """
 
 from __future__ import annotations
 
 import io
 import os
-import warnings
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, IO, List, Optional, Set, Tuple
+from typing import IO, Tuple
 
+# Re-exported: the bus and its progress producer live in repro.bus.
+from .bus import (HISTORY_LIMIT, EventBus, Subscriber,  # noqa: F401
+                  publish_progress)
 from .wire import Wire
-
-if TYPE_CHECKING:
-    from .obs.metrics import MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -210,89 +207,8 @@ class WarmEngineStats(SessionEvent):
 
 
 # ---------------------------------------------------------------------------
-# The bus and stock subscribers
+# Stock subscribers
 # ---------------------------------------------------------------------------
-
-Subscriber = Callable[[SessionEvent], None]
-
-#: Most events an :class:`EventBus` keeps on its :attr:`~EventBus.history`.
-HISTORY_LIMIT = 10_000
-
-
-class EventBus:
-    """Synchronous fan-out of session events to any number of subscribers.
-
-    Emission never raises on behalf of a subscriber; failures are recorded
-    on :attr:`subscriber_errors`, counted in the ``bus_sink_errors``
-    metric on :attr:`metrics`, and warned about once per sink — so
-    observability cannot break the run but broken observers are no longer
-    invisible.  The bus also keeps an optional bounded :attr:`history`
-    (handy for tests and post-run summaries); once :data:`HISTORY_LIMIT` is
-    exceeded the *oldest* events are dropped, so the tail —
-    ``session_finished``, the backtest statistics — survives long runs.
-    Disable with ``keep_history=False``.
-    """
-
-    def __init__(self, keep_history: bool = True,
-                 metrics: Optional[MetricsRegistry] = None):
-        self._subscribers: List[Subscriber] = []
-        self.keep_history = keep_history
-        self.history: "deque[SessionEvent]" = deque(maxlen=HISTORY_LIMIT)
-        self.subscriber_errors: List[Tuple[Subscriber, BaseException]] = []
-        self._metrics = metrics
-        #: Optional hook applied to every event before fan-out (telemetry
-        #: uses it to stamp trace/span ids).
-        self.stamp: Optional[Callable[[SessionEvent], SessionEvent]] = None
-        self._warned_sinks: Set[int] = set()
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """Where ``bus_sink_errors`` is counted; a telemetry-enabled session
-        points this at its own registry so sink failures show up in ``repro
-        stats``.  Built on first read, that is on the first sink failure."""
-        if self._metrics is None:
-            from .obs.metrics import MetricsRegistry
-            self._metrics = MetricsRegistry()
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, registry: MetricsRegistry) -> None:
-        self._metrics = registry
-
-    def subscribe(self, subscriber: Subscriber) -> Subscriber:
-        """Register a callable; returns it (usable as a decorator)."""
-        self._subscribers.append(subscriber)
-        return subscriber
-
-    def emit(self, event: SessionEvent) -> None:
-        if self.stamp is not None:
-            event = self.stamp(event)
-        if self.keep_history:
-            self.history.append(event)
-        for subscriber in list(self._subscribers):
-            try:
-                subscriber(event)
-            except Exception as exc:   # noqa: BLE001 — observers must not kill runs
-                self.subscriber_errors.append((subscriber, exc))
-                self._record_sink_error(subscriber, exc)
-
-    def _record_sink_error(self, subscriber: Subscriber,
-                           exc: BaseException) -> None:
-        name = (getattr(subscriber, "__qualname__", None)
-                or type(subscriber).__name__)
-        self.metrics.counter("bus_sink_errors", sink=name).inc()
-        key = id(subscriber)
-        if key not in self._warned_sinks:
-            self._warned_sinks.add(key)
-            warnings.warn(
-                f"event sink {name} raised {exc!r}; suppressing further "
-                f"warnings from this sink (failures are still counted in "
-                f"the bus_sink_errors metric)", RuntimeWarning,
-                stacklevel=3)
-
-    def of_kind(self, kind: str) -> List[SessionEvent]:
-        """History filter: all recorded events with the given ``kind``."""
-        return [event for event in self.history if event.kind == kind]
 
 
 class JsonlEventWriter:
@@ -326,22 +242,3 @@ class JsonlEventWriter:
             os.fsync(self.stream.fileno())
         except (AttributeError, OSError, ValueError, io.UnsupportedOperation):
             pass
-
-
-def publish_progress(bus: EventBus, done: int, total: int, result) -> None:
-    """Publish one finished candidate's :class:`BacktestProgress` — then a
-    :class:`CandidateAborted` when the abort policy cut its replay short.
-
-    The one progress channel: the backtester calls it for every candidate
-    in completion order, serially or as the scheduler delivers outcomes.
-    """
-    note = next((n for n in result.notes if str(n).startswith("aborted")),
-                None)
-    description = result.candidate.description if result.candidate else ""
-    bus.emit(BacktestProgress(
-        done=done, total=total, description=description,
-        accepted=result.accepted, effective=result.effective,
-        ks_statistic=result.ks.statistic, aborted=note is not None,
-        elapsed_seconds=result.elapsed_seconds))
-    if note is not None:
-        bus.emit(CandidateAborted(description=description, note=str(note)))

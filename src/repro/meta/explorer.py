@@ -32,19 +32,24 @@ with each :meth:`~MetaProvenanceExplorer.explore_missing` call, so a
 candidate's ``tag`` — the ``v247`` of every report row and report digest —
 encodes how many attempts of the same exploration preceded it, and neither
 an earlier session of the process nor one on another thread moves it.  The
-:class:`~repro.repair.candidates.RepairCandidate`, its description and its
-meta provenance tree (:meth:`MetaProvenanceExplorer._explain`) are built when
-the attempt is emitted, so an exploration builds exactly as many candidates
-and trees as it returns.
+:class:`~repro.repair.candidates.RepairCandidate` and its description are
+built when the attempt is emitted, so an exploration builds exactly as many
+candidates as it returns.  Its meta provenance tree is built when someone
+reads it: the explorer records, per emitted candidate, what the tree is made
+from (an :class:`Explanation`: goal, shape, rule, support choice and edits),
+and ``candidate.tree`` and :attr:`ExplorationResult.forest` build the same
+trees (:func:`_explain`) on first read.  A repair that reads no tree — the
+CLI's — builds none and loads neither :mod:`repro.meta.forest` nor
+:mod:`repro.meta.metatuples`.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..ndlog.ast import (
     Atom,
@@ -73,18 +78,10 @@ from ..repair.candidates import (
 )
 from .constant_values import first_satisfying_value, satisfies
 from .costs import CostModel
-from .forest import EXIST, MetaForest, MetaTree, MetaVertex, NEXIST
 from .history import HistoryIndex
-from .metatuples import (
-    BaseMeta,
-    ConstMeta,
-    ExprMeta,
-    HeadValMeta,
-    MetaLocation,
-    OperMeta,
-    SelMeta,
-    TupleMeta,
-)
+
+if TYPE_CHECKING:
+    from .forest import MetaForest, MetaTree
 
 #: Joint support choices kept per rule.
 MAX_BODY_COMBINATIONS = 100
@@ -160,17 +157,60 @@ class ExplorationStats:
     candidates_discarded_unsat: int = 0
 
 
+class Explanation:
+    """What the meta provenance tree of one emitted candidate is built from
+    (:func:`_explain`): the goal, the attempt's shape, rule and support
+    choice, and the candidate's edits — not the candidate, so a candidate
+    holding its explanation makes no reference cycle.  :meth:`tree` builds
+    the tree on its first call and returns that same tree after."""
+
+    __slots__ = ("goal", "shape", "rule", "body_choice", "edits", "_tree")
+
+    def __init__(self, goal: MissingTupleGoal, shape: str,
+                 rule: Optional[Rule], body_choice: BodyChoice,
+                 edits: Tuple[Edit, ...]):
+        self.goal = goal
+        self.shape = shape
+        self.rule = rule
+        self.body_choice = body_choice
+        self.edits = edits
+        self._tree: Optional[MetaTree] = None
+
+    def tree(self) -> MetaTree:
+        if self._tree is None:
+            self._tree = _explain(self.goal, self.shape, self.rule,
+                                  self.body_choice, self.edits)
+        return self._tree
+
+
 @dataclass
 class ExplorationResult:
-    """Candidates, their trees and the statistics of one exploration."""
+    """Candidates, their explanations and the statistics of one
+    exploration.  The :attr:`forest` is built on first read."""
 
     goal: object
     candidates: List[RepairCandidate]
-    forest: MetaForest
     stats: ExplorationStats
+    #: The explanation of every emitted candidate, in emission order.
+    explanations: List[Explanation] = field(default_factory=list,
+                                            repr=False)
+    _forest: Optional[MetaForest] = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     def best(self) -> Optional[RepairCandidate]:
         return self.candidates[0] if self.candidates else None
+
+    @property
+    def forest(self) -> MetaForest:
+        """The meta provenance trees of the emitted candidates, in emission
+        order: built on first read, the same trees as the candidates'
+        :attr:`~repro.repair.candidates.RepairCandidate.tree`."""
+        if self._forest is None:
+            from .forest import MetaForest
+            self._forest = MetaForest()
+            for explanation in self.explanations:
+                self._forest.add(explanation.tree())
+        return self._forest
 
 
 def _pick_value(stats: ExplorationStats, op: str, known, unknown_side: str,
@@ -182,6 +222,38 @@ def _pick_value(stats: ExplorationStats, op: str, known, unknown_side: str,
     stats.solver_invocations += 1
     stats.solver_seconds += perf_counter() - started
     return value
+
+
+def _head_bindings(rule: Rule, goal: MissingTupleGoal) -> Optional[Bindings]:
+    """Bind head variables to the goal's required values."""
+    bindings = Bindings()
+    for index, value in goal.constraints:
+        if index >= len(rule.head.args):
+            return None
+        arg = rule.head.args[index]
+        if isinstance(arg, Var):
+            if arg.name in bindings and bindings[arg.name] != value:
+                return None
+            bindings[arg.name] = value
+        elif isinstance(arg, Const) and arg.value != value:
+            # A constant head argument contradicting the goal would need a
+            # head edit; retarget tasks cover that case.
+            return None
+    return bindings
+
+
+def _goal_arity(goal: MissingTupleGoal, rule: Optional[Rule]) -> int:
+    max_index = max((i for i, _ in goal.constraints), default=-1)
+    if rule is not None:
+        return max(len(rule.head.args), max_index + 1)
+    return max_index + 1
+
+
+def _goal_tuple(goal: MissingTupleGoal, arity: int) -> NDTuple:
+    """The goal's values by column index, wildcards elsewhere."""
+    wanted = goal.constraints_dict()
+    return NDTuple(goal.table, tuple(wanted.get(index, WILDCARD)
+                                     for index in range(arity)))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +316,7 @@ class MetaProvenanceExplorer:
 
     def explore_missing(self, goal: MissingTupleGoal) -> ExplorationResult:
         stats = ExplorationStats()
-        forest = MetaForest()
+        explanations: List[Explanation] = []
         lookups_before = self.history.lookup_count
         self._matches.clear()
         self._ids = itertools.count(1)
@@ -281,14 +353,15 @@ class MetaProvenanceExplorer:
                 if (signature not in seen_signatures
                         and self.cost_model.within_cutoff(cost)):
                     seen_signatures.add(signature)
-                    candidate = RepairCandidate(
+                    explanation = Explanation(goal, shape, rule, body_choice,
+                                              edits)
+                    explanations.append(explanation)
+                    candidates.append(RepairCandidate(
                         edits=edits, cost=cost, candidate_id=candidate_id,
                         description=(
                             f"insert support tuple {edits[0].tuple} for "
-                            f"rule {rule.name}" if shape == "support" else ""))
-                    candidate.tree = forest.add(self._explain(
-                        goal, candidate, shape, rule, body_choice))
-                    candidates.append(candidate)
+                            f"rule {rule.name}" if shape == "support" else ""),
+                        explanation=explanation))
                     stats.candidates_generated += 1
                 continue
             if not self.cost_model.within_cutoff(cost):
@@ -306,7 +379,8 @@ class MetaProvenanceExplorer:
 
         stats.history_lookups += self.history.lookup_count - lookups_before
         final = deduplicate(candidates)[: self.max_candidates]
-        return ExplorationResult(goal=goal, candidates=final, forest=forest, stats=stats)
+        return ExplorationResult(goal=goal, candidates=final, stats=stats,
+                                 explanations=explanations)
 
     # ------------------------------------------------------------------
     # Rule attempts: make an existing rule derive the missing tuple
@@ -317,30 +391,13 @@ class MetaProvenanceExplorer:
                        ) -> List[Tuple[Attempt, BodyChoice]]:
         """Every repair that makes ``rule`` fire, with the support choice
         each one is made under."""
-        head_bindings = self._head_bindings(rule, goal)
+        head_bindings = _head_bindings(rule, goal)
         if head_bindings is None:
             return []
         return [(attempt, body_choice)
                 for body_choice in self._body_combinations(rule, head_bindings)
                 for attempt in self._repairs_for_combination(
                     goal, rule, head_bindings, body_choice, stats)]
-
-    def _head_bindings(self, rule: Rule, goal: MissingTupleGoal) -> Optional[Bindings]:
-        """Bind head variables to the goal's required values."""
-        bindings = Bindings()
-        for index, value in goal.constraints:
-            if index >= len(rule.head.args):
-                return None
-            arg = rule.head.args[index]
-            if isinstance(arg, Var):
-                if arg.name in bindings and bindings[arg.name] != value:
-                    return None
-                bindings[arg.name] = value
-            elif isinstance(arg, Const) and arg.value != value:
-                # A constant head argument contradicting the goal would need a
-                # head edit; retarget tasks cover that case.
-                return None
-        return bindings
 
     def _body_combinations(self, rule: Rule,
                            head_bindings: Bindings) -> List[BodyChoice]:
@@ -616,7 +673,7 @@ class MetaProvenanceExplorer:
         arity = self._infer_table_arity(goal)
         if arity == 0:
             return []
-        edit = InsertTuple(self._goal_tuple(goal, arity))
+        edit = InsertTuple(_goal_tuple(goal, arity))
         attempt = ((edit,), self.cost_model.edit_cost(edit), next(self._ids))
         return [(attempt, ())]
 
@@ -634,7 +691,7 @@ class MetaProvenanceExplorer:
         cost than a direct goal-tuple insertion (the goal column values are
         only indirect evidence for the body tuple's columns).
         """
-        head_bindings = self._head_bindings(rule, goal)
+        head_bindings = _head_bindings(rule, goal)
         if head_bindings is None:
             return []
         cost = self.cost_model.costs["support_tuple"]
@@ -654,7 +711,7 @@ class MetaProvenanceExplorer:
         historical = self.history.tuples_of(goal.table)
         if historical:
             return historical[0].arity
-        return self._goal_arity(goal, None)
+        return _goal_arity(goal, None)
 
     def _retarget_attempts(self, goal: MissingTupleGoal, rule: Rule
                            ) -> List[Tuple[Attempt, BodyChoice]]:
@@ -707,100 +764,94 @@ class MetaProvenanceExplorer:
                 return False
         return True
 
-    # ------------------------------------------------------------------
-    # Explanation: the meta provenance tree of an emitted candidate
-    # ------------------------------------------------------------------
 
-    def _goal_arity(self, goal: MissingTupleGoal, rule: Optional[Rule]) -> int:
-        max_index = max((i for i, _ in goal.constraints), default=-1)
-        if rule is not None:
-            return max(len(rule.head.args), max_index + 1)
-        return max_index + 1
+# ---------------------------------------------------------------------------
+# Explanation: the meta provenance tree of an emitted candidate
+# ---------------------------------------------------------------------------
 
-    def _goal_tuple(self, goal: MissingTupleGoal, arity: int) -> NDTuple:
-        """The goal's values by column index, wildcards elsewhere."""
-        wanted = goal.constraints_dict()
-        return NDTuple(goal.table, tuple(wanted.get(index, WILDCARD)
-                                         for index in range(arity)))
 
-    def _explain(self, goal: MissingTupleGoal, candidate: RepairCandidate,
-                 shape: str, rule: Optional[Rule],
-                 body_choice: BodyChoice) -> MetaTree:
-        """The meta provenance tree of one attempt (Figure 6).
+def _explain(goal: MissingTupleGoal, shape: str, rule: Optional[Rule],
+             body_choice: BodyChoice, edits: Tuple[Edit, ...]) -> MetaTree:
+    """The meta provenance tree of one attempt (Figure 6), built when its
+    :class:`Explanation` is first read; :mod:`repro.meta.forest` and
+    :mod:`repro.meta.metatuples` load then.
 
-        The root is the missing goal tuple, as wide as the head of the rule
-        that is to derive it.  Below it: what held (``EXIST``) and what the
-        candidate's edits bring into existence (``NEXIST``), keyed by edit
-        kind — the body tuples of the support choice, then the rule's
-        selections in order, then the assignment fix.
-        """
-        edits = candidate.edits
-        # A manual insertion has no rule: the goal is as wide as the tuple it
-        # inserts (the goal table's arity).
-        arity = (self._goal_arity(goal, rule) if rule is not None
-                 else edits[0].tuple.arity)
-        root = MetaVertex(NEXIST, TupleMeta(self._goal_tuple(goal, arity)),
-                          rule=rule.name if rule is not None else None)
-        tree = MetaTree(root)
-        tree.completed = True
-        if shape in _INSERTION_NOTES:
-            tree.add_child(root, MetaVertex(NEXIST, BaseMeta(edits[0].tuple),
-                                            note=_INSERTION_NOTES[shape]))
-            return tree
+    The root is the missing goal tuple, as wide as the head of the rule
+    that is to derive it.  Below it: what held (``EXIST``) and what the
+    candidate's edits bring into existence (``NEXIST``), keyed by edit
+    kind — the body tuples of the support choice, then the rule's
+    selections in order, then the assignment fix.
+    """
+    from .forest import EXIST, MetaTree, MetaVertex, NEXIST
+    from .metatuples import (BaseMeta, ConstMeta, ExprMeta, HeadValMeta,
+                             MetaLocation, OperMeta, SelMeta, TupleMeta)
 
-        name = rule.name
-        derivation = HeadValMeta(name, "*", "head", goal.table)
-        if shape == "rule":
-            derive = MetaVertex(NEXIST, derivation, rule=name,
-                                note="missing derivation")
-        else:
-            derive = MetaVertex(NEXIST, derivation, note=(
-                "change head" if isinstance(edits[0], ChangeRuleHead)
-                else "copy rule"))
-        tree.add_child(root, derive)
-
-        def child(kind: str, subject, note: str = ""):
-            tree.add_child(derive, MetaVertex(kind, subject, note=note))
-
-        inserted = (edit.tuple for edit in edits if isinstance(edit, InsertTuple))
-        for kind, payload in body_choice:
-            if kind == "tuple":
-                child(EXIST, TupleMeta(payload))
-            else:
-                child(NEXIST, BaseMeta(next(inserted)))
-        if shape == "retarget":
-            return tree     # the rule fired as it is: nothing in it to fix
-
-        fixes = {edit.selection_index: edit for edit in edits
-                 if isinstance(edit, (ChangeConstant, ChangeOperator,
-                                      DeleteSelection))}
-        for sel_index, selection in enumerate(rule.selections):
-            edit = fixes.get(sel_index)
-            sid = selection.to_ndlog()
-            holds = SelMeta(name, "*", sid, True)
-            if edit is None:
-                child(EXIST, holds)
-            elif isinstance(edit, DeleteSelection):
-                child(NEXIST, holds, note="deleted")
-            elif isinstance(edit, ChangeOperator):
-                child(NEXIST, holds)
-                child(NEXIST, OperMeta(
-                    name, sid, "l", "r", edit.new_op,
-                    MetaLocation(name, "selection", sel_index, "op")))
-            else:
-                const_id = f"{name}.s{sel_index}.{edit.side[0]}"
-                child(NEXIST, holds)
-                child(EXIST, OperMeta(
-                    name, sid, f"{name}.s{sel_index}.l",
-                    f"{name}.s{sel_index}.r", selection.op,
-                    MetaLocation(name, "selection", sel_index, "op")))
-                child(NEXIST, ExprMeta(name, "*", const_id, edit.new_value))
-                child(NEXIST, ConstMeta(
-                    name, const_id, edit.new_value,
-                    MetaLocation(name, "selection", sel_index, edit.side)))
-        for edit in edits:
-            if isinstance(edit, ChangeAssignment):
-                child(NEXIST, HeadValMeta(
-                    name, "*", edit.var,
-                    self._head_bindings(rule, goal)[edit.var]))
+    # A manual insertion has no rule: the goal is as wide as the tuple it
+    # inserts (the goal table's arity).
+    arity = (_goal_arity(goal, rule) if rule is not None
+             else edits[0].tuple.arity)
+    root = MetaVertex(NEXIST, TupleMeta(_goal_tuple(goal, arity)),
+                      rule=rule.name if rule is not None else None)
+    tree = MetaTree(root)
+    tree.completed = True
+    if shape in _INSERTION_NOTES:
+        tree.add_child(root, MetaVertex(NEXIST, BaseMeta(edits[0].tuple),
+                                        note=_INSERTION_NOTES[shape]))
         return tree
+
+    name = rule.name
+    derivation = HeadValMeta(name, "*", "head", goal.table)
+    if shape == "rule":
+        derive = MetaVertex(NEXIST, derivation, rule=name,
+                            note="missing derivation")
+    else:
+        derive = MetaVertex(NEXIST, derivation, note=(
+            "change head" if isinstance(edits[0], ChangeRuleHead)
+            else "copy rule"))
+    tree.add_child(root, derive)
+
+    def child(kind: str, subject, note: str = ""):
+        tree.add_child(derive, MetaVertex(kind, subject, note=note))
+
+    inserted = (edit.tuple for edit in edits if isinstance(edit, InsertTuple))
+    for kind, payload in body_choice:
+        if kind == "tuple":
+            child(EXIST, TupleMeta(payload))
+        else:
+            child(NEXIST, BaseMeta(next(inserted)))
+    if shape == "retarget":
+        return tree     # the rule fired as it is: nothing in it to fix
+
+    fixes = {edit.selection_index: edit for edit in edits
+             if isinstance(edit, (ChangeConstant, ChangeOperator,
+                                  DeleteSelection))}
+    for sel_index, selection in enumerate(rule.selections):
+        edit = fixes.get(sel_index)
+        sid = selection.to_ndlog()
+        holds = SelMeta(name, "*", sid, True)
+        if edit is None:
+            child(EXIST, holds)
+        elif isinstance(edit, DeleteSelection):
+            child(NEXIST, holds, note="deleted")
+        elif isinstance(edit, ChangeOperator):
+            child(NEXIST, holds)
+            child(NEXIST, OperMeta(
+                name, sid, "l", "r", edit.new_op,
+                MetaLocation(name, "selection", sel_index, "op")))
+        else:
+            const_id = f"{name}.s{sel_index}.{edit.side[0]}"
+            child(NEXIST, holds)
+            child(EXIST, OperMeta(
+                name, sid, f"{name}.s{sel_index}.l",
+                f"{name}.s{sel_index}.r", selection.op,
+                MetaLocation(name, "selection", sel_index, "op")))
+            child(NEXIST, ExprMeta(name, "*", const_id, edit.new_value))
+            child(NEXIST, ConstMeta(
+                name, const_id, edit.new_value,
+                MetaLocation(name, "selection", sel_index, edit.side)))
+    for edit in edits:
+        if isinstance(edit, ChangeAssignment):
+            child(NEXIST, HeadValMeta(
+                name, "*", edit.var,
+                _head_bindings(rule, goal)[edit.var]))
+    return tree

@@ -3,9 +3,13 @@
 A meta provenance *tree* is the record of one repair attempt: the symptom at
 the root and, below it, what held during the recorded execution (``EXIST``)
 and what the attempt's edits bring into existence (``NEXIST``).  The explorer
-builds it when it *emits* a candidate (``MetaProvenanceExplorer._explain``),
-and the *forest* of an exploration is the list of trees behind the
-candidates it returned.
+records what each emitted candidate's tree is made from, and the tree is
+built when it is first read (``candidate.tree``, by
+:func:`repro.meta.explorer._explain`); the *forest* of an exploration
+(``ExplorationResult.forest``, built on first read too) is the list of those
+same trees, in emission order.  This module and
+:mod:`repro.meta.metatuples` load with the first tree built, so a repair
+that reads none never loads them.
 
 The paper (Section 3.3-3.5, Figure 5) expands a forest of *partial* trees in
 cost order, forks a tree wherever a vertex has k individually sufficient

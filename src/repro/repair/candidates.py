@@ -3,8 +3,9 @@
 A repair candidate (Section 4 of the paper) is a small set of edits to the
 controller program and/or its base tuples, together with a cost (the
 "implausibility" of the change) and the meta provenance tree that produced
-it.  Candidates are applied to a program by :mod:`repro.repair.apply` and
-evaluated by the backtesting subsystem (:mod:`repro.backtest`).
+it, built when first read.  Candidates are applied to a program by
+:mod:`repro.repair.apply` and evaluated by the backtesting subsystem
+(:mod:`repro.backtest`).
 """
 
 from __future__ import annotations
@@ -181,9 +182,9 @@ class InsertTuple(Edit):
 class RepairCandidate(Wire):
     """A complete candidate repair: one or more edits plus bookkeeping.
 
-    A :mod:`repro.wire` type without its meta provenance ``tree``: workers
-    only evaluate, and the scheduler re-attaches its own copy when
-    results stream back.
+    A :mod:`repro.wire` type without its ``explanation``: workers only
+    evaluate, and the scheduler re-attaches its own copy when results
+    stream back.  Equality reads the edits and bookkeeping only.
     """
 
     wire_name = "candidate"
@@ -191,8 +192,11 @@ class RepairCandidate(Wire):
     edits: Tuple[Edit, ...]
     cost: float
     description: str = ""
-    #: The MetaTree explaining this candidate.
-    tree: object = field(default=None, metadata=NOT_ON_WIRE)
+    #: What the explorer made this candidate from
+    #: (:class:`~repro.meta.explorer.Explanation`), ``None`` for one built
+    #: by hand or decoded from a wire.
+    explanation: object = field(default=None, metadata=NOT_ON_WIRE,
+                                compare=False, repr=False)
     candidate_id: int = field(default_factory=next_candidate_id)
     notes: Tuple[str, ...] = ()
 
@@ -201,6 +205,14 @@ class RepairCandidate(Wire):
             self.edits = tuple(self.edits)
         if not self.description:
             self.description = "; ".join(e.describe() for e in self.edits)
+
+    @property
+    def tree(self):
+        """The :class:`~repro.meta.forest.MetaTree` explaining this
+        candidate, built on first read (the same tree on every read and in
+        its exploration's forest); ``None`` without an explanation."""
+        explanation = self.explanation
+        return None if explanation is None else explanation.tree()
 
     @property
     def tag(self) -> str:
@@ -216,7 +228,8 @@ class RepairCandidate(Wire):
 
 
 def candidate_to_wire(candidate: RepairCandidate) -> Dict:
-    """A candidate's wire: its edits and bookkeeping, not its ``tree``."""
+    """A candidate's wire: its edits and bookkeeping, not its
+    ``explanation``."""
     return encode(candidate)
 
 

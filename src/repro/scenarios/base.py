@@ -9,11 +9,12 @@ A :class:`NDlogScenario` bundles everything one diagnostic case needs:
   explorer, and an effectiveness predicate for backtesting,
 * bookkeeping used by the experiment harness (reference repair, name, ...).
 
-Scenarios are pure descriptions: they build fresh topologies and controllers
-on demand.  A backtester builds the topology once and replays every candidate
-on a replica of it with flow tables of its own
-(:meth:`~repro.sdn.topology.Topology.replica`), so backtesting runs never
-contaminate each other.  A trace builder builds one repetition and repeats
+Scenarios are pure descriptions: they build fresh controllers on demand, and
+their topology once, as a *template* (:meth:`NDlogScenario.template`) that
+the trace factory reads, Diagnose's replay and the backtester replay
+replicas of — each a replica with flow tables of its own
+(:meth:`~repro.sdn.topology.Topology.replica`), so runs never contaminate
+each other or the template.  A trace builder builds one repetition and repeats
 it: the ``(switch, Packet)`` pairs are frozen values, shared by every
 repetition.
 
@@ -118,13 +119,23 @@ class NDlogScenario:
         #: calling process.
         self.spec = None
         self._trace: Optional[Tuple[Tuple[int, Packet], ...]] = None
+        self._template: Optional[Topology] = None
 
     # ------------------------------------------------------------------
     # Environment construction
     # ------------------------------------------------------------------
 
     def build_topology(self) -> Topology:
+        """A fresh topology from the factory."""
         return self.topology_factory()
+
+    def template(self) -> Topology:
+        """The scenario's topology, built once.  Nothing writes it: the
+        trace factory reads its hosts, and every replay runs on a
+        :meth:`~repro.sdn.topology.Topology.replica` of it."""
+        if self._template is None:
+            self._template = self.build_topology()
+        return self._template
 
     def build_controller(self, program: Optional[Program] = None,
                          extra_tuples: Sequence[NDTuple] = ()
@@ -146,7 +157,7 @@ class NDlogScenario:
     def trace(self) -> Tuple[Tuple[int, Packet], ...]:
         """The trace, built once; every call returns that same tuple."""
         if self._trace is None:
-            self._trace = tuple(self.trace_factory(self.build_topology()))
+            self._trace = tuple(self.trace_factory(self.template()))
         return self._trace
 
     # ------------------------------------------------------------------
@@ -171,7 +182,7 @@ class NDlogScenario:
         started = _time.perf_counter()
         controller = self.build_controller()
         recorder = RecordingController(controller)
-        simulator = NetworkSimulator(self.build_topology(), recorder,
+        simulator = NetworkSimulator(self.template().replica(), recorder,
                                      require_packet_out=self.require_packet_out,
                                      record_ingress=False)
         trace = self.trace()

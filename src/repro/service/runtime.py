@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from ..distrib.jobs import DistribError, RuntimeCache, _RuntimeEntry
-from ..events import EventBus
+from ..bus import EventBus
 from .wire import RepairJob, scenario_digest
 
 #: Signature of the sink the worker loop installs: one event wire dict in,

@@ -105,6 +105,28 @@ def test_event_tuples_are_never_wildcard():
         assert insert_inert(probe, program, ()) is None
 
 
+def test_the_axiom_covers_no_wildcard_a_replay_may_hold():
+    # An inserted PacketIn tuple may hold '*', and a derived one might:
+    # there the axiom does not hold, and the engine joins the '*'.
+    program = parse_program(
+        "r1 Out(@C,X) :- PacketIn(@C,X,Y), PacketIn(@C,Y,X).")
+    tup = NDTuple("PacketIn", ("c", "*", "*"))
+    assert Engine(program).insert(tup) == [NDTuple("Out", ("c", "*"))]
+    assert insert_inert(tup, program, [tup],
+                        event_tables={"PacketIn"}) is None
+    probe = NDTuple("Probe", (1, "*"))
+    joined = "r1 Out(@Y) :- Probe(@Y,X), PacketIn(@A,X,B).\n"
+    assert insert_inert(probe, parse_program(joined), [probe],
+                        event_tables={"PacketIn"}) == "join-impossible"
+    derived = joined + "r2 PacketIn(@C,X,Y) :- Seed(@C,X,Y).\n"
+    assert insert_inert(probe, parse_program(derived), [probe],
+                        event_tables={"PacketIn"}) is None
+    # Only the column the set-up's '*' sits at loses the axiom.
+    wild = NDTuple("PacketIn", ("c", 1, "*"))
+    assert insert_inert(probe, parse_program(joined), [probe, wild],
+                        event_tables={"PacketIn"}) == "join-impossible"
+
+
 def test_derivable_tuple_is_not_inert():
     # Out is unconsumed, but r1 can derive Out(Swi, 7) at runtime; a
     # pre-inserted copy would change the derivation delta.

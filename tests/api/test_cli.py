@@ -29,6 +29,9 @@ def test_repair_q1_json(capsys):
                  "--quiet"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["scenario"] == "Q1"
+    assert set(report["timings"]) == {
+        "history_lookups", "constraint_solving", "patch_generation",
+        "replay", "total", "import_s"}
     assert report["generated"] == 14
     assert report["surviving"] >= 1
     assert report["suggestions"]
@@ -251,7 +254,9 @@ def test_q4_report_does_not_depend_on_the_hash_seed():
              "--quiet"], env=env, check=True, capture_output=True,
             timeout=120).stdout
         wire = json.loads(out)
-        del wire["timings"]
+        # The decomposition's import line: from the first line of
+        # repro/__init__.py to repro.cli.main, in this fresh process.
+        assert 0 < wire.pop("timings")["import_s"] < 30
         return json.dumps(wire, sort_keys=True).encode()
 
     assert report_bytes(0) == report_bytes(3)

@@ -4,13 +4,15 @@ surfaces that keep it small.
 Cold start is most of a paper-sized query's turnaround (the ledger's
 ``cli.import_s``), so the set of modules a serial repair loads is a budget:
 no third-party graph library, none of the worker fleet or its fault module,
-the service, the observability layer, the lint passes, the other CLI
-subcommands, the four case studies it does not run or the other controller
-languages (Table 3, which no package ``__init__`` names).
-``repro.distrib``, ``repro.obs``, ``repro.analysis`` and ``repro.scenarios``
-resolve some names on first use, and ``repro.api`` its ``FaultPlan``; the
-second half checks nobody can tell the difference, and holds
-``repro.ndlog``'s eager surface to the same contract.
+the service, the observability layer, the lint passes and their findings,
+the event classes of a bus nobody hears, the explanation trees nobody reads,
+the other CLI subcommands, the four case studies it does not run or the
+other controller languages (Table 3, which no package ``__init__`` names);
+and the number of dataclasses it creates is pinned exactly.
+``repro.distrib``, ``repro.obs``, ``repro.analysis``, ``repro.meta`` and
+``repro.scenarios`` resolve some names on first use, and ``repro.api`` its
+``FaultPlan`` and event classes; the second half checks nobody can tell the
+difference, and holds ``repro.ndlog``'s eager surface to the same contract.
 """
 
 import importlib
@@ -25,11 +27,17 @@ import pytest
 import repro
 
 REEXPORTING_PACKAGES = ["repro.analysis", "repro.api", "repro.distrib",
-                        "repro.ndlog", "repro.obs", "repro.scenarios"]
+                        "repro.meta", "repro.ndlog", "repro.obs",
+                        "repro.scenarios"]
 
-#: Modules a serial ``repro repair`` has no business loading.
+#: Modules a serial ``repro repair`` has no business loading.  A quiet one
+#: also builds no event, reads no explanation tree and lints nothing, so
+#: it loads neither the event classes, the trees and their meta tuples nor
+#: the lint findings.
 UNWANTED = ["networkx", "socket", "subprocess", "pickle", "cProfile",
             "repro.distrib", "repro.service", "repro.obs",
+            "repro.events", "repro.meta.forest", "repro.meta.metatuples",
+            "repro.analysis.findings",
             "repro.analysis.safety", "repro.analysis.lint", "repro.cli_tools",
             "repro.scenarios.q2_forwarding", "repro.scenarios.q3_policy_update",
             "repro.scenarios.q4_forgotten_packets",
@@ -44,9 +52,17 @@ MODULE_BUDGET = 170
 #: The ``repro`` source a CLI Q1 repair compiles (every process does, where
 #: bytecode is not cached): 62 modules and 13,011 lines before the tool
 #: subcommands, lint passes, fault module, metrics registry and unrun case
-#: studies loaded on first use, 51 and 11,015 after.
-REPRO_MODULE_BUDGET = 52
-REPRO_LINE_BUDGET = 11_300
+#: studies loaded on first use, 51 and 11,015 after; 48 and 9,658 before
+#: events, trees and lint findings were built only for a reader, 45 and
+#: 9,231 after.
+REPRO_MODULE_BUDGET = 45
+REPRO_LINE_BUDGET = 9_231
+#: The dataclasses the same process creates, exactly: each costs its
+#: generated methods' ``exec`` at import (about 0.6 ms for a frozen one on
+#: CPython 3.11).  65 before a quiet repair stopped loading the 12 event
+#: classes, the tree's vertex and 8 meta tuples, and the vetter's finding
+#: and result.
+REPRO_DATACLASSES = 41
 
 
 def run_fresh(script):
@@ -73,11 +89,18 @@ with contextlib.redirect_stdout(report):
                              "--json", "--quiet"])
 loaded = set(sys.modules) - bare
 repro_lines = 0
+dataclasses = []
 for name in loaded:
     if name == "repro" or name.startswith("repro."):
-        with open(sys.modules[name].__file__, encoding="utf-8") as source:
+        module = sys.modules[name]
+        with open(module.__file__, encoding="utf-8") as source:
             repro_lines += sum(1 for _ in source)
+        dataclasses += [f"{name}.{value.__qualname__}"
+                        for value in vars(module).values()
+                        if isinstance(value, type) and value.__module__ == name
+                        and "__dataclass_fields__" in vars(value)]
 print(json.dumps({
+    "dataclasses": sorted(dataclasses),
     "status": status,
     "accepted": sum(row["accepted"]
                     for row in json.loads(report.getvalue())["results"]),
@@ -96,6 +119,8 @@ print(json.dumps({
                      if name == "repro" or name.startswith("repro.")]
     assert len(repro_modules) <= REPRO_MODULE_BUDGET, repro_modules
     assert result["repro_lines"] <= REPRO_LINE_BUDGET, result["repro_lines"]
+    assert len(result["dataclasses"]) == REPRO_DATACLASSES, \
+        result["dataclasses"]
 
 
 def test_lazy_surfaces_load_on_first_use_in_a_fresh_process():

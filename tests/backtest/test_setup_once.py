@@ -1,13 +1,14 @@
 """A backtester builds once what no replay changes.
 
-* **The topology.**  A backtester builds its scenario's topology once, as
-  a template, and every replay — the baseline's and each candidate's —
-  runs on a replica: the template's hosts, links and adjacency, shared,
-  and switches and flow tables of its own, each table a copy of the
-  template's in install order.  A topology with pre-installed entries (a
-  small Stanford campus, whose core is configured proactively) must replay
-  on a replica exactly as on a fresh build, and no replay may write the
-  template, whether the backtester is reused or shared by threads.
+* **The topology.**  A scenario builds its topology once, as a template,
+  which its trace factory reads, and every replay — Diagnose's, the
+  baseline's and each candidate's — runs on a replica: the template's
+  hosts, links and adjacency, shared, and switches and flow tables of its
+  own, each table a copy of the template's in install order.  A topology
+  with pre-installed entries (a small Stanford campus, whose core is
+  configured proactively) must replay on a replica exactly as on a fresh
+  build, and no replay may write the template, whether the backtester is
+  reused or shared by threads.
 * **The application.**  On the serial path a representative replays the
   patched program the vet already applied: each candidate is applied once.
 """
@@ -182,9 +183,14 @@ def test_replays_leave_the_template_unchanged():
         assert switch.links is original.links
 
 
-def test_a_backtester_builds_its_topology_once():
+def test_a_session_builds_its_topology_once():
+    """The trace factory, Diagnose's recorded run and the backtester all
+    read the scenario's one template, and the report equals a fresh
+    session's."""
+    from repro.api import RepairConfig, RepairSession
+
+    config = RepairConfig.for_scenario("Q1", max_candidates=14)
     scenario = build_scenario("Q1")
-    scenario.trace()                  # the scenario's own trace, cached
     built = []
     factory = scenario.topology_factory
 
@@ -193,11 +199,14 @@ def test_a_backtester_builds_its_topology_once():
         return factory()
 
     scenario.topology_factory = counting
-    candidates = scenario_candidates("Q1") + [flooding_candidate()]
-    backtester = Backtester(scenario, ks_threshold=scenario.ks_threshold)
-    report = backtester.evaluate_all(candidates)
-    assert report.vetoed_count + report.shared_count < len(candidates)
+    session = RepairSession(config, scenario=scenario)
+    report = session.run()
     assert len(built) == 1
+    assert session.backtester._template() is scenario.template()
+    assert report.backtest.vetoed_count + report.backtest.shared_count < \
+        len(report.backtest.results)
+    fresh = RepairSession(config).run()
+    assert report.to_wire()["results"] == fresh.to_wire()["results"]
 
 
 def test_threads_sharing_one_backtester_replay_as_one():

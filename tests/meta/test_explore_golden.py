@@ -18,8 +18,9 @@ regenerated with
         > tests/meta/explore_golden.json
 
 Three things no golden states follow it: every returned candidate carries a
-completed tree; an exploration constructs exactly as many trees as it returns
-candidates; and the only values it asks for
+completed tree; an exploration constructs no tree until one is read, and
+then one per candidate, the same object on every read and in the forest;
+and the only values it asks for
 (``constant_values.first_satisfying_value``) are a constant's new ones.
 """
 
@@ -33,6 +34,7 @@ import pytest
 from repro.api import RepairConfig, RepairSession
 from repro.meta import MetaProvenanceExplorer, MissingTupleGoal
 from repro.meta import explorer as explorer_module
+from repro.meta import forest as forest_module
 from repro.repair import reset_candidate_ids
 from repro.scenarios import build_scenario
 
@@ -120,19 +122,23 @@ def test_every_root_keeps_the_goals_column_positions():
 
 
 @pytest.mark.parametrize("key", ["Q1", "Q1PAD250"])
-def test_one_tree_is_built_per_returned_candidate(monkeypatch, key):
+def test_a_tree_is_built_on_first_read(monkeypatch, key):
     built = []
 
-    class CountedTree(explorer_module.MetaTree):
+    class CountedTree(forest_module.MetaTree):
         def __init__(self, *args, **kwargs):
             built.append(self)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(explorer_module, "MetaTree", CountedTree)
+    monkeypatch.setattr(forest_module, "MetaTree", CountedTree)
     result = explore(key)
-    assert len(result.candidates) == 14
+    assert len(result.candidates) == 14 and built == []
+    trees = [candidate.tree for candidate in result.candidates]
+    assert len(built) == 14
+    assert all(candidate.tree is tree
+               for candidate, tree in zip(result.candidates, trees))
     assert len(result.forest) == len(result.candidates) == len(built)
-    assert {id(c.tree) for c in result.candidates} == {id(t) for t in built}
+    assert {id(tree) for tree in result.forest} == {id(t) for t in built}
 
 
 def test_only_constant_repairs_ask_for_a_value(monkeypatch):

@@ -5,8 +5,9 @@ Under a ``sys.setprofile`` / ``threading.setprofile`` hook it runs, in this
 process: serial Q1–Q5 sessions with the default config and once per ablation
 knob (plain Q1 with 100 candidates, the rest with 14; the abort row pairs
 ``EarlyAbortPolicy()`` with ``max_packet_in_growth=2.0``, so the overload
-check runs at every check point and aborts one of Q4's 11 candidates),
-a ``workers=2`` session on the ``inprocess`` transport (the scheduler's
+check runs at every check point and aborts one of Q4's 11 candidates), each
+session's explanations read (its forest, and each suggestion's tree
+printed), a ``workers=2`` session on the ``inprocess`` transport (the scheduler's
 zero-worker case: its serial drain, not a fleet) and the exit hook that
 closes idle fleets, one Q1 session through an in-process repair service
 (a ``RepairServiceDaemon`` without workers and its ``ServiceHTTPServer``:
@@ -100,8 +101,14 @@ def workloads():
     for name in ("Q1", "Q2", "Q3", "Q4", "Q5"):
         for knobs in knob_rows:
             budget = 14 if knobs or name != "Q1" else 100
-            RepairSession(RepairConfig.for_scenario(
+            report = RepairSession(RepairConfig.for_scenario(
                 name, max_candidates=budget, **knobs)).run()
+            # A reader of the explanations, which are built when read: the
+            # forest, and each suggestion's tree printed (as
+            # examples/firewall_policy_update.py prints one).
+            len(report.exploration.forest)
+            for result in report.suggestions():
+                result.candidate.tree.to_text()
     RepairSession(RepairConfig.for_scenario(
         "Q1", max_candidates=14, workers=2, transport="inprocess")).run()
     # What interpreter exit runs after a fabric session (an atexit hook,

@@ -328,7 +328,7 @@ def test_candidates_survive_pickle_and_the_json_wire(label, program,
     assert len(wire) == GOLDEN[label]["wire_bytes"]
     decoded = candidate_from_wire(json.loads(wire))
     assert decoded.edits == candidate.edits
-    assert dataclasses.replace(decoded, tree=candidate.tree) == candidate
+    assert decoded == candidate                  # equality skips the tree
     assert decoded.tree is None
     assert json.dumps(candidate_to_wire(decoded)) == wire
     assert (apply_candidate(program, decoded).program
